@@ -37,8 +37,12 @@ lint-ssa:
 test:
 	$(GO) test ./...
 
+# The link's write side changes hands between goroutines (senders, the
+# credit sender, a reconnect); its tests run ten times over so that the
+# detector sees more than one interleaving.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'TestLink' ./internal/transport/
 
 # Crash-recovery integration suite: fault injection at every
 # checkpoint-protocol seam, run under the race detector (the barrier

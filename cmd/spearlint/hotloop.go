@@ -33,12 +33,13 @@ var spillSeamScope = []string{
 	"internal/window",
 }
 
-// transportSendScope limits the send-path check to the network shuffle:
-// pump drains a worker outbox at full stream rate and sendSeq writes
-// one frame per call, so everything they reach synchronously — the
-// encode closures and the frame Append helpers behind them — is charged
-// per frame. Reconnection lives on the redial goroutine by design, so
-// `go` statement subtrees are exempt.
+// transportSendScope limits the frame-path check to the network
+// shuffle: pump drains a worker outbox at full stream rate, sendSeq
+// queues one frame per call and readLoop dispatches one per iteration,
+// so everything they reach synchronously — the encode closures, the
+// frame Append helpers behind them, the frame decoder — is charged per
+// frame. Reconnection lives on the redial goroutine by design, so `go`
+// statement subtrees are exempt.
 var transportSendScope = []string{
 	"internal/transport",
 }
@@ -57,13 +58,19 @@ var transportSendScope = []string{
 //     loops of OnTupleBatch. No call expansion here, so the per-window
 //     fire paths — which legitimately observe ProcTime once per window
 //     through helpers — stay exempt.
-//   - In internal/transport, on the shuffle send path (pump, sendSeq,
-//     and every package-local function they reach synchronously): the
-//     worker-loop rules above over each reachable loop, plus any
-//     net.Dial* call anywhere on the path — a blocking connect stalls
-//     every frame behind the write lock, so dials belong to the redial
-//     goroutine (`go` statement subtrees are exempt from both the
-//     reachability walk and the dial scan).
+//   - In internal/transport, on the shuffle's frame path (pump, sendSeq,
+//     readLoop, and every package-local function they reach
+//     synchronously): the worker-loop rules above over each reachable
+//     loop, plus any net.Dial* call anywhere on the path — a blocking
+//     connect stalls every frame behind the write lock, so dials belong
+//     to the redial goroutine (`go` statement subtrees are exempt from
+//     both the reachability walk and the dial scan) — plus per-frame
+//     buffer churn: a slice make, or an append-shaped call handed nil to
+//     grow from (enc(nil, seq), AppendX(nil, ...), append([]T(nil),
+//     ...)), inside a reachable loop or anywhere in sendSeq's own body,
+//     which runs once per frame. Frame buffers are recycled; a helper
+//     that allocates when its free list is empty sits outside any loop
+//     and stays quiet.
 //   - Inside OnTupleBatch loops additionally: fmt.Sprintf/Sprint/
 //     Sprintln calls (per-tuple formatting reflects and allocates),
 //     string concatenation via + or += (each one copies both halves
@@ -118,13 +125,15 @@ func runHotLoop(p *Pkg) []Finding {
 	return out
 }
 
-// runTransportSend is the internal/transport side: the shuffle send
-// path. Roots are the outbox pump and the link's sendSeq; reachability
-// expands through package-local calls — including calls inside the
-// encode closures handed to sendSeq, which run synchronously on the
-// send path — but never through a `go` statement (the redial plane is
-// the sanctioned home for blocking work). Each reachable body gets the
-// worker-loop scan plus a whole-body net.Dial* scan.
+// runTransportSend is the internal/transport side: the shuffle's frame
+// path. Roots are the outbox pump, the link's sendSeq and its readLoop;
+// reachability expands through package-local calls — including calls
+// inside the encode closures handed to sendSeq, which run synchronously
+// on the send path — but never through a `go` statement (the redial
+// plane is the sanctioned home for blocking work). Each reachable body
+// gets the worker-loop scan, a whole-body net.Dial* scan, and the
+// per-frame buffer-churn scan over its loops (over the whole body for
+// sendSeq itself).
 func runTransportSend(p *Pkg) []Finding {
 	type fnDecl struct {
 		decl *ast.FuncDecl
@@ -143,7 +152,8 @@ func runTransportSend(p *Pkg) []Finding {
 					decls[obj] = fnDecl{fd, f}
 				}
 			}
-			if fd.Name.Name == "pump" || fd.Name.Name == "sendSeq" {
+			switch fd.Name.Name {
+			case "pump", "sendSeq", "readLoop":
 				roots = append(roots, fnDecl{fd, f})
 			}
 		}
@@ -164,8 +174,10 @@ func runTransportSend(p *Pkg) []Finding {
 			work = append(work, workItem{body, file})
 		}
 	}
+	perFrame := map[*ast.BlockStmt]bool{} // bodies that run once per frame, loop or not
 	for _, r := range roots {
 		push(r.decl.Body, r.file)
+		perFrame[r.decl.Body] = r.decl.Name.Name == "sendSeq"
 	}
 	var out []Finding
 	for i := 0; i < len(work); i++ {
@@ -198,8 +210,110 @@ func runTransportSend(p *Pkg) []Finding {
 		}
 		out = append(out, scanHotBody(p, item.body, importAlias(item.file, "time"))...)
 		out = append(out, scanNetDial(p, item.body, importAlias(item.file, "net"))...)
+		out = append(out, scanFrameChurn(p, item.body, perFrame[item.body])...)
 	}
 	return out
+}
+
+// scanFrameChurn flags per-frame buffer churn in body: inside its loops,
+// or anywhere in it when whole is set (the body itself runs once per
+// frame). Two shapes: a slice make, and an append-shaped call — the
+// append builtin, an Append*-named function, or a func-typed variable or
+// parameter such as the encode callback — whose first argument is nil
+// (or a nil conversion), i.e. a buffer grown from nothing every time.
+// Function literals and `go` subtrees are skipped: an encode closure
+// receives its buffer, and what it reaches is scanned as its own body.
+func scanFrameChurn(p *Pkg, body *ast.BlockStmt, whole bool) []Finding {
+	var out []Finding
+	flag := func(region ast.Node) {
+		ast.Inspect(region, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit, *ast.GoStmt:
+				return false
+			case *ast.ForStmt:
+				if !whole && n.Body != region {
+					return false // scanned as its own loop
+				}
+			case *ast.RangeStmt:
+				if !whole && n.Body != region {
+					return false
+				}
+			case *ast.CallExpr:
+				if msg := frameChurnMsg(p, n); msg != "" {
+					out = append(out, Finding{Pos: p.Fset.Position(n.Pos()), Check: "hotloop", Msg: msg})
+				}
+			}
+			return true
+		})
+	}
+	if whole {
+		flag(body)
+		return out
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit, *ast.GoStmt:
+			return false
+		case *ast.ForStmt:
+			flag(n.Body)
+		case *ast.RangeStmt:
+			flag(n.Body)
+		}
+		return true
+	})
+	return out
+}
+
+// frameChurnMsg classifies one call as per-frame buffer churn, or
+// returns "".
+func frameChurnMsg(p *Pkg, call *ast.CallExpr) string {
+	if len(call.Args) == 0 {
+		return ""
+	}
+	var name string
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		name = fun.Name
+	case *ast.SelectorExpr:
+		name = fun.Sel.Name
+	default:
+		return ""
+	}
+	if name == "make" {
+		if _, isSlice := call.Args[0].(*ast.ArrayType); isSlice {
+			return "slice allocation (make) per frame on the transport frame path; recycle the buffer — the link keeps a free list of acknowledged frames, the shard a batch pool"
+		}
+		return ""
+	}
+	appendShaped := name == "append" || strings.HasPrefix(name, "Append") || strings.HasPrefix(name, "append")
+	if !appendShaped && p.Info != nil {
+		// A func-typed variable or parameter (the encode callback).
+		if id, ok := call.Fun.(*ast.Ident); ok {
+			if v, ok := p.Info.Uses[id].(*types.Var); ok {
+				_, appendShaped = v.Type().Underlying().(*types.Signature)
+			}
+		}
+	}
+	if appendShaped && isNilBuffer(call.Args[0]) {
+		return "buffer grown from nil per frame (" + name + "(nil, ...)) on the transport frame path; append into a recycled buffer instead"
+	}
+	return ""
+}
+
+// isNilBuffer reports whether e is nil or a conversion of nil
+// ([]byte(nil)).
+func isNilBuffer(e ast.Expr) bool {
+	switch x := e.(type) {
+	case *ast.Ident:
+		return x.Name == "nil"
+	case *ast.ParenExpr:
+		return isNilBuffer(x.X)
+	case *ast.CallExpr:
+		if _, conv := x.Fun.(*ast.ArrayType); conv && len(x.Args) == 1 {
+			return isNilBuffer(x.Args[0])
+		}
+	}
+	return false
 }
 
 // scanNetDial flags net.Dial, net.DialTimeout, net.DialTCP, ... calls

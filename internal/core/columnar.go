@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"spear/internal/agg"
 	"spear/internal/col"
 	"spear/internal/sample"
 	"spear/internal/window"
@@ -102,13 +101,7 @@ func (m *ScalarManager) OnColumnBatch(cb *col.ColumnBatch) ([]Result, error) {
 				var ok bool
 				w, ok = m.wins[id]
 				if !ok {
-					w = &scalarWin{first: ts[i0]}
-					if m.curBudget > 0 {
-						w.res = sample.NewReservoir(m.curBudget, sample.DeriveSeed(m.cfg.Seed, int64(id)), sample.AlgoL)
-					}
-					if m.useIncremental() {
-						w.inc, _ = agg.NewIncremental(m.cfg.Agg)
-					}
+					w = m.newWin(id, ts[i0])
 					m.wins[id] = w
 				}
 				m.lastID, m.lastWin = id, w

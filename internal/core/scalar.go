@@ -142,6 +142,19 @@ func (m *ScalarManager) useIncremental() bool {
 	return m.cfg.Custom == nil && m.cfg.Agg.Incremental() && !m.cfg.DisableIncremental
 }
 
+// newWin returns the state of window id, first seen at pos. A window
+// answered incrementally keeps no sample: produce reads w.inc alone,
+// so a reservoir there would be fed per tuple and never read.
+func (m *ScalarManager) newWin(id window.ID, pos int64) *scalarWin {
+	w := &scalarWin{first: pos}
+	if m.useIncremental() {
+		w.inc, _ = agg.NewIncremental(m.cfg.Agg)
+	} else if m.curBudget > 0 {
+		w.res = sample.NewReservoir(m.curBudget, sample.DeriveSeed(m.cfg.Seed, int64(id)), sample.AlgoL)
+	}
+	return w
+}
+
 // evalSample evaluates the operation on a sample from a window of n.
 func (m *ScalarManager) evalSample(sample []float64, n int64) float64 {
 	if m.cfg.Custom != nil {
@@ -244,13 +257,7 @@ func (m *ScalarManager) ingest(t tuple.Tuple) (rs []Result, ingested bool, err e
 			var ok bool
 			w, ok = m.wins[id]
 			if !ok {
-				w = &scalarWin{first: pos}
-				if m.curBudget > 0 {
-					w.res = sample.NewReservoir(m.curBudget, sample.DeriveSeed(m.cfg.Seed, int64(id)), sample.AlgoL)
-				}
-				if m.useIncremental() {
-					w.inc, _ = agg.NewIncremental(m.cfg.Agg)
-				}
+				w = m.newWin(id, pos)
 				m.wins[id] = w
 			}
 			m.lastID, m.lastWin = id, w

@@ -147,6 +147,9 @@ func (m *ScalarManager) RestoreState(b []byte) error {
 			}
 			inc.ReadFrom(rd)
 			w.inc = inc
+			// Blobs from before incremental windows stopped sampling
+			// carry a reservoir here; nothing reads it (see newWin).
+			w.res = nil
 		}
 		if _, dup := wins[id]; dup {
 			return fmt.Errorf("%w: duplicate scalar window %d", tuple.ErrCorrupt, id)

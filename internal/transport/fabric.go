@@ -8,7 +8,6 @@ import (
 
 	"spear/internal/obs"
 	"spear/internal/spe"
-	"spear/internal/tuple"
 )
 
 // FabricConfig configures the source side of the network shuffle.
@@ -38,8 +37,6 @@ type FabricConfig struct {
 	// Window is the credit window granted to each node; zero selects
 	// the default.
 	Window int
-	// CreditEvery overrides the credit cadence (zero derives it).
-	CreditEvery int
 	// MaxRedials caps reconnect attempts per outage; BackoffBase and
 	// BackoffMax shape the capped exponential backoff between them.
 	MaxRedials  int
@@ -133,7 +130,7 @@ func (f *Fabric) Open(par, senders, queueSize int, env spe.FabricEnv) ([]chan []
 		if f.cfg.Obs != nil {
 			tobs = f.cfg.Obs.RegisterTransport(n.addr)
 		}
-		n.lk = newLink(n.addr, f.cfg.Window, f.cfg.CreditEvery, n, tobs)
+		n.lk = newLink(n.addr, f.cfg.Window, n, tobs)
 		n.lk.redial = func(epoch uint64) (net.Conn, uint64, error) {
 			return f.dial(n, epoch, senders, par, queueSize)
 		}
@@ -154,9 +151,7 @@ func (f *Fabric) Open(par, senders, queueSize int, env spe.FabricEnv) ([]chan []
 			n.lk.close()
 			return nil, fmt.Errorf("transport: connect %s: %w", n.addr, err)
 		}
-		if gen := n.lk.adopt(conn, peerAcked); gen >= 0 {
-			n.lk.startReader(conn, gen)
-		}
+		n.lk.adopt(conn, peerAcked)
 		f.nodes = append(f.nodes, n)
 
 		for w := n.lo; w < n.hi; w++ {
@@ -254,14 +249,15 @@ func shake(conn net.Conn, hello Hello) (Welcome, error) {
 }
 
 // pump drains one destination worker's outbox onto the node's link:
-// contiguous data tuples become batch frames (the encode loop performs
-// no per-tuple work beyond the codec append), control messages become
-// their control frames, and the outbox closing becomes the worker's
-// End frame.
+// contiguous data tuples become batch frames, encoded straight from
+// the messages (the encode loop performs no per-tuple work beyond the
+// codec append), control messages become their control frames, and the
+// outbox closing becomes the worker's End frame. Data frames queue on
+// the link while the outbox has more to give and leave together when
+// it runs dry; a control frame never waits.
 func (n *fabricNode) pump(dest int, out <-chan []spe.Message) {
 	defer n.wg.Done()
 	scratch := make([]tupleRun, 0, 4)
-	ts := make([]tuple.Tuple, 0, n.f.cfg.BatchSize)
 	for batch := range out {
 		scratch = scratch[:0]
 		// Split the batch into runs: maximal spans of data tuples from
@@ -281,25 +277,22 @@ func (n *fabricNode) pump(dest int, out <-chan []spe.Message) {
 			i = j
 		}
 		failed := false
-		for _, run := range scratch {
+		for k, run := range scratch {
 			run := run
 			var err error
 			switch {
 			case run.control != nil && run.control.IsWM:
-				err = n.lk.sendSeq(func(dst []byte, seq uint64) []byte {
+				err = n.lk.sendSeq(true, func(dst []byte, seq uint64) []byte {
 					return AppendWatermark(dst, seq, dest, run.control.Sender, run.control.WM)
 				})
 			case run.control != nil:
-				err = n.lk.sendSeq(func(dst []byte, seq uint64) []byte {
+				err = n.lk.sendSeq(true, func(dst []byte, seq uint64) []byte {
 					return AppendBarrier(dst, seq, dest, run.control.Sender, run.control.Barrier)
 				})
 			default:
-				ts = ts[:0]
-				for i := range run.msgs {
-					ts = append(ts, run.msgs[i].Tuple)
-				}
-				err = n.lk.sendSeq(func(dst []byte, seq uint64) []byte {
-					return AppendBatch(dst, seq, dest, run.sender, ts)
+				dry := k == len(scratch)-1 && len(out) == 0
+				err = n.lk.sendSeq(dry, func(dst []byte, seq uint64) []byte {
+					return appendBatchMsgs(dst, seq, dest, run.sender, run.msgs)
 				})
 			}
 			if err != nil {
@@ -321,7 +314,7 @@ func (n *fabricNode) pump(dest int, out <-chan []spe.Message) {
 			return
 		}
 	}
-	_ = n.lk.sendSeq(func(dst []byte, seq uint64) []byte {
+	_ = n.lk.sendSeq(true, func(dst []byte, seq uint64) []byte {
 		return AppendEnd(dst, seq, dest)
 	})
 }
@@ -395,6 +388,9 @@ func (n *fabricNode) Frame(fr Frame) error {
 		return fmt.Errorf("unexpected %s frame at source", fr.Kind)
 	}
 }
+
+// Batch implements linkHandler: shards send the source no batch frames.
+func (n *fabricNode) Batch() []spe.Message { return nil }
 
 // Fatal implements linkHandler: the first node failure fails the run
 // and releases the sink.

@@ -21,6 +21,7 @@ import (
 	"io"
 
 	"spear/internal/core"
+	"spear/internal/spe"
 	"spear/internal/tuple"
 	"spear/internal/window"
 )
@@ -35,6 +36,10 @@ const ProtocolVersion = 2
 // resource-exhaustion hole the tuple codec's fuzzing found in its
 // length fields.
 const MaxFrame = 8 << 20
+
+// frameHdr is the length prefix's size: a frame on the wire is a uint32
+// little-endian body length followed by the body.
+const frameHdr = 4
 
 // ErrFrame reports a malformed frame at the transport layer.
 var ErrFrame = errors.New("transport: malformed frame")
@@ -95,7 +100,7 @@ func WriteFrame(w io.Writer, body []byte) error {
 	if len(body) == 0 || len(body) > MaxFrame {
 		return fmt.Errorf("%w: body of %d bytes", ErrFrame, len(body))
 	}
-	var hdr [4]byte
+	var hdr [frameHdr]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(len(body)))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
@@ -108,7 +113,7 @@ func WriteFrame(w io.Writer, body []byte) error {
 // and returns it. Length prefixes of zero or beyond MaxFrame are
 // rejected before any read or allocation.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
+	var hdr [frameHdr]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
@@ -259,27 +264,41 @@ type Frame struct {
 	Barrier uint64        // Barrier: checkpoint id
 	Acked   uint64        // Credit: cumulative delivered seq
 	Worker  int           // Result: producing worker
-	Tuples  []tuple.Tuple // Batch
+	Msgs    []spe.Message // Batch: the data tuples, each stamped with Sender
 	Result  core.Result   // Result
 	Snap    SnapAck       // SnapAck
 	Reason  string        // Reject
 }
 
-// AppendBatch encodes a data micro-batch frame. The tuple loop is the
-// transport send hot path and is lock-free by contract: it appends
-// into dst with the tuple codec and performs no other work per tuple
-// (spearlint's blockfree analyzer verifies no blocking operation is
-// reachable from here).
+// AppendBatch encodes a data micro-batch frame from bare tuples.
 func AppendBatch(dst []byte, seq uint64, dest, sender int, ts []tuple.Tuple) []byte {
-	dst = append(dst, byte(KindBatch))
-	dst = tuple.AppendUvar(dst, seq)
-	dst = tuple.AppendUvar(dst, uint64(dest))
-	dst = tuple.AppendUvar(dst, uint64(sender))
-	dst = tuple.AppendUvar(dst, uint64(len(ts)))
+	dst = appendBatchHeader(dst, seq, dest, sender, len(ts))
 	for i := range ts {
 		dst = tuple.AppendEncode(dst, ts[i])
 	}
 	return dst
+}
+
+// appendBatchMsgs encodes the same frame straight from a run of engine
+// messages (data tuples of one sender). The tuple loop is the transport
+// send hot path and is lock-free by contract: it appends into dst with
+// the tuple codec and performs no other work per tuple (spearlint's
+// blockfree analyzer verifies no blocking operation is reachable from
+// here).
+func appendBatchMsgs(dst []byte, seq uint64, dest, sender int, msgs []spe.Message) []byte {
+	dst = appendBatchHeader(dst, seq, dest, sender, len(msgs))
+	for i := range msgs {
+		dst = tuple.AppendEncode(dst, msgs[i].Tuple)
+	}
+	return dst
+}
+
+func appendBatchHeader(dst []byte, seq uint64, dest, sender, n int) []byte {
+	dst = append(dst, byte(KindBatch))
+	dst = tuple.AppendUvar(dst, seq)
+	dst = tuple.AppendUvar(dst, uint64(dest))
+	dst = tuple.AppendUvar(dst, uint64(sender))
+	return tuple.AppendUvar(dst, uint64(n))
 }
 
 // AppendWatermark encodes a watermark control frame.
@@ -376,7 +395,13 @@ func AppendGoodbye(dst []byte, seq uint64) []byte {
 // and Welcome, which have dedicated decoders). Every length and count
 // is bounds-checked against the remaining body, so truncated or
 // hostile inputs return ErrFrame without large allocations.
-func DecodeFrame(body []byte) (Frame, error) {
+func DecodeFrame(body []byte) (Frame, error) { return decodeFrame(body, nil) }
+
+// decodeFrame is DecodeFrame with the home of a batch frame's messages
+// chosen by the caller: batch, when non-nil, supplies the empty slice
+// they are appended to (the shard's pooled buffer, so a frame reaches
+// the engine without a copy); nil allocates one.
+func decodeFrame(body []byte, batch func() []spe.Message) (Frame, error) {
 	if len(body) == 0 {
 		return Frame{}, fmt.Errorf("%w: empty body", ErrFrame)
 	}
@@ -393,21 +418,17 @@ func DecodeFrame(body []byte) (Frame, error) {
 		if err := r.Err(); err != nil {
 			return Frame{}, fmt.Errorf("%w: batch: %v", ErrFrame, err)
 		}
-		rest := body[len(body)-r.Remaining():]
-		ts := make([]tuple.Tuple, 0, n)
-		pos := 0
-		for i := 0; i < n; i++ {
-			t, used, err := tuple.Decode(rest[pos:])
-			if err != nil {
-				return Frame{}, fmt.Errorf("%w: batch tuple %d: %v", ErrFrame, i, err)
-			}
-			ts = append(ts, t)
-			pos += used
+		var dst []spe.Message
+		if batch != nil {
+			dst = batch()
+		} else {
+			dst = make([]spe.Message, 0, n)
 		}
-		if pos != len(rest) {
-			return Frame{}, fmt.Errorf("%w: batch: %d trailing bytes", ErrFrame, len(rest)-pos)
+		msgs, err := decodeBatch(dst, body[len(body)-r.Remaining():], n, f.Sender)
+		if err != nil {
+			return Frame{}, err
 		}
-		f.Tuples = ts
+		f.Msgs = msgs
 		return f, nil
 	case KindWatermark:
 		f.Seq = r.Uvar()
@@ -470,6 +491,27 @@ func DecodeFrame(body []byte) (Frame, error) {
 		return Frame{}, fmt.Errorf("%w: %s: %v", ErrFrame, f.Kind, err)
 	}
 	return f, nil
+}
+
+// decodeBatch appends the n tuples encoded in b to dst as data messages
+// from sender. It is the transport receive hot path and lock-free by
+// contract: one loop over the tuple codec, every tuple's values carved
+// from one slab per frame, no other work per tuple.
+func decodeBatch(dst []spe.Message, b []byte, n, sender int) ([]spe.Message, error) {
+	var slab tuple.Slab
+	pos := 0
+	for i := 0; i < n; i++ {
+		t, used, err := slab.Decode(b[pos:], n-i)
+		if err != nil {
+			return nil, fmt.Errorf("%w: batch tuple %d: %v", ErrFrame, i, err)
+		}
+		dst = append(dst, spe.Message{Tuple: t, Sender: sender})
+		pos += used
+	}
+	if pos != len(b) {
+		return nil, fmt.Errorf("%w: batch: %d trailing bytes", ErrFrame, len(b)-pos)
+	}
+	return dst, nil
 }
 
 // sequenced reports whether k carries a sequence number and therefore

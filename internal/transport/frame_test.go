@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"spear/internal/core"
+	"spear/internal/spe"
 	"spear/internal/tuple"
 )
 
@@ -18,7 +19,7 @@ import (
 func reencodeFrame(f Frame) []byte {
 	switch f.Kind {
 	case KindBatch:
-		return AppendBatch(nil, f.Seq, f.Dest, f.Sender, f.Tuples)
+		return appendBatchMsgs(nil, f.Seq, f.Dest, f.Sender, f.Msgs)
 	case KindWatermark:
 		return AppendWatermark(nil, f.Seq, f.Dest, f.Sender, f.WM)
 	case KindBarrier:
@@ -214,5 +215,61 @@ func TestDecodeFrameHardening(t *testing.T) {
 	huge = tuple.AppendUvar(huge, 1<<40)
 	if _, err := DecodeFrame(huge); err == nil || !strings.Contains(err.Error(), "batch") {
 		t.Errorf("huge tuple count: %v", err)
+	}
+}
+
+// TestDecodeBatchAllocs gates the receive path's allocation budget: a
+// 64-tuple numeric batch frame decoded into a pooled batch costs the
+// value slab and nothing per tuple.
+func TestDecodeBatchAllocs(t *testing.T) {
+	ts := make([]tuple.Tuple, 64)
+	for i := range ts {
+		ts[i] = tuple.New(int64(i), tuple.Float(float64(i)), tuple.Int(int64(i)))
+	}
+	body := AppendBatch(nil, 1, 0, 3, ts)
+	pooled := make([]spe.Message, 0, len(ts))
+	batch := func() []spe.Message { return pooled[:0] }
+	var f Frame
+	allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		if f, err = decodeFrame(body, batch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("%v allocations per 64-tuple frame, want at most 2", allocs)
+	}
+	if len(f.Msgs) != len(ts) || &f.Msgs[0] != &pooled[:1][0] {
+		t.Fatalf("%d messages decoded, in the pooled batch: %v", len(f.Msgs), len(f.Msgs) > 0 && &f.Msgs[0] == &pooled[:1][0])
+	}
+	for i, m := range f.Msgs {
+		if m.Sender != 3 || !reflect.DeepEqual(m.Tuple, ts[i]) {
+			t.Fatalf("message %d: %+v, want %v from sender 3", i, m, ts[i])
+		}
+	}
+}
+
+// BenchmarkDecodeFrame times a 64-tuple numeric batch frame through the
+// public entry point, which allocates the messages' home per frame, and
+// through the link's, which decodes into a pooled batch.
+func BenchmarkDecodeFrame(b *testing.B) {
+	ts := make([]tuple.Tuple, 64)
+	for i := range ts {
+		ts[i] = tuple.New(int64(i), tuple.Float(float64(i)))
+	}
+	body := AppendBatch(nil, 1, 0, 3, ts)
+	pooled := make([]spe.Message, 0, len(ts))
+	for name, batch := range map[string]func() []spe.Message{
+		"fresh":  nil,
+		"pooled": func() []spe.Message { return pooled[:0] },
+	} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := decodeFrame(body, batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	"spear/internal/tuple"
 )
 
 // FuzzFrameCodec fuzzes the transport frame codec with arbitrary
@@ -18,7 +21,10 @@ import (
 //     decoded frame and decoding again reaches a byte-identical fixed
 //     point (the canonical encoding). Byte-level comparison keeps NaN
 //     result scalars honest where DeepEqual cannot.
-//  3. ReadFrame over the raw bytes must reject zero and oversized
+//  3. A batch frame's slab-decoded tuples must equal what tuple.Decode
+//     makes of the same bytes, one tuple at a time, and appending to one
+//     tuple's Vals must not reach into its neighbour's.
+//  4. ReadFrame over the raw bytes must reject zero and oversized
 //     length prefixes before allocating.
 //
 // The seeds live both here and checked in under
@@ -38,6 +44,9 @@ func FuzzFrameCodec(f *testing.F) {
 			if enc2 := reencodeFrame(fr2); !bytes.Equal(enc, enc2) {
 				t.Fatalf("%s re-encoding is not a fixed point:\n 1: %x\n 2: %x", fr.Kind, enc, enc2)
 			}
+			if fr.Kind == KindBatch {
+				checkSlabDecode(t, b, fr)
+			}
 		}
 		if h, err := DecodeHello(b); err == nil {
 			h2, err := DecodeHello(AppendHello(nil, h))
@@ -53,6 +62,41 @@ func FuzzFrameCodec(f *testing.F) {
 		}
 		_, _ = ReadFrame(bytes.NewReader(b), nil)
 	})
+}
+
+// checkSlabDecode compares an accepted batch frame's messages with the
+// plain tuple codec's reading of the same body, then appends to every
+// tuple's Vals and checks that no other tuple changed.
+func checkSlabDecode(t *testing.T, body []byte, fr Frame) {
+	t.Helper()
+	r := tuple.NewWireReader(body[1:])
+	r.Uvar()
+	r.Uvar()
+	r.Uvar()
+	n := int(r.Uvar())
+	if r.Err() != nil || n != len(fr.Msgs) {
+		t.Fatalf("batch header: count %d, %d messages decoded (%v)", n, len(fr.Msgs), r.Err())
+	}
+	rest := body[len(body)-r.Remaining():]
+	want := make([]tuple.Tuple, n)
+	for i := range want {
+		tup, used, err := tuple.Decode(rest)
+		if err != nil {
+			t.Fatalf("tuple %d: tuple.Decode refuses what the slab decode accepted: %v", i, err)
+		}
+		if got := fr.Msgs[i]; got.Sender != fr.Sender || !reflect.DeepEqual(got.Tuple, tup) {
+			t.Fatalf("tuple %d: slab decode %+v, tuple.Decode %v", i, got, tup)
+		}
+		want[i], rest = tup, rest[used:]
+	}
+	for i := range fr.Msgs {
+		_ = append(fr.Msgs[i].Tuple.Vals, tuple.Int(-1))
+	}
+	for i := range fr.Msgs {
+		if !reflect.DeepEqual(fr.Msgs[i].Tuple, want[i]) {
+			t.Fatalf("tuple %d changed when its neighbours' Vals were appended to: %v, want %v", i, fr.Msgs[i].Tuple, want[i])
+		}
+	}
 }
 
 // fuzzFrameSeeds is the full seed set: every valid payload kind, the

@@ -1,12 +1,15 @@
 package transport
 
 import (
+	"bufio"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
 	"time"
 
 	"spear/internal/obs"
+	"spear/internal/spe"
 )
 
 // Defaults for the sliding-window protocol and the dialer's capped
@@ -19,6 +22,11 @@ const (
 	helloTimeout    = 5 * time.Second
 	defaultPeerWait = 15 * time.Second
 )
+
+// flushBytes is how much a link queues before it writes unasked, and
+// the size of a reader's buffer: one write, and one read, carry up to
+// this much.
+const flushBytes = 64 << 10
 
 // Dialer abstracts connection establishment so tests can inject
 // faults (refused dials, connections cut mid-stream, duplicated
@@ -41,12 +49,6 @@ func (d NetDialer) Dial(addr string) (net.Conn, error) {
 	return net.DialTimeout("tcp", addr, t)
 }
 
-// sentFrame is one retained unacknowledged frame.
-type sentFrame struct {
-	seq  uint64
-	body []byte
-}
-
 // linkHandler receives the link's inbound payload frames, on the
 // reader goroutine. Blocking in Frame is the intended back-pressure:
 // a full engine queue stops the socket read, the peer's credits dry
@@ -54,6 +56,9 @@ type sentFrame struct {
 type linkHandler interface {
 	// Frame delivers one deduplicated, in-order sequenced frame.
 	Frame(f Frame) error
+	// Batch returns the empty slice the next batch frame's messages
+	// decode into (a shard's pooled buffer), or nil to allocate one.
+	Batch() []spe.Message
 	// Fatal reports the link's terminal failure (redials exhausted,
 	// protocol violation, peer reject). Called at most once.
 	Fatal(err error)
@@ -67,39 +72,61 @@ type linkHandler interface {
 // the unacknowledged suffix beyond the peer's delivered sequence is
 // retransmitted in order.
 //
-// Locking: mu guards all bookkeeping; wmu serializes socket writes
-// and is acquired only while holding mu (then mu is released for the
-// blocking write), so wire order always equals sequence order. The
-// reader goroutine never takes wmu — credits go through an async
-// one-slot sender — which breaks the four-party deadlock where both
-// peers' writers sit on full TCP buffers waiting for readers that
-// are waiting on the write lock.
+// A retained frame is its wire image (length prefix and body in one
+// recycled buffer), so sending and resending are the same thing:
+// putting the images beyond sent on the connection, as many as there
+// are in one vectored write. Frames queue until someone asks for a
+// flush — a sender whose input ran dry, a control frame, flushBytes
+// pending, a sender about to wait — so a busy link pays one write for
+// many frames and an idle one holds nothing back.
+//
+// Locking: mu guards all bookkeeping and is never held across socket
+// I/O. The write side of the socket belongs to one goroutine at a time
+// (writing): a flush request that finds it taken leaves a note (again)
+// and returns, and the writer makes another pass before it lets go, so
+// frame order on the wire is queue order and nobody waits for a write
+// holding mu. The reader goroutine never writes — credits go through
+// an async one-slot sender — which breaks the four-party deadlock
+// where both peers' writers sit on full TCP buffers waiting for
+// readers that are waiting to write.
 type link struct {
 	name    string // peer label for errors and telemetry
 	handler linkHandler
 	tobs    *obs.TransportObs
-
-	wmu sync.Mutex // socket write order; see locking note above
 
 	mu   sync.Mutex
 	cond *sync.Cond
 	conn net.Conn
 	gen  int // bumps on every adopted conn; stale readers exit
 
-	closed  bool  // orderly shutdown: reader exit is not an error
-	err     error // terminal failure, latched once
+	closed  bool           // orderly shutdown: reader exit is not an error
+	err     error          // terminal failure, latched once
 	readers sync.WaitGroup // live reader goroutines; close() waits them out
+	rmu     sync.Mutex     // held by the one reader that may call the handler
 
-	// Send direction.
+	// Send direction. unacked[i] is the wire image of frame acked+1+i,
+	// so len(unacked) == nextSeq-acked; the images beyond sent are owed
+	// to the current connection.
 	nextSeq uint64 // last assigned sequence number
 	acked   uint64 // peer-confirmed cumulative sequence
+	sent    uint64 // last sequence whose write to conn has returned
 	window  int
-	unacked []sentFrame
+	unacked [][]byte
+	queued  int      // wire bytes queued since a write pass last began
+	free    [][]byte // acknowledged images awaiting reuse, at most window
+
+	// Write side, owned by whoever set writing.
+	writing   bool
+	again     bool        // a flush was requested while writing
+	wv        net.Buffers // the pass in flight, backed by iov
+	iov       [][]byte
+	creditBuf []byte // wire image of the credit frame in flight
+	unseq     []byte // wire image of a best-effort unsequenced frame
 
 	// Receive direction.
-	delivered   uint64 // last in-order sequence handed to the handler
-	credited    uint64 // last sequence the credit sender shipped
-	creditEvery int
+	delivered   uint64        // last in-order sequence handed to the handler
+	credited    uint64        // last sequence a credit frame carried
+	creditEvery int           // delivered-but-uncredited frames that force a credit
 	creditKick  chan struct{} // one-slot wakeup for the credit sender
 
 	// Dialer side only: reconnect machinery. redial performs
@@ -109,19 +136,14 @@ type link struct {
 	epoch  uint64
 }
 
-func newLink(name string, window, creditEvery int, h linkHandler, tobs *obs.TransportObs) *link {
+func newLink(name string, window int, h linkHandler, tobs *obs.TransportObs) *link {
 	if window <= 0 {
 		window = defaultWindow
 	}
-	if creditEvery <= 0 {
-		creditEvery = window / 4
-		if creditEvery < 1 {
-			creditEvery = 1
-		}
-	}
 	l := &link{
 		name: name, handler: h, tobs: tobs,
-		window: window, creditEvery: creditEvery,
+		window: window, creditEvery: max(window/4, 1),
+		creditBuf:  make([]byte, frameHdr, 16),
 		creditKick: make(chan struct{}, 1),
 	}
 	l.cond = sync.NewCond(&l.mu)
@@ -129,15 +151,22 @@ func newLink(name string, window, creditEvery int, h linkHandler, tobs *obs.Tran
 	return l
 }
 
-// sendSeq assigns the next sequence number, encodes the frame via
-// enc, retains it for retransmission, and writes it out. It blocks
-// while the peer's credit window is exhausted — this is the
-// transport's back-pressure. With the connection down the frame is
-// parked in the retention buffer and delivered by the reconnect
-// retransmit.
-func (l *link) sendSeq(enc func(dst []byte, seq uint64) []byte) error {
+// sendSeq assigns the next sequence number, has enc append the frame's
+// body behind the length prefix of a recycled buffer, and queues that
+// wire image, retained until the peer acknowledges it. flush (or
+// flushBytes queued) puts everything queued on the wire before
+// returning. It blocks while the peer's credit window is exhausted —
+// this is the transport's back-pressure. With the connection down the
+// frame is parked in the retention buffer and delivered by the
+// reconnect retransmit.
+func (l *link) sendSeq(flush bool, enc func(dst []byte, seq uint64) []byte) error {
 	l.mu.Lock()
 	for l.err == nil && !l.closed && l.nextSeq-l.acked >= uint64(l.window) {
+		// The credits this sender is about to wait for answer frames
+		// that may still be queued here.
+		if l.flushLocked() {
+			continue
+		}
 		if l.tobs != nil {
 			l.tobs.CreditStalls.Add(1)
 		}
@@ -151,39 +180,127 @@ func (l *link) sendSeq(enc func(dst []byte, seq uint64) []byte) error {
 		}
 		return err
 	}
+	wire := sealFrame(enc(l.frameBufLocked(), l.nextSeq+1))
+	if n := len(wire) - frameHdr; n == 0 || n > MaxFrame {
+		// The peer would refuse this frame, and refuse it again on
+		// every replay: no sequence number is spent on it.
+		l.mu.Unlock()
+		err := fmt.Errorf("%w: link %s: body of %d bytes", ErrFrame, l.name, n)
+		l.fatal(err)
+		return err
+	}
 	l.nextSeq++
-	body := enc(nil, l.nextSeq)
-	l.unacked = append(l.unacked, sentFrame{seq: l.nextSeq, body: body})
-	l.wmu.Lock() // under mu: wmu queue order = sequence order
-	conn := l.conn
+	l.unacked = append(l.unacked, wire)
+	l.queued += len(wire)
+	if flush || l.queued >= flushBytes {
+		l.flushLocked()
+	}
 	l.mu.Unlock()
-	var werr error
-	if conn != nil {
-		werr = l.write(conn, body)
-	}
-	l.wmu.Unlock()
-	if werr != nil {
-		l.connLost(conn, werr)
-	}
 	return nil
 }
 
-// write puts one frame on conn and counts it. Callers hold wmu.
-func (l *link) write(conn net.Conn, body []byte) error {
-	if err := WriteFrame(conn, body); err != nil {
-		return err
+// frameBufLocked returns an empty frame buffer, length prefix reserved:
+// a recycled one when the free list has any.
+func (l *link) frameBufLocked() []byte {
+	if n := len(l.free); n > 0 {
+		buf := l.free[n-1]
+		l.free = l.free[:n-1]
+		return buf[:frameHdr]
 	}
+	return make([]byte, frameHdr, 2<<10)
+}
+
+// sealFrame fills in the length prefix of a wire image whose body has
+// been appended behind the room frameBufLocked left for it.
+func sealFrame(wire []byte) []byte {
+	binary.LittleEndian.PutUint32(wire, uint32(len(wire)-frameHdr))
+	return wire
+}
+
+// flushLocked puts everything the link owes the wire — queued frames, a
+// due credit — on the connection, unless another goroutine is already
+// writing, which then does it on its next pass. Callers hold mu; it is
+// released around each write, and the result says whether that
+// happened, so callers know to look at their state again.
+func (l *link) flushLocked() bool {
+	if l.writing {
+		l.again = true
+		return false
+	}
+	l.writing = true
+	wrote := false
+	for l.writePassLocked() {
+		wrote = true
+		if !l.again {
+			break
+		}
+	}
+	l.writing = false
+	if l.closed {
+		l.cond.Broadcast() // close() is waiting for the write side
+	}
+	return wrote
+}
+
+// writePassLocked is one pass of the writer: it gathers what is owed
+// and writes it in one vectored call, mu released meanwhile. It reports
+// whether there was anything to write.
+func (l *link) writePassLocked() bool {
+	conn := l.conn
+	if conn == nil {
+		return false
+	}
+	iov := l.iov[:0]
+	if l.unseq != nil {
+		iov = append(iov, l.unseq)
+		l.unseq = nil
+	}
+	if l.delivered > l.credited {
+		// Whatever is delivered and uncredited rides along: the reader
+		// paces when a write is asked for on a credit's account, and
+		// one that happens anyway carries it for a few bytes.
+		l.credited = l.delivered
+		l.creditBuf = sealFrame(AppendCredit(l.creditBuf[:frameHdr], l.credited))
+		iov = append(iov, l.creditBuf)
+	}
+	iov = append(iov, l.unacked[l.sent-l.acked:]...)
+	l.iov = iov
+	if len(iov) == 0 {
+		return false
+	}
+	upTo := l.nextSeq
+	l.again, l.queued = false, 0
+	var bytes int64
 	if l.tobs != nil {
-		l.tobs.TxFrames.Add(1)
-		l.tobs.TxBytes.Add(int64(len(body)) + 4)
+		for _, b := range iov {
+			bytes += int64(len(b))
+		}
 	}
-	return nil
+	l.wv = iov
+	l.mu.Unlock()
+	_, err := l.wv.WriteTo(conn)
+	l.mu.Lock()
+	switch {
+	case err != nil:
+		l.connLostLocked(conn, err)
+	case l.conn == conn:
+		// sent speaks of the current connection only: adopt already
+		// rewound it if the connection changed under this pass.
+		l.sent = upTo
+		if l.tobs != nil {
+			l.tobs.TxFrames.Add(int64(len(iov)))
+			l.tobs.TxBytes.Add(bytes)
+		}
+	}
+	return true
 }
 
 // creditLoop ships cumulative acknowledgments asynchronously: the
-// reader bumps the target and kicks, this goroutine writes the newest
-// value. Credits are cumulative, so skipped intermediate values cost
-// nothing, and the reader never blocks on the write lock.
+// reader kicks, this goroutine flushes — the credit leaves with the
+// newest value, alongside any queued frames, or with the pass of
+// whoever is writing. Credits are cumulative, so skipped
+// intermediate values cost nothing, and the reader never blocks on a
+// write.
 func (l *link) creditLoop() {
 	for range l.creditKick {
 		l.mu.Lock()
@@ -191,23 +308,8 @@ func (l *link) creditLoop() {
 			l.mu.Unlock()
 			return
 		}
-		target := l.delivered
-		if target <= l.credited {
-			l.mu.Unlock()
-			continue
-		}
-		l.credited = target
-		l.wmu.Lock()
-		conn := l.conn
+		l.flushLocked()
 		l.mu.Unlock()
-		var werr error
-		if conn != nil {
-			werr = l.write(conn, AppendCredit(nil, target))
-		}
-		l.wmu.Unlock()
-		if werr != nil {
-			l.connLost(conn, werr)
-		}
 	}
 }
 
@@ -224,17 +326,11 @@ func (l *link) kickCredit() {
 // best-effort, silently dropped when the connection is down.
 func (l *link) sendUnseq(body []byte) {
 	l.mu.Lock()
-	l.wmu.Lock()
-	conn := l.conn
+	if l.conn != nil {
+		l.unseq = sealFrame(append(make([]byte, frameHdr, frameHdr+len(body)), body...))
+		l.flushLocked()
+	}
 	l.mu.Unlock()
-	var werr error
-	if conn != nil {
-		werr = l.write(conn, body)
-	}
-	l.wmu.Unlock()
-	if werr != nil {
-		l.connLost(conn, werr)
-	}
 }
 
 // connected reports whether a live connection is adopted.
@@ -249,18 +345,20 @@ func (l *link) connected() bool {
 // server's accept loop adopts the new conn).
 func (l *link) connLost(conn net.Conn, cause error) {
 	l.mu.Lock()
+	l.connLostLocked(conn, cause)
+	l.mu.Unlock()
+}
+
+func (l *link) connLostLocked(conn net.Conn, cause error) {
 	if l.conn != conn || conn == nil || l.closed || l.err != nil {
-		l.mu.Unlock()
 		return
 	}
 	_ = conn.Close()
 	l.conn = nil
 	l.gen++
 	l.cond.Broadcast()
-	spawn := l.redial != nil
-	l.mu.Unlock()
-	if spawn {
-		go l.redialLoop(cause)
+	if l.redial != nil {
+		go l.redialLoop(cause) // starts by taking mu, so after the caller lets go
 	}
 }
 
@@ -286,21 +384,19 @@ func (l *link) redialLoop(cause error) {
 	if l.tobs != nil {
 		l.tobs.Reconnects.Add(1)
 	}
-	if gen := l.adopt(conn, peerAcked); gen >= 0 {
-		l.startReader(conn, gen)
-	}
+	l.adopt(conn, peerAcked)
 }
 
-// adopt installs a fresh connection: prunes frames the peer has
-// delivered, retransmits the rest in order, and wakes writers. It
-// returns the connection's generation (for startReader), or -1 if
-// the link is already down or the retransmit failed.
-func (l *link) adopt(conn net.Conn, peerAcked uint64) int {
+// adopt installs a fresh connection and starts its reader: it prunes
+// the frames the peer has delivered, retransmits the rest in order,
+// and wakes writers. It reports false, closing conn, if the link is
+// already down.
+func (l *link) adopt(conn net.Conn, peerAcked uint64) bool {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.closed || l.err != nil {
-		l.mu.Unlock()
 		_ = conn.Close()
-		return -1
+		return false
 	}
 	if l.conn != nil {
 		// A duplicate connection raced in; newest wins, the old
@@ -309,116 +405,143 @@ func (l *link) adopt(conn net.Conn, peerAcked uint64) int {
 	}
 	l.conn = conn
 	l.gen++
-	gen := l.gen
+	// Registered under mu, where close() latches closed before it
+	// waits; and reading before the retransmit is written, so two
+	// peers replaying full windows at each other both drain.
+	l.readers.Add(1)
+	go l.readLoop(conn, l.gen)
 	l.onAckLocked(peerAcked)
-	// Snapshot the retransmit suffix, then write it holding wmu only:
-	// new sendSeq calls queue behind us on wmu, so order holds.
-	pending := make([][]byte, 0, len(l.unacked))
-	for _, f := range l.unacked {
-		if f.seq > peerAcked {
-			pending = append(pending, f.body)
-		}
-	}
-	l.wmu.Lock()
-	l.mu.Unlock()
-	var werr error
-	for _, body := range pending {
-		if werr = l.write(conn, body); werr != nil {
-			break
-		}
-	}
-	l.wmu.Unlock()
-	if werr != nil {
-		l.connLost(conn, werr)
-		return -1
-	}
+	// Nothing retained has been written to this connection: the
+	// retransmit is an ordinary flush, and new sendSeq calls queue
+	// behind it.
+	l.sent = l.acked
+	l.flushLocked()
 	l.cond.Broadcast()
-	return gen
+	return true
 }
 
-// onAckLocked drops retained frames up to acked and wakes writers
-// blocked on the window.
+func (l *link) onAck(acked uint64) {
+	l.mu.Lock()
+	l.onAckLocked(acked)
+	l.mu.Unlock()
+}
+
+// onAckLocked drops retained frames up to acked, recycles their
+// buffers, and wakes writers blocked on the window.
 func (l *link) onAckLocked(acked uint64) {
+	if acked > l.nextSeq {
+		acked = l.nextSeq
+	}
 	if acked <= l.acked {
 		return
 	}
-	l.acked = acked
-	i := 0
-	for i < len(l.unacked) && l.unacked[i].seq <= acked {
-		i++
+	n := int(acked - l.acked)
+	for i, buf := range l.unacked[:n] {
+		// A frame acknowledged before its write returned (a fast peer,
+		// or one that got it on an earlier connection) may still be
+		// under the writer's eyes: that buffer goes to the collector.
+		if l.acked+uint64(i) < l.sent && cap(buf) <= flushBytes {
+			l.free = append(l.free, buf)
+		}
 	}
-	if i > 0 {
-		l.unacked = append(l.unacked[:0], l.unacked[i:]...)
+	l.unacked = append(l.unacked[:0], l.unacked[n:]...)
+	l.acked = acked
+	if l.sent < acked {
+		l.sent = acked
 	}
 	l.cond.Broadcast()
 }
 
-// startReader spawns the frame-dispatch loop for the adopted conn of
-// generation gen. It exits when the conn is replaced, closed, or
-// fails; sequenced frames are deduplicated and gap-checked before the
-// handler sees them.
-func (l *link) startReader(conn net.Conn, gen int) {
-	l.readers.Add(1)
-	go func() {
-		defer l.readers.Done()
-		buf := make([]byte, 0, 64<<10)
-		for {
-			body, err := ReadFrame(conn, buf)
-			if err != nil {
-				l.mu.Lock()
-				stale := l.gen != gen || l.closed || l.err != nil
-				l.mu.Unlock()
-				if !stale {
-					l.connLost(conn, err)
-				}
-				return
+// readLoop is the frame-dispatch loop of the adopted conn of
+// generation gen. It parses frames out of a buffered reader, so a
+// backlog of frames costs one read, and exits when the conn is
+// replaced, closed, or fails; sequenced frames are deduplicated and
+// gap-checked before the handler sees them. Readers take turns (rmu):
+// the handler must see frames in sequence order, so the reader of a
+// replaced connection gets to finish the frame it is delivering before
+// this one delivers the next. Acknowledgment is paced: a credit goes out
+// once creditEvery delivered frames are uncredited, and whenever the
+// loop is about to wait for the socket with frames still uncredited —
+// so an idle link has acknowledged everything it delivered.
+func (l *link) readLoop(conn net.Conn, gen int) {
+	defer l.readers.Done()
+	l.rmu.Lock()
+	defer l.rmu.Unlock()
+	br := bufio.NewReaderSize(conn, flushBytes)
+	buf := make([]byte, 0, 4<<10)
+	batch := l.handler.Batch
+	for {
+		if br.Buffered() == 0 {
+			l.requestCredit()
+		}
+		body, err := ReadFrame(br, buf)
+		if err != nil {
+			l.connLost(conn, err) // a no-op on a replaced or closed conn
+			return
+		}
+		buf = body[:0]
+		if l.tobs != nil {
+			l.tobs.RxFrames.Add(1)
+			l.tobs.RxBytes.Add(int64(len(body)) + frameHdr)
+		}
+		f, err := decodeFrame(body, batch)
+		if err != nil {
+			l.fatal(fmt.Errorf("transport: link %s: %w", l.name, err))
+			return
+		}
+		switch {
+		case f.Kind == KindCredit:
+			l.onAck(f.Acked)
+		case f.Kind == KindReject:
+			l.fatal(fmt.Errorf("transport: link %s: peer rejected: %s", l.name, f.Reason))
+			return
+		case sequenced(f.Kind):
+			next, err := l.claim(f.Seq, gen)
+			if err == nil && next {
+				// The handler may block (engine back-pressure); the
+				// async credit path keeps acknowledgments flowing for
+				// frames already delivered.
+				err = l.handler.Frame(f)
 			}
-			buf = body[:0]
-			if l.tobs != nil {
-				l.tobs.RxFrames.Add(1)
-				l.tobs.RxBytes.Add(int64(len(body)) + 4)
-			}
-			f, err := DecodeFrame(body)
 			if err != nil {
 				l.fatal(fmt.Errorf("transport: link %s: %w", l.name, err))
 				return
 			}
-			switch {
-			case f.Kind == KindCredit:
-				l.mu.Lock()
-				l.onAckLocked(f.Acked)
-				l.mu.Unlock()
-			case f.Kind == KindReject:
-				l.fatal(fmt.Errorf("transport: link %s: peer rejected: %s", l.name, f.Reason))
-				return
-			case sequenced(f.Kind):
-				l.mu.Lock()
-				if f.Seq <= l.delivered {
-					// Redelivery after a reconnect; already handled.
-					l.mu.Unlock()
-					continue
-				}
-				if f.Seq != l.delivered+1 {
-					l.mu.Unlock()
-					l.fatal(fmt.Errorf("transport: link %s: sequence gap: got %d after %d", l.name, f.Seq, l.delivered))
-					return
-				}
-				l.delivered = f.Seq
-				l.mu.Unlock()
-				l.kickCredit()
-				// The handler may block (engine back-pressure); the
-				// async credit path keeps acknowledgments flowing for
-				// frames already delivered.
-				if err := l.handler.Frame(f); err != nil {
-					l.fatal(fmt.Errorf("transport: link %s: %w", l.name, err))
-					return
-				}
-			default:
-				l.fatal(fmt.Errorf("transport: link %s: unexpected %s frame", l.name, f.Kind))
-				return
-			}
+		default:
+			l.fatal(fmt.Errorf("transport: link %s: unexpected %s frame", l.name, f.Kind))
+			return
 		}
-	}()
+	}
+}
+
+// claim takes sequenced frame seq for delivery if it is the next in
+// order. It declines a redelivery after a reconnect (already handled)
+// and anything still buffered in the reader of a replaced connection,
+// whose successor gets those frames replayed; a gap is an error.
+func (l *link) claim(seq uint64, gen int) (bool, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.gen != gen || seq <= l.delivered {
+		return false, nil
+	}
+	if seq != l.delivered+1 {
+		return false, fmt.Errorf("sequence gap: got %d after %d", seq, l.delivered)
+	}
+	l.delivered = seq
+	if l.delivered-l.credited >= uint64(l.creditEvery) {
+		l.kickCredit()
+	}
+	return true, nil
+}
+
+// requestCredit has everything delivered acknowledged; the reader calls
+// it when it is about to wait for the socket.
+func (l *link) requestCredit() {
+	l.mu.Lock()
+	if l.delivered > l.credited {
+		l.kickCredit()
+	}
+	l.mu.Unlock()
 }
 
 // fatal latches the link's terminal error, closes the conn, wakes
@@ -454,6 +577,7 @@ func (l *link) awaitDrain(timeout time.Duration) bool {
 	})
 	defer t.Stop()
 	l.mu.Lock()
+	l.flushLocked()
 	for l.err == nil && !l.closed && len(l.unacked) > 0 && !timedOut {
 		l.cond.Wait()
 	}
@@ -464,9 +588,10 @@ func (l *link) awaitDrain(timeout time.Duration) bool {
 
 // close shuts the link down in an orderly way: no reconnects, reader
 // and credit sender exit silently, writers fail with a closed error.
-// An outstanding credit is flushed first — the peer may be in
-// awaitDrain waiting for exactly that acknowledgment, and the async
-// credit sender loses the race against the conn teardown.
+// What is still owed leaves first — above all an outstanding credit:
+// the peer may be in awaitDrain waiting for exactly that
+// acknowledgment, and the async credit sender loses the race against
+// the conn teardown.
 func (l *link) close() {
 	l.mu.Lock()
 	if l.closed {
@@ -474,21 +599,15 @@ func (l *link) close() {
 		return
 	}
 	l.closed = true
+	l.cond.Broadcast()
+	for l.writing {
+		l.cond.Wait()
+	}
+	l.flushLocked()
 	conn := l.conn
 	l.conn = nil
 	l.gen++
-	var credit []byte
-	if conn != nil && l.delivered > l.credited {
-		l.credited = l.delivered
-		credit = AppendCredit(nil, l.delivered)
-	}
-	l.cond.Broadcast()
-	l.wmu.Lock() // under mu, then released for the write: order holds
 	l.mu.Unlock()
-	if credit != nil {
-		_ = l.write(conn, credit)
-	}
-	l.wmu.Unlock()
 	if conn != nil {
 		_ = conn.Close()
 	}

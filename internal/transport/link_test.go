@@ -5,11 +5,14 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"spear/internal/leakcheck"
 	"spear/internal/obs"
+	"spear/internal/spe"
+	"spear/internal/tuple"
 )
 
 // collectHandler records delivered frames; an optional gate blocks
@@ -30,6 +33,8 @@ func (h *collectHandler) Frame(f Frame) error {
 	h.frames = append(h.frames, f)
 	return nil
 }
+
+func (h *collectHandler) Batch() []spe.Message { return nil }
 
 func (h *collectHandler) Fatal(err error) {
 	h.mu.Lock()
@@ -88,20 +93,20 @@ func tcpPair(t *testing.T) (net.Conn, net.Conn) {
 // linkPair wires two links over one loopback TCP connection, readers
 // running, and returns them with a teardown that closes both. tobsA
 // instruments the a side (nil for none).
-func linkPair(t *testing.T, window, creditEvery int, ha, hb linkHandler, tobsA *obs.TransportObs) (*link, *link) {
+func linkPair(t *testing.T, window int, ha, hb linkHandler, tobsA *obs.TransportObs) (*link, *link) {
 	t.Helper()
 	ca, cb := tcpPair(t)
-	la := newLink("a", window, creditEvery, ha, tobsA)
-	lb := newLink("b", window, creditEvery, hb, nil)
-	if gen := la.adopt(ca, 0); gen < 0 {
-		t.Fatal("link a failed to adopt")
-	} else {
-		la.startReader(ca, gen)
-	}
-	if gen := lb.adopt(cb, 0); gen < 0 {
-		t.Fatal("link b failed to adopt")
-	} else {
-		lb.startReader(cb, gen)
+	return linkPairOver(t, window, ca, cb, ha, hb, tobsA)
+}
+
+// linkPairOver is linkPair over connection ends the test supplies
+// (wrapped to count or to fail).
+func linkPairOver(t *testing.T, window int, ca, cb net.Conn, ha, hb linkHandler, tobsA *obs.TransportObs) (*link, *link) {
+	t.Helper()
+	la := newLink("a", window, ha, tobsA)
+	lb := newLink("b", window, hb, nil)
+	if !la.adopt(ca, 0) || !lb.adopt(cb, 0) {
+		t.Fatal("adopt failed")
 	}
 	t.Cleanup(func() {
 		la.close()
@@ -125,11 +130,11 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestLinkDeliversInOrder(t *testing.T) {
 	defer leakcheck.Check(t, leakcheck.Timeout(5*time.Second))
 	hb := &collectHandler{}
-	la, _ := linkPair(t, 0, 0, &collectHandler{}, hb, nil)
+	la, _ := linkPair(t, 0, &collectHandler{}, hb, nil)
 	const n = 50
 	for i := 0; i < n; i++ {
 		wm := int64(i)
-		if err := la.sendSeq(func(dst []byte, seq uint64) []byte {
+		if err := la.sendSeq(true, func(dst []byte, seq uint64) []byte {
 			return AppendWatermark(dst, seq, 0, 0, wm)
 		}); err != nil {
 			t.Fatal(err)
@@ -155,7 +160,7 @@ func TestLinkCreditBackpressure(t *testing.T) {
 	t.Cleanup(release) // a parked reader must not outlive a failed test
 	hb := &collectHandler{gate: gate}
 	tob := &obs.TransportObs{}
-	la, _ := linkPair(t, window, 1, &collectHandler{}, hb, tob)
+	la, _ := linkPair(t, window, &collectHandler{}, hb, tob)
 
 	const total = 3 * window
 	var sent int64
@@ -163,7 +168,7 @@ func TestLinkCreditBackpressure(t *testing.T) {
 	count := func() int64 { sentMu.Lock(); defer sentMu.Unlock(); return sent }
 	go func() {
 		for i := 0; i < total; i++ {
-			if err := la.sendSeq(func(dst []byte, seq uint64) []byte {
+			if err := la.sendSeq(true, func(dst []byte, seq uint64) []byte {
 				return AppendGoodbye(dst, seq)
 			}); err != nil {
 				return
@@ -214,8 +219,8 @@ func (c *flakyConn) Write(p []byte) (int, error) {
 func TestLinkReconnectReplaysUnacked(t *testing.T) {
 	defer leakcheck.Check(t, leakcheck.Timeout(5*time.Second))
 	hb := &collectHandler{}
-	lb := newLink("b", 0, 1, hb, nil)
-	la := newLink("a", 0, 1, &collectHandler{}, nil)
+	lb := newLink("b", 0, hb, nil)
+	la := newLink("a", 0, &collectHandler{}, nil)
 
 	plumb := func(cut int) net.Conn {
 		ca, cb := tcpPair(t)
@@ -223,9 +228,7 @@ func TestLinkReconnectReplaysUnacked(t *testing.T) {
 		if cut > 0 {
 			aEnd = &flakyConn{Conn: ca, left: cut}
 		}
-		if gen := lb.adopt(cb, lb.delivered64()); gen >= 0 {
-			lb.startReader(cb, gen)
-		}
+		lb.adopt(cb, lb.delivered64())
 		return aEnd
 	}
 
@@ -238,15 +241,13 @@ func TestLinkReconnectReplaysUnacked(t *testing.T) {
 	}
 
 	first := plumb(3) // three writes, then the wire dies
-	if gen := la.adopt(first, 0); gen < 0 {
+	if !la.adopt(first, 0) {
 		t.Fatal("initial adopt failed")
-	} else {
-		la.startReader(first, gen)
 	}
 
 	const n = 10
 	for i := 0; i < n; i++ {
-		if err := la.sendSeq(func(dst []byte, seq uint64) []byte {
+		if err := la.sendSeq(true, func(dst []byte, seq uint64) []byte {
 			return AppendGoodbye(dst, seq)
 		}); err != nil {
 			t.Fatal(err)
@@ -272,21 +273,19 @@ func TestLinkReconnectReplaysUnacked(t *testing.T) {
 func TestLinkRedialExhaustionIsFatal(t *testing.T) {
 	defer leakcheck.Check(t, leakcheck.Timeout(5*time.Second))
 	ha := &collectHandler{}
-	la := newLink("a", 0, 1, ha, nil)
+	la := newLink("a", 0, ha, nil)
 	la.redial = func(epoch uint64) (net.Conn, uint64, error) {
 		return nil, 0, fmt.Errorf("injected: no peer")
 	}
 	ca, cb := tcpPair(t)
 	_ = cb.Close() // the wire is already dead; writes fail fast
-	if gen := la.adopt(ca, 0); gen < 0 {
+	if !la.adopt(ca, 0) {
 		t.Fatal("adopt failed")
-	} else {
-		la.startReader(ca, gen)
 	}
 	// The reader notices the dead wire on its own; sends just hasten
 	// it (the first write may still land in the local socket buffer).
 	waitFor(t, "fatal", func() bool {
-		_ = la.sendSeq(func(dst []byte, seq uint64) []byte {
+		_ = la.sendSeq(true, func(dst []byte, seq uint64) []byte {
 			return AppendGoodbye(dst, seq)
 		})
 		ha.mu.Lock()
@@ -296,7 +295,7 @@ func TestLinkRedialExhaustionIsFatal(t *testing.T) {
 	if err := la.lastErr(); err == nil {
 		t.Error("terminal error not latched")
 	}
-	if err := la.sendSeq(func(dst []byte, seq uint64) []byte {
+	if err := la.sendSeq(true, func(dst []byte, seq uint64) []byte {
 		return AppendGoodbye(dst, seq)
 	}); err == nil {
 		t.Error("sendSeq succeeded on a dead link")
@@ -310,12 +309,21 @@ func TestLinkRedialExhaustionIsFatal(t *testing.T) {
 // awaitDrain sees its frames acknowledged instead of timing out.
 func TestLinkCloseFlushesCredit(t *testing.T) {
 	defer leakcheck.Check(t, leakcheck.Timeout(5*time.Second))
-	// creditEvery is huge: the async credit path stays silent and the
-	// only acknowledgment can come from close().
-	la, lb := linkPair(t, 64, 1<<30, &collectHandler{}, &collectHandler{}, nil)
+	// The paced credit path stays silent: five frames are short of a
+	// quarter of the window, and the reader never goes idle — it is
+	// parked in the handler on the fifth. The only acknowledgment can
+	// come from close().
 	const n = 5
+	gate := make(chan struct{}, n)
+	for i := 0; i < n-1; i++ {
+		gate <- struct{}{}
+	}
+	var gateOnce sync.Once
+	release := func() { gateOnce.Do(func() { close(gate) }) }
+	t.Cleanup(release)
+	la, lb := linkPair(t, 64, &collectHandler{}, &collectHandler{gate: gate}, nil)
 	for i := 0; i < n; i++ {
-		if err := la.sendSeq(func(dst []byte, seq uint64) []byte {
+		if err := la.sendSeq(true, func(dst []byte, seq uint64) []byte {
 			return AppendGoodbye(dst, seq)
 		}); err != nil {
 			t.Fatal(err)
@@ -325,7 +333,8 @@ func TestLinkCloseFlushesCredit(t *testing.T) {
 	done := make(chan bool, 1)
 	go func() { done <- la.awaitDrain(4 * time.Second) }()
 	time.Sleep(20 * time.Millisecond) // let the drain park
-	lb.close()
+	closed := make(chan struct{})
+	go func() { lb.close(); close(closed) }() // returns once the parked reader is let go
 	select {
 	case ok := <-done:
 		if !ok {
@@ -333,5 +342,320 @@ func TestLinkCloseFlushesCredit(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("awaitDrain never returned")
+	}
+	release()
+	<-closed
+}
+
+// countConn counts the Read and Write calls that move data over a
+// connection.
+type countConn struct {
+	net.Conn
+	reads, writes atomic.Int64
+}
+
+func (c *countConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.reads.Add(1)
+	}
+	return n, err
+}
+
+func (c *countConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+func sendWM(l *link, flush bool, wm int64) error {
+	return l.sendSeq(flush, func(dst []byte, seq uint64) []byte {
+		return AppendWatermark(dst, seq, 0, 0, wm)
+	})
+}
+
+// TestLinkCoalescesQueuedFrames pins the flush rule on both ends of the
+// wire. Frames sent while the sender has more to give stay queued — not
+// one Write reaches the connection — and the flush hands all of them to
+// the connection together: over a bare TCP socket that is one vectored
+// write, which the peer's buffered reader picks up in a read or two
+// instead of two per frame. (A wrapper hides the socket's writev from
+// net.Buffers, which then writes frame by frame; so the sending side is
+// counted wrapped and the receiving side with the sender bare.)
+func TestLinkCoalescesQueuedFrames(t *testing.T) {
+	defer leakcheck.Check(t, leakcheck.Timeout(5*time.Second))
+	const n = 32
+
+	t.Run("nothing leaves before the flush", func(t *testing.T) {
+		ca, cb := tcpPair(t)
+		cc := &countConn{Conn: ca}
+		hb := &collectHandler{}
+		la, _ := linkPairOver(t, 0, cc, cb, &collectHandler{}, hb, nil)
+		for i := 0; i < n; i++ {
+			if err := sendWM(la, false, int64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		time.Sleep(20 * time.Millisecond)
+		if w, got := cc.writes.Load(), hb.count(); w != 0 || got != 0 {
+			t.Fatalf("%d writes and %d deliveries with the frames only queued", w, got)
+		}
+		if err := sendWM(la, true, n); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "delivery", func() bool { return hb.count() == n+1 })
+	})
+
+	t.Run("one write, a read or two", func(t *testing.T) {
+		ca, cb := tcpPair(t)
+		cc := &countConn{Conn: cb}
+		hb := &collectHandler{}
+		la, _ := linkPairOver(t, 0, ca, cc, &collectHandler{}, hb, nil)
+		for i := 0; i < n; i++ {
+			if err := sendWM(la, false, int64(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := sendWM(la, true, n); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "delivery", func() bool { return hb.count() == n+1 })
+		if r := cc.reads.Load(); r > 2 {
+			t.Errorf("%d frames took %d reads, want at most 2", n+1, r)
+		}
+		for i, f := range hb.frames {
+			if f.Seq != uint64(i+1) || f.WM != int64(i) {
+				t.Fatalf("frame %d: seq %d wm %d", i, f.Seq, f.WM)
+			}
+		}
+	})
+}
+
+// TestLinkWindowOneMakesProgress pins flush-before-credit-wait: with a
+// window of one and no sender ever asking for a flush, each frame must
+// still leave before its sender waits for the credit that answers it.
+func TestLinkWindowOneMakesProgress(t *testing.T) {
+	defer leakcheck.Check(t, leakcheck.Timeout(5*time.Second))
+	hb := &collectHandler{}
+	la, _ := linkPair(t, 1, &collectHandler{}, hb, nil)
+	const n = 20
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < n; i++ {
+			if err := sendWM(la, false, int64(i)); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("senders stalled: a queued frame never left, so its credit never came")
+	}
+	// The last frame has no successor to push it out; awaitDrain does.
+	if !la.awaitDrain(4 * time.Second) {
+		t.Fatal("awaitDrain timed out with a frame still queued")
+	}
+	// A frame is acknowledged once claimed, which may be just before
+	// the handler has it.
+	waitFor(t, "delivery", func() bool { return hb.count() == n })
+	if got := hb.seqs(); got[n-1] != n {
+		t.Fatalf("delivered %v, want 1..%d", got, n)
+	}
+}
+
+// TestLinkCutMidFlushReplaysSuffix cuts the wire, through a
+// FaultDialer, in the middle of one multi-frame flush: the frames
+// before the cut arrived, the rest did not. The reconnect must write
+// exactly the frames the peer had not delivered — counted on the second
+// connection — and delivery must end up gapless and duplicate-free.
+func TestLinkCutMidFlushReplaysSuffix(t *testing.T) {
+	defer leakcheck.Check(t, leakcheck.Timeout(5*time.Second))
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	const n, cutAfter = 12, 5
+	fd := &FaultDialer{CutAfterWrites: cutAfter, CutOnce: true}
+	hb := &collectHandler{}
+	la := newLink("a", 0, &collectHandler{}, nil)
+	lb := newLink("b", 0, hb, nil)
+	defer lb.close()
+	defer la.close() // first, so that losing lb is not one more outage to redial
+
+	// plumb dials through the fault dialer and attaches the accepted
+	// end to lb, which advertises what it has delivered — the live
+	// handshake in miniature.
+	plumb := func() (net.Conn, uint64) {
+		type accepted struct {
+			conn net.Conn
+			err  error
+		}
+		acc := make(chan accepted, 1)
+		go func() {
+			c, err := lis.Accept()
+			acc <- accepted{c, err}
+		}()
+		ca, err := fd.Dial(lis.Addr().String())
+		if err != nil {
+			t.Error(err)
+			return nil, 0
+		}
+		a := <-acc
+		if a.err != nil {
+			t.Error(a.err)
+			return nil, 0
+		}
+		peerAcked := lb.delivered64()
+		lb.adopt(a.conn, 0)
+		return ca, peerAcked
+	}
+
+	var second *countConn
+	var ackedAtRedial uint64
+	redialed := make(chan struct{})
+	la.redial = func(epoch uint64) (net.Conn, uint64, error) {
+		if epoch > 1 {
+			return nil, 0, errors.New("one outage only")
+		}
+		// Let the peer drain what the first connection carried, as a
+		// peer that was keeping up would have (the count is checked
+		// below, on the test's goroutine).
+		for wait := time.Now().Add(5 * time.Second); lb.delivered64() < cutAfter && time.Now().Before(wait); {
+			time.Sleep(time.Millisecond)
+		}
+		conn, acked := plumb()
+		if conn == nil {
+			return nil, 0, errors.New("plumb failed")
+		}
+		second, ackedAtRedial = &countConn{Conn: conn}, acked
+		close(redialed)
+		return second, acked, nil
+	}
+
+	first, _ := plumb()
+	if !la.adopt(first, 0) {
+		t.Fatal("initial adopt failed")
+	}
+	for i := 0; i < n-1; i++ {
+		if err := sendWM(la, false, int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sendWM(la, true, n-1); err != nil { // one flush, cut on its way out
+		t.Fatal(err)
+	}
+	select {
+	case <-redialed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the cut did not trigger a redial")
+	}
+	waitFor(t, "all frames after reconnect", func() bool { return hb.count() == n })
+	for i, s := range hb.seqs() {
+		if s != uint64(i+1) {
+			t.Fatalf("delivery %d has seq %d: gap or duplicate survived", i, s)
+		}
+	}
+	if ackedAtRedial != cutAfter {
+		t.Fatalf("peer had delivered %d frames at the reconnect, want %d", ackedAtRedial, cutAfter)
+	}
+	if w := second.writes.Load(); w != n-cutAfter {
+		t.Errorf("reconnect wrote %d frames, want the %d unacknowledged ones", w, n-cutAfter)
+	}
+}
+
+// TestLinkControlFramesNeverWait pins that a control frame is not held
+// behind queued data: whatever kind it is, it leaves at once and takes
+// the data queued before it along, in order.
+func TestLinkControlFramesNeverWait(t *testing.T) {
+	defer leakcheck.Check(t, leakcheck.Timeout(5*time.Second))
+	controls := map[Kind]func(dst []byte, seq uint64) []byte{
+		KindWatermark: func(dst []byte, seq uint64) []byte { return AppendWatermark(dst, seq, 0, 0, 7) },
+		KindBarrier:   func(dst []byte, seq uint64) []byte { return AppendBarrier(dst, seq, 0, 0, 7) },
+		KindEnd:       func(dst []byte, seq uint64) []byte { return AppendEnd(dst, seq, 0) },
+		KindGoodbye:   AppendGoodbye,
+	}
+	msgs := []spe.Message{{Tuple: tuple.New(1, tuple.Float(1))}}
+	for kind, enc := range controls {
+		t.Run(kind.String(), func(t *testing.T) {
+			hb := &collectHandler{}
+			la, _ := linkPair(t, 0, &collectHandler{}, hb, nil)
+			const data = 3
+			for i := 0; i < data; i++ {
+				if err := la.sendSeq(false, func(dst []byte, seq uint64) []byte {
+					return appendBatchMsgs(dst, seq, 0, 0, msgs)
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			time.Sleep(10 * time.Millisecond)
+			if got := hb.count(); got != 0 {
+				t.Fatalf("%d data frames left unasked", got)
+			}
+			if err := la.sendSeq(true, enc); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "the control frame and the data before it", func() bool { return hb.count() == data+1 })
+			hb.mu.Lock()
+			defer hb.mu.Unlock()
+			for i, f := range hb.frames {
+				want := KindBatch
+				if i == data {
+					want = kind
+				}
+				if f.Seq != uint64(i+1) || f.Kind != want {
+					t.Fatalf("frame %d: seq %d kind %s, want %s", i, f.Seq, f.Kind, want)
+				}
+			}
+		})
+	}
+}
+
+// TestLinkConcurrentSenders drives one link from several goroutines at
+// once, as a node's outbox pumps do, through a window small enough that
+// they keep meeting at the write side: a flush request that finds
+// another sender writing must be carried out by that writer, so every
+// frame arrives, in sequence order, each sender's own frames in the
+// order it sent them.
+func TestLinkConcurrentSenders(t *testing.T) {
+	defer leakcheck.Check(t, leakcheck.Timeout(5*time.Second))
+	hb := &collectHandler{}
+	la, _ := linkPair(t, 8, &collectHandler{}, hb, nil)
+	const senders, each = 4, 300
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				// Mostly queued, flushed now and then and at the end.
+				flush := i%7 == 0 || i == each-1
+				if err := la.sendSeq(flush, func(dst []byte, seq uint64) []byte {
+					return AppendWatermark(dst, seq, 0, s, int64(i))
+				}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	waitFor(t, "delivery", func() bool { return hb.count() == senders*each })
+	next := make([]int64, senders)
+	hb.mu.Lock()
+	defer hb.mu.Unlock()
+	for i, f := range hb.frames {
+		if f.Seq != uint64(i+1) {
+			t.Fatalf("delivery %d has seq %d", i, f.Seq)
+		}
+		if f.WM != next[f.Sender] {
+			t.Fatalf("sender %d: frame %d arrived where %d was due", f.Sender, f.WM, next[f.Sender])
+		}
+		next[f.Sender]++
 	}
 }

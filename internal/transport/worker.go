@@ -31,9 +31,6 @@ type ServerConfig struct {
 	// Window is the credit window granted to the source (frames it may
 	// have outstanding toward this node). Zero selects the default.
 	Window int
-	// CreditEvery overrides the credit cadence; zero derives it from
-	// the window.
-	CreditEvery int
 	// HelloTimeout bounds how long an accepted connection may sit
 	// silent before its handshake; such connections are dropped without
 	// affecting the run (a fault-injected duplicate dial looks exactly
@@ -175,7 +172,7 @@ func (s *Server) handshake(conn net.Conn) {
 			BatchSize: h.BatchSize, QueueSize: h.QueueSize,
 			Checkpoint: h.Checkpoint, RestoreID: h.RestoreID,
 		}
-		lk := newLink("source", h.Window, s.cfg.CreditEvery, s, s.cfg.Obs)
+		lk := newLink("source", h.Window, s, s.cfg.Obs)
 		s.lk = lk
 		s.spec = spec
 		s.runID = h.RunID
@@ -229,9 +226,7 @@ func (s *Server) attach(conn net.Conn, h Hello, lk *link) {
 		return
 	}
 	_ = conn.SetDeadline(time.Time{})
-	if gen := lk.adopt(conn, h.Acked); gen >= 0 {
-		lk.startReader(conn, gen)
-	}
+	lk.adopt(conn, h.Acked)
 }
 
 func (s *Server) reject(conn net.Conn, reason string) {
@@ -248,7 +243,7 @@ func (s *Server) ack(a SnapAck) error {
 	if lk == nil {
 		return fmt.Errorf("transport: snapshot ack before handshake")
 	}
-	return lk.sendSeq(func(dst []byte, seq uint64) []byte {
+	return lk.sendSeq(true, func(dst []byte, seq uint64) []byte {
 		return AppendSnapAck(dst, seq, a)
 	})
 }
@@ -258,9 +253,11 @@ func (s *Server) ack(a SnapAck) error {
 // frames are acknowledged), a Reject report on failure.
 func (s *Server) resultPump(run *spe.ShardRun, lk *link) {
 	for batch := range run.Results {
-		for _, item := range batch {
+		for i, item := range batch {
 			item := item
-			err := lk.sendSeq(func(dst []byte, seq uint64) []byte {
+			// Results queue while more are waiting behind them.
+			dry := i == len(batch)-1 && len(run.Results) == 0
+			err := lk.sendSeq(dry, func(dst []byte, seq uint64) []byte {
 				return AppendResult(dst, seq, item.Worker, item.Res)
 			})
 			if err != nil {
@@ -277,7 +274,7 @@ func (s *Server) resultPump(run *spe.ShardRun, lk *link) {
 		s.finish(err)
 		return
 	}
-	if serr := lk.sendSeq(func(dst []byte, seq uint64) []byte {
+	if serr := lk.sendSeq(true, func(dst []byte, seq uint64) []byte {
 		return AppendGoodbye(dst, seq)
 	}); serr != nil {
 		s.finish(serr)
@@ -329,18 +326,15 @@ func (s *Server) watchdog(lk *link) {
 func (s *Server) Frame(f Frame) error {
 	switch f.Kind {
 	case KindBatch:
-		if len(f.Tuples) == 0 {
+		if len(f.Msgs) == 0 {
 			return fmt.Errorf("empty batch frame")
 		}
 		li, err := s.localIndex(f.Dest)
 		if err != nil {
 			return err
 		}
-		batch := s.run.NewBatch()
-		for _, t := range f.Tuples {
-			batch = append(batch, spe.Message{Tuple: t, Sender: f.Sender})
-		}
-		return s.deliver(li, batch)
+		// Decoded in place into a buffer of the shard's pool (Batch).
+		return s.deliver(li, f.Msgs)
 	case KindWatermark:
 		li, err := s.localIndex(f.Dest)
 		if err != nil {
@@ -373,6 +367,10 @@ func (s *Server) Frame(f Frame) error {
 		return fmt.Errorf("unexpected %s frame at shard node", f.Kind)
 	}
 }
+
+// Batch implements linkHandler: batch frames decode straight into the
+// shard's pooled buffers, which the worker loops recycle.
+func (s *Server) Batch() []spe.Message { return s.run.NewBatch() }
 
 func (s *Server) localIndex(dest int) (int, error) {
 	li := dest - s.spec.Lo

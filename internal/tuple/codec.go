@@ -90,28 +90,58 @@ func AppendEncode(dst []byte, t Tuple) []byte {
 // Decode reads one tuple from b and returns it together with the number
 // of bytes consumed.
 func Decode(b []byte) (Tuple, int, error) {
+	var s Slab
+	return s.Decode(b, 1)
+}
+
+// Slab carves the Vals of decoded tuples out of shared backing arrays,
+// so decoding a run of tuples costs one allocation, not one per tuple.
+// Every tuple's Vals is cap-limited to its own values: appending to it
+// reallocates and cannot reach the next tuple's. The backing array
+// lives as long as any tuple carved from it. The zero Slab is ready.
+type Slab struct {
+	free []Value
+}
+
+// Decode reads one tuple from b like the package-level Decode, taking
+// its values from the slab. more is how many tuples, this one included,
+// the caller still expects from b: a slab that runs dry is refilled for
+// that many tuples of this one's arity, bounded by what the rest of b
+// can hold (a value is at least two bytes), so a hostile count cannot
+// drive the allocation.
+func (s *Slab) Decode(b []byte, more int) (Tuple, int, error) {
 	if len(b) < 8 {
 		return Tuple{}, 0, ErrCorrupt
 	}
 	t := Tuple{Ts: int64(binary.LittleEndian.Uint64(b))}
 	pos := 8
-	n, sz := binary.Uvarint(b[pos:])
+	nv, sz := binary.Uvarint(b[pos:])
 	if sz <= 0 {
 		return Tuple{}, 0, ErrCorrupt
 	}
 	pos += sz
-	if n > uint64(len(b)) { // cheap sanity bound before allocating
+	fit := uint64(len(b)-pos) / 2
+	if nv > fit {
 		return Tuple{}, 0, ErrCorrupt
 	}
-	if n > 0 {
-		t.Vals = make([]Value, 0, n)
+	n := int(nv)
+	if n == 0 {
+		return t, pos, nil
 	}
-	for i := uint64(0); i < n; i++ {
+	if len(s.free) < n {
+		want := nv * uint64(max(more, 1))
+		if want > fit {
+			want = fit
+		}
+		s.free = make([]Value, want)
+	}
+	t.Vals, s.free = s.free[:n:n], s.free[n:]
+	for i := range t.Vals {
 		v, used, err := DecodeValue(b[pos:])
 		if err != nil {
 			return Tuple{}, 0, err
 		}
-		t.Vals = append(t.Vals, v)
+		t.Vals[i] = v
 		pos += used
 	}
 	return t, pos, nil

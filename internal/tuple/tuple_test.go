@@ -267,6 +267,62 @@ func TestDecodeCorrupt(t *testing.T) {
 	}
 }
 
+// TestSlabDecode pins the slab entry point against Decode: the same
+// tuples and byte counts over a run of mixed arity (so the slab runs
+// dry and refills), one allocation for a uniform run, and Vals that
+// cannot grow into the next tuple's.
+func TestSlabDecode(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	var enc []byte
+	var want []Tuple
+	for i := 0; i < 40; i++ {
+		tp := randomTuple(r)
+		want = append(want, tp)
+		enc = AppendEncode(enc, tp)
+	}
+	var s Slab
+	got := make([]Tuple, len(want))
+	for i, b := 0, enc; i < len(want); i++ {
+		tp, used, err := s.Decode(b, len(want)-i)
+		if err != nil {
+			t.Fatalf("tuple %d: %v", i, err)
+		}
+		ref, refUsed, err := Decode(b)
+		if err != nil || used != refUsed || !tupleEqual(tp, ref) {
+			t.Fatalf("tuple %d: slab %v (%d bytes), Decode %v (%d bytes, %v)", i, tp, used, ref, refUsed, err)
+		}
+		if len(tp.Vals) != cap(tp.Vals) {
+			t.Fatalf("tuple %d: Vals len %d cap %d, want them equal", i, len(tp.Vals), cap(tp.Vals))
+		}
+		got[i], want[i], b = tp, ref, b[used:]
+	}
+	for i := range got {
+		_ = append(got[i].Vals, Int(-1))
+	}
+	for i := range got {
+		if !tupleEqual(got[i], want[i]) {
+			t.Fatalf("tuple %d overwritten through a neighbour's Vals: %v, want %v", i, got[i], want[i])
+		}
+	}
+
+	enc = enc[:0]
+	for i := 0; i < 64; i++ {
+		enc = AppendEncode(enc, New(int64(i), Float(1), Int(2)))
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		var s Slab
+		for i, b := 0, enc; i < 64; i++ {
+			_, used, err := s.Decode(b, 64-i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b = b[used:]
+		}
+	}); allocs != 1 {
+		t.Errorf("%v allocations for 64 tuples of one arity, want 1", allocs)
+	}
+}
+
 func BenchmarkEncode(b *testing.B) {
 	tp := New(123456789, String_("route-4711"), Float(23.75), Int(99))
 	buf := make([]byte, 0, 64)

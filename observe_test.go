@@ -74,8 +74,18 @@ func TestObserveEndToEndScrape(t *testing.T) {
 				if metricsTxt, scrapeErr = get(addr, "/metrics"); scrapeErr != nil {
 					return
 				}
-				if snapTxt, scrapeErr = get(addr, "/snapshot"); scrapeErr != nil {
-					return
+				// /snapshot serves the reporter's latest tick, and the
+				// first result can beat the first tick (5 ms): wait for
+				// it. The sink is blocked here, so the run stays mid-run.
+				for tries := 0; tries < 200; tries++ {
+					if snapTxt, scrapeErr = get(addr, "/snapshot"); scrapeErr != nil {
+						return
+					}
+					var probe Snapshot
+					if json.Unmarshal([]byte(snapTxt), &probe) == nil && len(probe.Edges) > 0 {
+						break
+					}
+					time.Sleep(5 * time.Millisecond)
 				}
 				traceTxt, scrapeErr = get(addr, "/trace")
 			})
