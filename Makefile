@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-ssa test race recovery obs obs-scrape fuzz bench-checkpoint bench-pipeline bench-spill bench-shuffle bench-columnar bench-adaptive e2e-dist
+.PHONY: check build vet lint lint-ssa test race recovery obs obs-scrape fuzz bench-smoke bench-checkpoint bench-pipeline bench-spill bench-shuffle bench-columnar bench-adaptive e2e-dist
 
 check: build vet lint lint-ssa race recovery obs
 
@@ -80,6 +80,14 @@ fuzz:
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzManagerRestore -fuzztime=10s
 	$(GO) test ./internal/spill -run='^$$' -fuzz=FuzzChunkCodec -fuzztime=10s
 	$(GO) test ./internal/transport -run='^$$' -fuzz=FuzzFrameCodec -fuzztime=10s
+
+# The benchmark (benchmark/, a module of its own that `go build ./...`
+# does not reach): its reference-checker tests and -quick pass, and a
+# vet of the layer probes behind their build tag. A probe that stops
+# compiling after a refactor of internal/ only turns its metrics to
+# null in a run; this is where it fails instead (~3 s).
+bench-smoke:
+	cd benchmark && $(GO) test ./... && $(GO) vet -tags layerprobe ./...
 
 # Spill plane: sync vs async (write-behind + prefetch) vs async+codec
 # across storage latency profiles (local / ssd / remote), writing

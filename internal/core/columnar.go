@@ -2,9 +2,9 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"spear/internal/col"
-	"spear/internal/sample"
 	"spear/internal/window"
 )
 
@@ -149,9 +149,11 @@ func (m *ScalarManager) OnColumnBatch(cb *col.ColumnBatch) ([]Result, error) {
 // OnColumnBatch implements ColumnManager for the grouped manager's
 // arrival-sampled path (known groups): per-group frequency/variance and
 // stratified reservoirs fed from the raw value column and the
-// dictionary-coded key column — interned dictionary strings key the
-// group maps with zero per-row allocation. The buffered path (unknown
-// groups) and count-domain specs fall back to the row path.
+// dictionary-coded key column. Each distinct code of the batch is
+// resolved to its group id once (codeIDs), and each window of a run then
+// indexes its state by row id — no string is hashed per row, let alone
+// per row per window. The buffered path (unknown groups) and
+// count-domain specs fall back to the row path.
 func (m *GroupedManager) OnColumnBatch(cb *col.ColumnBatch) ([]Result, error) {
 	n := cb.Len()
 	if n == 0 {
@@ -181,6 +183,9 @@ func (m *GroupedManager) OnColumnBatch(cb *col.ColumnBatch) ([]Result, error) {
 		}
 	}
 
+	m.codeIDs = slices.Grow(m.codeIDs[:0], len(dict))[:len(dict)]
+	m.rowIDs = slices.Grow(m.rowIDs[:0], n)[:n]
+	m.mapped = m.mapped[:0]
 	var archiveErr error
 	m.cfg.Spec.EachRun(ts, func(i0, i1 int, lo, hi window.ID) {
 		if archiveErr != nil {
@@ -198,24 +203,24 @@ func (m *GroupedManager) OnColumnBatch(cb *col.ColumnBatch) ([]Result, error) {
 			if lo < m.nextFire {
 				lo = m.nextFire
 			}
+			// codeIDs holds id+1, zero for a code not met yet. Late
+			// runs never get here, so every id assigned is used.
+			ids := m.rowIDs[i0:i1]
+			for i, c := range codes[i0:i1] {
+				if m.codeIDs[c] == 0 {
+					m.codeIDs[c] = m.dict.ID(dict[c]) + 1
+					m.mapped = append(m.mapped, c)
+				}
+				ids[i] = m.codeIDs[c] - 1
+			}
 			for id := lo; id <= hi; id++ {
-				w, ok := m.wins[id]
-				if !ok {
-					w = &groupedWin{gs: sample.NewGroupStats()}
-					if pg := m.perGroupCap(); pg > 0 {
-						w.known = sample.NewGroupReservoirs(
-							pg, sample.DeriveSeed(m.cfg.Seed, int64(id)), sample.AlgoL)
-					}
-					m.wins[id] = w
+				w := m.win(id) // once per run: the map will do
+				for i, gid := range ids {
+					w.gs.AddID(gid, vals[i0+i])
 				}
 				if w.known != nil {
-					for i := i0; i < i1; i++ {
-						w.gs.Add(dict[codes[i]], vals[i])
-						w.known.Add(dict[codes[i]], vals[i])
-					}
-				} else {
-					for i := i0; i < i1; i++ {
-						w.gs.Add(dict[codes[i]], vals[i])
+					for i, gid := range ids {
+						w.known.AddID(gid, vals[i0+i])
 					}
 				}
 				if m.shed {
@@ -244,6 +249,9 @@ func (m *GroupedManager) OnColumnBatch(cb *col.ColumnBatch) ([]Result, error) {
 			}
 		}
 	})
+	for _, c := range m.mapped {
+		m.codeIDs[c] = 0 // all zero again for the next batch
+	}
 	if m.cfg.Metrics != nil {
 		m.cfg.Metrics.TuplesIn.Add(int64(n))
 		m.cfg.Metrics.MemBytes.Set(int64(m.BudgetMemUsage()))

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"sort"
 
 	"spear/internal/agg"
 	"spear/internal/sample"
@@ -202,44 +201,34 @@ func groupedL1Error(g GroupedState, f agg.Func) (float64, bool) {
 		// violating |R̂_w| = |R_w|.
 		return math.Inf(1), false
 	}
-	// Sorted group order: the L1 combination is a float sum, and map
-	// iteration order must not leak into ε̂ — two managers fed the same
-	// stream must report bit-identical estimates (cf. CongressAllocate,
-	// which sorts for the same reason).
-	keys := make([]string, 0, g.Groups.Len())
-	g.Groups.Each(func(key string, _ *stats.Welford) { keys = append(keys, key) })
-	sort.Strings(keys)
+	// Sorted group order: the L1 combination is a float sum, and arrival
+	// order must not leak into ε̂ — two managers fed the same stream
+	// must report bit-identical estimates (cf. CongressAllocate, which
+	// sorts for the same reason).
 	var sum float64
-	groups := 0
 	okAll := true
-	for _, key := range keys {
-		w := g.Groups.Get(key)
+	g.Groups.EachSorted(func(key string, w *stats.Welford) {
 		nG := int64(g.Alloc[key])
 		NG := w.Count()
 		if nG <= 0 {
 			okAll = false
-			break
 		}
-		var eG float64
-		if nG >= NG {
-			eG = 0 // stratum fully sampled
-		} else {
-			switch {
-			case f.Holistic():
-				eG = stats.QuantileRankError(nG, g.Confidence)
-			case f.Op == agg.Count:
-				eG = 0 // frequencies are exact
-			default:
-				est := w.Mean()
-				iv := stats.MeanCIAuto(est, w.StdDev(), nG, NG, g.Confidence)
-				eG = stats.RelativeHalfWidth(est, iv)
-			}
+		if !okAll || nG >= NG {
+			return // nothing to add: unanswerable, or stratum fully sampled
 		}
-		sum += eG
-		groups++
-	}
-	if !okAll || groups == 0 {
+		switch {
+		case f.Holistic():
+			sum += stats.QuantileRankError(nG, g.Confidence)
+		case f.Op == agg.Count:
+			// frequencies are exact
+		default:
+			est := w.Mean()
+			iv := stats.MeanCIAuto(est, w.StdDev(), nG, NG, g.Confidence)
+			sum += stats.RelativeHalfWidth(est, iv)
+		}
+	})
+	if !okAll {
 		return math.Inf(1), false
 	}
-	return sum / float64(groups), true
+	return sum / float64(g.Groups.Len()), true
 }

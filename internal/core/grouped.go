@@ -58,12 +58,36 @@ type GroupedManager struct {
 	maxPos   int64
 	late     int64
 
+	// Grouped state (DESIGN.md, "Grouped state layout"): one key
+	// dictionary for the manager, and per open window arrays indexed
+	// through its ids, so ingest hashes a tuple's key once and then
+	// indexes.
+	//lint:allow snapshotcover not in the blob: RestoreState rebuilds it from the windows' keys
+	dict *sample.KeyDict
 	wins map[window.ID]*groupedWin
-	seq  int64
-	now  func() time.Time
+	// recent is a direct-mapped cache in front of wins: with overlap k
+	// a tuple looks up k windows, and this keeps the map out of it.
+	//lint:allow snapshotcover derived from wins; cleared by RestoreState
+	recent [winSlots]*groupedWin
+	// pool holds the windows that fired, cleared, with their arrays and
+	// sample storage, for the windows that open next.
+	//lint:allow snapshotcover empty windows awaiting reuse; dropped by RestoreState
+	pool []*groupedWin
+	// Columnar kernel scratch: the batch's dictionary codes resolved to
+	// group ids (plus one; all zero between batches), the codes that
+	// were, and the id of each row.
+	codeIDs, rowIDs []uint32
+	mapped          []int32
+	seq             int64
+	now             func() time.Time
 }
 
+// winSlots sizes GroupedManager.recent; a power of two, at least the
+// overlaps the engine is run at.
+const winSlots = 16
+
 type groupedWin struct {
+	id    window.ID
 	gs    *sample.GroupStats
 	known *sample.GroupReservoirs // per-group reservoirs; nil when unknown groups or per-group cap was 0 at creation
 	// tainted marks that load shedding skipped archive writes while the
@@ -88,6 +112,7 @@ func NewGroupedManager(cfg Config) (*GroupedManager, error) {
 		cfg:       cfg,
 		est:       est,
 		curBudget: cfg.BudgetTuples,
+		dict:      sample.NewKeyDict(),
 		wins:      make(map[window.ID]*groupedWin),
 		now:       cfg.clock(),
 	}
@@ -134,6 +159,58 @@ func (m *GroupedManager) perGroupCap() int {
 	return m.curBudget / m.cfg.KnownGroups
 }
 
+// win returns window id from the map, opening it on its first tuple,
+// and leaves it in recent for the tuples that follow.
+func (m *GroupedManager) win(id window.ID) *groupedWin {
+	w, ok := m.wins[id]
+	if !ok {
+		w = m.open(id)
+	}
+	m.recent[id&(winSlots-1)] = w
+	return w
+}
+
+// open starts window id on a pooled window if one is waiting, with
+// reservoirs at the per-group cap when groups are known and the cap
+// allows any.
+func (m *GroupedManager) open(id window.ID) *groupedWin {
+	var w *groupedWin
+	if n := len(m.pool); n > 0 {
+		w, m.pool = m.pool[n-1], m.pool[:n-1]
+	} else {
+		w = &groupedWin{gs: m.dict.NewGroupStats()}
+	}
+	w.id = id
+	if m.cfg.KnownGroups == 0 || m.perGroupCap() <= 0 {
+		w.known = nil
+	} else if seed := sample.DeriveSeed(m.cfg.Seed, int64(id)); w.known == nil {
+		w.known = m.dict.NewGroupReservoirs(m.perGroupCap(), seed, sample.AlgoL)
+	} else {
+		w.known.Reseed(m.perGroupCap(), seed)
+	}
+	m.wins[id] = w
+	return w
+}
+
+// close retires window id once its result is out: its groups' ids go
+// back to the dictionary and the window, cleared, to the pool.
+func (m *GroupedManager) close(id window.ID) {
+	w, ok := m.wins[id]
+	if !ok {
+		return
+	}
+	delete(m.wins, id)
+	if slot := &m.recent[id&(winSlots-1)]; *slot == w {
+		*slot = nil
+	}
+	w.gs.Reset()
+	if w.known != nil {
+		w.known.Reset()
+	}
+	w.tainted = false
+	m.pool = append(m.pool, w)
+}
+
 // syncControl applies the controller cell's published budget and
 // shedding flag. Called once at every ingest entry point: two atomic
 // loads in the common (unchanged) case.
@@ -169,6 +246,7 @@ func (m *GroupedManager) SetBudget(b int) {
 				continue
 			}
 			if pg <= 0 {
+				w.known.Reset() // hands the groups' ids back
 				w.known = nil
 			} else {
 				w.known.Resize(pg)
@@ -264,26 +342,20 @@ func (m *GroupedManager) ingest(t tuple.Tuple) ([]Result, error) {
 	}
 	nextFire := m.nextFire
 	if hi >= nextFire {
-		key := m.cfg.KeyBy(t)
+		// The one hash of the key; every window below indexes by gid.
+		gid := m.dict.ID(m.cfg.KeyBy(t))
 		val := m.cfg.Value(t)
 		if lo < nextFire {
 			lo = nextFire
 		}
 		for id := lo; id <= hi; id++ {
-			w, ok := m.wins[id]
-			if !ok {
-				w = &groupedWin{gs: sample.NewGroupStats()}
-				if m.cfg.KnownGroups > 0 {
-					if pg := m.perGroupCap(); pg > 0 {
-						w.known = sample.NewGroupReservoirs(
-							pg, sample.DeriveSeed(m.cfg.Seed, int64(id)), sample.AlgoL)
-					}
-				}
-				m.wins[id] = w
+			w := m.recent[id&(winSlots-1)]
+			if w == nil || w.id != id {
+				w = m.win(id) // too big to inline; the cache check is not
 			}
-			w.gs.Add(key, val)
+			w.gs.AddID(gid, val)
 			if w.known != nil {
-				w.known.Add(key, val)
+				w.known.AddID(gid, val)
 			}
 			if m.shed {
 				w.tainted = true
@@ -370,7 +442,7 @@ func (m *GroupedManager) fireKnown(wm int64) ([]Result, error) {
 		if r != nil {
 			out = append(out, *r)
 		}
-		delete(m.wins, id)
+		m.close(id)
 	}
 	m.nextFire = last + 1
 	start, _ := m.cfg.Spec.Bounds(m.nextFire)
@@ -413,13 +485,7 @@ func (m *GroupedManager) produceKnown(id window.ID) (*Result, error) {
 		// the contract is met and the shed stays invisible.
 		res.Mode = ModeSampled
 		res.EstError = estErr
-		res.Groups = make(map[string]float64, w.known.Len())
-		sn := 0
-		w.known.Each(func(key string, r *sample.Reservoir) {
-			res.Groups[key] = m.cfg.Agg.Estimate(r.Items(), r.Seen())
-			sn += r.Len()
-		})
-		res.SampleN = sn
+		m.fromReservoirs(&res, w.known)
 	case w.tainted:
 		// The accuracy check failed but shedding skipped archive
 		// writes for this window: its pane set in S is incomplete, so
@@ -429,11 +495,7 @@ func (m *GroupedManager) produceKnown(id window.ID) (*Result, error) {
 		// sample answer as ModeShed with the realized bound.
 		if m.cfg.Agg.Incremental() && !m.cfg.DisableIncremental {
 			res.Mode = ModeIncremental
-			res.Groups = make(map[string]float64, w.gs.Len())
-			w.gs.Each(func(key string, wf *stats.Welford) {
-				v, _ := m.cfg.Agg.FromWelford(wf)
-				res.Groups[key] = v
-			})
+			m.fromMoments(&res, w.gs)
 			res.SampleN = int(res.N)
 		} else {
 			if m.cfg.Metrics != nil {
@@ -445,21 +507,12 @@ func (m *GroupedManager) produceKnown(id window.ID) (*Result, error) {
 			} else {
 				res.EstError = math.Inf(1)
 			}
-			res.Groups = make(map[string]float64, w.gs.Len())
 			if w.known != nil {
-				sn := 0
-				w.known.Each(func(key string, r *sample.Reservoir) {
-					res.Groups[key] = m.cfg.Agg.Estimate(r.Items(), r.Seen())
-					sn += r.Len()
-				})
-				res.SampleN = sn
+				m.fromReservoirs(&res, w.known)
 			} else {
 				// Degenerate corner: budget collapsed to zero after the
 				// window was tainted. Metadata is all that is left.
-				w.gs.Each(func(key string, wf *stats.Welford) {
-					v, _ := m.cfg.Agg.FromWelford(wf)
-					res.Groups[key] = v
-				})
+				m.fromMoments(&res, w.gs)
 			}
 		}
 	default:
@@ -470,23 +523,56 @@ func (m *GroupedManager) produceKnown(id window.ID) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: grouped exact fallback window %d: %w", id, err)
 		}
-		keys := make([]string, len(ts))
-		vals := make([]float64, len(ts))
-		for i, t := range ts {
-			keys[i] = m.cfg.KeyBy(t)
-			vals[i] = m.cfg.Value(t)
-		}
-		res.Mode = ModeExact
-		res.Groups = agg.ComputeGrouped(keys, vals, m.cfg.Agg)
-		res.SampleN = len(vals)
-		res.N = int64(len(vals))
+		m.exact(&res, ts)
+		res.N = int64(len(ts))
 		res.FetchedFromStore = true
-		if m.cfg.Metrics != nil {
-			m.cfg.Metrics.TuplesProcessedFull.Add(int64(len(vals)))
-		}
 	}
 	m.finishMetrics(&res, t0, 0)
 	return &res, nil
+}
+
+// fromMoments answers every group of res from its frequency/variance
+// state, exactly.
+func (m *GroupedManager) fromMoments(res *Result, gs *sample.GroupStats) {
+	res.Groups = make(map[string]float64, gs.Len())
+	gs.Each(func(key string, wf *stats.Welford) {
+		v, _ := m.cfg.Agg.FromWelford(wf)
+		res.Groups[key] = v
+	})
+}
+
+// fromReservoirs answers every group of res from the stratified sample
+// built at tuple arrival.
+func (m *GroupedManager) fromReservoirs(res *Result, known *sample.GroupReservoirs) {
+	res.Groups = make(map[string]float64, known.Len())
+	res.SampleN = 0
+	known.Each(func(key string, r *sample.Reservoir) {
+		res.Groups[key] = m.cfg.Agg.Estimate(r.Items(), r.Seen())
+		res.SampleN += r.Len()
+	})
+}
+
+// keysVals projects tuples onto parallel key and value slices.
+func (m *GroupedManager) keysVals(ts []tuple.Tuple) ([]string, []float64) {
+	keys := make([]string, len(ts))
+	vals := make([]float64, len(ts))
+	for i, t := range ts {
+		keys[i] = m.cfg.KeyBy(t)
+		vals[i] = m.cfg.Value(t)
+	}
+	return keys, vals
+}
+
+// exact answers res with the full grouped aggregate over the window's
+// tuples (cost identical to the exact engine).
+func (m *GroupedManager) exact(res *Result, ts []tuple.Tuple) {
+	keys, vals := m.keysVals(ts)
+	res.Mode = ModeExact
+	res.Groups = agg.ComputeGrouped(keys, vals, m.cfg.Agg)
+	res.SampleN = len(vals)
+	if m.cfg.Metrics != nil {
+		m.cfg.Metrics.TuplesProcessedFull.Add(int64(len(vals)))
+	}
 }
 
 // ---- buffered path (unknown groups) ----
@@ -496,7 +582,7 @@ func (m *GroupedManager) produceBuffered(completes []window.Complete, scanShare 
 	for _, c := range completes {
 		r := m.produceFromWindow(c, scanShare)
 		out = append(out, r)
-		delete(m.wins, c.ID)
+		m.close(c.ID)
 		if m.nextFire <= c.ID {
 			m.nextFire = c.ID + 1
 		}
@@ -533,16 +619,12 @@ func (m *GroupedManager) produceFromWindow(c window.Complete, scanShare time.Dur
 		// form of the incremental optimization SPEAr applies to
 		// non-holistic scalar operations.
 		res.Mode = ModeIncremental
-		res.Groups = make(map[string]float64, w.gs.Len())
-		w.gs.Each(func(key string, wf *stats.Welford) {
-			v, _ := m.cfg.Agg.FromWelford(wf)
-			res.Groups[key] = v
-		})
+		m.fromMoments(&res, w.gs)
 		res.SampleN = int(res.N)
 		accelerated = true
 	}
 	if !accelerated && w != nil && w.gs.Len() > 0 && w.gs.Len() <= m.curBudget {
-		alloc := sample.CongressAllocate(w.gs.Frequencies(), m.curBudget)
+		alloc := w.gs.CongressAllocate(m.curBudget)
 		state := GroupedState{
 			Groups: w.gs, Alloc: alloc, N: res.N,
 			Epsilon: m.cfg.Epsilon, Confidence: m.cfg.Confidence, Agg: m.cfg.Agg,
@@ -554,12 +636,7 @@ func (m *GroupedManager) produceFromWindow(c window.Complete, scanShare time.Dur
 			// sample.
 			res.Mode = ModeSampled
 			res.EstError = estErr
-			keys := make([]string, len(c.Tuples))
-			vals := make([]float64, len(c.Tuples))
-			for i, t := range c.Tuples {
-				keys[i] = m.cfg.KeyBy(t)
-				vals[i] = m.cfg.Value(t)
-			}
+			keys, vals := m.keysVals(c.Tuples)
 			strata := sample.StratifiedFromBuffer(keys, vals, alloc, sample.DeriveSeed(m.cfg.Seed, int64(c.ID)))
 			res.Groups = make(map[string]float64, len(strata))
 			sn := 0
@@ -575,21 +652,9 @@ func (m *GroupedManager) produceFromWindow(c window.Complete, scanShare time.Dur
 	}
 
 	if !accelerated {
-		// Normal processing: the full grouped aggregate over the
-		// whole window (cost identical to the exact engine).
-		keys := make([]string, len(c.Tuples))
-		vals := make([]float64, len(c.Tuples))
-		for i, t := range c.Tuples {
-			keys[i] = m.cfg.KeyBy(t)
-			vals[i] = m.cfg.Value(t)
-		}
-		res.Mode = ModeExact
-		res.Groups = agg.ComputeGrouped(keys, vals, m.cfg.Agg)
-		res.SampleN = len(vals)
+		// Normal processing: the whole window.
+		m.exact(&res, c.Tuples)
 		res.FetchedFromStore = c.FetchedFromStore
-		if m.cfg.Metrics != nil {
-			m.cfg.Metrics.TuplesProcessedFull.Add(int64(len(vals)))
-		}
 	}
 	m.finishMetrics(&res, t0, scanShare)
 	return res

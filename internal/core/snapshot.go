@@ -284,10 +284,14 @@ func (m *GroupedManager) RestoreState(b []byte) error {
 	if rd.Err() != nil {
 		return rd.Err()
 	}
+	// The dictionary is not in the blob: decoding the windows' sorted
+	// keys rebuilds it, into a fresh one that replaces the live one only
+	// if the whole blob is good.
+	dict := sample.NewKeyDict()
 	wins := make(map[window.ID]*groupedWin, n)
 	for i := 0; i < n; i++ {
 		id := window.ID(rd.I64())
-		w := &groupedWin{gs: sample.ReadGroupStats(rd)}
+		w := &groupedWin{id: id, gs: dict.ReadGroupStats(rd)}
 		hasKnown := rd.Bool()
 		if rd.Err() != nil {
 			return rd.Err()
@@ -304,7 +308,7 @@ func (m *GroupedManager) RestoreState(b []byte) error {
 			return fmt.Errorf("%w: grouped window %d reservoir flag mismatch", tuple.ErrCorrupt, id)
 		}
 		if hasKnown {
-			w.known = sample.ReadGroupReservoirs(rd)
+			w.known = dict.ReadGroupReservoirs(rd)
 			if rd.Err() != nil {
 				return rd.Err()
 			}
@@ -333,7 +337,8 @@ func (m *GroupedManager) RestoreState(b []byte) error {
 	m.started, m.fired, m.nextFire, m.maxPos, m.late, m.seq = started, fired, nextFire, maxPos, late, seq
 	m.curBudget = int(curBudget)
 	m.sheds = sheds
-	m.wins = wins
+	// The cache and the pool point into the replaced dictionary.
+	m.dict, m.wins, m.recent, m.pool = dict, wins, [winSlots]*groupedWin{}, nil
 	m.shed = false
 	m.SetShedding(shed)
 	if c := m.cfg.Cell; c != nil {

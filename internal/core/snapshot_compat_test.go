@@ -1,0 +1,213 @@
+package core
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	"spear/internal/agg"
+	"spear/internal/storage"
+	"spear/internal/tuple"
+	"spear/internal/window"
+)
+
+// updateCompat rewrites the fixtures under testdata/compat from the
+// code being tested. The checked-in files were written at the commit
+// before grouped state moved from per-window maps to arrays over a key
+// dictionary (PR 16); regenerate them only to adopt a deliberate
+// wire-format change, never to make this test pass.
+var updateCompat = flag.Bool("update-compat", false, "rewrite testdata/compat from the current code")
+
+type compatCase struct {
+	name string
+	cfg  func(store storage.SpillStore) Config
+	keys func(rng *rand.Rand, i int) string
+}
+
+// churnKey mixes a few hot groups, groups that come back after sitting
+// out several windows, and groups seen exactly once.
+func churnKey(rng *rand.Rand, i int) string {
+	switch r := rng.Intn(10); {
+	case r < 5:
+		return fmt.Sprintf("hot-%d", rng.Intn(6))
+	case r < 7:
+		return fmt.Sprintf("era-%d-%d", i/450, rng.Intn(4))
+	default:
+		return fmt.Sprintf("once-%d", i)
+	}
+}
+
+// fewOnceKey is churnKey with few enough once-only groups for a window
+// to fit a budget smaller than itself.
+func fewOnceKey(rng *rand.Rand, i int) string {
+	if rng.Intn(20) == 0 {
+		return fmt.Sprintf("once-%d", i)
+	}
+	return fmt.Sprintf("%s-%d", [2]string{"hot", "era"}[rng.Intn(2)*(i/450)%2], rng.Intn(5))
+}
+
+func compatCases() []compatCase {
+	mk := func(f agg.Func, budget, known int, epsilon float64) func(storage.SpillStore) Config {
+		return func(store storage.SpillStore) Config {
+			return Config{
+				Spec:    window.Spec{Domain: window.TimeDomain, Range: 200, Slide: 50},
+				Agg:     f,
+				Value:   tuple.FieldFloat(0),
+				KeyBy:   tuple.FieldString(1),
+				Epsilon: epsilon, Confidence: 0.95, BudgetTuples: budget, KnownGroups: known,
+				Store: store, Key: "compat", Seed: 7,
+			}
+		}
+	}
+	eight := func(rng *rand.Rand, _ int) string { return fmt.Sprintf("g%d", rng.Intn(8)) }
+	return []compatCase{
+		// Answered from the per-group moments alone.
+		{"buffered_mean", mk(agg.Func{Op: agg.Mean}, 400, 0, 0.10), churnKey},
+		// Congressional allocation over the frequencies, then a
+		// stratified sample of the buffer, or the whole window.
+		{"buffered_median", mk(agg.Median(), 150, 0, 0.22), fewOnceKey},
+		// Per-group reservoirs filled at arrival: answered from them,
+		// and (at an ε they cannot meet) from the archive.
+		{"known_median", mk(agg.Median(), 160, 8, 0.35), eight},
+		{"known_median_exact", mk(agg.Median(), 160, 8, 0.05), eight},
+	}
+}
+
+// compatStream is 1200 tuples, one per tick, shuffled within a lag of
+// 20 ticks; a watermark follows every 50th tuple at that lag.
+func compatStream(c compatCase) []tuple.Tuple {
+	rng := rand.New(rand.NewSource(16))
+	ts := make([]tuple.Tuple, 1200)
+	for i := range ts {
+		ts[i] = tuple.New(int64(i), tuple.Float(10+rng.NormFloat64()*float64(1+i%7)), tuple.String_(c.keys(rng, i)))
+	}
+	for i := 0; i+20 <= len(ts); i += 20 {
+		rng.Shuffle(20, func(a, b int) { ts[i+a], ts[i+b] = ts[i+b], ts[i+a] })
+	}
+	return ts
+}
+
+// compatDrive feeds ts[from:to] and returns the results as text, one
+// window per line, floats as bit patterns.
+func compatDrive(t *testing.T, m *GroupedManager, ts []tuple.Tuple, from, to int) string {
+	t.Helper()
+	var sb strings.Builder
+	emit := func(rs []Result, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rs {
+			fmt.Fprintf(&sb, "w=%d [%d,%d) n=%d sn=%d %s eps=%016x b=%d fetched=%v", r.WindowID, r.Start, r.End,
+				r.N, r.SampleN, r.Mode, math.Float64bits(r.EstError), r.Budget, r.FetchedFromStore)
+			keys := make([]string, 0, len(r.Groups))
+			for k := range r.Groups {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				fmt.Fprintf(&sb, " %s=%016x", k, math.Float64bits(r.Groups[k]))
+			}
+			sb.WriteByte('\n')
+		}
+	}
+	for i := from; i < to; i++ {
+		emit(m.OnTuple(ts[i]))
+		if (i+1)%50 == 0 {
+			emit(m.OnWatermark(int64(i + 1 - 20)))
+		}
+	}
+	if to == len(ts) {
+		emit(m.OnWatermark(math.MaxInt64))
+	}
+	return sb.String()
+}
+
+// TestSnapshotCompat restores mid-stream grouped snapshots written by
+// the parent commit's map-backed layout: the blob must restore, the
+// restored manager must re-encode to the same bytes and continue to the
+// same results, bit for bit, and the current code must arrive at that
+// very blob on its own.
+func TestSnapshotCompat(t *testing.T) {
+	for _, c := range compatCases() {
+		t.Run(c.name, func(t *testing.T) {
+			ts := compatStream(c)
+			half := len(ts)/2 + 13 // mid-slide, windows open
+			store := storage.NewMemStore()
+			primer, err := NewGroupedManager(c.cfg(store))
+			if err != nil {
+				t.Fatal(err)
+			}
+			compatDrive(t, primer, ts, 0, half)
+			own, err := primer.SnapshotState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			blobPath := filepath.Join("testdata", "compat", c.name+".snap")
+			resPath := filepath.Join("testdata", "compat", c.name+".results")
+			if *updateCompat {
+				rest := compatDrive(t, primer, ts, half, len(ts))
+				if err := os.MkdirAll(filepath.Dir(blobPath), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(blobPath, own, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(resPath, []byte(rest), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			blob, err := os.ReadFile(blobPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(resPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(own, blob) {
+				t.Errorf("snapshot of the first %d tuples differs from the parent commit's (%d vs %d bytes)", half, len(own), len(blob))
+			}
+			// The primer left the archive panes the blob refers to in
+			// store; the restored manager picks them up from there.
+			m, err := NewGroupedManager(c.cfg(store))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.RestoreState(blob); err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+			if err := m.RewindStore(); err != nil {
+				t.Fatal(err)
+			}
+			again, err := m.SnapshotState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, blob) {
+				t.Errorf("restored state re-encodes to different bytes (%d vs %d)", len(again), len(blob))
+			}
+			if got := compatDrive(t, m, ts, half, len(ts)); got != string(want) {
+				t.Errorf("results after restore differ from the parent commit's:\n got %d bytes\nwant %d bytes\n%s",
+					len(got), len(want), firstDiffLine(got, string(want)))
+			}
+		})
+	}
+}
+
+func firstDiffLine(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			return fmt.Sprintf("line %d:\n got %.300s\nwant %.300s", i+1, g[i], w[i])
+		}
+	}
+	return fmt.Sprintf("line counts differ: got %d, want %d", len(g), len(w))
+}

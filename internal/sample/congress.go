@@ -3,6 +3,8 @@ package sample
 import (
 	"math/rand"
 	"sort"
+
+	"spear/internal/stats"
 )
 
 // CongressAllocate splits a sample budget (in tuples) among groups using
@@ -23,10 +25,37 @@ import (
 // so the allocation is infeasible and the caller must fall back to
 // exact processing rather than silently oversample.
 func CongressAllocate(freqs map[string]int64, budget int) map[string]int {
-	if budget <= 0 || len(freqs) == 0 {
+	keys := make([]string, 0, len(freqs))
+	for k := range freqs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	fs := make([]int64, len(keys))
+	for i, k := range keys {
+		fs[i] = freqs[k]
+	}
+	return congress(keys, fs, budget)
+}
+
+// CongressAllocate is the package-level function over the frequencies g
+// has accumulated.
+func (g *GroupStats) CongressAllocate(budget int) map[string]int {
+	keys := make([]string, 0, len(g.ids))
+	fs := make([]int64, 0, len(g.ids))
+	g.EachSorted(func(key string, w *stats.Welford) {
+		keys, fs = append(keys, key), append(fs, w.Count())
+	})
+	return congress(keys, fs, budget)
+}
+
+// congress allocates over parallel slices of group keys and frequencies.
+// keys must be sorted: the iteration order fixes the rounding, so that
+// the allocation is reproducible.
+func congress(keys []string, freqs []int64, budget int) map[string]int {
+	g := len(keys)
+	if budget <= 0 || g == 0 {
 		return nil
 	}
-	g := len(freqs)
 	var total int64
 	pos := 0
 	for _, f := range freqs {
@@ -39,25 +68,18 @@ func CongressAllocate(freqs map[string]int64, budget int) map[string]int {
 		return nil
 	}
 
-	// Deterministic iteration order so rounding is reproducible.
-	keys := make([]string, 0, g)
-	for k := range freqs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-
 	b := float64(budget)
 	raw := make([]float64, g)
 	var rawSum float64
-	for i, k := range keys {
-		house := b * float64(freqs[k]) / float64(total)
+	for i, f := range freqs {
+		house := b * float64(f) / float64(total)
 		senate := b / float64(g)
 		m := house
 		if senate > m {
 			m = senate
 		}
 		// A group can never use more slots than it has tuples.
-		if cap := float64(freqs[k]); m > cap {
+		if cap := float64(f); m > cap {
 			m = cap
 		}
 		raw[i] = m
@@ -71,33 +93,35 @@ func CongressAllocate(freqs map[string]int64, budget int) map[string]int {
 	if rawSum > b {
 		scale = b / rawSum
 	}
-	out := make(map[string]int, g)
-	for i, k := range keys {
+	alloc := make([]int, g)
+	sum := 0
+	for i, f := range freqs {
 		n := int(raw[i] * scale)
-		if n < 1 && freqs[k] > 0 {
+		if n < 1 && f > 0 {
 			n = 1 // senate floor: every group is represented
 		}
-		if int64(n) > freqs[k] {
-			n = int(freqs[k])
+		if int64(n) > f {
+			n = int(f)
 		}
-		out[k] = n
+		alloc[i] = n
+		sum += n
 	}
 	// The +1 floors can overshoot the budget when there are many tiny
 	// groups; trim from the largest allocations (they lose the least
 	// relative precision).
-	sum := 0
-	for _, n := range out {
-		sum += n
-	}
 	if sum > budget {
-		// Sort keys by allocation descending and shave one slot at a
-		// time, never below 1.
-		sort.Slice(keys, func(i, j int) bool { return out[keys[i]] > out[keys[j]] })
+		// Visit groups by allocation descending and shave one slot at
+		// a time, never below 1.
+		order := make([]int, g)
+		for i := range order {
+			order[i] = i
+		}
+		sort.Slice(order, func(i, j int) bool { return alloc[order[i]] > alloc[order[j]] })
 		for sum > budget {
 			shaved := false
-			for _, k := range keys {
-				if out[k] > 1 {
-					out[k]--
+			for _, i := range order {
+				if alloc[i] > 1 {
+					alloc[i]--
 					sum--
 					shaved = true
 					if sum <= budget {
@@ -113,6 +137,10 @@ func CongressAllocate(freqs map[string]int64, budget int) map[string]int {
 				break
 			}
 		}
+	}
+	out := make(map[string]int, g)
+	for i, k := range keys {
+		out[k] = alloc[i]
 	}
 	return out
 }

@@ -15,9 +15,6 @@ type prng struct {
 	state uint64
 }
 
-// newPRNG returns a generator seeded with seed.
-func newPRNG(seed int64) *prng { return &prng{state: uint64(seed)} }
-
 // next returns the next 64 random bits.
 func (p *prng) next() uint64 {
 	p.state += 0x9e3779b97f4a7c15

@@ -23,7 +23,7 @@ type Reservoir struct {
 	cap   int
 	items []float64
 	seen  int64
-	rng   *prng
+	rng   prng
 	algo  ReservoirAlgo
 
 	// Algorithm L state.
@@ -51,13 +51,15 @@ func NewReservoir(capacity int, seed int64, algo ReservoirAlgo) *Reservoir {
 	if capacity <= 0 {
 		panic("sample: reservoir capacity must be positive")
 	}
-	r := &Reservoir{
-		cap:  capacity,
-		rng:  newPRNG(seed),
-		algo: algo,
-		w:    1,
-	}
+	r := &Reservoir{}
+	r.init(capacity, seed, algo)
 	return r
+}
+
+// init makes r an empty reservoir, keeping its sample storage: group
+// reservoirs live in an array that outlasts any one window.
+func (r *Reservoir) init(capacity int, seed int64, algo ReservoirAlgo) {
+	*r = Reservoir{cap: capacity, items: r.items[:0], rng: prng{state: uint64(seed)}, algo: algo, w: 1}
 }
 
 // Add offers one observation to the reservoir.

@@ -2,6 +2,7 @@ package sample
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -297,9 +298,8 @@ func TestGroupStats(t *testing.T) {
 	if g.Get("missing") != nil {
 		t.Error("missing group should be nil")
 	}
-	freqs := g.Frequencies()
-	if freqs["r1"] != 2 || freqs["r2"] != 1 {
-		t.Errorf("Frequencies = %v", freqs)
+	if got, want := g.CongressAllocate(2), CongressAllocate(map[string]int64{"r1": 2, "r2": 1}, 2); !reflect.DeepEqual(got, want) {
+		t.Errorf("CongressAllocate over the accumulator = %v, over the frequencies = %v", got, want)
 	}
 	if g.Total() != 3 {
 		t.Errorf("Total = %d", g.Total())

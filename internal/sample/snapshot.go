@@ -1,8 +1,6 @@
 package sample
 
 import (
-	"sort"
-
 	"spear/internal/stats"
 	"spear/internal/tuple"
 )
@@ -73,26 +71,28 @@ func ReadReservoir(rd *tuple.WireReader) *Reservoir {
 // AppendTo appends the per-group frequency/variance accumulators in
 // sorted group order.
 func (g *GroupStats) AppendTo(dst []byte) []byte {
-	keys := make([]string, 0, len(g.groups))
-	for k := range g.groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	dst = tuple.AppendUvar(dst, uint64(len(keys)))
-	for _, k := range keys {
-		dst = tuple.AppendStr(dst, k)
-		dst = g.groups[k].AppendTo(dst)
-	}
+	dst = tuple.AppendUvar(dst, uint64(len(g.ids)))
+	g.EachSorted(func(key string, w *stats.Welford) {
+		dst = tuple.AppendStr(dst, key)
+		dst = w.AppendTo(dst)
+	})
 	return dst
 }
 
-// ReadGroupStats decodes a GroupStats encoded by AppendTo.
-func ReadGroupStats(rd *tuple.WireReader) *GroupStats {
+// ReadGroupStats decodes a GroupStats encoded by AppendTo, over a
+// dictionary of its own.
+func ReadGroupStats(rd *tuple.WireReader) *GroupStats { return NewKeyDict().ReadGroupStats(rd) }
+
+// ReadGroupStats decodes a GroupStats encoded by AppendTo, giving its
+// groups ids in d. On malformed input it returns nil and d may be left
+// holding ids nobody releases: decode into a dictionary that is thrown
+// away with the failed restore.
+func (d *KeyDict) ReadGroupStats(rd *tuple.WireReader) *GroupStats {
 	n := rd.Count(1 + 48) // key length byte + welford
 	if rd.Err() != nil {
 		return nil
 	}
-	g := NewGroupStats()
+	g := d.NewGroupStats()
 	for i := 0; i < n; i++ {
 		k := rd.Str()
 		var w stats.Welford
@@ -100,12 +100,13 @@ func ReadGroupStats(rd *tuple.WireReader) *GroupStats {
 		if rd.Err() != nil {
 			return nil
 		}
-		if _, dup := g.groups[k]; dup {
+		id := d.ID(k)
+		if g.find(id) != 0 {
 			rd.Corrupt("duplicate group key")
 			return nil
 		}
-		g.groups[k] = &w
-		g.keyMem += len(k)
+		g.vals[g.open(id)-1] = w
+		g.total += w.Count()
 	}
 	return g
 }
@@ -115,21 +116,23 @@ func (g *GroupReservoirs) AppendTo(dst []byte) []byte {
 	dst = tuple.AppendUvar(dst, uint64(g.perGroup))
 	dst = tuple.AppendI64(dst, g.seed)
 	dst = append(dst, byte(g.algo))
-	keys := make([]string, 0, len(g.groups))
-	for k := range g.groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	dst = tuple.AppendUvar(dst, uint64(len(keys)))
-	for _, k := range keys {
-		dst = tuple.AppendStr(dst, k)
-		dst = g.groups[k].AppendTo(dst)
+	dst = tuple.AppendUvar(dst, uint64(len(g.ids)))
+	for _, id := range g.dict.sorted(g.ids) {
+		dst = tuple.AppendStr(dst, g.dict.keys[id])
+		dst = g.res[g.pos[id]-1].AppendTo(dst)
 	}
 	return dst
 }
 
-// ReadGroupReservoirs decodes a GroupReservoirs encoded by AppendTo.
+// ReadGroupReservoirs decodes a GroupReservoirs encoded by AppendTo,
+// over a dictionary of its own.
 func ReadGroupReservoirs(rd *tuple.WireReader) *GroupReservoirs {
+	return NewKeyDict().ReadGroupReservoirs(rd)
+}
+
+// ReadGroupReservoirs decodes a GroupReservoirs encoded by AppendTo,
+// giving its groups ids in d (see KeyDict.ReadGroupStats on failure).
+func (d *KeyDict) ReadGroupReservoirs(rd *tuple.WireReader) *GroupReservoirs {
 	perGroup := rd.Uvar()
 	seed := rd.I64()
 	algoByte := rd.Byte()
@@ -145,7 +148,7 @@ func ReadGroupReservoirs(rd *tuple.WireReader) *GroupReservoirs {
 		rd.Corrupt("group reservoir algorithm")
 		return nil
 	}
-	g := NewGroupReservoirs(int(perGroup), seed, ReservoirAlgo(algoByte))
+	g := d.NewGroupReservoirs(int(perGroup), seed, ReservoirAlgo(algoByte))
 	for i := 0; i < n; i++ {
 		k := rd.Str()
 		r := ReadReservoir(rd)
@@ -156,11 +159,12 @@ func ReadGroupReservoirs(rd *tuple.WireReader) *GroupReservoirs {
 			rd.Corrupt("group reservoir capacity mismatch")
 			return nil
 		}
-		if _, dup := g.groups[k]; dup {
+		id := d.ID(k)
+		if g.find(id) != 0 {
 			rd.Corrupt("duplicate group key")
 			return nil
 		}
-		g.groups[k] = r
+		g.res[g.open(id)-1] = *r
 	}
 	return g
 }

@@ -76,6 +76,10 @@ func (m *SingleBuffer) RestoreState(b []byte) error {
 	if seq < 0 || late < 0 || spilledCnt < 0 {
 		return fmt.Errorf("%w: negative single-buffer counter", tuple.ErrCorrupt)
 	}
+	if spilledCnt > 0 && m.store == nil {
+		// The next trigger would fetch them from a store that is not there.
+		return fmt.Errorf("%w: single-buffer snapshot has spilled tuples, manager has no spill store", tuple.ErrCorrupt)
+	}
 	buf, err := tuple.DecodeBatch(bufBlob)
 	if err != nil {
 		return err
