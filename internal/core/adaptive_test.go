@@ -436,18 +436,19 @@ func v1ScalarBlob(t *testing.T, m *ScalarManager, budget uint64) []byte {
 	if dst, err = m.arc.appendState(dst); err != nil {
 		t.Fatal(err)
 	}
-	ids := sortedWinIDs(len(m.wins), func(yield func(window.ID)) {
-		for id := range m.wins {
-			yield(id)
-		}
-	})
+	ids := window.IDsIn(m.wins, math.MinInt64, math.MaxInt64)
 	dst = tuple.AppendUvar(dst, uint64(len(ids)))
 	for _, id := range ids {
 		w := m.wins[id]
 		dst = tuple.AppendI64(dst, int64(id))
 		dst = tuple.AppendI64(dst, w.first)
 		dst = w.res.AppendTo(dst)
-		dst = w.all.AppendTo(dst)
+		// The window's moments, 48 bytes: its count, then mean, m2, min,
+		// max and sum, which no reader ever used.
+		dst = tuple.AppendI64(dst, w.n)
+		for i := 0; i < 5; i++ {
+			dst = tuple.AppendF64(dst, 0)
+		}
 		dst = tuple.AppendBool(dst, w.inc != nil)
 		if w.inc != nil {
 			dst = w.inc.AppendTo(dst)

@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math"
 	"strconv"
 	"strings"
 
@@ -103,11 +103,46 @@ func (a *archive) add(t tuple.Tuple) error {
 	}
 	a.cur = append(a.cur, t)
 	if len(a.cur) >= a.chunk {
-		if err := a.store.Store(a.paneKey(p), a.cur); err != nil {
-			return fmt.Errorf("core: archive pane %d: %w", p, err)
+		return a.flushCur()
+	}
+	return nil
+}
+
+// flushCur stores the cached pane's full chunk.
+func (a *archive) flushCur() error {
+	if err := a.store.Store(a.paneKey(a.curP), a.cur); err != nil {
+		return fmt.Errorf("core: archive pane %d: %w", a.curP, err)
+	}
+	a.flushed[a.curP]++
+	a.cur = a.cur[:0] // backing array recycled in place
+	return nil
+}
+
+// addRun buffers a run of tuples that share pane p, flushing the pane's
+// chunk each time it fills: add's effect on every row, chunk boundaries
+// included, for one pane lookup and one bulk append a chunk. A run of
+// Spec.EachRun shares its newest window hi, and hi = ⌊pos/Slide⌋ is the
+// pane. pos are the rows' positions; in the count domain that is what a
+// pane stores as their Ts.
+func (a *archive) addRun(p int64, pos []int64, rows []tuple.Tuple) error {
+	if !a.curOK || p != a.curP {
+		a.rollTo(p)
+	}
+	for len(rows) > 0 {
+		at := len(a.cur)
+		k := min(len(rows), max(a.chunk-at, 1))
+		a.cur = append(a.cur, rows[:k]...)
+		if a.spec.Domain == window.CountDomain {
+			for i, q := range pos[:k] {
+				a.cur[at+i].Ts = q
+			}
 		}
-		a.flushed[p]++
-		a.cur = a.cur[:0] // backing array recycled in place
+		rows, pos = rows[k:], pos[k:]
+		if len(a.cur) >= a.chunk {
+			if err := a.flushCur(); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
@@ -225,15 +260,21 @@ func (a *archive) prefetch(start, end int64) {
 	}
 }
 
-// evictBefore deletes panes wholly before position pos.
+// evictBefore deletes panes wholly before position pos: the buffered
+// ones are dropped, the stored ones deleted from S in pane order. It
+// walks the panes that exist, so a gap in the stream costs nothing.
 func (a *archive) evictBefore(pos int64) error {
 	if !a.haveMin {
 		return nil
 	}
 	a.stash()
 	limit := a.paneOf(pos) // panes < limit end at or before pos
-	for p := a.minPane; p < limit; p++ {
-		delete(a.pending, p)
+	for p := range a.pending {
+		if p < limit {
+			delete(a.pending, p)
+		}
+	}
+	for _, p := range window.IDsIn(a.flushed, math.MinInt64, limit-1) {
 		delete(a.flushed, p)
 		if a.deferDel {
 			a.deferred = append(a.deferred, a.paneKey(p))
@@ -289,11 +330,7 @@ func (a *archive) appendState(dst []byte) ([]byte, error) {
 	}
 	dst = tuple.AppendBool(dst, a.haveMin)
 	dst = tuple.AppendI64(dst, a.minPane)
-	panes := make([]int64, 0, len(a.flushed))
-	for p := range a.flushed {
-		panes = append(panes, p)
-	}
-	sort.Slice(panes, func(i, j int) bool { return panes[i] < panes[j] })
+	panes := window.IDsIn(a.flushed, math.MinInt64, math.MaxInt64)
 	dst = tuple.AppendUvar(dst, uint64(len(panes)))
 	for _, p := range panes {
 		dst = tuple.AppendI64(dst, p)

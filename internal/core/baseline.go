@@ -223,11 +223,8 @@ func (m *IncrementalManager) fire(wm int64) []Result {
 	}
 	m.fired = true // windows at and below last are closed for good
 	var out []Result
-	for id := m.nextFire; id <= last; id++ {
-		inc, ok := m.wins[id]
-		if !ok {
-			continue
-		}
+	for _, id := range window.IDsIn(m.wins, m.nextFire, last) {
+		inc := m.wins[id]
 		t0 := m.now()
 		start, end := m.cfg.Spec.Bounds(id)
 		res := Result{

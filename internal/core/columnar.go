@@ -8,46 +8,38 @@ import (
 	"spear/internal/window"
 )
 
-// This file holds the columnar ingest kernels — the ColumnManager
-// implementations for the scalar and grouped managers. Both follow the
-// same shape:
+// This file holds the ColumnManager entry points of the scalar and
+// grouped managers. Both follow the same shape:
 //
 //  1. Eligibility gate, once per batch: the columnar lane applies only
-//     to time-domain specs (count-domain windows fire on arrival, which
-//     needs the per-tuple interleave), requires a dense row-aligned
-//     value column, and verifies the declared field projections against
-//     the first row (the tripwire: Config.Value must equal
+//     to time-domain specs, requires a dense row-aligned value column,
+//     and verifies the declared field projections against the first row
+//     (the tripwire: Config.Value must equal
 //     FieldFloat(Columnar.ValueField) bit-for-bit). Anything else falls
 //     back to OnTupleBatch over the borrowed rows — correctness never
 //     depends on the declaration.
 //  2. window.Spec.EachRun segments the batch's positions into runs
 //     sharing one window assignment, so the assignment arithmetic,
-//     lateness check, and window map lookups are paid per run, not per
-//     tuple (a tumbling window sees one run per batch in steady state).
-//  3. Per (run, window): the samplers consume the raw value slice —
-//     Reservoir.AddSlice (Algorithm L skip-ahead), Welford.AddSlice,
-//     Incremental.AddSlice — all bit-identical by contract to a
-//     per-element Add loop, same PRNG draws included. Each window sees
-//     its tuples in arrival order exactly as the row path does, so
-//     every downstream accuracy decision (ε̂_w, accelerate-vs-exact
-//     Mode) is unchanged.
-//  4. Archiving and telemetry are amortized per run / per batch, which
-//     OnTupleBatch already does per batch.
+//     lateness check, window map lookups and the archive append are
+//     paid per run, not per tuple (a tumbling window sees one run per
+//     batch in steady state).
+//  3. Per (run, window) the samplers consume the raw value slice, each
+//     bit-identical by contract to a per-element Add loop, same PRNG
+//     draws included. Each window sees its tuples in arrival order
+//     exactly as the row path does, so every downstream accuracy
+//     decision (ε̂_w, accelerate-vs-exact Mode) is unchanged.
 //
-// Window state, archive state, and the seq/maxPos scalars are mutually
-// independent during time-domain ingest (nothing fires before the
-// watermark), so hoisting the maxPos fold to the batch head and
-// deferring the archive appends to the run tail reorders no observable
-// effect.
+// For the scalar manager steps 2 and 3 are ScalarManager.ingestRun, the
+// kernel its row entry points run too; the grouped manager's column
+// kernel is below.
 
-// OnColumnBatch implements ColumnManager for the scalar manager: the
-// per-tuple work of Alg. 1 as tight loops over the raw value column.
+// OnColumnBatch implements ColumnManager for the scalar manager: past
+// the gate, the batch's timestamp and value columns are the kernel's
+// input as they stand.
 func (m *ScalarManager) OnColumnBatch(cb *col.ColumnBatch) ([]Result, error) {
-	n := cb.Len()
-	if n == 0 {
+	if cb.Len() == 0 {
 		return nil, nil
 	}
-	m.syncControl()
 	rows := cb.Rows()
 	if !m.cfg.Columnar.Enabled || m.cfg.Spec.Domain == window.CountDomain {
 		return m.OnTupleBatch(rows)
@@ -57,93 +49,8 @@ func (m *ScalarManager) OnColumnBatch(cb *col.ColumnBatch) ([]Result, error) {
 		math.Float64bits(vals[0]) != math.Float64bits(m.cfg.Value(rows[0])) {
 		return m.OnTupleBatch(rows)
 	}
-	ts := cb.Ts()
-
-	// seq/maxPos fold, hoisted: ingest never reads them (only the
-	// watermark-time fire does), so batch-head order is equivalent.
-	if m.seq == 0 {
-		m.maxPos = ts[0]
-	}
-	m.seq += int64(n)
-	for _, p := range ts {
-		if p > m.maxPos {
-			m.maxPos = p
-		}
-	}
-
-	late := 0
-	var archiveErr error
-	m.cfg.Spec.EachRun(ts, func(i0, i1 int, lo, hi window.ID) {
-		if archiveErr != nil {
-			return
-		}
-		if !m.started {
-			m.started = true
-			m.nextFire = lo
-		} else if lo < m.nextFire && !m.fired {
-			// Pre-first-fire anchor lowering, mirroring the row path
-			// (see ScalarManager.ingest) so both stay bit-identical.
-			m.nextFire = lo
-		}
-		if hi < m.nextFire {
-			// Late run: dropped, not archived — exactly the per-tuple
-			// late path.
-			late += i1 - i0
-			return
-		}
-		if lo < m.nextFire {
-			lo = m.nextFire
-		}
-		run := vals[i0:i1]
-		for id := lo; id <= hi; id++ {
-			w := m.lastWin
-			if w == nil || id != m.lastID {
-				var ok bool
-				w, ok = m.wins[id]
-				if !ok {
-					w = m.newWin(id, ts[i0])
-					m.wins[id] = w
-				}
-				m.lastID, m.lastWin = id, w
-			}
-			if w.res != nil {
-				w.res.AddSlice(run)
-			}
-			w.all.AddSlice(run)
-			if w.inc != nil {
-				w.inc.AddSlice(run)
-			}
-			if m.shed {
-				w.tainted = true
-			}
-		}
-		if m.shed {
-			// Shedding skips the archive appends for the whole run —
-			// mirroring the per-tuple path's skip of arc.add.
-			m.sheds += int64(i1 - i0)
-			if m.cfg.Metrics != nil {
-				m.cfg.Metrics.TuplesShed.Add(int64(i1 - i0))
-			}
-			return
-		}
-		for i := i0; i < i1; i++ {
-			if err := m.arc.add(rows[i]); err != nil {
-				archiveErr = err
-				return
-			}
-		}
-	})
-	m.late += int64(late)
-	if m.cfg.Metrics != nil {
-		if late > 0 {
-			m.cfg.Metrics.LateDropped.Add(int64(late))
-		}
-		if n > late {
-			m.cfg.Metrics.TuplesIn.Add(int64(n - late))
-			m.cfg.Metrics.MemBytes.Set(int64(m.BudgetMemUsage()))
-		}
-	}
-	return nil, archiveErr
+	m.syncControl()
+	return m.ingestRun(cb.Ts(), vals, rows)
 }
 
 // OnColumnBatch implements ColumnManager for the grouped manager's

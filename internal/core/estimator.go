@@ -10,14 +10,14 @@ import (
 
 // ScalarState is the window state a scalar accuracy estimator sees at
 // watermark arrival: the reservoir sample, the window size, and the
-// incrementally maintained moments.
+// sample's moments.
 type ScalarState struct {
 	// Sample is the simple random sample held in the budget. It must
 	// not be modified (it aliases the reservoir).
 	Sample []float64
 	// N is the window size |S_w|.
 	N int64
-	// Stats are the incrementally maintained moments of the sample.
+	// Stats are the moments of the sample, computed from it at the fire.
 	Stats *stats.Welford
 	// Epsilon and Confidence are the user's (ε, α).
 	Epsilon, Confidence float64

@@ -434,7 +434,7 @@ func (m *GroupedManager) fireKnown(wm int64) ([]Result, error) {
 	}
 	m.fired = true // windows at and below last are closed for good
 	var out []Result
-	for id := m.nextFire; id <= last; id++ {
+	for _, id := range window.IDsIn(m.wins, m.nextFire, last) {
 		r, err := m.produceKnown(id)
 		if err != nil {
 			return nil, err

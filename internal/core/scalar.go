@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"spear/internal/agg"
@@ -14,10 +15,15 @@ import (
 
 // ScalarManager is the SPEAr window manager for scalar stateful
 // operations (§4.1 "Scalar"). Instead of buffering the window, it keeps
-// per active window a reservoir sample of the aggregated values bounded
-// by the budget b, plus the window's incrementally maintained size and
-// moments; every tuple is archived to secondary storage S for the exact
-// fallback. At watermark arrival it runs the accuracy check of Alg. 2.
+// per active window what a fire reads and nothing else: the window's
+// size and either a reservoir sample of the aggregated values bounded
+// by the budget b or, for a non-holistic aggregate, its incremental
+// accumulator (the estimator's moments are those of the sample and are
+// computed from it at the fire). Every tuple is archived to secondary
+// storage S for the exact fallback. At watermark arrival it runs the
+// accuracy check of Alg. 2.
+//
+// All three entry points feed one kernel, ingestRun (DESIGN.md §19).
 type ScalarManager struct {
 	//lint:allow snapshotcover config handle; only telemetry under it mutates
 	cfg Config
@@ -25,14 +31,12 @@ type ScalarManager struct {
 	arc *archive
 
 	wins map[window.ID]*scalarWin
-	// lastID/lastWin memoize the most recent wins lookup: consecutive
-	// tuples overwhelmingly hit the same window(s), so the per-tuple
-	// map access in ingest collapses to a comparison. Invalidated
-	// whenever wins entries are deleted or the map is replaced.
-	// Not serialized: a memo cache is rebuilt on demand, and RestoreState
-	// resets both halves (covered by the directive on each line).
-	lastID    window.ID  //lint:allow snapshotcover memo cache; rebuilt on demand, reset by RestoreState
-	lastWin   *scalarWin //lint:allow snapshotcover memo cache; rebuilt on demand, reset by RestoreState
+	// pos and vals are OnTupleBatch's view of a row batch as the two
+	// columns the kernel reads; they hold nothing between calls.
+	//lint:allow snapshotcover per-call scratch; dead between calls
+	pos []int64
+	//lint:allow snapshotcover per-call scratch; dead between calls
+	vals      []float64
 	started   bool
 	fired     bool // some window has actually closed; lateness is defined from here on
 	nextFire  window.ID
@@ -46,15 +50,18 @@ type ScalarManager struct {
 }
 
 type scalarWin struct {
-	res   *sample.Reservoir
-	all   stats.Welford // moments and count of every tuple in the window
-	inc   *agg.Incremental
-	first int64 // position of the first tuple (diagnostics)
+	res   *sample.Reservoir // nil under budget 0 and on incremental windows
+	n     int64             // tuples in the window: the N of its result and of ε̂_w
+	inc   *agg.Incremental  // non-holistic aggregates only
+	first int64             // position of the first tuple (diagnostics)
 	// tainted marks a window that lost at least one archive write to
 	// load shedding: its exact fallback is gone, so a failed accuracy
 	// check answers from the sample anyway (ModeShed).
 	tainted bool
 }
+
+// incrementalBytes is what an agg.Incremental holds: one stats.Welford.
+const incrementalBytes = 48
 
 // NewScalarManager returns a manager for cfg. cfg.KeyBy must be nil.
 func NewScalarManager(cfg Config) (*ScalarManager, error) {
@@ -171,127 +178,127 @@ func (m *ScalarManager) evalExact(values []float64) float64 {
 	return m.cfg.Agg.Compute(values)
 }
 
-// OnTuple implements Manager (Alg. 1): update the budget's sample and
-// statistics, archive the tuple to S.
+// OnTuple implements Manager (Alg. 1): a batch of one.
 func (m *ScalarManager) OnTuple(t tuple.Tuple) ([]Result, error) {
-	m.syncControl()
-	rs, ingested, err := m.ingest(t)
-	if err != nil {
-		return rs, err
-	}
-	if ingested && m.cfg.Metrics != nil {
-		m.cfg.Metrics.TuplesIn.Inc()
-		m.cfg.Metrics.MemBytes.Set(int64(m.BudgetMemUsage()))
-	}
-	return rs, nil
+	row := [1]tuple.Tuple{t}
+	return m.OnTupleBatch(row[:])
 }
 
-// OnTupleBatch implements BatchManager: the per-tuple work of Alg. 1
-// with the telemetry updates (counter increment, memory gauge refresh)
-// amortized once per batch instead of once per tuple.
-func (m *ScalarManager) OnTupleBatch(ts []tuple.Tuple) ([]Result, error) {
+// OnTupleBatch implements BatchManager: the rows' positions and values
+// are read once into two columns and handed to the kernel. A
+// count-domain position is the tuple's sequence number.
+func (m *ScalarManager) OnTupleBatch(rows []tuple.Tuple) ([]Result, error) {
 	m.syncControl()
+	n := len(rows)
+	m.pos = slices.Grow(m.pos[:0], n)[:n]
+	m.vals = slices.Grow(m.vals[:0], n)[:n]
+	count := m.cfg.Spec.Domain == window.CountDomain
+	for i := range rows {
+		m.pos[i] = rows[i].Ts
+		if count {
+			m.pos[i] = m.seq + int64(i)
+		}
+		m.vals[i] = m.cfg.Value(rows[i])
+	}
+	return m.ingestRun(m.pos, m.vals, rows)
+}
+
+// ingestRun is the manager's one ingest kernel (Alg. 1 over a batch):
+// ts, vals and rows are a batch's positions, aggregated values and
+// tuples, index-aligned. Spec.EachRun cuts the batch into runs that
+// share one window assignment, so the assignment, the lateness check,
+// the window lookups and the archive append are paid per run, and per
+// run and open window the work is a count, Reservoir.AddSlice — the
+// same admissions and PRNG draws as an Add per element, in O(admissions)
+// — and Incremental.AddSlice where the aggregate has one. Each window
+// sees its tuples in arrival order, so every ε̂_w and every Mode is what
+// a per-tuple loop produces. A count-domain window completes exactly at
+// the end of a run (the next position has a different assignment), so
+// there the kernel fires after each run.
+func (m *ScalarManager) ingestRun(ts []int64, vals []float64, rows []tuple.Tuple) ([]Result, error) {
+	count := m.cfg.Spec.Domain == window.CountDomain
 	var out []Result
-	ingested := 0
-	for i := range ts {
-		rs, ok, err := m.ingest(ts[i])
-		if len(rs) > 0 {
-			//lint:ignore hotloop results are per-window fires, not per-tuple; out stays nil on most batches and preallocating len(batch) would allocate every batch
-			out = append(out, rs...)
-		}
+	var err error
+	late := 0
+	m.cfg.Spec.EachRun(ts, func(i0, i1 int, lo, hi window.ID) {
 		if err != nil {
-			return out, err
+			return
 		}
-		if ok {
-			ingested++
+		if m.seq == 0 {
+			m.maxPos = ts[i0]
 		}
-	}
-	if ingested > 0 && m.cfg.Metrics != nil {
-		m.cfg.Metrics.TuplesIn.Add(int64(ingested))
-		m.cfg.Metrics.MemBytes.Set(int64(m.BudgetMemUsage()))
-	}
-	return out, nil
-}
-
-// ingest is the metrics-free per-tuple body shared by OnTuple and
-// OnTupleBatch. ingested is false for late-dropped tuples (which count
-// toward LateDropped, not TuplesIn).
-func (m *ScalarManager) ingest(t tuple.Tuple) (rs []Result, ingested bool, err error) {
-	pos := t.Ts
-	if m.cfg.Spec.Domain == window.CountDomain {
-		pos = m.seq
-		t.Ts = pos
-	}
-	m.seq++
-	if pos > m.maxPos || m.seq == 1 {
-		m.maxPos = pos
-	}
-
-	lo, hi := m.cfg.Spec.Assign(pos)
-	if !m.started {
-		m.started = true
-		m.nextFire = lo
-	} else if lo < m.nextFire && !m.fired {
-		// Before the first fire the anchor is only a guess from the
-		// first tuple seen; with several upstream senders the merged
-		// stream is unordered between watermark rounds, so an earlier
-		// tuple must lower it rather than be misclassified as late.
-		// Nothing below nextFire has closed until m.fired.
-		m.nextFire = lo
-	}
-	if hi < m.nextFire {
-		m.late++
-		if m.cfg.Metrics != nil {
-			m.cfg.Metrics.LateDropped.Inc()
+		m.seq += int64(i1 - i0)
+		for _, p := range ts[i0:i1] {
+			if p > m.maxPos {
+				m.maxPos = p
+			}
 		}
-		return nil, false, nil
-	}
-	if lo < m.nextFire {
-		lo = m.nextFire
-	}
-
-	v := m.cfg.Value(t)
-	for id := lo; id <= hi; id++ {
-		w := m.lastWin
-		if w == nil || id != m.lastID {
-			var ok bool
-			w, ok = m.wins[id]
+		if !m.started {
+			m.started = true
+			m.nextFire = lo
+		} else if lo < m.nextFire && !m.fired {
+			// Before the first fire the anchor is only a guess from the
+			// first tuple seen; with several upstream senders the merged
+			// stream is unordered between watermark rounds, so an earlier
+			// tuple must lower it rather than be misclassified as late.
+			// Nothing below nextFire has closed until m.fired.
+			m.nextFire = lo
+		}
+		if hi < m.nextFire {
+			late += i1 - i0 // dropped: neither sampled nor archived
+			return
+		}
+		if lo < m.nextFire {
+			lo = m.nextFire
+		}
+		run := vals[i0:i1]
+		for id := lo; id <= hi; id++ {
+			w, ok := m.wins[id] // once per run: the map will do
 			if !ok {
-				w = m.newWin(id, pos)
+				w = m.newWin(id, ts[i0])
 				m.wins[id] = w
 			}
-			m.lastID, m.lastWin = id, w
-		}
-		if w.res != nil {
-			w.res.Add(v)
-		}
-		w.all.Add(v)
-		if w.inc != nil {
-			w.inc.Add(v)
+			w.n += int64(len(run))
+			if w.res != nil {
+				w.res.AddSlice(run)
+			}
+			if w.inc != nil {
+				w.inc.AddSlice(run)
+			}
+			if m.shed {
+				w.tainted = true
+			}
 		}
 		if m.shed {
-			w.tainted = true
+			// Load shedding: skip the archive write — the per-tuple cost
+			// that saturates under overload — and keep only the in-budget
+			// state. N stays exact and the sample a uniform s.r.s. of
+			// the whole window. What is lost is the exact fallback for
+			// the windows this run spans.
+			m.sheds += int64(i1 - i0)
+			if m.cfg.Metrics != nil {
+				m.cfg.Metrics.TuplesShed.Add(int64(i1 - i0))
+			}
+		} else if err = m.arc.addRun(int64(hi), ts[i0:i1], rows[i0:i1]); err != nil {
+			return
+		}
+		if count {
+			var rs []Result
+			rs, err = m.fire(m.seq)
+			out = append(out, rs...)
+		}
+	})
+	m.late += int64(late)
+	if m.cfg.Metrics != nil {
+		if late > 0 {
+			m.cfg.Metrics.LateDropped.Add(int64(late))
+		}
+		if len(ts) > late {
+			m.cfg.Metrics.TuplesIn.Add(int64(len(ts) - late))
+			m.cfg.Metrics.MemBytes.Set(int64(m.BudgetMemUsage()))
 		}
 	}
-	if m.shed {
-		// Load shedding: skip the archive write — the per-tuple cost
-		// that saturates under overload — and keep only the in-budget
-		// state. N and the moments stay exact; the sample stays a
-		// uniform s.r.s. of the whole window. What is lost is the
-		// exact fallback for the windows this tuple spans.
-		m.sheds++
-		if m.cfg.Metrics != nil {
-			m.cfg.Metrics.TuplesShed.Inc()
-		}
-	} else if err := m.arc.add(t); err != nil {
-		return nil, true, err
-	}
-
-	if m.cfg.Spec.Domain == window.CountDomain {
-		rs, err := m.fire(m.seq)
-		return rs, true, err
-	}
-	return nil, true, nil
+	return out, err
 }
 
 // OnWatermark implements Manager (Alg. 2).
@@ -317,28 +324,27 @@ func (m *ScalarManager) fire(wm int64) ([]Result, error) {
 	}
 	m.fired = true // windows at and below last are closed for good
 	var out []Result
-	for id := m.nextFire; id <= last; id++ {
-		r, err := m.produce(id)
+	// The windows that hold tuples, not the id range: a watermark after
+	// a gap in the stream costs the windows that exist.
+	for _, id := range window.IDsIn(m.wins, m.nextFire, last) {
+		r, err := m.produce(id, m.wins[id])
 		if err != nil {
 			return nil, err
 		}
-		if r != nil {
-			out = append(out, *r)
-			// A per-window budget policy and the controller cell are
-			// mutually exclusive owners of the budget; with a cell
-			// attached the policy is ignored.
-			if m.cfg.Budget != nil && m.cfg.Cell == nil {
-				if next := m.cfg.Budget.Next(m.curBudget, *r); next >= 1 {
-					m.curBudget = next
-					if m.cfg.Metrics != nil {
-						m.cfg.Metrics.BudgetTuples.Set(int64(next))
-					}
+		out = append(out, r)
+		// A per-window budget policy and the controller cell are
+		// mutually exclusive owners of the budget; with a cell
+		// attached the policy is ignored.
+		if m.cfg.Budget != nil && m.cfg.Cell == nil {
+			if next := m.cfg.Budget.Next(m.curBudget, r); next >= 1 {
+				m.curBudget = next
+				if m.cfg.Metrics != nil {
+					m.cfg.Metrics.BudgetTuples.Set(int64(next))
 				}
 			}
 		}
 		delete(m.wins, id)
 	}
-	m.lastWin = nil // fired windows may include the memoized one
 	m.nextFire = last + 1
 	start, _ := m.cfg.Spec.Bounds(m.nextFire)
 	if err := m.arc.evictBefore(start); err != nil {
@@ -352,18 +358,14 @@ func (m *ScalarManager) fire(wm int64) ([]Result, error) {
 
 // produce runs Alg. 2 for one window: estimate ε̂_w from budget contents
 // and either emit R̂_w or fall back to the whole window.
-func (m *ScalarManager) produce(id window.ID) (*Result, error) {
-	w, ok := m.wins[id]
-	if !ok {
-		return nil, nil // window received no tuples
-	}
+func (m *ScalarManager) produce(id window.ID, w *scalarWin) (Result, error) {
 	t0 := m.now()
 	startPos, endPos := m.cfg.Spec.Bounds(id)
 	res := Result{
 		WindowID:   id,
 		Start:      startPos,
 		End:        endPos,
-		N:          w.all.Count(),
+		N:          w.n,
 		Epsilon:    m.cfg.Epsilon,
 		Confidence: m.cfg.Confidence,
 		Budget:     m.curBudget,
@@ -376,7 +378,7 @@ func (m *ScalarManager) produce(id window.ID) (*Result, error) {
 		// to produce the mean per window").
 		res.Mode = ModeIncremental
 		res.Scalar = w.inc.Result()
-		res.SampleN = int(w.all.Count())
+		res.SampleN = int(w.n)
 
 	default:
 		// Accuracy estimation from b's contents only.
@@ -390,7 +392,7 @@ func (m *ScalarManager) produce(id window.ID) (*Result, error) {
 		}
 		state := ScalarState{
 			Sample:     smp,
-			N:          w.all.Count(),
+			N:          w.n,
 			Stats:      &sw,
 			Epsilon:    m.cfg.Epsilon,
 			Confidence: m.cfg.Confidence,
@@ -430,7 +432,7 @@ func (m *ScalarManager) produce(id window.ID) (*Result, error) {
 			}
 			ts, err := m.arc.fetch(startPos, endPos)
 			if err != nil {
-				return nil, fmt.Errorf("core: exact fallback window %d: %w", id, err)
+				return res, fmt.Errorf("core: exact fallback window %d: %w", id, err)
 			}
 			vals := make([]float64, len(ts))
 			for i, t := range ts {
@@ -462,7 +464,7 @@ func (m *ScalarManager) produce(id window.ID) (*Result, error) {
 			m.cfg.Metrics.WindowsSpilled.Inc()
 		}
 	}
-	return &res, nil
+	return res, nil
 }
 
 // PrefetchWatermark implements the engine's Prefetcher hook: after the
@@ -490,8 +492,9 @@ func (m *ScalarManager) MemUsage() int {
 	return m.arc.memUsage() + m.BudgetMemUsage()
 }
 
-// BudgetMemUsage is the memory used to produce results — the reservoir
-// samples and per-window statistics charged against b. This is the
+// BudgetMemUsage is the memory used to produce results, charged against
+// b as held: per open window its count and its reservoir sample, or its
+// count and its incremental accumulator. This is the
 // quantity Fig. 7 shows staying flat at ≈b while the exact engine's
 // buffer grows with the window; the archive's write-behind chunks
 // (bounded by ArchiveChunk·overlap tuples regardless of window size)
@@ -500,10 +503,13 @@ func (m *ScalarManager) MemUsage() int {
 func (m *ScalarManager) BudgetMemUsage() int {
 	n := 0
 	for _, w := range m.wins {
+		n += 8 // w.n
 		if w.res != nil {
 			n += w.res.MemSize()
 		}
-		n += w.all.MemSize()
+		if w.inc != nil {
+			n += incrementalBytes
+		}
 	}
 	return n
 }

@@ -10,46 +10,6 @@ import (
 	"spear/internal/tuple"
 )
 
-// TestScalarRestoreResetsWinsMemo is the regression test for a bug the
-// snapshotcover analyzer found: RestoreState rebuilt the window map but
-// left lastID/lastWin pointing at a window of the replaced map, so the
-// first post-restore tuple whose window ID collided with the stale memo
-// would fold into a dead window. Both halves of the memo must reset
-// together on restore.
-func TestScalarRestoreResetsWinsMemo(t *testing.T) {
-	m, err := NewScalarManager(mkCfg(agg.Func{Op: agg.Mean}, 64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Populate the memo: consecutive tuples in one window make the wins
-	// lookup cache the window.
-	for i := 0; i < 10; i++ {
-		if _, err := m.OnTuple(tuple.New(int64(i), tuple.Float(1), tuple.String_("g"))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if m.lastWin == nil {
-		t.Fatal("precondition failed: wins memo not populated by consecutive tuples")
-	}
-	b, err := m.SnapshotState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.RestoreState(b); err != nil {
-		t.Fatal(err)
-	}
-	if m.lastWin != nil || m.lastID != 0 {
-		t.Errorf("RestoreState left a stale wins memo: lastID=%v lastWin=%p — it points into the pre-restore window map", m.lastID, m.lastWin)
-	}
-	// The restored manager must keep ingesting into the restored map.
-	if _, err := m.OnTuple(tuple.New(10, tuple.Float(1), tuple.String_("g"))); err != nil {
-		t.Fatalf("ingest after restore: %v", err)
-	}
-	if m.lastWin == nil {
-		t.Error("wins memo not rebuilt from the restored window map")
-	}
-}
-
 // TestScalarIncrementalWindowsKeepNoSample pins that a window answered
 // from its incremental state builds no reservoir (the row and column
 // kernels share newWin), and that a snapshot from before that change — reservoir and

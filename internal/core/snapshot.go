@@ -2,10 +2,11 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"math"
 
 	"spear/internal/agg"
 	"spear/internal/sample"
+	"spear/internal/stats"
 	"spear/internal/tuple"
 	"spear/internal/window"
 )
@@ -26,16 +27,19 @@ import (
 // Versioned type tags. The v2 scalar/grouped formats (lowercase tags)
 // carry the adaptive-controller state: the live budget — zero is legal,
 // meaning "reservoirs dropped, exact-only" — the shedding flag and shed
-// counter, and per-window taint/reservoir-presence bits. Writers emit
-// v2; readers accept both, keeping v1 blobs (whose invariants were
-// stricter: budget always positive, reservoirs always present)
-// restorable across the upgrade.
+// counter, and per-window taint/reservoir-presence bits. Scalar v3 is
+// v2 with each window's 48 bytes of moments cut to the 8-byte count,
+// the only part of them a fire ever read. Writers emit the newest;
+// readers accept all, keeping v1 blobs (whose invariants were stricter:
+// budget always positive, reservoirs always present) restorable across
+// the upgrades.
 const (
 	snapScalar      byte = 0x53 // 'S' (v1, read-only)
 	snapGrouped     byte = 0x47 // 'G' (v1, read-only)
 	snapExact       byte = 0x45 // 'E'
 	snapIncremental byte = 0x49 // 'I'
-	snapScalarV2    byte = 0x73 // 's'
+	snapScalarV2    byte = 0x73 // 's' (read-only)
+	snapScalarV3    byte = 0x74 // 't'
 	snapGroupedV2   byte = 0x67 // 'g'
 )
 
@@ -50,7 +54,7 @@ func badTag(kind string, tag byte, rd *tuple.WireReader) error {
 
 // SnapshotState implements the checkpoint Snapshotter contract.
 func (m *ScalarManager) SnapshotState() ([]byte, error) {
-	dst := []byte{snapScalarV2}
+	dst := []byte{snapScalarV3}
 	dst = tuple.AppendBool(dst, m.started)
 	dst = tuple.AppendBool(dst, m.fired)
 	dst = tuple.AppendI64(dst, int64(m.nextFire))
@@ -64,11 +68,7 @@ func (m *ScalarManager) SnapshotState() ([]byte, error) {
 	if dst, err = m.arc.appendState(dst); err != nil {
 		return nil, err
 	}
-	ids := sortedWinIDs(len(m.wins), func(yield func(window.ID)) {
-		for id := range m.wins {
-			yield(id)
-		}
-	})
+	ids := window.IDsIn(m.wins, math.MinInt64, math.MaxInt64)
 	dst = tuple.AppendUvar(dst, uint64(len(ids)))
 	for _, id := range ids {
 		w := m.wins[id]
@@ -78,7 +78,7 @@ func (m *ScalarManager) SnapshotState() ([]byte, error) {
 		if w.res != nil {
 			dst = w.res.AppendTo(dst)
 		}
-		dst = w.all.AppendTo(dst)
+		dst = tuple.AppendI64(dst, w.n)
 		dst = tuple.AppendBool(dst, w.tainted)
 		dst = tuple.AppendBool(dst, w.inc != nil)
 		if w.inc != nil {
@@ -92,7 +92,8 @@ func (m *ScalarManager) SnapshotState() ([]byte, error) {
 func (m *ScalarManager) RestoreState(b []byte) error {
 	rd := tuple.NewWireReader(b)
 	tag := rd.Byte()
-	v2 := tag == snapScalarV2
+	v3 := tag == snapScalarV3
+	v2 := v3 || tag == snapScalarV2 // everything v2 added, v3 has
 	if !v2 && tag != snapScalar {
 		return badTag("scalar", tag, rd)
 	}
@@ -129,7 +130,17 @@ func (m *ScalarManager) RestoreState(b []byte) error {
 		if hasRes {
 			w.res = sample.ReadReservoir(rd)
 		}
-		w.all.ReadFrom(rd)
+		if v3 {
+			if w.n = rd.I64(); w.n < 0 {
+				rd.Corrupt("negative scalar window count")
+			}
+		} else {
+			// v1/v2 carry the window's full moments; the count is the
+			// only part of them that was ever read back.
+			var all stats.Welford
+			all.ReadFrom(rd)
+			w.n = all.Count()
+		}
 		if v2 {
 			w.tainted = rd.Bool()
 		}
@@ -173,10 +184,6 @@ func (m *ScalarManager) RestoreState(b []byte) error {
 	m.sheds = sheds
 	m.arc = arc
 	m.wins = wins
-	// The memoized window belongs to the replaced map; both halves of
-	// the memo reset together so the invariant (lastWin nil ⇒ lastID
-	// meaningless) never depends on the nil check alone.
-	m.lastID, m.lastWin = 0, nil
 	m.pushRestoredControl()
 	return nil
 }
@@ -227,11 +234,7 @@ func (m *GroupedManager) SnapshotState() ([]byte, error) {
 		}
 		dst = tuple.AppendBlob(dst, blob)
 	}
-	ids := sortedWinIDs(len(m.wins), func(yield func(window.ID)) {
-		for id := range m.wins {
-			yield(id)
-		}
-	})
+	ids := window.IDsIn(m.wins, math.MinInt64, math.MaxInt64)
 	dst = tuple.AppendUvar(dst, uint64(len(ids)))
 	for _, id := range ids {
 		w := m.wins[id]
@@ -404,11 +407,7 @@ func (m *IncrementalManager) SnapshotState() ([]byte, error) {
 	dst = tuple.AppendI64(dst, m.seq)
 	dst = tuple.AppendI64(dst, m.maxPos)
 	dst = tuple.AppendI64(dst, m.late)
-	ids := sortedWinIDs(len(m.wins), func(yield func(window.ID)) {
-		for id := range m.wins {
-			yield(id)
-		}
-	})
+	ids := window.IDsIn(m.wins, math.MinInt64, math.MaxInt64)
 	dst = tuple.AppendUvar(dst, uint64(len(ids)))
 	for _, id := range ids {
 		dst = tuple.AppendI64(dst, int64(id))
@@ -458,12 +457,4 @@ func (m *IncrementalManager) RestoreState(b []byte) error {
 	m.started, m.fired, m.nextFire, m.seq, m.maxPos, m.late = started, fired, nextFire, seq, maxPos, late
 	m.wins = wins
 	return nil
-}
-
-// sortedWinIDs collects window IDs from iterate and sorts them.
-func sortedWinIDs(n int, iterate func(yield func(window.ID))) []window.ID {
-	ids := make([]window.ID, 0, n)
-	iterate(func(id window.ID) { ids = append(ids, id) })
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }

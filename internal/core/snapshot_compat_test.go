@@ -19,16 +19,43 @@ import (
 )
 
 // updateCompat rewrites the fixtures under testdata/compat from the
-// code being tested. The checked-in files were written at the commit
-// before grouped state moved from per-window maps to arrays over a key
-// dictionary (PR 16); regenerate them only to adopt a deliberate
-// wire-format change, never to make this test pass.
+// code being tested. The checked-in grouped files were written at the
+// commit before grouped state moved from per-window maps to arrays over
+// a key dictionary (PR 16), the scalar_* files at the commit before a
+// scalar window stopped keeping moments (PR 17, snapshot tag v3);
+// regenerate them only to adopt a deliberate wire-format change, never
+// to make this test pass.
 var updateCompat = flag.Bool("update-compat", false, "rewrite testdata/compat from the current code")
 
 type compatCase struct {
 	name string
-	cfg  func(store storage.SpillStore) Config
+	cfg  func(store storage.SpillStore) Config // KeyBy nil: a ScalarManager
 	keys func(rng *rand.Rand, i int) string
+	// at, when set, runs before tuple i is fed (controller seams).
+	at func(i int, m compatManager)
+	// reencodes is false where the current writer's format is newer
+	// than the fixture's, so neither the primer's own snapshot nor a
+	// re-encode of the restored state can equal the blob.
+	reencodes bool
+}
+
+// compatManager is what the compat harness drives: a manager with the
+// snapshot seams and the controller's two setters.
+type compatManager interface {
+	Manager
+	SnapshotState() ([]byte, error)
+	RestoreState([]byte) error
+	RewindStore() error
+	SetBudget(int)
+	SetShedding(bool)
+}
+
+func (c compatCase) manager(store storage.SpillStore) (compatManager, error) {
+	cfg := c.cfg(store)
+	if cfg.KeyBy != nil {
+		return NewGroupedManager(cfg)
+	}
+	return NewScalarManager(cfg)
 }
 
 // churnKey mixes a few hot groups, groups that come back after sitting
@@ -66,17 +93,57 @@ func compatCases() []compatCase {
 			}
 		}
 	}
+	scalar := func(f agg.Func, budget int, epsilon float64) func(storage.SpillStore) Config {
+		return func(store storage.SpillStore) Config {
+			cfg := mk(f, budget, 0, epsilon)(store)
+			cfg.KeyBy = nil
+			return cfg
+		}
+	}
 	eight := func(rng *rand.Rand, _ int) string { return fmt.Sprintf("g%d", rng.Intn(8)) }
 	return []compatCase{
 		// Answered from the per-group moments alone.
-		{"buffered_mean", mk(agg.Func{Op: agg.Mean}, 400, 0, 0.10), churnKey},
+		{"buffered_mean", mk(agg.Func{Op: agg.Mean}, 400, 0, 0.10), churnKey, nil, true},
 		// Congressional allocation over the frequencies, then a
 		// stratified sample of the buffer, or the whole window.
-		{"buffered_median", mk(agg.Median(), 150, 0, 0.22), fewOnceKey},
+		{"buffered_median", mk(agg.Median(), 150, 0, 0.22), fewOnceKey, nil, true},
 		// Per-group reservoirs filled at arrival: answered from them,
 		// and (at an ε they cannot meet) from the archive.
-		{"known_median", mk(agg.Median(), 160, 8, 0.35), eight},
-		{"known_median_exact", mk(agg.Median(), 160, 8, 0.05), eight},
+		{"known_median", mk(agg.Median(), 160, 8, 0.35), eight, nil, true},
+		{"known_median_exact", mk(agg.Median(), 160, 8, 0.05), eight, nil, true},
+		// Scalar v2 blobs (per-window moments in the blob, read and
+		// discarded now). A reservoir per window, answered from it or,
+		// where ε̂ misses, from the archive.
+		{"scalar_median", scalar(agg.Median(), 150, 0.12), eight, func(i int, m compatManager) {
+			if i == 810 {
+				m.SetBudget(100) // live samples shrink below the bound
+			}
+		}, false},
+		// The same through the mean's estimator, which reads the
+		// sample's moments.
+		{"scalar_mean_sampled", func(store storage.SpillStore) Config {
+			cfg := scalar(agg.Func{Op: agg.Mean}, 60, 0.10)(store)
+			cfg.DisableIncremental = true
+			return cfg
+		}, eight, nil, false},
+		// One incremental accumulator per window and no sample.
+		{"scalar_mean_incremental", scalar(agg.Func{Op: agg.Mean}, 60, 0.10), eight, nil, false},
+		// Windows tainted by a shedding spell, then the budget driven
+		// to zero before the snapshot (reservoirs dropped, exact-only,
+		// ModeShed with an infinite bound for the tainted ones) and
+		// raised again after it.
+		{"scalar_tainted_budget0", scalar(agg.Median(), 150, 0.12), eight, func(i int, m compatManager) {
+			switch i {
+			case 420:
+				m.SetShedding(true)
+			case 470:
+				m.SetShedding(false)
+			case 590:
+				m.SetBudget(0)
+			case 760:
+				m.SetBudget(150)
+			}
+		}, false},
 	}
 }
 
@@ -96,7 +163,7 @@ func compatStream(c compatCase) []tuple.Tuple {
 
 // compatDrive feeds ts[from:to] and returns the results as text, one
 // window per line, floats as bit patterns.
-func compatDrive(t *testing.T, m *GroupedManager, ts []tuple.Tuple, from, to int) string {
+func compatDrive(t *testing.T, c compatCase, m compatManager, ts []tuple.Tuple, from, to int) string {
 	t.Helper()
 	var sb strings.Builder
 	emit := func(rs []Result, err error) {
@@ -106,6 +173,9 @@ func compatDrive(t *testing.T, m *GroupedManager, ts []tuple.Tuple, from, to int
 		for _, r := range rs {
 			fmt.Fprintf(&sb, "w=%d [%d,%d) n=%d sn=%d %s eps=%016x b=%d fetched=%v", r.WindowID, r.Start, r.End,
 				r.N, r.SampleN, r.Mode, math.Float64bits(r.EstError), r.Budget, r.FetchedFromStore)
+			if r.Groups == nil {
+				fmt.Fprintf(&sb, " scalar=%016x", math.Float64bits(r.Scalar))
+			}
 			keys := make([]string, 0, len(r.Groups))
 			for k := range r.Groups {
 				keys = append(keys, k)
@@ -118,6 +188,9 @@ func compatDrive(t *testing.T, m *GroupedManager, ts []tuple.Tuple, from, to int
 		}
 	}
 	for i := from; i < to; i++ {
+		if c.at != nil {
+			c.at(i, m)
+		}
 		emit(m.OnTuple(ts[i]))
 		if (i+1)%50 == 0 {
 			emit(m.OnWatermark(int64(i + 1 - 20)))
@@ -140,11 +213,11 @@ func TestSnapshotCompat(t *testing.T) {
 			ts := compatStream(c)
 			half := len(ts)/2 + 13 // mid-slide, windows open
 			store := storage.NewMemStore()
-			primer, err := NewGroupedManager(c.cfg(store))
+			primer, err := c.manager(store)
 			if err != nil {
 				t.Fatal(err)
 			}
-			compatDrive(t, primer, ts, 0, half)
+			compatDrive(t, c, primer, ts, 0, half)
 			own, err := primer.SnapshotState()
 			if err != nil {
 				t.Fatal(err)
@@ -152,7 +225,7 @@ func TestSnapshotCompat(t *testing.T) {
 			blobPath := filepath.Join("testdata", "compat", c.name+".snap")
 			resPath := filepath.Join("testdata", "compat", c.name+".results")
 			if *updateCompat {
-				rest := compatDrive(t, primer, ts, half, len(ts))
+				rest := compatDrive(t, c, primer, ts, half, len(ts))
 				if err := os.MkdirAll(filepath.Dir(blobPath), 0o755); err != nil {
 					t.Fatal(err)
 				}
@@ -172,12 +245,12 @@ func TestSnapshotCompat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(own, blob) {
+			if c.reencodes && !bytes.Equal(own, blob) {
 				t.Errorf("snapshot of the first %d tuples differs from the parent commit's (%d vs %d bytes)", half, len(own), len(blob))
 			}
 			// The primer left the archive panes the blob refers to in
 			// store; the restored manager picks them up from there.
-			m, err := NewGroupedManager(c.cfg(store))
+			m, err := c.manager(store)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,10 +264,15 @@ func TestSnapshotCompat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if !c.reencodes {
+				// An older blob restores to the state the current code
+				// reaches on its own, in the current format.
+				blob = own
+			}
 			if !bytes.Equal(again, blob) {
 				t.Errorf("restored state re-encodes to different bytes (%d vs %d)", len(again), len(blob))
 			}
-			if got := compatDrive(t, m, ts, half, len(ts)); got != string(want) {
+			if got := compatDrive(t, c, m, ts, half, len(ts)); got != string(want) {
 				t.Errorf("results after restore differ from the parent commit's:\n got %d bytes\nwant %d bytes\n%s",
 					len(got), len(want), firstDiffLine(got, string(want)))
 			}

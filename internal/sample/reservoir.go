@@ -121,8 +121,11 @@ func (r *Reservoir) AddSlice(xs []float64) {
 		return
 	}
 	for i < len(xs) && len(r.items) == r.cap {
-		d := r.next - r.seen // items until the next admission, ≥ 1
-		if remaining := int64(len(xs) - i); d > remaining {
+		// Items until the next admission. A schedule already behind the
+		// stream (only a damaged snapshot restores one) admits nothing
+		// more under Add, whose seen only moves away from next.
+		d := r.next - r.seen
+		if remaining := int64(len(xs) - i); d > remaining || d < 1 {
 			r.seen += remaining
 			return
 		}
@@ -189,13 +192,20 @@ func (r *Reservoir) Resize(newCap int) {
 
 // reseedL re-derives Algorithm L's skip state after a capacity change.
 // With the sample equal to the full prefix the pristine fill state is
-// restored; otherwise w is set to its asymptotic expectation cap/seen —
+// restored (and left at once, if the prefix fills the new capacity);
+// otherwise w is set to its asymptotic expectation cap/seen —
 // matching Algorithm R's admission probability — and the next admission
 // is scheduled from the PRNG stream.
 func (r *Reservoir) reseedL() {
 	if r.seen == int64(len(r.items)) {
 		r.w = 1
 		r.next = 0
+		if len(r.items) == r.cap {
+			// The shrink landed on exactly what has been seen: the fill
+			// phase ends here, not in Add, so the first skip is drawn
+			// here. Without it next stays 0 and nothing is admitted again.
+			r.advanceL()
+		}
 		return
 	}
 	w := float64(r.cap) / float64(r.seen)

@@ -432,7 +432,7 @@ func (m *MultiBuffer) fire(wm int64) ([]Complete, error) {
 	}
 	m.fired = true // windows at and below last are closed for good
 	var out []Complete
-	for id := m.nextFire; id <= last; id++ {
+	for _, id := range IDsIn(m.bufs, m.nextFire, last) {
 		start, end := m.cfg.Spec.Bounds(id)
 		// The buffer is picked and staged directly — no scan
 		// (Fig. 4, right).

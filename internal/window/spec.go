@@ -8,6 +8,7 @@ package window
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -146,6 +147,21 @@ func (s Spec) EachRun(pos []int64, visit func(i0, i1 int, lo, hi ID)) {
 		visit(i, j, lo, hi)
 		i = j
 	}
+}
+
+// IDsIn returns the keys of m (window ids, or pane indices) within
+// [from, to] in ascending order. A fire walks these and not the id
+// range, so a watermark that follows a gap in the stream costs the
+// windows that exist instead of gap ÷ slide.
+func IDsIn[K ~int64, W any](m map[K]W, from, to K) []K {
+	var ids []K
+	for id := range m {
+		if id >= from && id <= to {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // FirstCompleteBy returns the largest window ID whose end is ≤ wm, i.e.

@@ -1,6 +1,8 @@
 package window
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -570,5 +572,38 @@ func BenchmarkMultiBufferTuple(b *testing.B) {
 		if i%10000 == 9999 {
 			m.OnWatermark(int64(i) * int64(time.Second))
 		}
+	}
+}
+
+// TestMultiBufferGapFiresOnlyExistingWindows: a watermark that follows
+// a 10⁹-slide gap visits the buffers that exist, not every id across
+// the gap (which took minutes), and stages them in id order.
+func TestMultiBufferGapFiresOnlyExistingWindows(t *testing.T) {
+	const gap = 1_000_000_000
+	mb := newMB(t, Spec{Domain: TimeDomain, Range: 3, Slide: 1})
+	for _, ts := range []int64{0, 1, gap} {
+		if _, err := mb.OnTuple(mkTuple(ts, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan []Complete, 1)
+	go func() {
+		cs, _ := mb.OnWatermark(math.MaxInt64)
+		done <- cs
+	}()
+	select {
+	case cs := <-done:
+		var got []ID
+		for _, c := range cs {
+			got = append(got, c.ID)
+		}
+		if want := []ID{-2, -1, 0, 1, gap - 2, gap - 1, gap}; !slices.Equal(got, want) {
+			t.Errorf("fired %v, want %v", got, want)
+		}
+		if mb.MemUsage() != 0 {
+			t.Errorf("%d bytes still buffered", mb.MemUsage())
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("OnWatermark still running after 2 s: it is walking the gap")
 	}
 }
