@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-ssa test race recovery obs obs-scrape fuzz bench-smoke bench-checkpoint bench-pipeline bench-spill bench-shuffle bench-columnar bench-adaptive e2e-dist
+.PHONY: check build vet lint lint-ssa test race recovery obs obs-scrape fuzz loc bench-smoke bench-checkpoint bench-pipeline bench-spill bench-shuffle bench-columnar bench-adaptive e2e-dist
 
 check: build vet lint lint-ssa race recovery obs
 
@@ -80,6 +80,15 @@ fuzz:
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzManagerRestore -fuzztime=10s
 	$(GO) test ./internal/spill -run='^$$' -fuzz=FuzzChunkCodec -fuzztime=10s
 	$(GO) test ./internal/transport -run='^$$' -fuzz=FuzzFrameCodec -fuzztime=10s
+
+# Non-test lines of Go per package under internal/ and cmd/, and their
+# sum: the "non-test lines" every ROADMAP item is judged by, counted the
+# same way in every PR (wc -l, comments and blank lines included).
+loc:
+	@for d in $$(find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec dirname {} + | sort -u); do \
+		printf '%6d %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$d; \
+	done
+	@printf '%6d total\n' $$(find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l)
 
 # The benchmark (benchmark/, a module of its own that `go build ./...`
 # does not reach): its reference-checker tests and -quick pass, and a

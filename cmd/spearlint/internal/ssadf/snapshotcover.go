@@ -24,6 +24,13 @@ import (
 // state f owns). A restore-write uses the same write notion; a
 // snapshot-read is any mention.
 //
+// A field that is a struct held by value is the holder's own state: its
+// fields are checked as the holder's, to any depth (ScalarManager.lc is
+// a window.Lifecycle, and each codec that holds one must read and write
+// all six of its cursors). A holder that exempts the field exempts what
+// is under it; a struct reached through a pointer may be shared and
+// stays its own type's business.
+//
 // Soundness limits (see DESIGN.md §14): mutations reached only through
 // untyped func values are invisible; state reached through aliases
 // copied out of the struct more than one level deep is attributed to
@@ -86,31 +93,38 @@ func runSnapshotcover(prog *Program) []Finding {
 		snapSeen := fieldTouches(idx, idx.Reachable([]*Fn{snapFn}, true), false)
 		restWritten := fieldTouches(idx, idx.Reachable([]*Fn{restFn}, true), true)
 
-		for i := 0; i < st.NumFields(); i++ {
-			f := st.Field(i)
-			wpos, written := writtenAt[f]
-			if !written {
-				continue
-			}
-			pos := prog.Fset.Position(f.Pos())
-			tname := named.Obj().Name()
-			if !snapSeen[f] {
-				out = append(out, Finding{
-					Pos:      pos,
-					Analyzer: "snapshotcover",
-					Msg: fmt.Sprintf("field %s.%s is mutated on the tuple path (e.g. %s) but never read by (*%s).SnapshotState — checkpoints silently drop it",
-						tname, f.Name(), shortPos(prog.Fset, wpos), tname),
-				})
-			}
-			if !restWritten[f] {
-				out = append(out, Finding{
-					Pos:      pos,
-					Analyzer: "snapshotcover",
-					Msg: fmt.Sprintf("field %s.%s is mutated on the tuple path (e.g. %s) but never written by (*%s).RestoreState — recovery resumes with stale state",
-						tname, f.Name(), shortPos(prog.Fset, wpos), tname),
-				})
+		tname := named.Obj().Name()
+		var check func(st *types.Struct, path string)
+		check = func(st *types.Struct, path string) {
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				pos := prog.Fset.Position(f.Pos())
+				if inner, ok := f.Type().Underlying().(*types.Struct); ok && !prog.Allowed("snapshotcover", pos) {
+					check(inner, path+f.Name()+".")
+				}
+				wpos, written := writtenAt[f]
+				if !written {
+					continue
+				}
+				if !snapSeen[f] {
+					out = append(out, Finding{
+						Pos:      pos,
+						Analyzer: "snapshotcover",
+						Msg: fmt.Sprintf("field %s.%s%s is mutated on the tuple path (e.g. %s) but never read by (*%s).SnapshotState — checkpoints silently drop it",
+							tname, path, f.Name(), shortPos(prog.Fset, wpos), tname),
+					})
+				}
+				if !restWritten[f] {
+					out = append(out, Finding{
+						Pos:      pos,
+						Analyzer: "snapshotcover",
+						Msg: fmt.Sprintf("field %s.%s%s is mutated on the tuple path (e.g. %s) but never written by (*%s).RestoreState — recovery resumes with stale state",
+							tname, path, f.Name(), shortPos(prog.Fset, wpos), tname),
+					})
+				}
 			}
 		}
+		check(st, "")
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Pos.Filename != out[j].Pos.Filename {

@@ -195,11 +195,13 @@ func TestRepoCleanSSA(t *testing.T) {
 }
 
 // TestSnapshotcoverCatchesSeededMutation proves the analyzer guards a
-// real codec, not just fixtures: deleting maxPos serialization from
-// ScalarManager.SnapshotState must produce a finding for the field.
-// This is the static twin of a mutation test — the checkpoint
-// round-trip tests would catch the corruption at runtime; snapshotcover
-// catches it before the code ever runs.
+// real codec, not just fixtures: the window lifecycle's six cursors are
+// a struct each of the four checkpointed window managers holds by
+// value, and dropping maxPos from what the lifecycle hands a codec must
+// produce a finding for the field in every one of them. This is the
+// static twin of a mutation test — the checkpoint round-trip tests
+// would catch the corruption at runtime; snapshotcover catches it before
+// the code ever runs.
 func TestSnapshotcoverCatchesSeededMutation(t *testing.T) {
 	srcRoot, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
@@ -209,8 +211,9 @@ func TestSnapshotcoverCatchesSeededMutation(t *testing.T) {
 		t.Skipf("module root not found at %s", srcRoot)
 	}
 	root := copyTree(t, srcRoot)
-	rewriteFile(t, filepath.Join(root, "internal", "core", "snapshot.go"),
-		"dst = tuple.AppendI64(dst, m.maxPos)", "")
+	rewriteFile(t, filepath.Join(root, "internal", "window", "lifecycle.go"),
+		"return Cursor{l.started, l.fired, l.nextFire, l.seq, l.maxPos, l.late}",
+		"return Cursor{l.started, l.fired, l.nextFire, l.seq, 0, l.late}")
 
 	prog, err := ssadf.SharedLoader().Load(root, "spear")
 	if err != nil {
@@ -220,15 +223,18 @@ func TestSnapshotcoverCatchesSeededMutation(t *testing.T) {
 		t.Errorf("type error loading mutated tree: %v", e)
 	}
 	findings := ssadf.RunAll(prog, []*ssadf.Analyzer{ssadf.AnalyzerSnapshotcover})
-	found := false
-	for _, f := range findings {
-		if strings.Contains(f.Msg, "ScalarManager.maxPos") &&
-			strings.Contains(f.Msg, "never read by (*ScalarManager).SnapshotState") {
-			found = true
+	for _, holder := range []string{"ScalarManager.lc", "GroupedManager.own", "IncrementalManager.lc", "SingleBuffer.lc"} {
+		typ, _, _ := strings.Cut(holder, ".")
+		found := false
+		for _, f := range findings {
+			if strings.Contains(f.Msg, holder+".maxPos") &&
+				strings.Contains(f.Msg, "never read by (*"+typ+").SnapshotState") {
+				found = true
+			}
 		}
-	}
-	if !found {
-		t.Errorf("seeded mutation (maxPos dropped from ScalarManager.SnapshotState) not reported; findings: %v", findings)
+		if !found {
+			t.Errorf("seeded mutation (maxPos dropped from Lifecycle.Cursor) not reported for %s; findings: %v", holder, findings)
+		}
 	}
 }
 

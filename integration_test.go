@@ -257,26 +257,44 @@ func TestSeedDeterminism(t *testing.T) {
 }
 
 // TestLateDroppedSurfacesInSummary checks late-tuple accounting reaches
-// the run summary.
+// the run summary (and with it spear_worker_late_dropped_total) on every
+// manager a query can run on: the buffered grouped path and the two
+// baselines used to drop late tuples without counting them. Admitted
+// and dropped tuples add up to the tuples delivered.
 func TestLateDroppedSurfacesInSummary(t *testing.T) {
 	leakcheck.Check(t)
 	in := []Tuple{
-		NewTuple(int64(50*time.Second), Float(1)),
-		NewTuple(int64(200*time.Second), Float(1)), // advances watermark far
-		NewTuple(int64(10*time.Second), Float(99)), // hopelessly late
-		NewTuple(int64(201*time.Second), Float(1)),
+		NewTuple(int64(50*time.Second), Float(1), Str("g")),
+		NewTuple(int64(200*time.Second), Float(1), Str("g")), // advances watermark far
+		NewTuple(int64(10*time.Second), Float(99), Str("g")), // hopelessly late
+		NewTuple(int64(201*time.Second), Float(1), Str("g")),
+		NewTuple(int64(20*time.Second), Float(99), Str("h")), // and again
 	}
-	sum, err := NewQuery("late").
-		Source(FromSlice(in)).
-		TumblingWindow(30*time.Second).
-		Mean(func(t Tuple) float64 { return t.Vals[0].AsFloat() }).
-		WatermarkEvery(30*time.Second, 0).
-		Run(func(int, Result) {})
-	if err != nil {
-		t.Fatal(err)
+	value := func(t Tuple) float64 { return t.Vals[0].AsFloat() }
+	key := func(t Tuple) string { return t.Vals[1].AsString() }
+	kinds := map[string]func(q *Query) *Query{
+		"scalar":         func(q *Query) *Query { return q.Mean(value) },
+		"grouped":        func(q *Query) *Query { return q.GroupBy(key).Mean(value) },
+		"grouped-known":  func(q *Query) *Query { return q.GroupBy(key).KnownGroups(2).Mean(value) },
+		"exact":          func(q *Query) *Query { return q.Mean(value).WithBackend(BackendExact) },
+		"exact-grouped":  func(q *Query) *Query { return q.GroupBy(key).Mean(value).WithBackend(BackendExact) },
+		"incremental":    func(q *Query) *Query { return q.Mean(value).WithBackend(BackendIncremental) },
+		"scalar-batch-1": func(q *Query) *Query { return q.Mean(value).BatchSize(1) },
 	}
-	if sum.LateDropped != 1 {
-		t.Errorf("LateDropped = %d, want 1", sum.LateDropped)
+	for name, shape := range kinds {
+		t.Run(name, func(t *testing.T) {
+			sum, err := shape(NewQuery("late").
+				Source(FromSlice(in)).
+				TumblingWindow(30*time.Second)).
+				WatermarkEvery(30*time.Second, 0).
+				Run(func(int, Result) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if sum.LateDropped != 2 || sum.TuplesIn != 3 {
+				t.Errorf("LateDropped = %d, TuplesIn = %d; want 2 dropped and 3 admitted of %d delivered", sum.LateDropped, sum.TuplesIn, len(in))
+			}
+		})
 	}
 }
 

@@ -424,13 +424,7 @@ func TestScalarSnapshotCarriesShedState(t *testing.T) {
 // its stricter v1 invariants — stay pinned by tests.
 func v1ScalarBlob(t *testing.T, m *ScalarManager, budget uint64) []byte {
 	t.Helper()
-	dst := []byte{snapScalar}
-	dst = tuple.AppendBool(dst, m.started)
-	dst = tuple.AppendBool(dst, m.fired)
-	dst = tuple.AppendI64(dst, int64(m.nextFire))
-	dst = tuple.AppendI64(dst, m.seq)
-	dst = tuple.AppendI64(dst, m.maxPos)
-	dst = tuple.AppendI64(dst, m.late)
+	dst := appendCursor([]byte{snapScalar}, m.lc.Cursor())
 	dst = tuple.AppendUvar(dst, budget)
 	var err error
 	if dst, err = m.arc.appendState(dst); err != nil {

@@ -39,11 +39,10 @@ type archive struct {
 	haveMin bool
 
 	// cur caches the buffer of the pane tuples are currently arriving
-	// into, keeping the per-tuple hot path free of map operations:
-	// tuples land in consecutive panes, so add is a compare + append
-	// until the pane rolls over. Invariant: while curOK, pending has no
-	// entry for curP — stash() reinstates it before any path that walks
-	// the map.
+	// into, keeping the hot path free of map operations: tuples land in
+	// consecutive panes, so addRun is a compare + append until the pane
+	// rolls over. Invariant: while curOK, pending has no entry for curP —
+	// stash() reinstates it before any path that walks the map.
 	cur   []tuple.Tuple
 	curP  int64
 	curOK bool
@@ -91,23 +90,6 @@ func (a *archive) paneKey(p int64) string {
 	return fmt.Sprintf("%s/p%d", a.key, p)
 }
 
-// add buffers one tuple and flushes its pane's chunk when full. This is
-// the per-tuple hot path of every manager ("τ is stored in S" runs for
-// each arrival): the common case is a pane-index compare plus an append
-// into the cached cur buffer — no map operations — and full chunks hand
-// their backing array to spare instead of the GC.
-func (a *archive) add(t tuple.Tuple) error {
-	p := a.paneOf(t.Ts)
-	if !a.curOK || p != a.curP {
-		a.rollTo(p)
-	}
-	a.cur = append(a.cur, t)
-	if len(a.cur) >= a.chunk {
-		return a.flushCur()
-	}
-	return nil
-}
-
 // flushCur stores the cached pane's full chunk.
 func (a *archive) flushCur() error {
 	if err := a.store.Store(a.paneKey(a.curP), a.cur); err != nil {
@@ -119,11 +101,13 @@ func (a *archive) flushCur() error {
 }
 
 // addRun buffers a run of tuples that share pane p, flushing the pane's
-// chunk each time it fills: add's effect on every row, chunk boundaries
-// included, for one pane lookup and one bulk append a chunk. A run of
-// Spec.EachRun shares its newest window hi, and hi = ⌊pos/Slide⌋ is the
-// pane. pos are the rows' positions; in the count domain that is what a
-// pane stores as their Ts.
+// chunk each time it fills. This is the hot path of every manager ("τ is
+// stored in S" runs for each arrival): one pane-index compare against
+// the cached cur buffer — no map operations — and one bulk append a
+// chunk, and full chunks hand their backing array to spare instead of
+// the GC. A run of Spec.EachRun shares its newest window hi, and
+// hi = ⌊pos/Slide⌋ is the pane. pos are the rows' positions; in the
+// count domain that is what a pane stores as their Ts.
 func (a *archive) addRun(p int64, pos []int64, rows []tuple.Tuple) error {
 	if !a.curOK || p != a.curP {
 		a.rollTo(p)
@@ -257,6 +241,21 @@ func (a *archive) prefetch(start, end int64) {
 	}
 	if len(keys) > 0 {
 		a.store.Prefetch(keys...)
+	}
+}
+
+// prefetchAhead is the managers' PrefetchWatermark: once the watermark
+// wm has fired its windows, warm the cache with the panes of the n
+// windows that fire next. Count windows close on arrival, not on
+// watermarks, and are not read ahead.
+func (a *archive) prefetchAhead(lc *window.Lifecycle, wm int64, n int) {
+	first, ok := lc.OpenAfter(wm)
+	if !ok || a.spec.Domain == window.CountDomain {
+		return
+	}
+	for id := first; id < first+window.ID(n); id++ {
+		start, end := a.spec.Bounds(id)
+		a.prefetch(start, end)
 	}
 }
 

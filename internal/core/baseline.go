@@ -43,12 +43,12 @@ func NewExactManager(cfg Config, bufferBudgetBytes int) (*ExactManager, error) {
 
 // OnTuple implements Manager.
 func (m *ExactManager) OnTuple(t tuple.Tuple) ([]Result, error) {
+	late0 := m.buf.LateDropped()
 	completes, err := m.buf.OnTuple(t)
 	if err != nil {
 		return nil, err
 	}
-	if m.cfg.Metrics != nil {
-		m.cfg.Metrics.TuplesIn.Inc()
+	if m.cfg.countIngest(1, m.buf.LateDropped()-late0) {
 		m.cfg.Metrics.MemBytes.Set(int64(m.buf.MemUsage()))
 	}
 	return m.produceAll(completes, 0), nil
@@ -132,14 +132,9 @@ type IncrementalManager struct {
 	//lint:allow snapshotcover config handle; only telemetry under it mutates
 	cfg Config
 
-	wins     map[window.ID]*agg.Incremental
-	started  bool
-	fired    bool // some window has actually closed; lateness is defined from here on
-	nextFire window.ID
-	seq      int64
-	maxPos   int64
-	late     int64
-	now      func() time.Time
+	wins map[window.ID]*agg.Incremental
+	lc   window.Lifecycle
+	now  func() time.Time
 }
 
 // NewIncrementalManager returns the incremental baseline for cfg.
@@ -153,38 +148,20 @@ func NewIncrementalManager(cfg Config) (*IncrementalManager, error) {
 	if cfg.Agg.Holistic() {
 		return nil, fmt.Errorf("core: %s cannot be processed incrementally", cfg.Agg)
 	}
-	return &IncrementalManager{cfg: cfg, wins: make(map[window.ID]*agg.Incremental), now: cfg.clock()}, nil
+	return &IncrementalManager{cfg: cfg, wins: make(map[window.ID]*agg.Incremental), lc: window.NewLifecycle(cfg.Spec), now: cfg.clock()}, nil
 }
 
 // OnTuple implements Manager.
 func (m *IncrementalManager) OnTuple(t tuple.Tuple) ([]Result, error) {
-	pos := t.Ts
-	if m.cfg.Spec.Domain == window.CountDomain {
-		pos = m.seq
-	}
-	m.seq++
-	if pos > m.maxPos || m.seq == 1 {
-		m.maxPos = pos
-	}
-	lo, hi := m.cfg.Spec.Assign(pos)
-	if !m.started {
-		m.started = true
-		m.nextFire = lo
-	} else if lo < m.nextFire && !m.fired {
-		// Pre-first-fire the anchor is only the first tuple's guess;
-		// multi-sender reordering at stream start must lower it, not
-		// drop the tuple (see ScalarManager.ingest).
-		m.nextFire = lo
-	}
-	if hi < m.nextFire {
-		m.late++
+	pos := []int64{m.lc.Pos(t.Ts, 0)}
+	lo, hi := m.cfg.Spec.Assign(pos[0])
+	first, ok := m.lc.Admit(pos, lo, hi)
+	if !ok {
+		m.cfg.countIngest(1, 1)
 		return nil, nil
 	}
-	if lo < m.nextFire {
-		lo = m.nextFire
-	}
 	v := m.cfg.Value(t)
-	for id := lo; id <= hi; id++ {
+	for id := first; id <= hi; id++ {
 		inc, ok := m.wins[id]
 		if !ok {
 			inc, _ = agg.NewIncremental(m.cfg.Agg)
@@ -192,12 +169,11 @@ func (m *IncrementalManager) OnTuple(t tuple.Tuple) ([]Result, error) {
 		}
 		inc.Add(v)
 	}
-	if m.cfg.Metrics != nil {
-		m.cfg.Metrics.TuplesIn.Inc()
+	if m.cfg.countIngest(1, 0) {
 		m.cfg.Metrics.MemBytes.Set(int64(m.MemUsage()))
 	}
 	if m.cfg.Spec.Domain == window.CountDomain {
-		return m.fire(m.seq), nil
+		return m.fire(m.lc.Seq()), nil
 	}
 	return nil, nil
 }
@@ -211,19 +187,12 @@ func (m *IncrementalManager) OnWatermark(wm int64) ([]Result, error) {
 }
 
 func (m *IncrementalManager) fire(wm int64) []Result {
-	if !m.started {
+	first, last, ok := m.lc.Complete(wm)
+	if !ok {
 		return nil
 	}
-	last := m.cfg.Spec.FirstCompleteBy(wm)
-	if _, hiData := m.cfg.Spec.Assign(m.maxPos); last > hiData {
-		last = hiData
-	}
-	if last < m.nextFire {
-		return nil
-	}
-	m.fired = true // windows at and below last are closed for good
 	var out []Result
-	for _, id := range window.IDsIn(m.wins, m.nextFire, last) {
+	for _, id := range window.IDsIn(m.wins, first, last) {
 		inc := m.wins[id]
 		t0 := m.now()
 		start, end := m.cfg.Spec.Bounds(id)
@@ -241,7 +210,6 @@ func (m *IncrementalManager) fire(wm int64) []Result {
 		}
 		out = append(out, res)
 	}
-	m.nextFire = last + 1
 	return out
 }
 

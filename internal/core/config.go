@@ -217,6 +217,25 @@ func (c *Config) clock() func() time.Time {
 	return time.Now
 }
 
+// countIngest books n delivered tuples of which late were dropped:
+// every manager counts the admitted ones in TuplesIn and the dropped
+// ones in LateDropped, so the two add up to the tuples delivered. It
+// reports whether state grew, i.e. whether the caller should refresh
+// its memory gauge.
+func (c *Config) countIngest(n int, late int64) bool {
+	if c.Metrics == nil {
+		return false
+	}
+	if late > 0 {
+		c.Metrics.LateDropped.Add(late)
+	}
+	if int64(n) > late {
+		c.Metrics.TuplesIn.Add(int64(n) - late)
+		return true
+	}
+	return false
+}
+
 // BudgetBytes converts a byte budget into a tuple budget given the
 // per-value size f, reserving two slots for the window's variance and
 // size, exactly as the paper accounts it ("the reservoir sample of each

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"spear/internal/agg"
@@ -49,14 +50,16 @@ type GroupedManager struct {
 
 	// Buffered path (unknown groups).
 	buf *window.SingleBuffer
-
 	// Arrival-sampled path (known groups).
-	arc      *archive
-	started  bool
-	fired    bool // some window has actually closed; lateness is defined from here on
-	nextFire window.ID
-	maxPos   int64
-	late     int64
+	arc *archive
+
+	// lc is the window lifecycle both paths ingest and fire by: own on
+	// the known path, and on the buffered path the buffer's, borrowed.
+	// The buffer decides which windows a fire stages; a cursor of the
+	// manager's beside the buffer's could only disagree with it
+	// (DESIGN.md §20), so there own stays unused.
+	lc  *window.Lifecycle
+	own window.Lifecycle
 
 	// Grouped state (DESIGN.md, "Grouped state layout"): one key
 	// dictionary for the manager, and per open window arrays indexed
@@ -65,29 +68,27 @@ type GroupedManager struct {
 	//lint:allow snapshotcover not in the blob: RestoreState rebuilds it from the windows' keys
 	dict *sample.KeyDict
 	wins map[window.ID]*groupedWin
-	// recent is a direct-mapped cache in front of wins: with overlap k
-	// a tuple looks up k windows, and this keeps the map out of it.
-	//lint:allow snapshotcover derived from wins; cleared by RestoreState
-	recent [winSlots]*groupedWin
 	// pool holds the windows that fired, cleared, with their arrays and
 	// sample storage, for the windows that open next.
 	//lint:allow snapshotcover empty windows awaiting reuse; dropped by RestoreState
 	pool []*groupedWin
-	// Columnar kernel scratch: the batch's dictionary codes resolved to
-	// group ids (plus one; all zero between batches), the codes that
-	// were, and the id of each row.
-	codeIDs, rowIDs []uint32
-	mapped          []int32
-	seq             int64
-	now             func() time.Time
+	//lint:allow snapshotcover per-call scratch; dead between calls
+	scr groupedScratch
+	now func() time.Time
 }
 
-// winSlots sizes GroupedManager.recent; a power of two, at least the
-// overlaps the engine is run at.
-const winSlots = 16
+// groupedScratch is what the ingest kernel keeps from call to call so as
+// not to allocate: a row batch as columns, the group id of each row of
+// the run being folded, and for a column batch its dictionary codes
+// resolved to group ids (plus one; all zero between batches) with the
+// list of the codes that were.
+type groupedScratch struct {
+	rowColumns
+	ids, codeIDs []uint32
+	mapped       []int32
+}
 
 type groupedWin struct {
-	id    window.ID
 	gs    *sample.GroupStats
 	known *sample.GroupReservoirs // per-group reservoirs; nil when unknown groups or per-group cap was 0 at creation
 	// tainted marks that load shedding skipped archive writes while the
@@ -121,6 +122,8 @@ func NewGroupedManager(cfg Config) (*GroupedManager, error) {
 	}
 	if cfg.KnownGroups > 0 {
 		m.arc = newArchive(cfg.Store, cfg.Key, cfg.Spec, cfg.ArchiveChunk, cfg.DeferStoreDeletes)
+		m.own = window.NewLifecycle(cfg.Spec)
+		m.lc = &m.own
 	} else {
 		buf, err := window.NewSingleBuffer(window.Config{
 			Spec: cfg.Spec,
@@ -133,7 +136,7 @@ func NewGroupedManager(cfg Config) (*GroupedManager, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.buf = buf
+		m.buf, m.lc = buf, buf.Lifecycle()
 	}
 	return m, nil
 }
@@ -159,17 +162,6 @@ func (m *GroupedManager) perGroupCap() int {
 	return m.curBudget / m.cfg.KnownGroups
 }
 
-// win returns window id from the map, opening it on its first tuple,
-// and leaves it in recent for the tuples that follow.
-func (m *GroupedManager) win(id window.ID) *groupedWin {
-	w, ok := m.wins[id]
-	if !ok {
-		w = m.open(id)
-	}
-	m.recent[id&(winSlots-1)] = w
-	return w
-}
-
 // open starts window id on a pooled window if one is waiting, with
 // reservoirs at the per-group cap when groups are known and the cap
 // allows any.
@@ -180,7 +172,6 @@ func (m *GroupedManager) open(id window.ID) *groupedWin {
 	} else {
 		w = &groupedWin{gs: m.dict.NewGroupStats()}
 	}
-	w.id = id
 	if m.cfg.KnownGroups == 0 || m.perGroupCap() <= 0 {
 		w.known = nil
 	} else if seed := sample.DeriveSeed(m.cfg.Seed, int64(id)); w.known == nil {
@@ -200,9 +191,6 @@ func (m *GroupedManager) close(id window.ID) {
 		return
 	}
 	delete(m.wins, id)
-	if slot := &m.recent[id&(winSlots-1)]; *slot == w {
-		*slot = nil
-	}
 	w.gs.Reset()
 	if w.known != nil {
 		w.known.Reset()
@@ -275,126 +263,130 @@ func (m *GroupedManager) SetShedding(on bool) {
 	m.shed = on && m.canShed()
 }
 
-// OnTuple implements Manager: fold the tuple into each active window's
-// group metadata, then buffer it (unknown groups) or archive it to S
-// (known groups).
+// OnTuple implements Manager: a batch of one.
 func (m *GroupedManager) OnTuple(t tuple.Tuple) ([]Result, error) {
-	m.syncControl()
-	rs, err := m.ingest(t)
-	if err != nil {
-		return rs, err
-	}
-	if m.cfg.Metrics != nil {
-		m.cfg.Metrics.TuplesIn.Inc()
-		m.cfg.Metrics.MemBytes.Set(int64(m.BudgetMemUsage()))
-	}
-	return rs, nil
+	row := [1]tuple.Tuple{t}
+	return m.OnTupleBatch(row[:])
 }
 
-// OnTupleBatch implements BatchManager: identical per-tuple state
-// transitions with the telemetry updates amortized once per batch.
-func (m *GroupedManager) OnTupleBatch(ts []tuple.Tuple) ([]Result, error) {
+// OnTupleBatch implements BatchManager: the rows' positions and values
+// are read once into two columns and handed to the kernel, which reads
+// the keys where it needs them.
+func (m *GroupedManager) OnTupleBatch(rows []tuple.Tuple) ([]Result, error) {
 	m.syncControl()
+	m.scr.read(rows, m.lc, m.cfg.Value)
+	return m.ingestRun(m.scr.pos, m.scr.vals, rows, nil, nil)
+}
+
+// ingestRun is the manager's one ingest kernel, the shape of
+// ScalarManager.ingestRun: ts, vals and rows are a batch's positions,
+// aggregated values and tuples, index-aligned, and codes with dict its
+// dictionary-coded key column, or nil for a row batch, whose keys KeyBy
+// reads. Spec.EachRun cuts the batch into runs that share one window
+// assignment; per run the lifecycle admits it or drops it as late, the
+// group ids of an admitted run are resolved once — so a late run never
+// assigns a dictionary id, and a key is hashed once however many
+// windows it falls into — each open window folds the run in arrival
+// order, and the run goes to the buffer (unknown groups) or the archive
+// (known groups). A count-domain window completes exactly at the end of
+// a run, so there the kernel fires after each run.
+func (m *GroupedManager) ingestRun(ts []int64, vals []float64, rows []tuple.Tuple, codes []int32, dict []string) ([]Result, error) {
+	count := m.cfg.Spec.Domain == window.CountDomain
 	var out []Result
-	done := 0
-	for i := range ts {
-		rs, err := m.ingest(ts[i])
-		if len(rs) > 0 {
-			//lint:ignore hotloop results are per-window fires, not per-tuple; out stays nil on most batches and preallocating len(batch) would allocate every batch
-			out = append(out, rs...)
-		}
+	var err error
+	late0 := m.lc.Late()
+	m.cfg.Spec.EachRun(ts, func(i0, i1 int, lo, hi window.ID) {
 		if err != nil {
-			return out, err
+			return
 		}
-		done++
-	}
-	if done > 0 && m.cfg.Metrics != nil {
-		m.cfg.Metrics.TuplesIn.Add(int64(done))
-		m.cfg.Metrics.MemBytes.Set(int64(m.BudgetMemUsage()))
-	}
-	return out, nil
-}
-
-// ingest is the metrics-free per-tuple body shared by OnTuple and
-// OnTupleBatch.
-func (m *GroupedManager) ingest(t tuple.Tuple) ([]Result, error) {
-	pos := t.Ts
-	if m.cfg.Spec.Domain == window.CountDomain {
-		pos = m.seq
-		if m.arc != nil {
-			t.Ts = pos // archive panes index by position
+		first, ok := m.lc.Admit(ts[i0:i1], lo, hi)
+		if !ok {
+			return // late: neither folded nor archived
 		}
-	}
-	m.seq++
-	if pos > m.maxPos || m.seq == 1 {
-		m.maxPos = pos
-	}
-
-	lo, hi := m.cfg.Spec.Assign(pos)
-	if m.arc != nil && !m.started {
-		m.started = true
-		m.nextFire = lo
-	} else if m.arc != nil && lo < m.nextFire && !m.fired {
-		// Pre-first-fire the anchor is only the first tuple's guess;
-		// multi-sender reordering at stream start must lower it, not
-		// drop the tuple (see ScalarManager.ingest).
-		m.nextFire = lo
-	}
-	nextFire := m.nextFire
-	if hi >= nextFire {
-		// The one hash of the key; every window below indexes by gid.
-		gid := m.dict.ID(m.cfg.KeyBy(t))
-		val := m.cfg.Value(t)
-		if lo < nextFire {
-			lo = nextFire
+		if m.buf != nil && first < 0 {
+			// The buffered path holds no metadata for the windows that
+			// start before position 0 and answers them from the buffer,
+			// exactly. Folding them changes their Mode, which no PR that
+			// promises identical results can do (DESIGN.md §20).
+			first = 0
 		}
-		for id := lo; id <= hi; id++ {
-			w := m.recent[id&(winSlots-1)]
-			if w == nil || w.id != id {
-				w = m.win(id) // too big to inline; the cache check is not
-			}
-			w.gs.AddID(gid, val)
-			if w.known != nil {
-				w.known.AddID(gid, val)
-			}
-			if m.shed {
-				w.tainted = true
+		if first <= hi {
+			ids := m.groupIDs(rows[i0:i1], codes, i0, dict)
+			run := vals[i0:i1]
+			for id := first; id <= hi; id++ {
+				w, ok := m.wins[id] // once per run: the map will do
+				if !ok {
+					w = m.open(id)
+				}
+				for i, gid := range ids {
+					w.gs.AddID(gid, run[i])
+				}
+				if w.known != nil {
+					for i, gid := range ids {
+						w.known.AddID(gid, run[i])
+					}
+				}
+				if m.shed {
+					w.tainted = true
+				}
 			}
 		}
-	} else if m.arc != nil {
-		m.late++
-		if m.cfg.Metrics != nil {
-			m.cfg.Metrics.LateDropped.Inc()
-		}
-	}
-
-	if m.arc != nil {
-		if m.shed {
+		var rs []Result
+		switch {
+		case m.buf != nil:
+			var completes []window.Complete
+			completes, err = m.buf.AddRun(ts[i0:i1], rows[i0:i1])
+			if len(completes) > 0 { // count-domain windows close on arrival
+				rs = m.produceBuffered(completes, 0)
+			}
+		case m.shed:
 			// Load shedding: skip the archive write — the saturating
 			// per-tuple cost under overload. Group metadata and the
 			// reservoirs above stay exact/uniform; only the exact
 			// fallback is forfeited (windows were tainted above).
-			m.sheds++
+			m.sheds += int64(i1 - i0)
 			if m.cfg.Metrics != nil {
-				m.cfg.Metrics.TuplesShed.Inc()
+				m.cfg.Metrics.TuplesShed.Add(int64(i1 - i0))
 			}
-		} else if err := m.arc.add(t); err != nil {
-			return nil, err
+		default:
+			err = m.arc.addRun(int64(hi), ts[i0:i1], rows[i0:i1])
 		}
-		if m.cfg.Spec.Domain == window.CountDomain {
-			return m.fireKnown(m.seq)
+		if count && m.arc != nil && err == nil {
+			rs, err = m.fireKnown(m.lc.Seq())
 		}
-		return nil, nil
+		out = append(out, rs...)
+	})
+	for _, c := range m.scr.mapped {
+		m.scr.codeIDs[c] = 0 // all zero again for the next batch
 	}
+	m.scr.mapped = m.scr.mapped[:0]
+	if m.cfg.countIngest(len(ts), m.lc.Late()-late0) {
+		m.cfg.Metrics.MemBytes.Set(int64(m.BudgetMemUsage()))
+	}
+	return out, err
+}
 
-	completes, err := m.buf.OnTuple(t)
-	if err != nil {
-		return nil, err
+// groupIDs resolves the group of each row of an admitted run to its id
+// in the manager's dictionary: the one hash of a row's key, or, for a
+// column batch (codes are the whole batch's, the run starts at i0), one
+// hash of each distinct code of the batch and an index after that.
+func (m *GroupedManager) groupIDs(run []tuple.Tuple, codes []int32, i0 int, dict []string) []uint32 {
+	ids := slices.Grow(m.scr.ids[:0], len(run))[:len(run)]
+	m.scr.ids = ids
+	if codes == nil {
+		for i := range run {
+			ids[i] = m.dict.ID(m.cfg.KeyBy(run[i]))
+		}
+		return ids
 	}
-	if len(completes) > 0 { // count-domain windows close on arrival
-		return m.produceBuffered(completes, 0)
+	for i, c := range codes[i0 : i0+len(run)] {
+		if m.scr.codeIDs[c] == 0 {
+			m.scr.codeIDs[c] = m.dict.ID(dict[c]) + 1
+			m.scr.mapped = append(m.scr.mapped, c)
+		}
+		ids[i] = m.scr.codeIDs[c] - 1
 	}
-	return nil, nil
+	return ids
 }
 
 // OnWatermark implements Manager.
@@ -416,25 +408,18 @@ func (m *GroupedManager) OnWatermark(wm int64) ([]Result, error) {
 	// The single-buffer trigger scan (collect + evict) just ran for
 	// all fired windows at once; attribute its cost evenly.
 	scanShare := m.now().Sub(t0) / time.Duration(len(completes))
-	return m.produceBuffered(completes, scanShare)
+	return m.produceBuffered(completes, scanShare), nil
 }
 
 // ---- arrival-sampled path (known groups) ----
 
 func (m *GroupedManager) fireKnown(wm int64) ([]Result, error) {
-	if !m.started {
+	first, last, ok := m.lc.Complete(wm)
+	if !ok {
 		return nil, nil
 	}
-	last := m.cfg.Spec.FirstCompleteBy(wm)
-	if _, hiData := m.cfg.Spec.Assign(m.maxPos); last > hiData {
-		last = hiData
-	}
-	if last < m.nextFire {
-		return nil, nil
-	}
-	m.fired = true // windows at and below last are closed for good
 	var out []Result
-	for _, id := range window.IDsIn(m.wins, m.nextFire, last) {
+	for _, id := range window.IDsIn(m.wins, first, last) {
 		r, err := m.produceKnown(id)
 		if err != nil {
 			return nil, err
@@ -444,8 +429,7 @@ func (m *GroupedManager) fireKnown(wm int64) ([]Result, error) {
 		}
 		m.close(id)
 	}
-	m.nextFire = last + 1
-	start, _ := m.cfg.Spec.Bounds(m.nextFire)
+	start, _ := m.cfg.Spec.Bounds(m.lc.NextOpen())
 	if err := m.arc.evictBefore(start); err != nil {
 		return nil, err
 	}
@@ -577,20 +561,17 @@ func (m *GroupedManager) exact(res *Result, ts []tuple.Tuple) {
 
 // ---- buffered path (unknown groups) ----
 
-func (m *GroupedManager) produceBuffered(completes []window.Complete, scanShare time.Duration) ([]Result, error) {
+func (m *GroupedManager) produceBuffered(completes []window.Complete, scanShare time.Duration) []Result {
 	out := make([]Result, 0, len(completes))
 	for _, c := range completes {
 		r := m.produceFromWindow(c, scanShare)
 		out = append(out, r)
 		m.close(c.ID)
-		if m.nextFire <= c.ID {
-			m.nextFire = c.ID + 1
-		}
 	}
 	if m.cfg.Metrics != nil {
 		m.cfg.Metrics.MemBytes.Set(int64(m.MemUsage()))
 	}
-	return out, nil
+	return out
 }
 
 func (m *GroupedManager) produceFromWindow(c window.Complete, scanShare time.Duration) Result {
@@ -685,16 +666,8 @@ func (m *GroupedManager) finishMetrics(res *Result, t0 time.Time, scanShare time
 // keeps its window in memory (spilling only past the budget) and does
 // not prefetch.
 func (m *GroupedManager) PrefetchWatermark(wm int64) {
-	if m.arc == nil || m.cfg.SpillAhead <= 0 || !m.started || m.cfg.Spec.Domain == window.CountDomain {
-		return
-	}
-	first := m.cfg.Spec.FirstCompleteBy(wm) + 1
-	if first < m.nextFire {
-		first = m.nextFire
-	}
-	for id := first; id < first+window.ID(m.cfg.SpillAhead); id++ {
-		start, end := m.cfg.Spec.Bounds(id)
-		m.arc.prefetch(start, end)
+	if m.arc != nil {
+		m.arc.prefetchAhead(m.lc, wm, m.cfg.SpillAhead)
 	}
 }
 
@@ -728,12 +701,7 @@ func (m *GroupedManager) BudgetMemUsage() int {
 }
 
 // LateDropped returns the number of dropped late tuples.
-func (m *GroupedManager) LateDropped() int64 {
-	if m.buf != nil {
-		return m.buf.LateDropped()
-	}
-	return m.late
-}
+func (m *GroupedManager) LateDropped() int64 { return m.lc.Late() }
 
 // ensure interface compliance.
 var (

@@ -303,7 +303,7 @@ func TestGroupedStateMatchesPerWindowMaps(t *testing.T) {
 								for k, tp := range chunk {
 									pos := tp.Ts
 									if domain == window.CountDomain {
-										pos = m.seq + int64(k)
+										pos = m.lc.Seq() + int64(k)
 									}
 									ref.add(pos, cfg.KeyBy(tp), cfg.Value(tp))
 								}
@@ -339,15 +339,21 @@ func TestGroupedStateMatchesPerWindowMaps(t *testing.T) {
 	}
 }
 
-// TestGroupedIDOutlivesLaterWindows pins why an id is freed by a count
-// of the windows holding it and not by "the highest window that touched
-// it has fired". On the buffered path a tuple that is late only for
-// windows that fired empty opens a window nothing will ever fire (the
-// buffer has dropped the tuple); that window must go on naming its own
-// group while later windows with the same key come and go and the ids
-// around it are recycled.
+// TestGroupedIDOutlivesLaterWindows was written to pin why an id is freed
+// by a count of the windows holding it: on the buffered path the manager
+// clipped a tuple's windows by a cursor of its own that lagged its
+// buffer's, so a tuple that was late only for windows that had fired
+// empty opened a groupedWin nothing would ever fire (the buffer had
+// dropped the tuple), and that window went on naming its group, and
+// growing every snapshot, for good. The manager now ingests by its
+// buffer's lifecycle (DESIGN.md §20), and what the test pins is that the
+// stranded window is gone: the manager holds only windows its buffer can
+// still fire, the tuple is counted as dropped, a tuple that straddles
+// the fired range reaches its open window only, and the snapshot
+// returns to its size.
 func TestGroupedIDOutlivesLaterWindows(t *testing.T) {
 	cfg := mkCfg(agg.Func{Op: agg.Mean}, 64)
+	cfg.Spec = window.Spec{Domain: window.TimeDomain, Range: 200, Slide: 100}
 	cfg.KeyBy = tuple.FieldString(1)
 	m, err := NewGroupedManager(cfg)
 	if err != nil {
@@ -359,28 +365,69 @@ func TestGroupedIDOutlivesLaterWindows(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fire := func(wm int64) {
+	fire := func(wm int64) []Result {
 		t.Helper()
-		if _, err := m.OnWatermark(wm); err != nil {
+		rs, err := m.OnWatermark(wm)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return rs
 	}
-	feed(10, "a")
-	feed(1000, "b")
-	fire(900)      // window 0 fires; 1..8 are empty and fire nothing
-	feed(500, "a") // late for the buffer, not for the manager: opens window 5
-	for i := int64(0); i < 20; i++ {
-		feed(1001+i*100, "a") // "a" again, in windows that do fire
-		feed(1002+i*100, fmt.Sprintf("once%d", i))
-		fire(1100 + i*100)
+	// A round: two tuples one slide on, and a watermark that closes every
+	// window they are in. Every round leaves the same state behind, a
+	// slide later.
+	round := func(i int64) int {
+		t.Helper()
+		feed(2050+i*1000, "a")
+		feed(2051+i*1000, fmt.Sprintf("once%d", i))
+		fire(2300 + i*1000)
+		if len(m.wins) != 0 || m.dict.Len() != 0 {
+			t.Fatalf("round %d left %d windows open and %d ids held", i, len(m.wins), m.dict.Len())
+		}
+		snap, err := m.SnapshotState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(snap)
 	}
-	w := m.wins[5]
-	if w == nil {
-		t.Skip("the stranded window is gone: the lifecycle no longer strands it")
+
+	size := round(0)
+
+	// Late for every window it is in: 44 and 45 have fired, empty.
+	feed(5050, "b")
+	fire(4900) // closes 22..47, which hold nothing and fire nothing
+	feed(4500, "late")
+	if got := m.LateDropped(); got != 1 {
+		t.Errorf("LateDropped = %d after one late tuple, want 1", got)
 	}
-	var keys []string
-	w.gs.Each(func(k string, _ *stats.Welford) { keys = append(keys, k) })
-	if len(keys) != 1 || keys[0] != "a" || w.gs.Get("a") == nil {
-		t.Fatalf("window 5 holds %q, want its own group \"a\"", keys)
+	if len(m.wins) != 2 || m.wins[49] == nil || m.wins[50] == nil || m.dict.Len() != 1 {
+		t.Errorf("open windows %v holding %d ids, want 49 and 50 holding \"b\"",
+			window.IDsIn(m.wins, math.MinInt64, math.MaxInt64), m.dict.Len())
+	}
+	fire(5300)
+	for i := int64(4); i <= 6; i++ {
+		if got := round(i); got != size {
+			t.Errorf("snapshot after round %d is %d bytes, %d before the late tuple", i, got, size)
+		}
+	}
+
+	// Straddling: window 91 [9100, 9300) fires empty, 92 stays open; a
+	// tuple at 9250 is in both and must reach 92 only.
+	feed(9350, "b")
+	fire(9300)
+	feed(9250, "straddle")
+	if got := m.LateDropped(); got != 1 {
+		t.Errorf("LateDropped = %d: the straddling tuple was dropped", got)
+	}
+	if len(m.wins) != 2 || m.wins[91] != nil || m.wins[92] == nil || m.wins[92].gs.Get("straddle") == nil {
+		t.Fatalf("open windows %v, want 92 (holding the straddling tuple) and 93", window.IDsIn(m.wins, math.MinInt64, math.MaxInt64))
+	}
+	rs := fire(9400)
+	if len(rs) != 1 || rs[0].WindowID != 92 || rs[0].N != 2 || len(rs[0].Groups) != 2 {
+		t.Fatalf("fired %+v, want 92 with N=2 over \"b\" and \"straddle\"", rs)
+	}
+	fire(math.MaxInt64)
+	if len(m.wins) != 0 || m.dict.Len() != 0 {
+		t.Errorf("after the closing watermark: %d windows open, %d ids held", len(m.wins), m.dict.Len())
 	}
 }

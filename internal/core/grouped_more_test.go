@@ -157,9 +157,15 @@ func TestKnownGroupsSliding(t *testing.T) {
 }
 
 // TestGroupedLateTuplesKnownGroups: late tuples in the arrival-sampled
-// path are counted and excluded.
+// path are counted and excluded — from the results, and, as on the
+// scalar path, from the archive and from the shed count too: archiving
+// one reopened a pane the fire had evicted (a chunk stored for the next
+// fire to delete unread), and a shedding spell counted it as shed.
 func TestGroupedLateTuplesKnownGroups(t *testing.T) {
+	store := storage.NewMemStore()
 	cfg := mkCfg(agg.Func{Op: agg.Mean}, 50)
+	cfg.Store = store
+	cfg.ArchiveChunk = 1 // every archived tuple is a Store call
 	cfg.KeyBy = tuple.FieldString(0)
 	cfg.Value = tuple.FieldFloat(1)
 	cfg.KnownGroups = 1
@@ -168,9 +174,19 @@ func TestGroupedLateTuplesKnownGroups(t *testing.T) {
 	if _, err := m.OnWatermark(100); err != nil {
 		t.Fatal(err)
 	}
+	stores := store.Stats().Stores
 	m.OnTuple(tuple.New(10, tuple.String_("g"), tuple.Float(999)))
-	if m.LateDropped() != 1 {
+	m.SetShedding(true)
+	m.OnTupleBatch([]tuple.Tuple{tuple.New(20, tuple.String_("g"), tuple.Float(999))})
+	m.SetShedding(false)
+	if m.LateDropped() != 2 {
 		t.Errorf("LateDropped = %d", m.LateDropped())
+	}
+	if got := store.Stats().Stores; got != stores || len(store.Keys()) != 0 {
+		t.Errorf("late tuples were archived: %d Store calls, panes %v", got-stores, store.Keys())
+	}
+	if m.sheds != 0 {
+		t.Errorf("sheds = %d: a late tuple counted as shed", m.sheds)
 	}
 	m.OnTuple(tuple.New(150, tuple.String_("g"), tuple.Float(2)))
 	rs, _ := m.OnWatermark(200)

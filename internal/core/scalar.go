@@ -31,22 +31,31 @@ type ScalarManager struct {
 	arc *archive
 
 	wins map[window.ID]*scalarWin
-	// pos and vals are OnTupleBatch's view of a row batch as the two
-	// columns the kernel reads; they hold nothing between calls.
+	lc   window.Lifecycle
 	//lint:allow snapshotcover per-call scratch; dead between calls
-	pos []int64
-	//lint:allow snapshotcover per-call scratch; dead between calls
-	vals      []float64
-	started   bool
-	fired     bool // some window has actually closed; lateness is defined from here on
-	nextFire  window.ID
-	seq       int64
-	maxPos    int64
-	late      int64
+	cols      rowColumns
 	curBudget int
 	shed      bool  // archive writes currently shed (controller escalation)
 	sheds     int64 // tuples whose archive write was shed
 	now       func() time.Time
+}
+
+// rowColumns is a row batch read once into the two columns an ingest
+// kernel takes: positions and aggregated values. It holds nothing
+// between calls.
+type rowColumns struct {
+	pos  []int64
+	vals []float64
+}
+
+func (c *rowColumns) read(rows []tuple.Tuple, lc *window.Lifecycle, value func(tuple.Tuple) float64) {
+	n := len(rows)
+	c.pos = slices.Grow(c.pos[:0], n)[:n]
+	c.vals = slices.Grow(c.vals[:0], n)[:n]
+	for i := range rows {
+		c.pos[i] = lc.Pos(rows[i].Ts, i)
+		c.vals[i] = value(rows[i])
+	}
 }
 
 type scalarWin struct {
@@ -83,6 +92,7 @@ func NewScalarManager(cfg Config) (*ScalarManager, error) {
 		est:       est,
 		arc:       newArchive(cfg.Store, cfg.Key, cfg.Spec, cfg.ArchiveChunk, cfg.DeferStoreDeletes),
 		wins:      make(map[window.ID]*scalarWin),
+		lc:        window.NewLifecycle(cfg.Spec),
 		curBudget: cfg.BudgetTuples,
 		now:       cfg.clock(),
 	}
@@ -185,30 +195,19 @@ func (m *ScalarManager) OnTuple(t tuple.Tuple) ([]Result, error) {
 }
 
 // OnTupleBatch implements BatchManager: the rows' positions and values
-// are read once into two columns and handed to the kernel. A
-// count-domain position is the tuple's sequence number.
+// are read once into two columns and handed to the kernel.
 func (m *ScalarManager) OnTupleBatch(rows []tuple.Tuple) ([]Result, error) {
 	m.syncControl()
-	n := len(rows)
-	m.pos = slices.Grow(m.pos[:0], n)[:n]
-	m.vals = slices.Grow(m.vals[:0], n)[:n]
-	count := m.cfg.Spec.Domain == window.CountDomain
-	for i := range rows {
-		m.pos[i] = rows[i].Ts
-		if count {
-			m.pos[i] = m.seq + int64(i)
-		}
-		m.vals[i] = m.cfg.Value(rows[i])
-	}
-	return m.ingestRun(m.pos, m.vals, rows)
+	m.cols.read(rows, &m.lc, m.cfg.Value)
+	return m.ingestRun(m.cols.pos, m.cols.vals, rows)
 }
 
 // ingestRun is the manager's one ingest kernel (Alg. 1 over a batch):
 // ts, vals and rows are a batch's positions, aggregated values and
 // tuples, index-aligned. Spec.EachRun cuts the batch into runs that
-// share one window assignment, so the assignment, the lateness check,
-// the window lookups and the archive append are paid per run, and per
-// run and open window the work is a count, Reservoir.AddSlice — the
+// share one window assignment, so the assignment, the lifecycle's
+// admission, the window lookups and the archive append are paid per run,
+// and per run and open window the work is a count, Reservoir.AddSlice — the
 // same admissions and PRNG draws as an Add per element, in O(admissions)
 // — and Incremental.AddSlice where the aggregate has one. Each window
 // sees its tuples in arrival order, so every ε̂_w and every Mode is what
@@ -219,40 +218,17 @@ func (m *ScalarManager) ingestRun(ts []int64, vals []float64, rows []tuple.Tuple
 	count := m.cfg.Spec.Domain == window.CountDomain
 	var out []Result
 	var err error
-	late := 0
+	late0 := m.lc.Late()
 	m.cfg.Spec.EachRun(ts, func(i0, i1 int, lo, hi window.ID) {
 		if err != nil {
 			return
 		}
-		if m.seq == 0 {
-			m.maxPos = ts[i0]
-		}
-		m.seq += int64(i1 - i0)
-		for _, p := range ts[i0:i1] {
-			if p > m.maxPos {
-				m.maxPos = p
-			}
-		}
-		if !m.started {
-			m.started = true
-			m.nextFire = lo
-		} else if lo < m.nextFire && !m.fired {
-			// Before the first fire the anchor is only a guess from the
-			// first tuple seen; with several upstream senders the merged
-			// stream is unordered between watermark rounds, so an earlier
-			// tuple must lower it rather than be misclassified as late.
-			// Nothing below nextFire has closed until m.fired.
-			m.nextFire = lo
-		}
-		if hi < m.nextFire {
-			late += i1 - i0 // dropped: neither sampled nor archived
-			return
-		}
-		if lo < m.nextFire {
-			lo = m.nextFire
+		first, ok := m.lc.Admit(ts[i0:i1], lo, hi)
+		if !ok {
+			return // late: neither sampled nor archived
 		}
 		run := vals[i0:i1]
-		for id := lo; id <= hi; id++ {
+		for id := first; id <= hi; id++ {
 			w, ok := m.wins[id] // once per run: the map will do
 			if !ok {
 				w = m.newWin(id, ts[i0])
@@ -284,19 +260,12 @@ func (m *ScalarManager) ingestRun(ts []int64, vals []float64, rows []tuple.Tuple
 		}
 		if count {
 			var rs []Result
-			rs, err = m.fire(m.seq)
+			rs, err = m.fire(m.lc.Seq())
 			out = append(out, rs...)
 		}
 	})
-	m.late += int64(late)
-	if m.cfg.Metrics != nil {
-		if late > 0 {
-			m.cfg.Metrics.LateDropped.Add(int64(late))
-		}
-		if len(ts) > late {
-			m.cfg.Metrics.TuplesIn.Add(int64(len(ts) - late))
-			m.cfg.Metrics.MemBytes.Set(int64(m.BudgetMemUsage()))
-		}
+	if m.cfg.countIngest(len(ts), m.lc.Late()-late0) {
+		m.cfg.Metrics.MemBytes.Set(int64(m.BudgetMemUsage()))
 	}
 	return out, err
 }
@@ -310,23 +279,14 @@ func (m *ScalarManager) OnWatermark(wm int64) ([]Result, error) {
 }
 
 func (m *ScalarManager) fire(wm int64) ([]Result, error) {
-	if !m.started {
+	first, last, ok := m.lc.Complete(wm)
+	if !ok {
 		return nil, nil
 	}
-	last := m.cfg.Spec.FirstCompleteBy(wm)
-	// Clamp to windows that can hold data, so a +∞ closing watermark
-	// fires a finite range.
-	if _, hiData := m.cfg.Spec.Assign(m.maxPos); last > hiData {
-		last = hiData
-	}
-	if last < m.nextFire {
-		return nil, nil
-	}
-	m.fired = true // windows at and below last are closed for good
 	var out []Result
 	// The windows that hold tuples, not the id range: a watermark after
 	// a gap in the stream costs the windows that exist.
-	for _, id := range window.IDsIn(m.wins, m.nextFire, last) {
+	for _, id := range window.IDsIn(m.wins, first, last) {
 		r, err := m.produce(id, m.wins[id])
 		if err != nil {
 			return nil, err
@@ -345,8 +305,7 @@ func (m *ScalarManager) fire(wm int64) ([]Result, error) {
 		}
 		delete(m.wins, id)
 	}
-	m.nextFire = last + 1
-	start, _ := m.cfg.Spec.Bounds(m.nextFire)
+	start, _ := m.cfg.Spec.Bounds(m.lc.NextOpen())
 	if err := m.arc.evictBefore(start); err != nil {
 		return nil, err
 	}
@@ -473,17 +432,7 @@ func (m *ScalarManager) produce(id window.ID, w *scalarWin) (Result, error) {
 // fails the exact fallback reads from memory instead of S. Results are
 // unaffected — prefetching only moves bytes earlier.
 func (m *ScalarManager) PrefetchWatermark(wm int64) {
-	if m.cfg.SpillAhead <= 0 || !m.started || m.cfg.Spec.Domain == window.CountDomain {
-		return
-	}
-	first := m.cfg.Spec.FirstCompleteBy(wm) + 1
-	if first < m.nextFire {
-		first = m.nextFire
-	}
-	for id := first; id < first+window.ID(m.cfg.SpillAhead); id++ {
-		start, end := m.cfg.Spec.Bounds(id)
-		m.arc.prefetch(start, end)
-	}
+	m.arc.prefetchAhead(&m.lc, wm, m.cfg.SpillAhead)
 }
 
 // MemUsage implements Manager: the budget-resident state (samples plus
@@ -515,4 +464,4 @@ func (m *ScalarManager) BudgetMemUsage() int {
 }
 
 // LateDropped returns the number of dropped late tuples.
-func (m *ScalarManager) LateDropped() int64 { return m.late }
+func (m *ScalarManager) LateDropped() int64 { return m.lc.Late() }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"spear/internal/agg"
@@ -14,39 +15,43 @@ import (
 	"spear/internal/window"
 )
 
+// add is the per-tuple archive append every manager's ingest called
+// before its callers became addRun. The per-tuple references below keep
+// it, so that addRun is held to it tuple by tuple, chunk boundaries
+// included.
+func (a *archive) add(t tuple.Tuple) error {
+	p := a.paneOf(t.Ts)
+	if !a.curOK || p != a.curP {
+		a.rollTo(p)
+	}
+	a.cur = append(a.cur, t)
+	if len(a.cur) >= a.chunk {
+		return a.flushCur()
+	}
+	return nil
+}
+
 // refIngest is the per-tuple ingest body ScalarManager had before its
 // entry points became adapters to ingestRun, kept here as the reference
-// the kernel is held to: assignment, anchor, lateness, one Add per open
-// window and one archive add, tuple by tuple, firing after every tuple
-// in the count domain. The only edit is the count, which was the n of a
-// full Welford.
+// the kernel is held to: assignment, admission, one Add per open window
+// and one archive add, tuple by tuple, firing after every tuple in the
+// count domain. Two edits: the count, which was the n of a full Welford,
+// and the anchor/lateness decision, which is the lifecycle's Admit on a
+// run of one (window.Lifecycle has a per-tuple model of its own to
+// answer to, in package window).
 func refIngest(m *ScalarManager, t tuple.Tuple) ([]Result, error) {
 	m.syncControl()
-	pos := t.Ts
+	pos := m.lc.Pos(t.Ts, 0)
 	if m.cfg.Spec.Domain == window.CountDomain {
-		pos = m.seq
 		t.Ts = pos
 	}
-	m.seq++
-	if pos > m.maxPos || m.seq == 1 {
-		m.maxPos = pos
-	}
 	lo, hi := m.cfg.Spec.Assign(pos)
-	if !m.started {
-		m.started = true
-		m.nextFire = lo
-	} else if lo < m.nextFire && !m.fired {
-		m.nextFire = lo
-	}
-	if hi < m.nextFire {
-		m.late++
+	first, ok := m.lc.Admit([]int64{pos}, lo, hi)
+	if !ok {
 		return nil, nil
 	}
-	if lo < m.nextFire {
-		lo = m.nextFire
-	}
 	v := m.cfg.Value(t)
-	for id := lo; id <= hi; id++ {
+	for id := first; id <= hi; id++ {
 		w, ok := m.wins[id]
 		if !ok {
 			w = m.newWin(id, pos)
@@ -69,7 +74,7 @@ func refIngest(m *ScalarManager, t tuple.Tuple) ([]Result, error) {
 		return nil, err
 	}
 	if m.cfg.Spec.Domain == window.CountDomain {
-		return m.fire(m.seq)
+		return m.fire(m.lc.Seq())
 	}
 	return nil, nil
 }
@@ -88,12 +93,19 @@ type kernelOp struct {
 // of lag ticks, with a watermark lag behind every every-th tuple, a few
 // stragglers from before the watermark (late before the first fire
 // lowers the anchor, late after it is dropped), a shedding spell, and
-// the budget taken to zero and back and then halved.
+// the budget taken to zero and back and then halved. Field 0 is the
+// value; field 1 is a group key for the grouped managers: six hot
+// groups, and now and then one that is seen once.
 func kernelStream(n, lag, every int, seed int64) []kernelOp {
 	rng := rand.New(rand.NewSource(seed))
+	keys := rand.New(rand.NewSource(seed + 1))
 	ts := make([]tuple.Tuple, n)
 	for i := range ts {
-		ts[i] = tuple.New(int64(1000+i), tuple.Float(20+rng.NormFloat64()*float64(1+i%5)))
+		key := fmt.Sprintf("g%d", keys.Intn(6))
+		if keys.Intn(12) == 0 {
+			key = fmt.Sprintf("once%d", i)
+		}
+		ts[i] = tuple.New(int64(1000+i), tuple.Float(20+rng.NormFloat64()*float64(1+i%5)), tuple.String_(key))
 	}
 	for i := 0; i+lag <= n; i += lag {
 		rng.Shuffle(lag, func(a, b int) { ts[i+a], ts[i+b] = ts[i+b], ts[i+a] })
@@ -102,7 +114,7 @@ func kernelStream(n, lag, every int, seed int64) []kernelOp {
 	for i, t := range ts {
 		switch i {
 		case 5: // before any fire: earlier than the anchor
-			ops = append(ops, kernelOp{kind: 't', tup: tuple.New(940, tuple.Float(3))})
+			ops = append(ops, kernelOp{kind: 't', tup: tuple.New(940, tuple.Float(3), tuple.String_("g0"))})
 		case n / 4:
 			ops = append(ops, kernelOp{kind: 's', on: true})
 		case n/4 + n/16:
@@ -116,7 +128,7 @@ func kernelStream(n, lag, every int, seed int64) []kernelOp {
 		}
 		ops = append(ops, kernelOp{kind: 't', tup: t})
 		if i > n/3 && i%97 == 0 { // long closed: dropped
-			ops = append(ops, kernelOp{kind: 't', tup: tuple.New(int64(1000+i-n/4), tuple.Float(-1))})
+			ops = append(ops, kernelOp{kind: 't', tup: tuple.New(int64(1000+i-n/4), tuple.Float(-1), tuple.String_("g1"))})
 		}
 		if (i+1)%every == 0 {
 			ops = append(ops, kernelOp{kind: 'w', wm: int64(1000 + i + 1 - lag)})
@@ -125,11 +137,18 @@ func kernelStream(n, lag, every int, seed int64) []kernelOp {
 	return append(ops, kernelOp{kind: 'w', wm: math.MaxInt64})
 }
 
+// kernelManager is what the kernel identity tests drive and read back.
+type kernelManager interface {
+	compatManager
+	LateDropped() int64
+	BudgetMemUsage() int
+}
+
 // kernelTrace drives m through ops, handing each maximal stretch of
 // tuples (cut at batch tuples) to feed, and returns one line per
 // watermark: every field of every result since the previous one, then
 // the manager's snapshot.
-func kernelTrace(t *testing.T, m *ScalarManager, ops []kernelOp, batch int, feed func([]tuple.Tuple) ([]Result, error)) []string {
+func kernelTrace(t *testing.T, m kernelManager, ops []kernelOp, batch int, feed func([]tuple.Tuple) ([]Result, error)) []string {
 	t.Helper()
 	var lines []string
 	var sb bytes.Buffer
@@ -138,9 +157,18 @@ func kernelTrace(t *testing.T, m *ScalarManager, ops []kernelOp, batch int, feed
 			t.Fatal(err)
 		}
 		for _, r := range rs {
-			fmt.Fprintf(&sb, "w=%d [%d,%d) n=%d sn=%d %s eps^=%016x eps=%g conf=%g b=%d fetched=%v v=%016x groups=%v\n",
+			fmt.Fprintf(&sb, "w=%d [%d,%d) n=%d sn=%d %s eps^=%016x eps=%g conf=%g b=%d fetched=%v v=%016x groups=%v",
 				r.WindowID, r.Start, r.End, r.N, r.SampleN, r.Mode, math.Float64bits(r.EstError),
-				r.Epsilon, r.Confidence, r.Budget, r.FetchedFromStore, math.Float64bits(r.Scalar), r.Groups)
+				r.Epsilon, r.Confidence, r.Budget, r.FetchedFromStore, math.Float64bits(r.Scalar), r.Groups != nil)
+			keys := make([]string, 0, len(r.Groups))
+			for k := range r.Groups {
+				keys = append(keys, k)
+			}
+			slices.Sort(keys)
+			for _, k := range keys {
+				fmt.Fprintf(&sb, " %s=%016x", k, math.Float64bits(r.Groups[k]))
+			}
+			sb.WriteByte('\n')
 		}
 	}
 	var pend []tuple.Tuple

@@ -43,6 +43,22 @@ const (
 	snapGroupedV2   byte = 0x67 // 'g'
 )
 
+// appendCursor writes a window lifecycle's values in the order the
+// scalar and incremental formats fixed (the grouped and single-buffer
+// formats each fixed another); readCursor reads them back.
+func appendCursor(dst []byte, c window.Cursor) []byte {
+	dst = tuple.AppendBool(dst, c.Started)
+	dst = tuple.AppendBool(dst, c.Fired)
+	dst = tuple.AppendI64(dst, int64(c.NextFire))
+	dst = tuple.AppendI64(dst, c.Seq)
+	dst = tuple.AppendI64(dst, c.MaxPos)
+	return tuple.AppendI64(dst, c.Late)
+}
+
+func readCursor(rd *tuple.WireReader) window.Cursor {
+	return window.Cursor{Started: rd.Bool(), Fired: rd.Bool(), NextFire: window.ID(rd.I64()), Seq: rd.I64(), MaxPos: rd.I64(), Late: rd.I64()}
+}
+
 func badTag(kind string, tag byte, rd *tuple.WireReader) error {
 	if rd.Err() != nil {
 		return rd.Err()
@@ -54,13 +70,7 @@ func badTag(kind string, tag byte, rd *tuple.WireReader) error {
 
 // SnapshotState implements the checkpoint Snapshotter contract.
 func (m *ScalarManager) SnapshotState() ([]byte, error) {
-	dst := []byte{snapScalarV3}
-	dst = tuple.AppendBool(dst, m.started)
-	dst = tuple.AppendBool(dst, m.fired)
-	dst = tuple.AppendI64(dst, int64(m.nextFire))
-	dst = tuple.AppendI64(dst, m.seq)
-	dst = tuple.AppendI64(dst, m.maxPos)
-	dst = tuple.AppendI64(dst, m.late)
+	dst := appendCursor([]byte{snapScalarV3}, m.lc.Cursor())
 	dst = tuple.AppendUvar(dst, uint64(m.curBudget))
 	dst = tuple.AppendBool(dst, m.shed)
 	dst = tuple.AppendI64(dst, m.sheds)
@@ -97,12 +107,7 @@ func (m *ScalarManager) RestoreState(b []byte) error {
 	if !v2 && tag != snapScalar {
 		return badTag("scalar", tag, rd)
 	}
-	started := rd.Bool()
-	fired := rd.Bool()
-	nextFire := window.ID(rd.I64())
-	seq := rd.I64()
-	maxPos := rd.I64()
-	late := rd.I64()
+	cur := readCursor(rd)
 	curBudget := rd.Uvar()
 	shed := false
 	var sheds int64
@@ -175,10 +180,12 @@ func (m *ScalarManager) RestoreState(b []byte) error {
 	// corruption. Under v2 the adaptive controller may legitimately
 	// drive the budget to zero (exact-only operation), so the check is
 	// versioned — restoring at the budget floor must succeed.
-	if seq < 0 || late < 0 || sheds < 0 || (!v2 && curBudget == 0) {
+	if sheds < 0 || (!v2 && curBudget == 0) {
 		return fmt.Errorf("%w: scalar snapshot counters", tuple.ErrCorrupt)
 	}
-	m.started, m.fired, m.nextFire, m.seq, m.maxPos, m.late = started, fired, nextFire, seq, maxPos, late
+	if err := m.lc.SetCursor(cur); err != nil {
+		return err
+	}
 	m.curBudget = int(curBudget)
 	m.shed = shed && m.curBudget > 0
 	m.sheds = sheds
@@ -213,12 +220,15 @@ func (m *GroupedManager) SnapshotState() ([]byte, error) {
 	dst := []byte{snapGroupedV2}
 	known := m.arc != nil
 	dst = tuple.AppendBool(dst, known)
-	dst = tuple.AppendBool(dst, m.started)
-	dst = tuple.AppendBool(dst, m.fired)
-	dst = tuple.AppendI64(dst, int64(m.nextFire))
-	dst = tuple.AppendI64(dst, m.maxPos)
-	dst = tuple.AppendI64(dst, m.late)
-	dst = tuple.AppendI64(dst, m.seq)
+	// On the buffered path these are the buffer's values, which its own
+	// blob below carries too and restores from.
+	c := m.lc.Cursor()
+	dst = tuple.AppendBool(dst, c.Started)
+	dst = tuple.AppendBool(dst, c.Fired)
+	dst = tuple.AppendI64(dst, int64(c.NextFire))
+	dst = tuple.AppendI64(dst, c.MaxPos)
+	dst = tuple.AppendI64(dst, c.Late)
+	dst = tuple.AppendI64(dst, c.Seq)
 	dst = tuple.AppendUvar(dst, uint64(m.curBudget))
 	dst = tuple.AppendBool(dst, m.shed)
 	dst = tuple.AppendI64(dst, m.sheds)
@@ -261,12 +271,7 @@ func (m *GroupedManager) RestoreState(b []byte) error {
 	if rd.Err() == nil && known != (m.arc != nil) {
 		return fmt.Errorf("%w: grouped snapshot mode mismatches configuration", tuple.ErrCorrupt)
 	}
-	started := rd.Bool()
-	fired := rd.Bool()
-	nextFire := window.ID(rd.I64())
-	maxPos := rd.I64()
-	late := rd.I64()
-	seq := rd.I64()
+	cur := window.Cursor{Started: rd.Bool(), Fired: rd.Bool(), NextFire: window.ID(rd.I64()), MaxPos: rd.I64(), Late: rd.I64(), Seq: rd.I64()}
 	curBudget := uint64(m.cfg.BudgetTuples) // v1: the budget never moved
 	shed := false
 	var sheds int64
@@ -294,7 +299,7 @@ func (m *GroupedManager) RestoreState(b []byte) error {
 	wins := make(map[window.ID]*groupedWin, n)
 	for i := 0; i < n; i++ {
 		id := window.ID(rd.I64())
-		w := &groupedWin{id: id, gs: dict.ReadGroupStats(rd)}
+		w := &groupedWin{gs: dict.ReadGroupStats(rd)}
 		hasKnown := rd.Bool()
 		if rd.Err() != nil {
 			return rd.Err()
@@ -327,21 +332,34 @@ func (m *GroupedManager) RestoreState(b []byte) error {
 	if err := rd.Done(); err != nil {
 		return err
 	}
-	if seq < 0 || late < 0 || sheds < 0 {
+	if sheds < 0 {
 		return fmt.Errorf("%w: grouped snapshot counters", tuple.ErrCorrupt)
 	}
-	if !known {
+	if known {
+		if err := m.lc.SetCursor(cur); err != nil {
+			return err
+		}
+		m.arc = arc
+	} else {
+		// The buffer's blob restores the lifecycle the manager borrows;
+		// the header's copy (in blobs from before PR 19, a cursor of the
+		// manager's own that lagged the buffer's) is not read back.
 		if err := m.buf.RestoreState(bufBlob); err != nil {
 			return err
 		}
-	} else {
-		m.arc = arc
+		// What that lagging cursor opened behind the buffer's no fire
+		// will ever reach.
+		for id, w := range wins {
+			if id < m.lc.NextOpen() {
+				w.gs.Reset()
+				delete(wins, id)
+			}
+		}
 	}
-	m.started, m.fired, m.nextFire, m.maxPos, m.late, m.seq = started, fired, nextFire, maxPos, late, seq
 	m.curBudget = int(curBudget)
 	m.sheds = sheds
-	// The cache and the pool point into the replaced dictionary.
-	m.dict, m.wins, m.recent, m.pool = dict, wins, [winSlots]*groupedWin{}, nil
+	// The pool points into the replaced dictionary.
+	m.dict, m.wins, m.pool = dict, wins, nil
 	m.shed = false
 	m.SetShedding(shed)
 	if c := m.cfg.Cell; c != nil {
@@ -400,13 +418,7 @@ func (m *ExactManager) TakeDeferredDeletes() []string { return m.buf.TakeDeferre
 
 // SnapshotState implements the checkpoint Snapshotter contract.
 func (m *IncrementalManager) SnapshotState() ([]byte, error) {
-	dst := []byte{snapIncremental}
-	dst = tuple.AppendBool(dst, m.started)
-	dst = tuple.AppendBool(dst, m.fired)
-	dst = tuple.AppendI64(dst, int64(m.nextFire))
-	dst = tuple.AppendI64(dst, m.seq)
-	dst = tuple.AppendI64(dst, m.maxPos)
-	dst = tuple.AppendI64(dst, m.late)
+	dst := appendCursor([]byte{snapIncremental}, m.lc.Cursor())
 	ids := window.IDsIn(m.wins, math.MinInt64, math.MaxInt64)
 	dst = tuple.AppendUvar(dst, uint64(len(ids)))
 	for _, id := range ids {
@@ -422,12 +434,7 @@ func (m *IncrementalManager) RestoreState(b []byte) error {
 	if tag := rd.Byte(); tag != snapIncremental {
 		return badTag("incremental", tag, rd)
 	}
-	started := rd.Bool()
-	fired := rd.Bool()
-	nextFire := window.ID(rd.I64())
-	seq := rd.I64()
-	maxPos := rd.I64()
-	late := rd.I64()
+	cur := readCursor(rd)
 	n := rd.Count(8 + 48)
 	if rd.Err() != nil {
 		return rd.Err()
@@ -451,10 +458,9 @@ func (m *IncrementalManager) RestoreState(b []byte) error {
 	if err := rd.Done(); err != nil {
 		return err
 	}
-	if seq < 0 || late < 0 {
-		return fmt.Errorf("%w: incremental snapshot counters", tuple.ErrCorrupt)
+	if err := m.lc.SetCursor(cur); err != nil {
+		return err
 	}
-	m.started, m.fired, m.nextFire, m.seq, m.maxPos, m.late = started, fired, nextFire, seq, maxPos, late
 	m.wins = wins
 	return nil
 }

@@ -33,9 +33,17 @@ type compatCase struct {
 	keys func(rng *rand.Rand, i int) string
 	// at, when set, runs before tuple i is fed (controller seams).
 	at func(i int, m compatManager)
-	// reencodes is false where the current writer's format is newer
-	// than the fixture's, so neither the primer's own snapshot nor a
-	// re-encode of the restored state can equal the blob.
+	// reencodes is false where the current writer cannot arrive at the
+	// fixture's bytes, so neither the primer's own snapshot nor a
+	// re-encode of the restored state can equal the blob: the scalar
+	// fixtures are an older format (v2), and the buffered grouped ones
+	// carry in their header a cursor the manager kept beside its
+	// buffer's and that lagged it (PR 19: the manager has no cursor of
+	// its own there; those six slots now repeat the buffer's values, and
+	// a restore reads the buffer's blob and not them). What such a blob
+	// must do instead: restore to the very state the current code
+	// reaches on its own, continue to the parent's results, and re-encode
+	// to a fixed point.
 	reencodes bool
 }
 
@@ -103,10 +111,10 @@ func compatCases() []compatCase {
 	eight := func(rng *rand.Rand, _ int) string { return fmt.Sprintf("g%d", rng.Intn(8)) }
 	return []compatCase{
 		// Answered from the per-group moments alone.
-		{"buffered_mean", mk(agg.Func{Op: agg.Mean}, 400, 0, 0.10), churnKey, nil, true},
+		{"buffered_mean", mk(agg.Func{Op: agg.Mean}, 400, 0, 0.10), churnKey, nil, false},
 		// Congressional allocation over the frequencies, then a
 		// stratified sample of the buffer, or the whole window.
-		{"buffered_median", mk(agg.Median(), 150, 0, 0.22), fewOnceKey, nil, true},
+		{"buffered_median", mk(agg.Median(), 150, 0, 0.22), fewOnceKey, nil, false},
 		// Per-group reservoirs filled at arrival: answered from them,
 		// and (at an ε they cannot meet) from the archive.
 		{"known_median", mk(agg.Median(), 160, 8, 0.35), eight, nil, true},
@@ -202,11 +210,12 @@ func compatDrive(t *testing.T, c compatCase, m compatManager, ts []tuple.Tuple, 
 	return sb.String()
 }
 
-// TestSnapshotCompat restores mid-stream grouped snapshots written by
-// the parent commit's map-backed layout: the blob must restore, the
-// restored manager must re-encode to the same bytes and continue to the
-// same results, bit for bit, and the current code must arrive at that
-// very blob on its own.
+// TestSnapshotCompat restores mid-stream snapshots written by earlier
+// commits (see updateCompat): the blob must restore, the restored
+// manager must re-encode to the same bytes and continue to the same
+// results, bit for bit, and the current code must arrive at that very
+// blob on its own — or, where compatCase.reencodes says it cannot, at
+// the blob the restored manager re-encodes to.
 func TestSnapshotCompat(t *testing.T) {
 	for _, c := range compatCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -265,12 +274,23 @@ func TestSnapshotCompat(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !c.reencodes {
-				// An older blob restores to the state the current code
-				// reaches on its own, in the current format.
+				// The blob restores to the state the current code reaches
+				// on its own, in the bytes the current code writes.
 				blob = own
 			}
 			if !bytes.Equal(again, blob) {
 				t.Errorf("restored state re-encodes to different bytes (%d vs %d)", len(again), len(blob))
+			}
+			// restore → snapshot → restore → snapshot is a fixed point.
+			m2, err := c.manager(store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m2.RestoreState(again); err != nil {
+				t.Fatalf("restore of the re-encoded blob: %v", err)
+			}
+			if twice, err := m2.SnapshotState(); err != nil || !bytes.Equal(twice, again) {
+				t.Errorf("re-encoded blob is not a fixed point of restore and snapshot (err %v)", err)
 			}
 			if got := compatDrive(t, c, m, ts, half, len(ts)); got != string(want) {
 				t.Errorf("results after restore differ from the parent commit's:\n got %d bytes\nwant %d bytes\n%s",

@@ -2,6 +2,7 @@ package window
 
 import (
 	"fmt"
+	"slices"
 
 	"spear/internal/spill"
 	"spear/internal/storage"
@@ -105,12 +106,7 @@ type SingleBuffer struct {
 	bufBytes int
 	peak     int
 
-	seq        int64 // tuples seen; supplies count-domain positions
-	maxPos     int64 // highest position observed (clamps the fire range)
-	started    bool
-	fired      bool // some window has actually closed; lateness is defined from here on
-	nextFire   ID
-	late       int64
+	lc         Lifecycle
 	spilledCnt int64
 	segSeq     int // distinguishes successive spill generations
 	segChunks  int // Store calls issued against the current segment
@@ -123,79 +119,65 @@ func NewSingleBuffer(cfg Config) (*SingleBuffer, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	m := &SingleBuffer{cfg: cfg}
+	m := &SingleBuffer{cfg: cfg, lc: NewLifecycle(cfg.Spec)}
 	if cfg.Store != nil {
 		m.store = spill.AsPlane(cfg.Store)
 	}
 	return m, nil
 }
 
-func (m *SingleBuffer) pos(t tuple.Tuple) int64 {
-	if m.cfg.Spec.Domain == CountDomain {
-		return m.seq
-	}
-	return t.Ts
-}
-
 func (m *SingleBuffer) spillKey() string {
 	return fmt.Sprintf("%s#%d", m.cfg.Key, m.segSeq)
 }
 
-// OnTuple implements Manager.
+// Lifecycle returns the buffer's window lifecycle. An owner that keeps
+// state of its own per window (core.GroupedManager) decides arrival and
+// firing by this one and no second cursor, so that it never opens a
+// window the buffer has closed: it admits a run here, folds it into its
+// windows, and hands it to AddRun.
+func (m *SingleBuffer) Lifecycle() *Lifecycle { return &m.lc }
+
+// OnTuple implements Manager: a run of one.
 func (m *SingleBuffer) OnTuple(t tuple.Tuple) ([]Complete, error) {
-	p := m.pos(t)
-	if m.cfg.Spec.Domain == CountDomain {
-		// Count positions are assigned here; rewrite Ts so the scan
-		// at trigger time sees the position, and remember the
-		// original event time is not needed for count windows.
-		t.Ts = p
+	pos := []int64{m.lc.Pos(t.Ts, 0)}
+	lo, hi := m.cfg.Spec.Assign(pos[0])
+	if _, ok := m.lc.Admit(pos, lo, hi); !ok {
+		return nil, nil
 	}
-	m.seq++
+	return m.AddRun(pos, []tuple.Tuple{t})
+}
 
-	if p > m.maxPos || m.seq == 1 {
-		m.maxPos = p
-	}
-	lo, _ := m.cfg.Spec.Assign(p)
-	if !m.started {
-		m.started = true
-		m.nextFire = lo
-	} else if lo < m.nextFire {
-		if !m.fired {
-			// Pre-first-fire the anchor is only the first tuple's
-			// guess; multi-sender reordering at stream start must
-			// lower it, not drop the tuple. Nothing below nextFire
-			// has actually closed until m.fired.
-			m.nextFire = lo
-		} else {
-			// The tuple only belongs to windows that already fired.
-			_, hi := m.cfg.Spec.Assign(p)
-			if hi < m.nextFire {
-				m.late++
-				return nil, nil
+// AddRun buffers a run the lifecycle has admitted — rows, at positions
+// pos — and, in the count domain, stages the windows it completes: a
+// count window [s, e) is complete once position e-1 has arrived, which
+// is where a run ends.
+func (m *SingleBuffer) AddRun(pos []int64, rows []tuple.Tuple) ([]Complete, error) {
+	count := m.cfg.Spec.Domain == CountDomain
+	for i, t := range rows {
+		if count {
+			// Count positions are assigned at arrival; rewrite Ts so the
+			// scan at trigger time sees the position. The event time is
+			// not needed for count windows.
+			t.Ts = pos[i]
+		}
+		sz := t.MemSize()
+		if m.cfg.BudgetBytes > 0 && m.bufBytes+sz > m.cfg.BudgetBytes {
+			// Budget exhausted: spill this tuple to S (Alg. 1 line 6).
+			if err := m.store.Store(m.spillKey(), []tuple.Tuple{t}); err != nil {
+				return nil, err
 			}
+			m.spilledCnt++
+			m.segChunks++
+			continue
 		}
-	}
-
-	sz := t.MemSize()
-	if m.cfg.BudgetBytes > 0 && m.bufBytes+sz > m.cfg.BudgetBytes {
-		// Budget exhausted: spill this tuple to S (Alg. 1 line 6).
-		if err := m.store.Store(m.spillKey(), []tuple.Tuple{t}); err != nil {
-			return nil, err
-		}
-		m.spilledCnt++
-		m.segChunks++
-	} else {
 		m.buf = append(m.buf, t)
 		m.bufBytes += sz
-		if m.bufBytes > m.peak {
-			m.peak = m.bufBytes
-		}
 	}
-
-	if m.cfg.Spec.Domain == CountDomain {
-		// A count window [s, e) is complete once position e-1 has
-		// arrived, i.e. the watermark is the arrival count.
-		return m.fire(m.seq)
+	if m.bufBytes > m.peak {
+		m.peak = m.bufBytes
+	}
+	if count {
+		return m.fire(m.lc.Seq())
 	}
 	return nil, nil
 }
@@ -210,19 +192,10 @@ func (m *SingleBuffer) OnWatermark(wm int64) ([]Complete, error) {
 
 // fire stages all windows with end ≤ wm and evicts expired tuples.
 func (m *SingleBuffer) fire(wm int64) ([]Complete, error) {
-	if !m.started {
+	first, last, ok := m.lc.Complete(wm)
+	if !ok {
 		return nil, nil
 	}
-	last := m.cfg.Spec.FirstCompleteBy(wm)
-	// Clamp to windows that can hold data, so a +∞ closing watermark
-	// fires a finite range.
-	if _, hiData := m.cfg.Spec.Assign(m.maxPos); last > hiData {
-		last = hiData
-	}
-	if last < m.nextFire {
-		return nil, nil
-	}
-	m.fired = true // windows at and below last are closed for good
 
 	// If tuples spilled, the trigger must retrieve them (§2: "In the
 	// event that the worker spilled tuples to S, then it has to
@@ -252,7 +225,7 @@ func (m *SingleBuffer) fire(wm int64) ([]Complete, error) {
 	}
 
 	var out []Complete
-	for id := m.nextFire; id <= last; id++ {
+	for _, id := range m.heldIn(first, last) {
 		start, end := m.cfg.Spec.Bounds(id)
 		if m.cfg.SkipCollect != nil && m.cfg.SkipCollect(id) {
 			out = append(out, Complete{
@@ -268,18 +241,14 @@ func (m *SingleBuffer) fire(wm int64) ([]Complete, error) {
 				ts = append(ts, t)
 			}
 		}
-		if len(ts) == 0 {
-			continue // empty windows do not fire
-		}
 		out = append(out, Complete{
 			ID: id, Start: start, End: end,
 			Tuples: ts, FetchedFromStore: fetched,
 		})
 	}
-	m.nextFire = last + 1
 
 	// Evict tuples that precede every still-active window (Fig. 4).
-	evictBefore, _ := m.cfg.Spec.Bounds(m.nextFire)
+	evictBefore, _ := m.cfg.Spec.Bounds(m.lc.NextOpen())
 	kept := m.buf[:0]
 	bytes := 0
 	for _, t := range m.buf {
@@ -319,6 +288,28 @@ func (m *SingleBuffer) fire(wm int64) ([]Complete, error) {
 	return out, nil
 }
 
+// heldIn returns, ascending, the ids in [first, last] of the windows
+// that hold a buffered tuple: empty windows do not fire, and a fire that
+// follows a gap in the stream must cost the tuples in the buffer, not
+// gap ÷ slide. One pass; the assignment is recomputed only where it
+// changes from one tuple to the next.
+func (m *SingleBuffer) heldIn(first, last ID) []ID {
+	var ids []ID
+	var start, end int64 // positions sharing the previous tuple's windows
+	for _, t := range m.buf {
+		if t.Ts >= start && t.Ts < end {
+			continue
+		}
+		lo, hi := m.cfg.Spec.Assign(t.Ts)
+		start, end = m.cfg.Spec.sharing(lo, hi)
+		for id := max(lo, first); id <= min(hi, last); id++ {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	return slices.Compact(ids)
+}
+
 // MemUsage implements Manager.
 func (m *SingleBuffer) MemUsage() int { return m.bufBytes }
 
@@ -326,7 +317,7 @@ func (m *SingleBuffer) MemUsage() int { return m.bufBytes }
 func (m *SingleBuffer) PeakMemUsage() int { return m.peak }
 
 // LateDropped implements Manager.
-func (m *SingleBuffer) LateDropped() int64 { return m.late }
+func (m *SingleBuffer) LateDropped() int64 { return m.lc.Late() }
 
 // Spilled implements Manager.
 func (m *SingleBuffer) Spilled() int64 { return m.spilledCnt }
@@ -336,20 +327,12 @@ func (m *SingleBuffer) Spilled() int64 { return m.spilledCnt }
 // are ready without a scan at trigger time, at the cost of Overlap()
 // copies of every tuple.
 type MultiBuffer struct {
-	cfg  Config
-	bufs map[ID][]tuple.Tuple
-	//lint:allow snapshotcover derived from bufs; recomputed by RestoreState
-	bytes map[ID]int
-	//lint:allow snapshotcover derived from bufs; recomputed by RestoreState
+	cfg      Config
+	bufs     map[ID][]tuple.Tuple
+	bytes    map[ID]int
 	bufBytes int
 	peak     int
-
-	seq      int64
-	maxPos   int64
-	started  bool
-	fired    bool // some window has actually closed; lateness is defined from here on
-	nextFire ID
-	late     int64
+	lc       Lifecycle
 }
 
 // NewMultiBuffer returns a multiple-buffers manager for cfg. Spilling is
@@ -366,38 +349,20 @@ func NewMultiBuffer(cfg Config) (*MultiBuffer, error) {
 		cfg:   cfg,
 		bufs:  make(map[ID][]tuple.Tuple),
 		bytes: make(map[ID]int),
+		lc:    NewLifecycle(cfg.Spec),
 	}, nil
 }
 
 // OnTuple implements Manager.
 func (m *MultiBuffer) OnTuple(t tuple.Tuple) ([]Complete, error) {
-	p := t.Ts
-	if m.cfg.Spec.Domain == CountDomain {
-		p = m.seq
-		t.Ts = p
-	}
-	m.seq++
-
-	if p > m.maxPos || m.seq == 1 {
-		m.maxPos = p
-	}
-	lo, hi := m.cfg.Spec.Assign(p)
-	if !m.started {
-		m.started = true
-		m.nextFire = lo
-	} else if lo < m.nextFire && !m.fired {
-		// Pre-first-fire anchor lowering (see SingleBuffer.OnTuple).
-		m.nextFire = lo
-	}
-	if hi < m.nextFire {
-		m.late++
+	t.Ts = m.lc.Pos(t.Ts, 0)
+	lo, hi := m.cfg.Spec.Assign(t.Ts)
+	first, ok := m.lc.Admit([]int64{t.Ts}, lo, hi)
+	if !ok {
 		return nil, nil
 	}
-	if lo < m.nextFire {
-		lo = m.nextFire
-	}
 	sz := t.MemSize()
-	for id := lo; id <= hi; id++ {
+	for id := first; id <= hi; id++ {
 		m.bufs[id] = append(m.bufs[id], t)
 		m.bytes[id] += sz
 		m.bufBytes += sz
@@ -406,7 +371,7 @@ func (m *MultiBuffer) OnTuple(t tuple.Tuple) ([]Complete, error) {
 		m.peak = m.bufBytes
 	}
 	if m.cfg.Spec.Domain == CountDomain {
-		return m.fire(m.seq)
+		return m.fire(m.lc.Seq())
 	}
 	return nil, nil
 }
@@ -420,19 +385,12 @@ func (m *MultiBuffer) OnWatermark(wm int64) ([]Complete, error) {
 }
 
 func (m *MultiBuffer) fire(wm int64) ([]Complete, error) {
-	if !m.started {
+	first, last, ok := m.lc.Complete(wm)
+	if !ok {
 		return nil, nil
 	}
-	last := m.cfg.Spec.FirstCompleteBy(wm)
-	if _, hiData := m.cfg.Spec.Assign(m.maxPos); last > hiData {
-		last = hiData
-	}
-	if last < m.nextFire {
-		return nil, nil
-	}
-	m.fired = true // windows at and below last are closed for good
 	var out []Complete
-	for _, id := range IDsIn(m.bufs, m.nextFire, last) {
+	for _, id := range IDsIn(m.bufs, first, last) {
 		start, end := m.cfg.Spec.Bounds(id)
 		// The buffer is picked and staged directly — no scan
 		// (Fig. 4, right).
@@ -445,7 +403,6 @@ func (m *MultiBuffer) fire(wm int64) ([]Complete, error) {
 		delete(m.bufs, id)
 		delete(m.bytes, id)
 	}
-	m.nextFire = last + 1
 	return out, nil
 }
 
@@ -456,7 +413,7 @@ func (m *MultiBuffer) MemUsage() int { return m.bufBytes }
 func (m *MultiBuffer) PeakMemUsage() int { return m.peak }
 
 // LateDropped implements Manager.
-func (m *MultiBuffer) LateDropped() int64 { return m.late }
+func (m *MultiBuffer) LateDropped() int64 { return m.lc.Late() }
 
 // Spilled implements Manager.
 func (m *MultiBuffer) Spilled() int64 { return 0 }

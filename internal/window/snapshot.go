@@ -2,25 +2,23 @@ package window
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"spear/internal/tuple"
 )
 
-// Checkpoint support for the window managers. Both designs implement
+// Checkpoint support for the single-buffer manager, the design the
+// engine runs (the multi-buffer design exists for the paper's
+// buffering-cost comparison and is never checkpointed). It implements
 // the checkpoint Snapshotter contract: SnapshotState serializes every
 // field that influences future output, RestoreState rebuilds it, and —
 // because SingleBuffer also keeps state in secondary storage S —
 // RewindStore reconciles the spill segments a crashed run may have
 // appended after the snapshot was taken.
 
-// Versioned type tags so a blob restored into the wrong manager fails
-// loudly instead of silently misdecoding.
-const (
-	snapSingleBuffer byte = 0x51 // 'Q'-ish: single buffer, version 1
-	snapMultiBuffer  byte = 0x4d // 'M': multi buffer, version 1
-)
+// snapSingleBuffer is the versioned type tag, so a blob restored into
+// the wrong manager fails loudly instead of silently misdecoding.
+const snapSingleBuffer byte = 0x51 // 'Q'-ish: single buffer, version 1
 
 // SnapshotState serializes the manager: sequence/fire cursors, the
 // in-memory buffer, and the spill-segment cursor (segSeq + chunk count)
@@ -36,12 +34,13 @@ func (m *SingleBuffer) SnapshotState() ([]byte, error) {
 		}
 	}
 	dst := []byte{snapSingleBuffer}
-	dst = tuple.AppendI64(dst, m.seq)
-	dst = tuple.AppendI64(dst, m.maxPos)
-	dst = tuple.AppendBool(dst, m.started)
-	dst = tuple.AppendBool(dst, m.fired)
-	dst = tuple.AppendI64(dst, int64(m.nextFire))
-	dst = tuple.AppendI64(dst, m.late)
+	c := m.lc.Cursor()
+	dst = tuple.AppendI64(dst, c.Seq)
+	dst = tuple.AppendI64(dst, c.MaxPos)
+	dst = tuple.AppendBool(dst, c.Started)
+	dst = tuple.AppendBool(dst, c.Fired)
+	dst = tuple.AppendI64(dst, int64(c.NextFire))
+	dst = tuple.AppendI64(dst, c.Late)
 	dst = tuple.AppendI64(dst, m.spilledCnt)
 	dst = tuple.AppendUvar(dst, uint64(m.segSeq))
 	dst = tuple.AppendUvar(dst, uint64(m.segChunks))
@@ -59,12 +58,7 @@ func (m *SingleBuffer) RestoreState(b []byte) error {
 		}
 		return rd.Err()
 	}
-	seq := rd.I64()
-	maxPos := rd.I64()
-	started := rd.Bool()
-	fired := rd.Bool()
-	nextFire := ID(rd.I64())
-	late := rd.I64()
+	c := Cursor{Seq: rd.I64(), MaxPos: rd.I64(), Started: rd.Bool(), Fired: rd.Bool(), NextFire: ID(rd.I64()), Late: rd.I64()}
 	spilledCnt := rd.I64()
 	segSeq := rd.Uvar()
 	segChunks := rd.Uvar()
@@ -73,7 +67,7 @@ func (m *SingleBuffer) RestoreState(b []byte) error {
 	if err := rd.Done(); err != nil {
 		return err
 	}
-	if seq < 0 || late < 0 || spilledCnt < 0 {
+	if spilledCnt < 0 {
 		return fmt.Errorf("%w: negative single-buffer counter", tuple.ErrCorrupt)
 	}
 	if spilledCnt > 0 && m.store == nil {
@@ -88,8 +82,10 @@ func (m *SingleBuffer) RestoreState(b []byte) error {
 	for _, t := range buf {
 		bytes += t.MemSize()
 	}
-	m.seq, m.maxPos, m.started, m.fired, m.nextFire = seq, maxPos, started, fired, nextFire
-	m.late, m.spilledCnt = late, spilledCnt
+	if err := m.lc.SetCursor(c); err != nil {
+		return err
+	}
+	m.spilledCnt = spilledCnt
 	m.segSeq, m.segChunks = int(segSeq), int(segChunks)
 	m.buf, m.bufBytes, m.peak = buf, bytes, int(peak)
 	m.deferred = nil
@@ -156,84 +152,4 @@ func (m *SingleBuffer) Key() string { return m.cfg.Key }
 // HasPrefix reports whether key lives under this manager's namespace.
 func (m *SingleBuffer) HasPrefix(key string) bool {
 	return strings.HasPrefix(key, m.cfg.Key+"#")
-}
-
-// SnapshotState serializes the multi-buffer manager: cursors plus one
-// tuple batch per open window, in window-ID order for deterministic
-// bytes.
-func (m *MultiBuffer) SnapshotState() ([]byte, error) {
-	dst := []byte{snapMultiBuffer}
-	dst = tuple.AppendI64(dst, m.seq)
-	dst = tuple.AppendI64(dst, m.maxPos)
-	dst = tuple.AppendBool(dst, m.started)
-	dst = tuple.AppendBool(dst, m.fired)
-	dst = tuple.AppendI64(dst, int64(m.nextFire))
-	dst = tuple.AppendI64(dst, m.late)
-	dst = tuple.AppendUvar(dst, uint64(m.peak))
-	ids := make([]ID, 0, len(m.bufs))
-	for id := range m.bufs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	dst = tuple.AppendUvar(dst, uint64(len(ids)))
-	for _, id := range ids {
-		dst = tuple.AppendI64(dst, int64(id))
-		dst = tuple.AppendBlob(dst, tuple.EncodeBatch(m.bufs[id]))
-	}
-	return dst, nil
-}
-
-// RestoreState implements the checkpoint Snapshotter contract.
-func (m *MultiBuffer) RestoreState(b []byte) error {
-	rd := tuple.NewWireReader(b)
-	if tag := rd.Byte(); tag != snapMultiBuffer {
-		if rd.Err() == nil {
-			return fmt.Errorf("%w: multi-buffer snapshot tag 0x%02x", tuple.ErrCorrupt, tag)
-		}
-		return rd.Err()
-	}
-	seq := rd.I64()
-	maxPos := rd.I64()
-	started := rd.Bool()
-	fired := rd.Bool()
-	nextFire := ID(rd.I64())
-	late := rd.I64()
-	peak := rd.Uvar()
-	n := rd.Count(9) // id + at least an empty blob per window
-	if rd.Err() != nil {
-		return rd.Err()
-	}
-	bufs := make(map[ID][]tuple.Tuple, n)
-	bytes := make(map[ID]int, n)
-	total := 0
-	for i := 0; i < n; i++ {
-		id := ID(rd.I64())
-		blob := rd.Blob()
-		if rd.Err() != nil {
-			return rd.Err()
-		}
-		ts, err := tuple.DecodeBatch(blob)
-		if err != nil {
-			return err
-		}
-		if _, dup := bufs[id]; dup {
-			return fmt.Errorf("%w: duplicate window id %d", tuple.ErrCorrupt, id)
-		}
-		sz := 0
-		for _, t := range ts {
-			sz += t.MemSize()
-		}
-		bufs[id] = ts
-		bytes[id] = sz
-		total += sz
-	}
-	if err := rd.Done(); err != nil {
-		return err
-	}
-	if seq < 0 || late < 0 {
-		return fmt.Errorf("%w: negative multi-buffer counter", tuple.ErrCorrupt)
-	}
-	m.seq, m.maxPos, m.started, m.fired, m.nextFire, m.late = seq, maxPos, started, fired, nextFire, late
-	m.bufs, m.bytes, m.bufBytes, m.peak = bufs, bytes, total, int(peak)
-	return nil
 }

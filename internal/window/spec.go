@@ -130,16 +130,7 @@ func (s Spec) Assign(ts int64) (lo, hi ID) {
 func (s Spec) EachRun(pos []int64, visit func(i0, i1 int, lo, hi ID)) {
 	for i := 0; i < len(pos); {
 		lo, hi := s.Assign(pos[i])
-		// Assignment (lo, hi) holds exactly on [start, end):
-		//   hi = floorDiv(ts, Slide)        ⇔ hi·S ≤ ts < (hi+1)·S
-		//   lo = floorDiv(ts−Range, S) + 1  ⇔ (lo−1)·S+R ≤ ts < lo·S+R
-		start, end := int64(hi)*s.Slide, (int64(hi)+1)*s.Slide
-		if t := (int64(lo)-1)*s.Slide + s.Range; t > start {
-			start = t
-		}
-		if t := int64(lo)*s.Slide + s.Range; t < end {
-			end = t
-		}
+		start, end := s.sharing(lo, hi)
 		j := i + 1
 		for j < len(pos) && pos[j] >= start && pos[j] < end {
 			j++
@@ -147,6 +138,22 @@ func (s Spec) EachRun(pos []int64, visit func(i0, i1 int, lo, hi ID)) {
 		visit(i, j, lo, hi)
 		i = j
 	}
+}
+
+// sharing returns the interval [start, end) of the positions whose
+// window assignment is exactly [lo, hi]:
+//
+//	hi = floorDiv(ts, Slide)        ⇔ hi·S ≤ ts < (hi+1)·S
+//	lo = floorDiv(ts−Range, S) + 1  ⇔ (lo−1)·S+R ≤ ts < lo·S+R
+func (s Spec) sharing(lo, hi ID) (start, end int64) {
+	start, end = int64(hi)*s.Slide, (int64(hi)+1)*s.Slide
+	if t := (int64(lo)-1)*s.Slide + s.Range; t > start {
+		start = t
+	}
+	if t := int64(lo)*s.Slide + s.Range; t < end {
+		end = t
+	}
+	return start, end
 }
 
 // IDsIn returns the keys of m (window ids, or pane indices) within

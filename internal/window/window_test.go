@@ -2,6 +2,7 @@ package window
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -512,6 +513,54 @@ func TestMultiBufferMatchesSingleBuffer(t *testing.T) {
 					t.Fatalf("spec %v window %d multiset mismatch at ts %d", spec, i, k)
 				}
 			}
+		}
+	}
+}
+
+// TestSingleBufferStagesTheWindowsThatHoldTuples: the single buffer
+// derives the windows a fire stages from the tuples it holds, and the
+// multi buffer has one buffer per window; over sparse, disordered
+// streams (gaps wider than a window, ranges that are no multiple of the
+// slide, tuples that share their newest window but not their oldest)
+// both must stage the same windows with the same tuples in the same
+// order.
+func TestSingleBufferStagesTheWindowsThatHoldTuples(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		spec := Spec{Domain: TimeDomain, Range: 1 + rng.Int63n(20)}
+		spec.Slide = 1 + rng.Int63n(spec.Range)
+		sb, mb := newSB(t, spec), newMB(t, spec)
+		clock := rng.Int63n(100) - 50
+		for step := 0; step < 300; step++ {
+			if clock += rng.Int63n(3); rng.Intn(25) == 0 {
+				clock += rng.Int63n(4 * spec.Range)
+			}
+			var c1, c2 []Complete
+			if rng.Intn(12) == 0 {
+				wm := clock - rng.Int63n(spec.Range+1)
+				c1, _ = sb.OnWatermark(wm)
+				c2, _ = mb.OnWatermark(wm)
+			} else {
+				tp := mkTuple(clock-rng.Int63n(2*spec.Range), float64(step))
+				c1, _ = sb.OnTuple(tp)
+				c2, _ = mb.OnTuple(tp)
+			}
+			if len(c1) != len(c2) {
+				t.Fatalf("seed %d %s step %d: single buffer staged %d windows, multi buffer %d", seed, spec, step, len(c1), len(c2))
+			}
+			for i := range c1 {
+				a, b := c1[i], c2[i]
+				same := a.ID == b.ID && a.Start == b.Start && a.End == b.End && len(a.Tuples) == len(b.Tuples)
+				for j := 0; same && j < len(a.Tuples); j++ {
+					same = a.Tuples[j].Ts == b.Tuples[j].Ts && a.Tuples[j].Vals[0] == b.Tuples[j].Vals[0]
+				}
+				if !same {
+					t.Fatalf("seed %d %s step %d: window %d (%d tuples) vs window %d (%d tuples)", seed, spec, step, a.ID, len(a.Tuples), b.ID, len(b.Tuples))
+				}
+			}
+		}
+		if sb.LateDropped() != mb.LateDropped() {
+			t.Fatalf("seed %d %s: %d vs %d late", seed, spec, sb.LateDropped(), mb.LateDropped())
 		}
 	}
 }
