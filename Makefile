@@ -95,12 +95,13 @@ loc:
 # vet of the layer probes behind their build tag. A probe that stops
 # compiling after a refactor of internal/ only turns its metrics to
 # null in a run; this is where it fails instead (~3 s). Then one
-# iteration of the two ingest-overlap benchmarks of internal/core, so
-# they keep compiling and running; their numbers come from paired
-# binaries (EXPERIMENTS.md), never from here.
+# iteration of the two ingest-overlap benchmarks of internal/core and of
+# internal/spe's BenchmarkHop, so they keep compiling and running; their
+# numbers come from paired binaries (EXPERIMENTS.md), never from here.
 bench-smoke:
 	cd benchmark && $(GO) test ./... && $(GO) vet -tags layerprobe ./...
 	$(GO) test ./internal/core -run '^$$' -bench 'IngestOverlap' -benchtime 1x
+	$(GO) test ./internal/spe -run '^$$' -bench 'BenchmarkHop' -benchtime 1x -benchmem
 
 # Spill plane: sync vs async (write-behind + prefetch) vs async+codec
 # across storage latency profiles (local / ssd / remote), writing

@@ -10,7 +10,7 @@ import (
 // AnalyzerPoolreturn proves the pooled-buffer discipline the batched
 // dataflow depends on: a value obtained from a sync.Pool (directly via
 // (*sync.Pool).Get, or through a module wrapper that returns a Get
-// result, like batchPool.get) must, on every path to a normal function
+// result, like col.Get) must, on every path to a normal function
 // return, either be Put back (directly or through a wrapper that Puts
 // a parameter) or escape the function — returned, sent on a channel,
 // stored through a field/index, or handed to another function that

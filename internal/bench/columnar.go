@@ -55,7 +55,7 @@ func Columnar(opt Options) ([]*Table, error) {
 		// shape fusion targets: stage one projects a fresh tuple (the
 		// one unavoidable per-tuple allocation), the rest rewrite the
 		// owned measure in place or filter. On the row path every stage
-		// is a goroutine hop — a Message copy in, a Message copy out,
+		// is a goroutine hop — a tuple copied into the next run,
 		// and a channel synchronization per micro-batch per stage; the
 		// fused chain runs the same seven closures back to back over one
 		// buffered batch.

@@ -117,6 +117,10 @@ type Manager interface {
 // manager in the same state, and return the same results in the same
 // order, as calling OnTuple for each tuple of ts in order. Managers
 // that do not implement it keep working through the IngestBatch shim.
+//
+// ts belongs to the caller, which recycles it as soon as the call
+// returns (it is a pooled run straight off an engine channel): keep
+// tuples by value, never the slice.
 type BatchManager interface {
 	OnTupleBatch(ts []tuple.Tuple) ([]Result, error)
 }

@@ -57,11 +57,11 @@ func (w *WorkerObs) SetWatermark(wm int64) {
 	w.hasWM.Store(true)
 }
 
-// BatchOccupancy is a lock-free histogram of messages-per-batch,
-// updated once per received batch.
+// BatchOccupancy is a lock-free histogram of tuples per data batch,
+// updated once per received run or column batch.
 type BatchOccupancy struct {
 	counts [10]atomic.Int64 // occBuckets + the +Inf bucket
-	sum    atomic.Int64     // total messages
+	sum    atomic.Int64     // total tuples
 	n      atomic.Int64     // total batches
 }
 

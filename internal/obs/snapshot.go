@@ -317,7 +317,7 @@ func WritePrometheus(w io.Writer, s *Snapshot) {
 		p("spear_worker_watermark_lag_seconds{worker=\"%s\"} %g\n", escapeLabel(w.Name), float64(w.LagNanos)/1e9)
 	}
 
-	family("spear_batch_occupancy", "Messages per received micro-batch at the windowed workers.", "histogram")
+	family("spear_batch_occupancy", "Tuples per received data batch at the windowed workers.", "histogram")
 	for _, b := range s.Occupancy.Buckets {
 		le := "+Inf"
 		if b.Le >= 0 {

@@ -8,16 +8,21 @@ import (
 	"spear/internal/tuple"
 )
 
-func dataMsg(sender int, v int64) Message {
-	return Message{Tuple: tuple.New(v), Sender: sender}
+// dataMsg is a run from sender holding one tuple per timestamp.
+func dataMsg(sender int, ts ...int64) Batch {
+	run := make([]tuple.Tuple, len(ts))
+	for i, v := range ts {
+		run[i] = tuple.New(v)
+	}
+	return Batch{Rows: run, Sender: sender}
 }
 
-func barrierMsg(sender int, id uint64) Message {
-	return Message{IsBarrier: true, Barrier: id, Sender: sender}
+func barrierMsg(sender int, id uint64) Batch {
+	return Batch{Ctl: Barrier, Barrier: id, Sender: sender}
 }
 
-// feed pushes msgs through the aligner, collecting released events.
-func feed(t *testing.T, a *barrierAligner, msgs ...Message) []alignEvent {
+// feed pushes batches through the aligner, collecting released events.
+func feed(t *testing.T, a *barrierAligner, msgs ...Batch) []alignEvent {
 	t.Helper()
 	var out []alignEvent
 	for _, m := range msgs {
@@ -31,18 +36,22 @@ func feed(t *testing.T, a *barrierAligner, msgs ...Message) []alignEvent {
 }
 
 // render flattens events to a compact string for golden comparison:
-// data tuples as their timestamp, watermarks as w<ts>, snapshots as
-// S<id>.
+// data tuples as their timestamp (a run's joined by commas), watermarks
+// as w<ts>, snapshots as S<id>.
 func render(evs []alignEvent) string {
 	var parts []string
 	for _, ev := range evs {
 		switch {
 		case ev.snapshot:
 			parts = append(parts, "S"+itoa(int64(ev.id)))
-		case ev.msg.IsWM:
-			parts = append(parts, "w"+itoa(ev.msg.WM))
+		case ev.b.Ctl == Watermark:
+			parts = append(parts, "w"+itoa(ev.b.WM))
 		default:
-			parts = append(parts, itoa(ev.msg.Tuple.Ts))
+			var run []string
+			for _, tu := range ev.b.Rows {
+				run = append(run, itoa(tu.Ts))
+			}
+			parts = append(parts, strings.Join(run, ","))
 		}
 	}
 	return strings.Join(parts, " ")
@@ -90,9 +99,9 @@ func TestAlignerBuffersPostBarrierTraffic(t *testing.T) {
 	evs := feed(t, a,
 		dataMsg(0, 1),
 		barrierMsg(0, 1),
-		dataMsg(0, 10), // post-barrier: buffered
-		dataMsg(1, 2),  // pre-barrier: released
-		Message{IsWM: true, WM: 5, Sender: 0}, // post-barrier wm: buffered
+		dataMsg(0, 10),                          // post-barrier: buffered
+		dataMsg(1, 2),                           // pre-barrier: released
+		Batch{Ctl: Watermark, WM: 5, Sender: 0}, // post-barrier wm: buffered
 		barrierMsg(1, 1),
 		dataMsg(1, 11),
 	)
@@ -155,5 +164,33 @@ func TestAlignerStallTelemetry(t *testing.T) {
 	feed(t, a, barrierMsg(1, 1))
 	if stall != 250*time.Millisecond {
 		t.Fatalf("stall = %v, want 250ms", stall)
+	}
+}
+
+func TestAlignerBuffersRunsInArrivalOrder(t *testing.T) {
+	a := newBarrierAligner(3, nil, nil)
+	// Senders 0 and 1 pass the barrier; whole runs from both pile up
+	// behind it, interleaved, while sender 2's pre-barrier runs still
+	// flow. The release after the snapshot point is arrival order, each
+	// run intact.
+	evs := feed(t, a,
+		dataMsg(2, 1, 2),
+		barrierMsg(0, 4),
+		dataMsg(0, 10, 11, 12), // buffered
+		dataMsg(2, 3),          // pre-barrier: released
+		barrierMsg(1, 4),
+		dataMsg(1, 20, 21),                      // buffered
+		dataMsg(0, 13),                          // buffered
+		Batch{Ctl: Watermark, WM: 9, Sender: 1}, // buffered
+		dataMsg(2, 4, 5),                        // pre-barrier: released
+		dataMsg(1, 22),                          // buffered
+		barrierMsg(2, 4),
+		dataMsg(2, 30),
+	)
+	if got, want := render(evs), "1,2 3 4,5 S4 10,11,12 20,21 13 w9 22 30"; got != want {
+		t.Fatalf("got %q, want %q", got, want)
+	}
+	if a.Aligning() || len(a.buffered) != 0 {
+		t.Fatalf("aligning=%v with %d batches still buffered", a.Aligning(), len(a.buffered))
 	}
 }

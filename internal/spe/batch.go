@@ -4,112 +4,147 @@ import (
 	"sync"
 
 	"spear/internal/col"
+	"spear/internal/tuple"
 )
 
-// defaultBatchSize is the micro-batch size selected when Config.
-// BatchSize is zero. 64 messages keeps a batch comfortably inside one
-// L1 line-burst (64 × ~64 B) while amortizing a channel synchronization
-// down to ~1/64 of its per-tuple cost.
+// This file is the sending side of a hop. A sender appends each routed
+// tuple to its destination's run and ships the run as one Batch when it
+// is full; the receiver hands the run on and gives it back to the run
+// pool. Nothing else is pooled: controls and column batches cross the
+// channel inside the Batch value itself.
+
+// defaultBatchSize is the run length selected when Config.BatchSize is
+// zero. 64 tuples (2 KB) stay in L1 while a channel synchronization is
+// amortized down to 1/64 of its per-tuple cost.
 const defaultBatchSize = 64
 
-// batchPool recycles []Message scatter buffers between senders and
-// receivers so the steady-state hot path performs no per-batch heap
-// allocation beyond the sync.Pool bookkeeping. Buffers cross goroutine
-// boundaries: a sender fills one, the receiving worker drains it and
-// returns it here.
-type batchPool struct {
-	pool sync.Pool
-	size int
+// runPool recycles the []tuple.Tuple runs that carry data between
+// senders and receivers, so the steady state allocates nothing per
+// run. Runs cross goroutine boundaries: a sender fills one, the
+// receiving worker hands its tuples on and returns it here. The pool
+// keeps pointers to slice headers (a bare slice would be boxed on
+// every Put); spare holds the emptied headers between a get and the
+// next put.
+type runPool struct {
+	runs  sync.Pool // *[]tuple.Tuple, each holding a run
+	spare sync.Pool // *[]tuple.Tuple, each nil
 }
 
-func newBatchPool(size int) *batchPool {
-	bp := &batchPool{size: size}
-	bp.pool.New = func() any { return make([]Message, 0, size) }
-	return bp
+func newRunPool(size int) *runPool {
+	p := &runPool{}
+	p.runs.New = func() any {
+		run := make([]tuple.Tuple, 0, size)
+		return &run
+	}
+	p.spare.New = func() any { return new([]tuple.Tuple) }
+	return p
 }
 
-// get returns an empty buffer with capacity ≥ 1.
-func (bp *batchPool) get() []Message {
-	return bp.pool.Get().([]Message)
+// get returns an empty run with capacity for a full batch.
+func (p *runPool) get() []tuple.Tuple {
+	h := p.runs.Get().(*[]tuple.Tuple)
+	run := *h
+	*h = nil
+	p.spare.Put(h)
+	return run
 }
 
-// put recycles a drained buffer. The caller must no longer reference b
-// or any Message inside it (Tuple values embedded in a Message are
-// copied on send and on ingest, so recycling the slice never aliases
-// live operator state).
-func (bp *batchPool) put(b []Message) {
-	if cap(b) == 0 {
+// put recycles a run whose tuples have been handed on. The caller must
+// no longer reference it.
+func (p *runPool) put(run []tuple.Tuple) {
+	if cap(run) == 0 {
 		return
 	}
-	bp.pool.Put(b[:0])
+	h := p.spare.Get().(*[]tuple.Tuple)
+	*h = run[:0]
+	p.runs.Put(h)
 }
 
-// batcher accumulates a sender's outgoing messages into per-destination
-// scatter buffers and ships them as []Message micro-batches. Data
-// tuples ride in batches of up to size; control tuples (watermarks and
-// checkpoint barriers) force a flush of every pending buffer and then
-// travel as singleton batches, so the per-channel order every receiver
-// observes is exactly the order a per-tuple sender would have produced:
-// all data routed before a control tuple is delivered before it.
+// recycle returns whatever a data batch carries to where it came from.
+func (p *runPool) recycle(b Batch) {
+	p.put(b.Rows)
+	if b.Cols != nil {
+		col.Put(b.Cols)
+	}
+}
+
+// batcher is one sender's end of a hop: a run in progress per
+// destination, shipped when it reaches size. Controls (watermarks and
+// checkpoint barriers) force a flush of every pending run and then
+// travel alone, so the per-channel order every receiver observes is
+// exactly the order a per-tuple sender would have produced: all data
+// routed before a control is delivered before it.
 //
 // A batcher belongs to one sending goroutine and needs no locking.
 type batcher struct {
-	outs []chan []Message
-	bufs [][]Message
-	size int
-	pool *batchPool
+	outs   []chan Batch
+	runs   [][]tuple.Tuple
+	part   Partitioner
+	sender int
+	size   int
+	pool   *runPool
 }
 
-func newBatcher(outs []chan []Message, size int, pool *batchPool) *batcher {
+func newBatcher(outs []chan Batch, part Partitioner, sender, size int, pool *runPool) *batcher {
 	if size < 1 {
 		size = 1
 	}
 	return &batcher{
-		outs: outs,
-		bufs: make([][]Message, len(outs)),
-		size: size,
-		pool: pool,
+		outs:   outs,
+		runs:   make([][]tuple.Tuple, len(outs)),
+		part:   part,
+		sender: sender,
+		size:   size,
+		pool:   pool,
 	}
 }
 
-// send queues msg for destination d, flushing d's buffer when it
+// route picks t's destination. A hop with one destination has nothing
+// to decide and does not pay for its partitioner (a division for
+// Shuffle, a string hash for Fields).
+func (b *batcher) route(t tuple.Tuple) int {
+	if len(b.outs) == 1 {
+		return 0
+	}
+	return b.part.Route(t, len(b.outs))
+}
+
+// send appends t to its destination's run, shipping the run when it
 // reaches the batch size. The channel send blocks when the destination
-// queue is full — micro-batching preserves the engine's bounded-queue
-// back-pressure, only at batch granularity.
-func (b *batcher) send(d int, msg Message) {
-	buf := b.bufs[d]
-	if buf == nil {
-		buf = b.pool.get()
+// queue is full — the engine's bounded-queue back-pressure, at run
+// granularity.
+func (b *batcher) send(t tuple.Tuple) {
+	d := b.route(t)
+	run := b.runs[d]
+	if run == nil {
+		run = b.pool.get()
 	}
-	buf = append(buf, msg)
-	if len(buf) >= b.size {
-		b.outs[d] <- buf
-		buf = nil
+	run = append(run, t)
+	if len(run) >= b.size {
+		b.outs[d] <- Batch{Rows: run, Sender: b.sender}
+		run = nil
 	}
-	b.bufs[d] = buf
+	b.runs[d] = run
 }
 
-// sendCols ships an entire column batch to destination d as its own
-// singleton []Message. Any row messages buffered for d flush first so
-// the per-channel order stays exactly the per-tuple sender's order; the
-// batch itself is already micro-batch sized, so wrapping it in a
-// multi-message buffer would only delay it behind unrelated data.
-// Ownership of cb transfers to the receiver (col.Put after ingest).
+// sendCols ships an entire column batch to destination d. Any run
+// pending for d flushes first so the per-channel order stays exactly
+// the per-tuple sender's order. Ownership of cb transfers to the
+// receiver (col.Put after ingest).
 func (b *batcher) sendCols(d int, cb *col.ColumnBatch) {
 	b.flush(d)
-	nb := b.pool.get()
-	b.outs[d] <- append(nb, Message{Cols: cb, Sender: 0})
+	b.outs[d] <- Batch{Cols: cb, Sender: b.sender}
 }
 
-// flush ships destination d's pending buffer, if any.
+// flush ships destination d's pending run, if any.
 func (b *batcher) flush(d int) {
-	if buf := b.bufs[d]; len(buf) > 0 {
-		b.outs[d] <- buf
-		b.bufs[d] = nil
+	if run := b.runs[d]; len(run) > 0 {
+		b.outs[d] <- Batch{Rows: run, Sender: b.sender}
+		b.runs[d] = nil
 	}
 }
 
-// flushAll ships every pending buffer. Callers invoke it at stream end
+// flushAll ships every pending run. Callers invoke it at stream end
 // (before closing the downstream channels) and before any control
 // broadcast.
 func (b *batcher) flushAll() {
@@ -118,15 +153,22 @@ func (b *batcher) flushAll() {
 	}
 }
 
-// broadcast flushes all pending data and then delivers msg to every
-// destination as a singleton batch. Watermark min-merge and barrier
-// alignment both rely on this ordering: a control tuple may never
-// overtake data buffered before it, and a barrier must partition each
-// channel's stream exactly at its injection point.
-func (b *batcher) broadcast(msg Message) {
+// watermark and barrier flush all pending data and then deliver the
+// control to every destination. Watermark min-merge and barrier
+// alignment both rely on this ordering: a control may never overtake
+// data buffered before it, and a barrier must partition each channel's
+// stream exactly at its injection point.
+func (b *batcher) watermark(wm int64) {
+	b.broadcast(Batch{Ctl: Watermark, WM: wm, Sender: b.sender})
+}
+
+func (b *batcher) barrier(id uint64) {
+	b.broadcast(Batch{Ctl: Barrier, Barrier: id, Sender: b.sender})
+}
+
+func (b *batcher) broadcast(ctl Batch) {
 	b.flushAll()
 	for _, c := range b.outs {
-		nb := b.pool.get()
-		c <- append(nb, msg)
+		c <- ctl
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"spear/internal/agg"
 	"spear/internal/core"
 	"spear/internal/leakcheck"
+	"spear/internal/obs"
 	"spear/internal/tuple"
 	"spear/internal/window"
 )
@@ -71,6 +72,41 @@ func TestShuffleAtPhase(t *testing.T) {
 	}
 	if got := NewShuffleAt(-5).Route(tuple.Tuple{}, 4); got != 0 {
 		t.Errorf("negative start must clamp to phase 0, got %d", got)
+	}
+}
+
+// TestShuffleRouteMatchesModulo holds the compare-and-wrap Route to
+// the form it replaced (reduce the counter mod n, then step it): same
+// routed sequence for every n and start phase, including n changing
+// between calls, which is the one way the counter can sit at or past n.
+func TestShuffleRouteMatchesModulo(t *testing.T) {
+	modulo := func(next *int, n int) int {
+		if *next < 0 {
+			*next = 0
+		}
+		i := *next % n
+		*next = i + 1
+		if *next >= n {
+			*next = 0
+		}
+		return i
+	}
+	widths := [][]int{
+		{1}, {2}, {3}, {7},
+		{7, 7, 7, 2, 2, 3, 1, 7, 7, 7, 7, 7, 3, 3, 2, 7}, // shrinking and growing mid-stream
+	}
+	for _, ns := range widths {
+		for _, start := range []int{0, 1, 2, 3, 6, 7, 8, 1000003, -5} {
+			s, ref := NewShuffleAt(start), max(start, 0)
+			for i := 0; i < 50; i++ {
+				n := ns[i%len(ns)]
+				want := modulo(&ref, n)
+				if got := s.Route(tuple.Tuple{}, n); got != want || s.next != ref {
+					t.Fatalf("widths %v, start %d, call %d (n=%d): routed %d with counter %d, modulo form %d with %d",
+						ns, start, i, n, got, s.next, want, ref)
+				}
+			}
+		}
 	}
 }
 
@@ -408,5 +444,98 @@ func BenchmarkPipeline(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// ---- batch occupancy ------------------------------------------------------
+
+// TestBatchOccupancyCountsTuples pins what the occupancy histogram
+// records: the tuples a data batch carries. On a steady stream at
+// BatchSize 64 every run is full, so the mean is 64 whether runs arrive
+// as rows or, fused, as column batches (which a count of channel
+// receives would put at 1); controls are not batches of anything.
+func TestBatchOccupancyCountsTuples(t *testing.T) {
+	leakcheck.Check(t)
+	const n = 64 * 200
+	in := make([]tuple.Tuple, n)
+	for i := range in {
+		in[i] = tuple.New(int64(i), tuple.Float(1))
+	}
+	for _, fused := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fused=%v", fused), func(t *testing.T) {
+			ins := obs.NewInstruments()
+			tp := NewTopology(Config{WatermarkPeriod: 64 * 50, BatchSize: 64, Columnar: fused, Obs: ins}).
+				SetSpout(NewSliceSpout(in))
+			if fused {
+				tp.AddMap("id", 1, func(t tuple.Tuple) (tuple.Tuple, bool) { return t, true })
+			}
+			tp.SetWindowed("sum", 1, nil, scalarFactory(agg.Func{Op: agg.Sum}, window.Tumbling(64*50), 10)).
+				SetSink(func(int, core.Result) {})
+			if err := tp.Run(); err != nil {
+				t.Fatal(err)
+			}
+			occ := ins.Snapshot(time.Now()).Occupancy
+			if occ.Sum != n || occ.Count != n/64 {
+				t.Fatalf("occupancy: %d tuples over %d batches, want %d over %d", occ.Sum, occ.Count, n, n/64)
+			}
+		})
+	}
+}
+
+// ---- the hop itself -------------------------------------------------------
+
+// nopManager takes runs and does nothing with them, so a benchmark over
+// it times the engine's hops alone.
+type nopManager struct{}
+
+func (nopManager) OnTuple(tuple.Tuple) ([]core.Result, error)        { return nil, nil }
+func (nopManager) OnTupleBatch([]tuple.Tuple) ([]core.Result, error) { return nil, nil }
+func (nopManager) OnWatermark(int64) ([]core.Result, error)          { return nil, nil }
+func (nopManager) MemUsage() int                                     { return 0 }
+
+// BenchmarkHop times what a tuple costs between the source and a
+// manager that ignores it: one op is one tuple, so ns/op is ns/tuple
+// and allocs/op the steady state's (a run's set-up is spread over the
+// 256K tuples it carries; the only pool on the path is the run pool).
+func BenchmarkHop(b *testing.B) {
+	const chunk = 1 << 18
+	in := make([]tuple.Tuple, chunk)
+	vals := make([]tuple.Value, 2*chunk)
+	for i := range in {
+		vals[2*i], vals[2*i+1] = tuple.Float(float64(i&255)), tuple.String_(fmt.Sprintf("k%d", i&63))
+		in[i] = tuple.Tuple{Ts: int64(i), Vals: vals[2*i : 2*i+2 : 2*i+2]}
+	}
+	id := func(t tuple.Tuple) (tuple.Tuple, bool) { return t, true }
+	for _, c := range []struct {
+		name     string
+		par      int
+		keyed    bool
+		stages   int
+		columnar bool
+	}{
+		{"par1_shuffle", 1, false, 0, false},
+		{"par2_keyed", 2, true, 0, false},
+		{"one_map_stage", 1, false, 1, false},
+		{"three_fused_stages", 1, false, 3, true},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for left := b.N; left > 0; left -= chunk {
+				tp := NewTopology(Config{WatermarkPeriod: 1000, Columnar: c.columnar}).
+					SetSpout(NewSliceSpout(in[:min(left, chunk)]))
+				for i := 0; i < c.stages; i++ {
+					tp.AddMap("id", 1, id)
+				}
+				var keyBy tuple.KeyExtractor
+				if c.keyed {
+					keyBy = tuple.FieldString(1)
+				}
+				tp.SetWindowed("nop", c.par, keyBy, func(int) (core.Manager, error) { return nopManager{}, nil }).
+					SetSink(func(int, core.Result) {})
+				if err := tp.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

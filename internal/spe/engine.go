@@ -35,13 +35,12 @@ type Config struct {
 	// full queues block upstream senders (the engine's back-pressure
 	// mechanism). Zero selects 1024.
 	QueueSize int
-	// BatchSize is the micro-batch size for inter-stage channel hops:
-	// senders accumulate up to BatchSize data messages per destination
+	// BatchSize is the run length for inter-stage channel hops:
+	// senders accumulate up to BatchSize data tuples per destination
 	// before a channel send, flushing early on watermarks, barriers,
-	// and stream end (control tuples always travel as singleton
-	// batches behind a full flush, preserving per-tuple ordering
-	// semantics exactly). 1 reproduces per-tuple transfer; zero
-	// selects the default of 64.
+	// and stream end (control tuples always travel alone behind a full
+	// flush, preserving per-tuple ordering semantics exactly). 1
+	// reproduces per-tuple transfer; zero selects the default of 64.
 	BatchSize int
 	// Columnar switches the windowed workers onto the columnar ingest
 	// lane (pooled col.ColumnBatch conversion feeding OnColumnBatch
@@ -211,7 +210,7 @@ func (tp *Topology) validate() error {
 }
 
 // errOnce records the first error raised by any worker. The hot path —
-// every spout, stage, and windowed loop polls get() per message — is a
+// every spout, stage, and windowed loop polls get() once per run — is a
 // single atomic load while no error has occurred; the mutex guards only
 // the first-error slot and is touched solely by set() and by get()
 // after a failure (when performance no longer matters).
@@ -254,11 +253,11 @@ func (tp *Topology) Run() error {
 	}
 	var failed errOnce
 
-	// Wire channels: one per worker per stage. Channels carry micro-
-	// batches ([]Message) rather than single messages; the shared pool
-	// recycles batch buffers between senders and receivers so the
-	// steady state is allocation-free.
-	pool := newBatchPool(tp.cfg.BatchSize)
+	// Wire channels: one per worker per stage. Channels carry Batch
+	// values — a run of tuples or one control; the shared pool recycles
+	// runs between senders and receivers so the steady state is
+	// allocation-free.
+	pool := newRunPool(tp.cfg.BatchSize)
 	hooks := tp.cfg.Checkpoint
 
 	// Operator fusion: a columnar run with stateless stages, no
@@ -269,14 +268,14 @@ func (tp *Topology) Run() error {
 	// spout as its single sender.
 	fused := tp.cfg.Columnar && len(tp.stages) > 0 && hooks == nil && tp.fabric == nil
 
-	mkChans := func(n int) []chan []Message {
-		cs := make([]chan []Message, n)
+	mkChans := func(n int) []chan Batch {
+		cs := make([]chan Batch, n)
 		for i := range cs {
-			cs[i] = make(chan []Message, tp.cfg.QueueSize)
+			cs[i] = make(chan Batch, tp.cfg.QueueSize)
 		}
 		return cs
 	}
-	stageIn := make([][]chan []Message, len(tp.stages))
+	stageIn := make([][]chan Batch, len(tp.stages))
 	if !fused {
 		for i, s := range tp.stages {
 			stageIn[i] = mkChans(s.par)
@@ -290,13 +289,13 @@ func (tp *Topology) Run() error {
 	// The windowed stage's input channels and result fan-in either run
 	// locally or belong to a fabric (network outboxes pumped to remote
 	// shard nodes, results arriving over the wire).
-	var winIn []chan []Message
+	var winIn []chan Batch
 	var results chan []SinkItem     // local fan-in; nil under a fabric
 	var resultsIn <-chan []SinkItem // what the sink drains
 	if tp.fabric != nil {
 		var err error
 		winIn, err = tp.fabric.Open(tp.windowed.par, winSenders, tp.cfg.QueueSize, FabricEnv{
-			Recycle: pool.put,
+			Recycle: pool.recycle,
 			Fail:    failed.set,
 		})
 		if err != nil {
@@ -402,22 +401,11 @@ func (tp *Topology) Run() error {
 				close(c)
 			}
 		}()
-		out := newBatcher(firstIn, tp.cfg.BatchSize, pool)
-		defer out.flushAll() // runs before the channel-close defer above
 		var part Partitioner
 		if len(tp.stages) > 0 && !fused {
 			part = NewShuffle()
 		} else {
 			part = winPartitioner()
-		}
-		emitTuple := func(t tuple.Tuple) {
-			out.send(part.Route(t, len(firstIn)), Message{Tuple: t, Sender: 0})
-		}
-		var fchain *fusedChain
-		if fused {
-			fchain = newFusedChain(tp.stages, out, part, len(winIn), tp.cfg.BatchSize)
-			emitTuple = fchain.push
-			defer fchain.flush() // LIFO: drains into out before flushAll above
 		}
 		var offset int64
 		if hooks != nil {
@@ -430,11 +418,24 @@ func (tp *Topology) Run() error {
 				}
 			}
 		}
+		out := newBatcher(firstIn, part, 0, tp.cfg.BatchSize, pool)
+		defer out.flushAll() // runs before the channel-close defer above
+		emitTuple := out.send
+		var fchain *fusedChain
+		if fused {
+			fchain = newFusedChain(tp.stages, out, tp.cfg.BatchSize)
+			emitTuple = fchain.push
+			defer fchain.flush() // LIFO: drains into out before flushAll above
+		}
 		var gen *watermark.Generator
 		if tp.cfg.WatermarkPeriod > 0 {
 			gen = watermark.NewGenerator(tp.cfg.WatermarkPeriod, tp.cfg.WatermarkLag)
 		}
 		seen := false
+		// dead is the failure flag, sampled once per run's worth of
+		// tuples like every other loop of the engine: after a failure
+		// the spout feeds at most one more run before it only drains.
+		dead, untilCheck := false, 0
 		// srcHW tracks the max event time emitted (the high-water mark
 		// the watermark-lag probes measure against). The sentinel start
 		// keeps the update a single compare, and the whole bookkeeping
@@ -450,18 +451,24 @@ func (tp *Topology) Run() error {
 				id, start, err := hooks.Trigger(offset)
 				if err != nil {
 					failed.set(fmt.Errorf("spe: checkpoint trigger: %w", err))
+					dead = true
 				} else if start {
-					// The flush inside broadcast makes the barrier
+					// The flush inside the broadcast makes the barrier
 					// partition each channel exactly at offset, batched
 					// or not.
-					out.broadcast(Message{IsBarrier: true, Barrier: id, Sender: 0})
+					out.barrier(id)
 				}
 			}
 			t, ok := tp.spout.Next()
 			if !ok {
 				break
 			}
-			if failed.get() != nil {
+			if untilCheck == 0 {
+				dead = failed.get() != nil
+				untilCheck = tp.cfg.BatchSize
+			}
+			untilCheck--
+			if dead {
 				continue // drain the spout but stop feeding
 			}
 			seen = true
@@ -473,7 +480,7 @@ func (tp *Topology) Run() error {
 					if fchain != nil {
 						fchain.flush()
 					}
-					out.broadcast(Message{IsWM: true, WM: wm, Sender: 0})
+					out.watermark(wm)
 				}
 			}
 			emitTuple(t)
@@ -504,7 +511,7 @@ func (tp *Topology) Run() error {
 			if fchain != nil {
 				fchain.flush()
 			}
-			out.broadcast(Message{IsWM: true, WM: int64(^uint64(0) >> 1), Sender: 0})
+			out.watermark(math.MaxInt64)
 		}
 	}()
 
@@ -527,7 +534,7 @@ func (tp *Topology) Run() error {
 		stageWGs[si] = wg
 		for wi := 0; wi < s.par; wi++ {
 			wg.Add(1)
-			go func(si, wi int, in chan []Message, fn MapFunc) {
+			go func(si, wi int, in chan Batch, fn MapFunc) {
 				defer wg.Done()
 				var part Partitioner
 				if lastStage {
@@ -535,62 +542,60 @@ func (tp *Topology) Run() error {
 				} else {
 					part = NewShuffle()
 				}
-				out := newBatcher(nextIn, tp.cfg.BatchSize, pool)
+				out := newBatcher(nextIn, part, wi, tp.cfg.BatchSize, pool)
 				defer out.flushAll() // before wg.Done → before downstream close
 				tracker := watermark.NewTracker(senders)
 				var al *barrierAligner
 				if hooks != nil {
 					al = newBarrierAligner(senders, hooks.clock(), nil)
 				}
-				// dead is the failure flag sampled once per batch: the
-				// hot loop avoids even the atomic load, at the cost of
-				// draining at most one extra batch after a failure.
-				dead := false
-				process := func(msg Message) {
-					if msg.IsWM {
-						if wm, adv := tracker.Update(msg.Sender, msg.WM); adv {
-							out.broadcast(Message{IsWM: true, WM: wm, Sender: wi})
+				// process maps one run into this stage's own batcher, or
+				// merges one watermark. The failure flag is sampled once
+				// per run: the loop over it avoids even the atomic load,
+				// at the cost of mapping at most one extra run after a
+				// failure.
+				process := func(b Batch) {
+					if b.Ctl == Watermark {
+						if wm, adv := tracker.Update(b.Sender, b.WM); adv {
+							out.watermark(wm)
 						}
 						return
 					}
-					if dead {
-						return
-					}
-					if t, ok := fn(msg.Tuple); ok {
-						out.send(part.Route(t, len(nextIn)), Message{Tuple: t, Sender: wi})
-					}
-				}
-				for batch := range in {
-					dead = failed.get() != nil
-					for _, msg := range batch {
-						if al == nil || (!al.Aligning() && !msg.IsBarrier) {
-							process(msg)
-							continue
-						}
-						events, err := al.Observe(msg)
-						if err != nil {
-							failed.set(fmt.Errorf("spe: %s[%d]: %w", tp.stages[si].name, wi, err))
-							continue
-						}
-						for _, ev := range events {
-							if ev.snapshot {
-								// Stateless stages have nothing to
-								// snapshot; the alignment point just
-								// forwards the barrier to every
-								// downstream worker (flushing pending
-								// data first).
-								out.broadcast(Message{IsBarrier: true, Barrier: ev.id, Sender: wi})
-								continue
+					if failed.get() == nil {
+						for i := range b.Rows {
+							if t, ok := fn(b.Rows[i]); ok {
+								out.send(t)
 							}
-							process(ev.msg)
 						}
 					}
-					pool.put(batch)
+					pool.put(b.Rows)
+				}
+				for b := range in {
+					if al == nil || (!al.Aligning() && b.Ctl != Barrier) {
+						process(b)
+						continue
+					}
+					events, err := al.Observe(b)
+					if err != nil {
+						failed.set(fmt.Errorf("spe: %s[%d]: %w", tp.stages[si].name, wi, err))
+						continue
+					}
+					for _, ev := range events {
+						if ev.snapshot {
+							// Stateless stages have nothing to snapshot;
+							// the alignment point just forwards the
+							// barrier to every downstream worker
+							// (flushing pending data first).
+							out.barrier(ev.id)
+							continue
+						}
+						process(ev.b)
+					}
 				}
 			}(si, wi, stageIn[si][wi], s.fn)
 		}
 		// Close the next stage's channels when this stage finishes.
-		go func(wg *sync.WaitGroup, nextIn []chan []Message, prev func()) {
+		go func(wg *sync.WaitGroup, nextIn []chan Batch, prev func()) {
 			prev() // wait for upstream to close our inputs first
 			wg.Wait()
 			for _, c := range nextIn {
@@ -609,7 +614,7 @@ func (tp *Topology) Run() error {
 				wobs = ins.RegisterWorker(fmt.Sprintf("%s[%d]", tp.windowed.name, wi))
 			}
 			wgWin.Add(1)
-			go func(wi int, in chan []Message, mgr core.Manager, wobs *obs.WorkerObs) {
+			go func(wi int, in chan Batch, mgr core.Manager, wobs *obs.WorkerObs) {
 				defer wgWin.Done()
 				runWinWorker(winWorkerCfg{
 					name:      tp.windowed.name,

@@ -2,6 +2,13 @@ package spe
 
 import "spear/internal/core"
 
+// This file is the seam where the windowed stage leaves the process: a
+// Fabric opens the same chan Batch the local workers read, so the
+// senders upstream of it are the engine's own batchers and know
+// nothing of where a run goes. What a fabric must honour is the
+// ownership rule of Batch — a run it has encoded goes back through
+// FabricEnv.Recycle — and per-channel order.
+
 // DefaultBatchSize mirrors Config.BatchSize's default so a fabric can
 // advertise the exact batch size a zero-config run will use.
 const DefaultBatchSize = defaultBatchSize
@@ -16,11 +23,11 @@ type SinkItem struct {
 // FabricEnv hands a fabric the engine-side callbacks it needs to
 // participate in a run without reaching into engine internals.
 type FabricEnv struct {
-	// Recycle returns a drained []Message batch to the engine's batch
+	// Recycle returns what a data batch carries to the engine's run
 	// pool; fabrics call it after encoding a batch for the wire so the
 	// steady state stays allocation-free, exactly as a local windowed
 	// worker would.
-	Recycle func([]Message)
+	Recycle func(Batch)
 	// Fail latches the first transport failure into the run. The engine
 	// reacts as it does to any worker error: the spout stops feeding,
 	// the pipeline drains, and Run returns the error.
@@ -30,8 +37,8 @@ type FabricEnv struct {
 // Fabric abstracts where the windowed stage executes. A local run wires
 // worker goroutines directly; a distributed run installs a fabric whose
 // channels are network outboxes pumped to remote shard nodes. The
-// engine's contract is unchanged either way: it scatters []Message
-// batches (data, watermarks, barriers — in per-sender order) into the
+// engine's contract is unchanged either way: it scatters batches
+// (runs, watermarks, barriers — in per-sender order) into the
 // returned channels, closes every one at stream end, and drains
 // Results into the sink until it closes.
 type Fabric interface {
@@ -39,7 +46,7 @@ type Fabric interface {
 	// windowed parallelism, the number of upstream senders into the
 	// stage, and the configured queue size (in batches) each returned
 	// channel must buffer.
-	Open(par, senders, queueSize int, env FabricEnv) ([]chan []Message, error)
+	Open(par, senders, queueSize int, env FabricEnv) ([]chan Batch, error)
 	// Results returns the fan-in of remote window results. It must
 	// close once every remote worker has finished (or the fabric has
 	// failed), or the run cannot terminate.

@@ -18,12 +18,12 @@ import (
 // worker has a pooled ColumnBatch the chain appends routed tuples into,
 // shipped whole (batcher.sendCols) when it reaches the micro-batch
 // size. The window worker ingests the batch directly through its
-// OnColumnBatch kernel — no per-tuple Message, no scratch-row copy, no
-// second row→column conversion on the receiving side — and recycles it.
+// OnColumnBatch kernel — no row run in between, no second row→column
+// conversion on the receiving side — and recycles it.
 //
 // Semantics are the row pipeline's: stages apply in order, a stage
 // returning ok=false drops the tuple, and survivors are routed to the
-// windowed stage through one partitioner instance in survivor order —
+// windowed stage through the batcher's one partitioner in survivor order —
 // exactly the stream a single-worker stage pipeline would produce. The
 // caller must flush() before broadcasting any control tuple so that no
 // buffered data — in the stage buffer or in a partially-filled lane —
@@ -31,24 +31,20 @@ import (
 type fusedChain struct {
 	fns   []MapFunc
 	out   *batcher
-	part  Partitioner
-	width int
 	size  int
 	buf   []tuple.Tuple
 	sel   []int32
 	lanes []*col.ColumnBatch // per-destination in-progress column batches
 }
 
-func newFusedChain(stages []statelessStage, out *batcher, part Partitioner, width, batchSize int) *fusedChain {
+func newFusedChain(stages []statelessStage, out *batcher, batchSize int) *fusedChain {
 	f := &fusedChain{
 		fns:   make([]MapFunc, len(stages)),
 		out:   out,
-		part:  part,
-		width: width,
 		size:  batchSize,
 		buf:   make([]tuple.Tuple, 0, batchSize),
 		sel:   make([]int32, 0, batchSize),
-		lanes: make([]*col.ColumnBatch, width),
+		lanes: make([]*col.ColumnBatch, len(out.outs)),
 	}
 	for i, s := range stages {
 		f.fns[i] = s.fn
@@ -90,7 +86,7 @@ func (f *fusedChain) run() {
 	}
 	for _, si := range sel {
 		t := f.buf[si]
-		d := f.part.Route(t, f.width)
+		d := f.out.route(t)
 		cb := f.lanes[d]
 		if cb == nil {
 			cb = col.Get()

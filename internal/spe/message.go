@@ -7,6 +7,11 @@
 // reading the input stream, optional stateless stages, one windowed
 // stateful stage with configurable parallelism, and a sink collecting
 // window results.
+//
+// Every channel between workers carries Batch values: a run of data
+// tuples from one sender, or one control. This file holds that unit and
+// the partitioners that pick a run's destination; batch.go holds the
+// sender side (batcher, run pool).
 package spe
 
 import (
@@ -16,27 +21,47 @@ import (
 	"spear/internal/tuple"
 )
 
-// Message is the unit of transfer between workers: either a data tuple
-// or a control tuple — a watermark (§2: "control-tuples carrying a
-// timestamp ... sent by SPE components periodically") or a checkpoint
-// barrier (Chandy-Lamport-style, injected by the spout and aligned by
-// every multi-input worker before it snapshots).
+// Control says what a Batch carries besides, or instead of, data.
+type Control uint8
+
+const (
+	// Data: the batch is a run of tuples, in Rows or in Cols.
+	Data Control = iota
+	// Watermark: a control tuple carrying a timestamp (§2: "sent by SPE
+	// components periodically"); WM holds it.
+	Watermark
+	// Barrier: a checkpoint barrier (Chandy-Lamport-style, injected by
+	// the spout and aligned by every multi-input worker before it
+	// snapshots); Barrier holds the checkpoint id.
+	Barrier
+)
+
+// Batch is the unit of transfer on every hop, sent by value: exactly
+// one of a run of data tuples from one sender (Rows, or Cols when the
+// spout's fused chain already built the run in column format), a
+// watermark, or a barrier.
 //
-// A fused columnar run additionally ships whole column batches: Cols,
-// when non-nil, carries a pooled ColumnBatch holding an entire
-// micro-batch of data tuples already in column format, built by the
-// spout's fused chain. Cols messages exist only on the local fused
-// path (fusion requires no fabric), never cross the wire, and the
-// receiving window worker owns the batch — it must recycle it with
-// col.Put after ingest.
-type Message struct {
-	Tuple     tuple.Tuple
-	Cols      *col.ColumnBatch
-	WM        int64
-	Sender    int // upstream worker index, for watermark/barrier merging
-	IsWM      bool
-	IsBarrier bool
-	Barrier   uint64 // checkpoint id; meaningful when IsBarrier
+// The receiver owns what a data batch carries: Rows came from the
+// engine's run pool and goes back to it once the tuples have been handed
+// on, Cols goes back with col.Put. Tuples are copied out of a run by
+// value wherever they are kept, so recycling one never aliases
+// operator state. Cols batches exist only on the local fused path
+// (fusion requires no fabric) and never cross the wire.
+type Batch struct {
+	Rows    []tuple.Tuple
+	Cols    *col.ColumnBatch
+	Sender  int // upstream worker index, for watermark/barrier merging
+	Ctl     Control
+	WM      int64  // meaningful when Ctl == Watermark
+	Barrier uint64 // checkpoint id; meaningful when Ctl == Barrier
+}
+
+// Len is the number of data tuples the batch carries; 0 for a control.
+func (b Batch) Len() int {
+	if b.Cols != nil {
+		return b.Cols.Len()
+	}
+	return len(b.Rows)
 }
 
 // Partitioner decides which of n downstream workers receives a tuple —
@@ -65,16 +90,18 @@ func NewShuffleAt(start int) *Shuffle {
 	return &Shuffle{next: start}
 }
 
-// Route implements Partitioner. The counter is kept bounded in [0, n):
-// an unbounded increment would eventually overflow int, and a negative
-// counter modulo n is negative in Go — an out-of-range worker index.
+// Route implements Partitioner. The counter is kept in [0, n), so the
+// next index is a compare-and-wrap, not a division: an unbounded
+// increment would eventually overflow int, and a negative counter must
+// never index out of bounds. A counter at or past n (n shrank between
+// calls, or a recovery phase ahead of it) is reduced first.
 func (s *Shuffle) Route(_ tuple.Tuple, n int) int {
-	if s.next < 0 {
-		// Defensive: a counter constructed (or wrapped) negative must
-		// never index out of bounds.
-		s.next = 0
+	i := s.next
+	if i < 0 {
+		i = 0
+	} else if i >= n {
+		i %= n
 	}
-	i := s.next % n
 	s.next = i + 1
 	if s.next >= n {
 		s.next = 0

@@ -6,6 +6,7 @@ import (
 
 	"spear/internal/core"
 	"spear/internal/obs"
+	"spear/internal/tuple"
 )
 
 // Shard describes the slice of a topology's windowed stage that one
@@ -37,11 +38,11 @@ type Shard struct {
 // stream end; Wait reports the first worker error after all loops
 // finish.
 type ShardRun struct {
-	In      []chan []Message
+	In      []chan Batch
 	Results chan []SinkItem
 
 	lo     int
-	pool   *batchPool
+	pool   *runPool
 	failed errOnce
 	wg     sync.WaitGroup
 }
@@ -84,13 +85,13 @@ func StartShard(sh Shard) (*ShardRun, error) {
 	}
 
 	sr := &ShardRun{
-		In:      make([]chan []Message, n),
+		In:      make([]chan Batch, n),
 		Results: make(chan []SinkItem, sh.QueueSize),
 		lo:      sh.Lo,
-		pool:    newBatchPool(sh.BatchSize),
+		pool:    newRunPool(sh.BatchSize),
 	}
 	for i := range sr.In {
-		sr.In[i] = make(chan []Message, sh.QueueSize)
+		sr.In[i] = make(chan Batch, sh.QueueSize)
 	}
 	ins := sh.Obs
 	if ins != nil {
@@ -135,9 +136,9 @@ func StartShard(sh Shard) (*ShardRun, error) {
 	return sr, nil
 }
 
-// NewBatch returns an empty recycled []Message buffer for the
-// transport's decoder to fill and push into an In channel.
-func (sr *ShardRun) NewBatch() []Message { return sr.pool.get() }
+// NewRun returns an empty recycled run for the transport's decoder to
+// fill and push into an In channel as a Batch's Rows.
+func (sr *ShardRun) NewRun() []tuple.Tuple { return sr.pool.get() }
 
 // Fail latches err into the run (a transport failure); worker loops go
 // quiet and Wait reports it. The caller must still close the In

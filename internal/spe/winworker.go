@@ -6,7 +6,6 @@ import (
 	"spear/internal/col"
 	"spear/internal/core"
 	"spear/internal/obs"
-	"spear/internal/tuple"
 	"spear/internal/watermark"
 )
 
@@ -22,19 +21,22 @@ type winWorkerCfg struct {
 	columnar  bool // feed OnColumnBatch kernels when the manager has them
 	hooks     *CheckpointHooks
 	mgr       core.Manager
-	in        chan []Message
+	in        chan Batch
 	results   chan<- []SinkItem
-	pool      *batchPool
+	pool      *runPool
 	failed    *errOnce
 	ins       *obs.Instruments
 	wobs      *obs.WorkerObs
 	trace     *obs.TraceRing
 }
 
-// runWinWorker drains one windowed worker's input to completion:
-// tuple-batch ingest through the manager's fast path, watermark
-// min-merge, barrier alignment with snapshot at the alignment point,
-// and result emission in per-worker order. It returns when in closes.
+// runWinWorker drains one windowed worker's input to completion: each
+// run goes straight to the manager's batch entry point and back to the
+// run pool, watermarks are min-merged, barriers aligned with a
+// snapshot at the alignment point, and results emitted in per-worker
+// order. Because a batch is ingested the moment it is taken off the
+// channel (or released by the aligner), every control finds all data
+// before it already in the manager. It returns when in closes.
 func runWinWorker(c winWorkerCfg) {
 	tracker := watermark.NewTracker(c.senders)
 	var al *barrierAligner
@@ -42,15 +44,14 @@ func runWinWorker(c winWorkerCfg) {
 		al = newBarrierAligner(c.senders, c.hooks.clock(), c.hooks.AlignStall)
 	}
 	mgr := c.mgr
-	// Contiguous data tuples are drained through the manager's
-	// OnTupleBatch fast path (asserted once, outside the loop);
-	// managers without one fall back to the per-tuple shim.
-	bm, hasBatch := mgr.(core.BatchManager)
 	// Columnar lane: when the run is columnar and the manager has
-	// OnColumnBatch kernels, each scratch run is converted into one
-	// pooled column batch and ingested through them instead. The
-	// batch buffer is worker-owned for the whole run and recycled at
-	// exit; the manager only borrows it per call.
+	// OnColumnBatch kernels, each row run is pivoted into one pooled
+	// column batch and ingested through them. The batch buffer is
+	// worker-owned for the whole run and recycled at exit; the manager
+	// only borrows it per call. Otherwise a run goes through
+	// core.IngestBatch: the manager's OnTupleBatch, or the per-tuple
+	// shim for one that has none. Either way the manager may not keep
+	// the slice past the call: it is recycled right after.
 	var cm core.ColumnManager
 	var cb *col.ColumnBatch
 	if c.columnar {
@@ -66,13 +67,15 @@ func runWinWorker(c winWorkerCfg) {
 	// with the panes of the windows firing next, so their exact
 	// fallbacks (if any) read memory instead of S.
 	pf, hasPrefetch := mgr.(core.Prefetcher)
-	scratch := make([]tuple.Tuple, 0, c.batchSize)
 	var sinkBuf []SinkItem
 	flushSink := func() {
 		if len(sinkBuf) > 0 {
 			c.results <- sinkBuf
 			sinkBuf = nil
 		}
+	}
+	fail := func(err error) {
+		c.failed.set(fmt.Errorf("spe: %s[%d]: %w", c.name, c.wi, err))
 	}
 	emit := func(rs []core.Result) {
 		if c.trace != nil {
@@ -93,173 +96,115 @@ func runWinWorker(c winWorkerCfg) {
 			flushSink()
 		}
 	}
-	// ingest drains the pending tuple run through the manager.
-	// It runs before any control tuple is acted on (watermark,
-	// snapshot) so the manager observes exactly the per-tuple
-	// order.
-	ingest := func() {
-		if len(scratch) == 0 {
-			return
+	traceAssign := func(ts int64) {
+		if c.trace.SampleTs(ts) {
+			c.trace.Record(obs.TraceEvent{
+				Kind: obs.TraceAssign, Stage: c.name,
+				Worker: c.wi, Ts: ts,
+			})
 		}
-		if c.trace != nil {
-			for _, t := range scratch {
-				if c.trace.SampleTs(t.Ts) {
-					c.trace.Record(obs.TraceEvent{
-						Kind: obs.TraceAssign, Stage: c.name,
-						Worker: c.wi, Ts: t.Ts,
-					})
-				}
-			}
-		}
+	}
+	// ingest drains one data batch through the manager and recycles
+	// what carried it, error or not. A spout-shipped column batch goes
+	// to the columnar kernel as is; a manager without one reads the
+	// batch's owned rows.
+	ingest := func(b Batch) {
 		var rs []core.Result
 		var err error
-		switch {
-		case cb != nil:
-			cb.SetRows(scratch)
-			rs, err = cm.OnColumnBatch(cb)
-		case hasBatch:
-			rs, err = bm.OnTupleBatch(scratch)
-		default:
-			rs, err = core.IngestBatch(mgr, scratch)
+		if b.Cols != nil && cm != nil {
+			if c.trace != nil {
+				for _, ts := range b.Cols.Ts() {
+					traceAssign(ts)
+				}
+			}
+			rs, err = cm.OnColumnBatch(b.Cols)
+		} else {
+			rows := b.Rows
+			if b.Cols != nil {
+				rows = b.Cols.Rows()
+			}
+			if c.trace != nil {
+				for i := range rows {
+					traceAssign(rows[i].Ts)
+				}
+			}
+			if cb != nil {
+				cb.SetRows(rows)
+				rs, err = cm.OnColumnBatch(cb)
+			} else {
+				rs, err = core.IngestBatch(mgr, rows)
+			}
 		}
-		scratch = scratch[:0]
+		c.pool.recycle(b)
 		if err != nil {
-			c.failed.set(fmt.Errorf("spe: %s[%d]: %w", c.name, c.wi, err))
+			fail(err)
 			return
 		}
 		emit(rs)
 	}
-	// ingestCols drains one spout-shipped column batch through the
-	// manager — directly via the columnar kernel when the manager has
-	// one, else through the row fallback over the batch's owned rows.
-	// The worker owns the batch from the moment it arrives and recycles
-	// it here, error or not.
-	ingestCols := func(cb *col.ColumnBatch) {
-		if c.trace != nil {
-			for _, ts := range cb.Ts() {
-				if c.trace.SampleTs(ts) {
-					c.trace.Record(obs.TraceEvent{
-						Kind: obs.TraceAssign, Stage: c.name,
-						Worker: c.wi, Ts: ts,
-					})
-				}
-			}
-		}
-		var rs []core.Result
-		var err error
-		switch {
-		case cm != nil:
-			rs, err = cm.OnColumnBatch(cb)
-		case hasBatch:
-			rs, err = bm.OnTupleBatch(cb.Rows())
-		default:
-			rs, err = core.IngestBatch(mgr, cb.Rows())
-		}
-		col.Put(cb)
-		if err != nil {
-			c.failed.set(fmt.Errorf("spe: %s[%d]: %w", c.name, c.wi, err))
+	// process acts on one batch in arrival order. The failure flag is
+	// read once per batch: after a failure the worker recycles what it
+	// is sent and goes quiet.
+	process := func(b Batch) {
+		if c.failed.get() != nil {
+			c.pool.recycle(b)
 			return
 		}
-		emit(rs)
-	}
-	// dead samples the failure flag once per batch (see the
-	// stateless stage): data after a failure drains for at most
-	// one batch before the worker goes quiet.
-	dead := false
-	process := func(msg Message) {
-		if dead {
-			if msg.Cols != nil {
-				col.Put(msg.Cols) // still ours to recycle
-			}
+		if b.Ctl != Watermark {
+			ingest(b)
 			return
 		}
-		if msg.Cols != nil {
-			// Preserve arrival order against any pending row tuples
-			// before the column batch's rows reach the manager.
-			ingest()
-			if c.failed.get() != nil {
-				col.Put(msg.Cols)
-				return
+		if wm, adv := tracker.Update(b.Sender, b.WM); adv {
+			if c.wobs != nil {
+				// Once per watermark round, never per tuple.
+				c.wobs.SetWatermark(wm)
 			}
-			ingestCols(msg.Cols)
-			return
-		}
-		if msg.IsWM {
-			// Every tuple routed before this watermark must
-			// reach the manager first.
-			ingest()
-			if c.failed.get() != nil {
-				return
-			}
-			if wm, adv := tracker.Update(msg.Sender, msg.WM); adv {
-				if c.wobs != nil {
-					// Once per watermark round, never per tuple.
-					c.wobs.SetWatermark(wm)
-				}
-				rs, err := mgr.OnWatermark(wm)
-				if err != nil {
-					c.failed.set(fmt.Errorf("spe: %s[%d]: %w", c.name, c.wi, err))
-					return
-				}
-				emit(rs)
-				if hasPrefetch {
-					pf.PrefetchWatermark(wm)
-				}
-			}
-			return
-		}
-		scratch = append(scratch, msg.Tuple)
-		if len(scratch) >= c.batchSize {
-			ingest()
-		}
-	}
-	for batch := range c.in {
-		dead = c.failed.get() != nil
-		if c.ins != nil {
-			// One lock-free histogram fold per received batch.
-			c.ins.Batches.Record(len(batch))
-		}
-		for _, msg := range batch {
-			if msg.IsBarrier && c.hooks != nil && c.hooks.BarrierSeen != nil {
-				if err := c.hooks.BarrierSeen(msg.Barrier, c.wi, msg.Sender); err != nil {
-					c.failed.set(fmt.Errorf("spe: %s[%d]: %w", c.name, c.wi, err))
-				}
-			}
-			if al == nil || (!al.Aligning() && !msg.IsBarrier) {
-				process(msg)
-				continue
-			}
-			events, err := al.Observe(msg)
+			rs, err := mgr.OnWatermark(wm)
 			if err != nil {
-				c.failed.set(fmt.Errorf("spe: %s[%d]: %w", c.name, c.wi, err))
-				continue
+				fail(err)
+				return
 			}
+			emit(rs)
+			if hasPrefetch {
+				pf.PrefetchWatermark(wm)
+			}
+		}
+	}
+	for b := range c.in {
+		if c.ins != nil {
+			if n := b.Len(); n > 0 {
+				// One lock-free histogram fold per received run: the
+				// tuples it carries, controls not counted.
+				c.ins.Batches.Record(n)
+			}
+		}
+		if b.Ctl == Barrier && c.hooks != nil && c.hooks.BarrierSeen != nil {
+			if err := c.hooks.BarrierSeen(b.Barrier, c.wi, b.Sender); err != nil {
+				fail(err)
+			}
+		}
+		if al == nil || (!al.Aligning() && b.Ctl != Barrier) {
+			process(b)
+		} else if events, err := al.Observe(b); err != nil {
+			fail(err)
+		} else {
 			for _, ev := range events {
-				if ev.snapshot {
-					// The snapshot must cover every pre-barrier
-					// tuple, including the ones still in the
-					// scratch run.
-					ingest()
-					if c.failed.get() != nil {
-						continue
-					}
-					if c.hooks.Snapshot != nil {
-						if err := c.hooks.Snapshot(ev.id, c.wi, mgr); err != nil {
-							c.failed.set(fmt.Errorf("spe: snapshot %d at %s[%d]: %w", ev.id, c.name, c.wi, err))
-						}
-					}
+				if !ev.snapshot {
+					process(ev.b)
 					continue
 				}
-				process(ev.msg)
+				// Every pre-barrier run is already in the manager.
+				if c.failed.get() == nil && c.hooks.Snapshot != nil {
+					if err := c.hooks.Snapshot(ev.id, c.wi, mgr); err != nil {
+						c.failed.set(fmt.Errorf("spe: snapshot %d at %s[%d]: %w", ev.id, c.name, c.wi, err))
+					}
+				}
 			}
 		}
-		c.pool.put(batch)
-		// Results fired this batch (watermark rounds, count-window
+		// Results fired by this batch (watermark rounds, count-window
 		// closes) ship now rather than pooling until the stream ends:
 		// one send per producing batch keeps sink latency bounded by
 		// a single input batch instead of the whole run.
 		flushSink()
 	}
-	ingest()
-	flushSink()
 }

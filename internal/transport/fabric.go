@@ -8,6 +8,7 @@ import (
 
 	"spear/internal/obs"
 	"spear/internal/spe"
+	"spear/internal/tuple"
 )
 
 // FabricConfig configures the source side of the network shuffle.
@@ -97,7 +98,7 @@ func NewFabric(cfg FabricConfig) *Fabric {
 
 // Open implements spe.Fabric: dial every node, start the outbox pumps,
 // and return the channels the engine scatters into.
-func (f *Fabric) Open(par, senders, queueSize int, env spe.FabricEnv) ([]chan []spe.Message, error) {
+func (f *Fabric) Open(par, senders, queueSize int, env spe.FabricEnv) ([]chan spe.Batch, error) {
 	k := len(f.cfg.Nodes)
 	if k == 0 {
 		return nil, fmt.Errorf("transport: fabric has no nodes")
@@ -109,9 +110,9 @@ func (f *Fabric) Open(par, senders, queueSize int, env spe.FabricEnv) ([]chan []
 	f.results = make(chan []spe.SinkItem, queueSize)
 	f.resOpen = true
 
-	outs := make([]chan []spe.Message, par)
+	outs := make([]chan spe.Batch, par)
 	for w := range outs {
-		outs[w] = make(chan []spe.Message, queueSize)
+		outs[w] = make(chan spe.Batch, queueSize)
 	}
 	if ins := f.cfg.Obs; ins != nil {
 		for w, c := range outs {
@@ -248,68 +249,41 @@ func shake(conn net.Conn, hello Hello) (Welcome, error) {
 	return w, nil
 }
 
-// pump drains one destination worker's outbox onto the node's link:
-// contiguous data tuples become batch frames, encoded straight from
-// the messages (the encode loop performs no per-tuple work beyond the
-// codec append), control messages become their control frames, and the
-// outbox closing becomes the worker's End frame. Data frames queue on
-// the link while the outbox has more to give and leave together when
-// it runs dry; a control frame never waits.
-func (n *fabricNode) pump(dest int, out <-chan []spe.Message) {
+// pump drains one destination worker's outbox onto the node's link: a
+// run becomes a batch frame, encoded straight from the run and then
+// recycled, a control becomes its control frame, and the outbox closing
+// becomes the worker's End frame. Data frames queue on the link while
+// the outbox has more to give and leave together when it runs dry; a
+// control frame never waits.
+func (n *fabricNode) pump(dest int, out <-chan spe.Batch) {
 	defer n.wg.Done()
-	scratch := make([]tupleRun, 0, 4)
-	for batch := range out {
-		scratch = scratch[:0]
-		// Split the batch into runs: maximal spans of data tuples from
-		// one sender, and singleton control messages.
-		for i := 0; i < len(batch); {
-			m := batch[i]
-			if m.IsWM || m.IsBarrier {
-				scratch = append(scratch, tupleRun{control: &batch[i]})
-				i++
-				continue
-			}
-			j := i + 1
-			for j < len(batch) && !batch[j].IsWM && !batch[j].IsBarrier && batch[j].Sender == m.Sender {
-				j++
-			}
-			scratch = append(scratch, tupleRun{sender: m.Sender, msgs: batch[i:j]})
-			i = j
+	recycle := n.f.env.Recycle
+	if recycle == nil {
+		recycle = func(spe.Batch) {}
+	}
+	for b := range out {
+		b := b
+		var err error
+		switch b.Ctl {
+		case spe.Watermark:
+			err = n.lk.sendSeq(true, func(dst []byte, seq uint64) []byte {
+				return AppendWatermark(dst, seq, dest, b.Sender, b.WM)
+			})
+		case spe.Barrier:
+			err = n.lk.sendSeq(true, func(dst []byte, seq uint64) []byte {
+				return AppendBarrier(dst, seq, dest, b.Sender, b.Barrier)
+			})
+		default:
+			err = n.lk.sendSeq(len(out) == 0, func(dst []byte, seq uint64) []byte {
+				return AppendBatch(dst, seq, dest, b.Sender, b.Rows)
+			})
+			recycle(b)
 		}
-		failed := false
-		for k, run := range scratch {
-			run := run
-			var err error
-			switch {
-			case run.control != nil && run.control.IsWM:
-				err = n.lk.sendSeq(true, func(dst []byte, seq uint64) []byte {
-					return AppendWatermark(dst, seq, dest, run.control.Sender, run.control.WM)
-				})
-			case run.control != nil:
-				err = n.lk.sendSeq(true, func(dst []byte, seq uint64) []byte {
-					return AppendBarrier(dst, seq, dest, run.control.Sender, run.control.Barrier)
-				})
-			default:
-				dry := k == len(scratch)-1 && len(out) == 0
-				err = n.lk.sendSeq(dry, func(dst []byte, seq uint64) []byte {
-					return appendBatchMsgs(dst, seq, dest, run.sender, run.msgs)
-				})
-			}
-			if err != nil {
-				failed = true
-				break
-			}
-		}
-		if n.f.env.Recycle != nil {
-			n.f.env.Recycle(batch)
-		}
-		if failed {
+		if err != nil {
 			// Link is terminally down; keep draining so the engine's
 			// close cascade can finish.
 			for b := range out {
-				if n.f.env.Recycle != nil {
-					n.f.env.Recycle(b)
-				}
+				recycle(b)
 			}
 			return
 		}
@@ -317,14 +291,6 @@ func (n *fabricNode) pump(dest int, out <-chan []spe.Message) {
 	_ = n.lk.sendSeq(true, func(dst []byte, seq uint64) []byte {
 		return AppendEnd(dst, seq, dest)
 	})
-}
-
-// tupleRun is one span of a batch: either a contiguous data run from
-// one sender or a single control message.
-type tupleRun struct {
-	sender  int
-	msgs    []spe.Message
-	control *spe.Message
 }
 
 // closer tears the node's link down once its pumps have finished and
@@ -389,8 +355,8 @@ func (n *fabricNode) Frame(fr Frame) error {
 	}
 }
 
-// Batch implements linkHandler: shards send the source no batch frames.
-func (n *fabricNode) Batch() []spe.Message { return nil }
+// Run implements linkHandler: shards send the source no batch frames.
+func (n *fabricNode) Run() []tuple.Tuple { return nil }
 
 // Fatal implements linkHandler: the first node failure fails the run
 // and releases the sink.

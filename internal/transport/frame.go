@@ -21,7 +21,6 @@ import (
 	"io"
 
 	"spear/internal/core"
-	"spear/internal/spe"
 	"spear/internal/tuple"
 	"spear/internal/window"
 )
@@ -264,41 +263,28 @@ type Frame struct {
 	Barrier uint64        // Barrier: checkpoint id
 	Acked   uint64        // Credit: cumulative delivered seq
 	Worker  int           // Result: producing worker
-	Msgs    []spe.Message // Batch: the data tuples, each stamped with Sender
+	Rows    []tuple.Tuple // Batch: the run of data tuples from Sender
 	Result  core.Result   // Result
 	Snap    SnapAck       // SnapAck
 	Reason  string        // Reject
 }
 
-// AppendBatch encodes a data micro-batch frame from bare tuples.
+// AppendBatch encodes a data frame from one run of tuples, as it comes
+// off an engine channel (the data tuples of one sender). The tuple loop
+// is the transport send hot path and is lock-free by contract: it
+// appends into dst with the tuple codec and performs no other work per
+// tuple (spearlint's blockfree analyzer verifies no blocking operation
+// is reachable from here).
 func AppendBatch(dst []byte, seq uint64, dest, sender int, ts []tuple.Tuple) []byte {
-	dst = appendBatchHeader(dst, seq, dest, sender, len(ts))
-	for i := range ts {
-		dst = tuple.AppendEncode(dst, ts[i])
-	}
-	return dst
-}
-
-// appendBatchMsgs encodes the same frame straight from a run of engine
-// messages (data tuples of one sender). The tuple loop is the transport
-// send hot path and is lock-free by contract: it appends into dst with
-// the tuple codec and performs no other work per tuple (spearlint's
-// blockfree analyzer verifies no blocking operation is reachable from
-// here).
-func appendBatchMsgs(dst []byte, seq uint64, dest, sender int, msgs []spe.Message) []byte {
-	dst = appendBatchHeader(dst, seq, dest, sender, len(msgs))
-	for i := range msgs {
-		dst = tuple.AppendEncode(dst, msgs[i].Tuple)
-	}
-	return dst
-}
-
-func appendBatchHeader(dst []byte, seq uint64, dest, sender, n int) []byte {
 	dst = append(dst, byte(KindBatch))
 	dst = tuple.AppendUvar(dst, seq)
 	dst = tuple.AppendUvar(dst, uint64(dest))
 	dst = tuple.AppendUvar(dst, uint64(sender))
-	return tuple.AppendUvar(dst, uint64(n))
+	dst = tuple.AppendUvar(dst, uint64(len(ts)))
+	for i := range ts {
+		dst = tuple.AppendEncode(dst, ts[i])
+	}
+	return dst
 }
 
 // AppendWatermark encodes a watermark control frame.
@@ -397,11 +383,11 @@ func AppendGoodbye(dst []byte, seq uint64) []byte {
 // hostile inputs return ErrFrame without large allocations.
 func DecodeFrame(body []byte) (Frame, error) { return decodeFrame(body, nil) }
 
-// decodeFrame is DecodeFrame with the home of a batch frame's messages
-// chosen by the caller: batch, when non-nil, supplies the empty slice
-// they are appended to (the shard's pooled buffer, so a frame reaches
+// decodeFrame is DecodeFrame with the home of a batch frame's tuples
+// chosen by the caller: run, when non-nil, supplies the empty slice
+// they are appended to (a run of the shard's pool, so a frame reaches
 // the engine without a copy); nil allocates one.
-func decodeFrame(body []byte, batch func() []spe.Message) (Frame, error) {
+func decodeFrame(body []byte, run func() []tuple.Tuple) (Frame, error) {
 	if len(body) == 0 {
 		return Frame{}, fmt.Errorf("%w: empty body", ErrFrame)
 	}
@@ -418,17 +404,17 @@ func decodeFrame(body []byte, batch func() []spe.Message) (Frame, error) {
 		if err := r.Err(); err != nil {
 			return Frame{}, fmt.Errorf("%w: batch: %v", ErrFrame, err)
 		}
-		var dst []spe.Message
-		if batch != nil {
-			dst = batch()
+		var dst []tuple.Tuple
+		if run != nil {
+			dst = run()
 		} else {
-			dst = make([]spe.Message, 0, n)
+			dst = make([]tuple.Tuple, 0, n)
 		}
-		msgs, err := decodeBatch(dst, body[len(body)-r.Remaining():], n, f.Sender)
+		rows, err := decodeBatch(dst, body[len(body)-r.Remaining():], n)
 		if err != nil {
 			return Frame{}, err
 		}
-		f.Msgs = msgs
+		f.Rows = rows
 		return f, nil
 	case KindWatermark:
 		f.Seq = r.Uvar()
@@ -493,11 +479,11 @@ func decodeFrame(body []byte, batch func() []spe.Message) (Frame, error) {
 	return f, nil
 }
 
-// decodeBatch appends the n tuples encoded in b to dst as data messages
-// from sender. It is the transport receive hot path and lock-free by
-// contract: one loop over the tuple codec, every tuple's values carved
-// from one slab per frame, no other work per tuple.
-func decodeBatch(dst []spe.Message, b []byte, n, sender int) ([]spe.Message, error) {
+// decodeBatch appends the n tuples encoded in b to dst. It is the
+// transport receive hot path and lock-free by contract: one loop over
+// the tuple codec, every tuple's values carved from one slab per
+// frame, no other work per tuple.
+func decodeBatch(dst []tuple.Tuple, b []byte, n int) ([]tuple.Tuple, error) {
 	var slab tuple.Slab
 	pos := 0
 	for i := 0; i < n; i++ {
@@ -505,7 +491,7 @@ func decodeBatch(dst []spe.Message, b []byte, n, sender int) ([]spe.Message, err
 		if err != nil {
 			return nil, fmt.Errorf("%w: batch tuple %d: %v", ErrFrame, i, err)
 		}
-		dst = append(dst, spe.Message{Tuple: t, Sender: sender})
+		dst = append(dst, t)
 		pos += used
 	}
 	if pos != len(b) {

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"spear/internal/core"
-	"spear/internal/spe"
 	"spear/internal/tuple"
 )
 
@@ -19,7 +18,7 @@ import (
 func reencodeFrame(f Frame) []byte {
 	switch f.Kind {
 	case KindBatch:
-		return appendBatchMsgs(nil, f.Seq, f.Dest, f.Sender, f.Msgs)
+		return AppendBatch(nil, f.Seq, f.Dest, f.Sender, f.Rows)
 	case KindWatermark:
 		return AppendWatermark(nil, f.Seq, f.Dest, f.Sender, f.WM)
 	case KindBarrier:
@@ -219,7 +218,7 @@ func TestDecodeFrameHardening(t *testing.T) {
 }
 
 // TestDecodeBatchAllocs gates the receive path's allocation budget: a
-// 64-tuple numeric batch frame decoded into a pooled batch costs the
+// 64-tuple numeric batch frame decoded into a pooled run costs the
 // value slab and nothing per tuple.
 func TestDecodeBatchAllocs(t *testing.T) {
 	ts := make([]tuple.Tuple, 64)
@@ -227,8 +226,8 @@ func TestDecodeBatchAllocs(t *testing.T) {
 		ts[i] = tuple.New(int64(i), tuple.Float(float64(i)), tuple.Int(int64(i)))
 	}
 	body := AppendBatch(nil, 1, 0, 3, ts)
-	pooled := make([]spe.Message, 0, len(ts))
-	batch := func() []spe.Message { return pooled[:0] }
+	pooled := make([]tuple.Tuple, 0, len(ts))
+	batch := func() []tuple.Tuple { return pooled[:0] }
 	var f Frame
 	allocs := testing.AllocsPerRun(100, func() {
 		var err error
@@ -239,29 +238,27 @@ func TestDecodeBatchAllocs(t *testing.T) {
 	if allocs > 2 {
 		t.Errorf("%v allocations per 64-tuple frame, want at most 2", allocs)
 	}
-	if len(f.Msgs) != len(ts) || &f.Msgs[0] != &pooled[:1][0] {
-		t.Fatalf("%d messages decoded, in the pooled batch: %v", len(f.Msgs), len(f.Msgs) > 0 && &f.Msgs[0] == &pooled[:1][0])
+	if len(f.Rows) != len(ts) || &f.Rows[0] != &pooled[:1][0] {
+		t.Fatalf("%d tuples decoded, in the pooled run: %v", len(f.Rows), len(f.Rows) > 0 && &f.Rows[0] == &pooled[:1][0])
 	}
-	for i, m := range f.Msgs {
-		if m.Sender != 3 || !reflect.DeepEqual(m.Tuple, ts[i]) {
-			t.Fatalf("message %d: %+v, want %v from sender 3", i, m, ts[i])
-		}
+	if f.Sender != 3 || !reflect.DeepEqual(f.Rows, ts) {
+		t.Fatalf("decoded %v from sender %d, want %v from sender 3", f.Rows, f.Sender, ts)
 	}
 }
 
 // BenchmarkDecodeFrame times a 64-tuple numeric batch frame through the
-// public entry point, which allocates the messages' home per frame, and
-// through the link's, which decodes into a pooled batch.
+// public entry point, which allocates the tuples' home per frame, and
+// through the link's, which decodes into a pooled run.
 func BenchmarkDecodeFrame(b *testing.B) {
 	ts := make([]tuple.Tuple, 64)
 	for i := range ts {
 		ts[i] = tuple.New(int64(i), tuple.Float(float64(i)))
 	}
 	body := AppendBatch(nil, 1, 0, 3, ts)
-	pooled := make([]spe.Message, 0, len(ts))
-	for name, batch := range map[string]func() []spe.Message{
+	pooled := make([]tuple.Tuple, 0, len(ts))
+	for name, batch := range map[string]func() []tuple.Tuple{
 		"fresh":  nil,
-		"pooled": func() []spe.Message { return pooled[:0] },
+		"pooled": func() []tuple.Tuple { return pooled[:0] },
 	} {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()

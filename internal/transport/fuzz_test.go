@@ -64,7 +64,7 @@ func FuzzFrameCodec(f *testing.F) {
 	})
 }
 
-// checkSlabDecode compares an accepted batch frame's messages with the
+// checkSlabDecode compares an accepted batch frame's tuples with the
 // plain tuple codec's reading of the same body, then appends to every
 // tuple's Vals and checks that no other tuple changed.
 func checkSlabDecode(t *testing.T, body []byte, fr Frame) {
@@ -74,8 +74,8 @@ func checkSlabDecode(t *testing.T, body []byte, fr Frame) {
 	r.Uvar()
 	r.Uvar()
 	n := int(r.Uvar())
-	if r.Err() != nil || n != len(fr.Msgs) {
-		t.Fatalf("batch header: count %d, %d messages decoded (%v)", n, len(fr.Msgs), r.Err())
+	if r.Err() != nil || n != len(fr.Rows) {
+		t.Fatalf("batch header: count %d, %d tuples decoded (%v)", n, len(fr.Rows), r.Err())
 	}
 	rest := body[len(body)-r.Remaining():]
 	want := make([]tuple.Tuple, n)
@@ -84,17 +84,17 @@ func checkSlabDecode(t *testing.T, body []byte, fr Frame) {
 		if err != nil {
 			t.Fatalf("tuple %d: tuple.Decode refuses what the slab decode accepted: %v", i, err)
 		}
-		if got := fr.Msgs[i]; got.Sender != fr.Sender || !reflect.DeepEqual(got.Tuple, tup) {
+		if got := fr.Rows[i]; !reflect.DeepEqual(got, tup) {
 			t.Fatalf("tuple %d: slab decode %+v, tuple.Decode %v", i, got, tup)
 		}
 		want[i], rest = tup, rest[used:]
 	}
-	for i := range fr.Msgs {
-		_ = append(fr.Msgs[i].Tuple.Vals, tuple.Int(-1))
+	for i := range fr.Rows {
+		_ = append(fr.Rows[i].Vals, tuple.Int(-1))
 	}
-	for i := range fr.Msgs {
-		if !reflect.DeepEqual(fr.Msgs[i].Tuple, want[i]) {
-			t.Fatalf("tuple %d changed when its neighbours' Vals were appended to: %v, want %v", i, fr.Msgs[i].Tuple, want[i])
+	for i := range fr.Rows {
+		if !reflect.DeepEqual(fr.Rows[i], want[i]) {
+			t.Fatalf("tuple %d changed when its neighbours' Vals were appended to: %v, want %v", i, fr.Rows[i], want[i])
 		}
 	}
 }

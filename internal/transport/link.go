@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"spear/internal/obs"
-	"spear/internal/spe"
+	"spear/internal/tuple"
 )
 
 // Defaults for the sliding-window protocol and the dialer's capped
@@ -56,9 +56,9 @@ func (d NetDialer) Dial(addr string) (net.Conn, error) {
 type linkHandler interface {
 	// Frame delivers one deduplicated, in-order sequenced frame.
 	Frame(f Frame) error
-	// Batch returns the empty slice the next batch frame's messages
-	// decode into (a shard's pooled buffer), or nil to allocate one.
-	Batch() []spe.Message
+	// Run returns the empty slice the next batch frame's tuples decode
+	// into (a run of the shard's pool), or nil to allocate one.
+	Run() []tuple.Tuple
 	// Fatal reports the link's terminal failure (redials exhausted,
 	// protocol violation, peer reject). Called at most once.
 	Fatal(err error)
@@ -469,7 +469,7 @@ func (l *link) readLoop(conn net.Conn, gen int) {
 	defer l.rmu.Unlock()
 	br := bufio.NewReaderSize(conn, flushBytes)
 	buf := make([]byte, 0, 4<<10)
-	batch := l.handler.Batch
+	run := l.handler.Run
 	for {
 		if br.Buffered() == 0 {
 			l.requestCredit()
@@ -484,7 +484,7 @@ func (l *link) readLoop(conn net.Conn, gen int) {
 			l.tobs.RxFrames.Add(1)
 			l.tobs.RxBytes.Add(int64(len(body)) + frameHdr)
 		}
-		f, err := decodeFrame(body, batch)
+		f, err := decodeFrame(body, run)
 		if err != nil {
 			l.fatal(fmt.Errorf("transport: link %s: %w", l.name, err))
 			return

@@ -11,7 +11,6 @@ import (
 
 	"spear/internal/leakcheck"
 	"spear/internal/obs"
-	"spear/internal/spe"
 	"spear/internal/tuple"
 )
 
@@ -34,7 +33,7 @@ func (h *collectHandler) Frame(f Frame) error {
 	return nil
 }
 
-func (h *collectHandler) Batch() []spe.Message { return nil }
+func (h *collectHandler) Run() []tuple.Tuple { return nil }
 
 func (h *collectHandler) Fatal(err error) {
 	h.mu.Lock()
@@ -580,7 +579,7 @@ func TestLinkControlFramesNeverWait(t *testing.T) {
 		KindEnd:       func(dst []byte, seq uint64) []byte { return AppendEnd(dst, seq, 0) },
 		KindGoodbye:   AppendGoodbye,
 	}
-	msgs := []spe.Message{{Tuple: tuple.New(1, tuple.Float(1))}}
+	run := []tuple.Tuple{tuple.New(1, tuple.Float(1))}
 	for kind, enc := range controls {
 		t.Run(kind.String(), func(t *testing.T) {
 			hb := &collectHandler{}
@@ -588,7 +587,7 @@ func TestLinkControlFramesNeverWait(t *testing.T) {
 			const data = 3
 			for i := 0; i < data; i++ {
 				if err := la.sendSeq(false, func(dst []byte, seq uint64) []byte {
-					return appendBatchMsgs(dst, seq, 0, 0, msgs)
+					return AppendBatch(dst, seq, 0, 0, run)
 				}); err != nil {
 					t.Fatal(err)
 				}

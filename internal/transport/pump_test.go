@@ -1,0 +1,63 @@
+package transport
+
+import (
+	"bytes"
+	"encoding/hex"
+	"testing"
+
+	"spear/internal/spe"
+	"spear/internal/tuple"
+)
+
+// pumpGolden is what fabricNode.pump put on the link, frame after
+// frame with length prefixes, for the input of TestPumpFrameBytes at
+// the commit before runs replaced per-tuple message batches on the
+// engine's channels. The wire format did not change with them.
+const pumpGolden = "" +
+	"3b0000000401020003e8030000000000000102000000000000e03fe903000000" +
+	"000000020200000000000008c0010700000000000000fbffffffffffffff000c" +
+	"00000005020200e803000000000000330000000403020102d007000000000000" +
+	"0203066275732d3137040100000000000000c409000000000000020300029c75" +
+	"00883ce4377e0c0000000604020109000000000000000c00000005050201ffff" +
+	"ffffffffff7f03000000070602"
+
+// TestPumpFrameBytes pins that the source side of the shuffle writes
+// the bytes it always wrote: one batch frame per run, a control frame
+// per control, End when the outbox closes — sequence numbers, senders
+// and tuple encoding included. The link has no connection, so every
+// frame stays parked in its retention buffer, which is the wire image.
+func TestPumpFrameBytes(t *testing.T) {
+	lk := newLink("golden", 0, &collectHandler{}, nil)
+	defer lk.close()
+	recycled := 0
+	n := &fabricNode{
+		f:  &Fabric{env: spe.FabricEnv{Recycle: func(b spe.Batch) { recycled += b.Len() }}},
+		lk: lk,
+	}
+	out := make(chan spe.Batch, 8)
+	out <- spe.Batch{Sender: 0, Rows: []tuple.Tuple{
+		tuple.New(1_000, tuple.Float(0.5)),
+		tuple.New(1_001, tuple.Float(-3), tuple.Int(7)),
+		tuple.New(-5),
+	}}
+	out <- spe.Batch{Sender: 0, Ctl: spe.Watermark, WM: 1_000}
+	out <- spe.Batch{Sender: 1, Rows: []tuple.Tuple{
+		tuple.New(2_000, tuple.String_("bus-17"), tuple.Bool(true)),
+		tuple.New(2_500, tuple.String_(""), tuple.Float(1e300)),
+	}}
+	out <- spe.Batch{Sender: 1, Ctl: spe.Barrier, Barrier: 9}
+	out <- spe.Batch{Sender: 1, Ctl: spe.Watermark, WM: 1<<63 - 1}
+	close(out)
+	n.wg.Add(1)
+	n.pump(2, out)
+
+	lk.mu.Lock()
+	got := bytes.Join(lk.unacked, nil)
+	lk.mu.Unlock()
+	if hex.EncodeToString(got) != pumpGolden {
+		t.Fatalf("pump wrote\n%x\nwant\n%s", got, pumpGolden)
+	}
+	if recycled != 5 {
+		t.Fatalf("%d tuples' runs recycled, want 5", recycled)
+	}
+}

@@ -8,6 +8,7 @@ import (
 
 	"spear/internal/obs"
 	"spear/internal/spe"
+	"spear/internal/tuple"
 )
 
 // JobSpec is the shard assignment a source's Hello carries: which
@@ -326,31 +327,27 @@ func (s *Server) watchdog(lk *link) {
 func (s *Server) Frame(f Frame) error {
 	switch f.Kind {
 	case KindBatch:
-		if len(f.Msgs) == 0 {
+		if len(f.Rows) == 0 {
 			return fmt.Errorf("empty batch frame")
 		}
 		li, err := s.localIndex(f.Dest)
 		if err != nil {
 			return err
 		}
-		// Decoded in place into a buffer of the shard's pool (Batch).
-		return s.deliver(li, f.Msgs)
+		// Decoded in place into a run of the shard's pool (Run).
+		return s.deliver(li, spe.Batch{Rows: f.Rows, Sender: f.Sender})
 	case KindWatermark:
 		li, err := s.localIndex(f.Dest)
 		if err != nil {
 			return err
 		}
-		b := s.run.NewBatch()
-		b = append(b, spe.Message{IsWM: true, WM: f.WM, Sender: f.Sender})
-		return s.deliver(li, b)
+		return s.deliver(li, spe.Batch{Ctl: spe.Watermark, WM: f.WM, Sender: f.Sender})
 	case KindBarrier:
 		li, err := s.localIndex(f.Dest)
 		if err != nil {
 			return err
 		}
-		b := s.run.NewBatch()
-		b = append(b, spe.Message{IsBarrier: true, Barrier: f.Barrier, Sender: f.Sender})
-		return s.deliver(li, b)
+		return s.deliver(li, spe.Batch{Ctl: spe.Barrier, Barrier: f.Barrier, Sender: f.Sender})
 	case KindEnd:
 		li, err := s.localIndex(f.Dest)
 		if err != nil {
@@ -368,9 +365,9 @@ func (s *Server) Frame(f Frame) error {
 	}
 }
 
-// Batch implements linkHandler: batch frames decode straight into the
-// shard's pooled buffers, which the worker loops recycle.
-func (s *Server) Batch() []spe.Message { return s.run.NewBatch() }
+// Run implements linkHandler: batch frames decode straight into the
+// shard's pooled runs, which the worker loops recycle.
+func (s *Server) Run() []tuple.Tuple { return s.run.NewRun() }
 
 func (s *Server) localIndex(dest int) (int, error) {
 	li := dest - s.spec.Lo
@@ -387,7 +384,7 @@ func (s *Server) localIndex(dest int) (int, error) {
 // delivering count instead — Fatal aborts parked sends and waits for
 // them before closing any channel, and End frames share the reader
 // goroutine with deliver, so those never overlap a send.
-func (s *Server) deliver(li int, batch []spe.Message) error {
+func (s *Server) deliver(li int, batch spe.Batch) error {
 	s.mu.Lock()
 	if s.failing || s.finished {
 		s.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // The binary codec serializes tuples for the spill store. The format is
@@ -151,10 +152,18 @@ func (s *Slab) Decode(b []byte, more int) (Tuple, int, error) {
 // prefixed by a uvarint count. This is the on-store format for a spilled
 // window segment.
 func EncodeBatch(ts []Tuple) []byte {
-	// Rough pre-size: 16 bytes per tuple plus value payloads.
-	size := 10
-	for _, t := range ts {
-		size += 16 + 9*len(t.Vals)
+	// Sized exactly: a store may keep the buffer for as long as the
+	// segment lives, so slack is held (and was zeroed) for nothing.
+	size := uvarintLen(uint64(len(ts)))
+	for i := range ts {
+		size += 8 + uvarintLen(uint64(len(ts[i].Vals)))
+		for _, v := range ts[i].Vals {
+			if v.kind == KindString {
+				size += 1 + uvarintLen(uint64(len(v.str))) + len(v.str)
+			} else {
+				size += 9
+			}
+		}
 	}
 	buf := make([]byte, 0, size)
 	buf = binary.AppendUvarint(buf, uint64(len(ts)))
@@ -163,6 +172,9 @@ func EncodeBatch(ts []Tuple) []byte {
 	}
 	return buf
 }
+
+// uvarintLen is the number of bytes binary.AppendUvarint writes for x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // DecodeBatch decodes a buffer produced by EncodeBatch.
 func DecodeBatch(b []byte) ([]Tuple, error) {

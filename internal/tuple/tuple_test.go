@@ -231,6 +231,46 @@ func TestCodecBatchRoundtrip(t *testing.T) {
 	}
 }
 
+// TestEncodeBatchExactSize pins that EncodeBatch allocates the bytes it
+// writes and no more (a store retains the buffer), and that the bytes
+// are the count followed by each tuple's AppendEncode, as before.
+func TestEncodeBatchExactSize(t *testing.T) {
+	rep := func(n int, mk func(i int) Tuple) []Tuple {
+		ts := make([]Tuple, n)
+		for i := range ts {
+			ts[i] = mk(i)
+		}
+		return ts
+	}
+	for name, ts := range map[string][]Tuple{
+		"empty":   nil,
+		"no vals": {New(5), New(-6)},
+		"float":   rep(512, func(i int) Tuple { return New(int64(i), Float(float64(i)/3)) }),
+		"int":     rep(200, func(i int) Tuple { return New(int64(-i), Int(int64(i)), Int(math.MinInt64)) }),
+		"string":  rep(130, func(i int) Tuple { return New(int64(i), String_(strings.Repeat("k", i))) }),
+		"mixed": rep(300, func(i int) Tuple {
+			return New(int64(i), String_(strings.Repeat("ab", i%70)), Float(1.5), Bool(i%2 == 0), Int(7), String_(""))
+		}),
+	} {
+		var want []byte
+		want = append(want, byte(len(ts)&0x7f))
+		if len(ts) >= 0x80 {
+			want[0] |= 0x80
+			want = append(want, byte(len(ts)>>7))
+		}
+		for _, tu := range ts {
+			want = AppendEncode(want, tu)
+		}
+		got := EncodeBatch(ts)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: bytes differ from count + AppendEncode per tuple", name)
+		}
+		if cap(got) != len(got) {
+			t.Errorf("%s: cap %d for %d bytes", name, cap(got), len(got))
+		}
+	}
+}
+
 func valStrings(t Tuple) []string {
 	s := make([]string, len(t.Vals))
 	for i, v := range t.Vals {

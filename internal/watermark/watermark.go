@@ -35,7 +35,20 @@ func NewGenerator(period, lag int64) *Generator {
 // Observe advances the generator with one tuple's event time and
 // returns a watermark to emit, if any. The returned watermark is the
 // largest period boundary ≤ ts − lag that has not been emitted yet.
+//
+// It runs once per source tuple and emits once per period, so the
+// common case must not divide: last is a period boundary, hence the
+// boundary under ts − lag is past it exactly when ts − lag ≥ last +
+// period. (Should last + period overflow, no int64 reaches it and the
+// wrapped sum only sends the call down the exact path.)
 func (g *Generator) Observe(ts int64) (wm int64, emit bool) {
+	if g.init && ts-g.lag < g.last+g.period {
+		return 0, false
+	}
+	return g.advance(ts)
+}
+
+func (g *Generator) advance(ts int64) (wm int64, emit bool) {
 	b := floorDiv(ts-g.lag, g.period) * g.period
 	if !g.init {
 		g.init = true

@@ -2,6 +2,7 @@ package watermark
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -176,5 +177,62 @@ func TestTrackerNeverExceedsSenders(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// floorDivGenerator is Observe as it was before the division-free fast
+// path: the period boundary under ts − lag, computed for every tuple.
+type floorDivGenerator struct {
+	period, lag, last int64
+	init              bool
+}
+
+func (g *floorDivGenerator) Observe(ts int64) (int64, bool) {
+	b := floorDiv(ts-g.lag, g.period) * g.period
+	if !g.init {
+		g.init = true
+		g.last = b
+		return b, true
+	}
+	if b > g.last {
+		g.last = b
+		return b, true
+	}
+	return 0, false
+}
+
+// TestObserveMatchesFloorDivForm is the property the fast path rests
+// on: over any timestamp sequence Observe emits exactly the watermarks
+// the divide-every-tuple form emits, at the same tuples. (Timestamps
+// stay a period and a lag clear of MinInt64, below which the boundary
+// under ts − lag is not an int64 and neither form means anything.)
+func TestObserveMatchesFloorDivForm(t *testing.T) {
+	r := rand.New(rand.NewSource(20))
+	streams := map[string]func(i int, prev int64) int64{
+		"random":        func(int, int64) int64 { return r.Int63n(2_000_000) - 1_000_000 },
+		"increasing":    func(_ int, prev int64) int64 { return prev + r.Int63n(40) },
+		"decreasing":    func(_ int, prev int64) int64 { return prev - r.Int63n(40) },
+		"negative":      func(i int, _ int64) int64 { return -5_000_000 + int64(i)*7 + r.Int63n(300) },
+		"disordered":    func(i int, _ int64) int64 { return int64(i)*13 - r.Int63n(500) },
+		"on boundaries": func(i int, _ int64) int64 { return int64(i/3) * 100 },
+		"near MaxInt64": func(i int, _ int64) int64 { return math.MaxInt64 - 5_000 + int64(i) },
+		"wide":          func(int, int64) int64 { return r.Int63() - 1<<62 },
+	}
+	for name, next := range streams {
+		for _, period := range []int64{1, 7, 100, 1 << 40} {
+			for _, lag := range []int64{0, 1, 99, 100, 2_500} {
+				got, want := NewGenerator(period, lag), &floorDivGenerator{period: period, lag: lag}
+				var ts int64
+				for i := 0; i < 2_000; i++ {
+					ts = next(i, ts)
+					gw, ge := got.Observe(ts)
+					ww, we := want.Observe(ts)
+					if gw != ww || ge != we {
+						t.Fatalf("%s, period %d, lag %d, tuple %d (ts %d): Observe = (%d, %v), floorDiv form (%d, %v)",
+							name, period, lag, i, ts, gw, ge, ww, we)
+					}
+				}
+			}
+		}
 	}
 }
