@@ -51,18 +51,20 @@ recovery:
 	$(GO) test -race -run 'TestCrashRecovery|TestRecovery|TestCoordinator' ./internal/checkpoint/
 	$(GO) test -race -run 'TestCheckpoint' .
 
-# Live observability plane: the obs package (reporter/server lifecycle,
-# Prometheus writer, trace ring) and the end-to-end mid-run scrape +
-# merged-source recovery tests, race-enabled (the reporter and server
-# run concurrently with the engine's writers).
+# The telemetry system: the obs package (worker bundles — the gauge,
+# histogram and Summary tests that came with them run here under -race
+# too — golden snapshot/exposition, reporter/server lifecycle, trace
+# ring) and the end-to-end mid-run scrape + merged-source recovery
+# tests, race-enabled (the reporter and server run concurrently with
+# the engine's writers).
 obs:
 	$(GO) test -race ./internal/obs/
 	$(GO) test -race -run 'TestObserve|TestMergedSourceCheckpointResume' .
 
 # Scrape gate: run a real query with -serve and the async spill plane
 # live (workers + prefetch + codec), GET /metrics mid-run, and fail
-# unless every required metric family — including the spear_spill_*
-# plane families — is served (what CI runs).
+# unless every family of obs.Families — the one table the exposition
+# is written from — is served (what CI runs).
 obs-scrape:
 	$(GO) run ./cmd/spear-demo -dataset dec -tuples 100000 -scrapecheck \
 		-spillworkers 2 -spillahead 2 -spillcompress 1

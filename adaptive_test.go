@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"spear/internal/core"
-	"spear/internal/metrics"
 	"spear/internal/stats"
 	"spear/internal/storage"
 )
@@ -186,7 +185,7 @@ func TestAdaptiveShedReportsContract(t *testing.T) {
 		exact[w] = sum / perWin
 	}
 
-	reg := metrics.NewRegistry()
+	ins := NewInstruments()
 	var mu sync.Mutex
 	var out []Result
 	_, err := NewQuery("adshed").
@@ -197,7 +196,7 @@ func TestAdaptiveShedReportsContract(t *testing.T) {
 		DisableIncremental().
 		LatencySLO(time.Millisecond).AdaptiveBudget(64, 64).
 		ObserveEvery(2*time.Millisecond).
-		MetricsInto(reg).
+		ObserveWith(ins).
 		Run(func(_ int, res Result) {
 			mu.Lock()
 			out = append(out, res)
@@ -249,9 +248,9 @@ func TestAdaptiveShedReportsContract(t *testing.T) {
 		t.Fatal("controller never shed: no window surfaced the degraded contract")
 	}
 	var tuplesShed, windowsShed int64
-	for _, w := range reg.Workers() {
-		tuplesShed += w.TuplesShed.Load()
-		windowsShed += w.WindowsShed.Load()
+	for _, w := range ins.Snapshot(time.Now()).WorkerMetrics {
+		tuplesShed += w.TuplesShed
+		windowsShed += w.WindowsShed
 	}
 	if tuplesShed == 0 || windowsShed == 0 {
 		t.Fatalf("shed telemetry: tuples=%d windows=%d, want both positive", tuplesShed, windowsShed)

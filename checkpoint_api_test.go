@@ -51,32 +51,32 @@ func TestCheckpointStopAndResume(t *testing.T) {
 
 	// Leg 1: the stream "ends" (process dies) after stopAt tuples.
 	store := storage.NewMemStore()
-	var cm1 CheckpointMetrics
+	tel1 := NewInstruments()
 	leg1 := &sinkBuf{}
 	if _, err := build(FromSlice(mk(0, stopAt)), store).
 		CheckpointEvery(ckptSec, 0).
-		CheckpointMetricsInto(&cm1).
+		ObserveWith(tel1).
 		Run(leg1.add); err != nil {
 		t.Fatal(err)
 	}
-	if got := cm1.Completed.Load(); got < 1 {
+	if got := tel1.Checkpoint().Completed.Load(); got < 1 {
 		t.Fatalf("leg 1 completed %d checkpoints, want >= 1", got)
 	}
-	if cm1.SnapshotBytes.Load() == 0 || cm1.LastBytes.Load() == 0 {
+	if tel1.Checkpoint().SnapshotBytes.Load() == 0 || tel1.Checkpoint().LastBytes.Load() == 0 {
 		t.Fatal("leg 1: no snapshot bytes accounted")
 	}
 
 	// Leg 2: a fresh query over the full stream recovers and resumes.
-	var cm2 CheckpointMetrics
+	tel2 := NewInstruments()
 	leg2 := &sinkBuf{}
 	if _, err := build(FromSlice(mk(0, n)), store).
 		CheckpointEvery(ckptSec, 0).
 		Recover().
-		CheckpointMetricsInto(&cm2).
+		ObserveWith(tel2).
 		Run(leg2.add); err != nil {
 		t.Fatal(err)
 	}
-	if cm2.RecoveryTime.Load() == 0 {
+	if tel2.Checkpoint().RecoveryTime.Load() == 0 {
 		t.Fatal("leg 2: recovery time gauge not set")
 	}
 	// Recovery skipped the prefix: leg 2 must emit fewer windows than

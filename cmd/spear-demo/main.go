@@ -29,35 +29,9 @@ import (
 
 	"spear"
 	"spear/internal/dataset"
+	"spear/internal/obs"
 	"spear/internal/window"
 )
-
-// requiredFamilies are the metric families the -scrapecheck gate
-// demands from a mid-run /metrics scrape.
-var requiredFamilies = []string{
-	"spear_source_tuples_total",
-	"spear_edge_queue_depth",
-	"spear_edge_queue_capacity",
-	"spear_sink_queue_depth",
-	"spear_worker_watermark_lag_seconds",
-	"spear_batch_occupancy",
-	"spear_worker_windows_total",
-	"spear_spill_ops_total",
-	"spear_spill_queue_depth",
-	"spear_spill_inflight_bytes",
-	"spear_spill_async_writes_total",
-	"spear_spill_backpressure_waits_total",
-	"spear_spill_flushes_total",
-	"spear_spill_cache_hits_total",
-	"spear_spill_cache_misses_total",
-	"spear_spill_cache_evictions_total",
-	"spear_spill_cache_bytes",
-	"spear_spill_prefetch_issued_total",
-	"spear_spill_prefetch_hits_total",
-	"spear_spill_compress_raw_bytes_total",
-	"spear_spill_compress_encoded_bytes_total",
-	"spear_checkpoint_completed_total",
-}
 
 func main() {
 	var (
@@ -252,7 +226,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, scrapeErr)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "scrapecheck: ok (%d required families served mid-run)\n", len(requiredFamilies))
+		fmt.Fprintf(os.Stderr, "scrapecheck: ok (%d required families served mid-run)\n", len(obs.Families()))
 	}
 
 	sort.Slice(lines, func(i, j int) bool { return lines[i].r.Start < lines[j].r.Start })
@@ -333,7 +307,7 @@ func spawnShards(n, par int) (addrs []string, procs []*exec.Cmd, err error) {
 }
 
 // checkScrape GETs /metrics while the query runs and verifies the
-// response is Prometheus text format carrying every required family.
+// response is Prometheus text format declaring every family of obs.Families.
 func checkScrape(addr string) error {
 	if addr == "" {
 		return fmt.Errorf("scrapecheck: observability server never reported an address")
@@ -355,7 +329,7 @@ func checkScrape(addr string) error {
 	}
 	text := string(body)
 	var missing []string
-	for _, fam := range requiredFamilies {
+	for _, fam := range obs.Families() {
 		if !strings.Contains(text, "# TYPE "+fam+" ") {
 			missing = append(missing, fam)
 		}

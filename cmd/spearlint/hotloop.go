@@ -51,7 +51,7 @@ var transportSendScope = []string{
 //     map allocation (make(map...) or a map composite literal), any
 //     explicit mutex acquisition (.Lock/.RLock), and any mutex-guarded
 //     metric observation (.Observe/.ObserveDuration through a selector
-//     chain passing a Metrics field — metrics.Histogram takes a lock
+//     chain passing a Metrics field — obs.Histogram takes a lock
 //     per observation).
 //   - In internal/core manager entry points: the same mutex rules over
 //     the whole OnTuple body (it runs once per tuple) and over the
@@ -534,8 +534,8 @@ func scanHotBody(p *Pkg, body *ast.BlockStmt, timeAlias string) []Finding {
 
 // mutexMetricFinding classifies one call as a per-tuple locking cost:
 // an explicit mutex acquisition, or a metric observation that takes a
-// mutex internally (metrics.Histogram.Observe/ObserveDuration, reached
-// through a Metrics field). Counter and Gauge are atomic and exempt;
+// mutex internally (obs.Histogram.Observe/ObserveDuration, reached
+// through a Metrics field). Counters and obs.Gauge are atomic and exempt;
 // non-metric Observe methods (e.g. the barrier aligner's, the watermark
 // generator's) are exempt because their chains never pass a Metrics
 // selector. Returns nil when the call is not a target.

@@ -12,8 +12,8 @@ import (
 // AnalyzerBlockfree verifies the observability plane's latency
 // contract: code documented lock-free must not reach a blocking
 // operation on the caller's goroutine. The instruments sit on the
-// per-tuple hot path (WorkerObs counters, BatchOccupancy folds,
-// metrics.Gauge stores) and the paper's overhead argument (§6) only
+// per-tuple hot path (obs.Worker counters, BatchOccupancy folds,
+// Gauge stores) and the paper's overhead argument (§6) only
 // holds while a probe is a handful of atomic instructions — one mutex
 // or channel op inherited through three layers of helpers turns the
 // measurement into the bottleneck.

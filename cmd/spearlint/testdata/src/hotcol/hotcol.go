@@ -32,7 +32,7 @@ func (b *ColumnBatch) Ts() []int64          { return b.ts }
 func (b *ColumnBatch) Floats(int) []float64 { return b.vals }
 func (b *ColumnBatch) Rows() []Tuple        { return b.rows }
 
-// workerTelemetry mimics metrics.Worker.
+// workerTelemetry mimics obs.Worker.
 type workerTelemetry struct {
 	ProcTime histo
 	TuplesIn counter

@@ -15,7 +15,7 @@ import (
 // Message stands in for the engine's transfer unit.
 type Message struct{ V int }
 
-// workerTelemetry mimics metrics.Worker: ProcTime is a mutex-guarded
+// workerTelemetry mimics obs.Worker: ProcTime is a mutex-guarded
 // histogram.
 type workerTelemetry struct{ ProcTime histo }
 

@@ -15,7 +15,7 @@ import (
 // Tuple stands in for tuple.Tuple.
 type Tuple struct{ Ts int64 }
 
-// workerTelemetry mimics metrics.Worker.
+// workerTelemetry mimics obs.Worker.
 type workerTelemetry struct {
 	ProcTime  histo
 	TuplesIn  counter

@@ -11,7 +11,6 @@ import (
 	"spear/internal/checkpoint"
 	"spear/internal/control"
 	"spear/internal/core"
-	"spear/internal/metrics"
 	"spear/internal/obs"
 	"spear/internal/sample"
 	"spear/internal/spe"
@@ -29,7 +28,9 @@ import (
 // bit-identical to a single-process run with the same seed, and
 // aligned-barrier checkpoints plus source replay work unchanged.
 // Checkpointed distributed runs need a SpillStore every process shares
-// (e.g. a FileStore on a common directory).
+// (e.g. a FileStore on a common directory). The window workers, and
+// with them the per-worker telemetry, live in the shard processes: the
+// Summary this process's Run returns is empty.
 func (q *Query) Distribute(addrs ...string) *Query {
 	if len(addrs) == 0 {
 		return q.errf("Distribute needs at least one node address")
@@ -44,6 +45,8 @@ func (q *Query) Distribute(addrs ...string) *Query {
 // built from the same definition as the source's (the same code,
 // typically — the handshake rejects structural mismatches); Source and
 // parallelism are the source process's concern and are ignored here.
+// The shard's telemetry is not sent to the source: give the query
+// ObserveWith(ins) and read ins.Summarize() or ins.Snapshot here.
 func (q *Query) ServeShard(lis net.Listener) error {
 	if len(q.errs) > 0 {
 		return errors.Join(q.errs...)
@@ -62,8 +65,6 @@ func (q *Query) ServeShard(lis net.Listener) error {
 	ins := q.obsInto
 	var tobs *obs.TransportObs
 	if ins != nil {
-		ins.SetRegistry(reg)
-		ins.SetStore(plane)
 		ins.SetSpillPlane(plane)
 		tobs = ins.RegisterTransport("source")
 	}
@@ -126,12 +127,13 @@ func (q *Query) ServeShard(lis net.Listener) error {
 // spill store, the spill I/O plane the managers talk to (the user's
 // store, optionally behind the compressed chunk codec, behind the
 // async write-behind/prefetch plane — a transparent synchronous
-// passthrough when SpillWorkers is 0), and the metrics registry. The
+// passthrough when SpillWorkers is 0), and the telemetry registry —
+// the caller's ObserveWith instruments, else a private one. The
 // checkpoint machinery deliberately keeps the raw store: manifest and
 // blob writes are commit points and must stay synchronous, while
 // spilled-state durability is enforced by the plane's barrier inside
 // each snapshot.
-func (q *Query) assembleRuntime() (storage.SpillStore, *spill.Plane, *metrics.Registry, error) {
+func (q *Query) assembleRuntime() (storage.SpillStore, *spill.Plane, *obs.Instruments, error) {
 	if q.budgetTuples == 0 {
 		// A sensible default: enough for a 10%/95% quantile per the
 		// Hoeffding bound, with headroom.
@@ -154,9 +156,9 @@ func (q *Query) assembleRuntime() (storage.SpillStore, *spill.Plane, *metrics.Re
 		QueueBytes: q.spillQueueBytes,
 		CacheBytes: q.spillCacheBytes,
 	})
-	reg := q.registry
+	reg := q.obsInto
 	if reg == nil {
-		reg = metrics.NewRegistry()
+		reg = obs.NewInstruments()
 	}
 	return store, plane, reg, nil
 }
@@ -164,7 +166,7 @@ func (q *Query) assembleRuntime() (storage.SpillStore, *spill.Plane, *metrics.Re
 // managerFactory returns the stateful-manager factory both runtimes
 // use. Worker indices are always global, so per-worker seeds, store
 // keys, and telemetry names agree across processes.
-func (q *Query) managerFactory(plane *spill.Plane, reg *metrics.Registry, deferDeletes bool) spe.ManagerFactory {
+func (q *Query) managerFactory(plane *spill.Plane, reg *obs.Instruments, deferDeletes bool) spe.ManagerFactory {
 	return func(wi int) (core.Manager, error) {
 		var cell *control.Cell
 		if wi < len(q.controlCells) {

@@ -282,11 +282,11 @@ func TestDistributedKillNodeRecovery(t *testing.T) {
 	// Leg 1: throttled stream; kill node 0 once a checkpoint commits.
 	n0 := spawnShard(t, "kill", dir, "2s")
 	n1 := spawnShard(t, "kill", dir, "2s")
-	var cm1 CheckpointMetrics
+	tel1 := NewInstruments()
 	leg1 := &workerSink{}
 	q1 := buildDistProcQuery(t, "kill", dir).
 		Source(&slowSpout{ts: in, delay: 150 * time.Microsecond}).
-		CheckpointMetricsInto(&cm1).
+		ObserveWith(tel1).
 		Distribute(n0.addr, n1.addr)
 	q1.transportRedials = 2
 	q1.transportBackoff = 10 * time.Millisecond
@@ -306,8 +306,8 @@ func TestDistributedKillNodeRecovery(t *testing.T) {
 	}
 	t.Logf("leg 1 failed as expected: %v", err)
 	t.Logf("leg 1 delivered %d windows before the crash", len(leg1.sorted()))
-	if cm1.Completed.Load() < 1 {
-		t.Fatalf("leg 1 committed %d checkpoints", cm1.Completed.Load())
+	if tel1.Checkpoint().Completed.Load() < 1 {
+		t.Fatalf("leg 1 committed %d checkpoints", tel1.Checkpoint().Completed.Load())
 	}
 	n0.wait(t, true) // killed
 	n1.wait(t, true) // abandoned; exits via its peer-wait watchdog
@@ -315,12 +315,10 @@ func TestDistributedKillNodeRecovery(t *testing.T) {
 	// Leg 2: fresh processes, recovered source, full stream replay.
 	m0 := spawnShard(t, "kill", dir, "")
 	m1 := spawnShard(t, "kill", dir, "")
-	var cm2 CheckpointMetrics
 	leg2 := &workerSink{}
 	if _, err := buildDistProcQuery(t, "kill", dir).
 		Source(FromSlice(in)).
 		Recover().
-		CheckpointMetricsInto(&cm2).
 		Distribute(m0.addr, m1.addr).
 		Run(leg2.add); err != nil {
 		t.Fatal(err)

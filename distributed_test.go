@@ -169,13 +169,33 @@ func TestDistributedLoopbackIdentity(t *testing.T) {
 		t.Fatalf("reference does not exercise both modes: %v", m)
 	}
 
-	shards := startShards(t, 2, build)
+	var shardIns []*Instruments
+	shards := startShards(t, 2, func() *Query {
+		ins := NewInstruments()
+		shardIns = append(shardIns, ins)
+		return build().ObserveWith(ins)
+	})
 	got := &workerSink{}
-	if _, err := build().Source(FromSlice(in)).Distribute(shards.addrs...).Run(got.add); err != nil {
+	sum, err := build().Source(FromSlice(in)).Distribute(shards.addrs...).Run(got.add)
+	if err != nil {
 		t.Fatal(err)
 	}
 	shards.wait(t, false)
 	requireIdentical(t, want, got.sorted())
+
+	// The window workers live in the shard processes, and so does their
+	// telemetry: the source's Summary is empty, and what the shards'
+	// instruments counted adds up to the results delivered.
+	if sum != (Summary{}) {
+		t.Errorf("source Summary under Distribute = %+v, want empty", sum)
+	}
+	var windows int64
+	for _, ins := range shardIns {
+		windows += ins.Summarize().Windows
+	}
+	if windows != int64(len(want)) {
+		t.Errorf("shards' summaries count %d windows, %d results delivered", windows, len(want))
+	}
 }
 
 // TestDistributedLoopbackIdentityGrouped does the same for a grouped
@@ -239,17 +259,17 @@ func TestDistributedBarriersOverWire(t *testing.T) {
 	}
 
 	ref := &workerSink{}
-	var cmRef CheckpointMetrics
-	if _, err := build().Source(FromSlice(in)).CheckpointMetricsInto(&cmRef).Run(ref.add); err != nil {
+	telRef := NewInstruments()
+	if _, err := build().Source(FromSlice(in)).ObserveWith(telRef).Run(ref.add); err != nil {
 		t.Fatal(err)
 	}
 	want := ref.sorted()
 
 	shards := startShards(t, 2, build)
 	got := &workerSink{}
-	var cm CheckpointMetrics
+	tel := NewInstruments()
 	if _, err := build().Source(FromSlice(in)).
-		CheckpointMetricsInto(&cm).
+		ObserveWith(tel).
 		Distribute(shards.addrs...).
 		Run(got.add); err != nil {
 		t.Fatal(err)
@@ -259,10 +279,10 @@ func TestDistributedBarriersOverWire(t *testing.T) {
 	// Round counts are timing-dependent (the coordinator skips a cadence
 	// point while a round is still in flight), so only completion is
 	// asserted — the reference's count need not match.
-	if cm.Completed.Load() < 1 {
+	if tel.Checkpoint().Completed.Load() < 1 {
 		t.Fatal("distributed run committed no checkpoints")
 	}
-	if cmRef.Completed.Load() < 1 {
+	if telRef.Checkpoint().Completed.Load() < 1 {
 		t.Fatal("reference run committed no checkpoints")
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"spear"
-	"spear/internal/metrics"
 	"spear/internal/stats"
 	"spear/internal/storage"
 )
@@ -139,7 +138,7 @@ func Adaptive(opt Options) ([]*Table, error) {
 
 	runOnce := func(label string, adaptive bool) (*runStats, error) {
 		var start time.Time
-		reg := metrics.NewRegistry()
+		ins := spear.NewInstruments()
 		mem := storage.NewMemStore()
 		q := spear.NewQuery(label).
 			Source(pace(&start)).
@@ -150,7 +149,7 @@ func Adaptive(opt Options) ([]*Table, error) {
 			DisableIncremental().
 			Seed(opt.Seed).
 			SpillStore(storage.NewLatencyStore(mem, storePerW, 0, nil)).
-			MetricsInto(reg)
+			ObserveWith(ins)
 		if adaptive {
 			q.LatencySLO(slo).
 				AdaptiveBudget(budgetMin, budget).
@@ -170,10 +169,10 @@ func Adaptive(opt Options) ([]*Table, error) {
 			return nil, fmt.Errorf("bench: %s: %w", label, err)
 		}
 		sort.Slice(st.lats, func(i, j int) bool { return st.lats[i].res.Start < st.lats[j].res.Start })
-		for _, w := range reg.Workers() {
-			st.shedTuples += w.TuplesShed.Load()
-			st.shedWins += w.WindowsShed.Load()
-			st.endBudget += w.BudgetTuples.Load()
+		for _, w := range ins.Snapshot(time.Now()).WorkerMetrics {
+			st.shedTuples += w.TuplesShed
+			st.shedWins += w.WindowsShed
+			st.endBudget += w.BudgetTuples
 		}
 		// Accuracy gate: every window's realized error within its
 		// reported contract, for at least the confidence fraction.

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"spear"
-	"spear/internal/metrics"
+	"spear/internal/obs"
 )
 
 // Checkpoint measures the throughput cost of aligned barrier snapshots
@@ -41,15 +41,18 @@ func Checkpoint(opt Options) ([]*Table, error) {
 	}
 	var baseThr float64
 	for _, c := range configs {
-		var cm metrics.CheckpointMetrics
-		q := decQuery(opt, false, spear.BackendSPEAr, decMeanBudget, paperWorkers, false)
+		// Every row observes, "off" included, so the overhead column
+		// compares like with like.
+		ins := spear.NewInstruments()
+		q := decQuery(opt, false, spear.BackendSPEAr, decMeanBudget, paperWorkers, false).ObserveWith(ins)
 		if c.tuples > 0 || c.iv > 0 {
-			q.CheckpointEvery(c.tuples, c.iv).CheckpointMetricsInto(&cm)
+			q.CheckpointEvery(c.tuples, c.iv)
 		}
 		out, err := runQuery("ckpt-"+c.label, q)
 		if err != nil {
 			return nil, err
 		}
+		cm := ins.Checkpoint()
 		thr := float64(n) / out.wall.Seconds()
 		overhead := "-"
 		if c.label == "off" {
@@ -76,7 +79,7 @@ func Checkpoint(opt Options) ([]*Table, error) {
 }
 
 // histMs renders a duration histogram's mean in milliseconds.
-func histMs(h *metrics.Histogram) string {
+func histMs(h *obs.Histogram) string {
 	if h.Count() == 0 {
 		return "-"
 	}

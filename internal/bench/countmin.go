@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"spear/internal/core"
-	"spear/internal/metrics"
+	"spear/internal/obs"
 	"spear/internal/sketch"
 	"spear/internal/tuple"
 	"spear/internal/window"
@@ -27,14 +27,14 @@ type CountMinManager struct {
 	sk    *sketch.GroupedMeanSketch
 	keyBy tuple.KeyExtractor
 	value tuple.Extractor
-	met   *metrics.Worker
+	met   *obs.Worker
 	now   func() time.Time
 }
 
 // NewCountMinManager builds the baseline for a grouped mean CQ with the
 // sketch sized for (eps, delta) — matched to SPEAr's (ε, 1−α).
 func NewCountMinManager(spec window.Spec, keyBy tuple.KeyExtractor, value tuple.Extractor,
-	eps, delta float64, met *metrics.Worker) (*CountMinManager, error) {
+	eps, delta float64, met *obs.Worker) (*CountMinManager, error) {
 	if keyBy == nil || value == nil {
 		return nil, fmt.Errorf("bench: CountMin baseline needs key and value extractors")
 	}
@@ -58,10 +58,8 @@ func (m *CountMinManager) OnTuple(t tuple.Tuple) ([]core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if m.met != nil {
-		m.met.TuplesIn.Inc()
-		m.met.MemBytes.Set(int64(m.MemUsage()))
-	}
+	m.met.TuplesIn.Add(1)
+	m.met.MemBytes.Set(int64(m.MemUsage()))
 	return m.produceAll(completes, 0), nil
 }
 
@@ -93,12 +91,10 @@ func (m *CountMinManager) produceAll(completes []window.Complete, scanShare time
 			Mode:   core.ModeExact, // a sketch is not SPEAr acceleration
 			Groups: m.sk.Result(),
 		}
-		if m.met != nil {
-			m.met.ProcTime.ObserveDuration(m.now().Sub(t0) + scanShare)
-			m.met.WindowsTotal.Inc()
-			m.met.WindowsExact.Inc()
-			m.met.TuplesProcessedFull.Add(int64(len(c.Tuples)))
-		}
+		m.met.ProcTime.ObserveDuration(m.now().Sub(t0) + scanShare)
+		m.met.WindowsTotal.Add(1)
+		m.met.WindowsExact.Add(1)
+		m.met.TuplesProcessedFull.Add(int64(len(c.Tuples)))
 		out = append(out, res)
 	}
 	return out

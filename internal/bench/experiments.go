@@ -10,7 +10,7 @@ import (
 	"spear"
 	"spear/internal/core"
 	"spear/internal/dataset"
-	"spear/internal/metrics"
+	"spear/internal/obs"
 	"spear/internal/spe"
 )
 
@@ -369,7 +369,7 @@ func Fig8d(opt Options) ([]*Table, error) {
 // runCountMin executes a grouped CQ with the CountMin baseline through
 // the raw engine (the public builder intentionally has no sketch mode).
 func runCountMin(label string, ds *dataset.Stream, par int, seed int64) (*runOut, error) {
-	reg := metrics.NewRegistry()
+	reg := obs.NewInstruments()
 	spec := ds.Window
 	factory := func(wi int) (core.Manager, error) {
 		return NewCountMinManager(spec, ds.Key, ds.Value,

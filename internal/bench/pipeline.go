@@ -9,7 +9,6 @@ import (
 
 	"spear/internal/agg"
 	"spear/internal/core"
-	"spear/internal/metrics"
 	"spear/internal/obs"
 	"spear/internal/sample"
 	"spear/internal/spe"
@@ -53,7 +52,6 @@ func Pipeline(opt Options) ([]*Table, error) {
 	}
 
 	factory := func(wi int) (core.Manager, error) {
-		reg := metrics.NewRegistry()
 		return core.NewScalarManager(core.Config{
 			Spec:         window.Tumbling(time.Duration(10_000)),
 			Value:        tuple.FieldFloat(0),
@@ -65,7 +63,6 @@ func Pipeline(opt Options) ([]*Table, error) {
 			Store:        storage.NewMemStore(),
 			Key:          fmt.Sprintf("pipe/w%d", wi),
 			Seed:         sample.DeriveSeed(opt.Seed, int64(wi)),
-			Metrics:      reg.Worker(fmt.Sprintf("pipe[%d]", wi)),
 		})
 	}
 

@@ -19,13 +19,14 @@
 package checkpoint
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
 
 	"spear/internal/core"
-	"spear/internal/metrics"
+	"spear/internal/obs"
 	"spear/internal/spe"
 	"spear/internal/storage"
 )
@@ -76,8 +77,9 @@ type Config struct {
 	// tuples to keep the per-tuple cost negligible. Zero disables
 	// time-based triggering.
 	Interval time.Duration
-	// Metrics, when non-nil, receives checkpoint telemetry.
-	Metrics *metrics.CheckpointMetrics
+	// Metrics receives checkpoint telemetry; nil selects a fresh bundle
+	// of the coordinator's own.
+	Metrics *obs.CheckpointMetrics
 	// Now supplies the clock; nil uses time.Now.
 	Now func() time.Time
 	// AfterPersist, when non-nil, runs after a worker's snapshot blob
@@ -131,6 +133,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if now == nil {
 		now = time.Now
 	}
+	cfg.Metrics = cmp.Or(cfg.Metrics, &obs.CheckpointMetrics{})
 	return &Coordinator{cfg: cfg, now: now, nextID: 1}, nil
 }
 
@@ -217,9 +220,7 @@ func (c *Coordinator) Hooks() *spe.CheckpointHooks {
 		h.Trigger = c.trigger
 	}
 	h.Snapshot = c.snapshot
-	if m := c.cfg.Metrics; m != nil {
-		h.AlignStall = m.AlignStall.ObserveDuration
-	}
+	h.AlignStall = c.cfg.Metrics.AlignStall.ObserveDuration
 	restored, blobs, met := c.restored, c.blobs, c.cfg.Metrics
 	if restored != nil {
 		h.StartOffset = restored.Offset
@@ -246,9 +247,7 @@ func (c *Coordinator) Hooks() *spe.CheckpointHooks {
 				return fmt.Errorf("checkpoint: rewind worker %d: %w", worker, err)
 			}
 		}
-		if met != nil {
-			met.RecoveryTime.Set(met.RecoveryTime.Load() + int64(c.now().Sub(start)))
-		}
+		met.RecoveryTime.Set(met.RecoveryTime.Load() + int64(c.now().Sub(start)))
 		return nil
 	}
 	return h
@@ -301,10 +300,8 @@ func (c *Coordinator) snapshot(id uint64, worker int, mgr core.Manager) error {
 	if err := putBlob(c.cfg.Store, key, blob); err != nil {
 		return c.fail(err)
 	}
-	if m := c.cfg.Metrics; m != nil {
-		m.SnapshotTime.ObserveDuration(c.now().Sub(start))
-		m.SnapshotBytes.Add(int64(len(blob)))
-	}
+	c.cfg.Metrics.SnapshotTime.ObserveDuration(c.now().Sub(start))
+	c.cfg.Metrics.SnapshotBytes.Add(int64(len(blob)))
 	if c.cfg.AfterPersist != nil {
 		if err := c.cfg.AfterPersist(id, worker); err != nil {
 			return c.fail(err)
@@ -364,11 +361,9 @@ func (c *Coordinator) commit(r *round) error {
 	if err := putBlob(c.cfg.Store, manifestKey(c.cfg.Namespace, r.id), enc); err != nil {
 		return err
 	}
-	if met := c.cfg.Metrics; met != nil {
-		met.Completed.Inc()
-		met.SnapshotBytes.Add(int64(len(enc)))
-		met.LastBytes.Set(r.bytes + int64(len(enc)))
-	}
+	c.cfg.Metrics.Completed.Add(1)
+	c.cfg.Metrics.SnapshotBytes.Add(int64(len(enc)))
+	c.cfg.Metrics.LastBytes.Set(r.bytes + int64(len(enc)))
 	for _, k := range r.deferred {
 		if err := c.cfg.Store.Delete(k); err != nil {
 			return fmt.Errorf("checkpoint: deferred delete %q: %w", k, err)
@@ -410,8 +405,6 @@ func (c *Coordinator) gc(keep uint64) error {
 
 // fail records a checkpoint failure and returns err.
 func (c *Coordinator) fail(err error) error {
-	if m := c.cfg.Metrics; m != nil {
-		m.Failed.Inc()
-	}
+	c.cfg.Metrics.Failed.Add(1)
 	return err
 }

@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"spear/internal/core"
-	"spear/internal/metrics"
+	"spear/internal/obs"
 	"spear/internal/storage"
 	"spear/internal/tuple"
 )
@@ -292,7 +292,7 @@ func TestCoordinatorSnapshotErrors(t *testing.T) {
 }
 
 func TestCoordinatorMetrics(t *testing.T) {
-	var cm metrics.CheckpointMetrics
+	var cm obs.CheckpointMetrics
 	store := storage.NewMemStore()
 	c, err := NewCoordinator(Config{
 		Store: store, Namespace: "t/ckpt", Workers: 1, EveryTuples: 10, Metrics: &cm,

@@ -7,7 +7,7 @@ import (
 
 	"spear/internal/agg"
 	"spear/internal/control"
-	"spear/internal/metrics"
+	"spear/internal/obs"
 	"spear/internal/sample"
 	"spear/internal/stats"
 	"spear/internal/tuple"
@@ -86,8 +86,7 @@ func TestScalarShedBoundFailsIsModeShed(t *testing.T) {
 	// ModeShed — sample answer, realized bound, contract not met.
 	cfg := mkCfg(agg.Func{Op: agg.Mean}, 5)
 	cfg.DisableIncremental = true
-	reg := metrics.NewRegistry()
-	cfg.Metrics = reg.Worker("w")
+	cfg.Metrics = &obs.Worker{}
 	m, _ := NewScalarManager(cfg)
 	m.SetShedding(true)
 	r := rand.New(rand.NewSource(3))
@@ -312,8 +311,7 @@ func TestGroupedShedHolisticIsModeShed(t *testing.T) {
 	cfg := mkCfg(agg.Median(), 6)
 	cfg.KeyBy = tuple.FieldString(1)
 	cfg.KnownGroups = 3
-	reg := metrics.NewRegistry()
-	cfg.Metrics = reg.Worker("w")
+	cfg.Metrics = &obs.Worker{}
 	m, err := NewGroupedManager(cfg)
 	if err != nil {
 		t.Fatal(err)

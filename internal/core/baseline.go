@@ -65,9 +65,7 @@ func (m *ExactManager) OnWatermark(wm int64) ([]Result, error) {
 		return nil, nil
 	}
 	scanShare := m.now().Sub(t0) / time.Duration(len(completes))
-	if m.cfg.Metrics != nil {
-		m.cfg.Metrics.MemBytes.Set(int64(m.buf.MemUsage()))
-	}
+	m.cfg.Metrics.MemBytes.Set(int64(m.buf.MemUsage()))
 	return m.produceAll(completes, scanShare), nil
 }
 
@@ -99,15 +97,7 @@ func (m *ExactManager) produceAll(completes []window.Complete, scanShare time.Du
 			}
 			res.Scalar = m.cfg.Agg.Compute(vals)
 		}
-		if m.cfg.Metrics != nil {
-			m.cfg.Metrics.ProcTime.ObserveDuration(m.now().Sub(t0) + scanShare)
-			m.cfg.Metrics.WindowsTotal.Inc()
-			m.cfg.Metrics.WindowsExact.Inc()
-			m.cfg.Metrics.TuplesProcessedFull.Add(int64(len(c.Tuples)))
-			if res.FetchedFromStore {
-				m.cfg.Metrics.WindowsSpilled.Inc()
-			}
-		}
+		m.cfg.countFire(&res, m.now().Sub(t0)+scanShare)
 		out = append(out, res)
 	}
 	return out
@@ -203,11 +193,7 @@ func (m *IncrementalManager) fire(wm int64) []Result {
 			Scalar: inc.Result(),
 		}
 		delete(m.wins, id)
-		if m.cfg.Metrics != nil {
-			m.cfg.Metrics.ProcTime.ObserveDuration(m.now().Sub(t0))
-			m.cfg.Metrics.WindowsTotal.Inc()
-			m.cfg.Metrics.WindowsAccelerated.Inc()
-		}
+		m.cfg.countFire(&res, m.now().Sub(t0))
 		out = append(out, res)
 	}
 	return out

@@ -12,13 +12,14 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"time"
 
 	"spear/internal/agg"
 	"spear/internal/control"
-	"spear/internal/metrics"
+	"spear/internal/obs"
 	"spear/internal/storage"
 	"spear/internal/tuple"
 	"spear/internal/window"
@@ -86,8 +87,9 @@ type Config struct {
 	// GroupedEstimator likewise for grouped operations.
 	GroupedEstimator GroupedEstimator
 
-	// Metrics receives telemetry; nil records nothing.
-	Metrics *metrics.Worker
+	// Metrics is the worker's telemetry bundle; nil selects a fresh
+	// one of the manager's own, so the counting code has no off switch.
+	Metrics *obs.Worker
 
 	// Clock supplies wall-clock readings for processing-time telemetry
 	// (ProcTime observations) only — event-time logic never consults
@@ -202,6 +204,7 @@ func (c *Config) validate() error {
 	if c.SpillAhead < 0 {
 		return fmt.Errorf("core: SpillAhead %d negative", c.SpillAhead)
 	}
+	c.Metrics = cmp.Or(c.Metrics, &obs.Worker{})
 	return nil
 }
 
@@ -223,9 +226,6 @@ func (c *Config) clock() func() time.Time {
 // reports whether state grew, i.e. whether the caller should refresh
 // its memory gauge.
 func (c *Config) countIngest(n int, late int64) bool {
-	if c.Metrics == nil {
-		return false
-	}
 	if late > 0 {
 		c.Metrics.LateDropped.Add(late)
 	}
@@ -234,6 +234,28 @@ func (c *Config) countIngest(n int, late int64) bool {
 		return true
 	}
 	return false
+}
+
+// countFire books one fired window, produced in elapsed: its processing
+// time, how it was answered (res.Mode), the tuples an exact answer
+// scanned (its SampleN), and whether secondary storage was touched.
+// Every manager's fire path ends here.
+func (c *Config) countFire(res *Result, elapsed time.Duration) {
+	m := c.Metrics
+	m.ProcTime.ObserveDuration(elapsed)
+	m.WindowsTotal.Add(1)
+	if res.Mode.Accelerated() {
+		m.WindowsAccelerated.Add(1)
+	} else {
+		m.WindowsExact.Add(1)
+		m.TuplesProcessedFull.Add(int64(res.SampleN))
+	}
+	if res.Mode == ModeShed {
+		m.WindowsShed.Add(1)
+	}
+	if res.FetchedFromStore {
+		m.WindowsSpilled.Add(1)
+	}
 }
 
 // BudgetBytes converts a byte budget into a tuple budget given the

@@ -1,13 +1,15 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"spear/internal/agg"
-	"spear/internal/metrics"
+	"spear/internal/obs"
 	"spear/internal/stats"
 	"spear/internal/storage"
 	"spear/internal/tuple"
@@ -155,8 +157,7 @@ func TestScalarSampledPathAccelerates(t *testing.T) {
 	// Low-variance data, generous budget → sampled result within ε.
 	cfg := mkCfg(agg.Func{Op: agg.Mean}, 400)
 	cfg.DisableIncremental = true
-	reg := metrics.NewRegistry()
-	cfg.Metrics = reg.Worker("w")
+	cfg.Metrics = &obs.Worker{}
 	m, err := NewScalarManager(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -204,8 +205,7 @@ func TestScalarFallbackToExact(t *testing.T) {
 	cfg := mkCfg(agg.Func{Op: agg.Mean}, 5)
 	cfg.DisableIncremental = true
 	cfg.ArchiveChunk = 7 // force multiple chunks
-	reg := metrics.NewRegistry()
-	cfg.Metrics = reg.Worker("w")
+	cfg.Metrics = &obs.Worker{}
 	m, err := NewScalarManager(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -407,8 +407,7 @@ func TestGroupedUnknownGroupsAccelerates(t *testing.T) {
 	cfg.KeyBy = tuple.FieldString(0)
 	cfg.Value = tuple.FieldFloat(1)
 	cfg.DisableIncremental = true // exercise the stratified-sampling path
-	reg := metrics.NewRegistry()
-	cfg.Metrics = reg.Worker("w")
+	cfg.Metrics = &obs.Worker{}
 	m, err := NewGroupedManager(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -760,8 +759,7 @@ func TestExactManagerSpill(t *testing.T) {
 
 func TestIncrementalManager(t *testing.T) {
 	cfg := mkCfg(agg.Func{Op: agg.Mean}, 1)
-	reg := metrics.NewRegistry()
-	cfg.Metrics = reg.Worker("w")
+	cfg.Metrics = &obs.Worker{}
 	m, err := NewIncrementalManager(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -990,6 +988,93 @@ func BenchmarkScalarManagerTuple(b *testing.B) {
 		m.OnTuple(tuple.New(int64(i)*step, tuple.Float(float64(i&1023))))
 		if i%100000 == 99999 {
 			m.OnWatermark(int64(i) * step)
+		}
+	}
+}
+
+// TestMetricsDefaultBundle: a manager built with Config.Metrics unset
+// counts into a bundle of its own — the same numbers a caller-supplied
+// bundle receives — and produces identical results, values and Mode.
+func TestMetricsDefaultBundle(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	var in []tuple.Tuple
+	for i := 0; i < 3000; i++ {
+		// Three windows: the heavy tail of the outer two makes a
+		// 5-tuple budget fall back to exact processing, the flat middle
+		// one is answered from the sample.
+		v := math.Abs(r.NormFloat64()) * 1e6 * r.Float64()
+		if i/1000 == 1 {
+			v = 100 + r.NormFloat64()
+		}
+		in = append(in, tuple.New(int64(i/10), tuple.String_(fmt.Sprint("g", i%3)), tuple.Float(v)))
+	}
+	build := map[string]func(cfg Config) (Manager, *Config, error){
+		"scalar": func(cfg Config) (Manager, *Config, error) {
+			m, err := NewScalarManager(cfg)
+			return m, &m.cfg, err
+		},
+		"grouped": func(cfg Config) (Manager, *Config, error) {
+			cfg.KeyBy = tuple.FieldString(0)
+			m, err := NewGroupedManager(cfg)
+			return m, &m.cfg, err
+		},
+		"exact": func(cfg Config) (Manager, *Config, error) {
+			m, err := NewExactManager(cfg, 0)
+			return m, &m.cfg, err
+		},
+		"incremental": func(cfg Config) (Manager, *Config, error) {
+			m, err := NewIncrementalManager(cfg)
+			return m, &m.cfg, err
+		},
+	}
+	for name, mk := range build {
+		run := func(bundle *obs.Worker) ([]Result, *obs.Worker) {
+			cfg := mkCfg(agg.Func{Op: agg.Mean}, 5)
+			cfg.Value = tuple.FieldFloat(1)
+			cfg.DisableIncremental = name != "incremental"
+			cfg.Metrics = bundle
+			m, held, err := mk(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			var out []Result
+			for _, tp := range in {
+				rs, err := m.OnTuple(tp)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				out = append(out, rs...)
+			}
+			rs, err := m.OnWatermark(300)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return append(out, rs...), held.Metrics
+		}
+		given := &obs.Worker{}
+		want, held := run(given)
+		if held != given {
+			t.Errorf("%s: a supplied bundle was replaced", name)
+		}
+		got, own := run(nil)
+		if own == nil {
+			t.Fatalf("%s: no default bundle", name)
+		}
+		if len(want) != 3 || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: results differ with Metrics unset:\n got %v\nwant %v", name, got, want)
+		}
+		for _, c := range []struct {
+			what      string
+			own, give int64
+		}{
+			{"TuplesIn", own.TuplesIn.Load(), given.TuplesIn.Load()},
+			{"WindowsTotal", own.WindowsTotal.Load(), given.WindowsTotal.Load()},
+			{"WindowsExact", own.WindowsExact.Load(), given.WindowsExact.Load()},
+			{"TuplesProcessedFull", own.TuplesProcessedFull.Load(), given.TuplesProcessedFull.Load()},
+		} {
+			if c.own != c.give || (c.what == "WindowsTotal" && c.own != 3) {
+				t.Errorf("%s: default bundle %s = %d, supplied bundle %d", name, c.what, c.own, c.give)
+			}
 		}
 	}
 }

@@ -117,9 +117,7 @@ func NewGroupedManager(cfg Config) (*GroupedManager, error) {
 		wins:      make(map[window.ID]*groupedWin),
 		now:       cfg.clock(),
 	}
-	if cfg.Metrics != nil {
-		cfg.Metrics.BudgetTuples.Set(int64(m.curBudget))
-	}
+	cfg.Metrics.BudgetTuples.Set(int64(m.curBudget))
 	if cfg.KnownGroups > 0 {
 		m.arc = newArchive(cfg.Store, cfg.Key, cfg.Spec, cfg.ArchiveChunk, cfg.DeferStoreDeletes)
 		m.own = window.NewLifecycle(cfg.Spec)
@@ -244,9 +242,7 @@ func (m *GroupedManager) SetBudget(b int) {
 	if m.shed && !m.canShed() {
 		m.shed = false
 	}
-	if m.cfg.Metrics != nil {
-		m.cfg.Metrics.BudgetTuples.Set(int64(b))
-	}
+	m.cfg.Metrics.BudgetTuples.Set(int64(b))
 }
 
 // canShed reports whether shedding is meaningful right now: only the
@@ -345,9 +341,7 @@ func (m *GroupedManager) ingestRun(ts []int64, vals []float64, rows []tuple.Tupl
 			// reservoirs above stay exact/uniform; only the exact
 			// fallback is forfeited (windows were tainted above).
 			m.sheds += int64(i1 - i0)
-			if m.cfg.Metrics != nil {
-				m.cfg.Metrics.TuplesShed.Add(int64(i1 - i0))
-			}
+			m.cfg.Metrics.TuplesShed.Add(int64(i1 - i0))
 		default:
 			err = m.arc.addRun(int64(hi), ts[i0:i1], rows[i0:i1])
 		}
@@ -433,9 +427,7 @@ func (m *GroupedManager) fireKnown(wm int64) ([]Result, error) {
 	if err := m.arc.evictBefore(start); err != nil {
 		return nil, err
 	}
-	if m.cfg.Metrics != nil {
-		m.cfg.Metrics.MemBytes.Set(int64(m.BudgetMemUsage()))
-	}
+	m.cfg.Metrics.MemBytes.Set(int64(m.BudgetMemUsage()))
 	return out, nil
 }
 
@@ -482,9 +474,7 @@ func (m *GroupedManager) produceKnown(id window.ID) (*Result, error) {
 			m.fromMoments(&res, w.gs)
 			res.SampleN = int(res.N)
 		} else {
-			if m.cfg.Metrics != nil {
-				m.cfg.Metrics.EstimationFailures.Inc()
-			}
+			m.cfg.Metrics.EstimationFailures.Add(1)
 			res.Mode = ModeShed
 			if estOK {
 				res.EstError = estErr
@@ -500,9 +490,7 @@ func (m *GroupedManager) produceKnown(id window.ID) (*Result, error) {
 			}
 		}
 	default:
-		if m.cfg.Metrics != nil {
-			m.cfg.Metrics.EstimationFailures.Inc()
-		}
+		m.cfg.Metrics.EstimationFailures.Add(1)
 		ts, err := m.arc.fetch(startPos, endPos)
 		if err != nil {
 			return nil, fmt.Errorf("core: grouped exact fallback window %d: %w", id, err)
@@ -511,7 +499,7 @@ func (m *GroupedManager) produceKnown(id window.ID) (*Result, error) {
 		res.N = int64(len(ts))
 		res.FetchedFromStore = true
 	}
-	m.finishMetrics(&res, t0, 0)
+	m.cfg.countFire(&res, m.now().Sub(t0))
 	return &res, nil
 }
 
@@ -554,9 +542,6 @@ func (m *GroupedManager) exact(res *Result, ts []tuple.Tuple) {
 	res.Mode = ModeExact
 	res.Groups = agg.ComputeGrouped(keys, vals, m.cfg.Agg)
 	res.SampleN = len(vals)
-	if m.cfg.Metrics != nil {
-		m.cfg.Metrics.TuplesProcessedFull.Add(int64(len(vals)))
-	}
 }
 
 // ---- buffered path (unknown groups) ----
@@ -568,9 +553,7 @@ func (m *GroupedManager) produceBuffered(completes []window.Complete, scanShare 
 		out = append(out, r)
 		m.close(c.ID)
 	}
-	if m.cfg.Metrics != nil {
-		m.cfg.Metrics.MemBytes.Set(int64(m.MemUsage()))
-	}
+	m.cfg.Metrics.MemBytes.Set(int64(m.MemUsage()))
 	return out
 }
 
@@ -627,8 +610,8 @@ func (m *GroupedManager) produceFromWindow(c window.Complete, scanShare time.Dur
 			}
 			res.SampleN = sn
 			accelerated = true
-		} else if m.cfg.Metrics != nil {
-			m.cfg.Metrics.EstimationFailures.Inc()
+		} else {
+			m.cfg.Metrics.EstimationFailures.Add(1)
 		}
 	}
 
@@ -637,27 +620,8 @@ func (m *GroupedManager) produceFromWindow(c window.Complete, scanShare time.Dur
 		m.exact(&res, c.Tuples)
 		res.FetchedFromStore = c.FetchedFromStore
 	}
-	m.finishMetrics(&res, t0, scanShare)
+	m.cfg.countFire(&res, m.now().Sub(t0)+scanShare)
 	return res
-}
-
-func (m *GroupedManager) finishMetrics(res *Result, t0 time.Time, scanShare time.Duration) {
-	if m.cfg.Metrics == nil {
-		return
-	}
-	m.cfg.Metrics.ProcTime.ObserveDuration(m.now().Sub(t0) + scanShare)
-	m.cfg.Metrics.WindowsTotal.Inc()
-	if res.Mode.Accelerated() {
-		m.cfg.Metrics.WindowsAccelerated.Inc()
-	} else {
-		m.cfg.Metrics.WindowsExact.Inc()
-	}
-	if res.Mode == ModeShed {
-		m.cfg.Metrics.WindowsShed.Inc()
-	}
-	if res.FetchedFromStore {
-		m.cfg.Metrics.WindowsSpilled.Inc()
-	}
 }
 
 // PrefetchWatermark implements the engine's Prefetcher hook for the

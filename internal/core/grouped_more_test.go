@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"spear/internal/agg"
-	"spear/internal/metrics"
+	"spear/internal/obs"
 	"spear/internal/stats"
 	"spear/internal/storage"
 	"spear/internal/tuple"
@@ -24,8 +24,7 @@ func TestKnownGroupsFallbackFetchesFromStore(t *testing.T) {
 	cfg.Value = tuple.FieldFloat(1)
 	cfg.KnownGroups = 2
 	cfg.ArchiveChunk = 16
-	reg := metrics.NewRegistry()
-	cfg.Metrics = reg.Worker("w")
+	cfg.Metrics = &obs.Worker{}
 	m, err := NewGroupedManager(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -96,9 +96,7 @@ func NewScalarManager(cfg Config) (*ScalarManager, error) {
 		curBudget: cfg.BudgetTuples,
 		now:       cfg.clock(),
 	}
-	if cfg.Metrics != nil {
-		cfg.Metrics.BudgetTuples.Set(int64(m.curBudget))
-	}
+	cfg.Metrics.BudgetTuples.Set(int64(m.curBudget))
 	return m, nil
 }
 
@@ -145,9 +143,7 @@ func (m *ScalarManager) SetBudget(b int) {
 		// stays sample-less: admitting only the suffix of its stream
 		// would not be a uniform sample.
 	}
-	if m.cfg.Metrics != nil {
-		m.cfg.Metrics.BudgetTuples.Set(int64(b))
-	}
+	m.cfg.Metrics.BudgetTuples.Set(int64(b))
 }
 
 // SetShedding toggles archive-write shedding directly (the controller
@@ -252,9 +248,7 @@ func (m *ScalarManager) ingestRun(ts []int64, vals []float64, rows []tuple.Tuple
 			// the whole window. What is lost is the exact fallback for
 			// the windows this run spans.
 			m.sheds += int64(i1 - i0)
-			if m.cfg.Metrics != nil {
-				m.cfg.Metrics.TuplesShed.Add(int64(i1 - i0))
-			}
+			m.cfg.Metrics.TuplesShed.Add(int64(i1 - i0))
 		} else if err = m.arc.addRun(int64(hi), ts[i0:i1], rows[i0:i1]); err != nil {
 			return
 		}
@@ -298,9 +292,7 @@ func (m *ScalarManager) fire(wm int64) ([]Result, error) {
 		if m.cfg.Budget != nil && m.cfg.Cell == nil {
 			if next := m.cfg.Budget.Next(m.curBudget, r); next >= 1 {
 				m.curBudget = next
-				if m.cfg.Metrics != nil {
-					m.cfg.Metrics.BudgetTuples.Set(int64(next))
-				}
+				m.cfg.Metrics.BudgetTuples.Set(int64(next))
 			}
 		}
 		delete(m.wins, id)
@@ -309,9 +301,7 @@ func (m *ScalarManager) fire(wm int64) ([]Result, error) {
 	if err := m.arc.evictBefore(start); err != nil {
 		return nil, err
 	}
-	if m.cfg.Metrics != nil {
-		m.cfg.Metrics.MemBytes.Set(int64(m.BudgetMemUsage()))
-	}
+	m.cfg.Metrics.MemBytes.Set(int64(m.BudgetMemUsage()))
 	return out, nil
 }
 
@@ -372,9 +362,7 @@ func (m *ScalarManager) produce(id window.ID, w *scalarWin) (Result, error) {
 			// bound — possibly above ε — in the contract fields; the
 			// Mode records that the ε guarantee was traded for
 			// latency.
-			if m.cfg.Metrics != nil {
-				m.cfg.Metrics.EstimationFailures.Inc()
-			}
+			m.cfg.Metrics.EstimationFailures.Add(1)
 			res.Mode = ModeShed
 			res.EstError = estErr
 			if !ok {
@@ -386,9 +374,7 @@ func (m *ScalarManager) produce(id window.ID, w *scalarWin) (Result, error) {
 			// ε̂_w > ε: process the whole window from S (Alg. 2
 			// line 5) — performance identical to normal execution
 			// plus the failed check.
-			if m.cfg.Metrics != nil {
-				m.cfg.Metrics.EstimationFailures.Inc()
-			}
+			m.cfg.Metrics.EstimationFailures.Add(1)
 			ts, err := m.arc.fetch(startPos, endPos)
 			if err != nil {
 				return res, fmt.Errorf("core: exact fallback window %d: %w", id, err)
@@ -402,27 +388,10 @@ func (m *ScalarManager) produce(id window.ID, w *scalarWin) (Result, error) {
 			res.N = int64(len(vals))
 			res.Scalar = m.evalExact(vals)
 			res.FetchedFromStore = true
-			if m.cfg.Metrics != nil {
-				m.cfg.Metrics.TuplesProcessedFull.Add(int64(len(vals)))
-			}
 		}
 	}
 
-	if m.cfg.Metrics != nil {
-		m.cfg.Metrics.ProcTime.ObserveDuration(m.now().Sub(t0))
-		m.cfg.Metrics.WindowsTotal.Inc()
-		if res.Mode.Accelerated() {
-			m.cfg.Metrics.WindowsAccelerated.Inc()
-		} else {
-			m.cfg.Metrics.WindowsExact.Inc()
-		}
-		if res.Mode == ModeShed {
-			m.cfg.Metrics.WindowsShed.Inc()
-		}
-		if res.FetchedFromStore {
-			m.cfg.Metrics.WindowsSpilled.Inc()
-		}
-	}
+	m.cfg.countFire(&res, m.now().Sub(t0))
 	return res, nil
 }
 

@@ -202,9 +202,7 @@ func (m *ScalarManager) pushRestoredControl() {
 	if c := m.cfg.Cell; c != nil {
 		c.Set(m.curBudget, m.shed)
 	}
-	if m.cfg.Metrics != nil {
-		m.cfg.Metrics.BudgetTuples.Set(int64(m.curBudget))
-	}
+	m.cfg.Metrics.BudgetTuples.Set(int64(m.curBudget))
 }
 
 // RewindStore reconciles archive panes with the restored state.
@@ -365,9 +363,7 @@ func (m *GroupedManager) RestoreState(b []byte) error {
 	if c := m.cfg.Cell; c != nil {
 		c.Set(m.curBudget, m.shed)
 	}
-	if m.cfg.Metrics != nil {
-		m.cfg.Metrics.BudgetTuples.Set(int64(m.curBudget))
-	}
+	m.cfg.Metrics.BudgetTuples.Set(int64(m.curBudget))
 	return nil
 }
 

@@ -1,16 +1,19 @@
-// Package obs is the engine's live observability plane. Where
-// internal/metrics is a post-run summary (the paper's "periodic
-// reporting of runtime telemetry for each worker thread" collapsed to
-// one report at stream end), obs makes the same telemetry — plus the
-// dataflow state the batched engine added: per-edge queue depth,
+// Package obs is the engine's one telemetry system, in the role Storm's
+// metrics API has in the paper's evaluation ("periodic reporting of
+// runtime telemetry for each worker thread"): the per-worker counters,
+// gauges and processing-time histograms the figures plot, plus the
+// dataflow state the batched engine added — per-edge queue depth,
 // micro-batch occupancy, watermark lag, spill and checkpoint traffic —
-// observable *while* the query runs.
+// readable as a Summary at stream end and observable *while* the query
+// runs.
 //
 // The design splits into three layers:
 //
-//   - Instruments: atomic-only counters/gauges plus zero-cost pull
-//     probes (closures over channel lengths) that the engine registers
-//     at topology start. Nothing here takes a lock on a per-tuple path.
+//   - Instruments: the run's registry — one Worker bundle per window
+//     worker, the checkpoint bundle, atomic-only counters/gauges, and
+//     zero-cost pull probes (closures over channel lengths) the engine
+//     registers at topology start. Nothing here takes a lock on a
+//     per-tuple path.
 //   - Reporter: a clock-injected goroutine that periodically folds every
 //     instrument into an immutable Snapshot (reachable via an atomic
 //     pointer, so readers never block writers).
@@ -22,8 +25,6 @@ package obs
 import (
 	"sync"
 	"sync/atomic"
-
-	"spear/internal/metrics"
 )
 
 // occBuckets are the micro-batch occupancy histogram's upper bounds
@@ -39,22 +40,6 @@ type Edge struct {
 	Name     string
 	Capacity int
 	Depth    func() int
-}
-
-// WorkerObs is one windowed worker's live state: the last merged
-// watermark it advanced to. Lag against the source high-water mark is
-// derived at snapshot time.
-type WorkerObs struct {
-	Name      string
-	watermark atomic.Int64
-	hasWM     atomic.Bool
-}
-
-// SetWatermark records an advanced watermark (called once per
-// watermark round, not per tuple).
-func (w *WorkerObs) SetWatermark(wm int64) {
-	w.watermark.Store(wm)
-	w.hasWM.Store(true)
 }
 
 // BatchOccupancy is a lock-free histogram of tuples per data batch,
@@ -76,21 +61,20 @@ func (b *BatchOccupancy) Record(size int) {
 	b.n.Add(1)
 }
 
-// Instruments is the registry the engine wires its probes into. All
+// Instruments is a run's telemetry registry: the worker bundles its
+// Summary is computed from and the probes the engine wires in. All
 // registration methods are safe to call while a Reporter or Server is
 // concurrently snapshotting (the engine registers edges and workers as
 // Topology.Run builds the DAG, which may overlap the first scrape).
 type Instruments struct {
 	mu         sync.Mutex
 	edges      []Edge
-	workers    []*WorkerObs
+	workers    []*Worker
 	sink       *Edge
 	transports []*TransportObs
 
-	reg     *metrics.Registry
-	store   spillStore
 	plane   spillPlane
-	ckpt    *metrics.CheckpointMetrics
+	ckpt    *CheckpointMetrics
 	trace   *TraceRing
 	control ControlSource
 
@@ -128,26 +112,15 @@ func (in *Instruments) SetController(c ControlSource) {
 	in.mu.Unlock()
 }
 
-// SetRegistry attaches the per-worker metrics registry so snapshots can
-// include the paper's worker telemetry (windows, acceleration, memory).
-func (in *Instruments) SetRegistry(r *metrics.Registry) {
+// Checkpoint returns the run's fault-tolerance bundle, creating it on
+// first use; snapshots carry a checkpoint section from then on.
+func (in *Instruments) Checkpoint() *CheckpointMetrics {
 	in.mu.Lock()
-	in.reg = r
-	in.mu.Unlock()
-}
-
-// SetStore attaches the spill store whose Stats() snapshots include.
-func (in *Instruments) SetStore(s spillStore) {
-	in.mu.Lock()
-	in.store = s
-	in.mu.Unlock()
-}
-
-// SetCheckpointMetrics attaches fault-tolerance telemetry.
-func (in *Instruments) SetCheckpointMetrics(cm *metrics.CheckpointMetrics) {
-	in.mu.Lock()
-	in.ckpt = cm
-	in.mu.Unlock()
+	defer in.mu.Unlock()
+	if in.ckpt == nil {
+		in.ckpt = &CheckpointMetrics{}
+	}
+	return in.ckpt
 }
 
 // EnableTrace installs a trace ring sampling every nth tuple/window,
@@ -182,12 +155,19 @@ func (in *Instruments) RegisterSink(capacity int, depth func() int) {
 	in.mu.Unlock()
 }
 
-// RegisterWorker adds one windowed worker's watermark gauge.
-func (in *Instruments) RegisterWorker(name string) *WorkerObs {
-	w := &WorkerObs{Name: name}
+// Worker returns the bundle of the window worker called name, creating
+// and registering it on first use: the manager factory and the engine's
+// worker loop both ask by name and share the one bundle.
+func (in *Instruments) Worker(name string) *Worker {
 	in.mu.Lock()
+	defer in.mu.Unlock()
+	for _, w := range in.workers {
+		if w.Name == name {
+			return w
+		}
+	}
+	w := &Worker{Name: name}
 	in.workers = append(in.workers, w)
-	in.mu.Unlock()
 	return w
 }
 
@@ -200,6 +180,3 @@ func (in *Instruments) PublishSource(tuples, highWater int64) {
 	in.sourceHighWater.Store(highWater)
 	in.sourceSeen.Store(true)
 }
-
-// SourceTuples returns the published source tuple count.
-func (in *Instruments) SourceTuples() int64 { return in.sourceTuples.Load() }

@@ -11,7 +11,7 @@ import (
 	"time"
 
 	"spear/internal/leakcheck"
-	"spear/internal/metrics"
+	"spear/internal/spill"
 	"spear/internal/storage"
 	"spear/internal/tuple"
 )
@@ -47,8 +47,8 @@ func TestBatchOccupancyBuckets(t *testing.T) {
 
 func TestSnapshotWatermarkLag(t *testing.T) {
 	in := NewInstruments()
-	w := in.RegisterWorker("win[0]")
-	behind := in.RegisterWorker("win[1]")
+	w := in.Worker("win[0]")
+	behind := in.Worker("win[1]")
 
 	// Before any watermark or source progress: nothing valid.
 	s := in.Snapshot(time.Unix(0, 0))
@@ -83,7 +83,7 @@ func TestSnapshotConcurrentWriters(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			var w *WorkerObs
+			var w *Worker
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -94,7 +94,7 @@ func TestSnapshotConcurrentWriters(t *testing.T) {
 				// state churns only the atomic instruments.
 				if i < 32 {
 					in.RegisterEdge(fmt.Sprintf("e%d[%d]", g, i), 8, func() int { return i })
-					w = in.RegisterWorker(fmt.Sprintf("w%d[%d]", g, i))
+					w = in.Worker(fmt.Sprintf("w%d[%d]", g, i))
 				}
 				w.SetWatermark(int64(i))
 				in.PublishSource(int64(i), int64(i))
@@ -176,9 +176,8 @@ func TestReporterDeltas(t *testing.T) {
 	leakcheck.Check(t)
 	in := NewInstruments()
 	store := storage.NewMemStore()
-	in.SetStore(store)
-	cm := &metrics.CheckpointMetrics{}
-	in.SetCheckpointMetrics(cm)
+	in.SetSpillPlane(spill.NewPlane(store, spill.Options{}))
+	cm := in.Checkpoint()
 
 	tick, src := manualTicker()
 	rep := NewReporter(in, time.Second)
@@ -200,7 +199,7 @@ func TestReporterDeltas(t *testing.T) {
 	if err := store.Store("k", ts); err != nil {
 		t.Fatal(err)
 	}
-	cm.Completed.Inc()
+	cm.Completed.Add(1)
 	cm.SnapshotBytes.Add(100)
 	tick <- time.Unix(1, 0)
 	<-seen
@@ -312,16 +311,14 @@ func validatePrometheus(t *testing.T, text string) map[string]bool {
 
 func TestWritePrometheus(t *testing.T) {
 	in := NewInstruments()
-	reg := metrics.NewRegistry()
 	// A hostile worker name exercises label escaping.
-	w := reg.Worker("win\"0\\x\n[1]")
+	w := in.Worker("win\"0\\x\n[1]")
 	w.TuplesIn.Add(7)
-	in.SetRegistry(reg)
-	in.SetStore(storage.NewMemStore())
-	in.SetCheckpointMetrics(&metrics.CheckpointMetrics{})
+	in.SetSpillPlane(spill.NewPlane(storage.NewMemStore(), spill.Options{}))
+	in.Checkpoint()
 	in.RegisterEdge("map→win[0]", 8, func() int { return 3 })
 	in.RegisterSink(4, func() int { return 1 })
-	in.RegisterWorker("win[0]").SetWatermark(1_000_000_000)
+	in.Worker("win[0]").SetWatermark(1_000_000_000)
 	in.PublishSource(10, 2_000_000_000)
 	in.Batches.Record(64)
 
@@ -460,7 +457,7 @@ func TestServerScrapeUnderWriters(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		w := in.RegisterWorker("w[0]")
+		w := in.Worker("w[0]")
 		for i := 0; ; i++ {
 			select {
 			case <-stop:
@@ -471,7 +468,7 @@ func TestServerScrapeUnderWriters(t *testing.T) {
 			in.Batches.Record(i & 63)
 			w.SetWatermark(int64(i))
 			if i < 16 {
-				in.RegisterWorker(fmt.Sprintf("w[%d]", i+1))
+				in.Worker(fmt.Sprintf("w[%d]", i+1))
 			}
 		}
 	}()

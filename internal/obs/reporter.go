@@ -151,14 +151,13 @@ func (r *Reporter) publish() {
 // reset between ticks must not produce negative rates).
 func diffStorage(prev, cur spillStats) spillStats {
 	return spillStats{
-		Stores:       nonNeg(cur.Stores - prev.Stores),
-		Gets:         nonNeg(cur.Gets - prev.Gets),
-		Deletes:      nonNeg(cur.Deletes - prev.Deletes),
-		BytesStored:  nonNeg(cur.BytesStored - prev.BytesStored),
-		BytesFetched: nonNeg(cur.BytesFetched - prev.BytesFetched),
-		TuplesStored: nonNeg(cur.TuplesStored - prev.TuplesStored),
-		TuplesFetched: nonNeg(
-			cur.TuplesFetched - prev.TuplesFetched),
+		Stores:        max(0, cur.Stores-prev.Stores),
+		Gets:          max(0, cur.Gets-prev.Gets),
+		Deletes:       max(0, cur.Deletes-prev.Deletes),
+		BytesStored:   max(0, cur.BytesStored-prev.BytesStored),
+		BytesFetched:  max(0, cur.BytesFetched-prev.BytesFetched),
+		TuplesStored:  max(0, cur.TuplesStored-prev.TuplesStored),
+		TuplesFetched: max(0, cur.TuplesFetched-prev.TuplesFetched),
 	}
 }
 
@@ -167,19 +166,12 @@ func diffStorage(prev, cur spillStats) spillStats {
 // value.
 func diffCheckpoint(prev, cur CheckpointSnapshot) CheckpointSnapshot {
 	return CheckpointSnapshot{
-		Completed:          nonNeg(cur.Completed - prev.Completed),
-		Failed:             nonNeg(cur.Failed - prev.Failed),
-		SnapshotBytes:      nonNeg(cur.SnapshotBytes - prev.SnapshotBytes),
+		Completed:          max(0, cur.Completed-prev.Completed),
+		Failed:             max(0, cur.Failed-prev.Failed),
+		SnapshotBytes:      max(0, cur.SnapshotBytes-prev.SnapshotBytes),
 		LastBytes:          cur.LastBytes,
 		RecoveryNanos:      cur.RecoveryNanos,
 		SnapshotMeanNanos:  cur.SnapshotMeanNanos,
 		AlignStallSumNanos: max(0, cur.AlignStallSumNanos-prev.AlignStallSumNanos),
 	}
-}
-
-func nonNeg(v int64) int64 {
-	if v < 0 {
-		return 0
-	}
-	return v
 }

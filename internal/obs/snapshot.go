@@ -6,18 +6,30 @@ import (
 	"strings"
 	"time"
 
+	"spear/internal/spill"
 	"spear/internal/storage"
 )
 
-// spillStore / spillStats alias the storage types so only this file —
-// the one actually reading spill telemetry — imports the storage
-// package. The errcheck-lite analyzer scopes its spill-call heuristic
-// by file imports; the atomic .Store calls elsewhere in this package
-// are not storage operations and must stay out of its scope.
+// The storage and spill types are aliased so only this file — the one
+// actually reading spill telemetry — imports the two packages. The
+// errcheck-lite analyzer scopes its spill-call heuristic by file
+// imports; the atomic .Store calls elsewhere in this package are not
+// storage operations and must stay out of its scope.
 type (
-	spillStore = storage.SpillStore
 	spillStats = storage.Stats
+	spillPlane = *spill.Plane
+	planeStats = spill.Stats
 )
+
+// SetSpillPlane attaches the run's spill I/O plane so snapshots include
+// the traffic of the store under it and the plane's own queue, cache,
+// prefetch, and codec telemetry. Safe to call while a Reporter or
+// Server is concurrently snapshotting.
+func (in *Instruments) SetSpillPlane(p spillPlane) {
+	in.mu.Lock()
+	in.plane = p
+	in.mu.Unlock()
+}
 
 // EdgeSnapshot is one channel's state at snapshot time.
 type EdgeSnapshot struct {
@@ -51,7 +63,7 @@ type OccupancySnapshot struct {
 	Sum     int64       `json:"sum"`   // messages
 }
 
-// WorkerMetricsSnapshot is one stateful worker's paper telemetry.
+// WorkerMetricsSnapshot is one window worker's bundle at snapshot time.
 type WorkerMetricsSnapshot struct {
 	Name                string  `json:"name"`
 	TuplesIn            int64   `json:"tuples_in"`
@@ -125,7 +137,7 @@ type Snapshot struct {
 
 	// SpillPlane is the async spill I/O plane's queue/cache/prefetch
 	// telemetry; nil when no plane is attached.
-	SpillPlane *SpillPlaneSnapshot `json:"spill_plane,omitempty"`
+	SpillPlane *planeStats `json:"spill_plane,omitempty"`
 
 	Checkpoint *CheckpointSnapshot `json:"checkpoint,omitempty"`
 	// CheckpointDelta holds the completed/failed/bytes movement since
@@ -148,15 +160,10 @@ type Snapshot struct {
 // atomic load or a probe over a channel length.
 func (in *Instruments) Snapshot(now time.Time) *Snapshot {
 	in.mu.Lock()
-	edges := make([]Edge, len(in.edges))
-	copy(edges, in.edges)
-	workers := make([]*WorkerObs, len(in.workers))
-	copy(workers, in.workers)
-	sink := in.sink
-	transports := make([]*TransportObs, len(in.transports))
-	copy(transports, in.transports)
-	reg, store, ckpt, trace := in.reg, in.store, in.ckpt, in.trace
-	plane, control := in.plane, in.control
+	edges := append([]Edge(nil), in.edges...)
+	workers := append([]*Worker(nil), in.workers...)
+	transports := append([]*TransportObs(nil), in.transports...)
+	sink, plane, ckpt, trace, control := in.sink, in.plane, in.ckpt, in.trace, in.control
 	in.mu.Unlock()
 
 	s := &Snapshot{
@@ -189,6 +196,25 @@ func (in *Instruments) Snapshot(now time.Time) *Snapshot {
 			}
 		}
 		s.Workers[i] = ws
+		s.WorkerMetrics = append(s.WorkerMetrics, WorkerMetricsSnapshot{
+			Name:                w.Name,
+			TuplesIn:            w.TuplesIn.Load(),
+			WindowsTotal:        w.WindowsTotal.Load(),
+			WindowsAccelerated:  w.WindowsAccelerated.Load(),
+			WindowsExact:        w.WindowsExact.Load(),
+			WindowsSpilled:      w.WindowsSpilled.Load(),
+			WindowsShed:         w.WindowsShed.Load(),
+			LateDropped:         w.LateDropped.Load(),
+			EstimationFailures:  w.EstimationFailures.Load(),
+			TuplesProcessedFull: w.TuplesProcessedFull.Load(),
+			TuplesShed:          w.TuplesShed.Load(),
+			BudgetTuples:        w.BudgetTuples.Load(),
+			MemBytes:            w.MemBytes.Load(),
+			MemBytesPeak:        w.MemBytes.Peak(),
+			ProcTimeCount:       int64(w.ProcTime.Count()),
+			ProcTimeMeanNanos:   w.ProcTime.Mean(),
+			ProcTimeP95Nanos:    w.ProcTime.Percentile(0.95),
+		})
 	}
 
 	var cum int64
@@ -204,36 +230,9 @@ func (in *Instruments) Snapshot(now time.Time) *Snapshot {
 	s.Occupancy.Count = in.Batches.n.Load()
 	s.Occupancy.Sum = in.Batches.sum.Load()
 
-	if reg != nil {
-		for _, w := range reg.Workers() {
-			s.WorkerMetrics = append(s.WorkerMetrics, WorkerMetricsSnapshot{
-				Name:                w.Name,
-				TuplesIn:            w.TuplesIn.Load(),
-				WindowsTotal:        w.WindowsTotal.Load(),
-				WindowsAccelerated:  w.WindowsAccelerated.Load(),
-				WindowsExact:        w.WindowsExact.Load(),
-				WindowsSpilled:      w.WindowsSpilled.Load(),
-				WindowsShed:         w.WindowsShed.Load(),
-				LateDropped:         w.LateDropped.Load(),
-				EstimationFailures:  w.EstimationFailures.Load(),
-				TuplesProcessedFull: w.TuplesProcessedFull.Load(),
-				TuplesShed:          w.TuplesShed.Load(),
-				BudgetTuples:        w.BudgetTuples.Load(),
-				MemBytes:            w.MemBytes.Load(),
-				MemBytesPeak:        w.MemBytes.Peak(),
-				ProcTimeCount:       int64(w.ProcTime.Count()),
-				ProcTimeMeanNanos:   w.ProcTime.Mean(),
-				ProcTimeP95Nanos:    w.ProcTime.Percentile(0.95),
-			})
-		}
-	}
-
-	if store != nil {
-		st := store.Stats()
-		s.Storage = &st
-	}
 	if plane != nil {
-		s.SpillPlane = spillPlaneSnapshot(plane)
+		st, ps := plane.Stats(), plane.PlaneStats()
+		s.Storage, s.SpillPlane = &st, &ps
 	}
 	if ckpt != nil {
 		s.Checkpoint = &CheckpointSnapshot{
@@ -270,200 +269,223 @@ func edgeSnapshot(e Edge) EdgeSnapshot {
 	return es
 }
 
-// escapeLabel escapes a Prometheus label value.
-func escapeLabel(v string) string {
+// sample is one exposition line of a family: an optional series-name
+// suffix (the histogram's _bucket/_sum/_count), the labels beyond the
+// item's own, and the value (an integer or a float64).
+type sample struct {
+	suffix, labels string
+	v              any
+}
+
+// val is the common case: one sample with no label of its own.
+func val(v any) []sample { return []sample{{v: v}} }
+
+// secs converts nanoseconds to the exposition's seconds.
+func secs[N int64 | float64](ns N) float64 { return float64(ns) / 1e9 }
+
+// label renders one label pair, escaping the value.
+func label(k, v string) string {
 	v = strings.ReplaceAll(v, `\`, `\\`)
 	v = strings.ReplaceAll(v, "\n", `\n`)
 	v = strings.ReplaceAll(v, `"`, `\"`)
-	return v
+	return k + `="` + v + `"`
+}
+
+// bit is 1 for true: the item count of a section that is there once or
+// absent, and the value of a yes/no gauge.
+func bit(ok bool) int {
+	if ok {
+		return 1
+	}
+	return 0
+}
+
+// family declares one metric family, once: its exposition name, type
+// and help, and how to read its samples for item i of its group.
+type family struct {
+	name, typ, help string
+	read            func(s *Snapshot, i int) []sample
+}
+
+// group is a run of families over the same n items of a Snapshot — its
+// workers, its peers, or one section that is there or not — each item
+// carrying the label own gives it (nil: none).
+type group struct {
+	n    func(*Snapshot) int
+	own  func(s *Snapshot, i int) string
+	fams []family
+}
+
+func once(*Snapshot) int { return 1 }
+
+// families is every metric family the engine serves, each declared in
+// this one place: WritePrometheus renders it and Families (what
+// spear-demo -scrapecheck requires of a live scrape) lists it. A new
+// metric is a field of its bundle, a field of its snapshot struct, and
+// a line here.
+var families = []group{
+	{once, nil, []family{
+		{"spear_source_tuples_total", "counter", "Tuples emitted by the source spout.", func(s *Snapshot, _ int) []sample { return val(s.SourceTuples) }},
+	}},
+	{once, nil, []family{
+		{"spear_source_highwater_timestamp_seconds", "gauge", "Maximum event time observed at the source, seconds.", func(s *Snapshot, _ int) []sample { return val(secs(s.SourceHighWater)) }},
+	}},
+	{func(s *Snapshot) int { return len(s.Edges) }, edgeLabel, []family{
+		{"spear_edge_queue_depth", "gauge", "Instantaneous queue depth (batches) of one inter-worker channel.", func(s *Snapshot, i int) []sample { return val(s.Edges[i].Depth) }},
+	}},
+	{func(s *Snapshot) int { return len(s.Edges) }, edgeLabel, []family{
+		{"spear_edge_queue_capacity", "gauge", "Capacity (batches) of one inter-worker channel.", func(s *Snapshot, i int) []sample { return val(s.Edges[i].Capacity) }},
+	}},
+	{func(s *Snapshot) int { return bit(s.Sink != nil) }, nil, []family{
+		{"spear_sink_queue_depth", "gauge", "Instantaneous depth of the result fan-in channel.", func(s *Snapshot, _ int) []sample { return val(s.Sink.Depth) }},
+		{"spear_sink_queue_capacity", "gauge", "Capacity of the result fan-in channel.", func(s *Snapshot, _ int) []sample { return val(s.Sink.Capacity) }},
+	}},
+	{func(s *Snapshot) int { return len(s.Workers) }, func(s *Snapshot, i int) string { return label("worker", s.Workers[i].Name) }, []family{
+		{"spear_worker_watermark_timestamp_seconds", "gauge", "Last merged watermark per windowed worker, seconds of event time.", func(s *Snapshot, i int) []sample { return validWM(s.Workers[i], s.Workers[i].Watermark) }},
+		{"spear_worker_watermark_lag_seconds", "gauge", "Event-time lag of each windowed worker behind the source high-water mark.", func(s *Snapshot, i int) []sample { return validWM(s.Workers[i], s.Workers[i].LagNanos) }},
+	}},
+	{once, nil, []family{
+		{"spear_batch_occupancy", "histogram", "Tuples per received data batch at the windowed workers.", func(s *Snapshot, _ int) (out []sample) {
+			for _, b := range s.Occupancy.Buckets {
+				le := "+Inf"
+				if b.Le >= 0 {
+					le = fmt.Sprint(b.Le)
+				}
+				out = append(out, sample{"_bucket", label("le", le), b.Cumulative})
+			}
+			return append(out, sample{"_sum", "", s.Occupancy.Sum}, sample{"_count", "", s.Occupancy.Count})
+		}},
+	}},
+	{func(s *Snapshot) int { return len(s.WorkerMetrics) }, func(s *Snapshot, i int) string { return label("worker", s.WorkerMetrics[i].Name) }, []family{
+		{"spear_worker_tuples_total", "counter", "Tuples ingested per stateful worker.", func(s *Snapshot, i int) []sample { return val(s.WorkerMetrics[i].TuplesIn) }},
+		{"spear_worker_windows_total", "counter", "Windows fired per stateful worker.", func(s *Snapshot, i int) []sample { return val(s.WorkerMetrics[i].WindowsTotal) }},
+		{"spear_worker_windows_accelerated_total", "counter", "Windows answered from the sample per stateful worker.", func(s *Snapshot, i int) []sample { return val(s.WorkerMetrics[i].WindowsAccelerated) }},
+		{"spear_worker_windows_exact_total", "counter", "Windows processed in full per stateful worker.", func(s *Snapshot, i int) []sample { return val(s.WorkerMetrics[i].WindowsExact) }},
+		{"spear_worker_windows_spilled_total", "counter", "Windows that touched secondary storage per stateful worker.", func(s *Snapshot, i int) []sample { return val(s.WorkerMetrics[i].WindowsSpilled) }},
+		{"spear_worker_windows_shed_total", "counter", "Windows answered sample-only because load shedding dropped their archive.", func(s *Snapshot, i int) []sample { return val(s.WorkerMetrics[i].WindowsShed) }},
+		{"spear_worker_late_dropped_total", "counter", "Late tuples dropped per stateful worker.", func(s *Snapshot, i int) []sample { return val(s.WorkerMetrics[i].LateDropped) }},
+		{"spear_worker_estimation_failures_total", "counter", "Accuracy checks that rejected acceleration per stateful worker.", func(s *Snapshot, i int) []sample { return val(s.WorkerMetrics[i].EstimationFailures) }},
+		{"spear_worker_tuples_processed_full_total", "counter", "Tuples scanned by exact processing per stateful worker.", func(s *Snapshot, i int) []sample { return val(s.WorkerMetrics[i].TuplesProcessedFull) }},
+		{"spear_worker_shed_tuples_total", "counter", "Tuples whose archive write was shed under overload per stateful worker.", func(s *Snapshot, i int) []sample { return val(s.WorkerMetrics[i].TuplesShed) }},
+		{"spear_worker_budget_tuples", "gauge", "Sample budget currently in force per stateful worker.", func(s *Snapshot, i int) []sample { return val(s.WorkerMetrics[i].BudgetTuples) }},
+		{"spear_worker_mem_bytes", "gauge", "Buffered bytes used for result production per stateful worker.", func(s *Snapshot, i int) []sample { return val(s.WorkerMetrics[i].MemBytes) }},
+		{"spear_worker_mem_bytes_peak", "gauge", "High-water mark of buffered bytes per stateful worker.", func(s *Snapshot, i int) []sample { return val(s.WorkerMetrics[i].MemBytesPeak) }},
+		{"spear_worker_proc_time_seconds", "gauge", "Per-window processing time per stateful worker (stat: mean, p95).", func(s *Snapshot, i int) []sample {
+			return []sample{{"", `stat="mean"`, secs(s.WorkerMetrics[i].ProcTimeMeanNanos)}, {"", `stat="p95"`, secs(s.WorkerMetrics[i].ProcTimeP95Nanos)}}
+		}},
+	}},
+	{func(s *Snapshot) int { return bit(s.Storage != nil) }, nil, []family{
+		{"spear_spill_ops_total", "counter", "Spill-store operations by kind.", func(s *Snapshot, _ int) []sample {
+			return []sample{{"", `op="store"`, s.Storage.Stores}, {"", `op="get"`, s.Storage.Gets}, {"", `op="delete"`, s.Storage.Deletes}}
+		}},
+		{"spear_spill_bytes_total", "counter", "Spill-store bytes moved by direction.", func(s *Snapshot, _ int) []sample {
+			return []sample{{"", `dir="stored"`, s.Storage.BytesStored}, {"", `dir="fetched"`, s.Storage.BytesFetched}}
+		}},
+		{"spear_spill_tuples_total", "counter", "Spill-store tuples moved by direction.", func(s *Snapshot, _ int) []sample {
+			return []sample{{"", `dir="stored"`, s.Storage.TuplesStored}, {"", `dir="fetched"`, s.Storage.TuplesFetched}}
+		}},
+	}},
+	{func(s *Snapshot) int { return bit(s.SpillPlane != nil) }, nil, []family{
+		{"spear_spill_queue_depth", "gauge", "Chunk writes queued in the async spill plane.", func(s *Snapshot, _ int) []sample { return val(s.SpillPlane.QueueDepth) }},
+		{"spear_spill_inflight_bytes", "gauge", "Bytes held by queued spill writes awaiting the worker pool.", func(s *Snapshot, _ int) []sample { return val(s.SpillPlane.InflightBytes) }},
+		{"spear_spill_async_writes_total", "counter", "Chunk writes completed asynchronously by the spill plane.", func(s *Snapshot, _ int) []sample { return val(s.SpillPlane.AsyncWrites) }},
+		{"spear_spill_backpressure_waits_total", "counter", "Spill enqueues that blocked on the in-flight byte budget.", func(s *Snapshot, _ int) []sample { return val(s.SpillPlane.BackpressureWaits) }},
+		{"spear_spill_flushes_total", "counter", "Flush/Barrier sync points the spill plane has served.", func(s *Snapshot, _ int) []sample { return val(s.SpillPlane.Flushes) }},
+		{"spear_spill_cache_hits_total", "counter", "Window fetches answered from the spill chunk cache.", func(s *Snapshot, _ int) []sample { return val(s.SpillPlane.CacheHits) }},
+		{"spear_spill_cache_misses_total", "counter", "Window fetches that missed the spill chunk cache.", func(s *Snapshot, _ int) []sample { return val(s.SpillPlane.CacheMisses) }},
+		{"spear_spill_cache_evictions_total", "counter", "Chunk-cache entries evicted by the LRU byte budget.", func(s *Snapshot, _ int) []sample { return val(s.SpillPlane.CacheEvictions) }},
+		{"spear_spill_cache_bytes", "gauge", "Bytes resident in the spill chunk cache.", func(s *Snapshot, _ int) []sample { return val(s.SpillPlane.CacheBytes) }},
+		{"spear_spill_prefetch_issued_total", "counter", "Watermark-driven chunk prefetches issued.", func(s *Snapshot, _ int) []sample { return val(s.SpillPlane.PrefetchIssued) }},
+		{"spear_spill_prefetch_hits_total", "counter", "Cache hits whose entry was loaded by a prefetch.", func(s *Snapshot, _ int) []sample { return val(s.SpillPlane.PrefetchHits) }},
+		{"spear_spill_compress_raw_bytes_total", "counter", "Raw tuple bytes presented to the spill chunk codec.", func(s *Snapshot, _ int) []sample { return val(s.SpillPlane.RawBytes) }},
+		{"spear_spill_compress_encoded_bytes_total", "counter", "Encoded bytes the spill chunk codec wrote to storage.", func(s *Snapshot, _ int) []sample { return val(s.SpillPlane.EncodedBytes) }},
+	}},
+	{func(s *Snapshot) int { return bit(s.Checkpoint != nil) }, nil, []family{
+		{"spear_checkpoint_completed_total", "counter", "Committed checkpoints.", func(s *Snapshot, _ int) []sample { return val(s.Checkpoint.Completed) }},
+		{"spear_checkpoint_failed_total", "counter", "Checkpoint rounds aborted by an error.", func(s *Snapshot, _ int) []sample { return val(s.Checkpoint.Failed) }},
+		{"spear_checkpoint_bytes_total", "counter", "Snapshot bytes persisted (blobs and manifests).", func(s *Snapshot, _ int) []sample { return val(s.Checkpoint.SnapshotBytes) }},
+		{"spear_checkpoint_last_bytes", "gauge", "Size of the most recently committed checkpoint.", func(s *Snapshot, _ int) []sample { return val(s.Checkpoint.LastBytes) }},
+		{"spear_checkpoint_recovery_seconds", "gauge", "Time spent restoring state at startup.", func(s *Snapshot, _ int) []sample { return val(secs(s.Checkpoint.RecoveryNanos)) }},
+		{"spear_checkpoint_snapshot_mean_seconds", "gauge", "Mean per-operator snapshot duration.", func(s *Snapshot, _ int) []sample { return val(secs(s.Checkpoint.SnapshotMeanNanos)) }},
+		{"spear_checkpoint_align_stall_seconds_total", "counter", "Total barrier-alignment stall across workers.", func(s *Snapshot, _ int) []sample { return val(secs(s.Checkpoint.AlignStallSumNanos)) }},
+	}},
+	{func(s *Snapshot) int { return len(s.Transport) }, func(s *Snapshot, i int) string { return label("peer", s.Transport[i].Name) }, []family{
+		{"spear_transport_frames_total", "counter", "Network-shuffle frames moved per peer link, by direction.", func(s *Snapshot, i int) []sample {
+			return []sample{{"", `dir="tx"`, s.Transport[i].TxFrames}, {"", `dir="rx"`, s.Transport[i].RxFrames}}
+		}},
+		{"spear_transport_bytes_total", "counter", "Network-shuffle wire bytes moved per peer link, by direction.", func(s *Snapshot, i int) []sample {
+			return []sample{{"", `dir="tx"`, s.Transport[i].TxBytes}, {"", `dir="rx"`, s.Transport[i].RxBytes}}
+		}},
+		{"spear_transport_reconnects_total", "counter", "Successful link reconnects per peer.", func(s *Snapshot, i int) []sample { return val(s.Transport[i].Reconnects) }},
+		{"spear_transport_credit_stalls_total", "counter", "Sends that blocked on the credit window per peer link.", func(s *Snapshot, i int) []sample { return val(s.Transport[i].CreditStalls) }},
+	}},
+	{func(s *Snapshot) int { return bit(s.Control != nil) }, nil, []family{
+		{"spear_control_slo_seconds", "gauge", "Latency SLO the adaptive accuracy controller holds.", func(s *Snapshot, _ int) []sample { return val(secs(s.Control.SLONanos)) }},
+		{"spear_control_target_budget_tuples", "gauge", "Sample budget target the controller last published.", func(s *Snapshot, _ int) []sample { return val(s.Control.TargetBudget) }},
+		{"spear_control_budget_bounds_tuples", "gauge", "Budget floor and ceiling the controller moves within.", func(s *Snapshot, _ int) []sample {
+			return []sample{{"", `bound="min"`, s.Control.MinBudget}, {"", `bound="max"`, s.Control.MaxBudget}}
+		}},
+		{"spear_control_shedding", "gauge", "1 while the controller is shedding archive writes, else 0.", func(s *Snapshot, _ int) []sample { return val(bit(s.Control.Shedding)) }},
+		{"spear_control_observed_lag_seconds", "gauge", "Worst worker watermark lag the controller last observed.", func(s *Snapshot, _ int) []sample { return val(secs(s.Control.LagNanos)) }},
+		{"spear_control_observed_queue_fill", "gauge", "Worst edge fill fraction the controller last observed.", func(s *Snapshot, _ int) []sample { return val(s.Control.QueueFill) }},
+		{"spear_control_source_rate_tuples", "gauge", "Source input rate the controller last observed (tuples/s); with label engaged=\"shed\", the rate at which shedding last engaged.", func(s *Snapshot, _ int) []sample {
+			return []sample{{"", `engaged="now"`, s.Control.SourceRate}, {"", `engaged="shed"`, s.Control.ShedRate}}
+		}},
+		{"spear_control_decisions_total", "counter", "Controller decisions by action.", func(s *Snapshot, _ int) []sample {
+			c := s.Control
+			return []sample{{"", `action="tighten"`, c.Tighten}, {"", `action="expand"`, c.Expand}, {"", `action="shed_on"`, c.ShedOn}, {"", `action="shed_off"`, c.ShedOff}, {"", `action="hold"`, c.Hold}}
+		}},
+	}},
+	{once, nil, []family{
+		{"spear_trace_events_total", "counter", "Lifecycle trace events recorded into the ring.", func(s *Snapshot, _ int) []sample { return val(s.TraceRecorded) }},
+	}},
+}
+
+func edgeLabel(s *Snapshot, i int) string { return label("edge", s.Edges[i].Name) }
+
+// validWM is a watermark family's sample for worker w: its value in
+// seconds once the worker has a watermark to measure, none before.
+func validWM(w WorkerWatermark, ns int64) []sample {
+	if !w.Valid {
+		return nil
+	}
+	return val(secs(ns))
+}
+
+// Families returns the name of every metric family WritePrometheus
+// declares, in exposition order.
+func Families() []string {
+	var names []string
+	for _, g := range families {
+		for _, f := range g.fams {
+			names = append(names, f.name)
+		}
+	}
+	return names
 }
 
 // WritePrometheus renders s in the Prometheus text exposition format
-// (version 0.0.4). Every family is emitted even when zero, so scrapers
-// can rely on the schema from the first scrape onward.
+// (version 0.0.4). A group's families are all declared first — even
+// with no samples, so scrapers can rely on the schema from the first
+// scrape onward — then each item's samples follow family by family.
 func WritePrometheus(w io.Writer, s *Snapshot) {
-	p := func(format string, args ...any) { fmt.Fprintf(w, format, args...) }
-	family := func(name, help, typ string) {
-		p("# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-	}
-
-	family("spear_source_tuples_total", "Tuples emitted by the source spout.", "counter")
-	p("spear_source_tuples_total %d\n", s.SourceTuples)
-	family("spear_source_highwater_timestamp_seconds", "Maximum event time observed at the source, seconds.", "gauge")
-	p("spear_source_highwater_timestamp_seconds %g\n", float64(s.SourceHighWater)/1e9)
-
-	family("spear_edge_queue_depth", "Instantaneous queue depth (batches) of one inter-worker channel.", "gauge")
-	for _, e := range s.Edges {
-		p("spear_edge_queue_depth{edge=\"%s\"} %d\n", escapeLabel(e.Name), e.Depth)
-	}
-	family("spear_edge_queue_capacity", "Capacity (batches) of one inter-worker channel.", "gauge")
-	for _, e := range s.Edges {
-		p("spear_edge_queue_capacity{edge=\"%s\"} %d\n", escapeLabel(e.Name), e.Capacity)
-	}
-	family("spear_sink_queue_depth", "Instantaneous depth of the result fan-in channel.", "gauge")
-	family("spear_sink_queue_capacity", "Capacity of the result fan-in channel.", "gauge")
-	if s.Sink != nil {
-		p("spear_sink_queue_depth %d\n", s.Sink.Depth)
-		p("spear_sink_queue_capacity %d\n", s.Sink.Capacity)
-	}
-
-	family("spear_worker_watermark_timestamp_seconds", "Last merged watermark per windowed worker, seconds of event time.", "gauge")
-	family("spear_worker_watermark_lag_seconds", "Event-time lag of each windowed worker behind the source high-water mark.", "gauge")
-	for _, w := range s.Workers {
-		if !w.Valid {
-			continue
+	for _, g := range families {
+		for _, f := range g.fams {
+			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
 		}
-		p("spear_worker_watermark_timestamp_seconds{worker=\"%s\"} %g\n", escapeLabel(w.Name), float64(w.Watermark)/1e9)
-		p("spear_worker_watermark_lag_seconds{worker=\"%s\"} %g\n", escapeLabel(w.Name), float64(w.LagNanos)/1e9)
-	}
-
-	family("spear_batch_occupancy", "Tuples per received data batch at the windowed workers.", "histogram")
-	for _, b := range s.Occupancy.Buckets {
-		le := "+Inf"
-		if b.Le >= 0 {
-			le = fmt.Sprintf("%d", b.Le)
+		for i, n := 0, g.n(s); i < n; i++ {
+			for _, f := range g.fams {
+				for _, sm := range f.read(s, i) {
+					labels := sm.labels
+					if g.own != nil {
+						labels = strings.TrimSuffix(g.own(s, i)+","+labels, ",")
+					}
+					if labels != "" {
+						labels = "{" + labels + "}"
+					}
+					fmt.Fprintf(w, "%s%s%s %v\n", f.name, sm.suffix, labels, sm.v)
+				}
+			}
 		}
-		p("spear_batch_occupancy_bucket{le=%q} %d\n", le, b.Cumulative)
 	}
-	p("spear_batch_occupancy_sum %d\n", s.Occupancy.Sum)
-	p("spear_batch_occupancy_count %d\n", s.Occupancy.Count)
-
-	family("spear_worker_tuples_total", "Tuples ingested per stateful worker.", "counter")
-	family("spear_worker_windows_total", "Windows fired per stateful worker.", "counter")
-	family("spear_worker_windows_accelerated_total", "Windows answered from the sample per stateful worker.", "counter")
-	family("spear_worker_windows_exact_total", "Windows processed in full per stateful worker.", "counter")
-	family("spear_worker_windows_spilled_total", "Windows that touched secondary storage per stateful worker.", "counter")
-	family("spear_worker_windows_shed_total", "Windows answered sample-only because load shedding dropped their archive.", "counter")
-	family("spear_worker_late_dropped_total", "Late tuples dropped per stateful worker.", "counter")
-	family("spear_worker_estimation_failures_total", "Accuracy checks that rejected acceleration per stateful worker.", "counter")
-	family("spear_worker_shed_tuples_total", "Tuples whose archive write was shed under overload per stateful worker.", "counter")
-	family("spear_worker_budget_tuples", "Sample budget currently in force per stateful worker.", "gauge")
-	family("spear_worker_mem_bytes", "Buffered bytes used for result production per stateful worker.", "gauge")
-	family("spear_worker_mem_bytes_peak", "High-water mark of buffered bytes per stateful worker.", "gauge")
-	family("spear_worker_proc_time_seconds", "Per-window processing time per stateful worker (stat: mean, p95).", "gauge")
-	for _, m := range s.WorkerMetrics {
-		n := escapeLabel(m.Name)
-		p("spear_worker_tuples_total{worker=\"%s\"} %d\n", n, m.TuplesIn)
-		p("spear_worker_windows_total{worker=\"%s\"} %d\n", n, m.WindowsTotal)
-		p("spear_worker_windows_accelerated_total{worker=\"%s\"} %d\n", n, m.WindowsAccelerated)
-		p("spear_worker_windows_exact_total{worker=\"%s\"} %d\n", n, m.WindowsExact)
-		p("spear_worker_windows_spilled_total{worker=\"%s\"} %d\n", n, m.WindowsSpilled)
-		p("spear_worker_windows_shed_total{worker=\"%s\"} %d\n", n, m.WindowsShed)
-		p("spear_worker_late_dropped_total{worker=\"%s\"} %d\n", n, m.LateDropped)
-		p("spear_worker_estimation_failures_total{worker=\"%s\"} %d\n", n, m.EstimationFailures)
-		p("spear_worker_shed_tuples_total{worker=\"%s\"} %d\n", n, m.TuplesShed)
-		p("spear_worker_budget_tuples{worker=\"%s\"} %d\n", n, m.BudgetTuples)
-		p("spear_worker_mem_bytes{worker=\"%s\"} %d\n", n, m.MemBytes)
-		p("spear_worker_mem_bytes_peak{worker=\"%s\"} %d\n", n, m.MemBytesPeak)
-		p("spear_worker_proc_time_seconds{worker=\"%s\",stat=\"mean\"} %g\n", n, m.ProcTimeMeanNanos/1e9)
-		p("spear_worker_proc_time_seconds{worker=\"%s\",stat=\"p95\"} %g\n", n, m.ProcTimeP95Nanos/1e9)
-	}
-
-	family("spear_spill_ops_total", "Spill-store operations by kind.", "counter")
-	family("spear_spill_bytes_total", "Spill-store bytes moved by direction.", "counter")
-	family("spear_spill_tuples_total", "Spill-store tuples moved by direction.", "counter")
-	if s.Storage != nil {
-		p("spear_spill_ops_total{op=\"store\"} %d\n", s.Storage.Stores)
-		p("spear_spill_ops_total{op=\"get\"} %d\n", s.Storage.Gets)
-		p("spear_spill_ops_total{op=\"delete\"} %d\n", s.Storage.Deletes)
-		p("spear_spill_bytes_total{dir=\"stored\"} %d\n", s.Storage.BytesStored)
-		p("spear_spill_bytes_total{dir=\"fetched\"} %d\n", s.Storage.BytesFetched)
-		p("spear_spill_tuples_total{dir=\"stored\"} %d\n", s.Storage.TuplesStored)
-		p("spear_spill_tuples_total{dir=\"fetched\"} %d\n", s.Storage.TuplesFetched)
-	}
-
-	family("spear_spill_queue_depth", "Chunk writes queued in the async spill plane.", "gauge")
-	family("spear_spill_inflight_bytes", "Bytes held by queued spill writes awaiting the worker pool.", "gauge")
-	family("spear_spill_async_writes_total", "Chunk writes completed asynchronously by the spill plane.", "counter")
-	family("spear_spill_backpressure_waits_total", "Spill enqueues that blocked on the in-flight byte budget.", "counter")
-	family("spear_spill_flushes_total", "Flush/Barrier sync points the spill plane has served.", "counter")
-	family("spear_spill_cache_hits_total", "Window fetches answered from the spill chunk cache.", "counter")
-	family("spear_spill_cache_misses_total", "Window fetches that missed the spill chunk cache.", "counter")
-	family("spear_spill_cache_evictions_total", "Chunk-cache entries evicted by the LRU byte budget.", "counter")
-	family("spear_spill_cache_bytes", "Bytes resident in the spill chunk cache.", "gauge")
-	family("spear_spill_prefetch_issued_total", "Watermark-driven chunk prefetches issued.", "counter")
-	family("spear_spill_prefetch_hits_total", "Cache hits whose entry was loaded by a prefetch.", "counter")
-	family("spear_spill_compress_raw_bytes_total", "Raw tuple bytes presented to the spill chunk codec.", "counter")
-	family("spear_spill_compress_encoded_bytes_total", "Encoded bytes the spill chunk codec wrote to storage.", "counter")
-	if s.SpillPlane != nil {
-		sp := s.SpillPlane
-		p("spear_spill_queue_depth %d\n", sp.QueueDepth)
-		p("spear_spill_inflight_bytes %d\n", sp.InflightBytes)
-		p("spear_spill_async_writes_total %d\n", sp.AsyncWrites)
-		p("spear_spill_backpressure_waits_total %d\n", sp.BackpressureWaits)
-		p("spear_spill_flushes_total %d\n", sp.Flushes)
-		p("spear_spill_cache_hits_total %d\n", sp.CacheHits)
-		p("spear_spill_cache_misses_total %d\n", sp.CacheMisses)
-		p("spear_spill_cache_evictions_total %d\n", sp.CacheEvictions)
-		p("spear_spill_cache_bytes %d\n", sp.CacheBytes)
-		p("spear_spill_prefetch_issued_total %d\n", sp.PrefetchIssued)
-		p("spear_spill_prefetch_hits_total %d\n", sp.PrefetchHits)
-		p("spear_spill_compress_raw_bytes_total %d\n", sp.RawBytes)
-		p("spear_spill_compress_encoded_bytes_total %d\n", sp.EncodedBytes)
-	}
-
-	family("spear_checkpoint_completed_total", "Committed checkpoints.", "counter")
-	family("spear_checkpoint_failed_total", "Checkpoint rounds aborted by an error.", "counter")
-	family("spear_checkpoint_bytes_total", "Snapshot bytes persisted (blobs and manifests).", "counter")
-	family("spear_checkpoint_last_bytes", "Size of the most recently committed checkpoint.", "gauge")
-	family("spear_checkpoint_recovery_seconds", "Time spent restoring state at startup.", "gauge")
-	family("spear_checkpoint_snapshot_mean_seconds", "Mean per-operator snapshot duration.", "gauge")
-	family("spear_checkpoint_align_stall_seconds_total", "Total barrier-alignment stall across workers.", "counter")
-	if s.Checkpoint != nil {
-		c := s.Checkpoint
-		p("spear_checkpoint_completed_total %d\n", c.Completed)
-		p("spear_checkpoint_failed_total %d\n", c.Failed)
-		p("spear_checkpoint_bytes_total %d\n", c.SnapshotBytes)
-		p("spear_checkpoint_last_bytes %d\n", c.LastBytes)
-		p("spear_checkpoint_recovery_seconds %g\n", float64(c.RecoveryNanos)/1e9)
-		p("spear_checkpoint_snapshot_mean_seconds %g\n", c.SnapshotMeanNanos/1e9)
-		p("spear_checkpoint_align_stall_seconds_total %g\n", c.AlignStallSumNanos/1e9)
-	}
-
-	family("spear_transport_frames_total", "Network-shuffle frames moved per peer link, by direction.", "counter")
-	family("spear_transport_bytes_total", "Network-shuffle wire bytes moved per peer link, by direction.", "counter")
-	family("spear_transport_reconnects_total", "Successful link reconnects per peer.", "counter")
-	family("spear_transport_credit_stalls_total", "Sends that blocked on the credit window per peer link.", "counter")
-	for _, t := range s.Transport {
-		n := escapeLabel(t.Name)
-		p("spear_transport_frames_total{peer=\"%s\",dir=\"tx\"} %d\n", n, t.TxFrames)
-		p("spear_transport_frames_total{peer=\"%s\",dir=\"rx\"} %d\n", n, t.RxFrames)
-		p("spear_transport_bytes_total{peer=\"%s\",dir=\"tx\"} %d\n", n, t.TxBytes)
-		p("spear_transport_bytes_total{peer=\"%s\",dir=\"rx\"} %d\n", n, t.RxBytes)
-		p("spear_transport_reconnects_total{peer=\"%s\"} %d\n", n, t.Reconnects)
-		p("spear_transport_credit_stalls_total{peer=\"%s\"} %d\n", n, t.CreditStalls)
-	}
-
-	family("spear_control_slo_seconds", "Latency SLO the adaptive accuracy controller holds.", "gauge")
-	family("spear_control_target_budget_tuples", "Sample budget target the controller last published.", "gauge")
-	family("spear_control_budget_bounds_tuples", "Budget floor and ceiling the controller moves within.", "gauge")
-	family("spear_control_shedding", "1 while the controller is shedding archive writes, else 0.", "gauge")
-	family("spear_control_observed_lag_seconds", "Worst worker watermark lag the controller last observed.", "gauge")
-	family("spear_control_observed_queue_fill", "Worst edge fill fraction the controller last observed.", "gauge")
-	family("spear_control_source_rate_tuples", "Source input rate the controller last observed (tuples/s); with label engaged=\"shed\", the rate at which shedding last engaged.", "gauge")
-	family("spear_control_decisions_total", "Controller decisions by action.", "counter")
-	if s.Control != nil {
-		c := s.Control
-		p("spear_control_slo_seconds %g\n", float64(c.SLONanos)/1e9)
-		p("spear_control_target_budget_tuples %d\n", c.TargetBudget)
-		p("spear_control_budget_bounds_tuples{bound=\"min\"} %d\n", c.MinBudget)
-		p("spear_control_budget_bounds_tuples{bound=\"max\"} %d\n", c.MaxBudget)
-		shed := 0
-		if c.Shedding {
-			shed = 1
-		}
-		p("spear_control_shedding %d\n", shed)
-		p("spear_control_observed_lag_seconds %g\n", float64(c.LagNanos)/1e9)
-		p("spear_control_observed_queue_fill %g\n", c.QueueFill)
-		p("spear_control_source_rate_tuples{engaged=\"now\"} %g\n", c.SourceRate)
-		p("spear_control_source_rate_tuples{engaged=\"shed\"} %g\n", c.ShedRate)
-		p("spear_control_decisions_total{action=\"tighten\"} %d\n", c.Tighten)
-		p("spear_control_decisions_total{action=\"expand\"} %d\n", c.Expand)
-		p("spear_control_decisions_total{action=\"shed_on\"} %d\n", c.ShedOn)
-		p("spear_control_decisions_total{action=\"shed_off\"} %d\n", c.ShedOff)
-		p("spear_control_decisions_total{action=\"hold\"} %d\n", c.Hold)
-	}
-
-	family("spear_trace_events_total", "Lifecycle trace events recorded into the ring.", "counter")
-	p("spear_trace_events_total %d\n", s.TraceRecorded)
 }

@@ -1,10 +1,4 @@
-// Package metrics is the engine's runtime telemetry, mirroring the role
-// of Storm's metrics API in the paper's evaluation ("we use Storm's
-// metrics API, which provides periodic reporting of runtime telemetry
-// for each worker thread"). It provides atomic counters, gauges with
-// peak tracking, and histograms that report the mean and 95-percentile
-// window processing times the figures plot.
-package metrics
+package obs
 
 import (
 	"fmt"
@@ -13,20 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// Counter is a monotonically increasing atomic counter.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Add increments the counter by d.
-func (c *Counter) Add(d int64) { c.v.Add(d) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Load returns the current value.
-func (c *Counter) Load() int64 { return c.v.Load() }
 
 // Gauge is an instantaneous value with a recorded high-water mark. It
 // is lock-free: Set is one atomic store plus a CAS loop that only spins
@@ -54,9 +34,8 @@ func (g *Gauge) Load() int64 { return g.v.Load() }
 // Peak returns the high-water mark.
 func (g *Gauge) Peak() int64 { return g.peak.Load() }
 
-// HistogramCap bounds a Histogram's retained samples. Count, Sum, Mean,
-// Min, and Max stay exact forever; order statistics (Percentile) are
-// exact up to HistogramCap observations and computed from a uniform
+// HistogramCap bounds a Histogram's retained samples. Count, Sum and
+// Mean stay exact forever; order statistics (Percentile) are exact up to HistogramCap observations and computed from a uniform
 // reservoir sample beyond it. The cap keeps memory O(1) on unbounded
 // streams — exactly the regime the live observability plane makes
 // routine — while leaving short experiment runs (a few thousand windows)
@@ -66,15 +45,14 @@ const HistogramCap = 4096
 // Histogram records float64 observations and reports order statistics.
 // Memory is bounded at HistogramCap samples via reservoir sampling
 // (Vitter's Algorithm R with a deterministic SplitMix64 stream);
-// aggregate statistics (Count, Sum, Mean, Min, Max) are exact over every
+// aggregate statistics (Count, Sum, Mean) are exact over every
 // observation regardless of the cap.
 type Histogram struct {
-	mu       sync.Mutex
-	samples  []float64
-	count    int64
-	sum      float64
-	min, max float64
-	rng      uint64
+	mu      sync.Mutex
+	samples []float64
+	count   int64
+	sum     float64
+	rng     uint64
 }
 
 // Observe records one value.
@@ -82,12 +60,6 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Lock()
 	h.count++
 	h.sum += v
-	if h.count == 1 || v < h.min {
-		h.min = v
-	}
-	if h.count == 1 || v > h.max {
-		h.max = v
-	}
 	if len(h.samples) < HistogramCap {
 		h.samples = append(h.samples, v)
 	} else if j := h.rand64() % uint64(h.count); j < HistogramCap {
@@ -137,36 +109,20 @@ func (h *Histogram) Mean() float64 {
 // Percentile returns the p-th percentile (p in [0,1]) by linear
 // interpolation over the retained samples, or 0 with no observations.
 // Up to HistogramCap observations this is exact; beyond it, it is an
-// estimate from a uniform reservoir (p=0 and p=1 remain exact: they
-// return the tracked min/max).
+// estimate from a uniform reservoir.
 func (h *Histogram) Percentile(p float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
+	sorted := h.retained()
+	if len(sorted) == 0 {
 		return 0
 	}
-	if p <= 0 {
-		return h.min
-	}
-	if p >= 1 {
-		return h.max
-	}
-	sorted := make([]float64, len(h.samples))
-	copy(sorted, h.samples)
 	sort.Float64s(sorted)
 	return percentileOf(sorted, p)
 }
 
-// percentileOf interpolates the p-th percentile of an already-sorted,
-// non-empty slice.
+// percentileOf interpolates the p-th percentile, p in [0,1], of an
+// already-sorted, non-empty slice.
 func percentileOf(sorted []float64, p float64) float64 {
 	n := len(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 1 {
-		return sorted[n-1]
-	}
 	rank := p * float64(n-1)
 	lo := int(rank)
 	frac := rank - float64(lo)
@@ -176,29 +132,9 @@ func percentileOf(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
-// Max returns the exact largest observation, or 0 with none.
-func (h *Histogram) Max() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.max
-}
-
-// Min returns the exact smallest observation, or 0 with none.
-func (h *Histogram) Min() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.min
-}
-
-// Samples returns a copy of the retained observations in arrival order
-// (all of them below HistogramCap; a uniform reservoir beyond).
-func (h *Histogram) Samples() []float64 {
+// retained returns a copy of the retained observations in arrival
+// order (all of them below HistogramCap; a uniform reservoir beyond).
+func (h *Histogram) retained() []float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	out := make([]float64, len(h.samples))
@@ -206,18 +142,11 @@ func (h *Histogram) Samples() []float64 {
 	return out
 }
 
-// Reset discards all observations.
-func (h *Histogram) Reset() {
-	h.mu.Lock()
-	h.samples = h.samples[:0]
-	h.count = 0
-	h.sum = 0
-	h.min = 0
-	h.max = 0
-	h.mu.Unlock()
-}
-
-// Worker is the per-worker-thread telemetry bundle the experiments read.
+// Worker is one window worker's telemetry bundle — what the paper reads
+// from "Storm's metrics API … for each worker thread", plus the worker's
+// event-time progress. Instruments.Worker creates it; the core manager
+// counts into it (core.Config.Metrics) and the engine's worker loop
+// records the watermark.
 type Worker struct {
 	Name string
 
@@ -234,57 +163,60 @@ type Worker struct {
 	// adaptive controller's trajectory, one point per worker.
 	BudgetTuples Gauge
 
-	TuplesIn            Counter // tuples received
-	WindowsTotal        Counter // windows fired
-	WindowsAccelerated  Counter // windows answered from the sample
-	WindowsExact        Counter // windows processed in full
-	WindowsSpilled      Counter // windows that touched secondary storage
-	WindowsShed         Counter // windows answered sample-only because shedding dropped their archive
-	LateDropped         Counter // tuples behind the last fired window
-	EstimationFailures  Counter // accuracy checks that rejected acceleration
-	TuplesProcessedFull Counter // tuples scanned by exact processing
-	TuplesShed          Counter // tuples whose archive write was shed under overload
+	TuplesIn            atomic.Int64 // tuples received
+	WindowsTotal        atomic.Int64 // windows fired
+	WindowsAccelerated  atomic.Int64 // windows answered from the sample
+	WindowsExact        atomic.Int64 // windows processed in full
+	WindowsSpilled      atomic.Int64 // windows that touched secondary storage
+	WindowsShed         atomic.Int64 // windows answered sample-only because shedding dropped their archive
+	LateDropped         atomic.Int64 // tuples behind the last fired window
+	EstimationFailures  atomic.Int64 // accuracy checks that rejected acceleration
+	TuplesProcessedFull atomic.Int64 // tuples scanned by exact processing
+	TuplesShed          atomic.Int64 // tuples whose archive write was shed under overload
+
+	// The last merged watermark the worker advanced to. Lag against the
+	// source high-water mark is derived at snapshot time.
+	watermark atomic.Int64
+	hasWM     atomic.Bool
 }
 
-// AcceleratedFraction returns the fraction of windows answered from the
-// sample (the §5.4 metric: "SPEAr expedites only 68% of the total
-// windows").
-func (w *Worker) AcceleratedFraction() float64 {
-	total := w.WindowsTotal.Load()
-	if total == 0 {
-		return 0
-	}
-	return float64(w.WindowsAccelerated.Load()) / float64(total)
+// SetWatermark records an advanced watermark (called once per
+// watermark round, not per tuple).
+func (w *Worker) SetWatermark(wm int64) {
+	w.watermark.Store(wm)
+	w.hasWM.Store(true)
 }
 
-// Registry collects per-worker telemetry for one engine run.
-type Registry struct {
-	mu      sync.Mutex
-	workers []*Worker
+// CheckpointMetrics bundles the fault-tolerance telemetry: how long
+// snapshots take, how much state they write, how long barrier alignment
+// stalls workers, and how long recovery took. One instance serves a
+// whole run (all workers observe into the same histograms, which are
+// already goroutine-safe).
+type CheckpointMetrics struct {
+	// SnapshotTime records each per-operator snapshot duration in
+	// nanoseconds (serialize + persist).
+	SnapshotTime Histogram
+	// AlignStall records each barrier-alignment round's stall in
+	// nanoseconds at the windowed workers — the time between the first
+	// and last barrier of a round, during which post-barrier input is
+	// buffered instead of processed.
+	AlignStall Histogram
+	// SnapshotBytes counts total snapshot bytes persisted (blobs and
+	// manifests).
+	SnapshotBytes atomic.Int64
+	// Completed counts committed checkpoints; Failed counts rounds
+	// aborted by an error.
+	Completed atomic.Int64
+	Failed    atomic.Int64
+	// RecoveryTime is the nanoseconds spent restoring operator state
+	// and rewinding secondary storage at startup.
+	RecoveryTime Gauge
+	// LastBytes is the size of the most recently committed checkpoint
+	// (all blobs plus the manifest).
+	LastBytes Gauge
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{} }
-
-// Worker returns a new named worker bundle registered with r.
-func (r *Registry) Worker(name string) *Worker {
-	w := &Worker{Name: name}
-	r.mu.Lock()
-	r.workers = append(r.workers, w)
-	r.mu.Unlock()
-	return w
-}
-
-// Workers returns all registered workers in registration order.
-func (r *Registry) Workers() []*Worker {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]*Worker, len(r.workers))
-	copy(out, r.workers)
-	return out
-}
-
-// Summary aggregates registry-wide statistics.
+// Summary aggregates a run's worker bundles.
 type Summary struct {
 	Workers            int
 	Windows            int64
@@ -303,19 +235,22 @@ type Summary struct {
 // histograms' exact sums and counts, so it is unaffected by sample
 // bounding; the 95th percentile pools the retained samples (exact while
 // every worker stays under HistogramCap observations).
-func (r *Registry) Summarize() Summary {
+func (in *Instruments) Summarize() Summary {
 	var s Summary
 	var pooled []float64
 	var memSum, procSum float64
 	var procCount int64
-	for _, w := range r.Workers() {
+	in.mu.Lock()
+	workers := append([]*Worker(nil), in.workers...)
+	in.mu.Unlock()
+	for _, w := range workers {
 		s.Workers++
 		s.Windows += w.WindowsTotal.Load()
 		s.Accelerated += w.WindowsAccelerated.Load()
 		s.TuplesIn += w.TuplesIn.Load()
 		s.LateDropped += w.LateDropped.Load()
 		s.EstimationFailures += w.EstimationFailures.Load()
-		pooled = append(pooled, w.ProcTime.Samples()...)
+		pooled = append(pooled, w.ProcTime.retained()...)
 		procSum += w.ProcTime.Sum()
 		procCount += int64(w.ProcTime.Count())
 		memSum += float64(w.MemBytes.Peak())
@@ -338,14 +273,7 @@ func (s Summary) String() string {
 	return fmt.Sprintf(
 		"workers=%d windows=%d accel=%d (%.1f%%) mean=%v p95=%v mem=%.0fB tuples=%d late=%d estfail=%d",
 		s.Workers, s.Windows, s.Accelerated,
-		100*safeFrac(s.Accelerated, s.Windows),
+		100*float64(s.Accelerated)/float64(max(s.Windows, 1)),
 		s.MeanProcTime, s.P95ProcTime, s.MeanMemBytes, s.TuplesIn,
 		s.LateDropped, s.EstimationFailures)
-}
-
-func safeFrac(a, b int64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return float64(a) / float64(b)
 }

@@ -1,4 +1,4 @@
-package metrics
+package obs
 
 import (
 	"strings"
@@ -6,33 +6,6 @@ import (
 	"testing"
 	"time"
 )
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Load() != 5 {
-		t.Errorf("Load = %d", c.Load())
-	}
-}
-
-func TestCounterConcurrent(t *testing.T) {
-	var c Counter
-	var wg sync.WaitGroup
-	for i := 0; i < 10; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				c.Inc()
-			}
-		}()
-	}
-	wg.Wait()
-	if c.Load() != 10000 {
-		t.Errorf("Load = %d, want 10000", c.Load())
-	}
-}
 
 func TestGauge(t *testing.T) {
 	var g Gauge
@@ -70,24 +43,17 @@ func TestHistogram(t *testing.T) {
 	if got := h.Percentile(1); got != 50 {
 		t.Errorf("p100 = %v", got)
 	}
-	if got := h.Max(); got != 50 {
-		t.Errorf("Max = %v", got)
-	}
 	// Interpolated p95 between 40 and 50.
 	if got := h.Percentile(0.95); got <= 40 || got > 50 {
 		t.Errorf("p95 = %v", got)
 	}
-	s := h.Samples()
+	s := h.retained()
 	if len(s) != 5 || s[0] != 10 {
-		t.Errorf("Samples = %v", s)
+		t.Errorf("retained = %v", s)
 	}
 	s[0] = 999
-	if h.Percentile(0) == 999 {
-		t.Error("Samples aliases internal storage")
-	}
-	h.Reset()
-	if h.Count() != 0 || h.Mean() != 0 {
-		t.Error("Reset failed")
+	if h.Percentile(0.5) != 30 {
+		t.Error("retained aliases internal storage")
 	}
 }
 
@@ -121,7 +87,7 @@ func TestHistogramBoundedMemory(t *testing.T) {
 	for i := 0; i < n; i++ {
 		h.Observe(float64(i % 1000))
 	}
-	if got := len(h.Samples()); got > HistogramCap {
+	if got := len(h.retained()); got > HistogramCap {
 		t.Fatalf("retained %d samples, want <= %d", got, HistogramCap)
 	}
 	if h.Count() != n {
@@ -129,9 +95,6 @@ func TestHistogramBoundedMemory(t *testing.T) {
 	}
 	if got, want := h.Mean(), 499.5; got != want {
 		t.Errorf("Mean = %v, want %v (must be exact beyond the cap)", got, want)
-	}
-	if h.Min() != 0 || h.Max() != 999 {
-		t.Errorf("Min/Max = %v/%v, want 0/999 (exact beyond the cap)", h.Min(), h.Max())
 	}
 	// The reservoir is uniform over [0, 1000): the median estimate must
 	// land near 500 (±10% is far looser than a 4096-sample bound).
@@ -149,7 +112,7 @@ func TestHistogramSmallRunExact(t *testing.T) {
 	for i := 0; i < n; i++ {
 		h.Observe(float64(i))
 	}
-	if got := len(h.Samples()); got != n {
+	if got := len(h.retained()); got != n {
 		t.Fatalf("retained %d samples, want all %d under the cap", got, n)
 	}
 	if got, want := h.Percentile(0.5), float64(n-1)/2; got != want {
@@ -168,24 +131,12 @@ func TestHistogramObserveDuration(t *testing.T) {
 	}
 }
 
-func TestWorkerAcceleratedFraction(t *testing.T) {
-	var w Worker
-	if w.AcceleratedFraction() != 0 {
-		t.Error("no windows should give 0")
-	}
-	w.WindowsTotal.Add(10)
-	w.WindowsAccelerated.Add(7)
-	if got := w.AcceleratedFraction(); got != 0.7 {
-		t.Errorf("AcceleratedFraction = %v", got)
-	}
-}
-
-func TestRegistrySummarize(t *testing.T) {
-	r := NewRegistry()
+func TestSummarize(t *testing.T) {
+	r := NewInstruments()
 	w1 := r.Worker("op-0")
 	w2 := r.Worker("op-1")
-	if len(r.Workers()) != 2 {
-		t.Fatalf("Workers = %d", len(r.Workers()))
+	if r.Worker("op-0") != w1 {
+		t.Fatal("a worker asked for twice by name must be one bundle")
 	}
 
 	w1.WindowsTotal.Add(4)
@@ -195,7 +146,7 @@ func TestRegistrySummarize(t *testing.T) {
 	w2.WindowsTotal.Add(4)
 	w2.TuplesIn.Add(100)
 	w2.MemBytes.Set(3000)
-	w2.LateDropped.Inc()
+	w2.LateDropped.Add(1)
 	w2.EstimationFailures.Add(2)
 	for _, v := range []float64{1e6, 2e6} {
 		w1.ProcTime.Observe(v)
@@ -222,7 +173,7 @@ func TestRegistrySummarize(t *testing.T) {
 }
 
 func TestEmptySummary(t *testing.T) {
-	s := NewRegistry().Summarize()
+	s := NewInstruments().Summarize()
 	if s.Workers != 0 || s.MeanProcTime != 0 || s.MeanMemBytes != 0 {
 		t.Errorf("empty Summary = %+v", s)
 	}

@@ -609,12 +609,12 @@ func (tp *Topology) Run() error {
 	if tp.fabric == nil {
 		for wi := 0; wi < tp.windowed.par; wi++ {
 			mgr := managers[wi]
-			var wobs *obs.WorkerObs
+			var wobs *obs.Worker
 			if ins != nil {
-				wobs = ins.RegisterWorker(fmt.Sprintf("%s[%d]", tp.windowed.name, wi))
+				wobs = ins.Worker(fmt.Sprintf("%s[%d]", tp.windowed.name, wi))
 			}
 			wgWin.Add(1)
-			go func(wi int, in chan Batch, mgr core.Manager, wobs *obs.WorkerObs) {
+			go func(wi int, in chan Batch, mgr core.Manager, wobs *obs.Worker) {
 				defer wgWin.Done()
 				runWinWorker(winWorkerCfg{
 					name:      tp.windowed.name,

@@ -103,12 +103,12 @@ func StartShard(sh Shard) (*ShardRun, error) {
 		ins.RegisterSink(sh.QueueSize, func() int { return len(res) })
 	}
 	for i := 0; i < n; i++ {
-		var wobs *obs.WorkerObs
+		var wobs *obs.Worker
 		if ins != nil {
-			wobs = ins.RegisterWorker(fmt.Sprintf("%s[%d]", sh.Name, sh.Lo+i))
+			wobs = ins.Worker(fmt.Sprintf("%s[%d]", sh.Name, sh.Lo+i))
 		}
 		sr.wg.Add(1)
-		go func(i int, mgr core.Manager, wobs *obs.WorkerObs) {
+		go func(i int, mgr core.Manager, wobs *obs.Worker) {
 			defer sr.wg.Done()
 			runWinWorker(winWorkerCfg{
 				name:      sh.Name,

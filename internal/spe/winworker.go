@@ -26,7 +26,7 @@ type winWorkerCfg struct {
 	pool      *runPool
 	failed    *errOnce
 	ins       *obs.Instruments
-	wobs      *obs.WorkerObs
+	wobs      *obs.Worker
 	trace     *obs.TraceRing
 }
 

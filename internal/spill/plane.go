@@ -85,22 +85,24 @@ type keyQueue struct {
 	active bool
 }
 
-// Stats is a point-in-time snapshot of the plane's counters, exported
-// to the observability plane as the spear_spill_* families.
+// Stats is a point-in-time snapshot of the plane's counters, served as
+// is in the observability plane's JSON snapshot (hence the tags) and as
+// the spear_spill_* families.
 type Stats struct {
-	QueueDepth        int64 // tasks queued or being processed
-	InflightBytes     int64 // bytes held by queued/active writes
-	AsyncWrites       int64 // chunk writes serviced by the worker pool
-	BackpressureWaits int64 // Store calls that blocked on QueueBytes
-	Flushes           int64 // Flush/Barrier calls
-	CacheHits         int64
-	CacheMisses       int64
-	CacheEvictions    int64
-	CacheBytes        int64 // current cache footprint
-	PrefetchIssued    int64 // background fetches enqueued by Prefetch
-	PrefetchHits      int64 // Gets served from a prefetched cache entry
-	RawBytes          int64 // codec input bytes (0 without a CodecStore)
-	EncodedBytes      int64 // codec output bytes (0 without a CodecStore)
+	Async             bool  `json:"async"`              // the worker pool is active
+	QueueDepth        int64 `json:"queue_depth"`        // tasks queued or being processed
+	InflightBytes     int64 `json:"inflight_bytes"`     // bytes held by queued/active writes
+	AsyncWrites       int64 `json:"async_writes"`       // chunk writes serviced by the worker pool
+	BackpressureWaits int64 `json:"backpressure_waits"` // Store calls that blocked on QueueBytes
+	Flushes           int64 `json:"flushes"`            // Flush/Barrier calls
+	CacheHits         int64 `json:"cache_hits"`
+	CacheMisses       int64 `json:"cache_misses"`
+	CacheEvictions    int64 `json:"cache_evictions"`
+	CacheBytes        int64 `json:"cache_bytes"`     // current cache footprint
+	PrefetchIssued    int64 `json:"prefetch_issued"` // background fetches enqueued by Prefetch
+	PrefetchHits      int64 `json:"prefetch_hits"`   // Gets served from a prefetched cache entry
+	RawBytes          int64 `json:"raw_bytes"`       // codec input bytes (0 without a CodecStore)
+	EncodedBytes      int64 `json:"encoded_bytes"`   // codec output bytes (0 without a CodecStore)
 }
 
 // Plane implements storage.SpillStore over an inner store, adding the
@@ -470,6 +472,7 @@ func (p *Plane) Stats() storage.Stats { return p.inner.Stats() }
 // PlaneStats snapshots the plane's own counters.
 func (p *Plane) PlaneStats() Stats {
 	s := Stats{
+		Async:             p.workers > 0,
 		AsyncWrites:       p.asyncWrites.Load(),
 		BackpressureWaits: p.bpWaits.Load(),
 		Flushes:           p.flushes.Load(),

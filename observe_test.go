@@ -211,15 +211,15 @@ func TestMergedSourceCheckpointResume(t *testing.T) {
 
 	// Leg 1: the merged stream ends early (the process "dies").
 	store := storage.NewMemStore()
-	var cm CheckpointMetrics
+	tel := NewInstruments()
 	leg1 := &sinkBuf{}
 	if _, err := build(Merge(FromSlice(mk(stopAt, 0)), FromSlice(mk(stopAt, 1))), store).
 		CheckpointEvery(400, 0).
-		CheckpointMetricsInto(&cm).
+		ObserveWith(tel).
 		Run(leg1.add); err != nil {
 		t.Fatal(err)
 	}
-	if cm.Completed.Load() < 1 {
+	if tel.Checkpoint().Completed.Load() < 1 {
 		t.Fatal("leg 1 committed no checkpoints")
 	}
 

@@ -32,7 +32,6 @@ import (
 	"spear/internal/control"
 	"spear/internal/core"
 	"spear/internal/dataset"
-	"spear/internal/metrics"
 	"spear/internal/obs"
 	"spear/internal/sample"
 	"spear/internal/spe"
@@ -57,7 +56,7 @@ type Result = core.Result
 // Summary aggregates a run's telemetry: window counts, acceleration
 // fraction, pooled mean and 95th-percentile window processing times,
 // and mean per-worker peak memory.
-type Summary = metrics.Summary
+type Summary = obs.Summary
 
 // Source produces the input stream; Next returns ok=false at the end.
 type Source = spe.Spout
@@ -184,7 +183,6 @@ type Query struct {
 	ckptTuples   int64
 	ckptInterval time.Duration
 	ckptRecover  bool
-	ckptMetrics  *metrics.CheckpointMetrics
 
 	store              storage.SpillStore
 	spillWorkers       int
@@ -198,7 +196,6 @@ type Query struct {
 	disableIncremental bool
 	scalarEst          core.ScalarEstimator
 	groupedEst         core.GroupedEstimator
-	registry           *metrics.Registry
 	exactBufferBytes   int
 
 	obsAddr    string
@@ -632,10 +629,6 @@ func (q *Query) EstimateGroupedWith(est core.GroupedEstimator) *Query {
 	return q
 }
 
-// CheckpointMetrics bundles fault-tolerance telemetry: snapshot
-// duration and size, barrier-alignment stall, and recovery time.
-type CheckpointMetrics = metrics.CheckpointMetrics
-
 // Observability re-exports: the live observability plane's registry,
 // point-in-time snapshot, and sampled tuple-lifecycle trace event.
 type (
@@ -683,10 +676,12 @@ func (q *Query) ObserveEvery(d time.Duration) *Query {
 	return q
 }
 
-// ObserveWith attaches caller-owned instruments, for embedding: the
-// query registers its probes into ins, and the caller snapshots it
-// (ins.Snapshot) or serves it however it likes, during and after the
-// run. Implies observation even without ObserveAddr.
+// ObserveWith directs the run's telemetry into caller-owned
+// instruments, for embedding: the query counts into ins (one bundle per
+// window worker, ins.Checkpoint() for a checkpointed run) and registers
+// its probes there, and the caller snapshots it (ins.Snapshot), takes
+// its ins.Summarize() or serves it however it likes, during and after
+// the run. Implies observation even without ObserveAddr.
 func (q *Query) ObserveWith(ins *Instruments) *Query {
 	if ins == nil {
 		return q.errf("nil instruments")
@@ -744,20 +739,6 @@ func (q *Query) Recover() *Query {
 	return q
 }
 
-// CheckpointMetricsInto directs checkpoint telemetry into cm.
-func (q *Query) CheckpointMetricsInto(cm *CheckpointMetrics) *Query {
-	q.ckptMetrics = cm
-	return q
-}
-
-// MetricsInto directs telemetry into reg (one Worker per stateful
-// worker thread); without it a private registry is used and returned
-// via the run Summary only.
-func (q *Query) MetricsInto(reg *metrics.Registry) *Query {
-	q.registry = reg
-	return q
-}
-
 // ExactBufferBytes bounds the exact backend's window buffer, spilling
 // overflow to secondary storage (models a worker's memory budget b for
 // the baseline). Zero means unbounded.
@@ -767,7 +748,10 @@ func (q *Query) ExactBufferBytes(n int) *Query {
 }
 
 // Run executes the query to completion, invoking sink for every window
-// result, and returns the run's telemetry summary.
+// result, and returns the run's telemetry summary: what the window
+// workers of this process counted. Under Distribute this process builds
+// none, so the Summary is empty (Workers: 0); each shard's telemetry is
+// on the Instruments its ServeShard query was given with ObserveWith.
 func (q *Query) Run(sink func(worker int, r Result)) (Summary, error) {
 	if len(q.errs) > 0 {
 		return Summary{}, errors.Join(q.errs...)
@@ -795,30 +779,18 @@ func (q *Query) Run(sink func(worker int, r Result)) (Summary, error) {
 
 	ckptEnabled := q.ckptTuples > 0 || q.ckptInterval > 0 || q.ckptRecover
 
-	// Live observability: build (or adopt) the instrument registry and
-	// attach every telemetry source the run will have. The adaptive
-	// controller is fed from the reporter's snapshots, so enabling it
-	// implies observing.
+	// reg is the run's telemetry registry either way (the worker bundles
+	// the Summary is computed from live there); ins is the same registry
+	// when the run is observed and nil otherwise, which is the engine's
+	// switch for its live probes. The adaptive controller is fed from the
+	// reporter's snapshots, so enabling it implies observing.
 	observing := q.obsAddr != "" || q.obsInto != nil || q.traceEvery > 0 || controllerOn
 	var ins *obs.Instruments
 	if observing {
-		ins = q.obsInto
-		if ins == nil {
-			ins = obs.NewInstruments()
-		}
-		ins.SetRegistry(reg)
-		ins.SetStore(plane)
+		ins = reg
 		ins.SetSpillPlane(plane)
 		if q.traceEvery > 0 && ins.Trace() == nil {
 			ins.EnableTrace(q.traceEvery, q.traceCap)
-		}
-		if ckptEnabled && q.ckptMetrics == nil {
-			// Observing a checkpointed run needs the telemetry even if
-			// the caller did not ask for it explicitly.
-			q.ckptMetrics = &metrics.CheckpointMetrics{}
-		}
-		if q.ckptMetrics != nil {
-			ins.SetCheckpointMetrics(q.ckptMetrics)
 		}
 	}
 
@@ -868,7 +840,7 @@ func (q *Query) Run(sink func(worker int, r Result)) (Summary, error) {
 			Workers:     q.parallelism,
 			EveryTuples: q.ckptTuples,
 			Interval:    q.ckptInterval,
-			Metrics:     q.ckptMetrics,
+			Metrics:     reg.Checkpoint(),
 		})
 		if err != nil {
 			return Summary{}, fmt.Errorf("spear: %s: %w", q.name, err)

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"spear/internal/core"
-	"spear/internal/metrics"
 	"spear/internal/storage"
 )
 
@@ -352,8 +351,8 @@ func TestBackendString(t *testing.T) {
 	}
 }
 
-func TestMetricsInto(t *testing.T) {
-	reg := metrics.NewRegistry()
+func TestObserveWithWorkerBundles(t *testing.T) {
+	ins := NewInstruments()
 	var in []Tuple
 	for i := 0; i < 300; i++ {
 		in = append(in, NewTuple(int64(i), Float(1)))
@@ -363,15 +362,18 @@ func TestMetricsInto(t *testing.T) {
 		TumblingWindow(100 * time.Nanosecond).
 		Sum(func(t Tuple) float64 { return 1 }).
 		Parallelism(3).
-		MetricsInto(reg).
+		ObserveWith(ins).
 		Run(func(int, Result) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reg.Workers()) != 3 {
-		t.Errorf("registry has %d workers", len(reg.Workers()))
+	// One bundle per window worker, however many parties asked for it by
+	// name (the manager factory and the engine's worker loop both do).
+	workers := ins.Snapshot(time.Now()).WorkerMetrics
+	if len(workers) != 3 {
+		t.Errorf("instruments hold %d worker bundles, want 3", len(workers))
 	}
-	for _, w := range reg.Workers() {
+	for _, w := range workers {
 		if !strings.HasPrefix(w.Name, "m[") {
 			t.Errorf("worker name %q", w.Name)
 		}
