@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-ssa test race recovery obs obs-scrape fuzz loc bench-smoke bench-checkpoint bench-pipeline bench-spill bench-shuffle bench-columnar bench-adaptive e2e-dist
+.PHONY: check build vet lint lint-ssa test race recovery obs obs-scrape fuzz loc bench-smoke bench-checkpoint bench-spill bench-shuffle bench-adaptive e2e-dist
 
 check: build vet lint lint-ssa race recovery obs
 
@@ -45,8 +45,8 @@ race:
 	$(GO) test -race -count=10 -run 'TestLink' ./internal/transport/
 
 # Crash-recovery integration suite: fault injection at every
-# checkpoint-protocol seam, run under the race detector (the barrier
-# alignment and coordinator commit paths are concurrency-critical).
+# checkpoint-protocol seam, run under the race detector (the workers'
+# snapshots and the coordinator's commit run concurrently).
 recovery:
 	$(GO) test -race -run 'TestCrashRecovery|TestRecovery|TestCoordinator' ./internal/checkpoint/
 	$(GO) test -race -run 'TestCheckpoint' .
@@ -116,22 +116,6 @@ bench-spill:
 # 1s vs 10s intervals (acceptance: <10% throughput cost at 10s).
 bench-checkpoint:
 	$(GO) run ./cmd/spear-bench -experiment checkpoint
-
-# Dataflow throughput: the spe micro-benchmarks with allocation counts,
-# then the pipeline experiment (par 1/4/8 × batch 1 vs 64, best of 3)
-# writing BENCH_pipeline.json (acceptance: batch=64 ≥2x batch=1 on the
-# 4-worker shuffle pipeline, allocs/tuple ≤1 in steady state).
-bench-pipeline:
-	$(GO) test -run '^$$' -bench BenchmarkPipeline -benchmem ./internal/spe/
-	$(GO) run ./cmd/spear-bench -experiment pipeline -benchjson BENCH_pipeline.json
-
-# Columnar execution: typed column batches + operator fusion vs the row
-# batch path at par 1/4/8 on an aggregate-heavy map→filter→mean
-# pipeline, writing BENCH_columnar.json (acceptance: columnar ≥2x row
-# throughput at par 4; results identical — values and Mode — verified
-# in-run per configuration).
-bench-columnar:
-	$(GO) run ./cmd/spear-bench -experiment columnar -benchjson BENCH_columnar.json
 
 # Adaptive accuracy controller: a 10s stream with an 8x load spike over
 # a 10ms-per-write archive store, fixed budget vs LatencySLO-driven

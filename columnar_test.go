@@ -177,9 +177,8 @@ func TestColumnarIdentity(t *testing.T) {
 	})
 
 	t.Run("fused map chain", func(t *testing.T) {
-		// Maps present: the columnar run fuses them into the spout's
-		// per-batch kernel (no stage goroutines); at parallelism 1 the
-		// surviving tuple stream is identical, so results are too.
+		// Maps present: the chain runs at the source on both lanes; the
+		// columnar run's survivors leave it as column batches.
 		r := rand.New(rand.NewSource(17))
 		var in []Tuple
 		for i := 0; i < 6000; i++ {
@@ -203,9 +202,10 @@ func TestColumnarIdentity(t *testing.T) {
 }
 
 // TestColumnarIdentityCrashRecover runs the checkpoint stop-and-resume
-// cycle with the columnar lane enabled (checkpointing disables operator
-// fusion but keeps the columnar kernels) and requires the union of both
-// legs to equal a plain row-path reference run bit-for-bit.
+// cycle with the columnar lane enabled and a filtering Map ahead of the
+// window — the chain hands column batches to the worker with barriers
+// cutting between them — and requires the union of both legs to equal a
+// plain row-path reference run bit-for-bit.
 func TestColumnarIdentityCrashRecover(t *testing.T) {
 	const (
 		n      = 2000
@@ -223,6 +223,7 @@ func TestColumnarIdentityCrashRecover(t *testing.T) {
 	build := func(src Source, store storage.SpillStore) *Query {
 		return NewQuery("colckpt").
 			Source(src).
+			Map(func(t Tuple) (Tuple, bool) { return t, t.Vals[0].AsFloat() != 13 }).
 			TumblingWindow(winSec * time.Second).
 			Median(func(t Tuple) float64 { return t.Vals[0].AsFloat() }).
 			BudgetTuples(64).

@@ -24,9 +24,11 @@ import (
 // given addresses, each hosting a ServeShard process built from the
 // same query definition (the handshake verifies this structurally).
 // Data batches, watermarks, and checkpoint barriers cross the wire in
-// per-sender order, so results — values and production mode — are
-// bit-identical to a single-process run with the same seed, and
-// aligned-barrier checkpoints plus source replay work unchanged.
+// source order — every worker has the source as its one sender in both
+// runtimes — so results, values and production mode, are bit-identical
+// per worker to a single-process run with the same seed, and barrier
+// checkpoints plus source replay work unchanged. Map stages run at the
+// source, ahead of the wire.
 // Checkpointed distributed runs need a SpillStore every process shares
 // (e.g. a FileStore on a common directory). The window workers, and
 // with them the per-worker telemetry, live in the shard processes: the
@@ -82,7 +84,7 @@ func (q *Query) ServeShard(lis net.Listener) error {
 				// Worker-side checkpoint protocol: restore from the
 				// manifest the source recovered to (loaded once, shared
 				// across this node's workers), persist blobs locally at
-				// each alignment point, acknowledge over the wire.
+				// each barrier, acknowledge over the wire.
 				var once sync.Once
 				var m checkpoint.Manifest
 				var merr error
@@ -112,7 +114,10 @@ func (q *Query) ServeShard(lis net.Listener) error {
 			return spe.StartShard(spe.Shard{
 				Name: q.name, Lo: spec.Lo, Hi: spec.Hi, Senders: spec.Senders,
 				BatchSize: spec.BatchSize, QueueSize: spec.QueueSize,
-				Factory: factory, Hooks: hooks, Obs: ins,
+				// Both sides build the same query, so the shard ingests
+				// on the lane the source's local workers would.
+				Columnar: q.colOn,
+				Factory:  factory, Hooks: hooks, Obs: ins,
 			})
 		},
 	})
@@ -193,9 +198,9 @@ func (q *Query) managerFactory(plane *spill.Plane, reg *obs.Instruments, deferDe
 			Budget:             q.budgetPolicy,
 			Cell:               cell,
 			// The spec only authorizes the columnar kernels; it never
-			// changes results, so it stays out of topoHash and shard
-			// nodes (which drive the row batch path regardless) may
-			// disagree with the source about it.
+			// changes results, so it stays out of topoHash: a shard
+			// built without Columnar ingests rows and agrees bit for
+			// bit with a source that has it.
 			Columnar: core.ColumnarSpec{
 				Enabled:    q.colOn,
 				ValueField: q.colValueField,

@@ -1,7 +1,6 @@
 package spear
 
 import (
-	"math"
 	"net"
 	"reflect"
 	"sort"
@@ -66,6 +65,34 @@ func (s *workerSink) sorted() []workerResult {
 			return out[i].Res.Start < out[j].Res.Start
 		}
 		return out[i].Worker < out[j].Worker
+	})
+	return out
+}
+
+// mergeLegs merges the legs of a stop-and-recover run per (worker,
+// window), later legs winning, ordered by worker and window: which
+// checkpoint the second leg resumes from depends on how far the source
+// ran ahead of the workers, so the legs overlap by a varying amount.
+func mergeLegs(legs ...[]workerResult) []workerResult {
+	type key struct {
+		worker int
+		start  int64
+	}
+	merged := map[key]workerResult{}
+	for _, leg := range legs {
+		for _, r := range leg {
+			merged[key{r.Worker, r.Res.Start}] = r
+		}
+	}
+	out := make([]workerResult, 0, len(merged))
+	for _, r := range merged {
+		out = append(out, r)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Worker != out[j].Worker {
+			return out[i].Worker < out[j].Worker
+		}
+		return out[i].Res.Start < out[j].Res.Start
 	})
 	return out
 }
@@ -196,6 +223,17 @@ func TestDistributedLoopbackIdentity(t *testing.T) {
 	if windows != int64(len(want)) {
 		t.Errorf("shards' summaries count %d windows, %d results delivered", windows, len(want))
 	}
+
+	// Columnar × Distribute: the shards ingest through the columnar
+	// kernels, as the source's local workers would, and nothing moves.
+	colBuild := func() *Query { return build().Columnar(0) }
+	shards = startShards(t, 2, colBuild)
+	col := &workerSink{}
+	if _, err := colBuild().Source(FromSlice(in)).Distribute(shards.addrs...).Run(col.add); err != nil {
+		t.Fatal(err)
+	}
+	shards.wait(t, false)
+	requireIdentical(t, want, col.sorted())
 }
 
 // TestDistributedLoopbackIdentityGrouped does the same for a grouped
@@ -236,14 +274,12 @@ func TestDistributedLoopbackIdentityGrouped(t *testing.T) {
 }
 
 // TestDistributedBarriersOverWire runs a checkpointing distributed
-// query whose cadence fires mid-stream, with a stateless stage fanning
-// the windowed input out over four senders: barriers and watermarks
-// must align across the wire exactly as in-process. Four senders mean
-// the windowed workers see a nondeterministic cross-sender interleaving
-// in BOTH runtimes, so the extractor rounds each value to an integer:
-// integral float64 sums are exact and therefore order-independent,
-// which keeps the comparison bit-for-bit without pinning an arrival
-// order no runtime guarantees.
+// query whose cadence fires mid-stream, behind a stateless stage:
+// barriers and watermarks must cut the stream over the wire exactly
+// where they cut it in-process. The stage runs at the source, so every
+// worker has one sender in both runtimes and sees its tuples in source
+// order: the sums are of plain, non-integral floats and must agree bit
+// for bit, which an unordered fan-in would not.
 func TestDistributedBarriersOverWire(t *testing.T) {
 	leakcheck.Check(t, leakcheck.Timeout(10*time.Second))
 	in := distTuples(20, 250, 6)
@@ -251,7 +287,7 @@ func TestDistributedBarriersOverWire(t *testing.T) {
 		return NewQuery("distb").
 			Map(func(tp Tuple) (Tuple, bool) { return tp, true }).
 			TumblingWindow(250 * time.Second).
-			Sum(func(tp Tuple) float64 { return math.Round(tp.Vals[0].AsFloat() * 3) }).
+			Sum(func(tp Tuple) float64 { return tp.Vals[0].AsFloat() }).
 			WithBackend(BackendExact).
 			Seed(5).
 			Parallelism(4).

@@ -8,7 +8,7 @@ import (
 	"spear/internal/obs"
 )
 
-// Checkpoint measures the throughput cost of aligned barrier snapshots
+// Checkpoint measures the throughput cost of barrier snapshots
 // on the default workload (the DEC mean CQ, paper §5 parameters):
 // checkpointing off, a 1s interval, and a 10s interval. The acceptance
 // bar is a <10% throughput penalty at the 10s interval.
@@ -16,7 +16,7 @@ func Checkpoint(opt Options) ([]*Table, error) {
 	t := &Table{
 		Title: "Checkpoint overhead: DEC mean CQ, off vs 1s vs 10s intervals",
 		Header: []string{"interval", "wall(s)", "tuples/s", "overhead", "ckpts",
-			"snap bytes", "snap mean(ms)", "stall mean(ms)"},
+			"snap bytes", "snap mean(ms)"},
 	}
 	n := opt.tuples(4_000_000)
 	// Wall-clock intervals may not elapse within a short scaled run, so
@@ -68,7 +68,6 @@ func Checkpoint(opt Options) ([]*Table, error) {
 			fmt.Sprint(cm.Completed.Load()),
 			fmt.Sprint(cm.SnapshotBytes.Load()),
 			histMs(&cm.SnapshotTime),
-			histMs(&cm.AlignStall),
 		})
 	}
 	t.Notes = append(t.Notes,

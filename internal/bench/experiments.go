@@ -46,8 +46,6 @@ var Experiments = map[string]func(Options) ([]*Table, error){
 	"fig11":      Fig11,
 	"fig12":      Fig12,
 	"checkpoint": Checkpoint,
-	"pipeline":   Pipeline,
-	"columnar":   Columnar,
 	"spill":      Spill,
 	"shuffle":    Shuffle,
 	"adaptive":   Adaptive,
@@ -57,7 +55,7 @@ var Experiments = map[string]func(Options) ([]*Table, error){
 func ExperimentIDs() []string {
 	return []string{"table1", "fig6", "fig7", "fig8a", "fig8b", "fig8c",
 		"fig8d", "table2", "fig9", "fig10", "fig11", "fig12", "checkpoint",
-		"pipeline", "columnar", "spill", "shuffle", "adaptive"}
+		"spill", "shuffle", "adaptive"}
 }
 
 // ---- dataset-specific query builders ----

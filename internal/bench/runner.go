@@ -25,8 +25,8 @@ type Options struct {
 	// Out receives the printed tables.
 	Out io.Writer
 	// BenchJSON, when non-empty, is a path where experiments that
-	// support machine-readable output (currently "pipeline" and
-	// "spill") also write their rows as JSON; when several such
+	// support machine-readable output ("spill", "shuffle",
+	// "adaptive") also write their rows as JSON; when several such
 	// experiments run in one invocation the last write wins.
 	BenchJSON string
 	// ObserveAddr, when non-empty, serves the live observability plane

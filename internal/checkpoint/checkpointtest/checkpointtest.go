@@ -29,10 +29,10 @@ const (
 	// to start checkpoint AtCheckpoint, before any barrier is emitted:
 	// no worker ever sees the barrier, nothing of the round persists.
 	PreBarrier
-	// MidAlignment crashes worker AtWorker at its first barrier arrival
-	// for checkpoint AtCheckpoint — after some senders delivered the
-	// barrier, before the alignment completes, so no snapshot of the
-	// round is taken at that worker.
+	// MidAlignment crashes worker AtWorker when the barrier of
+	// checkpoint AtCheckpoint arrives — after the barrier, before the
+	// snapshot, so no snapshot of the round is taken at that worker
+	// while others may have taken theirs.
 	MidAlignment
 	// PostSnapshot crashes after worker AtWorker's snapshot blob for
 	// checkpoint AtCheckpoint is durably stored but before it is
@@ -108,9 +108,9 @@ func (in *Injector) Arm(h *spe.CheckpointHooks) *spe.CheckpointHooks {
 	}
 	if in.Point == MidAlignment {
 		inner := h.BarrierSeen
-		wrapped.BarrierSeen = func(id uint64, worker, sender int) error {
+		wrapped.BarrierSeen = func(id uint64, worker int) error {
 			if inner != nil {
-				if err := inner(id, worker, sender); err != nil {
+				if err := inner(id, worker); err != nil {
 					return err
 				}
 			}

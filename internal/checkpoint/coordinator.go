@@ -1,8 +1,8 @@
-// Package checkpoint implements aligned barrier snapshots and crash
-// recovery for the SPEAr runtime. A coordinator, polled synchronously
-// by the spout, decides when a checkpoint starts; the engine broadcasts
-// a barrier that every worker aligns across its input senders; at each
-// windowed worker's alignment point the coordinator serializes the
+// Package checkpoint implements barrier snapshots and crash recovery
+// for the SPEAr runtime. A coordinator, polled synchronously by the
+// spout, decides when a checkpoint starts; the engine broadcasts a
+// barrier to every windowed worker, each of which has the spout as its
+// one sender; when the barrier arrives the coordinator serializes the
 // operator's state (via the Snapshotter contract every stateful manager
 // implements) and persists it through the spill store; when every
 // worker has confirmed, a manifest — spout offset plus per-blob
@@ -215,12 +215,11 @@ func (c *Coordinator) Restored() (Manifest, bool) {
 // Hooks returns the engine hooks wiring this coordinator into a
 // topology. Call after Recover when resuming.
 func (c *Coordinator) Hooks() *spe.CheckpointHooks {
-	h := &spe.CheckpointHooks{Now: c.cfg.Now}
+	h := &spe.CheckpointHooks{}
 	if c.cfg.EveryTuples > 0 || c.cfg.Interval > 0 {
 		h.Trigger = c.trigger
 	}
 	h.Snapshot = c.snapshot
-	h.AlignStall = c.cfg.Metrics.AlignStall.ObserveDuration
 	restored, blobs, met := c.restored, c.blobs, c.cfg.Metrics
 	if restored != nil {
 		h.StartOffset = restored.Offset

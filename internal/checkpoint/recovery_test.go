@@ -29,8 +29,8 @@ import (
 const (
 	streamN     = 2000
 	winTicks    = 100 // tumbling window length in event-time ticks
-	ckptEvery   = 450
-	crashAtCkpt = 2 // offset 900, mid-window 9
+	ckptEvery   = 451 // a multiple of no tested parallelism: recovery resumes mid round-robin
+	crashAtCkpt = 2   // offset 902, mid-window 9
 )
 
 // testStream alternates low-variance windows (accelerated from the
@@ -59,11 +59,13 @@ type runOutput map[resKey]core.Result
 
 // topo describes one deterministic test topology. batch is the
 // engine's micro-batch size (0 → engine default of 64; 1 → per-tuple
-// transfer).
+// transfer); filter puts a stateless stage that drops every eighth
+// tuple ahead of the windowed one.
 type topo struct {
 	par     int
 	grouped bool
 	batch   int
+	filter  bool
 }
 
 func (tc topo) factory(store storage.SpillStore) spe.ManagerFactory {
@@ -117,6 +119,9 @@ func (tc topo) run(ts []tuple.Tuple, store storage.SpillStore, hooks *spe.Checkp
 		BatchSize:       tc.batch,
 		QueueSize:       queue,
 	}).SetSpout(spe.NewSliceSpout(ts))
+	if tc.filter {
+		tp.AddMap("keep", 0, func(t tuple.Tuple) (tuple.Tuple, bool) { return t, t.Ts%8 != 3 })
+	}
 	tp.SetWindowed("win", tc.par, keyBy, tc.factory(store))
 	tp.SetSink(func(w int, r core.Result) { got[resKey{w, r.WindowID}] = r })
 	err := tp.Run()
@@ -243,6 +248,25 @@ func TestCrashRecoveryScalar(t *testing.T) {
 				crashAndRecover(t, topo{par: par}, p)
 			})
 		}
+	}
+}
+
+// TestCrashRecoveryRoutingWithFilter is the case where recovery depends
+// on routing being a function of the input alone: a shuffle-routed
+// scalar query at par 3 with a filter in the chain. The replay from the
+// checkpoint's offset must send source tuple k to the worker the
+// crashed run sent it to — a survivor keeps the round-robin slot of the
+// tuple it came from, and the slot's phase is the offset — or the
+// restored per-worker state and the replayed suffix belong to different
+// partitions of the stream and the per-worker union differs from the
+// uninterrupted run's.
+func TestCrashRecoveryRoutingWithFilter(t *testing.T) {
+	for _, p := range []checkpointtest.CrashPoint{
+		checkpointtest.PreBarrier, checkpointtest.MidAlignment, checkpointtest.PostSnapshot,
+	} {
+		t.Run(p.String(), func(t *testing.T) {
+			crashAndRecover(t, topo{par: 3, filter: true}, p)
+		})
 	}
 }
 

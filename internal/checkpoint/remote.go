@@ -9,7 +9,7 @@ import (
 
 // This file is the worker side of distributed checkpointing. A remote
 // shard node shares the spill store with the coordinator's process (a
-// FileStore on a shared directory); at a barrier alignment point the
+// FileStore on a shared directory); when a barrier arrives the
 // worker serializes and persists its own blob with SnapshotBlob, then
 // acknowledges the coordinator over the wire with the returned
 // manifest entry — the blob bytes never cross the connection. On

@@ -32,7 +32,9 @@ func (stubControl) ControlSnapshot() *ControlSnapshot {
 // package of their own, apart from this one: two workers with every counter distinct and non-zero
 // and a ProcTime past HistogramCap, an async spill plane behind the
 // chunk codec, the checkpoint bundle, one transport, a controller and
-// the trace ring.
+// the trace ring. The goldens have since lost the barrier-alignment
+// stall entries (one JSON key, one exposition family) together with the
+// multi-sender alignment they timed, and nothing else.
 func goldenInstruments(t *testing.T) *Instruments {
 	t.Helper()
 	in := NewInstruments()
@@ -105,8 +107,6 @@ func goldenInstruments(t *testing.T) *Instruments {
 	cm.RecoveryTime.Set(25_000_000)
 	cm.SnapshotTime.Observe(2_000_000)
 	cm.SnapshotTime.Observe(4_000_000)
-	cm.AlignStall.Observe(500_000)
-	cm.AlignStall.Observe(700_000)
 
 	tr := in.RegisterTransport("node0")
 	tr.TxFrames.Add(31)

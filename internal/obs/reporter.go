@@ -166,12 +166,11 @@ func diffStorage(prev, cur spillStats) spillStats {
 // value.
 func diffCheckpoint(prev, cur CheckpointSnapshot) CheckpointSnapshot {
 	return CheckpointSnapshot{
-		Completed:          max(0, cur.Completed-prev.Completed),
-		Failed:             max(0, cur.Failed-prev.Failed),
-		SnapshotBytes:      max(0, cur.SnapshotBytes-prev.SnapshotBytes),
-		LastBytes:          cur.LastBytes,
-		RecoveryNanos:      cur.RecoveryNanos,
-		SnapshotMeanNanos:  cur.SnapshotMeanNanos,
-		AlignStallSumNanos: max(0, cur.AlignStallSumNanos-prev.AlignStallSumNanos),
+		Completed:         max(0, cur.Completed-prev.Completed),
+		Failed:            max(0, cur.Failed-prev.Failed),
+		SnapshotBytes:     max(0, cur.SnapshotBytes-prev.SnapshotBytes),
+		LastBytes:         cur.LastBytes,
+		RecoveryNanos:     cur.RecoveryNanos,
+		SnapshotMeanNanos: cur.SnapshotMeanNanos,
 	}
 }

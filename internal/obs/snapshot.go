@@ -106,13 +106,12 @@ type ControlSnapshot struct {
 
 // CheckpointSnapshot is the fault-tolerance telemetry at snapshot time.
 type CheckpointSnapshot struct {
-	Completed          int64   `json:"completed"`
-	Failed             int64   `json:"failed"`
-	SnapshotBytes      int64   `json:"snapshot_bytes"`
-	LastBytes          int64   `json:"last_bytes"`
-	RecoveryNanos      int64   `json:"recovery_nanos"`
-	SnapshotMeanNanos  float64 `json:"snapshot_mean_nanos"`
-	AlignStallSumNanos float64 `json:"align_stall_sum_nanos"`
+	Completed         int64   `json:"completed"`
+	Failed            int64   `json:"failed"`
+	SnapshotBytes     int64   `json:"snapshot_bytes"`
+	LastBytes         int64   `json:"last_bytes"`
+	RecoveryNanos     int64   `json:"recovery_nanos"`
+	SnapshotMeanNanos float64 `json:"snapshot_mean_nanos"`
 }
 
 // Snapshot is one immutable picture of the running query. Reporter
@@ -236,13 +235,12 @@ func (in *Instruments) Snapshot(now time.Time) *Snapshot {
 	}
 	if ckpt != nil {
 		s.Checkpoint = &CheckpointSnapshot{
-			Completed:          ckpt.Completed.Load(),
-			Failed:             ckpt.Failed.Load(),
-			SnapshotBytes:      ckpt.SnapshotBytes.Load(),
-			LastBytes:          ckpt.LastBytes.Load(),
-			RecoveryNanos:      ckpt.RecoveryTime.Load(),
-			SnapshotMeanNanos:  ckpt.SnapshotTime.Mean(),
-			AlignStallSumNanos: ckpt.AlignStall.Sum(),
+			Completed:         ckpt.Completed.Load(),
+			Failed:            ckpt.Failed.Load(),
+			SnapshotBytes:     ckpt.SnapshotBytes.Load(),
+			LastBytes:         ckpt.LastBytes.Load(),
+			RecoveryNanos:     ckpt.RecoveryTime.Load(),
+			SnapshotMeanNanos: ckpt.SnapshotTime.Mean(),
 		}
 	}
 	for _, t := range transports {
@@ -407,7 +405,6 @@ var families = []group{
 		{"spear_checkpoint_last_bytes", "gauge", "Size of the most recently committed checkpoint.", func(s *Snapshot, _ int) []sample { return val(s.Checkpoint.LastBytes) }},
 		{"spear_checkpoint_recovery_seconds", "gauge", "Time spent restoring state at startup.", func(s *Snapshot, _ int) []sample { return val(secs(s.Checkpoint.RecoveryNanos)) }},
 		{"spear_checkpoint_snapshot_mean_seconds", "gauge", "Mean per-operator snapshot duration.", func(s *Snapshot, _ int) []sample { return val(secs(s.Checkpoint.SnapshotMeanNanos)) }},
-		{"spear_checkpoint_align_stall_seconds_total", "counter", "Total barrier-alignment stall across workers.", func(s *Snapshot, _ int) []sample { return val(secs(s.Checkpoint.AlignStallSumNanos)) }},
 	}},
 	{func(s *Snapshot) int { return len(s.Transport) }, func(s *Snapshot, i int) string { return label("peer", s.Transport[i].Name) }, []family{
 		{"spear_transport_frames_total", "counter", "Network-shuffle frames moved per peer link, by direction.", func(s *Snapshot, i int) []sample {

@@ -188,19 +188,14 @@ func (w *Worker) SetWatermark(wm int64) {
 }
 
 // CheckpointMetrics bundles the fault-tolerance telemetry: how long
-// snapshots take, how much state they write, how long barrier alignment
-// stalls workers, and how long recovery took. One instance serves a
+// snapshots take, how much state they write, and how long recovery
+// took. One instance serves a
 // whole run (all workers observe into the same histograms, which are
 // already goroutine-safe).
 type CheckpointMetrics struct {
 	// SnapshotTime records each per-operator snapshot duration in
 	// nanoseconds (serialize + persist).
 	SnapshotTime Histogram
-	// AlignStall records each barrier-alignment round's stall in
-	// nanoseconds at the windowed workers — the time between the first
-	// and last barrier of a round, during which post-barrier input is
-	// buffered instead of processed.
-	AlignStall Histogram
 	// SnapshotBytes counts total snapshot bytes persisted (blobs and
 	// manifests).
 	SnapshotBytes atomic.Int64

@@ -68,34 +68,32 @@ func (p *runPool) recycle(b Batch) {
 	}
 }
 
-// batcher is one sender's end of a hop: a run in progress per
-// destination, shipped when it reaches size. Controls (watermarks and
-// checkpoint barriers) force a flush of every pending run and then
-// travel alone, so the per-channel order every receiver observes is
+// batcher is the sending end of the hop — the spout's: a run in
+// progress per destination, shipped when it reaches size. Controls
+// (watermarks and checkpoint barriers) force a flush of every pending
+// run and then travel alone, so the order every receiver observes is
 // exactly the order a per-tuple sender would have produced: all data
 // routed before a control is delivered before it.
 //
 // A batcher belongs to one sending goroutine and needs no locking.
 type batcher struct {
-	outs   []chan Batch
-	runs   [][]tuple.Tuple
-	part   Partitioner
-	sender int
-	size   int
-	pool   *runPool
+	outs []chan Batch
+	runs [][]tuple.Tuple
+	part Partitioner
+	size int
+	pool *runPool
 }
 
-func newBatcher(outs []chan Batch, part Partitioner, sender, size int, pool *runPool) *batcher {
+func newBatcher(outs []chan Batch, part Partitioner, size int, pool *runPool) *batcher {
 	if size < 1 {
 		size = 1
 	}
 	return &batcher{
-		outs:   outs,
-		runs:   make([][]tuple.Tuple, len(outs)),
-		part:   part,
-		sender: sender,
-		size:   size,
-		pool:   pool,
+		outs: outs,
+		runs: make([][]tuple.Tuple, len(outs)),
+		part: part,
+		size: size,
+		pool: pool,
 	}
 }
 
@@ -113,15 +111,17 @@ func (b *batcher) route(t tuple.Tuple) int {
 // reaches the batch size. The channel send blocks when the destination
 // queue is full — the engine's bounded-queue back-pressure, at run
 // granularity.
-func (b *batcher) send(t tuple.Tuple) {
-	d := b.route(t)
+func (b *batcher) send(t tuple.Tuple) { b.sendTo(b.route(t), t) }
+
+// sendTo is send for a sender that has already picked the destination.
+func (b *batcher) sendTo(d int, t tuple.Tuple) {
 	run := b.runs[d]
 	if run == nil {
 		run = b.pool.get()
 	}
 	run = append(run, t)
 	if len(run) >= b.size {
-		b.outs[d] <- Batch{Rows: run, Sender: b.sender}
+		b.outs[d] <- Batch{Rows: run}
 		run = nil
 	}
 	b.runs[d] = run
@@ -133,13 +133,13 @@ func (b *batcher) send(t tuple.Tuple) {
 // receiver (col.Put after ingest).
 func (b *batcher) sendCols(d int, cb *col.ColumnBatch) {
 	b.flush(d)
-	b.outs[d] <- Batch{Cols: cb, Sender: b.sender}
+	b.outs[d] <- Batch{Cols: cb}
 }
 
 // flush ships destination d's pending run, if any.
 func (b *batcher) flush(d int) {
 	if run := b.runs[d]; len(run) > 0 {
-		b.outs[d] <- Batch{Rows: run, Sender: b.sender}
+		b.outs[d] <- Batch{Rows: run}
 		b.runs[d] = nil
 	}
 }
@@ -154,16 +154,16 @@ func (b *batcher) flushAll() {
 }
 
 // watermark and barrier flush all pending data and then deliver the
-// control to every destination. Watermark min-merge and barrier
-// alignment both rely on this ordering: a control may never overtake
-// data buffered before it, and a barrier must partition each channel's
-// stream exactly at its injection point.
+// control to every destination. Firing and snapshotting both rely on
+// this ordering: a control may never overtake data buffered before it,
+// and a barrier must partition each channel's stream exactly at its
+// injection point.
 func (b *batcher) watermark(wm int64) {
-	b.broadcast(Batch{Ctl: Watermark, WM: wm, Sender: b.sender})
+	b.broadcast(Batch{Ctl: Watermark, WM: wm})
 }
 
 func (b *batcher) barrier(id uint64) {
-	b.broadcast(Batch{Ctl: Barrier, Barrier: id, Sender: b.sender})
+	b.broadcast(Batch{Ctl: Barrier, Barrier: id})
 }
 
 func (b *batcher) broadcast(ctl Batch) {

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"spear/internal/agg"
+	"spear/internal/col"
 	"spear/internal/core"
 	"spear/internal/leakcheck"
 	"spear/internal/obs"
@@ -182,7 +184,7 @@ func TestErrOnceConcurrent(t *testing.T) {
 
 // ---- batch-boundary semantics -------------------------------------------
 
-// runPipeline executes a two-stage pipeline (map → windowed sum) over a
+// runPipeline executes a map → windowed sum pipeline over a
 // deterministic stream at the given batch size and returns results
 // sorted by (worker, window start).
 func runPipeline(t *testing.T, n, batch, queue, par int) []core.Result {
@@ -194,7 +196,7 @@ func runPipeline(t *testing.T, n, batch, queue, par int) []core.Result {
 	sink := &collectSink{}
 	tp := NewTopology(Config{WatermarkPeriod: 100, BatchSize: batch, QueueSize: queue}).
 		SetSpout(NewSliceSpout(in)).
-		AddMap("id", 2, func(t tuple.Tuple) (tuple.Tuple, bool) { return t, true }).
+		AddMap("id", 0, func(t tuple.Tuple) (tuple.Tuple, bool) { return t, true }).
 		SetWindowed("sum", par, nil, scalarFactory(agg.Func{Op: agg.Sum}, window.Tumbling(100), 10)).
 		SetSink(sink.sink)
 	if err := tp.Run(); err != nil {
@@ -289,60 +291,112 @@ func (c *countingManager) MemUsage() int { return c.inner.MemUsage() }
 
 // TestBarrierFlushCoversExactPrefix injects a checkpoint barrier at a
 // fixed spout offset and asserts the snapshot point observes exactly
-// that many tuples: the barrier broadcast must flush every pending
-// scatter buffer ahead of itself (or the count would fall short), and
-// post-barrier tuples must be held back by alignment (or it would
-// overshoot). Runs at several batch sizes including one larger than
-// the barrier offset.
+// the first barrierAt source tuples: the barrier broadcast must flush
+// everything pending ahead of itself — the chain's stage buffer and
+// column lanes as well as the batcher's runs — or the count would fall
+// short, and nothing read after the trigger may reach the worker before
+// the barrier, or it would overshoot. Runs with no chain, a row chain
+// and a columnar chain (each chain dropping every eighth tuple, so the
+// prefix is counted in survivors), at several batch sizes including one
+// larger than the barrier offset.
 func TestBarrierFlushCoversExactPrefix(t *testing.T) {
 	leakcheck.Check(t)
 	const n, barrierAt = 2000, 500
-	for _, batch := range []int{1, 2, 64, 4096} {
-		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) {
-			var in []tuple.Tuple
-			for i := 0; i < n; i++ {
-				in = append(in, tuple.New(int64(i), tuple.Float(1)))
-			}
-			cm := &countingManager{}
-			factory := func(wi int) (core.Manager, error) {
-				inner, err := scalarFactory(agg.Func{Op: agg.Sum}, window.Tumbling(100), 10)(wi)
-				if err != nil {
-					return nil, err
+	keep := func(t tuple.Tuple) (tuple.Tuple, bool) { return t, t.Ts%8 != 0 }
+	survivors := func(upTo int) int64 { return int64(upTo - (upTo+7)/8) }
+	for _, c := range []struct {
+		name           string
+		chain, columns bool
+	}{{"no chain", false, false}, {"row chain", true, false}, {"columnar chain", true, true}} {
+		for _, batch := range []int{1, 2, 64, 4096} {
+			t.Run(fmt.Sprintf("%s/batch%d", c.name, batch), func(t *testing.T) {
+				var in []tuple.Tuple
+				for i := 0; i < n; i++ {
+					in = append(in, tuple.New(int64(i), tuple.Float(1)))
 				}
-				cm.inner = inner
-				return cm, nil
-			}
-			var atSnapshot int64 = -1
-			fired := false
-			hooks := &CheckpointHooks{
-				Trigger: func(offset int64) (uint64, bool, error) {
-					if !fired && offset >= barrierAt {
-						fired = true
-						return 1, true, nil
+				cm := &countingManager{}
+				factory := func(wi int) (core.Manager, error) {
+					inner, err := scalarFactory(agg.Func{Op: agg.Sum}, window.Tumbling(100), 10)(wi)
+					if err != nil {
+						return nil, err
 					}
-					return 0, false, nil
-				},
-				Snapshot: func(id uint64, worker int, mgr core.Manager) error {
-					atSnapshot = cm.seen
-					return nil
-				},
-			}
-			sink := &collectSink{}
-			tp := NewTopology(Config{WatermarkPeriod: 100, BatchSize: batch, Checkpoint: hooks}).
-				SetSpout(NewSliceSpout(in)).
-				SetWindowed("sum", 1, nil, factory).
-				SetSink(sink.sink)
-			if err := tp.Run(); err != nil {
+					cm.inner = inner
+					return cm, nil
+				}
+				var atSnapshot int64 = -1
+				fired := false
+				hooks := &CheckpointHooks{
+					Trigger: func(offset int64) (uint64, bool, error) {
+						if !fired && offset >= barrierAt {
+							fired = true
+							return 1, true, nil
+						}
+						return 0, false, nil
+					},
+					Snapshot: func(id uint64, worker int, mgr core.Manager) error {
+						atSnapshot = cm.seen
+						return nil
+					},
+				}
+				sink := &collectSink{}
+				tp := NewTopology(Config{WatermarkPeriod: 100, BatchSize: batch, Checkpoint: hooks, Columnar: c.columns}).
+					SetSpout(NewSliceSpout(in))
+				wantAt, wantAll := int64(barrierAt), int64(n)
+				if c.chain {
+					tp.AddMap("keep", 0, keep)
+					wantAt, wantAll = survivors(barrierAt), survivors(n)
+				}
+				tp.SetWindowed("sum", 1, nil, factory).SetSink(sink.sink)
+				if err := tp.Run(); err != nil {
+					t.Fatal(err)
+				}
+				if !fired {
+					t.Fatal("barrier never injected")
+				}
+				if atSnapshot != wantAt {
+					t.Errorf("snapshot saw %d tuples, want exactly %d", atSnapshot, wantAt)
+				}
+				if cm.seen != wantAll {
+					t.Errorf("manager saw %d tuples total, want %d", cm.seen, wantAll)
+				}
+			})
+		}
+	}
+}
+
+// TestBarrierRegressionFailsRun pins the one protocol check a
+// single-sender worker keeps: barrier ids arrive strictly increasing. A
+// repeated or older id means the channel was corrupted; the worker
+// fails the run, takes no snapshot for it, and keeps draining.
+func TestBarrierRegressionFailsRun(t *testing.T) {
+	leakcheck.Check(t)
+	for _, second := range []uint64{2, 1} {
+		t.Run(fmt.Sprintf("2 then %d", second), func(t *testing.T) {
+			var snaps []uint64
+			var failed errOnce
+			in := make(chan Batch, 4)
+			results := make(chan []SinkItem, 4)
+			mgr, err := scalarFactory(agg.Func{Op: agg.Sum}, window.Tumbling(100), 10)(0)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if !fired {
-				t.Fatal("barrier never injected")
+			in <- Batch{Ctl: Barrier, Barrier: 2}
+			in <- Batch{Ctl: Barrier, Barrier: second}
+			in <- Batch{Rows: []tuple.Tuple{tuple.New(1, tuple.Float(1))}}
+			close(in)
+			runWinWorker(winWorkerCfg{
+				name: "w", batchSize: 8, mgr: mgr, in: in, results: results,
+				pool: newRunPool(8), failed: &failed,
+				hooks: &CheckpointHooks{Snapshot: func(id uint64, _ int, _ core.Manager) error {
+					snaps = append(snaps, id)
+					return nil
+				}},
+			})
+			if err := failed.get(); err == nil || !strings.Contains(err.Error(), "after barrier 2") {
+				t.Fatalf("run error = %v, want a barrier regression", err)
 			}
-			if atSnapshot != barrierAt {
-				t.Errorf("snapshot saw %d tuples, want exactly %d", atSnapshot, barrierAt)
-			}
-			if cm.seen != n {
-				t.Errorf("manager saw %d tuples total, want %d", cm.seen, n)
+			if len(snaps) != 1 || snaps[0] != 2 {
+				t.Fatalf("snapshots taken for %v, want [2]", snaps)
 			}
 		})
 	}
@@ -389,7 +443,7 @@ func TestBackpressureSlowWindowedWorkerBatched(t *testing.T) {
 	}
 	tp := NewTopology(Config{QueueSize: 1, BatchSize: 8, WatermarkPeriod: 100}).
 		SetSpout(NewSliceSpout(in)).
-		AddMap("id", 2, func(t tuple.Tuple) (tuple.Tuple, bool) { return t, true }).
+		AddMap("id", 0, func(t tuple.Tuple) (tuple.Tuple, bool) { return t, true }).
 		SetWindowed("sum", 2, nil, factory).
 		SetSink(sink.sink)
 	done := make(chan error, 1)
@@ -411,49 +465,14 @@ func TestBackpressureSlowWindowedWorkerBatched(t *testing.T) {
 	}
 }
 
-// ---- throughput benchmarks (make bench-pipeline) ------------------------
-
-// BenchmarkPipeline measures the shuffle pipeline (spout → map →
-// windowed mean → sink) at the batch sizes and parallelisms the perf
-// trajectory tracks; BENCH_pipeline.json is derived from the same
-// configuration by `spear-bench -experiment pipeline`.
-func BenchmarkPipeline(b *testing.B) {
-	const n = 100_000
-	// A single contiguous Value array backs the fixture so GC tracing
-	// of the input does not drown the transport cost being measured.
-	in := make([]tuple.Tuple, n)
-	vals := make([]tuple.Value, n)
-	for i := range in {
-		vals[i] = tuple.Float(float64(i & 255))
-		in[i] = tuple.Tuple{Ts: int64(i), Vals: vals[i : i+1 : i+1]}
-	}
-	for _, par := range []int{1, 4, 8} {
-		for _, batch := range []int{1, 64} {
-			b.Run(fmt.Sprintf("par%d/batch%d", par, batch), func(b *testing.B) {
-				b.ReportAllocs()
-				b.SetBytes(n) // tuples per op, so MB/s reads as Mtuples/s
-				for i := 0; i < b.N; i++ {
-					tp := NewTopology(Config{WatermarkPeriod: 10_000, BatchSize: batch}).
-						SetSpout(NewSliceSpout(in)).
-						AddMap("annotate", par, func(t tuple.Tuple) (tuple.Tuple, bool) { return t, true }).
-						SetWindowed("mean", par, nil, scalarFactory(agg.Func{Op: agg.Mean}, window.Tumbling(10_000), 100)).
-						SetSink(func(int, core.Result) {})
-					if err := tp.Run(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // ---- batch occupancy ------------------------------------------------------
 
 // TestBatchOccupancyCountsTuples pins what the occupancy histogram
 // records: the tuples a data batch carries. On a steady stream at
 // BatchSize 64 every run is full, so the mean is 64 whether runs arrive
-// as rows or, fused, as column batches (which a count of channel
-// receives would put at 1); controls are not batches of anything.
+// as rows or, from a columnar chain, as column batches (which a count
+// of channel receives would put at 1); controls are not batches of
+// anything.
 func TestBatchOccupancyCountsTuples(t *testing.T) {
 	leakcheck.Check(t)
 	const n = 64 * 200
@@ -461,13 +480,13 @@ func TestBatchOccupancyCountsTuples(t *testing.T) {
 	for i := range in {
 		in[i] = tuple.New(int64(i), tuple.Float(1))
 	}
-	for _, fused := range []bool{false, true} {
-		t.Run(fmt.Sprintf("fused=%v", fused), func(t *testing.T) {
+	for _, cols := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cols=%v", cols), func(t *testing.T) {
 			ins := obs.NewInstruments()
-			tp := NewTopology(Config{WatermarkPeriod: 64 * 50, BatchSize: 64, Columnar: fused, Obs: ins}).
+			tp := NewTopology(Config{WatermarkPeriod: 64 * 50, BatchSize: 64, Columnar: cols, Obs: ins}).
 				SetSpout(NewSliceSpout(in))
-			if fused {
-				tp.AddMap("id", 1, func(t tuple.Tuple) (tuple.Tuple, bool) { return t, true })
+			if cols {
+				tp.AddMap("id", 0, func(t tuple.Tuple) (tuple.Tuple, bool) { return t, true })
 			}
 			tp.SetWindowed("sum", 1, nil, scalarFactory(agg.Func{Op: agg.Sum}, window.Tumbling(64*50), 10)).
 				SetSink(func(int, core.Result) {})
@@ -516,7 +535,7 @@ func BenchmarkHop(b *testing.B) {
 		{"par1_shuffle", 1, false, 0, false},
 		{"par2_keyed", 2, true, 0, false},
 		{"one_map_stage", 1, false, 1, false},
-		{"three_fused_stages", 1, false, 3, true},
+		{"three_stages_columnar", 1, false, 3, true},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -524,7 +543,7 @@ func BenchmarkHop(b *testing.B) {
 				tp := NewTopology(Config{WatermarkPeriod: 1000, Columnar: c.columnar}).
 					SetSpout(NewSliceSpout(in[:min(left, chunk)]))
 				for i := 0; i < c.stages; i++ {
-					tp.AddMap("id", 1, id)
+					tp.AddMap("id", 0, id)
 				}
 				var keyBy tuple.KeyExtractor
 				if c.keyed {
@@ -537,5 +556,62 @@ func BenchmarkHop(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// ---- a shard's ingest lane --------------------------------------------------
+
+// laneManager records which entry point its runs arrived through.
+type laneManager struct {
+	nopManager
+	rows, cols int
+}
+
+func (m *laneManager) OnTupleBatch(rs []tuple.Tuple) ([]core.Result, error) {
+	m.rows += len(rs)
+	return nil, nil
+}
+
+func (m *laneManager) OnColumnBatch(cb *col.ColumnBatch) ([]core.Result, error) {
+	m.cols += cb.Len()
+	return nil, nil
+}
+
+// TestShardColumnarLane pins that Shard.Columnar reaches the shard's
+// workers: the rows a frame decodes to are pivoted and fed to the
+// manager's OnColumnBatch kernels when the run is columnar, and to
+// OnTupleBatch when it is not — what a local worker of the same run
+// does.
+func TestShardColumnarLane(t *testing.T) {
+	leakcheck.Check(t)
+	for _, columnar := range []bool{false, true} {
+		t.Run(fmt.Sprintf("columnar=%v", columnar), func(t *testing.T) {
+			mgr := &laneManager{}
+			sr, err := StartShard(Shard{
+				Name: "lane", Lo: 2, Hi: 3, Senders: 1, Columnar: columnar,
+				Factory: func(int) (core.Manager, error) { return mgr, nil },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := append(sr.NewRun(), tuple.New(1, tuple.Float(1)), tuple.New(2, tuple.Float(2)))
+			sr.In[0] <- Batch{Rows: run}
+			close(sr.In[0])
+			for range sr.Results {
+			}
+			if err := sr.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			wantRows, wantCols := 2, 0
+			if columnar {
+				wantRows, wantCols = 0, 2
+			}
+			if mgr.rows != wantRows || mgr.cols != wantCols {
+				t.Fatalf("ingested %d by rows, %d by columns; want %d, %d", mgr.rows, mgr.cols, wantRows, wantCols)
+			}
+		})
+	}
+	if _, err := StartShard(Shard{Lo: 0, Hi: 1, Senders: 2, Factory: func(int) (core.Manager, error) { return nopManager{}, nil }}); err == nil {
+		t.Error("a shard announced two senders was accepted")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"spear/internal/core"
 	"spear/internal/obs"
@@ -44,10 +43,9 @@ type Config struct {
 	BatchSize int
 	// Columnar switches the windowed workers onto the columnar ingest
 	// lane (pooled col.ColumnBatch conversion feeding OnColumnBatch
-	// kernels, when the manager implements core.ColumnManager) and —
-	// for runs with stateless stages, no checkpointing, and no fabric —
-	// fuses the map/filter chain into a single per-batch kernel driven
-	// by the spout, eliminating the per-stage channel hops. Results are
+	// kernels, when the manager implements core.ColumnManager) and
+	// makes the stateless chain, when the topology has one, hand its
+	// survivors on as column batches instead of row runs. Results are
 	// bit-identical to the row path by the ColumnManager contract;
 	// managers without columnar kernels keep the row batch path.
 	Columnar bool
@@ -62,7 +60,7 @@ type Config struct {
 	// a closing watermark at the maximum observed event time so every
 	// complete window fires before shutdown.
 	FinalWatermark bool
-	// Checkpoint enables aligned barrier snapshots; nil runs without
+	// Checkpoint enables barrier snapshots; nil runs without
 	// checkpointing (zero overhead on the hot path). The hooks are
 	// wired by the checkpoint coordinator.
 	Checkpoint *CheckpointHooks
@@ -81,10 +79,11 @@ type Config struct {
 
 // CheckpointHooks is the engine side of the checkpoint protocol. The
 // spout polls Trigger between tuples and broadcasts a barrier when a
-// checkpoint starts; every worker aligns barriers across its senders;
-// windowed workers call Snapshot at each alignment point. On restart,
-// Restore is called per worker before any goroutine starts and the
-// spout is sought to StartOffset.
+// checkpoint starts; a windowed worker has one sender, so the barrier's
+// arrival is its snapshot point: everything before it is in the
+// manager, nothing after it is, and the worker calls Snapshot there. On
+// restart, Restore is called per worker before any goroutine starts and
+// the spout is sought to StartOffset.
 //
 // All hooks are optional except that a non-nil CheckpointHooks with a
 // nil Trigger never checkpoints (useful for restore-only runs).
@@ -101,35 +100,23 @@ type CheckpointHooks struct {
 	// error aborts the run (fault injection uses this as the
 	// "crash before barrier" point).
 	Trigger func(offset int64) (id uint64, ok bool, err error)
-	// Snapshot is called by each windowed worker at its alignment
-	// point for checkpoint id. An error aborts the run.
+	// Snapshot is called by each windowed worker when barrier id
+	// arrives. An error aborts the run.
 	Snapshot func(id uint64, worker int, mgr core.Manager) error
 	// BarrierSeen, when non-nil, observes every barrier arrival at a
-	// windowed worker (fault injection uses it as the "crash mid-
-	// alignment" point). An error aborts the run.
-	BarrierSeen func(id uint64, worker, sender int) error
-	// AlignStall receives the duration each windowed worker spent
-	// aligning a barrier round (telemetry).
-	AlignStall func(time.Duration)
-	// Now supplies the clock for stall timing; nil uses time.Now.
-	Now func() time.Time
-}
-
-func (h *CheckpointHooks) clock() func() time.Time {
-	if h != nil && h.Now != nil {
-		return h.Now
-	}
-	return time.Now
+	// windowed worker, before its Snapshot (fault injection uses it as
+	// the "crash between barrier and snapshot" point). An error aborts
+	// the run.
+	BarrierSeen func(id uint64, worker int) error
 }
 
 type statelessStage struct {
 	name string
-	par  int
 	fn   MapFunc
 }
 
-// Topology is a continuous query's execution DAG: spout → stateless
-// stages → windowed stage → sink.
+// Topology is a continuous query's execution DAG: spout (running the
+// stateless stages as one chain) → windowed stage → sink.
 type Topology struct {
 	cfg      Config
 	spout    Spout
@@ -162,9 +149,12 @@ func (tp *Topology) SetSpout(s Spout) *Topology {
 	return tp
 }
 
-// AddMap appends a stateless stage with the given parallelism.
-func (tp *Topology) AddMap(name string, parallelism int, fn MapFunc) *Topology {
-	tp.stages = append(tp.stages, statelessStage{name: name, par: parallelism, fn: fn})
+// AddMap appends a stateless stage. Stages run in order as one chain
+// inside the spout goroutine (fusedChain). The int argument is ignored:
+// it was the stage's parallelism when stages had goroutines of their
+// own, and stays only until the benchmark's spe probe stops passing it.
+func (tp *Topology) AddMap(name string, _ int, fn MapFunc) *Topology {
+	tp.stages = append(tp.stages, statelessStage{name: name, fn: fn})
 	return tp
 }
 
@@ -196,9 +186,6 @@ func (tp *Topology) validate() error {
 		return fmt.Errorf("spe: windowed parallelism %d", tp.windowed.par)
 	}
 	for _, s := range tp.stages {
-		if s.par <= 0 {
-			return fmt.Errorf("spe: stage %q parallelism %d", s.name, s.par)
-		}
 		if s.fn == nil {
 			return fmt.Errorf("spe: stage %q has no function", s.name)
 		}
@@ -210,7 +197,7 @@ func (tp *Topology) validate() error {
 }
 
 // errOnce records the first error raised by any worker. The hot path —
-// every spout, stage, and windowed loop polls get() once per run — is a
+// the spout and every windowed loop poll get() once per run — is a
 // single atomic load while no error has occurred; the mutex guards only
 // the first-error slot and is touched solely by set() and by get()
 // after a failure (when performance no longer matters).
@@ -253,48 +240,22 @@ func (tp *Topology) Run() error {
 	}
 	var failed errOnce
 
-	// Wire channels: one per worker per stage. Channels carry Batch
-	// values — a run of tuples or one control; the shared pool recycles
-	// runs between senders and receivers so the steady state is
-	// allocation-free.
+	// Channels carry Batch values — a run of tuples or one control; the
+	// shared pool recycles runs between the spout and the workers so the
+	// steady state is allocation-free.
 	pool := newRunPool(tp.cfg.BatchSize)
 	hooks := tp.cfg.Checkpoint
 
-	// Operator fusion: a columnar run with stateless stages, no
-	// checkpoint hooks (barrier alignment needs the per-stage channel
-	// structure), and no fabric collapses the whole stage chain into a
-	// fusedChain run by the spout goroutine — the stage channels and
-	// goroutines below are never built, and the windowed stage sees the
-	// spout as its single sender.
-	fused := tp.cfg.Columnar && len(tp.stages) > 0 && hooks == nil && tp.fabric == nil
-
-	mkChans := func(n int) []chan Batch {
-		cs := make([]chan Batch, n)
-		for i := range cs {
-			cs[i] = make(chan Batch, tp.cfg.QueueSize)
-		}
-		return cs
-	}
-	stageIn := make([][]chan Batch, len(tp.stages))
-	if !fused {
-		for i, s := range tp.stages {
-			stageIn[i] = mkChans(s.par)
-		}
-	}
-	winSenders := 1
-	if len(tp.stages) > 0 && !fused {
-		winSenders = tp.stages[len(tp.stages)-1].par
-	}
-
 	// The windowed stage's input channels and result fan-in either run
 	// locally or belong to a fabric (network outboxes pumped to remote
-	// shard nodes, results arriving over the wire).
+	// shard nodes, results arriving over the wire). Either way the spout
+	// is each channel's only sender.
 	var winIn []chan Batch
 	var results chan []SinkItem     // local fan-in; nil under a fabric
 	var resultsIn <-chan []SinkItem // what the sink drains
 	if tp.fabric != nil {
 		var err error
-		winIn, err = tp.fabric.Open(tp.windowed.par, winSenders, tp.cfg.QueueSize, FabricEnv{
+		winIn, err = tp.fabric.Open(tp.windowed.par, tp.cfg.QueueSize, FabricEnv{
 			Recycle: pool.recycle,
 			Fail:    failed.set,
 		})
@@ -306,7 +267,10 @@ func (tp *Topology) Run() error {
 		}
 		resultsIn = tp.fabric.Results()
 	} else {
-		winIn = mkChans(tp.windowed.par)
+		winIn = make([]chan Batch, tp.windowed.par)
+		for i := range winIn {
+			winIn[i] = make(chan Batch, tp.cfg.QueueSize)
+		}
 		results = make(chan []SinkItem, tp.cfg.QueueSize)
 		resultsIn = results
 	}
@@ -318,36 +282,12 @@ func (tp *Topology) Run() error {
 	var trace *obs.TraceRing
 	if ins != nil {
 		trace = ins.Trace()
-		for si, s := range tp.stages {
-			for wi, c := range stageIn[si] {
-				c := c
-				ins.RegisterEdge(fmt.Sprintf("%s[%d]", s.name, wi), tp.cfg.QueueSize, func() int { return len(c) })
-			}
-		}
 		for wi, c := range winIn {
 			c := c
 			ins.RegisterEdge(fmt.Sprintf("%s[%d]", tp.windowed.name, wi), tp.cfg.QueueSize, func() int { return len(c) })
 		}
 		sinkCh := resultsIn
 		ins.RegisterSink(tp.cfg.QueueSize, func() int { return len(sinkCh) })
-	}
-
-	firstIn := winIn
-	if len(tp.stages) > 0 && !fused {
-		firstIn = stageIn[0]
-	}
-	fieldsSeed := maphash.MakeSeed()
-
-	// outPartitioner builds the partitioner a sender uses toward the
-	// windowed stage.
-	winPartitioner := func() Partitioner {
-		if tp.windowed.keyBy != nil {
-			if tp.cfg.FieldsSeed != 0 {
-				return NewSeededFields(tp.windowed.keyBy, tp.cfg.FieldsSeed)
-			}
-			return NewFields(tp.windowed.keyBy, fieldsSeed)
-		}
-		return NewShuffle()
 	}
 
 	// Build every worker's manager before starting any goroutine so a
@@ -387,43 +327,41 @@ func (tp *Topology) Run() error {
 		}
 	}
 
-	var wgSpout, wgSink sync.WaitGroup
-	stageWGs := make([]*sync.WaitGroup, len(tp.stages))
-	var wgWin sync.WaitGroup
+	var wgSpout, wgWin, wgSink sync.WaitGroup
 
-	// Spout: route data into scatter buffers, generate watermarks,
-	// broadcast control tuples behind a full flush.
+	// Spout: run the stateless chain, route data into scatter buffers,
+	// generate watermarks, broadcast controls behind a full flush.
 	wgSpout.Add(1)
 	go func() {
 		defer wgSpout.Done()
 		defer func() {
-			for _, c := range firstIn {
+			for _, c := range winIn {
 				close(c)
 			}
 		}()
-		var part Partitioner
-		if len(tp.stages) > 0 && !fused {
-			part = NewShuffle()
-		} else {
-			part = winPartitioner()
-		}
 		var offset int64
 		if hooks != nil {
 			offset = hooks.StartOffset
-			if offset > 0 {
-				// Replayed tuple number k must reach the worker the
-				// crashed run sent it to: restore the round-robin phase.
-				if _, isShuffle := part.(*Shuffle); isShuffle {
-					part = NewShuffleAt(int(offset % int64(len(firstIn))))
-				}
-			}
 		}
-		out := newBatcher(firstIn, part, 0, tp.cfg.BatchSize, pool)
+		// Source tuple k goes to slot k mod par under Shuffle, so a
+		// replay from offset starts at the phase the crashed run had
+		// there; a keyed stage hashes with a seed that survives restarts
+		// and agrees across processes when the run asks for one.
+		var part Partitioner
+		switch {
+		case tp.windowed.keyBy == nil:
+			part = NewShuffleAt(int(offset % int64(len(winIn))))
+		case tp.cfg.FieldsSeed != 0:
+			part = NewSeededFields(tp.windowed.keyBy, tp.cfg.FieldsSeed)
+		default:
+			part = NewFields(tp.windowed.keyBy, maphash.MakeSeed())
+		}
+		out := newBatcher(winIn, part, tp.cfg.BatchSize, pool)
 		defer out.flushAll() // runs before the channel-close defer above
 		emitTuple := out.send
 		var fchain *fusedChain
-		if fused {
-			fchain = newFusedChain(tp.stages, out, tp.cfg.BatchSize)
+		if len(tp.stages) > 0 {
+			fchain = newFusedChain(tp.stages, out, tp.cfg.BatchSize, tp.cfg.Columnar)
 			emitTuple = fchain.push
 			defer fchain.flush() // LIFO: drains into out before flushAll above
 		}
@@ -453,9 +391,13 @@ func (tp *Topology) Run() error {
 					failed.set(fmt.Errorf("spe: checkpoint trigger: %w", err))
 					dead = true
 				} else if start {
-					// The flush inside the broadcast makes the barrier
-					// partition each channel exactly at offset, batched
-					// or not.
+					// The flushes make the barrier partition each
+					// channel exactly at offset, batched or not: what
+					// the chain still holds of the first offset tuples
+					// goes ahead of it.
+					if fchain != nil {
+						fchain.flush()
+					}
 					out.barrier(id)
 				}
 			}
@@ -476,7 +418,7 @@ func (tp *Topology) Run() error {
 				if wm, emit := gen.Observe(t.Ts); emit {
 					// Everything routed before the watermark must not be
 					// overtaken by it — including tuples still in the
-					// fused chain's batch buffer.
+					// chain's batch buffer.
 					if fchain != nil {
 						fchain.flush()
 					}
@@ -515,95 +457,6 @@ func (tp *Topology) Run() error {
 		}
 	}()
 
-	// Stateless stages (skipped entirely when fused: the spout drives
-	// the whole chain in-line and feeds winIn directly).
-	for si, s := range tp.stages {
-		if fused {
-			break
-		}
-		nextIn := winIn
-		if si+1 < len(tp.stages) {
-			nextIn = stageIn[si+1]
-		}
-		lastStage := si+1 >= len(tp.stages)
-		senders := 1 // the spout
-		if si > 0 {
-			senders = tp.stages[si-1].par
-		}
-		wg := &sync.WaitGroup{}
-		stageWGs[si] = wg
-		for wi := 0; wi < s.par; wi++ {
-			wg.Add(1)
-			go func(si, wi int, in chan Batch, fn MapFunc) {
-				defer wg.Done()
-				var part Partitioner
-				if lastStage {
-					part = winPartitioner()
-				} else {
-					part = NewShuffle()
-				}
-				out := newBatcher(nextIn, part, wi, tp.cfg.BatchSize, pool)
-				defer out.flushAll() // before wg.Done → before downstream close
-				tracker := watermark.NewTracker(senders)
-				var al *barrierAligner
-				if hooks != nil {
-					al = newBarrierAligner(senders, hooks.clock(), nil)
-				}
-				// process maps one run into this stage's own batcher, or
-				// merges one watermark. The failure flag is sampled once
-				// per run: the loop over it avoids even the atomic load,
-				// at the cost of mapping at most one extra run after a
-				// failure.
-				process := func(b Batch) {
-					if b.Ctl == Watermark {
-						if wm, adv := tracker.Update(b.Sender, b.WM); adv {
-							out.watermark(wm)
-						}
-						return
-					}
-					if failed.get() == nil {
-						for i := range b.Rows {
-							if t, ok := fn(b.Rows[i]); ok {
-								out.send(t)
-							}
-						}
-					}
-					pool.put(b.Rows)
-				}
-				for b := range in {
-					if al == nil || (!al.Aligning() && b.Ctl != Barrier) {
-						process(b)
-						continue
-					}
-					events, err := al.Observe(b)
-					if err != nil {
-						failed.set(fmt.Errorf("spe: %s[%d]: %w", tp.stages[si].name, wi, err))
-						continue
-					}
-					for _, ev := range events {
-						if ev.snapshot {
-							// Stateless stages have nothing to snapshot;
-							// the alignment point just forwards the
-							// barrier to every downstream worker
-							// (flushing pending data first).
-							out.barrier(ev.id)
-							continue
-						}
-						process(ev.b)
-					}
-				}
-			}(si, wi, stageIn[si][wi], s.fn)
-		}
-		// Close the next stage's channels when this stage finishes.
-		go func(wg *sync.WaitGroup, nextIn []chan Batch, prev func()) {
-			prev() // wait for upstream to close our inputs first
-			wg.Wait()
-			for _, c := range nextIn {
-				close(c)
-			}
-		}(wg, nextIn, waiterFor(si, &wgSpout, stageWGs))
-	}
-
 	// Windowed workers (local execution only — under a fabric the shard
 	// nodes run the identical loop via StartShard).
 	if tp.fabric == nil {
@@ -619,7 +472,6 @@ func (tp *Topology) Run() error {
 				runWinWorker(winWorkerCfg{
 					name:      tp.windowed.name,
 					wi:        wi,
-					senders:   winSenders,
 					batchSize: tp.cfg.BatchSize,
 					columnar:  tp.cfg.Columnar,
 					hooks:     hooks,
@@ -655,11 +507,6 @@ func (tp *Topology) Run() error {
 	}()
 
 	wgSpout.Wait()
-	for _, wg := range stageWGs {
-		if wg != nil { // nil when the stage chain was fused away
-			wg.Wait()
-		}
-	}
 	wgWin.Wait()
 	if results != nil {
 		close(results)
@@ -671,19 +518,4 @@ func (tp *Topology) Run() error {
 		failed.set(tp.fabric.Err())
 	}
 	return failed.get()
-}
-
-// waiterFor returns a function that blocks until stage si's inputs are
-// closed: the spout for stage 0, the previous stage otherwise. Channel
-// closure cascades through these waiters.
-func waiterFor(si int, spout *sync.WaitGroup, stageWGs []*sync.WaitGroup) func() {
-	if si == 0 {
-		return spout.Wait
-	}
-	prev := stageWGs[si-1]
-	return func() {
-		if prev != nil {
-			prev.Wait()
-		}
-	}
 }

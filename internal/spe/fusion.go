@@ -5,46 +5,56 @@ import (
 	"spear/internal/tuple"
 )
 
-// fusedChain is the operator-fusion fast lane: when a columnar run has
-// stateless stages, no checkpoint hooks, and no network fabric, the
-// engine collapses the whole map→filter→…→route chain into this one
-// structure driven directly by the spout goroutine. A micro-batch of
-// tuples is pushed through every stage in a single kernel invocation —
-// one selection-vector pass per stage, no intermediate channel hop, no
-// per-stage goroutines, and no materialization of filtered batches:
-// dropped tuples just leave the selection vector.
+// fusedChain is the one executor of a topology's stateless stages: the
+// whole map→filter→…→route chain runs inside the spout goroutine, on
+// every plan — rows or columns, checkpointed or not, local or over a
+// fabric. A micro-batch of source tuples is pushed through every stage
+// in a single kernel invocation — one selection-vector pass per stage,
+// no channel hop between stages, no stage goroutines, and no
+// materialization of filtered batches: dropped tuples just leave the
+// selection vector.
 //
-// Survivors leave the chain already in column format: each destination
-// worker has a pooled ColumnBatch the chain appends routed tuples into,
+// Survivors leave the chain the way the run ingests them. A columnar
+// run appends them to one pooled ColumnBatch per destination worker,
 // shipped whole (batcher.sendCols) when it reaches the micro-batch
-// size. The window worker ingests the batch directly through its
-// OnColumnBatch kernel — no row run in between, no second row→column
-// conversion on the receiving side — and recycles it.
+// size, so the window worker feeds its OnColumnBatch kernel with no row
+// run in between; a row run appends them to the batcher's runs.
 //
-// Semantics are the row pipeline's: stages apply in order, a stage
-// returning ok=false drops the tuple, and survivors are routed to the
-// windowed stage through the batcher's one partitioner in survivor order —
-// exactly the stream a single-worker stage pipeline would produce. The
-// caller must flush() before broadcasting any control tuple so that no
-// buffered data — in the stage buffer or in a partially-filled lane —
-// is overtaken by a watermark.
+// Semantics are those of applying the stages to the stream in order: a
+// stage returning ok=false drops the tuple, survivors keep source
+// order. Routing is a function of the input alone, so a recovered run
+// replays tuple k to the worker the crashed run sent it to whatever the
+// chain filters: under Shuffle a survivor keeps the round-robin slot of
+// the source tuple it came from (the partitioner is advanced once per
+// source tuple, before the stages); under Fields the key is hashed
+// after the chain, on the tuple the window stage will see. The caller
+// must flush() before broadcasting any control so that no buffered data
+// — in the stage buffer or in a partially-filled lane — is overtaken by
+// a watermark or lands on the wrong side of a barrier.
 type fusedChain struct {
 	fns   []MapFunc
 	out   *batcher
 	size  int
+	slots *Shuffle // non-nil: destinations drawn per source tuple into dst
 	buf   []tuple.Tuple
 	sel   []int32
-	lanes []*col.ColumnBatch // per-destination in-progress column batches
+	dst   []int32
+	lanes []*col.ColumnBatch // columnar runs: per-destination batch in progress
 }
 
-func newFusedChain(stages []statelessStage, out *batcher, batchSize int) *fusedChain {
+func newFusedChain(stages []statelessStage, out *batcher, batchSize int, columnar bool) *fusedChain {
 	f := &fusedChain{
-		fns:   make([]MapFunc, len(stages)),
-		out:   out,
-		size:  batchSize,
-		buf:   make([]tuple.Tuple, 0, batchSize),
-		sel:   make([]int32, 0, batchSize),
-		lanes: make([]*col.ColumnBatch, len(out.outs)),
+		fns:  make([]MapFunc, len(stages)),
+		out:  out,
+		size: batchSize,
+		buf:  make([]tuple.Tuple, 0, batchSize),
+		sel:  make([]int32, 0, batchSize),
+	}
+	if rr, ok := out.part.(*Shuffle); ok && len(out.outs) > 1 {
+		f.slots, f.dst = rr, make([]int32, batchSize)
+	}
+	if columnar {
+		f.lanes = make([]*col.ColumnBatch, len(out.outs))
 	}
 	for i, s := range stages {
 		f.fns[i] = s.fn
@@ -60,11 +70,10 @@ func (f *fusedChain) push(t tuple.Tuple) {
 	}
 }
 
-// run drives the buffered batch through every stage and appends the
-// survivors to their destinations' column batches, shipping each lane
-// as it fills. Stage functions may rewrite the tuple in place in the
-// batch buffer; the selection vector tracks which slots are still
-// alive, compacting as filters drop tuples.
+// run drives the buffered batch through every stage and hands the
+// survivors to their destinations. Stage functions may rewrite the
+// tuple in place in the batch buffer; the selection vector tracks which
+// slots are still alive, compacting as filters drop tuples.
 func (f *fusedChain) run() {
 	if len(f.buf) == 0 {
 		return
@@ -72,6 +81,11 @@ func (f *fusedChain) run() {
 	sel := f.sel[:0]
 	for i := range f.buf {
 		sel = append(sel, int32(i))
+	}
+	if f.slots != nil {
+		for i := range f.buf {
+			f.dst[i] = int32(f.slots.Route(f.buf[i], len(f.out.outs)))
+		}
 	}
 	for _, fn := range f.fns {
 		k := 0
@@ -86,7 +100,16 @@ func (f *fusedChain) run() {
 	}
 	for _, si := range sel {
 		t := f.buf[si]
-		d := f.out.route(t)
+		var d int
+		if f.slots != nil {
+			d = int(f.dst[si])
+		} else {
+			d = f.out.route(t)
+		}
+		if f.lanes == nil {
+			f.out.sendTo(d, t)
+			continue
+		}
 		cb := f.lanes[d]
 		if cb == nil {
 			cb = col.Get()
@@ -103,9 +126,9 @@ func (f *fusedChain) run() {
 }
 
 // flush drains everything buffered — the stage batch and every
-// partially-filled lane — downstream. Control tuples (watermarks, end
-// of stream) must not overtake buffered data, so the engine calls this
-// before every broadcast.
+// partially-filled lane — into the batcher. Controls (watermarks,
+// barriers, end of stream) must not overtake buffered data, so the
+// engine calls this before every broadcast.
 func (f *fusedChain) flush() {
 	f.run()
 	for d, cb := range f.lanes {

@@ -1,15 +1,16 @@
 // Package spe is the stream processing engine substrate: a Storm-like
 // operator runtime executing a continuous query's DAG with one goroutine
 // per worker thread, bounded channels for back-pressure, shuffle/fields
-// partitioning between stages, and in-band watermark control tuples.
+// partitioning into the windowed stage, and in-band watermark control
+// tuples.
 //
 // A topology has the shape the paper evaluates (Fig. 2): a single spout
-// reading the input stream, optional stateless stages, one windowed
-// stateful stage with configurable parallelism, and a sink collecting
-// window results.
+// reading the input stream and running the optional stateless stages on
+// it as one chain, one windowed stateful stage with configurable
+// parallelism, and a sink collecting window results.
 //
-// Every channel between workers carries Batch values: a run of data
-// tuples from one sender, or one control. This file holds that unit and
+// Every channel into a worker carries Batch values: a run of data
+// tuples, or one control. This file holds that unit and
 // the partitioners that pick a run's destination; batch.go holds the
 // sender side (batcher, run pool).
 package spe
@@ -31,29 +32,36 @@ const (
 	// components periodically"); WM holds it.
 	Watermark
 	// Barrier: a checkpoint barrier (Chandy-Lamport-style, injected by
-	// the spout and aligned by every multi-input worker before it
-	// snapshots); Barrier holds the checkpoint id.
+	// the spout; a worker snapshots when it arrives); Barrier holds the
+	// checkpoint id.
 	Barrier
 )
 
 // Batch is the unit of transfer on every hop, sent by value: exactly
-// one of a run of data tuples from one sender (Rows, or Cols when the
-// spout's fused chain already built the run in column format), a
-// watermark, or a barrier.
+// one of a run of data tuples (Rows, or Cols when the spout's chain
+// already built the run in column format), a watermark, or a barrier.
 //
 // The receiver owns what a data batch carries: Rows came from the
 // engine's run pool and goes back to it once the tuples have been handed
 // on, Cols goes back with col.Put. Tuples are copied out of a run by
 // value wherever they are kept, so recycling one never aliases
-// operator state. Cols batches exist only on the local fused path
-// (fusion requires no fabric) and never cross the wire.
+// operator state. A fabric frames a Cols batch as its rows.
 type Batch struct {
 	Rows    []tuple.Tuple
 	Cols    *col.ColumnBatch
-	Sender  int // upstream worker index, for watermark/barrier merging
+	Sender  int // always 0: a worker has one sender; the wire still carries it
 	Ctl     Control
 	WM      int64  // meaningful when Ctl == Watermark
 	Barrier uint64 // checkpoint id; meaningful when Ctl == Barrier
+}
+
+// Tuples is the run as rows, whichever form carries it: what a manager
+// without columnar kernels ingests and what a fabric frames.
+func (b Batch) Tuples() []tuple.Tuple {
+	if b.Cols != nil {
+		return b.Cols.Rows()
+	}
+	return b.Rows
 }
 
 // Len is the number of data tuples the batch carries; 0 for a control.
@@ -66,8 +74,8 @@ func (b Batch) Len() int {
 
 // Partitioner decides which of n downstream workers receives a tuple —
 // the "propagation of tuples between execution stages ... using
-// partitioning techniques" of §2. Partitioners are per-sender (not
-// shared), so they need no locking.
+// partitioning techniques" of §2. A partitioner belongs to the one
+// sending goroutine, so it needs no locking.
 type Partitioner interface {
 	Route(t tuple.Tuple, n int) int
 }
@@ -80,9 +88,9 @@ type Shuffle struct{ next int }
 func NewShuffle() *Shuffle { return &Shuffle{} }
 
 // NewShuffleAt returns a round-robin partitioner whose phase starts at
-// start. Checkpoint recovery uses it so the spout routes replayed tuple
-// number k to the same worker the crashed run sent it to: the phase of
-// a fresh shuffle after k tuples is simply k.
+// start. Checkpoint recovery uses it so the spout routes replayed source
+// tuple number k to the same worker the crashed run sent it to: the
+// phase of a fresh shuffle after k tuples is simply k.
 func NewShuffleAt(start int) *Shuffle {
 	if start < 0 {
 		start = 0
@@ -117,8 +125,7 @@ type Fields struct {
 	seed maphash.Seed
 }
 
-// NewFields returns a hash partitioner over key. All senders of a stage
-// must share the same seed; construct once and reuse.
+// NewFields returns a hash partitioner over key.
 func NewFields(key tuple.KeyExtractor, seed maphash.Seed) *Fields {
 	if key == nil {
 		panic("spe: Fields partitioner needs a key extractor")
@@ -164,9 +171,3 @@ func (f *SeededFields) Route(t tuple.Tuple, n int) int {
 	h ^= h >> 27
 	return int(h % uint64(n))
 }
-
-// Global routes everything to worker 0 — used for single-worker sinks.
-type Global struct{}
-
-// Route implements Partitioner.
-func (Global) Route(tuple.Tuple, int) int { return 0 }

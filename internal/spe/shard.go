@@ -10,24 +10,27 @@ import (
 )
 
 // Shard describes the slice of a topology's windowed stage that one
-// remote node executes: global workers [Lo, Hi) of a stage with Par
-// total workers, fed by Senders upstream senders. The factory and
-// hooks are invoked with global worker indices, so per-worker seeds,
-// spill keys, and snapshot identities are exactly those of a
-// single-process run — the property the distributed identity tests
-// assert.
+// remote node executes: global workers [Lo, Hi) of the stage, each fed
+// by the source's one sender. The factory and hooks are invoked with
+// global worker indices, so per-worker seeds, spill keys, and snapshot
+// identities are exactly those of a single-process run — the property
+// the distributed identity tests assert.
 type Shard struct {
 	Name      string
 	Lo, Hi    int // global windowed worker range [Lo, Hi)
-	Senders   int // upstream senders feeding the stage
+	Senders   int // what the source's Hello announced; must be 1
 	BatchSize int // must equal the source topology's batch size
 	QueueSize int // input channel capacity, in batches
-	Factory   ManagerFactory
+	// Columnar mirrors the source topology's Config.Columnar: runs are
+	// pivoted into a column batch and fed to the manager's
+	// OnColumnBatch kernels, as a local worker of that run would.
+	Columnar bool
+	Factory  ManagerFactory
 	// Hooks carries the worker-side checkpoint protocol: Restore runs
 	// per worker before the loops start; Snapshot runs at each barrier
-	// alignment point (the distributed runtime persists the blob and
-	// acks the coordinator over the wire from inside it). nil disables
-	// barrier handling — only valid when the source never checkpoints.
+	// (the distributed runtime persists the blob and acks the
+	// coordinator over the wire from inside it). nil disables barrier
+	// handling — only valid when the source never checkpoints.
 	Hooks *CheckpointHooks
 	Obs   *obs.Instruments
 }
@@ -53,8 +56,8 @@ func StartShard(sh Shard) (*ShardRun, error) {
 	if sh.Lo < 0 || sh.Hi <= sh.Lo {
 		return nil, fmt.Errorf("spe: shard range [%d, %d)", sh.Lo, sh.Hi)
 	}
-	if sh.Senders <= 0 {
-		return nil, fmt.Errorf("spe: shard with %d senders", sh.Senders)
+	if sh.Senders != 1 {
+		return nil, fmt.Errorf("spe: shard with %d senders, want 1", sh.Senders)
 	}
 	if sh.Factory == nil {
 		return nil, fmt.Errorf("spe: shard has no factory")
@@ -113,8 +116,8 @@ func StartShard(sh Shard) (*ShardRun, error) {
 			runWinWorker(winWorkerCfg{
 				name:      sh.Name,
 				wi:        sh.Lo + i,
-				senders:   sh.Senders,
 				batchSize: sh.BatchSize,
+				columnar:  sh.Columnar,
 				hooks:     sh.Hooks,
 				mgr:       mgr,
 				in:        sr.In[i],

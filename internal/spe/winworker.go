@@ -2,11 +2,11 @@ package spe
 
 import (
 	"fmt"
+	"math"
 
 	"spear/internal/col"
 	"spear/internal/core"
 	"spear/internal/obs"
-	"spear/internal/watermark"
 )
 
 // winWorkerCfg is everything one windowed worker's loop needs. Run
@@ -16,7 +16,6 @@ import (
 type winWorkerCfg struct {
 	name      string // stage name, for errors and telemetry
 	wi        int    // global worker index (seeds, snapshot identity)
-	senders   int    // upstream senders feeding in
 	batchSize int
 	columnar  bool // feed OnColumnBatch kernels when the manager has them
 	hooks     *CheckpointHooks
@@ -32,17 +31,16 @@ type winWorkerCfg struct {
 
 // runWinWorker drains one windowed worker's input to completion: each
 // run goes straight to the manager's batch entry point and back to the
-// run pool, watermarks are min-merged, barriers aligned with a
-// snapshot at the alignment point, and results emitted in per-worker
-// order. Because a batch is ingested the moment it is taken off the
-// channel (or released by the aligner), every control finds all data
-// before it already in the manager. It returns when in closes.
+// run pool, a watermark that advances the worker's cursor fires
+// windows, a barrier snapshots, and results are emitted in per-worker
+// order. The channel has one sender — the spout, or the link that
+// carries the spout's frames — so arrival order is source order, and
+// because a batch is ingested the moment it is taken off the channel,
+// every control finds all data before it, and nothing after it, in the
+// manager. It returns when in closes.
 func runWinWorker(c winWorkerCfg) {
-	tracker := watermark.NewTracker(c.senders)
-	var al *barrierAligner
-	if c.hooks != nil {
-		al = newBarrierAligner(c.senders, c.hooks.clock(), c.hooks.AlignStall)
-	}
+	wm := int64(math.MinInt64) // the worker's watermark: a monotone cursor
+	var lastBarrier uint64     // barrier ids strictly increase on a sound channel
 	mgr := c.mgr
 	// Columnar lane: when the run is columnar and the manager has
 	// OnColumnBatch kernels, each row run is pivoted into one pooled
@@ -119,10 +117,7 @@ func runWinWorker(c winWorkerCfg) {
 			}
 			rs, err = cm.OnColumnBatch(b.Cols)
 		} else {
-			rows := b.Rows
-			if b.Cols != nil {
-				rows = b.Cols.Rows()
-			}
+			rows := b.Tuples()
 			if c.trace != nil {
 				for i := range rows {
 					traceAssign(rows[i].Ts)
@@ -142,31 +137,48 @@ func runWinWorker(c winWorkerCfg) {
 		}
 		emit(rs)
 	}
-	// process acts on one batch in arrival order. The failure flag is
-	// read once per batch: after a failure the worker recycles what it
-	// is sent and goes quiet.
-	process := func(b Batch) {
-		if c.failed.get() != nil {
-			c.pool.recycle(b)
+	// watermark fires what a watermark past the cursor completes.
+	watermark := func(to int64) {
+		if to <= wm {
 			return
 		}
-		if b.Ctl != Watermark {
-			ingest(b)
+		wm = to
+		if c.wobs != nil {
+			// Once per watermark round, never per tuple.
+			c.wobs.SetWatermark(wm)
+		}
+		rs, err := mgr.OnWatermark(wm)
+		if err != nil {
+			fail(err)
 			return
 		}
-		if wm, adv := tracker.Update(b.Sender, b.WM); adv {
-			if c.wobs != nil {
-				// Once per watermark round, never per tuple.
-				c.wobs.SetWatermark(wm)
-			}
-			rs, err := mgr.OnWatermark(wm)
-			if err != nil {
+		emit(rs)
+		if hasPrefetch {
+			pf.PrefetchWatermark(wm)
+		}
+	}
+	// barrier is the snapshot point of checkpoint id: every run of the
+	// first offset source tuples is already in the manager and nothing
+	// later is. A worker without hooks has no checkpoint to take part
+	// in and lets the barrier pass.
+	barrier := func(id uint64) {
+		if c.hooks == nil {
+			return
+		}
+		if id <= lastBarrier {
+			fail(fmt.Errorf("barrier %d after barrier %d", id, lastBarrier))
+			return
+		}
+		lastBarrier = id
+		if c.hooks.BarrierSeen != nil {
+			if err := c.hooks.BarrierSeen(id, c.wi); err != nil {
 				fail(err)
 				return
 			}
-			emit(rs)
-			if hasPrefetch {
-				pf.PrefetchWatermark(wm)
+		}
+		if c.hooks.Snapshot != nil {
+			if err := c.hooks.Snapshot(id, c.wi, mgr); err != nil {
+				fail(fmt.Errorf("snapshot %d: %w", id, err))
 			}
 		}
 	}
@@ -178,28 +190,17 @@ func runWinWorker(c winWorkerCfg) {
 				c.ins.Batches.Record(n)
 			}
 		}
-		if b.Ctl == Barrier && c.hooks != nil && c.hooks.BarrierSeen != nil {
-			if err := c.hooks.BarrierSeen(b.Barrier, c.wi, b.Sender); err != nil {
-				fail(err)
-			}
-		}
-		if al == nil || (!al.Aligning() && b.Ctl != Barrier) {
-			process(b)
-		} else if events, err := al.Observe(b); err != nil {
-			fail(err)
-		} else {
-			for _, ev := range events {
-				if !ev.snapshot {
-					process(ev.b)
-					continue
-				}
-				// Every pre-barrier run is already in the manager.
-				if c.failed.get() == nil && c.hooks.Snapshot != nil {
-					if err := c.hooks.Snapshot(ev.id, c.wi, mgr); err != nil {
-						c.failed.set(fmt.Errorf("spe: snapshot %d at %s[%d]: %w", ev.id, c.name, c.wi, err))
-					}
-				}
-			}
+		// The failure flag is read once per batch: after a failure the
+		// worker recycles what it is sent and goes quiet.
+		switch {
+		case c.failed.get() != nil:
+			c.pool.recycle(b)
+		case b.Ctl == Watermark:
+			watermark(b.WM)
+		case b.Ctl == Barrier:
+			barrier(b.Barrier)
+		default:
+			ingest(b)
 		}
 		// Results fired by this batch (watermark rounds, count-window
 		// closes) ship now rather than pooling until the stream ends:

@@ -98,7 +98,7 @@ func NewFabric(cfg FabricConfig) *Fabric {
 
 // Open implements spe.Fabric: dial every node, start the outbox pumps,
 // and return the channels the engine scatters into.
-func (f *Fabric) Open(par, senders, queueSize int, env spe.FabricEnv) ([]chan spe.Batch, error) {
+func (f *Fabric) Open(par, queueSize int, env spe.FabricEnv) ([]chan spe.Batch, error) {
 	k := len(f.cfg.Nodes)
 	if k == 0 {
 		return nil, fmt.Errorf("transport: fabric has no nodes")
@@ -133,7 +133,7 @@ func (f *Fabric) Open(par, senders, queueSize int, env spe.FabricEnv) ([]chan sp
 		}
 		n.lk = newLink(n.addr, f.cfg.Window, n, tobs)
 		n.lk.redial = func(epoch uint64) (net.Conn, uint64, error) {
-			return f.dial(n, epoch, senders, par, queueSize)
+			return f.dial(n, epoch, par, queueSize)
 		}
 		// Initial connect reuses the redial path (same handshake, same
 		// backoff) at epoch 1.
@@ -177,11 +177,11 @@ func (f *Fabric) Err() error {
 // dial opens and handshakes one connection to n, with capped backoff
 // across attempts. A Reject aborts immediately — it is never
 // transient.
-func (f *Fabric) dial(n *fabricNode, epoch uint64, senders, par, queueSize int) (net.Conn, uint64, error) {
+func (f *Fabric) dial(n *fabricNode, epoch uint64, par, queueSize int) (net.Conn, uint64, error) {
 	hello := Hello{
 		Version: ProtocolVersion, TopoHash: f.cfg.TopoHash,
 		RunID: f.cfg.RunID, Epoch: epoch,
-		Lo: n.lo, Hi: n.hi, Par: par, Senders: senders,
+		Lo: n.lo, Hi: n.hi, Par: par, Senders: 1, // the spout
 		BatchSize: f.cfg.BatchSize, QueueSize: queueSize,
 		Checkpoint: f.cfg.Checkpoint, RestoreID: f.cfg.RestoreID,
 		Acked: n.lk.delivered64(), Window: f.cfg.Window,
@@ -250,8 +250,8 @@ func shake(conn net.Conn, hello Hello) (Welcome, error) {
 }
 
 // pump drains one destination worker's outbox onto the node's link: a
-// run becomes a batch frame, encoded straight from the run and then
-// recycled, a control becomes its control frame, and the outbox closing
+// run becomes a batch frame, encoded straight from the run (a column
+// batch from its rows) and then recycled, a control becomes its control frame, and the outbox closing
 // becomes the worker's End frame. Data frames queue on the link while
 // the outbox has more to give and leave together when it runs dry; a
 // control frame never waits.
@@ -275,7 +275,7 @@ func (n *fabricNode) pump(dest int, out <-chan spe.Batch) {
 			})
 		default:
 			err = n.lk.sendSeq(len(out) == 0, func(dst []byte, seq uint64) []byte {
-				return AppendBatch(dst, seq, dest, b.Sender, b.Rows)
+				return AppendBatch(dst, seq, dest, b.Sender, b.Tuples())
 			})
 			recycle(b)
 		}

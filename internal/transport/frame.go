@@ -8,10 +8,10 @@
 // sequence number per direction, receivers acknowledge cumulatively
 // with credit frames, and senders retain unacknowledged frames (the
 // retention bound doubles as the credit-based back-pressure window).
-// A reconnect replays exactly the unacknowledged suffix, so barrier
-// and watermark alignment commute with connection loss: each sender's
-// frame order is the per-channel order the engine produced, and the
-// receiver's duplicate filter makes redelivery idempotent.
+// A reconnect replays exactly the unacknowledged suffix, so barriers
+// and watermarks commute with connection loss: frame order is the
+// per-channel order the engine produced, and the receiver's duplicate
+// filter makes redelivery idempotent.
 package transport
 
 import (

@@ -1,11 +1,9 @@
 // Package watermark implements the engine's trigger mechanism (§2):
 // watermarks are control tuples carrying a timestamp τ_W whose receipt
-// guarantees that all tuples with τ ≤ τ_W have been observed. Sources
-// generate them periodically; multi-input workers merge them by taking
-// the minimum across senders before propagating downstream.
+// guarantees that all tuples with τ ≤ τ_W have been observed. The
+// source generates them periodically; a worker has one sender, so the
+// watermark it acts on is simply the largest it has received.
 package watermark
-
-import "math"
 
 // Generator decides when a source should emit a watermark. It emits one
 // whenever event time crosses a period boundary; with an in-order stream
@@ -73,49 +71,3 @@ func floorDiv(a, b int64) int64 {
 	}
 	return q
 }
-
-// Tracker merges watermarks from multiple upstream senders: a worker's
-// effective watermark is the minimum of the latest watermark received
-// from each sender, and it only moves forward.
-type Tracker struct {
-	senders []int64
-	current int64
-}
-
-// NewTracker returns a tracker over n upstream senders.
-func NewTracker(n int) *Tracker {
-	if n <= 0 {
-		panic("watermark: tracker needs at least one sender")
-	}
-	s := make([]int64, n)
-	for i := range s {
-		s[i] = math.MinInt64
-	}
-	return &Tracker{senders: s, current: math.MinInt64}
-}
-
-// Update records a watermark from one sender and reports the merged
-// watermark plus whether it advanced.
-func (t *Tracker) Update(sender int, wm int64) (merged int64, advanced bool) {
-	if sender < 0 || sender >= len(t.senders) {
-		panic("watermark: unknown sender")
-	}
-	if wm > t.senders[sender] {
-		t.senders[sender] = wm
-	}
-	min := t.senders[0]
-	for _, v := range t.senders[1:] {
-		if v < min {
-			min = v
-		}
-	}
-	if min > t.current {
-		t.current = min
-		return min, true
-	}
-	return t.current, false
-}
-
-// Current returns the merged watermark (MinInt64 until every sender has
-// reported).
-func (t *Tracker) Current() int64 { return t.current }

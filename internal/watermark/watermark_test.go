@@ -106,80 +106,6 @@ func TestGeneratorPanics(t *testing.T) {
 	}
 }
 
-func TestTrackerMinMerge(t *testing.T) {
-	tr := NewTracker(3)
-	if tr.Current() != math.MinInt64 {
-		t.Error("initial watermark should be -inf")
-	}
-	if _, adv := tr.Update(0, 100); adv {
-		t.Error("advanced before all senders reported")
-	}
-	tr.Update(1, 50)
-	merged, adv := tr.Update(2, 80)
-	if !adv || merged != 50 {
-		t.Errorf("merge = (%d, %v), want (50, true)", merged, adv)
-	}
-	// Sender 1 advances past the others: min is now 80.
-	merged, adv = tr.Update(1, 200)
-	if !adv || merged != 80 {
-		t.Errorf("merge = (%d, %v), want (80, true)", merged, adv)
-	}
-	// Stale update never regresses.
-	merged, adv = tr.Update(0, 60)
-	if adv || merged != 80 {
-		t.Errorf("stale update = (%d, %v)", merged, adv)
-	}
-	if tr.Current() != 80 {
-		t.Errorf("Current = %d", tr.Current())
-	}
-}
-
-func TestTrackerSingleSender(t *testing.T) {
-	tr := NewTracker(1)
-	if m, adv := tr.Update(0, 5); !adv || m != 5 {
-		t.Errorf("single sender = (%d, %v)", m, adv)
-	}
-}
-
-func TestTrackerPanics(t *testing.T) {
-	for _, fn := range []func(){
-		func() { NewTracker(0) },
-		func() { NewTracker(2).Update(2, 1) },
-		func() { NewTracker(2).Update(-1, 1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-// Property: the merged watermark never exceeds any sender's latest.
-func TestTrackerNeverExceedsSenders(t *testing.T) {
-	tr := NewTracker(4)
-	latest := [4]int64{math.MinInt64, math.MinInt64, math.MinInt64, math.MinInt64}
-	f := func(sRaw uint8, wm int16) bool {
-		s := int(sRaw % 4)
-		if int64(wm) > latest[s] {
-			latest[s] = int64(wm)
-		}
-		merged, _ := tr.Update(s, int64(wm))
-		for _, l := range latest {
-			if merged > l {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Error(err)
-	}
-}
-
 // floorDivGenerator is Observe as it was before the division-free fast
 // path: the period boundary under ts − lag, computed for every tuple.
 type floorDivGenerator struct {

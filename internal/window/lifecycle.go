@@ -15,8 +15,8 @@ import (
 //
 // The policy: the first tuple anchors the oldest open window at its own
 // oldest window. Until a window has actually closed that anchor is only
-// a guess — several upstream senders merge unordered between watermark
-// rounds — so an earlier tuple lowers it. Once a fire has closed
+// a guess — a source with bounded disorder delivers unordered between
+// watermark rounds — so an earlier tuple lowers it. Once a fire has closed
 // windows, a tuple all of whose windows are closed is late and dropped,
 // and one that straddles enters the windows still open. A watermark
 // closes nextFire..FirstCompleteBy(wm), clamped to the newest window

@@ -74,34 +74,13 @@ func TestRunBoundaryIsNotSemantic(t *testing.T) {
 		}},
 		{"checkpoint, crash, recover", true, func(t *testing.T, batch int) []workerResult {
 			// Leg 1 dies after 3000 tuples with checkpoints every 1000;
-			// leg 2 resumes from the last one that committed. Which one
-			// that is depends on how far the source ran ahead of the
-			// workers, so the legs are merged per (worker, window), leg 2
-			// winning, before they are compared.
+			// leg 2 resumes from the last one that committed.
 			store := storage.NewMemStore()
 			q := func(src []Tuple) *Query {
 				return base("rb-ckpt", batch).Source(FromSlice(src)).Median(val).
 					Parallelism(2).QueueSize(8).SpillStore(store).CheckpointEvery(1000, 0)
 			}
-			type key struct {
-				worker int
-				start  int64
-			}
-			merged := map[key]workerResult{}
-			for _, r := range append(run(t, q(in[:3000])), run(t, q(in).Recover())...) {
-				merged[key{r.Worker, r.Res.Start}] = r
-			}
-			var out []workerResult
-			for _, r := range merged {
-				out = append(out, r)
-			}
-			sort.Slice(out, func(i, j int) bool {
-				if out[i].Worker != out[j].Worker {
-					return out[i].Worker < out[j].Worker
-				}
-				return out[i].Res.Start < out[j].Res.Start
-			})
-			return out
+			return mergeLegs(run(t, q(in[:3000])), run(t, q(in).Recover()))
 		}},
 		{"distributed over loopback", true, func(t *testing.T, batch int) []workerResult {
 			build := func() *Query {

@@ -239,7 +239,13 @@ func (q *Query) Source(s Source) *Query {
 }
 
 // Map appends a stateless transformation stage; returning ok=false
-// drops the tuple (filter).
+// drops the tuple (filter). Stages run in the source goroutine, in
+// order, as one chain ahead of the windowed workers — on every plan:
+// rows or Columnar, checkpointed, distributed. They are not spread over
+// Parallelism(n) cores: parallelise expensive per-tuple work before the
+// source. (Measured price, 2-vCPU box, one Map ahead of a par-2 mean: a
+// stage goroutine per worker drew level with the chain at about 50 ns
+// of Map work per tuple and was ahead from 75 ns; DESIGN.md §16.3.)
 func (q *Query) Map(fn func(Tuple) (Tuple, bool)) *Query {
 	if fn == nil {
 		return q.errf("nil Map function")
@@ -452,6 +458,7 @@ func (q *Query) Error(epsilon, confidence float64) *Query {
 }
 
 // Parallelism sets the number of stateful workers (the paper's "nodes").
+// Map stages are not counted in it: they run in the source goroutine.
 func (q *Query) Parallelism(n int) *Query {
 	if n <= 0 {
 		return q.errf("parallelism %d must be positive", n)
@@ -482,10 +489,11 @@ func (q *Query) QueueSize(n int) *Query {
 // Columnar opts the query into the columnar execution fast lane. The
 // windowed workers convert each micro-batch into typed column batches
 // (raw []float64 value columns, dictionary-coded string key columns)
-// and run tight-loop aggregation kernels over them; Map stages — when
-// present without checkpointing or Distribute — are additionally fused
-// into a single per-batch kernel driven by the source, eliminating the
-// per-stage channel hops.
+// and run tight-loop aggregation kernels over them; a query with Map
+// stages builds those column batches at the source, straight from the
+// chain's survivors. Under Distribute a run crosses the wire as rows
+// and the shard pivots it, as a local worker does for a query without
+// Map.
 //
 // valueField declares the 0-based tuple field the aggregate's value
 // function reads (it must hold the Float or Int value the extractor
@@ -710,7 +718,7 @@ func (q *Query) OnObserveStart(fn func(addr string)) *Query {
 	return q
 }
 
-// CheckpointEvery enables aligned barrier snapshots: the query's state
+// CheckpointEvery enables barrier snapshots: the query's state
 // is checkpointed into its spill store (under "<name>/ckpt") every
 // tuples source tuples when tuples > 0 and/or every interval of
 // wall-clock time when interval > 0. Pair with a durable SpillStore and
@@ -874,7 +882,7 @@ func (q *Query) Run(sink func(worker int, r Result)) (Summary, error) {
 		Obs:             ins,
 	}).SetSpout(q.source)
 	for _, fn := range q.maps {
-		tp.AddMap(q.name+"/map", q.parallelism, fn)
+		tp.AddMap(q.name+"/map", 0, fn)
 	}
 	tp.SetWindowed(q.name, q.parallelism, q.keyBy, factory)
 	tp.SetSink(func(worker int, r core.Result) { sink(worker, r) })
