@@ -257,8 +257,9 @@ func ComputeGrouped(keys []string, values []float64, f Func) map[string]float64 
 }
 
 // Incremental maintains a non-holistic aggregate exactly at tuple
-// arrival — the Inc-Storm baseline of Fig. 8a and SPEAr's own path for
-// non-holistic scalar ops. Construction rejects holistic functions.
+// arrival, per window — the Inc-Storm baseline of Fig. 8a. (SPEAr's own
+// path for non-holistic scalar ops keeps a stats.Welford per slice and
+// reads it with FromWelford.) Construction rejects holistic functions.
 type Incremental struct {
 	f Func
 	w stats.Welford
@@ -277,10 +278,6 @@ func NewIncremental(f Func) (*Incremental, error) {
 
 // Add folds one value in.
 func (i *Incremental) Add(x float64) { i.w.Add(x) }
-
-// AddSlice folds a run of values in, bit-identical to calling Add on
-// each element in order (the columnar fast path).
-func (i *Incremental) AddSlice(xs []float64) { i.w.AddSlice(xs) }
 
 // Result returns the current exact value: for the window mean this is
 // the single division of §5.2 ("When a watermark arrives, it only

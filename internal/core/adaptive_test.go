@@ -433,7 +433,7 @@ func v1ScalarBlob(t *testing.T, m *ScalarManager, budget uint64) []byte {
 	for _, id := range ids {
 		w := m.wins[id]
 		dst = tuple.AppendI64(dst, int64(id))
-		dst = tuple.AppendI64(dst, w.first)
+		dst = tuple.AppendI64(dst, 0) // the first position, which no reader used
 		dst = w.res.AppendTo(dst)
 		// The window's moments, 48 bytes: its count, then mean, m2, min,
 		// max and sum, which no reader ever used.
@@ -441,10 +441,7 @@ func v1ScalarBlob(t *testing.T, m *ScalarManager, budget uint64) []byte {
 		for i := 0; i < 5; i++ {
 			dst = tuple.AppendF64(dst, 0)
 		}
-		dst = tuple.AppendBool(dst, w.inc != nil)
-		if w.inc != nil {
-			dst = w.inc.AppendTo(dst)
-		}
+		dst = tuple.AppendBool(dst, false) // sampled: no incremental accumulator
 	}
 	return dst
 }

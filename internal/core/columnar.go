@@ -27,11 +27,12 @@ import (
 // The kernel does the rest identically for both: window.Spec.EachRun
 // cuts the positions into runs sharing one window assignment, the
 // lifecycle admits or drops each run, and per (run, window) the samplers
+// — on the scalar incremental path, per run the slice's accumulator —
 // consume the raw value slice, each bit-identical by contract to a
-// per-element Add loop, same PRNG draws included. Each window sees its
-// tuples in arrival order whichever entry point delivered them, so
-// every downstream accuracy decision (ε̂_w, accelerate-vs-exact Mode) is
-// the same.
+// per-element Add loop, same PRNG draws included. Each window and slice
+// sees its tuples in arrival order whichever entry point delivered
+// them, so every value and every downstream accuracy decision (ε̂_w,
+// accelerate-vs-exact Mode) is the same.
 
 // OnColumnBatch implements ColumnManager for the scalar manager: past
 // the gate, the batch's timestamp and value columns are the kernel's

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	"spear/internal/agg"
 	"spear/internal/sample"
 	"spear/internal/stats"
 	"spear/internal/tuple"
@@ -15,13 +14,14 @@ import (
 
 // ScalarManager is the SPEAr window manager for scalar stateful
 // operations (§4.1 "Scalar"). Instead of buffering the window, it keeps
-// per active window what a fire reads and nothing else: the window's
-// size and either a reservoir sample of the aggregated values bounded
-// by the budget b or, for a non-holistic aggregate, its incremental
-// accumulator (the estimator's moments are those of the sample and are
-// computed from it at the fire). Every tuple is archived to secondary
-// storage S for the exact fallback. At watermark arrival it runs the
-// accuracy check of Alg. 2.
+// what a fire reads and nothing else: per active window its size and a
+// reservoir sample of the aggregated values bounded by the budget b
+// (the estimator's moments are those of the sample and are computed
+// from it at the fire) or, for a non-holistic aggregate, no per-window
+// state at all: one accumulator per slice, which a fire merges into
+// windows (DESIGN.md §22). Every tuple is archived to secondary storage
+// S for the exact fallback. At watermark arrival it runs the accuracy
+// check of Alg. 2.
 //
 // All three entry points feed one kernel, ingestRun (DESIGN.md §19).
 type ScalarManager struct {
@@ -30,8 +30,12 @@ type ScalarManager struct {
 	est ScalarEstimator
 	arc *archive
 
-	wins map[window.ID]*scalarWin
-	lc   window.Lifecycle
+	wins map[window.ID]*scalarWin // sampled path; empty when useIncremental
+	// The incremental path's state (DESIGN.md §22): slices in position
+	// order and, ahead of them, what a v1–v3 snapshot knew of its open
+	// windows — per-window moments, each a slice of that one window.
+	carry, slices []slice
+	lc            window.Lifecycle
 	//lint:allow snapshotcover per-call scratch; dead between calls
 	cols      rowColumns
 	curBudget int
@@ -59,18 +63,44 @@ func (c *rowColumns) read(rows []tuple.Tuple, lc *window.Lifecycle, value func(t
 }
 
 type scalarWin struct {
-	res   *sample.Reservoir // nil under budget 0 and on incremental windows
-	n     int64             // tuples in the window: the N of its result and of ε̂_w
-	inc   *agg.Incremental  // non-holistic aggregates only
-	first int64             // position of the first tuple (diagnostics)
+	res *sample.Reservoir // nil under budget 0
+	n   int64             // tuples in the window: the N of its result and of ε̂_w
 	// tainted marks a window that lost at least one archive write to
 	// load shedding: its exact fallback is gone, so a failed accuracy
 	// check answers from the sample anyway (ModeShed).
 	tainted bool
 }
 
-// incrementalBytes is what an agg.Incremental holds: one stats.Welford.
-const incrementalBytes = 48
+// slice is the unit of incremental state: the moments of the tuples at
+// the positions that share the window assignment [lo, hi]
+// (window.Spec.Slice), folded in arrival order.
+type slice struct {
+	lo, hi window.ID
+	acc    stats.Welford
+}
+
+// after reports whether s holds later positions than the slice with
+// assignment [lo, hi]: both ends of an assignment grow with position,
+// so it does iff either end is larger.
+func (s *slice) after(lo, hi window.ID) bool { return s.hi > hi || s.lo > lo }
+
+// sliceBytes is what a slice holds.
+const sliceBytes = 16 + 48
+
+// sliceFor returns the accumulator of the slice with assignment
+// [lo, hi], opening it at its place in position order. Tuples arrive
+// into the newest slice or, inside the watermark lag, one a few back.
+func (m *ScalarManager) sliceFor(lo, hi window.ID) *stats.Welford {
+	i := len(m.slices)
+	for i > 0 && m.slices[i-1].after(lo, hi) {
+		i--
+	}
+	if i == 0 || m.slices[i-1].hi != hi || m.slices[i-1].lo != lo {
+		m.slices = slices.Insert(m.slices, i, slice{lo: lo, hi: hi})
+		i++
+	}
+	return &m.slices[i-1].acc
+}
 
 // NewScalarManager returns a manager for cfg. cfg.KeyBy must be nil.
 func NewScalarManager(cfg Config) (*ScalarManager, error) {
@@ -155,14 +185,10 @@ func (m *ScalarManager) useIncremental() bool {
 	return m.cfg.Custom == nil && m.cfg.Agg.Incremental() && !m.cfg.DisableIncremental
 }
 
-// newWin returns the state of window id, first seen at pos. A window
-// answered incrementally keeps no sample: produce reads w.inc alone,
-// so a reservoir there would be fed per tuple and never read.
-func (m *ScalarManager) newWin(id window.ID, pos int64) *scalarWin {
-	w := &scalarWin{first: pos}
-	if m.useIncremental() {
-		w.inc, _ = agg.NewIncremental(m.cfg.Agg)
-	} else if m.curBudget > 0 {
+// newWin returns the state of sampled window id.
+func (m *ScalarManager) newWin(id window.ID) *scalarWin {
+	w := &scalarWin{}
+	if m.curBudget > 0 {
 		w.res = sample.NewReservoir(m.curBudget, sample.DeriveSeed(m.cfg.Seed, int64(id)), sample.AlgoL)
 	}
 	return w
@@ -202,16 +228,18 @@ func (m *ScalarManager) OnTupleBatch(rows []tuple.Tuple) ([]Result, error) {
 // ts, vals and rows are a batch's positions, aggregated values and
 // tuples, index-aligned. Spec.EachRun cuts the batch into runs that
 // share one window assignment, so the assignment, the lifecycle's
-// admission, the window lookups and the archive append are paid per run,
-// and per run and open window the work is a count, Reservoir.AddSlice — the
-// same admissions and PRNG draws as an Add per element, in O(admissions)
-// — and Incremental.AddSlice where the aggregate has one. Each window
-// sees its tuples in arrival order, so every ε̂_w and every Mode is what
-// a per-tuple loop produces. A count-domain window completes exactly at
+// admission and the archive append are paid per run. A run is one
+// slice's: on the incremental path it is folded once, into that slice's
+// accumulator, however many windows overlap. On the sampled path the
+// work per run and open window is a count and Reservoir.AddSlice — the
+// same admissions and PRNG draws as an Add per element, in
+// O(admissions). A slice and a window see their tuples in arrival order
+// wherever the batches were cut, so every value, ε̂_w and Mode is what a
+// per-tuple loop produces. A count-domain window completes exactly at
 // the end of a run (the next position has a different assignment), so
 // there the kernel fires after each run.
 func (m *ScalarManager) ingestRun(ts []int64, vals []float64, rows []tuple.Tuple) ([]Result, error) {
-	count := m.cfg.Spec.Domain == window.CountDomain
+	count, inc := m.cfg.Spec.Domain == window.CountDomain, m.useIncremental()
 	var out []Result
 	var err error
 	late0 := m.lc.Late()
@@ -224,21 +252,22 @@ func (m *ScalarManager) ingestRun(ts []int64, vals []float64, rows []tuple.Tuple
 			return // late: neither sampled nor archived
 		}
 		run := vals[i0:i1]
-		for id := first; id <= hi; id++ {
-			w, ok := m.wins[id] // once per run: the map will do
-			if !ok {
-				w = m.newWin(id, ts[i0])
-				m.wins[id] = w
-			}
-			w.n += int64(len(run))
-			if w.res != nil {
-				w.res.AddSlice(run)
-			}
-			if w.inc != nil {
-				w.inc.AddSlice(run)
-			}
-			if m.shed {
-				w.tainted = true
+		if inc {
+			m.sliceFor(lo, hi).AddSlice(run)
+		} else {
+			for id := first; id <= hi; id++ {
+				w, ok := m.wins[id] // once per run: the map will do
+				if !ok {
+					w = m.newWin(id)
+					m.wins[id] = w
+				}
+				w.n += int64(len(run))
+				if w.res != nil {
+					w.res.AddSlice(run)
+				}
+				if m.shed {
+					w.tainted = true
+				}
 			}
 		}
 		if m.shed {
@@ -278,10 +307,8 @@ func (m *ScalarManager) fire(wm int64) ([]Result, error) {
 		return nil, nil
 	}
 	var out []Result
-	// The windows that hold tuples, not the id range: a watermark after
-	// a gap in the stream costs the windows that exist.
-	for _, id := range window.IDsIn(m.wins, first, last) {
-		r, err := m.produce(id, m.wins[id])
+	for _, id := range m.held(first, last) {
+		r, err := m.produce(id)
 		if err != nil {
 			return nil, err
 		}
@@ -297,7 +324,10 @@ func (m *ScalarManager) fire(wm int64) ([]Result, error) {
 		}
 		delete(m.wins, id)
 	}
-	start, _ := m.cfg.Spec.Bounds(m.lc.NextOpen())
+	open := m.lc.NextOpen()
+	closed := func(s slice) bool { return s.hi < open }
+	m.carry, m.slices = slices.DeleteFunc(m.carry, closed), slices.DeleteFunc(m.slices, closed)
+	start, _ := m.cfg.Spec.Bounds(open)
 	if err := m.arc.evictBefore(start); err != nil {
 		return nil, err
 	}
@@ -305,31 +335,60 @@ func (m *ScalarManager) fire(wm int64) ([]Result, error) {
 	return out, nil
 }
 
+// held returns, ascending, the ids in [first, last] of the windows that
+// hold tuples — never the id range: a watermark after a gap in the
+// stream costs the windows and slices that exist.
+func (m *ScalarManager) held(first, last window.ID) []window.ID {
+	if !m.useIncremental() {
+		return window.IDsIn(m.wins, first, last)
+	}
+	var ids []window.ID
+	for _, table := range [2][]slice{m.carry, m.slices} {
+		for _, s := range table {
+			for id := max(s.lo, first); id <= min(s.hi, last); id++ {
+				ids = append(ids, id)
+			}
+		}
+	}
+	slices.Sort(ids)
+	return slices.Compact(ids)
+}
+
 // produce runs Alg. 2 for one window: estimate ε̂_w from budget contents
-// and either emit R̂_w or fall back to the whole window.
-func (m *ScalarManager) produce(id window.ID, w *scalarWin) (Result, error) {
+// and either emit R̂_w or fall back to the whole window. An incremental
+// window is assembled first: the slices whose assignment contains id,
+// merged in position order.
+func (m *ScalarManager) produce(id window.ID) (Result, error) {
 	t0 := m.now()
 	startPos, endPos := m.cfg.Spec.Bounds(id)
 	res := Result{
 		WindowID:   id,
 		Start:      startPos,
 		End:        endPos,
-		N:          w.n,
 		Epsilon:    m.cfg.Epsilon,
 		Confidence: m.cfg.Confidence,
 		Budget:     m.curBudget,
 	}
 
-	switch {
-	case w.inc != nil:
-		// Non-holistic fast path: the result was maintained at tuple
-		// arrival; finalizing is O(1) ("it only performs a division
-		// to produce the mean per window").
+	switch w := m.wins[id]; {
+	case m.useIncremental():
+		// Non-holistic fast path: the moments were maintained at tuple
+		// arrival, a slice at a time; finalizing is a merge per slice
+		// of the window and the division of §5.2.
+		var acc stats.Welford
+		for _, table := range [2][]slice{m.carry, m.slices} {
+			for i := range table {
+				if s := &table[i]; s.lo <= id && id <= s.hi {
+					acc.Merge(s.acc)
+				}
+			}
+		}
 		res.Mode = ModeIncremental
-		res.Scalar = w.inc.Result()
-		res.SampleN = int(w.n)
+		res.Scalar, _ = m.cfg.Agg.FromWelford(&acc)
+		res.N, res.SampleN = acc.Count(), int(acc.Count())
 
 	default:
+		res.N = w.n
 		// Accuracy estimation from b's contents only.
 		var smp []float64
 		if w.res != nil {
@@ -411,22 +470,19 @@ func (m *ScalarManager) MemUsage() int {
 }
 
 // BudgetMemUsage is the memory used to produce results, charged against
-// b as held: per open window its count and its reservoir sample, or its
-// count and its incremental accumulator. This is the
+// b as held: per open window its count and its reservoir sample, or per
+// open slice its accumulator. This is the
 // quantity Fig. 7 shows staying flat at ≈b while the exact engine's
 // buffer grows with the window; the archive's write-behind chunks
 // (bounded by ArchiveChunk·overlap tuples regardless of window size)
 // are the cost of shipping tuples to S, not of producing results, and
 // are excluded here just as the paper excludes its workers' S writes.
 func (m *ScalarManager) BudgetMemUsage() int {
-	n := 0
+	n := (len(m.carry) + len(m.slices)) * sliceBytes
 	for _, w := range m.wins {
 		n += 8 // w.n
 		if w.res != nil {
 			n += w.res.MemSize()
-		}
-		if w.inc != nil {
-			n += incrementalBytes
 		}
 	}
 	return n

@@ -15,8 +15,10 @@ import (
 // manager at arrival as a function of how many windows it falls into,
 // on both of its paths: median at b = 200 (a reservoir per window, the
 // dec_median shape) and mean (an incremental accumulator per window,
-// the dec_mean_tcp shape). A slide is 2500 tuples, batches are the
-// engine's 64, the archive is live. As in BenchmarkGroupedIngestOverlap
+// the dec_mean_tcp shape: an accumulator per slice, so flat in the
+// overlap). A slide is 2500 tuples, batches are the engine's 64, the
+// archive is live; overlap 3.5 is a range that is not a multiple of the
+// slide (two slices a slide). As in BenchmarkGroupedIngestOverlap
 // the timer runs during OnTupleBatch only and starts once the open
 // windows and the archive's buffers have reached their steady size, so
 // ns/op is ingest ns per tuple and allocs/op ingest allocations per
@@ -35,10 +37,10 @@ func BenchmarkScalarIngestOverlap(b *testing.B) {
 		f    agg.Func
 	}{{"median", agg.Median()}, {"mean", agg.Func{Op: agg.Mean}}}
 	for _, p := range paths {
-		for _, overlap := range []int64{1, 3, 8} {
-			b.Run(fmt.Sprintf("%s/overlap=%d", p.name, overlap), func(b *testing.B) {
+		for _, overlap := range []float64{1, 3, 3.5, 8, 32} {
+			b.Run(fmt.Sprintf("%s/overlap=%g", p.name, overlap), func(b *testing.B) {
 				m, err := NewScalarManager(Config{
-					Spec:    window.Spec{Domain: window.TimeDomain, Range: overlap * perSlide, Slide: perSlide},
+					Spec:    window.Spec{Domain: window.TimeDomain, Range: int64(overlap * perSlide), Slide: perSlide},
 					Agg:     p.f,
 					Value:   tuple.FieldFloat(0),
 					Epsilon: 0.10, Confidence: 0.95, BudgetTuples: 200,
@@ -72,7 +74,7 @@ func BenchmarkScalarIngestOverlap(b *testing.B) {
 						}
 					}
 				}
-				ingest(int(overlap+4) * perSlide)
+				ingest(int(overlap+5) * perSlide)
 				b.ReportAllocs()
 				b.ResetTimer()
 				ingest(b.N)

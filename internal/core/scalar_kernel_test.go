@@ -35,10 +35,12 @@ func (a *archive) add(t tuple.Tuple) error {
 // entry points became adapters to ingestRun, kept here as the reference
 // the kernel is held to: assignment, admission, one Add per open window
 // and one archive add, tuple by tuple, firing after every tuple in the
-// count domain. Two edits: the count, which was the n of a full Welford,
-// and the anchor/lateness decision, which is the lifecycle's Admit on a
-// run of one (window.Lifecycle has a per-tuple model of its own to
-// answer to, in package window).
+// count domain. Three edits: the count, which was the n of a full
+// Welford; the anchor/lateness decision, which is the lifecycle's Admit
+// on a run of one (window.Lifecycle has a per-tuple model of its own to
+// answer to, in package window); and the incremental path, one Add into
+// the tuple's slice (what the slices assemble to is held to a per-window
+// fold in slices_test.go).
 func refIngest(m *ScalarManager, t tuple.Tuple) ([]Result, error) {
 	m.syncControl()
 	pos := m.lc.Pos(t.Ts, 0)
@@ -51,19 +53,20 @@ func refIngest(m *ScalarManager, t tuple.Tuple) ([]Result, error) {
 		return nil, nil
 	}
 	v := m.cfg.Value(t)
+	if m.useIncremental() {
+		m.sliceFor(lo, hi).Add(v)
+		first = hi + 1
+	}
 	for id := first; id <= hi; id++ {
 		w, ok := m.wins[id]
 		if !ok {
-			w = m.newWin(id, pos)
+			w = m.newWin(id)
 			m.wins[id] = w
 		}
 		if w.res != nil {
 			w.res.Add(v)
 		}
 		w.n++
-		if w.inc != nil {
-			w.inc.Add(v)
-		}
 		if m.shed {
 			w.tainted = true
 		}

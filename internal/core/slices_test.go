@@ -1,0 +1,473 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"spear/internal/agg"
+	"spear/internal/storage"
+	"spear/internal/tuple"
+	"spear/internal/window"
+)
+
+// The incremental path keeps one accumulator per slice and merges
+// slices into windows at a fire. What it is held to is the
+// IncrementalManager baseline, which folds every tuple into every open
+// window one Add at a time: the sequential per-window reference. The
+// rule (DESIGN.md §22): the same windows in the same order with the same
+// N and Mode; Sum, Count, Min and Max of integral data bit for bit;
+// float Mean, Variance and StdDev to 1e-12 relative.
+
+// sliceEvent is a batch of tuples or, when rows is nil, a watermark.
+type sliceEvent struct {
+	rows []tuple.Tuple
+	wm   int64
+}
+
+// sliceDrive feeds the events to a slice-keeping scalar manager, batch
+// by batch, and tuple by tuple to the per-window reference.
+func sliceDrive(t *testing.T, cfg Config, events []sliceEvent) (got, want []Result, m *ScalarManager) {
+	t.Helper()
+	cfg.Store, cfg.Key = storage.NewMemStore(), "slices"
+	m, err := NewScalarManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewIncrementalManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range events {
+		if e.rows == nil {
+			rs, err := m.OnWatermark(e.wm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, rs...)
+			rs, _ = ref.OnWatermark(e.wm)
+			want = append(want, rs...)
+			continue
+		}
+		rs, err := m.OnTupleBatch(e.rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, rs...)
+		for _, r := range e.rows {
+			rs, _ = ref.OnTuple(r)
+			want = append(want, rs...)
+		}
+	}
+	if len(m.wins) != 0 {
+		t.Errorf("%d per-window states on the incremental path", len(m.wins))
+	}
+	if m.LateDropped() != ref.lc.Late() {
+		t.Errorf("late: %d, reference %d", m.LateDropped(), ref.lc.Late())
+	}
+	return got, want, m
+}
+
+// sameWindows applies the rule: exact requires the scalars bit for bit.
+func sameWindows(t *testing.T, got, want []Result, exact bool) {
+	t.Helper()
+	if len(got) != len(want) || len(want) == 0 {
+		t.Fatalf("%d windows, reference %d", len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.WindowID != w.WindowID || g.Start != w.Start || g.End != w.End || g.N != w.N || g.SampleN != w.SampleN || g.Mode != w.Mode {
+			t.Fatalf("window %d: got %+v, reference %+v", i, g, w)
+		}
+		finite := !math.IsNaN(w.Scalar) && !math.IsInf(w.Scalar, 0)
+		switch {
+		case math.Float64bits(g.Scalar) == math.Float64bits(w.Scalar):
+		case !finite && (math.IsNaN(g.Scalar) || math.IsInf(g.Scalar, 0)):
+		case finite && !exact && math.Abs(g.Scalar-w.Scalar) <= 1e-12*math.Abs(w.Scalar):
+		default:
+			t.Fatalf("window %d [%d,%d) n=%d: %v (%016x), reference %v (%016x)", w.WindowID, w.Start, w.End, w.N,
+				g.Scalar, math.Float64bits(g.Scalar), w.Scalar, math.Float64bits(w.Scalar))
+		}
+	}
+}
+
+// sliceStream scripts n ticks of a stream: perTick tuples a tick (one
+// in the count domain, where the position is the arrival), shuffled
+// inside blocks of lag ticks, a watermark lag behind every every-th
+// tick, a straggler now and then from far enough back to be dropped
+// (or, before the first fire, to lower the anchor), one jump of 10⁹
+// slides, and batches of 1 to 70 tuples cut anywhere.
+func sliceStream(spec window.Spec, n, perTick, lag, every int, integral bool, seed int64) []sliceEvent {
+	rng := rand.New(rand.NewSource(seed))
+	value := func() tuple.Value {
+		if integral {
+			return tuple.Float(float64(rng.Intn(2001) - 1000))
+		}
+		return tuple.Float(20 + rng.NormFloat64()*float64(1+rng.Intn(5)))
+	}
+	var events []sliceEvent
+	var pend []tuple.Tuple
+	cut := 1 + rng.Intn(70)
+	flush := func() {
+		if len(pend) > 0 {
+			events = append(events, sliceEvent{rows: pend})
+			pend, cut = nil, 1+rng.Intn(70)
+		}
+	}
+	base := int64(1000)
+	for i0 := 0; i0 < n; i0 += lag {
+		block := make([]tuple.Tuple, 0, lag*perTick)
+		for i := i0; i < min(i0+lag, n); i++ {
+			for j := 0; j < perTick; j++ {
+				block = append(block, tuple.New(base+int64(i), value()))
+			}
+		}
+		rng.Shuffle(len(block), func(a, b int) { block[a], block[b] = block[b], block[a] })
+		for k, r := range block {
+			if pend = append(pend, r); len(pend) == cut {
+				flush()
+			}
+			if i := i0 + k/perTick; k%perTick == 0 {
+				if i == 3 || i%53 == 52 {
+					pend = append(pend, tuple.New(base+int64(i)-int64(n/5), value()))
+				}
+				if (i+1)%every == 0 {
+					flush()
+					events = append(events, sliceEvent{wm: base + int64(i+1-2*lag)})
+				}
+			}
+		}
+		if i0 <= n/2 && n/2 < i0+lag && spec.Domain == window.TimeDomain {
+			base += 1_000_000_000 * spec.Slide
+		}
+	}
+	flush()
+	return append(events, sliceEvent{wm: math.MaxInt64})
+}
+
+func TestSlicesAssembleToPerWindowFold(t *testing.T) {
+	specs := []window.Spec{
+		{Domain: window.TimeDomain, Range: 7, Slide: 3}, // two slices a slide
+		{Domain: window.TimeDomain, Range: 40, Slide: 40},
+		{Domain: window.TimeDomain, Range: 64, Slide: 8},
+		{Domain: window.TimeDomain, Range: 5, Slide: 1}, // with one tuple a tick, single-tuple slices
+		{Domain: window.TimeDomain, Range: 90, Slide: 40},
+		{Domain: window.CountDomain, Range: 7, Slide: 3},
+		{Domain: window.CountDomain, Range: 96, Slide: 12},
+		{Domain: window.CountDomain, Range: 50, Slide: 50},
+	}
+	ops := []agg.Op{agg.Mean, agg.Variance, agg.StdDev, agg.Sum, agg.Count, agg.Min, agg.Max}
+	for _, spec := range specs {
+		for _, op := range ops {
+			for _, perTick := range []int{1, 3} {
+				integral := op != agg.Mean && op != agg.Variance && op != agg.StdDev
+				t.Run(fmt.Sprintf("%s/%s/x%d", spec, op, perTick), func(t *testing.T) {
+					cfg := mkCfg(agg.Func{Op: op}, 16)
+					cfg.Spec, cfg.ArchiveChunk = spec, 5
+					for seed := int64(1); seed <= 4; seed++ {
+						got, want, _ := sliceDrive(t, cfg, sliceStream(spec, 900, perTick, 6, 10, integral, seed))
+						sameWindows(t, got, want, integral)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestSliceIngestIsFlat is the structural half of "an add per tuple,
+// not one per open window": with nothing fired, K tuples sit in slices
+// whose counts sum to K, no more slices than the positions seen can
+// span, and no window holds anything.
+func TestSliceIngestIsFlat(t *testing.T) {
+	const overlap, slide, lag = 8, 100, 250
+	cfg := mkCfg(agg.Func{Op: agg.Mean}, 16)
+	cfg.Spec = window.Spec{Domain: window.TimeDomain, Range: overlap * slide, Slide: slide}
+	m, _ := NewScalarManager(cfg)
+	rng := rand.New(rand.NewSource(3))
+	const K = (overlap*slide + lag) * 4 // four tuples a tick
+	rows := make([]tuple.Tuple, K)
+	for i := range rows {
+		rows[i] = tuple.New(int64(i/4), tuple.Float(rng.Float64()))
+	}
+	for i := 0; i+4*lag <= K; i += 4 * lag {
+		rng.Shuffle(4*lag, func(a, b int) { rows[i+a], rows[i+b] = rows[i+b], rows[i+a] })
+	}
+	for i := 0; i < K; i += 64 {
+		if _, err := m.OnTupleBatch(rows[i:min(i+64, K)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var sum int64
+	for i, s := range m.slices {
+		sum += s.acc.Count()
+		if i > 0 && s.hi <= m.slices[i-1].hi {
+			t.Errorf("slice %d [%d,%d] is not after slice %d [%d,%d]", i, s.lo, s.hi, i-1, m.slices[i-1].lo, m.slices[i-1].hi)
+		}
+	}
+	if most := overlap + lag/slide + 1; sum != K || len(m.slices) > most || len(m.wins) != 0 {
+		t.Errorf("%d tuples in %d slices and %d windows, want %d in at most %d and 0", sum, len(m.slices), len(m.wins), K, most)
+	}
+	if got, want := m.BudgetMemUsage(), len(m.slices)*sliceBytes; got != want {
+		t.Errorf("BudgetMemUsage %d, want %d", got, want)
+	}
+}
+
+// TestSlicesNonFinite puts a NaN, a +Inf and a −Inf first in a slice,
+// in the middle of one and first in a window, and requires of every
+// aggregate what the rule requires: equal to the per-window fold, or
+// non-finite where that is. Min and Max are where it used to depend on
+// the position: a NaN that opened an accumulator hid every later
+// extreme, one in the middle was ignored.
+func TestSlicesNonFinite(t *testing.T) {
+	spec := window.Spec{Domain: window.TimeDomain, Range: 30, Slide: 10}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		// Window 0 starts at 0; slices start at 0, 10, 20, …
+		for _, at := range []int{0, 10, 15, 37, 60} {
+			for _, op := range []agg.Op{agg.Min, agg.Max, agg.Mean, agg.Sum, agg.Variance, agg.Count} {
+				t.Run(fmt.Sprintf("%v@%d/%s", bad, at, op), func(t *testing.T) {
+					var events []sliceEvent
+					for i := 0; i < 100; i++ {
+						v := float64(i%17) - 3
+						if i == at {
+							v = bad
+						}
+						events = append(events, sliceEvent{rows: []tuple.Tuple{tuple.New(int64(i), tuple.Float(v)), tuple.New(int64(i), tuple.Float(v+1))}})
+						if i%10 == 9 {
+							events = append(events, sliceEvent{wm: int64(i + 1)})
+						}
+					}
+					cfg := mkCfg(agg.Func{Op: op}, 16)
+					cfg.Spec = spec
+					got, want, _ := sliceDrive(t, cfg, append(events, sliceEvent{wm: math.MaxInt64}))
+					sameWindows(t, got, want, op != agg.Mean && op != agg.Variance)
+					if op == agg.Min || op == agg.Max {
+						for _, r := range got {
+							in := r.Start <= int64(at) && int64(at) < r.End
+							if hit := math.IsNaN(r.Scalar) || math.IsInf(r.Scalar, 0); math.IsNaN(bad) && hit != in {
+								t.Errorf("window [%d,%d): %s = %v with the NaN at %d", r.Start, r.End, op, r.Scalar, at)
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestSliceRecoveryMidSlice crashes in the middle of a slice, with
+// tuples out of order around it: the restored manager re-encodes to
+// the snapshot's bytes and continues to the uninterrupted run's results
+// bit for bit.
+func TestSliceRecoveryMidSlice(t *testing.T) {
+	for _, spec := range []window.Spec{
+		{Domain: window.TimeDomain, Range: 100, Slide: 25},
+		{Domain: window.TimeDomain, Range: 70, Slide: 30},
+		{Domain: window.CountDomain, Range: 100, Slide: 25},
+	} {
+		t.Run(spec.String(), func(t *testing.T) {
+			cfg := mkCfg(agg.Func{Op: agg.Variance}, 16)
+			cfg.Spec = spec
+			events := sliceStream(spec, 600, 2, 8, 25, false, 9)
+			run := func(m *ScalarManager, events []sliceEvent) (out []Result) {
+				t.Helper()
+				for _, e := range events {
+					rs, err := m.OnTupleBatch(e.rows)
+					if e.rows == nil {
+						rs, err = m.OnWatermark(e.wm)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					out = append(out, rs...)
+				}
+				return out
+			}
+			straight, _ := NewScalarManager(cfg)
+			want := run(straight, events)
+
+			cfg.Store = storage.NewMemStore()
+			m1, _ := NewScalarManager(cfg)
+			crash := len(events)/2 | 1
+			for events[crash].rows == nil || events[crash-1].rows == nil {
+				crash++ // between two batches: in the middle of a slice
+			}
+			got := run(m1, events[:crash])
+			if len(m1.slices) < 2 {
+				t.Fatalf("%d open slices at the crash", len(m1.slices))
+			}
+			blob, err := m1.SnapshotState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m2, _ := NewScalarManager(cfg)
+			if err := m2.RestoreState(blob); err != nil {
+				t.Fatal(err)
+			}
+			if err := m2.RewindStore(); err != nil {
+				t.Fatal(err)
+			}
+			if again, _ := m2.SnapshotState(); !bytes.Equal(again, blob) {
+				t.Error("the restored state re-encodes to other bytes")
+			}
+			got = append(got, run(m2, events[crash:])...)
+			if len(got) != len(want) || len(want) < 20 {
+				t.Fatalf("%d windows across the restore, %d straight through", len(got), len(want))
+			}
+			for i := range want {
+				if g, w := got[i], want[i]; g.WindowID != w.WindowID || g.N != w.N || g.Mode != w.Mode || g.SampleN != w.SampleN ||
+					math.Float64bits(g.Scalar) != math.Float64bits(w.Scalar) {
+					t.Errorf("window %d: got %+v, want %+v", i, g, w)
+				}
+			}
+		})
+	}
+}
+
+// v3IncrementalBlob writes what the v3 writer wrote for m's lifecycle,
+// controls and archive with the given windows open, each holding an
+// incremental accumulator — and, as blobs from before such windows
+// stopped sampling did, a fed reservoir beside it when withRes.
+func v3IncrementalBlob(t *testing.T, m *ScalarManager, open map[window.ID]*agg.Incremental, withRes bool) []byte {
+	t.Helper()
+	dst := appendCursor([]byte{snapScalarV3}, m.lc.Cursor())
+	dst = tuple.AppendUvar(dst, uint64(m.curBudget))
+	dst = tuple.AppendBool(dst, m.shed)
+	dst = tuple.AppendI64(dst, m.sheds)
+	dst, err := m.arc.appendState(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := window.IDsIn(open, math.MinInt64, math.MaxInt64)
+	dst = tuple.AppendUvar(dst, uint64(len(ids)))
+	for _, id := range ids {
+		dst = tuple.AppendI64(dst, int64(id))
+		dst = tuple.AppendI64(dst, 7) // first position
+		dst = tuple.AppendBool(dst, withRes)
+		if withRes {
+			dst = m.newWin(id).res.AppendTo(dst)
+		}
+		dst = tuple.AppendI64(dst, open[id].Count())
+		dst = tuple.AppendBool(dst, false) // tainted
+		dst = tuple.AppendBool(dst, true)
+		dst = open[id].AppendTo(dst)
+	}
+	return dst
+}
+
+// TestLegacyIncrementalWindowsRestoreAsCarries restores a v3 blob taken
+// in the middle of a stream: each open window's moments become its
+// carry, merged ahead of the slices that fill after the restore, and
+// the run continues to the per-window reference under the rule. A
+// carried window that receives nothing more still fires, and the
+// carries survive a v4 round trip.
+func TestLegacyIncrementalWindowsRestoreAsCarries(t *testing.T) {
+	for _, withRes := range []bool{false, true} {
+		t.Run(fmt.Sprintf("reservoirs=%v", withRes), func(t *testing.T) {
+			cfg := mkCfg(agg.Func{Op: agg.Mean}, 16)
+			cfg.Spec = window.Spec{Domain: window.TimeDomain, Range: 100, Slide: 25}
+			tup := func(i int) tuple.Tuple { return tuple.New(int64(i), tuple.Float(float64(i%37)+0.25)) }
+			ref, _ := NewIncrementalManager(cfg)
+			m1, _ := NewScalarManager(cfg)
+			for i := 0; i < 160; i++ {
+				ref.OnTuple(tup(i))
+				m1.OnTuple(tup(i))
+				if i%25 == 24 {
+					ref.OnWatermark(int64(i + 1))
+					m1.OnWatermark(int64(i + 1))
+				}
+			}
+			m2, _ := NewScalarManager(cfg)
+			if err := m2.RestoreState(v3IncrementalBlob(t, m1, ref.wins, withRes)); err != nil {
+				t.Fatal(err)
+			}
+			if len(m2.carry) != len(ref.wins) || len(m2.carry) != 4 || len(m2.slices) != 0 || len(m2.wins) != 0 {
+				t.Fatalf("restored %d carries, %d slices, %d windows from %d legacy windows", len(m2.carry), len(m2.slices), len(m2.wins), len(ref.wins))
+			}
+			if got, want := m2.BudgetMemUsage(), 4*sliceBytes; got != want {
+				t.Errorf("BudgetMemUsage %d, want %d", got, want)
+			}
+			// On through v4, carries and all.
+			m2.OnTuple(tup(160))
+			ref.OnTuple(tup(160))
+			blob, err := m2.SnapshotState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m3, _ := NewScalarManager(cfg)
+			if err := m3.RestoreState(blob); err != nil {
+				t.Fatal(err)
+			}
+			if again, _ := m3.SnapshotState(); !bytes.Equal(again, blob) || len(m3.carry) != 4 || len(m3.slices) != 1 {
+				t.Fatalf("v4 round trip: %d carries, %d slices", len(m3.carry), len(m3.slices))
+			}
+			// Tuples for the next slide only, then nothing: the last
+			// three carried windows fire on their carries and one slice.
+			var got, want []Result
+			for i := 161; i < 175; i++ {
+				m3.OnTuple(tup(i))
+				ref.OnTuple(tup(i))
+			}
+			got, _ = m3.OnWatermark(math.MaxInt64)
+			want, _ = ref.OnWatermark(math.MaxInt64)
+			sameWindows(t, got, want, false)
+			if len(got) != 4 || len(m3.carry) != 0 || len(m3.slices) != 0 {
+				t.Errorf("%d windows fired, %d carries and %d slices left", len(got), len(m3.carry), len(m3.slices))
+			}
+		})
+	}
+}
+
+// TestSliceTableRejectsDamage: a v4 blob whose slices are out of
+// position order, or named by an assignment no position has, is
+// corrupt, as is one whose state is the other path's.
+func TestSliceTableRejectsDamage(t *testing.T) {
+	cfg := mkCfg(agg.Func{Op: agg.Mean}, 16)
+	cfg.Spec = window.Spec{Domain: window.TimeDomain, Range: 70, Slide: 30}
+	m, _ := NewScalarManager(cfg)
+	for i := 0; i < 100; i++ {
+		m.OnTuple(tuple.New(int64(i), tuple.Float(1)))
+	}
+	good, _ := m.SnapshotState()
+	damage := map[string]func(){
+		"swapped":       func() { m.slices[1], m.slices[2] = m.slices[2], m.slices[1] },
+		"repeated":      func() { m.slices[2] = m.slices[1] },
+		"no such slice": func() { m.slices[3].lo -= 2 },
+		"inverted":      func() { m.slices[0].lo, m.slices[0].hi = 5, 1 },
+		"wide carry":    func() { m.carry = []slice{{lo: 1, hi: 2}} },
+	}
+	for name, f := range damage {
+		t.Run(name, func(t *testing.T) {
+			fresh, _ := NewScalarManager(cfg)
+			if err := fresh.RestoreState(good); err != nil {
+				t.Fatal(err)
+			}
+			*m = *fresh
+			f()
+			blob, _ := m.SnapshotState()
+			if err := fresh.RestoreState(blob); err == nil {
+				t.Error("restored")
+			}
+		})
+	}
+	// One carry and no slice: the blob ends count 1, lo, hi, moments,
+	// count 0. The same carry listed twice is a duplicate.
+	m.slices, m.carry = nil, []slice{{lo: 1, hi: 1}}
+	blob, _ := m.SnapshotState()
+	fresh, _ := NewScalarManager(cfg)
+	if err := fresh.RestoreState(blob); err != nil {
+		t.Fatal(err)
+	}
+	entry := bytes.Clone(blob[len(blob)-65 : len(blob)-1])
+	blob[len(blob)-66] = 2
+	blob = append(append(blob[:len(blob)-1], entry...), 0)
+	if fresh.RestoreState(blob) == nil {
+		t.Error("restored a carry listed twice")
+	}
+	sampled := cfg
+	sampled.DisableIncremental = true
+	if s, _ := NewScalarManager(sampled); s.RestoreState(good) == nil {
+		t.Error("a sampled manager restored slices")
+	}
+}

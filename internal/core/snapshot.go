@@ -29,17 +29,21 @@ import (
 // meaning "reservoirs dropped, exact-only" — the shedding flag and shed
 // counter, and per-window taint/reservoir-presence bits. Scalar v3 is
 // v2 with each window's 48 bytes of moments cut to the 8-byte count,
-// the only part of them a fire ever read. Writers emit the newest;
-// readers accept all, keeping v1 blobs (whose invariants were stricter:
-// budget always positive, reservoirs always present) restorable across
-// the upgrades.
+// the only part of them a fire ever read. Scalar v4 writes sampled
+// windows without the v1–v3 slots nothing reads (first position,
+// incremental flag) and, after them, the incremental path's carries
+// and slices; an incremental window of a v1–v3 blob restores as a
+// carry. Writers emit the newest; readers accept all, keeping v1 blobs
+// (whose invariants were stricter: budget always positive, reservoirs
+// always present) restorable across the upgrades.
 const (
 	snapScalar      byte = 0x53 // 'S' (v1, read-only)
 	snapGrouped     byte = 0x47 // 'G' (v1, read-only)
 	snapExact       byte = 0x45 // 'E'
 	snapIncremental byte = 0x49 // 'I'
 	snapScalarV2    byte = 0x73 // 's' (read-only)
-	snapScalarV3    byte = 0x74 // 't'
+	snapScalarV3    byte = 0x74 // 't' (read-only)
+	snapScalarV4    byte = 0x75 // 'u'
 	snapGroupedV2   byte = 0x67 // 'g'
 )
 
@@ -70,7 +74,7 @@ func badTag(kind string, tag byte, rd *tuple.WireReader) error {
 
 // SnapshotState implements the checkpoint Snapshotter contract.
 func (m *ScalarManager) SnapshotState() ([]byte, error) {
-	dst := appendCursor([]byte{snapScalarV3}, m.lc.Cursor())
+	dst := appendCursor([]byte{snapScalarV4}, m.lc.Cursor())
 	dst = tuple.AppendUvar(dst, uint64(m.curBudget))
 	dst = tuple.AppendBool(dst, m.shed)
 	dst = tuple.AppendI64(dst, m.sheds)
@@ -83,27 +87,47 @@ func (m *ScalarManager) SnapshotState() ([]byte, error) {
 	for _, id := range ids {
 		w := m.wins[id]
 		dst = tuple.AppendI64(dst, int64(id))
-		dst = tuple.AppendI64(dst, w.first)
 		dst = tuple.AppendBool(dst, w.res != nil)
 		if w.res != nil {
 			dst = w.res.AppendTo(dst)
 		}
 		dst = tuple.AppendI64(dst, w.n)
 		dst = tuple.AppendBool(dst, w.tainted)
-		dst = tuple.AppendBool(dst, w.inc != nil)
-		if w.inc != nil {
-			dst = w.inc.AppendTo(dst)
+	}
+	return appendSlices(appendSlices(dst, m.carry), m.slices), nil
+}
+
+func appendSlices(dst []byte, ss []slice) []byte {
+	dst = tuple.AppendUvar(dst, uint64(len(ss)))
+	for i := range ss {
+		dst = tuple.AppendI64(tuple.AppendI64(dst, int64(ss[i].lo)), int64(ss[i].hi))
+		dst = ss[i].acc.AppendTo(dst)
+	}
+	return dst
+}
+
+// readSlices reads a table appendSlices wrote: every slice named as
+// real says and after the one before it, or the reader is corrupt.
+func readSlices(rd *tuple.WireReader, real func(lo, hi window.ID) bool) []slice {
+	ss := make([]slice, rd.Count(16+48))
+	for i := range ss {
+		s := &ss[i]
+		s.lo, s.hi = window.ID(rd.I64()), window.ID(rd.I64())
+		s.acc.ReadFrom(rd)
+		if !real(s.lo, s.hi) || (i > 0 && !s.after(ss[i-1].lo, ss[i-1].hi)) {
+			rd.Corrupt("scalar slice table")
 		}
 	}
-	return dst, nil
+	return ss
 }
 
 // RestoreState implements the checkpoint Snapshotter contract.
 func (m *ScalarManager) RestoreState(b []byte) error {
 	rd := tuple.NewWireReader(b)
 	tag := rd.Byte()
-	v3 := tag == snapScalarV3
-	v2 := v3 || tag == snapScalarV2 // everything v2 added, v3 has
+	v4 := tag == snapScalarV4
+	v3 := v4 || tag == snapScalarV3
+	v2 := v3 || tag == snapScalarV2 // everything v2 added, v3 and v4 have
 	if !v2 && tag != snapScalar {
 		return badTag("scalar", tag, rd)
 	}
@@ -122,9 +146,13 @@ func (m *ScalarManager) RestoreState(b []byte) error {
 		return rd.Err()
 	}
 	wins := make(map[window.ID]*scalarWin, n)
+	var carry, sls []slice
 	for i := 0; i < n; i++ {
 		id := window.ID(rd.I64())
-		w := &scalarWin{first: rd.I64()}
+		w := &scalarWin{}
+		if !v4 {
+			rd.I64() // the window's first position, which nothing read
+		}
 		hasRes := true
 		if v2 {
 			// A budget collapsed to zero drops per-window reservoirs;
@@ -149,31 +177,39 @@ func (m *ScalarManager) RestoreState(b []byte) error {
 		if v2 {
 			w.tainted = rd.Bool()
 		}
-		hasInc := rd.Bool()
+		_, dup := wins[id]
+		if !v4 && rd.Bool() {
+			// v1–v3 kept an incremental accumulator per window (and, in
+			// blobs from before such windows stopped sampling, a
+			// reservoir beside it that nothing read): its carry now.
+			c := slice{lo: id, hi: id}
+			c.acc.ReadFrom(rd)
+			dup = len(carry) > 0 && id <= carry[len(carry)-1].lo
+			carry = append(carry, c)
+		} else {
+			wins[id] = w
+		}
 		if rd.Err() != nil {
 			return rd.Err()
 		}
-		if hasInc != m.useIncremental() {
-			return fmt.Errorf("%w: scalar snapshot incremental flag mismatches configuration", tuple.ErrCorrupt)
-		}
-		if hasInc {
-			inc, err := agg.NewIncremental(m.cfg.Agg)
-			if err != nil {
-				return err
-			}
-			inc.ReadFrom(rd)
-			w.inc = inc
-			// Blobs from before incremental windows stopped sampling
-			// carry a reservoir here; nothing reads it (see newWin).
-			w.res = nil
-		}
-		if _, dup := wins[id]; dup {
+		if dup {
 			return fmt.Errorf("%w: duplicate scalar window %d", tuple.ErrCorrupt, id)
 		}
-		wins[id] = w
+	}
+	if v4 {
+		carry = readSlices(rd, func(lo, hi window.ID) bool { return lo == hi })
+		// A slice is named by the assignment of the positions it holds.
+		sls = readSlices(rd, func(lo, hi window.ID) bool {
+			start, _ := m.cfg.Spec.Slice(lo, hi)
+			l, h := m.cfg.Spec.Assign(start)
+			return l == lo && h == hi
+		})
 	}
 	if err := rd.Done(); err != nil {
 		return err
+	}
+	if inc := m.useIncremental(); inc && len(wins) > 0 || !inc && len(carry)+len(sls) > 0 {
+		return fmt.Errorf("%w: scalar snapshot incremental state mismatches configuration", tuple.ErrCorrupt)
 	}
 	// v1 invariant: the budget was fixed at query submission, where
 	// validation rejects non-positive values, so a zero can only be
@@ -190,7 +226,7 @@ func (m *ScalarManager) RestoreState(b []byte) error {
 	m.shed = shed && m.curBudget > 0
 	m.sheds = sheds
 	m.arc = arc
-	m.wins = wins
+	m.wins, m.carry, m.slices = wins, carry, sls
 	m.pushRestoredControl()
 	return nil
 }

@@ -75,31 +75,76 @@ func TestWelfordMatchesTwoPassProperty(t *testing.T) {
 	}
 }
 
+// TestWelfordMergeProperty splits a stream k ways and merges the parts
+// in order, as a fire assembles a window from its slices: the count and
+// the extremes are those of one sequential pass, mean and variance
+// agree with it to 1e-9 relative — also when the values sit on a
+// common offset of 1e9, where a sum-of-squares merge would keep no
+// digit of the variance.
 func TestWelfordMergeProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
-	f := func(a, b uint8) bool {
-		na, nb := int(a%50)+1, int(b%50)+1
-		var wa, wb, all Welford
-		for i := 0; i < na; i++ {
-			x := r.NormFloat64() * 10
-			wa.Add(x)
-			all.Add(x)
+	f := func(k uint8, sizes [9]uint8, shifted bool) bool {
+		offset := 0.0
+		if shifted {
+			offset = 1e9
 		}
-		for i := 0; i < nb; i++ {
-			x := r.NormFloat64()*10 + 5
-			wb.Add(x)
-			all.Add(x)
+		var merged, all Welford
+		for _, n := range sizes[:k%9+1] {
+			var part Welford
+			shift := r.NormFloat64() // the parts differ in level
+			for i := 0; i <= int(n%200); i++ {
+				x := offset + shift + r.NormFloat64()*10
+				part.Add(x)
+				all.Add(x)
+			}
+			merged.Merge(part)
 		}
-		wa.Merge(wb)
-		return wa.Count() == all.Count() &&
-			almostEqual(wa.Mean(), all.Mean(), 1e-9) &&
-			almostEqual(wa.Variance(), all.Variance(), 1e-9) &&
-			wa.Min() == all.Min() && wa.Max() == all.Max()
+		return merged.Count() == all.Count() &&
+			almostEqual(merged.Mean(), all.Mean(), 1e-9*math.Abs(all.Mean())+1e-12) &&
+			almostEqual(merged.Variance(), all.Variance(), 1e-9*all.Variance()) &&
+			almostEqual(merged.Sum(), all.Sum(), 1e-9*math.Abs(all.Sum())+1e-9) &&
+			merged.Min() == all.Min() && merged.Max() == all.Max()
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }
+
+// TestWelfordNonFiniteExtremes: a NaN reaches Min and Max wherever it
+// arrives — first (where it used to stick), in the middle (where it
+// used to vanish) or in a merged part — and the infinities are extremes
+// like any other value.
+func TestWelfordNonFiniteExtremes(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for at := 0; at < 6; at++ {
+			for cut := 0; cut <= 6; cut++ {
+				var seq, a, b Welford
+				wantMin, wantMax := math.Inf(1), math.Inf(-1)
+				for i := 0; i < 6; i++ {
+					x := float64(i*i) - 7
+					if i == at {
+						x = bad
+					}
+					wantMin, wantMax = math.Min(wantMin, x), math.Max(wantMax, x) // NaN-propagating
+					seq.Add(x)
+					if i < cut {
+						a.Add(x)
+					} else {
+						b.Add(x)
+					}
+				}
+				a.Merge(b)
+				for _, w := range []Welford{seq, a} {
+					if !sameFloat(w.Min(), wantMin) || !sameFloat(w.Max(), wantMax) {
+						t.Errorf("%v at %d, cut at %d: min %v max %v, want %v %v", bad, at, cut, w.Min(), w.Max(), wantMin, wantMax)
+					}
+				}
+			}
+		}
+	}
+}
+
+func sameFloat(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
 
 func TestWelfordMergeEmpty(t *testing.T) {
 	var a, b Welford

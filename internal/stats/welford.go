@@ -20,19 +20,15 @@ type Welford struct {
 	sum  float64
 }
 
-// Add folds one observation into the accumulator.
+// Add folds one observation into the accumulator. A NaN propagates to
+// Min and Max as it does to Mean and Sum (the builtin min and max),
+// wherever in the stream it arrives.
 func (w *Welford) Add(x float64) {
 	w.n++
 	if w.n == 1 {
 		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
 	}
+	w.min, w.max = min(w.min, x), max(w.max, x)
 	delta := x - w.mean
 	w.mean += delta / float64(w.n)
 	w.m2 += delta * (x - w.mean)
@@ -51,7 +47,9 @@ func (w *Welford) AddSlice(xs []float64) {
 }
 
 // Merge folds another accumulator into this one (Chan et al. parallel
-// variance formula). Useful when worker-local statistics are combined.
+// variance formula): how a window's moments are assembled from those of
+// its slices at a fire (core.ScalarManager). Merging into an empty
+// accumulator copies, so a window of one slice is that slice bit for bit.
 func (w *Welford) Merge(o Welford) {
 	if o.n == 0 {
 		return
@@ -66,12 +64,7 @@ func (w *Welford) Merge(o Welford) {
 	w.m2 += o.m2 + delta*delta*float64(w.n)*float64(o.n)/float64(total)
 	w.n = total
 	w.sum += o.sum
-	if o.min < w.min {
-		w.min = o.min
-	}
-	if o.max > w.max {
-		w.max = o.max
-	}
+	w.min, w.max = min(w.min, o.min), max(w.max, o.max)
 }
 
 // Reset returns the accumulator to its zero state.

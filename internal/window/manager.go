@@ -301,7 +301,7 @@ func (m *SingleBuffer) heldIn(first, last ID) []ID {
 			continue
 		}
 		lo, hi := m.cfg.Spec.Assign(t.Ts)
-		start, end = m.cfg.Spec.sharing(lo, hi)
+		start, end = m.cfg.Spec.Slice(lo, hi)
 		for id := max(lo, first); id <= min(hi, last); id++ {
 			ids = append(ids, id)
 		}

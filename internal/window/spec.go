@@ -130,7 +130,7 @@ func (s Spec) Assign(ts int64) (lo, hi ID) {
 func (s Spec) EachRun(pos []int64, visit func(i0, i1 int, lo, hi ID)) {
 	for i := 0; i < len(pos); {
 		lo, hi := s.Assign(pos[i])
-		start, end := s.sharing(lo, hi)
+		start, end := s.Slice(lo, hi)
 		j := i + 1
 		for j < len(pos) && pos[j] >= start && pos[j] < end {
 			j++
@@ -140,12 +140,12 @@ func (s Spec) EachRun(pos []int64, visit func(i0, i1 int, lo, hi ID)) {
 	}
 }
 
-// sharing returns the interval [start, end) of the positions whose
-// window assignment is exactly [lo, hi]:
+// Slice returns the interval [start, end) of the positions whose window
+// assignment is exactly [lo, hi], empty when no position has it:
 //
 //	hi = floorDiv(ts, Slide)        ⇔ hi·S ≤ ts < (hi+1)·S
 //	lo = floorDiv(ts−Range, S) + 1  ⇔ (lo−1)·S+R ≤ ts < lo·S+R
-func (s Spec) sharing(lo, hi ID) (start, end int64) {
+func (s Spec) Slice(lo, hi ID) (start, end int64) {
 	start, end = int64(hi)*s.Slide, (int64(hi)+1)*s.Slide
 	if t := (int64(lo)-1)*s.Slide + s.Range; t > start {
 		start = t
