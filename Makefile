@@ -72,10 +72,11 @@ obs-scrape:
 # Short fuzz smoke for the binary codecs beyond their checked-in
 # corpora: the tuple spill codec, the checkpoint snapshot codecs
 # (manifest, sampling state, manager restore), the compressed spill
-# chunk codec, the transport frame codec, and the row↔column batch
-# conversion.
+# chunk codec, the transport frame codec (and the column image its batch
+# frames carry), and the row↔column batch conversion.
 fuzz:
 	$(GO) test ./internal/tuple -run='^$$' -fuzz=FuzzTupleCodec -fuzztime=10s
+	$(GO) test ./internal/tuple -run='^$$' -fuzz=FuzzColumnsCodec -fuzztime=10s
 	$(GO) test ./internal/col -run='^$$' -fuzz=FuzzColumnBatch -fuzztime=10s
 	$(GO) test ./internal/checkpoint -run='^$$' -fuzz=FuzzManifestCodec -fuzztime=10s
 	$(GO) test ./internal/sample -run='^$$' -fuzz=FuzzSampleRestore -fuzztime=10s
@@ -97,13 +98,15 @@ loc:
 # vet of the layer probes behind their build tag. A probe that stops
 # compiling after a refactor of internal/ only turns its metrics to
 # null in a run; this is where it fails instead (~3 s). Then one
-# iteration of the two ingest-overlap benchmarks of internal/core and of
-# internal/spe's BenchmarkHop, so they keep compiling and running; their
-# numbers come from paired binaries (EXPERIMENTS.md), never from here.
+# iteration of the two ingest-overlap benchmarks of internal/core, of
+# internal/spe's BenchmarkHop and of internal/transport's batch-frame
+# codec pair, so they keep compiling and running; their numbers come
+# from paired binaries (EXPERIMENTS.md), never from here.
 bench-smoke:
 	cd benchmark && $(GO) test ./... && $(GO) vet -tags layerprobe ./...
 	$(GO) test ./internal/core -run '^$$' -bench 'IngestOverlap' -benchtime 1x
 	$(GO) test ./internal/spe -run '^$$' -bench 'BenchmarkHop' -benchtime 1x -benchmem
+	$(GO) test ./internal/transport -run '^$$' -bench 'BenchmarkDecodeFrame|BenchmarkAppendBatch' -benchtime 1x -benchmem
 
 # Spill plane: sync vs async (write-behind + prefetch) vs async+codec
 # across storage latency profiles (local / ssd / remote), writing

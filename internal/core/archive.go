@@ -47,12 +47,12 @@ type archive struct {
 	curP  int64
 	curOK bool
 
-	// spare recycles the backing array of the last flushed chunk so the
-	// steady state allocates no chunk buffers at all: without it every
-	// chunk re-grows from nil through the append doubling chain,
-	// copying ~2× the chunk per flush. Safe because SpillStore.Store
-	// encodes and must not retain the slice.
-	spare []tuple.Tuple
+	// free holds the backing arrays of finished pane buffers, a stored
+	// chunk's (SpillStore.Store encodes and must not retain the slice)
+	// and an evicted, never-flushed pane's alike, for rollTo to start the
+	// next pane in: the steady state allocates no buffer. Cleared when
+	// parked; bounded by the panes live at once; not snapshotted.
+	free [][]tuple.Tuple
 
 	// Checkpoint bookkeeping. flushed counts the chunks stored per live
 	// pane so recovery can Truncate away chunks a crashed run appended
@@ -100,14 +100,22 @@ func (a *archive) flushCur() error {
 	return nil
 }
 
+// release parks a finished pane buffer on the free list, cleared to its
+// capacity (a chunk flushed in place leaves tuples beyond the length).
+func (a *archive) release(buf []tuple.Tuple) {
+	if cap(buf) > 0 {
+		clear(buf[:cap(buf)])
+		a.free = append(a.free, buf[:0])
+	}
+}
+
 // addRun buffers a run of tuples that share pane p, flushing the pane's
 // chunk each time it fills. This is the hot path of every manager ("τ is
 // stored in S" runs for each arrival): one pane-index compare against
 // the cached cur buffer — no map operations — and one bulk append a
-// chunk, and full chunks hand their backing array to spare instead of
-// the GC. A run of Spec.EachRun shares its newest window hi, and
-// hi = ⌊pos/Slide⌋ is the pane. pos are the rows' positions; in the
-// count domain that is what a pane stores as their Ts.
+// chunk, into a recycled backing array. A run of Spec.EachRun shares its
+// newest window hi, and hi = ⌊pos/Slide⌋ is the pane. pos are the rows'
+// positions; in the count domain that is what a pane stores as their Ts.
 func (a *archive) addRun(p int64, pos []int64, rows []tuple.Tuple) error {
 	if !a.curOK || p != a.curP {
 		a.rollTo(p)
@@ -142,10 +150,9 @@ func (a *archive) rollTo(p int64) {
 	if buf, ok := a.pending[p]; ok {
 		a.cur = buf
 		delete(a.pending, p)
-	} else if cap(a.spare) > 0 {
-		a.cur, a.spare = a.spare[:0], nil
-	} else {
-		a.cur = nil
+	} else if n := len(a.free); n > 0 { // stash left cur nil
+		a.cur, a.free[n-1] = a.free[n-1], nil
+		a.free = a.free[:n-1]
 	}
 	a.curP, a.curOK = p, true
 }
@@ -158,8 +165,8 @@ func (a *archive) stash() {
 	}
 	if len(a.cur) > 0 {
 		a.pending[a.curP] = a.cur
-	} else if cap(a.cur) > cap(a.spare) {
-		a.spare = a.cur[:0]
+	} else {
+		a.release(a.cur)
 	}
 	a.cur, a.curOK = nil, false
 }
@@ -177,9 +184,7 @@ func (a *archive) flushPane(p int64) error {
 	}
 	a.flushed[p]++
 	delete(a.pending, p)
-	if cap(ts) > cap(a.spare) {
-		a.spare = ts[:0]
-	}
+	a.release(ts)
 	return nil
 }
 
@@ -268,9 +273,10 @@ func (a *archive) evictBefore(pos int64) error {
 	}
 	a.stash()
 	limit := a.paneOf(pos) // panes < limit end at or before pos
-	for p := range a.pending {
+	for p, buf := range a.pending {
 		if p < limit {
 			delete(a.pending, p)
+			a.release(buf)
 		}
 	}
 	for _, p := range window.IDsIn(a.flushed, math.MinInt64, limit-1) {

@@ -977,6 +977,69 @@ func TestArchivePaneLifecycle(t *testing.T) {
 	}
 }
 
+// TestArchiveRecyclesUnflushedPanes: a pane smaller than a chunk is
+// never flushed — it is buffered until evictBefore drops it — so its
+// buffer must come back through the free list, or every pane re-grows
+// one by append doubling (≈ 60 B of pointerful garbage a tuple at
+// 500 tuples a pane). Once overlap + 2 panes have been through, a pane
+// roll + evict round allocates nothing, the accounted memory is the
+// live panes' tuples and nothing else, and no buffer holds a stale
+// tuple beyond its length.
+func TestArchiveRecyclesUnflushedPanes(t *testing.T) {
+	const overlap, perPane = 8, 500
+	spec := window.Spec{Domain: window.TimeDomain, Range: overlap * perPane, Slide: perPane}
+	a := newArchive(storage.NewMemStore(), "w", spec, 512, false)
+	rows := make([]tuple.Tuple, perPane)
+	pos := make([]int64, perPane)
+	for i := range rows {
+		rows[i] = tuple.New(0, tuple.Float(float64(i)))
+	}
+	pane := int64(0)
+	round := func() {
+		for i := range rows {
+			pos[i] = pane*perPane + int64(i)
+			rows[i].Ts = pos[i]
+		}
+		for i := 0; i < perPane; i += 64 {
+			j := min(i+64, perPane)
+			if err := a.addRun(pane, pos[i:j], rows[i:j]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// What the window closing at this pane's end leaves open.
+		if err := a.evictBefore((pane + 2 - overlap) * perPane); err != nil {
+			t.Fatal(err)
+		}
+		pane++
+	}
+	for i := 0; i < overlap+2; i++ {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
+		t.Errorf("%v allocations per pane in the steady state, want 0", allocs)
+	}
+	if got, want := a.memUsage(), (overlap-1)*perPane*rows[0].MemSize(); got != want {
+		t.Errorf("memUsage %d, want %d: the %d live panes' tuples", got, want, overlap-1)
+	}
+	if len(a.flushed) != 0 {
+		t.Errorf("%d panes flushed; the test is about panes that never are", len(a.flushed))
+	}
+	if n := len(a.free) + len(a.pending); n > overlap {
+		t.Errorf("%d buffers parked or pending, more than the %d panes ever live at once", n, overlap)
+	}
+	bufs := append([][]tuple.Tuple{a.cur}, a.free...)
+	for _, buf := range a.pending {
+		bufs = append(bufs, buf)
+	}
+	for _, buf := range bufs {
+		for i, tp := range buf[len(buf):cap(buf)] {
+			if tp.Vals != nil {
+				t.Fatalf("a buffer of %d holds a stale tuple at %d beyond its length", len(buf), len(buf)+i)
+			}
+		}
+	}
+}
+
 func BenchmarkScalarManagerTuple(b *testing.B) {
 	cfg := mkCfg(agg.Median(), 150)
 	cfg.Spec = window.Sliding(45*time.Second, 15*time.Second)

@@ -249,12 +249,13 @@ func shake(conn net.Conn, hello Hello) (Welcome, error) {
 	return w, nil
 }
 
-// pump drains one destination worker's outbox onto the node's link: a
-// run becomes a batch frame, encoded straight from the run (a column
-// batch from its rows) and then recycled, a control becomes its control frame, and the outbox closing
-// becomes the worker's End frame. Data frames queue on the link while
-// the outbox has more to give and leave together when it runs dry; a
-// control frame never waits.
+// pump drains one destination worker's outbox onto the node's link. A
+// run becomes a batch frame — its column image, encoded straight from
+// the run (a column batch from its rows) — and is then recycled. A
+// control becomes its control frame, and the outbox closing becomes the
+// worker's End frame. Data frames queue on the link while the outbox
+// has more to give and leave together when it runs dry; a control frame
+// never waits.
 func (n *fabricNode) pump(dest int, out <-chan spe.Batch) {
 	defer n.wg.Done()
 	recycle := n.f.env.Recycle

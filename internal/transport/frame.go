@@ -27,8 +27,9 @@ import (
 
 // ProtocolVersion is checked during the handshake; peers with a
 // different version refuse the connection. Version 2 added the result
-// frames' accuracy-contract fields (epsilon, confidence, budget).
-const ProtocolVersion = 2
+// frames' accuracy-contract fields (epsilon, confidence, budget);
+// version 3 made the batch frame's tuples a column image.
+const ProtocolVersion = 3
 
 // MaxFrame bounds one frame's body. Oversized (or zero) length
 // prefixes are rejected before any allocation, closing the
@@ -270,21 +271,25 @@ type Frame struct {
 }
 
 // AppendBatch encodes a data frame from one run of tuples, as it comes
-// off an engine channel (the data tuples of one sender). The tuple loop
-// is the transport send hot path and is lock-free by contract: it
-// appends into dst with the tuple codec and performs no other work per
-// tuple (spearlint's blockfree analyzer verifies no blocking operation
-// is reachable from here).
+// off an engine channel (the data tuples of one sender): the frame
+// header, then the run's column image (tuple.AppendColumns). This is
+// the transport send hot path and is lock-free by contract: it appends
+// into dst with the tuple codec and performs no other work per tuple
+// (spearlint's blockfree analyzer verifies no blocking operation is
+// reachable from here).
+//
+//	kind    byte      KindBatch
+//	seq     uvarint
+//	dest    uvarint   global windowed worker
+//	sender  uvarint   upstream sender index
+//	image   the rest of the body: row count, Ts deltas, width, one
+//	        packed column per field (see tuple/columns.go)
 func AppendBatch(dst []byte, seq uint64, dest, sender int, ts []tuple.Tuple) []byte {
 	dst = append(dst, byte(KindBatch))
 	dst = tuple.AppendUvar(dst, seq)
 	dst = tuple.AppendUvar(dst, uint64(dest))
 	dst = tuple.AppendUvar(dst, uint64(sender))
-	dst = tuple.AppendUvar(dst, uint64(len(ts)))
-	for i := range ts {
-		dst = tuple.AppendEncode(dst, ts[i])
-	}
-	return dst
+	return tuple.AppendColumns(dst, ts)
 }
 
 // AppendWatermark encodes a watermark control frame.
@@ -386,7 +391,9 @@ func DecodeFrame(body []byte) (Frame, error) { return decodeFrame(body, nil) }
 // decodeFrame is DecodeFrame with the home of a batch frame's tuples
 // chosen by the caller: run, when non-nil, supplies the empty slice
 // they are appended to (a run of the shard's pool, so a frame reaches
-// the engine without a copy); nil allocates one.
+// the engine without a copy); nil allocates one. It is the transport
+// receive hot path and lock-free by contract, as AppendBatch is on the
+// send side.
 func decodeFrame(body []byte, run func() []tuple.Tuple) (Frame, error) {
 	if len(body) == 0 {
 		return Frame{}, fmt.Errorf("%w: empty body", ErrFrame)
@@ -398,21 +405,21 @@ func decodeFrame(body []byte, run func() []tuple.Tuple) (Frame, error) {
 		f.Seq = r.Uvar()
 		f.Dest = uvarInt(r)
 		f.Sender = uvarInt(r)
-		// A tuple is at least 9 bytes (8-byte Ts + empty-values
-		// uvarint); Count rejects counts the body cannot hold.
-		n := r.Count(9)
 		if err := r.Err(); err != nil {
 			return Frame{}, fmt.Errorf("%w: batch: %v", ErrFrame, err)
 		}
+		// The rest of the body is the run's column image. The tuple
+		// codec checks its row count and widths against its length
+		// before it allocates, appends the rows to the run and carves
+		// every row's values from one slab per frame: the receive hot
+		// path does no other work per tuple.
 		var dst []tuple.Tuple
 		if run != nil {
 			dst = run()
-		} else {
-			dst = make([]tuple.Tuple, 0, n)
 		}
-		rows, err := decodeBatch(dst, body[len(body)-r.Remaining():], n)
+		rows, err := tuple.DecodeColumns(dst, body[len(body)-r.Remaining():])
 		if err != nil {
-			return Frame{}, err
+			return Frame{}, fmt.Errorf("%w: batch: %v", ErrFrame, err)
 		}
 		f.Rows = rows
 		return f, nil
@@ -477,27 +484,6 @@ func decodeFrame(body []byte, run func() []tuple.Tuple) (Frame, error) {
 		return Frame{}, fmt.Errorf("%w: %s: %v", ErrFrame, f.Kind, err)
 	}
 	return f, nil
-}
-
-// decodeBatch appends the n tuples encoded in b to dst. It is the
-// transport receive hot path and lock-free by contract: one loop over
-// the tuple codec, every tuple's values carved from one slab per
-// frame, no other work per tuple.
-func decodeBatch(dst []tuple.Tuple, b []byte, n int) ([]tuple.Tuple, error) {
-	var slab tuple.Slab
-	pos := 0
-	for i := 0; i < n; i++ {
-		t, used, err := slab.Decode(b[pos:], n-i)
-		if err != nil {
-			return nil, fmt.Errorf("%w: batch tuple %d: %v", ErrFrame, i, err)
-		}
-		dst = append(dst, t)
-		pos += used
-	}
-	if pos != len(b) {
-		return nil, fmt.Errorf("%w: batch: %d trailing bytes", ErrFrame, len(b)-pos)
-	}
-	return dst, nil
 }
 
 // sequenced reports whether k carries a sequence number and therefore

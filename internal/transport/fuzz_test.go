@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -21,9 +22,10 @@ import (
 //     decoded frame and decoding again reaches a byte-identical fixed
 //     point (the canonical encoding). Byte-level comparison keeps NaN
 //     result scalars honest where DeepEqual cannot.
-//  3. A batch frame's slab-decoded tuples must equal what tuple.Decode
-//     makes of the same bytes, one tuple at a time, and appending to one
-//     tuple's Vals must not reach into its neighbour's.
+//  3. A batch frame decodes to the same tuples into a pooled run as
+//     into a fresh one, and appending to one tuple's Vals must not
+//     reach into its neighbour's (every Vals is cap-limited within the
+//     frame's one slab).
 //  4. ReadFrame over the raw bytes must reject zero and oversized
 //     length prefixes before allocating.
 //
@@ -45,7 +47,7 @@ func FuzzFrameCodec(f *testing.F) {
 				t.Fatalf("%s re-encoding is not a fixed point:\n 1: %x\n 2: %x", fr.Kind, enc, enc2)
 			}
 			if fr.Kind == KindBatch {
-				checkSlabDecode(t, b, fr)
+				checkBatchRows(t, b, fr)
 			}
 		}
 		if h, err := DecodeHello(b); err == nil {
@@ -64,30 +66,22 @@ func FuzzFrameCodec(f *testing.F) {
 	})
 }
 
-// checkSlabDecode compares an accepted batch frame's tuples with the
-// plain tuple codec's reading of the same body, then appends to every
-// tuple's Vals and checks that no other tuple changed.
-func checkSlabDecode(t *testing.T, body []byte, fr Frame) {
+// checkBatchRows decodes an accepted batch frame again into a pooled
+// run that held other tuples, compares, then appends to every tuple's
+// Vals and checks that no other tuple changed.
+func checkBatchRows(t *testing.T, body []byte, fr Frame) {
 	t.Helper()
-	r := tuple.NewWireReader(body[1:])
-	r.Uvar()
-	r.Uvar()
-	r.Uvar()
-	n := int(r.Uvar())
-	if r.Err() != nil || n != len(fr.Rows) {
-		t.Fatalf("batch header: count %d, %d tuples decoded (%v)", n, len(fr.Rows), r.Err())
+	pooled := make([]tuple.Tuple, 4, 8)
+	for i := range pooled {
+		pooled[i] = tuple.New(-1, tuple.String_("stale"))
 	}
-	rest := body[len(body)-r.Remaining():]
-	want := make([]tuple.Tuple, n)
-	for i := range want {
-		tup, used, err := tuple.Decode(rest)
-		if err != nil {
-			t.Fatalf("tuple %d: tuple.Decode refuses what the slab decode accepted: %v", i, err)
-		}
-		if got := fr.Rows[i]; !reflect.DeepEqual(got, tup) {
-			t.Fatalf("tuple %d: slab decode %+v, tuple.Decode %v", i, got, tup)
-		}
-		want[i], rest = tup, rest[used:]
+	again, err := decodeFrame(body, func() []tuple.Tuple { return pooled[:0] })
+	if err != nil || len(again.Rows) != len(fr.Rows) || len(fr.Rows) > 0 && !reflect.DeepEqual(again.Rows, fr.Rows) {
+		t.Fatalf("into a pooled run: %v (%v), into a fresh one: %v", again.Rows, err, fr.Rows)
+	}
+	want := make([]tuple.Tuple, len(fr.Rows))
+	for i, row := range fr.Rows {
+		want[i] = tuple.Tuple{Ts: row.Ts, Vals: append([]tuple.Value(nil), row.Vals...)}
 	}
 	for i := range fr.Rows {
 		_ = append(fr.Rows[i].Vals, tuple.Int(-1))
@@ -114,6 +108,17 @@ func fuzzFrameSeeds() [][]byte {
 		nil,
 		[]byte{0xEE},
 		bytes.Repeat([]byte{0xFF}, 24),
+		// Batches over every arm of the column image: packed numeric
+		// columns, ragged widths, the escape arm.
+		AppendBatch(nil, 2, 1, 0, []tuple.Tuple{
+			tuple.New(1_000, tuple.Float(0.5), tuple.Int(1)),
+			tuple.New(1_001, tuple.Float(-3), tuple.Int(2)),
+		}),
+		AppendBatch(nil, 3, 0, 1, []tuple.Tuple{
+			tuple.New(5, tuple.Bool(true)),
+			tuple.New(-5),
+			tuple.New(math.MinInt64, tuple.String_(""), tuple.Float(math.NaN())),
+		}),
 		// Batch with a count the body cannot hold.
 		append([]byte{byte(KindBatch), 1, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}, 0),
 		// Result declaring a huge group count.

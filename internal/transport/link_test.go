@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"spear/internal/leakcheck"
 	"spear/internal/obs"
+	"spear/internal/spe"
 	"spear/internal/tuple"
 )
 
@@ -124,6 +126,41 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// TestHandshakeRejectsV2Peer: a Hello of the previous protocol version
+// (row batch frames) is refused with a Reject naming both versions, and
+// the shard is never started.
+func TestHandshakeRejectsV2Peer(t *testing.T) {
+	defer leakcheck.Check(t, leakcheck.Timeout(5*time.Second))
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(lis, ServerConfig{TopoHash: 1, Start: func(JobSpec, func(SnapAck) error) (*spe.ShardRun, error) {
+		t.Error("a version 2 Hello started the shard")
+		return nil, errors.New("unreachable")
+	}})
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve() }()
+	conn, err := net.Dial("tcp", lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_, err = shake(conn, Hello{
+		Version: 2, TopoHash: 1, RunID: 1, Epoch: 1,
+		Lo: 0, Hi: 1, Par: 1, Senders: 1, BatchSize: 64, QueueSize: 16, Window: 8,
+	})
+	var rej rejectError
+	if !errors.As(err, &rej) || !strings.Contains(rej.reason, "version 2") ||
+		!strings.Contains(rej.reason, fmt.Sprintf("want %d", ProtocolVersion)) {
+		t.Errorf("handshake of a version 2 peer: %v, want a Reject naming versions 2 and %d", err, ProtocolVersion)
+	}
+	srv.finish(nil)
+	if err := <-served; err != nil {
+		t.Errorf("Serve: %v", err)
+	}
 }
 
 func TestLinkDeliversInOrder(t *testing.T) {

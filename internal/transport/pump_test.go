@@ -10,20 +10,23 @@ import (
 	"spear/internal/tuple"
 )
 
-// pumpGolden is what fabricNode.pump put on the link, frame after
-// frame with length prefixes, for the input of TestPumpFrameBytes at
-// the commit before runs replaced per-tuple message batches on the
-// engine's channels. The wire format did not change with them.
+// pumpGolden is what fabricNode.pump puts on the link, frame after
+// frame with length prefixes, for the input of TestPumpFrameBytes under
+// protocol version 3. The control frames (watermark, barrier, end) are
+// the bytes written since before runs replaced per-tuple message
+// batches on the engine's channels; the two batch frames are column
+// images — the first ragged (widths 1, 2, 0: a float column, an int
+// column), the second a string column and a bool/float column through
+// the escape arm.
 const pumpGolden = "" +
-	"3b0000000401020003e8030000000000000102000000000000e03fe903000000" +
-	"000000020200000000000008c0010700000000000000fbffffffffffffff000c" +
-	"00000005020200e803000000000000330000000403020102d007000000000000" +
-	"0203066275732d3137040100000000000000c409000000000000020300029c75" +
+	"280000000401020003d00f02db0f0001020002000000000000e03f0000000000" +
+	"0008c00107000000000000000c00000005020200e80300000000000026000000" +
+	"0403020102a01fe8070303066275732d31370000040100000000000000029c75" +
 	"00883ce4377e0c0000000604020109000000000000000c00000005050201ffff" +
 	"ffffffffff7f03000000070602"
 
-// TestPumpFrameBytes pins that the source side of the shuffle writes
-// the bytes it always wrote: one batch frame per run, a control frame
+// TestPumpFrameBytes pins the bytes the source side of the shuffle
+// writes: one batch frame per run, a control frame
 // per control, End when the outbox closes — sequence numbers, senders
 // and tuple encoding included. The link has no connection, so every
 // frame stays parked in its retention buffer, which is the wire image.

@@ -91,26 +91,27 @@ func AppendEncode(dst []byte, t Tuple) []byte {
 // Decode reads one tuple from b and returns it together with the number
 // of bytes consumed.
 func Decode(b []byte) (Tuple, int, error) {
-	var s Slab
-	return s.Decode(b, 1)
+	var s slab
+	return s.decode(b, 1)
 }
 
-// Slab carves the Vals of decoded tuples out of shared backing arrays,
-// so decoding a run of tuples costs one allocation, not one per tuple.
-// Every tuple's Vals is cap-limited to its own values: appending to it
-// reallocates and cannot reach the next tuple's. The backing array
-// lives as long as any tuple carved from it. The zero Slab is ready.
-type Slab struct {
+// slab carves the Vals of the tuples of one DecodeBatch out of shared
+// backing arrays, so decoding a chunk costs one allocation, not one per
+// tuple. Every tuple's Vals is cap-limited to its own values: appending
+// to it reallocates and cannot reach the next tuple's. The backing
+// array lives as long as any tuple carved from it. The zero slab is
+// ready.
+type slab struct {
 	free []Value
 }
 
-// Decode reads one tuple from b like the package-level Decode, taking
+// decode reads one tuple from b like the package-level Decode, taking
 // its values from the slab. more is how many tuples, this one included,
 // the caller still expects from b: a slab that runs dry is refilled for
 // that many tuples of this one's arity, bounded by what the rest of b
 // can hold (a value is at least two bytes), so a hostile count cannot
 // drive the allocation.
-func (s *Slab) Decode(b []byte, more int) (Tuple, int, error) {
+func (s *slab) decode(b []byte, more int) (Tuple, int, error) {
 	if len(b) < 8 {
 		return Tuple{}, 0, ErrCorrupt
 	}
@@ -183,12 +184,14 @@ func DecodeBatch(b []byte) ([]Tuple, error) {
 		return nil, ErrCorrupt
 	}
 	pos := sz
-	if n > uint64(len(b)) {
+	// A tuple is at least 9 bytes (8-byte Ts + empty-values uvarint).
+	if n > uint64(len(b)-pos)/9 {
 		return nil, ErrCorrupt
 	}
 	out := make([]Tuple, 0, n)
-	for i := uint64(0); i < n; i++ {
-		t, used, err := Decode(b[pos:])
+	var s slab
+	for i := 0; i < int(n); i++ {
+		t, used, err := s.decode(b[pos:], int(n)-i)
 		if err != nil {
 			return nil, err
 		}

@@ -1,0 +1,234 @@
+package tuple
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+)
+
+// columnRuns are the shapes the column image must carry exactly: every
+// packed arm, the escape arm, both width encodings and the timestamp
+// delta's corner.
+func columnRuns() map[string][]Tuple {
+	nan := math.Float64frombits(0x7ff8_0000_dead_beef) // NaN with payload bits
+	return map[string][]Tuple{
+		"empty":        {},
+		"single row":   {New(7, Int(1), String_("x"))},
+		"zero width":   {New(1), New(2), New(3)},
+		"float column": {New(10, Float(0.5)), New(11, Float(-3)), New(12, Float(1e300))},
+		"float specials": {
+			New(1, Float(nan)), New(2, Float(math.Inf(1))), New(3, Float(math.Inf(-1))),
+			New(4, Float(math.Copysign(0, -1))),
+		},
+		"int column":              {New(1, Int(math.MinInt64)), New(2, Int(-1)), New(3, Int(math.MaxInt64))},
+		"bool column":             {New(1, Bool(true)), New(2, Bool(false)), New(3, Bool(true))},
+		"string column":           {New(1, String_("bus-17")), New(2, String_("")), New(3, String_("αβγ\x00\xff"))},
+		"four kinds":              {New(1, Int(-5), Float(math.Pi), String_("k"), Bool(true)), New(2, Int(6), Float(2), String_(""), Bool(false))},
+		"mixed kinds":             {New(1, Int(1), String_("a")), New(2, Float(2), String_("b")), New(3, Bool(true), String_("c"))},
+		"ragged":                  {New(1, Float(1)), New(2, Float(2), Int(7)), New(3), New(4, Float(4), Int(8), String_("z"))},
+		"ragged, first row empty": {New(1), New(2, Bool(true))},
+		"ts wraps":                {New(math.MinInt64, Int(1)), New(math.MaxInt64, Int(2)), New(0, Int(3)), New(math.MinInt64, Int(4))},
+		"ts descends":             {New(1_000_000), New(5), New(-5), New(-1_000_000)},
+		"odd bool":                {New(1, Value{kind: KindBool, num: 2}), New(2, Bool(true))},
+	}
+}
+
+// sameRows compares by Value.Equal (floats by their bits) and treats an
+// empty Vals and a nil one alike.
+func sameRows(a, b []Tuple) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Ts != b[i].Ts || len(a[i].Vals) != len(b[i].Vals) {
+			return false
+		}
+		for j := range a[i].Vals {
+			if !a[i].Vals[j].Equal(b[i].Vals[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestColumnsRoundTrip is the image's property: DecodeColumns of
+// AppendColumns is Value.Equal-identical, over the fixed shapes and a
+// few hundred random runs, appended behind rows already in dst, and
+// every decoded Vals is cap-limited to its own values.
+func TestColumnsRoundTrip(t *testing.T) {
+	runs := columnRuns()
+	r := rand.New(rand.NewSource(26))
+	for i := 0; i < 300; i++ {
+		run := make([]Tuple, r.Intn(9))
+		uniform := r.Intn(2) == 0
+		shape := randomTuple(r)
+		for k := range run {
+			run[k] = randomTuple(r)
+			if uniform { // one schema, as a run off a stream has
+				run[k].Vals = append([]Value(nil), shape.Vals...)
+			}
+			if r.Intn(2) == 0 {
+				run[k].Ts = int64(k) * 1000
+			}
+		}
+		runs[fmt.Sprintf("random %d", i)] = run
+	}
+	for name, rows := range runs {
+		enc := AppendColumns([]byte("prefix"), rows)[len("prefix"):]
+		head := []Tuple{New(99, Int(99))}
+		got, err := DecodeColumns(head, enc)
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if !sameRows(got[:1], head) || !sameRows(got[1:], rows) {
+			t.Errorf("%s: decoded %v, want %v", name, got[1:], rows)
+		}
+		for i, row := range got[1:] {
+			if len(row.Vals) != cap(row.Vals) {
+				t.Errorf("%s: row %d Vals len %d cap %d, want them equal", name, i, len(row.Vals), cap(row.Vals))
+			}
+		}
+		if again := AppendColumns(nil, got[1:]); !bytes.Equal(again, enc) {
+			t.Errorf("%s: re-encoding differs\n 1: %x\n 2: %x", name, enc, again)
+		}
+	}
+}
+
+// TestColumnsPacks pins the sizes the format promises: a kind byte a
+// column, a byte a timestamp that steps by less than 64, eight bytes a
+// number — and that one stray kind costs the column its packing, not
+// the image.
+func TestColumnsPacks(t *testing.T) {
+	rows := make([]Tuple, 64)
+	for i := range rows {
+		rows[i] = New(int64(1000+i), Float(float64(i)))
+	}
+	// count, 2-byte first delta + 63 one-byte deltas, width, kind, payload.
+	if got, want := len(AppendColumns(nil, rows)), 1+2+63+1+1+64*8; got != want {
+		t.Errorf("64 (ts, float) rows take %d bytes, want %d", got, want)
+	}
+	rows[40].Vals = []Value{Int(40)}
+	if got, want := len(AppendColumns(nil, rows)), 1+2+63+1+1+64*9; got != want {
+		t.Errorf("with one int among the floats: %d bytes, want %d (escape arm)", got, want)
+	}
+}
+
+// TestColumnsInvalidValue pins what becomes of the zero Value: it is
+// written (through the escape arm, as AppendEncode writes it) and
+// refused at decode, as Decode refuses it.
+func TestColumnsInvalidValue(t *testing.T) {
+	for name, rows := range map[string][]Tuple{
+		"alone":        {New(1, Value{})},
+		"whole column": {New(1, Value{}), New(2, Value{})},
+		"among floats": {New(1, Float(1)), New(2, Value{})},
+	} {
+		if _, err := DecodeColumns(nil, AppendColumns(nil, rows)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: DecodeColumns: %v, want ErrCorrupt", name, err)
+		}
+		if _, _, err := Decode(AppendEncode(nil, rows[len(rows)-1])); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Decode: %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// TestDecodeColumnsHostile feeds the decoder counts and widths the
+// bytes cannot hold, truncations, unknown kinds and trailing bytes:
+// each is ErrCorrupt, and none makes it allocate by the declared size.
+func TestDecodeColumnsHostile(t *testing.T) {
+	uv := binary.AppendUvarint
+	valid := AppendColumns(nil, columnRuns()["ragged"])
+	cases := map[string][]byte{
+		"nil":                    nil,
+		"huge count":             uv(nil, 1<<40),
+		"count beyond the bytes": append(uv(nil, 9), 2, 2, 2),
+		"max count":              uv(nil, math.MaxUint64),
+		"huge width":             append(append(uv(nil, 2), 2, 2), uv(nil, 1<<50)...),
+		"width beyond the bytes": append(append(uv(nil, 2), 2, 2), 4, byte(KindBool), 1, 1),
+		"huge ragged width":      append(append(append(uv(nil, 2), 2, 2, 0), uv(nil, 1<<62)...), 1),
+		"ragged sum beyond":      append(uv(nil, 3), 2, 2, 2, 0, 2, 2, 2, byte(KindBool)),
+		"no width":               append(uv(nil, 2), 2, 2),
+		"unknown kind":           append(uv(nil, 1), 2, 2, 9, 0, 0, 0, 0, 0, 0, 0, 0),
+		"bool byte 2":            append(uv(nil, 1), 2, 2, byte(KindBool), 2),
+		"string beyond":          append(uv(nil, 1), 2, 2, byte(KindString), 5, 'a'),
+		"escape, bad kind":       append(uv(nil, 1), 2, 2, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0),
+		"trailing byte":          append(append([]byte(nil), valid...), 0),
+		"empty run, trailing":    {0, 0},
+	}
+	for cut := 0; cut < len(valid); cut++ {
+		cases[fmt.Sprintf("truncated to %d", cut)] = valid[:cut]
+	}
+	for name, in := range cases {
+		// TotalAlloc is the whole process's: the least of three tries is
+		// the decoder's own (a stray runtime allocation lands in one).
+		least := uint64(math.MaxUint64)
+		for try := 0; try < 3; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := DecodeColumns(nil, in)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("%s: %v, want ErrCorrupt", name, err)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		// Rows and values are bounded by the input's length (a Tuple
+		// and a Value are 32 bytes each); the rest is the error.
+		if limit := uint64(64*len(in) + 1024); least > limit {
+			t.Errorf("%s: %d bytes allocated for %d bytes of input, limit %d", name, least, len(in), limit)
+		}
+	}
+}
+
+// TestDecodeBatchAllocs: a chunk read back from the store costs its
+// tuple slice and one value slab, not a slab per tuple.
+func TestDecodeBatchAllocs(t *testing.T) {
+	rows := make([]Tuple, 512)
+	for i := range rows {
+		rows[i] = New(int64(i), Float(float64(i)), Int(int64(i)))
+	}
+	enc := EncodeBatch(rows)
+	var got []Tuple
+	allocs := testing.AllocsPerRun(20, func() {
+		var err error
+		if got, err = DecodeBatch(enc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("%v allocations per 512-tuple chunk, want at most 2", allocs)
+	}
+	if !tuplesEqual(got, rows) {
+		t.Error("chunk did not round-trip")
+	}
+}
+
+func BenchmarkColumns(b *testing.B) {
+	rows := make([]Tuple, 64)
+	for i := range rows {
+		rows[i] = New(int64(1000+i), Float(float64(i)))
+	}
+	enc := AppendColumns(nil, rows)
+	b.Run("append", func(b *testing.B) {
+		b.ReportAllocs()
+		buf := make([]byte, 0, len(enc))
+		for i := 0; i < b.N; i++ {
+			buf = AppendColumns(buf[:0], rows)
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		dst := make([]Tuple, 0, len(rows))
+		for i := 0; i < b.N; i++ {
+			if _, err := DecodeColumns(dst[:0], enc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -131,3 +131,38 @@ func TestDecodeHugeStringLenRegression(t *testing.T) {
 		t.Fatal("DecodeBatch accepted the wrapped-length input")
 	}
 }
+
+// FuzzColumnsCodec fuzzes the column image with arbitrary bytes:
+// DecodeColumns must never panic or allocate by a declared count, and
+// an image it accepts must round-trip — the decoded rows re-encode to a
+// canonical image (a ragged width column whose rows agree, or an escape
+// arm over one kind, does not survive), which decodes to the same rows
+// and re-encodes to itself.
+func FuzzColumnsCodec(f *testing.F) {
+	for _, rows := range columnRuns() {
+		f.Add(AppendColumns(nil, rows))
+	}
+	f.Add([]byte{})
+	f.Add(bytes.Repeat([]byte{0xFF}, 32))
+	// Not canonical: ragged widths that agree, an escape arm over one kind.
+	f.Add(AppendValue(AppendValue([]byte{2, 2, 2, 0, 1, 1, 0}, Float(1)), Float(2)))
+	f.Add([]byte{1, 2, 2, 9, 0, 0, 0, 0, 0, 0, 0, 0}) // unknown kind
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		rows, err := DecodeColumns(nil, b)
+		if err != nil {
+			return
+		}
+		enc := AppendColumns(nil, rows)
+		rows2, err := DecodeColumns(nil, enc)
+		if err != nil {
+			t.Fatalf("re-decode of the canonical image failed: %v", err)
+		}
+		if !sameRows(rows, rows2) {
+			t.Fatalf("round-trip mismatch:\n in: %v\nout: %v", rows, rows2)
+		}
+		if enc2 := AppendColumns(nil, rows2); !bytes.Equal(enc, enc2) {
+			t.Fatalf("re-encoding is not a fixed point:\n 1: %x\n 2: %x", enc, enc2)
+		}
+	})
+}

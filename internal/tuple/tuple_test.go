@@ -320,10 +320,10 @@ func TestSlabDecode(t *testing.T) {
 		want = append(want, tp)
 		enc = AppendEncode(enc, tp)
 	}
-	var s Slab
+	var s slab
 	got := make([]Tuple, len(want))
 	for i, b := 0, enc; i < len(want); i++ {
-		tp, used, err := s.Decode(b, len(want)-i)
+		tp, used, err := s.decode(b, len(want)-i)
 		if err != nil {
 			t.Fatalf("tuple %d: %v", i, err)
 		}
@@ -350,9 +350,9 @@ func TestSlabDecode(t *testing.T) {
 		enc = AppendEncode(enc, New(int64(i), Float(1), Int(2)))
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
-		var s Slab
+		var s slab
 		for i, b := 0, enc; i < 64; i++ {
-			_, used, err := s.Decode(b, 64-i)
+			_, used, err := s.decode(b, 64-i)
 			if err != nil {
 				t.Fatal(err)
 			}
