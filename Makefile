@@ -105,7 +105,7 @@ loc:
 bench-smoke:
 	cd benchmark && $(GO) test ./... && $(GO) vet -tags layerprobe ./...
 	$(GO) test ./internal/core -run '^$$' -bench 'IngestOverlap' -benchtime 1x
-	$(GO) test ./internal/spe -run '^$$' -bench 'BenchmarkHop' -benchtime 1x -benchmem
+	$(GO) test ./internal/spe -run '^$$' -bench 'BenchmarkHop|BenchmarkFusedChain' -benchtime 1x -benchmem
 	$(GO) test ./internal/transport -run '^$$' -bench 'BenchmarkDecodeFrame|BenchmarkAppendBatch' -benchtime 1x -benchmem
 
 # Spill plane: sync vs async (write-behind + prefetch) vs async+codec

@@ -256,3 +256,54 @@ func TestAdaptiveShedReportsContract(t *testing.T) {
 		t.Fatalf("shed telemetry: tuples=%d windows=%d, want both positive", tuplesShed, windowsShed)
 	}
 }
+
+// TestAdaptiveShedHasNothingToShedOnIncremental drives the controller
+// into shedding exactly as TestAdaptiveShedReportsContract does, on the
+// same query left on its incremental path. Such a query archives
+// nothing, so there is no write to shed: the controller's flag is
+// refused at the manager, no tuple is booked as shed, and every window
+// is the exact incremental answer.
+func TestAdaptiveShedHasNothingToShedOnIncremental(t *testing.T) {
+	sec := int64(time.Second)
+	const perWin, wins = 3000, 3
+	var in []Tuple
+	for i := 0; i < perWin*wins; i++ {
+		in = append(in, NewTuple(int64(i*100/perWin)*sec, Float(float64(i%97))))
+	}
+	ins := NewInstruments()
+	var mu sync.Mutex
+	var out []Result
+	_, err := NewQuery("adshedinc").
+		Source(pacedSource(in, 10, time.Millisecond)).
+		TumblingWindow(100*time.Second).
+		Mean(func(t Tuple) float64 { return t.Vals[0].AsFloat() }).
+		BudgetTuples(64).Error(0.10, 0.95).Seed(9).
+		LatencySLO(time.Millisecond).AdaptiveBudget(64, 64).
+		ObserveEvery(2 * time.Millisecond).
+		ObserveWith(ins).
+		Run(func(_ int, res Result) {
+			mu.Lock()
+			out = append(out, res)
+			mu.Unlock()
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != wins {
+		t.Fatalf("%d windows, want %d", len(out), wins)
+	}
+	for _, res := range out {
+		if res.Mode != core.ModeIncremental || res.N != perWin {
+			t.Errorf("window @%d: mode %v over %d tuples, want incremental over %d", res.Start, res.Mode, res.N, perWin)
+		}
+	}
+	snap := ins.Snapshot(time.Now())
+	if snap.Control == nil || snap.Control.ShedOn == 0 {
+		t.Fatal("controller never escalated to shedding: the test did not exercise the refusal")
+	}
+	for _, w := range snap.WorkerMetrics {
+		if w.TuplesShed != 0 || w.WindowsShed != 0 {
+			t.Errorf("%s: %d tuples and %d windows booked as shed with no archive write to skip", w.Name, w.TuplesShed, w.WindowsShed)
+		}
+	}
+}

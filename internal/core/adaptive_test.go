@@ -159,6 +159,50 @@ func TestScalarShedRefusedAtZeroBudget(t *testing.T) {
 	}
 }
 
+// An incremental query archives nothing, so it has no write to shed:
+// the flag is refused from the setter, from the cell, and from a blob an
+// older writer left it set in, and no tuple is booked as shed.
+func TestScalarShedRefusedOnIncremental(t *testing.T) {
+	cfg := mkCfg(agg.Func{Op: agg.Mean}, 10)
+	cfg.Cell = control.NewCell(10)
+	var w obs.Worker
+	cfg.Metrics = &w
+	m, _ := NewScalarManager(cfg)
+	m.SetShedding(true)
+	if m.shed {
+		t.Fatal("SetShedding accepted with no archive write to skip")
+	}
+	cfg.Cell.Set(10, true)
+	for i := 0; i < 150; i++ {
+		m.OnTuple(tuple.New(int64(i), tuple.Float(float64(i))))
+	}
+	if m.shed || m.sheds != 0 || w.TuplesShed.Load() != 0 {
+		t.Fatalf("after the cell asked for shedding: shed=%v sheds=%d TuplesShed=%d", m.shed, m.sheds, w.TuplesShed.Load())
+	}
+	m.shed = true // what a writer from before the refusal could snapshot
+	blob, err := m.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Cell = control.NewCell(10)
+	m2, _ := NewScalarManager(cfg)
+	if err := m2.RestoreState(blob); err != nil {
+		t.Fatal(err)
+	}
+	if m2.shed || cfg.Cell.Shedding() {
+		t.Fatalf("restored shed=%v, republished %v", m2.shed, cfg.Cell.Shedding())
+	}
+	rs, _ := m2.OnWatermark(math.MaxInt64)
+	for _, r := range rs {
+		if r.Mode != ModeIncremental {
+			t.Errorf("window %d: mode %v", r.WindowID, r.Mode)
+		}
+	}
+	if len(rs) != 2 {
+		t.Fatalf("%d windows fired, want the two open ones", len(rs))
+	}
+}
+
 // ---- controller cell sync ----
 
 func TestCellDrivesScalarManager(t *testing.T) {

@@ -22,6 +22,10 @@ import (
 //
 // Writes are batched in small chunks; the chunk buffer is transient
 // working memory, not window state, and is bounded by the chunk size.
+//
+// A manager with no exact fallback to fetch holds no archive: what it
+// calls on every path — evict, prefetch, memory, snapshot section,
+// rewind, deferred deletes — takes nil as the archive that holds nothing.
 type archive struct {
 	// store is always a spill.Plane: every archive operation goes
 	// through the async spill plane, which degenerates to a synchronous
@@ -254,8 +258,11 @@ func (a *archive) prefetch(start, end int64) {
 // windows that fire next. Count windows close on arrival, not on
 // watermarks, and are not read ahead.
 func (a *archive) prefetchAhead(lc *window.Lifecycle, wm int64, n int) {
+	if a == nil || a.spec.Domain == window.CountDomain {
+		return
+	}
 	first, ok := lc.OpenAfter(wm)
-	if !ok || a.spec.Domain == window.CountDomain {
+	if !ok {
 		return
 	}
 	for id := first; id < first+window.ID(n); id++ {
@@ -268,7 +275,7 @@ func (a *archive) prefetchAhead(lc *window.Lifecycle, wm int64, n int) {
 // ones are dropped, the stored ones deleted from S in pane order. It
 // walks the panes that exist, so a gap in the stream costs nothing.
 func (a *archive) evictBefore(pos int64) error {
-	if !a.haveMin {
+	if a == nil || !a.haveMin {
 		return nil
 	}
 	a.stash()
@@ -297,6 +304,9 @@ func (a *archive) evictBefore(pos int64) error {
 
 // memUsage returns the transient chunk-buffer bytes.
 func (a *archive) memUsage() int {
+	if a == nil {
+		return 0
+	}
 	n := 0
 	for _, ts := range a.pending {
 		for _, t := range ts {
@@ -312,6 +322,9 @@ func (a *archive) memUsage() int {
 // takeDeferred returns and clears the pane keys whose deletion was
 // deferred by deferDel.
 func (a *archive) takeDeferred() []string {
+	if a == nil {
+		return nil
+	}
 	d := a.deferred
 	a.deferred = nil
 	return d
@@ -319,8 +332,12 @@ func (a *archive) takeDeferred() []string {
 
 // appendState flushes pending chunks and appends the archive cursor:
 // minPane, and per live pane the number of chunks stored. Pane order is
-// sorted for deterministic bytes.
+// sorted for deterministic bytes. No archive writes the section of one
+// that never held a pane.
 func (a *archive) appendState(dst []byte) ([]byte, error) {
+	if a == nil {
+		return tuple.AppendUvar(tuple.AppendI64(tuple.AppendBool(dst, false), 0), 0), nil
+	}
 	if err := a.flushAll(); err != nil {
 		return nil, err
 	}
@@ -376,6 +393,9 @@ func (a *archive) readState(rd *tuple.WireReader) {
 // are truncated back to the snapshotted chunk count, and panes the
 // snapshot requires must still exist.
 func (a *archive) rewind() error {
+	if a == nil {
+		return nil
+	}
 	prefix := a.key + "/p"
 	keys, err := a.store.List(prefix)
 	if err != nil {

@@ -51,6 +51,20 @@ func FuzzManagerRestore(f *testing.F) {
 		}
 		f.Add(b)
 	}
+	// What a writer from before incremental queries stopped archiving
+	// left: the scalar manager's state with panes in the archive section.
+	scalar := mkManagers()[0].(*ScalarManager)
+	scalar.arc = newArchive(scalar.cfg.Store, scalar.cfg.Key, scalar.cfg.Spec, scalar.cfg.ArchiveChunk, false)
+	for i := 0; i < 250; i++ {
+		t := tuple.New(int64(i), tuple.Float(float64(i%9)))
+		_, _ = scalar.OnTuple(t)
+		_ = scalar.arc.add(t)
+	}
+	archived, err := scalar.SnapshotState()
+	if err != nil {
+		panic(err)
+	}
+	f.Add(archived)
 	f.Add([]byte{})
 	f.Add([]byte{0x51})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})

@@ -630,21 +630,13 @@ func (m *GroupedManager) produceFromWindow(c window.Complete, scanShare time.Dur
 // keeps its window in memory (spilling only past the budget) and does
 // not prefetch.
 func (m *GroupedManager) PrefetchWatermark(wm int64) {
-	if m.arc != nil {
-		m.arc.prefetchAhead(m.lc, wm, m.cfg.SpillAhead)
-	}
+	m.arc.prefetchAhead(m.lc, wm, m.cfg.SpillAhead)
 }
 
 // MemUsage implements Manager: the per-window group metadata held in
 // the budget, plus the tuple buffer (unknown groups) or transient
 // archive chunks (known groups).
-func (m *GroupedManager) MemUsage() int {
-	n := m.BudgetMemUsage()
-	if m.arc != nil {
-		n += m.arc.memUsage()
-	}
-	return n
-}
+func (m *GroupedManager) MemUsage() int { return m.BudgetMemUsage() + m.arc.memUsage() }
 
 // BudgetMemUsage is the memory used to produce results: the per-window
 // group metadata and samples charged against b, plus the tuple buffer

@@ -19,16 +19,18 @@ import (
 // (the estimator's moments are those of the sample and are computed
 // from it at the fire) or, for a non-holistic aggregate, no per-window
 // state at all: one accumulator per slice, which a fire merges into
-// windows (DESIGN.md §22). Every tuple is archived to secondary storage
-// S for the exact fallback. At watermark arrival it runs the accuracy
-// check of Alg. 2.
+// windows (DESIGN.md §22). On the sampled path every tuple is archived
+// to secondary storage S for the exact fallback, and at watermark
+// arrival the manager runs the accuracy check of Alg. 2; a non-holistic
+// window has no check to fail, so there the manager holds slices and
+// nothing else: no archive, and S is never touched.
 //
 // All three entry points feed one kernel, ingestRun (DESIGN.md §19).
 type ScalarManager struct {
 	//lint:allow snapshotcover config handle; only telemetry under it mutates
 	cfg Config
 	est ScalarEstimator
-	arc *archive
+	arc *archive // nil when useIncremental
 
 	wins map[window.ID]*scalarWin // sampled path; empty when useIncremental
 	// The incremental path's state (DESIGN.md §22): slices in position
@@ -120,11 +122,13 @@ func NewScalarManager(cfg Config) (*ScalarManager, error) {
 	m := &ScalarManager{
 		cfg:       cfg,
 		est:       est,
-		arc:       newArchive(cfg.Store, cfg.Key, cfg.Spec, cfg.ArchiveChunk, cfg.DeferStoreDeletes),
 		wins:      make(map[window.ID]*scalarWin),
 		lc:        window.NewLifecycle(cfg.Spec),
 		curBudget: cfg.BudgetTuples,
 		now:       cfg.clock(),
+	}
+	if !m.useIncremental() {
+		m.arc = newArchive(cfg.Store, cfg.Key, cfg.Spec, cfg.ArchiveChunk, cfg.DeferStoreDeletes)
 	}
 	cfg.Metrics.BudgetTuples.Set(int64(m.curBudget))
 	return m, nil
@@ -143,9 +147,7 @@ func (m *ScalarManager) syncControl() {
 	if b := c.Budget(); b != m.curBudget {
 		m.SetBudget(b)
 	}
-	// Shedding without a sample to answer from would produce nothing at
-	// all; the manager refuses until the budget is positive again.
-	m.shed = c.Shedding() && m.curBudget > 0
+	m.SetShedding(c.Shedding())
 }
 
 // SetBudget applies a new tuple budget immediately: live windows'
@@ -176,10 +178,13 @@ func (m *ScalarManager) SetBudget(b int) {
 	m.cfg.Metrics.BudgetTuples.Set(int64(b))
 }
 
-// SetShedding toggles archive-write shedding directly (the controller
-// path goes through the cell; this is the test/embedding seam).
-// Ignored while the budget is zero — shedding requires a sample.
-func (m *ScalarManager) SetShedding(on bool) { m.shed = on && m.curBudget > 0 }
+// SetShedding turns archive-write shedding on or off (the controller
+// goes through the cell and syncControl; tests and embedders call it
+// directly). Refused where it means nothing: an incremental query has
+// no archive write to skip, and a zero budget no sample to answer from.
+func (m *ScalarManager) SetShedding(on bool) {
+	m.shed = on && !m.useIncremental() && m.curBudget > 0
+}
 
 func (m *ScalarManager) useIncremental() bool {
 	return m.cfg.Custom == nil && m.cfg.Agg.Incremental() && !m.cfg.DisableIncremental
@@ -230,14 +235,15 @@ func (m *ScalarManager) OnTupleBatch(rows []tuple.Tuple) ([]Result, error) {
 // share one window assignment, so the assignment, the lifecycle's
 // admission and the archive append are paid per run. A run is one
 // slice's: on the incremental path it is folded once, into that slice's
-// accumulator, however many windows overlap. On the sampled path the
-// work per run and open window is a count and Reservoir.AddSlice — the
-// same admissions and PRNG draws as an Add per element, in
-// O(admissions). A slice and a window see their tuples in arrival order
-// wherever the batches were cut, so every value, ε̂_w and Mode is what a
-// per-tuple loop produces. A count-domain window completes exactly at
-// the end of a run (the next position has a different assignment), so
-// there the kernel fires after each run.
+// accumulator, however many windows overlap, and goes nowhere else. On
+// the sampled path the work per run and open window is a count and
+// Reservoir.AddSlice — the same admissions and PRNG draws as an Add per
+// element, in O(admissions) — and the run's rows go to the archive. A
+// slice and a window see their tuples in arrival order wherever the
+// batches were cut, so every value, ε̂_w and Mode is what a per-tuple
+// loop produces. A count-domain window completes exactly at the end of
+// a run (the next position has a different assignment), so there the
+// kernel fires after each run.
 func (m *ScalarManager) ingestRun(ts []int64, vals []float64, rows []tuple.Tuple) ([]Result, error) {
 	count, inc := m.cfg.Spec.Domain == window.CountDomain, m.useIncremental()
 	var out []Result
@@ -253,6 +259,7 @@ func (m *ScalarManager) ingestRun(ts []int64, vals []float64, rows []tuple.Tuple
 		}
 		run := vals[i0:i1]
 		if inc {
+			// No check can fail, so there is no fallback to archive for.
 			m.sliceFor(lo, hi).AddSlice(run)
 		} else {
 			for id := first; id <= hi; id++ {
@@ -269,17 +276,17 @@ func (m *ScalarManager) ingestRun(ts []int64, vals []float64, rows []tuple.Tuple
 					w.tainted = true
 				}
 			}
-		}
-		if m.shed {
-			// Load shedding: skip the archive write — the per-tuple cost
-			// that saturates under overload — and keep only the in-budget
-			// state. N stays exact and the sample a uniform s.r.s. of
-			// the whole window. What is lost is the exact fallback for
-			// the windows this run spans.
-			m.sheds += int64(i1 - i0)
-			m.cfg.Metrics.TuplesShed.Add(int64(i1 - i0))
-		} else if err = m.arc.addRun(int64(hi), ts[i0:i1], rows[i0:i1]); err != nil {
-			return
+			if m.shed {
+				// Load shedding: skip the archive write — the per-tuple cost
+				// that saturates under overload — and keep only the in-budget
+				// state. N stays exact and the sample a uniform s.r.s. of
+				// the whole window. What is lost is the exact fallback for
+				// the windows this run spans.
+				m.sheds += int64(i1 - i0)
+				m.cfg.Metrics.TuplesShed.Add(int64(i1 - i0))
+			} else if err = m.arc.addRun(int64(hi), ts[i0:i1], rows[i0:i1]); err != nil {
+				return
+			}
 		}
 		if count {
 			var rs []Result

@@ -39,8 +39,9 @@ func (a *archive) add(t tuple.Tuple) error {
 // Welford; the anchor/lateness decision, which is the lifecycle's Admit
 // on a run of one (window.Lifecycle has a per-tuple model of its own to
 // answer to, in package window); and the incremental path, one Add into
-// the tuple's slice (what the slices assemble to is held to a per-window
-// fold in slices_test.go).
+// the tuple's slice and nothing into the archive such a manager no
+// longer has (what the slices assemble to is held to a per-window fold
+// in slices_test.go).
 func refIngest(m *ScalarManager, t tuple.Tuple) ([]Result, error) {
 	m.syncControl()
 	pos := m.lc.Pos(t.Ts, 0)
@@ -55,7 +56,10 @@ func refIngest(m *ScalarManager, t tuple.Tuple) ([]Result, error) {
 	v := m.cfg.Value(t)
 	if m.useIncremental() {
 		m.sliceFor(lo, hi).Add(v)
-		first = hi + 1
+		if m.cfg.Spec.Domain == window.CountDomain {
+			return m.fire(m.lc.Seq())
+		}
+		return nil, nil
 	}
 	for id := first; id <= hi; id++ {
 		w, ok := m.wins[id]

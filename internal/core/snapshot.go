@@ -208,8 +208,19 @@ func (m *ScalarManager) RestoreState(b []byte) error {
 	if err := rd.Done(); err != nil {
 		return err
 	}
-	if inc := m.useIncremental(); inc && len(wins) > 0 || !inc && len(carry)+len(sls) > 0 {
+	inc := m.useIncremental()
+	if inc && len(wins) > 0 || !inc && len(carry)+len(sls) > 0 {
 		return fmt.Errorf("%w: scalar snapshot incremental state mismatches configuration", tuple.ErrCorrupt)
+	}
+	if inc {
+		// An incremental query archives nothing. A blob from when it did
+		// lists panes no fire will read: the manager owns none of them,
+		// so RewindStore deletes every pane it finds under the key.
+		if len(arc.flushed) > 0 {
+			arc = newArchive(m.cfg.Store, m.cfg.Key, m.cfg.Spec, m.cfg.ArchiveChunk, m.cfg.DeferStoreDeletes)
+		} else {
+			arc = nil
+		}
 	}
 	// v1 invariant: the budget was fixed at query submission, where
 	// validation rejects non-positive values, so a zero can only be
@@ -223,7 +234,7 @@ func (m *ScalarManager) RestoreState(b []byte) error {
 		return err
 	}
 	m.curBudget = int(curBudget)
-	m.shed = shed && m.curBudget > 0
+	m.SetShedding(shed)
 	m.sheds = sheds
 	m.arc = arc
 	m.wins, m.carry, m.slices = wins, carry, sls

@@ -148,6 +148,10 @@ func compatCases() []compatCase {
 		{"scalar_mean_incremental", scalar(agg.Func{Op: agg.Mean}, 60, 0.10), eight, nil, false, true},
 		{"scalar_mean_incremental_v3", scalar(agg.Func{Op: agg.Mean}, 60, 0.10), eight, nil, false, true},
 		{"scalar_mean_slices", scalar(agg.Func{Op: agg.Mean}, 60, 0.10), eight, nil, true, false},
+		// The same state as the commit before PR 27 wrote it, when an
+		// incremental query still archived: a v4 blob whose archive
+		// section lists panes. They are dropped, not carried.
+		{"scalar_mean_slices_archived", scalar(agg.Func{Op: agg.Mean}, 60, 0.10), eight, nil, false, false},
 		// Windows tainted by a shedding spell, then the budget driven
 		// to zero before the snapshot (reservoirs dropped, exact-only,
 		// ModeShed with an infinite bound for the tainted ones) and
@@ -313,6 +317,77 @@ func TestSnapshotCompat(t *testing.T) {
 					len(got), len(want), firstDiffLine(got, string(want)))
 			}
 		})
+	}
+}
+
+// TestArchivedIncrementalBlobLeavesNoPaneBehind restores the blob of
+// scalar_mean_slices_archived into a store that holds what its writer
+// left there — the panes the blob lists — and one pane more, as a run
+// that crashed after the snapshot would have. An incremental query reads
+// none of them: RewindStore deletes them all, nothing is deferred, and
+// from there the manager is the one that never archived.
+func TestArchivedIncrementalBlobLeavesNoPaneBehind(t *testing.T) {
+	blob, err := os.ReadFile(filepath.Join("testdata", "compat", "scalar_mean_slices_archived.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c compatCase
+	for _, c = range compatCases() {
+		if c.name == "scalar_mean_slices_archived" {
+			break
+		}
+	}
+	for _, deferDel := range []bool{false, true} {
+		store := storage.NewMemStore()
+		cfg := c.cfg(store)
+		cfg.DeferStoreDeletes = deferDel
+		// The archive section follows the cursor, the budget and the two
+		// shedding slots.
+		rd := tuple.NewWireReader(blob)
+		rd.Byte()
+		readCursor(rd)
+		rd.Uvar()
+		rd.Bool()
+		rd.I64()
+		listed := newArchive(store, cfg.Key, cfg.Spec, cfg.ArchiveChunk, false)
+		listed.readState(rd)
+		if rd.Err() != nil || len(listed.flushed) == 0 {
+			t.Fatalf("fixture lists %d panes (err %v)", len(listed.flushed), rd.Err())
+		}
+		for p, chunks := range listed.flushed {
+			for i := 0; i < chunks; i++ {
+				if err := store.Store(listed.paneKey(p), []tuple.Tuple{tuple.New(p*cfg.Spec.Slide, tuple.Float(1))}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := store.Store(listed.paneKey(1<<20), []tuple.Tuple{tuple.New(0, tuple.Float(1))}); err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewScalarManager(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.RestoreState(blob); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.RewindStore(); err != nil {
+			t.Fatal(err)
+		}
+		if keys, err := store.List(cfg.Key + "/"); err != nil || len(keys) != 0 {
+			t.Errorf("defer=%v: panes left in the store: %v (err %v)", deferDel, keys, err)
+		}
+		if d := m.TakeDeferredDeletes(); len(d) != 0 {
+			t.Errorf("defer=%v: deletes deferred for panes already gone: %v", deferDel, d)
+		}
+		if m.MemUsage() != m.BudgetMemUsage() {
+			t.Errorf("defer=%v: MemUsage %d, BudgetMemUsage %d", deferDel, m.MemUsage(), m.BudgetMemUsage())
+		}
+		before, ts := store.Stats(), compatStream(c)
+		compatDrive(t, c, m, ts, len(ts)/2+13, len(ts))
+		if after := store.Stats(); after != before {
+			t.Errorf("defer=%v: the restored manager touched the store: %+v, then %+v", deferDel, before, after)
+		}
 	}
 }
 

@@ -292,10 +292,10 @@ func (c *countingManager) MemUsage() int { return c.inner.MemUsage() }
 // TestBarrierFlushCoversExactPrefix injects a checkpoint barrier at a
 // fixed spout offset and asserts the snapshot point observes exactly
 // the first barrierAt source tuples: the barrier broadcast must flush
-// everything pending ahead of itself — the chain's stage buffer and
-// column lanes as well as the batcher's runs — or the count would fall
-// short, and nothing read after the trigger may reach the worker before
-// the barrier, or it would overshoot. Runs with no chain, a row chain
+// everything pending ahead of itself — the chain's column lanes as
+// well as the batcher's runs — or the count would fall short, and
+// nothing read after the trigger may reach the worker before the
+// barrier, or it would overshoot. Runs with no chain, a row chain
 // and a columnar chain (each chain dropping every eighth tuple, so the
 // prefix is counted in survivors), at several batch sizes including one
 // larger than the barrier offset.

@@ -417,8 +417,8 @@ func (tp *Topology) Run() error {
 			if gen != nil {
 				if wm, emit := gen.Observe(t.Ts); emit {
 					// Everything routed before the watermark must not be
-					// overtaken by it — including tuples still in the
-					// chain's batch buffer.
+					// overtaken by it — including survivors still in the
+					// chain's lanes.
 					if fchain != nil {
 						fchain.flush()
 					}

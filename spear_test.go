@@ -380,25 +380,32 @@ func TestObserveWithWorkerBundles(t *testing.T) {
 	}
 }
 
+// TestCustomSpillStore: a query that can fall back to the exact window
+// archives its tuples in the store it was given; a non-holistic one has
+// no fallback to fetch and accepts the same option without ever calling
+// the store.
 func TestCustomSpillStore(t *testing.T) {
-	store := storage.NewMemStore()
 	var in []Tuple
 	for i := 0; i < 2000; i++ {
 		in = append(in, NewTuple(int64(i), Float(float64(i))))
 	}
+	value := func(t Tuple) float64 { return t.Vals[0].AsFloat() }
 	// Windows of 1000 tuples exceed the 512-tuple archive chunk, so
 	// the archive must flush chunks into the custom store.
-	_, err := NewQuery("spill").
-		Source(FromSlice(in)).
-		TumblingWindow(1000 * time.Nanosecond).
-		Mean(func(t Tuple) float64 { return t.Vals[0].AsFloat() }).
-		SpillStore(store).
-		Run(func(int, Result) {})
-	if err != nil {
-		t.Fatal(err)
+	run := func(name string, agg func(*Query) *Query) storage.Stats {
+		t.Helper()
+		store := storage.NewMemStore()
+		q := NewQuery(name).Source(FromSlice(in)).TumblingWindow(1000 * time.Nanosecond)
+		if _, err := agg(q).SpillStore(store).SpillWorkers(2).SpillAhead(2).Run(func(int, Result) {}); err != nil {
+			t.Fatal(err)
+		}
+		return store.Stats()
 	}
-	if store.Stats().Stores == 0 {
+	if st := run("spill", func(q *Query) *Query { return q.Median(value) }); st.Stores == 0 {
 		t.Error("custom store never used (archiving should hit it)")
+	}
+	if st := run("nospill", func(q *Query) *Query { return q.Mean(value) }); st != (storage.Stats{}) {
+		t.Errorf("an incremental query touched the store: %+v", st)
 	}
 }
 
