@@ -99,14 +99,18 @@ loc:
 # compiling after a refactor of internal/ only turns its metrics to
 # null in a run; this is where it fails instead (~3 s). Then one
 # iteration of the two ingest-overlap benchmarks of internal/core, of
-# internal/spe's BenchmarkHop and of internal/transport's batch-frame
-# codec pair, so they keep compiling and running; their numbers come
-# from paired binaries (EXPERIMENTS.md), never from here.
+# internal/spe's BenchmarkHop, of internal/transport's batch-frame
+# codec pair, of internal/core's BenchmarkArchiveStore (the archive's
+# write path into a MemStore) and of internal/tuple's
+# BenchmarkAppendColumns / BenchmarkDecodeColumns (the column image by
+# Ts delta width), so they keep compiling and running; their numbers
+# come from paired binaries (EXPERIMENTS.md), never from here.
 bench-smoke:
 	cd benchmark && $(GO) test ./... && $(GO) vet -tags layerprobe ./...
-	$(GO) test ./internal/core -run '^$$' -bench 'IngestOverlap' -benchtime 1x
+	$(GO) test ./internal/core -run '^$$' -bench 'IngestOverlap|BenchmarkArchiveStore' -benchtime 1x -benchmem
 	$(GO) test ./internal/spe -run '^$$' -bench 'BenchmarkHop|BenchmarkFusedChain' -benchtime 1x -benchmem
 	$(GO) test ./internal/transport -run '^$$' -bench 'BenchmarkDecodeFrame|BenchmarkAppendBatch' -benchtime 1x -benchmem
+	$(GO) test ./internal/tuple -run '^$$' -bench 'BenchmarkAppendColumns|BenchmarkDecodeColumns' -benchtime 1x -benchmem
 
 # Spill plane: sync vs async (write-behind + prefetch) vs async+codec
 # across storage latency profiles (local / ssd / remote), writing

@@ -6,11 +6,12 @@ import (
 )
 
 // analyzerErrcheckLite flags dropped error returns from the two APIs
-// whose failures corrupt data silently if ignored: the tuple binary
-// codec (Decode/DecodeBatch — a swallowed ErrCorrupt turns a damaged
-// spill segment into a wrong window result) and SpillStore operations
-// (Store/Get/Delete — a swallowed store error loses archived tuples the
-// exact fallback depends on).
+// whose failures corrupt data silently if ignored: the binary codecs
+// (tuple.Decode/DecodeBatch/DecodeColumns and spill.DecodeChunk — a
+// swallowed ErrCorrupt turns a damaged spill segment into a wrong
+// window result) and SpillStore operations (Store/Get/Delete — a
+// swallowed store error loses archived tuples the exact fallback
+// depends on).
 //
 // Flagged shapes:
 //
@@ -18,8 +19,9 @@ import (
 //   - `go`/`defer` of such a call,
 //   - an assignment that binds the call's error position to `_`.
 //
-// Scope: files importing spear/internal/storage or spear/internal/tuple,
-// and the two packages themselves. Method-name matching (.Store/.Get/
+// Scope: files importing spear/internal/storage or a codec package
+// (spear/internal/tuple, spear/internal/spill), and those packages
+// themselves. Method-name matching (.Store/.Get/
 // .Delete) is deliberately heuristic — spearlint runs without compiled
 // export data, so cross-package receiver types are unknown; suppress
 // with //lint:ignore errcheck-lite on a genuine false positive.
@@ -30,29 +32,44 @@ var analyzerErrcheckLite = &Analyzer{
 }
 
 var spillMethods = map[string]bool{"Store": true, "Get": true, "Delete": true}
-var codecFuncs = map[string]bool{"Decode": true, "DecodeBatch": true}
+
+// codecFuncs lists, by module-relative package, the decoders whose error
+// is the only sign that the bytes were damaged.
+var codecFuncs = map[string]map[string]bool{
+	"internal/tuple": {"Decode": true, "DecodeBatch": true, "DecodeColumns": true},
+	"internal/spill": {"DecodeChunk": true},
+}
 
 func runErrcheckLite(p *Pkg) []Finding {
 	var out []Finding
 	for _, f := range p.Files {
 		storageInScope := imports(f, "spear/internal/storage") || inScope(p, "internal/storage")
-		tupleAlias := importAlias(f, "spear/internal/tuple")
-		tupleSelf := inScope(p, "internal/tuple")
-		if !storageInScope && tupleAlias == "" && !tupleSelf {
+		// codecs maps the name a codec package goes by in this file ("" for
+		// the package's own files) to its decoders.
+		codecs := make(map[string]map[string]bool)
+		for rel, funcs := range codecFuncs {
+			if alias := importAlias(f, "spear/"+rel); alias != "" {
+				codecs[alias] = funcs
+			}
+			if inScope(p, rel) {
+				codecs[""] = funcs
+			}
+		}
+		if !storageInScope && len(codecs) == 0 {
 			continue
 		}
 		// target classifies a call; desc=="" means not a target.
 		target := func(call *ast.CallExpr) string {
 			switch fun := call.Fun.(type) {
 			case *ast.SelectorExpr:
-				if id, ok := fun.X.(*ast.Ident); ok && tupleAlias != "" && id.Name == tupleAlias && codecFuncs[fun.Sel.Name] {
-					return tupleAlias + "." + fun.Sel.Name
+				if id, ok := fun.X.(*ast.Ident); ok && codecs[id.Name][fun.Sel.Name] {
+					return id.Name + "." + fun.Sel.Name
 				}
 				if storageInScope && spillMethods[fun.Sel.Name] {
 					return "." + fun.Sel.Name
 				}
 			case *ast.Ident:
-				if tupleSelf && codecFuncs[fun.Name] {
+				if codecs[""][fun.Name] {
 					return fun.Name
 				}
 			}

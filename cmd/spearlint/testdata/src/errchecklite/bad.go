@@ -3,6 +3,7 @@
 package errchecklite
 
 import (
+	"spear/internal/spill"
 	"spear/internal/storage"
 	"spear/internal/tuple"
 )
@@ -21,6 +22,11 @@ func decode(b []byte) {
 	t, _, _ := tuple.Decode(b)    // want "tuple.Decode is dropped"
 	ts, _ := tuple.DecodeBatch(b) // want "tuple.DecodeBatch is dropped"
 	_, _ = t, ts
+
+	// What the stores read a chunk back with.
+	rows, _ := tuple.DecodeColumns(nil, b) // want "tuple.DecodeColumns is dropped"
+	chunk, _ := spill.DecodeChunk(b)       // want "spill.DecodeChunk is dropped"
+	_, _ = rows, chunk
 }
 
 // Good: errors bound and handled or propagated.
@@ -42,7 +48,13 @@ func decodeChecked(b []byte) error {
 		return err
 	}
 	_ = ts
-	return nil
+	rows, err := tuple.DecodeColumns(nil, b)
+	if err != nil {
+		return err
+	}
+	chunk, err := spill.DecodeChunk(b)
+	_, _ = rows, chunk
+	return err
 }
 
 // Good: unrelated methods that happen to share names are outside the

@@ -249,7 +249,7 @@ func waitManifest(t *testing.T, dir string, timeout time.Duration) {
 		ents, err := os.ReadDir(dir)
 		if err == nil {
 			for _, e := range ents {
-				if strings.Contains(e.Name(), "%2Fm%2F") && filepath.Ext(e.Name()) == ".seg" {
+				if strings.Contains(e.Name(), "%2Fm%2F") && filepath.Ext(e.Name()) == ".cseg" {
 					return
 				}
 			}

@@ -3,7 +3,6 @@ package spill
 import (
 	"bytes"
 	"compress/flate"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"sync"
@@ -13,29 +12,23 @@ import (
 	"spear/internal/tuple"
 )
 
-// The chunk codec packs one spilled chunk (the []tuple.Tuple of a
-// single Store call) into a compact byte string:
+// The chunk codec wraps the column image of one spilled chunk (the
+// []tuple.Tuple of a single Store call, as tuple.AppendColumns writes
+// it) in a header, and optionally deflates it:
 //
 //	magic   2 bytes  "SC"
-//	version 1 byte   (1)
+//	version 1 byte   (2)
 //	flags   1 byte   (bit0: payload is DEFLATE-compressed)
-//	payload:
-//	  count   uvarint
-//	  per tuple:
-//	    dTs   varint (zigzag) — timestamp delta to the previous tuple
-//	          (to zero for the first), exploiting the near-sorted
-//	          timestamps of a pane
-//	    nvals uvarint
-//	    vals  tuple.AppendValue encoding
+//	payload the chunk's column image
 //
-// Optional flate block compression applies to the payload only; when
-// compression expands the payload (already-dense data) the raw form is
-// kept and the flag cleared, so decoding cost is only paid when it won.
+// Flate applies to the payload only; when compression expands it
+// (already-dense data) the raw form is kept and the flag cleared, so
+// decoding cost is only paid when it won.
 
 const (
 	chunkMagic0  = 'S'
 	chunkMagic1  = 'C'
-	chunkVersion = 1
+	chunkVersion = 2
 
 	flagCompressed = 1 << 0
 )
@@ -50,35 +43,19 @@ func EncodeChunk(ts []tuple.Tuple, level int) ([]byte, error) {
 	if level < 0 || level > 9 {
 		return nil, fmt.Errorf("spill: flate level %d outside [0, 9]", level)
 	}
-	size := 12
-	for i := range ts {
-		size += 12 + 9*len(ts[i].Vals)
-	}
-	payload := make([]byte, 0, size)
-	payload = binary.AppendUvarint(payload, uint64(len(ts)))
-	prev := int64(0)
-	for i := range ts {
-		payload = binary.AppendVarint(payload, ts[i].Ts-prev)
-		prev = ts[i].Ts
-		payload = binary.AppendUvarint(payload, uint64(len(ts[i].Vals)))
-		for _, v := range ts[i].Vals {
-			payload = tuple.AppendValue(payload, v)
-		}
-	}
-	flags := byte(0)
+	out := append(make([]byte, 0, 64+24*len(ts)), chunkMagic0, chunkMagic1, chunkVersion, 0) // room for two numeric columns
+	out = tuple.AppendColumns(out, ts)
 	if level > 0 {
-		comp, err := deflate(payload, level)
+		comp, err := deflate(out[4:], level)
 		if err != nil {
 			return nil, fmt.Errorf("spill: compress chunk: %w", err)
 		}
-		if len(comp) < len(payload) {
-			payload = comp
-			flags |= flagCompressed
+		if len(comp) < len(out)-4 {
+			out = append(out[:4], comp...)
+			out[3] |= flagCompressed
 		}
 	}
-	out := make([]byte, 0, 4+len(payload))
-	out = append(out, chunkMagic0, chunkMagic1, chunkVersion, flags)
-	return append(out, payload...), nil
+	return out, nil
 }
 
 // DecodeChunk decodes a chunk produced by EncodeChunk.
@@ -101,52 +78,7 @@ func DecodeChunk(b []byte) ([]tuple.Tuple, error) {
 			return nil, fmt.Errorf("%w: %v", ErrChunkCorrupt, err)
 		}
 	}
-	n, sz := binary.Uvarint(payload)
-	if sz <= 0 {
-		return nil, fmt.Errorf("%w: count", ErrChunkCorrupt)
-	}
-	pos := sz
-	if n > uint64(len(payload)) { // cheap sanity bound before allocating
-		return nil, fmt.Errorf("%w: count %d", ErrChunkCorrupt, n)
-	}
-	out := make([]tuple.Tuple, 0, n)
-	prev := int64(0)
-	for i := uint64(0); i < n; i++ {
-		d, sz := binary.Varint(payload[pos:])
-		if sz <= 0 {
-			return nil, fmt.Errorf("%w: timestamp delta", ErrChunkCorrupt)
-		}
-		pos += sz
-		prev += d
-		nv, sz := binary.Uvarint(payload[pos:])
-		if sz <= 0 {
-			return nil, fmt.Errorf("%w: value count", ErrChunkCorrupt)
-		}
-		pos += sz
-		// Every value takes at least one byte (its kind), so a count
-		// above the remaining bytes is corrupt — checked before the
-		// capacity allocation below.
-		if nv > uint64(len(payload)-pos) {
-			return nil, fmt.Errorf("%w: value count %d", ErrChunkCorrupt, nv)
-		}
-		t := tuple.Tuple{Ts: prev}
-		if nv > 0 {
-			t.Vals = make([]tuple.Value, 0, nv)
-		}
-		for j := uint64(0); j < nv; j++ {
-			v, used, err := tuple.DecodeValue(payload[pos:])
-			if err != nil {
-				return nil, err
-			}
-			t.Vals = append(t.Vals, v)
-			pos += used
-		}
-		out = append(out, t)
-	}
-	if pos != len(payload) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrChunkCorrupt, len(payload)-pos)
-	}
-	return out, nil
+	return tuple.DecodeColumns(nil, payload)
 }
 
 // flateWriters pools flate.Writer instances per level (they carry large
@@ -218,8 +150,8 @@ type CodecStore struct {
 	tuplesFetched atomic.Int64
 }
 
-// NewCodecStore wraps inner; level is the flate level (0 = varint/delta
-// encoding only, no block compression).
+// NewCodecStore wraps inner; level is the flate level (0 = the column
+// image as it is, no block compression).
 func NewCodecStore(inner storage.SpillStore, level int) (*CodecStore, error) {
 	if level < 0 || level > 9 {
 		return nil, fmt.Errorf("spill: flate level %d outside [0, 9]", level)

@@ -1,0 +1,166 @@
+package storage_test
+
+import (
+	"bytes"
+	"math"
+	"testing"
+
+	"spear/internal/spill"
+	"spear/internal/storage"
+	"spear/internal/tuple"
+)
+
+// contractStores are the stores an archive chunk can end up in: each
+// keeps a chunk as its column image, the codec store inside a carrier
+// tuple of the store it wraps.
+func contractStores() map[string]func(t *testing.T) storage.SpillStore {
+	return map[string]func(t *testing.T) storage.SpillStore{
+		"mem": func(*testing.T) storage.SpillStore { return storage.NewMemStore() },
+		"file": func(t *testing.T) storage.SpillStore {
+			fs, err := storage.NewFileStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fs
+		},
+		"codec(mem)": func(t *testing.T) storage.SpillStore {
+			cs, err := spill.NewCodecStore(storage.NewMemStore(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return cs
+		},
+	}
+}
+
+// contractChunks are the chunk shapes a store must hand back bit for
+// bit: every arm of the column image and every Ts delta width's corner.
+func contractChunks() map[string][]tuple.Tuple {
+	nan := math.Float64frombits(0x7ff8_0000_dead_beef)
+	poisson := make([]tuple.Tuple, 512)
+	ts := int64(1_600_000_000_000_000_000)
+	for i := range poisson {
+		ts += int64(i*i*7919%2_000_000) + 1 // nanosecond gaps of one to three bytes
+		poisson[i] = tuple.New(ts, tuple.Float(float64(i)/3))
+	}
+	positions := make([]tuple.Tuple, 300)
+	for i := range positions { // a count-domain pane stores positions as Ts
+		positions[i] = tuple.New(int64(5000+i), tuple.Float(float64(i)), tuple.Int(int64(-i)))
+	}
+	return map[string][]tuple.Tuple{
+		"empty":   {},
+		"one row": {tuple.New(42, tuple.Float(3.5))},
+		"ragged": {
+			tuple.New(1, tuple.Float(1)), tuple.New(2, tuple.Float(2), tuple.Int(7)), tuple.New(3),
+			tuple.New(4, tuple.Float(4), tuple.Int(8), tuple.String_("z")),
+		},
+		"mixed kinds": {
+			tuple.New(1, tuple.Int(1), tuple.String_("a")), tuple.New(2, tuple.Float(nan), tuple.String_("b")),
+			tuple.New(3, tuple.Bool(true), tuple.String_("c")),
+		},
+		"strings": {
+			tuple.New(1, tuple.String_("bus-17"), tuple.Float(0.5)), tuple.New(2, tuple.String_(""), tuple.Float(math.Inf(-1))),
+			tuple.New(3, tuple.String_("αβγ\x00\xff"), tuple.Float(math.Copysign(0, -1))),
+		},
+		"ts descends": {tuple.New(1_000_000), tuple.New(5), tuple.New(-5), tuple.New(-1_000_000)},
+		"ts wraps": {
+			tuple.New(math.MinInt64, tuple.Int(1)), tuple.New(math.MaxInt64, tuple.Int(2)),
+			tuple.New(0, tuple.Int(3)), tuple.New(math.MinInt64, tuple.Int(4)),
+		},
+		"poisson gaps":    poisson,
+		"count positions": positions,
+	}
+}
+
+// cloneRows copies rows deeply enough that mutating the original's
+// tuples and values leaves the copy alone.
+func cloneRows(rows []tuple.Tuple) []tuple.Tuple {
+	out := make([]tuple.Tuple, len(rows))
+	for i, r := range rows {
+		out[i] = tuple.Tuple{Ts: r.Ts, Vals: append([]tuple.Value(nil), r.Vals...)}
+	}
+	return out
+}
+
+// scribble overwrites what the caller of Store still owns.
+func scribble(rows []tuple.Tuple) {
+	for i := range rows {
+		rows[i].Ts = -77
+		for j := range rows[i].Vals {
+			rows[i].Vals[j] = tuple.String_("recycled")
+		}
+	}
+}
+
+// wantRows fails unless got is want bit for bit: timestamps, widths,
+// kinds and payloads (floats by their bits, through the value codec).
+func wantRows(t *testing.T, got, want []tuple.Tuple) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("got %d rows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Ts != want[i].Ts || len(got[i].Vals) != len(want[i].Vals) {
+			t.Fatalf("row %d: %v, want %v", i, got[i], want[i])
+		}
+		for j := range want[i].Vals {
+			if !bytes.Equal(tuple.AppendValue(nil, got[i].Vals[j]), tuple.AppendValue(nil, want[i].Vals[j])) {
+				t.Fatalf("row %d value %d: %v, want %v", i, j, got[i].Vals[j], want[i].Vals[j])
+			}
+		}
+	}
+}
+
+// TestStoreContract holds every store to what the archive relies on: a
+// chunk comes back as it went in whatever its shape, Store keeps nothing
+// of the slice it was handed, the tuple counters count tuples, and
+// Truncate cuts at Store calls.
+func TestStoreContract(t *testing.T) {
+	for sname, open := range contractStores() {
+		for cname, rows := range contractChunks() {
+			t.Run(sname+"/"+cname, func(t *testing.T) {
+				s, want := open(t), cloneRows(rows)
+				in := cloneRows(rows)
+				if err := s.Store("q/scalar/0/p7", in); err != nil {
+					t.Fatal(err)
+				}
+				scribble(in)
+				got, err := s.Get("q/scalar/0/p7")
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantRows(t, got, want)
+				if st := s.Stats(); st.TuplesStored != int64(len(want)) || st.TuplesFetched != int64(len(want)) ||
+					st.Stores != 1 || st.Gets != 1 || st.BytesStored <= 0 || st.BytesFetched < st.BytesStored {
+					t.Errorf("Stats = %+v for one chunk of %d tuples stored and fetched", st, len(want))
+				}
+			})
+		}
+		t.Run(sname+"/truncate", func(t *testing.T) {
+			s, chunks := open(t), contractChunks()
+			var want []tuple.Tuple
+			for i, name := range []string{"poisson gaps", "strings", "ts wraps"} {
+				in := cloneRows(chunks[name])
+				if err := s.Store("k", in); err != nil {
+					t.Fatal(err)
+				}
+				scribble(in)
+				if i < 2 {
+					want = append(want, chunks[name]...)
+				}
+			}
+			if err := s.Truncate("k", 2); err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.Get("k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantRows(t, got, want)
+			stored := int64(len(want) + len(chunks["ts wraps"]))
+			if st := s.Stats(); st.TuplesStored != stored || st.TuplesFetched != int64(len(want)) {
+				t.Errorf("Stats = %+v, want %d tuples stored and %d fetched", st, stored, len(want))
+			}
+		})
+	}
+}

@@ -10,6 +10,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -62,11 +63,14 @@ type Stats struct {
 	TuplesFetched         int64
 }
 
-// MemStore is an in-memory SpillStore. It keeps the encoded form so its
-// cost model (encode on store, decode on get) matches the file store.
+// MemStore is an in-memory SpillStore. It keeps the encoded form — a
+// chunk is its column image (tuple.AppendColumns), the bytes a batch
+// frame carries on the wire — so its cost model (encode on store, decode
+// on get) matches the file store.
 type MemStore struct {
 	mu    sync.Mutex
 	segs  map[string][][]byte
+	enc   []byte // Store's encode buffer, reused under mu
 	stats Stats
 }
 
@@ -77,12 +81,17 @@ func NewMemStore() *MemStore {
 
 // Store implements SpillStore.
 func (m *MemStore) Store(key string, ts []tuple.Tuple) error {
-	enc := tuple.EncodeBatch(ts)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.segs[key] = append(m.segs[key], enc)
+	enc := tuple.AppendColumns(m.enc[:0], ts)
+	m.enc = enc
+	// The segment keeps an exact-size copy. make + copy from a local is
+	// the form the compiler allocates without clearing first.
+	img := make([]byte, len(enc))
+	copy(img, enc)
+	m.segs[key] = append(m.segs[key], img)
 	m.stats.Stores++
-	m.stats.BytesStored += int64(len(enc))
+	m.stats.BytesStored += int64(len(img))
 	m.stats.TuplesStored += int64(len(ts))
 	return nil
 }
@@ -99,11 +108,10 @@ func (m *MemStore) Get(key string) ([]tuple.Tuple, error) {
 	var out []tuple.Tuple
 	var bytes int64
 	for _, c := range chunks {
-		ts, err := tuple.DecodeBatch(c)
-		if err != nil {
+		var err error
+		if out, err = tuple.DecodeColumns(out, c); err != nil {
 			return nil, err
 		}
-		out = append(out, ts...)
 		bytes += int64(len(c))
 	}
 	m.mu.Lock()
@@ -180,6 +188,7 @@ func (m *MemStore) Keys() []string {
 type FileStore struct {
 	dir   string
 	mu    sync.Mutex
+	buf   []byte // Store's segment image, reused under mu
 	stats Stats
 }
 
@@ -244,7 +253,10 @@ func decodeKey(name string) (string, error) {
 	return string(out), nil
 }
 
-const segSuffix = ".seg"
+// segSuffix names a segment of column-image chunks. A directory
+// belongs to the binary that wrote it: what an older one left under
+// ".seg" (row-coded chunks) is not listed, not read and not converted.
+const segSuffix = ".cseg"
 
 func (f *FileStore) path(key string) string {
 	return filepath.Join(f.dir, encodeKey(key)+segSuffix)
@@ -288,13 +300,11 @@ func writeAtomic(path string, data []byte) error {
 	return nil
 }
 
-// Store implements SpillStore. Chunks are appended with a length-framed
-// batch encoding. The append is crash-safe: the existing segment (if
-// any) plus the new chunk are written to a temp file, fsynced, and
+// Store implements SpillStore. A chunk is appended as its column image
+// behind an 8-byte length. The append is crash-safe: the existing segment
+// (if any) plus the new chunk are written to a temp file, fsynced, and
 // renamed over the segment, so Get never observes a torn write.
 func (f *FileStore) Store(key string, ts []tuple.Tuple) error {
-	enc := tuple.EncodeBatch(ts)
-
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	path := f.path(key)
@@ -302,15 +312,16 @@ func (f *FileStore) Store(key string, ts []tuple.Tuple) error {
 	if err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("storage: read segment: %w", err)
 	}
-	framed := make([]byte, 0, len(prev)+len(enc)+8)
-	framed = append(framed, prev...)
-	framed = appendUint64(framed, uint64(len(enc)))
-	framed = append(framed, enc...)
-	if err := writeAtomic(path, framed); err != nil {
+	f.buf = append(f.buf[:0], prev...)
+	f.buf = binary.LittleEndian.AppendUint64(f.buf, 0) // the length, once known
+	f.buf = tuple.AppendColumns(f.buf, ts)
+	enc := len(f.buf) - len(prev) - 8
+	binary.LittleEndian.PutUint64(f.buf[len(prev):], uint64(enc))
+	if err := writeAtomic(path, f.buf); err != nil {
 		return err
 	}
 	f.stats.Stores++
-	f.stats.BytesStored += int64(len(enc))
+	f.stats.BytesStored += int64(enc)
 	f.stats.TuplesStored += int64(len(ts))
 	return nil
 }
@@ -332,16 +343,14 @@ func (f *FileStore) Get(key string) ([]tuple.Tuple, error) {
 		if pos+8 > len(data) {
 			return nil, tuple.ErrCorrupt
 		}
-		n := int(readUint64(data[pos:]))
+		n := int(binary.LittleEndian.Uint64(data[pos:]))
 		pos += 8
-		if pos+n > len(data) {
+		if n < 0 || n > len(data)-pos {
 			return nil, tuple.ErrCorrupt
 		}
-		ts, err := tuple.DecodeBatch(data[pos : pos+n])
-		if err != nil {
+		if out, err = tuple.DecodeColumns(out, data[pos:pos+n]); err != nil {
 			return nil, err
 		}
-		out = append(out, ts...)
 		pos += n
 	}
 	f.stats.Gets++
@@ -412,8 +421,8 @@ func (f *FileStore) Truncate(key string, chunks int) error {
 		if pos+8 > len(data) {
 			return fmt.Errorf("storage: truncate %q: %w", key, tuple.ErrCorrupt)
 		}
-		sz := int(readUint64(data[pos:]))
-		if sz < 0 || pos+8+sz > len(data) {
+		sz := int(binary.LittleEndian.Uint64(data[pos:]))
+		if sz < 0 || sz > len(data)-pos-8 {
 			return fmt.Errorf("storage: truncate %q: %w", key, tuple.ErrCorrupt)
 		}
 		pos += 8 + sz
@@ -436,17 +445,6 @@ func (f *FileStore) Stats() Stats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.stats
-}
-
-func appendUint64(b []byte, v uint64) []byte {
-	return append(b,
-		byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-func readUint64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
 
 // LatencyStore wraps a SpillStore and injects a fixed per-operation

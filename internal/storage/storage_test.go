@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -344,6 +345,40 @@ func TestFileStoreTornWriteInvisible(t *testing.T) {
 	}
 	if got, err := fs.Get("seg"); err != nil || len(got) != 4 {
 		t.Fatalf("Get after repair = %d tuples, err %v", len(got), err)
+	}
+}
+
+// TestFileStoreIgnoresOlderSegments pins the format policy: a directory
+// belongs to the binary that wrote it. What a FileStore from before the
+// column image left behind — "<key>.seg", length-framed row batches — is
+// neither listed nor read (its bytes would decode as a column image of
+// something else, or not at all), and a new segment under the same key
+// starts empty beside it.
+func TestFileStoreIgnoresOlderSegments(t *testing.T) {
+	dir := t.TempDir()
+	rows := tuple.EncodeBatch(mkTuples(3, 0))
+	old := filepath.Join(dir, encodeKey("q/scalar/0/p1")+".seg")
+	if err := os.WriteFile(old, append(binary.LittleEndian.AppendUint64(nil, uint64(len(rows))), rows...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fs, err := NewFileStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keys, err := fs.List(""); err != nil || len(keys) != 0 {
+		t.Fatalf("List = %v, %v; want no key for a row-coded segment", keys, err)
+	}
+	if _, err := fs.Get("q/scalar/0/p1"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get of a row-coded segment = %v, want ErrNotFound", err)
+	}
+	if err := fs.Store("q/scalar/0/p1", mkTuples(2, 50)); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := fs.Get("q/scalar/0/p1"); err != nil || len(got) != 2 || got[0].Ts != 50 {
+		t.Fatalf("Get = %v, %v; want the two rows stored by this binary", got, err)
+	}
+	if left, err := os.ReadFile(old); err != nil || len(left) != 8+len(rows) {
+		t.Fatalf("the older segment was touched: %d bytes, %v", len(left), err)
 	}
 }
 

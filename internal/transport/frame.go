@@ -28,8 +28,9 @@ import (
 // ProtocolVersion is checked during the handshake; peers with a
 // different version refuse the connection. Version 2 added the result
 // frames' accuracy-contract fields (epsilon, confidence, budget);
-// version 3 made the batch frame's tuples a column image.
-const ProtocolVersion = 3
+// version 3 made the batch frame's tuples a column image; version 4
+// packs the image's timestamp deltas at one width.
+const ProtocolVersion = 4
 
 // MaxFrame bounds one frame's body. Oversized (or zero) length
 // prefixes are rejected before any allocation, closing the
@@ -282,8 +283,9 @@ type Frame struct {
 //	seq     uvarint
 //	dest    uvarint   global windowed worker
 //	sender  uvarint   upstream sender index
-//	image   the rest of the body: row count, Ts deltas, width, one
-//	        packed column per field (see tuple/columns.go)
+//	image   the rest of the body: row count, Ts base, delta width and
+//	        deltas, row width, one packed column per field (see
+//	        tuple/columns.go)
 func AppendBatch(dst []byte, seq uint64, dest, sender int, ts []tuple.Tuple) []byte {
 	dst = append(dst, byte(KindBatch))
 	dst = tuple.AppendUvar(dst, seq)

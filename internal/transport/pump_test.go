@@ -12,18 +12,19 @@ import (
 
 // pumpGolden is what fabricNode.pump puts on the link, frame after
 // frame with length prefixes, for the input of TestPumpFrameBytes under
-// protocol version 3. The control frames (watermark, barrier, end) are
+// protocol version 4. The control frames (watermark, barrier, end) are
 // the bytes written since before runs replaced per-tuple message
 // batches on the engine's channels; the two batch frames are column
 // images — the first ragged (widths 1, 2, 0: a float column, an int
-// column), the second a string column and a bool/float column through
-// the escape arm.
+// column) with a step back in time (Ts deltas two bytes wide), the
+// second a string column and a bool/float column through the escape
+// arm.
 const pumpGolden = "" +
-	"280000000401020003d00f02db0f0001020002000000000000e03f0000000000" +
-	"0008c00107000000000000000c00000005020200e80300000000000026000000" +
-	"0403020102a01fe8070303066275732d31370000040100000000000000029c75" +
-	"00883ce4377e0c0000000604020109000000000000000c00000005050201ffff" +
-	"ffffffffff7f03000000070602"
+	"2a0000000401020003d00f020200db070001020002000000000000e03f000000" +
+	"00000008c00107000000000000000c00000005020200e8030000000000002700" +
+	"00000403020102a01f02e8030303066275732d31370000040100000000000000" +
+	"029c7500883ce4377e0c0000000604020109000000000000000c000000050502" +
+	"01ffffffffffffff7f03000000070602"
 
 // TestPumpFrameBytes pins the bytes the source side of the shuffle
 // writes: one batch frame per run, a control frame

@@ -8,9 +8,11 @@ import (
 	"math/bits"
 )
 
-// The binary codec serializes tuples for the spill store. The format is
-// self-describing per tuple so windows can be read back without the
-// schema:
+// The row codec serializes tuples one by one. It is the format of the
+// window-buffer and join snapshot blobs (EncodeBatch) and of the column
+// image's escape arm (AppendValue); the spill stores and the wire carry
+// the column image (columns.go). The format is self-describing per tuple
+// so it can be read back without the schema:
 //
 //	ts      int64  (little endian)
 //	nvals   uvarint
@@ -19,9 +21,8 @@ import (
 //	  int/bool/float: 8 bytes LE payload
 //	  string:         uvarint length + bytes
 //
-// The codec favors simplicity and allocation-free appends over maximal
-// compactness; spill IO cost is dominated by the simulated storage
-// latency, not encoding.
+// The codec favors simplicity and allocation-free appends over
+// compactness.
 
 // ErrCorrupt is returned when decoding runs into malformed bytes.
 var ErrCorrupt = errors.New("tuple: corrupt encoding")
@@ -31,8 +32,8 @@ func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
 
 // AppendValue appends the binary encoding of a single value (kind byte +
 // payload) to dst and returns the extended slice. It is the per-value
-// building block shared by AppendEncode and the compressed chunk codec in
-// internal/spill.
+// building block shared by AppendEncode and the column image's escape
+// arm.
 func AppendValue(dst []byte, v Value) []byte {
 	dst = append(dst, byte(v.kind))
 	switch v.kind {
@@ -150,11 +151,10 @@ func (s *slab) decode(b []byte, more int) (Tuple, int, error) {
 }
 
 // EncodeBatch encodes a slice of tuples into one contiguous buffer,
-// prefixed by a uvarint count. This is the on-store format for a spilled
-// window segment.
+// prefixed by a uvarint count: the buffered tuples of a window-buffer or
+// join snapshot.
 func EncodeBatch(ts []Tuple) []byte {
-	// Sized exactly: a store may keep the buffer for as long as the
-	// segment lives, so slack is held (and was zeroed) for nothing.
+	// Sized exactly: slack would be zeroed and held for nothing.
 	size := uvarintLen(uint64(len(ts)))
 	for i := range ts {
 		size += 8 + uvarintLen(uint64(len(ts[i].Vals)))

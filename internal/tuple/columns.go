@@ -3,18 +3,21 @@ package tuple
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
-// The column image serializes a run of tuples by column, for the wire:
-// a run off one stream has one schema, so a field's kind is written
-// once and its payloads are packed, and timestamps that climb in small
-// steps take a byte or two each.
+// The column image serializes a run of tuples by column — a batch frame
+// on the wire, a chunk in a spill store: a run off one stream has one
+// schema, so a field's kind is written once and its payloads are packed,
+// and timestamps that climb in small steps take a byte or two each.
 //
 //	n       uvarint       row count; the image of an empty run ends here
-//	ts      n × uvarint   zig-zag delta from the previous row's Ts (the
-//	                      first row's from 0) in wrapping uint64
-//	                      arithmetic: any step is representable
+//	base    uvarint       the first row's Ts, zig-zag
+//	tw      byte          1…8: the bytes the largest delta below needs
+//	ts      (n−1) × tw    zig-zag delta from the previous row's Ts in
+//	                      wrapping uint64 arithmetic (any step is
+//	                      representable), little-endian, all at one width
 //	width   uvarint       w+1 when every row holds w values; 0 when the
 //	                      rows differ, followed by n × uvarint widths
 //	per field j below the widest row, over the rows that hold a field j:
@@ -30,6 +33,12 @@ import (
 // self-describing value codec. Whatever AppendEncode can write the
 // image can too, and what DecodeValue refuses (the zero Value) is
 // refused here as well, at decode.
+//
+// The deltas have one width an image so that neither side branches on a
+// length per row (arrival gaps drawn from a distribution make varints of
+// two to four bytes in an order no predictor guesses). The base is apart:
+// as a first delta, an absolute nanosecond timestamp would widen every
+// delta of the image to eight bytes.
 
 // AppendColumns appends the column image of rows to dst and returns the
 // extended slice.
@@ -38,15 +47,10 @@ func AppendColumns(dst []byte, rows []Tuple) []byte {
 	if len(rows) == 0 {
 		return dst
 	}
-	first, widest, uniform := len(rows[0].Vals), 0, true
-	var prev uint64
-	for i := range rows {
-		d := uint64(rows[i].Ts) - prev
-		prev = uint64(rows[i].Ts)
-		dst = binary.AppendUvarint(dst, d<<1^uint64(int64(d)>>63))
-		uniform = uniform && len(rows[i].Vals) == first
-		widest = max(widest, len(rows[i].Vals))
-	}
+	steps, widest, uniform := scanRows(rows)
+	dst = binary.AppendUvarint(dst, zigzag(uint64(rows[0].Ts)))
+	tw := (bits.Len64(steps|1) + 7) / 8
+	dst = appendDeltas(append(dst, byte(tw)), rows, tw)
 	if uniform {
 		dst = binary.AppendUvarint(dst, uint64(widest)+1)
 	} else {
@@ -60,6 +64,42 @@ func AppendColumns(dst []byte, rows []Tuple) []byte {
 	}
 	return dst
 }
+
+// scanRows is the one look at every row the image's header needs: the
+// OR of the zig-zag Ts deltas (its top bit is the largest delta's), the
+// widest row, and whether every row is that wide. A function of its own,
+// like the two delta loops, so that the loop's variables stay in registers.
+func scanRows(rows []Tuple) (steps uint64, widest int, uniform bool) {
+	first, prev := len(rows[0].Vals), uint64(rows[0].Ts)
+	uniform = true
+	for i := range rows {
+		d := uint64(rows[i].Ts) - prev
+		prev = uint64(rows[i].Ts)
+		steps |= zigzag(d)
+		uniform = uniform && len(rows[i].Vals) == first
+		widest = max(widest, len(rows[i].Vals))
+	}
+	return steps, widest, uniform
+}
+
+// appendDeltas writes the zig-zag Ts deltas of rows[1:], tw bytes each.
+// Every delta is stored as eight bytes, the next one overwriting what the
+// width cuts off; the last spills into capacity grown for it.
+func appendDeltas(dst []byte, rows []Tuple, tw int) []byte {
+	at, size := len(dst), (len(rows)-1)*tw
+	dst = slices.Grow(dst, size+8)
+	out, prev := dst[at:at+size+8], uint64(rows[0].Ts)
+	for _, r := range rows[1:] {
+		binary.LittleEndian.PutUint64(out, zigzag(uint64(r.Ts)-prev))
+		out, prev = out[tw:], uint64(r.Ts)
+	}
+	return dst[:at+size]
+}
+
+// zigzag folds the sign of a wrapping delta into its lowest bit, so that
+// a small step either way is a small number.
+func zigzag(d uint64) uint64   { return d<<1 ^ uint64(int64(d)>>63) }
+func unzigzag(u uint64) uint64 { return u>>1 ^ -(u & 1) }
 
 // appendColumn writes field j of the rows that hold one, packed under
 // the kind of the first such row — one loop per kind, so the send path
@@ -120,15 +160,42 @@ func appendEscape(dst []byte, rows []Tuple, j int) []byte {
 	return dst
 }
 
+// decodeDeltas fills in the Ts of rows[1:] from rows[0]'s and the deltas
+// at the head of b, tw bytes each (the caller has checked that b holds
+// them): a byte a row for a tick stream, else a load masked to the width.
+func decodeDeltas(rows []Tuple, b []byte, tw int) {
+	prev := uint64(rows[0].Ts)
+	if tw == 1 {
+		for i, d := range b[:len(rows)-1] {
+			prev += unzigzag(uint64(d))
+			rows[i+1].Ts = int64(prev)
+		}
+		return
+	}
+	mask := ^uint64(0) >> (64 - 8*tw)
+	for i := 1; i < len(rows); i, b = i+1, b[tw:] {
+		var u uint64
+		if len(b) >= 8 {
+			u = binary.LittleEndian.Uint64(b) & mask
+		} else { // the image's last bytes: no room for the full load
+			var tail [8]byte
+			copy(tail[:], b[:tw])
+			u = binary.LittleEndian.Uint64(tail[:])
+		}
+		prev += unzigzag(u)
+		rows[i].Ts = int64(prev)
+	}
+}
+
 // DecodeColumns appends the rows of the column image b — all of b — to
 // dst and returns the extended slice. Every row's Vals is carved from
 // one slab allocated per call, cap-limited to its own values, so
 // appending to one row's cannot reach the next row's; the slab lives as
 // long as any row carved from it. The row count and the sum of the
 // widths are checked against the bytes left before anything is
-// allocated (a row is at least its one-byte Ts delta, a value at least
-// one byte), so a hostile count costs at most one Tuple and one Value
-// per input byte.
+// allocated (a row is at least a byte of the Ts column, a value at
+// least one byte), so a hostile count costs at most one Tuple and one
+// Value per input byte.
 func DecodeColumns(dst []Tuple, b []byte) ([]Tuple, error) {
 	un, pos := binary.Uvarint(b)
 	if pos <= 0 || un > uint64(len(b)-pos) {
@@ -141,20 +208,22 @@ func DecodeColumns(dst []Tuple, b []byte) ([]Tuple, error) {
 		}
 		return dst, nil
 	}
+	u, sz := binary.Uvarint(b[pos:])
+	if sz <= 0 || pos+sz >= len(b) {
+		return nil, fmt.Errorf("%w: truncated Ts base", ErrCorrupt)
+	}
+	tw := int(b[pos+sz])
+	pos += sz + 1
+	if tw < 1 || tw > 8 || (n-1)*tw > len(b)-pos {
+		return nil, fmt.Errorf("%w: %d Ts deltas of width %d in %d bytes", ErrCorrupt, n-1, tw, len(b)-pos)
+	}
 	base := len(dst)
 	dst = slices.Grow(dst, n)[:base+n]
 	rows := dst[base:]
 
-	var prev uint64
-	for i := range rows {
-		u, sz := binary.Uvarint(b[pos:])
-		if sz <= 0 {
-			return nil, fmt.Errorf("%w: truncated Ts column", ErrCorrupt)
-		}
-		pos += sz
-		prev += u>>1 ^ -(u & 1)
-		rows[i].Ts = int64(prev)
-	}
+	rows[0].Ts = int64(unzigzag(u))
+	decodeDeltas(rows, b[pos:], tw)
+	pos += (n - 1) * tw
 
 	uw, sz := binary.Uvarint(b[pos:])
 	if sz <= 0 {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"runtime"
@@ -16,7 +17,8 @@ import (
 // delta's corner.
 func columnRuns() map[string][]Tuple {
 	nan := math.Float64frombits(0x7ff8_0000_dead_beef) // NaN with payload bits
-	return map[string][]Tuple{
+	runs := tsWidthRuns()
+	maps.Copy(runs, map[string][]Tuple{
 		"empty":        {},
 		"single row":   {New(7, Int(1), String_("x"))},
 		"zero width":   {New(1), New(2), New(3)},
@@ -35,7 +37,25 @@ func columnRuns() map[string][]Tuple {
 		"ts wraps":                {New(math.MinInt64, Int(1)), New(math.MaxInt64, Int(2)), New(0, Int(3)), New(math.MinInt64, Int(4))},
 		"ts descends":             {New(1_000_000), New(5), New(-5), New(-1_000_000)},
 		"odd bool":                {New(1, Value{kind: KindBool, num: 2}), New(2, Bool(true))},
+	})
+	return runs
+}
+
+// tsWidthRuns is a run per Ts delta width 1…8: from an absolute
+// nanosecond timestamp, the largest step forward w bytes hold after
+// zig-zag, the largest step back, and a tick, so that the wide delta is
+// neither first nor last.
+func tsWidthRuns() map[string][]Tuple {
+	runs := make(map[string][]Tuple)
+	for w := 1; w <= 8; w++ {
+		step := int64(1)<<(8*w-1) - 1
+		t0 := int64(1_600_000_000_000_000_000)
+		runs[fmt.Sprintf("ts width %d", w)] = []Tuple{
+			New(t0, Float(1)), New(t0+1, Float(2)), New(t0+1+step, Float(3)),
+			New(t0, Float(4)), New(t0+1, Float(5)),
+		}
 	}
+	return runs
 }
 
 // sameRows compares by Value.Equal (floats by their bits) and treats an
@@ -103,20 +123,29 @@ func TestColumnsRoundTrip(t *testing.T) {
 
 // TestColumnsPacks pins the sizes the format promises: a kind byte a
 // column, a byte a timestamp that steps by less than 64, eight bytes a
-// number — and that one stray kind costs the column its packing, not
-// the image.
+// number — that one stray kind costs the column its packing, not the
+// image — and that the Ts column is as wide as its largest step, not as
+// its first timestamp.
 func TestColumnsPacks(t *testing.T) {
 	rows := make([]Tuple, 64)
 	for i := range rows {
 		rows[i] = New(int64(1000+i), Float(float64(i)))
 	}
-	// count, 2-byte first delta + 63 one-byte deltas, width, kind, payload.
-	if got, want := len(AppendColumns(nil, rows)), 1+2+63+1+1+64*8; got != want {
+	// count, 2-byte base, Ts width, 63 one-byte deltas, width, kind, payload.
+	if got, want := len(AppendColumns(nil, rows)), 1+2+1+63+1+1+64*8; got != want {
 		t.Errorf("64 (ts, float) rows take %d bytes, want %d", got, want)
 	}
 	rows[40].Vals = []Value{Int(40)}
-	if got, want := len(AppendColumns(nil, rows)), 1+2+63+1+1+64*9; got != want {
+	if got, want := len(AppendColumns(nil, rows)), 1+2+1+63+1+1+64*9; got != want {
 		t.Errorf("with one int among the floats: %d bytes, want %d (escape arm)", got, want)
+	}
+	for w := 1; w <= 8; w++ {
+		rows := tsWidthRuns()[fmt.Sprintf("ts width %d", w)]
+		enc := AppendColumns(nil, rows)
+		// count, 9-byte base, Ts width, 4 deltas, width, kind, payload.
+		if got, want := len(enc), 1+9+1+4*w+1+1+5*8; got != want || int(enc[10]) != w {
+			t.Errorf("steps of %d bytes: image of %d bytes with Ts width %d, want %d", w, got, enc[10], want)
+		}
 	}
 }
 
@@ -143,23 +172,36 @@ func TestColumnsInvalidValue(t *testing.T) {
 // each is ErrCorrupt, and none makes it allocate by the declared size.
 func TestDecodeColumnsHostile(t *testing.T) {
 	uv := binary.AppendUvarint
+	// ts is the head of an image of n rows a tick apart from Ts 1: the
+	// count, the base, Ts width 1, n-1 deltas.
+	ts := func(n int, rest ...byte) []byte {
+		return append(append(append(uv(nil, uint64(n)), 2, 1), bytes.Repeat([]byte{2}, n-1)...), rest...)
+	}
 	valid := AppendColumns(nil, columnRuns()["ragged"])
 	cases := map[string][]byte{
 		"nil":                    nil,
 		"huge count":             uv(nil, 1<<40),
-		"count beyond the bytes": append(uv(nil, 9), 2, 2, 2),
+		"count beyond the bytes": append(uv(nil, 9), 2, 1, 2),
 		"max count":              uv(nil, math.MaxUint64),
-		"huge width":             append(append(uv(nil, 2), 2, 2), uv(nil, 1<<50)...),
-		"width beyond the bytes": append(append(uv(nil, 2), 2, 2), 4, byte(KindBool), 1, 1),
-		"huge ragged width":      append(append(append(uv(nil, 2), 2, 2, 0), uv(nil, 1<<62)...), 1),
-		"ragged sum beyond":      append(uv(nil, 3), 2, 2, 2, 0, 2, 2, 2, byte(KindBool)),
-		"no width":               append(uv(nil, 2), 2, 2),
-		"unknown kind":           append(uv(nil, 1), 2, 2, 9, 0, 0, 0, 0, 0, 0, 0, 0),
-		"bool byte 2":            append(uv(nil, 1), 2, 2, byte(KindBool), 2),
-		"string beyond":          append(uv(nil, 1), 2, 2, byte(KindString), 5, 'a'),
-		"escape, bad kind":       append(uv(nil, 1), 2, 2, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0),
+		"no Ts width":            append(uv(nil, 1), 2),
+		"Ts width 0":             append(uv(nil, 2), 2, 0, 2, 1),
+		"Ts width 9":             append(uv(nil, 2), 2, 9, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+		"Ts width beyond":        append(uv(nil, 5), 2, 8, 2, 0, 0, 0, 0, 0, 0, 0, 1),
+		"huge width":             ts(2, uv(nil, 1<<50)...),
+		"width beyond the bytes": ts(2, 4, byte(KindBool), 1, 1),
+		"huge ragged width":      ts(2, append(uv([]byte{0}, 1<<62), 1)...),
+		"ragged sum beyond":      ts(3, 0, 2, 2, 2, byte(KindBool)),
+		"no width":               ts(2),
+		"unknown kind":           ts(1, 2, 9, 0, 0, 0, 0, 0, 0, 0, 0),
+		"bool byte 2":            ts(1, 2, byte(KindBool), 2),
+		"string beyond":          ts(1, 2, byte(KindString), 5, 'a'),
+		"escape, bad kind":       ts(1, 2, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0),
 		"trailing byte":          append(append([]byte(nil), valid...), 0),
 		"empty run, trailing":    {0, 0},
+	}
+	// The heads themselves are sound: each case fails where it says.
+	if got, err := DecodeColumns(nil, ts(3, 1)); err != nil || len(got) != 3 || got[2].Ts != 3 {
+		t.Fatalf("three rows of no values decode to %v (%v)", got, err)
 	}
 	for cut := 0; cut < len(valid); cut++ {
 		cases[fmt.Sprintf("truncated to %d", cut)] = valid[:cut]
@@ -231,4 +273,51 @@ func BenchmarkColumns(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkAppendColumns is the encode side by Ts delta width: a
+// 512-row chunk of (Ts, float) whose gaps are drawn at random below the
+// width's limit, as arrival gaps are. One op is one row.
+// BenchmarkDecodeColumns reads the same chunks back.
+func BenchmarkAppendColumns(b *testing.B) {
+	benchWidths(b, func(b *testing.B, rows []Tuple, enc []byte) {
+		for n := 0; n < b.N; n += len(rows) {
+			enc = AppendColumns(enc[:0], rows)
+		}
+	})
+}
+
+func BenchmarkDecodeColumns(b *testing.B) {
+	benchWidths(b, func(b *testing.B, rows []Tuple, enc []byte) {
+		dst := make([]Tuple, 0, len(rows))
+		for n := 0; n < b.N; n += len(rows) {
+			if _, err := DecodeColumns(dst[:0], enc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+func benchWidths(b *testing.B, loop func(b *testing.B, rows []Tuple, enc []byte)) {
+	for w := 1; w <= 8; w++ {
+		r := rand.New(rand.NewSource(int64(w)))
+		rows := make([]Tuple, 512)
+		ts := int64(1_600_000_000_000_000_000)
+		for i := range rows {
+			ts += 1 + r.Int63n(int64(1)<<(8*w-1)-1)
+			rows[i] = New(ts, Float(float64(i)))
+		}
+		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
+			enc := AppendColumns(nil, rows)
+			_, count := binary.Uvarint(enc)
+			_, base := binary.Uvarint(enc[count:])
+			if got := int(enc[count+base]); got != w {
+				b.Fatalf("Ts width %d, want %d", got, w)
+			}
+			b.ReportAllocs()
+			b.SetBytes(int64(len(enc)) / int64(len(rows)))
+			b.ResetTimer()
+			loop(b, rows, enc)
+		})
+	}
 }

@@ -144,9 +144,15 @@ func FuzzColumnsCodec(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 32))
-	// Not canonical: ragged widths that agree, an escape arm over one kind.
-	f.Add(AppendValue(AppendValue([]byte{2, 2, 2, 0, 1, 1, 0}, Float(1)), Float(2)))
-	f.Add([]byte{1, 2, 2, 9, 0, 0, 0, 0, 0, 0, 0, 0}) // unknown kind
+	// Not canonical: ragged widths that agree, an escape arm over one
+	// kind; tick deltas three bytes wide.
+	f.Add(AppendValue(AppendValue([]byte{2, 2, 1, 2, 0, 1, 1, 0}, Float(1)), Float(2)))
+	f.Add([]byte{3, 2, 3, 2, 0, 0, 2, 0, 0, 1})
+	f.Add([]byte{1, 2, 1, 2, 9, 0, 0, 0, 0, 0, 0, 0, 0}) // unknown kind
+	// Ts widths no image has, and one the bytes cannot hold.
+	f.Add([]byte{2, 2, 0, 2, 1})
+	f.Add([]byte{2, 2, 9, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1})
+	f.Add([]byte{5, 2, 8, 2, 0, 0, 0, 0, 0, 0, 0, 1})
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		rows, err := DecodeColumns(nil, b)
