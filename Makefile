@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check build vet lint lint-ssa test race recovery obs obs-scrape fuzz loc bench-smoke bench-checkpoint bench-spill bench-shuffle bench-adaptive e2e-dist
+.PHONY: check build vet lint lint-ssa test race recovery obs obs-scrape fuzz loc bench-smoke bench-adaptive e2e-dist
 
 check: build vet lint lint-ssa race recovery obs
 
@@ -26,11 +26,10 @@ lint:
 	$(GO) run ./cmd/spearlint ./...
 
 # The whole-program dataflow layer (cmd/spearlint -ssa): snapshot codec
-# coverage, atomic/plain access mixing, sync.Pool leak paths, and
-# blocking operations behind lock-free contracts. Loads the module as
-# one type-checked program (~seconds, not instant — hence its own
-# target). See DESIGN.md §14 for mechanics, soundness limits, and the
-# //lint:allow suppression syntax.
+# coverage, sync.Pool leak paths, and blocking operations behind
+# lock-free contracts. Loads the module as one type-checked program
+# (~seconds, not instant — hence its own target). See DESIGN.md §14 for
+# mechanics, soundness limits, and the //lint:allow suppression syntax.
 lint-ssa:
 	$(GO) run ./cmd/spearlint -ssa .
 
@@ -112,18 +111,6 @@ bench-smoke:
 	$(GO) test ./internal/transport -run '^$$' -bench 'BenchmarkDecodeFrame|BenchmarkAppendBatch' -benchtime 1x -benchmem
 	$(GO) test ./internal/tuple -run '^$$' -bench 'BenchmarkAppendColumns|BenchmarkDecodeColumns' -benchtime 1x -benchmem
 
-# Spill plane: sync vs async (write-behind + prefetch) vs async+codec
-# across storage latency profiles (local / ssd / remote), writing
-# BENCH_spill.json (acceptance: async ≥3x sync wall-clock on the remote
-# profile, results identical — values and Mode — in every mode).
-bench-spill:
-	$(GO) run ./cmd/spear-bench -experiment spill -benchjson BENCH_spill.json
-
-# Checkpoint overhead on the default workload: off vs every-n-tuples vs
-# 1s vs 10s intervals (acceptance: <10% throughput cost at 10s).
-bench-checkpoint:
-	$(GO) run ./cmd/spear-bench -experiment checkpoint
-
 # Adaptive accuracy controller: a 10s stream with an 8x load spike over
 # a 10ms-per-write archive store, fixed budget vs LatencySLO-driven
 # controller, writing BENCH_adaptive.json (acceptance: adaptive p95 <
@@ -132,13 +119,6 @@ bench-checkpoint:
 # contract at ≥ the confidence level, every rep — all enforced in-run).
 bench-adaptive:
 	$(GO) run ./cmd/spear-bench -experiment adaptive -benchjson BENCH_adaptive.json
-
-# Network shuffle: the TCP transport fabric vs the in-process channel
-# fabric at par 1/4, writing BENCH_shuffle.json (acceptance: TCP rows
-# bit-identical to in-process — values and Mode per window — enforced
-# inside the experiment; overhead is informational).
-bench-shuffle:
-	$(GO) run ./cmd/spear-bench -experiment shuffle -benchjson BENCH_shuffle.json
 
 # Distributed end-to-end gate: the real multi-process path. The
 # 2-process loopback identity + kill-one-node recovery tests (re-exec

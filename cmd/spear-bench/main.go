@@ -5,7 +5,7 @@
 //
 //	spear-bench -experiment fig8d            # one experiment
 //	spear-bench -experiment all -scale 0.2   # the whole evaluation
-//	spear-bench -experiment spill -benchjson BENCH_spill.json
+//	spear-bench -experiment adaptive -benchjson BENCH_adaptive.json
 //	spear-bench -experiment fig8d -cpuprofile cpu.out -memprofile mem.out
 //
 // Scale 1.0 replays the paper's full stream lengths (4M/24M/56M tuples);
@@ -38,7 +38,7 @@ func run() int {
 			"experiment id ("+strings.Join(bench.ExperimentIDs(), ", ")+") or 'all'")
 		scale      = flag.Float64("scale", 0.2, "fraction of the paper's stream lengths")
 		seed       = flag.Int64("seed", 1, "random seed for datasets and sampling")
-		benchJSON  = flag.String("benchjson", "", "also write machine-readable results to this path (spill, shuffle, adaptive)")
+		benchJSON  = flag.String("benchjson", "", "also write machine-readable results to this path (adaptive)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this path")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this path on exit")
 		serve      = flag.String("serve", "", "serve live observability at this address while experiments run: Prometheus at /metrics, JSON at /snapshot (e.g. :8080)")

@@ -15,9 +15,9 @@ var hotLoopScope = []string{
 	"internal/spe",
 }
 
-// hotTupleScope limits the per-tuple manager check to the window
-// managers: their OnTuple bodies (and OnTupleBatch loops) execute once
-// per tuple at full stream rate.
+// hotTupleScope limits the ingest-kernel check to the window managers:
+// the loops of their ingestRun kernels execute once per tuple (or once
+// per run and open window) at full stream rate.
 var hotTupleScope = []string{
 	"internal/core",
 }
@@ -53,11 +53,29 @@ var transportSendScope = []string{
 //     metric observation (.Observe/.ObserveDuration through a selector
 //     chain passing a Metrics field — obs.Histogram takes a lock
 //     per observation).
-//   - In internal/core manager entry points: the same mutex rules over
-//     the whole OnTuple body (it runs once per tuple) and over the
-//     loops of OnTupleBatch. No call expansion here, so the per-window
-//     fire paths — which legitimately observe ProcTime once per window
-//     through helpers — stay exempt.
+//   - In internal/core ingest kernels — every method named ingestRun,
+//     the one kernel a manager's OnTuple, OnTupleBatch and OnColumnBatch
+//     all feed (DESIGN.md §19); the entry points themselves are
+//     loop-free adapters and finding loops in them by name finds none.
+//     Loops are collected anywhere in the body, including inside
+//     function literals, because the window-run visit closure handed to
+//     Spec.EachRun runs synchronously. Inside them: the same mutex
+//     rules; fmt.Sprintf/Sprint/Sprintln calls (per-tuple formatting
+//     reflects and allocates); string concatenation via + or += (each
+//     one copies both halves into a fresh allocation — a
+//     strings.Builder or reused byte slice amortizes); append to a
+//     slice the kernel declared without capacity (`var x []T`,
+//     `x := []T{}`, `x := make([]T, 0)` — slices of unknown provenance,
+//     fields, parameters, aliases, stay quiet: a tripwire for the local
+//     regression, not an escape analysis); and the row-format
+//     regressions a kernel over columns exists to eliminate —
+//     tuple.Value boxing (tuple.Float/Int/String_/Bool/New constructor
+//     calls), per-row Value accessor calls (.AsFloat/.AsInt/.AsString/
+//     .AsBool), per-row interface conversions (type assertions), and
+//     indexing back into a tuple's Vals row storage. No call expansion,
+//     so per-batch and per-run work outside the loops, and the
+//     per-window fire paths — which legitimately observe ProcTime once
+//     per window through helpers — stay exempt.
 //   - In internal/transport, on the shuffle's frame path (pump, sendSeq,
 //     readLoop, and every package-local function they reach
 //     synchronously): the worker-loop rules above over each reachable
@@ -71,26 +89,6 @@ var transportSendScope = []string{
 //     which runs once per frame. Frame buffers are recycled; a helper
 //     that allocates when its free list is empty sits outside any loop
 //     and stays quiet.
-//   - Inside OnTupleBatch loops additionally: fmt.Sprintf/Sprint/
-//     Sprintln calls (per-tuple formatting reflects and allocates),
-//     string concatenation via + or += (each one copies both halves
-//     into a fresh allocation — a strings.Builder or reused byte slice
-//     amortizes), and append to a slice the batch body declared without
-//     capacity (`var x []T`, `x := []T{}`, `x := make([]T, 0)` — the
-//     batch loop reallocates log(n) times where make(..., 0, len(batch))
-//     would allocate once). Slices of unknown provenance — fields,
-//     parameters, aliases — stay quiet: the check is a tripwire for
-//     the local regression, not an escape analysis.
-//   - Inside OnColumnBatch loops (the columnar ingest kernels — loops
-//     found anywhere in the body, including inside function literals,
-//     because the window-run visit closures run synchronously): all of
-//     the above, plus the row-format regressions the columnar lane
-//     exists to eliminate — tuple.Value boxing (tuple.Float/Int/
-//     String_/Bool/New constructor calls), per-row Value accessor
-//     calls (.AsFloat/.AsInt/.AsString/.AsBool), per-row interface
-//     conversions (type assertions), and indexing back into a tuple's
-//     Vals row storage. A kernel loop reads the typed column slices;
-//     per-batch eligibility gates may box and unbox freely.
 //
 // spe reachability is intraprocedural with one hop of package-local
 // call resolution: the seed set is every goroutine literal in
@@ -589,84 +587,51 @@ func chainContains(e ast.Expr, name string) bool {
 	}
 }
 
-// runHotManagers is the internal/core side: OnTuple runs once per
-// tuple, so its whole body is hot; OnTupleBatch amortizes per batch, so
-// only its loops are hot. No call expansion — helpers like the
-// per-window fire paths observe ProcTime once per window, legitimately.
-// OnTupleBatch loops additionally get the allocation-churn scan:
-// per-batch setup may format, concatenate, and allocate freely; the
-// per-tuple loop body may not.
-//
-// OnColumnBatch — the columnar ingest kernels — gets the strictest
-// treatment: its loops are collected from the whole body INCLUDING
-// function literals, because the kernels hand per-run visit closures
-// to window.Spec.EachRun and those run synchronously on the ingest
-// path. Each kernel loop gets the mutex/metric and allocation-churn
-// scans plus the row-format scan (boxing, accessors, assertions, Vals
-// indexing): a kernel that reaches back into row representation per
-// element has silently lost the point of the columnar lane.
+// runHotManagers is the internal/core side, seeded at the kernel: every
+// method named ingestRun. Its loops are collected from the whole body
+// INCLUDING function literals — the kernels hand a per-run visit closure
+// to window.Spec.EachRun and it runs synchronously on the ingest path —
+// outermost loops only, each scan covering its nested loops. Every
+// kernel loop gets the mutex/metric scan, the allocation-churn scan and
+// the row-format scan (boxing, accessors, assertions, Vals indexing): a
+// kernel that reaches back into row representation per element has
+// silently lost the point of reading a batch once into columns. No call
+// expansion — helpers like the per-window fire paths observe ProcTime
+// once per window, legitimately — and per-batch or per-run work outside
+// the loops may lock, format and allocate freely.
 func runHotManagers(p *Pkg) []Finding {
+	const where = "an ingest kernel loop"
 	var out []Finding
 	for _, f := range p.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || fd.Recv == nil {
+			if !ok || fd.Body == nil || fd.Recv == nil || fd.Name.Name != "ingestRun" {
 				continue
 			}
-			switch fd.Name.Name {
-			case "OnTuple":
-				out = append(out, scanMutexMetric(p, fd.Body, "the per-tuple OnTuple path")...)
-			case "OnTupleBatch":
-				growing := growingSlices(p, fd.Body)
-				fmtAlias := importAlias(f, "fmt")
-				scanLoop := func(body *ast.BlockStmt) {
-					out = append(out, scanMutexMetric(p, body, "an OnTupleBatch per-tuple loop")...)
-					out = append(out, scanBatchAllocs(p, body, fmtAlias, growing, "an OnTupleBatch per-tuple loop")...)
-				}
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					switch n := n.(type) {
-					case *ast.ForStmt:
-						scanLoop(n.Body)
-						return false
-					case *ast.RangeStmt:
-						scanLoop(n.Body)
-						return false
-					case *ast.FuncLit:
-						return false
-					}
+			growing := growingSlices(p, fd.Body)
+			fmtAlias := importAlias(f, "fmt")
+			tupleAlias := importAlias(f, "spear/internal/tuple")
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				var loop *ast.BlockStmt
+				switch n := n.(type) {
+				case *ast.ForStmt:
+					loop = n.Body
+				case *ast.RangeStmt:
+					loop = n.Body
+				default:
 					return true
-				})
-			case "OnColumnBatch":
-				growing := growingSlices(p, fd.Body)
-				fmtAlias := importAlias(f, "fmt")
-				tupleAlias := importAlias(f, "spear/internal/tuple")
-				scanLoop := func(body *ast.BlockStmt) {
-					out = append(out, scanMutexMetric(p, body, "a columnar kernel loop")...)
-					out = append(out, scanBatchAllocs(p, body, fmtAlias, growing, "a columnar kernel loop")...)
-					out = append(out, scanColumnKernel(p, body, tupleAlias)...)
 				}
-				// Unlike OnTupleBatch, do NOT stop at function literals
-				// while hunting for loops: the EachRun visit closure is
-				// synchronous kernel code. Outermost loops only — each
-				// scan covers its nested loops.
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					switch n := n.(type) {
-					case *ast.ForStmt:
-						scanLoop(n.Body)
-						return false
-					case *ast.RangeStmt:
-						scanLoop(n.Body)
-						return false
-					}
-					return true
-				})
-			}
+				out = append(out, scanMutexMetric(p, loop, where)...)
+				out = append(out, scanBatchAllocs(p, loop, fmtAlias, growing, where)...)
+				out = append(out, scanColumnKernel(p, loop, tupleAlias)...)
+				return false
+			})
 		}
 	}
 	return out
 }
 
-// scanColumnKernel flags row-format regressions inside one columnar
+// scanColumnKernel flags row-format regressions inside one ingest
 // kernel loop: tuple.Value boxing via the tuple package's constructors,
 // per-row Value accessor calls, per-row interface conversions (type
 // assertions), and indexing into a tuple's Vals row storage. Nested
@@ -675,7 +640,7 @@ func runHotManagers(p *Pkg) []Finding {
 // tuple import alias — like the time.Now check: the stub importer
 // leaves cross-package types opaque, and a tripwire must never guess.
 func scanColumnKernel(p *Pkg, loop *ast.BlockStmt, tupleAlias string) []Finding {
-	const where = " inside a columnar kernel loop; the kernel contract is tight loops over the typed column slices — "
+	const where = " inside an ingest kernel loop; the kernel contract is tight loops over the typed column slices — "
 	var out []Finding
 	ast.Inspect(loop, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -798,12 +763,12 @@ func growingInit(e ast.Expr) bool {
 	return false
 }
 
-// scanBatchAllocs flags per-tuple allocation churn inside one batch
-// ingest loop body (where names it: OnTupleBatch or a columnar
-// kernel): fmt formatting calls, string concatenation, and appends to
-// slices declared without capacity. Nested function literals are
-// skipped (closures do not run per iteration of this loop); a chain of
-// string + operators is reported once, at its outermost node.
+// scanBatchAllocs flags per-tuple allocation churn inside one ingest
+// kernel loop (where names it): fmt formatting calls, string
+// concatenation, and appends to slices declared without capacity.
+// Nested function literals are skipped (closures do not run per
+// iteration of this loop); a chain of string + operators is reported
+// once, at its outermost node.
 func scanBatchAllocs(p *Pkg, loop *ast.BlockStmt, fmtAlias string, growing map[types.Object]bool, where string) []Finding {
 	var out []Finding
 	ast.Inspect(loop, func(n ast.Node) bool {

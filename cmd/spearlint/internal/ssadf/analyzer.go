@@ -32,7 +32,6 @@ type Analyzer struct {
 // Analyzers is the v2 catalogue, in report order.
 var Analyzers = []*Analyzer{
 	AnalyzerSnapshotcover,
-	AnalyzerAtomicmix,
 	AnalyzerPoolreturn,
 	AnalyzerBlockfree,
 }

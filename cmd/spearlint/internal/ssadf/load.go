@@ -2,8 +2,8 @@
 // that type-checks the entire module with real cross-package type
 // information, a per-function control-flow-graph builder, a class-
 // hierarchy call graph, and the v2 analyzers that prove the engine's
-// state and concurrency contracts (snapshotcover, atomicmix,
-// poolreturn, blockfree).
+// state and concurrency contracts (snapshotcover, poolreturn,
+// blockfree).
 //
 // Where the syntactic spearlint layer (cmd/spearlint) type-checks each
 // package in isolation against stub imports, ssadf resolves every
@@ -13,7 +13,7 @@
 // the layer on the standard library alone — golang.org/x/tools
 // (go/ssa, go/analysis) is the intended foundation but cannot be
 // pinned in this build environment (no module proxy access), so the
-// package implements the minimal SSA-style subset the four analyzers
+// package implements the minimal SSA-style subset the three analyzers
 // need: def-use tracking of single values over a CFG, reaching-state
 // path walks, and whole-program reachability. Swapping the substrate
 // for x/tools later only replaces this package's internals; the

@@ -118,14 +118,6 @@ func TestSnapshotcoverClean(t *testing.T) {
 	checkSSAFixture(t, ssadf.AnalyzerSnapshotcover, "snapshotcover_ok")
 }
 
-func TestAtomicmix(t *testing.T) {
-	checkSSAFixture(t, ssadf.AnalyzerAtomicmix, "atomicmix")
-}
-
-func TestAtomicmixClean(t *testing.T) {
-	checkSSAFixture(t, ssadf.AnalyzerAtomicmix, "atomicmix_ok")
-}
-
 func TestPoolreturn(t *testing.T) {
 	checkSSAFixture(t, ssadf.AnalyzerPoolreturn, "poolreturn")
 }
@@ -203,25 +195,11 @@ func TestRepoCleanSSA(t *testing.T) {
 // would catch the corruption at runtime; snapshotcover catches it before
 // the code ever runs.
 func TestSnapshotcoverCatchesSeededMutation(t *testing.T) {
-	srcRoot, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(srcRoot, "go.mod")); err != nil {
-		t.Skipf("module root not found at %s", srcRoot)
-	}
-	root := copyTree(t, srcRoot)
-	rewriteFile(t, filepath.Join(root, "internal", "window", "lifecycle.go"),
-		"return Cursor{l.started, l.fired, l.nextFire, l.seq, l.maxPos, l.late}",
-		"return Cursor{l.started, l.fired, l.nextFire, l.seq, 0, l.late}")
-
-	prog, err := ssadf.SharedLoader().Load(root, "spear")
-	if err != nil {
-		t.Fatalf("load mutated tree: %v", err)
-	}
-	for _, e := range prog.TypeErrors {
-		t.Errorf("type error loading mutated tree: %v", e)
-	}
+	prog := loadMutatedRepo(t, func(root string) {
+		rewriteFile(t, filepath.Join(root, "internal", "window", "lifecycle.go"),
+			"return Cursor{l.started, l.fired, l.nextFire, l.seq, l.maxPos, l.late}",
+			"return Cursor{l.started, l.fired, l.nextFire, l.seq, 0, l.late}")
+	})
 	findings := ssadf.RunAll(prog, []*ssadf.Analyzer{ssadf.AnalyzerSnapshotcover})
 	for _, holder := range []string{"ScalarManager.lc", "GroupedManager.own", "IncrementalManager.lc", "SingleBuffer.lc"} {
 		typ, _, _ := strings.Cut(holder, ".")
@@ -236,6 +214,61 @@ func TestSnapshotcoverCatchesSeededMutation(t *testing.T) {
 			t.Errorf("seeded mutation (maxPos dropped from Lifecycle.Cursor) not reported for %s; findings: %v", holder, findings)
 		}
 	}
+}
+
+// TestPoolreturnAndBlockfreeCatchSeededMutations is the same proof for
+// the other two dataflow analyzers, on one mutated tree: the bug
+// poolreturn found in spill.deflate put back (the flate writer returned
+// to its pool on the success path only), and a mutex on obs.Gauge.Set,
+// which its type documents lock-free.
+func TestPoolreturnAndBlockfreeCatchSeededMutations(t *testing.T) {
+	prog := loadMutatedRepo(t, func(root string) {
+		codec := filepath.Join(root, "internal", "spill", "codec.go")
+		rewriteFile(t, codec, "\tdefer flateWriters[level].Put(w)\n", "")
+		rewriteFile(t, codec, "\treturn buf.Bytes(), nil\n}\n", "\tflateWriters[level].Put(w)\n\treturn buf.Bytes(), nil\n}\n")
+		rewriteFile(t, filepath.Join(root, "internal", "obs", "worker.go"),
+			"func (g *Gauge) Set(v int64) {\n",
+			"var gaugeMu sync.Mutex\n\nfunc (g *Gauge) Set(v int64) {\n\tgaugeMu.Lock()\n\tdefer gaugeMu.Unlock()\n")
+	})
+	want := map[string]string{ // analyzer → what its one finding says
+		"poolreturn": `pooled value "w"`,
+		"blockfree":  "inside lock-free entry (*obs.Gauge).Set",
+	}
+	for _, f := range ssadf.RunAll(prog, []*ssadf.Analyzer{ssadf.AnalyzerPoolreturn, ssadf.AnalyzerBlockfree}) {
+		if sub, ok := want[f.Analyzer]; ok && strings.Contains(f.Msg, sub) {
+			t.Logf("caught: %s", f)
+			delete(want, f.Analyzer)
+			continue
+		}
+		t.Errorf("unexpected finding: %s", f)
+	}
+	for a, sub := range want {
+		t.Errorf("seeded %s mutation not reported (want a finding containing %q)", a, sub)
+	}
+}
+
+// loadMutatedRepo copies the repository to a temp tree, lets mutate edit
+// the copy, and loads it as one program; the mutated tree must still
+// type-check.
+func loadMutatedRepo(t *testing.T, mutate func(root string)) *ssadf.Program {
+	t.Helper()
+	srcRoot, err := filepath.Abs(filepath.Join("..", ".."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(srcRoot, "go.mod")); err != nil {
+		t.Skipf("module root not found at %s", srcRoot)
+	}
+	root := copyTree(t, srcRoot)
+	mutate(root)
+	prog, err := ssadf.SharedLoader().Load(root, "spear")
+	if err != nil {
+		t.Fatalf("load mutated tree: %v", err)
+	}
+	for _, e := range prog.TypeErrors {
+		t.Errorf("type error loading mutated tree: %v", e)
+	}
+	return prog
 }
 
 // copyTree copies every .go file and go.mod under src into a fresh
@@ -296,7 +329,7 @@ func rewriteFile(t *testing.T, path, old, new string) {
 	}
 }
 
-// TestSSACatalog pins the dataflow catalogue: four uniquely-named
+// TestSSACatalog pins the dataflow catalogue: three uniquely-named
 // analyzers, each documented.
 func TestSSACatalog(t *testing.T) {
 	seen := map[string]bool{}
@@ -309,8 +342,8 @@ func TestSSACatalog(t *testing.T) {
 		}
 		seen[a.Name] = true
 	}
-	if len(ssadf.Analyzers) != 4 {
-		t.Errorf("ssa catalogue has %d analyzers, want 4", len(ssadf.Analyzers))
+	if len(ssadf.Analyzers) != 3 {
+		t.Errorf("ssa catalogue has %d analyzers, want 3", len(ssadf.Analyzers))
 	}
 }
 

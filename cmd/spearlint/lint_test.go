@@ -133,20 +133,15 @@ func TestHotLoop(t *testing.T) {
 	checkFixture(t, analyzerHotLoop, "hotloop", "internal/spe")
 }
 
-// TestHotTuple is the internal/core side of the hotloop analyzer: the
-// per-tuple manager entry points (OnTuple bodies, OnTupleBatch loops).
-func TestHotTuple(t *testing.T) {
-	checkFixture(t, analyzerHotLoop, "hottuple", "internal/core")
-}
-
-// TestHotCol is the columnar-kernel side of the hotloop analyzer: the
-// OnColumnBatch loops — including loops inside the synchronous
-// window-run visit closures — must reject tuple.Value boxing, per-row
-// Value accessors, per-row interface conversions, Vals row-storage
-// indexing, and the usual mutex/metric and allocation churn, while
-// per-batch eligibility gates and per-run amortized work stay quiet.
-func TestHotCol(t *testing.T) {
-	checkFixture(t, analyzerHotLoop, "hotcol", "internal/core")
+// TestHotKernel is the internal/core side of the hotloop analyzer: the
+// loops of every ingestRun kernel — including loops inside the
+// synchronous window-run visit closure — must reject mutex/metric
+// calls, allocation churn, tuple.Value boxing, per-row Value accessors,
+// per-row interface conversions and Vals row-storage indexing, while
+// the entry-point adapters, per-batch setup, per-run amortized work and
+// per-window helpers stay quiet.
+func TestHotKernel(t *testing.T) {
+	checkFixture(t, analyzerHotLoop, "hotkernel", "internal/core")
 }
 
 // TestHotTransport is the internal/transport side of the hotloop
@@ -159,7 +154,7 @@ func TestHotTransport(t *testing.T) {
 }
 
 func TestHotLoopOutOfScope(t *testing.T) {
-	for _, fixture := range []string{"hotloop", "hottuple", "hotcol", "hottransport"} {
+	for _, fixture := range []string{"hotloop", "hotkernel", "hottransport"} {
 		pkg := loadFixture(t, filepath.Join("testdata", "src", fixture), "internal/fixture")
 		if fs := runAnalyzers([]*Pkg{pkg}, []*Analyzer{analyzerHotLoop}); len(fs) != 0 {
 			t.Errorf("out-of-scope %s should be clean, got %d findings", fixture, len(fs))
@@ -169,13 +164,12 @@ func TestHotLoopOutOfScope(t *testing.T) {
 
 // TestHotLoopCrossScope pins the scope split: the worker fixture loaded
 // as internal/core must be clean (no Topology.Run expansion there), and
-// the manager fixture loaded as internal/spe must be clean (no OnTuple
-// scan there).
+// the manager fixture loaded as internal/spe must be clean (no
+// ingestRun scan there).
 func TestHotLoopCrossScope(t *testing.T) {
 	for fixture, rel := range map[string]string{
-		"hotloop":  "internal/core",
-		"hottuple": "internal/spe",
-		"hotcol":   "internal/spe",
+		"hotloop":   "internal/core",
+		"hotkernel": "internal/spe",
 	} {
 		pkg := loadFixture(t, filepath.Join("testdata", "src", fixture), rel)
 		if fs := runAnalyzers([]*Pkg{pkg}, []*Analyzer{analyzerHotLoop}); len(fs) != 0 {
@@ -252,6 +246,102 @@ func TestRepoClean(t *testing.T) {
 	}
 	if len(findings) == 0 {
 		t.Logf("repo clean across %d packages", len(pkgs))
+	}
+}
+
+// seed is one mutation of a real source file, in a package copied out
+// of the repository: in file, inject replaces anchor.
+type seed struct{ file, anchor, inject string }
+
+// checkSeeded copies the repo package at rel (module-relative) to a temp
+// tree, applies the seeds, and holds analyzer a to exactly one finding
+// per entry of want — trimmed text of an injected line → a substring of
+// the message reported there — and nothing else. The fixtures show what
+// an analyzer flags; this shows it still looks where the engine's code
+// is.
+func checkSeeded(t *testing.T, a *Analyzer, rel string, seeds []seed, want map[string]string) {
+	t.Helper()
+	src, err := filepath.Abs(filepath.Join("..", "..", filepath.FromSlash(rel)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(src); err != nil {
+		t.Skipf("%s not found at %s", rel, src)
+	}
+	root := copyTree(t, src)
+	for _, s := range seeds {
+		rewriteFile(t, filepath.Join(root, s.file), s.anchor, s.inject)
+	}
+	for _, f := range runAnalyzers([]*Pkg{loadFixture(t, root, rel)}, []*Analyzer{a}) {
+		b, err := os.ReadFile(f.Pos.Filename)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line := strings.TrimSpace(strings.Split(string(b), "\n")[f.Pos.Line-1])
+		if sub, ok := want[line]; ok && strings.Contains(f.Msg, sub) {
+			t.Logf("caught: %s", f)
+			delete(want, line)
+			continue
+		}
+		t.Errorf("unexpected finding: %s", f)
+	}
+	for line, sub := range want {
+		t.Errorf("seeded %q not reported (want a %s finding containing %q)", line, a.Name, sub)
+	}
+}
+
+// TestHotKernelCatchesSeededMutation proves the manager arm sees the
+// real kernels, not just the fixture: a histogram observation and a
+// fmt.Sprintf per element in the run closure of ScalarManager.ingestRun,
+// and a per-row read of row storage in GroupedManager.ingestRun's id
+// loop, must each produce one finding at the injected line and nothing
+// else. While the arm looked for loops in OnTuple, OnTupleBatch and
+// OnColumnBatch by name — loop-free adapters since the kernels were
+// unified — all three passed.
+func TestHotKernelCatchesSeededMutation(t *testing.T) {
+	checkSeeded(t, analyzerHotLoop, "internal/core", []seed{
+		{"scalar.go", "\t\trun := vals[i0:i1]\n",
+			"\t\trun := vals[i0:i1]\n\t\tfor _, v := range run {\n" +
+				"\t\t\tm.cfg.Metrics.ProcTime.Observe(v)\n\t\t\t_ = fmt.Sprintf(\"%v\", v)\n\t\t}\n"},
+		{"grouped.go", "\t\t\t\t\tw.gs.AddID(gid, run[i])\n",
+			"\t\t\t\t\t_ = rows[i0+i].Vals[0]\n\t\t\t\t\tw.gs.AddID(gid, run[i])\n"},
+	}, map[string]string{
+		"m.cfg.Metrics.ProcTime.Observe(v)": "mutex-guarded metric",
+		"_ = fmt.Sprintf(\"%v\", v)":        "fmt.Sprintf inside",
+		"_ = rows[i0+i].Vals[0]":            "row-format field access",
+	})
+}
+
+// TestAnalyzersCatchSeededMutations is the same proof for the five other
+// syntactic analyzers (DESIGN.md §9.1's "guards" column): each reports
+// one violation of its contract seeded into the package it guards.
+func TestAnalyzersCatchSeededMutations(t *testing.T) {
+	for _, c := range []struct {
+		a    *Analyzer
+		rel  string
+		seed seed
+		line string
+		sub  string
+	}{
+		{analyzerGlobalRand, "internal/sample",
+			seed{"reservoir.go", "import (\n\t\"math\"\n)\n\n", "import (\n\t\"math\"\n\t\"math/rand\"\n)\n\nvar _ = rand.Intn(3)\n\n"},
+			"var _ = rand.Intn(3)", "global source"},
+		{analyzerGoroutine, "internal/stats",
+			seed{"welford.go", "func (w *Welford) Merge(o Welford) {\n", "func (w *Welford) Merge(o Welford) {\n\tgo func() { _ = o.n }()\n"},
+			"go func() { _ = o.n }()", "no lifecycle discipline"},
+		{analyzerEventTime, "internal/core",
+			seed{"config.go", "\t//lint:ignore eventtime telemetry-clock default; event-time logic never calls this\n", ""},
+			"return time.Now", "time.Now in an event-time package"},
+		{analyzerFloatCmp, "internal/stats",
+			seed{"welford.go", "func (w *Welford) Merge(o Welford) {\n", "func (w *Welford) Merge(o Welford) {\n\tif w.mean == o.mean {\n\t\treturn\n\t}\n"},
+			"if w.mean == o.mean {", "float equality"},
+		{analyzerErrcheckLite, "internal/core",
+			seed{"archive.go", "ts, err := a.store.Get(a.paneKey(p))", "ts, _ := a.store.Get(a.paneKey(p))\n\t\tvar err error"},
+			"ts, _ := a.store.Get(a.paneKey(p))", "error returned by .Get is dropped"},
+	} {
+		t.Run(c.a.Name, func(t *testing.T) {
+			checkSeeded(t, c.a, c.rel, []seed{c.seed}, map[string]string{c.line: c.sub})
+		})
 	}
 }
 

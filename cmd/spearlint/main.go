@@ -7,7 +7,7 @@
 // and runs six project-specific correctness checks. The dataflow layer
 // (-ssa) type-checks the whole module with real cross-package types,
 // builds per-function CFGs and a class-hierarchy call graph, and runs
-// four analyzers that prove the engine's state and concurrency
+// three analyzers that prove the engine's state and concurrency
 // contracts (see cmd/spearlint/internal/ssadf).
 //
 // Usage:
@@ -33,7 +33,6 @@
 // Dataflow checks (suppress with `//lint:allow <check> <reason>`):
 //
 //	snapshotcover  mutable operator state missing from its Snapshotter codec
-//	atomicmix      variable accessed both atomically and plainly
 //	poolreturn     sync.Pool.Get result leaking on a return path
 //	blockfree      blocking op reachable from code documented lock-free
 package main

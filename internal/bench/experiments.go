@@ -33,29 +33,25 @@ const (
 
 // Experiments maps experiment ids to their implementations.
 var Experiments = map[string]func(Options) ([]*Table, error){
-	"table1":     Table1,
-	"fig6":       Fig6,
-	"fig7":       Fig7,
-	"fig8a":      Fig8a,
-	"fig8b":      Fig8b,
-	"fig8c":      Fig8c,
-	"fig8d":      Fig8d,
-	"table2":     Table2,
-	"fig9":       Fig9,
-	"fig10":      Fig10,
-	"fig11":      Fig11,
-	"fig12":      Fig12,
-	"checkpoint": Checkpoint,
-	"spill":      Spill,
-	"shuffle":    Shuffle,
-	"adaptive":   Adaptive,
+	"table1":   Table1,
+	"fig6":     Fig6,
+	"fig7":     Fig7,
+	"fig8a":    Fig8a,
+	"fig8b":    Fig8b,
+	"fig8c":    Fig8c,
+	"fig8d":    Fig8d,
+	"table2":   Table2,
+	"fig9":     Fig9,
+	"fig10":    Fig10,
+	"fig11":    Fig11,
+	"fig12":    Fig12,
+	"adaptive": Adaptive,
 }
 
 // ExperimentIDs returns all experiment ids in presentation order.
 func ExperimentIDs() []string {
 	return []string{"table1", "fig6", "fig7", "fig8a", "fig8b", "fig8c",
-		"fig8d", "table2", "fig9", "fig10", "fig11", "fig12", "checkpoint",
-		"spill", "shuffle", "adaptive"}
+		"fig8d", "table2", "fig9", "fig10", "fig11", "fig12", "adaptive"}
 }
 
 // ---- dataset-specific query builders ----

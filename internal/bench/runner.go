@@ -24,10 +24,8 @@ type Options struct {
 	Seed int64
 	// Out receives the printed tables.
 	Out io.Writer
-	// BenchJSON, when non-empty, is a path where experiments that
-	// support machine-readable output ("spill", "shuffle",
-	// "adaptive") also write their rows as JSON; when several such
-	// experiments run in one invocation the last write wins.
+	// BenchJSON, when non-empty, is a path where the "adaptive"
+	// experiment also writes its rows as JSON.
 	BenchJSON string
 	// ObserveAddr, when non-empty, serves the live observability plane
 	// (Prometheus /metrics, JSON /snapshot) at this address for the
@@ -50,9 +48,6 @@ func (o Options) observe(q *spear.Query) *spear.Query {
 	}
 	return q
 }
-
-// observed reports whether live observability is requested at all.
-func (o Options) observed() bool { return o.Observe || o.ObserveAddr != "" }
 
 func (o Options) tuples(paperTotal int) int {
 	n := int(float64(paperTotal) * o.Scale)

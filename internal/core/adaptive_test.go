@@ -11,7 +11,6 @@ import (
 	"spear/internal/sample"
 	"spear/internal/stats"
 	"spear/internal/tuple"
-	"spear/internal/window"
 )
 
 // ---- budget retuning (scalar) ----
@@ -458,59 +457,5 @@ func TestScalarSnapshotCarriesShedState(t *testing.T) {
 	}
 	if rs[0].Mode != ModeShed {
 		t.Fatalf("restored tainted window Mode = %v, want shed", rs[0].Mode)
-	}
-}
-
-// v1ScalarBlob replicates the legacy (pre-adaptive) scalar snapshot
-// writer byte for byte, so the reader's backward compatibility — and
-// its stricter v1 invariants — stay pinned by tests.
-func v1ScalarBlob(t *testing.T, m *ScalarManager, budget uint64) []byte {
-	t.Helper()
-	dst := appendCursor([]byte{snapScalar}, m.lc.Cursor())
-	dst = tuple.AppendUvar(dst, budget)
-	var err error
-	if dst, err = m.arc.appendState(dst); err != nil {
-		t.Fatal(err)
-	}
-	ids := window.IDsIn(m.wins, math.MinInt64, math.MaxInt64)
-	dst = tuple.AppendUvar(dst, uint64(len(ids)))
-	for _, id := range ids {
-		w := m.wins[id]
-		dst = tuple.AppendI64(dst, int64(id))
-		dst = tuple.AppendI64(dst, 0) // the first position, which no reader used
-		dst = w.res.AppendTo(dst)
-		// The window's moments, 48 bytes: its count, then mean, m2, min,
-		// max and sum, which no reader ever used.
-		dst = tuple.AppendI64(dst, w.n)
-		for i := 0; i < 5; i++ {
-			dst = tuple.AppendF64(dst, 0)
-		}
-		dst = tuple.AppendBool(dst, false) // sampled: no incremental accumulator
-	}
-	return dst
-}
-
-func TestScalarV1SnapshotCompatibility(t *testing.T) {
-	cfg := mkCfg(agg.Func{Op: agg.Mean}, 50)
-	cfg.DisableIncremental = true
-	m, _ := NewScalarManager(cfg)
-	for i := 0; i < 80; i++ {
-		m.OnTuple(tuple.New(int64(i), tuple.Float(float64(i))))
-	}
-
-	// A well-formed v1 blob restores.
-	m2, _ := NewScalarManager(cfg)
-	if err := m2.RestoreState(v1ScalarBlob(t, m, 50)); err != nil {
-		t.Fatalf("v1 restore: %v", err)
-	}
-	if m2.curBudget != 50 || m2.shed || m2.sheds != 0 {
-		t.Fatalf("v1 restore state: budget=%d shed=%v sheds=%d", m2.curBudget, m2.shed, m2.sheds)
-	}
-
-	// v1's invariant stays enforced: a zero budget in a v1 blob can
-	// only be corruption (the budget never moved in that format).
-	m3, _ := NewScalarManager(cfg)
-	if err := m3.RestoreState(v1ScalarBlob(t, m, 0)); err == nil {
-		t.Fatal("v1 blob with zero budget must stay corrupt")
 	}
 }

@@ -34,7 +34,7 @@ type ScalarManager struct {
 
 	wins map[window.ID]*scalarWin // sampled path; empty when useIncremental
 	// The incremental path's state (DESIGN.md §22): slices in position
-	// order and, ahead of them, what a v1–v3 snapshot knew of its open
+	// order and, ahead of them, what a 't' snapshot knew of its open
 	// windows — per-window moments, each a slice of that one window.
 	carry, slices []slice
 	lc            window.Lifecycle

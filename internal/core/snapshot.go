@@ -6,7 +6,6 @@ import (
 
 	"spear/internal/agg"
 	"spear/internal/sample"
-	"spear/internal/stats"
 	"spear/internal/tuple"
 	"spear/internal/window"
 )
@@ -24,24 +23,16 @@ import (
 // deferred while checkpointing is on (Config.DeferStoreDeletes) so a
 // rewind never needs a segment that is already gone.
 
-// Versioned type tags. The v2 scalar/grouped formats (lowercase tags)
-// carry the adaptive-controller state: the live budget — zero is legal,
-// meaning "reservoirs dropped, exact-only" — the shedding flag and shed
-// counter, and per-window taint/reservoir-presence bits. Scalar v3 is
-// v2 with each window's 48 bytes of moments cut to the 8-byte count,
-// the only part of them a fire ever read. Scalar v4 writes sampled
-// windows without the v1–v3 slots nothing reads (first position,
-// incremental flag) and, after them, the incremental path's carries
-// and slices; an incremental window of a v1–v3 blob restores as a
-// carry. Writers emit the newest; readers accept all, keeping v1 blobs
-// (whose invariants were stricter: budget always positive, reservoirs
-// always present) restorable across the upgrades.
+// Type tags. A reader accepts the format its writer emits and the one
+// before it, nothing older (DESIGN.md §10): a format change replaces the
+// older of two read arms instead of adding a third, and a retired tag
+// ('S', 's', 'G') fails like any unknown one. Scalar 'u' is the written
+// format; 't' kept two slots per window that nothing reads (first
+// position, incremental flag) and an incremental accumulator per
+// window, which restores as a carry. Grouped has one format.
 const (
-	snapScalar      byte = 0x53 // 'S' (v1, read-only)
-	snapGrouped     byte = 0x47 // 'G' (v1, read-only)
 	snapExact       byte = 0x45 // 'E'
 	snapIncremental byte = 0x49 // 'I'
-	snapScalarV2    byte = 0x73 // 's' (read-only)
 	snapScalarV3    byte = 0x74 // 't' (read-only)
 	snapScalarV4    byte = 0x75 // 'u'
 	snapGroupedV2   byte = 0x67 // 'g'
@@ -126,19 +117,13 @@ func (m *ScalarManager) RestoreState(b []byte) error {
 	rd := tuple.NewWireReader(b)
 	tag := rd.Byte()
 	v4 := tag == snapScalarV4
-	v3 := v4 || tag == snapScalarV3
-	v2 := v3 || tag == snapScalarV2 // everything v2 added, v3 and v4 have
-	if !v2 && tag != snapScalar {
+	if !v4 && tag != snapScalarV3 {
 		return badTag("scalar", tag, rd)
 	}
 	cur := readCursor(rd)
-	curBudget := rd.Uvar()
-	shed := false
-	var sheds int64
-	if v2 {
-		shed = rd.Bool()
-		sheds = rd.I64()
-	}
+	curBudget := rd.Uvar() // zero is legal: reservoirs dropped, exact-only
+	shed := rd.Bool()
+	sheds := rd.I64()
 	arc := newArchive(m.cfg.Store, m.cfg.Key, m.cfg.Spec, m.cfg.ArchiveChunk, m.cfg.DeferStoreDeletes)
 	arc.readState(rd)
 	n := rd.Count(2)
@@ -153,33 +138,16 @@ func (m *ScalarManager) RestoreState(b []byte) error {
 		if !v4 {
 			rd.I64() // the window's first position, which nothing read
 		}
-		hasRes := true
-		if v2 {
-			// A budget collapsed to zero drops per-window reservoirs;
-			// v2 records their presence per window. v1 blobs always
-			// carry one.
-			hasRes = rd.Bool()
-		}
-		if hasRes {
+		if rd.Bool() { // absent where the budget had collapsed to zero
 			w.res = sample.ReadReservoir(rd)
 		}
-		if v3 {
-			if w.n = rd.I64(); w.n < 0 {
-				rd.Corrupt("negative scalar window count")
-			}
-		} else {
-			// v1/v2 carry the window's full moments; the count is the
-			// only part of them that was ever read back.
-			var all stats.Welford
-			all.ReadFrom(rd)
-			w.n = all.Count()
+		if w.n = rd.I64(); w.n < 0 {
+			rd.Corrupt("negative scalar window count")
 		}
-		if v2 {
-			w.tainted = rd.Bool()
-		}
+		w.tainted = rd.Bool()
 		_, dup := wins[id]
 		if !v4 && rd.Bool() {
-			// v1–v3 kept an incremental accumulator per window (and, in
+			// 't' kept an incremental accumulator per window (and, in
 			// blobs from before such windows stopped sampling, a
 			// reservoir beside it that nothing read): its carry now.
 			c := slice{lo: id, hi: id}
@@ -222,12 +190,7 @@ func (m *ScalarManager) RestoreState(b []byte) error {
 			arc = nil
 		}
 	}
-	// v1 invariant: the budget was fixed at query submission, where
-	// validation rejects non-positive values, so a zero can only be
-	// corruption. Under v2 the adaptive controller may legitimately
-	// drive the budget to zero (exact-only operation), so the check is
-	// versioned — restoring at the budget floor must succeed.
-	if sheds < 0 || (!v2 && curBudget == 0) {
+	if sheds < 0 {
 		return fmt.Errorf("%w: scalar snapshot counters", tuple.ErrCorrupt)
 	}
 	if err := m.lc.SetCursor(cur); err != nil {
@@ -307,9 +270,7 @@ func (m *GroupedManager) SnapshotState() ([]byte, error) {
 // RestoreState implements the checkpoint Snapshotter contract.
 func (m *GroupedManager) RestoreState(b []byte) error {
 	rd := tuple.NewWireReader(b)
-	tag := rd.Byte()
-	v2 := tag == snapGroupedV2
-	if !v2 && tag != snapGrouped {
+	if tag := rd.Byte(); tag != snapGroupedV2 {
 		return badTag("grouped", tag, rd)
 	}
 	known := rd.Bool()
@@ -317,14 +278,9 @@ func (m *GroupedManager) RestoreState(b []byte) error {
 		return fmt.Errorf("%w: grouped snapshot mode mismatches configuration", tuple.ErrCorrupt)
 	}
 	cur := window.Cursor{Started: rd.Bool(), Fired: rd.Bool(), NextFire: window.ID(rd.I64()), MaxPos: rd.I64(), Late: rd.I64(), Seq: rd.I64()}
-	curBudget := uint64(m.cfg.BudgetTuples) // v1: the budget never moved
-	shed := false
-	var sheds int64
-	if v2 {
-		curBudget = rd.Uvar()
-		shed = rd.Bool()
-		sheds = rd.I64()
-	}
+	curBudget := rd.Uvar()
+	shed := rd.Bool()
+	sheds := rd.I64()
 	var arc *archive
 	var bufBlob []byte
 	if known {
@@ -349,15 +305,10 @@ func (m *GroupedManager) RestoreState(b []byte) error {
 		if rd.Err() != nil {
 			return rd.Err()
 		}
-		// v1 invariant: known-path windows always carry reservoirs. v2
-		// decouples the two — a window opened while the adaptive budget
-		// was below KnownGroups has none (metadata-only, exact-only) —
-		// but reservoirs on the buffered path remain impossible.
-		if v2 {
-			if hasKnown && !known {
-				return fmt.Errorf("%w: grouped window %d reservoir flag mismatch", tuple.ErrCorrupt, id)
-			}
-		} else if hasKnown != known {
+		// A known-path window opened while the adaptive budget was below
+		// KnownGroups has no reservoirs (metadata-only, exact-only);
+		// reservoirs on the buffered path are impossible.
+		if hasKnown && !known {
 			return fmt.Errorf("%w: grouped window %d reservoir flag mismatch", tuple.ErrCorrupt, id)
 		}
 		if hasKnown {
@@ -366,9 +317,7 @@ func (m *GroupedManager) RestoreState(b []byte) error {
 				return rd.Err()
 			}
 		}
-		if v2 {
-			w.tainted = rd.Bool()
-		}
+		w.tainted = rd.Bool()
 		if _, dup := wins[id]; dup {
 			return fmt.Errorf("%w: duplicate grouped window %d", tuple.ErrCorrupt, id)
 		}

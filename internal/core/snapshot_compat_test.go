@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -21,10 +22,11 @@ import (
 // updateCompat rewrites the fixtures under testdata/compat from the
 // code being tested. The checked-in grouped files were written at the
 // commit before grouped state moved from per-window maps to arrays over
-// a key dictionary (PR 16), the scalar_* files at the commit before a
-// scalar window stopped keeping moments (PR 17, snapshot tag v3);
-// regenerate them only to adopt a deliberate wire-format change, never
-// to make this test pass.
+// a key dictionary (PR 16); the three sampled scalar_* blobs were
+// rewritten at 'u' when 's' was retired (PR 30), their .results files —
+// what the commit before PR 17 continued to — byte for byte unchanged.
+// Regenerate only to adopt a deliberate wire-format change, never to
+// make this test pass.
 var updateCompat = flag.Bool("update-compat", false, "rewrite testdata/compat from the current code")
 
 type compatCase struct {
@@ -35,17 +37,17 @@ type compatCase struct {
 	at func(i int, m compatManager)
 	// reencodes is false where the current writer cannot arrive at the
 	// fixture's bytes, so neither the primer's own snapshot nor a
-	// re-encode of the restored state can equal the blob: the scalar
-	// fixtures are an older format (v2), and the buffered grouped ones
-	// carry in their header a cursor the manager kept beside its
-	// buffer's and that lagged it (PR 19: the manager has no cursor of
-	// its own there; those six slots now repeat the buffer's values, and
-	// a restore reads the buffer's blob and not them). What such a blob
-	// must do instead: restore to the very state the current code
-	// reaches on its own, continue to the parent's results, and re-encode
-	// to a fixed point.
+	// re-encode of the restored state can equal the blob: the previous
+	// scalar format ('t'), a 'u' blob that lists panes (PR 27), and the
+	// buffered grouped ones, which carry in their header a cursor the
+	// manager kept beside its buffer's and that lagged it (PR 19: the
+	// manager has no cursor of its own there; those six slots now repeat
+	// the buffer's values, and a restore reads the buffer's blob and not
+	// them). What such a blob must do instead: restore to the very state
+	// the current code reaches on its own, continue to the parent's
+	// results, and re-encode to a fixed point.
 	reencodes bool
-	// carried marks a v1–v3 blob of incremental windows. Their moments
+	// carried marks a 't' blob of incremental windows. Their moments
 	// restore as carries, a state the current code never reaches on its
 	// own (it keeps slices), and a window's carry and later slices merge
 	// where the parent folded tuple by tuple. Such a blob must restore,
@@ -128,28 +130,26 @@ func compatCases() []compatCase {
 		// and (at an ε they cannot meet) from the archive.
 		{"known_median", mk(agg.Median(), 160, 8, 0.35), eight, nil, true, false},
 		{"known_median_exact", mk(agg.Median(), 160, 8, 0.05), eight, nil, true, false},
-		// Scalar v2 blobs (per-window moments in the blob, read and
-		// discarded now). A reservoir per window, answered from it or,
-		// where ε̂ misses, from the archive.
+		// A reservoir per window, answered from it or, where ε̂ misses,
+		// from the archive.
 		{"scalar_median", scalar(agg.Median(), 150, 0.12), eight, func(i int, m compatManager) {
 			if i == 810 {
 				m.SetBudget(100) // live samples shrink below the bound
 			}
-		}, false, false},
+		}, true, false},
 		// The same through the mean's estimator, which reads the
 		// sample's moments.
 		{"scalar_mean_sampled", func(store storage.SpillStore) Config {
 			cfg := scalar(agg.Func{Op: agg.Mean}, 60, 0.10)(store)
 			cfg.DisableIncremental = true
 			return cfg
-		}, eight, nil, false, false},
-		// One incremental accumulator per window and no sample, as v2
-		// and as v3 wrote it; then the same stream as v4's slices.
-		{"scalar_mean_incremental", scalar(agg.Func{Op: agg.Mean}, 60, 0.10), eight, nil, false, true},
+		}, eight, nil, true, false},
+		// One incremental accumulator per window and no sample, as 't'
+		// wrote it; then the same stream as 'u''s slices.
 		{"scalar_mean_incremental_v3", scalar(agg.Func{Op: agg.Mean}, 60, 0.10), eight, nil, false, true},
 		{"scalar_mean_slices", scalar(agg.Func{Op: agg.Mean}, 60, 0.10), eight, nil, true, false},
 		// The same state as the commit before PR 27 wrote it, when an
-		// incremental query still archived: a v4 blob whose archive
+		// incremental query still archived: a 'u' blob whose archive
 		// section lists panes. They are dropped, not carried.
 		{"scalar_mean_slices_archived", scalar(agg.Func{Op: agg.Mean}, 60, 0.10), eight, nil, false, false},
 		// Windows tainted by a shedding spell, then the budget driven
@@ -167,7 +167,7 @@ func compatCases() []compatCase {
 			case 760:
 				m.SetBudget(150)
 			}
-		}, false, false},
+		}, true, false},
 	}
 }
 
@@ -387,6 +387,124 @@ func TestArchivedIncrementalBlobLeavesNoPaneBehind(t *testing.T) {
 		compatDrive(t, c, m, ts, len(ts)/2+13, len(ts))
 		if after := store.Stats(); after != before {
 			t.Errorf("defer=%v: the restored manager touched the store: %+v, then %+v", deferDel, before, after)
+		}
+	}
+}
+
+// retiredScalarV1 writes m's state, byte for byte, as the first scalar
+// writer ('S', before the adaptive controller) did.
+func retiredScalarV1(t *testing.T, m *ScalarManager) []byte {
+	t.Helper()
+	dst := appendCursor([]byte{'S'}, m.lc.Cursor())
+	dst = tuple.AppendUvar(dst, uint64(m.curBudget))
+	dst, err := m.arc.appendState(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := window.IDsIn(m.wins, math.MinInt64, math.MaxInt64)
+	dst = tuple.AppendUvar(dst, uint64(len(ids)))
+	for _, id := range ids {
+		w := m.wins[id]
+		dst = tuple.AppendI64(dst, int64(id))
+		dst = tuple.AppendI64(dst, 0) // the first position
+		dst = w.res.AppendTo(dst)
+		// The window's moments, 48 bytes: its count, then mean, m2, min,
+		// max and sum.
+		dst = tuple.AppendI64(dst, w.n)
+		for i := 0; i < 5; i++ {
+			dst = tuple.AppendF64(dst, 0)
+		}
+		dst = tuple.AppendBool(dst, false) // sampled: no incremental accumulator
+	}
+	return dst
+}
+
+// retiredGroupedV1 is the same for the first grouped writer ('G').
+func retiredGroupedV1(t *testing.T, m *GroupedManager) []byte {
+	t.Helper()
+	c := m.lc.Cursor()
+	dst := tuple.AppendBool([]byte{'G'}, m.arc != nil)
+	dst = tuple.AppendBool(dst, c.Started)
+	dst = tuple.AppendBool(dst, c.Fired)
+	dst = tuple.AppendI64(dst, int64(c.NextFire))
+	dst = tuple.AppendI64(dst, c.MaxPos)
+	dst = tuple.AppendI64(dst, c.Late)
+	dst = tuple.AppendI64(dst, c.Seq)
+	dst, err := m.arc.appendState(dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := window.IDsIn(m.wins, math.MinInt64, math.MaxInt64)
+	dst = tuple.AppendUvar(dst, uint64(len(ids)))
+	for _, id := range ids {
+		dst = tuple.AppendI64(dst, int64(id))
+		dst = m.wins[id].gs.AppendTo(dst)
+		dst = tuple.AppendBool(dst, true)
+		dst = m.wins[id].known.AppendTo(dst)
+	}
+	return dst
+}
+
+// TestRestoreRejectsRetiredFormats: a reader accepts the written format
+// and the one before it. Well-formed blobs of the formats retired since
+// — each of which the commit before PR 30 restored — fail like any
+// unknown tag, and the manager they were offered to is left as it was.
+func TestRestoreRejectsRetiredFormats(t *testing.T) {
+	var median compatCase
+	for _, median = range compatCases() {
+		if median.name == "scalar_median" {
+			break
+		}
+	}
+	if median.name != "scalar_median" {
+		t.Fatal("no scalar_median compat case to take the retired blob's state from")
+	}
+	ts := compatStream(median)
+	half := len(ts)/2 + 13
+
+	cfg := mkCfg(agg.Func{Op: agg.Mean}, 50)
+	cfg.DisableIncremental = true
+	v1, _ := NewScalarManager(cfg)
+	cfg.KeyBy, cfg.KnownGroups, cfg.Agg = tuple.FieldString(1), 4, agg.Median()
+	g1, _ := NewGroupedManager(cfg)
+	for i := 0; i < 80; i++ {
+		tup := tuple.New(int64(i), tuple.Float(float64(i)), tuple.String_(fmt.Sprintf("g%d", i%4)))
+		v1.OnTuple(tup)
+		g1.OnTuple(tup)
+	}
+	v2, err := median.manager(storage.NewMemStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	compatDrive(t, median, v2, ts, 0, half)
+	// What the commit before PR 17 wrote for that very state.
+	v2Blob, err := os.ReadFile(filepath.Join("testdata", "retired", "scalar_median.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		tag  byte
+		blob []byte
+		m    compatManager
+	}{
+		{'S', retiredScalarV1(t, v1), v1},
+		{'s', v2Blob, v2},
+		{'G', retiredGroupedV1(t, g1), g1},
+	} {
+		if c.blob[0] != c.tag {
+			t.Fatalf("%q blob starts with %q", c.tag, c.blob[0])
+		}
+		before, err := c.m.SnapshotState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = c.m.RestoreState(c.blob)
+		if want := fmt.Sprintf("tag 0x%02x", c.tag); !errors.Is(err, tuple.ErrCorrupt) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%q blob: RestoreState = %v, want ErrCorrupt naming %s", c.tag, err, want)
+		}
+		if after, err := c.m.SnapshotState(); err != nil || !bytes.Equal(after, before) {
+			t.Errorf("%q blob: the rejected restore changed the manager's state (err %v)", c.tag, err)
 		}
 	}
 }
