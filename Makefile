@@ -25,11 +25,11 @@ vet:
 lint:
 	$(GO) run ./cmd/spearlint ./...
 
-# The whole-program dataflow layer (cmd/spearlint -ssa): snapshot codec
-# coverage, sync.Pool leak paths, and blocking operations behind
-# lock-free contracts. Loads the module as one type-checked program
-# (~seconds, not instant — hence its own target). See DESIGN.md §14 for
-# mechanics, soundness limits, and the //lint:allow suppression syntax.
+# The whole-program dataflow layer (cmd/spearlint -ssa): sync.Pool leak
+# paths and blocking operations behind lock-free contracts. Loads the
+# module as one type-checked program (~seconds, not instant — hence its
+# own target). See DESIGN.md §14 for mechanics and soundness limits; it
+# takes the same //lint:ignore suppressions as the syntactic layer.
 lint-ssa:
 	$(GO) run ./cmd/spearlint -ssa .
 

@@ -19,30 +19,29 @@ func (f Finding) String() string {
 
 // Analyzer is one whole-program check.
 type Analyzer struct {
-	// Name identifies the check in reports and in //lint:allow
+	// Name identifies the check in reports and in //lint:ignore
 	// directives.
 	Name string
 	// Doc is the one-line catalogue entry.
 	Doc string
-	// Run reports findings for the whole program. Allow-directive
-	// filtering is applied by the driver, not by analyzers.
+	// Run reports findings for the whole program. Suppression is
+	// applied by the driver, not by analyzers.
 	Run func(prog *Program) []Finding
 }
 
 // Analyzers is the v2 catalogue, in report order.
 var Analyzers = []*Analyzer{
-	AnalyzerSnapshotcover,
 	AnalyzerPoolreturn,
 	AnalyzerBlockfree,
 }
 
 // RunAll applies every analyzer, filters findings silenced by
-// //lint:allow directives, and returns the rest sorted by position.
+// //lint:ignore directives, and returns the rest sorted by position.
 func RunAll(prog *Program, as []*Analyzer) []Finding {
 	var out []Finding
 	for _, a := range as {
 		for _, f := range a.Run(prog) {
-			if !prog.Allowed(f.Analyzer, f.Pos) {
+			if !prog.Suppressed(f.Analyzer, f.Pos) {
 				out = append(out, f)
 			}
 		}

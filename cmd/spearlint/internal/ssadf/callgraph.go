@@ -106,10 +106,6 @@ func (p *Program) Funcs() *funcIndex {
 // All returns every declared function in deterministic order.
 func (idx *funcIndex) All() []*Fn { return idx.all }
 
-// FnOf returns the Fn for a *types.Func, or nil for functions outside
-// the module (std library, interface methods without bodies).
-func (idx *funcIndex) FnOf(obj *types.Func) *Fn { return idx.byObj[obj] }
-
 // buildEdges resolves every call expression in fn's body (nested
 // function literals included) to module-internal callees.
 func (idx *funcIndex) buildEdges(fn *Fn) {
@@ -255,51 +251,8 @@ func (p *Program) namedTypes() []*types.Named {
 	return p.named
 }
 
-// Reachable computes the transitive closure from roots over call
-// edges. followGo controls whether `go f()` edges are followed:
-// contract analyses about the *caller's* goroutine (blockfree) pass
-// false; state-coverage analyses (snapshotcover) pass true because a
-// write is a write regardless of which goroutine performs it.
-func (idx *funcIndex) Reachable(roots []*Fn, followGo bool) map[*Fn]bool {
-	seen := map[*Fn]bool{}
-	queue := append([]*Fn(nil), roots...)
-	for _, r := range roots {
-		seen[r] = true
-	}
-	for len(queue) > 0 {
-		fn := queue[0]
-		queue = queue[1:]
-		for _, e := range idx.edges[fn] {
-			if e.Kind == GoEdge && !followGo {
-				continue
-			}
-			if !seen[e.Callee] {
-				seen[e.Callee] = true
-				queue = append(queue, e.Callee)
-			}
-		}
-	}
-	return seen
-}
-
 // Edges returns fn's resolved outgoing edges.
 func (idx *funcIndex) Edges(fn *Fn) []CallEdgeTo { return idx.edges[fn] }
-
-// MethodsNamed returns every module method with one of the given
-// names, in deterministic order.
-func (idx *funcIndex) MethodsNamed(names ...string) []*Fn {
-	want := map[string]bool{}
-	for _, n := range names {
-		want[n] = true
-	}
-	var out []*Fn
-	for _, fn := range idx.all {
-		if fn.Decl.Recv != nil && want[fn.Obj.Name()] {
-			out = append(out, fn)
-		}
-	}
-	return out
-}
 
 // lookupInterface finds a named interface by module-relative package
 // dir suffix and type name, e.g. ("internal/checkpoint",

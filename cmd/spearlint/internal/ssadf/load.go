@@ -2,8 +2,7 @@
 // that type-checks the entire module with real cross-package type
 // information, a per-function control-flow-graph builder, a class-
 // hierarchy call graph, and the v2 analyzers that prove the engine's
-// state and concurrency contracts (snapshotcover, poolreturn,
-// blockfree).
+// resource and concurrency contracts (poolreturn, blockfree).
 //
 // Where the syntactic spearlint layer (cmd/spearlint) type-checks each
 // package in isolation against stub imports, ssadf resolves every
@@ -13,7 +12,7 @@
 // the layer on the standard library alone — golang.org/x/tools
 // (go/ssa, go/analysis) is the intended foundation but cannot be
 // pinned in this build environment (no module proxy access), so the
-// package implements the minimal SSA-style subset the three analyzers
+// package implements the minimal SSA-style subset the two analyzers
 // need: def-use tracking of single values over a CFG, reaching-state
 // path walks, and whole-program reachability. Swapping the substrate
 // for x/tools later only replaces this package's internals; the
@@ -62,9 +61,9 @@ type Program struct {
 	// missing rather than trusting partial info.
 	TypeErrors []error
 
-	// allow maps filename → line → analyzer name → true for
-	// //lint:allow directives (see buildAllows).
-	allow map[string]map[int]map[string]bool
+	// suppress maps filename → line → analyzer name → true for
+	// //lint:ignore directives (see buildSuppressions).
+	suppress map[string]map[int]map[string]bool
 
 	funcs *funcIndex     // lazily built function index (see callgraph.go)
 	named []*types.Named // lazily built named-type list (see callgraph.go)
@@ -234,7 +233,7 @@ func (l *Loader) Load(root, modPath string) (*Program, error) {
 		prog.Pkgs = append(prog.Pkgs, rp.pkg)
 	}
 
-	prog.buildAllows()
+	prog.buildSuppressions()
 	return prog, nil
 }
 
@@ -311,45 +310,48 @@ func (pi *progImporter) ImportFrom(path, dir string, mode types.ImportMode) (*ty
 	return s, nil
 }
 
-// buildAllows scans every file for //lint:allow directives:
+// buildSuppressions scans every file for the syntactic layer's
+// directive (cmd/spearlint's buildSuppressions), so that one syntax
+// silences both layers:
 //
-//	//lint:allow <analyzer> <reason>
+//	//lint:ignore check1,check2 reason
 //
-// The directive silences the named analyzer on its own line and on the
-// line immediately following, so it can ride inline on a field or
-// statement, or stand above it. The reason is mandatory — a directive
-// without one is inert, and the repo-clean gate will keep failing,
-// which is exactly the pressure the policy wants.
-func (p *Program) buildAllows() {
-	p.allow = map[string]map[int]map[string]bool{}
+// The directive silences the named analyzers on its own line and on the
+// line immediately following, so it can ride inline on a statement or
+// stand above it. The reason is mandatory — a directive without one is
+// inert, and the repo-clean gate will keep failing, which is exactly the
+// pressure the policy wants.
+func (p *Program) buildSuppressions() {
+	p.suppress = map[string]map[int]map[string]bool{}
 	for _, pkg := range p.Pkgs {
 		for _, f := range pkg.Files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
 					text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-					if !strings.HasPrefix(text, "lint:allow ") {
+					if !strings.HasPrefix(text, "lint:ignore ") {
 						continue
 					}
-					rest := strings.TrimPrefix(text, "lint:allow ")
+					rest := strings.TrimPrefix(text, "lint:ignore ")
 					parts := strings.SplitN(rest, " ", 2)
 					if len(parts) < 2 || strings.TrimSpace(parts[1]) == "" {
 						continue // reason required
 					}
-					name := strings.TrimSpace(parts[0])
-					if name == "" {
-						continue
-					}
 					pos := p.Fset.Position(c.Pos())
-					byLine := p.allow[pos.Filename]
+					byLine := p.suppress[pos.Filename]
 					if byLine == nil {
 						byLine = map[int]map[string]bool{}
-						p.allow[pos.Filename] = byLine
+						p.suppress[pos.Filename] = byLine
 					}
-					for _, line := range []int{pos.Line, pos.Line + 1} {
-						if byLine[line] == nil {
-							byLine[line] = map[string]bool{}
+					for _, name := range strings.Split(parts[0], ",") {
+						if name = strings.TrimSpace(name); name == "" {
+							continue
 						}
-						byLine[line][name] = true
+						for _, line := range []int{pos.Line, pos.Line + 1} {
+							if byLine[line] == nil {
+								byLine[line] = map[string]bool{}
+							}
+							byLine[line][name] = true
+						}
 					}
 				}
 			}
@@ -357,14 +359,10 @@ func (p *Program) buildAllows() {
 	}
 }
 
-// Allowed reports whether analyzer findings at pos are silenced by a
-// //lint:allow directive.
-func (p *Program) Allowed(analyzer string, pos token.Position) bool {
-	byLine := p.allow[pos.Filename]
-	if byLine == nil {
-		return false
-	}
-	return byLine[pos.Line][analyzer]
+// Suppressed reports whether analyzer findings at pos are silenced by a
+// //lint:ignore directive.
+func (p *Program) Suppressed(analyzer string, pos token.Position) bool {
+	return p.suppress[pos.Filename][pos.Line][analyzer]
 }
 
 // Lookup returns the loaded package with the given module-relative

@@ -13,8 +13,7 @@ import (
 )
 
 // ssaWantRe matches expectation annotations in dataflow fixtures. A
-// line may carry several expectations (a field missing from both codec
-// halves produces two findings):  // want "first" "second"
+// line may carry several expectations:  // want "first" "second"
 var (
 	ssaWantRe  = regexp.MustCompile(`//\s*want((?:\s+"[^"]+")+)`)
 	ssaWantSub = regexp.MustCompile(`"([^"]+)"`)
@@ -110,14 +109,6 @@ func checkSSAFixture(t *testing.T, a *ssadf.Analyzer, name string) {
 	}
 }
 
-func TestSnapshotcover(t *testing.T) {
-	checkSSAFixture(t, ssadf.AnalyzerSnapshotcover, "snapshotcover")
-}
-
-func TestSnapshotcoverClean(t *testing.T) {
-	checkSSAFixture(t, ssadf.AnalyzerSnapshotcover, "snapshotcover_ok")
-}
-
 func TestPoolreturn(t *testing.T) {
 	checkSSAFixture(t, ssadf.AnalyzerPoolreturn, "poolreturn")
 }
@@ -134,27 +125,27 @@ func TestBlockfreeClean(t *testing.T) {
 	checkSSAFixture(t, ssadf.AnalyzerBlockfree, "blockfree_ok")
 }
 
-// TestAllowRequiresReason pins the allowlist policy: a bare
-// //lint:allow without a reason is inert, so the silenced findings
-// come back.
+// TestAllowRequiresReason pins the suppression policy the dataflow layer
+// shares with the syntactic one: //lint:ignore <check> <reason> silences
+// the finding on the next line, and a directive without a reason is
+// inert, so the finding comes back.
 func TestAllowRequiresReason(t *testing.T) {
-	root := copyTree(t, ssaFixtureRoot("snapshotcover"))
-	rewriteFile(t, filepath.Join(root, "internal", "op", "op.go"),
-		"//lint:allow snapshotcover derived cache; rebuilt on demand after restore",
-		"//lint:allow snapshotcover")
-	prog, err := ssadf.SharedLoader().Load(root, "fixture.example/snapshotcover")
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings := ssadf.RunAll(prog, []*ssadf.Analyzer{ssadf.AnalyzerSnapshotcover})
-	var cache int
-	for _, f := range findings {
-		if strings.Contains(f.Msg, "Counter.cache") {
-			cache++
+	for _, c := range []struct {
+		directive string
+		want      int // findings of the fixture's two
+	}{
+		{"//lint:ignore poolreturn fixture: the leak on the negative path is the point", 1},
+		{"//lint:ignore poolreturn", 2},
+	} {
+		root := copyTree(t, ssaFixtureRoot("poolreturn"))
+		rewriteFile(t, filepath.Join(root, "internal", "bufpool", "bufpool.go"), "\tb := get()", "\t"+c.directive+"\n\tb := get()")
+		prog, err := ssadf.SharedLoader().Load(root, "fixture.example/poolreturn")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if cache != 2 {
-		t.Errorf("reason-less allow directive should be inert: got %d Counter.cache findings, want 2", cache)
+		if got := ssadf.RunAll(prog, []*ssadf.Analyzer{ssadf.AnalyzerPoolreturn}); len(got) != c.want {
+			t.Errorf("%q above Sum's get: %d findings, want %d: %v", c.directive, len(got), c.want, got)
+		}
 	}
 }
 
@@ -186,38 +177,9 @@ func TestRepoCleanSSA(t *testing.T) {
 	}
 }
 
-// TestSnapshotcoverCatchesSeededMutation proves the analyzer guards a
-// real codec, not just fixtures: the window lifecycle's six cursors are
-// a struct each of the four checkpointed window managers holds by
-// value, and dropping maxPos from what the lifecycle hands a codec must
-// produce a finding for the field in every one of them. This is the
-// static twin of a mutation test — the checkpoint round-trip tests
-// would catch the corruption at runtime; snapshotcover catches it before
-// the code ever runs.
-func TestSnapshotcoverCatchesSeededMutation(t *testing.T) {
-	prog := loadMutatedRepo(t, func(root string) {
-		rewriteFile(t, filepath.Join(root, "internal", "window", "lifecycle.go"),
-			"return Cursor{l.started, l.fired, l.nextFire, l.seq, l.maxPos, l.late}",
-			"return Cursor{l.started, l.fired, l.nextFire, l.seq, 0, l.late}")
-	})
-	findings := ssadf.RunAll(prog, []*ssadf.Analyzer{ssadf.AnalyzerSnapshotcover})
-	for _, holder := range []string{"ScalarManager.lc", "GroupedManager.own", "IncrementalManager.lc", "SingleBuffer.lc"} {
-		typ, _, _ := strings.Cut(holder, ".")
-		found := false
-		for _, f := range findings {
-			if strings.Contains(f.Msg, holder+".maxPos") &&
-				strings.Contains(f.Msg, "never read by (*"+typ+").SnapshotState") {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("seeded mutation (maxPos dropped from Lifecycle.Cursor) not reported for %s; findings: %v", holder, findings)
-		}
-	}
-}
-
-// TestPoolreturnAndBlockfreeCatchSeededMutations is the same proof for
-// the other two dataflow analyzers, on one mutated tree: the bug
+// TestPoolreturnAndBlockfreeCatchSeededMutations proves the dataflow
+// analyzers guard the real code, not just fixtures, on one mutated tree:
+// the bug
 // poolreturn found in spill.deflate put back (the flate writer returned
 // to its pool on the success path only), and a mutex on obs.Gauge.Set,
 // which its type documents lock-free.
@@ -329,7 +291,7 @@ func rewriteFile(t *testing.T, path, old, new string) {
 	}
 }
 
-// TestSSACatalog pins the dataflow catalogue: three uniquely-named
+// TestSSACatalog pins the dataflow catalogue: two uniquely-named
 // analyzers, each documented.
 func TestSSACatalog(t *testing.T) {
 	seen := map[string]bool{}
@@ -342,8 +304,8 @@ func TestSSACatalog(t *testing.T) {
 		}
 		seen[a.Name] = true
 	}
-	if len(ssadf.Analyzers) != 3 {
-		t.Errorf("ssa catalogue has %d analyzers, want 3", len(ssadf.Analyzers))
+	if len(ssadf.Analyzers) != 2 {
+		t.Errorf("ssa catalogue has %d analyzers, want 2", len(ssadf.Analyzers))
 	}
 }
 

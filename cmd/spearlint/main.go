@@ -7,7 +7,7 @@
 // and runs six project-specific correctness checks. The dataflow layer
 // (-ssa) type-checks the whole module with real cross-package types,
 // builds per-function CFGs and a class-hierarchy call graph, and runs
-// three analyzers that prove the engine's state and concurrency
+// two analyzers that prove the engine's resource and concurrency
 // contracts (see cmd/spearlint/internal/ssadf).
 //
 // Usage:
@@ -19,7 +19,7 @@
 // exit status is 0 when the tree is clean, 1 when findings were
 // reported, 2 on a load error.
 //
-// Syntactic checks (suppress one occurrence with
+// Syntactic checks (both layers suppress one occurrence with
 // `//lint:ignore <check> <reason>` on or directly above the offending
 // line — the reason is mandatory):
 //
@@ -30,11 +30,10 @@
 //	errcheck-lite         dropped errors from tuple codec / spill store
 //	hotloop               time.Now / map alloc / fmt / growing append in hot loops
 //
-// Dataflow checks (suppress with `//lint:allow <check> <reason>`):
+// Dataflow checks:
 //
-//	snapshotcover  mutable operator state missing from its Snapshotter codec
-//	poolreturn     sync.Pool.Get result leaking on a return path
-//	blockfree      blocking op reachable from code documented lock-free
+//	poolreturn  sync.Pool.Get result leaking on a return path
+//	blockfree   blocking op reachable from code documented lock-free
 package main
 
 import (

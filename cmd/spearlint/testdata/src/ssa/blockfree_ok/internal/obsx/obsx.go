@@ -51,7 +51,7 @@ type SlowPath struct{ mu sync.Mutex }
 
 // Flush drains buffered state.
 func (s *SlowPath) Flush() {
-	//lint:allow blockfree flush runs off the scrape path; audited with the obs plane rework
+	//lint:ignore blockfree flush runs off the scrape path; audited with the obs plane rework
 	s.mu.Lock()
 	s.mu.Unlock()
 }

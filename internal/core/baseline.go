@@ -14,9 +14,6 @@ import (
 // window. It shares the Result accounting with the SPEAr managers so
 // comparisons use identical instrumentation.
 type ExactManager struct {
-	// Only telemetry counters hanging off cfg mutate on the tuple path;
-	// metrics are intentionally outside the checkpoint domain.
-	//lint:allow snapshotcover config handle; only telemetry under it mutates
 	cfg Config
 	buf *window.SingleBuffer
 	now func() time.Time
@@ -119,7 +116,6 @@ func (m *ExactManager) SetBudget(int) {}
 // holistic and grouped operations, exactly the limitation the paper
 // ascribes to incremental techniques (fails R4).
 type IncrementalManager struct {
-	//lint:allow snapshotcover config handle; only telemetry under it mutates
 	cfg Config
 
 	wins map[window.ID]*agg.Incremental

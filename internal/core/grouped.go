@@ -35,7 +35,6 @@ import (
 // no scan ("no scans of S_w are needed and SPEAr produces R̂_w at a
 // minimal cost"), and a failed check fetches the window back from S.
 type GroupedManager struct {
-	//lint:allow snapshotcover config handle; only telemetry under it mutates
 	cfg Config
 	est GroupedEstimator
 
@@ -65,16 +64,13 @@ type GroupedManager struct {
 	// dictionary for the manager, and per open window arrays indexed
 	// through its ids, so ingest hashes a tuple's key once and then
 	// indexes.
-	//lint:allow snapshotcover not in the blob: RestoreState rebuilds it from the windows' keys
 	dict *sample.KeyDict
 	wins map[window.ID]*groupedWin
 	// pool holds the windows that fired, cleared, with their arrays and
 	// sample storage, for the windows that open next.
-	//lint:allow snapshotcover empty windows awaiting reuse; dropped by RestoreState
 	pool []*groupedWin
-	//lint:allow snapshotcover per-call scratch; dead between calls
-	scr groupedScratch
-	now func() time.Time
+	scr  groupedScratch
+	now  func() time.Time
 }
 
 // groupedScratch is what the ingest kernel keeps from call to call so as

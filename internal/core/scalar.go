@@ -27,7 +27,6 @@ import (
 //
 // All three entry points feed one kernel, ingestRun (DESIGN.md §19).
 type ScalarManager struct {
-	//lint:allow snapshotcover config handle; only telemetry under it mutates
 	cfg Config
 	est ScalarEstimator
 	arc *archive // nil when useIncremental
@@ -38,12 +37,11 @@ type ScalarManager struct {
 	// windows — per-window moments, each a slice of that one window.
 	carry, slices []slice
 	lc            window.Lifecycle
-	//lint:allow snapshotcover per-call scratch; dead between calls
-	cols      rowColumns
-	curBudget int
-	shed      bool  // archive writes currently shed (controller escalation)
-	sheds     int64 // tuples whose archive write was shed
-	now       func() time.Time
+	cols          rowColumns
+	curBudget     int
+	shed          bool  // archive writes currently shed (controller escalation)
+	sheds         int64 // tuples whose archive write was shed
+	now           func() time.Time
 }
 
 // rowColumns is a row batch read once into the two columns an ingest

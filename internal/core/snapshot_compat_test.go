@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"spear/internal/agg"
+	"spear/internal/col"
 	"spear/internal/storage"
 	"spear/internal/tuple"
 	"spear/internal/window"
@@ -185,9 +186,19 @@ func compatStream(c compatCase) []tuple.Tuple {
 	return ts
 }
 
-// compatDrive feeds ts[from:to] and returns the results as text, one
-// window per line, floats as bit patterns.
-func compatDrive(t *testing.T, c compatCase, m compatManager, ts []tuple.Tuple, from, to int) string {
+// lane is how a drive delivers tuples: size at a time, through the row
+// entry points or, where columnar is set, OnColumnBatch.
+type lane struct {
+	size     int
+	columnar bool
+}
+
+var oneAtATime = lane{size: 1}
+
+// compatDrive feeds ts[from:to] through l, a watermark at a lag of 20
+// following every 50th tuple (in a batch, the batch), and returns the
+// results as text, one window per line, floats as bit patterns.
+func compatDrive(t *testing.T, c compatCase, m Manager, ts []tuple.Tuple, from, to int, l lane) string {
 	t.Helper()
 	var sb strings.Builder
 	emit := func(rs []Result, err error) {
@@ -211,13 +222,24 @@ func compatDrive(t *testing.T, c compatCase, m compatManager, ts []tuple.Tuple, 
 			sb.WriteByte('\n')
 		}
 	}
-	for i := from; i < to; i++ {
-		if c.at != nil {
-			c.at(i, m)
+	cb := col.Get()
+	defer col.Put(cb)
+	for i := from; i < to; i += l.size {
+		j := min(i+l.size, to)
+		for k := i; c.at != nil && k < j; k++ {
+			c.at(k, m.(compatManager))
 		}
-		emit(m.OnTuple(ts[i]))
-		if (i+1)%50 == 0 {
-			emit(m.OnWatermark(int64(i + 1 - 20)))
+		switch {
+		case l.columnar:
+			cb.SetRows(ts[i:j])
+			emit(m.(ColumnManager).OnColumnBatch(cb))
+		case l.size == 1:
+			emit(m.OnTuple(ts[i]))
+		default:
+			emit(m.(BatchManager).OnTupleBatch(ts[i:j]))
+		}
+		if j/50 > i/50 {
+			emit(m.OnWatermark(int64(j/50*50 - 20)))
 		}
 	}
 	if to == len(ts) {
@@ -242,7 +264,7 @@ func TestSnapshotCompat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			compatDrive(t, c, primer, ts, 0, half)
+			compatDrive(t, c, primer, ts, 0, half, oneAtATime)
 			own, err := primer.SnapshotState()
 			if err != nil {
 				t.Fatal(err)
@@ -250,7 +272,7 @@ func TestSnapshotCompat(t *testing.T) {
 			blobPath := filepath.Join("testdata", "compat", c.name+".snap")
 			resPath := filepath.Join("testdata", "compat", c.name+".results")
 			if *updateCompat {
-				rest := compatDrive(t, c, primer, ts, half, len(ts))
+				rest := compatDrive(t, c, primer, ts, half, len(ts), oneAtATime)
 				if err := os.MkdirAll(filepath.Dir(blobPath), 0o755); err != nil {
 					t.Fatal(err)
 				}
@@ -308,7 +330,7 @@ func TestSnapshotCompat(t *testing.T) {
 			if twice, err := m2.SnapshotState(); err != nil || !bytes.Equal(twice, again) {
 				t.Errorf("re-encoded blob is not a fixed point of restore and snapshot (err %v)", err)
 			}
-			got := compatDrive(t, c, m, ts, half, len(ts))
+			got := compatDrive(t, c, m, ts, half, len(ts), oneAtATime)
 			if c.carried {
 				got = adoptCloseScalars(got, string(want))
 			}
@@ -384,7 +406,7 @@ func TestArchivedIncrementalBlobLeavesNoPaneBehind(t *testing.T) {
 			t.Errorf("defer=%v: MemUsage %d, BudgetMemUsage %d", deferDel, m.MemUsage(), m.BudgetMemUsage())
 		}
 		before, ts := store.Stats(), compatStream(c)
-		compatDrive(t, c, m, ts, len(ts)/2+13, len(ts))
+		compatDrive(t, c, m, ts, len(ts)/2+13, len(ts), oneAtATime)
 		if after := store.Stats(); after != before {
 			t.Errorf("defer=%v: the restored manager touched the store: %+v, then %+v", deferDel, before, after)
 		}
@@ -476,7 +498,7 @@ func TestRestoreRejectsRetiredFormats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	compatDrive(t, median, v2, ts, 0, half)
+	compatDrive(t, median, v2, ts, 0, half, oneAtATime)
 	// What the commit before PR 17 wrote for that very state.
 	v2Blob, err := os.ReadFile(filepath.Join("testdata", "retired", "scalar_median.snap"))
 	if err != nil {

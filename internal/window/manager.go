@@ -99,10 +99,8 @@ type SingleBuffer struct {
 	// synchronous passthrough when the plane is not enabled); all spill
 	// traffic goes through it so the hot path has exactly one spill
 	// seam. Nil iff cfg.Store is nil.
-	//lint:allow snapshotcover injected I/O handle; spilled contents are reconciled by RewindStore
-	store *spill.Plane
-	buf   []tuple.Tuple
-	//lint:allow snapshotcover derived from buf; recomputed by RestoreState
+	store    *spill.Plane
+	buf      []tuple.Tuple
 	bufBytes int
 	peak     int
 
@@ -110,8 +108,7 @@ type SingleBuffer struct {
 	spilledCnt int64
 	segSeq     int // distinguishes successive spill generations
 	segChunks  int // Store calls issued against the current segment
-	//lint:allow snapshotcover deferred deletes are reconciled by RewindStore, cleared on restore
-	deferred []string
+	deferred   []string
 }
 
 // NewSingleBuffer returns a single-buffer manager for cfg.
