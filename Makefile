@@ -17,11 +17,11 @@ vet:
 	$(GO) vet ./...
 
 # spearlint is this repo's own analyzer suite (cmd/spearlint): global
-# rand usage, goroutine discipline, wall-clock use in event-time code,
-# float equality, dropped codec/spill errors, and per-tuple time.Now /
-# map allocation / formatting / string and slice growth in the engine's
-# hot loops. Exit status 1 means findings; see DESIGN.md §9 for the
-# catalogue and suppression syntax.
+# rand usage, goroutine discipline, wall-clock use in event-time code
+# and the engine, float equality, dropped codec/spill errors. What a
+# tuple costs on the hot paths is a test, not a lint: the allocation,
+# telemetry, cell and spill gates run in `race`. Exit status 1 means
+# findings; see DESIGN.md §9 for the catalogue and suppression syntax.
 lint:
 	$(GO) run ./cmd/spearlint ./...
 

@@ -37,7 +37,6 @@ var analyzers = []*Analyzer{
 	analyzerEventTime,
 	analyzerFloatCmp,
 	analyzerErrcheckLite,
-	analyzerHotLoop,
 }
 
 // buildSuppressions scans comments for //lint:ignore directives. The

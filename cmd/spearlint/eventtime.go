@@ -12,6 +12,7 @@ var eventTimeScope = []string{
 	"internal/window",
 	"internal/watermark",
 	"internal/core",
+	"internal/spe",
 }
 
 // analyzerEventTime flags every mention of time.Now — calls and bare

@@ -39,8 +39,6 @@ type Package struct {
 	Path string
 	// Rel is the module-relative directory ("" for the module root).
 	Rel string
-	// Dir is the absolute directory.
-	Dir string
 
 	Files []*ast.File
 	Types *types.Package
@@ -151,7 +149,7 @@ func (l *Loader) Load(root, modPath string) (*Program, error) {
 		if rel != "" {
 			ipath = modPath + "/" + rel
 		}
-		rp := &rawPkg{pkg: &Package{Path: ipath, Rel: rel, Dir: path, Files: files}}
+		rp := &rawPkg{pkg: &Package{Path: ipath, Rel: rel, Files: files}}
 		for _, f := range files {
 			for _, imp := range f.Imports {
 				p := strings.Trim(imp.Path.Value, `"`)
@@ -363,30 +361,4 @@ func (p *Program) buildSuppressions() {
 // //lint:ignore directive.
 func (p *Program) Suppressed(analyzer string, pos token.Position) bool {
 	return p.suppress[pos.Filename][pos.Line][analyzer]
-}
-
-// Lookup returns the loaded package with the given module-relative
-// directory ("" for the root), or nil.
-func (p *Program) Lookup(rel string) *Package {
-	for _, pkg := range p.Pkgs {
-		if pkg.Rel == rel {
-			return pkg
-		}
-	}
-	return nil
-}
-
-// PkgOf returns the Package whose files contain pos, or nil.
-func (p *Program) PkgOf(pos token.Pos) *Package {
-	f := p.Fset.File(pos)
-	if f == nil {
-		return nil
-	}
-	dir := filepath.Dir(f.Name())
-	for _, pkg := range p.Pkgs {
-		if pkg.Dir == dir {
-			return pkg
-		}
-	}
-	return nil
 }

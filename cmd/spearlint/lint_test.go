@@ -115,7 +115,7 @@ func TestEventTime(t *testing.T) {
 }
 
 func TestEventTimeOutOfScope(t *testing.T) {
-	pkg := loadFixture(t, filepath.Join("testdata", "src", "eventtime"), "internal/spe")
+	pkg := loadFixture(t, filepath.Join("testdata", "src", "eventtime"), "internal/transport")
 	if fs := runAnalyzers([]*Pkg{pkg}, []*Analyzer{analyzerEventTime}); len(fs) != 0 {
 		t.Errorf("out-of-scope package should be clean, got %d findings", len(fs))
 	}
@@ -127,98 +127,6 @@ func TestFloatCmp(t *testing.T) {
 
 func TestErrcheckLite(t *testing.T) {
 	checkFixture(t, analyzerErrcheckLite, "errchecklite", "internal/fixture")
-}
-
-func TestHotLoop(t *testing.T) {
-	checkFixture(t, analyzerHotLoop, "hotloop", "internal/spe")
-}
-
-// TestHotKernel is the internal/core side of the hotloop analyzer: the
-// loops of every ingestRun kernel — including loops inside the
-// synchronous window-run visit closure — must reject mutex/metric
-// calls, allocation churn, tuple.Value boxing, per-row Value accessors,
-// per-row interface conversions and Vals row-storage indexing, while
-// the entry-point adapters, per-batch setup, per-run amortized work and
-// per-window helpers stay quiet.
-func TestHotKernel(t *testing.T) {
-	checkFixture(t, analyzerHotLoop, "hotkernel", "internal/core")
-}
-
-// TestHotTransport is the internal/transport side of the hotloop
-// analyzer: the shuffle send path (pump, sendSeq, and everything the
-// encode closures reach synchronously) must reject inline net dials
-// and per-frame allocation churn, while the redial goroutine and code
-// the path never reaches stay quiet.
-func TestHotTransport(t *testing.T) {
-	checkFixture(t, analyzerHotLoop, "hottransport", "internal/transport")
-}
-
-func TestHotLoopOutOfScope(t *testing.T) {
-	for _, fixture := range []string{"hotloop", "hotkernel", "hottransport"} {
-		pkg := loadFixture(t, filepath.Join("testdata", "src", fixture), "internal/fixture")
-		if fs := runAnalyzers([]*Pkg{pkg}, []*Analyzer{analyzerHotLoop}); len(fs) != 0 {
-			t.Errorf("out-of-scope %s should be clean, got %d findings", fixture, len(fs))
-		}
-	}
-}
-
-// TestHotLoopCrossScope pins the scope split: the worker fixture loaded
-// as internal/core must be clean (no Topology.Run expansion there), and
-// the manager fixture loaded as internal/spe must be clean (no
-// ingestRun scan there).
-func TestHotLoopCrossScope(t *testing.T) {
-	for fixture, rel := range map[string]string{
-		"hotloop":   "internal/core",
-		"hotkernel": "internal/spe",
-	} {
-		pkg := loadFixture(t, filepath.Join("testdata", "src", fixture), rel)
-		if fs := runAnalyzers([]*Pkg{pkg}, []*Analyzer{analyzerHotLoop}); len(fs) != 0 {
-			t.Errorf("%s as %s should be clean, got %d findings", fixture, rel, len(fs))
-		}
-	}
-}
-
-// TestSpillSeam is the direct-spill side of the hotloop analyzer: raw
-// SpillStore.Store/Get calls reachable from OnTuple/OnTupleBatch
-// (including through package-local helpers) must be flagged, while
-// Plane-routed calls, snapshot/recovery helpers, non-spill Store/Get
-// methods, and ambiguously-typed names stay quiet.
-func TestSpillSeam(t *testing.T) {
-	checkFixture(t, analyzerHotLoop, "spillseam", "internal/core")
-}
-
-// TestSpillSeamWindowScope pins that the window buffer package is in
-// scope too: same fixture, same findings, loaded as internal/window.
-func TestSpillSeamWindowScope(t *testing.T) {
-	checkFixture(t, analyzerHotLoop, "spillseam", "internal/window")
-}
-
-func TestSpillSeamOutOfScope(t *testing.T) {
-	for _, rel := range []string{"internal/spe", "internal/fixture"} {
-		pkg := loadFixture(t, filepath.Join("testdata", "src", "spillseam"), rel)
-		if fs := runAnalyzers([]*Pkg{pkg}, []*Analyzer{analyzerHotLoop}); len(fs) != 0 {
-			t.Errorf("spillseam as %s should be clean, got %d findings", rel, len(fs))
-		}
-	}
-}
-
-// TestControlCell is the controller-cell side of the hotloop analyzer:
-// control.Cell writes (Set — anything beyond the Budget/Shedding atomic
-// reads) reachable from OnTuple/OnTupleBatch/OnColumnBatch, including
-// through package-local helpers and the `c := m.cfg.Cell` alias, must
-// be flagged, while the sanctioned reads, snapshot-time republishing,
-// and non-cell Set methods stay quiet.
-func TestControlCell(t *testing.T) {
-	checkFixture(t, analyzerHotLoop, "controlcell", "internal/core")
-}
-
-func TestControlCellOutOfScope(t *testing.T) {
-	for _, rel := range []string{"internal/spe", "internal/fixture"} {
-		pkg := loadFixture(t, filepath.Join("testdata", "src", "controlcell"), rel)
-		if fs := runAnalyzers([]*Pkg{pkg}, []*Analyzer{analyzerHotLoop}); len(fs) != 0 {
-			t.Errorf("controlcell as %s should be clean, got %d findings", rel, len(fs))
-		}
-	}
 }
 
 func TestSuppression(t *testing.T) {
@@ -290,57 +198,44 @@ func checkSeeded(t *testing.T, a *Analyzer, rel string, seeds []seed, want map[s
 	}
 }
 
-// TestHotKernelCatchesSeededMutation proves the manager arm sees the
-// real kernels, not just the fixture: a histogram observation and a
-// fmt.Sprintf per element in the run closure of ScalarManager.ingestRun,
-// and a per-row read of row storage in GroupedManager.ingestRun's id
-// loop, must each produce one finding at the injected line and nothing
-// else. While the arm looked for loops in OnTuple, OnTupleBatch and
-// OnColumnBatch by name — loop-free adapters since the kernels were
-// unified — all three passed.
-func TestHotKernelCatchesSeededMutation(t *testing.T) {
-	checkSeeded(t, analyzerHotLoop, "internal/core", []seed{
-		{"scalar.go", "\t\trun := vals[i0:i1]\n",
-			"\t\trun := vals[i0:i1]\n\t\tfor _, v := range run {\n" +
-				"\t\t\tm.cfg.Metrics.ProcTime.Observe(v)\n\t\t\t_ = fmt.Sprintf(\"%v\", v)\n\t\t}\n"},
-		{"grouped.go", "\t\t\t\t\tw.gs.AddID(gid, run[i])\n",
-			"\t\t\t\t\t_ = rows[i0+i].Vals[0]\n\t\t\t\t\tw.gs.AddID(gid, run[i])\n"},
-	}, map[string]string{
-		"m.cfg.Metrics.ProcTime.Observe(v)": "mutex-guarded metric",
-		"_ = fmt.Sprintf(\"%v\", v)":        "fmt.Sprintf inside",
-		"_ = rows[i0+i].Vals[0]":            "row-format field access",
-	})
-}
-
-// TestAnalyzersCatchSeededMutations is the same proof for the five other
-// syntactic analyzers (DESIGN.md §9.1's "guards" column): each reports
-// one violation of its contract seeded into the package it guards.
+// TestAnalyzersCatchSeededMutations proves each syntactic analyzer sees
+// the real code, not just its fixture (DESIGN.md §9.1's "guards"
+// column): each reports one violation of its contract seeded into the
+// package it guards — eventtime in two of them.
 func TestAnalyzersCatchSeededMutations(t *testing.T) {
 	for _, c := range []struct {
-		a    *Analyzer
-		rel  string
-		seed seed
-		line string
-		sub  string
+		name  string
+		a     *Analyzer
+		rel   string
+		seeds []seed
+		line  string
+		sub   string
 	}{
-		{analyzerGlobalRand, "internal/sample",
-			seed{"reservoir.go", "import (\n\t\"math\"\n)\n\n", "import (\n\t\"math\"\n\t\"math/rand\"\n)\n\nvar _ = rand.Intn(3)\n\n"},
+		{"globalrand", analyzerGlobalRand, "internal/sample",
+			[]seed{{"reservoir.go", "import (\n\t\"math\"\n)\n\n", "import (\n\t\"math\"\n\t\"math/rand\"\n)\n\nvar _ = rand.Intn(3)\n\n"}},
 			"var _ = rand.Intn(3)", "global source"},
-		{analyzerGoroutine, "internal/stats",
-			seed{"welford.go", "func (w *Welford) Merge(o Welford) {\n", "func (w *Welford) Merge(o Welford) {\n\tgo func() { _ = o.n }()\n"},
+		{"goroutine-discipline", analyzerGoroutine, "internal/stats",
+			[]seed{{"welford.go", "func (w *Welford) Merge(o Welford) {\n", "func (w *Welford) Merge(o Welford) {\n\tgo func() { _ = o.n }()\n"}},
 			"go func() { _ = o.n }()", "no lifecycle discipline"},
-		{analyzerEventTime, "internal/core",
-			seed{"config.go", "\t//lint:ignore eventtime telemetry-clock default; event-time logic never calls this\n", ""},
+		{"eventtime", analyzerEventTime, "internal/core",
+			[]seed{{"config.go", "\t//lint:ignore eventtime telemetry-clock default; event-time logic never calls this\n", ""}},
 			"return time.Now", "time.Now in an event-time package"},
-		{analyzerFloatCmp, "internal/stats",
-			seed{"welford.go", "func (w *Welford) Merge(o Welford) {\n", "func (w *Welford) Merge(o Welford) {\n\tif w.mean == o.mean {\n\t\treturn\n\t}\n"},
+		// A wall-clock read per tuple in the spout loop of Topology.Run.
+		{"eventtime_engine", analyzerEventTime, "internal/spe",
+			[]seed{
+				{"engine.go", "\t\"math\"\n", "\t\"math\"\n\t\"time\"\n"},
+				{"engine.go", "\t\t\temitTuple(t)\n", "\t\t\t_ = time.Now()\n\t\t\temitTuple(t)\n"},
+			},
+			"_ = time.Now()", "time.Now in an event-time package"},
+		{"floatcmp", analyzerFloatCmp, "internal/stats",
+			[]seed{{"welford.go", "func (w *Welford) Merge(o Welford) {\n", "func (w *Welford) Merge(o Welford) {\n\tif w.mean == o.mean {\n\t\treturn\n\t}\n"}},
 			"if w.mean == o.mean {", "float equality"},
-		{analyzerErrcheckLite, "internal/core",
-			seed{"archive.go", "ts, err := a.store.Get(a.paneKey(p))", "ts, _ := a.store.Get(a.paneKey(p))\n\t\tvar err error"},
+		{"errcheck-lite", analyzerErrcheckLite, "internal/core",
+			[]seed{{"archive.go", "ts, err := a.store.Get(a.paneKey(p))", "ts, _ := a.store.Get(a.paneKey(p))\n\t\tvar err error"}},
 			"ts, _ := a.store.Get(a.paneKey(p))", "error returned by .Get is dropped"},
 	} {
-		t.Run(c.a.Name, func(t *testing.T) {
-			checkSeeded(t, c.a, c.rel, []seed{c.seed}, map[string]string{c.line: c.sub})
+		t.Run(c.name, func(t *testing.T) {
+			checkSeeded(t, c.a, c.rel, c.seeds, map[string]string{c.line: c.sub})
 		})
 	}
 }
@@ -358,8 +253,8 @@ func TestCatalogNamesUnique(t *testing.T) {
 		}
 		seen[a.Name] = true
 	}
-	if len(analyzers) != 6 {
-		t.Errorf("catalogue has %d analyzers, want 6", len(analyzers))
+	if len(analyzers) != 5 {
+		t.Errorf("catalogue has %d analyzers, want 5", len(analyzers))
 	}
 }
 

@@ -4,7 +4,7 @@
 // `make check`:
 //
 // The syntactic layer (default) type-checks each package in isolation
-// and runs six project-specific correctness checks. The dataflow layer
+// and runs five project-specific correctness checks. The dataflow layer
 // (-ssa) type-checks the whole module with real cross-package types,
 // builds per-function CFGs and a class-hierarchy call graph, and runs
 // two analyzers that prove the engine's resource and concurrency
@@ -28,7 +28,10 @@
 //	eventtime             time.Now inside event-time packages
 //	floatcmp              ==/!= between computed floats in numeric kernels
 //	errcheck-lite         dropped errors from tuple codec / spill store
-//	hotloop               time.Now / map alloc / fmt / growing append in hot loops
+//
+// What a tuple costs on the hot paths is tested where it is paid, not
+// linted: allocation, telemetry, controller-cell and spill-seam gates
+// in internal/core, internal/spe and internal/transport (DESIGN.md §9.1).
 //
 // Dataflow checks:
 //

@@ -13,8 +13,8 @@
 // The data plane never calls into the controller. Each manager holds a
 // *Cell — a pair of atomics the controller writes and the manager reads
 // at batch boundaries — so a budget read on the OnTuple* hot paths is
-// one atomic load, never a lock or an allocation (enforced by the
-// spearlint hotloop analyzer).
+// one atomic load, never a lock, an allocation or a write (core's
+// TestIngestNeverWritesTheCell and TestIngestAllocsPerTuple).
 package control
 
 import (

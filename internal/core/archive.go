@@ -29,10 +29,10 @@ import (
 type archive struct {
 	// store is always a spill.Plane: every archive operation goes
 	// through the async spill plane, which degenerates to a synchronous
-	// passthrough when the plane is not enabled. Keeping the seam
-	// concrete (not the raw SpillStore interface) is what lets the
-	// spearlint hotloop analyzer assert that no hot path talks to
-	// secondary storage directly.
+	// passthrough when the plane is not enabled. No ingest path talks
+	// to secondary storage directly: TestIngestDoesNotWaitForTheStore
+	// stalls the store behind an async plane and requires ingest to
+	// return.
 	store *spill.Plane
 	key   string
 	spec  window.Spec

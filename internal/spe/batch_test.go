@@ -3,6 +3,8 @@ package spe
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -512,52 +514,110 @@ func (nopManager) OnTupleBatch([]tuple.Tuple) ([]core.Result, error) { return ni
 func (nopManager) OnWatermark(int64) ([]core.Result, error)          { return nil, nil }
 func (nopManager) MemUsage() int                                     { return 0 }
 
+// hopCase is one topology from the source to nopManager.
+type hopCase struct {
+	name     string
+	par      int
+	keyed    bool
+	stages   int
+	columnar bool
+}
+
+var hopCases = []hopCase{
+	{"par1_shuffle", 1, false, 0, false},
+	{"par2_keyed", 2, true, 0, false},
+	{"one_map_stage", 1, false, 1, false},
+	{"three_stages_columnar", 1, false, 3, true},
+}
+
+// hopChunk is the tuples one hop topology carries.
+const hopChunk = 1 << 18
+
+// hopInput returns hopChunk two-field tuples, 64 distinct keys.
+func hopInput() []tuple.Tuple {
+	in := make([]tuple.Tuple, hopChunk)
+	vals := make([]tuple.Value, 2*hopChunk)
+	for i := range in {
+		vals[2*i], vals[2*i+1] = tuple.Float(float64(i&255)), tuple.String_(fmt.Sprintf("k%d", i&63))
+		in[i] = tuple.Tuple{Ts: int64(i), Vals: vals[2*i : 2*i+2 : 2*i+2]}
+	}
+	return in
+}
+
+// runHop runs c's topology over in to completion.
+func runHop(tb testing.TB, c hopCase, in []tuple.Tuple) {
+	id := func(t tuple.Tuple) (tuple.Tuple, bool) { return t, true }
+	tp := NewTopology(Config{WatermarkPeriod: 1000, Columnar: c.columnar}).SetSpout(NewSliceSpout(in))
+	for i := 0; i < c.stages; i++ {
+		tp.AddMap("id", 0, id)
+	}
+	var keyBy tuple.KeyExtractor
+	if c.keyed {
+		keyBy = tuple.FieldString(1)
+	}
+	tp.SetWindowed("nop", c.par, keyBy, func(int) (core.Manager, error) { return nopManager{}, nil }).
+		SetSink(func(int, core.Result) {})
+	if err := tp.Run(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
 // BenchmarkHop times what a tuple costs between the source and a
 // manager that ignores it: one op is one tuple, so ns/op is ns/tuple
 // and allocs/op the steady state's (a run's set-up is spread over the
 // 256K tuples it carries; the only pool on the path is the run pool).
 func BenchmarkHop(b *testing.B) {
-	const chunk = 1 << 18
-	in := make([]tuple.Tuple, chunk)
-	vals := make([]tuple.Value, 2*chunk)
-	for i := range in {
-		vals[2*i], vals[2*i+1] = tuple.Float(float64(i&255)), tuple.String_(fmt.Sprintf("k%d", i&63))
-		in[i] = tuple.Tuple{Ts: int64(i), Vals: vals[2*i : 2*i+2 : 2*i+2]}
-	}
-	id := func(t tuple.Tuple) (tuple.Tuple, bool) { return t, true }
-	for _, c := range []struct {
-		name     string
-		par      int
-		keyed    bool
-		stages   int
-		columnar bool
-	}{
-		{"par1_shuffle", 1, false, 0, false},
-		{"par2_keyed", 2, true, 0, false},
-		{"one_map_stage", 1, false, 1, false},
-		{"three_stages_columnar", 1, false, 3, true},
-	} {
+	in := hopInput()
+	for _, c := range hopCases {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
-			for left := b.N; left > 0; left -= chunk {
-				tp := NewTopology(Config{WatermarkPeriod: 1000, Columnar: c.columnar}).
-					SetSpout(NewSliceSpout(in[:min(left, chunk)]))
-				for i := 0; i < c.stages; i++ {
-					tp.AddMap("id", 0, id)
-				}
-				var keyBy tuple.KeyExtractor
-				if c.keyed {
-					keyBy = tuple.FieldString(1)
-				}
-				tp.SetWindowed("nop", c.par, keyBy, func(int) (core.Manager, error) { return nopManager{}, nil }).
-					SetSink(func(int, core.Result) {})
-				if err := tp.Run(); err != nil {
-					b.Fatal(err)
-				}
+			for left := b.N; left > 0; left -= hopChunk {
+				runHop(b, c, in[:min(left, hopChunk)])
 			}
 		})
 	}
 }
+
+// TestHopAllocsPerTuple is BenchmarkHop's allocs/op as a gate: a whole
+// Topology.Run of hopChunk tuples, set-up included, allocates at most
+// 0.05 times per tuple on every plan (up to ≈ 0.008 on rows, 0.004 on
+// columns), so a per-tuple allocation on the spout, the batcher, a hop
+// or the chain (one map made per tuple reads 2.0) fails here. The
+// column lanes draw batches from col's pool, and how many a run finds
+// there depends on how far the spout got ahead of the worker: a run
+// reads up to 0.05 where its batches had to be made. So the gate takes
+// the best of three runs, after one that fills the pool, with
+// collections off (one would empty it) unless the heap nears 256 MiB.
+// Under the race detector the column lanes get hopRaceAllowance more.
+func TestHopAllocsPerTuple(t *testing.T) {
+	in := hopInput()
+	for _, c := range hopCases {
+		t.Run(c.name, func(t *testing.T) {
+			limit := 0.05
+			if c.columnar {
+				limit += hopRaceAllowance
+			}
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			defer debug.SetMemoryLimit(debug.SetMemoryLimit(256 << 20))
+			runHop(t, c, in)
+			best := math.Inf(1)
+			for range 3 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				runHop(t, c, in)
+				runtime.ReadMemStats(&after)
+				best = min(best, float64(after.Mallocs-before.Mallocs)/float64(len(in)))
+			}
+			t.Logf("%.4f allocs/tuple", best)
+			if best > limit {
+				t.Errorf("%.4f allocations per tuple, want at most %g", best, limit)
+			}
+		})
+	}
+}
+
+// hopRaceAllowance is 0 but under the race detector (race_test.go).
+var hopRaceAllowance float64
 
 // ---- a shard's ingest lane --------------------------------------------------
 
