@@ -1,14 +1,13 @@
 # Correctness gate for the SPEAr repo. `make check` is the bar every
 # change must clear locally and in CI: compile, vet, the in-repo
-# spearlint analyzers (both the syntactic layer and the whole-program
-# dataflow layer), the full test suite under the race detector, and the
-# crash-recovery integration suite (also race-enabled).
+# spearlint analyzers, the full test suite under the race detector, and
+# the crash-recovery integration suite (also race-enabled).
 
 GO ?= go
 
-.PHONY: check build vet lint lint-ssa test race recovery obs obs-scrape fuzz loc bench-smoke bench-adaptive e2e-dist
+.PHONY: check build vet lint test race recovery obs obs-scrape fuzz loc bench-smoke bench-adaptive e2e-dist
 
-check: build vet lint lint-ssa race recovery obs
+check: build vet lint race recovery obs
 
 build:
 	$(GO) build ./...
@@ -19,19 +18,12 @@ vet:
 # spearlint is this repo's own analyzer suite (cmd/spearlint): global
 # rand usage, goroutine discipline, wall-clock use in event-time code
 # and the engine, float equality, dropped codec/spill errors. What a
-# tuple costs on the hot paths is a test, not a lint: the allocation,
-# telemetry, cell and spill gates run in `race`. Exit status 1 means
-# findings; see DESIGN.md §9 for the catalogue and suppression syntax.
+# tuple costs on the hot paths, the lock-free contracts and the flate
+# writer pool are tests, not lints: their gates run in `race`. Exit
+# status 1 means findings; see DESIGN.md §9 for the catalogue and
+# suppression syntax.
 lint:
 	$(GO) run ./cmd/spearlint ./...
-
-# The whole-program dataflow layer (cmd/spearlint -ssa): sync.Pool leak
-# paths and blocking operations behind lock-free contracts. Loads the
-# module as one type-checked program (~seconds, not instant — hence its
-# own target). See DESIGN.md §14 for mechanics and soundness limits; it
-# takes the same //lint:ignore suppressions as the syntactic layer.
-lint-ssa:
-	$(GO) run ./cmd/spearlint -ssa .
 
 test:
 	$(GO) test ./...

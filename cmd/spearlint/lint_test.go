@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -129,8 +130,32 @@ func TestErrcheckLite(t *testing.T) {
 	checkFixture(t, analyzerErrcheckLite, "errchecklite", "internal/fixture")
 }
 
+// TestSuppression pins the suppression policy: //lint:ignore <check>
+// <reason> silences its own line and the next, and a directive without
+// a reason, or for another check, is inert.
 func TestSuppression(t *testing.T) {
 	checkFixture(t, analyzerGlobalRand, "suppress", "internal/fixture")
+}
+
+// TestAllowRequiresReason holds the suppression policy on a directive in
+// the engine's own code: core's telemetry-clock default stays silenced
+// while its //lint:ignore gives a reason, and with the reason stripped
+// the directive is inert, so the time.Now finding comes back.
+func TestAllowRequiresReason(t *testing.T) {
+	const directive = "\t//lint:ignore eventtime telemetry-clock default; event-time logic never calls this\n"
+	for _, c := range []struct {
+		name string
+		seed []seed
+		want map[string]string
+	}{
+		{"withReason", nil, map[string]string{}},
+		{"noReason", []seed{{"config.go", directive, "\t//lint:ignore eventtime\n"}},
+			map[string]string{"return time.Now": "time.Now in an event-time package"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			checkSeeded(t, analyzerEventTime, "internal/core", c.seed, c.want)
+		})
+	}
 }
 
 // TestRepoClean is the gate the acceptance criteria demand: the full
@@ -195,6 +220,64 @@ func checkSeeded(t *testing.T, a *Analyzer, rel string, seeds []seed, want map[s
 	}
 	for line, sub := range want {
 		t.Errorf("seeded %q not reported (want a %s finding containing %q)", line, a.Name, sub)
+	}
+}
+
+// copyTree copies every .go file and go.mod under src into a fresh
+// temp directory, preserving layout and skipping VCS and fixture
+// directories.
+func copyTree(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			switch d.Name() {
+			case ".git", "testdata", "vendor":
+				if path != src {
+					return filepath.SkipDir
+				}
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") && d.Name() != "go.mod" {
+			return nil
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		out := filepath.Join(dst, rel)
+		if err := os.MkdirAll(filepath.Dir(out), 0o755); err != nil {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(out, b, 0o644)
+	})
+	if err != nil {
+		t.Fatalf("copy tree: %v", err)
+	}
+	return dst
+}
+
+// rewriteFile replaces old with new in one file; old must occur at
+// least once.
+func rewriteFile(t *testing.T, path, old, new string) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), old) {
+		t.Fatalf("%s: expected snippet %q not found — the seeded-mutation anchor moved", path, old)
+	}
+	if err := os.WriteFile(path, []byte(strings.ReplaceAll(string(b), old, new)), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"spear/internal/leakcheck"
 	"spear/internal/tuple"
 )
 
@@ -144,6 +145,24 @@ func TestReuseNoAlloc(t *testing.T) {
 	if allocs > 0 {
 		t.Fatalf("SetRows on warmed batch allocates %.1f/op, want 0", allocs)
 	}
+}
+
+// TestColumnBatchIsLockFree holds the recycling path and both ways of
+// filling a batch, each documented lock-free, to that contract.
+func TestColumnBatchIsLockFree(t *testing.T) {
+	rows := []tuple.Tuple{
+		row(1, tuple.Float(1.5), tuple.String_("a")),
+		row(2, tuple.Int(7), tuple.Bool(true)),
+	}
+	leakcheck.NoBlocking(t, func(_, _ int) {
+		b := Get()
+		b.SetRows(rows)
+		b.Reset()
+		for _, r := range rows {
+			b.AppendRow(r)
+		}
+		Put(b)
+	})
 }
 
 func TestWidthGrowsAndResets(t *testing.T) {

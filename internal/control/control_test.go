@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"spear/internal/leakcheck"
 	"spear/internal/obs"
 )
 
@@ -33,6 +34,16 @@ func (h *harness) observe(lag time.Duration, fill float64) {
 		Edges:   []obs.EdgeSnapshot{{Name: "e", Fill: fill}},
 	})
 	h.now = h.now.Add(time.Second)
+}
+
+// TestCellIsLockFree holds Cell to its contract: the controller's writes
+// and the managers' reads never wait on each other.
+func TestCellIsLockFree(t *testing.T) {
+	c := NewCell(100)
+	leakcheck.NoBlocking(t, func(_, i int) {
+		c.Set(i, i&1 == 0)
+		_, _ = c.Budget(), c.Shedding()
+	})
 }
 
 func TestControllerTightensUnderOverload(t *testing.T) {

@@ -15,6 +15,9 @@
 //		leakcheck.Check(t)
 //		// ... run topologies ...
 //	}
+//
+// NoBlocking is the package's other check: that code documented
+// lock-free never waits on another goroutine.
 package leakcheck
 
 import (

@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"spear/internal/leakcheck"
 )
 
 func TestGauge(t *testing.T) {
@@ -76,6 +78,20 @@ func TestGaugeConcurrentPeak(t *testing.T) {
 	if g.Load() < 0 || g.Load() > 8000 {
 		t.Errorf("Load = %d outside observed range", g.Load())
 	}
+}
+
+// TestInstrumentsAreLockFree holds the two instruments documented
+// lock-free, which the managers and the worker loops update per run, to
+// that contract: neither ever waits on another goroutine.
+func TestInstrumentsAreLockFree(t *testing.T) {
+	var g Gauge
+	t.Run("Gauge.Set", func(t *testing.T) {
+		leakcheck.NoBlocking(t, func(_, i int) { g.Set(int64(i)) })
+	})
+	var b BatchOccupancy
+	t.Run("BatchOccupancy.Record", func(t *testing.T) {
+		leakcheck.NoBlocking(t, func(_, i int) { b.Record(i & 511) })
+	})
 }
 
 // TestHistogramBoundedMemory is the regression test for the unbounded-

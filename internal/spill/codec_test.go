@@ -1,7 +1,11 @@
 package spill
 
 import (
+	"compress/flate"
 	"errors"
+	"io"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -61,6 +65,39 @@ func TestChunkCodecCompresses(t *testing.T) {
 	if len(comp) >= len(raw) {
 		t.Fatalf("level 6 (%d bytes) did not beat level 0 (%d bytes) on repetitive data",
 			len(comp), len(raw))
+	}
+}
+
+// TestEncodeChunkReusesItsFlateWriter holds deflate to its pool: the
+// lower quartile of what an EncodeChunk call allocates is a small
+// fraction of one flate.NewWriter (hundreds of KB), so the writer it
+// took from the pool went back; with the Put gone, every call makes one.
+// A quartile, not the mean or the median: under -race sync.Pool drops a
+// quarter of what is put into it, and 31 calls there can miss on more
+// than half.
+func TestEncodeChunkReusesItsFlateWriter(t *testing.T) {
+	ts := mkChunk(0, 512)
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for level := 1; level <= 9; level++ {
+		writer := allocated(func() { _, _ = flate.NewWriter(io.Discard, level) })
+		calls := make([]uint64, 31)
+		for i := range calls {
+			calls[i] = allocated(func() {
+				if _, err := EncodeChunk(ts, level); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		slices.Sort(calls)
+		if q1 := calls[len(calls)/4]; q1 > writer/4 {
+			t.Errorf("level %d: a quarter of EncodeChunk calls allocate at most %d B, a flate.NewWriter %d B: the writer is not reused", level, q1, writer)
+		}
 	}
 }
 

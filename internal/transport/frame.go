@@ -276,8 +276,7 @@ type Frame struct {
 // header, then the run's column image (tuple.AppendColumns). This is
 // the transport send hot path and is lock-free by contract: it appends
 // into dst with the tuple codec and performs no other work per tuple
-// (spearlint's blockfree analyzer verifies no blocking operation is
-// reachable from here).
+// (TestBatchFrameCodecIsLockFree holds both directions to it).
 //
 //	kind    byte      KindBatch
 //	seq     uvarint

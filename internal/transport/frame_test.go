@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"spear/internal/core"
+	"spear/internal/leakcheck"
 	"spear/internal/tuple"
 )
 
@@ -245,6 +246,29 @@ func TestDecodeBatchAllocs(t *testing.T) {
 	if f.Sender != 3 || !reflect.DeepEqual(f.Rows, ts) {
 		t.Fatalf("decoded %v from sender %d, want %v from sender 3", f.Rows, f.Sender, ts)
 	}
+}
+
+// TestBatchFrameCodecIsLockFree holds the send and receive hot paths to
+// their lock-free contract: AppendBatch, and decodeFrame filling a run
+// that a func value hands out, as the link's handler does from the
+// shard's pool.
+func TestBatchFrameCodecIsLockFree(t *testing.T) {
+	ts := []tuple.Tuple{
+		tuple.New(1, tuple.Float(1.5), tuple.Int(2)),
+		tuple.New(3, tuple.Float(4.5), tuple.Int(6)),
+	}
+	bufs := make([][]byte, 4)
+	runs := make([]func() []tuple.Tuple, 4)
+	for g := range runs {
+		pooled := make([]tuple.Tuple, 0, len(ts))
+		runs[g] = func() []tuple.Tuple { return pooled[:0] }
+	}
+	leakcheck.NoBlocking(t, func(g, i int) {
+		bufs[g] = AppendBatch(bufs[g][:0], uint64(i), 0, 3, ts)
+		if _, err := decodeFrame(bufs[g], runs[g]); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 // TestV2BatchFramesRejected: a batch frame as protocol version 2 wrote
