@@ -64,7 +64,7 @@ obs-scrape:
 # corpora: the tuple spill codec, the checkpoint snapshot codecs
 # (manifest, sampling state, manager restore), the compressed spill
 # chunk codec, the transport frame codec (and the column image its batch
-# frames carry), and the row↔column batch conversion.
+# frames carry), and the column batch's projection of a run.
 fuzz:
 	$(GO) test ./internal/tuple -run='^$$' -fuzz=FuzzTupleCodec -fuzztime=10s
 	$(GO) test ./internal/tuple -run='^$$' -fuzz=FuzzColumnsCodec -fuzztime=10s

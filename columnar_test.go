@@ -177,8 +177,8 @@ func TestColumnarIdentity(t *testing.T) {
 	})
 
 	t.Run("fused map chain", func(t *testing.T) {
-		// Maps present: the chain runs at the source on both lanes; the
-		// columnar run's survivors leave it as column batches.
+		// Maps present: the chain runs at the source on both lanes and
+		// hands the worker rows; the columnar worker projects them.
 		r := rand.New(rand.NewSource(17))
 		var in []Tuple
 		for i := 0; i < 6000; i++ {
@@ -203,9 +203,9 @@ func TestColumnarIdentity(t *testing.T) {
 
 // TestColumnarIdentityCrashRecover runs the checkpoint stop-and-resume
 // cycle with the columnar lane enabled and a filtering Map ahead of the
-// window — the chain hands column batches to the worker with barriers
-// cutting between them — and requires the union of both legs to equal a
-// plain row-path reference run bit-for-bit.
+// window — barriers cut between the runs the chain fills — and requires
+// the union of both legs to equal a plain row-path reference run
+// bit-for-bit.
 func TestColumnarIdentityCrashRecover(t *testing.T) {
 	const (
 		n      = 2000

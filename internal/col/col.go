@@ -1,123 +1,55 @@
-// Package col implements the columnar in-memory batch format for the
-// engine's hot path: per-field typed columns (raw []int64 / []float64 /
-// []bool payloads, dictionary-encoded strings) with validity bitmaps,
-// packed so aggregate kernels and samplers run tight loops over plain
-// slices instead of tag-dispatching over boxed tuple.Value unions.
+// Package col is the columnar view a window worker hands its manager's
+// kernels: one borrowed run of rows plus the columns a kernel asks for,
+// built on demand as plain slices ([]float64 values, dictionary-coded
+// strings) so aggregate kernels and samplers run tight loops instead of
+// tag-dispatching over boxed tuple.Value unions.
 //
-// The format is strictly internal to a worker's ingest hop: rows enter
-// through SetRows, kernels read the typed accessors, and the same
-// borrowed row slice (Rows) remains available for the seams that stay
-// row-oriented — archiving, spilling, and any operator without a
-// columnar kernel. The public API, tuple codec, spill store, and wire
-// format never see a ColumnBatch.
+// The view is strictly internal to a worker's ingest hop: rows enter
+// through SetRows, kernels read Ts, Floats and Strings, and the same
+// borrowed rows (Rows) remain what the row-oriented seams read —
+// archiving, spilling, and any operator without a columnar kernel. The
+// public API, tuple codec, spill store, and wire format never see a
+// ColumnBatch.
 //
-// Layout. Each column stores its payload packed: values are appended
-// only for rows whose field is present with the column's kind, and a
-// validity bitmap (one bit per row) records which rows participate.
-// Rows whose field is missing, invalid, or of a different kind than the
-// column's first-seen kind do not occupy payload slots; kind-mismatch
-// values are parked in a lazily-allocated overflow map so ToRows can
-// reconstruct every row exactly. When a column has zero nulls and no
-// overflow the packed payload is row-aligned — index i is row i — which
-// is the precondition the fast accessors (Floats, Ints, Bools, Strings)
-// check before handing kernels the raw slice.
+// A column is projected only when it is row-aligned: every row's field
+// is present, valid and of one kind the accessor serves. Anything else
+// (a missing field, an invalid value, a kind that changes between rows)
+// makes the accessor return nil and the kernel fall back to the rows.
 //
 // Ownership discipline. A ColumnBatch only borrows the row slice given
-// to SetRows; everything it hands out (payload slices, dictionaries,
-// bitmaps) is owned by the batch and valid ONLY until the next SetRows,
-// Reset, or Put. Kernels must not retain references across batches.
+// to SetRows; everything it hands out (timestamps, projected columns,
+// the dictionary) is owned by the batch and valid ONLY until the next
+// SetRows, Reset, or Put, and a projection until the next call of the
+// same accessor. Kernels must not retain references across batches.
 // Batches come from a package-level pool (Get/Put) so steady-state
 // ingest reuses one batch's buffers for the whole run.
 package col
 
 import (
+	"slices"
 	"sync"
 
 	"spear/internal/tuple"
 )
 
-// maxDict bounds the persistent string dictionary. Dictionaries survive
-// Reset so low-cardinality key columns (the grouped-aggregate case)
-// intern every key exactly once per run; past the bound the dictionary
-// is rebuilt from scratch to keep a high-cardinality stream from
-// pinning unbounded memory.
+// maxDict bounds the persistent string dictionary. The dictionary
+// survives Reset so low-cardinality key columns (the grouped-aggregate
+// case) intern every key exactly once per run; past the bound it is
+// rebuilt from scratch to keep a high-cardinality stream from pinning
+// unbounded memory.
 const maxDict = 4096
 
-// column is one field position across all rows of a batch. Payload
-// slices are packed (valid values only, in row order); valid is the
-// per-row presence bitmap; nulls counts rows without a payload slot
-// (missing, invalid, or kind-mismatched fields).
-type column struct {
-	kind   tuple.Kind
-	ints   []int64
-	floats []float64
-	bools  []bool
-	codes  []int32
-	valid  []uint64
-	nulls  int
-	// overflow parks values whose kind differs from the column's: row
-	// index → original value. Nil until the first mismatch; a batch
-	// with overflow falls back to the row path (fast accessors refuse).
-	overflow map[int32]tuple.Value
-	// dict / dictIdx implement string interning; they persist across
-	// Reset (see maxDict) so codes stay stable for the batch lifetime.
+// ColumnBatch is a reusable columnar view over one run of rows. Zero
+// value is ready to use; prefer Get/Put for pooling.
+type ColumnBatch struct {
+	rows  []tuple.Tuple // borrowed from SetRows; NOT owned
+	ts    []int64
+	f64   []float64 // Floats' projection
+	codes []int32   // Strings' projection
+	// dict / dictIdx intern strings; they persist across Reset (see
+	// maxDict).
 	dict    []string
 	dictIdx map[string]int32
-	// f64 is scratch for Floats on an int column: the int payload
-	// widened to float64 exactly as tuple.Value.AsFloat would.
-	f64 []float64
-}
-
-// reset clears per-batch state, keeping buffer capacity and the string
-// dictionary (unless it outgrew maxDict).
-func (c *column) reset() {
-	c.kind = tuple.KindInvalid
-	c.ints = c.ints[:0]
-	c.floats = c.floats[:0]
-	c.bools = c.bools[:0]
-	c.codes = c.codes[:0]
-	c.valid = c.valid[:0]
-	c.nulls = 0
-	c.f64 = c.f64[:0]
-	if c.overflow != nil {
-		clear(c.overflow)
-	}
-	if len(c.dict) > maxDict {
-		c.dict = c.dict[:0]
-		clear(c.dictIdx)
-	}
-}
-
-// intern returns the dictionary code for s, adding it if new.
-func (c *column) intern(s string) int32 {
-	if code, ok := c.dictIdx[s]; ok {
-		return code
-	}
-	if c.dictIdx == nil {
-		c.dictIdx = make(map[string]int32, 16)
-	}
-	code := int32(len(c.dict))
-	c.dict = append(c.dict, s)
-	c.dictIdx[s] = code
-	return code
-}
-
-// ColumnBatch is a reusable column-major view over one micro-batch of
-// rows. Zero value is ready to use; prefer Get/Put for pooling.
-//
-// A batch fills one of two ways, never both between resets: bulk from a
-// borrowed row slice (SetRows) or incrementally one row at a time
-// (AppendRow), which keeps the rows in batch-owned storage so the batch
-// can travel — e.g. from a fused spout chain through a channel to a
-// window worker — without pinning caller memory.
-type ColumnBatch struct {
-	n     int
-	width int // live column count (cols may hold spare capacity)
-	ts    []int64
-	nvals []int32 // per-row len(Vals), so ToRows restores exact widths
-	cols  []column
-	rows  []tuple.Tuple // borrowed from SetRows; NOT owned
-	own   []tuple.Tuple // owned storage filled by AppendRow
 }
 
 var pool = sync.Pool{New: func() any { return new(ColumnBatch) }}
@@ -136,309 +68,116 @@ func Put(b *ColumnBatch) {
 	pool.Put(b)
 }
 
-// Reset clears the batch for reuse, keeping buffer capacity. Lock-free:
-// safe on the per-batch ingest path.
+// Reset clears the batch for reuse, keeping buffer capacity and the
+// string dictionary (unless it outgrew maxDict). Lock-free: safe on the
+// per-batch ingest path.
 func (b *ColumnBatch) Reset() {
-	b.n = 0
-	b.width = 0
-	b.ts = b.ts[:0]
-	b.nvals = b.nvals[:0]
-	for i := range b.cols {
-		b.cols[i].reset()
-	}
 	b.rows = nil
-	// Zero the owned rows before truncating: the Tuples reference
-	// caller-allocated Vals arrays, and a pooled batch must not pin
-	// them past its lifetime.
-	clear(b.own)
-	b.own = b.own[:0]
+	b.ts = b.ts[:0]
+	b.f64 = b.f64[:0]
+	b.codes = b.codes[:0]
+	if len(b.dict) > maxDict {
+		b.dict = b.dict[:0]
+		clear(b.dictIdx)
+	}
 }
 
-// SetRows (re)fills the batch from rows, column-major. The slice is
-// borrowed, not copied: it must stay immutable until the next SetRows,
-// Reset, or Put. Lock-free: the conversion is pure slice appends plus
-// dictionary map lookups, no locks, no channels.
+// SetRows points the batch at rows and fills Ts. The slice is borrowed,
+// not copied: it must stay immutable until the next SetRows, Reset, or
+// Put. Lock-free: one pass of slice appends, no locks, no channels.
 func (b *ColumnBatch) SetRows(rows []tuple.Tuple) {
 	b.Reset()
 	b.rows = rows
-	b.n = len(rows)
-
-	width := 0
 	for i := range rows {
 		b.ts = append(b.ts, rows[i].Ts)
-		nv := len(rows[i].Vals)
-		b.nvals = append(b.nvals, int32(nv))
-		if nv > width {
-			width = nv
-		}
-	}
-	b.width = width
-	for len(b.cols) < width {
-		b.cols = append(b.cols, column{})
-	}
-	words := (len(rows) + 63) / 64
-	for j := 0; j < width; j++ {
-		c := &b.cols[j]
-		for len(c.valid) < words {
-			c.valid = append(c.valid, 0)
-		}
-		for i := range rows {
-			if j >= len(rows[i].Vals) {
-				c.nulls++
-				continue
-			}
-			v := rows[i].Vals[j]
-			k := v.Kind()
-			if k == tuple.KindInvalid {
-				c.nulls++
-				continue
-			}
-			if c.kind == tuple.KindInvalid {
-				c.kind = k
-			}
-			if k != c.kind {
-				if c.overflow == nil {
-					c.overflow = make(map[int32]tuple.Value, 4)
-				}
-				c.overflow[int32(i)] = v
-				c.nulls++
-				continue
-			}
-			switch k {
-			case tuple.KindInt:
-				c.ints = append(c.ints, v.AsInt())
-			case tuple.KindFloat:
-				c.floats = append(c.floats, v.AsFloat())
-			case tuple.KindString:
-				c.codes = append(c.codes, c.intern(v.AsString()))
-			case tuple.KindBool:
-				c.bools = append(c.bools, v.AsBool())
-			}
-			c.valid[i>>6] |= 1 << (uint(i) & 63)
-		}
-	}
-}
-
-// AppendRow appends one row to the batch, column-major, copying the
-// Tuple into batch-owned storage (the Vals slice is still shared with
-// the caller, as everywhere tuples move by value). The resulting batch
-// is indistinguishable from SetRows over the same rows in the same
-// order: columns take the kind of their first valid value, mismatches
-// park in overflow, bitmaps and packed payloads line up identically —
-// the fuzz harness pins this equivalence. AppendRow and SetRows must
-// not be mixed between resets. Lock-free like SetRows.
-func (b *ColumnBatch) AppendRow(t tuple.Tuple) {
-	i := b.n
-	b.n++
-	b.own = append(b.own, t)
-	b.ts = append(b.ts, t.Ts)
-	nv := len(t.Vals)
-	b.nvals = append(b.nvals, int32(nv))
-	if nv > b.width {
-		for len(b.cols) < nv {
-			b.cols = append(b.cols, column{})
-		}
-		// Columns this row introduces were missing from every earlier
-		// row of the batch.
-		for j := b.width; j < nv; j++ {
-			b.cols[j].nulls += i
-		}
-		b.width = nv
-	}
-	word := i >> 6
-	bit := uint64(1) << (uint(i) & 63)
-	for j := 0; j < b.width; j++ {
-		c := &b.cols[j]
-		for len(c.valid) <= word {
-			c.valid = append(c.valid, 0)
-		}
-		if j >= nv {
-			c.nulls++
-			continue
-		}
-		v := t.Vals[j]
-		k := v.Kind()
-		if k == tuple.KindInvalid {
-			c.nulls++
-			continue
-		}
-		if c.kind == tuple.KindInvalid {
-			c.kind = k
-		}
-		if k != c.kind {
-			if c.overflow == nil {
-				c.overflow = make(map[int32]tuple.Value, 4)
-			}
-			c.overflow[int32(i)] = v
-			c.nulls++
-			continue
-		}
-		switch k {
-		case tuple.KindInt:
-			c.ints = append(c.ints, v.AsInt())
-		case tuple.KindFloat:
-			c.floats = append(c.floats, v.AsFloat())
-		case tuple.KindString:
-			c.codes = append(c.codes, c.intern(v.AsString()))
-		case tuple.KindBool:
-			c.bools = append(c.bools, v.AsBool())
-		}
-		c.valid[word] |= bit
 	}
 }
 
 // Len returns the number of rows in the batch.
-func (b *ColumnBatch) Len() int { return b.n }
+func (b *ColumnBatch) Len() int { return len(b.rows) }
 
-// Width returns the number of columns (the widest row's field count).
-func (b *ColumnBatch) Width() int { return b.width }
-
-// Ts returns the per-row event timestamps, in row order. Owned by the
-// batch; valid until the next SetRows/Reset/Put.
+// Ts returns the per-row event timestamps, in row order.
 func (b *ColumnBatch) Ts() []int64 { return b.ts }
 
-// Rows returns the batch's rows — the slice SetRows borrowed, or the
-// batch-owned storage AppendRow filled. It is the fallback for
-// operators without a columnar kernel.
-func (b *ColumnBatch) Rows() []tuple.Tuple {
-	if b.rows != nil {
-		return b.rows
+// Rows returns the rows SetRows borrowed: the fallback for operators
+// without a columnar kernel.
+func (b *ColumnBatch) Rows() []tuple.Tuple { return b.rows }
+
+// field returns row i's field j and its kind, KindInvalid when the row
+// has no field j.
+func (b *ColumnBatch) field(i, j int) (tuple.Value, tuple.Kind) {
+	vals := b.rows[i].Vals
+	if j < 0 || j >= len(vals) {
+		return tuple.Value{}, tuple.KindInvalid
 	}
-	return b.own
+	return vals[j], vals[j].Kind()
 }
 
-// Kind returns column j's kind (KindInvalid when out of range or the
-// column never saw a value).
-func (b *ColumnBatch) Kind(j int) tuple.Kind {
-	if j < 0 || j >= b.width {
-		return tuple.KindInvalid
-	}
-	return b.cols[j].kind
-}
-
-// Nulls returns the number of rows without a payload slot in column j
-// (missing, invalid, or kind-mismatched fields).
-func (b *ColumnBatch) Nulls(j int) int {
-	if j < 0 || j >= b.width {
-		return b.n
-	}
-	return b.cols[j].nulls
-}
-
-// Valid returns column j's validity bitmap (bit i set ⇔ row i has a
-// payload slot), or nil when out of range.
-func (b *ColumnBatch) Valid(j int) []uint64 {
-	if j < 0 || j >= b.width {
-		return nil
-	}
-	return b.cols[j].valid
-}
-
-// fast returns column j iff its packed payload is row-aligned: every
-// row contributed a value of the column's kind, so payload index i is
-// row i and a kernel may consume the raw slice without bitmap checks.
-func (b *ColumnBatch) fast(j int) *column {
-	if j < 0 || j >= b.width {
-		return nil
-	}
-	c := &b.cols[j]
-	if c.nulls != 0 || len(c.overflow) != 0 {
-		return nil
-	}
-	return c
-}
-
-// Floats returns column j as a dense row-aligned []float64, or nil when
-// the column is not eligible (out of range, nulls, mixed kinds, or a
-// non-numeric kind). An int column is widened through the same
-// conversion tuple.Value.AsFloat performs, so kernels consuming the
-// slice are bit-identical to the row path.
+// Floats projects field j as a dense row-aligned []float64, or returns
+// nil unless every row's field j is a valid Float, or every row's field
+// j a valid Int. An Int is widened through tuple.Value.AsFloat, so
+// kernels consuming the slice are bit-identical to the row path.
 func (b *ColumnBatch) Floats(j int) []float64 {
-	c := b.fast(j)
-	if c == nil {
+	if len(b.rows) == 0 {
 		return nil
 	}
-	switch c.kind {
-	case tuple.KindFloat:
-		return c.floats
-	case tuple.KindInt:
-		if len(c.f64) != len(c.ints) {
-			c.f64 = c.f64[:0]
-			for _, v := range c.ints {
-				c.f64 = append(c.f64, float64(v))
-			}
+	_, kind := b.field(0, j)
+	if kind != tuple.KindFloat && kind != tuple.KindInt {
+		return nil
+	}
+	b.f64 = b.f64[:0]
+	for i := range b.rows {
+		v, k := b.field(i, j)
+		if k != kind {
+			return nil
 		}
-		return c.f64
+		b.f64 = append(b.f64, v.AsFloat())
 	}
-	return nil
+	return b.f64
 }
 
-// Ints returns column j as a dense row-aligned []int64, or nil when not
-// eligible.
-func (b *ColumnBatch) Ints(j int) []int64 {
-	c := b.fast(j)
-	if c == nil || c.kind != tuple.KindInt {
-		return nil
-	}
-	return c.ints
-}
-
-// Bools returns column j as a dense row-aligned []bool, or nil when not
-// eligible.
-func (b *ColumnBatch) Bools(j int) []bool {
-	c := b.fast(j)
-	if c == nil || c.kind != tuple.KindBool {
-		return nil
-	}
-	return c.bools
-}
-
-// Strings returns column j dictionary-encoded: a dense row-aligned code
+// Strings projects field j dictionary-encoded: a dense row-aligned code
 // slice plus the dictionary it indexes (dict[codes[i]] is row i's
-// string). ok is false when the column is not an eligible string
-// column. The dictionary is shared across batches (interned), so equal
-// keys map to the same Go string and grouped kernels key maps without
-// per-row allocation.
+// string). ok is false unless every row's field j is a valid String.
+// The dictionary is shared across batches (interned), so equal keys map
+// to the same Go string and grouped kernels key maps without per-row
+// allocation.
 func (b *ColumnBatch) Strings(j int) (codes []int32, dict []string, ok bool) {
-	c := b.fast(j)
-	if c == nil || c.kind != tuple.KindString {
+	if len(b.rows) == 0 {
 		return nil, nil, false
 	}
-	return c.codes, c.dict, true
+	b.codes = b.codes[:0]
+	for i := range b.rows {
+		v, k := b.field(i, j)
+		if k != tuple.KindString {
+			return nil, nil, false
+		}
+		b.codes = append(b.codes, b.intern(v.AsString()))
+	}
+	return b.codes, b.dict, true
 }
 
-// ToRows reconstructs the batch's rows into dst (reused if capacity
-// allows) and returns it. The reconstruction is exact: timestamps,
-// per-row field counts, every value — including kind-mismatched
-// overflow values and invalid (zero) fields — round-trip bit-identically
-// through Value.Equal. Rebuilt Vals slices are owned by the caller.
+// intern returns the dictionary code for s, adding it if new.
+func (b *ColumnBatch) intern(s string) int32 {
+	if code, ok := b.dictIdx[s]; ok {
+		return code
+	}
+	if b.dictIdx == nil {
+		b.dictIdx = make(map[string]int32, 16)
+	}
+	code := int32(len(b.dict))
+	b.dict = append(b.dict, s)
+	b.dictIdx[s] = code
+	return code
+}
+
+// ToRows appends a deep copy of the batch's rows to dst[:0] (reused if
+// capacity allows) and returns it: equal timestamps and values, and Vals
+// slices owned by the caller.
 func (b *ColumnBatch) ToRows(dst []tuple.Tuple) []tuple.Tuple {
 	dst = dst[:0]
-	cursors := make([]int, len(b.cols))
-	for i := 0; i < b.n; i++ {
-		nv := int(b.nvals[i])
-		vals := make([]tuple.Value, nv)
-		for j := 0; j < nv; j++ {
-			c := &b.cols[j]
-			if c.valid[i>>6]&(1<<(uint(i)&63)) != 0 {
-				k := cursors[j]
-				cursors[j]++
-				switch c.kind {
-				case tuple.KindInt:
-					vals[j] = tuple.Int(c.ints[k])
-				case tuple.KindFloat:
-					vals[j] = tuple.Float(c.floats[k])
-				case tuple.KindString:
-					vals[j] = tuple.String_(c.dict[c.codes[k]])
-				case tuple.KindBool:
-					vals[j] = tuple.Bool(c.bools[k])
-				}
-			} else if v, ok := c.overflow[int32(i)]; ok {
-				vals[j] = v
-			}
-			// else: missing or invalid field — the zero Value.
-		}
-		dst = append(dst, tuple.Tuple{Ts: b.ts[i], Vals: vals})
+	for _, r := range b.rows {
+		dst = append(dst, tuple.Tuple{Ts: r.Ts, Vals: slices.Clone(r.Vals)})
 	}
 	return dst
 }

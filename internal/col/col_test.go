@@ -12,26 +12,38 @@ func row(ts int64, vals ...tuple.Value) tuple.Tuple {
 	return tuple.Tuple{Ts: ts, Vals: vals}
 }
 
-// checkRoundTrip asserts SetRows→ToRows reconstructs rows exactly:
-// timestamps, field counts, and every value through Value.Equal.
+// requireRows fails unless got equals want: timestamps, field counts
+// and every value through Value.Equal (bit-exact on float payloads).
+func requireRows(t *testing.T, got, want []tuple.Tuple) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%d rows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Ts != want[i].Ts {
+			t.Fatalf("row %d: Ts=%d want %d", i, got[i].Ts, want[i].Ts)
+		}
+		if len(got[i].Vals) != len(want[i].Vals) {
+			t.Fatalf("row %d: %d vals, want %d", i, len(got[i].Vals), len(want[i].Vals))
+		}
+		for j := range want[i].Vals {
+			if !got[i].Vals[j].Equal(want[i].Vals[j]) {
+				t.Fatalf("row %d field %d: %v want %v", i, j, got[i].Vals[j], want[i].Vals[j])
+			}
+		}
+	}
+}
+
+// checkRoundTrip asserts SetRows→ToRows is a deep copy of rows: equal
+// to them, with no Vals array shared with the run.
 func checkRoundTrip(t *testing.T, b *ColumnBatch, rows []tuple.Tuple) {
 	t.Helper()
 	b.SetRows(rows)
 	got := b.ToRows(nil)
-	if len(got) != len(rows) {
-		t.Fatalf("ToRows: %d rows, want %d", len(got), len(rows))
-	}
+	requireRows(t, got, rows)
 	for i := range rows {
-		if got[i].Ts != rows[i].Ts {
-			t.Fatalf("row %d: Ts=%d want %d", i, got[i].Ts, rows[i].Ts)
-		}
-		if len(got[i].Vals) != len(rows[i].Vals) {
-			t.Fatalf("row %d: %d vals, want %d", i, len(got[i].Vals), len(rows[i].Vals))
-		}
-		for j := range rows[i].Vals {
-			if !got[i].Vals[j].Equal(rows[i].Vals[j]) {
-				t.Fatalf("row %d field %d: %v want %v", i, j, got[i].Vals[j], rows[i].Vals[j])
-			}
+		if len(rows[i].Vals) > 0 && &got[i].Vals[0] == &rows[i].Vals[0] {
+			t.Fatalf("row %d: ToRows shares the run's Vals", i)
 		}
 	}
 }
@@ -45,42 +57,50 @@ func TestRoundTripUniformFloat(t *testing.T) {
 	defer Put(b)
 	checkRoundTrip(t, b, rows)
 
-	if got := b.Floats(0); len(got) != 100 {
-		t.Fatalf("Floats(0) len=%d", len(got))
+	if got := b.Floats(0); len(got) != 100 || got[3] != 1 {
+		t.Fatalf("Floats(0) = %v...", got[:4])
 	}
-	if got := b.Ints(1); len(got) != 100 || got[7] != 7 {
-		t.Fatalf("Ints(1) = %v...", got[:8])
-	}
-	// Int column widened to float64 must match Value.AsFloat bits.
+	// An int field widened to float64 must match Value.AsFloat bits.
 	f := b.Floats(1)
 	for i := range rows {
 		if math.Float64bits(f[i]) != math.Float64bits(rows[i].Vals[1].AsFloat()) {
 			t.Fatalf("widened int %d diverges from AsFloat", i)
 		}
 	}
+	if _, _, ok := b.Strings(0); ok {
+		t.Fatal("Strings(0) ok on a float field")
+	}
 }
 
 func TestRoundTripMixedKindsAndNulls(t *testing.T) {
 	rows := []tuple.Tuple{
 		row(1, tuple.Float(1.5), tuple.String_("a")),
-		row(2, tuple.Int(7)), // short row: column 1 missing
-		row(3, tuple.Value{}, tuple.String_("b")),              // invalid field
-		row(4, tuple.Float(math.NaN()), tuple.String_("a")),    // NaN payload
-		row(5, tuple.Bool(true), tuple.String_("")),            // kind mismatch in col 0
-		row(6, tuple.Float(math.Inf(-1)), tuple.Int(-1<<62)),   // mismatch in col 1
-		row(7),                                                 // empty row
+		row(2, tuple.Int(7)),                                 // short row: field 1 missing
+		row(3, tuple.Value{}, tuple.String_("b")),            // invalid field
+		row(4, tuple.Float(math.NaN()), tuple.String_("a")),  // NaN payload
+		row(5, tuple.Bool(true), tuple.String_("")),          // bool among floats
+		row(6, tuple.Float(math.Inf(-1)), tuple.Int(-1<<62)), // int among strings
+		row(7), // empty row
 		row(8, tuple.Float(-0.0), tuple.String_("αβγ\x00\xff")), // negative zero, odd bytes
 	}
 	b := Get()
 	defer Put(b)
 	checkRoundTrip(t, b, rows)
 
-	// Column 0 saw a mismatch and an invalid: fast accessor refuses.
-	if b.Floats(0) != nil {
-		t.Fatal("Floats(0) should be nil on a column with nulls/overflow")
+	// Every field has a row that is missing, invalid or of another kind:
+	// neither projection applies.
+	for j := 0; j < 2; j++ {
+		if b.Floats(j) != nil {
+			t.Fatalf("Floats(%d) non-nil on a field with gaps", j)
+		}
+		if _, _, ok := b.Strings(j); ok {
+			t.Fatalf("Strings(%d) ok on a field with gaps", j)
+		}
 	}
-	if b.Nulls(0) == 0 {
-		t.Fatal("Nulls(0) should be nonzero")
+	// Ints and floats do not mix into one projection.
+	b.SetRows([]tuple.Tuple{row(1, tuple.Int(1)), row(2, tuple.Float(2))})
+	if b.Floats(0) != nil {
+		t.Fatal("Floats(0) non-nil on an int/float mix")
 	}
 }
 
@@ -88,11 +108,14 @@ func TestRoundTripEmpty(t *testing.T) {
 	b := Get()
 	defer Put(b)
 	checkRoundTrip(t, b, nil)
-	if b.Len() != 0 || b.Width() != 0 {
-		t.Fatalf("empty batch: Len=%d Width=%d", b.Len(), b.Width())
+	if b.Len() != 0 || len(b.Ts()) != 0 || b.Rows() != nil {
+		t.Fatalf("empty batch: Len=%d Ts=%v Rows=%v", b.Len(), b.Ts(), b.Rows())
 	}
 	if b.Floats(0) != nil {
 		t.Fatal("Floats on empty batch should be nil")
+	}
+	if _, _, ok := b.Strings(0); ok {
+		t.Fatal("Strings on empty batch should not be ok")
 	}
 }
 
@@ -116,15 +139,16 @@ func TestStringsDictionaryInterned(t *testing.T) {
 		t.Fatalf("dict[%d] = %q", codes[1], dict[codes[1]])
 	}
 	// The dictionary persists across batches: same key, same code.
+	first := codes[0]
 	b.SetRows(rows[:1])
 	codes2, _, _ := b.Strings(0)
-	if codes2[0] != codes[0] {
-		t.Fatalf("dictionary not persistent: %d vs %d", codes2[0], codes[0])
+	if codes2[0] != first {
+		t.Fatalf("dictionary not persistent: %d vs %d", codes2[0], first)
 	}
 }
 
 // TestReuseNoAlloc pins the pooling contract: refilling a warmed batch
-// with same-shape rows allocates nothing.
+// with same-shape rows and projecting it allocates nothing.
 func TestReuseNoAlloc(t *testing.T) {
 	rows := make([]tuple.Tuple, 64)
 	for i := range rows {
@@ -133,6 +157,8 @@ func TestReuseNoAlloc(t *testing.T) {
 	b := Get()
 	defer Put(b)
 	b.SetRows(rows) // warm buffers and dictionary
+	b.Floats(0)
+	b.Strings(1)
 	allocs := testing.AllocsPerRun(100, func() {
 		b.SetRows(rows)
 		if b.Floats(0) == nil {
@@ -143,41 +169,42 @@ func TestReuseNoAlloc(t *testing.T) {
 		}
 	})
 	if allocs > 0 {
-		t.Fatalf("SetRows on warmed batch allocates %.1f/op, want 0", allocs)
+		t.Fatalf("SetRows and projections on a warmed batch allocate %.1f/op, want 0", allocs)
 	}
 }
 
-// TestColumnBatchIsLockFree holds the recycling path and both ways of
-// filling a batch, each documented lock-free, to that contract.
+// TestColumnBatchIsLockFree holds the recycling path, filling a batch
+// and both projections, each documented lock-free, to that contract.
 func TestColumnBatchIsLockFree(t *testing.T) {
 	rows := []tuple.Tuple{
 		row(1, tuple.Float(1.5), tuple.String_("a")),
-		row(2, tuple.Int(7), tuple.Bool(true)),
+		row(2, tuple.Int(7), tuple.String_("b")),
 	}
 	leakcheck.NoBlocking(t, func(_, _ int) {
 		b := Get()
 		b.SetRows(rows)
+		b.Floats(0)
+		b.Strings(1)
 		b.Reset()
-		for _, r := range rows {
-			b.AppendRow(r)
-		}
 		Put(b)
 	})
 }
 
+// TestWidthGrowsAndResets refills a batch with a narrower run after a
+// wider one: nothing projected from the wider run may leak into the
+// narrower one's fields.
 func TestWidthGrowsAndResets(t *testing.T) {
 	b := Get()
 	defer Put(b)
 	b.SetRows([]tuple.Tuple{row(1, tuple.Int(1), tuple.Int(2), tuple.Int(3))})
-	if b.Width() != 3 {
-		t.Fatalf("Width=%d want 3", b.Width())
+	if f := b.Floats(2); len(f) != 1 || f[0] != 3 {
+		t.Fatalf("Floats(2) = %v, want [3]", f)
 	}
-	// Narrower batch: stale columns from the wider batch must not leak.
 	checkRoundTrip(t, b, []tuple.Tuple{row(2, tuple.Float(5))})
-	if b.Floats(0) == nil {
-		t.Fatal("Floats(0) nil after refill")
+	if f := b.Floats(0); len(f) != 1 || f[0] != 5 {
+		t.Fatalf("Floats(0) = %v after refill, want [5]", f)
 	}
-	if b.Ints(1) != nil {
-		t.Fatal("stale column 1 leaked")
+	if b.Floats(1) != nil || b.Floats(2) != nil || b.Floats(-1) != nil {
+		t.Fatal("a field the run does not have was projected")
 	}
 }

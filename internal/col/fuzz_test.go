@@ -2,17 +2,21 @@ package col
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"spear/internal/tuple"
 )
 
 // rowsFromBytes decodes arbitrary fuzz input into a deterministic row
-// set: [nrows][per row: ts byte, nvals][per val: kind selector + 8
+// set: [nrows][per row: ts 8 bytes, nvals][per val: kind selector + 8
 // payload bytes]. The selector space deliberately includes invalid
-// kinds and a "missing tail" marker so mixed-kind columns, nulls, and
-// ragged rows are all reachable from the byte stream.
+// values and a "missing tail" marker so mixed-kind fields, int/float
+// mixes, zero Values and ragged rows are all reachable from the byte
+// stream. rowsToBytes is its inverse.
 func rowsFromBytes(data []byte) []tuple.Tuple {
 	next := func() byte {
 		if len(data) == 0 {
@@ -29,7 +33,7 @@ func rowsFromBytes(data []byte) []tuple.Tuple {
 		}
 		return binary.LittleEndian.Uint64(buf[:])
 	}
-	nrows := int(next()) % 33 // 0..32 rows, empty batches included
+	nrows := int(next()) % 33 // 0..32 rows, empty runs included
 	rows := make([]tuple.Tuple, 0, nrows)
 	for r := 0; r < nrows; r++ {
 		ts := int64(next8())
@@ -44,14 +48,16 @@ func rowsFromBytes(data []byte) []tuple.Tuple {
 			case 1:
 				vals = append(vals, tuple.Float(math.Float64frombits(payload)))
 			case 2:
-				s := [4]byte{byte(payload), byte(payload >> 8), byte(payload >> 16), byte(payload >> 24)}
-				vals = append(vals, tuple.String_(string(s[:payload%5])))
+				// Up to four bytes from the low word, the length from
+				// the high one.
+				s := binary.LittleEndian.AppendUint32(nil, uint32(payload))
+				vals = append(vals, tuple.String_(string(s[:(payload>>32)%5])))
 			case 3:
 				vals = append(vals, tuple.Bool(payload&1 == 1))
 			case 4:
 				vals = append(vals, tuple.Value{}) // invalid field
 			case 5:
-				// Ragged row: stop early so later columns see this row
+				// Ragged row: stop early so later fields see this row
 				// as missing.
 				return append(rows, tuple.Tuple{Ts: ts, Vals: vals})
 			}
@@ -61,11 +67,74 @@ func rowsFromBytes(data []byte) []tuple.Tuple {
 	return rows
 }
 
-// FuzzColumnBatch fuzzes the row→column→row round trip: whatever mix of
-// kinds, nulls, ragged widths, and payload bit patterns the bytes
-// decode to, ToRows must reconstruct the input exactly (Value.Equal,
-// which is bit-exact on float payloads), and the fast accessors must
-// agree with the row values whenever they claim eligibility.
+// rowsToBytes encodes rows (at most 32, each at most 8 fields, strings
+// at most 4 bytes) so that rowsFromBytes returns them.
+func rowsToBytes(rows []tuple.Tuple) []byte {
+	out := []byte{byte(len(rows))}
+	for _, r := range rows {
+		out = binary.LittleEndian.AppendUint64(out, uint64(r.Ts))
+		out = append(out, byte(len(r.Vals)))
+		for _, v := range r.Vals {
+			var sel byte
+			var payload uint64
+			switch v.Kind() {
+			case tuple.KindInt:
+				sel, payload = 0, uint64(v.AsInt())
+			case tuple.KindFloat:
+				sel, payload = 1, math.Float64bits(v.AsFloat())
+			case tuple.KindString:
+				var s [4]byte
+				n := copy(s[:], v.AsString())
+				sel, payload = 2, uint64(binary.LittleEndian.Uint32(s[:]))|uint64(n)<<32
+			case tuple.KindBool:
+				sel = 3
+				if v.AsBool() {
+					payload = 1
+				}
+			default:
+				sel = 4
+			}
+			out = append(out, sel)
+			out = binary.LittleEndian.AppendUint64(out, payload)
+		}
+	}
+	return out
+}
+
+// fuzzCorpus is the checked-in corpus under
+// testdata/fuzz/FuzzColumnBatch, by file name.
+var fuzzCorpus = map[string][]tuple.Tuple{
+	"seed_empty": nil,
+	"seed_two_fields": {
+		row(1, tuple.Float(0.5), tuple.Int(-3)),
+		row(2, tuple.Float(-2), tuple.Int(1<<53+1)),
+		row(3, tuple.Float(7), tuple.Int(0)),
+	},
+	"seed_inf_payload": {
+		row(-1, tuple.Float(math.Inf(1)), tuple.Int(math.MinInt64)),
+		row(0, tuple.Float(math.NaN()), tuple.Int(math.MaxInt64)),
+		row(1, tuple.Float(math.Copysign(0, -1)), tuple.Int(-1)),
+	},
+	"seed_mixed_invalid": {
+		row(1, tuple.Int(1), tuple.Value{}, tuple.Float(1)),
+		row(2, tuple.Float(2), tuple.Float(2), tuple.Float(2)),
+		row(3, tuple.Int(3), tuple.Float(3), tuple.Bool(true)),
+	},
+	"seed_ragged_strings": {
+		row(1, tuple.String_("abc"), tuple.String_("k")),
+		row(2, tuple.String_(""), tuple.String_("k")),
+		row(3, tuple.String_("abc")),
+		row(4, tuple.String_("\x00\xff")),
+	},
+}
+
+// FuzzColumnBatch fuzzes the projection contract over arbitrary runs —
+// mixed kinds, missing fields, zero Values, int/float mixes, any payload
+// bits: Floats(j) is non-nil exactly when every row's field j is a valid
+// Float or every row's a valid Int, and then equals AsFloat bit for bit;
+// Strings(j) is ok exactly when every row's field j is a valid String,
+// and then dict[codes[i]] is row i's AsString; ToRows equals the run and
+// shares none of its Vals.
 func FuzzColumnBatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1, 2, 3, 4, 5, 6, 7, 8})
@@ -76,89 +145,79 @@ func FuzzColumnBatch(f *testing.F) {
 		b := Get()
 		defer Put(b)
 		b.SetRows(rows)
-
-		if b.Len() != len(rows) {
-			t.Fatalf("Len=%d want %d", b.Len(), len(rows))
+		if b.Len() != len(rows) || len(b.Ts()) != len(rows) || len(b.Rows()) != len(rows) {
+			t.Fatalf("Len=%d Ts=%d Rows=%d, want %d", b.Len(), len(b.Ts()), len(b.Rows()), len(rows))
+		}
+		width := 0
+		for i, r := range rows {
+			if b.Ts()[i] != r.Ts {
+				t.Fatalf("Ts()[%d]=%d want %d", i, b.Ts()[i], r.Ts)
+			}
+			width = max(width, len(r.Vals))
 		}
 
-		// AppendRow equivalence: building the batch one row at a time
-		// must be indistinguishable from the bulk conversion — same
-		// kinds, nulls, bitmaps, payloads (via the round trip), same
-		// rows from the owned storage.
-		ab := Get()
-		defer Put(ab)
-		for _, r := range rows {
-			ab.AppendRow(r)
-		}
-		if ab.Len() != b.Len() || ab.Width() != b.Width() {
-			t.Fatalf("AppendRow: len/width %d/%d want %d/%d", ab.Len(), ab.Width(), b.Len(), b.Width())
-		}
-		if len(ab.Rows()) != len(rows) {
-			t.Fatalf("AppendRow: Rows len %d want %d", len(ab.Rows()), len(rows))
-		}
-		agot := ab.ToRows(nil)
-		for j := 0; j < b.Width(); j++ {
-			if ab.Kind(j) != b.Kind(j) || ab.Nulls(j) != b.Nulls(j) {
-				t.Fatalf("AppendRow col %d: kind/nulls %v/%d want %v/%d", j, ab.Kind(j), ab.Nulls(j), b.Kind(j), b.Nulls(j))
+		// The per-row reference: is every row's field j of kind k?
+		all := func(j int, k tuple.Kind) bool {
+			for _, r := range rows {
+				if j < 0 || j >= len(r.Vals) || r.Vals[j].Kind() != k {
+					return false
+				}
 			}
-			av, bv := ab.Valid(j), b.Valid(j)
-			for w := range bv {
-				if w < len(av) && av[w] != bv[w] {
-					t.Fatalf("AppendRow col %d: valid word %d = %x want %x", j, w, av[w], bv[w])
+			return len(rows) > 0
+		}
+		for j := -1; j <= width; j++ {
+			fs := b.Floats(j)
+			if want := all(j, tuple.KindFloat) || all(j, tuple.KindInt); (fs != nil) != want {
+				t.Fatalf("Floats(%d) non-nil=%v, the rows say %v", j, fs != nil, want)
+			}
+			if fs != nil && len(fs) != len(rows) {
+				t.Fatalf("Floats(%d): len %d want %d", j, len(fs), len(rows))
+			}
+			for i := range fs {
+				if math.Float64bits(fs[i]) != math.Float64bits(rows[i].Vals[j].AsFloat()) {
+					t.Fatalf("Floats(%d)[%d] diverges from AsFloat", j, i)
+				}
+			}
+			codes, dict, ok := b.Strings(j)
+			if want := all(j, tuple.KindString); ok != want {
+				t.Fatalf("Strings(%d) ok=%v, the rows say %v", j, ok, want)
+			}
+			if ok && len(codes) != len(rows) {
+				t.Fatalf("Strings(%d): len %d want %d", j, len(codes), len(rows))
+			}
+			for i := range codes {
+				if dict[codes[i]] != rows[i].Vals[j].AsString() {
+					t.Fatalf("Strings(%d)[%d] diverges from AsString", j, i)
 				}
 			}
 		}
-		for i := range rows {
-			if agot[i].Ts != rows[i].Ts || len(agot[i].Vals) != len(rows[i].Vals) {
-				t.Fatalf("AppendRow row %d: shape mismatch", i)
-			}
-			for j := range rows[i].Vals {
-				if !agot[i].Vals[j].Equal(rows[i].Vals[j]) {
-					t.Fatalf("AppendRow row %d field %d: %v want %v", i, j, agot[i].Vals[j], rows[i].Vals[j])
-				}
-			}
-		}
-		got := b.ToRows(nil)
-		if len(got) != len(rows) {
-			t.Fatalf("ToRows: %d rows, want %d", len(got), len(rows))
-		}
-		for i := range rows {
-			if got[i].Ts != rows[i].Ts {
-				t.Fatalf("row %d: Ts=%d want %d", i, got[i].Ts, rows[i].Ts)
-			}
-			if len(got[i].Vals) != len(rows[i].Vals) {
-				t.Fatalf("row %d: %d vals, want %d", i, len(got[i].Vals), len(rows[i].Vals))
-			}
-			for j := range rows[i].Vals {
-				if !got[i].Vals[j].Equal(rows[i].Vals[j]) {
-					t.Fatalf("row %d field %d: %v want %v", i, j, got[i].Vals[j], rows[i].Vals[j])
-				}
-			}
-		}
-
-		// Fast-accessor coherence: an eligible column must be dense,
-		// row-aligned, and bit-identical to the row path's AsFloat.
-		for j := 0; j < b.Width(); j++ {
-			if fs := b.Floats(j); fs != nil {
-				if len(fs) != len(rows) {
-					t.Fatalf("Floats(%d): len %d want %d", j, len(fs), len(rows))
-				}
-				for i := range rows {
-					if math.Float64bits(fs[i]) != math.Float64bits(rows[i].Vals[j].AsFloat()) {
-						t.Fatalf("Floats(%d)[%d] diverges from AsFloat", j, i)
-					}
-				}
-			}
-			if codes, dict, ok := b.Strings(j); ok {
-				if len(codes) != len(rows) {
-					t.Fatalf("Strings(%d): len %d want %d", j, len(codes), len(rows))
-				}
-				for i := range rows {
-					if dict[codes[i]] != rows[i].Vals[j].AsString() {
-						t.Fatalf("Strings(%d)[%d] diverges from AsString", j, i)
-					}
-				}
-			}
-		}
+		checkRoundTrip(t, b, rows)
 	})
+}
+
+// TestRegenFuzzCorpus rewrites the checked-in corpus under
+// testdata/fuzz/FuzzColumnBatch from fuzzCorpus. Gated so it only runs
+// when explicitly requested:
+//
+//	SPEAR_WRITE_CORPUS=1 go test ./internal/col -run TestRegenFuzzCorpus
+func TestRegenFuzzCorpus(t *testing.T) {
+	if os.Getenv("SPEAR_WRITE_CORPUS") == "" {
+		t.Skip("set SPEAR_WRITE_CORPUS=1 to regenerate testdata/fuzz/FuzzColumnBatch")
+	}
+	dir := filepath.Join("testdata", "fuzz", "FuzzColumnBatch")
+	for name, rows := range fuzzCorpus {
+		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", rowsToBytes(rows))
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestFuzzCorpusDecodes holds rowsToBytes to being rowsFromBytes'
+// inverse on every corpus entry, so the checked-in seeds are the runs
+// fuzzCorpus names.
+func TestFuzzCorpusDecodes(t *testing.T) {
+	for name, rows := range fuzzCorpus {
+		t.Run(name, func(t *testing.T) { requireRows(t, rowsFromBytes(rowsToBytes(rows)), rows) })
+	}
 }

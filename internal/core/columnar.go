@@ -14,12 +14,11 @@ import (
 // which its row entry points run too:
 //
 //  1. Eligibility gate, once per batch: the columnar lane applies only
-//     to time-domain specs, requires a dense row-aligned value column
-//     (and, grouped, a dictionary-coded key column), and verifies the
-//     declared field projections against the first row (the tripwire:
-//     Config.Value must equal FieldFloat(Columnar.ValueField)
-//     bit-for-bit). Anything else falls back to OnTupleBatch over the
-//     borrowed rows — correctness never depends on the declaration.
+//     to time-domain specs, requires the value field to project (and,
+//     grouped, the key field), and checks the declared fields against
+//     the extractors on the first row only (the tripwire: a wrong field
+//     index or kind). Anything else falls back to OnTupleBatch over the
+//     borrowed rows; past the gate the declaration is trusted.
 //  2. Past the gate the batch's timestamp and value columns are the
 //     kernel's input as they stand; what the row entry point would have
 //     copied out of the rows is not copied.
@@ -56,10 +55,9 @@ func (m *ScalarManager) OnColumnBatch(cb *col.ColumnBatch) ([]Result, error) {
 
 // OnColumnBatch implements ColumnManager for the grouped manager: past
 // the gate the kernel reads the dictionary-coded key column in place of
-// the rows' keys. Each distinct code of the batch is resolved to its
-// group id once (groupedScratch.codeIDs), and each window of a run then
-// indexes its state by row id — no string is hashed per row, let alone
-// per row per window.
+// the rows' keys. Interning hashes each row's key once; each distinct
+// code is resolved to its group id once (groupedScratch.codeIDs), and
+// each window of a run indexes its state by row id, never by string.
 func (m *GroupedManager) OnColumnBatch(cb *col.ColumnBatch) ([]Result, error) {
 	if cb.Len() == 0 {
 		return nil, nil

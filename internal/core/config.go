@@ -122,12 +122,11 @@ type Config struct {
 	Cell *control.Cell
 
 	// Columnar opts the manager into the columnar ingest fast lane:
-	// when enabled, the engine delivers micro-batches as typed column
-	// batches and OnColumnBatch runs the tight-loop kernels over raw
-	// []float64 / dictionary-coded key slices. Results are bit-identical
-	// to the row path by contract; any batch whose columns are not
-	// eligible (nulls, mixed kinds, extractor mismatch) falls back to
-	// OnTupleBatch automatically.
+	// OnColumnBatch runs the tight-loop kernels over raw []float64 /
+	// dictionary-coded key slices projected from each batch. Results are
+	// bit-identical to the row path when the declaration holds (see
+	// ColumnarSpec); a batch whose fields do not project falls back to
+	// OnTupleBatch.
 	Columnar ColumnarSpec
 
 	// DeferStoreDeletes, set by the checkpointing layer, makes the
@@ -142,9 +141,11 @@ type Config struct {
 // ColumnarSpec declares the field projections the columnar kernels may
 // assume: Value must be equivalent to tuple.FieldFloat(ValueField) and
 // — for grouped operations — KeyBy to tuple.FieldString(KeyField). The
-// kernels verify the equivalence against the first row of every batch
-// and fall back to the row path on mismatch, so a wrong declaration
-// costs speed, never correctness.
+// declaration is a promise: the kernels compare it with the extractors
+// on the first row of every batch only and fall back to the row path on
+// a mismatch, which catches a wrong field index or kind; an extractor
+// that agrees with the field on a batch's first row and not on a later
+// one changes results.
 type ColumnarSpec struct {
 	Enabled    bool
 	ValueField int

@@ -126,9 +126,10 @@ type BatchManager interface {
 }
 
 // ColumnManager is the optional columnar fast path on Manager. When
-// Config.Columnar is enabled, the engine's windowed workers convert
-// each contiguous run of data tuples into a pooled col.ColumnBatch and
-// deliver it here instead of OnTupleBatch.
+// Config.Columnar is enabled, the engine's windowed workers point a
+// pooled col.ColumnBatch at each run of data tuples (SetRows) and
+// deliver it here instead of OnTupleBatch; the kernel projects the
+// columns it reads (Floats, Strings).
 //
 // The contract is the same strict equivalence as BatchManager's, one
 // level up: OnColumnBatch(cb) must leave the manager in the same state,

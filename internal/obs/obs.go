@@ -43,7 +43,7 @@ type Edge struct {
 }
 
 // BatchOccupancy is a lock-free histogram of tuples per data batch,
-// updated once per received run or column batch.
+// updated once per received run.
 type BatchOccupancy struct {
 	counts [10]atomic.Int64 // occBuckets + the +Inf bucket
 	sum    atomic.Int64     // total tuples

@@ -3,15 +3,14 @@ package spe
 import (
 	"sync"
 
-	"spear/internal/col"
 	"spear/internal/tuple"
 )
 
 // This file is the sending side of a hop. A sender appends each routed
 // tuple to its destination's run and ships the run as one Batch when it
 // is full; the receiver hands the run on and gives it back to the run
-// pool. Nothing else is pooled: controls and column batches cross the
-// channel inside the Batch value itself.
+// pool. Nothing else is pooled: controls cross the channel inside the
+// Batch value itself.
 
 // defaultBatchSize is the run length selected when Config.BatchSize is
 // zero. 64 tuples (2 KB) stay in L1 while a channel synchronization is
@@ -60,13 +59,8 @@ func (p *runPool) put(run []tuple.Tuple) {
 	p.runs.Put(h)
 }
 
-// recycle returns whatever a data batch carries to where it came from.
-func (p *runPool) recycle(b Batch) {
-	p.put(b.Rows)
-	if b.Cols != nil {
-		col.Put(b.Cols)
-	}
-}
+// recycle returns a data batch's run to the pool.
+func (p *runPool) recycle(b Batch) { p.put(b.Rows) }
 
 // batcher is the sending end of the hop — the spout's: a run in
 // progress per destination, shipped when it reaches size. Controls
@@ -127,29 +121,15 @@ func (b *batcher) sendTo(d int, t tuple.Tuple) {
 	b.runs[d] = run
 }
 
-// sendCols ships an entire column batch to destination d. Any run
-// pending for d flushes first so the per-channel order stays exactly
-// the per-tuple sender's order. Ownership of cb transfers to the
-// receiver (col.Put after ingest).
-func (b *batcher) sendCols(d int, cb *col.ColumnBatch) {
-	b.flush(d)
-	b.outs[d] <- Batch{Cols: cb}
-}
-
-// flush ships destination d's pending run, if any.
-func (b *batcher) flush(d int) {
-	if run := b.runs[d]; len(run) > 0 {
-		b.outs[d] <- Batch{Rows: run}
-		b.runs[d] = nil
-	}
-}
-
 // flushAll ships every pending run. Callers invoke it at stream end
 // (before closing the downstream channels) and before any control
 // broadcast.
 func (b *batcher) flushAll() {
-	for d := range b.outs {
-		b.flush(d)
+	for d, run := range b.runs {
+		if len(run) > 0 {
+			b.outs[d] <- Batch{Rows: run}
+			b.runs[d] = nil
+		}
 	}
 }
 

@@ -294,13 +294,12 @@ func (c *countingManager) MemUsage() int { return c.inner.MemUsage() }
 // TestBarrierFlushCoversExactPrefix injects a checkpoint barrier at a
 // fixed spout offset and asserts the snapshot point observes exactly
 // the first barrierAt source tuples: the barrier broadcast must flush
-// everything pending ahead of itself — the chain's column lanes as
-// well as the batcher's runs — or the count would fall short, and
+// every run pending ahead of itself or the count would fall short, and
 // nothing read after the trigger may reach the worker before the
-// barrier, or it would overshoot. Runs with no chain, a row chain
-// and a columnar chain (each chain dropping every eighth tuple, so the
-// prefix is counted in survivors), at several batch sizes including one
-// larger than the barrier offset.
+// barrier, or it would overshoot. Runs with no chain, a chain, and a
+// chain on a columnar run (each chain dropping every eighth tuple, so
+// the prefix is counted in survivors), at several batch sizes including
+// one larger than the barrier offset.
 func TestBarrierFlushCoversExactPrefix(t *testing.T) {
 	leakcheck.Check(t)
 	const n, barrierAt = 2000, 500
@@ -471,10 +470,8 @@ func TestBackpressureSlowWindowedWorkerBatched(t *testing.T) {
 
 // TestBatchOccupancyCountsTuples pins what the occupancy histogram
 // records: the tuples a data batch carries. On a steady stream at
-// BatchSize 64 every run is full, so the mean is 64 whether runs arrive
-// as rows or, from a columnar chain, as column batches (which a count
-// of channel receives would put at 1); controls are not batches of
-// anything.
+// BatchSize 64 every run is full, so the mean is 64 with or without a
+// chain on a columnar run; controls are not batches of anything.
 func TestBatchOccupancyCountsTuples(t *testing.T) {
 	leakcheck.Check(t)
 	const n = 64 * 200
@@ -580,23 +577,18 @@ func BenchmarkHop(b *testing.B) {
 
 // TestHopAllocsPerTuple is BenchmarkHop's allocs/op as a gate: a whole
 // Topology.Run of hopChunk tuples, set-up included, allocates at most
-// 0.05 times per tuple on every plan (up to ≈ 0.008 on rows, 0.004 on
-// columns), so a per-tuple allocation on the spout, the batcher, a hop
-// or the chain (one map made per tuple reads 2.0) fails here. The
-// column lanes draw batches from col's pool, and how many a run finds
-// there depends on how far the spout got ahead of the worker: a run
-// reads up to 0.05 where its batches had to be made. So the gate takes
-// the best of three runs, after one that fills the pool, with
-// collections off (one would empty it) unless the heap nears 256 MiB.
-// Under the race detector the column lanes get hopRaceAllowance more.
+// 0.05 times per tuple on every plan (up to ≈ 0.008), so a per-tuple
+// allocation on the spout, the batcher, a hop or the chain (one map
+// made per tuple reads 2.0) fails here. Runs come from the run pool,
+// and how many a run finds there depends on how far the spout got
+// ahead of the worker. So the gate takes the best of three runs, after
+// one that fills the pool, with collections off (one would empty it)
+// unless the heap nears 256 MiB.
 func TestHopAllocsPerTuple(t *testing.T) {
 	in := hopInput()
 	for _, c := range hopCases {
 		t.Run(c.name, func(t *testing.T) {
-			limit := 0.05
-			if c.columnar {
-				limit += hopRaceAllowance
-			}
+			const limit = 0.05
 			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 			defer debug.SetMemoryLimit(debug.SetMemoryLimit(256 << 20))
 			runHop(t, c, in)
@@ -615,9 +607,6 @@ func TestHopAllocsPerTuple(t *testing.T) {
 		})
 	}
 }
-
-// hopRaceAllowance is 0 but under the race detector (race_test.go).
-var hopRaceAllowance float64
 
 // ---- a shard's ingest lane --------------------------------------------------
 
@@ -638,7 +627,7 @@ func (m *laneManager) OnColumnBatch(cb *col.ColumnBatch) ([]core.Result, error) 
 }
 
 // TestShardColumnarLane pins that Shard.Columnar reaches the shard's
-// workers: the rows a frame decodes to are pivoted and fed to the
+// workers: the rows a frame decodes to are viewed as columns and fed to the
 // manager's OnColumnBatch kernels when the run is columnar, and to
 // OnTupleBatch when it is not — what a local worker of the same run
 // does.

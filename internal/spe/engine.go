@@ -42,12 +42,12 @@ type Config struct {
 	// reproduces per-tuple transfer; zero selects the default of 64.
 	BatchSize int
 	// Columnar switches the windowed workers onto the columnar ingest
-	// lane (pooled col.ColumnBatch conversion feeding OnColumnBatch
-	// kernels, when the manager implements core.ColumnManager) and
-	// makes the stateless chain, when the topology has one, hand its
-	// survivors on as column batches instead of row runs. Results are
-	// bit-identical to the row path by the ColumnManager contract;
-	// managers without columnar kernels keep the row batch path.
+	// lane: each run a worker receives is viewed through its pooled
+	// col.ColumnBatch (SetRows) and fed to OnColumnBatch kernels, when
+	// the manager implements core.ColumnManager. Every hop still carries
+	// rows. Results are bit-identical to the row path by the
+	// ColumnManager contract; managers without columnar kernels keep the
+	// row batch path.
 	Columnar bool
 	// WatermarkPeriod is the event-time distance between watermarks
 	// emitted by the spout. Zero disables watermark generation (for
@@ -359,11 +359,8 @@ func (tp *Topology) Run() error {
 		out := newBatcher(winIn, part, tp.cfg.BatchSize, pool)
 		defer out.flushAll() // runs before the channel-close defer above
 		emitTuple := out.send
-		var fchain *fusedChain
 		if len(tp.stages) > 0 {
-			fchain = newFusedChain(tp.stages, out, tp.cfg.BatchSize, tp.cfg.Columnar)
-			emitTuple = fchain.push
-			defer fchain.flush() // LIFO: drains into out before flushAll above
+			emitTuple = newFusedChain(tp.stages, out).push
 		}
 		var gen *watermark.Generator
 		if tp.cfg.WatermarkPeriod > 0 {
@@ -391,13 +388,8 @@ func (tp *Topology) Run() error {
 					failed.set(fmt.Errorf("spe: checkpoint trigger: %w", err))
 					dead = true
 				} else if start {
-					// The flushes make the barrier partition each
-					// channel exactly at offset, batched or not: what
-					// the chain still holds of the first offset tuples
-					// goes ahead of it.
-					if fchain != nil {
-						fchain.flush()
-					}
+					// The flush makes the barrier partition each
+					// channel exactly at offset, batched or not.
 					out.barrier(id)
 				}
 			}
@@ -417,11 +409,7 @@ func (tp *Topology) Run() error {
 			if gen != nil {
 				if wm, emit := gen.Observe(t.Ts); emit {
 					// Everything routed before the watermark must not be
-					// overtaken by it — including survivors still in the
-					// chain's lanes.
-					if fchain != nil {
-						fchain.flush()
-					}
+					// overtaken by it.
 					out.watermark(wm)
 				}
 			}
@@ -450,9 +438,6 @@ func (tp *Topology) Run() error {
 		// (the semantics Flink gives bounded inputs). Managers clamp
 		// their fire range to windows that received tuples.
 		if tp.cfg.FinalWatermark && seen && tp.cfg.WatermarkPeriod > 0 && failed.get() == nil {
-			if fchain != nil {
-				fchain.flush()
-			}
 			out.watermark(math.MaxInt64)
 		}
 	}()

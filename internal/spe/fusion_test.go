@@ -71,9 +71,11 @@ func (m *laneRecorder) MemUsage() int { return 0 }
 // workers through the engine and holds what they saw to a plain loop
 // that takes one source tuple at a time through the stages: each stage's
 // input sequence, every survivor's worker, and where each watermark and
-// the barrier fall among a worker's survivors. That last part is what
-// pins "no control overtakes a survivor" now that the chain's lanes are
-// its only buffer.
+// the barrier fall among a worker's survivors — "no control overtakes a
+// survivor", which holds because the chain buffers nothing and the
+// batcher flushes every run before a control. The chain has one emit;
+// columnar=true runs the same chain into workers that ingest through
+// OnColumnBatch.
 func TestChainIsThePerTupleReference(t *testing.T) {
 	leakcheck.Check(t)
 	const n, par, barrierAt, period, lag, fieldsSeed = 3000, 3, 1234, 50, 7, 99
@@ -195,9 +197,8 @@ func TestChainIsThePerTupleReference(t *testing.T) {
 
 // BenchmarkFusedChain times the chain alone: one op is one source tuple
 // pushed through 1, 3 or 7 stages (each drops about one tuple in
-// sixteen and allocates nothing) into a row run or a column lane, with
-// a goroutine recycling what is shipped. allocs/op is the engine's own,
-// and must read 0.
+// sixteen and allocates nothing) into a run, with a goroutine recycling
+// what is shipped. allocs/op is the engine's own, and must read 0.
 func BenchmarkFusedChain(b *testing.B) {
 	const chunk = 1 << 16
 	in := make([]tuple.Tuple, chunk)
@@ -207,35 +208,32 @@ func BenchmarkFusedChain(b *testing.B) {
 		in[i] = tuple.Tuple{Ts: int64(i), Vals: vals[2*i : 2*i+2 : 2*i+2]}
 	}
 	for _, stages := range []int{1, 3, 7} {
-		for _, columnar := range []bool{false, true} {
-			b.Run(fmt.Sprintf("stages%d/columnar=%v", stages, columnar), func(b *testing.B) {
-				chain := make([]statelessStage, stages)
-				for k := range chain {
-					drop := int64(16*(k+1) + 1)
-					chain[k].fn = func(t tuple.Tuple) (tuple.Tuple, bool) { return t, t.Ts%drop != 0 }
+		b.Run(fmt.Sprintf("stages%d", stages), func(b *testing.B) {
+			chain := make([]statelessStage, stages)
+			for k := range chain {
+				drop := int64(16*(k+1) + 1)
+				chain[k].fn = func(t tuple.Tuple) (tuple.Tuple, bool) { return t, t.Ts%drop != 0 }
+			}
+			pool := newRunPool(defaultBatchSize)
+			outs := []chan Batch{make(chan Batch, 64)} // a few runs of slack, as a worker's queue has
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for batch := range outs[0] {
+					pool.recycle(batch)
 				}
-				pool := newRunPool(defaultBatchSize)
-				outs := []chan Batch{make(chan Batch, 64)} // a few runs of slack, as a worker's queue has
-				done := make(chan struct{})
-				go func() {
-					defer close(done)
-					for batch := range outs[0] {
-						pool.recycle(batch)
-					}
-				}()
-				out := newBatcher(outs, NewShuffle(), defaultBatchSize, pool)
-				f := newFusedChain(chain, out, defaultBatchSize, columnar)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					f.push(in[i&(chunk-1)])
-				}
-				f.flush()
-				out.flushAll()
-				b.StopTimer()
-				close(outs[0])
-				<-done
-			})
-		}
+			}()
+			out := newBatcher(outs, NewShuffle(), defaultBatchSize, pool)
+			f := newFusedChain(chain, out)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f.push(in[i&(chunk-1)])
+			}
+			out.flushAll()
+			b.StopTimer()
+			close(outs[0])
+			<-done
+		})
 	}
 }

@@ -18,7 +18,6 @@ package spe
 import (
 	"hash/maphash"
 
-	"spear/internal/col"
 	"spear/internal/tuple"
 )
 
@@ -26,7 +25,7 @@ import (
 type Control uint8
 
 const (
-	// Data: the batch is a run of tuples, in Rows or in Cols.
+	// Data: the batch is a run of tuples, in Rows.
 	Data Control = iota
 	// Watermark: a control tuple carrying a timestamp (§2: "sent by SPE
 	// components periodically"); WM holds it.
@@ -38,39 +37,24 @@ const (
 )
 
 // Batch is the unit of transfer on every hop, sent by value: exactly
-// one of a run of data tuples (Rows, or Cols when the spout's chain
-// already built the run in column format), a watermark, or a barrier.
+// one of a run of data tuples (Rows), a watermark, or a barrier. Every
+// hop carries rows, columnar run or not: a columnar worker views the run
+// it receives through its own col.ColumnBatch.
 //
 // The receiver owns what a data batch carries: Rows came from the
 // engine's run pool and goes back to it once the tuples have been handed
-// on, Cols goes back with col.Put. Tuples are copied out of a run by
-// value wherever they are kept, so recycling one never aliases
-// operator state. A fabric frames a Cols batch as its rows.
+// on. Tuples are copied out of a run by value wherever they are kept, so
+// recycling one never aliases operator state.
 type Batch struct {
 	Rows    []tuple.Tuple
-	Cols    *col.ColumnBatch
 	Sender  int // always 0: a worker has one sender; the wire still carries it
 	Ctl     Control
 	WM      int64  // meaningful when Ctl == Watermark
 	Barrier uint64 // checkpoint id; meaningful when Ctl == Barrier
 }
 
-// Tuples is the run as rows, whichever form carries it: what a manager
-// without columnar kernels ingests and what a fabric frames.
-func (b Batch) Tuples() []tuple.Tuple {
-	if b.Cols != nil {
-		return b.Cols.Rows()
-	}
-	return b.Rows
-}
-
 // Len is the number of data tuples the batch carries; 0 for a control.
-func (b Batch) Len() int {
-	if b.Cols != nil {
-		return b.Cols.Len()
-	}
-	return len(b.Rows)
-}
+func (b Batch) Len() int { return len(b.Rows) }
 
 // Partitioner decides which of n downstream workers receives a tuple —
 // the "propagation of tuples between execution stages ... using

@@ -22,7 +22,7 @@ type Shard struct {
 	BatchSize int // must equal the source topology's batch size
 	QueueSize int // input channel capacity, in batches
 	// Columnar mirrors the source topology's Config.Columnar: runs are
-	// pivoted into a column batch and fed to the manager's
+	// viewed through a column batch and fed to the manager's
 	// OnColumnBatch kernels, as a local worker of that run would.
 	Columnar bool
 	Factory  ManagerFactory

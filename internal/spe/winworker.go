@@ -43,7 +43,7 @@ func runWinWorker(c winWorkerCfg) {
 	var lastBarrier uint64     // barrier ids strictly increase on a sound channel
 	mgr := c.mgr
 	// Columnar lane: when the run is columnar and the manager has
-	// OnColumnBatch kernels, each row run is pivoted into one pooled
+	// OnColumnBatch kernels, each row run is viewed through one pooled
 	// column batch and ingested through them. The batch buffer is
 	// worker-owned for the whole run and recycled at exit; the manager
 	// only borrows it per call. Otherwise a run goes through
@@ -103,32 +103,20 @@ func runWinWorker(c winWorkerCfg) {
 		}
 	}
 	// ingest drains one data batch through the manager and recycles
-	// what carried it, error or not. A spout-shipped column batch goes
-	// to the columnar kernel as is; a manager without one reads the
-	// batch's owned rows.
+	// the run, error or not.
 	ingest := func(b Batch) {
+		if c.trace != nil {
+			for i := range b.Rows {
+				traceAssign(b.Rows[i].Ts)
+			}
+		}
 		var rs []core.Result
 		var err error
-		if b.Cols != nil && cm != nil {
-			if c.trace != nil {
-				for _, ts := range b.Cols.Ts() {
-					traceAssign(ts)
-				}
-			}
-			rs, err = cm.OnColumnBatch(b.Cols)
+		if cb != nil {
+			cb.SetRows(b.Rows)
+			rs, err = cm.OnColumnBatch(cb)
 		} else {
-			rows := b.Tuples()
-			if c.trace != nil {
-				for i := range rows {
-					traceAssign(rows[i].Ts)
-				}
-			}
-			if cb != nil {
-				cb.SetRows(rows)
-				rs, err = cm.OnColumnBatch(cb)
-			} else {
-				rs, err = core.IngestBatch(mgr, rows)
-			}
+			rs, err = core.IngestBatch(mgr, b.Rows)
 		}
 		c.pool.recycle(b)
 		if err != nil {

@@ -251,7 +251,7 @@ func shake(conn net.Conn, hello Hello) (Welcome, error) {
 
 // pump drains one destination worker's outbox onto the node's link. A
 // run becomes a batch frame — its column image, encoded straight from
-// the run (a column batch from its rows) — and is then recycled. A
+// the run — and is then recycled. A
 // control becomes its control frame, and the outbox closing becomes the
 // worker's End frame. Data frames queue on the link while the outbox
 // has more to give and leave together when it runs dry; a control frame
@@ -276,7 +276,7 @@ func (n *fabricNode) pump(dest int, out <-chan spe.Batch) {
 			})
 		default:
 			err = n.lk.sendSeq(len(out) == 0, func(dst []byte, seq uint64) []byte {
-				return AppendBatch(dst, seq, dest, b.Sender, b.Tuples())
+				return AppendBatch(dst, seq, dest, b.Sender, b.Rows)
 			})
 			recycle(b)
 		}

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"testing"
 
-	"spear/internal/col"
 	"spear/internal/spe"
 	"spear/internal/tuple"
 )
@@ -64,53 +63,5 @@ func TestPumpFrameBytes(t *testing.T) {
 	}
 	if recycled != 5 {
 		t.Fatalf("%d tuples' runs recycled, want 5", recycled)
-	}
-}
-
-// TestPumpFramesColumnBatchAsRows pins what a column batch becomes on
-// the wire: the frame its rows would have made. A columnar chain hands
-// the outbox Cols batches; a pump that encoded only Rows framed each as
-// an empty run and the tuples vanished.
-func TestPumpFramesColumnBatchAsRows(t *testing.T) {
-	rows := make([]tuple.Tuple, 64)
-	for i := range rows {
-		rows[i] = tuple.New(int64(1_000+i), tuple.Float(float64(i)/3), tuple.String_("k"))
-	}
-	wire := func(b spe.Batch) ([]byte, int) {
-		lk := newLink("cols", 0, &collectHandler{}, nil)
-		defer lk.close()
-		recycled := 0
-		n := &fabricNode{
-			f:  &Fabric{env: spe.FabricEnv{Recycle: func(b spe.Batch) { recycled += b.Len() }}},
-			lk: lk,
-		}
-		out := make(chan spe.Batch, 1)
-		out <- b
-		close(out)
-		n.wg.Add(1)
-		n.pump(0, out)
-		lk.mu.Lock()
-		defer lk.mu.Unlock()
-		return bytes.Join(lk.unacked, nil), recycled
-	}
-	want, _ := wire(spe.Batch{Rows: rows})
-	cb := col.Get()
-	defer col.Put(cb)
-	for _, r := range rows {
-		cb.AppendRow(r)
-	}
-	got, recycled := wire(spe.Batch{Cols: cb})
-	if !bytes.Equal(got, want) {
-		t.Fatalf("a column batch of %d was framed as\n%x\nits rows as\n%x", len(rows), got, want)
-	}
-	if recycled != len(rows) {
-		t.Fatalf("batch of %d recycled after framing, want %d", recycled, len(rows))
-	}
-	body, err := ReadFrame(bytes.NewReader(got), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fr, err := DecodeFrame(body); err != nil || len(fr.Rows) != len(rows) {
-		t.Fatalf("first frame decodes to %d rows (%v), want %d", len(fr.Rows), err, len(rows))
 	}
 }

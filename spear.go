@@ -487,25 +487,26 @@ func (q *Query) QueueSize(n int) *Query {
 }
 
 // Columnar opts the query into the columnar execution fast lane. The
-// windowed workers convert each micro-batch into typed column batches
-// (raw []float64 value columns, dictionary-coded string key columns)
-// and run tight-loop aggregation kernels over them; a query with Map
-// stages builds those column batches at the source, straight from the
-// chain's survivors. Under Distribute a run crosses the wire as rows
-// and the shard pivots it, as a local worker does for a query without
-// Map.
+// windowed workers view each micro-batch they receive as columns (the
+// declared value field as a raw []float64, the key field as
+// dictionary-coded strings) and run tight-loop aggregation kernels over
+// them. Every hop carries rows, Map stages and Distribute included: the
+// worker, local or on a shard, projects the columns it reads.
 //
 // valueField declares the 0-based tuple field the aggregate's value
 // function reads (it must hold the Float or Int value the extractor
 // returns); for grouped queries, keyField declares the string field
-// GroupBy keys on. The declarations are verified against the
-// extractors on every batch, and any mismatch — or any batch outside
-// the kernels' reach (mixed-kind columns, missing fields, count-based
-// windows) — falls back to the row path automatically, so results,
-// including the accelerate/exact decision of every window, are
-// bit-identical to a non-columnar run. A wrong declaration costs
-// speed, never correctness. Only the SPEAr backend has columnar
-// kernels; baseline backends silently keep the row path.
+// GroupBy keys on. The declaration is a promise: the kernels read the
+// declared fields in place of calling the extractors. A tripwire
+// compares each batch's first row with the extractors and falls back
+// to the row path on a mismatch, which catches a wrong field index or
+// kind; an extractor that agrees with the declared field on a batch's
+// first row and not on a later one changes results. Batches outside
+// the kernels' reach (mixed-kind or missing fields, count-based
+// windows) fall back too. With a true declaration, results — including
+// the accelerate/exact decision of every window — are bit-identical to
+// a non-columnar run. Only the SPEAr backend has columnar kernels;
+// baseline backends silently keep the row path.
 func (q *Query) Columnar(valueField int, keyField ...int) *Query {
 	if valueField < 0 {
 		return q.errf("Columnar value field %d negative", valueField)
