@@ -53,12 +53,12 @@ obs:
 	$(GO) test -race -run 'TestObserve|TestMergedSourceCheckpointResume' .
 
 # Scrape gate: run a real query with -serve and the async spill plane
-# live (workers + prefetch + codec), GET /metrics mid-run, and fail
-# unless every family of obs.Families — the one table the exposition
-# is written from — is served (what CI runs).
+# live (workers + prefetch), GET /metrics mid-run, and fail unless
+# every family of obs.Families — the one table the exposition is
+# written from — is served (what CI runs).
 obs-scrape:
 	$(GO) run ./cmd/spear-demo -dataset dec -tuples 100000 -scrapecheck \
-		-spillworkers 2 -spillahead 2 -spillcompress 1
+		-spillworkers 2 -spillahead 2
 
 # Short fuzz smoke for the binary codecs beyond their checked-in
 # corpora: the tuple spill codec, the checkpoint snapshot codecs

@@ -74,7 +74,6 @@ func (q *Query) ServeShard(lis net.Listener) error {
 	ns := q.name + "/ckpt"
 	srv := transport.NewServer(lis, transport.ServerConfig{
 		TopoHash: q.topoHash(),
-		Window:   q.transportWindow,
 		PeerWait: q.transportPeerWait,
 		Obs:      tobs,
 		Start: func(spec transport.JobSpec, ack func(transport.SnapAck) error) (*spe.ShardRun, error) {
@@ -130,15 +129,17 @@ func (q *Query) ServeShard(lis net.Listener) error {
 
 // assembleRuntime builds the pieces Run and ServeShard share: the raw
 // spill store, the spill I/O plane the managers talk to (the user's
-// store, optionally behind the compressed chunk codec, behind the
-// async write-behind/prefetch plane — a transparent synchronous
-// passthrough when SpillWorkers is 0), and the telemetry registry —
-// the caller's ObserveWith instruments, else a private one. The
+// store behind the async write-behind/prefetch plane — a transparent
+// synchronous passthrough when SpillWorkers is 0), and the telemetry
+// registry — the caller's ObserveWith instruments, else a private one. The
 // checkpoint machinery deliberately keeps the raw store: manifest and
 // blob writes are commit points and must stay synchronous, while
 // spilled-state durability is enforced by the plane's barrier inside
 // each snapshot.
 func (q *Query) assembleRuntime() (storage.SpillStore, *spill.Plane, *obs.Instruments, error) {
+	if q.spillAhead > 0 && q.spillWorkers == 0 {
+		return nil, nil, nil, fmt.Errorf("spear: %s: SpillAhead(%d) needs SpillWorkers > 0: prefetched panes live in the async plane's cache", q.name, q.spillAhead)
+	}
 	if q.budgetTuples == 0 {
 		// A sensible default: enough for a 10%/95% quantile per the
 		// Hoeffding bound, with headroom.
@@ -148,19 +149,7 @@ func (q *Query) assembleRuntime() (storage.SpillStore, *spill.Plane, *obs.Instru
 	if store == nil {
 		store = storage.NewMemStore()
 	}
-	planeInner := store
-	if q.spillCompression > 0 {
-		cs, err := spill.NewCodecStore(store, q.spillCompression)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("spear: %s: %w", q.name, err)
-		}
-		planeInner = cs
-	}
-	plane := spill.NewPlane(planeInner, spill.Options{
-		Workers:    q.spillWorkers,
-		QueueBytes: q.spillQueueBytes,
-		CacheBytes: q.spillCacheBytes,
-	})
+	plane := spill.NewPlane(store, spill.Options{Workers: q.spillWorkers})
 	reg := q.obsInto
 	if reg == nil {
 		reg = obs.NewInstruments()
@@ -210,7 +199,7 @@ func (q *Query) managerFactory(plane *spill.Plane, reg *obs.Instruments, deferDe
 		}
 		switch q.backend {
 		case BackendExact:
-			return core.NewExactManager(cfg, q.exactBufferBytes)
+			return core.NewExactManager(cfg)
 		case BackendIncremental:
 			return core.NewIncrementalManager(cfg)
 		default:
@@ -255,10 +244,8 @@ func (q *Query) newFabric(coord *checkpoint.Coordinator, ins *obs.Instruments) *
 		RunID:       q.runID,
 		BatchSize:   q.batchSize,
 		Dialer:      q.transportDialer,
-		Window:      q.transportWindow,
 		MaxRedials:  q.transportRedials,
 		BackoffBase: q.transportBackoff,
-		BackoffMax:  q.transportBackMax,
 		Obs:         ins,
 	}
 	if coord != nil {

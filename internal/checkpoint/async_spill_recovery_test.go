@@ -18,9 +18,8 @@ import (
 )
 
 // These tests pin the async spill plane's crash story: with write-behind
-// spilling, prefetch, the chunk cache, and (in one variant) the
-// compressed chunk codec all enabled, a crash at every checkpoint-
-// protocol seam followed by recovery must reproduce EXACTLY the results
+// spilling, prefetch and the chunk cache all enabled, a crash at every
+// checkpoint-protocol seam followed by recovery must reproduce EXACTLY the results
 // of an uninterrupted synchronous-spill run — values, window extents,
 // and accelerate/exact Mode decisions.
 //
@@ -82,16 +81,13 @@ func TestCrashRecoveryAsyncSpill(t *testing.T) {
 		t.Fatal("reference run produced no results")
 	}
 
-	// wrap builds the store stack under the plane. "slow" keeps spills
-	// in flight when the crash fires (the write-behind queue is
-	// non-empty mid-protocol); "codec" adds the compressed chunk codec.
-	wraps := map[string]func(raw storage.SpillStore) (storage.SpillStore, error){
-		"mem": func(raw storage.SpillStore) (storage.SpillStore, error) { return raw, nil },
-		"slow": func(raw storage.SpillStore) (storage.SpillStore, error) {
-			return storage.NewLatencyStore(raw, 200*time.Microsecond, 0, nil), nil
-		},
-		"codec": func(raw storage.SpillStore) (storage.SpillStore, error) {
-			return spill.NewCodecStore(raw, 6)
+	// wrap builds the store under the plane. "slow" keeps spills in
+	// flight when the crash fires (the write-behind queue is non-empty
+	// mid-protocol).
+	wraps := map[string]func(raw storage.SpillStore) storage.SpillStore{
+		"mem": func(raw storage.SpillStore) storage.SpillStore { return raw },
+		"slow": func(raw storage.SpillStore) storage.SpillStore {
+			return storage.NewLatencyStore(raw, 200*time.Microsecond, 0, nil)
 		},
 	}
 	points := []checkpointtest.CrashPoint{
@@ -102,11 +98,7 @@ func TestCrashRecoveryAsyncSpill(t *testing.T) {
 			wname, wrap, point := wname, wrap, point
 			t.Run(fmt.Sprintf("%s/%s", wname, point), func(t *testing.T) {
 				raw := storage.NewMemStore()
-				inner, err := wrap(raw)
-				if err != nil {
-					t.Fatal(err)
-				}
-				plane := spill.NewPlane(inner, spill.Options{Workers: 4, QueueBytes: 16 << 10})
+				plane := spill.NewPlane(wrap(raw), spill.Options{Workers: 4, QueueBytes: 16 << 10})
 
 				inj := &checkpointtest.Injector{Point: point, AtCheckpoint: crashAtCkpt, AtWorker: 0}
 				coord := coordFor(t, raw, 2, inj.AfterPersist())
@@ -123,13 +115,9 @@ func TestCrashRecoveryAsyncSpill(t *testing.T) {
 					t.Fatalf("draining crashed plane: %v", err)
 				}
 
-				// Recovery in a fresh "process": new plane, new codec
-				// instance, fresh coordinator over the surviving raw store.
-				inner2, err := wrap(raw)
-				if err != nil {
-					t.Fatal(err)
-				}
-				plane2 := spill.NewPlane(inner2, spill.Options{Workers: 4, QueueBytes: 16 << 10})
+				// Recovery in a fresh "process": new plane, fresh
+				// coordinator over the surviving raw store.
+				plane2 := spill.NewPlane(wrap(raw), spill.Options{Workers: 4, QueueBytes: 16 << 10})
 				coord2 := coordFor(t, raw, 2, nil)
 				found, err := coord2.Recover()
 				if err != nil {
@@ -164,7 +152,7 @@ func TestCrashRecoveryAsyncSpill(t *testing.T) {
 }
 
 // TestRecoveryAsyncSpillIdentityNoCrash is the plain equivalence leg:
-// the async plane (prefetch on, codec on) over an uninterrupted run
+// the async plane (prefetch on) over an uninterrupted run
 // must emit exactly what the synchronous plane emits, checkpointing
 // enabled in both.
 func TestRecoveryAsyncSpillIdentityNoCrash(t *testing.T) {
@@ -178,11 +166,7 @@ func TestRecoveryAsyncSpillIdentityNoCrash(t *testing.T) {
 	}
 
 	raw := storage.NewMemStore()
-	cs, err := spill.NewCodecStore(raw, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plane := spill.NewPlane(cs, spill.Options{Workers: 4})
+	plane := spill.NewPlane(raw, spill.Options{Workers: 4})
 	coord := coordFor(t, raw, 2, nil)
 	got, err := runAsyncSpill(ts, plane, 2, coord.Hooks())
 	if err != nil {

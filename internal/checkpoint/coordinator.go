@@ -59,8 +59,8 @@ type DeferredDeleter interface {
 
 // Config configures a Coordinator.
 type Config struct {
-	// Store persists snapshots and manifests (alongside window spill
-	// segments, under Namespace).
+	// Store persists snapshots and manifests (alongside the archive's
+	// panes, under Namespace).
 	Store storage.SpillStore
 	// Namespace prefixes every checkpoint key; runs sharing a store
 	// must use distinct namespaces.

@@ -21,17 +21,13 @@ type ExactManager struct {
 
 // NewExactManager returns the exact baseline for cfg. Epsilon,
 // Confidence, and BudgetTuples are accepted (the shared Config carries
-// them) but ignored; BudgetBytesLimit in ExactConfig bounds the buffer.
-func NewExactManager(cfg Config, bufferBudgetBytes int) (*ExactManager, error) {
+// them) but ignored, and Store is never called: the baseline keeps its
+// windows in memory.
+func NewExactManager(cfg Config) (*ExactManager, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	wcfg := window.Config{Spec: cfg.Spec, Key: cfg.Key, DeferDeletes: cfg.DeferStoreDeletes}
-	if bufferBudgetBytes > 0 {
-		wcfg.BudgetBytes = bufferBudgetBytes
-		wcfg.Store = cfg.Store
-	}
-	buf, err := window.NewSingleBuffer(wcfg)
+	buf, err := window.NewSingleBuffer(window.Config{Spec: cfg.Spec})
 	if err != nil {
 		return nil, err
 	}
@@ -76,8 +72,7 @@ func (m *ExactManager) produceAll(completes []window.Complete, scanShare time.Du
 		res := Result{
 			WindowID: c.ID, Start: c.Start, End: c.End,
 			N: int64(len(c.Tuples)), SampleN: len(c.Tuples),
-			Mode:             ModeExact,
-			FetchedFromStore: c.FetchedFromStore,
+			Mode: ModeExact,
 		}
 		if m.cfg.KeyBy != nil {
 			keys := make([]string, len(c.Tuples))

@@ -130,11 +130,11 @@ type Config struct {
 	Columnar ColumnarSpec
 
 	// DeferStoreDeletes, set by the checkpointing layer, makes the
-	// manager record Store deletions (archive panes, spill segments)
-	// instead of executing them, exposing them via TakeDeferredDeletes.
-	// A crash after a checkpoint must be able to rewind to state that
-	// still references those segments; the checkpoint coordinator
-	// executes the deletions only after the next checkpoint commits.
+	// manager record archive pane deletions instead of executing them,
+	// exposing them via TakeDeferredDeletes. A crash after a checkpoint
+	// must be able to rewind to state that still references those panes;
+	// the checkpoint coordinator executes the deletions only after the
+	// next checkpoint commits.
 	DeferStoreDeletes bool
 }
 

@@ -114,7 +114,7 @@ func TestManagerConstructorsRejectWrongShape(t *testing.T) {
 	if _, err := NewScalarManager(bad); err == nil {
 		t.Error("invalid config accepted")
 	}
-	if _, err := NewExactManager(bad, 0); err == nil {
+	if _, err := NewExactManager(bad); err == nil {
 		t.Error("ExactManager accepted invalid config")
 	}
 }
@@ -700,7 +700,7 @@ func TestCustomGroupedEstimator(t *testing.T) {
 
 func TestExactManagerMatchesAgg(t *testing.T) {
 	cfg := mkCfg(agg.Median(), 1)
-	m, err := NewExactManager(cfg, 0)
+	m, err := NewExactManager(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -724,7 +724,7 @@ func TestExactManagerGrouped(t *testing.T) {
 	cfg := mkCfg(agg.Func{Op: agg.Sum}, 1)
 	cfg.KeyBy = tuple.FieldString(0)
 	cfg.Value = tuple.FieldFloat(1)
-	m, _ := NewExactManager(cfg, 0)
+	m, _ := NewExactManager(cfg)
 	for i := 0; i < 10; i++ {
 		g := []string{"a", "b"}[i%2]
 		m.OnTuple(tuple.New(int64(i), tuple.String_(g), tuple.Float(1)))
@@ -735,25 +735,33 @@ func TestExactManagerGrouped(t *testing.T) {
 	}
 }
 
+// TestExactManagerSpill: the exact baseline never spills. A window a
+// hundred times its budget stays in memory, and the Store its Config
+// carries is never called.
 func TestExactManagerSpill(t *testing.T) {
+	store := storage.NewMemStore()
 	cfg := mkCfg(agg.Func{Op: agg.Sum}, 1)
+	cfg.Store = store
 	sz := tuple.New(0, tuple.Float(0)).MemSize()
-	m, err := NewExactManager(cfg, 10*sz)
+	m, err := NewExactManager(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
 		m.OnTuple(tuple.New(int64(i)%100, tuple.Float(1)))
 	}
+	if m.MemUsage() != 100*sz {
+		t.Errorf("MemUsage = %d, want the whole window (%d)", m.MemUsage(), 100*sz)
+	}
 	rs, err := m.OnWatermark(100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs[0].Scalar != 100 {
-		t.Errorf("sum = %v, want 100 (spilled tuples must count)", rs[0].Scalar)
+	if rs[0].Scalar != 100 || rs[0].FetchedFromStore {
+		t.Errorf("sum = %v fetched = %v, want 100 from memory", rs[0].Scalar, rs[0].FetchedFromStore)
 	}
-	if !rs[0].FetchedFromStore {
-		t.Error("spilled window should be marked fetched")
+	if st := store.Stats(); st != (storage.Stats{}) {
+		t.Errorf("the exact baseline touched its store: %+v", st)
 	}
 }
 
@@ -1082,7 +1090,7 @@ func TestMetricsDefaultBundle(t *testing.T) {
 			return m, &m.cfg, err
 		},
 		"exact": func(cfg Config) (Manager, *Config, error) {
-			m, err := NewExactManager(cfg, 0)
+			m, err := NewExactManager(cfg)
 			return m, &m.cfg, err
 		},
 		"incremental": func(cfg Config) (Manager, *Config, error) {

@@ -23,7 +23,7 @@ func FuzzManagerRestore(f *testing.F) {
 		if err != nil {
 			panic(err)
 		}
-		exact, err := NewExactManager(mkCfg(agg.Func{Op: agg.Mean}, 64), 0)
+		exact, err := NewExactManager(mkCfg(agg.Func{Op: agg.Mean}, 64))
 		if err != nil {
 			panic(err)
 		}

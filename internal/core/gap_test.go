@@ -69,7 +69,7 @@ func TestTimestampGapCostsNothingAtTheNextWatermark(t *testing.T) {
 		}},
 		// The single buffer's fire walked the id range after the other
 		// three stopped, with a scan of the buffer per id.
-		{"exact", func(cfg Config) (Manager, error) { return NewExactManager(cfg, 0) }},
+		{"exact", func(cfg Config) (Manager, error) { return NewExactManager(cfg) }},
 		{"grouped-buffered", func(cfg Config) (Manager, error) {
 			cfg.KeyBy = tuple.FieldString(1)
 			return NewGroupedManager(cfg)

@@ -614,7 +614,6 @@ func (m *GroupedManager) produceFromWindow(c window.Complete, scanShare time.Dur
 	if !accelerated {
 		// Normal processing: the whole window.
 		m.exact(&res, c.Tuples)
-		res.FetchedFromStore = c.FetchedFromStore
 	}
 	m.cfg.countFire(&res, m.now().Sub(t0)+scanShare)
 	return res

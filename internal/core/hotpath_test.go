@@ -242,9 +242,8 @@ func (s *heldStore) Store(key string, ts []tuple.Tuple) error {
 // as Config.Store and the store behind it stalled, ingest of several
 // chunks' worth returns — the writes wait in the plane's queue, not in
 // the caller. Once the store is released the results equal a MemStore
-// run's, exact fallbacks read from the store included. Cases: the
-// sampled scalar manager's archive and the exact baseline's spilling
-// buffer.
+// run's, exact fallbacks read from the store included. The case is the
+// sampled scalar manager's archive, the one spill seam ingest reaches.
 func TestIngestDoesNotWaitForTheStore(t *testing.T) {
 	spec := window.Spec{Domain: window.TimeDomain, Range: 400, Slide: 100}
 	stream := hotStream(1000, false)
@@ -256,7 +255,6 @@ func TestIngestDoesNotWaitForTheStore(t *testing.T) {
 		mk   func(Config) (Manager, error)
 	}{
 		{"scalar_median", func(cfg Config) (Manager, error) { return NewScalarManager(cfg) }},
-		{"exact_spilling", func(cfg Config) (Manager, error) { return NewExactManager(cfg, 1) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			build := func(store storage.SpillStore) Manager {

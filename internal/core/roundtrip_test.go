@@ -167,8 +167,7 @@ func groupsByKey(m *GroupedManager) map[window.ID]map[string]groupState {
 	return out
 }
 
-// RoundTripExactManager checks the exact baseline, scalar and grouped,
-// over a buffer small enough to spill.
+// RoundTripExactManager checks the exact baseline, scalar and grouped.
 func RoundTripExactManager(t *testing.T, diff StateDiff) {
 	live, restored := map[string]*ExactManager{}, map[string]*ExactManager{}
 	for _, c := range compatCases() {
@@ -176,7 +175,7 @@ func RoundTripExactManager(t *testing.T, diff StateDiff) {
 			continue
 		}
 		live[c.name], restored[c.name] = roundTrip(t, c, oneAtATime, func(store storage.SpillStore) (*ExactManager, error) {
-			return NewExactManager(c.cfg(store), 8<<10)
+			return NewExactManager(c.cfg(store))
 		})
 	}
 	reportDiffs(t, diff(live, restored, allowed("cfg.Metrics")))

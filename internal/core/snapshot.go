@@ -16,9 +16,9 @@ import (
 // blob. Map iteration is sorted so identical state produces identical
 // bytes (the checkpoint manifest checksums blobs).
 //
-// State held in secondary storage S (archive panes, spill segments) is
-// not copied into the blob; instead the blob records how many chunks of
-// each segment the snapshot covers, and RewindStore truncates/deletes
+// State held in secondary storage S (archive panes) is not copied into
+// the blob; instead the blob records how many chunks of each pane the
+// snapshot covers, and RewindStore truncates/deletes
 // whatever a crashed run wrote after the snapshot. Deletions are
 // deferred while checkpointing is on (Config.DeferStoreDeletes) so a
 // rewind never needs a segment that is already gone.
@@ -363,22 +363,12 @@ func (m *GroupedManager) RestoreState(b []byte) error {
 	return nil
 }
 
-// RewindStore reconciles archive panes or spill segments with the
-// restored state.
-func (m *GroupedManager) RewindStore() error {
-	if m.arc != nil {
-		return m.arc.rewind()
-	}
-	return m.buf.RewindStore()
-}
+// RewindStore reconciles archive panes with the restored state; the
+// buffered path keeps nothing in S.
+func (m *GroupedManager) RewindStore() error { return m.arc.rewind() }
 
-// TakeDeferredDeletes returns and clears deferred deletions.
-func (m *GroupedManager) TakeDeferredDeletes() []string {
-	if m.arc != nil {
-		return m.arc.takeDeferred()
-	}
-	return m.buf.TakeDeferredDeletes()
-}
+// TakeDeferredDeletes returns and clears deferred pane deletions.
+func (m *GroupedManager) TakeDeferredDeletes() []string { return m.arc.takeDeferred() }
 
 // ---- ExactManager ----
 
@@ -399,12 +389,6 @@ func (m *ExactManager) RestoreState(b []byte) error {
 	}
 	return m.buf.RestoreState(b[1:])
 }
-
-// RewindStore reconciles spill segments with the restored state.
-func (m *ExactManager) RewindStore() error { return m.buf.RewindStore() }
-
-// TakeDeferredDeletes returns and clears deferred segment deletions.
-func (m *ExactManager) TakeDeferredDeletes() []string { return m.buf.TakeDeferredDeletes() }
 
 // ---- IncrementalManager ----
 

@@ -30,11 +30,13 @@ func (stubControl) ControlSnapshot() *ControlSnapshot {
 // goldenInstruments builds the fixed state testdata/golden_* were
 // written from at the last commit that kept the worker bundles in a
 // package of their own, apart from this one: two workers with every counter distinct and non-zero
-// and a ProcTime past HistogramCap, an async spill plane behind the
-// chunk codec, the checkpoint bundle, one transport, a controller and
-// the trace ring. The goldens have since lost the barrier-alignment
-// stall entries (one JSON key, one exposition family) together with the
-// multi-sender alignment they timed, and nothing else.
+// and a ProcTime past HistogramCap, an async spill plane, the checkpoint
+// bundle, one transport, a controller and the trace ring. The goldens
+// have since lost the barrier-alignment stall entries (one JSON key, one
+// exposition family) together with the multi-sender alignment they
+// timed, and the spill chunk codec's two byte counters (two JSON keys,
+// two families) together with the codec store under the plane, so the
+// store's byte counters count column images.
 func goldenInstruments(t *testing.T) *Instruments {
 	t.Helper()
 	in := NewInstruments()
@@ -67,11 +69,7 @@ func goldenInstruments(t *testing.T) *Instruments {
 		in.Batches.Record(n)
 	}
 
-	cs, err := spill.NewCodecStore(storage.NewMemStore(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plane := spill.NewPlane(cs, spill.Options{Workers: 1})
+	plane := spill.NewPlane(storage.NewMemStore(), spill.Options{Workers: 1})
 	t.Cleanup(func() { _ = plane.Close() })
 	chunk := func(ts int64) []tuple.Tuple {
 		out := make([]tuple.Tuple, 16)

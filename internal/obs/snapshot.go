@@ -22,8 +22,8 @@ type (
 )
 
 // SetSpillPlane attaches the run's spill I/O plane so snapshots include
-// the traffic of the store under it and the plane's own queue, cache,
-// prefetch, and codec telemetry. Safe to call while a Reporter or
+// the traffic of the store under it and the plane's own queue, cache
+// and prefetch telemetry. Safe to call while a Reporter or
 // Server is concurrently snapshotting.
 func (in *Instruments) SetSpillPlane(p spillPlane) {
 	in.mu.Lock()
@@ -395,8 +395,6 @@ var families = []group{
 		{"spear_spill_cache_bytes", "gauge", "Bytes resident in the spill chunk cache.", func(s *Snapshot, _ int) []sample { return val(s.SpillPlane.CacheBytes) }},
 		{"spear_spill_prefetch_issued_total", "counter", "Watermark-driven chunk prefetches issued.", func(s *Snapshot, _ int) []sample { return val(s.SpillPlane.PrefetchIssued) }},
 		{"spear_spill_prefetch_hits_total", "counter", "Cache hits whose entry was loaded by a prefetch.", func(s *Snapshot, _ int) []sample { return val(s.SpillPlane.PrefetchHits) }},
-		{"spear_spill_compress_raw_bytes_total", "counter", "Raw tuple bytes presented to the spill chunk codec.", func(s *Snapshot, _ int) []sample { return val(s.SpillPlane.RawBytes) }},
-		{"spear_spill_compress_encoded_bytes_total", "counter", "Encoded bytes the spill chunk codec wrote to storage.", func(s *Snapshot, _ int) []sample { return val(s.SpillPlane.EncodedBytes) }},
 	}},
 	{func(s *Snapshot) int { return bit(s.Checkpoint != nil) }, nil, []family{
 		{"spear_checkpoint_completed_total", "counter", "Committed checkpoints.", func(s *Snapshot, _ int) []sample { return val(s.Checkpoint.Completed) }},

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"spear/internal/storage"
 	"spear/internal/tuple"
 )
 
@@ -108,9 +107,6 @@ func TestChunkCodecBadLevel(t *testing.T) {
 	if _, err := EncodeChunk(nil, 10); err == nil {
 		t.Error("level 10 accepted")
 	}
-	if _, err := NewCodecStore(storage.NewMemStore(), 11); err == nil {
-		t.Error("NewCodecStore accepted level 11")
-	}
 }
 
 func TestChunkCodecCorrupt(t *testing.T) {
@@ -137,105 +133,5 @@ func TestChunkCodecCorrupt(t *testing.T) {
 	if _, err := DecodeChunk([]byte{chunkMagic0, chunkMagic1, 99, 0}); err == nil ||
 		errors.Is(err, ErrChunkCorrupt) {
 		t.Errorf("unknown version should fail without claiming corruption, got %v", err)
-	}
-}
-
-func TestCodecStoreRoundTrip(t *testing.T) {
-	mem := storage.NewMemStore()
-	cs, err := NewCodecStore(mem, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1, c2 := mkChunk(0, 64), mkChunk(1000, 32)
-	if err := cs.Store("k", c1); err != nil {
-		t.Fatal(err)
-	}
-	if err := cs.Store("k", c2); err != nil {
-		t.Fatal(err)
-	}
-	got, err := cs.Get("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameTuples(t, got, append(copyTuples(c1), c2...))
-
-	// One Store call = one carrier tuple = one inner chunk, so Truncate
-	// keeps its chunk-count semantics through the codec.
-	if err := cs.Truncate("k", 1); err != nil {
-		t.Fatal(err)
-	}
-	got, err = cs.Get("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameTuples(t, got, c1)
-
-	st := cs.Stats()
-	if st.TuplesStored != 96 {
-		t.Errorf("TuplesStored = %d, want logical 96", st.TuplesStored)
-	}
-	if st.TuplesFetched != 96+64 {
-		t.Errorf("TuplesFetched = %d, want logical %d", st.TuplesFetched, 96+64)
-	}
-	if cs.RawBytes() == 0 || cs.EncodedBytes() == 0 {
-		t.Error("codec byte counters not advancing")
-	}
-	if cs.EncodedBytes() >= cs.RawBytes() {
-		t.Errorf("encoding expanded: raw=%d encoded=%d", cs.RawBytes(), cs.EncodedBytes())
-	}
-
-	if err := cs.Delete("k"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cs.Get("k"); !errors.Is(err, storage.ErrNotFound) {
-		t.Fatalf("Get after Delete = %v, want ErrNotFound", err)
-	}
-}
-
-func TestCodecStoreRejectsForeignSegment(t *testing.T) {
-	mem := storage.NewMemStore()
-	if err := mem.Store("k", mkChunk(0, 2)); err != nil { // not carrier-encoded
-		t.Fatal(err)
-	}
-	cs, err := NewCodecStore(mem, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cs.Get("k"); !errors.Is(err, tuple.ErrCorrupt) {
-		t.Fatalf("Get of un-encoded segment = %v, want ErrCorrupt", err)
-	}
-}
-
-// TestCodecStoreUnderPlane runs the full stack — async plane over codec
-// over latency-free memory — against a plain reference.
-func TestCodecStoreUnderPlane(t *testing.T) {
-	mem := storage.NewMemStore()
-	cs, err := NewCodecStore(mem, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := newAsync(t, cs, Options{Workers: 2})
-	ref := storage.NewMemStore()
-	for i := 0; i < 10; i++ {
-		chunk := mkChunk(int64(i*100), 16)
-		if err := ref.Store("k", chunk); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Store("k", chunk); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := ref.Get("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := p.Get("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameTuples(t, got, want)
-	st := p.PlaneStats()
-	if st.RawBytes == 0 || st.EncodedBytes == 0 {
-		t.Error("PlaneStats does not surface codec byte counters")
 	}
 }

@@ -12,9 +12,7 @@
 //     about to fire, so the fire path hits memory instead of S;
 //   - a size-bounded LRU chunk cache (copy-on-get) kept coherent with
 //     queued writes by appending each chunk to its cached segment on the
-//     worker, after the write lands, in per-key queue order;
-//   - a compressed chunk codec (codec.go) layered as a SpillStore
-//     wrapper so every store implementation benefits.
+//     worker, after the write lands, in per-key queue order.
 //
 // Ordering and durability invariants:
 //
@@ -53,14 +51,12 @@ type Options struct {
 	// QueueBytes bounds the bytes held by queued writes before Store
 	// blocks (back-pressure). Zero selects 8 MiB.
 	QueueBytes int64
-	// CacheBytes bounds the decoded-chunk LRU cache. Zero selects
-	// 32 MiB; negative disables the cache.
-	CacheBytes int64
 }
 
 const (
 	defaultQueueBytes = 8 << 20
-	defaultCacheBytes = 32 << 20
+	// cacheBytes bounds the decoded-chunk LRU cache of an async plane.
+	cacheBytes = 32 << 20
 )
 
 // task is one queued operation for a key: a chunk write (ts != nil) or
@@ -101,8 +97,6 @@ type Stats struct {
 	CacheBytes        int64 `json:"cache_bytes"`     // current cache footprint
 	PrefetchIssued    int64 `json:"prefetch_issued"` // background fetches enqueued by Prefetch
 	PrefetchHits      int64 `json:"prefetch_hits"`   // Gets served from a prefetched cache entry
-	RawBytes          int64 `json:"raw_bytes"`       // codec input bytes (0 without a CodecStore)
-	EncodedBytes      int64 `json:"encoded_bytes"`   // codec output bytes (0 without a CodecStore)
 }
 
 // Plane implements storage.SpillStore over an inner store, adding the
@@ -122,7 +116,7 @@ type Plane struct {
 	closed  bool
 	lastErr error
 
-	cache *chunkCache
+	cache *chunkCache // nil iff workers == 0
 	wg    sync.WaitGroup
 
 	asyncWrites    atomic.Int64
@@ -147,13 +141,7 @@ func NewPlane(inner storage.SpillStore, opts Options) *Plane {
 	if p.maxQ == 0 {
 		p.maxQ = defaultQueueBytes
 	}
-	cacheBytes := opts.CacheBytes
-	if cacheBytes == 0 {
-		cacheBytes = defaultCacheBytes
-	}
-	if cacheBytes > 0 {
-		p.cache = newChunkCache(cacheBytes)
-	}
+	p.cache = newChunkCache(cacheBytes)
 	p.cond = sync.NewCond(&p.mu)
 	p.queues = make(map[string]*keyQueue)
 	for i := 0; i < p.workers; i++ {
@@ -252,21 +240,17 @@ func (p *Plane) process(key string, t *task) error {
 		// Append after the write lands so a cached segment always
 		// reflects a prefix of the store's durable chunks plus this one,
 		// in store order. t.ts is plane-owned; the cache may alias it.
-		if p.cache != nil {
-			p.cache.append(key, t.ts)
-		}
+		p.cache.append(key, t.ts)
 		return nil
 	}
 	// Fetch: every write enqueued before this task has been executed
 	// and appended to the cache, so a cache hit is fully coherent.
-	if p.cache != nil {
-		if ts, prefetched, ok := p.cache.get(key); ok {
-			if prefetched && !t.prefetch {
-				p.prefetchHits.Add(1)
-			}
-			t.res = ts
-			return nil
+	if ts, prefetched, ok := p.cache.get(key); ok {
+		if prefetched && !t.prefetch {
+			p.prefetchHits.Add(1)
 		}
+		t.res = ts
+		return nil
 	}
 	ts, err := p.inner.Get(key)
 	if err != nil {
@@ -276,13 +260,9 @@ func (p *Plane) process(key string, t *task) error {
 		t.err = err
 		return nil
 	}
-	if p.cache != nil {
-		p.cache.insert(key, ts, t.prefetch)
-		// The cache owns ts now; hand the waiter its own copy.
-		t.res = copyTuples(ts)
-	} else {
-		t.res = ts
-	}
+	p.cache.insert(key, ts, t.prefetch)
+	// The cache owns ts now; hand the waiter its own copy.
+	t.res = copyTuples(ts)
 	return nil
 }
 
@@ -358,9 +338,9 @@ func (p *Plane) Get(key string) ([]tuple.Tuple, error) {
 
 // Prefetch asynchronously warms the cache for keys (watermark-driven
 // read-ahead). Keys already cached are skipped. No-op in passthrough
-// mode or when the cache is disabled.
+// mode.
 func (p *Plane) Prefetch(keys ...string) {
-	if p.workers == 0 || p.cache == nil {
+	if p.workers == 0 {
 		return
 	}
 	p.mu.Lock()
@@ -430,9 +410,7 @@ func (p *Plane) Delete(key string) error {
 	if err := p.waitKey(key); err != nil {
 		return err
 	}
-	if p.cache != nil {
-		p.cache.invalidate(key)
-	}
+	p.cache.invalidate(key)
 	return p.inner.Delete(key)
 }
 
@@ -446,9 +424,7 @@ func (p *Plane) Truncate(key string, chunks int) error {
 	if err := p.waitKey(key); err != nil {
 		return err
 	}
-	if p.cache != nil {
-		p.cache.invalidate(key)
-	}
+	p.cache.invalidate(key)
 	return p.inner.Truncate(key, chunks)
 }
 
@@ -465,8 +441,7 @@ func (p *Plane) List(prefix string) ([]string, error) {
 }
 
 // Stats implements storage.SpillStore, reporting the inner store's
-// counters (the codec wrapper, when present, rewrites the logical
-// tuple counts).
+// counters.
 func (p *Plane) Stats() storage.Stats { return p.inner.Stats() }
 
 // PlaneStats snapshots the plane's own counters.
@@ -484,13 +459,7 @@ func (p *Plane) PlaneStats() Stats {
 		s.QueueDepth = int64(p.pending)
 		s.InflightBytes = p.qBytes
 		p.mu.Unlock()
-	}
-	if p.cache != nil {
 		s.CacheHits, s.CacheMisses, s.CacheEvictions, s.CacheBytes = p.cache.stats()
-	}
-	if cs, ok := p.inner.(*CodecStore); ok {
-		s.RawBytes = cs.RawBytes()
-		s.EncodedBytes = cs.EncodedBytes()
 	}
 	return s
 }

@@ -1,11 +1,8 @@
 package window
 
 import (
-	"fmt"
 	"slices"
 
-	"spear/internal/spill"
-	"spear/internal/storage"
 	"spear/internal/tuple"
 )
 
@@ -20,9 +17,6 @@ type Complete struct {
 	// Uncollected reports that collection was skipped on request —
 	// the window is non-empty but Tuples is nil.
 	Uncollected bool
-	// FetchedFromStore reports whether any of the tuples had to be
-	// retrieved from secondary storage S (the window spilled).
-	FetchedFromStore bool
 }
 
 // Size returns the number of tuples in the window.
@@ -49,44 +43,19 @@ type Manager interface {
 	// LateDropped returns the number of tuples discarded because they
 	// arrived behind the last fired window.
 	LateDropped() int64
-	// Spilled returns the number of tuples currently residing in S.
-	Spilled() int64
 }
 
-// Config configures a window manager.
+// Config configures a window manager. Managers keep every buffered
+// tuple in memory: the only state SPEAr keeps in secondary storage S is
+// the archive's (internal/core).
 type Config struct {
 	Spec Spec
-	// BudgetBytes caps the in-memory buffer; tuples beyond it spill
-	// to Store. Zero means unlimited (never spill).
-	BudgetBytes int
-	// Store is the secondary storage S for spilling. Required when
-	// BudgetBytes > 0.
-	Store storage.SpillStore
-	// Key namespaces this worker's segments in Store.
-	Key string
 	// SkipCollect, when non-nil, is asked before a window is staged:
 	// returning true skips gathering the window's tuples (the evict
 	// scan still runs). Callers use it when the result can be
 	// produced from metadata alone; they must only return true for
 	// windows they know are non-empty.
 	SkipCollect func(id ID) bool
-	// DeferDeletes, set by the checkpointing layer, makes the manager
-	// record segment deletions instead of executing them. A crash after
-	// a checkpoint must be able to rewind to state that still needs
-	// those segments; the checkpoint coordinator collects the deferred
-	// keys at snapshot time (TakeDeferredDeletes) and deletes them only
-	// once the checkpoint that no longer needs them is durable.
-	DeferDeletes bool
-}
-
-func (c Config) validate() error {
-	if err := c.Spec.Validate(); err != nil {
-		return err
-	}
-	if c.BudgetBytes > 0 && c.Store == nil {
-		return fmt.Errorf("window: budget %dB set but no spill store", c.BudgetBytes)
-	}
-	return nil
 }
 
 // SingleBuffer is the Storm design of Figs. 3–4: every tuple is stored
@@ -94,37 +63,19 @@ func (c Config) validate() error {
 // buffer is scanned once to collect the completed window's tuples and to
 // evict expired ones. Minimal memory per tuple, one scan per trigger.
 type SingleBuffer struct {
-	cfg Config
-	// store is cfg.Store routed through the async spill plane (a
-	// synchronous passthrough when the plane is not enabled); all spill
-	// traffic goes through it so the hot path has exactly one spill
-	// seam. Nil iff cfg.Store is nil.
-	store    *spill.Plane
+	cfg      Config
 	buf      []tuple.Tuple
 	bufBytes int
 	peak     int
-
-	lc         Lifecycle
-	spilledCnt int64
-	segSeq     int // distinguishes successive spill generations
-	segChunks  int // Store calls issued against the current segment
-	deferred   []string
+	lc       Lifecycle
 }
 
 // NewSingleBuffer returns a single-buffer manager for cfg.
 func NewSingleBuffer(cfg Config) (*SingleBuffer, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Spec.Validate(); err != nil {
 		return nil, err
 	}
-	m := &SingleBuffer{cfg: cfg, lc: NewLifecycle(cfg.Spec)}
-	if cfg.Store != nil {
-		m.store = spill.AsPlane(cfg.Store)
-	}
-	return m, nil
-}
-
-func (m *SingleBuffer) spillKey() string {
-	return fmt.Sprintf("%s#%d", m.cfg.Key, m.segSeq)
+	return &SingleBuffer{cfg: cfg, lc: NewLifecycle(cfg.Spec)}, nil
 }
 
 // Lifecycle returns the buffer's window lifecycle. An owner that keeps
@@ -157,18 +108,8 @@ func (m *SingleBuffer) AddRun(pos []int64, rows []tuple.Tuple) ([]Complete, erro
 			// not needed for count windows.
 			t.Ts = pos[i]
 		}
-		sz := t.MemSize()
-		if m.cfg.BudgetBytes > 0 && m.bufBytes+sz > m.cfg.BudgetBytes {
-			// Budget exhausted: spill this tuple to S (Alg. 1 line 6).
-			if err := m.store.Store(m.spillKey(), []tuple.Tuple{t}); err != nil {
-				return nil, err
-			}
-			m.spilledCnt++
-			m.segChunks++
-			continue
-		}
 		m.buf = append(m.buf, t)
-		m.bufBytes += sz
+		m.bufBytes += t.MemSize()
 	}
 	if m.bufBytes > m.peak {
 		m.peak = m.bufBytes
@@ -194,41 +135,11 @@ func (m *SingleBuffer) fire(wm int64) ([]Complete, error) {
 		return nil, nil
 	}
 
-	// If tuples spilled, the trigger must retrieve them (§2: "In the
-	// event that the worker spilled tuples to S, then it has to
-	// retrieve them").
-	fetched := false
-	if m.spilledCnt > 0 {
-		ts, err := m.store.Get(m.spillKey())
-		if err != nil {
-			return nil, err
-		}
-		if m.cfg.DeferDeletes {
-			m.deferred = append(m.deferred, m.spillKey())
-		} else if err := m.store.Delete(m.spillKey()); err != nil {
-			return nil, err
-		}
-		m.segSeq++
-		m.segChunks = 0
-		m.buf = append(m.buf, ts...)
-		for _, t := range ts {
-			m.bufBytes += t.MemSize()
-		}
-		if m.bufBytes > m.peak {
-			m.peak = m.bufBytes
-		}
-		m.spilledCnt = 0
-		fetched = true
-	}
-
 	var out []Complete
 	for _, id := range m.heldIn(first, last) {
 		start, end := m.cfg.Spec.Bounds(id)
 		if m.cfg.SkipCollect != nil && m.cfg.SkipCollect(id) {
-			out = append(out, Complete{
-				ID: id, Start: start, End: end,
-				Uncollected: true, FetchedFromStore: fetched,
-			})
+			out = append(out, Complete{ID: id, Start: start, End: end, Uncollected: true})
 			continue
 		}
 		// One scan gathers the window's tuples (Fig. 4, left).
@@ -238,10 +149,7 @@ func (m *SingleBuffer) fire(wm int64) ([]Complete, error) {
 				ts = append(ts, t)
 			}
 		}
-		out = append(out, Complete{
-			ID: id, Start: start, End: end,
-			Tuples: ts, FetchedFromStore: fetched,
-		})
+		out = append(out, Complete{ID: id, Start: start, End: end, Tuples: ts})
 	}
 
 	// Evict tuples that precede every still-active window (Fig. 4).
@@ -260,28 +168,6 @@ func (m *SingleBuffer) fire(wm int64) ([]Complete, error) {
 	}
 	m.buf = kept
 	m.bufBytes = bytes
-
-	// Re-spill if the survivors still exceed the budget.
-	if m.cfg.BudgetBytes > 0 && m.bufBytes > m.cfg.BudgetBytes {
-		cut := len(m.buf)
-		bytes := m.bufBytes
-		for cut > 0 && bytes > m.cfg.BudgetBytes {
-			cut--
-			bytes -= m.buf[cut].MemSize()
-		}
-		if cut < len(m.buf) {
-			if err := m.store.Store(m.spillKey(), m.buf[cut:]); err != nil {
-				return nil, err
-			}
-			m.spilledCnt += int64(len(m.buf) - cut)
-			m.segChunks++
-			for i := cut; i < len(m.buf); i++ {
-				m.buf[i] = tuple.Tuple{}
-			}
-			m.buf = m.buf[:cut]
-			m.bufBytes = bytes
-		}
-	}
 	return out, nil
 }
 
@@ -316,9 +202,6 @@ func (m *SingleBuffer) PeakMemUsage() int { return m.peak }
 // LateDropped implements Manager.
 func (m *SingleBuffer) LateDropped() int64 { return m.lc.Late() }
 
-// Spilled implements Manager.
-func (m *SingleBuffer) Spilled() int64 { return m.spilledCnt }
-
 // MultiBuffer is the Flink design of Figs. 3–4: a copy of each tuple is
 // stored in a dedicated buffer per window it participates in. Windows
 // are ready without a scan at trigger time, at the cost of Overlap()
@@ -332,15 +215,10 @@ type MultiBuffer struct {
 	lc       Lifecycle
 }
 
-// NewMultiBuffer returns a multiple-buffers manager for cfg. Spilling is
-// not supported in this design (it exists for the buffering-cost
-// comparison); a budget is rejected.
+// NewMultiBuffer returns a multiple-buffers manager for cfg.
 func NewMultiBuffer(cfg Config) (*MultiBuffer, error) {
 	if err := cfg.Spec.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.BudgetBytes > 0 {
-		return nil, fmt.Errorf("window: MultiBuffer does not support spilling")
 	}
 	return &MultiBuffer{
 		cfg:   cfg,
@@ -411,6 +289,3 @@ func (m *MultiBuffer) PeakMemUsage() int { return m.peak }
 
 // LateDropped implements Manager.
 func (m *MultiBuffer) LateDropped() int64 { return m.lc.Late() }
-
-// Spilled implements Manager.
-func (m *MultiBuffer) Spilled() int64 { return 0 }

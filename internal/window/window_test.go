@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"spear/internal/storage"
 	"spear/internal/tuple"
 )
 
@@ -295,98 +294,6 @@ func TestSingleBufferLateTuples(t *testing.T) {
 	}
 }
 
-func TestSingleBufferSpill(t *testing.T) {
-	store := storage.NewMemStore()
-	// Budget fits ~3 tuples (each ≈ 41 bytes).
-	sz := mkTuple(0, 0).MemSize()
-	m, err := NewSingleBuffer(Config{
-		Spec:        Spec{Domain: TimeDomain, Range: 10, Slide: 10},
-		BudgetBytes: 3 * sz,
-		Store:       store,
-		Key:         "w0",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ts := int64(0); ts < 10; ts++ {
-		if _, err := m.OnTuple(mkTuple(ts, float64(ts))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if m.Spilled() != 7 {
-		t.Fatalf("Spilled = %d, want 7", m.Spilled())
-	}
-	if m.MemUsage() > 3*sz {
-		t.Fatalf("MemUsage %d exceeds budget %d", m.MemUsage(), 3*sz)
-	}
-	completes, err := m.OnWatermark(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(completes) != 1 {
-		t.Fatalf("%d completes", len(completes))
-	}
-	c := completes[0]
-	if c.Size() != 10 {
-		t.Fatalf("window size = %d, want 10 (spilled tuples must be fetched)", c.Size())
-	}
-	if !c.FetchedFromStore {
-		t.Error("FetchedFromStore should be true")
-	}
-	// All tuples fired and evicted; spill segment deleted.
-	if st := store.Stats(); st.Gets != 1 || st.Deletes != 1 {
-		t.Errorf("store stats = %+v", st)
-	}
-	if m.Spilled() != 0 || m.MemUsage() != 0 {
-		t.Errorf("post-evict: spilled=%d mem=%d", m.Spilled(), m.MemUsage())
-	}
-}
-
-func TestSingleBufferRespillAfterFire(t *testing.T) {
-	store := storage.NewMemStore()
-	sz := mkTuple(0, 0).MemSize()
-	// Sliding windows: after firing [0,20) tuples in [10,20) stay
-	// alive and exceed the budget again.
-	m, err := NewSingleBuffer(Config{
-		Spec:        Spec{Domain: TimeDomain, Range: 20, Slide: 10},
-		BudgetBytes: 5 * sz,
-		Store:       store,
-		Key:         "w1",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ts := int64(0); ts < 20; ts++ {
-		m.OnTuple(mkTuple(ts, 0))
-	}
-	completes, err := m.OnWatermark(20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lastSz := completes[len(completes)-1].Size()
-	if lastSz != 20 {
-		t.Fatalf("window [0,20) size = %d", lastSz)
-	}
-	// 10 survivors > 5-tuple budget → respilled.
-	if m.Spilled() == 0 {
-		t.Error("expected a respill of surviving tuples")
-	}
-	if m.MemUsage() > 5*sz {
-		t.Errorf("MemUsage %d over budget after respill", m.MemUsage())
-	}
-	// The next window must still see all 20 → 10 survivors + 10 new.
-	for ts := int64(20); ts < 30; ts++ {
-		m.OnTuple(mkTuple(ts, 0))
-	}
-	completes, err = m.OnWatermark(30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := completes[len(completes)-1].Size(); got != 20 {
-		t.Errorf("window [10,30) size = %d, want 20", got)
-	}
-}
-
 func TestSingleBufferCountWindows(t *testing.T) {
 	m := newSB(t, Spec{Domain: CountDomain, Range: 5, Slide: 5})
 	var fired []Complete
@@ -444,9 +351,6 @@ func TestSingleBufferCountSliding(t *testing.T) {
 func TestSingleBufferConfigValidation(t *testing.T) {
 	if _, err := NewSingleBuffer(Config{Spec: Spec{Range: 0, Slide: 0}}); err == nil {
 		t.Error("invalid spec accepted")
-	}
-	if _, err := NewSingleBuffer(Config{Spec: Tumbling(10), BudgetBytes: 100}); err == nil {
-		t.Error("budget without store accepted")
 	}
 }
 
@@ -580,13 +484,6 @@ func TestMultiBufferUsesMoreMemory(t *testing.T) {
 	}
 }
 
-func TestMultiBufferRejectsBudget(t *testing.T) {
-	_, err := NewMultiBuffer(Config{Spec: Tumbling(10), BudgetBytes: 1, Store: storage.NewMemStore()})
-	if err == nil {
-		t.Error("MultiBuffer accepted a spill budget")
-	}
-}
-
 func TestMultiBufferLate(t *testing.T) {
 	m := newMB(t, Spec{Domain: TimeDomain, Range: 10, Slide: 10})
 	m.OnTuple(mkTuple(5, 0))
@@ -594,9 +491,6 @@ func TestMultiBufferLate(t *testing.T) {
 	m.OnTuple(mkTuple(3, 0))
 	if m.LateDropped() != 1 {
 		t.Errorf("LateDropped = %d", m.LateDropped())
-	}
-	if m.Spilled() != 0 {
-		t.Errorf("Spilled = %d", m.Spilled())
 	}
 }
 

@@ -177,8 +177,8 @@ type Query struct {
 	colOn         bool
 	colValueField int
 	colKeyField   int
-	wmPeriod    time.Duration
-	wmLag       time.Duration
+	wmPeriod      time.Duration
+	wmLag         time.Duration
 
 	ckptTuples   int64
 	ckptInterval time.Duration
@@ -187,16 +187,12 @@ type Query struct {
 	store              storage.SpillStore
 	spillWorkers       int
 	spillAhead         int
-	spillCompression   int
-	spillQueueBytes    int64
-	spillCacheBytes    int64
 	budgetPolicy       core.BudgetPolicy
 	latencySLO         time.Duration
 	controlCells       []*control.Cell
 	disableIncremental bool
 	scalarEst          core.ScalarEstimator
 	groupedEst         core.GroupedEstimator
-	exactBufferBytes   int
 
 	obsAddr    string
 	obsEvery   time.Duration
@@ -211,9 +207,7 @@ type Query struct {
 	transportDialer   transport.Dialer
 	transportRedials  int
 	transportBackoff  time.Duration
-	transportBackMax  time.Duration
 	transportPeerWait time.Duration
-	transportWindow   int
 }
 
 // NewQuery starts a query named name (used in telemetry and errors).
@@ -556,12 +550,13 @@ func (q *Query) SpillStore(s storage.SpillStore) *Query {
 }
 
 // SpillWorkers enables the asynchronous spill I/O plane with n
-// background writers: archive and spill Stores are queued (write-
-// behind) and serviced off the hot path, with back-pressure once the
-// in-flight byte budget fills and a durability barrier before every
-// checkpoint snapshot and window fire that reads S. n = 0 (the
-// default) keeps spilling synchronous. Results are identical either
-// way — the plane changes when bytes move, never what they say.
+// background writers: archive Stores are queued (write-behind) and
+// serviced off the hot path, with back-pressure once 8 MiB of writes
+// are in flight, a 32 MiB chunk cache for reads, and a durability
+// barrier before every checkpoint snapshot and window fire that reads
+// S. n = 0 (the default) keeps archiving synchronous. Results are
+// identical either way — the plane changes when bytes move, never what
+// they say.
 func (q *Query) SpillWorkers(n int) *Query {
 	if n < 0 {
 		return q.errf("SpillWorkers %d negative", n)
@@ -573,46 +568,14 @@ func (q *Query) SpillWorkers(n int) *Query {
 // SpillAhead enables watermark-driven read-ahead: on each watermark,
 // the spilled panes of the next n windows are prefetched into the
 // spill plane's chunk cache, so an exact fallback reads memory instead
-// of paying a round-trip to S per pane. Requires SpillWorkers > 0; 0
-// (the default) disables prefetching.
+// of paying a round-trip to S per pane. Requires SpillWorkers > 0 (Run
+// and ServeShard reject it otherwise); 0 (the default) disables
+// prefetching.
 func (q *Query) SpillAhead(n int) *Query {
 	if n < 0 {
 		return q.errf("SpillAhead %d negative", n)
 	}
 	q.spillAhead = n
-	return q
-}
-
-// SpillCompression enables the compressed chunk codec between the
-// engine and the spill store: chunks are stored varint/delta-encoded
-// and DEFLATE-compressed at the given level (1 = fastest … 9 =
-// smallest). 0 (the default) stores chunks in the plain tuple
-// encoding. Compression composes with any store and with SpillWorkers;
-// with a remote store it shrinks the per-byte transfer cost.
-func (q *Query) SpillCompression(level int) *Query {
-	if level < 0 || level > 9 {
-		return q.errf("SpillCompression level %d outside [0, 9]", level)
-	}
-	q.spillCompression = level
-	return q
-}
-
-// SpillQueueBytes bounds the bytes the async spill plane may hold in
-// queued writes before Store calls block (back-pressure). Zero selects
-// the default (8 MiB). Only meaningful with SpillWorkers > 0.
-func (q *Query) SpillQueueBytes(n int64) *Query {
-	if n < 0 {
-		return q.errf("SpillQueueBytes %d negative", n)
-	}
-	q.spillQueueBytes = n
-	return q
-}
-
-// SpillCacheBytes bounds the spill plane's decoded-chunk LRU cache.
-// Zero selects the default (32 MiB); negative disables the cache. Only
-// meaningful with SpillWorkers > 0.
-func (q *Query) SpillCacheBytes(n int64) *Query {
-	q.spillCacheBytes = n
 	return q
 }
 
@@ -745,14 +708,6 @@ func (q *Query) CheckpointEvery(tuples int64, interval time.Duration) *Query {
 // a crashed run left behind.
 func (q *Query) Recover() *Query {
 	q.ckptRecover = true
-	return q
-}
-
-// ExactBufferBytes bounds the exact backend's window buffer, spilling
-// overflow to secondary storage (models a worker's memory budget b for
-// the baseline). Zero means unbounded.
-func (q *Query) ExactBufferBytes(n int) *Query {
-	q.exactBufferBytes = n
 	return q
 }
 

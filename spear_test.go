@@ -2,6 +2,7 @@ package spear
 
 import (
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -331,6 +332,7 @@ func TestQueryValidationErrors(t *testing.T) {
 		{"nil map", NewQuery("q").Source(src).Map(nil).TumblingWindow(1).Mean(mean)},
 		{"nil value", NewQuery("q").Source(src).TumblingWindow(1).Mean(nil)},
 		{"bad eps", NewQuery("q").Source(src).TumblingWindow(1).Mean(mean).Error(2, 0.95)},
+		{"ahead without workers", NewQuery("q").Source(src).TumblingWindow(1).Median(mean).SpillAhead(2)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -341,6 +343,38 @@ func TestQueryValidationErrors(t *testing.T) {
 	}
 	if _, err := NewQuery("q").Source(src).TumblingWindow(1).Mean(mean).Run(nil); err == nil {
 		t.Error("nil sink accepted")
+	}
+	// A shard rejects read-ahead without the plane it reads into before
+	// it listens.
+	if err := NewQuery("q").TumblingWindow(1).Median(mean).SpillAhead(2).ServeShard(nil); err == nil ||
+		!strings.Contains(err.Error(), "SpillWorkers") {
+		t.Errorf("ServeShard with SpillAhead and no SpillWorkers: %v", err)
+	}
+}
+
+// TestQueryMethodSet pins the exported *Query methods. A method is added
+// to this list only under ROADMAP item 4's rule: an example, a spear-demo
+// flag or a test shows a behaviour the default lacks.
+func TestQueryMethodSet(t *testing.T) {
+	want := []string{
+		"AdaptiveBudget", "BatchSize", "BudgetBytes", "BudgetTuples", "CheckpointEvery",
+		"Columnar", "Count", "CountSlidingWindow", "CountTumblingWindow", "CustomAgg",
+		"DisableIncremental", "Distribute", "Error", "EstimateGroupedWith", "EstimateScalarWith",
+		"GroupBy", "KnownGroups", "LatencySLO", "Map", "Max",
+		"Mean", "Median", "Min", "ObserveAddr", "ObserveEvery",
+		"ObserveWith", "OnObserveStart", "Parallelism", "Percentile", "QueueSize",
+		"Recover", "Run", "Seed", "ServeShard", "SlidingWindow",
+		"Source", "SpillAhead", "SpillStore", "SpillWorkers", "StdDev",
+		"Sum", "TraceEvery", "TumblingWindow", "Variance", "WatermarkEvery",
+		"WithBackend",
+	}
+	typ := reflect.TypeOf((*Query)(nil))
+	got := make([]string, typ.NumMethod())
+	for i := range got {
+		got[i] = typ.Method(i).Name
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("*Query has %d methods %v, want the %d %v", len(got), got, len(want), want)
 	}
 }
 
@@ -409,31 +443,37 @@ func TestCustomSpillStore(t *testing.T) {
 	}
 }
 
+// TestExactBackendWithBufferBudget: the exact backend keeps its windows
+// in memory whatever the budget. A BudgetBytes far below the ~80KB
+// window changes nothing: every sum is exact and the store is never
+// called.
 func TestExactBackendWithBufferBudget(t *testing.T) {
 	var in []Tuple
 	for i := 0; i < 2000; i++ {
 		in = append(in, NewTuple(int64(i), Float(1)))
 	}
 	sink := &sinkBuf{}
+	store := storage.NewMemStore()
 	sum, err := NewQuery("exact-budget").
 		Source(FromSlice(in)).
 		TumblingWindow(1000 * time.Nanosecond).
 		Sum(func(t Tuple) float64 { return t.Vals[0].AsFloat() }).
 		WithBackend(BackendExact).
-		ExactBufferBytes(2000). // far below the ~80KB window
+		BudgetBytes(2000).
+		SpillStore(store).
 		Run(sink.add)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range sink.res {
-		if r.Scalar != 1000 {
-			t.Errorf("sum = %v, want 1000 despite spilling", r.Scalar)
-		}
-		if !r.FetchedFromStore {
-			t.Error("window should have spilled")
+		if r.Scalar != 1000 || r.FetchedFromStore {
+			t.Errorf("sum = %v fetched = %v, want 1000 from memory", r.Scalar, r.FetchedFromStore)
 		}
 	}
 	if sum.Windows != 2 {
 		t.Errorf("windows = %d", sum.Windows)
+	}
+	if st := store.Stats(); st != (storage.Stats{}) {
+		t.Errorf("the exact backend touched its store: %+v", st)
 	}
 }
