@@ -44,12 +44,13 @@ recovery:
 
 # The telemetry system: the obs package (worker bundles — the gauge,
 # histogram and Summary tests that came with them run here under -race
-# too — golden snapshot/exposition, reporter/server lifecycle, trace
-# ring) and the end-to-end mid-run scrape + merged-source recovery
-# tests, race-enabled (the reporter and server run concurrently with
-# the engine's writers).
+# too — golden snapshot/exposition, server lifecycle, trace ring), the
+# controller's tick, and the end-to-end mid-run scrape + merged-source
+# recovery tests, race-enabled (the server and the controller's tick
+# snapshot concurrently with the engine's writers).
 obs:
 	$(GO) test -race ./internal/obs/
+	$(GO) test -race ./internal/control/
 	$(GO) test -race -run 'TestObserve|TestMergedSourceCheckpointResume' .
 
 # Scrape gate: run a real query with -serve and the async spill plane

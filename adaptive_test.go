@@ -142,7 +142,7 @@ func TestAdaptiveBudgetIdentity(t *testing.T) {
 }
 
 // pacedSource emits the slice with a real-time delay every `every`
-// tuples, stretching the run across reporter ticks so the controller
+// tuples, stretching the run across the controller's ticks so it
 // actually observes it.
 func pacedSource(in []Tuple, every int, d time.Duration) Source {
 	i := 0
@@ -195,7 +195,6 @@ func TestAdaptiveShedReportsContract(t *testing.T) {
 		BudgetTuples(64).Error(0.10, 0.95).Seed(9).
 		DisableIncremental().
 		LatencySLO(time.Millisecond).AdaptiveBudget(64, 64).
-		ObserveEvery(2*time.Millisecond).
 		ObserveWith(ins).
 		Run(func(_ int, res Result) {
 			mu.Lock()
@@ -279,7 +278,6 @@ func TestAdaptiveShedHasNothingToShedOnIncremental(t *testing.T) {
 		Mean(func(t Tuple) float64 { return t.Vals[0].AsFloat() }).
 		BudgetTuples(64).Error(0.10, 0.95).Seed(9).
 		LatencySLO(time.Millisecond).AdaptiveBudget(64, 64).
-		ObserveEvery(2 * time.Millisecond).
 		ObserveWith(ins).
 		Run(func(_ int, res Result) {
 			mu.Lock()

@@ -41,8 +41,6 @@ func run() int {
 		benchJSON  = flag.String("benchjson", "", "also write machine-readable results to this path (adaptive)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this path")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this path on exit")
-		serve      = flag.String("serve", "", "serve live observability at this address while experiments run: Prometheus at /metrics, JSON at /snapshot (e.g. :8080)")
-		observe    = flag.Bool("observe", false, "enable live instruments and the periodic reporter without an HTTP server (measures observability overhead)")
 	)
 	flag.Parse()
 
@@ -84,10 +82,7 @@ func run() int {
 		ids = []string{*experiment}
 	}
 
-	opt := bench.Options{
-		Scale: *scale, Seed: *seed, Out: os.Stdout, BenchJSON: *benchJSON,
-		ObserveAddr: *serve, Observe: *observe,
-	}
+	opt := bench.Options{Scale: *scale, Seed: *seed, Out: os.Stdout, BenchJSON: *benchJSON}
 	fmt.Printf("spear-bench: scale=%.2f seed=%d experiments=%s\n",
 		*scale, *seed, strings.Join(ids, ","))
 	for _, id := range ids {

@@ -183,13 +183,20 @@ func main() {
 		scraped    bool
 	)
 	if *serve != "" {
-		qs.ObserveAddr(*serve).OnObserveStart(func(addr string) {
-			obsAddr = addr
-			fmt.Fprintf(os.Stderr, "observability: http://%s/metrics (also /snapshot, /trace, /healthz)\n", addr)
-		})
-		if *trcEvr > 0 {
-			qs.TraceEvery(*trcEvr, 0)
+		lis, err := net.Listen("tcp", *serve)
+		if err != nil {
+			killShards()
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
+		ins := spear.NewInstruments()
+		if *trcEvr > 0 {
+			ins.EnableTrace(*trcEvr, 0)
+		}
+		qs.ObserveWith(ins)
+		defer spear.ServeObservability(lis, ins)()
+		obsAddr = lis.Addr().String()
+		fmt.Fprintf(os.Stderr, "observability: http://%s/metrics (also /snapshot, /trace, /healthz)\n", obsAddr)
 	}
 	spearSum, err := qs.Run(func(worker int, r spear.Result) {
 		if *scrape {
@@ -308,9 +315,6 @@ func spawnShards(n, par int) (addrs []string, procs []*exec.Cmd, err error) {
 // checkScrape GETs /metrics while the query runs and verifies the
 // response is Prometheus text format declaring every family of obs.Families.
 func checkScrape(addr string) error {
-	if addr == "" {
-		return fmt.Errorf("scrapecheck: observability server never reported an address")
-	}
 	resp, err := http.Get("http://" + addr + "/metrics")
 	if err != nil {
 		return fmt.Errorf("scrapecheck: %w", err)

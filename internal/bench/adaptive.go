@@ -151,9 +151,7 @@ func Adaptive(opt Options) ([]*Table, error) {
 			SpillStore(storage.NewLatencyStore(mem, storePerW, 0, nil)).
 			ObserveWith(ins)
 		if adaptive {
-			q.LatencySLO(slo).
-				AdaptiveBudget(budgetMin, budget).
-				ObserveEvery(50 * time.Millisecond)
+			q.LatencySLO(slo).AdaptiveBudget(budgetMin, budget)
 		}
 		st := &runStats{}
 		var mu sync.Mutex

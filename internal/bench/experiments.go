@@ -90,7 +90,7 @@ func decQuery(opt Options, median bool, backend spear.Backend, budget, par int, 
 	if disableInc {
 		q.DisableIncremental()
 	}
-	return opt.observe(q)
+	return q
 }
 
 // gcmQuery builds the GCM grouped mean-CPU-per-class CQ.
@@ -102,7 +102,7 @@ func gcmQuery(opt Options, backend spear.Backend, winSize, winSlide time.Duratio
 		winSlide = 30 * time.Minute
 	}
 	ds := gcmStream(opt, winSize, winSlide)
-	return opt.observe(spear.NewQuery("gcm").
+	return spear.NewQuery("gcm").
 		Source(spear.FromFunc(ds.Next)).
 		SlidingWindow(winSize, winSlide).
 		GroupBy(ds.Key).
@@ -112,13 +112,13 @@ func gcmQuery(opt Options, backend spear.Backend, winSize, winSlide time.Duratio
 		BudgetTuples(gcmBudget).
 		Parallelism(par).
 		Seed(opt.Seed).
-		WithBackend(backend))
+		WithBackend(backend)
 }
 
 // debsQuery builds the DEBS grouped average-fare-per-route CQ.
 func debsQuery(opt Options, backend spear.Backend, par int) *spear.Query {
 	ds := debsStream(opt)
-	return opt.observe(spear.NewQuery("debs").
+	return spear.NewQuery("debs").
 		Source(spear.FromFunc(ds.Next)).
 		SlidingWindow(30*time.Minute, 15*time.Minute).
 		GroupBy(ds.Key).
@@ -127,7 +127,7 @@ func debsQuery(opt Options, backend spear.Backend, par int) *spear.Query {
 		BudgetTuples(debsBudget).
 		Parallelism(par).
 		Seed(opt.Seed).
-		WithBackend(backend))
+		WithBackend(backend)
 }
 
 // ---- experiments ----
@@ -448,7 +448,7 @@ func Fig9(opt Options) ([]*Table, error) {
 				Parallelism(1).
 				Seed(opt.Seed).
 				WithBackend(backend)
-			return opt.observe(q)
+			return q
 		}
 		storm, err := runQuery("storm", mk(spear.BackendExact))
 		if err != nil {

@@ -27,26 +27,6 @@ type Options struct {
 	// BenchJSON, when non-empty, is a path where the "adaptive"
 	// experiment also writes its rows as JSON.
 	BenchJSON string
-	// ObserveAddr, when non-empty, serves the live observability plane
-	// (Prometheus /metrics, JSON /snapshot) at this address for the
-	// duration of each query run. Implies Observe.
-	ObserveAddr string
-	// Observe enables live instruments plus the periodic reporter even
-	// without an HTTP server — the configuration for measuring
-	// observability overhead against an uninstrumented run.
-	Observe bool
-}
-
-// observe applies the run's observability settings to a query: an HTTP
-// endpoint when ObserveAddr is set, bare instruments (registry +
-// reporter, no server) when only Observe is.
-func (o Options) observe(q *spear.Query) *spear.Query {
-	if o.ObserveAddr != "" {
-		q.ObserveAddr(o.ObserveAddr)
-	} else if o.Observe {
-		q.ObserveWith(spear.NewInstruments())
-	}
-	return q
 }
 
 func (o Options) tuples(paperTotal int) int {

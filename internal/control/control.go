@@ -27,7 +27,7 @@ import (
 
 // Cell is the lock-free mailbox between the controller and one
 // manager: the target tuple budget and the shedding flag. The
-// controller writes it from the reporter goroutine; the manager reads
+// controller writes it from its tick goroutine; the manager reads
 // it at the top of every OnTuple/OnTupleBatch/OnColumnBatch call and
 // applies changes (reservoir resizes) outside any per-tuple loop.
 type Cell struct {
@@ -137,9 +137,9 @@ const (
 )
 
 // Controller turns obs-plane snapshots into budget/shed decisions and
-// publishes them to every cell. Observe is called from the reporter
-// goroutine; all other state is read atomically by the obs snapshot
-// path, so the controller itself needs no lock.
+// publishes them to every cell. Observe is called from one goroutine
+// (Start's tick); all other state is read atomically by the obs
+// snapshot path, so the controller itself needs no lock.
 type Controller struct {
 	cfg   Config
 	cells []*Cell
@@ -173,6 +173,38 @@ func New(cfg Config, cells []*Cell) *Controller {
 		c.target.Store(int64(cells[0].Budget()))
 	}
 	return c
+}
+
+// tickEvery is the period Start observes at: a third of the SLO, so a
+// breach is seen well within it, clamped to [2ms, 250ms].
+func tickEvery(slo time.Duration) time.Duration {
+	return min(max(slo/3, 2*time.Millisecond), 250*time.Millisecond)
+}
+
+// Start feeds the controller from ins: one observation at once, one
+// every tickEvery(SLO), and a last one when stop is called. stop returns
+// once the tick goroutine has exited; call it once.
+func (c *Controller) Start(ins *obs.Instruments) (stop func()) {
+	c.Observe(ins.Snapshot(c.cfg.Clock()))
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		t := time.NewTicker(tickEvery(c.cfg.SLO))
+		defer t.Stop()
+		for {
+			select {
+			case <-t.C:
+				c.Observe(ins.Snapshot(c.cfg.Clock()))
+			case <-quit:
+				c.Observe(ins.Snapshot(c.cfg.Clock()))
+				return
+			}
+		}
+	}()
+	return func() {
+		close(quit)
+		<-done
+	}
 }
 
 // Observe folds one obs-plane snapshot into a control decision. The

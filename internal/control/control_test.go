@@ -46,6 +46,41 @@ func TestCellIsLockFree(t *testing.T) {
 	})
 }
 
+// TestTickEvery pins the period rule against the settings it replaced:
+// a 1ms SLO observed every 2ms, 150ms every 50ms, an inert 1h every
+// 250ms.
+func TestTickEvery(t *testing.T) {
+	for _, tc := range []struct{ slo, want time.Duration }{
+		{time.Millisecond, 2 * time.Millisecond},
+		{150 * time.Millisecond, 50 * time.Millisecond},
+		{time.Hour, 250 * time.Millisecond},
+	} {
+		if got := tickEvery(tc.slo); got != tc.want {
+			t.Errorf("tickEvery(%v) = %v, want %v", tc.slo, got, tc.want)
+		}
+	}
+}
+
+// TestStartObservesAtStartAndStop: with no tick elapsed, the controller
+// sees exactly two snapshots, the one Start takes and the one stop
+// takes, and leaves no goroutine behind. Lag sits in the hysteresis
+// band, so each observation is one hold.
+func TestStartObservesAtStartAndStop(t *testing.T) {
+	leakcheck.Check(t)
+	ins := obs.NewInstruments()
+	ins.Worker("w[0]").SetWatermark(0)
+	ins.PublishSource(1, int64(45*time.Minute))
+	ctrl := New(Config{SLO: time.Hour}, []*Cell{NewCell(100)})
+	stop := ctrl.Start(ins)
+	if got := ctrl.ControlSnapshot().Hold; got != 1 {
+		t.Fatalf("%d observations after Start, want 1", got)
+	}
+	stop()
+	if got := ctrl.ControlSnapshot().Hold; got != 2 {
+		t.Fatalf("%d observations after stop, want 2", got)
+	}
+}
+
 func TestControllerTightensUnderOverload(t *testing.T) {
 	h := newHarness(Config{SLO: 100 * time.Millisecond, Min: 10}, 3, 1000)
 	h.observe(500*time.Millisecond, 0.1)

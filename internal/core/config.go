@@ -52,7 +52,7 @@ type Config struct {
 	Confidence float64
 	// BudgetTuples is the memory budget b expressed in tuples — the
 	// reservoir capacity for scalar operations, the sample size for
-	// grouped ones. BudgetBytes converts from a byte budget.
+	// grouped ones.
 	BudgetTuples int
 
 	// KnownGroups, when positive, declares the number of distinct
@@ -257,19 +257,4 @@ func (c *Config) countFire(res *Result, elapsed time.Duration) {
 	if res.FetchedFromStore {
 		m.WindowsSpilled.Add(1)
 	}
-}
-
-// BudgetBytes converts a byte budget into a tuple budget given the
-// per-value size f, reserving two slots for the window's variance and
-// size, exactly as the paper accounts it ("the reservoir sample of each
-// S_w carries up to ⌊10⁶·f⁻¹⌋ − 2 values").
-func BudgetBytes(budget int, bytesPerValue int) int {
-	if bytesPerValue <= 0 {
-		bytesPerValue = 8
-	}
-	n := budget/bytesPerValue - 2
-	if n < 1 {
-		n = 1
-	}
-	return n
 }

@@ -81,19 +81,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestBudgetBytes(t *testing.T) {
-	// The paper's example: 1MB of 8-byte fares → 10⁶/8 − 2.
-	if got := BudgetBytes(1_000_000, 8); got != 124998 {
-		t.Errorf("BudgetBytes = %d, want 124998", got)
-	}
-	if got := BudgetBytes(10, 8); got != 1 {
-		t.Errorf("tiny budget = %d, want floor of 1", got)
-	}
-	if got := BudgetBytes(800, 0); got != 98 {
-		t.Errorf("default value size = %d, want 98", got)
-	}
-}
-
 func TestManagerConstructorsRejectWrongShape(t *testing.T) {
 	cfg := mkCfg(agg.Func{Op: agg.Mean}, 100)
 	cfg.KeyBy = tuple.FieldString(0)

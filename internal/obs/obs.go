@@ -7,19 +7,17 @@
 // readable as a Summary at stream end and observable *while* the query
 // runs.
 //
-// The design splits into three layers:
+// The design splits into two layers:
 //
 //   - Instruments: the run's registry — one Worker bundle per window
 //     worker, the checkpoint bundle, atomic-only counters/gauges, and
 //     zero-cost pull probes (closures over channel lengths) the engine
 //     registers at topology start. Nothing here takes a lock on a
-//     per-tuple path.
-//   - Reporter: a clock-injected goroutine that periodically folds every
-//     instrument into an immutable Snapshot (reachable via an atomic
-//     pointer, so readers never block writers).
-//   - Server: an opt-in HTTP endpoint serving the Prometheus text
-//     exposition format at /metrics, a JSON snapshot at /snapshot, and
-//     the tuple-lifecycle trace ring at /trace.
+//     per-tuple path. Snapshot folds every instrument into an immutable
+//     Snapshot on demand; readers never block writers.
+//   - Serve: an opt-in HTTP endpoint over an Instruments, serving the
+//     Prometheus text exposition format at /metrics, a JSON snapshot at
+//     /snapshot, and the tuple-lifecycle trace ring at /trace.
 package obs
 
 import (
@@ -63,9 +61,10 @@ func (b *BatchOccupancy) Record(size int) {
 
 // Instruments is a run's telemetry registry: the worker bundles its
 // Summary is computed from and the probes the engine wires in. All
-// registration methods are safe to call while a Reporter or Server is
-// concurrently snapshotting (the engine registers edges and workers as
-// Topology.Run builds the DAG, which may overlap the first scrape).
+// registration methods are safe to call while a reader (the
+// controller's tick, an HTTP scrape) is concurrently snapshotting (the
+// engine registers edges and workers as Topology.Run builds the DAG,
+// which may overlap the first scrape).
 type Instruments struct {
 	mu         sync.Mutex
 	edges      []Edge

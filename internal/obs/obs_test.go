@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -13,7 +14,6 @@ import (
 	"spear/internal/leakcheck"
 	"spear/internal/spill"
 	"spear/internal/storage"
-	"spear/internal/tuple"
 )
 
 // fixedClock returns a deterministic clock reading t.
@@ -112,118 +112,6 @@ func TestSnapshotConcurrentWriters(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-}
-
-// manualTicker returns a tick source tests fire by hand.
-func manualTicker() (chan time.Time, func(time.Duration) (<-chan time.Time, func())) {
-	ch := make(chan time.Time)
-	return ch, func(time.Duration) (<-chan time.Time, func()) { return ch, func() {} }
-}
-
-func TestReporterLifecycle(t *testing.T) {
-	leakcheck.Check(t)
-	in := NewInstruments()
-	tick, src := manualTicker()
-	rep := NewReporter(in, time.Second)
-	rep.SetTicker(src)
-	rep.SetClock(fixedClock(time.Unix(42, 0)))
-
-	var published []*Snapshot
-	var mu sync.Mutex
-	rep.OnSnapshot(func(s *Snapshot) {
-		mu.Lock()
-		published = append(published, s)
-		mu.Unlock()
-	})
-
-	if rep.Latest() != nil {
-		t.Fatal("Latest non-nil before Start")
-	}
-	rep.Start()
-	rep.Start() // double-start is a no-op
-	if s := rep.Latest(); s == nil || !s.At.Equal(time.Unix(42, 0)) {
-		t.Fatalf("initial snapshot missing or mis-clocked: %+v", s)
-	}
-
-	in.PublishSource(99, 7)
-	tick <- time.Unix(43, 0)
-	// The tick is handled asynchronously; wait for its publication.
-	deadline := time.Now().Add(5 * time.Second)
-	for rep.Latest().SourceTuples != 99 {
-		if time.Now().After(deadline) {
-			t.Fatal("tick never published")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	rep.Stop()
-	rep.Stop() // double-stop is a no-op
-
-	mu.Lock()
-	n := len(published)
-	mu.Unlock()
-	// Initial + one tick + the final snapshot on Stop.
-	if n != 3 {
-		t.Fatalf("published %d snapshots, want 3", n)
-	}
-
-	// A stopped reporter can start again.
-	rep.Start()
-	rep.Stop()
-}
-
-func TestReporterDeltas(t *testing.T) {
-	leakcheck.Check(t)
-	in := NewInstruments()
-	store := storage.NewMemStore()
-	in.SetSpillPlane(spill.NewPlane(store, spill.Options{}))
-	cm := in.Checkpoint()
-
-	tick, src := manualTicker()
-	rep := NewReporter(in, time.Second)
-	rep.SetTicker(src)
-
-	var mu sync.Mutex
-	var last *Snapshot
-	seen := make(chan struct{}, 16)
-	rep.OnSnapshot(func(s *Snapshot) {
-		mu.Lock()
-		last = s
-		mu.Unlock()
-		seen <- struct{}{}
-	})
-	rep.Start()
-	<-seen // initial snapshot: no deltas yet
-
-	ts := []tuple.Tuple{{Ts: 1, Vals: []tuple.Value{tuple.Float(1)}}}
-	if err := store.Store("k", ts); err != nil {
-		t.Fatal(err)
-	}
-	cm.Completed.Add(1)
-	cm.SnapshotBytes.Add(100)
-	tick <- time.Unix(1, 0)
-	<-seen
-
-	mu.Lock()
-	s := last
-	mu.Unlock()
-	if s.StorageDelta == nil || s.StorageDelta.Stores != 1 || s.StorageDelta.TuplesStored != 1 {
-		t.Fatalf("storage delta = %+v, want 1 store / 1 tuple", s.StorageDelta)
-	}
-	if s.CheckpointDelta == nil || s.CheckpointDelta.Completed != 1 || s.CheckpointDelta.SnapshotBytes != 100 {
-		t.Fatalf("checkpoint delta = %+v, want 1 completed / 100 bytes", s.CheckpointDelta)
-	}
-
-	// A quiet interval produces zero deltas, not stale ones.
-	tick <- time.Unix(2, 0)
-	<-seen
-	mu.Lock()
-	s = last
-	mu.Unlock()
-	if s.StorageDelta.Stores != 0 || s.CheckpointDelta.Completed != 0 {
-		t.Fatalf("quiet-tick deltas not zero: %+v %+v", s.StorageDelta, s.CheckpointDelta)
-	}
-	rep.Stop()
 }
 
 func TestTraceRingBounded(t *testing.T) {
@@ -358,21 +246,12 @@ func TestServerLifecycle(t *testing.T) {
 	leakcheck.Check(t)
 	in := NewInstruments()
 	in.PublishSource(5, 1_000_000_000)
-	rep := NewReporter(in, time.Hour)
-	rep.Start()
-	defer rep.Stop()
-
-	srv := NewServer(in, rep)
-	if err := srv.Start("127.0.0.1:0"); err != nil {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	addr := srv.Addr()
-	if addr == "" {
-		t.Fatal("no bound address")
-	}
-	if err := srv.Start("127.0.0.1:0"); err == nil {
-		t.Fatal("double-start must error")
-	}
+	addr := lis.Addr().String()
+	stop := Serve(lis, in)
 
 	get := func(path string) (string, string, int) {
 		resp, err := http.Get("http://" + addr + path)
@@ -410,6 +289,12 @@ func TestServerLifecycle(t *testing.T) {
 	if snap.SourceTuples != 5 {
 		t.Errorf("/snapshot source tuples = %d, want 5", snap.SourceTuples)
 	}
+	// /snapshot is folded per request, like /metrics: never a stale tick.
+	in.PublishSource(7, 2_000_000_000)
+	body, _, _ = get("/snapshot")
+	if err := json.Unmarshal([]byte(body), &snap); err != nil || snap.SourceTuples != 7 {
+		t.Errorf("/snapshot after a publish: source tuples = %d (%v), want 7", snap.SourceTuples, err)
+	}
 
 	if _, _, code := get("/trace"); code != http.StatusNotFound {
 		t.Fatalf("/trace with tracing off = %d, want 404", code)
@@ -431,11 +316,8 @@ func TestServerLifecycle(t *testing.T) {
 		t.Fatalf("/trace = %+v", tr)
 	}
 
-	srv.Stop()
-	srv.Stop() // double-stop is a no-op
-	if srv.Addr() != "" {
-		t.Errorf("Addr after Stop = %q, want empty", srv.Addr())
-	}
+	stop()
+	stop() // a second stop is a no-op
 	if _, err := http.Get("http://" + addr + "/healthz"); err == nil {
 		t.Error("server still answering after Stop")
 	}
@@ -446,11 +328,11 @@ func TestServerLifecycle(t *testing.T) {
 func TestServerScrapeUnderWriters(t *testing.T) {
 	leakcheck.Check(t)
 	in := NewInstruments()
-	srv := NewServer(in, nil)
-	if err := srv.Start("127.0.0.1:0"); err != nil {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Stop()
+	defer Serve(lis, in)()
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -473,7 +355,7 @@ func TestServerScrapeUnderWriters(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 25; i++ {
-		resp, err := http.Get("http://" + srv.Addr() + "/metrics")
+		resp, err := http.Get("http://" + lis.Addr().String() + "/metrics")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,125 +5,60 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"sync"
 	"time"
 )
 
-// Server is the opt-in HTTP endpoint. Routes:
+// Serve serves ins over HTTP on lis until stop is called. Routes:
 //
 //	/metrics  Prometheus text exposition format (version 0.0.4)
-//	/snapshot the full JSON Snapshot (reporter's latest, else on demand)
+//	/snapshot the full JSON Snapshot
 //	/trace    the sampled tuple-lifecycle ring as JSON, oldest first
 //	/healthz  liveness probe, "ok"
 //
 // Scrapes never touch engine locks: /metrics and /snapshot fold a fresh
 // snapshot from atomics and channel-length probes, so the server keeps
-// answering even when the pipeline is fully back-pressured.
-type Server struct {
-	ins *Instruments
-	rep *Reporter // optional; /snapshot prefers its latest tick
-
-	mu      sync.Mutex
-	ln      net.Listener
-	srv     *http.Server
-	done    chan struct{}
-	started bool
-}
-
-// NewServer returns a server over ins. rep may be nil; when set,
-// /snapshot serves the reporter's latest published snapshot (with its
-// delta fields) instead of folding a fresh one.
-func NewServer(ins *Instruments, rep *Reporter) *Server {
-	return &Server{ins: ins, rep: rep}
-}
-
-// Start binds addr (host:port; ":0" picks a free port — read it back
-// with Addr) and serves until Stop. Starting a started server is an
-// error; a failed bind leaves the server stopped.
-func (s *Server) Start(addr string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.started {
-		return fmt.Errorf("obs: server already started on %s", s.ln.Addr())
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("obs: listen %s: %w", addr, err)
-	}
+// answering even when the pipeline is fully back-pressured. The caller
+// binds lis (its address is known before any run starts) and owns the
+// server's lifetime, which may span several runs. stop closes the
+// listener and returns once the serve goroutine has exited.
+func Serve(lis net.Listener, ins *Instruments) (stop func()) {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/snapshot", s.handleSnapshot)
-	mux.HandleFunc("/trace", s.handleTrace)
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		WritePrometheus(w, ins.Snapshot(time.Now()))
+	})
+	mux.HandleFunc("/snapshot", func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, ins.Snapshot(time.Now()))
+	})
+	mux.HandleFunc("/trace", func(w http.ResponseWriter, _ *http.Request) {
+		tr := ins.Trace()
+		if tr == nil {
+			http.Error(w, `{"error":"tracing disabled"}`, http.StatusNotFound)
+			return
+		}
+		writeJSON(w, struct {
+			Recorded uint64       `json:"recorded"`
+			Events   []TraceEvent `json:"events"`
+		}{Recorded: tr.Recorded(), Events: tr.Events()})
+	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	})
 	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	done := make(chan struct{})
-	s.ln, s.srv, s.done, s.started = ln, srv, done, true
 	go func() {
 		defer close(done)
-		// Serve returns http.ErrServerClosed on graceful shutdown; any
-		// other error means the listener died, which Stop tolerates.
-		_ = srv.Serve(ln)
+		// Serve returns http.ErrServerClosed after stop; any other error
+		// means the listener died, which stop tolerates.
+		_ = srv.Serve(lis)
 	}()
-	return nil
-}
-
-// Addr returns the bound address ("" before Start / after Stop).
-func (s *Server) Addr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return ""
+	return func() {
+		// Close rather than Shutdown: scrapes are cheap GETs, and a stop
+		// at stream end must not hang behind a stalled client.
+		_ = srv.Close()
+		<-done
 	}
-	return s.ln.Addr().String()
-}
-
-// Stop closes the listener and waits for the serve goroutine to exit.
-// Stopping a stopped (or never-started) server is a no-op.
-func (s *Server) Stop() {
-	s.mu.Lock()
-	if !s.started {
-		s.mu.Unlock()
-		return
-	}
-	s.started = false
-	srv, done := s.srv, s.done
-	s.ln = nil
-	s.mu.Unlock()
-	// Close rather than Shutdown: scrapes are cheap GETs, and a stop at
-	// stream end must not hang behind a stalled client.
-	_ = srv.Close()
-	<-done
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	WritePrometheus(w, s.ins.Snapshot(time.Now()))
-}
-
-func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
-	var snap *Snapshot
-	if s.rep != nil {
-		snap = s.rep.Latest()
-	}
-	if snap == nil {
-		snap = s.ins.Snapshot(time.Now())
-	}
-	writeJSON(w, snap)
-}
-
-func (s *Server) handleTrace(w http.ResponseWriter, _ *http.Request) {
-	tr := s.ins.Trace()
-	if tr == nil {
-		http.Error(w, `{"error":"tracing disabled"}`, http.StatusNotFound)
-		return
-	}
-	writeJSON(w, struct {
-		Recorded uint64       `json:"recorded"`
-		Events   []TraceEvent `json:"events"`
-	}{Recorded: tr.Recorded(), Events: tr.Events()})
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

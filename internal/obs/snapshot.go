@@ -23,8 +23,8 @@ type (
 
 // SetSpillPlane attaches the run's spill I/O plane so snapshots include
 // the traffic of the store under it and the plane's own queue, cache
-// and prefetch telemetry. Safe to call while a Reporter or
-// Server is concurrently snapshotting.
+// and prefetch telemetry. Safe to call while a reader is concurrently
+// snapshotting.
 func (in *Instruments) SetSpillPlane(p spillPlane) {
 	in.mu.Lock()
 	in.plane = p
@@ -114,8 +114,8 @@ type CheckpointSnapshot struct {
 	SnapshotMeanNanos float64 `json:"snapshot_mean_nanos"`
 }
 
-// Snapshot is one immutable picture of the running query. Reporter
-// ticks produce them; the HTTP endpoints render them.
+// Snapshot is one immutable picture of the running query, folded on
+// demand by Instruments.Snapshot; the HTTP endpoints render them.
 type Snapshot struct {
 	At              time.Time `json:"at"`
 	SourceTuples    int64     `json:"source_tuples"`
@@ -130,18 +130,12 @@ type Snapshot struct {
 	WorkerMetrics []WorkerMetricsSnapshot `json:"worker_metrics,omitempty"`
 
 	Storage *storage.Stats `json:"storage,omitempty"`
-	// StorageDelta is the traffic since the previous reporter tick
-	// (nil on on-demand snapshots and the first tick).
-	StorageDelta *storage.Stats `json:"storage_delta,omitempty"`
 
 	// SpillPlane is the async spill I/O plane's queue/cache/prefetch
 	// telemetry; nil when no plane is attached.
 	SpillPlane *planeStats `json:"spill_plane,omitempty"`
 
 	Checkpoint *CheckpointSnapshot `json:"checkpoint,omitempty"`
-	// CheckpointDelta holds the completed/failed/bytes movement since
-	// the previous reporter tick.
-	CheckpointDelta *CheckpointSnapshot `json:"checkpoint_delta,omitempty"`
 
 	// Transport holds per-peer network-shuffle counters; empty for
 	// single-process runs.

@@ -3,6 +3,7 @@ package spear
 import (
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -15,8 +16,8 @@ import (
 )
 
 // TestObserveEndToEndScrape runs a real query with the full
-// observability plane on — reporter, HTTP server, lifecycle trace — and
-// scrapes /metrics from inside the sink, i.e. while tuples are still
+// observability plane on — instruments, HTTP server, lifecycle trace —
+// and scrapes /metrics from inside the sink, i.e. while tuples are still
 // flowing. This is the acceptance gate's shape: a mid-run GET /metrics
 // must serve valid Prometheus text carrying the queue-depth,
 // watermark-lag, batch-occupancy, spill, and checkpoint families.
@@ -29,7 +30,15 @@ func TestObserveEndToEndScrape(t *testing.T) {
 	}
 
 	ins := NewInstruments()
-	addrCh := make(chan string, 1)
+	// Trace everything with a ring large enough that the early ingest
+	// events survive to the end of the run.
+	ins.EnableTrace(1, 3*n)
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ServeObservability(lis, ins)()
+	addr := lis.Addr().String()
 	var (
 		scrapeOnce sync.Once
 		metricsTxt string
@@ -37,7 +46,7 @@ func TestObserveEndToEndScrape(t *testing.T) {
 		traceTxt   string
 		scrapeErr  error
 	)
-	get := func(addr, path string) (string, error) {
+	get := func(path string) (string, error) {
 		resp, err := http.Get("http://" + addr + path)
 		if err != nil {
 			return "", err
@@ -58,36 +67,19 @@ func TestObserveEndToEndScrape(t *testing.T) {
 		Parallelism(2).
 		SpillStore(storage.NewMemStore()).
 		CheckpointEvery(5_000, 0).
-		ObserveAddr("127.0.0.1:0").
-		ObserveEvery(5*time.Millisecond).
-		// Trace everything with a ring large enough that the early
-		// ingest events survive to the end of the run.
-		TraceEvery(1, 3*n).
 		ObserveWith(ins).
-		OnObserveStart(func(addr string) { addrCh <- addr }).
 		Run(func(w int, r Result) {
 			buf.add(w, r)
 			scrapeOnce.Do(func() {
 				// First result: the pipeline is still pushing tuples, so
 				// this is a genuinely mid-run scrape.
-				addr := <-addrCh
-				if metricsTxt, scrapeErr = get(addr, "/metrics"); scrapeErr != nil {
+				if metricsTxt, scrapeErr = get("/metrics"); scrapeErr != nil {
 					return
 				}
-				// /snapshot serves the reporter's latest tick, and the
-				// first result can beat the first tick (5 ms): wait for
-				// it. The sink is blocked here, so the run stays mid-run.
-				for tries := 0; tries < 200; tries++ {
-					if snapTxt, scrapeErr = get(addr, "/snapshot"); scrapeErr != nil {
-						return
-					}
-					var probe Snapshot
-					if json.Unmarshal([]byte(snapTxt), &probe) == nil && len(probe.Edges) > 0 {
-						break
-					}
-					time.Sleep(5 * time.Millisecond)
+				if snapTxt, scrapeErr = get("/snapshot"); scrapeErr != nil {
+					return
 				}
-				traceTxt, scrapeErr = get(addr, "/trace")
+				traceTxt, scrapeErr = get("/trace")
 			})
 		})
 	if err != nil {
@@ -155,17 +147,10 @@ func TestObserveEndToEndScrape(t *testing.T) {
 }
 
 func TestObserveValidation(t *testing.T) {
-	src := FromSlice([]Tuple{NewTuple(0, Float(1))})
-	sink := func(int, Result) {}
-	for name, q := range map[string]*Query{
-		"empty addr":   NewQuery("v").Source(src).TumblingWindow(time.Second).Count().ObserveAddr(""),
-		"zero period":  NewQuery("v").Source(src).TumblingWindow(time.Second).Count().ObserveEvery(0),
-		"nil ins":      NewQuery("v").Source(src).TumblingWindow(time.Second).Count().ObserveWith(nil),
-		"zero trace n": NewQuery("v").Source(src).TumblingWindow(time.Second).Count().TraceEvery(0, 0),
-	} {
-		if _, err := q.Run(sink); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
+	q := NewQuery("v").Source(FromSlice([]Tuple{NewTuple(0, Float(1))})).
+		TumblingWindow(time.Second).Count().ObserveWith(nil)
+	if _, err := q.Run(func(int, Result) {}); err == nil {
+		t.Error("nil instruments accepted")
 	}
 }
 

@@ -9,7 +9,7 @@
 //		Source(spear.FromSlice(tuples)).
 //		SlidingWindow(15*time.Minute, 5*time.Minute).
 //		Percentile(fare, 0.95).
-//		BudgetBytes(1 << 20).
+//		BudgetTuples(124_998). // the paper's .budget(1MB)
 //		Error(0.10, 0.95).
 //		Run(func(worker int, r spear.Result) { ... })
 //
@@ -19,6 +19,10 @@
 // answered from the sample in O(b), otherwise it is processed exactly —
 // the same cost as a conventional engine. Scalar non-holistic
 // aggregates additionally use an incremental exact path.
+//
+// A query is observed through one registry: give it ObserveWith(ins)
+// with ins from NewInstruments, read ins.Snapshot at any time, and serve
+// ins over HTTP with ServeObservability.
 package spear
 
 import (
@@ -194,12 +198,7 @@ type Query struct {
 	scalarEst          core.ScalarEstimator
 	groupedEst         core.GroupedEstimator
 
-	obsAddr    string
-	obsEvery   time.Duration
-	obsInto    *obs.Instruments
-	traceEvery int
-	traceCap   int
-	obsStarted func(addr string)
+	obsInto *obs.Instruments
 
 	// Distributed runtime (Distribute / ServeShard).
 	workers           []string
@@ -385,23 +384,14 @@ func (q *Query) CustomAgg(fn CustomFunc, value func(Tuple) float64, est core.Sca
 }
 
 // BudgetTuples sets the per-worker memory budget b in tuples — the
-// reservoir capacity (scalar) or sample size (grouped).
+// reservoir capacity (scalar) or sample size (grouped). The paper's
+// .budget(1MB) of 8-byte values is BudgetTuples(124_998): 10⁶/8 values
+// less two slots for the window's variance and size.
 func (q *Query) BudgetTuples(n int) *Query {
 	if n <= 0 {
 		return q.errf("budget %d must be positive", n)
 	}
 	q.budgetTuples = n
-	return q
-}
-
-// BudgetBytes sets the budget from a byte size, assuming 8-byte values
-// and reserving two slots for the window statistics, exactly as the
-// paper's .budget(1MB) accounts it.
-func (q *Query) BudgetBytes(bytes int) *Query {
-	if bytes <= 0 {
-		return q.errf("budget %dB must be positive", bytes)
-	}
-	q.budgetTuples = core.BudgetBytes(bytes, 8)
 	return q
 }
 
@@ -426,8 +416,9 @@ func (q *Query) AdaptiveBudget(min, max int) *Query {
 // archive writes, trading the exact fallback for sample-only answers
 // whose realized bound is reported per window (Result.ContractMet
 // reports false for those). With headroom it recovers in reverse
-// order. AdaptiveBudget(min, max) supplies the budget bounds; without
-// it they default to [BudgetTuples/16, BudgetTuples].
+// order. It observes every d/3, within [2ms, 250ms]. AdaptiveBudget(min,
+// max) supplies the budget bounds; without it they default to
+// [BudgetTuples/16, BudgetTuples].
 //
 // Every Result carries the contract it was held to (Epsilon,
 // Confidence) and the budget in force (Budget), so downstream consumers
@@ -537,6 +528,9 @@ func (q *Query) BatchSize(n int) *Query {
 // WatermarkEvery overrides the watermark period (default: the window
 // slide) and lag (default: zero, for in-order sources).
 func (q *Query) WatermarkEvery(period, lag time.Duration) *Query {
+	if period < 0 || lag < 0 {
+		return q.errf("watermark period %v and lag %v must be non-negative", period, lag)
+	}
 	q.wmPeriod = period
 	q.wmLag = lag
 	return q
@@ -621,64 +615,29 @@ var WritePrometheus = obs.WritePrometheus
 
 // NewInstruments returns an empty live-instrument registry to pass to
 // ObserveWith; snapshot it with its Snapshot method at any time during
-// or after the run.
+// or after the run. Call its EnableTrace(n, cap) before Run to record
+// the lifecycle of every nth tuple and window into a ring of cap events.
 var NewInstruments = obs.NewInstruments
 
-// ObserveAddr serves live observability over HTTP at addr (host:port;
-// ":0" picks a free port — read it back via OnObserveStart) for the
-// duration of Run: Prometheus text at /metrics, the full JSON snapshot
-// at /snapshot, the sampled lifecycle trace at /trace (when TraceEvery
-// enabled it), and a liveness probe at /healthz. The server starts
-// before the first tuple flows and stops after the last result reaches
-// the sink.
-func (q *Query) ObserveAddr(addr string) *Query {
-	if addr == "" {
-		return q.errf("empty observe address")
-	}
-	q.obsAddr = addr
-	return q
-}
-
-// ObserveEvery sets the reporter's snapshot period (default 250ms).
-func (q *Query) ObserveEvery(d time.Duration) *Query {
-	if d <= 0 {
-		return q.errf("observe period %v must be positive", d)
-	}
-	q.obsEvery = d
-	return q
-}
+// ServeObservability serves ins over HTTP on lis until stop is called:
+// Prometheus text at /metrics, the JSON snapshot at /snapshot, the
+// sampled lifecycle trace at /trace, and a liveness probe at /healthz.
+// The caller binds lis, so its address is known before Run, and the
+// server may outlive one run: give the same ins to each query (or to a
+// ServeShard query) with ObserveWith.
+var ServeObservability = obs.Serve
 
 // ObserveWith directs the run's telemetry into caller-owned
 // instruments, for embedding: the query counts into ins (one bundle per
 // window worker, ins.Checkpoint() for a checkpointed run) and registers
 // its probes there, and the caller snapshots it (ins.Snapshot), takes
-// its ins.Summarize() or serves it however it likes, during and after
-// the run. Implies observation even without ObserveAddr.
+// its ins.Summarize() or serves it (ServeObservability), during and
+// after the run.
 func (q *Query) ObserveWith(ins *Instruments) *Query {
 	if ins == nil {
 		return q.errf("nil instruments")
 	}
 	q.obsInto = ins
-	return q
-}
-
-// TraceEvery records the lifecycle of every nth tuple (and every nth
-// window) into a bounded in-memory ring of cap events (≤ 0 selects
-// 4096), served at /trace. n = 1 traces everything — fine for tests,
-// expensive in production.
-func (q *Query) TraceEvery(n, cap int) *Query {
-	if n < 1 {
-		return q.errf("trace sampling period %d must be ≥ 1", n)
-	}
-	q.traceEvery = n
-	q.traceCap = cap
-	return q
-}
-
-// OnObserveStart registers a callback invoked with the observability
-// server's bound address once it is listening (useful with ":0").
-func (q *Query) OnObserveStart(fn func(addr string)) *Query {
-	q.obsStarted = fn
 	return q
 }
 
@@ -746,16 +705,12 @@ func (q *Query) Run(sink func(worker int, r Result)) (Summary, error) {
 	// reg is the run's telemetry registry either way (the worker bundles
 	// the Summary is computed from live there); ins is the same registry
 	// when the run is observed and nil otherwise, which is the engine's
-	// switch for its live probes. The adaptive controller is fed from the
-	// reporter's snapshots, so enabling it implies observing.
-	observing := q.obsAddr != "" || q.obsInto != nil || q.traceEvery > 0 || controllerOn
+	// switch for its live probes. The adaptive controller is fed from
+	// snapshots of it, so enabling it implies observing.
 	var ins *obs.Instruments
-	if observing {
+	if q.obsInto != nil || controllerOn {
 		ins = reg
 		ins.SetSpillPlane(plane)
-		if q.traceEvery > 0 && ins.Trace() == nil {
-			ins.EnableTrace(q.traceEvery, q.traceCap)
-		}
 	}
 
 	// The controller's cells are created before the manager factory runs
@@ -846,27 +801,10 @@ func (q *Query) Run(sink func(worker int, r Result)) (Summary, error) {
 		tp.SetFabric(q.newFabric(coord, ins))
 	}
 
-	// Start the reporter (and the opt-in HTTP server) before the first
-	// tuple flows, so a scraper sees the full family schema from the
-	// run's first instant; stop both after the pipeline has drained
-	// (server first, then reporter — LIFO defers).
-	if ins != nil {
-		rep := obs.NewReporter(ins, q.obsEvery)
-		if ctrl != nil {
-			rep.OnSnapshot(ctrl.Observe)
-		}
-		rep.Start()
-		defer rep.Stop()
-		if q.obsAddr != "" {
-			srv := obs.NewServer(ins, rep)
-			if err := srv.Start(q.obsAddr); err != nil {
-				return Summary{}, fmt.Errorf("spear: %s: %w", q.name, err)
-			}
-			defer srv.Stop()
-			if q.obsStarted != nil {
-				q.obsStarted(srv.Addr())
-			}
-		}
+	// The controller's tick starts before the first tuple flows and takes
+	// its last snapshot after the pipeline has drained.
+	if ctrl != nil {
+		defer ctrl.Start(ins)()
 	}
 
 	runErr := tp.Run()

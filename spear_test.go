@@ -86,7 +86,7 @@ func TestPaperExampleCQ(t *testing.T) {
 		Source(FromSlice(in)).
 		SlidingWindow(15*time.Minute, 5*time.Minute).
 		Percentile(func(t Tuple) float64 { return t.Vals[1].AsFloat() }, 0.95).
-		BudgetBytes(1<<20).
+		BudgetTuples(124_998). // the paper's .budget(1MB)
 		Error(0.10, 0.95).
 		Run(sink.add)
 	if err != nil {
@@ -325,7 +325,6 @@ func TestQueryValidationErrors(t *testing.T) {
 		{"no agg", NewQuery("q").Source(src).TumblingWindow(1)},
 		{"double agg", NewQuery("q").Source(src).TumblingWindow(1).Mean(mean).Sum(mean)},
 		{"bad budget", NewQuery("q").Source(src).TumblingWindow(1).Mean(mean).BudgetTuples(-1)},
-		{"bad bytes", NewQuery("q").Source(src).TumblingWindow(1).Mean(mean).BudgetBytes(0)},
 		{"bad par", NewQuery("q").Source(src).TumblingWindow(1).Mean(mean).Parallelism(0)},
 		{"nil group", NewQuery("q").Source(src).TumblingWindow(1).GroupBy(nil).Mean(mean)},
 		{"bad known", NewQuery("q").Source(src).TumblingWindow(1).Mean(mean).KnownGroups(0)},
@@ -333,6 +332,8 @@ func TestQueryValidationErrors(t *testing.T) {
 		{"nil value", NewQuery("q").Source(src).TumblingWindow(1).Mean(nil)},
 		{"bad eps", NewQuery("q").Source(src).TumblingWindow(1).Mean(mean).Error(2, 0.95)},
 		{"ahead without workers", NewQuery("q").Source(src).TumblingWindow(1).Median(mean).SpillAhead(2)},
+		{"negative watermark lag", NewQuery("q").Source(src).TumblingWindow(1).Mean(mean).WatermarkEvery(time.Second, -time.Millisecond)},
+		{"negative watermark period", NewQuery("q").Source(src).TumblingWindow(1).Mean(mean).WatermarkEvery(-time.Second, 0)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -357,15 +358,14 @@ func TestQueryValidationErrors(t *testing.T) {
 // flag or a test shows a behaviour the default lacks.
 func TestQueryMethodSet(t *testing.T) {
 	want := []string{
-		"AdaptiveBudget", "BatchSize", "BudgetBytes", "BudgetTuples", "CheckpointEvery",
-		"Columnar", "Count", "CountSlidingWindow", "CountTumblingWindow", "CustomAgg",
-		"DisableIncremental", "Distribute", "Error", "EstimateGroupedWith", "EstimateScalarWith",
-		"GroupBy", "KnownGroups", "LatencySLO", "Map", "Max",
-		"Mean", "Median", "Min", "ObserveAddr", "ObserveEvery",
-		"ObserveWith", "OnObserveStart", "Parallelism", "Percentile", "QueueSize",
-		"Recover", "Run", "Seed", "ServeShard", "SlidingWindow",
-		"Source", "SpillAhead", "SpillStore", "SpillWorkers", "StdDev",
-		"Sum", "TraceEvery", "TumblingWindow", "Variance", "WatermarkEvery",
+		"AdaptiveBudget", "BatchSize", "BudgetTuples", "CheckpointEvery", "Columnar",
+		"Count", "CountSlidingWindow", "CountTumblingWindow", "CustomAgg", "DisableIncremental",
+		"Distribute", "Error", "EstimateGroupedWith", "EstimateScalarWith", "GroupBy",
+		"KnownGroups", "LatencySLO", "Map", "Max", "Mean",
+		"Median", "Min", "ObserveWith", "Parallelism", "Percentile",
+		"QueueSize", "Recover", "Run", "Seed", "ServeShard",
+		"SlidingWindow", "Source", "SpillAhead", "SpillStore", "SpillWorkers",
+		"StdDev", "Sum", "TumblingWindow", "Variance", "WatermarkEvery",
 		"WithBackend",
 	}
 	typ := reflect.TypeOf((*Query)(nil))
@@ -444,8 +444,8 @@ func TestCustomSpillStore(t *testing.T) {
 }
 
 // TestExactBackendWithBufferBudget: the exact backend keeps its windows
-// in memory whatever the budget. A BudgetBytes far below the ~80KB
-// window changes nothing: every sum is exact and the store is never
+// in memory whatever the budget. A budget of 248 tuples, far below the
+// 1000-tuple window, changes nothing: every sum is exact and the store is never
 // called.
 func TestExactBackendWithBufferBudget(t *testing.T) {
 	var in []Tuple
@@ -459,7 +459,7 @@ func TestExactBackendWithBufferBudget(t *testing.T) {
 		TumblingWindow(1000 * time.Nanosecond).
 		Sum(func(t Tuple) float64 { return t.Vals[0].AsFloat() }).
 		WithBackend(BackendExact).
-		BudgetBytes(2000).
+		BudgetTuples(248).
 		SpillStore(store).
 		Run(sink.add)
 	if err != nil {
