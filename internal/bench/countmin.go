@@ -38,7 +38,7 @@ func NewCountMinManager(spec window.Spec, keyBy tuple.KeyExtractor, value tuple.
 	if keyBy == nil || value == nil {
 		return nil, fmt.Errorf("bench: CountMin baseline needs key and value extractors")
 	}
-	buf, err := window.NewSingleBuffer(window.Config{Spec: spec})
+	buf, err := window.NewSingleBuffer(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -54,10 +54,7 @@ func NewCountMinManager(spec window.Spec, keyBy tuple.KeyExtractor, value tuple.
 
 // OnTuple implements core.Manager.
 func (m *CountMinManager) OnTuple(t tuple.Tuple) ([]core.Result, error) {
-	completes, err := m.buf.OnTuple(t)
-	if err != nil {
-		return nil, err
-	}
+	completes := m.buf.OnTuple(t)
 	m.met.TuplesIn.Add(1)
 	m.met.MemBytes.Set(int64(m.MemUsage()))
 	return m.produceAll(completes, 0), nil
@@ -66,10 +63,7 @@ func (m *CountMinManager) OnTuple(t tuple.Tuple) ([]core.Result, error) {
 // OnWatermark implements core.Manager.
 func (m *CountMinManager) OnWatermark(wm int64) ([]core.Result, error) {
 	t0 := m.now()
-	completes, err := m.buf.OnWatermark(wm)
-	if err != nil {
-		return nil, err
-	}
+	completes := m.buf.OnWatermark(wm)
 	if len(completes) == 0 {
 		return nil, nil
 	}

@@ -27,7 +27,7 @@ func NewExactManager(cfg Config) (*ExactManager, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	buf, err := window.NewSingleBuffer(window.Config{Spec: cfg.Spec})
+	buf, err := window.NewSingleBuffer(cfg.Spec)
 	if err != nil {
 		return nil, err
 	}
@@ -37,10 +37,7 @@ func NewExactManager(cfg Config) (*ExactManager, error) {
 // OnTuple implements Manager.
 func (m *ExactManager) OnTuple(t tuple.Tuple) ([]Result, error) {
 	late0 := m.buf.LateDropped()
-	completes, err := m.buf.OnTuple(t)
-	if err != nil {
-		return nil, err
-	}
+	completes := m.buf.OnTuple(t)
 	if m.cfg.countIngest(1, m.buf.LateDropped()-late0) {
 		m.cfg.Metrics.MemBytes.Set(int64(m.buf.MemUsage()))
 	}
@@ -50,10 +47,7 @@ func (m *ExactManager) OnTuple(t tuple.Tuple) ([]Result, error) {
 // OnWatermark implements Manager.
 func (m *ExactManager) OnWatermark(wm int64) ([]Result, error) {
 	t0 := m.now()
-	completes, err := m.buf.OnWatermark(wm)
-	if err != nil {
-		return nil, err
-	}
+	completes := m.buf.OnWatermark(wm)
 	if len(completes) == 0 {
 		return nil, nil
 	}

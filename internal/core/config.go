@@ -7,8 +7,8 @@
 // variance for grouped operations). At watermark arrival it estimates
 // the accuracy ε̂_w achievable from the budget contents; if ε̂_w ≤ ε it
 // emits the approximate result R̂_w at O(b) cost, otherwise it processes
-// the whole window exactly — fetching it from secondary storage S if it
-// was never buffered — at the same cost as a conventional SPE.
+// the whole window exactly — fetching it back from secondary storage S,
+// since no window is buffered — at the same cost as a conventional SPE.
 package core
 
 import (
@@ -62,8 +62,10 @@ type Config struct {
 	// submission ... SPEAr produces R̂_w at a minimal cost").
 	KnownGroups int
 
-	// Store is the secondary storage S every tuple is archived to
-	// (scalar operations) and exact fallbacks read from.
+	// Store is the secondary storage S every tuple is archived to and
+	// exact fallbacks read from; a query whose moments answer every
+	// window (non-holistic, no DisableIncremental, groups unknown if
+	// grouped) never calls it.
 	Store storage.SpillStore
 	// Key namespaces this worker's segments in Store.
 	Key string

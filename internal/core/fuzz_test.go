@@ -23,6 +23,14 @@ func FuzzManagerRestore(f *testing.F) {
 		if err != nil {
 			panic(err)
 		}
+		// Groups unknown and a holistic aggregate: the manager archives.
+		// Its 'g' blob nested a window buffer's (the checked-in
+		// grouped_g_buffered seed).
+		gcfg.Agg = agg.Median()
+		median, err := NewGroupedManager(gcfg)
+		if err != nil {
+			panic(err)
+		}
 		exact, err := NewExactManager(mkCfg(agg.Func{Op: agg.Mean}, 64))
 		if err != nil {
 			panic(err)
@@ -31,7 +39,7 @@ func FuzzManagerRestore(f *testing.F) {
 		if err != nil {
 			panic(err)
 		}
-		return []Manager{scalar, grouped, exact, inc}
+		return []Manager{scalar, grouped, median, exact, inc}
 	}
 
 	// Seed with each manager's own canonical snapshot, empty and after

@@ -14,26 +14,17 @@ import (
 )
 
 // GroupedManager is the SPEAr window manager for grouped stateful
-// operations (§4.1 "Grouped"). Its architecture depends on whether the
-// number of distinct groups is known at CQ submission:
-//
-// Unknown groups (the general case): grouped results must contain every
-// distinct group, and a stratified sample cannot be built online without
-// knowing group frequencies, so the window's tuples are buffered by the
-// ordinary single-buffer design while the budget b accumulates each
-// group's frequency and value variance. At watermark arrival the manager
-// derives a congressional sample allocation from the frequencies,
-// estimates the L1-aggregated error, and — when the check passes —
-// builds the stratified sample during the eviction scan the
-// single-buffer design performs anyway, aggregating only the sample
-// instead of the whole window.
-//
-// Known groups (Config.KnownGroups > 0): the budget is divided equally
-// and per-group reservoirs are filled at tuple arrival, so the window is
-// never buffered at all — tuples are archived to secondary storage S
-// exactly like the scalar path, the accelerated result costs O(b) with
-// no scan ("no scans of S_w are needed and SPEAr produces R̂_w at a
-// minimal cost"), and a failed check fetches the window back from S.
+// operations (§4.1 "Grouped"). Per open window it keeps in the budget b
+// each group's frequency and moments and, with the group count declared
+// at submission (Config.KnownGroups > 0), a reservoir per group filled
+// at arrival. No window buffers its tuples. As on the scalar path
+// (DESIGN.md §8, deviation 7) every admitted tuple goes to secondary
+// storage S unless the moments answer every window (non-holistic,
+// groups unknown, DisableIncremental off): then S is never touched. A
+// fire answers from the moments; from the reservoirs, O(b) with no scan;
+// or, groups unknown and b holding a slot per group, from a stratified
+// sample of the window fetched from S. Where ε̂_w > ε or b cannot hold
+// the groups, the window is fetched from S and processed whole.
 type GroupedManager struct {
 	cfg Config
 	est GroupedEstimator
@@ -47,18 +38,8 @@ type GroupedManager struct {
 	shed  bool
 	sheds int64
 
-	// Buffered path (unknown groups).
-	buf *window.SingleBuffer
-	// Arrival-sampled path (known groups).
-	arc *archive
-
-	// lc is the window lifecycle both paths ingest and fire by: own on
-	// the known path, and on the buffered path the buffer's, borrowed.
-	// The buffer decides which windows a fire stages; a cursor of the
-	// manager's beside the buffer's could only disagree with it
-	// (DESIGN.md §20), so there own stays unused.
-	lc  *window.Lifecycle
-	own window.Lifecycle
+	arc *archive // nil when the moments answer every window
+	lc  window.Lifecycle
 
 	// Grouped state (DESIGN.md, "Grouped state layout"): one key
 	// dictionary for the manager, and per open window arrays indexed
@@ -109,40 +90,17 @@ func NewGroupedManager(cfg Config) (*GroupedManager, error) {
 		cfg:       cfg,
 		est:       est,
 		curBudget: cfg.BudgetTuples,
+		lc:        window.NewLifecycle(cfg.Spec),
 		dict:      sample.NewKeyDict(),
 		wins:      make(map[window.ID]*groupedWin),
 		now:       cfg.clock(),
 	}
 	cfg.Metrics.BudgetTuples.Set(int64(m.curBudget))
-	if cfg.KnownGroups > 0 {
+	if cfg.KnownGroups > 0 || !cfg.Agg.Incremental() || cfg.DisableIncremental {
+		// A window the moments do not answer can need its tuples back.
 		m.arc = newArchive(cfg.Store, cfg.Key, cfg.Spec, cfg.ArchiveChunk, cfg.DeferStoreDeletes)
-		m.own = window.NewLifecycle(cfg.Spec)
-		m.lc = &m.own
-	} else {
-		buf, err := window.NewSingleBuffer(window.Config{
-			Spec: cfg.Spec,
-			// Windows answered from per-group metadata never need
-			// their tuples materialized; the evict scan is the only
-			// window-time tuple work SPEAr pays (§4.2: "this scan is
-			// already required by the single buffer design").
-			SkipCollect: m.incrementalApplies,
-		})
-		if err != nil {
-			return nil, err
-		}
-		m.buf, m.lc = buf, buf.Lifecycle()
 	}
 	return m, nil
-}
-
-// incrementalApplies reports whether window id will be produced from
-// per-group metadata alone (the non-holistic grouped fast path).
-func (m *GroupedManager) incrementalApplies(id window.ID) bool {
-	if !m.cfg.Agg.Incremental() || m.cfg.DisableIncremental {
-		return false
-	}
-	w, ok := m.wins[id]
-	return ok && w.gs.Len() > 0 && w.gs.Len() <= m.curBudget
 }
 
 // perGroupCap divides the live budget equally across the declared
@@ -150,7 +108,7 @@ func (m *GroupedManager) incrementalApplies(id window.ID) bool {
 // than budget tuples there is no per-group allocation that respects the
 // aggregate budget (the old floor-to-1 let the sample grow to
 // KnownGroups tuples, silently exceeding b and disagreeing with the
-// buffered path's ≤ b gate). Zero means "no reservoirs" — windows
+// unknown-groups path's ≤ b gate). Zero means "no reservoirs" — windows
 // opened under it carry metadata only and are answered exactly.
 func (m *GroupedManager) perGroupCap() int {
 	return m.curBudget / m.cfg.KnownGroups
@@ -241,16 +199,17 @@ func (m *GroupedManager) SetBudget(b int) {
 	m.cfg.Metrics.BudgetTuples.Set(int64(b))
 }
 
-// canShed reports whether shedding is meaningful right now: only the
-// known-groups path archives tuples (the buffered path has nothing to
-// skip), and only while reservoirs exist to answer from afterwards.
+// canShed reports whether shedding is meaningful right now: only while
+// reservoirs exist to answer from once archive writes were skipped,
+// i.e. on the known-groups path with a per-group capacity.
 func (m *GroupedManager) canShed() bool {
-	return m.arc != nil && m.cfg.KnownGroups > 0 && m.perGroupCap() > 0
+	return m.cfg.KnownGroups > 0 && m.perGroupCap() > 0
 }
 
-// SetShedding turns archive-write shedding on or off. Refused when the
-// manager has no archive or no reservoir capacity — shedding with no
-// sample to fall back on would leave windows unanswerable.
+// SetShedding turns archive-write shedding on or off. Refused where no
+// reservoir could answer afterwards — groups unknown, or no reservoir
+// capacity: shedding with no sample to fall back on would leave windows
+// unanswerable.
 func (m *GroupedManager) SetShedding(on bool) {
 	m.shed = on && m.canShed()
 }
@@ -266,7 +225,7 @@ func (m *GroupedManager) OnTuple(t tuple.Tuple) ([]Result, error) {
 // the keys where it needs them.
 func (m *GroupedManager) OnTupleBatch(rows []tuple.Tuple) ([]Result, error) {
 	m.syncControl()
-	m.scr.read(rows, m.lc, m.cfg.Value)
+	m.scr.read(rows, &m.lc, m.cfg.Value)
 	return m.ingestRun(m.scr.pos, m.scr.vals, rows, nil, nil)
 }
 
@@ -279,9 +238,9 @@ func (m *GroupedManager) OnTupleBatch(rows []tuple.Tuple) ([]Result, error) {
 // group ids of an admitted run are resolved once — so a late run never
 // assigns a dictionary id, and a key is hashed once however many
 // windows it falls into — each open window folds the run in arrival
-// order, and the run goes to the buffer (unknown groups) or the archive
-// (known groups). A count-domain window completes exactly at the end of
-// a run, so there the kernel fires after each run.
+// order, and the run goes to the archive, if the manager has one. A
+// count-domain window completes exactly at the end of a run, so there
+// the kernel fires after each run.
 func (m *GroupedManager) ingestRun(ts []int64, vals []float64, rows []tuple.Tuple, codes []int32, dict []string) ([]Result, error) {
 	count := m.cfg.Spec.Domain == window.CountDomain
 	var out []Result
@@ -295,42 +254,28 @@ func (m *GroupedManager) ingestRun(ts []int64, vals []float64, rows []tuple.Tupl
 		if !ok {
 			return // late: neither folded nor archived
 		}
-		if m.buf != nil && first < 0 {
-			// The buffered path holds no metadata for the windows that
-			// start before position 0 and answers them from the buffer,
-			// exactly. Folding them changes their Mode, which no PR that
-			// promises identical results can do (DESIGN.md §20).
-			first = 0
-		}
-		if first <= hi {
-			ids := m.groupIDs(rows[i0:i1], codes, i0, dict)
-			run := vals[i0:i1]
-			for id := first; id <= hi; id++ {
-				w, ok := m.wins[id] // once per run: the map will do
-				if !ok {
-					w = m.open(id)
-				}
+		ids := m.groupIDs(rows[i0:i1], codes, i0, dict)
+		run := vals[i0:i1]
+		for id := first; id <= hi; id++ {
+			w, ok := m.wins[id] // once per run: the map will do
+			if !ok {
+				w = m.open(id)
+			}
+			for i, gid := range ids {
+				w.gs.AddID(gid, run[i])
+			}
+			if w.known != nil {
 				for i, gid := range ids {
-					w.gs.AddID(gid, run[i])
+					w.known.AddID(gid, run[i])
 				}
-				if w.known != nil {
-					for i, gid := range ids {
-						w.known.AddID(gid, run[i])
-					}
-				}
-				if m.shed {
-					w.tainted = true
-				}
+			}
+			if m.shed {
+				w.tainted = true
 			}
 		}
-		var rs []Result
 		switch {
-		case m.buf != nil:
-			var completes []window.Complete
-			completes, err = m.buf.AddRun(ts[i0:i1], rows[i0:i1])
-			if len(completes) > 0 { // count-domain windows close on arrival
-				rs = m.produceBuffered(completes, 0)
-			}
+		case m.arc == nil:
+			// The moments answer every window: nothing to fetch.
 		case m.shed:
 			// Load shedding: skip the archive write — the saturating
 			// per-tuple cost under overload. Group metadata and the
@@ -341,10 +286,11 @@ func (m *GroupedManager) ingestRun(ts []int64, vals []float64, rows []tuple.Tupl
 		default:
 			err = m.arc.addRun(int64(hi), ts[i0:i1], rows[i0:i1])
 		}
-		if count && m.arc != nil && err == nil {
-			rs, err = m.fireKnown(m.lc.Seq())
+		if count && err == nil {
+			var rs []Result
+			rs, err = m.fire(m.lc.Seq())
+			out = append(out, rs...)
 		}
-		out = append(out, rs...)
 	})
 	for _, c := range m.scr.mapped {
 		m.scr.codeIDs[c] = 0 // all zero again for the next batch
@@ -384,39 +330,23 @@ func (m *GroupedManager) OnWatermark(wm int64) ([]Result, error) {
 	if m.cfg.Spec.Domain == window.CountDomain {
 		return nil, nil
 	}
-	if m.arc != nil {
-		return m.fireKnown(wm)
-	}
-	t0 := m.now()
-	completes, err := m.buf.OnWatermark(wm)
-	if err != nil {
-		return nil, err
-	}
-	if len(completes) == 0 {
-		return nil, nil
-	}
-	// The single-buffer trigger scan (collect + evict) just ran for
-	// all fired windows at once; attribute its cost evenly.
-	scanShare := m.now().Sub(t0) / time.Duration(len(completes))
-	return m.produceBuffered(completes, scanShare), nil
+	return m.fire(wm)
 }
 
-// ---- arrival-sampled path (known groups) ----
-
-func (m *GroupedManager) fireKnown(wm int64) ([]Result, error) {
+// fire answers the open windows wm closes, in id order, and evicts what
+// lies wholly before the oldest window still open.
+func (m *GroupedManager) fire(wm int64) ([]Result, error) {
 	first, last, ok := m.lc.Complete(wm)
 	if !ok {
 		return nil, nil
 	}
 	var out []Result
 	for _, id := range window.IDsIn(m.wins, first, last) {
-		r, err := m.produceKnown(id)
+		r, err := m.produce(id)
 		if err != nil {
 			return nil, err
 		}
-		if r != nil {
-			out = append(out, *r)
-		}
+		out = append(out, r)
 		m.close(id)
 	}
 	start, _ := m.cfg.Spec.Bounds(m.lc.NextOpen())
@@ -427,37 +357,64 @@ func (m *GroupedManager) fireKnown(wm int64) ([]Result, error) {
 	return out, nil
 }
 
-func (m *GroupedManager) produceKnown(id window.ID) (*Result, error) {
-	w, ok := m.wins[id]
-	if !ok {
-		return nil, nil // window received no tuples
-	}
+// produce runs Alg. 2 for window id.
+func (m *GroupedManager) produce(id window.ID) (Result, error) {
+	w := m.wins[id]
 	t0 := m.now()
-	startPos, endPos := m.cfg.Spec.Bounds(id)
+	start, end := m.cfg.Spec.Bounds(id)
 	res := Result{
-		WindowID: id, Start: startPos, End: endPos, N: w.gs.Total(),
+		WindowID: id, Start: start, End: end, N: w.gs.Total(),
 		Epsilon: m.cfg.Epsilon, Confidence: m.cfg.Confidence, Budget: m.curBudget,
 	}
+	if m.arc == nil {
+		// The per-group frequency and variance SPEAr keeps in b (§4.1)
+		// determine count/sum/mean/variance exactly: R_w in O(‖S_w‖), the
+		// grouped form of the scalar incremental path. Where b cannot
+		// hold the groups "SPEAr reverts back to normal processing": the
+		// same moments, exact up to summation order, labelled so.
+		res.Mode = ModeIncremental
+		if w.gs.Len() > m.curBudget {
+			res.Mode = ModeExact
+		}
+		m.fromMoments(&res, w.gs)
+		res.SampleN = int(res.N)
+		m.cfg.countFire(&res, m.now().Sub(t0))
+		return res, nil
+	}
 
+	// The stratified sample's allocation: the reservoirs' sizes where
+	// they were filled at arrival, or the congressional allocation over
+	// the frequencies where b holds a slot per group.
+	var alloc map[string]int
+	switch {
+	case w.known != nil:
+		alloc = make(map[string]int, w.known.Len())
+		w.known.Each(func(key string, r *sample.Reservoir) { alloc[key] = r.Len() })
+	case m.cfg.KnownGroups == 0 && w.gs.Len() <= m.curBudget:
+		alloc = w.gs.CongressAllocate(m.curBudget)
+	}
 	var estErr float64
 	estOK := false
-	if w.known != nil {
-		alloc := make(map[string]int, w.known.Len())
-		w.known.Each(func(key string, r *sample.Reservoir) { alloc[key] = r.Len() })
-		state := GroupedState{
+	if alloc != nil {
+		estErr, estOK = m.est(GroupedState{
 			Groups: w.gs, Alloc: alloc, N: res.N,
 			Epsilon: m.cfg.Epsilon, Confidence: m.cfg.Confidence, Agg: m.cfg.Agg,
-		}
-		estErr, estOK = m.est(state)
+		})
 	}
+	var err error
 	switch {
 	case estOK && estErr <= m.cfg.Epsilon:
-		// The stratified sample was built at tuple arrival: O(b). A
-		// shed (tainted) window lands here too when its bound passes —
-		// the contract is met and the shed stays invisible.
+		// Only the stratified sample is aggregated: built at arrival,
+		// O(b), or, groups unknown, in one pass over the window fetched
+		// from S. A shed (tainted) window lands here too when its bound
+		// passes — the contract is met and the shed stays invisible.
 		res.Mode = ModeSampled
 		res.EstError = estErr
-		m.fromReservoirs(&res, w.known)
+		if w.known != nil {
+			m.fromReservoirs(&res, w.known)
+		} else {
+			err = m.fromStrata(&res, w.gs, alloc)
+		}
 	case w.tainted:
 		// The accuracy check failed but shedding skipped archive
 		// writes for this window: its pane set in S is incomplete, so
@@ -486,17 +443,19 @@ func (m *GroupedManager) produceKnown(id window.ID) (*Result, error) {
 			}
 		}
 	default:
-		m.cfg.Metrics.EstimationFailures.Add(1)
-		ts, err := m.arc.fetch(startPos, endPos)
-		if err != nil {
-			return nil, fmt.Errorf("core: grouped exact fallback window %d: %w", id, err)
+		// A check that ran and failed, or the known path, which always
+		// checks: ε̂_w > ε. Process the whole window from S (Alg. 2
+		// line 5).
+		if alloc != nil || m.cfg.KnownGroups > 0 {
+			m.cfg.Metrics.EstimationFailures.Add(1)
 		}
-		m.exact(&res, ts)
-		res.N = int64(len(ts))
-		res.FetchedFromStore = true
+		err = m.exact(&res)
+	}
+	if err != nil {
+		return res, fmt.Errorf("core: grouped window %d: %w", id, err)
 	}
 	m.cfg.countFire(&res, m.now().Sub(t0))
-	return &res, nil
+	return res, nil
 }
 
 // fromMoments answers every group of res from its frequency/variance
@@ -520,128 +479,70 @@ func (m *GroupedManager) fromReservoirs(res *Result, known *sample.GroupReservoi
 	})
 }
 
-// keysVals projects tuples onto parallel key and value slices.
-func (m *GroupedManager) keysVals(ts []tuple.Tuple) ([]string, []float64) {
+// fetch returns the keys and values of the archived tuples of
+// [start, end), in archive order.
+func (m *GroupedManager) fetch(start, end int64) ([]string, []float64, error) {
+	ts, err := m.arc.fetch(start, end)
+	if err != nil {
+		return nil, nil, err
+	}
 	keys := make([]string, len(ts))
 	vals := make([]float64, len(ts))
 	for i, t := range ts {
 		keys[i] = m.cfg.KeyBy(t)
 		vals[i] = m.cfg.Value(t)
 	}
-	return keys, vals
+	return keys, vals, nil
+}
+
+// fromStrata answers every group of res from a stratified sample of the
+// window [res.Start, res.End) drawn to alloc.
+func (m *GroupedManager) fromStrata(res *Result, gs *sample.GroupStats, alloc map[string]int) error {
+	keys, vals, err := m.fetch(res.Start, res.End)
+	if err != nil {
+		return err
+	}
+	strata := sample.StratifiedFromBuffer(keys, vals, alloc, sample.DeriveSeed(m.cfg.Seed, int64(res.WindowID)))
+	res.Groups = make(map[string]float64, len(strata))
+	res.SampleN = 0
+	for key, sv := range strata {
+		res.Groups[key] = m.cfg.Agg.Estimate(sv, gs.Get(key).Count())
+		res.SampleN += len(sv)
+	}
+	return nil
 }
 
 // exact answers res with the full grouped aggregate over the window's
-// tuples (cost identical to the exact engine).
-func (m *GroupedManager) exact(res *Result, ts []tuple.Tuple) {
-	keys, vals := m.keysVals(ts)
+// tuples fetched from S (cost identical to the exact engine).
+func (m *GroupedManager) exact(res *Result) error {
+	keys, vals, err := m.fetch(res.Start, res.End)
+	if err != nil {
+		return err
+	}
 	res.Mode = ModeExact
 	res.Groups = agg.ComputeGrouped(keys, vals, m.cfg.Agg)
+	res.N = int64(len(vals))
 	res.SampleN = len(vals)
+	res.FetchedFromStore = true
+	return nil
 }
 
-// ---- buffered path (unknown groups) ----
-
-func (m *GroupedManager) produceBuffered(completes []window.Complete, scanShare time.Duration) []Result {
-	out := make([]Result, 0, len(completes))
-	for _, c := range completes {
-		r := m.produceFromWindow(c, scanShare)
-		out = append(out, r)
-		m.close(c.ID)
-	}
-	m.cfg.Metrics.MemBytes.Set(int64(m.MemUsage()))
-	return out
-}
-
-func (m *GroupedManager) produceFromWindow(c window.Complete, scanShare time.Duration) Result {
-	t0 := m.now()
-	res := Result{
-		WindowID:   c.ID,
-		Start:      c.Start,
-		End:        c.End,
-		N:          int64(len(c.Tuples)),
-		Epsilon:    m.cfg.Epsilon,
-		Confidence: m.cfg.Confidence,
-		Budget:     m.curBudget,
-	}
-	w := m.wins[c.ID]
-	if c.Uncollected && w != nil {
-		res.N = w.gs.Total()
-	}
-
-	accelerated := false
-	if m.incrementalApplies(c.ID) {
-		// Non-holistic grouped fast path: the per-group frequency
-		// and variance SPEAr keeps in the budget (§4.1) already
-		// determine count/sum/mean/variance exactly, so R_w comes
-		// straight from the metadata in O(‖S_w‖) — no sample, no
-		// second look at the window's tuples. This is the grouped
-		// form of the incremental optimization SPEAr applies to
-		// non-holistic scalar operations.
-		res.Mode = ModeIncremental
-		m.fromMoments(&res, w.gs)
-		res.SampleN = int(res.N)
-		accelerated = true
-	}
-	if !accelerated && w != nil && w.gs.Len() > 0 && w.gs.Len() <= m.curBudget {
-		alloc := w.gs.CongressAllocate(m.curBudget)
-		state := GroupedState{
-			Groups: w.gs, Alloc: alloc, N: res.N,
-			Epsilon: m.cfg.Epsilon, Confidence: m.cfg.Confidence, Agg: m.cfg.Agg,
-		}
-		if estErr, ok := m.est(state); ok && estErr <= m.cfg.Epsilon {
-			// Build the stratified sample in one pass over the
-			// staged window (the scan the single-buffer design
-			// already paid for evicting) and aggregate only the
-			// sample.
-			res.Mode = ModeSampled
-			res.EstError = estErr
-			keys, vals := m.keysVals(c.Tuples)
-			strata := sample.StratifiedFromBuffer(keys, vals, alloc, sample.DeriveSeed(m.cfg.Seed, int64(c.ID)))
-			res.Groups = make(map[string]float64, len(strata))
-			sn := 0
-			for key, sv := range strata {
-				res.Groups[key] = m.cfg.Agg.Estimate(sv, w.gs.Get(key).Count())
-				sn += len(sv)
-			}
-			res.SampleN = sn
-			accelerated = true
-		} else {
-			m.cfg.Metrics.EstimationFailures.Add(1)
-		}
-	}
-
-	if !accelerated {
-		// Normal processing: the whole window.
-		m.exact(&res, c.Tuples)
-	}
-	m.cfg.countFire(&res, m.now().Sub(t0)+scanShare)
-	return res
-}
-
-// PrefetchWatermark implements the engine's Prefetcher hook for the
-// arrival-sampled (known groups) path: warm the spill plane's cache
-// with the panes of the next SpillAhead windows. The buffered path
-// keeps its window in memory (spilling only past the budget) and does
-// not prefetch.
+// PrefetchWatermark implements the engine's Prefetcher hook: warm the
+// spill plane's cache with the panes of the next SpillAhead windows.
+// Without an archive there is nothing to read ahead.
 func (m *GroupedManager) PrefetchWatermark(wm int64) {
-	m.arc.prefetchAhead(m.lc, wm, m.cfg.SpillAhead)
+	m.arc.prefetchAhead(&m.lc, wm, m.cfg.SpillAhead)
 }
 
 // MemUsage implements Manager: the per-window group metadata held in
-// the budget, plus the tuple buffer (unknown groups) or transient
-// archive chunks (known groups).
+// the budget plus the transient archive chunks.
 func (m *GroupedManager) MemUsage() int { return m.BudgetMemUsage() + m.arc.memUsage() }
 
 // BudgetMemUsage is the memory used to produce results: the per-window
-// group metadata and samples charged against b, plus the tuple buffer
-// when the design requires one (unknown groups). Archive write-behind
+// group metadata and samples charged against b. Archive write-behind
 // chunks are excluded, as in ScalarManager.
 func (m *GroupedManager) BudgetMemUsage() int {
 	n := 0
-	if m.buf != nil {
-		n += m.buf.MemUsage()
-	}
 	for _, w := range m.wins {
 		n += w.gs.MemSize()
 		if w.known != nil {

@@ -12,8 +12,9 @@ import (
 )
 
 // BenchmarkGroupedIngestOverlap measures what a tuple costs the grouped
-// manager at arrival as a function of how many windows it falls into.
-// The key mix is the DEBS taxi routes' (the paper's grouped dataset):
+// manager at arrival as a function of how many windows it falls into,
+// groups unknown: for a mean, answered from the moments, and for a
+// median, whose runs also go to the archive in S. The key mix is the DEBS taxi routes' (the paper's grouped dataset):
 // 52 % of tuples over 400 hot routes, 48 % over a universe of 600 K
 // most of which a window sees once; a slide is 2500 tuples. The timer
 // runs during OnTupleBatch only — fires, and the garbage their result
@@ -41,48 +42,58 @@ func BenchmarkGroupedIngestOverlap(b *testing.B) {
 		}
 		stream[i] = tuple.New(0, tuple.Float(5+rng.Float64()*40), key)
 	}
-	for _, overlap := range []int64{1, 2, 8} {
-		b.Run(fmt.Sprintf("overlap=%d", overlap), func(b *testing.B) {
-			m, err := NewGroupedManager(Config{
-				Spec:    window.Spec{Domain: window.TimeDomain, Range: overlap * perSlide, Slide: perSlide},
-				Agg:     agg.Func{Op: agg.Mean},
-				Value:   tuple.FieldFloat(0),
-				KeyBy:   tuple.FieldString(1),
-				Epsilon: 0.10, Confidence: 0.95, BudgetTuples: 1 << 20,
-				Store: storage.NewMemStore(), Key: "bench", Seed: 1,
+	for _, a := range []struct {
+		name string
+		f    agg.Func
+	}{{"mean", agg.Func{Op: agg.Mean}}, {"median", agg.Median()}} {
+		for _, overlap := range []int64{1, 2, 8} {
+			b.Run(fmt.Sprintf("%s/overlap=%d", a.name, overlap), func(b *testing.B) {
+				benchGroupedIngest(b, a.f, overlap, perSlide, stream)
 			})
-			if err != nil {
+		}
+	}
+}
+
+// benchGroupedIngest is one cell of BenchmarkGroupedIngestOverlap.
+func benchGroupedIngest(b *testing.B, f agg.Func, overlap, perSlide int64, stream []tuple.Tuple) {
+	m, err := NewGroupedManager(Config{
+		Spec:    window.Spec{Domain: window.TimeDomain, Range: overlap * perSlide, Slide: perSlide},
+		Agg:     f,
+		Value:   tuple.FieldFloat(0),
+		KeyBy:   tuple.FieldString(1),
+		Epsilon: 0.10, Confidence: 0.95, BudgetTuples: 1 << 20,
+		Store: storage.NewMemStore(), Key: "bench", Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var batch [64]tuple.Tuple
+	tick := int64(0)
+	// ingest feeds n tuples, one per tick, firing at every slide
+	// boundary with the timer stopped.
+	ingest := func(n int) {
+		for n > 0 {
+			k := min(n, len(batch), int(perSlide-tick%perSlide))
+			for i := range batch[:k] {
+				batch[i] = stream[(tick+int64(i))&int64(len(stream)-1)]
+				batch[i].Ts = tick + int64(i)
+			}
+			if _, err := m.OnTupleBatch(batch[:k]); err != nil {
 				b.Fatal(err)
 			}
-			var batch [64]tuple.Tuple
-			tick := int64(0)
-			// ingest feeds n tuples, one per tick, firing at every slide
-			// boundary with the timer stopped.
-			ingest := func(n int) {
-				for n > 0 {
-					k := min(n, len(batch), int(perSlide-tick%perSlide))
-					for i := range batch[:k] {
-						batch[i] = stream[(tick+int64(i))&int64(len(stream)-1)]
-						batch[i].Ts = tick + int64(i)
-					}
-					if _, err := m.OnTupleBatch(batch[:k]); err != nil {
-						b.Fatal(err)
-					}
-					tick += int64(k)
-					n -= k
-					if tick%perSlide == 0 {
-						b.StopTimer()
-						if _, err := m.OnWatermark(tick); err != nil {
-							b.Fatal(err)
-						}
-						b.StartTimer()
-					}
+			tick += int64(k)
+			n -= k
+			if tick%perSlide == 0 {
+				b.StopTimer()
+				if _, err := m.OnWatermark(tick); err != nil {
+					b.Fatal(err)
 				}
+				b.StartTimer()
 			}
-			ingest(int(overlap+4) * perSlide)
-			b.ReportAllocs()
-			b.ResetTimer()
-			ingest(b.N)
-		})
+		}
 	}
+	ingest(int(overlap+4) * int(perSlide))
+	b.ReportAllocs()
+	b.ResetTimer()
+	ingest(b.N)
 }

@@ -46,11 +46,6 @@ func (r *diffRef) perGroup() int {
 
 func (r *diffRef) add(pos int64, key string, v float64) {
 	lo, hi := r.spec.Assign(pos)
-	if r.known == 0 && lo < 0 {
-		// The buffered path keeps no metadata for the windows that
-		// start before position 0 and answers them from the buffer.
-		lo = 0
-	}
 	for id := lo; id <= hi; id++ {
 		w := r.wins[id]
 		if w == nil {
@@ -104,9 +99,6 @@ func (r *diffRef) fired(t *testing.T, f agg.Func, rs []Result) {
 	t.Helper()
 	for _, res := range rs {
 		w := r.wins[res.WindowID]
-		if w == nil && r.known == 0 && res.WindowID < 0 {
-			continue
-		}
 		if w == nil {
 			t.Fatalf("window %d fired; the reference holds no tuples for it", res.WindowID)
 		}
@@ -126,7 +118,7 @@ func (r *diffRef) fired(t *testing.T, f agg.Func, rs []Result) {
 				}
 				want = f.Estimate(w.res[k].Items(), w.res[k].Seen())
 			default:
-				continue // recomputed from the archive or the buffer
+				continue // recomputed from the archive
 			}
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("window %d (%s) group %q = %v, reference %v", res.WindowID, res.Mode, k, got, want)
@@ -143,9 +135,6 @@ func (r *diffRef) compare(t *testing.T, m *GroupedManager, at int) {
 	}
 	live := map[string]bool{}
 	mem := 0
-	if m.buf != nil {
-		mem = m.buf.MemUsage()
-	}
 	for id, rw := range r.wins {
 		w := m.wins[id]
 		if w == nil {
@@ -345,10 +334,10 @@ func TestGroupedStateMatchesPerWindowMaps(t *testing.T) {
 // buffer's, so a tuple that was late only for windows that had fired
 // empty opened a groupedWin nothing would ever fire (the buffer had
 // dropped the tuple), and that window went on naming its group, and
-// growing every snapshot, for good. The manager now ingests by its
-// buffer's lifecycle (DESIGN.md §20), and what the test pins is that the
-// stranded window is gone: the manager holds only windows its buffer can
-// still fire, the tuple is counted as dropped, a tuple that straddles
+// growing every snapshot, for good. The manager now ingests and fires by
+// one lifecycle (DESIGN.md §20), and what the test pins is that the
+// stranded window is gone: the manager holds only windows a fire can
+// still reach, the tuple is counted as dropped, a tuple that straddles
 // the fired range reaches its open window only, and the snapshot
 // returns to its size.
 func TestGroupedIDOutlivesLaterWindows(t *testing.T) {

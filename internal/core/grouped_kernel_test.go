@@ -14,23 +14,23 @@ import (
 // refGroupedIngest is the per-tuple ingest body GroupedManager had
 // before its entry points became adapters to ingestRun, kept here as the
 // reference the kernel is held to: assignment, admission, the one hash
-// of the key, one AddID per open window, then the buffer or the archive,
-// tuple by tuple, firing after every tuple in the count domain. It
-// differs from that body in the three places PR 19 changed on purpose
-// (DESIGN.md §20), numbered below, and in that the anchor/lateness
-// decision is the lifecycle's Admit on a run of one.
+// of the key, one AddID per open window, then the archive, tuple by
+// tuple, firing after every tuple in the count domain. It differs from
+// that body in the places changed on purpose since (DESIGN.md §20),
+// numbered below, and in that the anchor/lateness decision is the
+// lifecycle's Admit on a run of one.
 func refGroupedIngest(m *GroupedManager, t tuple.Tuple) ([]Result, error) {
 	m.syncControl()
 	count := m.cfg.Spec.Domain == window.CountDomain
 	pos := m.lc.Pos(t.Ts, 0)
 	if count {
-		t.Ts = pos // panes and the buffer index by position
+		t.Ts = pos // panes index by position
 	}
 	lo, hi := m.cfg.Spec.Assign(pos)
-	// (1) One lifecycle on both paths. The buffered path used to clip by
-	// a cursor of the manager's own that no tuple ever started and that
-	// only a non-empty fire advanced, so it lagged the buffer's and
-	// opened windows the buffer had closed; m.lc is the buffer's there.
+	// (1) One lifecycle, the manager's own. Without declared groups the
+	// manager used to clip by a cursor of its own that no tuple ever
+	// started and that only a non-empty fire advanced, so it lagged its
+	// window buffer's and opened windows the buffer had closed.
 	first, ok := m.lc.Admit([]int64{pos}, lo, hi)
 	if !ok {
 		// (2) A late tuple is dropped whole, as on the scalar path: the
@@ -40,42 +40,39 @@ func refGroupedIngest(m *GroupedManager, t tuple.Tuple) ([]Result, error) {
 		// out of TuplesIn (the adapters, not this body, count).
 		return nil, nil
 	}
-	if m.buf != nil && first < 0 {
-		first = 0 // that cursor started at 0, and so this stays
-	}
-	if first <= hi {
-		gid := m.dict.ID(m.cfg.KeyBy(t))
-		val := m.cfg.Value(t)
-		for id := first; id <= hi; id++ {
-			w, ok := m.wins[id]
-			if !ok {
-				w = m.open(id)
-			}
-			w.gs.AddID(gid, val)
-			if w.known != nil {
-				w.known.AddID(gid, val)
-			}
-			if m.shed {
-				w.tainted = true
-			}
+	// (4) Windows that start before position 0 are folded like any
+	// other. Without declared groups that cursor started at 0, so the
+	// manager held no metadata for them and answered them from its
+	// buffer, ModeExact.
+	gid := m.dict.ID(m.cfg.KeyBy(t))
+	val := m.cfg.Value(t)
+	for id := first; id <= hi; id++ {
+		w, ok := m.wins[id]
+		if !ok {
+			w = m.open(id)
+		}
+		w.gs.AddID(gid, val)
+		if w.known != nil {
+			w.known.AddID(gid, val)
+		}
+		if m.shed {
+			w.tainted = true
 		}
 	}
+	// (5) Without declared groups the tuple went to a window buffer. It
+	// now goes to the archive as with them, or, where the moments answer
+	// every window, nowhere.
 	if m.arc != nil {
 		if m.shed {
 			m.sheds++
 		} else if err := m.arc.add(t); err != nil {
 			return nil, err
 		}
-		if count {
-			return m.fireKnown(m.lc.Seq())
-		}
-		return nil, nil
 	}
-	completes, err := m.buf.AddRun([]int64{pos}, []tuple.Tuple{t})
-	if err != nil || len(completes) == 0 {
-		return nil, err
+	if count {
+		return m.fire(m.lc.Seq())
 	}
-	return m.produceBuffered(completes, 0), nil
+	return nil, nil
 }
 
 // TestGroupedKernelMatchesPerTupleIngest holds every entry point of the

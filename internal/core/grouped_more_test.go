@@ -222,10 +222,11 @@ func TestScalarCountSlidingWindows(t *testing.T) {
 	}
 }
 
-// TestGroupedSkipCollectConsistency: the incremental fast path (window
-// never materialized) and the forced-sampling path see the same window
-// boundaries and sizes.
-func TestGroupedSkipCollectConsistency(t *testing.T) {
+// TestGroupedMomentsAndSampleSeeOneWindow: the incremental fast path
+// (answered from the moments, nothing archived) and the forced-sampling
+// path (a stratified sample of the window fetched from S) see the same
+// window boundaries and sizes.
+func TestGroupedMomentsAndSampleSeeOneWindow(t *testing.T) {
 	feed := func(m Manager) []Result {
 		for i := 0; i < 4000; i++ {
 			g := []string{"a", "b", "c"}[i%3]

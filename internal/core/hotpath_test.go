@@ -49,7 +49,10 @@ func hotStream(n int, grouped bool) []tuple.Tuple {
 	return out
 }
 
-// hotCases are the SPEAr managers on each of their ingest paths.
+// hotCases are the SPEAr managers on each of their ingest paths. The
+// grouped ones: groups unknown, answered from the moments (the path that
+// once buffered its windows) or archived for a stratified sample; groups
+// known, reservoirs filled at arrival.
 var hotCases = []struct {
 	name    string
 	grouped bool
@@ -58,6 +61,7 @@ var hotCases = []struct {
 	{"scalar_median", false, func(c *Config) { c.Agg, c.BudgetTuples = agg.Median(), 200 }},
 	{"scalar_mean", false, func(c *Config) { c.Agg = agg.Func{Op: agg.Mean} }},
 	{"grouped_buffered", true, func(c *Config) { c.Agg = agg.Func{Op: agg.Mean} }},
+	{"grouped_median", true, func(c *Config) { c.Agg = agg.Median() }},
 	{"grouped_known", true, func(c *Config) { c.Agg, c.KnownGroups = agg.Median(), 50 }},
 }
 
@@ -242,11 +246,12 @@ func (s *heldStore) Store(key string, ts []tuple.Tuple) error {
 // as Config.Store and the store behind it stalled, ingest of several
 // chunks' worth returns — the writes wait in the plane's queue, not in
 // the caller. Once the store is released the results equal a MemStore
-// run's, exact fallbacks read from the store included. The case is the
-// sampled scalar manager's archive, the one spill seam ingest reaches.
+// run's, exact fallbacks read from the store included. The seam is the
+// archive, under the sampled scalar manager and the grouped one with
+// groups unknown.
 func TestIngestDoesNotWaitForTheStore(t *testing.T) {
 	spec := window.Spec{Domain: window.TimeDomain, Range: 400, Slide: 100}
-	stream := hotStream(1000, false)
+	stream := hotStream(1000, true)
 	for i := range stream {
 		stream[i].Ts = int64(i)
 	}
@@ -255,6 +260,10 @@ func TestIngestDoesNotWaitForTheStore(t *testing.T) {
 		mk   func(Config) (Manager, error)
 	}{
 		{"scalar_median", func(cfg Config) (Manager, error) { return NewScalarManager(cfg) }},
+		{"grouped_median", func(cfg Config) (Manager, error) {
+			cfg.KeyBy = tuple.FieldString(1)
+			return NewGroupedManager(cfg)
+		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			build := func(store storage.SpillStore) Manager {

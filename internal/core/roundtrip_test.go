@@ -126,8 +126,8 @@ func RoundTripScalarManager(t *testing.T, diff StateDiff) {
 	reportDiffs(t, diff(live, restored, allowed("cfg.Metrics", "cols", "arc.curP", "arc.free")))
 }
 
-// RoundTripGroupedManager checks every grouped compat case, buffered and
-// with known groups, through every lane. The windows' groups are compared
+// RoundTripGroupedManager checks every grouped compat case, with groups
+// unknown and known, through every lane. The windows' groups are compared
 // by key, through the dictionary.
 func RoundTripGroupedManager(t *testing.T, diff StateDiff) {
 	live, restored := spearRoundTrips(t, true, NewGroupedManager)

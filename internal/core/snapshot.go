@@ -29,13 +29,16 @@ import (
 // ('S', 's', 'G') fails like any unknown one. Scalar 'u' is the written
 // format; 't' kept two slots per window that nothing reads (first
 // position, incremental flag) and an incremental accumulator per
-// window, which restores as a carry. Grouped has one format.
+// window, which restores as a carry. Grouped 'h' is the written format;
+// 'g' is its body where groups were declared, and where they were not it
+// nested a window buffer's blob in place of the archive section.
 const (
 	snapExact       byte = 0x45 // 'E'
 	snapIncremental byte = 0x49 // 'I'
 	snapScalarV3    byte = 0x74 // 't' (read-only)
 	snapScalarV4    byte = 0x75 // 'u'
-	snapGroupedV2   byte = 0x67 // 'g'
+	snapGroupedV2   byte = 0x67 // 'g' (read-only)
+	snapGroupedV3   byte = 0x68 // 'h'
 )
 
 // appendCursor writes a window lifecycle's values in the order the
@@ -225,11 +228,7 @@ func (m *ScalarManager) TakeDeferredDeletes() []string { return m.arc.takeDeferr
 
 // SnapshotState implements the checkpoint Snapshotter contract.
 func (m *GroupedManager) SnapshotState() ([]byte, error) {
-	dst := []byte{snapGroupedV2}
-	known := m.arc != nil
-	dst = tuple.AppendBool(dst, known)
-	// On the buffered path these are the buffer's values, which its own
-	// blob below carries too and restores from.
+	dst := tuple.AppendBool([]byte{snapGroupedV3}, m.arc != nil)
 	c := m.lc.Cursor()
 	dst = tuple.AppendBool(dst, c.Started)
 	dst = tuple.AppendBool(dst, c.Fired)
@@ -240,17 +239,9 @@ func (m *GroupedManager) SnapshotState() ([]byte, error) {
 	dst = tuple.AppendUvar(dst, uint64(m.curBudget))
 	dst = tuple.AppendBool(dst, m.shed)
 	dst = tuple.AppendI64(dst, m.sheds)
-	var err error
-	if known {
-		if dst, err = m.arc.appendState(dst); err != nil {
-			return nil, err
-		}
-	} else {
-		blob, err := m.buf.SnapshotState()
-		if err != nil {
-			return nil, err
-		}
-		dst = tuple.AppendBlob(dst, blob)
+	dst, err := m.arc.appendState(dst)
+	if err != nil {
+		return nil, err
 	}
 	ids := window.IDsIn(m.wins, math.MinInt64, math.MaxInt64)
 	dst = tuple.AppendUvar(dst, uint64(len(ids)))
@@ -270,24 +261,35 @@ func (m *GroupedManager) SnapshotState() ([]byte, error) {
 // RestoreState implements the checkpoint Snapshotter contract.
 func (m *GroupedManager) RestoreState(b []byte) error {
 	rd := tuple.NewWireReader(b)
-	if tag := rd.Byte(); tag != snapGroupedV2 {
+	tag := rd.Byte()
+	if tag != snapGroupedV3 && tag != snapGroupedV2 {
 		return badTag("grouped", tag, rd)
 	}
-	known := rd.Bool()
-	if rd.Err() == nil && known != (m.arc != nil) {
+	// 'h' flags an archive; 'g' flagged declared groups, and without them
+	// held a window buffer where the archive section is.
+	flag, want := rd.Bool(), m.arc != nil
+	if tag == snapGroupedV2 {
+		want = m.cfg.KnownGroups > 0
+	}
+	if rd.Err() == nil && flag != want {
 		return fmt.Errorf("%w: grouped snapshot mode mismatches configuration", tuple.ErrCorrupt)
 	}
+	buffered := tag == snapGroupedV2 && !flag
 	cur := window.Cursor{Started: rd.Bool(), Fired: rd.Bool(), NextFire: window.ID(rd.I64()), MaxPos: rd.I64(), Late: rd.I64(), Seq: rd.I64()}
 	curBudget := rd.Uvar()
 	shed := rd.Bool()
 	sheds := rd.I64()
-	var arc *archive
-	var bufBlob []byte
-	if known {
-		arc = newArchive(m.cfg.Store, m.cfg.Key, m.cfg.Spec, m.cfg.ArchiveChunk, m.cfg.DeferStoreDeletes)
-		arc.readState(rd)
+	arc := newArchive(m.cfg.Store, m.cfg.Key, m.cfg.Spec, m.cfg.ArchiveChunk, m.cfg.DeferStoreDeletes)
+	var rows []tuple.Tuple
+	if buffered {
+		// The buffer's cursor is the one the manager ingested by; the
+		// header's copy is not read back.
+		var err error
+		if cur, _, rows, err = window.ReadSingleBuffer(rd.Blob()); err != nil && rd.Err() == nil {
+			return err
+		}
 	} else {
-		bufBlob = rd.Blob()
+		arc.readState(rd)
 	}
 	n := rd.Count(2)
 	if rd.Err() != nil {
@@ -307,8 +309,8 @@ func (m *GroupedManager) RestoreState(b []byte) error {
 		}
 		// A known-path window opened while the adaptive budget was below
 		// KnownGroups has no reservoirs (metadata-only, exact-only);
-		// reservoirs on the buffered path are impossible.
-		if hasKnown && !known {
+		// reservoirs without declared groups are impossible.
+		if hasKnown && m.cfg.KnownGroups == 0 {
 			return fmt.Errorf("%w: grouped window %d reservoir flag mismatch", tuple.ErrCorrupt, id)
 		}
 		if hasKnown {
@@ -329,27 +331,19 @@ func (m *GroupedManager) RestoreState(b []byte) error {
 	if sheds < 0 {
 		return fmt.Errorf("%w: grouped snapshot counters", tuple.ErrCorrupt)
 	}
-	if known {
-		if err := m.lc.SetCursor(cur); err != nil {
-			return err
+	if m.arc == nil {
+		if len(arc.flushed) > 0 {
+			return fmt.Errorf("%w: grouped snapshot lists panes for a query that archives nothing", tuple.ErrCorrupt)
 		}
-		m.arc = arc
-	} else {
-		// The buffer's blob restores the lifecycle the manager borrows;
-		// the header's copy (in blobs from before PR 19, a cursor of the
-		// manager's own that lagged the buffer's) is not read back.
-		if err := m.buf.RestoreState(bufBlob); err != nil {
-			return err
-		}
-		// What that lagging cursor opened behind the buffer's no fire
-		// will ever reach.
-		for id, w := range wins {
-			if id < m.lc.NextOpen() {
-				w.gs.Reset()
-				delete(wins, id)
-			}
-		}
+		arc = nil
 	}
+	if err := m.lc.SetCursor(cur); err != nil {
+		return err
+	}
+	if buffered {
+		dict, wins = m.unbuffer(rows, arc)
+	}
+	m.arc = arc
 	m.curBudget = int(curBudget)
 	m.sheds = sheds
 	// The pool points into the replaced dictionary.
@@ -363,8 +357,41 @@ func (m *GroupedManager) RestoreState(b []byte) error {
 	return nil
 }
 
-// RewindStore reconciles archive panes with the restored state; the
-// buffered path keeps nothing in S.
+// unbuffer rebuilds the open windows of a 'g' blob without declared
+// groups from its window buffer: rows, every tuple of those windows in
+// arrival order at its position, fold into them as ingest folded them,
+// and go to the archive where the manager keeps one — held in memory,
+// so that nothing reaches S before RewindStore has reconciled it. The
+// blob's list of windows is not read back: it lacks the windows that
+// start before position 0, and in blobs of old it names windows, behind
+// the oldest open one, that no fire will reach.
+func (m *GroupedManager) unbuffer(rows []tuple.Tuple, arc *archive) (*sample.KeyDict, map[window.ID]*groupedWin) {
+	dict, wins := sample.NewKeyDict(), map[window.ID]*groupedWin{}
+	pos := make([]int64, len(rows))
+	for i, t := range rows {
+		pos[i] = t.Ts
+	}
+	m.cfg.Spec.EachRun(pos, func(i0, i1 int, lo, hi window.ID) {
+		for id := max(lo, m.lc.NextOpen()); id <= hi; id++ {
+			w, ok := wins[id]
+			if !ok {
+				w = &groupedWin{gs: dict.NewGroupStats()}
+				wins[id] = w
+			}
+			for _, t := range rows[i0:i1] {
+				w.gs.Add(m.cfg.KeyBy(t), m.cfg.Value(t))
+			}
+		}
+		if arc != nil {
+			arc.rollTo(int64(hi))
+			arc.cur = append(arc.cur, rows[i0:i1]...)
+		}
+	})
+	return dict, wins
+}
+
+// RewindStore reconciles archive panes with the restored state; a
+// manager without an archive keeps nothing in S.
 func (m *GroupedManager) RewindStore() error { return m.arc.rewind() }
 
 // TakeDeferredDeletes returns and clears deferred pane deletions.

@@ -21,13 +21,14 @@ import (
 )
 
 // updateCompat rewrites the fixtures under testdata/compat from the
-// code being tested. The checked-in grouped files were written at the
-// commit before grouped state moved from per-window maps to arrays over
-// a key dictionary (PR 16); the three sampled scalar_* blobs were
-// rewritten at 'u' when 's' was retired (PR 30), their .results files —
-// what the commit before PR 17 continued to — byte for byte unchanged.
-// Regenerate only to adopt a deliberate wire-format change, never to
-// make this test pass.
+// code being tested. The checked-in 'g' grouped files were written at
+// the commit before grouped state moved from per-window maps to arrays
+// over a key dictionary (PR 16), the unknown_* 'h' ones by the commit
+// that took the window buffer out of the grouped manager; the three
+// sampled scalar_* blobs were rewritten at 'u' when 's' was retired
+// (PR 30), their .results files — what the commit before PR 17
+// continued to — byte for byte unchanged. Regenerate only to adopt a
+// deliberate wire-format change, never to make this test pass.
 var updateCompat = flag.Bool("update-compat", false, "rewrite testdata/compat from the current code")
 
 type compatCase struct {
@@ -40,13 +41,12 @@ type compatCase struct {
 	// fixture's bytes, so neither the primer's own snapshot nor a
 	// re-encode of the restored state can equal the blob: the previous
 	// scalar format ('t'), a 'u' blob that lists panes (PR 27), and the
-	// buffered grouped ones, which carry in their header a cursor the
-	// manager kept beside its buffer's and that lagged it (PR 19: the
-	// manager has no cursor of its own there; those six slots now repeat
-	// the buffer's values, and a restore reads the buffer's blob and not
-	// them). What such a blob must do instead: restore to the very state
-	// the current code reaches on its own, continue to the parent's
-	// results, and re-encode to a fixed point.
+	// 'g' blobs without declared groups, which nest a window buffer's
+	// blob where the archive section is. What such a blob must do
+	// instead: restore to the very state the current code reaches on its
+	// own, continue to the parent's results, and re-encode to a fixed
+	// point. A 'g' blob with declared groups is the current 'h' body
+	// under the older tag (sameState).
 	reencodes bool
 	// carried marks a 't' blob of incremental windows. Their moments
 	// restore as carries, a state the current code never reaches on its
@@ -57,6 +57,15 @@ type compatCase struct {
 	// fold" (DESIGN.md §22): every field equal but the scalar, which
 	// agrees to 1e-12 relative.
 	carried bool
+	// resampled marks a 'g' blob of a holistic aggregate without declared
+	// groups. Its buffered tuples restore into the archive, a window
+	// whose check passes draws its stratified sample from the window
+	// fetched back from S in archive order where the parent drew from its
+	// buffer in arrival order, and an exact window now reads its tuples
+	// from S. Such a blob must continue to the parent's results with
+	// every field equal but the Groups of ModeSampled windows and the
+	// fetched flag of ModeExact ones (adoptResampled).
+	resampled bool
 }
 
 // compatManager is what the compat harness drives: a manager with the
@@ -123,36 +132,39 @@ func compatCases() []compatCase {
 	eight := func(rng *rand.Rand, _ int) string { return fmt.Sprintf("g%d", rng.Intn(8)) }
 	return []compatCase{
 		// Answered from the per-group moments alone.
-		{"buffered_mean", mk(agg.Func{Op: agg.Mean}, 400, 0, 0.10), churnKey, nil, false, false},
+		{"buffered_mean", mk(agg.Func{Op: agg.Mean}, 400, 0, 0.10), churnKey, nil, false, false, false},
+		{"unknown_mean", mk(agg.Func{Op: agg.Mean}, 400, 0, 0.10), churnKey, nil, true, false, false},
 		// Congressional allocation over the frequencies, then a
-		// stratified sample of the buffer, or the whole window.
-		{"buffered_median", mk(agg.Median(), 150, 0, 0.22), fewOnceKey, nil, false, false},
+		// stratified sample of the window fetched from S, or the whole
+		// window.
+		{"buffered_median", mk(agg.Median(), 150, 0, 0.22), fewOnceKey, nil, false, false, true},
+		{"unknown_median", mk(agg.Median(), 150, 0, 0.22), fewOnceKey, nil, true, false, false},
 		// Per-group reservoirs filled at arrival: answered from them,
 		// and (at an ε they cannot meet) from the archive.
-		{"known_median", mk(agg.Median(), 160, 8, 0.35), eight, nil, true, false},
-		{"known_median_exact", mk(agg.Median(), 160, 8, 0.05), eight, nil, true, false},
+		{"known_median", mk(agg.Median(), 160, 8, 0.35), eight, nil, true, false, false},
+		{"known_median_exact", mk(agg.Median(), 160, 8, 0.05), eight, nil, true, false, false},
 		// A reservoir per window, answered from it or, where ε̂ misses,
 		// from the archive.
 		{"scalar_median", scalar(agg.Median(), 150, 0.12), eight, func(i int, m compatManager) {
 			if i == 810 {
 				m.SetBudget(100) // live samples shrink below the bound
 			}
-		}, true, false},
+		}, true, false, false},
 		// The same through the mean's estimator, which reads the
 		// sample's moments.
 		{"scalar_mean_sampled", func(store storage.SpillStore) Config {
 			cfg := scalar(agg.Func{Op: agg.Mean}, 60, 0.10)(store)
 			cfg.DisableIncremental = true
 			return cfg
-		}, eight, nil, true, false},
+		}, eight, nil, true, false, false},
 		// One incremental accumulator per window and no sample, as 't'
 		// wrote it; then the same stream as 'u''s slices.
-		{"scalar_mean_incremental_v3", scalar(agg.Func{Op: agg.Mean}, 60, 0.10), eight, nil, false, true},
-		{"scalar_mean_slices", scalar(agg.Func{Op: agg.Mean}, 60, 0.10), eight, nil, true, false},
+		{"scalar_mean_incremental_v3", scalar(agg.Func{Op: agg.Mean}, 60, 0.10), eight, nil, false, true, false},
+		{"scalar_mean_slices", scalar(agg.Func{Op: agg.Mean}, 60, 0.10), eight, nil, true, false, false},
 		// The same state as the commit before PR 27 wrote it, when an
 		// incremental query still archived: a 'u' blob whose archive
 		// section lists panes. They are dropped, not carried.
-		{"scalar_mean_slices_archived", scalar(agg.Func{Op: agg.Mean}, 60, 0.10), eight, nil, false, false},
+		{"scalar_mean_slices_archived", scalar(agg.Func{Op: agg.Mean}, 60, 0.10), eight, nil, false, false, false},
 		// Windows tainted by a shedding spell, then the budget driven
 		// to zero before the snapshot (reservoirs dropped, exact-only,
 		// ModeShed with an infinite bound for the tainted ones) and
@@ -168,7 +180,7 @@ func compatCases() []compatCase {
 			case 760:
 				m.SetBudget(150)
 			}
-		}, true, false},
+		}, true, false, false},
 	}
 }
 
@@ -292,7 +304,7 @@ func TestSnapshotCompat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if c.reencodes && !bytes.Equal(own, blob) {
+			if c.reencodes && !sameState(own, blob) {
 				t.Errorf("snapshot of the first %d tuples differs from the parent commit's (%d vs %d bytes)", half, len(own), len(blob))
 			}
 			// The primer left the archive panes the blob refers to in
@@ -316,7 +328,7 @@ func TestSnapshotCompat(t *testing.T) {
 				// on its own, in the bytes the current code writes.
 				blob = own
 			}
-			if !c.carried && !bytes.Equal(again, blob) {
+			if !c.carried && !sameState(again, blob) {
 				t.Errorf("restored state re-encodes to different bytes (%d vs %d)", len(again), len(blob))
 			}
 			// restore → snapshot → restore → snapshot is a fixed point.
@@ -333,6 +345,9 @@ func TestSnapshotCompat(t *testing.T) {
 			got := compatDrive(t, c, m, ts, half, len(ts), oneAtATime)
 			if c.carried {
 				got = adoptCloseScalars(got, string(want))
+			}
+			if c.resampled {
+				got = adoptResampled(got, string(want))
 			}
 			if got != string(want) {
 				t.Errorf("results after restore differ from the parent commit's:\n got %d bytes\nwant %d bytes\n%s",
@@ -529,6 +544,34 @@ func TestRestoreRejectsRetiredFormats(t *testing.T) {
 			t.Errorf("%q blob: the rejected restore changed the manager's state (err %v)", c.tag, err)
 		}
 	}
+}
+
+// sameState reports whether own, written by the current code, is blob:
+// byte for byte, or, for a 'g' blob with declared groups, the same body
+// under the tag 'h'.
+func sameState(own, blob []byte) bool {
+	if len(blob) > 1 && blob[0] == snapGroupedV2 && blob[1] == 1 && len(own) > 0 && own[0] == snapGroupedV3 {
+		return bytes.Equal(own[1:], blob[1:])
+	}
+	return bytes.Equal(own, blob)
+}
+
+// adoptResampled returns got with each line taken from want where the
+// two differ only in the Groups of a ModeSampled window or the fetched
+// flag of a ModeExact one, so that what is left to differ is a real
+// difference (compatCase.resampled).
+func adoptResampled(got, want string) string {
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		gh, gt, _ := strings.Cut(g[i], " fetched=")
+		wh, wt, _ := strings.Cut(w[i], " fetched=")
+		gf, gg, _ := strings.Cut(gt, " ")
+		wf, wg, _ := strings.Cut(wt, " ")
+		if gh == wh && (strings.Contains(gh, " sampled ") && gf == wf || strings.Contains(gh, " exact ") && gg == wg) {
+			g[i] = w[i]
+		}
+	}
+	return strings.Join(g, "\n")
 }
 
 // adoptCloseScalars returns got with each line's trailing scalar=<bits>

@@ -10,13 +10,8 @@ import (
 type Complete struct {
 	ID         ID
 	Start, End int64 // [Start, End) in the spec's domain
-	// Tuples is the window's full contents in arrival order; nil when
-	// the owner requested the window uncollected (see
-	// Config.SkipCollect).
+	// Tuples is the window's full contents in arrival order.
 	Tuples []tuple.Tuple
-	// Uncollected reports that collection was skipped on request —
-	// the window is non-empty but Tuples is nil.
-	Uncollected bool
 }
 
 // Size returns the number of tuples in the window.
@@ -31,10 +26,10 @@ type Manager interface {
 	// OnTuple buffers one tuple. For count-domain specs it may return
 	// newly completed windows (count windows close on arrival, not on
 	// watermarks).
-	OnTuple(t tuple.Tuple) ([]Complete, error)
+	OnTuple(t tuple.Tuple) []Complete
 	// OnWatermark stages every window whose end is ≤ wm, oldest
 	// first, and evicts expired tuples.
-	OnWatermark(wm int64) ([]Complete, error)
+	OnWatermark(wm int64) []Complete
 	// MemUsage returns the current buffered bytes (the paper's
 	// per-worker memory metric, Fig. 7).
 	MemUsage() int
@@ -45,103 +40,70 @@ type Manager interface {
 	LateDropped() int64
 }
 
-// Config configures a window manager. Managers keep every buffered
-// tuple in memory: the only state SPEAr keeps in secondary storage S is
-// the archive's (internal/core).
-type Config struct {
-	Spec Spec
-	// SkipCollect, when non-nil, is asked before a window is staged:
-	// returning true skips gathering the window's tuples (the evict
-	// scan still runs). Callers use it when the result can be
-	// produced from metadata alone; they must only return true for
-	// windows they know are non-empty.
-	SkipCollect func(id ID) bool
-}
-
 // SingleBuffer is the Storm design of Figs. 3–4: every tuple is stored
 // exactly once in one arrival-ordered buffer. At watermark arrival the
 // buffer is scanned once to collect the completed window's tuples and to
 // evict expired ones. Minimal memory per tuple, one scan per trigger.
+// Like every manager here it keeps its tuples in memory: the only state
+// SPEAr keeps in secondary storage S is the archive's (internal/core).
 type SingleBuffer struct {
-	cfg      Config
+	spec     Spec
 	buf      []tuple.Tuple
 	bufBytes int
 	peak     int
 	lc       Lifecycle
 }
 
-// NewSingleBuffer returns a single-buffer manager for cfg.
-func NewSingleBuffer(cfg Config) (*SingleBuffer, error) {
-	if err := cfg.Spec.Validate(); err != nil {
+// NewSingleBuffer returns a single-buffer manager for spec.
+func NewSingleBuffer(spec Spec) (*SingleBuffer, error) {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	return &SingleBuffer{cfg: cfg, lc: NewLifecycle(cfg.Spec)}, nil
+	return &SingleBuffer{spec: spec, lc: NewLifecycle(spec)}, nil
 }
 
-// Lifecycle returns the buffer's window lifecycle. An owner that keeps
-// state of its own per window (core.GroupedManager) decides arrival and
-// firing by this one and no second cursor, so that it never opens a
-// window the buffer has closed: it admits a run here, folds it into its
-// windows, and hands it to AddRun.
-func (m *SingleBuffer) Lifecycle() *Lifecycle { return &m.lc }
-
-// OnTuple implements Manager: a run of one.
-func (m *SingleBuffer) OnTuple(t tuple.Tuple) ([]Complete, error) {
-	pos := []int64{m.lc.Pos(t.Ts, 0)}
-	lo, hi := m.cfg.Spec.Assign(pos[0])
-	if _, ok := m.lc.Admit(pos, lo, hi); !ok {
-		return nil, nil
+// OnTuple implements Manager: a tuple the lifecycle admits is buffered
+// and, in the count domain, stages the windows it completes: a count
+// window [s, e) is complete once position e-1 has arrived.
+func (m *SingleBuffer) OnTuple(t tuple.Tuple) []Complete {
+	pos := m.lc.Pos(t.Ts, 0)
+	lo, hi := m.spec.Assign(pos)
+	if _, ok := m.lc.Admit([]int64{pos}, lo, hi); !ok {
+		return nil
 	}
-	return m.AddRun(pos, []tuple.Tuple{t})
-}
-
-// AddRun buffers a run the lifecycle has admitted — rows, at positions
-// pos — and, in the count domain, stages the windows it completes: a
-// count window [s, e) is complete once position e-1 has arrived, which
-// is where a run ends.
-func (m *SingleBuffer) AddRun(pos []int64, rows []tuple.Tuple) ([]Complete, error) {
-	count := m.cfg.Spec.Domain == CountDomain
-	for i, t := range rows {
-		if count {
-			// Count positions are assigned at arrival; rewrite Ts so the
-			// scan at trigger time sees the position. The event time is
-			// not needed for count windows.
-			t.Ts = pos[i]
-		}
-		m.buf = append(m.buf, t)
-		m.bufBytes += t.MemSize()
+	if m.spec.Domain == CountDomain {
+		// Count positions are assigned at arrival; rewrite Ts so the
+		// scan at trigger time sees the position. The event time is not
+		// needed for count windows.
+		t.Ts = pos
 	}
-	if m.bufBytes > m.peak {
-		m.peak = m.bufBytes
-	}
-	if count {
+	m.buf = append(m.buf, t)
+	m.bufBytes += t.MemSize()
+	m.peak = max(m.peak, m.bufBytes)
+	if m.spec.Domain == CountDomain {
 		return m.fire(m.lc.Seq())
 	}
-	return nil, nil
+	return nil
 }
 
 // OnWatermark implements Manager.
-func (m *SingleBuffer) OnWatermark(wm int64) ([]Complete, error) {
-	if m.cfg.Spec.Domain == CountDomain {
-		return nil, nil // count windows close on arrival
+func (m *SingleBuffer) OnWatermark(wm int64) []Complete {
+	if m.spec.Domain == CountDomain {
+		return nil // count windows close on arrival
 	}
 	return m.fire(wm)
 }
 
 // fire stages all windows with end ≤ wm and evicts expired tuples.
-func (m *SingleBuffer) fire(wm int64) ([]Complete, error) {
+func (m *SingleBuffer) fire(wm int64) []Complete {
 	first, last, ok := m.lc.Complete(wm)
 	if !ok {
-		return nil, nil
+		return nil
 	}
 
 	var out []Complete
 	for _, id := range m.heldIn(first, last) {
-		start, end := m.cfg.Spec.Bounds(id)
-		if m.cfg.SkipCollect != nil && m.cfg.SkipCollect(id) {
-			out = append(out, Complete{ID: id, Start: start, End: end, Uncollected: true})
-			continue
-		}
+		start, end := m.spec.Bounds(id)
 		// One scan gathers the window's tuples (Fig. 4, left).
 		var ts []tuple.Tuple
 		for _, t := range m.buf {
@@ -153,7 +115,7 @@ func (m *SingleBuffer) fire(wm int64) ([]Complete, error) {
 	}
 
 	// Evict tuples that precede every still-active window (Fig. 4).
-	evictBefore, _ := m.cfg.Spec.Bounds(m.lc.NextOpen())
+	evictBefore, _ := m.spec.Bounds(m.lc.NextOpen())
 	kept := m.buf[:0]
 	bytes := 0
 	for _, t := range m.buf {
@@ -168,7 +130,7 @@ func (m *SingleBuffer) fire(wm int64) ([]Complete, error) {
 	}
 	m.buf = kept
 	m.bufBytes = bytes
-	return out, nil
+	return out
 }
 
 // heldIn returns, ascending, the ids in [first, last] of the windows
@@ -183,8 +145,8 @@ func (m *SingleBuffer) heldIn(first, last ID) []ID {
 		if t.Ts >= start && t.Ts < end {
 			continue
 		}
-		lo, hi := m.cfg.Spec.Assign(t.Ts)
-		start, end = m.cfg.Spec.Slice(lo, hi)
+		lo, hi := m.spec.Assign(t.Ts)
+		start, end = m.spec.Slice(lo, hi)
 		for id := max(lo, first); id <= min(hi, last); id++ {
 			ids = append(ids, id)
 		}
@@ -207,7 +169,7 @@ func (m *SingleBuffer) LateDropped() int64 { return m.lc.Late() }
 // are ready without a scan at trigger time, at the cost of Overlap()
 // copies of every tuple.
 type MultiBuffer struct {
-	cfg      Config
+	spec     Spec
 	bufs     map[ID][]tuple.Tuple
 	bytes    map[ID]int
 	bufBytes int
@@ -215,26 +177,26 @@ type MultiBuffer struct {
 	lc       Lifecycle
 }
 
-// NewMultiBuffer returns a multiple-buffers manager for cfg.
-func NewMultiBuffer(cfg Config) (*MultiBuffer, error) {
-	if err := cfg.Spec.Validate(); err != nil {
+// NewMultiBuffer returns a multiple-buffers manager for spec.
+func NewMultiBuffer(spec Spec) (*MultiBuffer, error) {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	return &MultiBuffer{
-		cfg:   cfg,
+		spec:  spec,
 		bufs:  make(map[ID][]tuple.Tuple),
 		bytes: make(map[ID]int),
-		lc:    NewLifecycle(cfg.Spec),
+		lc:    NewLifecycle(spec),
 	}, nil
 }
 
 // OnTuple implements Manager.
-func (m *MultiBuffer) OnTuple(t tuple.Tuple) ([]Complete, error) {
+func (m *MultiBuffer) OnTuple(t tuple.Tuple) []Complete {
 	t.Ts = m.lc.Pos(t.Ts, 0)
-	lo, hi := m.cfg.Spec.Assign(t.Ts)
+	lo, hi := m.spec.Assign(t.Ts)
 	first, ok := m.lc.Admit([]int64{t.Ts}, lo, hi)
 	if !ok {
-		return nil, nil
+		return nil
 	}
 	sz := t.MemSize()
 	for id := first; id <= hi; id++ {
@@ -245,28 +207,28 @@ func (m *MultiBuffer) OnTuple(t tuple.Tuple) ([]Complete, error) {
 	if m.bufBytes > m.peak {
 		m.peak = m.bufBytes
 	}
-	if m.cfg.Spec.Domain == CountDomain {
+	if m.spec.Domain == CountDomain {
 		return m.fire(m.lc.Seq())
 	}
-	return nil, nil
+	return nil
 }
 
 // OnWatermark implements Manager.
-func (m *MultiBuffer) OnWatermark(wm int64) ([]Complete, error) {
-	if m.cfg.Spec.Domain == CountDomain {
-		return nil, nil
+func (m *MultiBuffer) OnWatermark(wm int64) []Complete {
+	if m.spec.Domain == CountDomain {
+		return nil
 	}
 	return m.fire(wm)
 }
 
-func (m *MultiBuffer) fire(wm int64) ([]Complete, error) {
+func (m *MultiBuffer) fire(wm int64) []Complete {
 	first, last, ok := m.lc.Complete(wm)
 	if !ok {
-		return nil, nil
+		return nil
 	}
 	var out []Complete
 	for _, id := range IDsIn(m.bufs, first, last) {
-		start, end := m.cfg.Spec.Bounds(id)
+		start, end := m.spec.Bounds(id)
 		// The buffer is picked and staged directly — no scan
 		// (Fig. 4, right).
 		if len(m.bufs[id]) > 0 {
@@ -278,7 +240,7 @@ func (m *MultiBuffer) fire(wm int64) ([]Complete, error) {
 		delete(m.bufs, id)
 		delete(m.bytes, id)
 	}
-	return out, nil
+	return out
 }
 
 // MemUsage implements Manager.

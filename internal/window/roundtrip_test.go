@@ -33,7 +33,7 @@ func TestRoundTripSingleBuffer(t *testing.T) {
 		"count": {Domain: window.CountDomain, Range: 200, Slide: 50},
 	} {
 		mk := func() *window.SingleBuffer {
-			m, err := window.NewSingleBuffer(window.Config{Spec: spec})
+			m, err := window.NewSingleBuffer(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -41,13 +41,9 @@ func TestRoundTripSingleBuffer(t *testing.T) {
 		}
 		m := mk()
 		for i, tup := range ts[:len(ts)/2+13] {
-			if _, err := m.OnTuple(tup); err != nil {
-				t.Fatal(err)
-			}
+			m.OnTuple(tup)
 			if (i+1)%50 == 0 {
-				if _, err := m.OnWatermark(int64(i + 1 - 20)); err != nil {
-					t.Fatal(err)
-				}
+				m.OnWatermark(int64(i + 1 - 20))
 			}
 		}
 		blob, err := m.SnapshotState()
@@ -88,22 +84,24 @@ func singleBufferBlob(c window.Cursor, spilled int64, segSeq, segChunks uint64, 
 // names tuples in S that no fire could fetch, so RestoreState refuses it
 // as corrupt.
 func TestSingleBufferSpill(t *testing.T) {
-	m, err := window.NewSingleBuffer(window.Config{Spec: window.Sliding(40, 10)})
+	spec := window.Sliding(40, 10)
+	m, err := window.NewSingleBuffer(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var rows []tuple.Tuple
 	for i := int64(0); i < 25; i++ {
 		rows = append(rows, tuple.New(i, tuple.Float(float64(i))))
-		if _, err := m.OnTuple(rows[i]); err != nil {
-			t.Fatal(err)
-		}
+		m.OnTuple(rows[i])
 	}
 	blob, err := m.SnapshotState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := m.Lifecycle().Cursor()
+	// 25 tuples at 0..24 and no watermark: the stream was anchored at the
+	// oldest window of position 0 and nothing has closed.
+	first, _ := spec.Assign(0)
+	c := window.Cursor{Started: true, NextFire: first, Seq: 25, MaxPos: 24}
 	if want := singleBufferBlob(c, 0, 0, 0, m.PeakMemUsage(), rows); !bytes.Equal(blob, want) {
 		t.Fatalf("SnapshotState wrote %x, want the 0x51 layout %x", blob, want)
 	}
@@ -112,7 +110,7 @@ func TestSingleBufferSpill(t *testing.T) {
 		"segSeq":        singleBufferBlob(c, 0, 1, 0, m.PeakMemUsage(), rows),
 		"chunk count":   singleBufferBlob(c, 0, 0, 2, m.PeakMemUsage(), rows),
 	} {
-		r, err := window.NewSingleBuffer(window.Config{Spec: window.Sliding(40, 10)})
+		r, err := window.NewSingleBuffer(spec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,12 +7,13 @@ import (
 )
 
 // Checkpoint support for the single-buffer manager, the design the
-// engine runs (the multi-buffer design exists for the paper's
+// exact baseline runs (the multi-buffer design exists for the paper's
 // buffering-cost comparison and is never checkpointed). It implements
 // the checkpoint Snapshotter contract: SnapshotState serializes every
 // field that influences future output, RestoreState rebuilds it. The
 // buffer keeps nothing in secondary storage, so there is nothing to
-// rewind.
+// rewind. ReadSingleBuffer is the one reader of the layout, for the
+// buffer and for the grouped blobs that nest one (core, tag 'g').
 
 // snapSingleBuffer is the versioned type tag, so a blob restored into
 // the wrong manager fails loudly instead of silently misdecoding.
@@ -39,27 +40,35 @@ func (m *SingleBuffer) SnapshotState() ([]byte, error) {
 	return dst, nil
 }
 
-// RestoreState implements the checkpoint Snapshotter contract.
-func (m *SingleBuffer) RestoreState(b []byte) error {
+// ReadSingleBuffer decodes a blob SingleBuffer.SnapshotState wrote: the
+// lifecycle's cursor, the peak buffered bytes and the buffered rows in
+// arrival order (in the count domain their Ts is their position).
+func ReadSingleBuffer(b []byte) (c Cursor, peak int, rows []tuple.Tuple, err error) {
 	rd := tuple.NewWireReader(b)
 	if tag := rd.Byte(); tag != snapSingleBuffer {
 		if rd.Err() == nil {
-			return fmt.Errorf("%w: single-buffer snapshot tag 0x%02x", tuple.ErrCorrupt, tag)
+			return c, 0, nil, fmt.Errorf("%w: single-buffer snapshot tag 0x%02x", tuple.ErrCorrupt, tag)
 		}
-		return rd.Err()
+		return c, 0, nil, rd.Err()
 	}
-	c := Cursor{Seq: rd.I64(), MaxPos: rd.I64(), Started: rd.Bool(), Fired: rd.Bool(), NextFire: ID(rd.I64()), Late: rd.I64()}
+	c = Cursor{Seq: rd.I64(), MaxPos: rd.I64(), Started: rd.Bool(), Fired: rd.Bool(), NextFire: ID(rd.I64()), Late: rd.I64()}
 	spilled, segSeq, segChunks := rd.I64(), rd.Uvar(), rd.Uvar()
-	peak := rd.Uvar()
+	peak = int(rd.Uvar())
 	bufBlob := rd.Blob()
 	if err := rd.Done(); err != nil {
-		return err
+		return c, 0, nil, err
 	}
 	if spilled != 0 || segSeq != 0 || segChunks != 0 {
 		// A buffer keeps no tuples in S, so no fire could fetch them.
-		return fmt.Errorf("%w: single-buffer snapshot has spilled state", tuple.ErrCorrupt)
+		return c, 0, nil, fmt.Errorf("%w: single-buffer snapshot has spilled state", tuple.ErrCorrupt)
 	}
-	buf, err := tuple.DecodeBatch(bufBlob)
+	rows, err = tuple.DecodeBatch(bufBlob)
+	return c, peak, rows, err
+}
+
+// RestoreState implements the checkpoint Snapshotter contract.
+func (m *SingleBuffer) RestoreState(b []byte) error {
+	c, peak, buf, err := ReadSingleBuffer(b)
 	if err != nil {
 		return err
 	}
@@ -70,6 +79,6 @@ func (m *SingleBuffer) RestoreState(b []byte) error {
 	if err := m.lc.SetCursor(c); err != nil {
 		return err
 	}
-	m.buf, m.bufBytes, m.peak = buf, bytes, int(peak)
+	m.buf, m.bufBytes, m.peak = buf, bytes, peak
 	return nil
 }

@@ -154,7 +154,7 @@ func mkTuple(ts int64, v float64) tuple.Tuple {
 
 func newSB(t *testing.T, spec Spec) *SingleBuffer {
 	t.Helper()
-	m, err := NewSingleBuffer(Config{Spec: spec})
+	m, err := NewSingleBuffer(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,18 +168,11 @@ func TestSingleBufferPaperScenario(t *testing.T) {
 	s := Spec{Domain: TimeDomain, Range: 15, Slide: 5}
 	m := newSB(t, s)
 	for _, ts := range []int64{47, 51, 53, 55, 62, 71, 72, 61} {
-		got, err := m.OnTuple(mkTuple(ts, float64(ts)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != nil {
+		if got := m.OnTuple(mkTuple(ts, float64(ts))); got != nil {
 			t.Fatalf("time-domain OnTuple fired %v", got)
 		}
 	}
-	completes, err := m.OnWatermark(69)
-	if err != nil {
-		t.Fatal(err)
-	}
+	completes := m.OnWatermark(69)
 	// The first tuple (ts 47) starts at window (35,50); watermark 69
 	// completes windows up to (50,65): ids 7..10.
 	if len(completes) == 0 {
@@ -221,14 +214,9 @@ func completesAllTuples(m *SingleBuffer) []int64 {
 func TestSingleBufferTumbling(t *testing.T) {
 	m := newSB(t, Spec{Domain: TimeDomain, Range: 10, Slide: 10})
 	for ts := int64(0); ts < 25; ts++ {
-		if _, err := m.OnTuple(mkTuple(ts, 1)); err != nil {
-			t.Fatal(err)
-		}
+		m.OnTuple(mkTuple(ts, 1))
 	}
-	completes, err := m.OnWatermark(20)
-	if err != nil {
-		t.Fatal(err)
-	}
+	completes := m.OnWatermark(20)
 	if len(completes) != 2 {
 		t.Fatalf("completed %d windows, want 2", len(completes))
 	}
@@ -240,9 +228,8 @@ func TestSingleBufferTumbling(t *testing.T) {
 		t.Logf("mem=%d peak=%d", m.MemUsage(), m.PeakMemUsage())
 	}
 	// Re-watermark at the same point is a no-op.
-	completes, err = m.OnWatermark(20)
-	if err != nil || completes != nil {
-		t.Errorf("repeat watermark fired %v, err %v", completes, err)
+	if completes = m.OnWatermark(20); completes != nil {
+		t.Errorf("repeat watermark fired %v", completes)
 	}
 }
 
@@ -253,15 +240,9 @@ func TestSingleBufferSlidingMembership(t *testing.T) {
 	m := newSB(t, s)
 	counts := map[int64]int{}
 	for ts := int64(0); ts < 200; ts++ {
-		if _, err := m.OnTuple(mkTuple(ts, 0)); err != nil {
-			t.Fatal(err)
-		}
+		m.OnTuple(mkTuple(ts, 0))
 	}
-	completes, err := m.OnWatermark(200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range completes {
+	for _, c := range m.OnWatermark(200) {
 		for _, tp := range c.Tuples {
 			counts[tp.Ts]++
 		}
@@ -276,19 +257,15 @@ func TestSingleBufferSlidingMembership(t *testing.T) {
 func TestSingleBufferLateTuples(t *testing.T) {
 	m := newSB(t, Spec{Domain: TimeDomain, Range: 10, Slide: 10})
 	m.OnTuple(mkTuple(5, 1))
-	if _, err := m.OnWatermark(30); err != nil {
-		t.Fatal(err)
-	}
+	m.OnWatermark(30)
 	// ts 3 belongs only to window [0,10), already fired → dropped.
-	if _, err := m.OnTuple(mkTuple(3, 1)); err != nil {
-		t.Fatal(err)
-	}
+	m.OnTuple(mkTuple(3, 1))
 	if m.LateDropped() != 1 {
 		t.Errorf("LateDropped = %d, want 1", m.LateDropped())
 	}
 	// ts 35 is fine.
 	m.OnTuple(mkTuple(35, 1))
-	completes, _ := m.OnWatermark(40)
+	completes := m.OnWatermark(40)
 	if len(completes) != 1 || completes[0].Size() != 1 {
 		t.Errorf("completes = %+v", completes)
 	}
@@ -299,11 +276,7 @@ func TestSingleBufferCountWindows(t *testing.T) {
 	var fired []Complete
 	for i := 0; i < 17; i++ {
 		// Event timestamps are arbitrary for count windows.
-		cs, err := m.OnTuple(mkTuple(int64(1000+i*7), float64(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fired = append(fired, cs...)
+		fired = append(fired, m.OnTuple(mkTuple(int64(1000+i*7), float64(i)))...)
 	}
 	if len(fired) != 3 {
 		t.Fatalf("fired %d count windows, want 3", len(fired))
@@ -320,8 +293,8 @@ func TestSingleBufferCountWindows(t *testing.T) {
 		}
 	}
 	// Watermarks are ignored in count domain.
-	if cs, err := m.OnWatermark(1 << 40); err != nil || cs != nil {
-		t.Errorf("count-domain watermark fired %v, err %v", cs, err)
+	if cs := m.OnWatermark(1 << 40); cs != nil {
+		t.Errorf("count-domain watermark fired %v", cs)
 	}
 }
 
@@ -329,8 +302,7 @@ func TestSingleBufferCountSliding(t *testing.T) {
 	m := newSB(t, Spec{Domain: CountDomain, Range: 10, Slide: 5})
 	total := 0
 	for i := 0; i < 30; i++ {
-		cs, _ := m.OnTuple(mkTuple(0, float64(i)))
-		for _, c := range cs {
+		for _, c := range m.OnTuple(mkTuple(0, float64(i))) {
 			if c.Size() != 10 && c.Start >= 0 {
 				// The very first window [−5,5) style edges don't
 				// occur: count starts at 0, so first is [0,10)?
@@ -349,14 +321,14 @@ func TestSingleBufferCountSliding(t *testing.T) {
 }
 
 func TestSingleBufferConfigValidation(t *testing.T) {
-	if _, err := NewSingleBuffer(Config{Spec: Spec{Range: 0, Slide: 0}}); err == nil {
+	if _, err := NewSingleBuffer(Spec{Range: 0, Slide: 0}); err == nil {
 		t.Error("invalid spec accepted")
 	}
 }
 
 func newMB(t *testing.T, spec Spec) *MultiBuffer {
 	t.Helper()
-	m, err := NewMultiBuffer(Config{Spec: spec})
+	m, err := NewMultiBuffer(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,24 +348,15 @@ func TestMultiBufferMatchesSingleBuffer(t *testing.T) {
 		mb := newMB(t, spec)
 		var sbOut, mbOut []Complete
 		for ts := int64(0); ts < 100; ts++ {
-			c1, err1 := sb.OnTuple(mkTuple(ts, float64(ts)))
-			c2, err2 := mb.OnTuple(mkTuple(ts, float64(ts)))
-			if err1 != nil || err2 != nil {
-				t.Fatal(err1, err2)
-			}
-			sbOut = append(sbOut, c1...)
-			mbOut = append(mbOut, c2...)
+			sbOut = append(sbOut, sb.OnTuple(mkTuple(ts, float64(ts)))...)
+			mbOut = append(mbOut, mb.OnTuple(mkTuple(ts, float64(ts)))...)
 			if ts%10 == 0 {
-				c1, _ := sb.OnWatermark(ts)
-				c2, _ := mb.OnWatermark(ts)
-				sbOut = append(sbOut, c1...)
-				mbOut = append(mbOut, c2...)
+				sbOut = append(sbOut, sb.OnWatermark(ts)...)
+				mbOut = append(mbOut, mb.OnWatermark(ts)...)
 			}
 		}
-		c1, _ := sb.OnWatermark(100)
-		c2, _ := mb.OnWatermark(100)
-		sbOut = append(sbOut, c1...)
-		mbOut = append(mbOut, c2...)
+		sbOut = append(sbOut, sb.OnWatermark(100)...)
+		mbOut = append(mbOut, mb.OnWatermark(100)...)
 
 		if len(sbOut) != len(mbOut) {
 			t.Fatalf("spec %v: %d vs %d windows", spec, len(sbOut), len(mbOut))
@@ -442,12 +405,10 @@ func TestSingleBufferStagesTheWindowsThatHoldTuples(t *testing.T) {
 			var c1, c2 []Complete
 			if rng.Intn(12) == 0 {
 				wm := clock - rng.Int63n(spec.Range+1)
-				c1, _ = sb.OnWatermark(wm)
-				c2, _ = mb.OnWatermark(wm)
+				c1, c2 = sb.OnWatermark(wm), mb.OnWatermark(wm)
 			} else {
 				tp := mkTuple(clock-rng.Int63n(2*spec.Range), float64(step))
-				c1, _ = sb.OnTuple(tp)
-				c2, _ = mb.OnTuple(tp)
+				c1, c2 = sb.OnTuple(tp), mb.OnTuple(tp)
 			}
 			if len(c1) != len(c2) {
 				t.Fatalf("seed %d %s step %d: single buffer staged %d windows, multi buffer %d", seed, spec, step, len(c1), len(c2))
@@ -495,7 +456,7 @@ func TestMultiBufferLate(t *testing.T) {
 }
 
 func BenchmarkSingleBufferTuple(b *testing.B) {
-	m, _ := NewSingleBuffer(Config{Spec: Sliding(15*time.Minute, 5*time.Minute)})
+	m, _ := NewSingleBuffer(Sliding(15*time.Minute, 5*time.Minute))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m.OnTuple(mkTuple(int64(i)*int64(time.Second), 1))
@@ -508,7 +469,7 @@ func BenchmarkSingleBufferTuple(b *testing.B) {
 // Ablation: the buffering-cost comparison of Fig. 3 — single buffer
 // stores each tuple once, multiple buffers store Overlap() copies.
 func BenchmarkMultiBufferTuple(b *testing.B) {
-	m, _ := NewMultiBuffer(Config{Spec: Sliding(15*time.Minute, 5*time.Minute)})
+	m, _ := NewMultiBuffer(Sliding(15*time.Minute, 5*time.Minute))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		m.OnTuple(mkTuple(int64(i)*int64(time.Second), 1))
@@ -525,14 +486,11 @@ func TestMultiBufferGapFiresOnlyExistingWindows(t *testing.T) {
 	const gap = 1_000_000_000
 	mb := newMB(t, Spec{Domain: TimeDomain, Range: 3, Slide: 1})
 	for _, ts := range []int64{0, 1, gap} {
-		if _, err := mb.OnTuple(mkTuple(ts, 1)); err != nil {
-			t.Fatal(err)
-		}
+		mb.OnTuple(mkTuple(ts, 1))
 	}
 	done := make(chan []Complete, 1)
 	go func() {
-		cs, _ := mb.OnWatermark(math.MaxInt64)
-		done <- cs
+		done <- mb.OnWatermark(math.MaxInt64)
 	}()
 	select {
 	case cs := <-done:
