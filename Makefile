@@ -37,10 +37,13 @@ race:
 
 # Crash-recovery integration suite: fault injection at every
 # checkpoint-protocol seam, run under the race detector (the workers'
-# snapshots and the coordinator's commit run concurrently).
+# snapshots and the coordinator's commit run concurrently). A worker
+# runs one checkpoint protocol (checkpoint.WorkerHooks) in-process and
+# on a shard node, so the two loopback shard tests that take barriers
+# and snapshots over the wire run here too.
 recovery:
 	$(GO) test -race -run 'TestCrashRecovery|TestRecovery|TestCoordinator' ./internal/checkpoint/
-	$(GO) test -race -run 'TestCheckpoint' .
+	$(GO) test -race -run 'TestCheckpoint|TestDistributedBarriersOverWire|TestDistributedLoopbackIdentity$$' .
 
 # The telemetry system: the obs package (worker bundles — the gauge,
 # histogram and Summary tests that came with them run here under -race

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net"
-	"sync"
 	"time"
 
 	"spear/internal/checkpoint"
@@ -77,38 +76,25 @@ func (q *Query) ServeShard(lis net.Listener) error {
 		PeerWait: q.transportPeerWait,
 		Obs:      tobs,
 		Start: func(spec transport.JobSpec, ack func(transport.SnapAck) error) (*spe.ShardRun, error) {
-			factory := q.managerFactory(plane, reg, spec.Checkpoint)
 			var hooks *spe.CheckpointHooks
 			if spec.Checkpoint {
-				// Worker-side checkpoint protocol: restore from the
-				// manifest the source recovered to (loaded once, shared
-				// across this node's workers), persist blobs locally at
-				// each barrier, acknowledge over the wire.
-				var once sync.Once
-				var m checkpoint.Manifest
-				var merr error
-				hooks = &spe.CheckpointHooks{
-					Restore: func(wi int, mgr core.Manager) error {
-						if spec.RestoreID == 0 {
-							return checkpoint.Rewind(mgr, wi)
-						}
-						once.Do(func() { m, merr = checkpoint.LoadManifest(store, ns, spec.RestoreID) })
-						if merr != nil {
-							return merr
-						}
-						return checkpoint.RestoreWorker(store, m, wi, mgr)
-					},
-					Snapshot: func(id uint64, wi int, mgr core.Manager) error {
-						op, deferred, err := checkpoint.SnapshotBlob(store, ns, id, wi, mgr)
-						if err != nil {
-							return err
-						}
+				// The worker protocol a local worker runs, confirming over
+				// the wire, from the manifest the source recovered to.
+				var restore *checkpoint.Manifest
+				if spec.RestoreID != 0 {
+					m, err := checkpoint.LoadManifest(store, ns, spec.RestoreID)
+					if err != nil {
+						return nil, err
+					}
+					restore = &m
+				}
+				hooks = checkpoint.WorkerHooks(store, ns, restore, reg.Checkpoint(),
+					func(id uint64, op checkpoint.Operator, deferred []string) error {
 						return ack(transport.SnapAck{
 							ID: id, Worker: op.Worker, Key: op.Key,
 							Size: op.Size, Sum: op.Sum, Deferred: deferred,
 						})
-					},
-				}
+					})
 			}
 			return spe.StartShard(spe.Shard{
 				Name: q.name, Lo: spec.Lo, Hi: spec.Hi, Senders: spec.Senders,
@@ -116,7 +102,8 @@ func (q *Query) ServeShard(lis net.Listener) error {
 				// Both sides build the same query, so the shard ingests
 				// on the lane the source's local workers would.
 				Columnar: q.colOn,
-				Factory:  factory, Hooks: hooks, Obs: ins,
+				Factory:  q.managerFactory(plane, reg, spec.Checkpoint),
+				Hooks:    hooks, Obs: ins,
 			})
 		},
 	})

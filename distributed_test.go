@@ -1,6 +1,7 @@
 package spear
 
 import (
+	"fmt"
 	"net"
 	"reflect"
 	"sort"
@@ -301,7 +302,12 @@ func TestDistributedBarriersOverWire(t *testing.T) {
 	}
 	want := ref.sorted()
 
-	shards := startShards(t, 2, build)
+	var shardIns []*Instruments
+	shards := startShards(t, 2, func() *Query {
+		ins := NewInstruments()
+		shardIns = append(shardIns, ins)
+		return build().ObserveWith(ins)
+	})
 	got := &workerSink{}
 	tel := NewInstruments()
 	if _, err := build().Source(FromSlice(in)).
@@ -320,6 +326,22 @@ func TestDistributedBarriersOverWire(t *testing.T) {
 	}
 	if telRef.Checkpoint().Completed.Load() < 1 {
 		t.Fatal("reference run committed no checkpoints")
+	}
+	// A shard's workers run the local worker protocol, telemetry
+	// included: each shard books the blobs it persisted.
+	for i, ins := range shardIns {
+		if cm := ins.Checkpoint(); cm.SnapshotBytes.Load() == 0 || cm.SnapshotTime.Count() == 0 {
+			t.Errorf("shard %d booked %d snapshot bytes over %d snapshots", i, cm.SnapshotBytes.Load(), cm.SnapshotTime.Count())
+		}
+	}
+	// Only the fabric that owns a channel registers it: the source's
+	// edges are the network outboxes, one per worker.
+	var edges []string
+	for _, e := range tel.Snapshot(time.Now()).Edges {
+		edges = append(edges, e.Name)
+	}
+	if want := "[shuffle[0] shuffle[1] shuffle[2] shuffle[3]]"; fmt.Sprint(edges) != want {
+		t.Errorf("source edges %v, want %s", edges, want)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"spear/internal/core"
 	"spear/internal/spe"
 )
 
@@ -88,10 +89,10 @@ func (in *Injector) AfterPersist() func(id uint64, worker int) error {
 }
 
 // Arm wraps the coordinator's engine hooks with the injector's crash
-// points (PreBarrier via Trigger, MidAlignment via BarrierSeen) and
-// returns the wrapped hooks. PostSnapshot is wired separately through
-// AfterPersist, which must be installed on the coordinator's Config
-// before constructing it.
+// points (PreBarrier via Trigger, MidAlignment via Snapshot, crashing
+// before the inner snapshot runs) and returns the wrapped hooks.
+// PostSnapshot is wired separately through AfterPersist, which must be
+// installed on the coordinator's Config before constructing it.
 func (in *Injector) Arm(h *spe.CheckpointHooks) *spe.CheckpointHooks {
 	wrapped := *h
 	if inner := h.Trigger; inner != nil && in.Point == PreBarrier {
@@ -106,18 +107,12 @@ func (in *Injector) Arm(h *spe.CheckpointHooks) *spe.CheckpointHooks {
 			return id, ok, nil
 		}
 	}
-	if in.Point == MidAlignment {
-		inner := h.BarrierSeen
-		wrapped.BarrierSeen = func(id uint64, worker int) error {
-			if inner != nil {
-				if err := inner(id, worker); err != nil {
-					return err
-				}
-			}
+	if inner := h.Snapshot; inner != nil && in.Point == MidAlignment {
+		wrapped.Snapshot = func(id uint64, worker int, mgr core.Manager) error {
 			if id == in.AtCheckpoint && worker == in.AtWorker && !in.fired.Load() {
 				return in.crash()
 			}
-			return nil
+			return inner(id, worker, mgr)
 		}
 	}
 	return &wrapped

@@ -2,13 +2,13 @@
 // for the SPEAr runtime. A coordinator, polled synchronously by the
 // spout, decides when a checkpoint starts; the engine broadcasts a
 // barrier to every windowed worker, each of which has the spout as its
-// one sender; when the barrier arrives the coordinator serializes the
+// one sender; when the barrier arrives the worker serializes its
 // operator's state (via the Snapshotter contract every stateful manager
-// implements) and persists it through the spill store; when every
-// worker has confirmed, a manifest — spout offset plus per-blob
-// checksums — is committed, superseded checkpoints are garbage
-// collected, and store deletions deferred since the previous checkpoint
-// are executed. Recovery loads the newest checkpoint whose manifest and
+// implements), persists it through the spill store and confirms
+// (WorkerHooks); when every worker has confirmed, a manifest — spout
+// offset plus per-blob checksums — is committed, superseded checkpoints
+// are garbage collected, and store deletions deferred since the
+// previous checkpoint are executed. Recovery loads the newest checkpoint whose manifest and
 // blobs all validate, restores every operator, rewinds secondary
 // storage to the snapshot point, and replays the spout from the
 // recorded offset.
@@ -25,7 +25,6 @@ import (
 	"sync"
 	"time"
 
-	"spear/internal/core"
 	"spear/internal/obs"
 	"spear/internal/spe"
 	"spear/internal/storage"
@@ -80,7 +79,8 @@ type Config struct {
 	// Metrics receives checkpoint telemetry; nil selects a fresh bundle
 	// of the coordinator's own.
 	Metrics *obs.CheckpointMetrics
-	// Now supplies the clock; nil uses time.Now.
+	// Now supplies the clock of interval triggers and manifest
+	// timestamps; nil uses time.Now.
 	Now func() time.Time
 	// AfterPersist, when non-nil, runs after a worker's snapshot blob
 	// is durably stored and before it is confirmed to the coordinator.
@@ -112,7 +112,6 @@ type Coordinator struct {
 	pending    *round
 
 	restored *Manifest
-	blobs    [][]byte
 }
 
 // NewCoordinator validates cfg and returns a coordinator.
@@ -176,21 +175,18 @@ func (c *Coordinator) Recover() (bool, error) {
 			return false, fmt.Errorf("checkpoint: manifest %d has %d operators, topology has %d workers",
 				id, len(m.Operators), c.cfg.Workers)
 		}
-		blobs := make([][]byte, len(m.Operators))
 		valid := true
-		for j, op := range m.Operators {
+		for _, op := range m.Operators {
 			b, err := getBlob(c.cfg.Store, op.Key)
 			if err != nil || int64(len(b)) != op.Size || BlobSum(b) != op.Sum {
 				valid = false
 				break
 			}
-			blobs[j] = b
 		}
 		if !valid {
 			continue
 		}
 		c.restored = &m
-		c.blobs = blobs
 		c.mu.Lock()
 		if id >= c.nextID {
 			c.nextID = id + 1
@@ -213,41 +209,13 @@ func (c *Coordinator) Restored() (Manifest, bool) {
 }
 
 // Hooks returns the engine hooks wiring this coordinator into a
-// topology. Call after Recover when resuming.
+// topology: the worker protocol every windowed worker runs
+// (WorkerHooks), confirming in this process, plus the spout's Trigger.
+// Call after Recover when resuming.
 func (c *Coordinator) Hooks() *spe.CheckpointHooks {
-	h := &spe.CheckpointHooks{}
+	h := WorkerHooks(c.cfg.Store, c.cfg.Namespace, c.restored, c.cfg.Metrics, c.confirmLocal)
 	if c.cfg.EveryTuples > 0 || c.cfg.Interval > 0 {
 		h.Trigger = c.trigger
-	}
-	h.Snapshot = c.snapshot
-	restored, blobs, met := c.restored, c.blobs, c.cfg.Metrics
-	if restored != nil {
-		h.StartOffset = restored.Offset
-	}
-	h.Restore = func(worker int, mgr core.Manager) error {
-		start := c.now()
-		if restored != nil {
-			s, ok := mgr.(Snapshotter)
-			if !ok {
-				return fmt.Errorf("checkpoint: worker %d manager %T cannot restore", worker, mgr)
-			}
-			if worker >= len(blobs) {
-				return fmt.Errorf("checkpoint: no snapshot for worker %d", worker)
-			}
-			if err := s.RestoreState(blobs[worker]); err != nil {
-				return fmt.Errorf("checkpoint: restore worker %d: %w", worker, err)
-			}
-		}
-		// Reconcile secondary storage with the restored (or, with no
-		// checkpoint, empty) state: drop whatever a crashed run wrote
-		// after the snapshot point.
-		if rw, ok := mgr.(StoreRewinder); ok {
-			if err := rw.RewindStore(); err != nil {
-				return fmt.Errorf("checkpoint: rewind worker %d: %w", worker, err)
-			}
-		}
-		met.RecoveryTime.Set(met.RecoveryTime.Load() + int64(c.now().Sub(start)))
-		return nil
 	}
 	return h
 }
@@ -283,44 +251,22 @@ func (c *Coordinator) trigger(offset int64) (uint64, bool, error) {
 	return id, true, nil
 }
 
-// snapshot implements spe.CheckpointHooks.Snapshot: serialize, persist,
-// confirm; the last confirmation commits the checkpoint.
-func (c *Coordinator) snapshot(id uint64, worker int, mgr core.Manager) error {
-	s, ok := mgr.(Snapshotter)
-	if !ok {
-		return c.fail(fmt.Errorf("checkpoint: worker %d manager %T cannot snapshot", worker, mgr))
-	}
-	start := c.now()
-	blob, err := s.SnapshotState()
-	if err != nil {
-		return c.fail(fmt.Errorf("checkpoint: snapshot worker %d: %w", worker, err))
-	}
-	key := snapshotKey(c.cfg.Namespace, id, worker)
-	if err := putBlob(c.cfg.Store, key, blob); err != nil {
-		return c.fail(err)
-	}
-	c.cfg.Metrics.SnapshotTime.ObserveDuration(c.now().Sub(start))
-	c.cfg.Metrics.SnapshotBytes.Add(int64(len(blob)))
+// confirmLocal confirms a worker of this process's own run, with
+// AfterPersist between its durable blob and the confirmation.
+func (c *Coordinator) confirmLocal(id uint64, op Operator, deferred []string) error {
 	if c.cfg.AfterPersist != nil {
-		if err := c.cfg.AfterPersist(id, worker); err != nil {
+		if err := c.cfg.AfterPersist(id, op.Worker); err != nil {
 			return c.fail(err)
 		}
 	}
-	// Deletions requested before this snapshot point reference segments
-	// only pre-snapshot state needs; they become safe to execute the
-	// moment this checkpoint commits.
-	var deferred []string
-	if dd, ok := mgr.(DeferredDeleter); ok {
-		deferred = dd.TakeDeferredDeletes()
-	}
-	return c.Confirm(id, Operator{Worker: worker, Key: key, Size: int64(len(blob)), Sum: BlobSum(blob)}, deferred)
+	return c.Confirm(id, op, deferred)
 }
 
 // Confirm records that worker op.Worker's snapshot blob for checkpoint
 // id is durably stored; the last confirmation commits the manifest.
-// The local snapshot hook calls it after persisting; the distributed
-// runtime calls it when a remote worker's acknowledgment frame arrives
-// (the worker persisted the blob itself through the shared store).
+// A worker of this process confirms through the hooks' Snapshot; the
+// distributed runtime calls it when a remote worker's acknowledgment
+// frame arrives. Either way the worker persisted the blob itself.
 func (c *Coordinator) Confirm(id uint64, op Operator, deferred []string) error {
 	worker := op.Worker
 	c.mu.Lock()

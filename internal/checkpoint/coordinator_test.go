@@ -65,7 +65,7 @@ func runCheckpoint(t *testing.T, c *Coordinator, offset int64, mgrs ...*stubMana
 		t.Fatalf("trigger(%d) = %v, %v", offset, ok, err)
 	}
 	for wi, m := range mgrs {
-		if err := c.snapshot(id, wi, m); err != nil {
+		if err := c.Hooks().Snapshot(id, wi, m); err != nil {
 			t.Fatalf("snapshot worker %d: %v", wi, err)
 		}
 	}
@@ -84,7 +84,7 @@ func TestCoordinatorTriggerCadence(t *testing.T) {
 		}
 		if ok {
 			fired = append(fired, off)
-			if err := c.snapshot(id, 0, mgr); err != nil {
+			if err := c.Hooks().Snapshot(id, 0, mgr); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -105,13 +105,13 @@ func TestCoordinatorPendingBlocksTrigger(t *testing.T) {
 		t.Fatal("trigger fired while a round was pending")
 	}
 	mgr := &stubManager{}
-	if err := c.snapshot(id, 0, mgr); err != nil {
+	if err := c.Hooks().Snapshot(id, 0, mgr); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, _ := c.trigger(20); ok {
 		t.Fatal("trigger fired with one of two workers confirmed")
 	}
-	if err := c.snapshot(id, 1, mgr); err != nil {
+	if err := c.Hooks().Snapshot(id, 1, mgr); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok, _ := c.trigger(30); !ok {
@@ -274,19 +274,19 @@ func TestCoordinatorSnapshotErrors(t *testing.T) {
 		t.Fatal("no trigger")
 	}
 	boom := errors.New("boom")
-	if err := c.snapshot(id, 0, &stubManager{failSnap: boom}); !errors.Is(err, boom) {
+	if err := c.Hooks().Snapshot(id, 0, &stubManager{failSnap: boom}); !errors.Is(err, boom) {
 		t.Fatalf("snapshot error not propagated: %v", err)
 	}
 	// Stray and duplicate confirmations are protocol violations.
 	c2 := newTestCoordinator(t, store, 2, 10)
-	if err := c2.snapshot(99, 0, &stubManager{}); err == nil {
+	if err := c2.Hooks().Snapshot(99, 0, &stubManager{}); err == nil {
 		t.Fatal("stray snapshot accepted")
 	}
 	id2, _, _ := c2.trigger(10)
-	if err := c2.snapshot(id2, 0, &stubManager{}); err != nil {
+	if err := c2.Hooks().Snapshot(id2, 0, &stubManager{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c2.snapshot(id2, 0, &stubManager{}); err == nil {
+	if err := c2.Hooks().Snapshot(id2, 0, &stubManager{}); err == nil {
 		t.Fatal("duplicate snapshot accepted")
 	}
 }

@@ -82,7 +82,7 @@ type Config struct {
 // checkpoint starts; a windowed worker has one sender, so the barrier's
 // arrival is its snapshot point: everything before it is in the
 // manager, nothing after it is, and the worker calls Snapshot there. On
-// restart, Restore is called per worker before any goroutine starts and
+// restart, Restore is called per worker before its shard starts and
 // the spout is sought to StartOffset.
 //
 // All hooks are optional except that a non-nil CheckpointHooks with a
@@ -103,11 +103,6 @@ type CheckpointHooks struct {
 	// Snapshot is called by each windowed worker when barrier id
 	// arrives. An error aborts the run.
 	Snapshot func(id uint64, worker int, mgr core.Manager) error
-	// BarrierSeen, when non-nil, observes every barrier arrival at a
-	// windowed worker, before its Snapshot (fault injection uses it as
-	// the "crash between barrier and snapshot" point). An error aborts
-	// the run.
-	BarrierSeen func(id uint64, worker int) error
 }
 
 type statelessStage struct {
@@ -140,7 +135,9 @@ func NewTopology(cfg Config) *Topology {
 		cfg.BatchSize = defaultBatchSize
 	}
 	cfg.FinalWatermark = true
-	return &Topology{cfg: cfg}
+	tp := &Topology{cfg: cfg}
+	tp.fabric = &localFabric{tp: tp}
+	return tp
 }
 
 // SetSpout sets the input source.
@@ -238,96 +235,47 @@ func (tp *Topology) Run() error {
 	if err := tp.validate(); err != nil {
 		return err
 	}
-	var failed errOnce
-
-	// Channels carry Batch values — a run of tuples or one control; the
-	// shared pool recycles runs between the spout and the workers so the
-	// steady state is allocation-free.
-	pool := newRunPool(tp.cfg.BatchSize)
 	hooks := tp.cfg.Checkpoint
-
-	// The windowed stage's input channels and result fan-in either run
-	// locally or belong to a fabric (network outboxes pumped to remote
-	// shard nodes, results arriving over the wire). Either way the spout
-	// is each channel's only sender.
-	var winIn []chan Batch
-	var results chan []SinkItem     // local fan-in; nil under a fabric
-	var resultsIn <-chan []SinkItem // what the sink drains
-	if tp.fabric != nil {
-		var err error
-		winIn, err = tp.fabric.Open(tp.windowed.par, tp.cfg.QueueSize, FabricEnv{
-			Recycle: pool.recycle,
-			Fail:    failed.set,
-		})
-		if err != nil {
-			return fmt.Errorf("spe: open fabric: %w", err)
+	// Checkpoint recovery replays the source from the snapshot point.
+	var offset int64
+	if hooks != nil && hooks.StartOffset > 0 {
+		sk, ok := tp.spout.(Seeker)
+		if !ok {
+			return fmt.Errorf("spe: checkpoint recovery from offset %d requires a seekable spout", hooks.StartOffset)
 		}
-		if len(winIn) != tp.windowed.par {
-			return fmt.Errorf("spe: fabric opened %d channels for %d workers", len(winIn), tp.windowed.par)
+		if err := sk.SeekTo(hooks.StartOffset); err != nil {
+			return fmt.Errorf("spe: seek spout: %w", err)
 		}
-		resultsIn = tp.fabric.Results()
-	} else {
-		winIn = make([]chan Batch, tp.windowed.par)
-		for i := range winIn {
-			winIn[i] = make(chan Batch, tp.cfg.QueueSize)
-		}
-		results = make(chan []SinkItem, tp.cfg.QueueSize)
-		resultsIn = results
+		offset = hooks.StartOffset
 	}
 
-	// Live observability: register pull probes over every channel the
-	// run just built. A probe is a closure over len(chan) — the engine
-	// pays nothing for it; scrapers pay one atomic load per read.
+	// Channels carry Batch values — a run of tuples or one control; the
+	// shared pool recycles runs between the spout and whatever consumes
+	// them, so the steady state is allocation-free. The fabric builds,
+	// restores and starts the windowed workers wherever they run — one
+	// in-process shard unless SetFabric installed another — and the spout
+	// is each of its channels' only sender.
+	var failed errOnce
+	pool := newRunPool(tp.cfg.BatchSize)
+	winIn, err := tp.fabric.Open(tp.windowed.par, tp.cfg.QueueSize, FabricEnv{
+		Recycle: pool.recycle,
+		Fail:    failed.set,
+		pool:    pool,
+		failed:  &failed,
+	})
+	if err != nil {
+		return err
+	}
+	if len(winIn) != tp.windowed.par {
+		return fmt.Errorf("spe: fabric opened %d channels for %d workers", len(winIn), tp.windowed.par)
+	}
 	ins := tp.cfg.Obs
 	var trace *obs.TraceRing
 	if ins != nil {
 		trace = ins.Trace()
-		for wi, c := range winIn {
-			c := c
-			ins.RegisterEdge(fmt.Sprintf("%s[%d]", tp.windowed.name, wi), tp.cfg.QueueSize, func() int { return len(c) })
-		}
-		sinkCh := resultsIn
-		ins.RegisterSink(tp.cfg.QueueSize, func() int { return len(sinkCh) })
 	}
 
-	// Build every worker's manager before starting any goroutine so a
-	// factory failure cannot leak a half-started pipeline. Under a
-	// fabric the managers live on the remote shard nodes (built and
-	// restored there by StartShard); locally we build and restore here.
-	var managers []core.Manager
-	if tp.fabric == nil {
-		managers = make([]core.Manager, tp.windowed.par)
-		for wi := range managers {
-			mgr, err := tp.windowed.factory(wi)
-			if err != nil {
-				return fmt.Errorf("spe: windowed worker %d: %w", wi, err)
-			}
-			managers[wi] = mgr
-		}
-	}
-
-	// Checkpoint recovery: restore operator state and seek the spout
-	// before any goroutine starts.
-	if hooks != nil {
-		if hooks.Restore != nil && tp.fabric == nil {
-			for wi, mgr := range managers {
-				if err := hooks.Restore(wi, mgr); err != nil {
-					return fmt.Errorf("spe: restore worker %d: %w", wi, err)
-				}
-			}
-		}
-		if hooks.StartOffset > 0 {
-			sk, ok := tp.spout.(Seeker)
-			if !ok {
-				return fmt.Errorf("spe: checkpoint recovery from offset %d requires a seekable spout", hooks.StartOffset)
-			}
-			if err := sk.SeekTo(hooks.StartOffset); err != nil {
-				return fmt.Errorf("spe: seek spout: %w", err)
-			}
-		}
-	}
-
-	var wgSpout, wgWin, wgSink sync.WaitGroup
+	var wgSpout, wgSink sync.WaitGroup
 
 	// Spout: run the stateless chain, route data into scatter buffers,
 	// generate watermarks, broadcast controls behind a full flush.
@@ -339,10 +287,6 @@ func (tp *Topology) Run() error {
 				close(c)
 			}
 		}()
-		var offset int64
-		if hooks != nil {
-			offset = hooks.StartOffset
-		}
 		// Source tuple k goes to slot k mod par under Shuffle, so a
 		// replay from offset starts at the phase the crashed run had
 		// there; a keyed stage hashes with a seed that survives restarts
@@ -442,42 +386,11 @@ func (tp *Topology) Run() error {
 		}
 	}()
 
-	// Windowed workers (local execution only — under a fabric the shard
-	// nodes run the identical loop via StartShard).
-	if tp.fabric == nil {
-		for wi := 0; wi < tp.windowed.par; wi++ {
-			mgr := managers[wi]
-			var wobs *obs.Worker
-			if ins != nil {
-				wobs = ins.Worker(fmt.Sprintf("%s[%d]", tp.windowed.name, wi))
-			}
-			wgWin.Add(1)
-			go func(wi int, in chan Batch, mgr core.Manager, wobs *obs.Worker) {
-				defer wgWin.Done()
-				runWinWorker(winWorkerCfg{
-					name:      tp.windowed.name,
-					wi:        wi,
-					batchSize: tp.cfg.BatchSize,
-					columnar:  tp.cfg.Columnar,
-					hooks:     hooks,
-					mgr:       mgr,
-					in:        in,
-					results:   results,
-					pool:      pool,
-					failed:    &failed,
-					ins:       ins,
-					wobs:      wobs,
-					trace:     trace,
-				})
-			}(wi, winIn[wi], mgr, wobs)
-		}
-	}
-
 	// Sink: fan-in arrives as []SinkItem batches.
 	wgSink.Add(1)
 	go func() {
 		defer wgSink.Done()
-		for items := range resultsIn {
+		for items := range tp.fabric.Results() {
 			for _, item := range items {
 				tp.sink(item.Worker, item.Res)
 				if trace != nil && trace.SampleWindow(item.Res.Start) {
@@ -492,15 +405,9 @@ func (tp *Topology) Run() error {
 	}()
 
 	wgSpout.Wait()
-	wgWin.Wait()
-	if results != nil {
-		close(results)
-	}
 	wgSink.Wait()
-	if tp.fabric != nil {
-		// The fabric's Results channel has closed (the sink returned);
-		// surface any transport or remote-shard failure it latched.
-		failed.set(tp.fabric.Err())
-	}
+	// The fabric's Results channel has closed (the sink returned); surface
+	// any failure it latched: a worker's, a link's or a remote shard's.
+	failed.set(tp.fabric.Err())
 	return failed.get()
 }

@@ -10,11 +10,12 @@ import (
 )
 
 // Shard describes the slice of a topology's windowed stage that one
-// remote node executes: global workers [Lo, Hi) of the stage, each fed
-// by the source's one sender. The factory and hooks are invoked with
-// global worker indices, so per-worker seeds, spill keys, and snapshot
-// identities are exactly those of a single-process run — the property
-// the distributed identity tests assert.
+// shard executes: global workers [Lo, Hi) of the stage, each fed by
+// the source's one sender. A local run is one shard over [0, par); a
+// shard node hosts its range of a distributed run. The factory and
+// hooks are invoked with global worker indices, so per-worker seeds,
+// spill keys, and snapshot identities are the same wherever a worker
+// runs.
 type Shard struct {
 	Name      string
 	Lo, Hi    int // global windowed worker range [Lo, Hi)
@@ -23,36 +24,46 @@ type Shard struct {
 	QueueSize int // input channel capacity, in batches
 	// Columnar mirrors the source topology's Config.Columnar: runs are
 	// viewed through a column batch and fed to the manager's
-	// OnColumnBatch kernels, as a local worker of that run would.
+	// OnColumnBatch kernels.
 	Columnar bool
 	Factory  ManagerFactory
 	// Hooks carries the worker-side checkpoint protocol: Restore runs
-	// per worker before the loops start; Snapshot runs at each barrier
-	// (the distributed runtime persists the blob and acks the
-	// coordinator over the wire from inside it). nil disables barrier
-	// handling — only valid when the source never checkpoints.
+	// per worker before the loops start; Snapshot runs at each barrier.
+	// nil disables barrier handling — only valid when the source never
+	// checkpoints.
 	Hooks *CheckpointHooks
-	Obs   *obs.Instruments
+	// Obs, when non-nil, gains the shard's edge and sink probes, its
+	// workers' bundles and, while tracing is on, their assign and fire
+	// events.
+	Obs *obs.Instruments
 }
 
-// ShardRun is a live shard: the transport feeds decoded batches into
-// In (one channel per local worker, In[i] serving global worker Lo+i)
-// and drains Results until it closes. Close every In channel at
-// stream end; Wait reports the first worker error after all loops
-// finish.
+// ShardRun is a live shard: its feeder (the spout, or the transport's
+// decoder) sends batches into In (one channel per worker, In[i] serving
+// global worker Lo+i) and drains Results until it closes. Close every
+// In channel at stream end; Wait reports the first worker error after
+// all loops finish.
 type ShardRun struct {
 	In      []chan Batch
 	Results chan []SinkItem
 
-	lo     int
 	pool   *runPool
-	failed errOnce
+	failed *errOnce
 	wg     sync.WaitGroup
 }
 
 // StartShard validates sh, builds and restores the shard's managers,
 // and starts one worker goroutine per global worker in [Lo, Hi).
 func StartShard(sh Shard) (*ShardRun, error) {
+	if sh.BatchSize <= 0 {
+		sh.BatchSize = defaultBatchSize
+	}
+	return startShard(sh, newRunPool(sh.BatchSize), new(errOnce))
+}
+
+// startShard is StartShard over a given run pool and error slot. This
+// is the one place a windowed worker is built, restored and started.
+func startShard(sh Shard, pool *runPool, failed *errOnce) (*ShardRun, error) {
 	if sh.Lo < 0 || sh.Hi <= sh.Lo {
 		return nil, fmt.Errorf("spe: shard range [%d, %d)", sh.Lo, sh.Hi)
 	}
@@ -62,27 +73,24 @@ func StartShard(sh Shard) (*ShardRun, error) {
 	if sh.Factory == nil {
 		return nil, fmt.Errorf("spe: shard has no factory")
 	}
-	if sh.BatchSize <= 0 {
-		sh.BatchSize = defaultBatchSize
-	}
 	if sh.QueueSize <= 0 {
 		sh.QueueSize = 1024
 	}
 	n := sh.Hi - sh.Lo
-	// Build and restore every manager before starting any goroutine,
-	// mirroring Run: a factory or restore failure leaks nothing.
+	// Build and restore every manager before starting any goroutine: a
+	// factory or restore failure leaks nothing.
 	managers := make([]core.Manager, n)
-	for i := 0; i < n; i++ {
+	for i := range managers {
 		mgr, err := sh.Factory(sh.Lo + i)
 		if err != nil {
-			return nil, fmt.Errorf("spe: shard worker %d: %w", sh.Lo+i, err)
+			return nil, fmt.Errorf("spe: windowed worker %d: %w", sh.Lo+i, err)
 		}
 		managers[i] = mgr
 	}
 	if sh.Hooks != nil && sh.Hooks.Restore != nil {
 		for i, mgr := range managers {
 			if err := sh.Hooks.Restore(sh.Lo+i, mgr); err != nil {
-				return nil, fmt.Errorf("spe: restore shard worker %d: %w", sh.Lo+i, err)
+				return nil, fmt.Errorf("spe: restore worker %d: %w", sh.Lo+i, err)
 			}
 		}
 	}
@@ -90,14 +98,19 @@ func StartShard(sh Shard) (*ShardRun, error) {
 	sr := &ShardRun{
 		In:      make([]chan Batch, n),
 		Results: make(chan []SinkItem, sh.QueueSize),
-		lo:      sh.Lo,
-		pool:    newRunPool(sh.BatchSize),
+		pool:    pool,
+		failed:  failed,
 	}
 	for i := range sr.In {
 		sr.In[i] = make(chan Batch, sh.QueueSize)
 	}
+	// Live observability: pull probes over every channel the shard owns.
+	// A probe is a closure over len(chan) — the engine pays nothing for
+	// it; scrapers pay one atomic load per read.
 	ins := sh.Obs
+	var trace *obs.TraceRing
 	if ins != nil {
+		trace = ins.Trace()
 		for i, c := range sr.In {
 			c := c
 			ins.RegisterEdge(fmt.Sprintf("%s[%d]", sh.Name, sh.Lo+i), sh.QueueSize, func() int { return len(c) })
@@ -105,7 +118,7 @@ func StartShard(sh Shard) (*ShardRun, error) {
 		res := sr.Results
 		ins.RegisterSink(sh.QueueSize, func() int { return len(res) })
 	}
-	for i := 0; i < n; i++ {
+	for i, mgr := range managers {
 		var wobs *obs.Worker
 		if ins != nil {
 			wobs = ins.Worker(fmt.Sprintf("%s[%d]", sh.Name, sh.Lo+i))
@@ -122,16 +135,17 @@ func StartShard(sh Shard) (*ShardRun, error) {
 				mgr:       mgr,
 				in:        sr.In[i],
 				results:   sr.Results,
-				pool:      sr.pool,
-				failed:    &sr.failed,
+				pool:      pool,
+				failed:    failed,
 				ins:       ins,
 				wobs:      wobs,
-				trace:     nil, // lifecycle tracing is a source-node concern
+				trace:     trace,
 			})
-		}(i, managers[i], wobs)
+		}(i, mgr, wobs)
 	}
 	// Close the result fan-in once every worker loop has drained, so
-	// the transport's result pump terminates.
+	// whoever drains it — the sink, or the transport's result pump —
+	// terminates.
 	go func() {
 		sr.wg.Wait()
 		close(sr.Results)

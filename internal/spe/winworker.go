@@ -9,10 +9,10 @@ import (
 	"spear/internal/obs"
 )
 
-// winWorkerCfg is everything one windowed worker's loop needs. Run
-// builds one per local worker; StartShard builds them for the global
-// worker range a remote node hosts — the loop itself is identical, so
-// distributed execution is bit-identical by construction.
+// winWorkerCfg is everything one windowed worker's loop needs. The
+// shard start builds one per worker of its global range, for a local
+// run's in-process shard and a remote node's alike, so distributed
+// execution is bit-identical by construction.
 type winWorkerCfg struct {
 	name      string // stage name, for errors and telemetry
 	wi        int    // global worker index (seeds, snapshot identity)
@@ -158,12 +158,6 @@ func runWinWorker(c winWorkerCfg) {
 			return
 		}
 		lastBarrier = id
-		if c.hooks.BarrierSeen != nil {
-			if err := c.hooks.BarrierSeen(id, c.wi); err != nil {
-				fail(err)
-				return
-			}
-		}
 		if c.hooks.Snapshot != nil {
 			if err := c.hooks.Snapshot(id, c.wi, mgr); err != nil {
 				fail(fmt.Errorf("snapshot %d: %w", id, err))

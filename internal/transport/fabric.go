@@ -45,8 +45,9 @@ type FabricConfig struct {
 	BackoffMax  time.Duration
 	// DrainTimeout bounds the post-Goodbye wait for final credits.
 	DrainTimeout time.Duration
-	// Obs, when non-nil, gains per-node transport counters and edge
-	// probes for the outbox channels.
+	// Obs, when non-nil, gains per-node transport counters and the
+	// probes of the channels the fabric owns: the outboxes and the
+	// result fan-in.
 	Obs *obs.Instruments
 }
 
@@ -119,6 +120,8 @@ func (f *Fabric) Open(par, queueSize int, env spe.FabricEnv) ([]chan spe.Batch, 
 			c := c
 			ins.RegisterEdge(fmt.Sprintf("shuffle[%d]", w), queueSize, func() int { return len(c) })
 		}
+		res := f.results
+		ins.RegisterSink(queueSize, func() int { return len(res) })
 	}
 
 	for j := 0; j < k; j++ {
@@ -181,9 +184,11 @@ func (f *Fabric) dial(n *fabricNode, epoch uint64, par, queueSize int) (net.Conn
 	hello := Hello{
 		Version: ProtocolVersion, TopoHash: f.cfg.TopoHash,
 		RunID: f.cfg.RunID, Epoch: epoch,
-		Lo: n.lo, Hi: n.hi, Par: par, Senders: 1, // the spout
-		BatchSize: f.cfg.BatchSize, QueueSize: queueSize,
-		Checkpoint: f.cfg.Checkpoint, RestoreID: f.cfg.RestoreID,
+		Job: JobSpec{
+			Lo: n.lo, Hi: n.hi, Par: par, Senders: 1, // the spout
+			BatchSize: f.cfg.BatchSize, QueueSize: queueSize,
+			Checkpoint: f.cfg.Checkpoint, RestoreID: f.cfg.RestoreID,
+		},
 		Acked: n.lk.delivered64(), Window: f.cfg.Window,
 	}
 	var lastErr error

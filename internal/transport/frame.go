@@ -132,6 +132,19 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
+// JobSpec is the shard assignment a source's Hello carries: which
+// global workers this node hosts, the topology shape the shard must
+// mirror for bit-identical execution, and the checkpoint posture.
+type JobSpec struct {
+	Lo, Hi     int // global windowed worker range [Lo, Hi)
+	Par        int // total windowed parallelism across all nodes
+	Senders    int // upstream senders into the windowed stage
+	BatchSize  int
+	QueueSize  int
+	Checkpoint bool   // the source runs the checkpoint protocol
+	RestoreID  uint64 // manifest to restore from, 0 = fresh state
+}
+
 // Hello is the dialer's opening frame: protocol identity plus the job
 // spec of the shard the connection feeds, and — on reconnect — the
 // cumulative sequence the dialer has delivered from the peer, so the
@@ -140,16 +153,8 @@ type Hello struct {
 	Version  uint32
 	TopoHash uint64
 	RunID    uint64
-	Epoch    uint64 // connection attempt counter; newest epoch wins
-
-	// Job spec (identical on every epoch of a run).
-	Lo, Hi     int // global windowed worker range this node hosts
-	Par        int // total windowed parallelism across all nodes
-	Senders    int // upstream senders into the windowed stage
-	BatchSize  int
-	QueueSize  int
-	Checkpoint bool   // the source runs the checkpoint protocol
-	RestoreID  uint64 // manifest id to restore, 0 = fresh state
+	Epoch    uint64  // connection attempt counter; newest epoch wins
+	Job      JobSpec // identical on every epoch of a run
 
 	Acked  uint64 // last peer→dialer seq the dialer has delivered
 	Window int    // credit window the dialer grants the peer
@@ -157,19 +162,20 @@ type Hello struct {
 
 // AppendHello encodes h as a frame body.
 func AppendHello(dst []byte, h Hello) []byte {
+	j := h.Job
 	dst = append(dst, byte(KindHello))
 	dst = tuple.AppendUvar(dst, uint64(h.Version))
 	dst = tuple.AppendU64(dst, h.TopoHash)
 	dst = tuple.AppendU64(dst, h.RunID)
 	dst = tuple.AppendUvar(dst, h.Epoch)
-	dst = tuple.AppendUvar(dst, uint64(h.Lo))
-	dst = tuple.AppendUvar(dst, uint64(h.Hi))
-	dst = tuple.AppendUvar(dst, uint64(h.Par))
-	dst = tuple.AppendUvar(dst, uint64(h.Senders))
-	dst = tuple.AppendUvar(dst, uint64(h.BatchSize))
-	dst = tuple.AppendUvar(dst, uint64(h.QueueSize))
-	dst = tuple.AppendBool(dst, h.Checkpoint)
-	dst = tuple.AppendU64(dst, h.RestoreID)
+	dst = tuple.AppendUvar(dst, uint64(j.Lo))
+	dst = tuple.AppendUvar(dst, uint64(j.Hi))
+	dst = tuple.AppendUvar(dst, uint64(j.Par))
+	dst = tuple.AppendUvar(dst, uint64(j.Senders))
+	dst = tuple.AppendUvar(dst, uint64(j.BatchSize))
+	dst = tuple.AppendUvar(dst, uint64(j.QueueSize))
+	dst = tuple.AppendBool(dst, j.Checkpoint)
+	dst = tuple.AppendU64(dst, j.RestoreID)
 	dst = tuple.AppendUvar(dst, h.Acked)
 	dst = tuple.AppendUvar(dst, uint64(h.Window))
 	return dst
@@ -178,26 +184,27 @@ func AppendHello(dst []byte, h Hello) []byte {
 // DecodeHello decodes a KindHello body.
 func DecodeHello(body []byte) (Hello, error) {
 	r, h := reader(body, KindHello), Hello{}
+	j := &h.Job
 	h.Version = uint32(r.Uvar())
 	h.TopoHash = r.U64()
 	h.RunID = r.U64()
 	h.Epoch = r.Uvar()
-	h.Lo = uvarInt(r)
-	h.Hi = uvarInt(r)
-	h.Par = uvarInt(r)
-	h.Senders = uvarInt(r)
-	h.BatchSize = uvarInt(r)
-	h.QueueSize = uvarInt(r)
-	h.Checkpoint = r.Bool()
-	h.RestoreID = r.U64()
+	j.Lo = uvarInt(r)
+	j.Hi = uvarInt(r)
+	j.Par = uvarInt(r)
+	j.Senders = uvarInt(r)
+	j.BatchSize = uvarInt(r)
+	j.QueueSize = uvarInt(r)
+	j.Checkpoint = r.Bool()
+	j.RestoreID = r.U64()
 	h.Acked = r.Uvar()
 	h.Window = uvarInt(r)
 	if err := r.Done(); err != nil {
 		return Hello{}, fmt.Errorf("%w: hello: %v", ErrFrame, err)
 	}
-	if h.Lo < 0 || h.Hi <= h.Lo || h.Par < h.Hi || h.Senders <= 0 {
+	if j.Lo < 0 || j.Hi <= j.Lo || j.Par < j.Hi || j.Senders <= 0 {
 		return Hello{}, fmt.Errorf("%w: hello shard [%d,%d) of %d, %d senders",
-			ErrFrame, h.Lo, h.Hi, h.Par, h.Senders)
+			ErrFrame, j.Lo, j.Hi, j.Par, j.Senders)
 	}
 	return h, nil
 }

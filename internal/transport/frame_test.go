@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"math"
 	"reflect"
@@ -101,10 +102,20 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestHelloWelcomeRoundTrip(t *testing.T) {
 	h := Hello{
 		Version: ProtocolVersion, TopoHash: 0xfeed, RunID: 77, Epoch: 3,
-		Lo: 2, Hi: 4, Par: 8, Senders: 2, BatchSize: 64, QueueSize: 16,
-		Checkpoint: true, RestoreID: 5, Acked: 123, Window: 256,
+		Job: JobSpec{
+			Lo: 2, Hi: 4, Par: 8, Senders: 2, BatchSize: 64, QueueSize: 16,
+			Checkpoint: true, RestoreID: 5,
+		},
+		Acked: 123, Window: 256,
 	}
-	h2, err := DecodeHello(AppendHello(nil, h))
+	// The bytes of protocol version 4's Hello: the job spec is encoded
+	// field by field between Epoch and Acked.
+	const pinned = "0104edfe0000000000004d00000000000000030204080240100105000000000000007b8002"
+	enc := AppendHello(nil, h)
+	if got := hex.EncodeToString(enc); got != pinned {
+		t.Errorf("hello encodes to\n %s\nwant\n %s", got, pinned)
+	}
+	h2, err := DecodeHello(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,14 +133,14 @@ func TestHelloWelcomeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeHelloRejectsBadShard(t *testing.T) {
-	for _, h := range []Hello{
+	for _, j := range []JobSpec{
 		{Lo: -1, Hi: 1, Par: 2, Senders: 1},
 		{Lo: 1, Hi: 1, Par: 2, Senders: 1}, // empty range
 		{Lo: 0, Hi: 4, Par: 2, Senders: 1}, // range beyond par
 		{Lo: 0, Hi: 1, Par: 1, Senders: 0}, // no senders
 	} {
-		if _, err := DecodeHello(AppendHello(nil, h)); err == nil {
-			t.Errorf("DecodeHello accepted invalid shard spec %+v", h)
+		if _, err := DecodeHello(AppendHello(nil, Hello{Job: j})); err == nil {
+			t.Errorf("DecodeHello accepted invalid shard spec %+v", j)
 		}
 	}
 }

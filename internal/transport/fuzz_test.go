@@ -101,7 +101,7 @@ func fuzzFrameSeeds() [][]byte {
 	seeds = append(seeds,
 		AppendHello(nil, Hello{
 			Version: ProtocolVersion, TopoHash: 1, RunID: 2, Epoch: 1,
-			Lo: 0, Hi: 2, Par: 4, Senders: 1, BatchSize: 64, QueueSize: 16,
+			Job:    JobSpec{Lo: 0, Hi: 2, Par: 4, Senders: 1, BatchSize: 64, QueueSize: 16},
 			Window: 256,
 		}),
 		AppendWelcome(nil, Welcome{Version: ProtocolVersion, TopoHash: 1, Window: 256}),

@@ -151,7 +151,8 @@ func TestHandshakeRejectsV2Peer(t *testing.T) {
 	defer conn.Close()
 	_, err = shake(conn, Hello{
 		Version: 2, TopoHash: 1, RunID: 1, Epoch: 1,
-		Lo: 0, Hi: 1, Par: 1, Senders: 1, BatchSize: 64, QueueSize: 16, Window: 8,
+		Job:    JobSpec{Lo: 0, Hi: 1, Par: 1, Senders: 1, BatchSize: 64, QueueSize: 16},
+		Window: 8,
 	})
 	var rej rejectError
 	if !errors.As(err, &rej) || !strings.Contains(rej.reason, "version 2") ||

@@ -11,19 +11,6 @@ import (
 	"spear/internal/tuple"
 )
 
-// JobSpec is the shard assignment a source's Hello carries: which
-// global workers this node hosts, the topology shape the shard must
-// mirror for bit-identical execution, and the checkpoint posture.
-type JobSpec struct {
-	Lo, Hi     int // global windowed worker range [Lo, Hi)
-	Par        int // total windowed parallelism
-	Senders    int // upstream senders into the windowed stage
-	BatchSize  int
-	QueueSize  int
-	Checkpoint bool
-	RestoreID  uint64 // manifest to restore from, 0 = fresh
-}
-
 // ServerConfig configures one shard node's serving side.
 type ServerConfig struct {
 	// TopoHash must match the dialer's or the handshake is rejected:
@@ -168,11 +155,7 @@ func (s *Server) handshake(conn net.Conn) {
 	}
 	if s.lk == nil {
 		// First Hello: the job spec is authoritative, start the shard.
-		spec := JobSpec{
-			Lo: h.Lo, Hi: h.Hi, Par: h.Par, Senders: h.Senders,
-			BatchSize: h.BatchSize, QueueSize: h.QueueSize,
-			Checkpoint: h.Checkpoint, RestoreID: h.RestoreID,
-		}
+		spec := h.Job
 		lk := newLink("source", h.Window, s, s.cfg.Obs)
 		s.lk = lk
 		s.spec = spec
