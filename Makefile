@@ -48,13 +48,15 @@ recovery:
 # The telemetry system: the obs package (worker bundles — the gauge,
 # histogram and Summary tests that came with them run here under -race
 # too — golden snapshot/exposition, server lifecycle, trace ring), the
-# controller's tick, and the end-to-end mid-run scrape + merged-source
-# recovery tests, race-enabled (the server and the controller's tick
-# snapshot concurrently with the engine's writers).
+# controller's tick, the end-to-end mid-run scrape + merged-source
+# recovery tests, and the root package's adaptive tests, race-enabled
+# (the server and the controller's tick snapshot concurrently with the
+# engine's writers, and the controller's escalation to shedding reads
+# the fill of hops bounded at about 1 K tuples).
 obs:
 	$(GO) test -race ./internal/obs/
 	$(GO) test -race ./internal/control/
-	$(GO) test -race -run 'TestObserve|TestMergedSourceCheckpointResume' .
+	$(GO) test -race -run 'TestObserve|TestMergedSourceCheckpointResume|TestAdaptive' .
 
 # Scrape gate: run a real query with -serve and the async spill plane
 # live (workers + prefetch), GET /metrics mid-run, and fail unless

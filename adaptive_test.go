@@ -14,8 +14,9 @@ import (
 
 // TestAdaptiveBudgetIdentity pins the controller's zero-cost-when-idle
 // contract at the public API: a query whose controller can never act —
-// an SLO far above any reachable lag, with AdaptiveBudget pinning
-// Min = Max to the starting budget — produces exactly the results of
+// an SLO far above any reachable lag and any span an edge stays full,
+// with AdaptiveBudget pinning Min = Max to the starting budget, so it can
+// neither tighten nor shed however saturated its hops — produces exactly the results of
 // the same query without LatencySLO: values bit-for-bit AND the
 // accelerate/exact Mode decision of every window.
 func TestAdaptiveBudgetIdentity(t *testing.T) {
@@ -69,6 +70,60 @@ func TestAdaptiveBudgetIdentity(t *testing.T) {
 		sameWres(t, plain, inert)
 	})
 
+	t.Run("saturated edge across ticks", func(t *testing.T) {
+		// The source outruns a worker whose archive writes each take
+		// 10ms, so its edge sits full for well over a second: several of
+		// the inert controller's 250ms ticks see it at QueueHigh, and none
+		// may shed, because the edge has been full for far less than 1h.
+		r := rand.New(rand.NewSource(13))
+		var in []Tuple
+		for i := 0; i < 40_000; i++ {
+			mean := 100.0
+			if (i/2000)%2 == 1 {
+				mean = 0 // relative error defeats the bound: exact fallback
+			}
+			in = append(in, NewTuple(int64(i/20)*sec, Float(mean+r.NormFloat64()*50)))
+		}
+		build := func() *Query {
+			return NewQuery("adsaturated").
+				Source(FromSlice(in)).
+				TumblingWindow(100*time.Second).
+				Mean(func(t Tuple) float64 { return t.Vals[0].AsFloat() }).
+				BudgetTuples(64).Error(0.10, 0.95).Seed(8).
+				DisableIncremental().Parallelism(1).
+				SpillStore(storage.NewLatencyStore(storage.NewMemStore(), 10*time.Millisecond, 0, nil))
+		}
+		plain := collectRun(t, build())
+
+		ins := NewInstruments()
+		var fullest float64
+		stop, polled := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(polled)
+			for {
+				select {
+				case <-stop:
+					return
+				case <-time.After(5 * time.Millisecond):
+				}
+				for _, e := range ins.Snapshot(time.Now()).Edges {
+					fullest = math.Max(fullest, e.Fill)
+				}
+			}
+		}()
+		inert := collectRun(t, build().LatencySLO(time.Hour).AdaptiveBudget(64, 64).ObserveWith(ins))
+		close(stop)
+		<-polled
+		sameWres(t, plain, inert)
+		ctl := ins.Snapshot(time.Now()).Control
+		if fullest < 0.9 || ctl == nil || ctl.Hold < 4 {
+			t.Fatalf("edge fill peaked at %.2f over %+v: the leg did not hold a saturated edge across ticks", fullest, ctl)
+		}
+		if ctl.ShedOn != 0 || ctl.Tighten != 0 {
+			t.Fatalf("inert controller acted: %+v", ctl)
+		}
+	})
+
 	t.Run("crash and recover", func(t *testing.T) {
 		// The inert controller must also leave checkpoint recovery
 		// untouched: restore rewrites the budget cells, and an idle
@@ -88,7 +143,6 @@ func TestAdaptiveBudgetIdentity(t *testing.T) {
 				TumblingWindow(100 * time.Second).
 				Mean(func(t Tuple) float64 { return t.Vals[0].AsFloat() }).
 				BudgetTuples(64).Error(0.05, 0.95).Seed(7).
-				QueueSize(32).
 				SpillStore(store)
 		}
 		ref := &sinkBuf{}

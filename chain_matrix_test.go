@@ -91,7 +91,7 @@ func TestChainComposes(t *testing.T) {
 		{"checkpoint, stop, recover", func(t *testing.T, build func() *Query, _ int) []workerResult {
 			store := storage.NewMemStore()
 			leg := func(src []Tuple) *Query {
-				return build().Source(FromSlice(src)).QueueSize(8).SpillStore(store).CheckpointEvery(1000, 0)
+				return build().Source(FromSlice(src)).SpillStore(store).CheckpointEvery(1000, 0)
 			}
 			leg1 := run(t, leg(in[:stopAt]))
 			leg2 := run(t, leg(in).Recover())
@@ -105,7 +105,7 @@ func TestChainComposes(t *testing.T) {
 		}},
 		{"distribute, checkpoints", func(t *testing.T, build func() *Query, par int) []workerResult {
 			ins := NewInstruments()
-			got := distributed(t, func() *Query { return build().QueueSize(8).CheckpointEvery(1000, 0) }, par, ins)
+			got := distributed(t, func() *Query { return build().CheckpointEvery(1000, 0) }, par, ins)
 			if ins.Checkpoint().Completed.Load() < 1 {
 				t.Fatal("no checkpoint committed")
 			}

@@ -35,7 +35,6 @@ func TestCheckpointStopAndResume(t *testing.T) {
 			BudgetTuples(64).
 			Error(0.05, 0.95).
 			Seed(7).
-			QueueSize(32). // backpressure keeps the spout near the worker
 			SpillStore(store)
 	}
 

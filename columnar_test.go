@@ -229,7 +229,6 @@ func TestColumnarIdentityCrashRecover(t *testing.T) {
 			BudgetTuples(64).
 			Error(0.10, 0.95).
 			Seed(7).
-			QueueSize(32).
 			SpillStore(store)
 	}
 

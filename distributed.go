@@ -210,11 +210,14 @@ func (q *Query) topoHash() uint64 {
 		q.aggFunc.Op, q.aggFunc.P, q.epsilon, q.confidence,
 		q.budgetTuples, q.knownGroups, q.seed,
 		q.keyBy != nil, q.disableIncremental)
-	custom := ""
+	custom, budgetMin, budgetMax := "", 0, 0
 	if q.custom != nil {
 		custom = q.custom.Name
 	}
-	fmt.Fprintf(h, "|%s|%d|%d", custom, q.batchSize, q.queueSize)
+	if aimd, ok := q.budgetPolicy.(*core.AIMDBudget); ok {
+		budgetMin, budgetMax = aimd.Min, aimd.Max
+	}
+	fmt.Fprintf(h, "|%s|%d|%d|%d", custom, q.batchSize, budgetMin, budgetMax)
 	return h.Sum64()
 }
 

@@ -45,7 +45,6 @@ func buildDistProcQuery(t testing.TB, kind, dir string) *Query {
 		}
 		q.TumblingWindow(100 * time.Second).
 			Seed(31).
-			QueueSize(16).
 			SpillStore(store).
 			CheckpointEvery(1200, 0)
 	default:

@@ -430,31 +430,35 @@ func TestDistributedDialFaults(t *testing.T) {
 
 // TestDistributedTopologyMismatch pairs a source with a shard built
 // from a diverged query; the handshake must refuse and the run must
-// fail loudly instead of computing silently different answers.
+// fail loudly instead of computing silently different answers. Each
+// case diverges in one setting that changes results: the seed, or an
+// AdaptiveBudget, which moves every window's budget and with it Modes.
 func TestDistributedTopologyMismatch(t *testing.T) {
 	leakcheck.Check(t, leakcheck.Timeout(10*time.Second))
 	in := distTuples(5, 100, 4)
-	shardQ := func() *Query {
+	base := func() *Query {
 		return NewQuery("distm").
 			TumblingWindow(100 * time.Second).
 			Count().
-			Seed(99). // diverged seed → different topology hash
+			Seed(1).
 			Parallelism(2)
 	}
-	shards := startShards(t, 1, shardQ)
-	q := NewQuery("distm").
-		TumblingWindow(100 * time.Second).
-		Count().
-		Seed(1).
-		Parallelism(2).
-		Source(FromSlice(in)).
-		Distribute(shards.addrs...)
-	q.transportBackoff = time.Millisecond
-	q.transportRedials = 1
-	_, err := q.Run(func(int, Result) {})
-	if err == nil || !strings.Contains(err.Error(), "topology hash") {
-		t.Fatalf("err = %v, want topology hash mismatch", err)
+	for _, tc := range []struct {
+		name          string
+		shard, source func() *Query
+	}{
+		{"seed", func() *Query { return base().Seed(99) }, base},
+		{"adaptive budget", base, func() *Query { return base().AdaptiveBudget(10, 1000) }},
+	} {
+		shards := startShards(t, 1, tc.shard)
+		q := tc.source().Source(FromSlice(in)).Distribute(shards.addrs...)
+		q.transportBackoff = time.Millisecond
+		q.transportRedials = 1
+		_, err := q.Run(func(int, Result) {})
+		if err == nil || !strings.Contains(err.Error(), "topology hash mismatch") {
+			t.Errorf("%s: err = %v, want topology hash mismatch", tc.name, err)
+		}
+		shards.kill()
+		shards.wait(t, true)
 	}
-	shards.kill()
-	shards.wait(t, true)
 }

@@ -70,9 +70,9 @@ type Config struct {
 	// queue near saturation) counts as headroom (default 0.5). Between
 	// LowFrac·SLO and SLO the controller holds.
 	LowFrac float64
-	// ShedFrac escalates to load shedding: once the budget sits at Min
-	// and lag still exceeds ShedFrac·SLO, archive writes are shed
-	// (default 2.0).
+	// ShedFrac escalates to load shedding: at the Min budget, lag past
+	// ShedFrac·SLO (default 2.0), or an edge at QueueHigh for that long
+	// without reading below QueueHigh/2, sheds archive writes.
 	ShedFrac float64
 	// QueueHigh treats any edge at or above this fill fraction as
 	// overload regardless of lag (default 0.9).
@@ -146,11 +146,11 @@ type Controller struct {
 
 	// Decision-loop state, touched only from Observe.
 	lastChange    time.Time
-	maxSet        bool
 	prevSrcAt     time.Time
 	prevSrcTuples int64
-	srcRate       float64 // tuples/s over the last observation interval
-	rateAtShed    float64 // source rate when shedding last engaged; 0 = unknown
+	srcRate       float64   // tuples/s over the last observation interval
+	rateAtShed    float64   // source rate when shedding last engaged; 0 = unknown
+	fullSince     time.Time // when an edge reached QueueHigh; zero once fill reads below QueueHigh/2
 
 	// Telemetry, read concurrently by ControlSnapshot.
 	decisions    [decCount]atomic.Int64
@@ -233,6 +233,12 @@ func (c *Controller) Observe(s *obs.Snapshot) {
 	}
 	c.lagNanos.Store(lag)
 	c.fillPct.Store(int64(fill * 1e4))
+	now := c.cfg.Clock()
+	if fill < c.cfg.QueueHigh/2 {
+		c.fullSince = time.Time{} // headroom ends a saturated span
+	} else if c.fullSince.IsZero() && fill >= c.cfg.QueueHigh {
+		c.fullSince = now
+	}
 	if !s.At.IsZero() {
 		if !c.prevSrcAt.IsZero() {
 			if dt := s.At.Sub(c.prevSrcAt).Seconds(); dt > 0 {
@@ -250,17 +256,10 @@ func (c *Controller) Observe(s *obs.Snapshot) {
 	shed := c.cells[0].Shedding()
 	c.target.Store(int64(budget))
 	c.shedding.Store(shed)
-	max := c.cfg.Max
-	if max <= 0 {
-		if !c.maxSet {
-			// Default ceiling: the budget the query started with.
-			c.cfg.Max = budget
-			c.maxSet = true
-		}
-		max = c.cfg.Max
+	if c.cfg.Max <= 0 {
+		c.cfg.Max = budget // default ceiling: the budget the query started with
 	}
 
-	now := c.cfg.Clock()
 	if !c.lastChange.IsZero() && now.Sub(c.lastChange) < c.cfg.Cooldown {
 		c.decisions[decHold].Add(1)
 		return
@@ -269,18 +268,22 @@ func (c *Controller) Observe(s *obs.Snapshot) {
 	slo := float64(c.cfg.SLO)
 	overload := float64(lag) > slo || fill >= c.cfg.QueueHigh
 	headroom := float64(lag) < c.cfg.LowFrac*slo && fill < c.cfg.QueueHigh/2
+	// Behind a bounded hop the backlog waits upstream of the source, where
+	// lag cannot see it. It formed after the edge last had headroom, so
+	// the span since then stands in for lag when shedding.
+	backlog := float64(lag)
+	if !c.fullSince.IsZero() {
+		backlog = math.Max(backlog, float64(now.Sub(c.fullSince)))
+	}
 
 	newBudget, newShed := budget, shed
 	decision := decHold
 	switch {
 	case overload:
 		if budget > c.cfg.Min {
-			newBudget = int(float64(budget) * c.cfg.Shrink)
-			if newBudget < c.cfg.Min {
-				newBudget = c.cfg.Min
-			}
+			newBudget = max(int(float64(budget)*c.cfg.Shrink), c.cfg.Min)
 			decision = decTighten
-		} else if !shed && float64(lag) > c.cfg.ShedFrac*slo {
+		} else if !shed && backlog > c.cfg.ShedFrac*slo {
 			newShed = true
 			decision = decShedOn
 			c.rateAtShed = c.srcRate
@@ -296,11 +299,8 @@ func (c *Controller) Observe(s *obs.Snapshot) {
 				newShed = false
 				decision = decShedOff
 			}
-		} else if budget < max {
-			newBudget = int(float64(budget)*c.cfg.Grow) + 1
-			if newBudget > max {
-				newBudget = max
-			}
+		} else if budget < c.cfg.Max {
+			newBudget = min(int(float64(budget)*c.cfg.Grow)+1, c.cfg.Max)
 			decision = decExpand
 		}
 	}

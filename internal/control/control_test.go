@@ -137,6 +137,58 @@ func TestControllerNoShedUnderMildOverload(t *testing.T) {
 	}
 }
 
+// TestControllerShedsOnFullEdgeAtFloor: a hop holds about 1 K tuples, so
+// behind a full one the backlog waits upstream of the source, where
+// worker lag cannot see it. At the floor, with lag under ShedFrac·SLO, an
+// edge that stays at QueueHigh for longer than ShedFrac·SLO must escalate
+// to shedding on its own; one seen full for the first time must not.
+func TestControllerShedsOnFullEdgeAtFloor(t *testing.T) {
+	h := newHarness(Config{SLO: 100 * time.Millisecond, Min: 50}, 1, 50)
+	h.observe(10*time.Millisecond, 0.95)
+	if h.cells[0].Shedding() {
+		t.Fatal("an edge full for no time at all must not shed")
+	}
+	h.observe(10*time.Millisecond, 0.95) // full for 1s > ShedFrac·SLO
+	if !h.cells[0].Shedding() {
+		t.Fatal("an edge full past ShedFrac·SLO at the budget floor must escalate to shedding")
+	}
+	if snap := h.ctrl.ControlSnapshot(); snap.ShedOn != 1 || snap.Tighten != 0 {
+		t.Fatalf("decision counters shedOn=%d tighten=%d, want 1/0", snap.ShedOn, snap.Tighten)
+	}
+}
+
+// TestControllerFullEdgeWithinSLONeverSheds: a source that outruns its
+// workers keeps an edge full for the whole run. While that span is under
+// ShedFrac·SLO the SLO is plainly met and the controller must not shed.
+// The span restarts only once an observation reads headroom, fill below
+// QueueHigh/2; a dip under QueueHigh alone does not end it.
+func TestControllerFullEdgeWithinSLONeverSheds(t *testing.T) {
+	h := newHarness(Config{SLO: time.Hour, Min: 50}, 1, 50)
+	for i := 0; i < 20; i++ {
+		h.observe(0, 1)
+	}
+	if h.cells[0].Shedding() {
+		t.Fatal("an edge full for 20s under a 1h SLO shed")
+	}
+	h = newHarness(Config{SLO: 400 * time.Millisecond, Min: 50}, 1, 50)
+	for i := 0; i < 10; i++ {
+		for _, fill := range []float64{1, 1, 1, 0.4} {
+			h.observe(0, fill)
+			h.now = h.now.Add(-700 * time.Millisecond) // 300ms between observations
+		}
+	}
+	if h.cells[0].Shedding() {
+		t.Fatal("an edge full for 600ms at a time shed under an 800ms bound")
+	}
+	for _, fill := range []float64{1, 1, 1, 0.5, 1} {
+		h.observe(0, fill)
+		h.now = h.now.Add(-700 * time.Millisecond)
+	}
+	if !h.cells[0].Shedding() {
+		t.Fatal("an edge full for 1.2s, dipping to 0.5 once, did not shed under an 800ms bound")
+	}
+}
+
 func TestControllerRecoversInReverseOrder(t *testing.T) {
 	h := newHarness(Config{SLO: 100 * time.Millisecond, Min: 50, Max: 400}, 1, 50)
 	h.cells[0].Set(50, true) // at the floor, shedding

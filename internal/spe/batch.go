@@ -17,6 +17,12 @@ import (
 // amortized down to 1/64 of its per-tuple cost.
 const defaultBatchSize = 64
 
+// queueFor is every engine channel's default capacity in batches: 1 K
+// tuples of runs of batchSize, at least two (measured at the default
+// batch size only, EXPERIMENTS "PR 41"). The spout runs at most that far
+// ahead of a worker, and a full edge shows overload that soon.
+func queueFor(batchSize int) int { return max(2, 1024/batchSize) }
+
 // runPool recycles the []tuple.Tuple runs that carry data between
 // senders and receivers, so the steady state allocates nothing per
 // run. Runs cross goroutine boundaries: a sender fills one, the

@@ -30,9 +30,9 @@ type ResultSink func(worker int, r core.Result)
 
 // Config configures an engine run.
 type Config struct {
-	// QueueSize bounds each worker's input channel, counted in batches;
-	// full queues block upstream senders (the engine's back-pressure
-	// mechanism). Zero selects 1024.
+	// QueueSize bounds each worker's input channel and the result fan-in,
+	// counted in batches; full queues block upstream senders (the engine's
+	// back-pressure mechanism). Zero selects max(2, 1024/BatchSize).
 	QueueSize int
 	// BatchSize is the run length for inter-stage channel hops:
 	// senders accumulate up to BatchSize data tuples per destination
@@ -128,11 +128,11 @@ type Topology struct {
 
 // NewTopology returns an empty topology with cfg (defaults applied).
 func NewTopology(cfg Config) *Topology {
-	if cfg.QueueSize <= 0 {
-		cfg.QueueSize = 1024
-	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = defaultBatchSize
+	}
+	if cfg.QueueSize <= 0 {
+		cfg.QueueSize = queueFor(cfg.BatchSize)
 	}
 	cfg.FinalWatermark = true
 	tp := &Topology{cfg: cfg}

@@ -50,9 +50,9 @@ type FabricEnv struct {
 // of the channels it owns.
 type Fabric interface {
 	// Open is called once per run, before the spout starts, with the
-	// windowed parallelism and the configured queue size (in batches)
-	// each returned channel must buffer. The spout is the only sender
-	// into every channel.
+	// windowed parallelism and the capacity in batches of every channel
+	// the fabric owns (Config.QueueSize, by default about 1 K tuples).
+	// The spout is the only sender into every channel.
 	Open(par, queueSize int, env FabricEnv) ([]chan Batch, error)
 	// Results returns the fan-in of window results. It must close once
 	// every worker has finished (or the fabric has failed), or the run

@@ -21,7 +21,7 @@ type Shard struct {
 	Lo, Hi    int // global windowed worker range [Lo, Hi)
 	Senders   int // what the source's Hello announced; must be 1
 	BatchSize int // must equal the source topology's batch size
-	QueueSize int // input channel capacity, in batches
+	QueueSize int // channel capacity in batches; zero is max(2, 1024/BatchSize)
 	// Columnar mirrors the source topology's Config.Columnar: runs are
 	// viewed through a column batch and fed to the manager's
 	// OnColumnBatch kernels.
@@ -58,6 +58,9 @@ func StartShard(sh Shard) (*ShardRun, error) {
 	if sh.BatchSize <= 0 {
 		sh.BatchSize = defaultBatchSize
 	}
+	if sh.QueueSize <= 0 {
+		sh.QueueSize = queueFor(sh.BatchSize)
+	}
 	return startShard(sh, newRunPool(sh.BatchSize), new(errOnce))
 }
 
@@ -72,9 +75,6 @@ func startShard(sh Shard, pool *runPool, failed *errOnce) (*ShardRun, error) {
 	}
 	if sh.Factory == nil {
 		return nil, fmt.Errorf("spe: shard has no factory")
-	}
-	if sh.QueueSize <= 0 {
-		sh.QueueSize = 1024
 	}
 	n := sh.Hi - sh.Lo
 	// Build and restore every manager before starting any goroutine: a

@@ -98,7 +98,9 @@ func NewFabric(cfg FabricConfig) *Fabric {
 }
 
 // Open implements spe.Fabric: dial every node, start the outbox pumps,
-// and return the channels the engine scatters into.
+// and return the channels the engine scatters into. queueSize, the hop
+// bound the engine resolved, sizes every outbox and the result channel,
+// and rides the Hello's JobSpec so each shard sizes its inputs alike.
 func (f *Fabric) Open(par, queueSize int, env spe.FabricEnv) ([]chan spe.Batch, error) {
 	k := len(f.cfg.Nodes)
 	if k == 0 {

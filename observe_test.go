@@ -181,7 +181,6 @@ func TestMergedSourceCheckpointResume(t *testing.T) {
 			BudgetTuples(64).
 			Error(0.05, 0.95).
 			Seed(11).
-			QueueSize(32).
 			SpillStore(store)
 	}
 

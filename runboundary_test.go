@@ -78,7 +78,7 @@ func TestRunBoundaryIsNotSemantic(t *testing.T) {
 			store := storage.NewMemStore()
 			q := func(src []Tuple) *Query {
 				return base("rb-ckpt", batch).Source(FromSlice(src)).Median(val).
-					Parallelism(2).QueueSize(8).SpillStore(store).CheckpointEvery(1000, 0)
+					Parallelism(2).SpillStore(store).CheckpointEvery(1000, 0)
 			}
 			return mergeLegs(run(t, q(in[:3000])), run(t, q(in).Recover()))
 		}},

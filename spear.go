@@ -175,7 +175,6 @@ type Query struct {
 	parallelism int
 	backend     Backend
 	seed        int64
-	queueSize   int
 	batchSize   int
 
 	colOn         bool
@@ -412,13 +411,13 @@ func (q *Query) AdaptiveBudget(min, max int) *Query {
 // While the worst worker's watermark lag exceeds d (or an internal
 // queue nears saturation) the controller tightens budgets toward a
 // floor — shrinking reservoirs online, which loosens ε̂_w and steers
-// more windows onto the O(b) sampled path — and past the floor it sheds
-// archive writes, trading the exact fallback for sample-only answers
-// whose realized bound is reported per window (Result.ContractMet
-// reports false for those). With headroom it recovers in reverse
-// order. It observes every d/3, within [2ms, 250ms]. AdaptiveBudget(min,
-// max) supplies the budget bounds; without it they default to
-// [BudgetTuples/16, BudgetTuples].
+// more windows onto the O(b) sampled path — and at the floor, with lag
+// or a queue's saturation lasting past 2d, it sheds archive writes,
+// trading the exact fallback for sample-only answers whose realized
+// bound is reported per window (Result.ContractMet reports false for
+// those). With headroom it recovers in reverse order. It observes every
+// d/3, within [2ms, 250ms]. AdaptiveBudget(min, max) supplies the
+// budget bounds; without it they default to [BudgetTuples/16, BudgetTuples].
 //
 // Every Result carries the contract it was held to (Epsilon,
 // Confidence) and the budget in force (Budget), so downstream consumers
@@ -461,13 +460,6 @@ func (q *Query) WithBackend(b Backend) *Query {
 // Seed fixes the sampling seed for reproducible runs.
 func (q *Query) Seed(s int64) *Query {
 	q.seed = s
-	return q
-}
-
-// QueueSize bounds worker input queues, counted in batches
-// (back-pressure); zero keeps the default of 1024.
-func (q *Query) QueueSize(n int) *Query {
-	q.queueSize = n
 	return q
 }
 
@@ -783,7 +775,6 @@ func (q *Query) Run(sink func(worker int, r Result)) (Summary, error) {
 		}
 	}
 	tp := spe.NewTopology(spe.Config{
-		QueueSize:       q.queueSize,
 		BatchSize:       q.batchSize,
 		Columnar:        q.colOn,
 		WatermarkPeriod: wmPeriod,

@@ -363,10 +363,9 @@ func TestQueryMethodSet(t *testing.T) {
 		"Distribute", "Error", "EstimateGroupedWith", "EstimateScalarWith", "GroupBy",
 		"KnownGroups", "LatencySLO", "Map", "Max", "Mean",
 		"Median", "Min", "ObserveWith", "Parallelism", "Percentile",
-		"QueueSize", "Recover", "Run", "Seed", "ServeShard",
-		"SlidingWindow", "Source", "SpillAhead", "SpillStore", "SpillWorkers",
-		"StdDev", "Sum", "TumblingWindow", "Variance", "WatermarkEvery",
-		"WithBackend",
+		"Recover", "Run", "Seed", "ServeShard", "SlidingWindow",
+		"Source", "SpillAhead", "SpillStore", "SpillWorkers", "StdDev",
+		"Sum", "TumblingWindow", "Variance", "WatermarkEvery", "WithBackend",
 	}
 	typ := reflect.TypeOf((*Query)(nil))
 	got := make([]string, typ.NumMethod())
