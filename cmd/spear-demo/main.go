@@ -159,7 +159,7 @@ func main() {
 	// across the two runtimes is exactly the property being demoed.
 	var shards []*exec.Cmd
 	if *nodes > 0 {
-		addrs, procs, err := spawnShards(*nodes, *par)
+		addrs, procs, err := spawnShards(*nodes)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -257,16 +257,17 @@ func main() {
 }
 
 // spawnShards re-execs this binary n times in -shard mode, forwarding
-// every explicitly-set flag (so the shards build the same query
-// definition) plus the resolved parallelism, and waits for each to
-// announce its listen address with a "SPEARADDR <addr>" stdout line.
-// On any failure every already-started shard is killed.
-func spawnShards(n, par int) (addrs []string, procs []*exec.Cmd, err error) {
-	args := []string{"-shard", fmt.Sprintf("-par=%d", par)}
+// every explicitly-set flag that shapes the workers (so the shards build
+// the same query definition), and waits for each to announce its listen
+// address with a "SPEARADDR <addr>" stdout line. Parallelism is not
+// forwarded: the source sends it with every run. On any failure every
+// already-started shard is killed.
+func spawnShards(n int) (addrs []string, procs []*exec.Cmd, err error) {
+	args := []string{"-shard"}
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "nodes", "shard", "par", "serve", "scrapecheck", "traceevery":
-			return // parent-only; par travels resolved, above
+			return // parent-only
 		}
 		args = append(args, "-"+f.Name+"="+f.Value.String())
 	})

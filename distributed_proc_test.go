@@ -65,7 +65,7 @@ func TestDistShardHelper(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q.transportPeerWait = d
+		q.p.peerWait = d
 	}
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -287,8 +287,8 @@ func TestDistributedKillNodeRecovery(t *testing.T) {
 		Source(&slowSpout{ts: in, delay: 150 * time.Microsecond}).
 		ObserveWith(tel1).
 		Distribute(n0.addr, n1.addr)
-	q1.transportRedials = 2
-	q1.transportBackoff = 10 * time.Millisecond
+	q1.p.redials = 2
+	q1.p.backoff = 10 * time.Millisecond
 	killed := make(chan struct{})
 	go func() {
 		defer close(killed)

@@ -373,8 +373,8 @@ func TestDistributedReconnect(t *testing.T) {
 	ins := NewInstruments()
 	got := &workerSink{}
 	q := build().Source(FromSlice(in)).Distribute(shards.addrs...).ObserveWith(ins)
-	q.transportDialer = fd
-	q.transportBackoff = 5 * time.Millisecond
+	q.p.dialer = fd
+	q.p.backoff = 5 * time.Millisecond
 	if _, err := q.Run(got.add); err != nil {
 		t.Fatal(err)
 	}
@@ -419,13 +419,49 @@ func TestDistributedDialFaults(t *testing.T) {
 	fd := &transport.FaultDialer{FailFirst: 2, DoubleDial: true, Delay: time.Millisecond}
 	got := &workerSink{}
 	q := build().Source(FromSlice(in)).Distribute(shards.addrs...)
-	q.transportDialer = fd
-	q.transportBackoff = 5 * time.Millisecond
+	q.p.dialer = fd
+	q.p.backoff = 5 * time.Millisecond
 	if _, err := q.Run(got.add); err != nil {
 		t.Fatal(err)
 	}
 	shards.wait(t, false)
 	requireIdentical(t, ref.sorted(), got.sorted())
+}
+
+// TestDistributedShardTakesTheSourcesShape pairs a source with shards
+// built with another parallelism and batch size, and without its Map
+// stage. None of those is a worker setting: the JobSpec carries the
+// source's parallelism and batch size, and Map stages run at the source.
+// So the handshake accepts the pairing, and its results are bit-identical
+// to the pairing of shards built like the source.
+func TestDistributedShardTakesTheSourcesShape(t *testing.T) {
+	leakcheck.Check(t, leakcheck.Timeout(10*time.Second))
+	in := distTuples(12, 300, 8)
+	build := func() *Query {
+		return NewQuery("distpar").
+			TumblingWindow(300*time.Second).
+			Median(func(tp Tuple) float64 { return tp.Vals[0].AsFloat() }).
+			BudgetTuples(96).
+			Seed(4).
+			CheckpointEvery(1<<40, 0)
+	}
+	source := func() *Query {
+		return build().Map(func(tp Tuple) (Tuple, bool) { return tp, true }).Parallelism(2).BatchSize(16)
+	}
+	run := func(shard func() *Query) []workerResult {
+		shards := startShards(t, 2, shard)
+		got := &workerSink{}
+		if _, err := source().Source(FromSlice(in)).Distribute(shards.addrs...).Run(got.add); err != nil {
+			t.Fatal(err)
+		}
+		shards.wait(t, false)
+		return got.sorted()
+	}
+	want := run(source)
+	if m := modes(want); m["sampled"] == 0 || m["exact"] == 0 {
+		t.Fatalf("reference does not exercise both modes: %v", m)
+	}
+	requireIdentical(t, want, run(func() *Query { return build().Parallelism(1).BatchSize(1) }))
 }
 
 // TestDistributedTopologyMismatch pairs a source with a shard built
@@ -452,8 +488,8 @@ func TestDistributedTopologyMismatch(t *testing.T) {
 	} {
 		shards := startShards(t, 1, tc.shard)
 		q := tc.source().Source(FromSlice(in)).Distribute(shards.addrs...)
-		q.transportBackoff = time.Millisecond
-		q.transportRedials = 1
+		q.p.backoff = time.Millisecond
+		q.p.redials = 1
 		_, err := q.Run(func(int, Result) {})
 		if err == nil || !strings.Contains(err.Error(), "topology hash mismatch") {
 			t.Errorf("%s: err = %v, want topology hash mismatch", tc.name, err)

@@ -441,7 +441,7 @@ func Fig9(opt Options) ([]*Table, error) {
 			ds := decStream(opt)
 			q := spear.NewQuery("dec-count").
 				Source(spear.FromFunc(ds.Next)).
-				CountTumblingWindow(int64(rangeK)).
+				CountSlidingWindow(int64(rangeK), int64(rangeK)).
 				Median(ds.Value).
 				Error(epsilon, confidence).
 				BudgetTuples(decMedianBudget).

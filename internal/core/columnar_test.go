@@ -342,7 +342,7 @@ func TestColumnarScalarIdentity(t *testing.T) {
 			name: "count domain falls back",
 			cfg: func() Config {
 				c := mkCfg(agg.Func{Op: agg.Mean}, 50)
-				c.Spec = window.CountTumbling(100)
+				c.Spec = window.CountSliding(100, 100)
 				return c
 			},
 			steps: func() []any {

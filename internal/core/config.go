@@ -110,11 +110,14 @@ type Config struct {
 	// spill.Plane.
 	SpillAhead int
 
-	// Budget, when non-nil, adapts the budget online between windows
-	// (the paper's future-work extension); BudgetTuples is then the
-	// starting value. Ignored while Cell is attached — the controller
-	// and a per-window policy must not both steer the budget.
-	Budget BudgetPolicy
+	// BudgetMin and BudgetMax, when BudgetMax > 0, adapt a scalar
+	// budget online between windows (the paper's future-work extension,
+	// "dynamic methods for online budget estimation", §4): after each
+	// produced window one AIMD step (ScalarManager.nextBudget) moves it
+	// within [BudgetMin, BudgetMax], starting from BudgetTuples. Zero
+	// keeps the budget fixed. Ignored while Cell is attached — the
+	// controller and the per-window step must not both steer the budget.
+	BudgetMin, BudgetMax int
 
 	// Cell, when non-nil, is the adaptive accuracy controller's
 	// mailbox (internal/control): the manager reads the published
@@ -188,6 +191,9 @@ func (c *Config) validate() error {
 	}
 	if c.BudgetTuples <= 0 {
 		return fmt.Errorf("core: budget %d must be positive", c.BudgetTuples)
+	}
+	if c.BudgetMax != 0 && !(1 <= c.BudgetMin && c.BudgetMin <= c.BudgetMax) {
+		return fmt.Errorf("core: budget bounds [%d, %d] invalid", c.BudgetMin, c.BudgetMax)
 	}
 	if c.Store == nil {
 		return errNoStore

@@ -322,7 +322,7 @@ func TestScalarSlidingWindows(t *testing.T) {
 
 func TestScalarCountWindows(t *testing.T) {
 	cfg := mkCfg(agg.Func{Op: agg.Mean}, 1000)
-	cfg.Spec = window.CountTumbling(50)
+	cfg.Spec = window.CountSliding(50, 50)
 	m, _ := NewScalarManager(cfg)
 	var got []Result
 	for i := 0; i < 175; i++ {
@@ -598,7 +598,7 @@ func TestGroupedHolistic(t *testing.T) {
 
 func TestGroupedCountDomain(t *testing.T) {
 	cfg := mkCfg(agg.Func{Op: agg.Mean}, 100)
-	cfg.Spec = window.CountTumbling(100)
+	cfg.Spec = window.CountSliding(100, 100)
 	cfg.KeyBy = tuple.FieldString(0)
 	cfg.Value = tuple.FieldFloat(1)
 	m, _ := NewGroupedManager(cfg)
@@ -791,7 +791,7 @@ func TestIncrementalManager(t *testing.T) {
 
 func TestIncrementalManagerCountDomain(t *testing.T) {
 	cfg := mkCfg(agg.Func{Op: agg.Sum}, 1)
-	cfg.Spec = window.CountTumbling(10)
+	cfg.Spec = window.CountSliding(10, 10)
 	m, _ := NewIncrementalManager(cfg)
 	var got []Result
 	for i := 0; i < 25; i++ {

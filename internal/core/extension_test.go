@@ -143,37 +143,45 @@ func TestCustomOpSampledAndExactPaths(t *testing.T) {
 }
 
 func TestAIMDBudgetPolicy(t *testing.T) {
-	p := &AIMDBudget{Min: 100, Max: 10000, Epsilon: 0.10}
+	cfg := mkCfg(agg.Func{Op: agg.Mean}, 500)
+	cfg.BudgetMin, cfg.BudgetMax = 100, 10000
+	m, err := NewScalarManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := func(cur int, r Result) int {
+		m.curBudget = cur
+		return m.nextBudget(r)
+	}
 	// Fallback grows.
-	if got := p.Next(500, Result{Mode: ModeExact}); got != 1001 {
+	if got := next(500, Result{Mode: ModeExact}); got != 1001 {
 		t.Errorf("grow = %d, want 1001", got)
 	}
 	// Comfortable acceleration shrinks.
-	if got := p.Next(1000, Result{Mode: ModeSampled, EstError: 0.01}); got != 950 {
+	if got := next(1000, Result{Mode: ModeSampled, EstError: 0.01}); got != 950 {
 		t.Errorf("shrink = %d, want 950", got)
 	}
 	// Borderline acceleration holds.
-	if got := p.Next(1000, Result{Mode: ModeSampled, EstError: 0.09}); got != 1000 {
+	if got := next(1000, Result{Mode: ModeSampled, EstError: 0.09}); got != 1000 {
 		t.Errorf("hold = %d", got)
 	}
 	// Incremental holds.
-	if got := p.Next(1000, Result{Mode: ModeIncremental}); got != 1000 {
+	if got := next(1000, Result{Mode: ModeIncremental}); got != 1000 {
 		t.Errorf("incremental hold = %d", got)
 	}
 	// Clamping.
-	if got := p.Next(9999, Result{Mode: ModeExact}); got != 10000 {
+	if got := next(9999, Result{Mode: ModeExact}); got != 10000 {
 		t.Errorf("max clamp = %d", got)
 	}
-	if got := p.Next(101, Result{Mode: ModeSampled, EstError: 0.001}); got != 100 {
+	if got := next(101, Result{Mode: ModeSampled, EstError: 0.001}); got != 100 {
 		t.Errorf("min clamp = %d", got)
 	}
-	// Zero-value defaults survive.
-	var dflt AIMDBudget
-	if got := dflt.Next(10, Result{Mode: ModeExact}); got != 21 {
-		t.Errorf("default grow = %d", got)
-	}
-	if got := dflt.Next(0, Result{Mode: ModeSampled}); got != 1 {
-		t.Errorf("floor = %d", got)
+	// Bounds that admit no budget are refused.
+	for _, b := range [][2]int{{0, 10}, {20, 10}} {
+		cfg.BudgetMin, cfg.BudgetMax = b[0], b[1]
+		if _, err := NewScalarManager(cfg); err == nil {
+			t.Errorf("bounds %v accepted", b)
+		}
 	}
 }
 
@@ -183,7 +191,7 @@ func TestAdaptiveBudgetConverges(t *testing.T) {
 	// help — the scenario the paper's offline analysis hard-coded.
 	cfg := mkCfg(agg.Func{Op: agg.Mean}, 10)
 	cfg.DisableIncremental = true
-	cfg.Budget = &AIMDBudget{Min: 10, Max: 4000}
+	cfg.BudgetMin, cfg.BudgetMax = 10, 4000
 	m, err := NewScalarManager(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -224,7 +232,7 @@ func TestAdaptiveBudgetConverges(t *testing.T) {
 func TestAdaptiveBudgetShrinksUnderEasyData(t *testing.T) {
 	cfg := mkCfg(agg.Func{Op: agg.Mean}, 2000)
 	cfg.DisableIncremental = true
-	cfg.Budget = &AIMDBudget{Min: 50, Max: 2000}
+	cfg.BudgetMin, cfg.BudgetMax = 50, 2000
 	m, _ := NewScalarManager(cfg)
 	for w := 0; w < 30; w++ {
 		for i := 0; i < 1000; i++ {

@@ -89,7 +89,7 @@ func TestKnownGroupsArchiveEviction(t *testing.T) {
 // arrival and estimate from arrival-built samples.
 func TestKnownGroupsCountDomain(t *testing.T) {
 	cfg := mkCfg(agg.Func{Op: agg.Mean}, 200)
-	cfg.Spec = window.CountTumbling(500)
+	cfg.Spec = window.CountSliding(500, 500)
 	cfg.KeyBy = tuple.FieldString(0)
 	cfg.Value = tuple.FieldFloat(1)
 	cfg.KnownGroups = 2

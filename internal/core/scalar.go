@@ -114,9 +114,6 @@ func NewScalarManager(cfg Config) (*ScalarManager, error) {
 	if est == nil {
 		est = defaultScalarEstimator(cfg.Agg)
 	}
-	if p, ok := cfg.Budget.(*AIMDBudget); ok && p.Epsilon == 0 {
-		p.Epsilon = cfg.Epsilon
-	}
 	m := &ScalarManager{
 		cfg:       cfg,
 		est:       est,
@@ -318,14 +315,12 @@ func (m *ScalarManager) fire(wm int64) ([]Result, error) {
 			return nil, err
 		}
 		out = append(out, r)
-		// A per-window budget policy and the controller cell are
-		// mutually exclusive owners of the budget; with a cell
-		// attached the policy is ignored.
-		if m.cfg.Budget != nil && m.cfg.Cell == nil {
-			if next := m.cfg.Budget.Next(m.curBudget, r); next >= 1 {
-				m.curBudget = next
-				m.cfg.Metrics.BudgetTuples.Set(int64(next))
-			}
+		// The per-window step and the controller cell are mutually
+		// exclusive owners of the budget; with a cell attached the
+		// step is skipped.
+		if m.cfg.BudgetMax > 0 && m.cfg.Cell == nil {
+			m.curBudget = m.nextBudget(r)
+			m.cfg.Metrics.BudgetTuples.Set(int64(m.curBudget))
 		}
 		delete(m.wins, id)
 	}
@@ -338,6 +333,26 @@ func (m *ScalarManager) fire(wm int64) ([]Result, error) {
 	}
 	m.cfg.Metrics.MemBytes.Set(int64(m.BudgetMemUsage()))
 	return out, nil
+}
+
+// nextBudget is the per-window budget policy: one additive-increase/
+// multiplicative-decrease step after result r. An exact fallback means
+// the budget was insufficient, so it grows aggressively (×2 + 1) and the
+// next windows stop paying the full-processing penalty; an accelerated
+// window whose ε̂ sits under half of ε has headroom, so the budget
+// shrinks slowly (×0.95). The result stays within [BudgetMin,
+// BudgetMax]. It converges to the smallest budget that keeps windows
+// accelerating on the current data, so operators need not run the
+// paper's offline analysis to pick b.
+func (m *ScalarManager) nextBudget(r Result) int {
+	next := m.curBudget
+	switch {
+	case r.Mode == ModeExact:
+		next = 2*next + 1
+	case r.Mode == ModeSampled && r.EstError < m.cfg.Epsilon*0.5:
+		next = int(float64(next) * 0.95)
+	}
+	return min(max(next, m.cfg.BudgetMin), m.cfg.BudgetMax)
 }
 
 // held returns, ascending, the ids in [first, last] of the windows that

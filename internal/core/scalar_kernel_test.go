@@ -251,7 +251,7 @@ func TestScalarKernelMatchesPerTupleIngest(t *testing.T) {
 						Columnar: ColumnarSpec{Enabled: true, ValueField: 0},
 					}
 					if a.aimd {
-						cfg.Budget = &AIMDBudget{Min: 8, Max: 64}
+						cfg.BudgetMin, cfg.BudgetMax = 8, 64
 					}
 					m, err := NewScalarManager(cfg)
 					if err != nil {

@@ -2,8 +2,7 @@
 // against (§5.2, Table 2): a CountMin sketch equivalent to StreamLib's,
 // and the grouped-mean-over-two-sketches construction used there ("we
 // used a CountMin sketch for counting the sum of values and the
-// frequency of appearance of each distinct group"). A HyperLogLog
-// cardinality sketch is included as the related-work baseline of §6.
+// frequency of appearance of each distinct group").
 //
 // The point the paper makes — and this package preserves — is that a
 // sketch pays several hash evaluations per tuple and still has to keep

@@ -192,53 +192,6 @@ func TestGroupedMeanSketchZeroCount(t *testing.T) {
 	}
 }
 
-func TestHyperLogLog(t *testing.T) {
-	h := NewHyperLogLog(12) // σ ≈ 1.6%
-	const n = 50000
-	for i := 0; i < n; i++ {
-		h.Add(fmt.Sprintf("item-%d", i))
-		// Duplicates must not inflate the estimate.
-		if i%3 == 0 {
-			h.Add(fmt.Sprintf("item-%d", i))
-		}
-	}
-	est := h.Estimate()
-	if rel := math.Abs(est-n) / n; rel > 0.05 {
-		t.Errorf("estimate %v vs %d (rel %.3f)", est, n, rel)
-	}
-	h.Reset()
-	if got := h.Estimate(); got > 1 {
-		t.Errorf("post-reset estimate = %v", got)
-	}
-	if h.MemSize() != 4096 {
-		t.Errorf("MemSize = %d", h.MemSize())
-	}
-}
-
-func TestHyperLogLogSmallRange(t *testing.T) {
-	h := NewHyperLogLog(10)
-	for i := 0; i < 20; i++ {
-		h.Add(fmt.Sprintf("x%d", i))
-	}
-	est := h.Estimate()
-	if est < 15 || est > 25 {
-		t.Errorf("small-range estimate = %v, want ≈20", est)
-	}
-}
-
-func TestHyperLogLogBadPrecision(t *testing.T) {
-	for _, p := range []uint8{0, 3, 19} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("precision %d accepted", p)
-				}
-			}()
-			NewHyperLogLog(p)
-		}()
-	}
-}
-
 func BenchmarkCountMinAdd(b *testing.B) {
 	cm := NewCountMinWithError(0.10, 0.05)
 	keys := make([]string, 256)

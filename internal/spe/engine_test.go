@@ -322,7 +322,7 @@ func TestEndToEndCountWindows(t *testing.T) {
 		in = append(in, tuple.New(int64(i*3), tuple.Float(1)))
 	}
 	sink := &collectSink{}
-	spec := window.CountTumbling(100)
+	spec := window.CountSliding(100, 100)
 	tp := NewTopology(Config{}). // no watermarks in count domain
 					SetSpout(NewSliceSpout(in)).
 					SetWindowed("sum", 1, nil, scalarFactory(agg.Func{Op: agg.Sum}, spec, 10)).

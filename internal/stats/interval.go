@@ -39,13 +39,6 @@ func MeanCI(sampleMean, sampleStdDev float64, n, N int64, conf float64) Interval
 	return Interval{Low: sampleMean - half, High: sampleMean + half}
 }
 
-// SumCI returns the confidence interval for a population total (sum)
-// estimated by N·y from a simple random sample: the mean CI scaled by N.
-func SumCI(sampleMean, sampleStdDev float64, n, N int64, conf float64) Interval {
-	m := MeanCI(sampleMean, sampleStdDev, n, N, conf)
-	return Interval{Low: m.Low * float64(N), High: m.High * float64(N)}
-}
-
 // RelativeHalfWidth converts a confidence interval around estimate est
 // into the relative error SPEAr compares against the user's ε: the
 // half-width of the interval divided by |est| ("SPEAr treats the

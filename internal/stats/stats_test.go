@@ -245,14 +245,6 @@ func TestMeanCI(t *testing.T) {
 	}
 }
 
-func TestSumCI(t *testing.T) {
-	m := MeanCI(10, 2, 25, 1000, 0.95)
-	s := SumCI(10, 2, 25, 1000, 0.95)
-	if !almostEqual(s.Low, m.Low*1000, 1e-12) || !almostEqual(s.High, m.High*1000, 1e-12) {
-		t.Errorf("SumCI = %+v, want mean CI × N", s)
-	}
-}
-
 func TestIntervalHelpers(t *testing.T) {
 	iv := Interval{Low: 8, High: 12}
 	if iv.Width() != 4 {

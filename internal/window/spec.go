@@ -63,11 +63,6 @@ func CountSliding(rng, slide int64) Spec {
 	return Spec{Domain: CountDomain, Range: rng, Slide: slide}
 }
 
-// CountTumbling returns a count-based tumbling window spec.
-func CountTumbling(rng int64) Spec {
-	return Spec{Domain: CountDomain, Range: rng, Slide: rng}
-}
-
 // Validate checks the spec is well-formed.
 func (s Spec) Validate() error {
 	if s.Range <= 0 {

@@ -30,8 +30,8 @@ func TestSpecConstructors(t *testing.T) {
 	if cs.Domain != CountDomain || cs.Overlap() != 5 {
 		t.Errorf("CountSliding = %+v", cs)
 	}
-	if ct := CountTumbling(50); !ct.IsTumbling() {
-		t.Errorf("CountTumbling = %+v", ct)
+	if ct := CountSliding(50, 50); !ct.IsTumbling() {
+		t.Errorf("CountSliding(50, 50) = %+v", ct)
 	}
 }
 
@@ -65,7 +65,7 @@ func TestSpecString(t *testing.T) {
 		{Sliding(15*time.Minute, 5*time.Minute), "sliding(15m0s, 5m0s)"},
 		{Tumbling(time.Minute), "tumbling(1m0s)"},
 		{CountSliding(100, 20), "count-sliding(100, 20)"},
-		{CountTumbling(50), "count-tumbling(50)"},
+		{CountSliding(50, 50), "count-tumbling(50)"},
 	}
 	for _, tc := range tests {
 		if got := tc.s.String(); got != tc.want {

@@ -151,82 +151,97 @@ func (b Backend) String() string {
 
 // Query is a continuous query under construction. Methods return the
 // query for chaining; configuration errors accumulate and surface at
-// Run.
+// Run. What the methods set is a plan in the making: Run and ServeShard
+// compile it once and read only the compiled plan.
 type Query struct {
-	name string
-	errs []error
-
-	source   Source
-	maps     []spe.MapFunc
-	spec     window.Spec
+	errs     []error
 	haveSpec bool
+	haveAgg  bool
+	p        plan
+}
 
-	value   tuple.Extractor
-	keyBy   tuple.KeyExtractor
-	aggFunc agg.Func
-	custom  *agg.CustomFunc
-	haveAgg bool
+// plan is a compiled Query: every setting validated and defaulted, in
+// one value that Run and ServeShard read and never write.
+type plan struct {
+	// worker fixes what a windowed worker computes: a shard builds its
+	// managers from it, and the handshake hashes it whole (topoHash).
+	worker workerPlan
+	// fns holds the function values the workers call beside it.
+	fns planFuncs
 
-	epsilon      float64
-	confidence   float64
-	budgetTuples int
-	knownGroups  int
+	source    Source
+	maps      []spe.MapFunc
+	par       int
+	batchSize int
+	wmPeriod  time.Duration
+	wmLag     time.Duration
+	columnar  core.ColumnarSpec
 
-	parallelism int
-	backend     Backend
-	seed        int64
-	batchSize   int
-
-	colOn         bool
-	colValueField int
-	colKeyField   int
-	wmPeriod      time.Duration
-	wmLag         time.Duration
+	store        storage.SpillStore
+	spillWorkers int
+	spillAhead   int
 
 	ckptTuples   int64
 	ckptInterval time.Duration
 	ckptRecover  bool
 
-	store              storage.SpillStore
-	spillWorkers       int
-	spillAhead         int
-	budgetPolicy       core.BudgetPolicy
-	latencySLO         time.Duration
-	controlCells       []*control.Cell
-	disableIncremental bool
-	scalarEst          core.ScalarEstimator
-	groupedEst         core.GroupedEstimator
-
+	control control.Config // SLO > 0 runs the adaptive accuracy controller
 	obsInto *obs.Instruments
 
 	// Distributed runtime (Distribute / ServeShard).
-	workers           []string
-	runID             uint64
-	transportDialer   transport.Dialer
-	transportRedials  int
-	transportBackoff  time.Duration
-	transportPeerWait time.Duration
+	nodes    []string
+	dialer   transport.Dialer
+	redials  int
+	backoff  time.Duration
+	peerWait time.Duration
+}
+
+// workerPlan is the part of a plan that determines a window worker's
+// results. Its fields are plain values — no func, pointer, interface,
+// map or slice — so that %#v prints every one of them (TestPlanFields).
+type workerPlan struct {
+	Name               string
+	Backend            Backend
+	Spec               window.Spec
+	Agg                agg.Func
+	Custom             string // CustomAgg's name; its function is in planFuncs
+	Epsilon            float64
+	Confidence         float64
+	Budget             int
+	BudgetMin          int // AdaptiveBudget's bounds; BudgetMax 0 keeps Budget fixed
+	BudgetMax          int
+	KnownGroups        int
+	Seed               int64
+	Grouped            bool
+	DisableIncremental bool
+}
+
+// planFuncs are the function values a worker calls. They cannot be
+// hashed: a source and its shards must be built from the same code.
+type planFuncs struct {
+	value      tuple.Extractor
+	keyBy      tuple.KeyExtractor
+	custom     *agg.CustomFunc
+	scalarEst  core.ScalarEstimator
+	groupedEst core.GroupedEstimator
 }
 
 // NewQuery starts a query named name (used in telemetry and errors).
 func NewQuery(name string) *Query {
-	return &Query{
-		name:        name,
-		epsilon:     0.10,
-		confidence:  0.95,
-		parallelism: 1,
-		seed:        1,
-	}
+	return &Query{p: plan{
+		worker: workerPlan{Name: name, Epsilon: 0.10, Confidence: 0.95, Seed: 1},
+		par:    1,
+	}}
 }
 
 func (q *Query) errf(format string, args ...any) *Query {
-	q.errs = append(q.errs, fmt.Errorf("spear: %s: "+format, append([]any{q.name}, args...)...))
+	q.errs = append(q.errs, fmt.Errorf("spear: %s: "+format, append([]any{q.p.worker.Name}, args...)...))
 	return q
 }
 
 // Source sets the input stream.
 func (q *Query) Source(s Source) *Query {
-	q.source = s
+	q.p.source = s
 	return q
 }
 
@@ -242,34 +257,27 @@ func (q *Query) Map(fn func(Tuple) (Tuple, bool)) *Query {
 	if fn == nil {
 		return q.errf("nil Map function")
 	}
-	q.maps = append(q.maps, spe.MapFunc(fn))
+	q.p.maps = append(q.p.maps, spe.MapFunc(fn))
 	return q
 }
 
 // SlidingWindow sets a time-based sliding window over event time.
 func (q *Query) SlidingWindow(rng, slide time.Duration) *Query {
-	q.spec = window.Sliding(rng, slide)
+	q.p.worker.Spec = window.Sliding(rng, slide)
 	q.haveSpec = true
 	return q
 }
 
 // TumblingWindow sets a time-based tumbling window.
 func (q *Query) TumblingWindow(rng time.Duration) *Query {
-	q.spec = window.Tumbling(rng)
+	q.p.worker.Spec = window.Tumbling(rng)
 	q.haveSpec = true
 	return q
 }
 
 // CountSlidingWindow sets a count-based sliding window.
 func (q *Query) CountSlidingWindow(rng, slide int64) *Query {
-	q.spec = window.CountSliding(rng, slide)
-	q.haveSpec = true
-	return q
-}
-
-// CountTumblingWindow sets a count-based tumbling window.
-func (q *Query) CountTumblingWindow(rng int64) *Query {
-	q.spec = window.CountTumbling(rng)
+	q.p.worker.Spec = window.CountSliding(rng, slide)
 	q.haveSpec = true
 	return q
 }
@@ -280,7 +288,8 @@ func (q *Query) GroupBy(key func(Tuple) string) *Query {
 	if key == nil {
 		return q.errf("nil GroupBy key")
 	}
-	q.keyBy = key
+	q.p.fns.keyBy = key
+	q.p.worker.Grouped = true
 	return q
 }
 
@@ -291,19 +300,19 @@ func (q *Query) KnownGroups(n int) *Query {
 	if n <= 0 {
 		return q.errf("KnownGroups %d must be positive", n)
 	}
-	q.knownGroups = n
+	q.p.worker.KnownGroups = n
 	return q
 }
 
 func (q *Query) setAgg(f agg.Func, value func(Tuple) float64) *Query {
 	if q.haveAgg {
-		return q.errf("aggregate already set to %s", q.aggFunc)
+		return q.errf("aggregate already set to %s", q.p.worker.Agg)
 	}
 	if value == nil {
 		return q.errf("nil value extractor for %s", f)
 	}
-	q.aggFunc = f
-	q.value = value
+	q.p.worker.Agg = f
+	q.p.fns.value = value
 	q.haveAgg = true
 	return q
 }
@@ -375,9 +384,10 @@ func (q *Query) CustomAgg(fn CustomFunc, value func(Tuple) float64, est core.Sca
 	if est == nil {
 		return q.errf("custom aggregate %s requires an estimator", fn.Name)
 	}
-	q.custom = &fn
-	q.value = value
-	q.scalarEst = est
+	q.p.worker.Custom = fn.Name
+	q.p.fns.custom = &fn
+	q.p.fns.value = value
+	q.p.fns.scalarEst = est
 	q.haveAgg = true
 	return q
 }
@@ -390,19 +400,22 @@ func (q *Query) BudgetTuples(n int) *Query {
 	if n <= 0 {
 		return q.errf("budget %d must be positive", n)
 	}
-	q.budgetTuples = n
+	q.p.worker.Budget = n
 	return q
 }
 
 // AdaptiveBudget lets the engine adjust the budget online between
 // windows (the paper's future-work extension): estimation failures grow
 // it, comfortable accelerations shrink it, within [min, max]. The
-// starting value is BudgetTuples (or the default).
+// starting value is BudgetTuples (or the default). Only a scalar SPEAr
+// worker takes these steps, so Run refuses AdaptiveBudget on a grouped
+// query or a baseline backend unless LatencySLO, whose controller the
+// bounds then bound, is set.
 func (q *Query) AdaptiveBudget(min, max int) *Query {
 	if min < 1 || max < min {
 		return q.errf("adaptive budget bounds [%d, %d] invalid", min, max)
 	}
-	q.budgetPolicy = &core.AIMDBudget{Min: min, Max: max}
+	q.p.worker.BudgetMin, q.p.worker.BudgetMax = min, max
 	return q
 }
 
@@ -428,7 +441,7 @@ func (q *Query) LatencySLO(d time.Duration) *Query {
 	if d <= 0 {
 		return q.errf("latency SLO %v must be positive", d)
 	}
-	q.latencySLO = d
+	q.p.control.SLO = d
 	return q
 }
 
@@ -436,8 +449,8 @@ func (q *Query) LatencySLO(d time.Duration) *Query {
 // from the exact one by at most epsilon, for a confidence fraction of
 // windows — the paper's .error(10%, 95%).
 func (q *Query) Error(epsilon, confidence float64) *Query {
-	q.epsilon = epsilon
-	q.confidence = confidence
+	q.p.worker.Epsilon = epsilon
+	q.p.worker.Confidence = confidence
 	return q
 }
 
@@ -447,19 +460,19 @@ func (q *Query) Parallelism(n int) *Query {
 	if n <= 0 {
 		return q.errf("parallelism %d must be positive", n)
 	}
-	q.parallelism = n
+	q.p.par = n
 	return q
 }
 
 // WithBackend selects SPEAr or a baseline engine.
 func (q *Query) WithBackend(b Backend) *Query {
-	q.backend = b
+	q.p.worker.Backend = b
 	return q
 }
 
 // Seed fixes the sampling seed for reproducible runs.
 func (q *Query) Seed(s int64) *Query {
-	q.seed = s
+	q.p.worker.Seed = s
 	return q
 }
 
@@ -491,13 +504,12 @@ func (q *Query) Columnar(valueField int, keyField ...int) *Query {
 	if len(keyField) > 1 {
 		return q.errf("Columnar takes at most one key field")
 	}
-	q.colOn = true
-	q.colValueField = valueField
+	q.p.columnar = core.ColumnarSpec{Enabled: true, ValueField: valueField}
 	if len(keyField) == 1 {
 		if keyField[0] < 0 {
 			return q.errf("Columnar key field %d negative", keyField[0])
 		}
-		q.colKeyField = keyField[0]
+		q.p.columnar.KeyField = keyField[0]
 	}
 	return q
 }
@@ -513,7 +525,7 @@ func (q *Query) BatchSize(n int) *Query {
 	if n < 0 {
 		return q.errf("batch size %d must be non-negative", n)
 	}
-	q.batchSize = n
+	q.p.batchSize = n
 	return q
 }
 
@@ -523,15 +535,15 @@ func (q *Query) WatermarkEvery(period, lag time.Duration) *Query {
 	if period < 0 || lag < 0 {
 		return q.errf("watermark period %v and lag %v must be non-negative", period, lag)
 	}
-	q.wmPeriod = period
-	q.wmLag = lag
+	q.p.wmPeriod = period
+	q.p.wmLag = lag
 	return q
 }
 
 // SpillStore overrides secondary storage S (default: an in-process
 // store). Use storage-backed implementations for durability.
 func (q *Query) SpillStore(s storage.SpillStore) *Query {
-	q.store = s
+	q.p.store = s
 	return q
 }
 
@@ -547,7 +559,7 @@ func (q *Query) SpillWorkers(n int) *Query {
 	if n < 0 {
 		return q.errf("SpillWorkers %d negative", n)
 	}
-	q.spillWorkers = n
+	q.p.spillWorkers = n
 	return q
 }
 
@@ -561,14 +573,14 @@ func (q *Query) SpillAhead(n int) *Query {
 	if n < 0 {
 		return q.errf("SpillAhead %d negative", n)
 	}
-	q.spillAhead = n
+	q.p.spillAhead = n
 	return q
 }
 
 // DisableIncremental forces non-holistic scalar aggregates through the
 // sample-and-estimate path (the paper's §5.5 configuration).
 func (q *Query) DisableIncremental() *Query {
-	q.disableIncremental = true
+	q.p.worker.DisableIncremental = true
 	return q
 }
 
@@ -576,14 +588,14 @@ func (q *Query) DisableIncremental() *Query {
 // scalar operations — the paper's API for user-defined approximate
 // stateful operations.
 func (q *Query) EstimateScalarWith(est core.ScalarEstimator) *Query {
-	q.scalarEst = est
+	q.p.fns.scalarEst = est
 	return q
 }
 
 // EstimateGroupedWith installs a custom accuracy-estimation function
 // for grouped operations.
 func (q *Query) EstimateGroupedWith(est core.GroupedEstimator) *Query {
-	q.groupedEst = est
+	q.p.fns.groupedEst = est
 	return q
 }
 
@@ -629,7 +641,7 @@ func (q *Query) ObserveWith(ins *Instruments) *Query {
 	if ins == nil {
 		return q.errf("nil instruments")
 	}
-	q.obsInto = ins
+	q.p.obsInto = ins
 	return q
 }
 
@@ -646,8 +658,8 @@ func (q *Query) CheckpointEvery(tuples int64, interval time.Duration) *Query {
 	if tuples == 0 && interval == 0 {
 		return q.errf("checkpoint needs a tuple count or an interval")
 	}
-	q.ckptTuples = tuples
-	q.ckptInterval = interval
+	q.p.ckptTuples = tuples
+	q.p.ckptInterval = interval
 	return q
 }
 
@@ -658,7 +670,7 @@ func (q *Query) CheckpointEvery(tuples int64, interval time.Duration) *Query {
 // usable checkpoint the run starts clean, discarding any partial state
 // a crashed run left behind.
 func (q *Query) Recover() *Query {
-	q.ckptRecover = true
+	q.p.ckptRecover = true
 	return q
 }
 
@@ -668,31 +680,19 @@ func (q *Query) Recover() *Query {
 // none, so the Summary is empty (Workers: 0); each shard's telemetry is
 // on the Instruments its ServeShard query was given with ObserveWith.
 func (q *Query) Run(sink func(worker int, r Result)) (Summary, error) {
-	if len(q.errs) > 0 {
-		return Summary{}, errors.Join(q.errs...)
-	}
-	if q.source == nil {
-		return Summary{}, fmt.Errorf("spear: %s: no source", q.name)
-	}
-	if !q.haveSpec {
-		return Summary{}, fmt.Errorf("spear: %s: no window", q.name)
-	}
-	if !q.haveAgg {
-		return Summary{}, fmt.Errorf("spear: %s: no aggregate", q.name)
-	}
-	if sink == nil {
-		return Summary{}, fmt.Errorf("spear: %s: nil sink", q.name)
-	}
-	controllerOn := q.latencySLO > 0
-	if controllerOn && len(q.workers) > 0 {
-		return Summary{}, fmt.Errorf("spear: %s: LatencySLO does not compose with Distribute (the controller needs the in-process obs plane)", q.name)
-	}
-	store, plane, reg, err := q.assembleRuntime()
+	p, err := q.compile()
 	if err != nil {
 		return Summary{}, err
 	}
-
-	ckptEnabled := q.ckptTuples > 0 || q.ckptInterval > 0 || q.ckptRecover
+	name := p.worker.Name
+	if p.source == nil {
+		return Summary{}, fmt.Errorf("spear: %s: no source", name)
+	}
+	if sink == nil {
+		return Summary{}, fmt.Errorf("spear: %s: nil sink", name)
+	}
+	plane, reg := p.runtime()
+	ckptEnabled := p.ckptTuples > 0 || p.ckptInterval > 0 || p.ckptRecover
 
 	// reg is the run's telemetry registry either way (the worker bundles
 	// the Summary is computed from live there); ins is the same registry
@@ -700,7 +700,7 @@ func (q *Query) Run(sink func(worker int, r Result)) (Summary, error) {
 	// switch for its live probes. The adaptive controller is fed from
 	// snapshots of it, so enabling it implies observing.
 	var ins *obs.Instruments
-	if q.obsInto != nil || controllerOn {
+	if p.obsInto != nil || p.control.SLO > 0 {
 		ins = reg
 		ins.SetSpillPlane(plane)
 	}
@@ -708,88 +708,65 @@ func (q *Query) Run(sink func(worker int, r Result)) (Summary, error) {
 	// The controller's cells are created before the manager factory runs
 	// so each worker's Config carries its mailbox; every cell starts at
 	// the configured budget.
+	var cells []*control.Cell
 	var ctrl *control.Controller
-	if controllerOn {
-		q.controlCells = make([]*control.Cell, q.parallelism)
-		for i := range q.controlCells {
-			q.controlCells[i] = control.NewCell(q.budgetTuples)
+	if p.control.SLO > 0 {
+		cells = make([]*control.Cell, p.par)
+		for i := range cells {
+			cells[i] = control.NewCell(p.worker.Budget)
 		}
-		ccfg := control.Config{SLO: q.latencySLO}
-		if aimd, ok := q.budgetPolicy.(*core.AIMDBudget); ok {
-			// AdaptiveBudget's bounds double as the controller's; the
-			// per-window AIMD policy itself is ignored while a cell is
-			// attached (one budget owner at a time).
-			ccfg.Min, ccfg.Max = aimd.Min, aimd.Max
-		} else {
-			ccfg.Min = q.budgetTuples / 16
-			if ccfg.Min < 1 {
-				ccfg.Min = 1
-			}
-			ccfg.Max = q.budgetTuples
-		}
-		ctrl = control.New(ccfg, q.controlCells)
+		ctrl = control.New(p.control, cells)
 		ins.SetController(ctrl)
-	} else {
-		q.controlCells = nil
 	}
 
-	factory := q.managerFactory(plane, reg, ckptEnabled)
-
-	wmPeriod := int64(q.wmPeriod)
-	if wmPeriod == 0 && q.spec.Domain == window.TimeDomain {
-		wmPeriod = q.spec.Slide
-	}
-	if q.spec.Domain == window.CountDomain {
-		wmPeriod = 0 // count windows close on arrival
-	}
 	var hooks *spe.CheckpointHooks
 	var coord *checkpoint.Coordinator
 	if ckptEnabled {
 		coord, err = checkpoint.NewCoordinator(checkpoint.Config{
-			Store:       store,
-			Namespace:   q.name + "/ckpt",
-			Workers:     q.parallelism,
-			EveryTuples: q.ckptTuples,
-			Interval:    q.ckptInterval,
+			Store:       p.store,
+			Namespace:   name + "/ckpt",
+			Workers:     p.par,
+			EveryTuples: p.ckptTuples,
+			Interval:    p.ckptInterval,
 			Metrics:     reg.Checkpoint(),
 		})
 		if err != nil {
-			return Summary{}, fmt.Errorf("spear: %s: %w", q.name, err)
+			return Summary{}, fmt.Errorf("spear: %s: %w", name, err)
 		}
-		if q.ckptRecover {
+		if p.ckptRecover {
 			if _, err := coord.Recover(); err != nil {
-				return Summary{}, fmt.Errorf("spear: %s: %w", q.name, err)
+				return Summary{}, fmt.Errorf("spear: %s: %w", name, err)
 			}
 		}
 		hooks = coord.Hooks()
 	}
 
 	fieldsSeed := int64(0)
-	if ckptEnabled || len(q.workers) > 0 {
+	if ckptEnabled || len(p.nodes) > 0 {
 		// Group→worker routing must survive restarts and must agree
 		// across processes; derive a deterministic partitioner seed from
 		// the query seed.
-		fieldsSeed = sample.DeriveSeed(q.seed, -1)
+		fieldsSeed = sample.DeriveSeed(p.worker.Seed, -1)
 		if fieldsSeed == 0 {
 			fieldsSeed = 1
 		}
 	}
 	tp := spe.NewTopology(spe.Config{
-		BatchSize:       q.batchSize,
-		Columnar:        q.colOn,
-		WatermarkPeriod: wmPeriod,
-		WatermarkLag:    int64(q.wmLag),
+		BatchSize:       p.batchSize,
+		Columnar:        p.columnar.Enabled,
+		WatermarkPeriod: int64(p.wmPeriod),
+		WatermarkLag:    int64(p.wmLag),
 		Checkpoint:      hooks,
 		FieldsSeed:      fieldsSeed,
 		Obs:             ins,
-	}).SetSpout(q.source)
-	for _, fn := range q.maps {
-		tp.AddMap(q.name+"/map", 0, fn)
+	}).SetSpout(p.source)
+	for _, fn := range p.maps {
+		tp.AddMap(name+"/map", 0, fn)
 	}
-	tp.SetWindowed(q.name, q.parallelism, q.keyBy, factory)
+	tp.SetWindowed(name, p.par, p.fns.keyBy, p.managerFactory(plane, reg, ckptEnabled, cells))
 	tp.SetSink(func(worker int, r core.Result) { sink(worker, r) })
-	if len(q.workers) > 0 {
-		tp.SetFabric(q.newFabric(coord, ins))
+	if len(p.nodes) > 0 {
+		tp.SetFabric(p.newFabric(coord, ins))
 	}
 
 	// The controller's tick starts before the first tuple flows and takes
@@ -803,10 +780,57 @@ func (q *Query) Run(sink func(worker int, r Result)) (Summary, error) {
 	// hygiene) and surface any latched async-write error: a run whose
 	// spills did not all land must not report success.
 	if cerr := plane.Close(); cerr != nil && runErr == nil {
-		runErr = fmt.Errorf("spear: %s: spill plane: %w", q.name, cerr)
+		runErr = fmt.Errorf("spear: %s: spill plane: %w", name, cerr)
 	}
 	if runErr != nil {
 		return Summary{}, runErr
 	}
 	return reg.Summarize(), nil
+}
+
+// compile validates the query and applies its defaults, once, into the
+// plan Run and ServeShard read. It is the only place either happens.
+func (q *Query) compile() (plan, error) {
+	p := q.p
+	w := &p.worker
+	switch {
+	case len(q.errs) > 0:
+		return p, errors.Join(q.errs...)
+	case !q.haveSpec:
+		return p, fmt.Errorf("spear: %s: no window", w.Name)
+	case !q.haveAgg:
+		return p, fmt.Errorf("spear: %s: no aggregate", w.Name)
+	case p.spillAhead > 0 && p.spillWorkers == 0:
+		return p, fmt.Errorf("spear: %s: SpillAhead(%d) needs SpillWorkers > 0: prefetched panes live in the async plane's cache", w.Name, p.spillAhead)
+	case p.control.SLO > 0 && len(p.nodes) > 0:
+		return p, fmt.Errorf("spear: %s: LatencySLO does not compose with Distribute (the controller needs the in-process obs plane)", w.Name)
+	case w.BudgetMax > 0 && p.control.SLO == 0 && w.Grouped:
+		return p, fmt.Errorf("spear: %s: AdaptiveBudget without LatencySLO steers a scalar worker's budget only; a grouped one never reads it", w.Name)
+	case w.BudgetMax > 0 && p.control.SLO == 0 && w.Backend != BackendSPEAr:
+		return p, fmt.Errorf("spear: %s: AdaptiveBudget without LatencySLO steers a sample's budget; the %s backend keeps no sample", w.Name, w.Backend)
+	}
+	if w.Budget == 0 {
+		// A sensible default: enough for a 10%/95% quantile per the
+		// Hoeffding bound, with headroom.
+		w.Budget = 1000
+	}
+	if p.store == nil {
+		p.store = storage.NewMemStore()
+	}
+	switch {
+	case w.Spec.Domain == window.CountDomain:
+		p.wmPeriod = 0 // count windows close on arrival
+	case p.wmPeriod == 0:
+		p.wmPeriod = time.Duration(w.Spec.Slide)
+	}
+	if p.control.SLO > 0 {
+		// AdaptiveBudget's bounds double as the controller's; the
+		// per-window step itself is skipped while a cell is attached (one
+		// budget owner at a time).
+		p.control.Min, p.control.Max = w.BudgetMin, w.BudgetMax
+		if p.control.Max == 0 {
+			p.control.Min, p.control.Max = max(1, w.Budget/16), w.Budget
+		}
+	}
+	return p, nil
 }

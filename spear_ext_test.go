@@ -2,6 +2,9 @@ package spear
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -114,6 +117,92 @@ func TestAdaptiveBudgetEndToEnd(t *testing.T) {
 		TumblingWindow(1).Mean(func(Tuple) float64 { return 0 }).
 		Run(func(int, Result) {}); err == nil {
 		t.Error("invalid adaptive bounds accepted")
+	}
+}
+
+// TestAdaptiveBudgetFollowsError re-runs one AdaptiveBudget query after
+// changing its ε. The budget step compares each window's ε̂ with the ε
+// of the run it belongs to, so the second run must equal a fresh query
+// built with that ε: values, Modes and the budget of every window. (The
+// step used to keep, in a policy value the query shared between runs,
+// the ε of the first run that read it.)
+func TestAdaptiveBudgetFollowsError(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	var in []Tuple
+	for w := 0; w < 20; w++ {
+		for i := 0; i < 2000; i++ {
+			in = append(in, NewTuple(int64(w*1000+i/2), Float(100+r.NormFloat64()*30)))
+		}
+	}
+	build := func(eps float64) *Query {
+		return NewQuery("aimdeps").
+			TumblingWindow(1000*time.Nanosecond).
+			Mean(func(t Tuple) float64 { return t.Vals[0].AsFloat() }).
+			DisableIncremental().
+			BudgetTuples(100).
+			AdaptiveBudget(20, 4000).
+			Error(eps, 0.95).
+			Seed(3)
+	}
+	run := func(q *Query) []Result {
+		sink := &sinkBuf{}
+		if _, err := q.Source(FromSlice(in)).Run(sink.add); err != nil {
+			t.Fatal(err)
+		}
+		return sink.sorted()
+	}
+	q := build(0.02)
+	first := run(q)
+	second := run(q.Error(0.20, 0.95))
+	want := run(build(0.20))
+	if reflect.DeepEqual(first, want) {
+		t.Fatal("ε 0.02 and 0.20 produce the same windows: the stream does not exercise the budget step")
+	}
+	if len(second) != len(want) {
+		t.Fatalf("%d windows, want %d", len(second), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(second[i], want[i]) {
+			t.Fatalf("window %d after Error(0.20): %+v, want %+v", i, second[i], want[i])
+		}
+	}
+}
+
+// TestAdaptiveBudgetNeedsAReader: without LatencySLO, AdaptiveBudget's
+// bounds are read only by the per-window step of a SPEAr scalar worker.
+// Where nothing reads them the query is refused with the reason, not
+// run with the bounds silently ignored; with LatencySLO they bound the
+// controller, whatever the query.
+func TestAdaptiveBudgetNeedsAReader(t *testing.T) {
+	var in []Tuple
+	for i := 0; i < 400; i++ {
+		in = append(in, NewTuple(int64(i), Str([]string{"a", "b"}[i%2]), Float(float64(i%7))))
+	}
+	val := func(t Tuple) float64 { return t.Vals[1].AsFloat() }
+	key := func(t Tuple) string { return t.Vals[0].AsString() }
+	base := func() *Query {
+		return NewQuery("adreader").Source(FromSlice(in)).TumblingWindow(100).AdaptiveBudget(10, 100)
+	}
+	for _, tc := range []struct {
+		name   string
+		q      *Query
+		reason string // "" when the query must run
+	}{
+		{"scalar", base().Mean(val).DisableIncremental(), ""},
+		{"grouped", base().GroupBy(key).Mean(val), "grouped"},
+		{"grouped known", base().GroupBy(key).KnownGroups(2).Median(val), "grouped"},
+		{"exact backend", base().Median(val).WithBackend(BackendExact), "exact backend"},
+		{"incremental backend", base().Mean(val).WithBackend(BackendIncremental), "incremental backend"},
+		{"grouped under an SLO", base().GroupBy(key).Mean(val).LatencySLO(time.Hour), ""},
+		{"exact backend under an SLO", base().Median(val).WithBackend(BackendExact).LatencySLO(time.Hour), ""},
+	} {
+		_, err := tc.q.Run(func(int, Result) {})
+		switch {
+		case tc.reason == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.reason != "" && (err == nil || !strings.Contains(err.Error(), tc.reason)):
+			t.Errorf("%s: err = %v, want a refusal naming %q", tc.name, err, tc.reason)
+		}
 	}
 }
 

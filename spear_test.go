@@ -204,7 +204,7 @@ func TestCountWindowQuery(t *testing.T) {
 	sink := &sinkBuf{}
 	_, err := NewQuery("count").
 		Source(FromSlice(in)).
-		CountTumblingWindow(250).
+		CountSlidingWindow(250, 250).
 		Mean(func(t Tuple) float64 { return t.Vals[0].AsFloat() }).
 		Run(sink.add)
 	if err != nil {
@@ -359,7 +359,7 @@ func TestQueryValidationErrors(t *testing.T) {
 func TestQueryMethodSet(t *testing.T) {
 	want := []string{
 		"AdaptiveBudget", "BatchSize", "BudgetTuples", "CheckpointEvery", "Columnar",
-		"Count", "CountSlidingWindow", "CountTumblingWindow", "CustomAgg", "DisableIncremental",
+		"Count", "CountSlidingWindow", "CustomAgg", "DisableIncremental",
 		"Distribute", "Error", "EstimateGroupedWith", "EstimateScalarWith", "GroupBy",
 		"KnownGroups", "LatencySLO", "Map", "Max", "Mean",
 		"Median", "Min", "ObserveWith", "Parallelism", "Percentile",
