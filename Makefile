@@ -29,11 +29,14 @@ test:
 	$(GO) test ./...
 
 # The link's write side changes hands between goroutines (senders, the
-# credit sender, a reconnect); its tests run ten times over so that the
-# detector sees more than one interleaving.
+# credit sender, a reconnect), and a shard's value slabs between its
+# link reader, which decodes into them, and its workers, which give
+# them back; those tests run ten times over so that the detector sees
+# more than one interleaving.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestLink' ./internal/transport/
+	$(GO) test -race -count=10 -run 'TestDistributedLoopbackIdentity' .
 
 # Crash-recovery integration suite: fault injection at every
 # checkpoint-protocol seam, run under the race detector (the workers'
@@ -97,8 +100,9 @@ loc:
 # null in a run; this is where it fails instead (~3 s). Then one
 # iteration of the two ingest-overlap benchmarks of internal/core, of
 # internal/spe's BenchmarkHop, of internal/transport's batch-frame
-# codec pair, of internal/core's BenchmarkArchiveStore (the archive's
-# write path into a MemStore) and of internal/tuple's
+# codec pair and grouped-result encoder, of internal/core's
+# BenchmarkArchiveStore (the archive's write path into a MemStore) and
+# of internal/tuple's
 # BenchmarkAppendColumns / BenchmarkDecodeColumns (the column image by
 # Ts delta width), so they keep compiling and running; their numbers
 # come from paired binaries (EXPERIMENTS.md), never from here.
@@ -106,7 +110,7 @@ bench-smoke:
 	cd benchmark && $(GO) test ./... && $(GO) vet -tags layerprobe ./...
 	$(GO) test ./internal/core -run '^$$' -bench 'IngestOverlap|BenchmarkArchiveStore' -benchtime 1x -benchmem
 	$(GO) test ./internal/spe -run '^$$' -bench 'BenchmarkHop|BenchmarkFusedChain' -benchtime 1x -benchmem
-	$(GO) test ./internal/transport -run '^$$' -bench 'BenchmarkDecodeFrame|BenchmarkAppendBatch' -benchtime 1x -benchmem
+	$(GO) test ./internal/transport -run '^$$' -bench 'BenchmarkDecodeFrame|BenchmarkAppendBatch|BenchmarkAppendResult' -benchtime 1x -benchmem
 	$(GO) test ./internal/tuple -run '^$$' -bench 'BenchmarkAppendColumns|BenchmarkDecodeColumns' -benchtime 1x -benchmem
 
 # Adaptive accuracy controller: a 10s stream with an 8x load spike over

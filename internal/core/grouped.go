@@ -534,6 +534,10 @@ func (m *GroupedManager) PrefetchWatermark(wm int64) {
 	m.arc.prefetchAhead(&m.lc, wm, m.cfg.SpillAhead)
 }
 
+// KeepsRows reports whether the manager holds ingested rows past the
+// ingest call: its archive does (KeepsRows in result.go).
+func (m *GroupedManager) KeepsRows() bool { return m.arc != nil }
+
 // MemUsage implements Manager: the per-window group metadata held in
 // the budget plus the transient archive chunks.
 func (m *GroupedManager) MemUsage() int { return m.BudgetMemUsage() + m.arc.memUsage() }

@@ -66,7 +66,10 @@ type noArchiveManager interface {
 // restored from the snapshot. Unless the manager archives, every call
 // must leave its memory equal to its budget memory and defer no delete,
 // and shedding is offered to it (it must refuse; the archiving reference
-// would lose its fallback).
+// would lose its fallback). The manager must say it keeps rows exactly
+// when it archives; one that says it keeps none gets each batch's values
+// in one slab that is scribbled over once the call returns, as a shard's
+// decoder reuses it, so a row it kept after all shows in its results.
 func driveNoArchive(t *testing.T, ops []kernelOp, mk func() noArchiveManager, columnar, ckpt, archives bool) []Result {
 	t.Helper()
 	m := mk()
@@ -84,15 +87,34 @@ func driveNoArchive(t *testing.T, ops []kernelOp, mk func() noArchiveManager, co
 	cb := col.Get()
 	defer col.Put(cb)
 	var pend []tuple.Tuple
+	var slab []tuple.Value
 	flush := func() {
 		if len(pend) == 0 {
 			return
+		}
+		if KeepsRows(m) != archives {
+			t.Fatalf("KeepsRows %v for a manager that archives: %v", KeepsRows(m), archives)
+		}
+		if !archives {
+			slab = slab[:0]
+			for i := range pend {
+				slab = append(slab, pend[i].Vals...)
+			}
+			at := 0
+			for i := range pend {
+				w := len(pend[i].Vals)
+				pend[i].Vals = slab[at : at+w : at+w]
+				at += w
+			}
 		}
 		if columnar {
 			cb.SetRows(pend)
 			emit(m.OnColumnBatch(cb))
 		} else {
 			emit(m.OnTupleBatch(pend))
+		}
+		for i := range slab {
+			slab[i] = tuple.String_("scribbled")
 		}
 		pend = pend[:0]
 	}

@@ -161,6 +161,17 @@ type Prefetcher interface {
 	PrefetchWatermark(wm int64)
 }
 
+// KeepsRows reports whether m may still reference a tuple it was
+// handed, or the values of one, once the ingest call returns. A caller
+// that decoded a run's values into a slab of its own reuses the slab
+// only when m keeps none; a manager that does not say keeps rows.
+func KeepsRows(m Manager) bool {
+	if k, ok := m.(interface{ KeepsRows() bool }); ok {
+		return k.KeepsRows()
+	}
+	return true
+}
+
 // IngestBatch feeds ts through m: via the OnTupleBatch fast path when
 // the manager implements BatchManager, falling back to per-tuple
 // OnTuple calls otherwise. Results are concatenated in ingestion order.

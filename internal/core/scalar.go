@@ -483,6 +483,10 @@ func (m *ScalarManager) PrefetchWatermark(wm int64) {
 	m.arc.prefetchAhead(&m.lc, wm, m.cfg.SpillAhead)
 }
 
+// KeepsRows reports whether the manager holds ingested rows past the
+// ingest call: its archive does (KeepsRows in result.go).
+func (m *ScalarManager) KeepsRows() bool { return m.arc != nil }
+
 // MemUsage implements Manager: the budget-resident state (samples plus
 // per-window statistics) and the transient archive chunk buffers.
 func (m *ScalarManager) MemUsage() int {

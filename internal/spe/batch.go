@@ -25,48 +25,65 @@ func queueFor(batchSize int) int { return max(2, 1024/batchSize) }
 
 // runPool recycles the []tuple.Tuple runs that carry data between
 // senders and receivers, so the steady state allocates nothing per
-// run. Runs cross goroutine boundaries: a sender fills one, the
-// receiving worker hands its tuples on and returns it here. The pool
-// keeps pointers to slice headers (a bare slice would be boxed on
-// every Put); spare holds the emptied headers between a get and the
-// next put.
+// run, and the value slabs a shard's decoder carves the rows of a
+// network run from. Both cross goroutine boundaries: a sender fills a
+// run, the receiving worker hands its tuples on and returns it here.
 type runPool struct {
-	runs  sync.Pool // *[]tuple.Tuple, each holding a run
-	spare sync.Pool // *[]tuple.Tuple, each nil
+	size  int
+	runs  slicePool[tuple.Tuple]
+	slabs slicePool[tuple.Value]
 }
 
-func newRunPool(size int) *runPool {
-	p := &runPool{}
-	p.runs.New = func() any {
-		run := make([]tuple.Tuple, 0, size)
-		return &run
-	}
-	p.spare.New = func() any { return new([]tuple.Tuple) }
-	return p
-}
+func newRunPool(size int) *runPool { return &runPool{size: size} }
 
 // get returns an empty run with capacity for a full batch.
 func (p *runPool) get() []tuple.Tuple {
-	h := p.runs.Get().(*[]tuple.Tuple)
-	run := *h
+	if run := p.runs.get(); run != nil {
+		return run
+	}
+	return make([]tuple.Tuple, 0, p.size)
+}
+
+// recycle returns what a data batch carries to the pool: its run and,
+// when a decoder filled the run, the slab of its values. The caller
+// must hold no row of either.
+func (p *runPool) recycle(b Batch) {
+	p.runs.put(b.Rows)
+	p.slabs.put(b.Slab)
+}
+
+// slicePool recycles slices of one element type. It keeps pointers to
+// slice headers (a bare slice would be boxed on every Put); spare holds
+// the emptied headers between a get and the next put.
+type slicePool[T any] struct {
+	full  sync.Pool // *[]T, each holding a slice
+	spare sync.Pool // *[]T, each nil
+}
+
+// get returns a recycled slice, empty, or nil when the pool has none.
+func (p *slicePool[T]) get() []T {
+	h, _ := p.full.Get().(*[]T)
+	if h == nil {
+		return nil
+	}
+	s := *h
 	*h = nil
 	p.spare.Put(h)
-	return run
+	return s
 }
 
-// put recycles a run whose tuples have been handed on. The caller must
-// no longer reference it.
-func (p *runPool) put(run []tuple.Tuple) {
-	if cap(run) == 0 {
+// put recycles s. The caller must no longer reference it.
+func (p *slicePool[T]) put(s []T) {
+	if cap(s) == 0 {
 		return
 	}
-	h := p.spare.Get().(*[]tuple.Tuple)
-	*h = run[:0]
-	p.runs.Put(h)
+	h, _ := p.spare.Get().(*[]T)
+	if h == nil {
+		h = new([]T)
+	}
+	*h = s[:0]
+	p.full.Put(h)
 }
-
-// recycle returns a data batch's run to the pool.
-func (p *runPool) recycle(b Batch) { p.put(b.Rows) }
 
 // batcher is the sending end of the hop — the spout's: a run in
 // progress per destination, shipped when it reaches size. Controls

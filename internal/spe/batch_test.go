@@ -643,7 +643,8 @@ func TestShardColumnarLane(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := append(sr.NewRun(), tuple.New(1, tuple.Float(1)), tuple.New(2, tuple.Float(2)))
+			run, _ := sr.NewRun()
+			run = append(run, tuple.New(1, tuple.Float(1)), tuple.New(2, tuple.Float(2)))
 			sr.In[0] <- Batch{Rows: run}
 			close(sr.In[0])
 			for range sr.Results {
@@ -662,5 +663,68 @@ func TestShardColumnarLane(t *testing.T) {
 	}
 	if _, err := StartShard(Shard{Lo: 0, Hi: 1, Senders: 2, Factory: func(int) (core.Manager, error) { return nopManager{}, nil }}); err == nil {
 		t.Error("a shard announced two senders was accepted")
+	}
+}
+
+// rowFreeManager is a nopManager that says whether it keeps rows.
+type rowFreeManager struct {
+	nopManager
+	keeps bool
+}
+
+func (m rowFreeManager) KeepsRows() bool { return m.keeps }
+
+// TestShardRecyclesSlabsOnlyWhereNoRowIsKept: a worker gives a decoded
+// run's value slab back to the shard's pool, where the decoder's next
+// NewRun hands it out again, only when its manager says it keeps no
+// row; a manager that keeps rows, or does not say, keeps the slab.
+func TestShardRecyclesSlabsOnlyWhereNoRowIsKept(t *testing.T) {
+	leakcheck.Check(t)
+	for _, c := range []struct {
+		name string
+		mgr  core.Manager
+		back bool
+	}{
+		{"keeps no row", rowFreeManager{keeps: false}, true},
+		{"keeps rows", rowFreeManager{keeps: true}, false},
+		{"does not say", nopManager{}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sr, err := StartShard(Shard{
+				Name: "slab", Lo: 0, Hi: 1, Senders: 1,
+				Factory: func(int) (core.Manager, error) { return c.mgr, nil },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sent := map[*tuple.Value]bool{}
+			for i := 0; i < 32; i++ {
+				slab := make([]tuple.Value, 1)
+				sent[&slab[0]] = true
+				sr.In[0] <- Batch{Rows: []tuple.Tuple{{Ts: int64(i), Vals: slab[:1:1]}}, Slab: slab}
+			}
+			close(sr.In[0])
+			for range sr.Results {
+			}
+			if err := sr.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			back := 0
+			for {
+				_, slab := sr.NewRun()
+				if slab == nil {
+					break
+				}
+				if !sent[&slab[:1][0]] {
+					t.Fatal("the pool handed out a slab no worker gave back")
+				}
+				back++
+			}
+			// The race detector's pool drops a put now and then: one slab
+			// of 32 coming back is enough.
+			if (back > 0) != c.back {
+				t.Fatalf("%d of 32 slabs came back to the pool", back)
+			}
+		})
 	}
 }

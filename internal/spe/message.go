@@ -44,10 +44,14 @@ const (
 // The receiver owns what a data batch carries: Rows came from the
 // engine's run pool and goes back to it once the tuples have been handed
 // on. Tuples are copied out of a run by value wherever they are kept, so
-// recycling one never aliases operator state.
+// recycling one never aliases operator state. Their Vals are not copied:
+// Slab, the values a shard's decoder carved the rows' Vals from, goes
+// back to the pool only when the worker's manager keeps no row
+// (core.KeepsRows).
 type Batch struct {
 	Rows    []tuple.Tuple
-	Sender  int // always 0: a worker has one sender; the wire still carries it
+	Slab    []tuple.Value // nil unless a decoder filled Rows
+	Sender  int           // always 0: a worker has one sender; the wire still carries it
 	Ctl     Control
 	WM      int64  // meaningful when Ctl == Watermark
 	Barrier uint64 // checkpoint id; meaningful when Ctl == Barrier

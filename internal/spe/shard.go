@@ -153,9 +153,12 @@ func startShard(sh Shard, pool *runPool, failed *errOnce) (*ShardRun, error) {
 	return sr, nil
 }
 
-// NewRun returns an empty recycled run for the transport's decoder to
-// fill and push into an In channel as a Batch's Rows.
-func (sr *ShardRun) NewRun() []tuple.Tuple { return sr.pool.get() }
+// NewRun returns an empty recycled run and a recycled value slab (nil
+// when the pool has none) for the transport's decoder to fill and push
+// into an In channel as a Batch's Rows and Slab.
+func (sr *ShardRun) NewRun() ([]tuple.Tuple, []tuple.Value) {
+	return sr.pool.get(), sr.pool.slabs.get()
+}
 
 // Fail latches err into the run (a transport failure); worker loops go
 // quiet and Wait reports it. The caller must still close the In

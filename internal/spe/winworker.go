@@ -103,7 +103,8 @@ func runWinWorker(c winWorkerCfg) {
 		}
 	}
 	// ingest drains one data batch through the manager and recycles
-	// the run, error or not.
+	// the run, error or not, and its slab unless the manager now holds
+	// rows whose values live there.
 	ingest := func(b Batch) {
 		if c.trace != nil {
 			for i := range b.Rows {
@@ -117,6 +118,9 @@ func runWinWorker(c winWorkerCfg) {
 			rs, err = cm.OnColumnBatch(cb)
 		} else {
 			rs, err = core.IngestBatch(mgr, b.Rows)
+		}
+		if core.KeepsRows(mgr) {
+			b.Slab = nil
 		}
 		c.pool.recycle(b)
 		if err != nil {

@@ -258,11 +258,12 @@ func shake(conn net.Conn, hello Hello) (Welcome, error) {
 
 // pump drains one destination worker's outbox onto the node's link. A
 // run becomes a batch frame — its column image, encoded straight from
-// the run — and is then recycled. A
-// control becomes its control frame, and the outbox closing becomes the
-// worker's End frame. Data frames queue on the link while the outbox
-// has more to give and leave together when it runs dry; a control frame
-// never waits.
+// the run — and is then recycled. A control becomes its control frame,
+// and the outbox closing becomes the worker's End frame. Data frames
+// and watermarks queue on the link while the outbox has more to give
+// and leave together when it runs dry, so a watermark rides the write
+// of the runs behind it; a barrier and End never wait. Either way the
+// pump never waits on an empty outbox with a frame still queued.
 func (n *fabricNode) pump(dest int, out <-chan spe.Batch) {
 	defer n.wg.Done()
 	recycle := n.f.env.Recycle
@@ -274,7 +275,7 @@ func (n *fabricNode) pump(dest int, out <-chan spe.Batch) {
 		var err error
 		switch b.Ctl {
 		case spe.Watermark:
-			err = n.lk.sendSeq(true, func(dst []byte, seq uint64) []byte {
+			err = n.lk.sendSeq(len(out) == 0, func(dst []byte, seq uint64) []byte {
 				return AppendWatermark(dst, seq, dest, b.Sender, b.WM)
 			})
 		case spe.Barrier:
@@ -364,7 +365,7 @@ func (n *fabricNode) Frame(fr Frame) error {
 }
 
 // Run implements linkHandler: shards send the source no batch frames.
-func (n *fabricNode) Run() []tuple.Tuple { return nil }
+func (n *fabricNode) Run() ([]tuple.Tuple, []tuple.Value) { return nil, nil }
 
 // Fatal implements linkHandler: the first node failure fails the run
 // and releases the sink.

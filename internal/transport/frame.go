@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"spear/internal/core"
 	"spear/internal/tuple"
@@ -112,13 +113,18 @@ func WriteFrame(w io.Writer, body []byte) error {
 
 // ReadFrame reads one frame body into buf (reused when large enough)
 // and returns it. Length prefixes of zero or beyond MaxFrame are
-// rejected before any read or allocation.
+// rejected before any read or allocation. The length prefix is read
+// into buf too: a local array would escape through r, an allocation a
+// frame.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [frameHdr]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < frameHdr {
+		buf = make([]byte, frameHdr)
+	}
+	hdr := buf[:frameHdr]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
 	if n == 0 || n > MaxFrame {
 		return nil, fmt.Errorf("%w: length prefix %d", ErrFrame, n)
 	}
@@ -273,6 +279,7 @@ type Frame struct {
 	Acked   uint64        // Credit: cumulative delivered seq
 	Worker  int           // Result: producing worker
 	Rows    []tuple.Tuple // Batch: the run of data tuples from Sender
+	slab    []tuple.Value // Batch: the slab Rows' values are carved from
 	Result  core.Result   // Result
 	Snap    SnapAck       // SnapAck
 	Reason  string        // Reject
@@ -398,11 +405,13 @@ func DecodeFrame(body []byte) (Frame, error) { return decodeFrame(body, nil) }
 
 // decodeFrame is DecodeFrame with the home of a batch frame's tuples
 // chosen by the caller: run, when non-nil, supplies the empty slice
-// they are appended to (a run of the shard's pool, so a frame reaches
-// the engine without a copy); nil allocates one. It is the transport
-// receive hot path and lock-free by contract, as AppendBatch is on the
-// send side.
-func decodeFrame(body []byte, run func() []tuple.Tuple) (Frame, error) {
+// they are appended to and the slab their values are carved from (a
+// run and a slab of the shard's pool, so a frame reaches the engine
+// without a copy and, where the slab comes back, without an
+// allocation); nil allocates both. The frame carries the slab on for
+// the pool. It is the transport receive hot path and lock-free by
+// contract, as AppendBatch is on the send side.
+func decodeFrame(body []byte, run func() ([]tuple.Tuple, []tuple.Value)) (Frame, error) {
 	if len(body) == 0 {
 		return Frame{}, fmt.Errorf("%w: empty body", ErrFrame)
 	}
@@ -419,17 +428,18 @@ func decodeFrame(body []byte, run func() []tuple.Tuple) (Frame, error) {
 		// The rest of the body is the run's column image. The tuple
 		// codec checks its row count and widths against its length
 		// before it allocates, appends the rows to the run and carves
-		// every row's values from one slab per frame: the receive hot
-		// path does no other work per tuple.
+		// every row's values from the one slab: the receive hot path
+		// does no other work per tuple.
 		var dst []tuple.Tuple
+		var slab []tuple.Value
 		if run != nil {
-			dst = run()
+			dst, slab = run()
 		}
-		rows, err := tuple.DecodeColumns(dst, body[len(body)-r.Remaining():])
+		rows, slab, err := tuple.DecodeColumnsInto(dst, slab, body[len(body)-r.Remaining():])
 		if err != nil {
 			return Frame{}, fmt.Errorf("%w: batch: %v", ErrFrame, err)
 		}
-		f.Rows = rows
+		f.Rows, f.slab = rows, slab
 		return f, nil
 	case KindWatermark:
 		f.Seq = r.Uvar()
@@ -530,12 +540,6 @@ func sortedKeys(m map[string]float64) []string {
 	for k := range m {
 		ks = append(ks, k)
 	}
-	// Insertion sort: group maps are small and this avoids pulling
-	// sort into the encode path's dependency set.
-	for i := 1; i < len(ks); i++ {
-		for j := i; j > 0 && ks[j] < ks[j-1]; j-- {
-			ks[j], ks[j-1] = ks[j-1], ks[j]
-		}
-	}
+	slices.Sort(ks)
 	return ks
 }

@@ -67,15 +67,19 @@ func FuzzFrameCodec(f *testing.F) {
 }
 
 // checkBatchRows decodes an accepted batch frame again into a pooled
-// run that held other tuples, compares, then appends to every tuple's
-// Vals and checks that no other tuple changed.
+// run and a recycled slab that held other tuples, compares, then
+// appends to every tuple's Vals and checks that no other tuple changed.
 func checkBatchRows(t *testing.T, body []byte, fr Frame) {
 	t.Helper()
 	pooled := make([]tuple.Tuple, 4, 8)
+	slab := make([]tuple.Value, len(body))
 	for i := range pooled {
 		pooled[i] = tuple.New(-1, tuple.String_("stale"))
 	}
-	again, err := decodeFrame(body, func() []tuple.Tuple { return pooled[:0] })
+	for i := range slab {
+		slab[i] = tuple.String_("stale")
+	}
+	again, err := decodeFrame(body, func() ([]tuple.Tuple, []tuple.Value) { return pooled[:0], slab })
 	if err != nil || len(again.Rows) != len(fr.Rows) || len(fr.Rows) > 0 && !reflect.DeepEqual(again.Rows, fr.Rows) {
 		t.Fatalf("into a pooled run: %v (%v), into a fresh one: %v", again.Rows, err, fr.Rows)
 	}

@@ -57,8 +57,9 @@ type linkHandler interface {
 	// Frame delivers one deduplicated, in-order sequenced frame.
 	Frame(f Frame) error
 	// Run returns the empty slice the next batch frame's tuples decode
-	// into (a run of the shard's pool), or nil to allocate one.
-	Run() []tuple.Tuple
+	// into and the slab their values are carved from (a run and a slab
+	// of the shard's pool); nil allocates either.
+	Run() ([]tuple.Tuple, []tuple.Value)
 	// Fatal reports the link's terminal failure (redials exhausted,
 	// protocol violation, peer reject). Called at most once.
 	Fatal(err error)

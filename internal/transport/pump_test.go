@@ -3,8 +3,11 @@ package transport
 import (
 	"bytes"
 	"encoding/hex"
+	"slices"
 	"testing"
+	"time"
 
+	"spear/internal/leakcheck"
 	"spear/internal/spe"
 	"spear/internal/tuple"
 )
@@ -63,5 +66,56 @@ func TestPumpFrameBytes(t *testing.T) {
 	}
 	if recycled != 5 {
 		t.Fatalf("%d tuples' runs recycled, want 5", recycled)
+	}
+}
+
+// TestPumpWatermarkRidesTheNextWrite pins the pump's flush rule for a
+// watermark, counting the writes that reach the source's connection
+// (one a frame: the counting wrapper hides the socket's writev). A
+// watermark with runs behind it in the outbox queues like a run and
+// leaves in the write of the last of them; a watermark that is last in
+// the outbox is delivered while the pump waits for more.
+func TestPumpWatermarkRidesTheNextWrite(t *testing.T) {
+	defer leakcheck.Check(t, leakcheck.Timeout(5*time.Second))
+	run := []tuple.Tuple{tuple.New(1, tuple.Float(1))}
+	ca, cb := tcpPair(t)
+	cc := &countConn{Conn: ca}
+	hb := &collectHandler{}
+	la, _ := linkPairOver(t, 0, cc, cb, &collectHandler{}, hb, nil)
+	left := make(chan int64, 8) // the writes made when each run was recycled
+	n := &fabricNode{
+		f:  &Fabric{env: spe.FabricEnv{Recycle: func(spe.Batch) { left <- cc.writes.Load() }}},
+		lk: la,
+	}
+	out := make(chan spe.Batch, 8)
+	out <- spe.Batch{Rows: run}
+	out <- spe.Batch{Ctl: spe.Watermark, WM: 1}
+	out <- spe.Batch{Rows: run}
+	out <- spe.Batch{Rows: run}
+	n.wg.Add(1)
+	pumped := make(chan struct{})
+	go func() {
+		defer close(pumped)
+		n.pump(0, out)
+	}()
+
+	writes := []int64{<-left, <-left, <-left}
+	if want := []int64{0, 0, 4}; !slices.Equal(writes, want) {
+		t.Fatalf("writes when each run left: %v, want %v (the watermark waits for the runs behind it)", writes, want)
+	}
+	waitFor(t, "the first four frames", func() bool { return hb.count() == 4 })
+
+	out <- spe.Batch{Rows: run}
+	out <- spe.Batch{Ctl: spe.Watermark, WM: 2}
+	waitFor(t, "a watermark last in the outbox", func() bool { return hb.count() == 6 })
+	close(out)
+	<-pumped
+	waitFor(t, "End", func() bool { return hb.count() == 7 })
+	hb.mu.Lock()
+	defer hb.mu.Unlock()
+	for i, want := range []Kind{KindBatch, KindWatermark, KindBatch, KindBatch, KindBatch, KindWatermark, KindEnd} {
+		if f := hb.frames[i]; f.Seq != uint64(i+1) || f.Kind != want {
+			t.Fatalf("frame %d: seq %d kind %s, want %s", i, f.Seq, f.Kind, want)
+		}
 	}
 }

@@ -317,8 +317,9 @@ func (s *Server) Frame(f Frame) error {
 		if err != nil {
 			return err
 		}
-		// Decoded in place into a run of the shard's pool (Run).
-		return s.deliver(li, spe.Batch{Rows: f.Rows, Sender: f.Sender})
+		// Decoded in place into a run and a slab of the shard's pool
+		// (Run); the worker gives both back.
+		return s.deliver(li, spe.Batch{Rows: f.Rows, Slab: f.slab, Sender: f.Sender})
 	case KindWatermark:
 		li, err := s.localIndex(f.Dest)
 		if err != nil {
@@ -349,8 +350,8 @@ func (s *Server) Frame(f Frame) error {
 }
 
 // Run implements linkHandler: batch frames decode straight into the
-// shard's pooled runs, which the worker loops recycle.
-func (s *Server) Run() []tuple.Tuple { return s.run.NewRun() }
+// shard's pooled runs and slabs, which the worker loops recycle.
+func (s *Server) Run() ([]tuple.Tuple, []tuple.Value) { return s.run.NewRun() }
 
 func (s *Server) localIndex(dest int) (int, error) {
 	li := dest - s.spec.Lo

@@ -189,33 +189,44 @@ func decodeDeltas(rows []Tuple, b []byte, tw int) {
 
 // DecodeColumns appends the rows of the column image b — all of b — to
 // dst and returns the extended slice. Every row's Vals is carved from
-// one slab allocated per call, cap-limited to its own values, so
-// appending to one row's cannot reach the next row's; the slab lives as
-// long as any row carved from it. The row count and the sum of the
-// widths are checked against the bytes left before anything is
-// allocated (a row is at least a byte of the Ts column, a value at
-// least one byte), so a hostile count costs at most one Tuple and one
-// Value per input byte.
+// one slab allocated per call (DecodeColumnsInto carves it from a slab
+// the caller recycles), cap-limited to its own values, so appending to
+// one row's cannot reach the next row's; the slab lives as long as any
+// row carved from it. The row count and the sum of the widths are
+// checked against the bytes left before anything is allocated (a row
+// is at least a byte of the Ts column, a value at least one byte), so a
+// hostile count costs at most one Tuple and one Value per input byte.
 func DecodeColumns(dst []Tuple, b []byte) ([]Tuple, error) {
+	rows, _, err := DecodeColumnsInto(dst, nil, b)
+	return rows, err
+}
+
+// DecodeColumnsInto is DecodeColumns carving the rows' values from slab
+// when it has the room, and from a fresh slab when it has not. It
+// returns the slab the values live in — slab itself when the image
+// needs none — for the caller to hand to the next decode once no row
+// of this one is referenced any more: whatever slab held before is
+// overwritten, old strings included.
+func DecodeColumnsInto(dst []Tuple, slab []Value, b []byte) ([]Tuple, []Value, error) {
 	un, pos := binary.Uvarint(b)
 	if pos <= 0 || un > uint64(len(b)-pos) {
-		return nil, fmt.Errorf("%w: column image row count", ErrCorrupt)
+		return nil, slab, fmt.Errorf("%w: column image row count", ErrCorrupt)
 	}
 	n := int(un)
 	if n == 0 {
 		if pos != len(b) {
-			return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(b)-pos)
+			return nil, slab, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(b)-pos)
 		}
-		return dst, nil
+		return dst, slab, nil
 	}
 	u, sz := binary.Uvarint(b[pos:])
 	if sz <= 0 || pos+sz >= len(b) {
-		return nil, fmt.Errorf("%w: truncated Ts base", ErrCorrupt)
+		return nil, slab, fmt.Errorf("%w: truncated Ts base", ErrCorrupt)
 	}
 	tw := int(b[pos+sz])
 	pos += sz + 1
 	if tw < 1 || tw > 8 || (n-1)*tw > len(b)-pos {
-		return nil, fmt.Errorf("%w: %d Ts deltas of width %d in %d bytes", ErrCorrupt, n-1, tw, len(b)-pos)
+		return nil, slab, fmt.Errorf("%w: %d Ts deltas of width %d in %d bytes", ErrCorrupt, n-1, tw, len(b)-pos)
 	}
 	base := len(dst)
 	dst = slices.Grow(dst, n)[:base+n]
@@ -227,18 +238,18 @@ func DecodeColumns(dst []Tuple, b []byte) ([]Tuple, error) {
 
 	uw, sz := binary.Uvarint(b[pos:])
 	if sz <= 0 {
-		return nil, fmt.Errorf("%w: truncated width", ErrCorrupt)
+		return nil, slab, fmt.Errorf("%w: truncated width", ErrCorrupt)
 	}
 	pos += sz
 	widest := 0
 	if uw > 0 {
 		if uw-1 > uint64(len(b)-pos)/un {
-			return nil, fmt.Errorf("%w: %d rows of width %d in %d bytes", ErrCorrupt, n, uw-1, len(b)-pos)
+			return nil, slab, fmt.Errorf("%w: %d rows of width %d in %d bytes", ErrCorrupt, n, uw-1, len(b)-pos)
 		}
 		widest = int(uw - 1)
 		var vals []Value // stays nil for rows without values, and so do their Vals
 		if widest > 0 {
-			vals = make([]Value, n*widest)
+			vals = carve(&slab, n*widest)
 		}
 		for i := range rows {
 			rows[i].Vals, vals = vals[:widest:widest], vals[widest:]
@@ -250,12 +261,15 @@ func DecodeColumns(dst []Tuple, b []byte) ([]Tuple, error) {
 		for range rows {
 			w, sz := binary.Uvarint(b[pos:])
 			if sz <= 0 || w > uint64(len(b)-pos-sz) || total+int(w) > len(b)-pos-sz {
-				return nil, fmt.Errorf("%w: width column", ErrCorrupt)
+				return nil, slab, fmt.Errorf("%w: width column", ErrCorrupt)
 			}
 			pos += sz
 			total += int(w)
 		}
-		vals := make([]Value, total)
+		var vals []Value
+		if total > 0 {
+			vals = carve(&slab, total)
+		}
 		for i := range rows {
 			w64, sz := binary.Uvarint(b[at:])
 			at += sz
@@ -270,7 +284,7 @@ func DecodeColumns(dst []Tuple, b []byte) ([]Tuple, error) {
 
 	for j := 0; j < widest; j++ {
 		if pos >= len(b) {
-			return nil, fmt.Errorf("%w: truncated at column %d", ErrCorrupt, j)
+			return nil, slab, fmt.Errorf("%w: truncated at column %d", ErrCorrupt, j)
 		}
 		kind := Kind(b[pos])
 		pos++
@@ -279,9 +293,9 @@ func DecodeColumns(dst []Tuple, b []byte) ([]Tuple, error) {
 			for i := range rows {
 				if vs := rows[i].Vals; j < len(vs) {
 					if len(b)-pos < 8 {
-						return nil, fmt.Errorf("%w: truncated %s column %d", ErrCorrupt, kind, j)
+						return nil, slab, fmt.Errorf("%w: truncated %s column %d", ErrCorrupt, kind, j)
 					}
-					// The slab is fresh: str is already empty, and not
+					// The slab is zeroed: str is already empty, and not
 					// storing it spares a write barrier a value.
 					vs[j].kind, vs[j].num = kind, binary.LittleEndian.Uint64(b[pos:])
 					pos += 8
@@ -291,7 +305,7 @@ func DecodeColumns(dst []Tuple, b []byte) ([]Tuple, error) {
 			for i := range rows {
 				if vs := rows[i].Vals; j < len(vs) {
 					if pos >= len(b) || b[pos] > 1 {
-						return nil, fmt.Errorf("%w: bool column %d", ErrCorrupt, j)
+						return nil, slab, fmt.Errorf("%w: bool column %d", ErrCorrupt, j)
 					}
 					vs[j].kind, vs[j].num = KindBool, uint64(b[pos])
 					pos++
@@ -302,7 +316,7 @@ func DecodeColumns(dst []Tuple, b []byte) ([]Tuple, error) {
 				if vs := rows[i].Vals; j < len(vs) {
 					l, sz := binary.Uvarint(b[pos:])
 					if sz <= 0 || l > uint64(len(b)-pos-sz) {
-						return nil, fmt.Errorf("%w: string column %d", ErrCorrupt, j)
+						return nil, slab, fmt.Errorf("%w: string column %d", ErrCorrupt, j)
 					}
 					pos += sz
 					vs[j] = Value{kind: KindString, str: string(b[pos : pos+int(l)])}
@@ -314,18 +328,31 @@ func DecodeColumns(dst []Tuple, b []byte) ([]Tuple, error) {
 				if vs := rows[i].Vals; j < len(vs) {
 					v, used, err := DecodeValue(b[pos:])
 					if err != nil {
-						return nil, err
+						return nil, slab, err
 					}
 					vs[j] = v
 					pos += used
 				}
 			}
 		default:
-			return nil, fmt.Errorf("%w: kind byte %d of column %d", ErrCorrupt, kind, j)
+			return nil, slab, fmt.Errorf("%w: kind byte %d of column %d", ErrCorrupt, kind, j)
 		}
 	}
 	if pos != len(b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(b)-pos)
+		return nil, slab, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(b)-pos)
 	}
-	return dst, nil
+	return dst, slab, nil
+}
+
+// carve returns n zeroed values of *slab, replacing it by a fresh slab
+// when it is too small.
+func carve(slab *[]Value, n int) []Value {
+	if cap(*slab) < n {
+		*slab = make([]Value, n)
+		return *slab
+	}
+	vals := (*slab)[:n]
+	clear(vals)
+	*slab = vals
+	return vals
 }

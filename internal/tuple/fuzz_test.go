@@ -137,7 +137,10 @@ func TestDecodeHugeStringLenRegression(t *testing.T) {
 // an image it accepts must round-trip — the decoded rows re-encode to a
 // canonical image (a ragged width column whose rows agree, or an escape
 // arm over one kind, does not survive), which decodes to the same rows
-// and re-encodes to itself.
+// and re-encodes to itself. Every input is also decoded into a recycled
+// run and slab that still hold other rows' strings and values, as a
+// shard's decoder reuses them: the result must be the fresh decode's
+// rows, to the bit, or its error.
 func FuzzColumnsCodec(f *testing.F) {
 	for _, rows := range columnRuns() {
 		f.Add(AppendColumns(nil, rows))
@@ -156,8 +159,25 @@ func FuzzColumnsCodec(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		rows, err := DecodeColumns(nil, b)
+		// A value takes at least a byte, so a slab of len(b) values
+		// has the room for any image of b.
+		slab := make([]Value, len(b)+2)
+		for i := range slab {
+			slab[i] = Value{kind: KindString, num: uint64(i), str: "stale"}
+		}
+		run := []Tuple{{Ts: -1, Vals: slab[:1]}, {Ts: -2, Vals: slab[1:2]}}
+		again, used, err2 := DecodeColumnsInto(run[:0], slab, b)
+		if (err == nil) != (err2 == nil) || err != nil && err.Error() != err2.Error() {
+			t.Fatalf("fresh decode: %v, into a recycled slab: %v", err, err2)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(again, rows) && !(len(rows) == 0 && len(again) == 0) {
+			t.Fatalf("into a recycled slab:\n got: %#v\nwant: %#v", again, rows)
+		}
+		if &used[:1][0] != &slab[0] {
+			t.Fatalf("a slab with the room for the image was not reused")
 		}
 		enc := AppendColumns(nil, rows)
 		rows2, err := DecodeColumns(nil, enc)
