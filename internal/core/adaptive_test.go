@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"spear/internal/agg"
@@ -158,6 +159,40 @@ func TestScalarShedRefusedAtZeroBudget(t *testing.T) {
 	}
 }
 
+// The other order: shedding on, then the budget to zero. The samples go,
+// and with them the flag, so every tuple still reaches the archive and
+// the window is answered exactly from S — not ModeShed from a sample it
+// no longer has (which answered 0 with an infinite bound).
+func TestScalarBudgetZeroEndsShedding(t *testing.T) {
+	for _, f := range []agg.Func{{Op: agg.Mean}, agg.Median()} {
+		t.Run(f.String(), func(t *testing.T) {
+			cfg := mkCfg(f, 50)
+			cfg.DisableIncremental = true
+			m, _ := NewScalarManager(cfg)
+			m.SetShedding(true)
+			m.SetBudget(0)
+			vals := make([]float64, 300)
+			for i := range vals {
+				vals[i] = float64(i%17) + 0.5
+				if _, err := m.OnTuple(tuple.New(int64(i/3), tuple.Float(vals[i]))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rs, err := m.OnWatermark(math.MaxInt64)
+			if err != nil || len(rs) != 1 {
+				t.Fatalf("%d windows (err %v), want one", len(rs), err)
+			}
+			r := rs[0]
+			if want := f.Compute(slices.Clone(vals)); r.Mode != ModeExact || !r.FetchedFromStore || r.N != 300 || r.Scalar != want {
+				t.Errorf("got %v %v (fetched %v, n %d), want the exact %v from S", r.Mode, r.Scalar, r.FetchedFromStore, r.N, want)
+			}
+			if m.shed || m.sheds != 0 {
+				t.Errorf("shed=%v, %d tuples shed", m.shed, m.sheds)
+			}
+		})
+	}
+}
+
 // An incremental query archives nothing, so it has no write to shed:
 // the flag is refused from the setter, from the cell, and from a blob an
 // older writer left it set in, and no tuple is booked as shed.
@@ -254,7 +289,7 @@ func TestCellDrivesGroupedManager(t *testing.T) {
 	}
 }
 
-// ---- grouped budget accounting (satellite: perGroupCap) ----
+// ---- grouped budget accounting (GroupedManager.capacity) ----
 
 func TestGroupedKnownGroupsNeverExceedBudget(t *testing.T) {
 	// Regression: with KnownGroups > BudgetTuples the old floor-to-1

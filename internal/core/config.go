@@ -217,6 +217,14 @@ func (c *Config) validate() error {
 	return nil
 }
 
+// archives reports whether the query keeps its tuples in S for the exact
+// fallback: unless the moments answer every window — a non-holistic
+// aggregate, DisableIncremental off and, grouped, groups unknown — a
+// window can need its tuples back.
+func (c *Config) archives() bool {
+	return c.Custom != nil || c.KnownGroups > 0 || !c.Agg.Incremental() || c.DisableIncremental
+}
+
 // clock returns the configured telemetry clock, defaulting to the
 // system clock. This is the single sanctioned wall-clock reference in
 // the event-time packages; every manager reads time through it, and the

@@ -103,74 +103,104 @@ func TestAccuracyContract(t *testing.T) {
 		name   string
 		f      agg.Func
 		budget int
-		err    func(sorted []float64, est float64) float64
+		// resized is the budget of the resized cell: one whose half still
+		// passes the check (after a grow, admissions fill a reservoir
+		// slowly), so that its windows accelerate.
+		resized int
+		err     func(sorted []float64, est float64) float64
 	}{
 		// The mean CI with finite-population correction, held to the
 		// relative value error it bounds.
-		{"mean", agg.Func{Op: agg.Mean}, 600, valueError},
+		{"mean", agg.Func{Op: agg.Mean}, 600, 600, valueError},
 		// The quantile budget of Hoeffding's bound (Manku et al.), held
 		// to the rank error it bounds.
-		{"median", agg.Median(), 200, rankError},
+		{"median", agg.Median(), 200, 400, rankError},
+	}
+	// A resized cell shrinks every window's reservoir to half the budget
+	// 250 tuples in (a seeded uniform down-sample) and grows it back 150
+	// tuples later (admissions append toward the budget again): the
+	// sample SetBudget leaves behind is held to the same contract.
+	resizes := map[int]func(b int) int{
+		250: func(b int) int { return b / 2 },
+		400: func(b int) int { return b },
 	}
 	for _, s := range streams {
 		vals := s.vals(t)
 		for _, e := range estimators {
 			t.Run(e.name+"/"+s.name, func(t *testing.T) {
-				m, err := NewScalarManager(Config{
-					Spec: window.CountSliding(contractN, contractN), Agg: e.f, Value: tuple.FieldFloat(0),
-					// Every window goes through the accuracy check.
-					DisableIncremental: true,
-					Epsilon:            contractEps, Confidence: contractConf, BudgetTuples: e.budget,
-					Store: storage.NewMemStore(), Key: "contract", Seed: 7,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				var results []Result
-				rows := make([]tuple.Tuple, 0, 512)
-				for i, v := range vals {
-					rows = append(rows, tuple.New(int64(i), tuple.Float(v)))
-					if len(rows) == cap(rows) || i == len(vals)-1 {
-						rs, err := m.OnTupleBatch(rows)
-						if err != nil {
-							t.Fatal(err)
-						}
-						results = append(results, rs...)
-						rows = rows[:0]
-					}
-				}
-				if len(results) != contractWindows {
-					t.Fatalf("%d windows fired, want %d", len(results), contractWindows)
-				}
-				var accelerated, misses int
-				var slack []float64
-				exact := make([]float64, contractN)
-				for _, r := range results {
-					if r.Mode != ModeSampled {
-						continue
-					}
-					accelerated++
-					copy(exact, vals[r.Start:r.End])
-					slices.Sort(exact)
-					realized := e.err(exact, r.Scalar)
-					if realized > contractEps {
-						misses++
-					}
-					slack = append(slack, r.EstError/realized)
-				}
-				if accelerated < contractWindows/4 {
-					t.Fatalf("only %d of %d windows accelerated at b=%d: too few to hold the contract to", accelerated, contractWindows, e.budget)
-				}
-				slices.Sort(slack)
-				allow := missAllowance(accelerated, contractConf)
-				t.Logf("b=%d: %d/%d windows accelerated, coverage %.4f (%d ε-misses, allowance %d), median slack ε̂/realized %.2f",
-					e.budget, accelerated, contractWindows, 1-float64(misses)/float64(accelerated), misses, allow, slack[len(slack)/2])
-				if misses > allow {
-					t.Errorf("%d ε-misses among %d accelerated windows, more than the %d chance explains at α = %.2f",
-						misses, accelerated, allow, contractConf)
-				}
+				holdContract(t, vals, e.f, e.budget, e.err, nil)
 			})
+			if s.name == "DEC" {
+				t.Run(e.name+"/"+s.name+"/resized", func(t *testing.T) {
+					holdContract(t, vals, e.f, e.resized, e.err, resizes)
+				})
+			}
 		}
+	}
+}
+
+// holdContract runs one cell of TestAccuracyContract: vals through a
+// sampled ScalarManager at budget, which SetBudget moves to resizes[k](budget)
+// k tuples into every window, and every accelerated window held to
+// realized, its error metric.
+func holdContract(t *testing.T, vals []float64, f agg.Func, budget int, realized func([]float64, float64) float64,
+	resizes map[int]func(int) int) {
+	m, err := NewScalarManager(Config{
+		Spec: window.CountSliding(contractN, contractN), Agg: f, Value: tuple.FieldFloat(0),
+		// Every window goes through the accuracy check.
+		DisableIncremental: true,
+		Epsilon:            contractEps, Confidence: contractConf, BudgetTuples: budget,
+		Store: storage.NewMemStore(), Key: "contract", Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var results []Result
+	rows := make([]tuple.Tuple, 0, 512)
+	for i, v := range vals {
+		rows = append(rows, tuple.New(int64(i), tuple.Float(v)))
+		resize := resizes[(i+1)%contractN]
+		if len(rows) == cap(rows) || i == len(vals)-1 || resize != nil {
+			rs, err := m.OnTupleBatch(rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results = append(results, rs...)
+			rows = rows[:0]
+		}
+		if resize != nil {
+			m.SetBudget(resize(budget))
+		}
+	}
+	if len(results) != contractWindows {
+		t.Fatalf("%d windows fired, want %d", len(results), contractWindows)
+	}
+	var accelerated, misses int
+	var slack []float64
+	exact := make([]float64, contractN)
+	for _, r := range results {
+		if r.Mode != ModeSampled {
+			continue
+		}
+		accelerated++
+		copy(exact, vals[r.Start:r.End])
+		slices.Sort(exact)
+		e := realized(exact, r.Scalar)
+		if e > contractEps {
+			misses++
+		}
+		slack = append(slack, r.EstError/e)
+	}
+	if accelerated < contractWindows/4 {
+		t.Fatalf("only %d of %d windows accelerated at b=%d: too few to hold the contract to", accelerated, contractWindows, budget)
+	}
+	slices.Sort(slack)
+	allow := missAllowance(accelerated, contractConf)
+	t.Logf("b=%d: %d/%d windows accelerated, coverage %.4f (%d ε-misses, allowance %d), median slack ε̂/realized %.2f",
+		budget, accelerated, contractWindows, 1-float64(misses)/float64(accelerated), misses, allow, slack[len(slack)/2])
+	if misses > allow {
+		t.Errorf("%d ε-misses among %d accelerated windows, more than the %d chance explains at α = %.2f",
+			misses, accelerated, allow, contractConf)
 	}
 }
 

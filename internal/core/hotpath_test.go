@@ -52,17 +52,21 @@ func hotStream(n int, grouped bool) []tuple.Tuple {
 // hotCases are the SPEAr managers on each of their ingest paths. The
 // grouped ones: groups unknown, answered from the moments (the path that
 // once buffered its windows) or archived for a stratified sample; groups
-// known, reservoirs filled at arrival.
+// known, reservoirs filled at arrival. The shed ones run with shedding
+// on: the windows are tainted and the archive write skipped.
 var hotCases = []struct {
 	name    string
 	grouped bool
+	shed    bool
 	cfg     func(*Config)
 }{
-	{"scalar_median", false, func(c *Config) { c.Agg, c.BudgetTuples = agg.Median(), 200 }},
-	{"scalar_mean", false, func(c *Config) { c.Agg = agg.Func{Op: agg.Mean} }},
-	{"grouped_buffered", true, func(c *Config) { c.Agg = agg.Func{Op: agg.Mean} }},
-	{"grouped_median", true, func(c *Config) { c.Agg = agg.Median() }},
-	{"grouped_known", true, func(c *Config) { c.Agg, c.KnownGroups = agg.Median(), 50 }},
+	{"scalar_median", false, false, func(c *Config) { c.Agg, c.BudgetTuples = agg.Median(), 200 }},
+	{"scalar_mean", false, false, func(c *Config) { c.Agg = agg.Func{Op: agg.Mean} }},
+	{"grouped_buffered", true, false, func(c *Config) { c.Agg = agg.Func{Op: agg.Mean} }},
+	{"grouped_median", true, false, func(c *Config) { c.Agg = agg.Median() }},
+	{"grouped_known", true, false, func(c *Config) { c.Agg, c.KnownGroups = agg.Median(), 50 }},
+	{"scalar_median_shed", false, true, func(c *Config) { c.Agg, c.BudgetTuples = agg.Median(), 200 }},
+	{"grouped_known_shed", true, true, func(c *Config) { c.Agg, c.KnownGroups = agg.Median(), 50 }},
 }
 
 // hotManager builds case i's manager over a MemStore, with its own
@@ -90,6 +94,9 @@ func hotManager(t *testing.T, i int, cell *control.Cell) (Manager, *obs.Worker) 
 	}
 	if err != nil {
 		t.Fatal(err)
+	}
+	if c.shed {
+		m.(interface{ SetShedding(bool) }).SetShedding(true)
 	}
 	return m, cfg.Metrics
 }
@@ -153,10 +160,10 @@ func ingestAllocs(t *testing.T, m Manager, columnar bool, stream []tuple.Tuple, 
 }
 
 // TestIngestAllocsPerTuple holds every ingest path of both SPEAr
-// managers, rows and columns, to at most 0.05 heap allocations per
-// tuple in the steady state (≈ 0.01 on the sampled scalar path —
-// reservoirs opened and chunks stored, a window or a chunk at a time —
-// and 0 to 0.006 elsewhere), so anything a kernel allocates per tuple
+// managers, rows and columns, shedding or not, to at most 0.05 heap
+// allocations per tuple in the steady state (≈ 0.01 on the sampled
+// scalar path — reservoirs opened and chunks stored, a window or a chunk
+// at a time — and 0 to 0.006 elsewhere), so anything a kernel allocates per tuple
 // or per run fails here: a fmt.Sprintf per element reads 2. It also
 // holds the telemetry a fire books to the one place it is booked:
 // ProcTime observed once per fired window (Config.countFire), never per
@@ -181,6 +188,9 @@ func TestIngestAllocsPerTuple(t *testing.T) {
 				fired, observed := w.WindowsTotal.Load(), w.ProcTime.Count()
 				if fired == 0 || int64(observed) != fired {
 					t.Errorf("ProcTime holds %d observations for %d fired windows, want one each", observed, fired)
+				}
+				if shed := w.TuplesShed.Load(); c.shed != (shed > 0) {
+					t.Errorf("%d tuples shed", shed)
 				}
 			})
 		}

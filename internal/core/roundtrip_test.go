@@ -24,10 +24,11 @@ type StateDiff func(live, restored any, allow map[string]string) []string
 // roundTripAllow is what a restore does not give back, and why.
 var roundTripAllow = map[string]string{
 	"cfg.Metrics":           "telemetry, outside the checkpoint domain: a recovered run does not re-count what the crashed one counted",
-	"cols":                  "the row lane's scratch columns: dead between calls",
+	"shell.cfg.Metrics":     "telemetry, as cfg.Metrics",
+	"shell.cols":            "the row lane's scratch columns: dead between calls",
 	"scr":                   "the grouped kernel's scratch: dead between calls",
-	"arc.curP":              "the pane the cache last held; meaningless once a snapshot's flush has emptied the cache",
-	"arc.free":              "recycled pane buffers, empty",
+	"shell.arc.curP":        "the pane the cache last held; meaningless once a snapshot's flush has emptied the cache",
+	"shell.arc.free":        "recycled pane buffers, empty",
 	"dict":                  "not in the blob (DESIGN.md §18): RestoreState rebuilds it from the windows' keys, under other ids",
 	"pool":                  "fired windows, cleared, awaiting reuse; dropped by RestoreState with the dictionary they point into",
 	"wins.gs.groupIndex":    "group ids are the dictionary's (DESIGN.md §18): the groups are compared by key",
@@ -123,7 +124,7 @@ func reportDiffs(t *testing.T, diffs []string) {
 // and the incremental path, through every lane.
 func RoundTripScalarManager(t *testing.T, diff StateDiff) {
 	live, restored := spearRoundTrips(t, false, NewScalarManager)
-	reportDiffs(t, diff(live, restored, allowed("cfg.Metrics", "cols", "arc.curP", "arc.free")))
+	reportDiffs(t, diff(live, restored, allowed("shell.cfg.Metrics", "shell.cols", "shell.arc.curP", "shell.arc.free")))
 }
 
 // RoundTripGroupedManager checks every grouped compat case, with groups
@@ -131,7 +132,7 @@ func RoundTripScalarManager(t *testing.T, diff StateDiff) {
 // by key, through the dictionary.
 func RoundTripGroupedManager(t *testing.T, diff StateDiff) {
 	live, restored := spearRoundTrips(t, true, NewGroupedManager)
-	reportDiffs(t, diff(live, restored, allowed("cfg.Metrics", "scr", "arc.curP", "arc.free", "dict", "pool",
+	reportDiffs(t, diff(live, restored, allowed("shell.cfg.Metrics", "shell.cols", "scr", "shell.arc.curP", "shell.arc.free", "dict", "pool",
 		"wins.gs.groupIndex", "wins.gs.vals", "wins.known.groupIndex", "wins.known.res")))
 	byKey := func(ms map[string]*GroupedManager) map[string]map[window.ID]map[string]groupState {
 		out := map[string]map[window.ID]map[string]groupState{}
@@ -171,7 +172,7 @@ func groupsByKey(m *GroupedManager) map[window.ID]map[string]groupState {
 func RoundTripExactManager(t *testing.T, diff StateDiff) {
 	live, restored := map[string]*ExactManager{}, map[string]*ExactManager{}
 	for _, c := range compatCases() {
-		if c.name != "scalar_mean_sampled" && c.name != "buffered_median" {
+		if c.name != "scalar_mean_sampled" && c.name != "unknown_median" {
 			continue
 		}
 		live[c.name], restored[c.name] = roundTrip(t, c, oneAtATime, func(store storage.SpillStore) (*ExactManager, error) {

@@ -54,7 +54,7 @@ func refIngest(m *ScalarManager, t tuple.Tuple) ([]Result, error) {
 		return nil, nil
 	}
 	v := m.cfg.Value(t)
-	if m.useIncremental() {
+	if !m.cfg.archives() {
 		m.sliceFor(lo, hi).Add(v)
 		if m.cfg.Spec.Domain == window.CountDomain {
 			return m.fire(m.lc.Seq())

@@ -1,0 +1,378 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"slices"
+	"time"
+
+	"spear/internal/col"
+	"spear/internal/tuple"
+	"spear/internal/window"
+)
+
+// shell is the SPEAr window manager of §4.1 (Algs. 1 and 2) less what
+// depends on its form, scalar or grouped: the budget and the shedding
+// flag the controller steers, the window lifecycle, the archive in S,
+// the ingest kernel and the fire loop, and the snapshot header
+// (snapshot.go). ScalarManager and GroupedManager embed it and supply
+// the rest as its shape. The shell calls the shape once per run or per
+// window, never per tuple.
+type shell struct {
+	cfg       Config
+	arc       *archive // nil when the moments answer every window
+	lc        window.Lifecycle
+	cols      rowColumns
+	curBudget int   // the live tuple budget b: BudgetTuples at start, then the controller's
+	shed      bool  // archive writes currently shed (controller escalation)
+	sheds     int64 // tuples whose archive write was shed
+	now       func() time.Time
+	sh        shape // the manager that embeds the shell
+}
+
+// shape is a SPEAr manager's form: its per-window state and the steps
+// that fold into it, answer from it and retire it.
+type shape interface {
+	// fold adds an admitted run to every window it falls into.
+	fold(r run)
+	// endBatch drops what fold kept for the batch just ingested.
+	endBatch()
+	// held returns, ascending, the ids in [first, last] of the windows
+	// that hold tuples.
+	held(first, last window.ID) []window.ID
+	// produce answers window id into res, whose header is filled in:
+	// Alg. 2 through shell.answers and shell.fetch.
+	produce(id window.ID, res *Result) error
+	// close retires the window res answered.
+	close(res Result)
+	// resize applies a new curBudget to the open windows.
+	resize()
+	// capacity is the reservoir capacity a window opened now gets: 0
+	// for none, and then no sample to answer a shed window from.
+	capacity() int
+	// BudgetMemUsage is the state held to produce results, charged
+	// against b.
+	BudgetMemUsage() int
+	// appendWindows and readWindows are the snapshot's body after the
+	// shell's header; readWindows returns what installs the decoded
+	// state, or an error and nothing installed.
+	appendWindows(dst []byte) []byte
+	readWindows(rd *tuple.WireReader, tag byte) (apply func(), err error)
+}
+
+// run is one run of an ingest batch as Spec.EachRun cuts it: positions
+// sharing the window assignment [lo, hi], of which the lifecycle
+// admitted windows first…hi, with their values, rows and, from a column
+// batch, dictionary-coded keys (codes nil for rows, whose keys KeyBy
+// reads). taint marks a run whose archive write is shed.
+type run struct {
+	first, lo, hi window.ID
+	vals          []float64
+	rows          []tuple.Tuple
+	codes         []int32
+	dict          []string
+	taint         bool
+}
+
+// rowColumns is a row batch read once into the two columns an ingest
+// kernel takes: positions and aggregated values. It holds nothing
+// between calls.
+type rowColumns struct {
+	pos  []int64
+	vals []float64
+}
+
+func (c *rowColumns) read(rows []tuple.Tuple, lc *window.Lifecycle, value func(tuple.Tuple) float64) {
+	n := len(rows)
+	c.pos = slices.Grow(c.pos[:0], n)[:n]
+	c.vals = slices.Grow(c.vals[:0], n)[:n]
+	for i := range rows {
+		c.pos[i] = lc.Pos(rows[i].Ts, i)
+		c.vals[i] = value(rows[i])
+	}
+}
+
+// newShell returns the shell of a manager of shape sh for cfg, which has
+// passed validate.
+func newShell(cfg Config, sh shape) shell {
+	s := shell{cfg: cfg, lc: window.NewLifecycle(cfg.Spec), curBudget: cfg.BudgetTuples, now: cfg.clock(), sh: sh}
+	if cfg.archives() {
+		s.arc = newArchive(cfg.Store, cfg.Key, cfg.Spec, cfg.ArchiveChunk, cfg.DeferStoreDeletes)
+	}
+	cfg.Metrics.BudgetTuples.Set(int64(s.curBudget))
+	return s
+}
+
+// syncControl pulls the controller cell's published budget and shedding
+// state into the manager. Called at every ingest entry point — two
+// atomic loads plus comparisons in the common no-change case; resizes
+// happen only when the target actually moved, never inside a per-tuple
+// loop.
+func (s *shell) syncControl() {
+	c := s.cfg.Cell
+	if c == nil {
+		return
+	}
+	if b := c.Budget(); b != s.curBudget {
+		s.SetBudget(b)
+	}
+	s.SetShedding(c.Shedding())
+}
+
+// SetBudget applies a new tuple budget immediately: open windows'
+// reservoirs are resized in place (a seeded uniform down-sample on
+// shrink, so every sample stays a simple random sample of its window so
+// far), and windows opened from here on start at the new capacity. A
+// budget that leaves no reservoir drops the live samples — affected
+// windows can only answer exactly — and ends shedding, which would
+// leave them nothing to answer from. A window opened without a
+// reservoir stays without one: admitting only the suffix of its stream
+// would not be a uniform sample.
+func (s *shell) SetBudget(b int) {
+	b = max(b, 0)
+	if b == s.curBudget {
+		return
+	}
+	s.curBudget = b
+	s.sh.resize()
+	s.SetShedding(s.shed)
+	s.cfg.Metrics.BudgetTuples.Set(int64(b))
+}
+
+// SetShedding turns archive-write shedding on or off (the controller
+// goes through the cell and syncControl; tests and embedders call it
+// directly). Refused where it means nothing: a query that archives
+// nothing has no write to skip, and without reservoirs there is no
+// sample to answer a shed window from.
+func (s *shell) SetShedding(on bool) {
+	s.shed = on && s.cfg.archives() && s.sh.capacity() > 0
+}
+
+// OnTuple implements Manager (Alg. 1): a batch of one.
+func (s *shell) OnTuple(t tuple.Tuple) ([]Result, error) {
+	row := [1]tuple.Tuple{t}
+	return s.OnTupleBatch(row[:])
+}
+
+// OnTupleBatch implements BatchManager: the rows' positions and values
+// are read once into two columns and handed to the kernel, which reads
+// the keys where it needs them.
+func (s *shell) OnTupleBatch(rows []tuple.Tuple) ([]Result, error) {
+	s.syncControl()
+	s.cols.read(rows, &s.lc, s.cfg.Value)
+	return s.ingestRun(s.cols.pos, s.cols.vals, rows, nil, nil)
+}
+
+// OnColumnBatch implements ColumnManager, an adapter to the same kernel
+// as the row entry points. The eligibility gate runs once per batch: the
+// lane applies only to time-domain specs, requires the value field (and,
+// grouped, the key field) to project, and checks the declared fields
+// against the extractors on the first row only (the tripwire: a wrong
+// field index or kind). Anything else falls back to OnTupleBatch over
+// the borrowed rows. Past the gate the batch's timestamp and value
+// columns are the kernel's input as they stand, and a grouped kernel
+// reads the dictionary-coded key column in place of the rows' keys. The
+// kernel consumes the same float bits in the same per-window arrival
+// order and draws the same PRNG streams whichever entry point delivered
+// them, so every value and every Mode is the row path's.
+func (s *shell) OnColumnBatch(cb *col.ColumnBatch) ([]Result, error) {
+	if cb.Len() == 0 {
+		return nil, nil
+	}
+	rows := cb.Rows()
+	if !s.cfg.Columnar.Enabled || s.cfg.Spec.Domain == window.CountDomain {
+		return s.OnTupleBatch(rows)
+	}
+	vals := cb.Floats(s.cfg.Columnar.ValueField)
+	if vals == nil || math.Float64bits(vals[0]) != math.Float64bits(s.cfg.Value(rows[0])) {
+		return s.OnTupleBatch(rows)
+	}
+	var codes []int32
+	var dict []string
+	if s.cfg.KeyBy != nil {
+		var ok bool
+		if codes, dict, ok = cb.Strings(s.cfg.Columnar.KeyField); !ok || dict[codes[0]] != s.cfg.KeyBy(rows[0]) {
+			return s.OnTupleBatch(rows)
+		}
+	}
+	s.syncControl()
+	return s.ingestRun(cb.Ts(), vals, rows, codes, dict)
+}
+
+// ingestRun is the manager's one ingest kernel (Alg. 1 over a batch,
+// DESIGN.md §19): ts, vals and rows are a batch's positions, aggregated
+// values and tuples, index-aligned, and codes with dict its
+// dictionary-coded key column, or nil. Spec.EachRun cuts the batch into
+// runs that share one window assignment, so the assignment, the
+// lifecycle's admission, the shape's fold and the archive append are
+// paid per run; a late run is neither folded nor archived. A slice and a
+// window see their tuples in arrival order wherever the batches were
+// cut, so every value, ε̂_w and Mode is what a per-tuple loop produces.
+// A count-domain window completes exactly at the end of a run (the next
+// position has a different assignment), so there the kernel fires after
+// each run.
+func (s *shell) ingestRun(ts []int64, vals []float64, rows []tuple.Tuple, codes []int32, dict []string) ([]Result, error) {
+	count := s.cfg.Spec.Domain == window.CountDomain
+	var out []Result
+	var err error
+	late0 := s.lc.Late()
+	s.cfg.Spec.EachRun(ts, func(i0, i1 int, lo, hi window.ID) {
+		if err != nil {
+			return
+		}
+		first, ok := s.lc.Admit(ts[i0:i1], lo, hi)
+		if !ok {
+			return // late: neither folded nor archived
+		}
+		r := run{first: first, lo: lo, hi: hi, vals: vals[i0:i1], rows: rows[i0:i1], dict: dict, taint: s.shed}
+		if codes != nil {
+			r.codes = codes[i0:i1]
+		}
+		s.sh.fold(r)
+		switch {
+		case s.arc == nil:
+			// No check can fail, so there is no fallback to archive for.
+		case s.shed:
+			// Load shedding: skip the archive write — the per-tuple cost
+			// that saturates under overload — and keep only the in-budget
+			// state. N stays exact and the samples uniform; what is lost
+			// is the exact fallback of the windows the run spans, which
+			// fold tainted.
+			s.sheds += int64(i1 - i0)
+			s.cfg.Metrics.TuplesShed.Add(int64(i1 - i0))
+		default:
+			err = s.arc.addRun(int64(hi), ts[i0:i1], rows[i0:i1])
+		}
+		if count && err == nil {
+			var rs []Result
+			rs, err = s.fire(s.lc.Seq())
+			out = append(out, rs...)
+		}
+	})
+	s.sh.endBatch()
+	if s.cfg.countIngest(len(ts), s.lc.Late()-late0) {
+		s.cfg.Metrics.MemBytes.Set(int64(s.sh.BudgetMemUsage()))
+	}
+	return out, err
+}
+
+// OnWatermark implements Manager (Alg. 2).
+func (s *shell) OnWatermark(wm int64) ([]Result, error) {
+	if s.cfg.Spec.Domain == window.CountDomain {
+		return nil, nil
+	}
+	return s.fire(wm)
+}
+
+// fire answers the windows wm closes that hold tuples, in id order — a
+// watermark after a gap in the stream costs the windows that exist, not
+// the id range — and evicts what lies wholly before the oldest window
+// still open.
+func (s *shell) fire(wm int64) ([]Result, error) {
+	first, last, ok := s.lc.Complete(wm)
+	if !ok {
+		return nil, nil
+	}
+	var out []Result
+	for _, id := range s.sh.held(first, last) {
+		t0 := s.now()
+		start, end := s.cfg.Spec.Bounds(id)
+		res := Result{
+			WindowID: id, Start: start, End: end,
+			Epsilon: s.cfg.Epsilon, Confidence: s.cfg.Confidence, Budget: s.curBudget,
+		}
+		if err := s.sh.produce(id, &res); err != nil {
+			return nil, fmt.Errorf("core: window %d: %w", id, err)
+		}
+		s.cfg.countFire(&res, s.now().Sub(t0))
+		out = append(out, res)
+		s.sh.close(res)
+	}
+	start, _ := s.cfg.Spec.Bounds(s.lc.NextOpen())
+	if err := s.arc.evictBefore(start); err != nil {
+		return nil, err
+	}
+	s.cfg.Metrics.MemBytes.Set(int64(s.sh.BudgetMemUsage()))
+	return out, nil
+}
+
+// answers books Alg. 2's decision for a window whose accuracy check gave
+// estErr — ok false where the budget held nothing to check with, and
+// checked false where no check was due, so that its failure is not
+// counted — and reports whether the window is answered from what b
+// holds: ModeSampled where ε̂_w ≤ ε, or, where the check failed but
+// shedding left the window's archive incomplete (tainted), ModeShed
+// with the realized bound, possibly above ε: the ε guarantee traded for
+// latency. False leaves the exact fallback: fetch.
+func (s *shell) answers(res *Result, estErr float64, ok, checked, tainted bool) bool {
+	if ok && estErr <= s.cfg.Epsilon {
+		res.Mode, res.EstError = ModeSampled, estErr
+		return true
+	}
+	if checked {
+		s.cfg.Metrics.EstimationFailures.Add(1)
+	}
+	if !tainted {
+		return false
+	}
+	res.Mode, res.EstError = ModeShed, estErr
+	if !ok {
+		res.EstError = math.Inf(1)
+	}
+	return true
+}
+
+// fetch is the exact fallback, Alg. 2 line 5: the window's tuples read
+// back from S, res labelled as processed whole — performance identical
+// to normal execution plus the failed check.
+func (s *shell) fetch(res *Result) ([]tuple.Tuple, error) {
+	rows, err := s.arc.fetch(res.Start, res.End)
+	if err != nil {
+		return nil, err
+	}
+	res.Mode, res.N, res.SampleN, res.FetchedFromStore = ModeExact, int64(len(rows)), len(rows), true
+	return rows, nil
+}
+
+// PrefetchWatermark implements the engine's Prefetcher hook: after the
+// watermark wm fired its windows, warm the spill plane's cache with the
+// panes of the next SpillAhead windows, so that if their accuracy check
+// fails the exact fallback reads from memory instead of S. Results are
+// unaffected — prefetching only moves bytes earlier. Without an archive
+// there is nothing to read ahead.
+func (s *shell) PrefetchWatermark(wm int64) {
+	s.arc.prefetchAhead(&s.lc, wm, s.cfg.SpillAhead)
+}
+
+// KeepsRows reports whether the manager holds ingested rows past the
+// ingest call: its archive does (KeepsRows in result.go).
+func (s *shell) KeepsRows() bool { return s.arc != nil }
+
+// MemUsage implements Manager: the budget-resident state and the
+// transient archive chunk buffers. BudgetMemUsage, the quantity Fig. 7
+// shows staying flat at ≈b while the exact engine's buffer grows with
+// the window, leaves the chunks out: bounded by ArchiveChunk·overlap
+// tuples regardless of window size, they are the cost of shipping
+// tuples to S, not of producing results, just as the paper excludes its
+// workers' S writes.
+func (s *shell) MemUsage() int { return s.arc.memUsage() + s.sh.BudgetMemUsage() }
+
+// LateDropped returns the number of dropped late tuples.
+func (s *shell) LateDropped() int64 { return s.lc.Late() }
+
+// RewindStore reconciles archive panes with the restored state; a
+// manager without an archive keeps nothing in S. Where the query
+// archives nothing, the archive was there only to delete the panes an
+// older blob listed (RestoreState), and goes once they are gone.
+func (s *shell) RewindStore() error {
+	if err := s.arc.rewind(); err != nil {
+		return err
+	}
+	if !s.cfg.archives() {
+		s.arc = nil
+	}
+	return nil
+}
+
+// TakeDeferredDeletes returns and clears deferred pane deletions.
+func (s *shell) TakeDeferredDeletes() []string { return s.arc.takeDeferred() }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -325,103 +326,26 @@ func TestSliceRecoveryMidSlice(t *testing.T) {
 	}
 }
 
-// v3IncrementalBlob writes what the v3 writer wrote for m's lifecycle,
-// controls and archive with the given windows open, each holding an
-// incremental accumulator — and, as blobs from before such windows
-// stopped sampling did, a fed reservoir beside it when withRes.
-func v3IncrementalBlob(t *testing.T, m *ScalarManager, open map[window.ID]*agg.Incremental, withRes bool) []byte {
+// scalarU writes m's state as the 'u' writer did: no archive flag, and a
+// table of per-window moments ahead of the slices.
+func scalarU(t *testing.T, m *ScalarManager, carry []slice) []byte {
 	t.Helper()
-	dst := appendCursor([]byte{snapScalarV3}, m.lc.Cursor())
-	dst = tuple.AppendUvar(dst, uint64(m.curBudget))
-	dst = tuple.AppendBool(dst, m.shed)
-	dst = tuple.AppendI64(dst, m.sheds)
-	dst, err := m.arc.appendState(dst)
+	v, err := m.SnapshotState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := window.IDsIn(open, math.MinInt64, math.MaxInt64)
-	dst = tuple.AppendUvar(dst, uint64(len(ids)))
-	for _, id := range ids {
-		dst = tuple.AppendI64(dst, int64(id))
-		dst = tuple.AppendI64(dst, 7) // first position
-		dst = tuple.AppendBool(dst, withRes)
-		if withRes {
-			dst = m.newWin(id).res.AppendTo(dst)
-		}
-		dst = tuple.AppendI64(dst, open[id].Count())
-		dst = tuple.AppendBool(dst, false) // tainted
-		dst = tuple.AppendBool(dst, true)
-		dst = open[id].AppendTo(dst)
+	tail := len(tuple.AppendUvar(nil, uint64(len(m.slices)))) + len(m.slices)*sliceBytes
+	u := append([]byte{snapScalarV4}, v[2:len(v)-tail]...)
+	u = tuple.AppendUvar(u, uint64(len(carry)))
+	for _, c := range carry {
+		u = c.acc.AppendTo(tuple.AppendI64(tuple.AppendI64(u, int64(c.lo)), int64(c.hi)))
 	}
-	return dst
+	return append(u, v[len(v)-tail:]...)
 }
 
-// TestLegacyIncrementalWindowsRestoreAsCarries restores a v3 blob taken
-// in the middle of a stream: each open window's moments become its
-// carry, merged ahead of the slices that fill after the restore, and
-// the run continues to the per-window reference under the rule. A
-// carried window that receives nothing more still fires, and the
-// carries survive a v4 round trip.
-func TestLegacyIncrementalWindowsRestoreAsCarries(t *testing.T) {
-	for _, withRes := range []bool{false, true} {
-		t.Run(fmt.Sprintf("reservoirs=%v", withRes), func(t *testing.T) {
-			cfg := mkCfg(agg.Func{Op: agg.Mean}, 16)
-			cfg.Spec = window.Spec{Domain: window.TimeDomain, Range: 100, Slide: 25}
-			tup := func(i int) tuple.Tuple { return tuple.New(int64(i), tuple.Float(float64(i%37)+0.25)) }
-			ref, _ := NewIncrementalManager(cfg)
-			m1, _ := NewScalarManager(cfg)
-			for i := 0; i < 160; i++ {
-				ref.OnTuple(tup(i))
-				m1.OnTuple(tup(i))
-				if i%25 == 24 {
-					ref.OnWatermark(int64(i + 1))
-					m1.OnWatermark(int64(i + 1))
-				}
-			}
-			m2, _ := NewScalarManager(cfg)
-			if err := m2.RestoreState(v3IncrementalBlob(t, m1, ref.wins, withRes)); err != nil {
-				t.Fatal(err)
-			}
-			if len(m2.carry) != len(ref.wins) || len(m2.carry) != 4 || len(m2.slices) != 0 || len(m2.wins) != 0 {
-				t.Fatalf("restored %d carries, %d slices, %d windows from %d legacy windows", len(m2.carry), len(m2.slices), len(m2.wins), len(ref.wins))
-			}
-			if got, want := m2.BudgetMemUsage(), 4*sliceBytes; got != want {
-				t.Errorf("BudgetMemUsage %d, want %d", got, want)
-			}
-			// On through v4, carries and all.
-			m2.OnTuple(tup(160))
-			ref.OnTuple(tup(160))
-			blob, err := m2.SnapshotState()
-			if err != nil {
-				t.Fatal(err)
-			}
-			m3, _ := NewScalarManager(cfg)
-			if err := m3.RestoreState(blob); err != nil {
-				t.Fatal(err)
-			}
-			if again, _ := m3.SnapshotState(); !bytes.Equal(again, blob) || len(m3.carry) != 4 || len(m3.slices) != 1 {
-				t.Fatalf("v4 round trip: %d carries, %d slices", len(m3.carry), len(m3.slices))
-			}
-			// Tuples for the next slide only, then nothing: the last
-			// three carried windows fire on their carries and one slice.
-			var got, want []Result
-			for i := 161; i < 175; i++ {
-				m3.OnTuple(tup(i))
-				ref.OnTuple(tup(i))
-			}
-			got, _ = m3.OnWatermark(math.MaxInt64)
-			want, _ = ref.OnWatermark(math.MaxInt64)
-			sameWindows(t, got, want, false)
-			if len(got) != 4 || len(m3.carry) != 0 || len(m3.slices) != 0 {
-				t.Errorf("%d windows fired, %d carries and %d slices left", len(got), len(m3.carry), len(m3.slices))
-			}
-		})
-	}
-}
-
-// TestSliceTableRejectsDamage: a v4 blob whose slices are out of
-// position order, or named by an assignment no position has, is
-// corrupt, as is one whose state is the other path's.
+// TestSliceTableRejectsDamage: a blob whose slices are out of position
+// order, or named by an assignment no position has, is corrupt, as is
+// one whose state is the other path's.
 func TestSliceTableRejectsDamage(t *testing.T) {
 	cfg := mkCfg(agg.Func{Op: agg.Mean}, 16)
 	cfg.Spec = window.Spec{Domain: window.TimeDomain, Range: 70, Slide: 30}
@@ -430,41 +354,44 @@ func TestSliceTableRejectsDamage(t *testing.T) {
 		m.OnTuple(tuple.New(int64(i), tuple.Float(1)))
 	}
 	good, _ := m.SnapshotState()
-	damage := map[string]func(){
-		"swapped":       func() { m.slices[1], m.slices[2] = m.slices[2], m.slices[1] },
-		"repeated":      func() { m.slices[2] = m.slices[1] },
-		"no such slice": func() { m.slices[3].lo -= 2 },
-		"inverted":      func() { m.slices[0].lo, m.slices[0].hi = 5, 1 },
-		"wide carry":    func() { m.carry = []slice{{lo: 1, hi: 2}} },
+	damage := map[string]func(d *ScalarManager){
+		"swapped":       func(d *ScalarManager) { d.slices[1], d.slices[2] = d.slices[2], d.slices[1] },
+		"repeated":      func(d *ScalarManager) { d.slices[2] = d.slices[1] },
+		"no such slice": func(d *ScalarManager) { d.slices[3].lo -= 2 },
+		"inverted":      func(d *ScalarManager) { d.slices[0].lo, d.slices[0].hi = 5, 1 },
 	}
 	for name, f := range damage {
 		t.Run(name, func(t *testing.T) {
-			fresh, _ := NewScalarManager(cfg)
-			if err := fresh.RestoreState(good); err != nil {
+			damaged, _ := NewScalarManager(cfg)
+			if err := damaged.RestoreState(good); err != nil {
 				t.Fatal(err)
 			}
-			*m = *fresh
-			f()
-			blob, _ := m.SnapshotState()
-			if err := fresh.RestoreState(blob); err == nil {
+			f(damaged)
+			blob, _ := damaged.SnapshotState()
+			if fresh, _ := NewScalarManager(cfg); fresh.RestoreState(blob) == nil {
 				t.Error("restored")
 			}
 		})
 	}
-	// One carry and no slice: the blob ends count 1, lo, hi, moments,
-	// count 0. The same carry listed twice is a duplicate.
-	m.slices, m.carry = nil, []slice{{lo: 1, hi: 1}}
-	blob, _ := m.SnapshotState()
-	fresh, _ := NewScalarManager(cfg)
-	if err := fresh.RestoreState(blob); err != nil {
-		t.Fatal(err)
-	}
-	entry := bytes.Clone(blob[len(blob)-65 : len(blob)-1])
-	blob[len(blob)-66] = 2
-	blob = append(append(blob[:len(blob)-1], entry...), 0)
-	if fresh.RestoreState(blob) == nil {
-		t.Error("restored a carry listed twice")
-	}
+	// A 'u' blob lists per-window moments, which only a writer that had
+	// itself restored a 't' blob held, ahead of the slices: empty, it is
+	// the 'v' state; a carry in it is corrupt, and refused whole.
+	t.Run("carry in a u blob", func(t *testing.T) {
+		fresh, _ := NewScalarManager(cfg)
+		if err := fresh.RestoreState(scalarU(t, m, nil)); err != nil {
+			t.Fatal(err)
+		}
+		if again, _ := fresh.SnapshotState(); !bytes.Equal(again, good) {
+			t.Error("an empty carry table does not restore to the 'v' state")
+		}
+		carried := scalarU(t, m, []slice{{lo: 1, hi: 1}})
+		if err := fresh.RestoreState(carried); !errors.Is(err, tuple.ErrCorrupt) {
+			t.Errorf("restored a carry: %v", err)
+		}
+		if again, _ := fresh.SnapshotState(); !bytes.Equal(again, good) {
+			t.Error("the refused blob changed the manager")
+		}
+	})
 	sampled := cfg
 	sampled.DisableIncremental = true
 	if s, _ := NewScalarManager(sampled); s.RestoreState(good) == nil {

@@ -21,14 +21,17 @@ import (
 )
 
 // updateCompat rewrites the fixtures under testdata/compat from the
-// code being tested. The checked-in 'g' grouped files were written at
-// the commit before grouped state moved from per-window maps to arrays
-// over a key dictionary (PR 16), the unknown_* 'h' ones by the commit
-// that took the window buffer out of the grouped manager; the three
-// sampled scalar_* blobs were rewritten at 'u' when 's' was retired
-// (PR 30), their .results files — what the commit before PR 17
-// continued to — byte for byte unchanged. Regenerate only to adopt a
-// deliberate wire-format change, never to make this test pass.
+// code being tested. They hold both formats each reader accepts
+// (DESIGN.md §10.4). Grouped: the unknown_* 'h' blobs were written by
+// the commit that took the window buffer out of the grouped manager
+// (PR 39), the known_median* ones at 'i' with the .results files the
+// commit before PR 16 continued to. Scalar: scalar_median and
+// scalar_mean_sampled are 'u' blobs (PR 30) with the .results of the
+// commit before PR 17, scalar_mean_slices_archived the 'u' blob of the
+// commit before PR 27, and scalar_tainted_budget0 and scalar_mean_slices
+// were rewritten at 'v', their .results byte for byte unchanged.
+// Regenerate only to adopt a deliberate wire-format change, never to
+// make this test pass.
 var updateCompat = flag.Bool("update-compat", false, "rewrite testdata/compat from the current code")
 
 type compatCase struct {
@@ -37,35 +40,6 @@ type compatCase struct {
 	keys func(rng *rand.Rand, i int) string
 	// at, when set, runs before tuple i is fed (controller seams).
 	at func(i int, m compatManager)
-	// reencodes is false where the current writer cannot arrive at the
-	// fixture's bytes, so neither the primer's own snapshot nor a
-	// re-encode of the restored state can equal the blob: the previous
-	// scalar format ('t'), a 'u' blob that lists panes (PR 27), and the
-	// 'g' blobs without declared groups, which nest a window buffer's
-	// blob where the archive section is. What such a blob must do
-	// instead: restore to the very state the current code reaches on its
-	// own, continue to the parent's results, and re-encode to a fixed
-	// point. A 'g' blob with declared groups is the current 'h' body
-	// under the older tag (sameState).
-	reencodes bool
-	// carried marks a 't' blob of incremental windows. Their moments
-	// restore as carries, a state the current code never reaches on its
-	// own (it keeps slices), and a window's carry and later slices merge
-	// where the parent folded tuple by tuple. Such a blob must restore,
-	// re-encode to a fixed point, and continue to the parent's results
-	// under the rule that replaced "incremental ≡ sequential per-window
-	// fold" (DESIGN.md §22): every field equal but the scalar, which
-	// agrees to 1e-12 relative.
-	carried bool
-	// resampled marks a 'g' blob of a holistic aggregate without declared
-	// groups. Its buffered tuples restore into the archive, a window
-	// whose check passes draws its stratified sample from the window
-	// fetched back from S in archive order where the parent drew from its
-	// buffer in arrival order, and an exact window now reads its tuples
-	// from S. Such a blob must continue to the parent's results with
-	// every field equal but the Groups of ModeSampled windows and the
-	// fetched flag of ModeExact ones (adoptResampled).
-	resampled bool
 }
 
 // compatManager is what the compat harness drives: a manager with the
@@ -132,39 +106,35 @@ func compatCases() []compatCase {
 	eight := func(rng *rand.Rand, _ int) string { return fmt.Sprintf("g%d", rng.Intn(8)) }
 	return []compatCase{
 		// Answered from the per-group moments alone.
-		{"buffered_mean", mk(agg.Func{Op: agg.Mean}, 400, 0, 0.10), churnKey, nil, false, false, false},
-		{"unknown_mean", mk(agg.Func{Op: agg.Mean}, 400, 0, 0.10), churnKey, nil, true, false, false},
+		{"unknown_mean", mk(agg.Func{Op: agg.Mean}, 400, 0, 0.10), churnKey, nil},
 		// Congressional allocation over the frequencies, then a
 		// stratified sample of the window fetched from S, or the whole
 		// window.
-		{"buffered_median", mk(agg.Median(), 150, 0, 0.22), fewOnceKey, nil, false, false, true},
-		{"unknown_median", mk(agg.Median(), 150, 0, 0.22), fewOnceKey, nil, true, false, false},
+		{"unknown_median", mk(agg.Median(), 150, 0, 0.22), fewOnceKey, nil},
 		// Per-group reservoirs filled at arrival: answered from them,
 		// and (at an ε they cannot meet) from the archive.
-		{"known_median", mk(agg.Median(), 160, 8, 0.35), eight, nil, true, false, false},
-		{"known_median_exact", mk(agg.Median(), 160, 8, 0.05), eight, nil, true, false, false},
+		{"known_median", mk(agg.Median(), 160, 8, 0.35), eight, nil},
+		{"known_median_exact", mk(agg.Median(), 160, 8, 0.05), eight, nil},
 		// A reservoir per window, answered from it or, where ε̂ misses,
 		// from the archive.
 		{"scalar_median", scalar(agg.Median(), 150, 0.12), eight, func(i int, m compatManager) {
 			if i == 810 {
 				m.SetBudget(100) // live samples shrink below the bound
 			}
-		}, true, false, false},
+		}},
 		// The same through the mean's estimator, which reads the
 		// sample's moments.
 		{"scalar_mean_sampled", func(store storage.SpillStore) Config {
 			cfg := scalar(agg.Func{Op: agg.Mean}, 60, 0.10)(store)
 			cfg.DisableIncremental = true
 			return cfg
-		}, eight, nil, true, false, false},
-		// One incremental accumulator per window and no sample, as 't'
-		// wrote it; then the same stream as 'u''s slices.
-		{"scalar_mean_incremental_v3", scalar(agg.Func{Op: agg.Mean}, 60, 0.10), eight, nil, false, true, false},
-		{"scalar_mean_slices", scalar(agg.Func{Op: agg.Mean}, 60, 0.10), eight, nil, true, false, false},
+		}, eight, nil},
+		// One accumulator per slice and no archive.
+		{"scalar_mean_slices", scalar(agg.Func{Op: agg.Mean}, 60, 0.10), eight, nil},
 		// The same state as the commit before PR 27 wrote it, when an
 		// incremental query still archived: a 'u' blob whose archive
 		// section lists panes. They are dropped, not carried.
-		{"scalar_mean_slices_archived", scalar(agg.Func{Op: agg.Mean}, 60, 0.10), eight, nil, false, false, false},
+		{"scalar_mean_slices_archived", scalar(agg.Func{Op: agg.Mean}, 60, 0.10), eight, nil},
 		// Windows tainted by a shedding spell, then the budget driven
 		// to zero before the snapshot (reservoirs dropped, exact-only,
 		// ModeShed with an infinite bound for the tainted ones) and
@@ -180,7 +150,7 @@ func compatCases() []compatCase {
 			case 760:
 				m.SetBudget(150)
 			}
-		}, true, false, false},
+		}},
 	}
 }
 
@@ -261,11 +231,11 @@ func compatDrive(t *testing.T, c compatCase, m Manager, ts []tuple.Tuple, from, 
 }
 
 // TestSnapshotCompat restores mid-stream snapshots written by earlier
-// commits (see updateCompat): the blob must restore, the restored
-// manager must re-encode to the same bytes and continue to the same
-// results, bit for bit, and the current code must arrive at that very
-// blob on its own — or, where compatCase.reencodes says it cannot, at
-// the blob the restored manager re-encodes to.
+// commits (see updateCompat): the blob must restore and continue to the
+// same results, bit for bit. A blob of the written format is what the
+// current code arrives at on its own, and what the restored manager
+// re-encodes to; a blob of the format before restores to the state the
+// current code reaches on its own, in the bytes it writes.
 func TestSnapshotCompat(t *testing.T) {
 	for _, c := range compatCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -304,7 +274,8 @@ func TestSnapshotCompat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if c.reencodes && !sameState(own, blob) {
+			current := blob[0] == own[0]
+			if current && !bytes.Equal(own, blob) {
 				t.Errorf("snapshot of the first %d tuples differs from the parent commit's (%d vs %d bytes)", half, len(own), len(blob))
 			}
 			// The primer left the archive panes the blob refers to in
@@ -323,12 +294,10 @@ func TestSnapshotCompat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !c.reencodes {
-				// The blob restores to the state the current code reaches
-				// on its own, in the bytes the current code writes.
+			if !current {
 				blob = own
 			}
-			if !c.carried && !sameState(again, blob) {
+			if !bytes.Equal(again, blob) {
 				t.Errorf("restored state re-encodes to different bytes (%d vs %d)", len(again), len(blob))
 			}
 			// restore → snapshot → restore → snapshot is a fixed point.
@@ -342,14 +311,7 @@ func TestSnapshotCompat(t *testing.T) {
 			if twice, err := m2.SnapshotState(); err != nil || !bytes.Equal(twice, again) {
 				t.Errorf("re-encoded blob is not a fixed point of restore and snapshot (err %v)", err)
 			}
-			got := compatDrive(t, c, m, ts, half, len(ts), oneAtATime)
-			if c.carried {
-				got = adoptCloseScalars(got, string(want))
-			}
-			if c.resampled {
-				got = adoptResampled(got, string(want))
-			}
-			if got != string(want) {
+			if got := compatDrive(t, c, m, ts, half, len(ts), oneAtATime); got != string(want) {
 				t.Errorf("results after restore differ from the parent commit's:\n got %d bytes\nwant %d bytes\n%s",
 					len(got), len(want), firstDiffLine(got, string(want)))
 			}
@@ -484,20 +446,34 @@ func retiredGroupedV1(t *testing.T, m *GroupedManager) []byte {
 
 // TestRestoreRejectsRetiredFormats: a reader accepts the written format
 // and the one before it. Well-formed blobs of the formats retired since
-// — each of which the commit before PR 30 restored — fail like any
-// unknown tag, and the manager they were offered to is left as it was.
+// — each of which an earlier commit restored — fail like any unknown
+// tag, and the manager they were offered to is left as it was.
 func TestRestoreRejectsRetiredFormats(t *testing.T) {
-	var median compatCase
-	for _, median = range compatCases() {
-		if median.name == "scalar_median" {
-			break
+	// atHalf is the manager of compat case name half way through its
+	// stream: the state a retired blob of testdata/retired was taken
+	// from, or one of its kind.
+	atHalf := func(name string) compatManager {
+		for _, c := range compatCases() {
+			if c.name == name {
+				m, err := c.manager(storage.NewMemStore())
+				if err != nil {
+					t.Fatal(err)
+				}
+				ts := compatStream(c)
+				compatDrive(t, c, m, ts, 0, len(ts)/2+13, oneAtATime)
+				return m
+			}
 		}
+		t.Fatalf("no %s compat case", name)
+		return nil
 	}
-	if median.name != "scalar_median" {
-		t.Fatal("no scalar_median compat case to take the retired blob's state from")
+	retired := func(name string) []byte {
+		b, err := os.ReadFile(filepath.Join("testdata", "retired", name+".snap"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	ts := compatStream(median)
-	half := len(ts)/2 + 13
 
 	cfg := mkCfg(agg.Func{Op: agg.Mean}, 50)
 	cfg.DisableIncremental = true
@@ -509,16 +485,6 @@ func TestRestoreRejectsRetiredFormats(t *testing.T) {
 		v1.OnTuple(tup)
 		g1.OnTuple(tup)
 	}
-	v2, err := median.manager(storage.NewMemStore())
-	if err != nil {
-		t.Fatal(err)
-	}
-	compatDrive(t, median, v2, ts, 0, half, oneAtATime)
-	// What the commit before PR 17 wrote for that very state.
-	v2Blob, err := os.ReadFile(filepath.Join("testdata", "retired", "scalar_median.snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	for _, c := range []struct {
 		tag  byte
@@ -526,8 +492,16 @@ func TestRestoreRejectsRetiredFormats(t *testing.T) {
 		m    compatManager
 	}{
 		{'S', retiredScalarV1(t, v1), v1},
-		{'s', v2Blob, v2},
+		// What the commit before PR 17 wrote for that very state.
+		{'s', retired("scalar_median"), atHalf("scalar_median")},
+		// Per-window incremental moments, as the commit before PR 25
+		// wrote them for the state of scalar_mean_slices.
+		{'t', retired("scalar_mean_incremental_v3"), atHalf("scalar_mean_slices")},
 		{'G', retiredGroupedV1(t, g1), g1},
+		// A window buffer's blob nested where the archive section is, as
+		// the commit before PR 16 wrote it for the stream of
+		// unknown_median.
+		{'g', retired("buffered_median"), atHalf("unknown_median")},
 	} {
 		if c.blob[0] != c.tag {
 			t.Fatalf("%q blob starts with %q", c.tag, c.blob[0])
@@ -544,56 +518,6 @@ func TestRestoreRejectsRetiredFormats(t *testing.T) {
 			t.Errorf("%q blob: the rejected restore changed the manager's state (err %v)", c.tag, err)
 		}
 	}
-}
-
-// sameState reports whether own, written by the current code, is blob:
-// byte for byte, or, for a 'g' blob with declared groups, the same body
-// under the tag 'h'.
-func sameState(own, blob []byte) bool {
-	if len(blob) > 1 && blob[0] == snapGroupedV2 && blob[1] == 1 && len(own) > 0 && own[0] == snapGroupedV3 {
-		return bytes.Equal(own[1:], blob[1:])
-	}
-	return bytes.Equal(own, blob)
-}
-
-// adoptResampled returns got with each line taken from want where the
-// two differ only in the Groups of a ModeSampled window or the fetched
-// flag of a ModeExact one, so that what is left to differ is a real
-// difference (compatCase.resampled).
-func adoptResampled(got, want string) string {
-	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
-	for i := 0; i < len(g) && i < len(w); i++ {
-		gh, gt, _ := strings.Cut(g[i], " fetched=")
-		wh, wt, _ := strings.Cut(w[i], " fetched=")
-		gf, gg, _ := strings.Cut(gt, " ")
-		wf, wg, _ := strings.Cut(wt, " ")
-		if gh == wh && (strings.Contains(gh, " sampled ") && gf == wf || strings.Contains(gh, " exact ") && gg == wg) {
-			g[i] = w[i]
-		}
-	}
-	return strings.Join(g, "\n")
-}
-
-// adoptCloseScalars returns got with each line's trailing scalar=<bits>
-// replaced by the one on want's line where the two values agree to
-// 1e-12 relative, so that what is left to differ is a real difference.
-func adoptCloseScalars(got, want string) string {
-	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
-	for i := 0; i < len(g) && i < len(w); i++ {
-		gp, gv, ok1 := strings.Cut(g[i], " scalar=")
-		_, wv, ok2 := strings.Cut(w[i], " scalar=")
-		var gb, wb uint64
-		if !ok1 || !ok2 || gv == wv {
-			continue
-		}
-		if _, err := fmt.Sscanf(gv+" "+wv, "%x %x", &gb, &wb); err != nil {
-			continue
-		}
-		if a, b := math.Float64frombits(gb), math.Float64frombits(wb); math.Abs(a-b) <= 1e-12*math.Abs(b) {
-			g[i] = gp + " scalar=" + wv
-		}
-	}
-	return strings.Join(g, "\n")
 }
 
 func firstDiffLine(got, want string) string {

@@ -12,8 +12,7 @@ import (
 // the checkpoint Snapshotter contract: SnapshotState serializes every
 // field that influences future output, RestoreState rebuilds it. The
 // buffer keeps nothing in secondary storage, so there is nothing to
-// rewind. ReadSingleBuffer is the one reader of the layout, for the
-// buffer and for the grouped blobs that nest one (core, tag 'g').
+// rewind.
 
 // snapSingleBuffer is the versioned type tag, so a blob restored into
 // the wrong manager fails loudly instead of silently misdecoding.
@@ -40,35 +39,27 @@ func (m *SingleBuffer) SnapshotState() ([]byte, error) {
 	return dst, nil
 }
 
-// ReadSingleBuffer decodes a blob SingleBuffer.SnapshotState wrote: the
-// lifecycle's cursor, the peak buffered bytes and the buffered rows in
-// arrival order (in the count domain their Ts is their position).
-func ReadSingleBuffer(b []byte) (c Cursor, peak int, rows []tuple.Tuple, err error) {
+// RestoreState implements the checkpoint Snapshotter contract.
+func (m *SingleBuffer) RestoreState(b []byte) error {
 	rd := tuple.NewWireReader(b)
 	if tag := rd.Byte(); tag != snapSingleBuffer {
 		if rd.Err() == nil {
-			return c, 0, nil, fmt.Errorf("%w: single-buffer snapshot tag 0x%02x", tuple.ErrCorrupt, tag)
+			return fmt.Errorf("%w: single-buffer snapshot tag 0x%02x", tuple.ErrCorrupt, tag)
 		}
-		return c, 0, nil, rd.Err()
+		return rd.Err()
 	}
-	c = Cursor{Seq: rd.I64(), MaxPos: rd.I64(), Started: rd.Bool(), Fired: rd.Bool(), NextFire: ID(rd.I64()), Late: rd.I64()}
+	c := Cursor{Seq: rd.I64(), MaxPos: rd.I64(), Started: rd.Bool(), Fired: rd.Bool(), NextFire: ID(rd.I64()), Late: rd.I64()}
 	spilled, segSeq, segChunks := rd.I64(), rd.Uvar(), rd.Uvar()
-	peak = int(rd.Uvar())
+	peak := int(rd.Uvar())
 	bufBlob := rd.Blob()
 	if err := rd.Done(); err != nil {
-		return c, 0, nil, err
+		return err
 	}
 	if spilled != 0 || segSeq != 0 || segChunks != 0 {
 		// A buffer keeps no tuples in S, so no fire could fetch them.
-		return c, 0, nil, fmt.Errorf("%w: single-buffer snapshot has spilled state", tuple.ErrCorrupt)
+		return fmt.Errorf("%w: single-buffer snapshot has spilled state", tuple.ErrCorrupt)
 	}
-	rows, err = tuple.DecodeBatch(bufBlob)
-	return c, peak, rows, err
-}
-
-// RestoreState implements the checkpoint Snapshotter contract.
-func (m *SingleBuffer) RestoreState(b []byte) error {
-	c, peak, buf, err := ReadSingleBuffer(b)
+	buf, err := tuple.DecodeBatch(bufBlob)
 	if err != nil {
 		return err
 	}
