@@ -32,11 +32,13 @@ test:
 # credit sender, a reconnect), and a shard's value slabs between its
 # link reader, which decodes into them, and its workers, which give
 # them back; those tests run ten times over so that the detector sees
-# more than one interleaving.
+# more than one interleaving. MemStore's blocks change hands between
+# segments, and its concurrent Get/Delete/Store test runs five times.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestLink' ./internal/transport/
 	$(GO) test -race -count=10 -run 'TestDistributedLoopbackIdentity' .
+	$(GO) test -race -count=5 ./internal/storage
 
 # Crash-recovery integration suite: fault injection at every
 # checkpoint-protocol seam, run under the race detector (the workers'

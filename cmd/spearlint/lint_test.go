@@ -307,7 +307,7 @@ func TestAnalyzersCatchSeededMutations(t *testing.T) {
 		{"eventtime_engine", analyzerEventTime, "internal/spe",
 			[]seed{
 				{"engine.go", "\t\"math\"\n", "\t\"math\"\n\t\"time\"\n"},
-				{"engine.go", "\t\t\temitTuple(t)\n", "\t\t\t_ = time.Now()\n\t\t\temitTuple(t)\n"},
+				{"engine.go", "\t\t\t\tout.sendTo(out.route(t), t)\n", "\t\t\t\t_ = time.Now()\n\t\t\t\tout.sendTo(out.route(t), t)\n"},
 			},
 			"_ = time.Now()", "time.Now in an event-time package"},
 		{"floatcmp", analyzerFloatCmp, "internal/stats",

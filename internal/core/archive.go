@@ -42,14 +42,15 @@ type archive struct {
 	minPane int64                   // smallest pane that may still exist
 	haveMin bool
 
-	// cur caches the buffer of the pane tuples are currently arriving
-	// into, keeping the hot path free of map operations: tuples land in
-	// consecutive panes, so addRun is a compare + append until the pane
-	// rolls over. Invariant: while curOK, pending has no entry for curP —
-	// stash() reinstates it before any path that walks the map.
-	cur   []tuple.Tuple
-	curP  int64
-	curOK bool
+	// cur caches the buffer of the pane tuples are arriving into, and
+	// curKey its name once built, so the hot path neither walks the map
+	// nor formats: tuples land in consecutive panes, so addRun is a
+	// compare + append until the pane rolls over. Invariant: while curOK,
+	// pending has no entry for curP; any walk of the map stash()es first.
+	cur    []tuple.Tuple
+	curP   int64
+	curKey string
+	curOK  bool
 
 	// free holds the backing arrays of finished pane buffers, a stored
 	// chunk's (SpillStore.Store encodes and must not retain the slice)
@@ -94,9 +95,12 @@ func (a *archive) paneKey(p int64) string {
 	return fmt.Sprintf("%s/p%d", a.key, p)
 }
 
-// flushCur stores the cached pane's full chunk.
+// flushCur stores the cached pane's full chunk, naming the pane once a roll.
 func (a *archive) flushCur() error {
-	if err := a.store.Store(a.paneKey(a.curP), a.cur); err != nil {
+	if a.curKey == "" {
+		a.curKey = a.paneKey(a.curP)
+	}
+	if err := a.store.Store(a.curKey, a.cur); err != nil {
 		return fmt.Errorf("core: archive pane %d: %w", a.curP, err)
 	}
 	a.flushed[a.curP]++
@@ -158,7 +162,7 @@ func (a *archive) rollTo(p int64) {
 		a.cur, a.free[n-1] = a.free[n-1], nil
 		a.free = a.free[:n-1]
 	}
-	a.curP, a.curOK = p, true
+	a.curKey, a.curP, a.curOK = "", p, true
 }
 
 // stash reinstates the cached pane buffer into the pending map. Every
@@ -216,7 +220,7 @@ func (a *archive) fetch(start, end int64) ([]tuple.Tuple, error) {
 		}
 		ts, err := a.store.Get(a.paneKey(p))
 		if err != nil {
-			if isNotFound(err) {
+			if errors.Is(err, storage.ErrNotFound) {
 				continue // pane received no tuples
 			}
 			return nil, err
@@ -426,8 +430,4 @@ func (a *archive) rewind() error {
 		}
 	}
 	return nil
-}
-
-func isNotFound(err error) bool {
-	return errors.Is(err, storage.ErrNotFound)
 }

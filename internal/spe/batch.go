@@ -86,7 +86,9 @@ func (p *slicePool[T]) put(s []T) {
 }
 
 // batcher is the sending end of the hop — the spout's: a run in
-// progress per destination, shipped when it reaches size. Controls
+// progress per destination, shipped when it reaches size. Every
+// destination's run is open from construction, with room for a full
+// batch, so a send is an append and a length compare. Controls
 // (watermarks and checkpoint barriers) force a flush of every pending
 // run and then travel alone, so the order every receiver observes is
 // exactly the order a per-tuple sender would have produced: all data
@@ -102,16 +104,11 @@ type batcher struct {
 }
 
 func newBatcher(outs []chan Batch, part Partitioner, size int, pool *runPool) *batcher {
-	if size < 1 {
-		size = 1
+	b := &batcher{outs: outs, runs: make([][]tuple.Tuple, len(outs)), part: part, size: max(size, 1), pool: pool}
+	for d := range b.runs {
+		b.runs[d] = pool.get()
 	}
-	return &batcher{
-		outs: outs,
-		runs: make([][]tuple.Tuple, len(outs)),
-		part: part,
-		size: size,
-		pool: pool,
-	}
+	return b
 }
 
 // route picks t's destination. A hop with one destination has nothing
@@ -124,24 +121,21 @@ func (b *batcher) route(t tuple.Tuple) int {
 	return b.part.Route(t, len(b.outs))
 }
 
-// send appends t to its destination's run, shipping the run when it
+// sendTo appends t to destination d's run, shipping the run when it
 // reaches the batch size. The channel send blocks when the destination
 // queue is full — the engine's bounded-queue back-pressure, at run
 // granularity.
-func (b *batcher) send(t tuple.Tuple) { b.sendTo(b.route(t), t) }
-
-// sendTo is send for a sender that has already picked the destination.
 func (b *batcher) sendTo(d int, t tuple.Tuple) {
-	run := b.runs[d]
-	if run == nil {
-		run = b.pool.get()
+	b.runs[d] = append(b.runs[d], t)
+	if len(b.runs[d]) >= b.size {
+		b.ship(d)
 	}
-	run = append(run, t)
-	if len(run) >= b.size {
-		b.outs[d] <- Batch{Rows: run}
-		run = nil
-	}
-	b.runs[d] = run
+}
+
+// ship sends destination d's run and opens the next from the pool.
+func (b *batcher) ship(d int) {
+	b.outs[d] <- Batch{Rows: b.runs[d]}
+	b.runs[d] = b.pool.get()
 }
 
 // flushAll ships every pending run. Callers invoke it at stream end
@@ -150,8 +144,7 @@ func (b *batcher) sendTo(d int, t tuple.Tuple) {
 func (b *batcher) flushAll() {
 	for d, run := range b.runs {
 		if len(run) > 0 {
-			b.outs[d] <- Batch{Rows: run}
-			b.runs[d] = nil
+			b.ship(d)
 		}
 	}
 }

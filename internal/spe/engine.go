@@ -302,9 +302,9 @@ func (tp *Topology) Run() error {
 		}
 		out := newBatcher(winIn, part, tp.cfg.BatchSize, pool)
 		defer out.flushAll() // runs before the channel-close defer above
-		emitTuple := out.send
+		var chain *fusedChain
 		if len(tp.stages) > 0 {
-			emitTuple = newFusedChain(tp.stages, out).push
+			chain = newFusedChain(tp.stages, out)
 		}
 		var gen *watermark.Generator
 		if tp.cfg.WatermarkPeriod > 0 {
@@ -357,7 +357,11 @@ func (tp *Topology) Run() error {
 					out.watermark(wm)
 				}
 			}
-			emitTuple(t)
+			if chain == nil {
+				out.sendTo(out.route(t), t)
+			} else {
+				chain.push(t)
+			}
 			offset++
 			if ins != nil {
 				// One branch per tuple in the common case: progress is

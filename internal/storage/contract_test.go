@@ -2,7 +2,13 @@ package storage_test
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math"
+	"sort"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"spear/internal/spill"
@@ -33,7 +39,7 @@ func contractStores() map[string]func(t *testing.T) storage.SpillStore {
 // counts the tuples the carriers stand for.
 type codecStore struct {
 	*storage.MemStore
-	stored, fetched int64
+	stored, fetched atomic.Int64
 }
 
 func (c *codecStore) Store(key string, ts []tuple.Tuple) error {
@@ -41,7 +47,7 @@ func (c *codecStore) Store(key string, ts []tuple.Tuple) error {
 	if err != nil {
 		return err
 	}
-	c.stored += int64(len(ts))
+	c.stored.Add(int64(len(ts)))
 	return c.MemStore.Store(key, []tuple.Tuple{tuple.New(0, tuple.String_(string(enc)))})
 }
 
@@ -58,13 +64,13 @@ func (c *codecStore) Get(key string) ([]tuple.Tuple, error) {
 		}
 		out = append(out, ts...)
 	}
-	c.fetched += int64(len(out))
+	c.fetched.Add(int64(len(out)))
 	return out, nil
 }
 
 func (c *codecStore) Stats() storage.Stats {
 	s := c.MemStore.Stats()
-	s.TuplesStored, s.TuplesFetched = c.stored, c.fetched
+	s.TuplesStored, s.TuplesFetched = c.stored.Load(), c.fetched.Load()
 	return s
 }
 
@@ -196,6 +202,190 @@ func TestStoreContract(t *testing.T) {
 			if st := s.Stats(); st.TuplesStored != stored || st.TuplesFetched != int64(len(want)) {
 				t.Errorf("Stats = %+v, want %d tuples stored and %d fetched", st, stored, len(want))
 			}
+		})
+	}
+}
+
+// blockStore is what a store keeping chunk images in recycled blocks
+// (MemStore, and the codec store over one) lets the contract check.
+type blockStore interface {
+	CheckBlocks() error
+	FreeBlocks() int
+}
+
+// checkBlocks fails unless s, if it recycles blocks, keeps its free-list
+// bound.
+func checkBlocks(t *testing.T, s storage.SpillStore) {
+	t.Helper()
+	if bs, ok := s.(blockStore); ok {
+		if err := bs.CheckBlocks(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// sortedChunks lists contractChunks' names in a fixed order.
+func sortedChunks() ([]string, map[string][]tuple.Tuple) {
+	chunks := contractChunks()
+	names := make([]string, 0, len(chunks))
+	for name := range chunks {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names, chunks
+}
+
+// TestStoreRecycling holds a store that reuses the memory of deleted and
+// truncated segments to what the archive relies on: rows a Get returned
+// own their memory, so a deleted segment's blocks written over by another
+// segment leave them bit-equal, strings included; Store after Truncate
+// appends after the chunks kept; and the free list never holds more
+// bytes than the live segments.
+func TestStoreRecycling(t *testing.T) {
+	for sname, open := range contractStores() {
+		t.Run(sname+"/delete", func(t *testing.T) {
+			s := open(t)
+			names, chunks := sortedChunks()
+			// A segment that stays, so the free list may keep what a
+			// delete hands back.
+			for i := 0; i < 64; i++ {
+				if err := s.Store("keep", chunks["poisson gaps"]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var want []tuple.Tuple
+			for _, name := range names {
+				if err := s.Store("a", cloneRows(chunks[name])); err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, cloneRows(chunks[name])...)
+			}
+			rows, err := s.Get("a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Delete("a"); err != nil {
+				t.Fatal(err)
+			}
+			checkBlocks(t, s)
+			// The plain MemStore's images fill whole blocks, so the
+			// delete frees some and the next segment reuses them.
+			bs, reuses := s.(*storage.MemStore)
+			free := 0
+			if reuses {
+				if free = bs.FreeBlocks(); free == 0 {
+					t.Fatal("deleting a segment freed no block")
+				}
+			}
+			for _, name := range names {
+				in := cloneRows(chunks[name])
+				scribble(in)
+				if err := s.Store("b", in); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if reuses && bs.FreeBlocks() >= free {
+				t.Fatalf("the next segment took none of the %d free blocks", free)
+			}
+			checkBlocks(t, s)
+			wantRows(t, rows, want)
+		})
+		t.Run(sname+"/truncate then store", func(t *testing.T) {
+			s, chunks := open(t), contractChunks()
+			// Enough chunks to fill blocks, cut inside one.
+			var want []tuple.Tuple
+			for i := 0; i < 30; i++ {
+				if err := s.Store("k", chunks["poisson gaps"]); err != nil {
+					t.Fatal(err)
+				}
+				if i < 17 {
+					want = append(want, chunks["poisson gaps"]...)
+				}
+			}
+			if err := s.Truncate("k", 17); err != nil {
+				t.Fatal(err)
+			}
+			checkBlocks(t, s)
+			for _, name := range []string{"strings", "count positions"} {
+				if err := s.Store("k", chunks[name]); err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, chunks[name]...)
+			}
+			checkBlocks(t, s)
+			got, err := s.Get("k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantRows(t, got, want)
+			if err := s.Truncate("k", 0); err != nil {
+				t.Fatal(err)
+			}
+			checkBlocks(t, s)
+			if _, err := s.Get("k"); err == nil {
+				t.Fatal("Get after Truncate to 0 chunks found the segment")
+			}
+		})
+	}
+}
+
+// TestStoreConcurrentRecycling runs Get, Delete and Store on overlapping
+// keys from several goroutines (run under -race by make race). Every row
+// a Get returns must be one its key's Stores wrote: a block handed from
+// one segment to another while a Get decodes it shows as a foreign row.
+func TestStoreConcurrentRecycling(t *testing.T) {
+	const keys, workers, rounds = 3, 4, 60
+	chunk := func(k, r int) []tuple.Tuple {
+		rows := make([]tuple.Tuple, 400)
+		for i := range rows {
+			rows[i] = tuple.New(int64(k)<<32|int64(r*len(rows)+i), tuple.String_(fmt.Sprintf("key%d-%s", k, strings.Repeat("x", i%9))), tuple.Float(float64(k)))
+		}
+		return rows
+	}
+	for sname, open := range contractStores() {
+		t.Run(sname, func(t *testing.T) {
+			s := open(t)
+			for i := 0; i < 16; i++ { // a segment that stays
+				if err := s.Store("keep", chunk(keys, i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for r := 0; r < rounds; r++ {
+						k := (w + r) % keys
+						key := fmt.Sprintf("k%d", k)
+						var err error
+						switch r % 4 {
+						case 0, 1:
+							err = s.Store(key, chunk(k, r))
+						case 2:
+							var rows []tuple.Tuple
+							if rows, err = s.Get(key); errors.Is(err, storage.ErrNotFound) {
+								err = nil
+							}
+							for _, row := range rows {
+								if row.Ts>>32 != int64(k) || len(row.Vals) != 2 || row.Vals[1].AsFloat() != float64(k) ||
+									!strings.HasPrefix(row.Vals[0].AsString(), fmt.Sprintf("key%d-", k)) {
+									t.Errorf("Get(%q) returned a row of another segment: %v", key, row)
+									return
+								}
+							}
+						case 3:
+							err = s.Delete(key)
+						}
+						if err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			checkBlocks(t, s)
 		})
 	}
 }

@@ -67,12 +67,24 @@ type Stats struct {
 // chunk is its column image (tuple.AppendColumns), the bytes a batch
 // frame carries on the wire — so its cost model (encode on store, decode
 // on get) matches the file store.
+//
+// A segment's images sit back to back in blocks of memBlock bytes (or of
+// 16 images, when they fill less): Store encodes straight into the room
+// after the segment's last image, or into a fresh block when that room
+// may be short; an image that outgrows a block keeps what append made.
+// Delete and Truncate hand blocks back to a free list never holding more
+// bytes than the live segments' blocks. Get decodes under the mutex, so
+// no block it reads is handed to another segment meanwhile.
 type MemStore struct {
 	mu    sync.Mutex
 	segs  map[string][][]byte
-	enc   []byte // Store's encode buffer, reused under mu
+	free  [][]byte // empty blocks
+	live  int      // bytes of the blocks segments hold
+	need  int      // room asked of a block: the largest image plus appendDeltas' slack, at most a block
 	stats Stats
 }
+
+const memBlock = 64 << 10
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
@@ -83,41 +95,65 @@ func NewMemStore() *MemStore {
 func (m *MemStore) Store(key string, ts []tuple.Tuple) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	enc := tuple.AppendColumns(m.enc[:0], ts)
-	m.enc = enc
-	// The segment keeps an exact-size copy. make + copy from a local is
-	// the form the compiler allocates without clearing first.
-	img := make([]byte, len(enc))
-	copy(img, enc)
-	m.segs[key] = append(m.segs[key], img)
+	seg := m.segs[key]
+	var room []byte
+	if n := len(seg); n > 0 {
+		room = seg[n-1][len(seg[n-1]):]
+	}
+	if cap(room) <= m.need {
+		if n := len(m.free); n > 0 {
+			room, m.free = m.free[n-1], m.free[:n-1]
+		} else {
+			room = make([]byte, 0, min(16*m.need, memBlock))
+		}
+	}
+	img := tuple.AppendColumns(room, ts)
+	if cap(img) != cap(room) { // append moved it: nothing goes after it
+		img = img[:len(img):len(img)]
+	}
+	if cap(img) == memBlock { // it starts a block
+		m.live += memBlock
+	}
+	m.need = max(m.need, min(len(img)+8, memBlock))
+	m.segs[key] = append(seg, img)
 	m.stats.Stores++
 	m.stats.BytesStored += int64(len(img))
 	m.stats.TuplesStored += int64(len(ts))
 	return nil
 }
 
+// recycle frees the blocks that chunks start (capacity memBlock), then
+// cuts the free list to the bytes the live segments hold.
+func (m *MemStore) recycle(chunks [][]byte) {
+	for _, c := range chunks {
+		if cap(c) == memBlock {
+			m.live -= memBlock
+			m.free = append(m.free, c[:0])
+		}
+	}
+	keep := min(len(m.free), m.live/memBlock)
+	clear(m.free[keep:])
+	m.free = m.free[:keep]
+}
+
 // Get implements SpillStore.
 func (m *MemStore) Get(key string) ([]tuple.Tuple, error) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	chunks, ok := m.segs[key]
 	m.stats.Gets++
-	m.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
 	var out []tuple.Tuple
-	var bytes int64
 	for _, c := range chunks {
 		var err error
 		if out, err = tuple.DecodeColumns(out, c); err != nil {
 			return nil, err
 		}
-		bytes += int64(len(c))
+		m.stats.BytesFetched += int64(len(c))
 	}
-	m.mu.Lock()
-	m.stats.BytesFetched += bytes
 	m.stats.TuplesFetched += int64(len(out))
-	m.mu.Unlock()
 	return out, nil
 }
 
@@ -125,6 +161,7 @@ func (m *MemStore) Get(key string) ([]tuple.Tuple, error) {
 func (m *MemStore) Delete(key string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.recycle(m.segs[key])
 	delete(m.segs, key)
 	m.stats.Deletes++
 	return nil
@@ -144,7 +181,8 @@ func (m *MemStore) List(prefix string) ([]string, error) {
 	return keys, nil
 }
 
-// Truncate implements SpillStore.
+// Truncate implements SpillStore. The next Store appends after the last
+// chunk kept.
 func (m *MemStore) Truncate(key string, chunks int) error {
 	if chunks < 0 {
 		return fmt.Errorf("storage: negative chunk count %d", chunks)
@@ -155,11 +193,13 @@ func (m *MemStore) Truncate(key string, chunks int) error {
 	if !ok || chunks >= len(segs) {
 		return nil
 	}
+	m.recycle(segs[chunks:])
 	if chunks == 0 {
 		delete(m.segs, key)
 		return nil
 	}
-	m.segs[key] = segs[:chunks:chunks]
+	clear(segs[chunks:])
+	m.segs[key] = segs[:chunks]
 	return nil
 }
 
