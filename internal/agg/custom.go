@@ -71,25 +71,3 @@ func TrimmedMean(frac float64) CustomFunc {
 		},
 	}
 }
-
-// Range returns a custom aggregate computing max − min.
-func Range() CustomFunc {
-	return CustomFunc{
-		Name: "range",
-		Compute: func(values []float64, _ int64) float64 {
-			if len(values) == 0 {
-				return 0
-			}
-			min, max := values[0], values[0]
-			for _, v := range values[1:] {
-				if v < min {
-					min = v
-				}
-				if v > max {
-					max = v
-				}
-			}
-			return max - min
-		},
-	}
-}

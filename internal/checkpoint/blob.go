@@ -29,8 +29,6 @@ func snapshotKey(ns string, id uint64, worker int) string {
 	return fmt.Sprintf("%s/s/%016x/w%d", ns, id, worker)
 }
 
-func snapshotPrefix(ns string, id uint64) string { return fmt.Sprintf("%s/s/%016x/", ns, id) }
-
 // manifestID parses the id back out of a manifest key.
 func manifestID(ns, key string) (uint64, bool) {
 	pfx := manifestPrefix(ns)

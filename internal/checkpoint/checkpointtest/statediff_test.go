@@ -136,7 +136,7 @@ func TestEverySnapshotterHasARoundTripCase(t *testing.T) {
 			}
 		}
 	}
-	if n < 6 {
-		t.Errorf("found %d Snapshotters, want at least the six of internal/core, window and join", n)
+	if n < 5 {
+		t.Errorf("found %d Snapshotters, want at least the five of internal/core and window", n)
 	}
 }

@@ -369,7 +369,7 @@ func TestScalarArchiveEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Windows [0,100)... [400,500) all fired; every pane evicted.
-	if keys := store.Keys(); len(keys) != 0 {
+	if keys, _ := store.List(""); len(keys) != 0 {
 		t.Errorf("panes survived eviction: %v", keys)
 	}
 }

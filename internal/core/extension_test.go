@@ -45,16 +45,6 @@ func TestTrimmedMeanComputation(t *testing.T) {
 	}
 }
 
-func TestRangeComputation(t *testing.T) {
-	r := agg.Range()
-	if got := r.Compute([]float64{3, 9, 1, 5}, 4); got != 8 {
-		t.Errorf("range = %v", got)
-	}
-	if got := r.Compute(nil, 0); got != 0 {
-		t.Errorf("empty range = %v", got)
-	}
-}
-
 func TestCustomOpConfigValidation(t *testing.T) {
 	tm := agg.TrimmedMean(0.1)
 	cfg := mkCfg(agg.Func{}, 100)

@@ -80,7 +80,7 @@ func TestKnownGroupsArchiveEviction(t *testing.T) {
 	if _, err := m.OnWatermark(500); err != nil {
 		t.Fatal(err)
 	}
-	if keys := store.Keys(); len(keys) != 0 {
+	if keys, _ := store.List(""); len(keys) != 0 {
 		t.Errorf("panes survived eviction: %v", keys)
 	}
 }
@@ -181,8 +181,9 @@ func TestGroupedLateTuplesKnownGroups(t *testing.T) {
 	if m.LateDropped() != 2 {
 		t.Errorf("LateDropped = %d", m.LateDropped())
 	}
-	if got := store.Stats().Stores; got != stores || len(store.Keys()) != 0 {
-		t.Errorf("late tuples were archived: %d Store calls, panes %v", got-stores, store.Keys())
+	keys, _ := store.List("")
+	if got := store.Stats().Stores; got != stores || len(keys) != 0 {
+		t.Errorf("late tuples were archived: %d Store calls, panes %v", got-stores, keys)
 	}
 	if m.sheds != 0 {
 		t.Errorf("sheds = %d: a late tuple counted as shed", m.sheds)

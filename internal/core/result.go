@@ -95,8 +95,8 @@ func (r Result) String() string {
 		r.Start, r.End, r.Mode, r.Scalar, r.SampleN, r.N, r.EstError)
 }
 
-// Manager is the SPEAr window manager interface: identical lifecycle to
-// window.Manager but producing Results instead of raw windows.
+// Manager is the SPEAr window manager interface: the window lifecycle
+// of §2, producing Results instead of raw windows.
 type Manager interface {
 	// OnTuple ingests one tuple; count-domain specs may complete
 	// windows here.

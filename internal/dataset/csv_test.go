@@ -19,12 +19,12 @@ func TestCSVRoundtrip(t *testing.T) {
 		t.Fatalf("wrote %d rows", n)
 	}
 
-	ref := DEBS(DEBSConfig{Tuples: 500, Seed: 1}).Materialize()
+	ref := drain(DEBS(DEBSConfig{Tuples: 500, Seed: 1}))
 	back, err := ReadCSV(&buf, "DEBS", DEBS(DEBSConfig{Tuples: 1, Seed: 1}).Schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := back.Stream.Materialize()
+	got := drain(back.Stream)
 	if back.Err() != nil {
 		t.Fatal(back.Err())
 	}
@@ -72,7 +72,7 @@ func TestCSVAllKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := back.Stream.Materialize()
+	got := drain(back.Stream)
 	if back.Err() != nil {
 		t.Fatal(back.Err())
 	}

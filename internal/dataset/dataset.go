@@ -32,18 +32,6 @@ type Stream struct {
 	Key tuple.KeyExtractor
 }
 
-// Materialize drains the stream into a slice (tests and benches).
-func (s *Stream) Materialize() []tuple.Tuple {
-	var out []tuple.Tuple
-	for {
-		t, ok := s.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, t)
-	}
-}
-
 // Table1 records the paper's dataset/query summary for reporting.
 type Table1Row struct {
 	Name        string

@@ -10,6 +10,15 @@ import (
 	"spear/internal/window"
 )
 
+// drain reads the stream to its end.
+func drain(s *Stream) []tuple.Tuple {
+	var out []tuple.Tuple
+	for t, ok := s.Next(); ok; t, ok = s.Next() {
+		out = append(out, t)
+	}
+	return out
+}
+
 func take(s *Stream, n int) []tuple.Tuple {
 	out := make([]tuple.Tuple, 0, n)
 	for len(out) < n {
@@ -42,7 +51,7 @@ func TestStreamsAreDeterministic(t *testing.T) {
 	}
 	a, b := mk(), mk()
 	for i := range a {
-		ta, tb := a[i].Materialize(), b[i].Materialize()
+		ta, tb := drain(a[i]), drain(b[i])
 		if len(ta) != 500 || len(tb) != 500 {
 			t.Fatalf("%s: lengths %d/%d", a[i].Name, len(ta), len(tb))
 		}
@@ -56,7 +65,7 @@ func TestStreamsAreDeterministic(t *testing.T) {
 
 func TestStreamsEndCleanly(t *testing.T) {
 	s := DEC(DECConfig{Tuples: 10, Seed: 1})
-	if got := len(s.Materialize()); got != 10 {
+	if got := len(drain(s)); got != 10 {
 		t.Fatalf("materialized %d", got)
 	}
 	if _, ok := s.Next(); ok {
@@ -71,7 +80,7 @@ func TestTimestampsNonDecreasing(t *testing.T) {
 		DEBS(DEBSConfig{Tuples: 5000, Seed: 2}),
 	} {
 		prev := int64(-1)
-		for _, tp := range s.Materialize() {
+		for _, tp := range drain(s) {
 			if tp.Ts <= prev {
 				t.Fatalf("%s: non-increasing ts %d after %d", s.Name, tp.Ts, prev)
 			}
@@ -85,7 +94,7 @@ func TestDECShape(t *testing.T) {
 	if s.Key != nil || s.Window != window.Sliding(45*time.Second, 15*time.Second) {
 		t.Error("DEC metadata wrong")
 	}
-	ts := s.Materialize()
+	ts := drain(s)
 	var w stats.Welford
 	for _, tp := range ts {
 		v := s.Value(tp)
@@ -114,7 +123,7 @@ func TestDECShape(t *testing.T) {
 
 func TestGCMShape(t *testing.T) {
 	s := GCM(GCMConfig{Tuples: 100_000, Seed: 4})
-	ts := s.Materialize()
+	ts := drain(s)
 	classes := map[string]int{}
 	for _, tp := range ts {
 		c := s.Key(tp)
@@ -142,7 +151,7 @@ func TestGCMShape(t *testing.T) {
 
 func TestDEBSSparsity(t *testing.T) {
 	s := DEBS(DEBSConfig{Tuples: 10_000, Seed: 5})
-	ts := s.Materialize()
+	ts := drain(s)
 	routes := map[string]int{}
 	for _, tp := range ts {
 		routes[s.Key(tp)]++

@@ -70,12 +70,6 @@ func (r *TraceRing) SetClock(clock func() time.Time) {
 	r.mu.Unlock()
 }
 
-// SampleOffset reports whether the tuple at the given absolute source
-// offset is traced.
-func (r *TraceRing) SampleOffset(off int64) bool {
-	return uint64(off)%r.n == 0
-}
-
 // SampleTs reports whether a tuple with event time ts is traced. The
 // decision hashes the timestamp so it is consistent across stages
 // without any cross-goroutine coordination.

@@ -14,7 +14,7 @@ func fuzzSeedStructs() [][]byte {
 	for i := 0; i < 100; i++ {
 		r.Add(float64(i))
 	}
-	gs := NewGroupStats()
+	gs := NewKeyDict().NewGroupStats()
 	gs.Add("a", 1)
 	gs.Add("a", 2)
 	gs.Add("b", -3)
@@ -50,9 +50,9 @@ func FuzzSampleRestore(f *testing.F) {
 				t.Fatal("reservoir encoding is not a fixed point")
 			}
 		}
-		if g := ReadGroupStats(tuple.NewWireReader(b)); g != nil {
+		if g := NewKeyDict().ReadGroupStats(tuple.NewWireReader(b)); g != nil {
 			enc := g.AppendTo(nil)
-			g2 := ReadGroupStats(tuple.NewWireReader(enc))
+			g2 := NewKeyDict().ReadGroupStats(tuple.NewWireReader(enc))
 			if g2 == nil {
 				t.Fatal("re-decode of re-encoded group stats failed")
 			}
@@ -60,9 +60,9 @@ func FuzzSampleRestore(f *testing.F) {
 				t.Fatal("group stats encoding is not a fixed point")
 			}
 		}
-		if g := ReadGroupReservoirs(tuple.NewWireReader(b)); g != nil {
+		if g := NewKeyDict().ReadGroupReservoirs(tuple.NewWireReader(b)); g != nil {
 			enc := g.AppendTo(nil)
-			g2 := ReadGroupReservoirs(tuple.NewWireReader(enc))
+			g2 := NewKeyDict().ReadGroupReservoirs(tuple.NewWireReader(enc))
 			if g2 == nil {
 				t.Fatal("re-decode of re-encoded group reservoirs failed")
 			}

@@ -76,10 +76,6 @@ type GroupStats struct {
 	total int64
 }
 
-// NewGroupStats returns an empty accumulator over a dictionary of its
-// own.
-func NewGroupStats() *GroupStats { return NewKeyDict().NewGroupStats() }
-
 // NewGroupStats returns an empty accumulator whose group ids are d's.
 func (d *KeyDict) NewGroupStats() *GroupStats {
 	return &GroupStats{groupIndex: groupIndex{dict: d}}

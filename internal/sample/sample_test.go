@@ -285,7 +285,7 @@ func TestStratifiedFromBufferMismatchPanics(t *testing.T) {
 }
 
 func TestGroupStats(t *testing.T) {
-	g := NewGroupStats()
+	g := NewKeyDict().NewGroupStats()
 	g.Add("r1", 10)
 	g.Add("r1", 20)
 	g.Add("r2", 5)
@@ -399,7 +399,7 @@ func BenchmarkReservoirAlgoL(b *testing.B) {
 }
 
 func BenchmarkGroupStatsAdd(b *testing.B) {
-	g := NewGroupStats()
+	g := NewKeyDict().NewGroupStats()
 	keys := []string{"c0", "c1", "c2", "c3"}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -79,10 +79,6 @@ func (g *GroupStats) AppendTo(dst []byte) []byte {
 	return dst
 }
 
-// ReadGroupStats decodes a GroupStats encoded by AppendTo, over a
-// dictionary of its own.
-func ReadGroupStats(rd *tuple.WireReader) *GroupStats { return NewKeyDict().ReadGroupStats(rd) }
-
 // ReadGroupStats decodes a GroupStats encoded by AppendTo, giving its
 // groups ids in d. On malformed input it returns nil and d may be left
 // holding ids nobody releases: decode into a dictionary that is thrown
@@ -122,12 +118,6 @@ func (g *GroupReservoirs) AppendTo(dst []byte) []byte {
 		dst = g.res[g.pos[id]-1].AppendTo(dst)
 	}
 	return dst
-}
-
-// ReadGroupReservoirs decodes a GroupReservoirs encoded by AppendTo,
-// over a dictionary of its own.
-func ReadGroupReservoirs(rd *tuple.WireReader) *GroupReservoirs {
-	return NewKeyDict().ReadGroupReservoirs(rd)
 }
 
 // ReadGroupReservoirs decodes a GroupReservoirs encoded by AppendTo,

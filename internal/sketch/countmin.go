@@ -25,7 +25,6 @@ type CountMin struct {
 	table        [][]float64
 	seeds        []maphash.Seed
 	total        float64 // ‖increments‖₁ (assumes non-negative updates)
-	conservative bool
 }
 
 // NewCountMin returns a sketch with the given width and depth.
@@ -61,11 +60,6 @@ func NewCountMinWithError(eps, delta float64) *CountMin {
 	return NewCountMin(w, d)
 }
 
-// SetConservative enables conservative update: each Add raises only the
-// cells that are at the current minimum, tightening estimates at a small
-// extra cost. Off by default (StreamLib behavior).
-func (c *CountMin) SetConservative(on bool) { c.conservative = on }
-
 // Width returns the sketch width.
 func (c *CountMin) Width() int { return c.width }
 
@@ -82,20 +76,8 @@ func (c *CountMin) bucket(row int, key string) int {
 // guarantee to hold).
 func (c *CountMin) Add(key string, v float64) {
 	c.total += v
-	if !c.conservative {
-		for row := 0; row < c.depth; row++ {
-			c.table[row][c.bucket(row, key)] += v
-		}
-		return
-	}
-	// Conservative update: raise each counter only up to est+v.
-	est := c.Estimate(key)
-	target := est + v
 	for row := 0; row < c.depth; row++ {
-		cell := &c.table[row][c.bucket(row, key)]
-		if *cell < target {
-			*cell = target
-		}
+		c.table[row][c.bucket(row, key)] += v
 	}
 }
 

@@ -30,34 +30,33 @@ func TestCountMinExactOnSparseKeys(t *testing.T) {
 }
 
 // The fundamental CountMin property: estimates never underestimate.
+// The subtest keeps the name it had when a conservative-update mode
+// existed beside the plain one; the plain update is the one it runs.
 func TestCountMinNeverUnderestimates(t *testing.T) {
-	for _, conservative := range []bool{false, true} {
-		t.Run(fmt.Sprintf("conservative=%v", conservative), func(t *testing.T) {
-			r := rand.New(rand.NewSource(11))
-			cm := NewCountMin(64, 4) // small: force collisions
-			cm.SetConservative(conservative)
-			truth := map[string]float64{}
-			f := func(kRaw uint8, vRaw uint8) bool {
-				k := fmt.Sprintf("key-%d", kRaw%200)
-				v := float64(vRaw%10) + 0.5
-				cm.Add(k, v)
-				truth[k] += v
-				// Check a random known key each step.
-				for probe := range truth {
-					if r.Intn(4) == 0 {
-						if cm.Estimate(probe) < truth[probe]-1e-9 {
-							return false
-						}
-						break
+	t.Run("conservative=false", func(t *testing.T) {
+		r := rand.New(rand.NewSource(11))
+		cm := NewCountMin(64, 4) // small: force collisions
+		truth := map[string]float64{}
+		f := func(kRaw uint8, vRaw uint8) bool {
+			k := fmt.Sprintf("key-%d", kRaw%200)
+			v := float64(vRaw%10) + 0.5
+			cm.Add(k, v)
+			truth[k] += v
+			// Check a random known key each step.
+			for probe := range truth {
+				if r.Intn(4) == 0 {
+					if cm.Estimate(probe) < truth[probe]-1e-9 {
+						return false
 					}
+					break
 				}
-				return true
 			}
-			if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-				t.Error(err)
-			}
-		})
-	}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 func TestCountMinErrorBound(t *testing.T) {
@@ -79,30 +78,6 @@ func TestCountMinErrorBound(t *testing.T) {
 	}
 	if frac := float64(bad) / float64(len(truth)); frac > 0.01 {
 		t.Errorf("%.3f of keys exceed the error bound, want ≤ 0.01", frac)
-	}
-}
-
-func TestCountMinConservativeTightens(t *testing.T) {
-	// Conservative update can only lower estimates, never raise them.
-	plain := NewCountMin(32, 3)
-	cons := NewCountMin(32, 3)
-	// Share seeds so both hash identically.
-	copy(cons.seeds, plain.seeds)
-	cons.SetConservative(true)
-	r := rand.New(rand.NewSource(8))
-	keys := make([]string, 50)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("k%d", i)
-	}
-	for i := 0; i < 5000; i++ {
-		k := keys[r.Intn(len(keys))]
-		plain.Add(k, 1)
-		cons.Add(k, 1)
-	}
-	for _, k := range keys {
-		if cons.Estimate(k) > plain.Estimate(k)+1e-9 {
-			t.Errorf("conservative estimate for %s higher: %v > %v", k, cons.Estimate(k), plain.Estimate(k))
-		}
 	}
 }
 

@@ -70,34 +70,3 @@ func PercentileOfSorted(sorted []float64, p float64) float64 {
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
-
-// TrimmedMeanOf returns the arithmetic mean after dropping the single
-// minimum and single maximum value — the aggregation the paper applies
-// to its seven experiment runs ("the arithmetic mean of seven runs,
-// without the maximum and the minimum reported values"). Slices with
-// fewer than three elements fall back to the plain mean.
-func TrimmedMeanOf(xs []float64) float64 {
-	if len(xs) < 3 {
-		return MeanOf(xs)
-	}
-	minI, maxI := 0, 0
-	for i, x := range xs {
-		if x < xs[minI] {
-			minI = i
-		}
-		if x > xs[maxI] {
-			maxI = i
-		}
-	}
-	if minI == maxI { // all equal
-		return xs[0]
-	}
-	var s float64
-	for i, x := range xs {
-		if i == minI || i == maxI {
-			continue
-		}
-		s += x
-	}
-	return s / float64(len(xs)-2)
-}

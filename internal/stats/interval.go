@@ -69,32 +69,17 @@ func RelativeError(approx, exact float64) float64 {
 	return math.Abs(approx-exact) / math.Abs(exact)
 }
 
-// QuantileSampleSize returns the sample size required to answer any
-// single quantile query with rank error at most eps·N with probability
-// at least conf, from the Hoeffding bound underlying the one-pass
-// algorithms of Manku et al. (SIGMOD'98), which the paper uses as its
-// accuracy test for holistic quantile operations (§4.2: "accuracy is
-// estimated by comparing the sample's size with S_w's size ... by
-// comparing the allocated budget b ... with the expected budget"):
+// QuantileRankError returns the rank error ε within which a sample of
+// size n answers any single quantile query with probability at least
+// conf, from the Hoeffding bound underlying the one-pass algorithms of
+// Manku et al. (SIGMOD'98), which the paper uses as its accuracy test
+// for holistic quantile operations (§4.2: "accuracy is estimated by
+// comparing the sample's size with S_w's size ... by comparing the
+// allocated budget b ... with the expected budget"):
 //
-//	n ≥ ln(2/δ) / (2ε²),   δ = 1 − conf
+//	ε = √(ln(2/δ) / (2n)),   δ = 1 − conf
 //
-// A reservoir at least this large makes the sampled quantile an
-// (ε, δ)-approximation of the window quantile, independent of N.
-func QuantileSampleSize(eps, conf float64) int64 {
-	if !(eps > 0 && eps < 1) {
-		panic("stats: quantile eps must be in (0, 1)")
-	}
-	if !(conf > 0 && conf < 1) {
-		panic("stats: confidence must be in (0, 1)")
-	}
-	delta := 1 - conf
-	n := math.Log(2/delta) / (2 * eps * eps)
-	return int64(math.Ceil(n))
-}
-
-// QuantileRankError inverts QuantileSampleSize: the rank error ε
-// achievable with probability conf from a sample of size n.
+// independent of the window size N. With no sample it returns 1.
 func QuantileRankError(n int64, conf float64) float64 {
 	if n <= 0 {
 		return 1

@@ -28,9 +28,6 @@ func TestWelfordBasics(t *testing.T) {
 	if !almostEqual(w.Mean(), 5, 1e-12) {
 		t.Errorf("Mean = %v, want 5", w.Mean())
 	}
-	if !almostEqual(w.PopVariance(), 4, 1e-12) {
-		t.Errorf("PopVariance = %v, want 4", w.PopVariance())
-	}
 	if !almostEqual(w.Variance(), 32.0/7.0, 1e-12) {
 		t.Errorf("Variance = %v, want 32/7", w.Variance())
 	}
@@ -279,36 +276,27 @@ func TestRelativeError(t *testing.T) {
 	}
 }
 
-func TestQuantileSampleSize(t *testing.T) {
-	// ε=10%, δ=5% → ln(40)/0.02 ≈ 184.4 → 185.
-	n := QuantileSampleSize(0.10, 0.95)
-	if n != 185 {
-		t.Errorf("n = %d, want 185", n)
+func TestQuantileRankError(t *testing.T) {
+	// ε=10%, δ=5%: ln(40)/0.02 ≈ 184.4, so 185 samples are the fewest
+	// that reach ε ≤ 0.10 (the figure ROADMAP item 4(b) quotes).
+	if e := QuantileRankError(185, 0.95); e > 0.10 {
+		t.Errorf("rank error at n=185 = %v > 0.10", e)
 	}
-	// Tighter ε needs quadratically more samples.
-	n2 := QuantileSampleSize(0.05, 0.95)
-	if n2 < 4*n-10 || n2 > 4*n+10 {
-		t.Errorf("halving eps: %d vs %d, want ≈4×", n2, n)
+	if e := QuantileRankError(184, 0.95); e <= 0.10 {
+		t.Errorf("rank error at n=184 = %v ≤ 0.10", e)
 	}
-	// The inverse agrees.
-	if e := QuantileRankError(n, 0.95); e > 0.10+1e-6 {
-		t.Errorf("rank error at required n = %v > 0.10", e)
+	// Halving ε takes four times the samples.
+	if e, e4 := QuantileRankError(185, 0.95), QuantileRankError(4*185, 0.95); !almostEqual(e4, e/2, 1e-12) {
+		t.Errorf("rank error at 4n = %v, want half of %v", e4, e)
 	}
-	if QuantileRankError(0, 0.95) != 1 {
-		t.Error("zero sample should have error 1")
+	for _, n := range []int64{0, -1} {
+		if QuantileRankError(n, 0.95) != 1 {
+			t.Errorf("n=%d: an empty sample should have error 1", n)
+		}
 	}
-	for _, bad := range []func(){
-		func() { QuantileSampleSize(0, 0.95) },
-		func() { QuantileSampleSize(0.1, 1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			bad()
-		}()
+	// No finite sample gives certainty.
+	if e := QuantileRankError(185, 1); !math.IsInf(e, 1) {
+		t.Errorf("rank error at conf=1 = %v, want +Inf", e)
 	}
 }
 
@@ -380,21 +368,6 @@ func TestPercentileOf(t *testing.T) {
 	// Interpolation between ranks.
 	if got := PercentileOf([]float64{10, 20}, 0.5); got != 15 {
 		t.Errorf("interpolated = %v, want 15", got)
-	}
-}
-
-func TestTrimmedMeanOf(t *testing.T) {
-	if got := TrimmedMeanOf([]float64{1, 2, 3, 4, 100}); got != 3 {
-		t.Errorf("TrimmedMeanOf = %v, want 3", got)
-	}
-	if got := TrimmedMeanOf([]float64{5, 5, 5}); got != 5 {
-		t.Errorf("all-equal = %v, want 5", got)
-	}
-	if got := TrimmedMeanOf([]float64{2, 4}); got != 3 {
-		t.Errorf("short slice falls back to mean: %v", got)
-	}
-	if got := TrimmedMeanOf(nil); got != 0 {
-		t.Errorf("empty = %v, want 0", got)
 	}
 }
 

@@ -94,14 +94,6 @@ func (w *Welford) Variance() float64 {
 	return w.m2 / float64(w.n-1)
 }
 
-// PopVariance returns the population variance (n denominator).
-func (w *Welford) PopVariance() float64 {
-	if w.n < 1 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
 // StdDev returns the unbiased sample standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 

@@ -210,18 +210,6 @@ func (m *MemStore) Stats() Stats {
 	return m.stats
 }
 
-// Keys returns the stored segment keys, sorted; used by tests.
-func (m *MemStore) Keys() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	keys := make([]string, 0, len(m.segs))
-	for k := range m.segs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // FileStore is a SpillStore writing one file per segment under a
 // directory, mirroring how a worker would use local disk or a mounted
 // object store.

@@ -92,16 +92,6 @@ func TestFileStore(t *testing.T) {
 	testStore(t, fs)
 }
 
-func TestMemStoreKeys(t *testing.T) {
-	m := NewMemStore()
-	m.Store("b", mkTuples(1, 0))
-	m.Store("a", mkTuples(1, 0))
-	keys := m.Keys()
-	if len(keys) != 2 || keys[0] != "a" || keys[1] != "b" {
-		t.Errorf("Keys = %v", keys)
-	}
-}
-
 func TestFileStoreSanitizesKeys(t *testing.T) {
 	fs, err := NewFileStore(t.TempDir())
 	if err != nil {

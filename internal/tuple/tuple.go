@@ -150,21 +150,20 @@ type Field struct {
 // between all tuples of a stream, so tuples store only values.
 type Schema struct {
 	fields []Field
-	index  map[string]int
 }
 
 // NewSchema builds a schema from the given fields. Field names must be
 // unique; NewSchema panics otherwise because a duplicate is always a
 // programming error in query construction.
 func NewSchema(fields ...Field) *Schema {
-	s := &Schema{fields: fields, index: make(map[string]int, len(fields))}
-	for i, f := range fields {
-		if _, dup := s.index[f.Name]; dup {
+	seen := make(map[string]bool, len(fields))
+	for _, f := range fields {
+		if seen[f.Name] {
 			panic("tuple: duplicate field name " + f.Name)
 		}
-		s.index[f.Name] = i
+		seen[f.Name] = true
 	}
-	return s
+	return &Schema{fields: fields}
 }
 
 // Len returns the number of fields.
@@ -172,17 +171,6 @@ func (s *Schema) Len() int { return len(s.fields) }
 
 // Field returns the i-th field.
 func (s *Schema) Field(i int) Field { return s.fields[i] }
-
-// IndexOf returns the position of the named field, or -1.
-func (s *Schema) IndexOf(name string) int {
-	if s == nil {
-		return -1
-	}
-	if i, ok := s.index[name]; ok {
-		return i
-	}
-	return -1
-}
 
 // String renders the schema as "(name kind, ...)".
 func (s *Schema) String() string {

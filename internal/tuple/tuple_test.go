@@ -106,19 +106,9 @@ func TestSchema(t *testing.T) {
 	if s.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", s.Len())
 	}
-	if s.IndexOf("fare") != 2 {
-		t.Errorf("IndexOf(fare) = %d, want 2", s.IndexOf("fare"))
-	}
-	if s.IndexOf("missing") != -1 {
-		t.Errorf("IndexOf(missing) = %d, want -1", s.IndexOf("missing"))
-	}
 	want := "(time int, route string, fare float)"
 	if got := s.String(); got != want {
 		t.Errorf("String = %q, want %q", got, want)
-	}
-	var nilSchema *Schema
-	if nilSchema.IndexOf("x") != -1 {
-		t.Error("nil schema IndexOf should be -1")
 	}
 }
 

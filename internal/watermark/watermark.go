@@ -60,10 +60,6 @@ func (g *Generator) advance(ts int64) (wm int64, emit bool) {
 	return 0, false
 }
 
-// Final returns the watermark a source emits at end of stream so every
-// complete window fires: the maximum observed event time.
-func (g *Generator) Final(maxTs int64) int64 { return maxTs }
-
 func floorDiv(a, b int64) int64 {
 	q := a / b
 	if a%b != 0 && (a < 0) != (b < 0) {

@@ -17,30 +17,10 @@ type Complete struct {
 // Size returns the number of tuples in the window.
 func (c Complete) Size() int { return len(c.Tuples) }
 
-// Manager is the per-worker window lifecycle: buffer tuples at arrival,
-// stage complete windows at watermark arrival (trigger), and discard
-// fully processed tuples (evict) — the two mechanisms of §2.
-//
-// Managers are used by a single executor goroutine and need no locking.
-type Manager interface {
-	// OnTuple buffers one tuple. For count-domain specs it may return
-	// newly completed windows (count windows close on arrival, not on
-	// watermarks).
-	OnTuple(t tuple.Tuple) []Complete
-	// OnWatermark stages every window whose end is ≤ wm, oldest
-	// first, and evicts expired tuples.
-	OnWatermark(wm int64) []Complete
-	// MemUsage returns the current buffered bytes (the paper's
-	// per-worker memory metric, Fig. 7).
-	MemUsage() int
-	// PeakMemUsage returns the high-water mark of MemUsage.
-	PeakMemUsage() int
-	// LateDropped returns the number of tuples discarded because they
-	// arrived behind the last fired window.
-	LateDropped() int64
-}
-
-// SingleBuffer is the Storm design of Figs. 3–4: every tuple is stored
+// SingleBuffer is the per-worker window lifecycle of §2 — buffer at
+// arrival, stage complete windows at watermark arrival (trigger), discard
+// fully processed tuples (evict) — for one executor goroutine, without
+// locking. It is the Storm design of Figs. 3–4: every tuple is stored
 // exactly once in one arrival-ordered buffer. At watermark arrival the
 // buffer is scanned once to collect the completed window's tuples and to
 // evict expired ones. Minimal memory per tuple, one scan per trigger.
@@ -62,9 +42,9 @@ func NewSingleBuffer(spec Spec) (*SingleBuffer, error) {
 	return &SingleBuffer{spec: spec, lc: NewLifecycle(spec)}, nil
 }
 
-// OnTuple implements Manager: a tuple the lifecycle admits is buffered
-// and, in the count domain, stages the windows it completes: a count
-// window [s, e) is complete once position e-1 has arrived.
+// OnTuple buffers a tuple the lifecycle admits and, in the count domain,
+// stages the windows it completes: a count window [s, e) is complete
+// once position e-1 has arrived.
 func (m *SingleBuffer) OnTuple(t tuple.Tuple) []Complete {
 	pos := m.lc.Pos(t.Ts, 0)
 	lo, hi := m.spec.Assign(pos)
@@ -86,7 +66,8 @@ func (m *SingleBuffer) OnTuple(t tuple.Tuple) []Complete {
 	return nil
 }
 
-// OnWatermark implements Manager.
+// OnWatermark stages every window whose end is ≤ wm, oldest first, and
+// evicts expired tuples. Count windows close on arrival instead.
 func (m *SingleBuffer) OnWatermark(wm int64) []Complete {
 	if m.spec.Domain == CountDomain {
 		return nil // count windows close on arrival
@@ -155,13 +136,15 @@ func (m *SingleBuffer) heldIn(first, last ID) []ID {
 	return slices.Compact(ids)
 }
 
-// MemUsage implements Manager.
+// MemUsage returns the buffered bytes (the paper's per-worker memory
+// metric, Fig. 7).
 func (m *SingleBuffer) MemUsage() int { return m.bufBytes }
 
-// PeakMemUsage implements Manager.
+// PeakMemUsage returns the high-water mark of MemUsage.
 func (m *SingleBuffer) PeakMemUsage() int { return m.peak }
 
-// LateDropped implements Manager.
+// LateDropped returns the number of tuples discarded because they
+// arrived behind the last fired window.
 func (m *SingleBuffer) LateDropped() int64 { return m.lc.Late() }
 
 // MultiBuffer is the Flink design of Figs. 3–4: a copy of each tuple is
@@ -190,7 +173,7 @@ func NewMultiBuffer(spec Spec) (*MultiBuffer, error) {
 	}, nil
 }
 
-// OnTuple implements Manager.
+// OnTuple is SingleBuffer.OnTuple with a copy per window.
 func (m *MultiBuffer) OnTuple(t tuple.Tuple) []Complete {
 	t.Ts = m.lc.Pos(t.Ts, 0)
 	lo, hi := m.spec.Assign(t.Ts)
@@ -213,7 +196,7 @@ func (m *MultiBuffer) OnTuple(t tuple.Tuple) []Complete {
 	return nil
 }
 
-// OnWatermark implements Manager.
+// OnWatermark is SingleBuffer.OnWatermark.
 func (m *MultiBuffer) OnWatermark(wm int64) []Complete {
 	if m.spec.Domain == CountDomain {
 		return nil
@@ -243,11 +226,11 @@ func (m *MultiBuffer) fire(wm int64) []Complete {
 	return out
 }
 
-// MemUsage implements Manager.
+// MemUsage is SingleBuffer.MemUsage.
 func (m *MultiBuffer) MemUsage() int { return m.bufBytes }
 
-// PeakMemUsage implements Manager.
+// PeakMemUsage is SingleBuffer.PeakMemUsage.
 func (m *MultiBuffer) PeakMemUsage() int { return m.peak }
 
-// LateDropped implements Manager.
+// LateDropped is SingleBuffer.LateDropped.
 func (m *MultiBuffer) LateDropped() int64 { return m.lc.Late() }

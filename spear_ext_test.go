@@ -63,14 +63,14 @@ func TestCustomAggValidation(t *testing.T) {
 		t.Error("custom agg without value accepted")
 	}
 	if _, err := NewQuery("q").Source(src).TumblingWindow(1).
-		Mean(val).CustomAgg(agg.Range(), val, est).Run(sink); err == nil {
+		Mean(val).CustomAgg(agg.TrimmedMean(0.1), val, est).Run(sink); err == nil {
 		t.Error("double aggregate accepted")
 	}
 	// Grouped custom ops are rejected at Run.
 	if _, err := NewQuery("q").Source(FromSlice([]Tuple{NewTuple(1, Str("k"), Float(1))})).
 		TumblingWindow(10).
 		GroupBy(func(t Tuple) string { return t.Vals[0].AsString() }).
-		CustomAgg(agg.Range(), val, est).Run(sink); err == nil {
+		CustomAgg(agg.TrimmedMean(0.1), val, est).Run(sink); err == nil {
 		t.Error("grouped custom op accepted")
 	}
 }
