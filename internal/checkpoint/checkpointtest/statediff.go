@@ -16,10 +16,11 @@ import (
 //
 // The walk descends through structs, pointers, interfaces, maps (by key),
 // slices and arrays (by index; a nil and an empty one are equal), and
-// reads unexported fields through reflect.Value's kind accessors. Floats
+// reads unexported fields through reflect.Value's kind accessors. A type
+// with a method Equal(T) bool compares through it (tuple.Value). Floats
 // compare by bit pattern, so -0 and a NaN's payload count; funcs, chans
-// and unsafe pointers compare by nil-ness only. Two pointers to the same
-// object are equal without a walk.
+// and other unsafe pointers compare by nil-ness only. Two pointers to the
+// same object are equal without a walk.
 //
 // allow maps a field path — fields from the root down, without indices or
 // keys: "wins.res.rng" covers that field of every window — to the reason
@@ -28,7 +29,12 @@ import (
 // restore does not give back.
 func StateDiff(live, restored any, allow map[string]string) []string {
 	d := &differ{allow: allow, used: map[string]bool{}, seen: map[visit]bool{}}
-	d.walk("", reflect.ValueOf(live), reflect.ValueOf(restored))
+	root := func(x any) reflect.Value { // in a variable: every field below has an address
+		v := reflect.New(reflect.TypeOf(x)).Elem()
+		v.Set(reflect.ValueOf(x))
+		return v
+	}
+	d.walk("", root(live), root(restored))
 	for path, why := range allow {
 		if !d.used[path] {
 			d.out = append(d.out, fmt.Sprintf("allow %q (%s): no difference there to excuse", path, why))
@@ -88,6 +94,15 @@ func (d *differ) walk(path string, a, b reflect.Value) {
 }
 
 func (d *differ) walkKind(path string, a, b reflect.Value) {
+	if !a.CanInterface() && a.CanAddr() { // below an unexported field, read-only; a view of its memory is not
+		a, b = reflect.NewAt(a.Type(), a.Addr().UnsafePointer()).Elem(), reflect.NewAt(b.Type(), b.Addr().UnsafePointer()).Elem()
+	}
+	if m, ok := a.Type().MethodByName("Equal"); ok && m.Type.NumIn() == 2 && m.Type.In(1) == a.Type() && m.Type.NumOut() == 1 && m.Type.Out(0).Kind() == reflect.Bool && a.CanInterface() {
+		if !m.Func.Call([]reflect.Value{a, b})[0].Bool() {
+			d.report(path, a.Interface(), b.Interface())
+		}
+		return
+	}
 	var x, y any // a scalar pair, compared below
 	switch a.Kind() {
 	case reflect.Bool:

@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"spear/internal/tuple"
 )
 
 type planted struct {
@@ -21,27 +23,33 @@ type planted struct {
 	fn   func()
 	same *inner // one object on both sides: equal without a walk
 	skip int    // differs, and allowed to
+	str  tuple.Value
+	num  tuple.Value
 }
 
 type inner struct{ n int64 }
 
 // TestStateDiffFindsEachPlantedDifference plants one difference in a
 // by-value struct, behind a pointer, in a map value, in a slice element,
-// in a NaN's payload and in a func's nil-ness, each of which must come
-// back with its path; the allowed one must not.
+// in a NaN's payload, in a func's nil-ness, in the bytes of two strings
+// of one length and in the kind of one payload (tuple.Value holds both
+// as a pointer), each of which must come back with its path; the allowed
+// one must not.
 func TestStateDiffFindsEachPlantedDifference(t *testing.T) {
 	shared := &inner{n: 9}
 	mk := func() planted {
 		return planted{
 			in: inner{1}, ptr: &inner{2}, byID: map[string]inner{"a": {3}, "b": {4}},
 			xs: []float64{5, 6}, nan: math.Float64frombits(0x7ff8000000000002), fn: func() {}, same: shared, skip: 7,
+			str: tuple.String_(strings.Repeat("ab", 2)), num: tuple.Int(5),
 		}
 	}
 	live, restored := mk(), mk()
 	restored.in.n, restored.ptr.n, restored.byID["b"], restored.xs[1] = 0, 0, inner{0}, 0
 	restored.nan, restored.fn, restored.skip = math.NaN(), nil, 0
+	restored.str, restored.num = tuple.String_("abba"), tuple.Float(math.Float64frombits(5))
 	got := StateDiff(live, restored, map[string]string{"skip": "planted"})
-	want := []string{"byID[b].n: ", "fn is nil: ", "in.n: ", "nan: ", "ptr.n: ", "xs[1]: "}
+	want := []string{"byID[b].n: ", "fn is nil: ", "in.n: ", "nan: ", "num: ", "ptr.n: ", "str: ", "xs[1]: "}
 	if len(got) != len(want) {
 		t.Fatalf("StateDiff reported %d differences, want %d:\n%s", len(got), len(want), strings.Join(got, "\n"))
 	}

@@ -169,7 +169,7 @@ func TestChainIsThePerTupleReference(t *testing.T) {
 							t.Fatal(err)
 						}
 						same := func(a, b tuple.Tuple) bool {
-							return a.Ts == b.Ts && slices.Equal(a.Vals, b.Vals)
+							return a.Ts == b.Ts && slices.EqualFunc(a.Vals, b.Vals, tuple.Value.Equal)
 						}
 						for k := range wantIn {
 							if !slices.EqualFunc(gotIn[k], wantIn[k], same) {

@@ -6,7 +6,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"spear/internal/tuple"
@@ -80,7 +79,7 @@ func checkBatchRows(t *testing.T, body []byte, fr Frame) {
 		slab[i] = tuple.String_("stale")
 	}
 	again, err := decodeFrame(body, func() ([]tuple.Tuple, []tuple.Value) { return pooled[:0], slab })
-	if err != nil || len(again.Rows) != len(fr.Rows) || len(fr.Rows) > 0 && !reflect.DeepEqual(again.Rows, fr.Rows) {
+	if err != nil || len(again.Rows) != len(fr.Rows) || !sameRows(again.Rows, fr.Rows) {
 		t.Fatalf("into a pooled run: %v (%v), into a fresh one: %v", again.Rows, err, fr.Rows)
 	}
 	want := make([]tuple.Tuple, len(fr.Rows))
@@ -91,7 +90,7 @@ func checkBatchRows(t *testing.T, body []byte, fr Frame) {
 		_ = append(fr.Rows[i].Vals, tuple.Int(-1))
 	}
 	for i := range fr.Rows {
-		if !reflect.DeepEqual(fr.Rows[i], want[i]) {
+		if !sameRows(fr.Rows[i:i+1], want[i:i+1]) {
 			t.Fatalf("tuple %d changed when its neighbours' Vals were appended to: %v, want %v", i, fr.Rows[i], want[i])
 		}
 	}

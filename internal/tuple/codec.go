@@ -35,15 +35,11 @@ func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
 // building block shared by AppendEncode and the column image's escape
 // arm.
 func AppendValue(dst []byte, v Value) []byte {
-	dst = append(dst, byte(v.kind))
-	switch v.kind {
-	case KindString:
-		dst = binary.AppendUvarint(dst, uint64(len(v.str)))
-		dst = append(dst, v.str...)
-	default:
-		dst = binary.LittleEndian.AppendUint64(dst, v.num)
+	kind := v.Kind()
+	if dst = append(dst, byte(kind)); kind == KindString {
+		return AppendStr(dst, v.str())
 	}
-	return dst
+	return binary.LittleEndian.AppendUint64(dst, v.n)
 }
 
 // DecodeValue reads one value encoded by AppendValue from b and returns
@@ -59,7 +55,7 @@ func DecodeValue(b []byte) (Value, int, error) {
 		if pos+8 > len(b) {
 			return Value{}, 0, ErrCorrupt
 		}
-		return Value{kind: kind, num: binary.LittleEndian.Uint64(b[pos:])}, pos + 8, nil
+		return Value{p: tag(kind), n: binary.LittleEndian.Uint64(b[pos:])}, pos + 8, nil
 	case KindString:
 		l, sz := binary.Uvarint(b[pos:])
 		if sz <= 0 {
@@ -72,7 +68,7 @@ func DecodeValue(b []byte) (Value, int, error) {
 		if l > uint64(len(b)-pos) {
 			return Value{}, 0, ErrCorrupt
 		}
-		return Value{kind: KindString, str: string(b[pos : pos+int(l)])}, pos + int(l), nil
+		return String_(string(b[pos : pos+int(l)])), pos + int(l), nil
 	default:
 		return Value{}, 0, fmt.Errorf("%w: kind byte %d", ErrCorrupt, kind)
 	}
@@ -159,8 +155,8 @@ func EncodeBatch(ts []Tuple) []byte {
 	for i := range ts {
 		size += 8 + uvarintLen(uint64(len(ts[i].Vals)))
 		for _, v := range ts[i].Vals {
-			if v.kind == KindString {
-				size += 1 + uvarintLen(uint64(len(v.str))) + len(v.str)
+			if v.Kind() == KindString {
+				size += 1 + uvarintLen(v.n) + int(v.n)
 			} else {
 				size += 9
 			}

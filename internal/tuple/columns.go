@@ -109,37 +109,37 @@ func appendColumn(dst []byte, rows []Tuple, j int) []byte {
 	mark, kind := len(dst), KindInvalid
 	for i := range rows {
 		if j < len(rows[i].Vals) {
-			kind = rows[i].Vals[j].kind
+			kind = rows[i].Vals[j].Kind()
 			break
 		}
 	}
 	dst = append(dst, byte(kind))
-	switch kind {
+	switch tag := tag(kind); kind {
 	case KindInt, KindFloat:
 		for i := range rows {
 			if vs := rows[i].Vals; j < len(vs) {
-				if vs[j].kind != kind {
+				if vs[j].p != tag {
 					return appendEscape(dst[:mark], rows, j)
 				}
-				dst = binary.LittleEndian.AppendUint64(dst, vs[j].num)
+				dst = binary.LittleEndian.AppendUint64(dst, vs[j].n)
 			}
 		}
 	case KindBool:
 		for i := range rows {
 			if vs := rows[i].Vals; j < len(vs) {
-				if vs[j].kind != kind || vs[j].num > 1 {
+				if vs[j].p != tag || vs[j].n > 1 {
 					return appendEscape(dst[:mark], rows, j)
 				}
-				dst = append(dst, byte(vs[j].num))
+				dst = append(dst, byte(vs[j].n))
 			}
 		}
 	case KindString:
 		for i := range rows {
 			if vs := rows[i].Vals; j < len(vs) {
-				if vs[j].kind != kind {
+				if vs[j].Kind() != KindString {
 					return appendEscape(dst[:mark], rows, j)
 				}
-				dst = AppendStr(dst, vs[j].str)
+				dst = AppendStr(dst, vs[j].str())
 			}
 		}
 	default:
@@ -290,24 +290,24 @@ func DecodeColumnsInto(dst []Tuple, slab []Value, b []byte) ([]Tuple, []Value, e
 		pos++
 		switch kind {
 		case KindInt, KindFloat:
+			tag := tag(kind)
 			for i := range rows {
 				if vs := rows[i].Vals; j < len(vs) {
 					if len(b)-pos < 8 {
 						return nil, slab, fmt.Errorf("%w: truncated %s column %d", ErrCorrupt, kind, j)
 					}
-					// The slab is zeroed: str is already empty, and not
-					// storing it spares a write barrier a value.
-					vs[j].kind, vs[j].num = kind, binary.LittleEndian.Uint64(b[pos:])
+					vs[j].setNum(tag, binary.LittleEndian.Uint64(b[pos:]))
 					pos += 8
 				}
 			}
 		case KindBool:
+			tag := tag(KindBool)
 			for i := range rows {
 				if vs := rows[i].Vals; j < len(vs) {
 					if pos >= len(b) || b[pos] > 1 {
 						return nil, slab, fmt.Errorf("%w: bool column %d", ErrCorrupt, j)
 					}
-					vs[j].kind, vs[j].num = KindBool, uint64(b[pos])
+					vs[j].setNum(tag, uint64(b[pos]))
 					pos++
 				}
 			}
@@ -319,7 +319,7 @@ func DecodeColumnsInto(dst []Tuple, slab []Value, b []byte) ([]Tuple, []Value, e
 						return nil, slab, fmt.Errorf("%w: string column %d", ErrCorrupt, j)
 					}
 					pos += sz
-					vs[j] = Value{kind: KindString, str: string(b[pos : pos+int(l)])}
+					vs[j] = String_(string(b[pos : pos+int(l)]))
 					pos += int(l)
 				}
 			}
@@ -344,15 +344,13 @@ func DecodeColumnsInto(dst []Tuple, slab []Value, b []byte) ([]Tuple, []Value, e
 	return dst, slab, nil
 }
 
-// carve returns n zeroed values of *slab, replacing it by a fresh slab
-// when it is too small.
+// carve returns n values of *slab, replacing it by a fresh slab when it
+// is too small. A recycled slab is not cleared: the decode writes every
+// value it carves.
 func carve(slab *[]Value, n int) []Value {
 	if cap(*slab) < n {
 		*slab = make([]Value, n)
-		return *slab
 	}
-	vals := (*slab)[:n]
-	clear(vals)
-	*slab = vals
-	return vals
+	*slab = (*slab)[:n]
+	return *slab
 }

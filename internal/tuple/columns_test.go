@@ -36,7 +36,7 @@ func columnRuns() map[string][]Tuple {
 		"ragged, first row empty": {New(1), New(2, Bool(true))},
 		"ts wraps":                {New(math.MinInt64, Int(1)), New(math.MaxInt64, Int(2)), New(0, Int(3)), New(math.MinInt64, Int(4))},
 		"ts descends":             {New(1_000_000), New(5), New(-5), New(-1_000_000)},
-		"odd bool":                {New(1, Value{kind: KindBool, num: 2}), New(2, Bool(true))},
+		"odd bool":                {New(1, Value{p: tag(KindBool), n: 2}), New(2, Bool(true))},
 	})
 	return runs
 }
@@ -221,7 +221,7 @@ func TestDecodeColumnsHostile(t *testing.T) {
 			least = min(least, after.TotalAlloc-before.TotalAlloc)
 		}
 		// Rows and values are bounded by the input's length (a Tuple
-		// and a Value are 32 bytes each); the rest is the error.
+		// is 32 bytes and a Value 16); the rest is the error.
 		if limit := uint64(64*len(in) + 1024); least > limit {
 			t.Errorf("%s: %d bytes allocated for %d bytes of input, limit %d", name, least, len(in), limit)
 		}
@@ -246,7 +246,7 @@ func TestDecodeBatchAllocs(t *testing.T) {
 	if allocs > 2 {
 		t.Errorf("%v allocations per 512-tuple chunk, want at most 2", allocs)
 	}
-	if !tuplesEqual(got, rows) {
+	if !sameRows(got, rows) {
 		t.Error("chunk did not round-trip")
 	}
 }

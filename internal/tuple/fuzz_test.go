@@ -3,7 +3,6 @@ package tuple
 import (
 	"bytes"
 	"math"
-	"reflect"
 	"testing"
 )
 
@@ -62,7 +61,7 @@ func FuzzTupleCodec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode of re-encoded batch failed: %v", err)
 		}
-		if !tuplesEqual(ts, ts2) {
+		if !sameRows(ts, ts2) {
 			t.Fatalf("batch round-trip mismatch:\n in: %v\nout: %v", ts, ts2)
 		}
 		if enc2 := EncodeBatch(ts2); !bytes.Equal(enc, enc2) {
@@ -83,29 +82,12 @@ func checkRoundTrip(t *testing.T, tup Tuple) {
 	if n != len(enc) {
 		t.Fatalf("canonical decode consumed %d of %d bytes", n, len(enc))
 	}
-	if !tupleEqual(tup, tup2) {
+	if !sameRows([]Tuple{tup}, []Tuple{tup2}) {
 		t.Fatalf("tuple round-trip mismatch:\n in: %v\nout: %v", tup, tup2)
 	}
 	if enc2 := AppendEncode(nil, tup2); !bytes.Equal(enc, enc2) {
 		t.Fatalf("re-encoding is not a fixed point")
 	}
-}
-
-// tupleEqual compares tuples structurally. NaN payload bits survive the
-// codec (floats travel as raw bits), so reflect.DeepEqual on the
-// bit-level representation is exact.
-func tupleEqual(a, b Tuple) bool { return reflect.DeepEqual(a, b) }
-
-func tuplesEqual(a, b []Tuple) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !tupleEqual(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // hugeStringLenInput is the minimized crasher the fuzzer's first run
@@ -163,7 +145,7 @@ func FuzzColumnsCodec(f *testing.F) {
 		// has the room for any image of b.
 		slab := make([]Value, len(b)+2)
 		for i := range slab {
-			slab[i] = Value{kind: KindString, num: uint64(i), str: "stale"}
+			slab[i] = []Value{String_("stale"), Int(int64(i)), Float(-1), Bool(true)}[i%4]
 		}
 		run := []Tuple{{Ts: -1, Vals: slab[:1]}, {Ts: -2, Vals: slab[1:2]}}
 		again, used, err2 := DecodeColumnsInto(run[:0], slab, b)
@@ -173,7 +155,7 @@ func FuzzColumnsCodec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if !reflect.DeepEqual(again, rows) && !(len(rows) == 0 && len(again) == 0) {
+		if !sameRows(again, rows) {
 			t.Fatalf("into a recycled slab:\n got: %#v\nwant: %#v", again, rows)
 		}
 		if &used[:1][0] != &slab[0] {

@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unsafe"
 )
 
 // Kind enumerates the value types a tuple field can hold.
@@ -42,23 +43,45 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is a compact tagged union holding one field of a tuple.
-// The zero Value has KindInvalid.
+// Value is one field of a tuple in two words (DESIGN §24): p is nil for
+// the zero Value, its kind's tag for a number, a bool or the empty
+// string, else a string's bytes; n is the payload or the string's
+// length. Values are not comparable (== would compare strings by address).
 type Value struct {
-	kind Kind
-	num  uint64 // int64, float64 bits, or bool
-	str  string
+	_ [0]func()
+	p unsafe.Pointer
+	n uint64
+}
+
+// tags gives each kind a tag with an address of its own: &tags[k] is the
+// p of kind k's values, &tags[KindString] the empty string's.
+var tags [KindBool + 1]byte
+
+// tag returns the p of kind k's values.
+func tag(k Kind) unsafe.Pointer { return unsafe.Pointer(&tags[k]) }
+
+// setNum stores n, and t only where *v holds another tag: a store not made pays no write barrier.
+func (v *Value) setNum(t unsafe.Pointer, n uint64) {
+	if v.p != t {
+		v.p = t
+	}
+	v.n = n
 }
 
 // Int returns a Value holding an int64.
-func Int(v int64) Value { return Value{kind: KindInt, num: uint64(v)} }
+func Int(v int64) Value { return Value{p: tag(KindInt), n: uint64(v)} }
 
 // Float returns a Value holding a float64.
-func Float(v float64) Value { return Value{kind: KindFloat, num: floatBits(v)} }
+func Float(v float64) Value { return Value{p: tag(KindFloat), n: floatBits(v)} }
 
 // String_ returns a Value holding a string. The trailing underscore
 // avoids colliding with the fmt.Stringer method.
-func String_(v string) Value { return Value{kind: KindString, str: v} }
+func String_(v string) Value {
+	if len(v) == 0 {
+		return Value{p: tag(KindString)}
+	}
+	return Value{p: unsafe.Pointer(unsafe.StringData(v)), n: uint64(len(v))}
+}
 
 // Bool returns a Value holding a bool.
 func Bool(v bool) Value {
@@ -66,78 +89,101 @@ func Bool(v bool) Value {
 	if v {
 		n = 1
 	}
-	return Value{kind: KindBool, num: n}
+	return Value{p: tag(KindBool), n: n}
 }
 
 // Kind reports the kind stored in the value.
-func (v Value) Kind() Kind { return v.kind }
+func (v Value) Kind() Kind {
+	if d := uintptr(v.p) - uintptr(tag(0)); d < uintptr(len(tags)) {
+		return Kind(d)
+	}
+	if v.p == nil {
+		return KindInvalid
+	}
+	return KindString
+}
 
 // AsInt returns the int64 stored in the value. It panics if the kind is
 // not KindInt; use Kind to check first when the type is not known.
 func (v Value) AsInt() int64 {
-	if v.kind != KindInt {
-		panic("tuple: AsInt on " + v.kind.String() + " value")
+	if v.p != tag(KindInt) {
+		panic(kindError{"AsInt", v})
 	}
-	return int64(v.num)
+	return int64(v.n)
 }
 
 // AsFloat returns the float64 stored in the value. Int values are
 // converted; other kinds panic.
 func (v Value) AsFloat() float64 {
-	switch v.kind {
-	case KindFloat:
-		return floatFromBits(v.num)
-	case KindInt:
-		return float64(int64(v.num))
+	switch v.p {
+	case tag(KindFloat):
+		return floatFromBits(v.n)
+	case tag(KindInt):
+		return float64(int64(v.n))
 	default:
-		panic("tuple: AsFloat on " + v.kind.String() + " value")
+		panic(kindError{"AsFloat", v})
 	}
 }
 
 // AsString returns the string stored in the value. It panics if the
 // kind is not KindString.
 func (v Value) AsString() string {
-	if v.kind != KindString {
-		panic("tuple: AsString on " + v.kind.String() + " value")
+	if v.Kind() != KindString {
+		panic(kindError{"AsString", v})
 	}
-	return v.str
+	return v.str()
 }
+
+// str is a KindString value's string (of another kind, n bytes of a tag).
+func (v Value) str() string { return unsafe.String((*byte)(v.p), v.n) }
+
+// kindError is an accessor's panic on another kind: a value, so that accessors inline.
+type kindError struct {
+	op string
+	v  Value
+}
+
+func (e kindError) Error() string { return "tuple: " + e.op + " on " + e.v.Kind().String() + " value" }
 
 // AsBool returns the bool stored in the value. It panics if the kind is
 // not KindBool.
 func (v Value) AsBool() bool {
-	if v.kind != KindBool {
-		panic("tuple: AsBool on " + v.kind.String() + " value")
+	if v.p != tag(KindBool) {
+		panic(kindError{"AsBool", v})
 	}
-	return v.num != 0
+	return v.n != 0
 }
 
-// Equal reports whether two values hold the same kind and payload.
+// Equal reports whether two values hold the same kind and payload: the
+// same bits for a number, the same bytes for a string.
 func (v Value) Equal(o Value) bool {
-	return v.kind == o.kind && v.num == o.num && v.str == o.str
+	return v.n == o.n && (v.p == o.p || v.Kind() == KindString && o.Kind() == KindString && v.str() == o.str())
 }
 
 // String renders the value for debugging and logs.
 func (v Value) String() string {
-	switch v.kind {
+	switch v.Kind() {
 	case KindInt:
-		return strconv.FormatInt(int64(v.num), 10)
+		return strconv.FormatInt(int64(v.n), 10)
 	case KindFloat:
-		return strconv.FormatFloat(floatFromBits(v.num), 'g', -1, 64)
+		return strconv.FormatFloat(floatFromBits(v.n), 'g', -1, 64)
 	case KindString:
-		return strconv.Quote(v.str)
+		return strconv.Quote(v.str())
 	case KindBool:
-		return strconv.FormatBool(v.num != 0)
+		return strconv.FormatBool(v.n != 0)
 	default:
 		return "<invalid>"
 	}
 }
 
-// MemSize returns the approximate in-memory footprint of the value in
-// bytes. Used to account buffer usage against the worker budget b.
+// MemSize is the value's cost against the worker budget b in the paper's
+// accounting — a kind byte, an 8-byte payload and a string's bytes —, not
+// the 16 bytes a Value takes: budgets and mem_bytes_peak keep their meaning.
 func (v Value) MemSize() int {
-	// kind byte + 8-byte payload + string header/content.
-	return 9 + len(v.str)
+	if v.Kind() == KindString {
+		return 9 + int(v.n)
+	}
+	return 9
 }
 
 // Field describes one column of a schema.

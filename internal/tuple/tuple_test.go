@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestValueKinds(t *testing.T) {
@@ -86,6 +87,44 @@ func TestValueEqual(t *testing.T) {
 	}
 	if !String_("a").Equal(String_("a")) || String_("a").Equal(String_("b")) {
 		t.Error("string equality broken")
+	}
+	// One length, bytes in two places: equal by content, not address.
+	if !String_(strings.Repeat("ab", 3)).Equal(String_("ababab")) || String_("abc").Equal(String_("abd")) {
+		t.Error("strings compare by address, not content")
+	}
+	if Int(5).Equal(Float(math.Float64frombits(5))) || String_("").Equal(Value{}) {
+		t.Error("values of different kinds compare equal")
+	}
+}
+
+// TestValueLayout pins the two-word Value (DESIGN §24): 16 bytes, not
+// comparable, the zero Value invalid, the empty string a string, and a
+// NaN's payload bits kept by the constructor, the value codec and the
+// column image.
+func TestValueLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n != 16 {
+		t.Errorf("a Value takes %d bytes, want 16", n)
+	}
+	if reflect.TypeOf(Value{}).Comparable() {
+		t.Error("Value is comparable: == would compare strings by address")
+	}
+	if k := (Value{}).Kind(); k != KindInvalid {
+		t.Errorf("the zero Value is %v, want invalid", k)
+	}
+	if v := String_(""); v.Kind() != KindString || v.AsString() != "" {
+		t.Errorf("String_(\"\") is %v holding %q", v.Kind(), v.String())
+	}
+	const payload = 0x7ff8_0000_dead_beef
+	nan := Float(math.Float64frombits(payload))
+	if got := math.Float64bits(nan.AsFloat()); got != payload {
+		t.Errorf("Float/AsFloat: bits %016x, want %016x", got, uint64(payload))
+	}
+	if v, _, err := DecodeValue(AppendValue(nil, nan)); err != nil || math.Float64bits(v.AsFloat()) != payload {
+		t.Errorf("AppendValue/DecodeValue: %v, %v", v, err)
+	}
+	rows, err := DecodeColumns(nil, AppendColumns(nil, []Tuple{New(1, nan)}))
+	if err != nil || len(rows) != 1 || math.Float64bits(rows[0].Vals[0].AsFloat()) != payload {
+		t.Errorf("column image: %v, %v", rows, err)
 	}
 }
 
@@ -213,10 +252,8 @@ func TestCodecBatchRoundtrip(t *testing.T) {
 		if len(out) != n {
 			t.Fatalf("n=%d: decoded %d", n, len(out))
 		}
-		for i := range in {
-			if out[i].Ts != in[i].Ts || !reflect.DeepEqual(valStrings(in[i]), valStrings(out[i])) {
-				t.Fatalf("tuple %d mismatch: %v vs %v", i, in[i], out[i])
-			}
+		if !sameRows(in, out) {
+			t.Fatalf("n=%d: decoded %v, want %v", n, out, in)
 		}
 	}
 }
@@ -259,14 +296,6 @@ func TestEncodeBatchExactSize(t *testing.T) {
 			t.Errorf("%s: cap %d for %d bytes", name, cap(got), len(got))
 		}
 	}
-}
-
-func valStrings(t Tuple) []string {
-	s := make([]string, len(t.Vals))
-	for i, v := range t.Vals {
-		s[i] = v.String()
-	}
-	return s
 }
 
 func TestDecodeCorrupt(t *testing.T) {
@@ -318,7 +347,7 @@ func TestSlabDecode(t *testing.T) {
 			t.Fatalf("tuple %d: %v", i, err)
 		}
 		ref, refUsed, err := Decode(b)
-		if err != nil || used != refUsed || !tupleEqual(tp, ref) {
+		if err != nil || used != refUsed || !sameRows([]Tuple{tp}, []Tuple{ref}) {
 			t.Fatalf("tuple %d: slab %v (%d bytes), Decode %v (%d bytes, %v)", i, tp, used, ref, refUsed, err)
 		}
 		if len(tp.Vals) != cap(tp.Vals) {
@@ -330,7 +359,7 @@ func TestSlabDecode(t *testing.T) {
 		_ = append(got[i].Vals, Int(-1))
 	}
 	for i := range got {
-		if !tupleEqual(got[i], want[i]) {
+		if !sameRows(got[i:i+1], want[i:i+1]) {
 			t.Fatalf("tuple %d overwritten through a neighbour's Vals: %v, want %v", i, got[i], want[i])
 		}
 	}

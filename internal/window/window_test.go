@@ -417,7 +417,7 @@ func TestSingleBufferStagesTheWindowsThatHoldTuples(t *testing.T) {
 				a, b := c1[i], c2[i]
 				same := a.ID == b.ID && a.Start == b.Start && a.End == b.End && len(a.Tuples) == len(b.Tuples)
 				for j := 0; same && j < len(a.Tuples); j++ {
-					same = a.Tuples[j].Ts == b.Tuples[j].Ts && a.Tuples[j].Vals[0] == b.Tuples[j].Vals[0]
+					same = a.Tuples[j].Ts == b.Tuples[j].Ts && a.Tuples[j].Vals[0].Equal(b.Tuples[j].Vals[0])
 				}
 				if !same {
 					t.Fatalf("seed %d %s step %d: window %d (%d tuples) vs window %d (%d tuples)", seed, spec, step, a.ID, len(a.Tuples), b.ID, len(b.Tuples))

@@ -55,31 +55,11 @@ func TestEveryExportedSymbolIsReached(t *testing.T) {
 	var files []file
 	pkgName := map[string]string{} // dir → package name
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
+	parseSources(t, fset, parser.SkipObjectResolution, func(path string, f *ast.File) {
 		dir := filepath.ToSlash(filepath.Dir(path))
 		files = append(files, file{dir, f})
 		pkgName[dir] = f.Name.Name
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	type symbol struct {
 		key    string // pkg.Name or pkg.Type.Method
@@ -204,6 +184,35 @@ func TestEveryExportedSymbolIsReached(t *testing.T) {
 	}
 	if len(decls) == 0 || len(selected) == 0 {
 		t.Fatalf("found %d declarations and %d selector names: the scan no longer sees the source", len(decls), len(selected))
+	}
+}
+
+// parseSources parses every non-test Go file of the module and of
+// benchmark/, testdata and dot directories aside, and hands each to fn.
+func parseSources(t *testing.T, fset *token.FileSet, mode parser.Mode, fn func(path string, f *ast.File)) {
+	t.Helper()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, mode)
+		if err != nil {
+			return err
+		}
+		fn(path, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
