@@ -21,8 +21,11 @@ vet:
 # tuple costs on the hot paths, the lock-free contracts and the flate
 # writer pool are tests, not lints: their gates run in `race`. Exit
 # status 1 means findings; see DESIGN.md §9 for the catalogue and
-# suppression syntax.
+# suppression syntax. Before it, gofmt: any file `gofmt -l` lists fails
+# the target.
 lint:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists files that need gofmt -w:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/spearlint ./...
 
 test:

@@ -39,7 +39,7 @@ func TestAdaptiveBudgetIdentity(t *testing.T) {
 		build := func() *Query {
 			return NewQuery("adidentity").
 				Source(FromSlice(in)).
-				TumblingWindow(100 * time.Second).
+				TumblingWindow(100*time.Second).
 				Median(func(t Tuple) float64 { return t.Vals[0].AsFloat() }).
 				BudgetTuples(80).Error(0.10, 0.95).Seed(4)
 		}
@@ -73,7 +73,7 @@ func TestAdaptiveBudgetIdentity(t *testing.T) {
 	t.Run("saturated edge across ticks", func(t *testing.T) {
 		// The source outruns a worker whose archive writes each take
 		// 10ms, so its edge sits full for well over a second: several of
-		// the inert controller's 250ms ticks see it at QueueHigh, and none
+		// the inert controller's 250ms ticks see it at queueHigh, and none
 		// may shed, because the edge has been full for far less than 1h.
 		r := rand.New(rand.NewSource(13))
 		var in []Tuple
@@ -140,7 +140,7 @@ func TestAdaptiveBudgetIdentity(t *testing.T) {
 		build := func(src Source, store storage.SpillStore) *Query {
 			return NewQuery("adckpt").
 				Source(src).
-				TumblingWindow(100 * time.Second).
+				TumblingWindow(100*time.Second).
 				Mean(func(t Tuple) float64 { return t.Vals[0].AsFloat() }).
 				BudgetTuples(64).Error(0.05, 0.95).Seed(7).
 				SpillStore(store)

@@ -30,7 +30,7 @@ func TestCheckpointStopAndResume(t *testing.T) {
 	build := func(src Source, store storage.SpillStore) *Query {
 		return NewQuery("ckptq").
 			Source(src).
-			TumblingWindow(winSec * time.Second).
+			TumblingWindow(winSec*time.Second).
 			Mean(func(t Tuple) float64 { return t.Vals[0].AsFloat() }).
 			BudgetTuples(64).
 			Error(0.05, 0.95).

@@ -90,7 +90,7 @@ func TestColumnarIdentity(t *testing.T) {
 		build := func() *Query {
 			return NewQuery("colmean").
 				Source(FromSlice(in)).
-				TumblingWindow(200 * time.Second).
+				TumblingWindow(200*time.Second).
 				Mean(func(t Tuple) float64 { return t.Vals[0].AsFloat() }).
 				BudgetTuples(50).Error(0.10, 0.95).Seed(9)
 		}
@@ -115,7 +115,7 @@ func TestColumnarIdentity(t *testing.T) {
 		build := func() *Query {
 			return NewQuery("colmedian").
 				Source(FromSlice(in)).
-				TumblingWindow(100 * time.Second).
+				TumblingWindow(100*time.Second).
 				Median(func(t Tuple) float64 { return t.Vals[0].AsFloat() }).
 				BudgetTuples(80).Error(0.10, 0.95).Seed(4)
 		}
@@ -166,7 +166,7 @@ func TestColumnarIdentity(t *testing.T) {
 		build := func() *Query {
 			return NewQuery("colgrouped").
 				Source(FromSlice(in)).
-				TumblingWindow(250 * time.Second).
+				TumblingWindow(250*time.Second).
 				GroupBy(func(t Tuple) string { return t.Vals[0].AsString() }).
 				Mean(func(t Tuple) float64 { return t.Vals[1].AsFloat() }).
 				DisableIncremental().
@@ -193,7 +193,7 @@ func TestColumnarIdentity(t *testing.T) {
 				Map(func(t Tuple) (Tuple, bool) { // filter: drop small readings
 					return t, t.Vals[0].AsFloat() >= 8
 				}).
-				TumblingWindow(300 * time.Second).
+				TumblingWindow(300*time.Second).
 				Mean(func(t Tuple) float64 { return t.Vals[0].AsFloat() }).
 				BudgetTuples(60).Error(0.10, 0.95).Seed(11)
 		}
@@ -224,7 +224,7 @@ func TestColumnarIdentityCrashRecover(t *testing.T) {
 		return NewQuery("colckpt").
 			Source(src).
 			Map(func(t Tuple) (Tuple, bool) { return t, t.Vals[0].AsFloat() != 13 }).
-			TumblingWindow(winSec * time.Second).
+			TumblingWindow(winSec*time.Second).
 			Median(func(t Tuple) float64 { return t.Vals[0].AsFloat() }).
 			BudgetTuples(64).
 			Error(0.10, 0.95).

@@ -28,14 +28,14 @@ import (
 // hash verifies they agree. dir selects a shared FileStore for the
 // checkpointed kill/recover test; empty keeps the default MemStore.
 func buildDistProcQuery(t testing.TB, kind, dir string) *Query {
-	q := NewQuery("distp" + kind).
+	q := NewQuery("distp"+kind).
 		Percentile(func(tp Tuple) float64 { return tp.Vals[0].AsFloat() }, 0.9).
 		BudgetTuples(96).
 		Error(0.10, 0.95).
 		Parallelism(2)
 	switch kind {
 	case "ident":
-		q.TumblingWindow(300 * time.Second).
+		q.TumblingWindow(300*time.Second).
 			Seed(11).
 			CheckpointEvery(1<<40, 0) // never fires; matches partitioner seeding
 	case "kill":
@@ -43,7 +43,7 @@ func buildDistProcQuery(t testing.TB, kind, dir string) *Query {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q.TumblingWindow(100 * time.Second).
+		q.TumblingWindow(100*time.Second).
 			Seed(31).
 			SpillStore(store).
 			CheckpointEvery(1200, 0)

@@ -179,7 +179,7 @@ func TestDistributedLoopbackIdentity(t *testing.T) {
 	in := distTuples(20, 300, 8)
 	build := func() *Query {
 		return NewQuery("distq").
-			TumblingWindow(300 * time.Second).
+			TumblingWindow(300*time.Second).
 			Percentile(func(tp Tuple) float64 { return tp.Vals[0].AsFloat() }, 0.9).
 			BudgetTuples(96).
 			Error(0.10, 0.95).
@@ -246,7 +246,7 @@ func TestDistributedLoopbackIdentityGrouped(t *testing.T) {
 	in := distTuples(15, 400, 12)
 	build := func() *Query {
 		return NewQuery("distg").
-			TumblingWindow(400 * time.Second).
+			TumblingWindow(400*time.Second).
 			GroupBy(func(tp Tuple) string { return tp.Vals[1].String() }).
 			Mean(func(tp Tuple) float64 { return tp.Vals[0].AsFloat() }).
 			BudgetTuples(128).
@@ -287,7 +287,7 @@ func TestDistributedBarriersOverWire(t *testing.T) {
 	build := func() *Query {
 		return NewQuery("distb").
 			Map(func(tp Tuple) (Tuple, bool) { return tp, true }).
-			TumblingWindow(250 * time.Second).
+			TumblingWindow(250*time.Second).
 			Sum(func(tp Tuple) float64 { return tp.Vals[0].AsFloat() }).
 			WithBackend(BackendExact).
 			Seed(5).
@@ -354,7 +354,7 @@ func TestDistributedReconnect(t *testing.T) {
 	in := distTuples(20, 300, 8)
 	build := func() *Query {
 		return NewQuery("distr").
-			TumblingWindow(300 * time.Second).
+			TumblingWindow(300*time.Second).
 			Percentile(func(tp Tuple) float64 { return tp.Vals[0].AsFloat() }, 0.9).
 			BudgetTuples(96).
 			Error(0.10, 0.95).
@@ -402,7 +402,7 @@ func TestDistributedDialFaults(t *testing.T) {
 	in := distTuples(10, 200, 4)
 	build := func() *Query {
 		return NewQuery("distf").
-			TumblingWindow(200 * time.Second).
+			TumblingWindow(200*time.Second).
 			Mean(func(tp Tuple) float64 { return tp.Vals[0].AsFloat() }).
 			BudgetTuples(64).
 			Seed(3).

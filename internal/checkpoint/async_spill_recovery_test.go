@@ -58,9 +58,8 @@ func runAsyncSpill(ts []tuple.Tuple, planeStore storage.SpillStore, ahead int, h
 	}
 	tp := spe.NewTopology(spe.Config{
 		WatermarkPeriod: winTicks,
-		Checkpoint:      hooks,
+		Checkpoint:      paced(hooks),
 		FieldsSeed:      99,
-		QueueSize:       2,
 	}).SetSpout(spe.NewSliceSpout(ts))
 	tp.SetWindowed("win", 2, nil, factory)
 	tp.SetSink(func(w int, r core.Result) { got[resKey{w, r.WindowID}] = r })

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -99,25 +100,11 @@ func (tc topo) run(ts []tuple.Tuple, store storage.SpillStore, hooks *spe.Checkp
 	if tc.grouped {
 		keyBy = tuple.FieldString(1)
 	}
-	// A small queue keeps the spout close to the workers; checkpoints
-	// rely on this backpressure to commit while the (finite) test
-	// stream is still flowing. Queues are counted in batches, so the
-	// bound scales inversely with the batch size to keep the number of
-	// in-flight tuples (queue × batch ≈ 128) well under ckptEvery.
-	batch := tc.batch
-	if batch == 0 {
-		batch = 64 // the engine default
-	}
-	queue := 128 / batch
-	if queue < 2 {
-		queue = 2
-	}
 	tp := spe.NewTopology(spe.Config{
 		WatermarkPeriod: winTicks,
-		Checkpoint:      hooks,
+		Checkpoint:      paced(hooks),
 		FieldsSeed:      99,
 		BatchSize:       tc.batch,
-		QueueSize:       queue,
 	}).SetSpout(spe.NewSliceSpout(ts))
 	if tc.filter {
 		tp.AddMap("keep", 0, func(t tuple.Tuple) (tuple.Tuple, bool) { return t, t.Ts%8 != 3 })
@@ -126,6 +113,48 @@ func (tc topo) run(ts []tuple.Tuple, store storage.SpillStore, hooks *spe.Checkp
 	tp.SetSink(func(w int, r core.Result) { got[resKey{w, r.WindowID}] = r })
 	err := tp.Run()
 	return got, err
+}
+
+// paced holds the spout at each multiple of ckptEvery past its start
+// until the round before has committed, so that checkpoint k covers
+// exactly the first k·ckptEvery tuples however far ahead of the workers
+// a hop lets the spout run. A round commits inside the snapshot of its
+// last worker, so the spout retries after each snapshot; a failed one
+// ends the wait, as its round never commits, and so do ten seconds.
+func paced(h *spe.CheckpointHooks) *spe.CheckpointHooks {
+	if h == nil || h.Trigger == nil {
+		return h
+	}
+	var failed atomic.Bool
+	snapped := make(chan struct{}, 1) // one pending wake-up is enough
+	wrapped := *h
+	trigger, snapshot := h.Trigger, h.Snapshot
+	wrapped.Snapshot = func(id uint64, worker int, mgr core.Manager) error {
+		err := snapshot(id, worker, mgr)
+		if err != nil {
+			failed.Store(true)
+		}
+		select {
+		case snapped <- struct{}{}:
+		default:
+		}
+		return err
+	}
+	wrapped.Trigger = func(offset int64) (uint64, bool, error) {
+		timeout := time.After(10 * time.Second)
+		for {
+			id, ok, err := trigger(offset)
+			if ok || err != nil || offset <= h.StartOffset || offset%ckptEvery != 0 || failed.Load() {
+				return id, ok, err
+			}
+			select {
+			case <-snapped:
+			case <-timeout:
+				return id, ok, err
+			}
+		}
+	}
+	return &wrapped
 }
 
 func coordFor(t *testing.T, store storage.SpillStore, par int, after func(uint64, int) error) *checkpoint.Coordinator {

@@ -54,7 +54,8 @@ func (c *Cell) Set(budget int, shed bool) {
 	c.shed.Store(shed)
 }
 
-// Config parameterizes the controller.
+// Config parameterizes the controller: the SLO and the budget's bounds.
+// Everything else about how it reacts is fixed (the constants below).
 type Config struct {
 	// SLO is the target end-to-end latency: the controller acts when
 	// the worst worker's watermark lag exceeds it. Required.
@@ -62,67 +63,55 @@ type Config struct {
 	// Min and Max bound the tuple budget. Min defaults to 1; Max to
 	// the cells' starting budget (read at the first decision).
 	Min, Max int
-	// Shrink multiplies the budget on a tighten decision (default 0.5)
-	// and Grow on an expand decision (default 1.5) — multiplicative
-	// decrease, gentler multiplicative recovery.
-	Shrink, Grow float64
-	// LowFrac is the hysteresis floor: lag below LowFrac·SLO (and no
-	// queue near saturation) counts as headroom (default 0.5). Between
-	// LowFrac·SLO and SLO the controller holds.
-	LowFrac float64
-	// ShedFrac escalates to load shedding: at the Min budget, lag past
-	// ShedFrac·SLO (default 2.0), or an edge at QueueHigh for that long
-	// without reading below QueueHigh/2, sheds archive writes.
-	ShedFrac float64
-	// QueueHigh treats any edge at or above this fill fraction as
-	// overload regardless of lag (default 0.9).
-	QueueHigh float64
-	// ShedRecoverFrac gates shed recovery on the observed input rate.
+
+	// cooldown and clock are seams for the package's own tests:
+	// defaultCooldown and time.Now otherwise.
+	cooldown time.Duration
+	clock    func() time.Time
+}
+
+// The controller's fixed reactions; DESIGN §17.2 gives each its reason.
+const (
+	// shrink multiplies the budget on a tighten decision and grow on an
+	// expand decision: multiplicative decrease, gentler multiplicative
+	// recovery.
+	shrink = 0.5
+	grow   = 1.5
+	// lowFrac is the hysteresis floor: lag below lowFrac·SLO (and no
+	// queue near saturation) counts as headroom. Between lowFrac·SLO and
+	// SLO the controller holds.
+	lowFrac = 0.5
+	// shedFrac escalates to load shedding: at the Min budget, lag past
+	// shedFrac·SLO, or an edge at queueHigh for that long without
+	// reading below queueHigh/2, sheds archive writes.
+	shedFrac = 2.0
+	// queueHigh treats any edge at or above this fill fraction as
+	// overload regardless of lag.
+	queueHigh = 0.9
+	// shedRecoverFrac gates shed recovery on the observed input rate.
 	// Lag alone cannot distinguish a pipeline that is healthy from one
 	// that is healthy only because it is shedding, so recovering on
 	// headroom alone oscillates under a sustained spike: shed, catch
 	// up, stop shedding, relapse. The controller remembers the source
 	// rate at which shedding engaged and drops shedding only once the
-	// current rate falls below ShedRecoverFrac of it (default 0.8).
-	// When the engage rate is unknown — shedding was restored from a
-	// checkpoint or written into the cells externally — headroom alone
-	// recovers.
-	ShedRecoverFrac float64
-	// Cooldown is the minimum time between decisions that change
-	// state, so one action's effect is observed before the next
-	// (default 500ms).
-	Cooldown time.Duration
-	// Clock is injectable for tests (defaults to time.Now).
-	Clock func() time.Time
-}
+	// current rate falls below shedRecoverFrac of it. When the engage
+	// rate is unknown — shedding was restored from a checkpoint or
+	// written into the cells externally — headroom alone recovers.
+	shedRecoverFrac = 0.8
+	// defaultCooldown is the minimum time between decisions that change
+	// state, so one action's effect is observed before the next.
+	defaultCooldown = 500 * time.Millisecond
+)
 
 func (c *Config) defaults() {
 	if c.Min <= 0 {
 		c.Min = 1
 	}
-	if c.Shrink <= 0 || c.Shrink >= 1 {
-		c.Shrink = 0.5
+	if c.cooldown <= 0 {
+		c.cooldown = defaultCooldown
 	}
-	if c.Grow <= 1 {
-		c.Grow = 1.5
-	}
-	if c.LowFrac <= 0 || c.LowFrac >= 1 {
-		c.LowFrac = 0.5
-	}
-	if c.ShedFrac < 1 {
-		c.ShedFrac = 2.0
-	}
-	if c.QueueHigh <= 0 || c.QueueHigh > 1 {
-		c.QueueHigh = 0.9
-	}
-	if c.ShedRecoverFrac <= 0 || c.ShedRecoverFrac >= 1 {
-		c.ShedRecoverFrac = 0.8
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 500 * time.Millisecond
-	}
-	if c.Clock == nil {
-		c.Clock = time.Now
+	if c.clock == nil {
+		c.clock = time.Now
 	}
 }
 
@@ -150,7 +139,7 @@ type Controller struct {
 	prevSrcTuples int64
 	srcRate       float64   // tuples/s over the last observation interval
 	rateAtShed    float64   // source rate when shedding last engaged; 0 = unknown
-	fullSince     time.Time // when an edge reached QueueHigh; zero once fill reads below QueueHigh/2
+	fullSince     time.Time // when an edge reached queueHigh; zero once fill reads below queueHigh/2
 
 	// Telemetry, read concurrently by ControlSnapshot.
 	decisions    [decCount]atomic.Int64
@@ -185,7 +174,7 @@ func tickEvery(slo time.Duration) time.Duration {
 // every tickEvery(SLO), and a last one when stop is called. stop returns
 // once the tick goroutine has exited; call it once.
 func (c *Controller) Start(ins *obs.Instruments) (stop func()) {
-	c.Observe(ins.Snapshot(c.cfg.Clock()))
+	c.Observe(ins.Snapshot(c.cfg.clock()))
 	quit, done := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(done)
@@ -194,9 +183,9 @@ func (c *Controller) Start(ins *obs.Instruments) (stop func()) {
 		for {
 			select {
 			case <-t.C:
-				c.Observe(ins.Snapshot(c.cfg.Clock()))
+				c.Observe(ins.Snapshot(c.cfg.clock()))
 			case <-quit:
-				c.Observe(ins.Snapshot(c.cfg.Clock()))
+				c.Observe(ins.Snapshot(c.cfg.clock()))
 				return
 			}
 		}
@@ -233,10 +222,10 @@ func (c *Controller) Observe(s *obs.Snapshot) {
 	}
 	c.lagNanos.Store(lag)
 	c.fillPct.Store(int64(fill * 1e4))
-	now := c.cfg.Clock()
-	if fill < c.cfg.QueueHigh/2 {
+	now := c.cfg.clock()
+	if fill < queueHigh/2 {
 		c.fullSince = time.Time{} // headroom ends a saturated span
-	} else if c.fullSince.IsZero() && fill >= c.cfg.QueueHigh {
+	} else if c.fullSince.IsZero() && fill >= queueHigh {
 		c.fullSince = now
 	}
 	if !s.At.IsZero() {
@@ -260,14 +249,14 @@ func (c *Controller) Observe(s *obs.Snapshot) {
 		c.cfg.Max = budget // default ceiling: the budget the query started with
 	}
 
-	if !c.lastChange.IsZero() && now.Sub(c.lastChange) < c.cfg.Cooldown {
+	if !c.lastChange.IsZero() && now.Sub(c.lastChange) < c.cfg.cooldown {
 		c.decisions[decHold].Add(1)
 		return
 	}
 
 	slo := float64(c.cfg.SLO)
-	overload := float64(lag) > slo || fill >= c.cfg.QueueHigh
-	headroom := float64(lag) < c.cfg.LowFrac*slo && fill < c.cfg.QueueHigh/2
+	overload := float64(lag) > slo || fill >= queueHigh
+	headroom := float64(lag) < lowFrac*slo && fill < queueHigh/2
 	// Behind a bounded hop the backlog waits upstream of the source, where
 	// lag cannot see it. It formed after the edge last had headroom, so
 	// the span since then stands in for lag when shedding.
@@ -281,9 +270,9 @@ func (c *Controller) Observe(s *obs.Snapshot) {
 	switch {
 	case overload:
 		if budget > c.cfg.Min {
-			newBudget = max(int(float64(budget)*c.cfg.Shrink), c.cfg.Min)
+			newBudget = max(int(float64(budget)*shrink), c.cfg.Min)
 			decision = decTighten
-		} else if !shed && backlog > c.cfg.ShedFrac*slo {
+		} else if !shed && backlog > shedFrac*slo {
 			newShed = true
 			decision = decShedOn
 			c.rateAtShed = c.srcRate
@@ -294,13 +283,13 @@ func (c *Controller) Observe(s *obs.Snapshot) {
 			// Recover in reverse escalation order: stop shedding
 			// first, grow the budget back only once that holds — and
 			// only once the input rate that forced shedding has
-			// actually subsided (see Config.ShedRecoverFrac).
-			if c.rateAtShed <= 0 || c.srcRate < c.cfg.ShedRecoverFrac*c.rateAtShed {
+			// actually subsided (see shedRecoverFrac).
+			if c.rateAtShed <= 0 || c.srcRate < shedRecoverFrac*c.rateAtShed {
 				newShed = false
 				decision = decShedOff
 			}
 		} else if budget < c.cfg.Max {
-			newBudget = min(int(float64(budget)*c.cfg.Grow)+1, c.cfg.Max)
+			newBudget = min(int(float64(budget)*grow)+1, c.cfg.Max)
 			decision = decExpand
 		}
 	}

@@ -21,7 +21,7 @@ func newHarness(cfg Config, nCells, budget int) *harness {
 	for i := 0; i < nCells; i++ {
 		h.cells = append(h.cells, NewCell(budget))
 	}
-	cfg.Clock = func() time.Time { return h.now }
+	cfg.clock = func() time.Time { return h.now }
 	h.ctrl = New(cfg, h.cells)
 	return h
 }
@@ -102,13 +102,13 @@ func TestControllerQueueFillAloneIsOverload(t *testing.T) {
 	h := newHarness(Config{SLO: 100 * time.Millisecond}, 1, 800)
 	h.observe(0, 0.95) // no lag, but an edge near saturation
 	if got := h.cells[0].Budget(); got != 400 {
-		t.Fatalf("budget %d, want 400: queue fill ≥ QueueHigh must tighten", got)
+		t.Fatalf("budget %d, want 400: queue fill ≥ queueHigh must tighten", got)
 	}
 }
 
 func TestControllerShedsOnlyAtFloor(t *testing.T) {
 	h := newHarness(Config{SLO: 100 * time.Millisecond, Min: 50}, 1, 100)
-	// Lag far past ShedFrac·SLO, but the budget is above Min: the
+	// Lag far past shedFrac·SLO, but the budget is above Min: the
 	// first decisions must spend the budget headroom, not shed.
 	h.observe(time.Second, 0.1)
 	if h.cells[0].Shedding() {
@@ -117,10 +117,10 @@ func TestControllerShedsOnlyAtFloor(t *testing.T) {
 	if h.cells[0].Budget() != 50 {
 		t.Fatalf("budget %d, want 50", h.cells[0].Budget())
 	}
-	// At the floor with lag still over ShedFrac·SLO: escalate.
+	// At the floor with lag still over shedFrac·SLO: escalate.
 	h.observe(time.Second, 0.1)
 	if !h.cells[0].Shedding() {
-		t.Fatal("must shed once tightened to the floor and still over ShedFrac·SLO")
+		t.Fatal("must shed once tightened to the floor and still over shedFrac·SLO")
 	}
 	snap := h.ctrl.ControlSnapshot()
 	if snap.Tighten != 1 || snap.ShedOn != 1 {
@@ -130,7 +130,7 @@ func TestControllerShedsOnlyAtFloor(t *testing.T) {
 
 func TestControllerNoShedUnderMildOverload(t *testing.T) {
 	h := newHarness(Config{SLO: 100 * time.Millisecond, Min: 50}, 1, 50)
-	// Over SLO but under ShedFrac·SLO at the floor: hold, don't shed.
+	// Over SLO but under shedFrac·SLO at the floor: hold, don't shed.
 	h.observe(150*time.Millisecond, 0.1)
 	if h.cells[0].Shedding() {
 		t.Fatal("mild overload at the floor must not escalate to shedding")
@@ -139,8 +139,8 @@ func TestControllerNoShedUnderMildOverload(t *testing.T) {
 
 // TestControllerShedsOnFullEdgeAtFloor: a hop holds about 1 K tuples, so
 // behind a full one the backlog waits upstream of the source, where
-// worker lag cannot see it. At the floor, with lag under ShedFrac·SLO, an
-// edge that stays at QueueHigh for longer than ShedFrac·SLO must escalate
+// worker lag cannot see it. At the floor, with lag under shedFrac·SLO, an
+// edge that stays at queueHigh for longer than shedFrac·SLO must escalate
 // to shedding on its own; one seen full for the first time must not.
 func TestControllerShedsOnFullEdgeAtFloor(t *testing.T) {
 	h := newHarness(Config{SLO: 100 * time.Millisecond, Min: 50}, 1, 50)
@@ -148,9 +148,9 @@ func TestControllerShedsOnFullEdgeAtFloor(t *testing.T) {
 	if h.cells[0].Shedding() {
 		t.Fatal("an edge full for no time at all must not shed")
 	}
-	h.observe(10*time.Millisecond, 0.95) // full for 1s > ShedFrac·SLO
+	h.observe(10*time.Millisecond, 0.95) // full for 1s > shedFrac·SLO
 	if !h.cells[0].Shedding() {
-		t.Fatal("an edge full past ShedFrac·SLO at the budget floor must escalate to shedding")
+		t.Fatal("an edge full past shedFrac·SLO at the budget floor must escalate to shedding")
 	}
 	if snap := h.ctrl.ControlSnapshot(); snap.ShedOn != 1 || snap.Tighten != 0 {
 		t.Fatalf("decision counters shedOn=%d tighten=%d, want 1/0", snap.ShedOn, snap.Tighten)
@@ -159,9 +159,9 @@ func TestControllerShedsOnFullEdgeAtFloor(t *testing.T) {
 
 // TestControllerFullEdgeWithinSLONeverSheds: a source that outruns its
 // workers keeps an edge full for the whole run. While that span is under
-// ShedFrac·SLO the SLO is plainly met and the controller must not shed.
+// shedFrac·SLO the SLO is plainly met and the controller must not shed.
 // The span restarts only once an observation reads headroom, fill below
-// QueueHigh/2; a dip under QueueHigh alone does not end it.
+// queueHigh/2; a dip under queueHigh alone does not end it.
 func TestControllerFullEdgeWithinSLONeverSheds(t *testing.T) {
 	h := newHarness(Config{SLO: time.Hour, Min: 50}, 1, 50)
 	for i := 0; i < 20; i++ {
@@ -250,7 +250,7 @@ func TestControllerRateGatesShedRecovery(t *testing.T) {
 	if snap := h.ctrl.ControlSnapshot(); snap.ShedRate != 80_000 {
 		t.Fatalf("ShedRate = %v, want the engage rate 80000", snap.ShedRate)
 	}
-	// Rate falls below ShedRecoverFrac(0.8)·80k: now recovery proceeds,
+	// Rate falls below shedRecoverFrac(0.8)·80k: now recovery proceeds,
 	// shedding first, then the budget grows back.
 	h.observeRate(5*time.Millisecond, 0.05, 10_000)
 	if h.cells[0].Shedding() {
@@ -268,7 +268,7 @@ func TestControllerRateGatesShedRecovery(t *testing.T) {
 }
 
 func TestControllerRateJustBelowGateStillHolds(t *testing.T) {
-	// 0.9× the engage rate is above the default ShedRecoverFrac of 0.8:
+	// 0.9× the engage rate is above the default shedRecoverFrac of 0.8:
 	// still too close to the spike to recover.
 	h := newHarness(Config{SLO: 100 * time.Millisecond, Min: 50}, 1, 50)
 	h.observeRate(70*time.Millisecond, 0.1, 100_000) // in-band hold: primes the rate estimate
@@ -288,7 +288,7 @@ func TestControllerRateJustBelowGateStillHolds(t *testing.T) {
 
 func TestControllerHysteresisBandHolds(t *testing.T) {
 	h := newHarness(Config{SLO: 100 * time.Millisecond, Max: 1000}, 1, 500)
-	// Lag between LowFrac·SLO and SLO, calm queues: the dead band.
+	// Lag between lowFrac·SLO and SLO, calm queues: the dead band.
 	for i := 0; i < 5; i++ {
 		h.observe(70*time.Millisecond, 0.1)
 	}
@@ -301,7 +301,7 @@ func TestControllerHysteresisBandHolds(t *testing.T) {
 }
 
 func TestControllerCooldownSpacesDecisions(t *testing.T) {
-	h := newHarness(Config{SLO: 100 * time.Millisecond, Cooldown: 10 * time.Second}, 1, 1000)
+	h := newHarness(Config{SLO: 100 * time.Millisecond, cooldown: 10 * time.Second}, 1, 1000)
 	h.observe(time.Second, 0.1) // acts; clock advances 1s, inside cooldown
 	h.observe(time.Second, 0.1) // must hold
 	if got := h.cells[0].Budget(); got != 500 {

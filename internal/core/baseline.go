@@ -92,12 +92,6 @@ func (m *ExactManager) produceAll(completes []window.Complete, scanShare time.Du
 // MemUsage implements Manager.
 func (m *ExactManager) MemUsage() int { return m.buf.MemUsage() }
 
-// SetBudget is the adaptive-controller resize seam, uniform across
-// managers. The exact baseline holds no sample — there is nothing for a
-// budget to size — so the call is a documented no-op; the engine never
-// attaches a controller cell to a baseline backend.
-func (m *ExactManager) SetBudget(int) {}
-
 // IncrementalManager is the Inc-Storm baseline of Fig. 8a: the engine
 // modified to maintain a non-holistic scalar aggregate incrementally at
 // tuple arrival, producing each window result with O(1) work at
@@ -186,12 +180,6 @@ func (m *IncrementalManager) fire(wm int64) []Result {
 
 // MemUsage implements Manager: one accumulator per active window.
 func (m *IncrementalManager) MemUsage() int { return len(m.wins) * 56 }
-
-// SetBudget is the adaptive-controller resize seam, uniform across
-// managers. The incremental baseline keeps O(1) state per window
-// regardless of b, so the call is a documented no-op; the engine never
-// attaches a controller cell to a baseline backend.
-func (m *IncrementalManager) SetBudget(int) {}
 
 var (
 	_ Manager = (*ExactManager)(nil)

@@ -60,6 +60,10 @@ func expGap(rng *rand.Rand, ratePerSec float64) int64 {
 	return int64(gap)
 }
 
+// decRate sets DEC's window sizes: 47K tuples per 45s window needs
+// ≈1044 tuples/s of event time.
+const decRate = 1044
+
 // DECConfig parameterizes the DEC network-monitoring substitute: a
 // packet trace with scalar average / median TCP packet size CQs over
 // 45s/15s sliding windows, averaging ≈47K tuples per window.
@@ -67,9 +71,6 @@ type DECConfig struct {
 	// Tuples is the stream length; the paper's trace has 4M. Zero
 	// selects 4,000,000.
 	Tuples int
-	// RatePerSec controls window sizes: 47K tuples per 45s window
-	// needs ≈1044 tuples/s. Zero selects 1044.
-	RatePerSec float64
 	// Seed drives all randomness.
 	Seed int64
 }
@@ -84,9 +85,6 @@ func DEC(cfg DECConfig) *Stream {
 	if cfg.Tuples == 0 {
 		cfg.Tuples = 4_000_000
 	}
-	if cfg.RatePerSec == 0 {
-		cfg.RatePerSec = 1044
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	schema := tuple.NewSchema(
 		tuple.Field{Name: "size", Kind: tuple.KindFloat},
@@ -98,7 +96,7 @@ func DEC(cfg DECConfig) *Stream {
 			return tuple.Tuple{}, false
 		}
 		n++
-		ts += expGap(rng, cfg.RatePerSec)
+		ts += expGap(rng, decRate)
 		// The ACK share drifts between 5% and 33% over a few
 		// minutes. The share controls the trace's bimodality and so
 		// the per-window coefficient of variation (≈0.63 at the low
@@ -135,6 +133,9 @@ func DEC(cfg DECConfig) *Stream {
 	}
 }
 
+// gcmRate sets GCM's window sizes: 320K tuples per hour ≈ 88.9/s.
+const gcmRate = 88.9
+
 // GCMConfig parameterizes the Google-cluster-monitoring substitute: the
 // task-events stream with a grouped mean-CPU-time-per-scheduling-class
 // CQ over 60min/30min windows, averaging 320K tuples per window. The
@@ -143,9 +144,6 @@ type GCMConfig struct {
 	// Tuples is the stream length; the paper uses 24M. Zero selects
 	// 24,000,000.
 	Tuples int
-	// RatePerSec controls window sizes: 320K per hour ≈ 88.9/s. Zero
-	// selects 88.9.
-	RatePerSec float64
 	// Seed drives all randomness.
 	Seed int64
 	// WindowSize/WindowSlide override the default 60/30min windows
@@ -162,9 +160,6 @@ const SchedClasses = 4
 func GCM(cfg GCMConfig) *Stream {
 	if cfg.Tuples == 0 {
 		cfg.Tuples = 24_000_000
-	}
-	if cfg.RatePerSec == 0 {
-		cfg.RatePerSec = 88.9
 	}
 	if cfg.WindowSize == 0 {
 		cfg.WindowSize = 60 * time.Minute
@@ -209,7 +204,7 @@ func GCM(cfg GCMConfig) *Stream {
 			return tuple.Tuple{}, false
 		}
 		n++
-		ts += expGap(rng, cfg.RatePerSec)
+		ts += expGap(rng, gcmRate)
 		u := rng.Float64()
 		c := 0
 		for c < SchedClasses-1 && u > cum[c] {
@@ -242,6 +237,9 @@ func GCM(cfg GCMConfig) *Stream {
 	}
 }
 
+// debsRate sets DEBS's window sizes: 10K tuples per 30min ≈ 5.56/s.
+const debsRate = 5.56
+
 // DEBSConfig parameterizes the DEBS-2015 taxi substitute: rides with a
 // grouped average-fare-per-route CQ over 30min/15min windows averaging
 // ≈10K tuples, and the sparsity that drives §5.2's budget discussion —
@@ -251,9 +249,6 @@ type DEBSConfig struct {
 	// Tuples is the stream length; the paper uses 56M. Zero selects
 	// 56,000,000.
 	Tuples int
-	// RatePerSec controls window sizes: 10K per 30min ≈ 5.56/s. Zero
-	// selects 5.56.
-	RatePerSec float64
 	// Seed drives all randomness.
 	Seed int64
 }
@@ -264,9 +259,6 @@ type DEBSConfig struct {
 func DEBS(cfg DEBSConfig) *Stream {
 	if cfg.Tuples == 0 {
 		cfg.Tuples = 56_000_000
-	}
-	if cfg.RatePerSec == 0 {
-		cfg.RatePerSec = 5.56
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	schema := tuple.NewSchema(
@@ -285,7 +277,7 @@ func DEBS(cfg DEBSConfig) *Stream {
 			return tuple.Tuple{}, false
 		}
 		n++
-		ts += expGap(rng, cfg.RatePerSec)
+		ts += expGap(rng, debsRate)
 		var route int
 		if rng.Float64() < hotShare {
 			// Hot set with a mild Zipf tilt.

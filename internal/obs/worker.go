@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"spear/internal/stats"
 )
 
 // Gauge is an instantaneous value with a recorded high-water mark. It
@@ -116,20 +118,7 @@ func (h *Histogram) Percentile(p float64) float64 {
 		return 0
 	}
 	sort.Float64s(sorted)
-	return percentileOf(sorted, p)
-}
-
-// percentileOf interpolates the p-th percentile, p in [0,1], of an
-// already-sorted, non-empty slice.
-func percentileOf(sorted []float64, p float64) float64 {
-	n := len(sorted)
-	rank := p * float64(n-1)
-	lo := int(rank)
-	frac := rank - float64(lo)
-	if lo+1 >= n {
-		return sorted[n-1]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
+	return stats.PercentileOfSorted(sorted, p)
 }
 
 // retained returns a copy of the retained observations in arrival
@@ -258,7 +247,7 @@ func (in *Instruments) Summarize() Summary {
 	}
 	if len(pooled) > 0 {
 		sort.Float64s(pooled)
-		s.P95ProcTime = time.Duration(percentileOf(pooled, 0.95))
+		s.P95ProcTime = time.Duration(stats.PercentileOfSorted(pooled, 0.95))
 	}
 	return s
 }

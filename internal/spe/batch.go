@@ -17,7 +17,7 @@ import (
 // amortized down to 1/64 of its per-tuple cost.
 const defaultBatchSize = 64
 
-// queueFor is every engine channel's default capacity in batches: 1 K
+// queueFor is every engine channel's capacity in batches: 1 K
 // tuples of runs of batchSize, at least two (measured at the default
 // batch size only, EXPERIMENTS "PR 41"). The spout runs at most that far
 // ahead of a worker, and a full edge shows overload that soon.

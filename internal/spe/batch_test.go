@@ -189,14 +189,14 @@ func TestErrOnceConcurrent(t *testing.T) {
 // runPipeline executes a map → windowed sum pipeline over a
 // deterministic stream at the given batch size and returns results
 // sorted by (worker, window start).
-func runPipeline(t *testing.T, n, batch, queue, par int) []core.Result {
+func runPipeline(t *testing.T, n, batch, par int) []core.Result {
 	t.Helper()
 	var in []tuple.Tuple
 	for i := 0; i < n; i++ {
 		in = append(in, tuple.New(int64(i), tuple.Float(1)))
 	}
 	sink := &collectSink{}
-	tp := NewTopology(Config{WatermarkPeriod: 100, BatchSize: batch, QueueSize: queue}).
+	tp := NewTopology(Config{WatermarkPeriod: 100, BatchSize: batch}).
 		SetSpout(NewSliceSpout(in)).
 		AddMap("id", 0, func(t tuple.Tuple) (tuple.Tuple, bool) { return t, true }).
 		SetWindowed("sum", par, nil, scalarFactory(agg.Func{Op: agg.Sum}, window.Tumbling(100), 10)).
@@ -229,7 +229,7 @@ func TestBatchBoundarySemantics(t *testing.T) {
 	for _, batch := range []int{1, 2, 64, n + 500} {
 		for _, par := range []int{1, 3} {
 			t.Run(fmt.Sprintf("batch%d/par%d", batch, par), func(t *testing.T) {
-				res := runPipeline(t, n, batch, 0, par)
+				res := runPipeline(t, n, batch, par)
 				var total float64
 				perWindow := map[int64]float64{}
 				for _, r := range res {
@@ -258,9 +258,9 @@ func TestBatchBoundarySemantics(t *testing.T) {
 // deterministic, so any divergence is a batching bug.
 func TestBatchSizesIdenticalResults(t *testing.T) {
 	leakcheck.Check(t)
-	ref := runPipeline(t, 3000, 1, 0, 2)
+	ref := runPipeline(t, 3000, 1, 2)
 	for _, batch := range []int{2, 64, 4096} {
-		got := runPipeline(t, 3000, batch, 0, 2)
+		got := runPipeline(t, 3000, batch, 2)
 		if len(got) != len(ref) {
 			t.Fatalf("batch %d: %d results, want %d", batch, len(got), len(ref))
 		}
@@ -442,8 +442,9 @@ func TestBackpressureSlowWindowedWorkerBatched(t *testing.T) {
 		}
 		return &slowManager{inner: m, every: 100}, nil
 	}
-	tp := NewTopology(Config{QueueSize: 1, BatchSize: 8, WatermarkPeriod: 100}).
-		SetSpout(NewSliceSpout(in)).
+	tp := NewTopology(Config{BatchSize: 8, WatermarkPeriod: 100})
+	tp.queue = 1
+	tp.SetSpout(NewSliceSpout(in)).
 		AddMap("id", 0, func(t tuple.Tuple) (tuple.Tuple, bool) { return t, true }).
 		SetWindowed("sum", 2, nil, factory).
 		SetSink(sink.sink)

@@ -30,10 +30,6 @@ type ResultSink func(worker int, r core.Result)
 
 // Config configures an engine run.
 type Config struct {
-	// QueueSize bounds each worker's input channel and the result fan-in,
-	// counted in batches; full queues block upstream senders (the engine's
-	// back-pressure mechanism). Zero selects max(2, 1024/BatchSize).
-	QueueSize int
 	// BatchSize is the run length for inter-stage channel hops:
 	// senders accumulate up to BatchSize data tuples per destination
 	// before a channel send, flushing early on watermarks, barriers,
@@ -56,10 +52,6 @@ type Config struct {
 	// WatermarkLag holds watermarks back to tolerate bounded
 	// out-of-order arrival.
 	WatermarkLag int64
-	// FinalWatermark, when true (the default via NewTopology), emits
-	// a closing watermark at the maximum observed event time so every
-	// complete window fires before shutdown.
-	FinalWatermark bool
 	// Checkpoint enables barrier snapshots; nil runs without
 	// checkpointing (zero overhead on the hot path). The hooks are
 	// wired by the checkpoint coordinator.
@@ -124,6 +116,11 @@ type Topology struct {
 	}
 	sink   ResultSink
 	fabric Fabric
+	// queue bounds each worker's input channel and the result fan-in,
+	// counted in batches; full queues block the spout (the engine's
+	// back-pressure). It is queueFor(BatchSize): in-package tests lower
+	// it to force constant blocking.
+	queue int
 }
 
 // NewTopology returns an empty topology with cfg (defaults applied).
@@ -131,11 +128,7 @@ func NewTopology(cfg Config) *Topology {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = defaultBatchSize
 	}
-	if cfg.QueueSize <= 0 {
-		cfg.QueueSize = queueFor(cfg.BatchSize)
-	}
-	cfg.FinalWatermark = true
-	tp := &Topology{cfg: cfg}
+	tp := &Topology{cfg: cfg, queue: queueFor(cfg.BatchSize)}
 	tp.fabric = &localFabric{tp: tp}
 	return tp
 }
@@ -257,7 +250,7 @@ func (tp *Topology) Run() error {
 	// is each of its channels' only sender.
 	var failed errOnce
 	pool := newRunPool(tp.cfg.BatchSize)
-	winIn, err := tp.fabric.Open(tp.windowed.par, tp.cfg.QueueSize, FabricEnv{
+	winIn, err := tp.fabric.Open(tp.windowed.par, tp.queue, FabricEnv{
 		Recycle: pool.recycle,
 		Fail:    failed.set,
 		pool:    pool,
@@ -385,7 +378,7 @@ func (tp *Topology) Run() error {
 		// so a +∞ closing watermark fires every window holding data
 		// (the semantics Flink gives bounded inputs). Managers clamp
 		// their fire range to windows that received tuples.
-		if tp.cfg.FinalWatermark && seen && tp.cfg.WatermarkPeriod > 0 && failed.get() == nil {
+		if seen && tp.cfg.WatermarkPeriod > 0 && failed.get() == nil {
 			out.watermark(math.MaxInt64)
 		}
 	}()

@@ -489,8 +489,9 @@ func TestBackpressureTinyQueues(t *testing.T) {
 		in = append(in, tuple.New(int64(i%100), tuple.Float(1)))
 	}
 	sink := &collectSink{}
-	tp := NewTopology(Config{QueueSize: 1, WatermarkPeriod: 100}).
-		SetSpout(NewSliceSpout(in)).
+	tp := NewTopology(Config{WatermarkPeriod: 100})
+	tp.queue = 1
+	tp.SetSpout(NewSliceSpout(in)).
 		AddMap("id", 0, func(t tuple.Tuple) (tuple.Tuple, bool) { return t, true }).
 		SetWindowed("sum", 2, nil, scalarFactory(agg.Func{Op: agg.Sum}, window.Tumbling(100), 10)).
 		SetSink(sink.sink)

@@ -51,7 +51,7 @@ type FabricEnv struct {
 type Fabric interface {
 	// Open is called once per run, before the spout starts, with the
 	// windowed parallelism and the capacity in batches of every channel
-	// the fabric owns (Config.QueueSize, by default about 1 K tuples).
+	// the fabric owns: queueFor(BatchSize), about 1 K tuples.
 	// The spout is the only sender into every channel.
 	Open(par, queueSize int, env FabricEnv) ([]chan Batch, error)
 	// Results returns the fan-in of window results. It must close once
@@ -85,10 +85,9 @@ func (l *localFabric) Open(par, queueSize int, env FabricEnv) ([]chan Batch, err
 	tp := l.tp
 	sr, err := startShard(Shard{
 		Name: tp.windowed.name, Lo: 0, Hi: par, Senders: 1,
-		BatchSize: tp.cfg.BatchSize, QueueSize: queueSize,
-		Columnar: tp.cfg.Columnar, Factory: tp.windowed.factory,
-		Hooks: tp.cfg.Checkpoint, Obs: tp.cfg.Obs,
-	}, env.pool, env.failed)
+		BatchSize: tp.cfg.BatchSize, Columnar: tp.cfg.Columnar,
+		Factory: tp.windowed.factory, Hooks: tp.cfg.Checkpoint, Obs: tp.cfg.Obs,
+	}, queueSize, env.pool, env.failed)
 	if err != nil {
 		return nil, err
 	}

@@ -24,8 +24,9 @@ func (idleManager) MemUsage() int                              { return 0 }
 // length, every channel the engine owns holds max(2, 1024/BatchSize)
 // batches, so about 1 K tuples wait on a hop. That covers a local run's
 // shard inputs and result fan-in, a network fabric's outboxes and result
-// channel, the JobSpec its Hello carries, and the channels of a shard
-// node started from that spec or from a spec that leaves the size out.
+// channel, and the inputs and results of a shard node, which derives
+// the same bound from the BatchSize its Hello carries, or of a shard
+// started on its own.
 func TestHopBoundsTuplesInFlight(t *testing.T) {
 	leakcheck.Check(t, leakcheck.Timeout(10*time.Second))
 	const par = 3
@@ -75,14 +76,13 @@ func TestHopBoundsTuplesInFlight(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		specs, shards := make(chan transport.JobSpec, 1), make(chan *spe.ShardRun, 1)
+		shards := make(chan *spe.ShardRun, 1)
 		srv := transport.NewServer(lis, transport.ServerConfig{TopoHash: 1,
 			Start: func(js transport.JobSpec, _ func(transport.SnapAck) error) (*spe.ShardRun, error) {
 				sr, err := spe.StartShard(spe.Shard{
 					Name: "w", Lo: js.Lo, Hi: js.Hi, Senders: js.Senders,
-					BatchSize: js.BatchSize, QueueSize: js.QueueSize, Factory: factory,
+					BatchSize: js.BatchSize, Factory: factory,
 				})
-				specs <- js
 				shards <- sr
 				return sr, err
 			}})
@@ -100,12 +100,9 @@ func TestHopBoundsTuplesInFlight(t *testing.T) {
 			t.Fatal(err)
 		}
 		probed("network fabric", source)
-		if js := <-specs; js.QueueSize != want {
-			t.Errorf("BatchSize %d: Hello carries QueueSize %d, want %d", batch, js.QueueSize, want)
-		}
 		shardHolds("shard node", <-shards)
 
-		// A shard whose spec leaves the size out applies the same rule.
+		// A shard started on its own applies the same rule.
 		sr, err := spe.StartShard(spe.Shard{Lo: 0, Hi: 1, Senders: 1, BatchSize: batch, Factory: factory})
 		if err != nil {
 			t.Fatal(err)
@@ -114,6 +111,6 @@ func TestHopBoundsTuplesInFlight(t *testing.T) {
 		if err := sr.Wait(); err != nil {
 			t.Fatal(err)
 		}
-		shardHolds("zero QueueSize", sr)
+		shardHolds("StartShard", sr)
 	}
 }

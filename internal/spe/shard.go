@@ -20,8 +20,7 @@ type Shard struct {
 	Name      string
 	Lo, Hi    int // global windowed worker range [Lo, Hi)
 	Senders   int // what the source's Hello announced; must be 1
-	BatchSize int // must equal the source topology's batch size
-	QueueSize int // channel capacity in batches; zero is max(2, 1024/BatchSize)
+	BatchSize int // the source topology's; every channel holds queueFor(BatchSize) batches
 	// Columnar mirrors the source topology's Config.Columnar: runs are
 	// viewed through a column batch and fed to the manager's
 	// OnColumnBatch kernels.
@@ -58,15 +57,13 @@ func StartShard(sh Shard) (*ShardRun, error) {
 	if sh.BatchSize <= 0 {
 		sh.BatchSize = defaultBatchSize
 	}
-	if sh.QueueSize <= 0 {
-		sh.QueueSize = queueFor(sh.BatchSize)
-	}
-	return startShard(sh, newRunPool(sh.BatchSize), new(errOnce))
+	return startShard(sh, queueFor(sh.BatchSize), newRunPool(sh.BatchSize), new(errOnce))
 }
 
-// startShard is StartShard over a given run pool and error slot. This
-// is the one place a windowed worker is built, restored and started.
-func startShard(sh Shard, pool *runPool, failed *errOnce) (*ShardRun, error) {
+// startShard is StartShard over a given channel capacity in batches,
+// run pool and error slot. This is the one place a windowed worker is
+// built, restored and started.
+func startShard(sh Shard, queue int, pool *runPool, failed *errOnce) (*ShardRun, error) {
 	if sh.Lo < 0 || sh.Hi <= sh.Lo {
 		return nil, fmt.Errorf("spe: shard range [%d, %d)", sh.Lo, sh.Hi)
 	}
@@ -97,12 +94,12 @@ func startShard(sh Shard, pool *runPool, failed *errOnce) (*ShardRun, error) {
 
 	sr := &ShardRun{
 		In:      make([]chan Batch, n),
-		Results: make(chan []SinkItem, sh.QueueSize),
+		Results: make(chan []SinkItem, queue),
 		pool:    pool,
 		failed:  failed,
 	}
 	for i := range sr.In {
-		sr.In[i] = make(chan Batch, sh.QueueSize)
+		sr.In[i] = make(chan Batch, queue)
 	}
 	// Live observability: pull probes over every channel the shard owns.
 	// A probe is a closure over len(chan) — the engine pays nothing for
@@ -113,10 +110,10 @@ func startShard(sh Shard, pool *runPool, failed *errOnce) (*ShardRun, error) {
 		trace = ins.Trace()
 		for i, c := range sr.In {
 			c := c
-			ins.RegisterEdge(fmt.Sprintf("%s[%d]", sh.Name, sh.Lo+i), sh.QueueSize, func() int { return len(c) })
+			ins.RegisterEdge(fmt.Sprintf("%s[%d]", sh.Name, sh.Lo+i), queue, func() int { return len(c) })
 		}
 		res := sr.Results
-		ins.RegisterSink(sh.QueueSize, func() int { return len(res) })
+		ins.RegisterSink(queue, func() int { return len(res) })
 	}
 	for i, mgr := range managers {
 		var wobs *obs.Worker

@@ -35,16 +35,10 @@ type FabricConfig struct {
 	// Dialer opens connections; nil uses TCP with a timeout. Tests
 	// inject faults here.
 	Dialer Dialer
-	// Window is the credit window granted to each node; zero selects
-	// the default.
-	Window int
-	// MaxRedials caps reconnect attempts per outage; BackoffBase and
-	// BackoffMax shape the capped exponential backoff between them.
+	// MaxRedials caps reconnect attempts per outage; BackoffBase starts
+	// the exponential backoff between them, capped at 2s.
 	MaxRedials  int
 	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// DrainTimeout bounds the post-Goodbye wait for final credits.
-	DrainTimeout time.Duration
 	// Obs, when non-nil, gains per-node transport counters and the
 	// probes of the channels the fabric owns: the outboxes and the
 	// result fan-in.
@@ -91,16 +85,13 @@ func NewFabric(cfg FabricConfig) *Fabric {
 	if cfg.MaxRedials <= 0 {
 		cfg.MaxRedials = defaultRedials
 	}
-	if cfg.DrainTimeout <= 0 {
-		cfg.DrainTimeout = 5 * time.Second
-	}
 	return &Fabric{cfg: cfg}
 }
 
 // Open implements spe.Fabric: dial every node, start the outbox pumps,
 // and return the channels the engine scatters into. queueSize, the hop
-// bound the engine resolved, sizes every outbox and the result channel,
-// and rides the Hello's JobSpec so each shard sizes its inputs alike.
+// bound the engine resolved, sizes every outbox and the result channel;
+// a shard derives the same bound from the BatchSize its Hello carries.
 func (f *Fabric) Open(par, queueSize int, env spe.FabricEnv) ([]chan spe.Batch, error) {
 	k := len(f.cfg.Nodes)
 	if k == 0 {
@@ -136,9 +127,9 @@ func (f *Fabric) Open(par, queueSize int, env spe.FabricEnv) ([]chan spe.Batch, 
 		if f.cfg.Obs != nil {
 			tobs = f.cfg.Obs.RegisterTransport(n.addr)
 		}
-		n.lk = newLink(n.addr, f.cfg.Window, n, tobs)
+		n.lk = newLink(n.addr, creditWindow, n, tobs)
 		n.lk.redial = func(epoch uint64) (net.Conn, uint64, error) {
-			return f.dial(n, epoch, par, queueSize)
+			return f.dial(n, epoch)
 		}
 		// Initial connect reuses the redial path (same handshake, same
 		// backoff) at epoch 1.
@@ -182,21 +173,21 @@ func (f *Fabric) Err() error {
 // dial opens and handshakes one connection to n, with capped backoff
 // across attempts. A Reject aborts immediately — it is never
 // transient.
-func (f *Fabric) dial(n *fabricNode, epoch uint64, par, queueSize int) (net.Conn, uint64, error) {
+func (f *Fabric) dial(n *fabricNode, epoch uint64) (net.Conn, uint64, error) {
 	hello := Hello{
 		Version: ProtocolVersion, TopoHash: f.cfg.TopoHash,
 		RunID: f.cfg.RunID, Epoch: epoch,
 		Job: JobSpec{
-			Lo: n.lo, Hi: n.hi, Par: par, Senders: 1, // the spout
-			BatchSize: f.cfg.BatchSize, QueueSize: queueSize,
+			Lo: n.lo, Hi: n.hi, Senders: 1, // the spout
+			BatchSize:  f.cfg.BatchSize,
 			Checkpoint: f.cfg.Checkpoint, RestoreID: f.cfg.RestoreID,
 		},
-		Acked: n.lk.delivered64(), Window: f.cfg.Window,
+		Acked: n.lk.delivered64(),
 	}
 	var lastErr error
 	for attempt := 0; attempt <= f.cfg.MaxRedials; attempt++ {
 		if attempt > 0 {
-			time.Sleep(backoffFor(attempt-1, f.cfg.BackoffBase, f.cfg.BackoffMax))
+			time.Sleep(backoffFor(attempt-1, f.cfg.BackoffBase))
 		}
 		if f.Err() != nil {
 			return nil, 0, fmt.Errorf("transport: fabric already failed")
@@ -308,7 +299,7 @@ func (n *fabricNode) closer() {
 	n.wg.Wait()
 	select {
 	case <-n.bye:
-		n.lk.awaitDrain(n.f.cfg.DrainTimeout)
+		n.lk.awaitDrain(drainTimeout)
 	case <-linkDead(n.lk):
 	}
 	n.lk.close()

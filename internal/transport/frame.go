@@ -30,8 +30,11 @@ import (
 // different version refuse the connection. Version 2 added the result
 // frames' accuracy-contract fields (epsilon, confidence, budget);
 // version 3 made the batch frame's tuples a column image; version 4
-// packs the image's timestamp deltas at one width.
-const ProtocolVersion = 4
+// packs the image's timestamp deltas at one width; version 5 drops the
+// Hello's parallelism, queue size and credit window and the Welcome's
+// credit window: a shard derives its queues from the batch size and
+// both ends grant the same constant window.
+const ProtocolVersion = 5
 
 // MaxFrame bounds one frame's body. Oversized (or zero) length
 // prefixes are rejected before any allocation, closing the
@@ -142,11 +145,9 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 // global workers this node hosts, the topology shape the shard must
 // mirror for bit-identical execution, and the checkpoint posture.
 type JobSpec struct {
-	Lo, Hi     int // global windowed worker range [Lo, Hi)
-	Par        int // total windowed parallelism across all nodes
-	Senders    int // upstream senders into the windowed stage
-	BatchSize  int
-	QueueSize  int
+	Lo, Hi     int    // global windowed worker range [Lo, Hi)
+	Senders    int    // upstream senders into the windowed stage
+	BatchSize  int    // the source's; the shard's queues follow from it
 	Checkpoint bool   // the source runs the checkpoint protocol
 	RestoreID  uint64 // manifest to restore from, 0 = fresh state
 }
@@ -162,8 +163,7 @@ type Hello struct {
 	Epoch    uint64  // connection attempt counter; newest epoch wins
 	Job      JobSpec // identical on every epoch of a run
 
-	Acked  uint64 // last peer→dialer seq the dialer has delivered
-	Window int    // credit window the dialer grants the peer
+	Acked uint64 // last peer→dialer seq the dialer has delivered
 }
 
 // AppendHello encodes h as a frame body.
@@ -176,14 +176,11 @@ func AppendHello(dst []byte, h Hello) []byte {
 	dst = tuple.AppendUvar(dst, h.Epoch)
 	dst = tuple.AppendUvar(dst, uint64(j.Lo))
 	dst = tuple.AppendUvar(dst, uint64(j.Hi))
-	dst = tuple.AppendUvar(dst, uint64(j.Par))
 	dst = tuple.AppendUvar(dst, uint64(j.Senders))
 	dst = tuple.AppendUvar(dst, uint64(j.BatchSize))
-	dst = tuple.AppendUvar(dst, uint64(j.QueueSize))
 	dst = tuple.AppendBool(dst, j.Checkpoint)
 	dst = tuple.AppendU64(dst, j.RestoreID)
 	dst = tuple.AppendUvar(dst, h.Acked)
-	dst = tuple.AppendUvar(dst, uint64(h.Window))
 	return dst
 }
 
@@ -197,31 +194,35 @@ func DecodeHello(body []byte) (Hello, error) {
 	h.Epoch = r.Uvar()
 	j.Lo = uvarInt(r)
 	j.Hi = uvarInt(r)
-	j.Par = uvarInt(r)
 	j.Senders = uvarInt(r)
 	j.BatchSize = uvarInt(r)
-	j.QueueSize = uvarInt(r)
 	j.Checkpoint = r.Bool()
 	j.RestoreID = r.U64()
 	h.Acked = r.Uvar()
-	h.Window = uvarInt(r)
 	if err := r.Done(); err != nil {
 		return Hello{}, fmt.Errorf("%w: hello: %v", ErrFrame, err)
 	}
-	if j.Lo < 0 || j.Hi <= j.Lo || j.Par < j.Hi || j.Senders <= 0 {
-		return Hello{}, fmt.Errorf("%w: hello shard [%d,%d) of %d, %d senders",
-			ErrFrame, j.Lo, j.Hi, j.Par, j.Senders)
+	if j.Lo < 0 || j.Hi <= j.Lo || j.Senders <= 0 {
+		return Hello{}, fmt.Errorf("%w: hello shard [%d,%d), %d senders",
+			ErrFrame, j.Lo, j.Hi, j.Senders)
 	}
 	return h, nil
 }
 
+// helloVersion reads the protocol version a KindHello body starts with,
+// which every version's layout puts first.
+func helloVersion(body []byte) (uint32, error) {
+	r := reader(body, KindHello)
+	v := uint32(r.Uvar())
+	return v, r.Err()
+}
+
 // Welcome is the listener's handshake reply, mirroring identity and
-// carrying the listener's delivered sequence and credit grant.
+// carrying the listener's delivered sequence.
 type Welcome struct {
 	Version  uint32
 	TopoHash uint64
 	Acked    uint64 // last dialer→listener seq the listener has delivered
-	Window   int    // credit window the listener grants the dialer
 }
 
 // AppendWelcome encodes w as a frame body.
@@ -230,7 +231,6 @@ func AppendWelcome(dst []byte, w Welcome) []byte {
 	dst = tuple.AppendUvar(dst, uint64(w.Version))
 	dst = tuple.AppendU64(dst, w.TopoHash)
 	dst = tuple.AppendUvar(dst, w.Acked)
-	dst = tuple.AppendUvar(dst, uint64(w.Window))
 	return dst
 }
 
@@ -240,7 +240,6 @@ func DecodeWelcome(body []byte) (Welcome, error) {
 	w.Version = uint32(r.Uvar())
 	w.TopoHash = r.U64()
 	w.Acked = r.Uvar()
-	w.Window = uvarInt(r)
 	if err := r.Done(); err != nil {
 		return Welcome{}, fmt.Errorf("%w: welcome: %v", ErrFrame, err)
 	}

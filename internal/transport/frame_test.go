@@ -121,14 +121,14 @@ func TestHelloWelcomeRoundTrip(t *testing.T) {
 	h := Hello{
 		Version: ProtocolVersion, TopoHash: 0xfeed, RunID: 77, Epoch: 3,
 		Job: JobSpec{
-			Lo: 2, Hi: 4, Par: 8, Senders: 2, BatchSize: 64, QueueSize: 16,
+			Lo: 2, Hi: 4, Senders: 2, BatchSize: 64,
 			Checkpoint: true, RestoreID: 5,
 		},
-		Acked: 123, Window: 256,
+		Acked: 123,
 	}
-	// The bytes of protocol version 4's Hello: the job spec is encoded
+	// The bytes of protocol version 5's Hello: the job spec is encoded
 	// field by field between Epoch and Acked.
-	const pinned = "0104edfe0000000000004d00000000000000030204080240100105000000000000007b8002"
+	const pinned = "0105edfe0000000000004d0000000000000003020402400105000000000000007b"
 	enc := AppendHello(nil, h)
 	if got := hex.EncodeToString(enc); got != pinned {
 		t.Errorf("hello encodes to\n %s\nwant\n %s", got, pinned)
@@ -140,7 +140,7 @@ func TestHelloWelcomeRoundTrip(t *testing.T) {
 	if h2 != h {
 		t.Errorf("hello round-trip:\n in: %+v\nout: %+v", h, h2)
 	}
-	w := Welcome{Version: ProtocolVersion, TopoHash: 0xfeed, Acked: 9, Window: 128}
+	w := Welcome{Version: ProtocolVersion, TopoHash: 0xfeed, Acked: 9}
 	w2, err := DecodeWelcome(AppendWelcome(nil, w))
 	if err != nil {
 		t.Fatal(err)
@@ -152,10 +152,9 @@ func TestHelloWelcomeRoundTrip(t *testing.T) {
 
 func TestDecodeHelloRejectsBadShard(t *testing.T) {
 	for _, j := range []JobSpec{
-		{Lo: -1, Hi: 1, Par: 2, Senders: 1},
-		{Lo: 1, Hi: 1, Par: 2, Senders: 1}, // empty range
-		{Lo: 0, Hi: 4, Par: 2, Senders: 1}, // range beyond par
-		{Lo: 0, Hi: 1, Par: 1, Senders: 0}, // no senders
+		{Lo: -1, Hi: 1, Senders: 1},
+		{Lo: 1, Hi: 1, Senders: 1}, // empty range
+		{Lo: 0, Hi: 1, Senders: 0}, // no senders
 	} {
 		if _, err := DecodeHello(AppendHello(nil, Hello{Job: j})); err == nil {
 			t.Errorf("DecodeHello accepted invalid shard spec %+v", j)

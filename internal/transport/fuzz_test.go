@@ -104,10 +104,9 @@ func fuzzFrameSeeds() [][]byte {
 	seeds = append(seeds,
 		AppendHello(nil, Hello{
 			Version: ProtocolVersion, TopoHash: 1, RunID: 2, Epoch: 1,
-			Job:    JobSpec{Lo: 0, Hi: 2, Par: 4, Senders: 1, BatchSize: 64, QueueSize: 16},
-			Window: 256,
+			Job: JobSpec{Lo: 0, Hi: 2, Senders: 1, BatchSize: 64},
 		}),
-		AppendWelcome(nil, Welcome{Version: ProtocolVersion, TopoHash: 1, Window: 256}),
+		AppendWelcome(nil, Welcome{Version: ProtocolVersion, TopoHash: 1}),
 		nil,
 		[]byte{0xEE},
 		bytes.Repeat([]byte{0xFF}, 24),

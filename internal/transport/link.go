@@ -12,14 +12,16 @@ import (
 	"spear/internal/tuple"
 )
 
-// Defaults for the sliding-window protocol and the dialer's capped
-// reconnect backoff.
+// The sliding-window protocol's constants and the dialer's capped
+// reconnect backoff. Both ends of a link grant creditWindow frames.
 const (
-	defaultWindow   = 256
+	creditWindow    = 256
 	defaultRedials  = 6
 	defaultBackoff  = 50 * time.Millisecond
-	defaultBackMax  = 2 * time.Second
-	helloTimeout    = 5 * time.Second
+	backoffMax      = 2 * time.Second
+	dialTimeout     = 5 * time.Second
+	helloTimeout    = 5 * time.Second // a handshake's bound, each side
+	drainTimeout    = 5 * time.Second // the wait for the last credits after Goodbye
 	defaultPeerWait = 15 * time.Second
 )
 
@@ -35,18 +37,12 @@ type Dialer interface {
 	Dial(addr string) (net.Conn, error)
 }
 
-// NetDialer dials TCP with a timeout.
-type NetDialer struct {
-	Timeout time.Duration // zero selects 5s
-}
+// NetDialer dials TCP, giving up after dialTimeout.
+type NetDialer struct{}
 
 // Dial implements Dialer.
-func (d NetDialer) Dial(addr string) (net.Conn, error) {
-	t := d.Timeout
-	if t <= 0 {
-		t = 5 * time.Second
-	}
-	return net.DialTimeout("tcp", addr, t)
+func (NetDialer) Dial(addr string) (net.Conn, error) {
+	return net.DialTimeout("tcp", addr, dialTimeout)
 }
 
 // linkHandler receives the link's inbound payload frames, on the
@@ -139,7 +135,7 @@ type link struct {
 
 func newLink(name string, window int, h linkHandler, tobs *obs.TransportObs) *link {
 	if window <= 0 {
-		window = defaultWindow
+		window = creditWindow
 	}
 	l := &link{
 		name: name, handler: h, tobs: tobs,
@@ -635,18 +631,15 @@ func (l *link) delivered64() uint64 {
 	return l.delivered
 }
 
-// backoffFor returns the capped exponential backoff for attempt n
-// (0-based).
-func backoffFor(n int, base, max time.Duration) time.Duration {
+// backoffFor returns the exponential backoff for attempt n (0-based),
+// capped at backoffMax.
+func backoffFor(n int, base time.Duration) time.Duration {
 	if base <= 0 {
 		base = defaultBackoff
 	}
-	if max <= 0 {
-		max = defaultBackMax
-	}
 	d := base << uint(n)
-	if d > max || d <= 0 {
-		d = max
+	if d > backoffMax || d <= 0 {
+		d = backoffMax
 	}
 	return d
 }

@@ -129,9 +129,34 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// TestHandshakeRejectsV2Peer: a Hello of the previous protocol version
-// (row batch frames) is refused with a Reject naming both versions, and
-// the shard is never started.
+// appendV4Hello encodes a Hello in protocol version 4's layout, which
+// also carried the job's parallelism and queue size and the dialer's
+// credit window.
+func appendV4Hello(h Hello) []byte {
+	j := h.Job
+	dst := []byte{byte(KindHello)}
+	dst = tuple.AppendUvar(dst, 4)
+	dst = tuple.AppendU64(dst, h.TopoHash)
+	dst = tuple.AppendU64(dst, h.RunID)
+	dst = tuple.AppendUvar(dst, h.Epoch)
+	dst = tuple.AppendUvar(dst, uint64(j.Lo))
+	dst = tuple.AppendUvar(dst, uint64(j.Hi))
+	dst = tuple.AppendUvar(dst, uint64(j.Hi)) // Par
+	dst = tuple.AppendUvar(dst, uint64(j.Senders))
+	dst = tuple.AppendUvar(dst, uint64(j.BatchSize))
+	dst = tuple.AppendUvar(dst, 16) // QueueSize
+	dst = tuple.AppendBool(dst, j.Checkpoint)
+	dst = tuple.AppendU64(dst, j.RestoreID)
+	dst = tuple.AppendUvar(dst, h.Acked)
+	dst = tuple.AppendUvar(dst, 256) // Window
+	return dst
+}
+
+// TestHandshakeRejectsV2Peer: a Hello of an older protocol version is
+// refused with a Reject naming both versions, and the shard is never
+// started. That holds for version 2 (row batch frames), whose Hello
+// this version's layout can still hold, and for version 4, whose Hello
+// it cannot: the version is checked before the rest is decoded.
 func TestHandshakeRejectsV2Peer(t *testing.T) {
 	defer leakcheck.Check(t, leakcheck.Timeout(5*time.Second))
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -139,25 +164,45 @@ func TestHandshakeRejectsV2Peer(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewServer(lis, ServerConfig{TopoHash: 1, Start: func(JobSpec, func(SnapAck) error) (*spe.ShardRun, error) {
-		t.Error("a version 2 Hello started the shard")
+		t.Error("an older protocol version's Hello started the shard")
 		return nil, errors.New("unreachable")
 	}})
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve() }()
-	conn, err := net.Dial("tcp", lis.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	_, err = shake(conn, Hello{
+	hello := Hello{
 		Version: 2, TopoHash: 1, RunID: 1, Epoch: 1,
-		Job:    JobSpec{Lo: 0, Hi: 1, Par: 1, Senders: 1, BatchSize: 64, QueueSize: 16},
-		Window: 8,
-	})
-	var rej rejectError
-	if !errors.As(err, &rej) || !strings.Contains(rej.reason, "version 2") ||
-		!strings.Contains(rej.reason, fmt.Sprintf("want %d", ProtocolVersion)) {
-		t.Errorf("handshake of a version 2 peer: %v, want a Reject naming versions 2 and %d", err, ProtocolVersion)
+		Job: JobSpec{Lo: 0, Hi: 1, Senders: 1, BatchSize: 64},
+	}
+	for _, tc := range []struct {
+		version int
+		body    []byte
+	}{
+		{2, AppendHello(nil, hello)},
+		{4, appendV4Hello(hello)},
+	} {
+		conn, err := net.Dial("tcp", lis.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reason string
+		if err := WriteFrame(conn, tc.body); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+		body, err := ReadFrame(conn, nil)
+		if err == nil {
+			var f Frame
+			if f, err = DecodeFrame(body); err == nil && f.Kind != KindReject {
+				err = fmt.Errorf("a %s frame", f.Kind)
+			}
+			reason = f.Reason
+		}
+		_ = conn.Close()
+		if err != nil || !strings.Contains(reason, fmt.Sprintf("version %d", tc.version)) ||
+			!strings.Contains(reason, fmt.Sprintf("want %d", ProtocolVersion)) {
+			t.Errorf("handshake of a version %d peer: reject %q, err %v; want a Reject naming versions %d and %d",
+				tc.version, reason, err, tc.version, ProtocolVersion)
+		}
 	}
 	srv.finish(nil)
 	if err := <-served; err != nil {

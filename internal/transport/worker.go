@@ -16,20 +16,9 @@ type ServerConfig struct {
 	// TopoHash must match the dialer's or the handshake is rejected:
 	// both processes must be built from the same query definition.
 	TopoHash uint64
-	// Window is the credit window granted to the source (frames it may
-	// have outstanding toward this node). Zero selects the default.
-	Window int
-	// HelloTimeout bounds how long an accepted connection may sit
-	// silent before its handshake; such connections are dropped without
-	// affecting the run (a fault-injected duplicate dial looks exactly
-	// like this).
-	HelloTimeout time.Duration
 	// PeerWait bounds how long the node keeps a wounded run alive
 	// waiting for the source to reconnect; on expiry the run fails.
 	PeerWait time.Duration
-	// DrainTimeout bounds the wait for the source to acknowledge the
-	// final result frames before Serve returns.
-	DrainTimeout time.Duration
 	// Start builds the shard when the first valid Hello arrives. ack
 	// sends a checkpoint acknowledgment frame back to the coordinator;
 	// the shard's snapshot hook calls it after persisting its blob.
@@ -69,14 +58,8 @@ type Server struct {
 
 // NewServer wraps lis; Serve runs the node.
 func NewServer(lis net.Listener, cfg ServerConfig) *Server {
-	if cfg.HelloTimeout <= 0 {
-		cfg.HelloTimeout = helloTimeout
-	}
 	if cfg.PeerWait <= 0 {
 		cfg.PeerWait = defaultPeerWait
-	}
-	if cfg.DrainTimeout <= 0 {
-		cfg.DrainTimeout = 5 * time.Second
 	}
 	return &Server{lis: lis, cfg: cfg, abort: make(chan struct{}), done: make(chan struct{})}
 }
@@ -123,23 +106,28 @@ func (s *Server) acceptLoop() {
 }
 
 // handshake reads and validates one connection's Hello. Connections
-// that die or stay silent before a valid Hello are dropped without
-// touching the run — a duplicated or probed dial is indistinguishable
-// from them.
+// that die or stay silent for helloTimeout before a valid Hello are
+// dropped without touching the run — a duplicated or probed dial is
+// indistinguishable from them. A Hello of another protocol version is
+// refused by name before the rest of it is decoded: its layout may
+// differ from this version's.
 func (s *Server) handshake(conn net.Conn) {
-	_ = conn.SetDeadline(time.Now().Add(s.cfg.HelloTimeout))
+	_ = conn.SetDeadline(time.Now().Add(helloTimeout))
 	body, err := ReadFrame(conn, nil)
 	if err != nil {
 		_ = conn.Close()
 		return
 	}
+	if v, err := helloVersion(body); err != nil {
+		_ = conn.Close()
+		return
+	} else if v != ProtocolVersion {
+		s.reject(conn, fmt.Sprintf("protocol version %d, want %d", v, ProtocolVersion))
+		return
+	}
 	h, err := DecodeHello(body)
 	if err != nil {
 		_ = conn.Close()
-		return
-	}
-	if h.Version != ProtocolVersion {
-		s.reject(conn, fmt.Sprintf("protocol version %d, want %d", h.Version, ProtocolVersion))
 		return
 	}
 	if h.TopoHash != s.cfg.TopoHash {
@@ -156,7 +144,7 @@ func (s *Server) handshake(conn net.Conn) {
 	if s.lk == nil {
 		// First Hello: the job spec is authoritative, start the shard.
 		spec := h.Job
-		lk := newLink("source", h.Window, s, s.cfg.Obs)
+		lk := newLink("source", creditWindow, s, s.cfg.Obs)
 		s.lk = lk
 		s.spec = spec
 		s.runID = h.RunID
@@ -201,10 +189,7 @@ func (s *Server) handshake(conn net.Conn) {
 // Welcome first (the dialer reads it synchronously), then adoption,
 // which prunes acknowledged frames and retransmits the rest.
 func (s *Server) attach(conn net.Conn, h Hello, lk *link) {
-	w := Welcome{
-		Version: ProtocolVersion, TopoHash: s.cfg.TopoHash,
-		Acked: lk.delivered64(), Window: s.cfg.Window,
-	}
+	w := Welcome{Version: ProtocolVersion, TopoHash: s.cfg.TopoHash, Acked: lk.delivered64()}
 	if err := WriteFrame(conn, AppendWelcome(nil, w)); err != nil {
 		_ = conn.Close()
 		return
@@ -264,7 +249,7 @@ func (s *Server) resultPump(run *spe.ShardRun, lk *link) {
 		s.finish(serr)
 		return
 	}
-	lk.awaitDrain(s.cfg.DrainTimeout)
+	lk.awaitDrain(drainTimeout)
 	s.finish(nil)
 }
 

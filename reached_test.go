@@ -107,19 +107,7 @@ func TestEveryExportedSymbolIsReached(t *testing.T) {
 	bare := map[string]bool{}      // dir.Name used inside its own package
 	selected := map[string]bool{}  // names of selectors and interface methods
 	for _, fl := range files {
-		imports := map[string]string{} // local name → dir
-		for _, im := range fl.f.Imports {
-			path, _ := strconv.Unquote(im.Path.Value)
-			dir, ok := strings.CutPrefix(path, "spear/")
-			if !ok {
-				continue
-			}
-			name := pkgName[dir]
-			if im.Name != nil {
-				name = im.Name.Name
-			}
-			imports[name] = dir
-		}
+		imports := spearImports(fl.f, pkgName)
 		var visit func(n ast.Node) bool
 		visit = func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -214,6 +202,26 @@ func parseSources(t *testing.T, fset *token.FileSet, mode parser.Mode, fn func(p
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// spearImports maps the local name of each package of the module that f
+// imports to the package's directory; pkgName maps directories to
+// package names.
+func spearImports(f *ast.File, pkgName map[string]string) map[string]string {
+	imports := map[string]string{}
+	for _, im := range f.Imports {
+		path, _ := strconv.Unquote(im.Path.Value)
+		dir, ok := strings.CutPrefix(path, "spear/")
+		if !ok {
+			continue
+		}
+		name := pkgName[dir]
+		if im.Name != nil {
+			name = im.Name.Name
+		}
+		imports[name] = dir
+	}
+	return imports
 }
 
 // allowEntry returns the unreachedAllowed key that covers the symbol
