@@ -84,9 +84,7 @@ func TestChainComposes(t *testing.T) {
 		run  func(t *testing.T, build func() *Query, par int) []workerResult
 	}{
 		{"plain", func(t *testing.T, build func() *Query, _ int) []workerResult {
-			// The never-firing cadence only selects the seeded fields
-			// partitioner every other cell routes groups with.
-			return mergeLegs(run(t, build().Source(FromSlice(in)).CheckpointEvery(1<<40, 0)))
+			return mergeLegs(run(t, build().Source(FromSlice(in))))
 		}},
 		{"checkpoint, stop, recover", func(t *testing.T, build func() *Query, _ int) []workerResult {
 			store := storage.NewMemStore()

@@ -35,9 +35,7 @@ func buildDistProcQuery(t testing.TB, kind, dir string) *Query {
 		Parallelism(2)
 	switch kind {
 	case "ident":
-		q.TumblingWindow(300*time.Second).
-			Seed(11).
-			CheckpointEvery(1<<40, 0) // never fires; matches partitioner seeding
+		q.TumblingWindow(300 * time.Second).Seed(11)
 	case "kill":
 		store, err := storage.NewFileStore(dir)
 		if err != nil {

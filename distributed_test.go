@@ -171,9 +171,7 @@ func modes(rs []workerResult) map[string]int {
 
 // TestDistributedLoopbackIdentity runs the same scalar holistic query
 // single-process and across two TCP shard nodes and requires
-// bit-identical output — values AND accelerate/exact decisions. The
-// never-firing checkpoint cadence matches the reference's partitioner
-// seeding to the distributed run's without emitting barriers.
+// bit-identical output — values AND accelerate/exact decisions.
 func TestDistributedLoopbackIdentity(t *testing.T) {
 	leakcheck.Check(t, leakcheck.Timeout(10*time.Second))
 	in := distTuples(20, 300, 8)
@@ -184,8 +182,7 @@ func TestDistributedLoopbackIdentity(t *testing.T) {
 			BudgetTuples(96).
 			Error(0.10, 0.95).
 			Seed(11).
-			Parallelism(4).
-			CheckpointEvery(1<<40, 0)
+			Parallelism(4)
 	}
 
 	ref := &workerSink{}
@@ -252,8 +249,7 @@ func TestDistributedLoopbackIdentityGrouped(t *testing.T) {
 			BudgetTuples(128).
 			Error(0.10, 0.95).
 			Seed(23).
-			Parallelism(3).
-			CheckpointEvery(1<<40, 0)
+			Parallelism(3)
 	}
 
 	ref := &workerSink{}
@@ -402,12 +398,11 @@ func TestDistributedDialFaults(t *testing.T) {
 	in := distTuples(10, 200, 4)
 	build := func() *Query {
 		return NewQuery("distf").
-			TumblingWindow(200*time.Second).
+			TumblingWindow(200 * time.Second).
 			Mean(func(tp Tuple) float64 { return tp.Vals[0].AsFloat() }).
 			BudgetTuples(64).
 			Seed(3).
-			Parallelism(2).
-			CheckpointEvery(1<<40, 0)
+			Parallelism(2)
 	}
 
 	ref := &workerSink{}
@@ -439,11 +434,10 @@ func TestDistributedShardTakesTheSourcesShape(t *testing.T) {
 	in := distTuples(12, 300, 8)
 	build := func() *Query {
 		return NewQuery("distpar").
-			TumblingWindow(300*time.Second).
+			TumblingWindow(300 * time.Second).
 			Median(func(tp Tuple) float64 { return tp.Vals[0].AsFloat() }).
 			BudgetTuples(96).
-			Seed(4).
-			CheckpointEvery(1<<40, 0)
+			Seed(4)
 	}
 	source := func() *Query {
 		return build().Map(func(tp Tuple) (Tuple, bool) { return tp, true }).Parallelism(2).BatchSize(16)

@@ -3,8 +3,6 @@ package spear
 import (
 	"math"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -103,35 +101,6 @@ func TestOutOfOrderAccuracy(t *testing.T) {
 		}
 		if rel := math.Abs(r.Scalar-e.Scalar) / e.Scalar; rel > 0.10 {
 			t.Errorf("window %d: error %.3f", start, rel)
-		}
-	}
-}
-
-// TestMergedSourcesGrouped merges two streams into a grouped CQ.
-func TestMergedSourcesGrouped(t *testing.T) {
-	leakcheck.Check(t)
-	var a, b []Tuple
-	for i := int64(0); i < 3000; i++ {
-		a = append(a, NewTuple(i*2, Str("left"), Float(10)))
-		b = append(b, NewTuple(i*2+1, Str("right"), Float(20)))
-	}
-	sink := &sinkBuf{}
-	_, err := NewQuery("merged").
-		Source(Merge(FromSlice(a), FromSlice(b))).
-		TumblingWindow(2000 * time.Nanosecond).
-		GroupBy(func(t Tuple) string { return t.Vals[0].AsString() }).
-		Mean(func(t Tuple) float64 { return t.Vals[1].AsFloat() }).
-		BudgetTuples(2000).
-		Run(sink.add)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sink.res) == 0 {
-		t.Fatal("no windows")
-	}
-	for _, r := range sink.res {
-		if r.Groups["left"] != 10 || r.Groups["right"] != 20 {
-			t.Errorf("groups = %v", r.Groups)
 		}
 	}
 }
@@ -321,34 +290,3 @@ func TestHugeParallelismSmallStream(t *testing.T) {
 		t.Errorf("total = %v, want 12", total)
 	}
 }
-
-// TestFromCSVEndToEnd runs a query over a CSV source.
-func TestFromCSVEndToEnd(t *testing.T) {
-	leakcheck.Check(t)
-	csv := "ts,v\n"
-	for i := 0; i < 1000; i++ {
-		csv += itoa(int64(i)) + "," + itoa(int64(i%10)) + "\n"
-	}
-	schema := NewSchema(Field{Name: "v", Kind: KindFloat})
-	src, csvErr, err := FromCSV(strings.NewReader(csv), "csv", schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sink := &sinkBuf{}
-	_, err = NewQuery("csv").
-		Source(src).
-		TumblingWindow(1000 * time.Nanosecond).
-		Mean(func(t Tuple) float64 { return t.Vals[0].AsFloat() }).
-		Run(sink.add)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := csvErr(); err != nil {
-		t.Fatal(err)
-	}
-	if len(sink.res) != 1 || math.Abs(sink.res[0].Scalar-4.5) > 1e-9 {
-		t.Errorf("results = %+v", sink.res)
-	}
-}
-
-func itoa(v int64) string { return strconv.FormatInt(v, 10) }

@@ -57,88 +57,3 @@ func WriteCSV(s *Stream, w io.Writer) (int, error) {
 	}
 	return n, bw.Flush()
 }
-
-// ReadCSV returns a Stream replaying CSV produced by WriteCSV (or any
-// CSV whose first column is a nanosecond timestamp and whose remaining
-// columns match schema). Parsing is lazy: rows are decoded as the
-// stream is pulled, and a malformed row ends the stream and surfaces
-// through Err.
-type CSVStream struct {
-	*Stream
-	err error
-}
-
-// Err returns the first parse error, or nil after a clean end.
-func (c *CSVStream) Err() error { return c.err }
-
-// ReadCSV builds a stream from r with the given metadata. The header
-// row is validated against the schema's field names.
-func ReadCSV(r io.Reader, name string, schema *tuple.Schema) (*CSVStream, error) {
-	cr := csv.NewReader(bufio.NewReaderSize(r, 1<<16))
-	cr.ReuseRecord = true
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("dataset: read header: %w", err)
-	}
-	if len(header) != schema.Len()+1 || header[0] != "ts" {
-		return nil, fmt.Errorf("dataset: header %v does not match schema %v", header, schema)
-	}
-	for i := 0; i < schema.Len(); i++ {
-		if header[i+1] != schema.Field(i).Name {
-			return nil, fmt.Errorf("dataset: column %d is %q, want %q", i+1, header[i+1], schema.Field(i).Name)
-		}
-	}
-	out := &CSVStream{}
-	row := 0
-	next := func() (tuple.Tuple, bool) {
-		if out.err != nil {
-			return tuple.Tuple{}, false
-		}
-		rec, err := cr.Read()
-		if err == io.EOF {
-			return tuple.Tuple{}, false
-		}
-		if err != nil {
-			out.err = err
-			return tuple.Tuple{}, false
-		}
-		row++
-		ts, err := strconv.ParseInt(rec[0], 10, 64)
-		if err != nil {
-			out.err = fmt.Errorf("dataset: row %d: bad timestamp %q", row, rec[0])
-			return tuple.Tuple{}, false
-		}
-		vals := make([]tuple.Value, schema.Len())
-		for i := 0; i < schema.Len(); i++ {
-			cell := rec[i+1]
-			switch schema.Field(i).Kind {
-			case tuple.KindInt:
-				v, err := strconv.ParseInt(cell, 10, 64)
-				if err != nil {
-					out.err = fmt.Errorf("dataset: row %d col %d: %w", row, i+1, err)
-					return tuple.Tuple{}, false
-				}
-				vals[i] = tuple.Int(v)
-			case tuple.KindFloat:
-				v, err := strconv.ParseFloat(cell, 64)
-				if err != nil {
-					out.err = fmt.Errorf("dataset: row %d col %d: %w", row, i+1, err)
-					return tuple.Tuple{}, false
-				}
-				vals[i] = tuple.Float(v)
-			case tuple.KindString:
-				vals[i] = tuple.String_(cell)
-			case tuple.KindBool:
-				v, err := strconv.ParseBool(cell)
-				if err != nil {
-					out.err = fmt.Errorf("dataset: row %d col %d: %w", row, i+1, err)
-					return tuple.Tuple{}, false
-				}
-				vals[i] = tuple.Bool(v)
-			}
-		}
-		return tuple.Tuple{Ts: ts, Vals: vals}, true
-	}
-	out.Stream = &Stream{Name: name, Schema: schema, Next: next}
-	return out, nil
-}

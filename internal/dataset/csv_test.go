@@ -2,16 +2,31 @@ package dataset
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 
 	"spear/internal/tuple"
 )
 
+// sliceStream replays ts under schema.
+func sliceStream(schema *tuple.Schema, ts ...tuple.Tuple) *Stream {
+	i := 0
+	return &Stream{Name: "mixed", Schema: schema, Next: func() (tuple.Tuple, bool) {
+		if i >= len(ts) {
+			return tuple.Tuple{}, false
+		}
+		i++
+		return ts[i-1], true
+	}}
+}
+
+// TestCSVRoundtrip: WriteCSV renders a generated stream as a "ts" header
+// plus the schema's names, then one line per tuple, timestamp first, the
+// float at full precision.
 func TestCSVRoundtrip(t *testing.T) {
-	src := DEBS(DEBSConfig{Tuples: 500, Seed: 1})
 	var buf bytes.Buffer
-	n, err := WriteCSV(src, &buf)
+	n, err := WriteCSV(DEBS(DEBSConfig{Tuples: 500, Seed: 1}), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,31 +34,26 @@ func TestCSVRoundtrip(t *testing.T) {
 		t.Fatalf("wrote %d rows", n)
 	}
 
-	ref := drain(DEBS(DEBSConfig{Tuples: 500, Seed: 1}))
-	back, err := ReadCSV(&buf, "DEBS", DEBS(DEBSConfig{Tuples: 1, Seed: 1}).Schema)
-	if err != nil {
-		t.Fatal(err)
+	ref := DEBS(DEBSConfig{Tuples: 500, Seed: 1})
+	want := []string{"ts," + ref.Schema.Field(0).Name + "," + ref.Schema.Field(1).Name}
+	for _, tp := range drain(ref) {
+		want = append(want, strconv.FormatInt(tp.Ts, 10)+","+tp.Vals[0].AsString()+","+
+			strconv.FormatFloat(tp.Vals[1].AsFloat(), 'g', -1, 64))
 	}
-	got := drain(back.Stream)
-	if back.Err() != nil {
-		t.Fatal(back.Err())
+	got := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(got) != len(want) {
+		t.Fatalf("%d lines, want %d", len(got), len(want))
 	}
-	if len(got) != len(ref) {
-		t.Fatalf("read %d rows, want %d", len(got), len(ref))
-	}
-	for i := range ref {
-		if got[i].Ts != ref[i].Ts {
-			t.Fatalf("row %d ts %d vs %d", i, got[i].Ts, ref[i].Ts)
-		}
-		if got[i].Vals[0].AsString() != ref[i].Vals[0].AsString() {
-			t.Fatalf("row %d route mismatch", i)
-		}
-		if got[i].Vals[1].AsFloat() != ref[i].Vals[1].AsFloat() {
-			t.Fatalf("row %d fare %v vs %v", i, got[i].Vals[1], ref[i].Vals[1])
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("line %d = %q, want %q", i, got[i], want[i])
 		}
 	}
 }
 
+// TestCSVAllKinds: each kind's cell as WriteCSV writes it — a string with
+// a comma quoted, an empty one empty — and a tuple with an invalid field
+// refused after the rows before it.
 func TestCSVAllKinds(t *testing.T) {
 	schema := tuple.NewSchema(
 		tuple.Field{Name: "i", Kind: tuple.KindInt},
@@ -51,97 +61,21 @@ func TestCSVAllKinds(t *testing.T) {
 		tuple.Field{Name: "s", Kind: tuple.KindString},
 		tuple.Field{Name: "b", Kind: tuple.KindBool},
 	)
-	in := []tuple.Tuple{
+	rows := []tuple.Tuple{
 		tuple.New(1, tuple.Int(-5), tuple.Float(2.25), tuple.String_("a,b"), tuple.Bool(true)),
 		tuple.New(2, tuple.Int(9), tuple.Float(-0.5), tuple.String_(""), tuple.Bool(false)),
 	}
-	i := 0
-	src := &Stream{Name: "mixed", Schema: schema, Next: func() (tuple.Tuple, bool) {
-		if i >= len(in) {
-			return tuple.Tuple{}, false
-		}
-		t := in[i]
-		i++
-		return t, true
-	}}
 	var buf bytes.Buffer
-	if _, err := WriteCSV(src, &buf); err != nil {
+	if _, err := WriteCSV(sliceStream(schema, rows...), &buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCSV(&buf, "mixed", schema)
-	if err != nil {
-		t.Fatal(err)
+	if want := "ts,i,f,s,b\n1,-5,2.25,\"a,b\",true\n2,9,-0.5,,false\n"; buf.String() != want {
+		t.Errorf("WriteCSV wrote %q, want %q", buf.String(), want)
 	}
-	got := drain(back.Stream)
-	if back.Err() != nil {
-		t.Fatal(back.Err())
-	}
-	if len(got) != 2 {
-		t.Fatalf("%d rows", len(got))
-	}
-	if got[0].Vals[0].AsInt() != -5 || got[0].Vals[2].AsString() != "a,b" || !got[0].Vals[3].AsBool() {
-		t.Errorf("row 0 = %v", got[0])
-	}
-	if got[1].Vals[1].AsFloat() != -0.5 || got[1].Vals[3].AsBool() {
-		t.Errorf("row 1 = %v", got[1])
-	}
-}
 
-func TestReadCSVHeaderValidation(t *testing.T) {
-	schema := tuple.NewSchema(tuple.Field{Name: "v", Kind: tuple.KindFloat})
-	cases := []string{
-		"",                    // empty
-		"v\n1\n",              // missing ts
-		"ts,wrong\n1,2\n",     // wrong field name
-		"ts,v,extra\n1,2,3\n", // too many columns
-	}
-	for _, c := range cases {
-		if _, err := ReadCSV(strings.NewReader(c), "x", schema); err == nil {
-			t.Errorf("header %q accepted", strings.SplitN(c, "\n", 2)[0])
-		}
-	}
-}
-
-func TestReadCSVMalformedRows(t *testing.T) {
-	schema := tuple.NewSchema(tuple.Field{Name: "v", Kind: tuple.KindFloat})
-	cases := []struct{ name, body string }{
-		{"bad ts", "ts,v\nxx,1\n"},
-		{"bad float", "ts,v\n1,notafloat\n"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cs, err := ReadCSV(strings.NewReader(tc.body), "x", schema)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, ok := cs.Stream.Next(); ok {
-				t.Error("malformed row yielded a tuple")
-			}
-			if cs.Err() == nil {
-				t.Error("error not surfaced")
-			}
-			// The stream stays ended.
-			if _, ok := cs.Stream.Next(); ok {
-				t.Error("stream continued after error")
-			}
-		})
-	}
-	// Bad int and bool kinds too.
-	schema2 := tuple.NewSchema(
-		tuple.Field{Name: "i", Kind: tuple.KindInt},
-		tuple.Field{Name: "b", Kind: tuple.KindBool},
-	)
-	cs, err := ReadCSV(strings.NewReader("ts,i,b\n1,notint,true\n"), "x", schema2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs.Stream.Next()
-	if cs.Err() == nil {
-		t.Error("bad int accepted")
-	}
-	cs, _ = ReadCSV(strings.NewReader("ts,i,b\n1,5,maybe\n"), "x", schema2)
-	cs.Stream.Next()
-	if cs.Err() == nil {
-		t.Error("bad bool accepted")
+	bad := tuple.New(3, tuple.Int(1), tuple.Value{}, tuple.String_("x"), tuple.Bool(true))
+	n, err := WriteCSV(sliceStream(schema, append(rows, bad)...), &bytes.Buffer{})
+	if err == nil || n != 2 || !strings.Contains(err.Error(), "invalid field 1") {
+		t.Errorf("a zero Value in field 1 of tuple 2: wrote %d rows, err %v", n, err)
 	}
 }

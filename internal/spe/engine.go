@@ -3,7 +3,6 @@ package spe
 import (
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -56,10 +55,10 @@ type Config struct {
 	// checkpointing (zero overhead on the hot path). The hooks are
 	// wired by the checkpoint coordinator.
 	Checkpoint *CheckpointHooks
-	// FieldsSeed, when non-zero, replaces the per-process randomized
-	// maphash fields partitioner with a deterministic seeded hash, so
-	// group→worker routing survives restarts. Required for checkpoint
-	// recovery of grouped (keyBy) topologies.
+	// FieldsSeed seeds the keyed partitioner (SeededFields), so that a
+	// group goes to the same worker in every run with the seed: across
+	// restarts, which checkpoint recovery of grouped (keyBy) topologies
+	// needs, and across the processes of a distributed run.
 	FieldsSeed int64
 	// Obs, when non-nil, receives live observability probes: per-edge
 	// queue-depth closures, per-worker watermark gauges, batch-occupancy
@@ -282,16 +281,13 @@ func (tp *Topology) Run() error {
 		}()
 		// Source tuple k goes to slot k mod par under Shuffle, so a
 		// replay from offset starts at the phase the crashed run had
-		// there; a keyed stage hashes with a seed that survives restarts
-		// and agrees across processes when the run asks for one.
+		// there; a keyed stage hashes with the run's seed, which survives
+		// restarts and agrees across processes.
 		var part Partitioner
-		switch {
-		case tp.windowed.keyBy == nil:
+		if tp.windowed.keyBy == nil {
 			part = NewShuffleAt(int(offset % int64(len(winIn))))
-		case tp.cfg.FieldsSeed != 0:
+		} else {
 			part = NewSeededFields(tp.windowed.keyBy, tp.cfg.FieldsSeed)
-		default:
-			part = NewFields(tp.windowed.keyBy, maphash.MakeSeed())
 		}
 		out := newBatcher(winIn, part, tp.cfg.BatchSize, pool)
 		defer out.flushAll() // runs before the channel-close defer above

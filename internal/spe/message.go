@@ -107,7 +107,8 @@ func (s *Shuffle) Route(_ tuple.Tuple, n int) int {
 
 // Fields routes tuples by hashing a grouping key, so all tuples of a
 // group meet at the same worker — required by grouped stateful
-// operations.
+// operations. The engine routes with SeededFields; benchmark/'s spe
+// probe times Fields.
 type Fields struct {
 	key  tuple.KeyExtractor
 	seed maphash.Seed
@@ -131,7 +132,8 @@ func (f *Fields) Route(t tuple.Tuple, n int) int {
 // Fields, whose maphash seed is randomized per process, SeededFields
 // routes every group to the same worker across restarts — required for
 // checkpoint recovery, where replayed tuples must reach the worker
-// whose restored state already holds their group.
+// whose restored state already holds their group. Topology.Run routes
+// every keyed stage with it.
 type SeededFields struct {
 	key  tuple.KeyExtractor
 	seed uint64

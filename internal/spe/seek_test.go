@@ -1,7 +1,6 @@
 package spe
 
 import (
-	"strings"
 	"testing"
 
 	"spear/internal/tuple"
@@ -25,66 +24,6 @@ func seqTuples(lo, hi, step int64) []tuple.Tuple {
 		ts = append(ts, tuple.New(i, tuple.Int(i)))
 	}
 	return ts
-}
-
-// TestMergeSpoutSeekIdentity pins the recovery contract: SeekTo(k)
-// followed by draining must reproduce exactly the suffix a fresh merge
-// produces after k Next calls — for every k, including past-the-end.
-func TestMergeSpoutSeekIdentity(t *testing.T) {
-	mk := func() Spout {
-		return MergeSpouts(
-			NewSliceSpout(seqTuples(0, 30, 3)),
-			NewSliceSpout(seqTuples(1, 30, 3)),
-			NewSliceSpout(seqTuples(2, 30, 3)),
-		)
-	}
-	ref := drainTuples(mk())
-	if len(ref) != 30 {
-		t.Fatalf("reference drained %d tuples, want 30", len(ref))
-	}
-	for k := int64(0); k <= int64(len(ref))+2; k++ {
-		m := mk()
-		// Consume a partial prefix first so SeekTo must rewind state,
-		// not just skip forward.
-		for i := 0; i < 5 && i < int(k); i++ {
-			m.Next()
-		}
-		sk, ok := m.(Seeker)
-		if !ok {
-			t.Fatal("merged spout does not implement Seeker")
-		}
-		if err := sk.SeekTo(k); err != nil {
-			t.Fatalf("SeekTo(%d): %v", k, err)
-		}
-		got := drainTuples(m)
-		want := ref[min(int(k), len(ref)):]
-		if len(got) != len(want) {
-			t.Fatalf("SeekTo(%d): drained %d tuples, want %d", k, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].Ts != want[i].Ts {
-				t.Fatalf("SeekTo(%d): tuple %d has Ts %d, want %d", k, i, got[i].Ts, want[i].Ts)
-			}
-		}
-	}
-}
-
-func TestMergeSpoutSeekErrors(t *testing.T) {
-	m := MergeSpouts(
-		NewSliceSpout(seqTuples(0, 4, 1)),
-		FuncSpout(func() (tuple.Tuple, bool) { return tuple.Tuple{}, false }),
-	)
-	sk := m.(Seeker)
-	err := sk.SeekTo(1)
-	if err == nil {
-		t.Fatal("SeekTo over a non-seekable source must fail fast")
-	}
-	if !strings.Contains(err.Error(), "not seekable") {
-		t.Errorf("error %q does not explain the non-seekable source", err)
-	}
-	if err := sk.SeekTo(-1); err == nil {
-		t.Error("negative offset accepted")
-	}
 }
 
 // TestDisorderSpoutSeekIdentity: the shuffled emission order is a
@@ -127,16 +66,5 @@ func TestDisorderSpoutSeekErrors(t *testing.T) {
 	seekable := NewDisorderSpout(NewSliceSpout(seqTuples(0, 4, 1)), 3, 1)
 	if err := seekable.SeekTo(-2); err == nil {
 		t.Error("negative offset accepted")
-	}
-}
-
-// TestMergeSpoutSingleAndEmpty pins the degenerate MergeSpouts returns:
-// they must remain seekable too.
-func TestMergeSpoutSingleAndEmpty(t *testing.T) {
-	if _, ok := MergeSpouts().(Seeker); !ok {
-		t.Error("empty merge is not seekable")
-	}
-	if _, ok := MergeSpouts(NewSliceSpout(seqTuples(0, 3, 1))).(Seeker); !ok {
-		t.Error("single-source merge does not pass through the inner Seeker")
 	}
 }

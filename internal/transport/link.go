@@ -111,6 +111,7 @@ type link struct {
 	unacked [][]byte
 	queued  int      // wire bytes queued since a write pass last began
 	free    [][]byte // acknowledged images awaiting reuse, at most window
+	held    [][]byte // acknowledged images a write pass may still be reading
 
 	// Write side, owned by whoever set writing.
 	writing   bool
@@ -277,6 +278,12 @@ func (l *link) writePassLocked() bool {
 	l.mu.Unlock()
 	_, err := l.wv.WriteTo(conn)
 	l.mu.Lock()
+	// No pass reads the images acknowledged while this one wrote.
+	for _, buf := range l.held {
+		l.recycleLocked(buf)
+	}
+	clear(l.held)
+	l.held = l.held[:0]
 	switch {
 	case err != nil:
 		l.connLostLocked(conn, err)
@@ -436,9 +443,11 @@ func (l *link) onAckLocked(acked uint64) {
 	for i, buf := range l.unacked[:n] {
 		// A frame acknowledged before its write returned (a fast peer,
 		// or one that got it on an earlier connection) may still be
-		// under the writer's eyes: that buffer goes to the collector.
-		if l.acked+uint64(i) < l.sent && cap(buf) <= flushBytes {
-			l.free = append(l.free, buf)
+		// under the writer's eyes: it waits in held for the pass to end.
+		if l.acked+uint64(i) < l.sent {
+			l.recycleLocked(buf)
+		} else {
+			l.held = append(l.held, buf)
 		}
 	}
 	l.unacked = append(l.unacked[:0], l.unacked[n:]...)
@@ -447,6 +456,15 @@ func (l *link) onAckLocked(acked uint64) {
 		l.sent = acked
 	}
 	l.cond.Broadcast()
+}
+
+// recycleLocked puts an acknowledged image that no write pass reads on
+// the free list, which keeps at most window images of at most
+// flushBytes.
+func (l *link) recycleLocked(buf []byte) {
+	if cap(buf) <= flushBytes && len(l.free) < l.window {
+		l.free = append(l.free, buf)
+	}
 }
 
 // readLoop is the frame-dispatch loop of the adopted conn of

@@ -153,95 +153,3 @@ func TestObserveValidation(t *testing.T) {
 		t.Error("nil instruments accepted")
 	}
 }
-
-// TestMergedSourceCheckpointResume is the recovery-identity gate for
-// merged sources: a query reading Merge(evens, odds) checkpoints, dies,
-// and resumes — the union of both legs must equal an uninterrupted
-// reference run window for window. Before mergeSpout implemented
-// SeekTo, recovery over a merge silently replayed from the wrong
-// position.
-func TestMergedSourceCheckpointResume(t *testing.T) {
-	const (
-		n      = 2000
-		winSec = 100
-		stopAt = 1100
-	)
-	mk := func(hi int, parity int) []Tuple {
-		var ts []Tuple
-		for i := parity; i < hi; i += 2 {
-			ts = append(ts, NewTuple(int64(i)*int64(time.Second), Float(float64(i%50))))
-		}
-		return ts
-	}
-	build := func(src Source, store storage.SpillStore) *Query {
-		return NewQuery("mergeckpt").
-			Source(src).
-			TumblingWindow(winSec*time.Second).
-			Mean(func(t Tuple) float64 { return t.Vals[0].AsFloat() }).
-			BudgetTuples(64).
-			Error(0.05, 0.95).
-			Seed(11).
-			SpillStore(store)
-	}
-
-	ref := &sinkBuf{}
-	if _, err := build(Merge(FromSlice(mk(n, 0)), FromSlice(mk(n, 1))), storage.NewMemStore()).Run(ref.add); err != nil {
-		t.Fatal(err)
-	}
-	refRes := ref.sorted()
-	if len(refRes) != n/winSec {
-		t.Fatalf("reference: %d windows, want %d", len(refRes), n/winSec)
-	}
-
-	// Leg 1: the merged stream ends early (the process "dies").
-	store := storage.NewMemStore()
-	tel := NewInstruments()
-	leg1 := &sinkBuf{}
-	if _, err := build(Merge(FromSlice(mk(stopAt, 0)), FromSlice(mk(stopAt, 1))), store).
-		CheckpointEvery(400, 0).
-		ObserveWith(tel).
-		Run(leg1.add); err != nil {
-		t.Fatal(err)
-	}
-	if tel.Checkpoint().Completed.Load() < 1 {
-		t.Fatal("leg 1 committed no checkpoints")
-	}
-
-	// Leg 2: the full merged stream recovers and resumes.
-	leg2 := &sinkBuf{}
-	if _, err := build(Merge(FromSlice(mk(n, 0)), FromSlice(mk(n, 1))), store).
-		CheckpointEvery(400, 0).
-		Recover().
-		Run(leg2.add); err != nil {
-		t.Fatal(err)
-	}
-	if len(leg2.sorted()) >= len(refRes) {
-		t.Fatalf("leg 2 emitted %d windows; recovery did not skip the prefix", len(leg2.sorted()))
-	}
-
-	merged := map[int64]Result{}
-	for _, r := range leg1.sorted() {
-		merged[r.Start] = r
-	}
-	for _, r := range leg2.sorted() {
-		if prev, dup := merged[r.Start]; dup {
-			if prev.Scalar != r.Scalar || prev.N != r.N || prev.Mode != r.Mode {
-				t.Errorf("window @%d diverged across legs: %+v vs %+v", r.Start, prev, r)
-			}
-		}
-		merged[r.Start] = r
-	}
-	if len(merged) != len(refRes) {
-		t.Fatalf("merged %d windows, want %d", len(merged), len(refRes))
-	}
-	for _, w := range refRes {
-		g, ok := merged[w.Start]
-		if !ok {
-			t.Errorf("window @%d missing from merged output", w.Start)
-			continue
-		}
-		if g.Scalar != w.Scalar || g.N != w.N || g.SampleN != w.SampleN || g.Mode != w.Mode {
-			t.Errorf("window @%d: got %+v, want %+v", w.Start, g, w)
-		}
-	}
-}

@@ -38,46 +38,147 @@ var unreachedAllowed = map[string]string{
 	"tuple.Value.Equal":                "test support: value comparison in the codec and round-trip tests",
 }
 
+// publicUnreachedAllowed names the exported symbols of package spear
+// that no program calls and that stay anyway, each with its reason.
+// Keys are "spear.Name" or "spear.Type.Method".
+var publicUnreachedAllowed = map[string]string{
+	"spear.Int":                   "the int tuple kind's constructor, beside Float and Str",
+	"spear.Bool":                  "the bool tuple kind's constructor, beside Float and Str",
+	"spear.CustomFunc":            "the type of CustomAgg's parameter",
+	"spear.Snapshot":              "the name of what Instruments.Snapshot returns",
+	"spear.TraceEvent":            "the name of what the trace ring behind Instruments records",
+	"spear.Query.Count":           "one of DESIGN §1 row 8's aggregates",
+	"spear.Query.Variance":        "one of DESIGN §1 row 8's aggregates",
+	"spear.Query.StdDev":          "one of DESIGN §1 row 8's aggregates",
+	"spear.Query.CheckpointEvery": "the barrier snapshots of DESIGN §10's fault tolerance",
+	"spear.Query.Recover":         "the resume from a checkpoint of DESIGN §10's fault tolerance",
+}
+
 // TestEveryExportedSymbolIsReached: every exported symbol under
 // internal/ is named by a non-test file of the module or of benchmark/
-// (whose layer probes import internal/), or has an unreachedAllowed
-// entry. A package-level name is reached when a file uses it qualified
-// through its import name, or bare inside its own package (receivers
-// aside). A method of an exported type is reached when any selector or
-// interface method has its name: a shared name can hide a dead method,
-// but a live one is never flagged. An allow entry that excuses nothing
-// fails too, so the list cannot go stale.
+// (whose layer probes import internal/), and every exported symbol of
+// package spear by a program — a command, an example, the experiment
+// harness (internal/bench) or the benchmark — or it has an
+// unreachedAllowed or publicUnreachedAllowed entry. See unreachedSymbols
+// for what counts as a use. An allow entry that excuses nothing fails
+// too, so the lists cannot go stale.
 func TestEveryExportedSymbolIsReached(t *testing.T) {
-	type file struct {
-		dir string
-		f   *ast.File
-	}
-	var files []file
-	pkgName := map[string]string{} // dir → package name
 	fset := token.NewFileSet()
+	var files []sourceFile
 	parseSources(t, fset, parser.SkipObjectResolution, func(path string, f *ast.File) {
-		dir := filepath.ToSlash(filepath.Dir(path))
-		files = append(files, file{dir, f})
-		pkgName[dir] = f.Name.Name
+		files = append(files, sourceFile{filepath.ToSlash(filepath.Dir(path)), f})
 	})
-
-	type symbol struct {
-		key    string // pkg.Name or pkg.Type.Method
-		use    string // dir.Name for a package-level name, Method for a method
-		method bool
-		pos    token.Pos
+	decls, unreached, stale := unreachedSymbols(files, unreachedAllowed, publicUnreachedAllowed)
+	for _, s := range unreached {
+		p := fset.Position(s.pos)
+		if s.public {
+			t.Errorf("%s:%d %s: exported, but no command, example or benchmark uses it; delete it or give publicUnreachedAllowed a reason", p.Filename, p.Line, s.key)
+		} else {
+			t.Errorf("%s:%d %s: exported, but no program, example or benchmark probe reaches it; delete it or give unreachedAllowed a reason", p.Filename, p.Line, s.key)
+		}
 	}
-	var decls []symbol
+	for _, entry := range stale {
+		t.Errorf("allow entry %q excuses no unreached symbol: delete the entry", entry)
+	}
+	for _, allowed := range []map[string]string{unreachedAllowed, publicUnreachedAllowed} {
+		for entry, why := range allowed {
+			if strings.TrimSpace(why) == "" {
+				t.Errorf("allow entry %q gives no reason", entry)
+			}
+		}
+	}
+	if decls == 0 {
+		t.Fatal("found no exported declarations: the scan no longer sees the source")
+	}
+}
+
+// TestReachedGuardCatchesPlants runs the scan of
+// TestEveryExportedSymbolIsReached over a planted root package and a
+// program: a root export that only the package itself uses is reported,
+// and so is a method the program never calls; a name the program
+// qualifies and a method it calls are not, and an entry that excuses a
+// reached symbol is stale.
+func TestReachedGuardCatchesPlants(t *testing.T) {
+	fset := token.NewFileSet()
+	var files []sourceFile
+	for dir, src := range map[string]string{
+		".": `package spear
+type Query struct{}
+func (Query) Called()  {}
+func (Query) Dead()    {}
+func (Query) Field()   {}
+func Used() Query      { Unused(); return Query{} }
+func Unused()          {}
+func Kept()            {}`,
+		"cmd/user": `package main
+import "spear"
+func main() {
+	var q spear.Query = spear.Used()
+	q.Called()
+	var s struct{ Field int }
+	_ = s.Field
+}`,
+	} {
+		f, err := parser.ParseFile(fset, dir+"/x.go", src, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, sourceFile{dir, f})
+	}
+	public := map[string]string{"spear.Kept": "kept", "spear.Used": "stale"}
+	decls, unreached, stale := unreachedSymbols(files, map[string]string{}, public)
+	var keys []string
+	for _, s := range unreached {
+		keys = append(keys, s.key)
+	}
+	sort.Strings(keys)
+	if decls != 7 || strings.Join(keys, " ") != "spear.Query.Dead spear.Query.Field spear.Unused" || strings.Join(stale, " ") != "spear.Used" {
+		t.Errorf("%d declarations, unreached %v, stale %v; want 7, [spear.Query.Dead spear.Query.Field spear.Unused], [spear.Used]", decls, keys, stale)
+	}
+}
+
+// exported is an exported declaration: its allow key ("pkg.Name" or
+// "pkg.Type.Method"), the name a use is looked up by ("dir.Name" for a
+// package-level name, "Method" for a method), and whether it belongs to
+// package spear, whose symbols only programs reach.
+type exported struct {
+	key    string
+	use    string
+	method bool
+	public bool
+	pos    token.Pos
+}
+
+// unreachedSymbols counts the exported declarations of internal/ and of
+// package spear in files, and returns those that nothing reaches and the
+// allow lists do not excuse, and the allow entries that excuse nothing.
+//
+// An internal package-level name is reached when any file uses it
+// qualified through its import name, or bare inside its own package
+// (receivers aside). An internal method is reached when any selector or
+// interface method has its name: a shared name can hide a dead method,
+// but a live one is never flagged. A symbol of package spear counts
+// only programs' uses (isProgram): a package-level name must be
+// qualified there, and a method called by name, x.Method(…), so that a
+// field or a value that shares the name does not keep it.
+func unreachedSymbols(files []sourceFile, allowed, public map[string]string) (decls int, unreached []exported, stale []string) {
+	pkgName := map[string]string{} // dir → package name
+	for _, fl := range files {
+		pkgName[fl.dir] = fl.f.Name.Name
+	}
+
+	var syms []exported
 	declared := map[token.Pos]bool{} // declaring identifiers are not uses
 	for _, fl := range files {
-		if !strings.HasPrefix(fl.dir, "internal/") {
+		isPublic := fl.dir == "."
+		if !isPublic && !strings.HasPrefix(fl.dir, "internal/") {
 			continue
 		}
 		pkg := fl.f.Name.Name
 		add := func(id *ast.Ident) {
 			declared[id.Pos()] = true
 			if id.IsExported() {
-				decls = append(decls, symbol{key: pkg + "." + id.Name, use: fl.dir + "." + id.Name, pos: id.Pos()})
+				syms = append(syms, exported{key: pkg + "." + id.Name, use: fl.dir + "." + id.Name, public: isPublic, pos: id.Pos()})
 			}
 		}
 		for _, d := range fl.f.Decls {
@@ -86,7 +187,7 @@ func TestEveryExportedSymbolIsReached(t *testing.T) {
 				if d.Recv == nil {
 					add(d.Name)
 				} else if typ := recvType(d.Recv); ast.IsExported(typ) && d.Name.IsExported() {
-					decls = append(decls, symbol{key: pkg + "." + typ + "." + d.Name.Name, use: d.Name.Name, method: true, pos: d.Name.Pos()})
+					syms = append(syms, exported{key: pkg + "." + typ + "." + d.Name.Name, use: d.Name.Name, method: true, public: isPublic, pos: d.Name.Pos()})
 				}
 			case *ast.GenDecl:
 				for _, s := range d.Specs {
@@ -103,11 +204,14 @@ func TestEveryExportedSymbolIsReached(t *testing.T) {
 		}
 	}
 
-	qualified := map[string]bool{} // dir.Name used as pkg.Name
-	bare := map[string]bool{}      // dir.Name used inside its own package
-	selected := map[string]bool{}  // names of selectors and interface methods
+	qualified := map[string]bool{}     // dir.Name used as pkg.Name
+	bare := map[string]bool{}          // dir.Name used inside its own package
+	selected := map[string]bool{}      // names of selectors and interface methods
+	progQualified := map[string]bool{} // dir.Name used as pkg.Name by a program
+	progCalled := map[string]bool{}    // names a program calls as x.Name(…)
 	for _, fl := range files {
 		imports := spearImports(fl.f, pkgName)
+		program := isProgram(fl.dir)
 		var visit func(n ast.Node) bool
 		visit = func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -119,11 +223,18 @@ func TestEveryExportedSymbolIsReached(t *testing.T) {
 					}
 					return false
 				}
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && program {
+					progCalled[sel.Sel.Name] = true
+				}
 			case *ast.SelectorExpr:
 				selected[n.Sel.Name] = true
 				if x, ok := n.X.(*ast.Ident); ok {
 					if dir, ok := imports[x.Name]; ok {
 						qualified[dir+"."+n.Sel.Name] = true
+						if program {
+							progQualified[dir+"."+n.Sel.Name] = true
+						}
 						return false
 					}
 				}
@@ -146,33 +257,48 @@ func TestEveryExportedSymbolIsReached(t *testing.T) {
 	}
 
 	matched := map[string]bool{}
-	for _, s := range decls {
-		if s.method && selected[s.use] || !s.method && (qualified[s.use] || bare[s.use]) {
+	for _, s := range syms {
+		var reached bool
+		lists := allowed
+		switch {
+		case s.public && s.method:
+			reached, lists = progCalled[s.use], public
+		case s.public:
+			reached, lists = progQualified[s.use], public
+		case s.method:
+			reached = selected[s.use]
+		default:
+			reached = qualified[s.use] || bare[s.use]
+		}
+		if reached {
 			continue
 		}
-		if entry, ok := allowEntry(s.key); ok {
+		if entry, ok := allowEntry(lists, s.key); ok {
 			matched[entry] = true
 			continue
 		}
-		p := fset.Position(s.pos)
-		t.Errorf("%s:%d %s: exported, but no program, example or benchmark probe reaches it; delete it or give unreachedAllowed a reason", p.Filename, p.Line, s.key)
+		unreached = append(unreached, s)
 	}
-	var entries []string
-	for entry := range unreachedAllowed {
-		entries = append(entries, entry)
-	}
-	sort.Strings(entries)
-	for _, entry := range entries {
-		switch {
-		case strings.TrimSpace(unreachedAllowed[entry]) == "":
-			t.Errorf("unreachedAllowed[%q] gives no reason", entry)
-		case !matched[entry]:
-			t.Errorf("unreachedAllowed[%q] excuses no unreached symbol: delete the entry", entry)
+	for _, list := range []map[string]string{allowed, public} {
+		for entry := range list {
+			if !matched[entry] {
+				stale = append(stale, entry)
+			}
 		}
 	}
-	if len(decls) == 0 || len(selected) == 0 {
-		t.Fatalf("found %d declarations and %d selector names: the scan no longer sees the source", len(decls), len(selected))
+	sort.Strings(stale)
+	return len(syms), unreached, stale
+}
+
+// isProgram reports whether dir holds a program's code: a command, an
+// example, the experiment harness or the benchmark.
+func isProgram(dir string) bool {
+	for _, p := range []string{"cmd", "examples", "internal/bench", "benchmark"} {
+		if dir == p || strings.HasPrefix(dir, p+"/") {
+			return true
+		}
 	}
+	return false
 }
 
 // parseSources parses every non-test Go file of the module and of
@@ -212,6 +338,9 @@ func spearImports(f *ast.File, pkgName map[string]string) map[string]string {
 	for _, im := range f.Imports {
 		path, _ := strconv.Unquote(im.Path.Value)
 		dir, ok := strings.CutPrefix(path, "spear/")
+		if path == "spear" {
+			dir, ok = ".", true
+		}
 		if !ok {
 			continue
 		}
@@ -224,14 +353,14 @@ func spearImports(f *ast.File, pkgName map[string]string) map[string]string {
 	return imports
 }
 
-// allowEntry returns the unreachedAllowed key that covers the symbol
-// key (pkg.Name or pkg.Type.Method): the key itself, its type, the type
-// it constructs, or its package.
-func allowEntry(key string) (string, bool) {
+// allowEntry returns the key of allowed that covers the symbol key
+// (pkg.Name or pkg.Type.Method): the key itself, its type, the type it
+// constructs, or its package.
+func allowEntry(allowed map[string]string, key string) (string, bool) {
 	parts := strings.Split(key, ".")
 	pkg, name := parts[0], parts[1]
 	for _, entry := range []string{key, pkg + "." + name, pkg + "." + strings.TrimPrefix(name, "New"), pkg + ".*"} {
-		if _, ok := unreachedAllowed[entry]; ok {
+		if _, ok := allowed[entry]; ok {
 			return entry, true
 		}
 	}

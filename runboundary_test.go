@@ -57,11 +57,9 @@ func TestRunBoundaryIsNotSemantic(t *testing.T) {
 				SlidingWindow(300*time.Second, 100*time.Second).Mean(val).Parallelism(3))
 		}},
 		{"grouped mean, par 2, fields", false, func(t *testing.T, batch int) []workerResult {
-			// The never-firing cadence only selects the seeded fields
-			// partitioner, so every run routes a group to the same worker.
 			return run(t, base("rb-grouped", batch).Source(FromSlice(in)).
 				GroupBy(func(tp Tuple) string { return tp.Vals[1].String() }).Mean(val).
-				Parallelism(2).CheckpointEvery(1<<40, 0))
+				Parallelism(2))
 		}},
 		{"columnar, fused, filters", true, func(t *testing.T, batch int) []workerResult {
 			return run(t, base("rb-fused", batch).Source(FromSlice(in)).

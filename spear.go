@@ -28,14 +28,12 @@ package spear
 import (
 	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"spear/internal/agg"
 	"spear/internal/checkpoint"
 	"spear/internal/control"
 	"spear/internal/core"
-	"spear/internal/dataset"
 	"spear/internal/obs"
 	"spear/internal/sample"
 	"spear/internal/spe"
@@ -79,45 +77,14 @@ var (
 	Bool = tuple.Bool
 )
 
+// KindString is the kind of a Str value (Value.Kind).
+const KindString = tuple.KindString
+
 // FromSlice returns a Source replaying ts in order.
 func FromSlice(ts []Tuple) Source { return spe.NewSliceSpout(ts) }
 
 // FromFunc adapts a generator function to a Source.
 func FromFunc(f func() (Tuple, bool)) Source { return spe.FuncSpout(f) }
-
-// Merge combines several event-time-ordered sources into one (a CQ with
-// multiple input streams). Each input must be non-decreasing in Ts.
-func Merge(sources ...Source) Source { return spe.MergeSpouts(sources...) }
-
-// Schema describes a stream's fields; Field is one column.
-type (
-	Schema = tuple.Schema
-	Field  = tuple.Field
-)
-
-// Field kinds for schemas.
-const (
-	KindInt    = tuple.KindInt
-	KindFloat  = tuple.KindFloat
-	KindString = tuple.KindString
-	KindBool   = tuple.KindBool
-)
-
-// NewSchema builds a schema from fields (names must be unique).
-var NewSchema = tuple.NewSchema
-
-// FromCSV returns a Source replaying CSV data whose first column is a
-// nanosecond timestamp named "ts" and whose remaining columns match
-// schema — the format cmd/spear-gen writes. Parse errors end the
-// stream; call the returned error function after the run to check for
-// one.
-func FromCSV(r io.Reader, name string, schema *Schema) (Source, func() error, error) {
-	cs, err := dataset.ReadCSV(r, name, schema)
-	if err != nil {
-		return nil, nil, err
-	}
-	return FromFunc(cs.Stream.Next), cs.Err, nil
-}
 
 // Backend selects the stateful processing strategy, mainly for
 // benchmarking SPEAr against its baselines.
@@ -584,14 +551,6 @@ func (q *Query) DisableIncremental() *Query {
 	return q
 }
 
-// EstimateScalarWith installs a custom accuracy-estimation function for
-// scalar operations — the paper's API for user-defined approximate
-// stateful operations.
-func (q *Query) EstimateScalarWith(est core.ScalarEstimator) *Query {
-	q.p.fns.scalarEst = est
-	return q
-}
-
 // EstimateGroupedWith installs a custom accuracy-estimation function
 // for grouped operations.
 func (q *Query) EstimateGroupedWith(est core.GroupedEstimator) *Query {
@@ -612,10 +571,6 @@ type (
 	// → fire → emit).
 	TraceEvent = obs.TraceEvent
 )
-
-// WritePrometheus renders a snapshot in the Prometheus text exposition
-// format (version 0.0.4).
-var WritePrometheus = obs.WritePrometheus
 
 // NewInstruments returns an empty live-instrument registry to pass to
 // ObserveWith; snapshot it with its Snapshot method at any time during
@@ -741,23 +696,13 @@ func (q *Query) Run(sink func(worker int, r Result)) (Summary, error) {
 		hooks = coord.Hooks()
 	}
 
-	fieldsSeed := int64(0)
-	if ckptEnabled || len(p.nodes) > 0 {
-		// Group→worker routing must survive restarts and must agree
-		// across processes; derive a deterministic partitioner seed from
-		// the query seed.
-		fieldsSeed = sample.DeriveSeed(p.worker.Seed, -1)
-		if fieldsSeed == 0 {
-			fieldsSeed = 1
-		}
-	}
 	tp := spe.NewTopology(spe.Config{
 		BatchSize:       p.batchSize,
 		Columnar:        p.columnar.Enabled,
 		WatermarkPeriod: int64(p.wmPeriod),
 		WatermarkLag:    int64(p.wmLag),
 		Checkpoint:      hooks,
-		FieldsSeed:      fieldsSeed,
+		FieldsSeed:      sample.DeriveSeed(p.worker.Seed, -1), // group→worker routing, rooted at the seed
 		Obs:             ins,
 	}).SetSpout(p.source)
 	for _, fn := range p.maps {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"spear/internal/agg"
 	"spear/internal/core"
 	"spear/internal/storage"
 )
@@ -283,6 +284,41 @@ func TestKnownGroups(t *testing.T) {
 	}
 }
 
+// TestSameSeedRoutesAlike: keyed routing is rooted at the query's seed
+// (DESIGN §9.2), so two runs of one grouped query at par 2 with the
+// same seed give each worker the same groups, and every (worker,
+// window) the same result, values and Mode included.
+func TestSameSeedRoutesAlike(t *testing.T) {
+	in := distTuples(12, 300, 40)
+	run := func() []workerResult {
+		got := &workerSink{}
+		if _, err := NewQuery("routing").
+			Source(FromSlice(in)).
+			TumblingWindow(300 * time.Second).
+			GroupBy(func(tp Tuple) string { return tp.Vals[1].String() }).
+			KnownGroups(40).
+			Median(func(tp Tuple) float64 { return tp.Vals[0].AsFloat() }).
+			BudgetTuples(96).
+			Seed(7).
+			Parallelism(2).
+			Run(got.add); err != nil {
+			t.Fatal(err)
+		}
+		return got.sorted()
+	}
+	want := run()
+	workers := map[int]bool{}
+	for _, r := range want {
+		workers[r.Worker] = true
+	}
+	if len(workers) != 2 {
+		t.Fatalf("results from workers %v, want both", workers)
+	}
+	requireIdentical(t, want, run())
+}
+
+// TestCustomEstimators: the estimator CustomAgg takes decides every
+// window, and one that refuses forces ModeExact.
 func TestCustomEstimators(t *testing.T) {
 	var in []Tuple
 	for i := 0; i < 500; i++ {
@@ -292,13 +328,12 @@ func TestCustomEstimators(t *testing.T) {
 	sink := &sinkBuf{}
 	_, err := NewQuery("custom").
 		Source(FromSlice(in)).
-		TumblingWindow(500 * time.Nanosecond).
-		Mean(func(t Tuple) float64 { return t.Vals[0].AsFloat() }).
-		DisableIncremental().
-		EstimateScalarWith(func(s core.ScalarState) (float64, bool) {
-			refusals++
-			return math.Inf(1), false
-		}).
+		TumblingWindow(500*time.Nanosecond).
+		CustomAgg(agg.TrimmedMean(0.05), func(t Tuple) float64 { return t.Vals[0].AsFloat() },
+			func(s core.ScalarState) (float64, bool) {
+				refusals++
+				return math.Inf(1), false
+			}).
 		Run(sink.add)
 	if err != nil {
 		t.Fatal(err)
@@ -354,13 +389,13 @@ func TestQueryValidationErrors(t *testing.T) {
 }
 
 // TestQueryMethodSet pins the exported *Query methods. A method is added
-// to this list only under ROADMAP item 4's rule: an example, a spear-demo
+// to this list only under ROADMAP item 7's rule: an example, a spear-demo
 // flag or a test shows a behaviour the default lacks.
 func TestQueryMethodSet(t *testing.T) {
 	want := []string{
 		"AdaptiveBudget", "BatchSize", "BudgetTuples", "CheckpointEvery", "Columnar",
 		"Count", "CountSlidingWindow", "CustomAgg", "DisableIncremental",
-		"Distribute", "Error", "EstimateGroupedWith", "EstimateScalarWith", "GroupBy",
+		"Distribute", "Error", "EstimateGroupedWith", "GroupBy",
 		"KnownGroups", "LatencySLO", "Map", "Max", "Mean",
 		"Median", "Min", "ObserveWith", "Parallelism", "Percentile",
 		"Recover", "Run", "Seed", "ServeShard", "SlidingWindow",
