@@ -1,7 +1,7 @@
 # Correctness gate for the SPEAr repo. `make check` is the bar every
-# change must clear locally and in CI: compile, vet, the in-repo
-# spearlint analyzers, the full test suite under the race detector, and
-# the crash-recovery integration suite (also race-enabled).
+# change must clear locally and in CI: compile, vet, gofmt and the source
+# guards, the full test suite under the race detector, and the
+# crash-recovery integration suite (also race-enabled).
 
 GO ?= go
 
@@ -15,18 +15,20 @@ build:
 vet:
 	$(GO) vet ./...
 
-# spearlint is this repo's own analyzer suite (cmd/spearlint): global
-# rand usage, goroutine discipline, wall-clock use in event-time code
-# and the engine, float equality, dropped codec/spill errors. What a
-# tuple costs on the hot paths, the lock-free contracts and the flate
-# writer pool are tests, not lints: their gates run in `race`. Exit
-# status 1 means findings; see DESIGN.md §9 for the catalogue and
-# suppression syntax. Before it, gofmt: any file `gofmt -l` lists fails
-# the target.
+# The source guards are root tests over one parse of every non-test file
+# (DESIGN.md §9.1): five checks (global rand in library code, goroutine
+# discipline, wall-clock use in event-time code and the engine, float
+# equality, dropped codec/spill errors) and five surface guards (reached
+# symbols, unsafe, config fields, DESIGN references, plan fields). A
+# finding stays only with an allowlist entry that gives a reason, and an
+# entry that excuses nothing fails. What a tuple costs on the hot paths,
+# the lock-free contracts and the flate writer pool are tests, not
+# guards: their gates run in `race`. Before them, gofmt: any file
+# `gofmt -l` lists fails the target.
 lint:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists files that need gofmt -w:"; echo "$$unformatted"; exit 1; fi
-	$(GO) run ./cmd/spearlint ./...
+	$(GO) test -count=1 -run '^(TestRepoClean|TestEveryExportedSymbolIsReached|TestUnsafeStaysInOneFile|TestEveryConfigFieldIsSet|TestDesignReferencesResolve|TestPlanFields)$$' .
 
 test:
 	$(GO) test ./...

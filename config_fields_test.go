@@ -4,8 +4,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"path/filepath"
-	"sort"
 	"strings"
 	"testing"
 )
@@ -36,23 +34,14 @@ var configSeamsAllowed = map[string]string{
 // Literals whose type is elided ([]pkg.Config{{…}}) are not seen. An
 // allow entry that excuses nothing fails, so the list cannot go stale.
 func TestEveryConfigFieldIsSet(t *testing.T) {
-	fset := token.NewFileSet()
-	var files []sourceFile
-	parseSources(t, fset, parser.SkipObjectResolution, func(path string, f *ast.File) {
-		files = append(files, sourceFile{filepath.ToSlash(filepath.Dir(path)), f})
-	})
-	fields, unset, stale := unsetConfigFields(files, configSeamsAllowed)
+	fset, files := parseSources(t)
+	fields, unset, used := unsetConfigFields(files, configSeamsAllowed)
 	for _, f := range unset {
 		p := fset.Position(f.pos)
 		t.Errorf("%s:%d %s: no program sets it; make it a constant or give configSeamsAllowed a reason", p.Filename, p.Line, f.key)
 	}
-	for _, key := range stale {
-		t.Errorf("configSeamsAllowed[%q] excuses no unset field: delete the entry", key)
-	}
-	for key, why := range configSeamsAllowed {
-		if strings.TrimSpace(why) == "" {
-			t.Errorf("configSeamsAllowed[%q] gives no reason", key)
-		}
+	for _, p := range allowProblems("configSeamsAllowed", configSeamsAllowed, used) {
+		t.Error(p)
 	}
 	if fields == 0 {
 		t.Fatal("found no config fields: the scan no longer sees the source")
@@ -82,23 +71,17 @@ func main() {
 		if err != nil {
 			t.Fatal(err)
 		}
-		files = append(files, sourceFile{dir, f})
+		files = append(files, sourceFile{dir: dir, f: f})
 	}
 	allowed := map[string]string{"plant.KnobConfig.Seam": "kept", "plant.KnobConfig.Keyed": "stale"}
-	fields, unset, stale := unsetConfigFields(files, allowed)
+	fields, unset, used := unsetConfigFields(files, allowed)
 	var keys []string
 	for _, f := range unset {
 		keys = append(keys, f.key)
 	}
-	if fields != 4 || strings.Join(keys, " ") != "plant.KnobConfig.Unset" || strings.Join(stale, " ") != "plant.KnobConfig.Keyed" {
-		t.Errorf("%d fields, unset %v, stale %v; want 4, [plant.KnobConfig.Unset], [plant.KnobConfig.Keyed]", fields, keys, stale)
+	if fields != 4 || strings.Join(keys, " ") != "plant.KnobConfig.Unset" || used["plant.KnobConfig.Keyed"] || !used["plant.KnobConfig.Seam"] {
+		t.Errorf("%d fields, unset %v, used %v; want 4, [plant.KnobConfig.Unset], [plant.KnobConfig.Seam]", fields, keys, used)
 	}
-}
-
-// sourceFile is a parsed file and its directory relative to the root.
-type sourceFile struct {
-	dir string
-	f   *ast.File
 }
 
 // configField is a config struct's field: "pkg.Type.Field" and where
@@ -111,8 +94,8 @@ type configField struct {
 // unsetConfigFields counts the exported fields of exported *Config and
 // *Options structs declared under internal/ in files, and returns those
 // that no file of another package sets and allowed does not name, and
-// the entries of allowed that name no such field.
-func unsetConfigFields(files []sourceFile, allowed map[string]string) (fields int, unset []configField, stale []string) {
+// the entries of allowed that excuse one of them.
+func unsetConfigFields(files []sourceFile, allowed map[string]string) (fields int, unset []configField, used map[string]bool) {
 	pkgName := map[string]string{} // dir → package name
 	for _, fl := range files {
 		pkgName[fl.dir] = fl.f.Name.Name
@@ -157,7 +140,7 @@ func unsetConfigFields(files []sourceFile, allowed map[string]string) (fields in
 		})
 	}
 
-	matched := map[string]bool{}
+	used = map[string]bool{}
 	for _, fl := range files {
 		if !strings.HasPrefix(fl.dir, "internal/") {
 			continue
@@ -187,7 +170,7 @@ func unsetConfigFields(files []sourceFile, allowed map[string]string) (fields in
 						}
 						key := fl.f.Name.Name + "." + ts.Name.Name + "." + id.Name
 						if _, ok := allowed[key]; ok {
-							matched[key] = true
+							used[key] = true
 							continue
 						}
 						unset = append(unset, configField{key, id.Pos()})
@@ -196,13 +179,7 @@ func unsetConfigFields(files []sourceFile, allowed map[string]string) (fields in
 			}
 		}
 	}
-	for key := range allowed {
-		if !matched[key] {
-			stale = append(stale, key)
-		}
-	}
-	sort.Strings(stale)
-	return fields, unset, stale
+	return fields, unset, used
 }
 
 // assignedElsewhere reports whether dirs names a directory other than dir.

@@ -1,11 +1,8 @@
 package spear
 
 import (
-	"io/fs"
 	"os"
-	"path/filepath"
 	"regexp"
-	"strings"
 	"testing"
 )
 
@@ -28,23 +25,15 @@ func TestDesignReferencesResolve(t *testing.T) {
 	for _, m := range designHeading.FindAllStringSubmatch(string(doc), -1) {
 		sections[m[1]] = true
 	}
+	paths, err := goFiles()
+	if err != nil {
+		t.Fatal(err)
+	}
 	refs := 0
-	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
+	for _, path := range paths {
 		src, err := os.ReadFile(path)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
 		for _, m := range designRef.FindAllStringSubmatch(string(src), -1) {
 			refs++
@@ -52,10 +41,6 @@ func TestDesignReferencesResolve(t *testing.T) {
 				t.Errorf("%s cites DESIGN.md §%s, which has no such heading", path, m[1])
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if refs == 0 || len(sections) == 0 {
 		t.Fatalf("found %d references and %d headings: the patterns no longer match", refs, len(sections))

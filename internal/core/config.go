@@ -228,12 +228,11 @@ func (c *Config) archives() bool {
 // clock returns the configured telemetry clock, defaulting to the
 // system clock. This is the single sanctioned wall-clock reference in
 // the event-time packages; every manager reads time through it, and the
-// eventtime analyzer keeps it that way.
+// eventtime check, which lintAllowed excuses here alone, keeps it that way.
 func (c *Config) clock() func() time.Time {
 	if c.Clock != nil {
 		return c.Clock
 	}
-	//lint:ignore eventtime telemetry-clock default; event-time logic never calls this
 	return time.Now
 }
 

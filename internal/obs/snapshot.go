@@ -12,7 +12,7 @@ import (
 
 // The storage and spill types are aliased so only this file — the one
 // actually reading spill telemetry — imports the two packages. The
-// errcheck-lite analyzer scopes its spill-call heuristic by file
+// errcheck-lite check scopes its spill-call heuristic by file
 // imports; the atomic .Store calls elsewhere in this package are not
 // storage operations and must stay out of its scope.
 type (

@@ -1,6 +1,7 @@
 package spear
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -9,6 +10,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -36,6 +38,8 @@ var unreachedAllowed = map[string]string{
 	"sample.Reservoir.Cap":             "test support: the capacity the adaptive-budget tests check",
 	"sample.GroupReservoirs.PerGroup":  "test support: the per-group capacity the adaptive-budget tests check",
 	"tuple.Value.Equal":                "test support: value comparison in the codec and round-trip tests",
+	"tuple.Value.AsInt":                "the reader of the int kind spear.Int constructs",
+	"tuple.Value.AsBool":               "the reader of the bool kind spear.Bool constructs",
 }
 
 // publicUnreachedAllowed names the exported symbols of package spear
@@ -63,12 +67,8 @@ var publicUnreachedAllowed = map[string]string{
 // for what counts as a use. An allow entry that excuses nothing fails
 // too, so the lists cannot go stale.
 func TestEveryExportedSymbolIsReached(t *testing.T) {
-	fset := token.NewFileSet()
-	var files []sourceFile
-	parseSources(t, fset, parser.SkipObjectResolution, func(path string, f *ast.File) {
-		files = append(files, sourceFile{filepath.ToSlash(filepath.Dir(path)), f})
-	})
-	decls, unreached, stale := unreachedSymbols(files, unreachedAllowed, publicUnreachedAllowed)
+	fset, files := parseSources(t)
+	decls, unreached, used := unreachedSymbols(files, unreachedAllowed, publicUnreachedAllowed)
 	for _, s := range unreached {
 		p := fset.Position(s.pos)
 		if s.public {
@@ -77,15 +77,11 @@ func TestEveryExportedSymbolIsReached(t *testing.T) {
 			t.Errorf("%s:%d %s: exported, but no program, example or benchmark probe reaches it; delete it or give unreachedAllowed a reason", p.Filename, p.Line, s.key)
 		}
 	}
-	for _, entry := range stale {
-		t.Errorf("allow entry %q excuses no unreached symbol: delete the entry", entry)
+	for _, p := range allowProblems("unreachedAllowed", unreachedAllowed, used) {
+		t.Error(p)
 	}
-	for _, allowed := range []map[string]string{unreachedAllowed, publicUnreachedAllowed} {
-		for entry, why := range allowed {
-			if strings.TrimSpace(why) == "" {
-				t.Errorf("allow entry %q gives no reason", entry)
-			}
-		}
+	for _, p := range allowProblems("publicUnreachedAllowed", publicUnreachedAllowed, used) {
+		t.Error(p)
 	}
 	if decls == 0 {
 		t.Fatal("found no exported declarations: the scan no longer sees the source")
@@ -123,17 +119,17 @@ func main() {
 		if err != nil {
 			t.Fatal(err)
 		}
-		files = append(files, sourceFile{dir, f})
+		files = append(files, sourceFile{dir: dir, f: f})
 	}
 	public := map[string]string{"spear.Kept": "kept", "spear.Used": "stale"}
-	decls, unreached, stale := unreachedSymbols(files, map[string]string{}, public)
+	decls, unreached, used := unreachedSymbols(files, map[string]string{}, public)
 	var keys []string
 	for _, s := range unreached {
 		keys = append(keys, s.key)
 	}
 	sort.Strings(keys)
-	if decls != 7 || strings.Join(keys, " ") != "spear.Query.Dead spear.Query.Field spear.Unused" || strings.Join(stale, " ") != "spear.Used" {
-		t.Errorf("%d declarations, unreached %v, stale %v; want 7, [spear.Query.Dead spear.Query.Field spear.Unused], [spear.Used]", decls, keys, stale)
+	if decls != 7 || strings.Join(keys, " ") != "spear.Query.Dead spear.Query.Field spear.Unused" || used["spear.Used"] || !used["spear.Kept"] {
+		t.Errorf("%d declarations, unreached %v, used %v; want 7, [spear.Query.Dead spear.Query.Field spear.Unused], [spear.Kept]", decls, keys, used)
 	}
 }
 
@@ -151,7 +147,7 @@ type exported struct {
 
 // unreachedSymbols counts the exported declarations of internal/ and of
 // package spear in files, and returns those that nothing reaches and the
-// allow lists do not excuse, and the allow entries that excuse nothing.
+// allow lists do not excuse, and the allow entries that excuse something.
 //
 // An internal package-level name is reached when any file uses it
 // qualified through its import name, or bare inside its own package
@@ -161,7 +157,7 @@ type exported struct {
 // only programs' uses (isProgram): a package-level name must be
 // qualified there, and a method called by name, x.Method(…), so that a
 // field or a value that shares the name does not keep it.
-func unreachedSymbols(files []sourceFile, allowed, public map[string]string) (decls int, unreached []exported, stale []string) {
+func unreachedSymbols(files []sourceFile, allowed, public map[string]string) (decls int, unreached []exported, used map[string]bool) {
 	pkgName := map[string]string{} // dir → package name
 	for _, fl := range files {
 		pkgName[fl.dir] = fl.f.Name.Name
@@ -256,7 +252,7 @@ func unreachedSymbols(files []sourceFile, allowed, public map[string]string) (de
 		ast.Inspect(fl.f, visit)
 	}
 
-	matched := map[string]bool{}
+	used = map[string]bool{}
 	for _, s := range syms {
 		var reached bool
 		lists := allowed
@@ -274,20 +270,12 @@ func unreachedSymbols(files []sourceFile, allowed, public map[string]string) (de
 			continue
 		}
 		if entry, ok := allowEntry(lists, s.key); ok {
-			matched[entry] = true
+			used[entry] = true
 			continue
 		}
 		unreached = append(unreached, s)
 	}
-	for _, list := range []map[string]string{allowed, public} {
-		for entry := range list {
-			if !matched[entry] {
-				stale = append(stale, entry)
-			}
-		}
-	}
-	sort.Strings(stale)
-	return len(syms), unreached, stale
+	return len(syms), unreached, used
 }
 
 // isProgram reports whether dir holds a program's code: a command, an
@@ -301,33 +289,82 @@ func isProgram(dir string) bool {
 	return false
 }
 
-// parseSources parses every non-test Go file of the module and of
-// benchmark/, testdata and dot directories aside, and hands each to fn.
-func parseSources(t *testing.T, fset *token.FileSet, mode parser.Mode, fn func(path string, f *ast.File)) {
+// sourceFile is a parsed file, its path and its directory relative to
+// the root.
+type sourceFile struct {
+	dir, path string
+	f         *ast.File
+}
+
+// parsed holds what parseSources parsed, once for every guard.
+var parsed struct {
+	once  sync.Once
+	fset  *token.FileSet
+	files []sourceFile
+	err   error
+}
+
+// parseSources parses every non-test Go file that goFiles lists, once
+// for every guard in the run.
+func parseSources(t *testing.T) (*token.FileSet, []sourceFile) {
 	t.Helper()
+	parsed.once.Do(func() {
+		parsed.fset = token.NewFileSet()
+		var paths []string
+		paths, parsed.err = goFiles()
+		for _, path := range paths {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(parsed.fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				parsed.err = err
+				break
+			}
+			parsed.files = append(parsed.files, sourceFile{filepath.ToSlash(filepath.Dir(path)), filepath.ToSlash(path), f})
+		}
+	})
+	if parsed.err != nil {
+		t.Fatal(parsed.err)
+	}
+	return parsed.fset, parsed.files
+}
+
+// goFiles lists every Go file of the module and of benchmark/, test
+// files included, testdata and dot directories aside.
+func goFiles() ([]string, error) {
+	var paths []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if d.IsDir() {
-			if path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
+		if d.IsDir() && path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
+		if !d.IsDir() && strings.HasSuffix(path, ".go") {
+			paths = append(paths, path)
 		}
-		f, err := parser.ParseFile(fset, path, nil, mode)
-		if err != nil {
-			return err
-		}
-		fn(path, f)
 		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
+	return paths, err
+}
+
+// allowProblems returns what is wrong with the allowlist called name:
+// each entry that gives no reason, and each that excuses nothing, used
+// holding those that excused something. Every guard's allowlist answers
+// to it, so that none can go stale.
+func allowProblems(name string, allowed map[string]string, used map[string]bool) []string {
+	var out []string
+	for entry, why := range allowed {
+		switch {
+		case strings.TrimSpace(why) == "":
+			out = append(out, fmt.Sprintf("%s[%q] gives no reason", name, entry))
+		case !used[entry]:
+			out = append(out, fmt.Sprintf("%s[%q] excuses nothing: delete the entry", name, entry))
+		}
 	}
+	sort.Strings(out)
+	return out
 }
 
 // spearImports maps the local name of each package of the module that f

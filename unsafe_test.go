@@ -1,13 +1,6 @@
 package spear
 
-import (
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"path/filepath"
-	"strings"
-	"testing"
-)
+import "testing"
 
 // unsafeAllowed names the non-test files that may import unsafe, each
 // with its reason.
@@ -20,30 +13,24 @@ var unsafeAllowed = map[string]string{
 // and an entry that excuses no import fails too, so the list cannot go
 // stale.
 func TestUnsafeStaysInOneFile(t *testing.T) {
+	_, files := parseSources(t)
 	importers := map[string]bool{}
-	files := 0
-	parseSources(t, token.NewFileSet(), parser.ImportsOnly, func(path string, f *ast.File) {
-		files++
-		for _, im := range f.Imports {
+	for _, fl := range files {
+		for _, im := range fl.f.Imports {
 			if im.Path.Value == `"unsafe"` {
-				importers[filepath.ToSlash(path)] = true
+				importers[fl.path] = true
 			}
 		}
-	})
+	}
 	for path := range importers {
 		if _, ok := unsafeAllowed[path]; !ok {
 			t.Errorf("%s imports unsafe: keep it in the allowlisted file, or give unsafeAllowed a reason", path)
 		}
 	}
-	for path, why := range unsafeAllowed {
-		switch {
-		case strings.TrimSpace(why) == "":
-			t.Errorf("unsafeAllowed[%q] gives no reason", path)
-		case !importers[path]:
-			t.Errorf("unsafeAllowed[%q] excuses no import of unsafe: delete the entry", path)
-		}
+	for _, p := range allowProblems("unsafeAllowed", unsafeAllowed, importers) {
+		t.Error(p)
 	}
-	if files == 0 {
+	if len(files) == 0 {
 		t.Fatal("found no Go files: the scan no longer sees the source")
 	}
 }
