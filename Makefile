@@ -15,13 +15,16 @@ build:
 vet:
 	$(GO) vet ./...
 
-# The source guards are root tests over one parse of every non-test file
-# (DESIGN.md §9.1): five checks (global rand in library code, goroutine
-# discipline, wall-clock use in event-time code and the engine, float
-# equality, dropped codec/spill errors) and five surface guards (reached
-# symbols, unsafe, config fields, DESIGN references, plan fields). A
-# finding stays only with an allowlist entry that gives a reason, and an
-# entry that excuses nothing fails. What a tuple costs on the hot paths,
+# The source guards are root tests over one parse and one type-check of
+# every non-test file (DESIGN.md §9.1), each import of the module
+# resolved to its checked package and the standard library stubbed, so
+# that a symbol is matched by its object, not its name: five checks
+# (global rand in library code, goroutine discipline, wall-clock use in
+# event-time code and the engine, float equality, dropped codec/spill
+# errors) and five surface guards (reached symbols, methods and fields,
+# unsafe, config fields, DESIGN references, plan fields). A finding
+# stays only with an allowlist entry that gives a reason, and an entry
+# that excuses nothing fails. What a tuple costs on the hot paths,
 # the lock-free contracts and the flate writer pool are tests, not
 # guards: their gates run in `race`. Before them, gofmt: any file
 # `gofmt -l` lists fails the target.
@@ -95,6 +98,8 @@ fuzz:
 # sum, then the root package (package spear) and examples/, and the sum
 # of all: the "non-test lines" every ROADMAP item is judged by, counted
 # the same way in every PR (wc -l, comments and blank lines included).
+# Last, the guard code: the root guard test files, fixtures aside.
+GUARDS = lint_test.go reached_test.go config_fields_test.go unsafe_test.go design_refs_test.go plan_test.go
 loc:
 	@for d in $$(find internal cmd -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' -exec dirname {} + | sort -u); do \
 		printf '%6d %s\n' $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$d; \
@@ -103,6 +108,7 @@ loc:
 	r=$$(find . -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	e=$$(find examples -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	printf '%6d internal/ + cmd/\n%6d . (package spear)\n%6d examples\n%6d total\n' $$a $$r $$e $$((a + r + e))
+	@printf '%6d guard code (root guard tests, fixtures aside)\n' $$(cat $(GUARDS) | wc -l)
 
 # The benchmark (benchmark/, a module of its own that `go build ./...`
 # does not reach): its reference-checker tests and -quick pass, and a

@@ -10,7 +10,6 @@
 package spear_test
 
 import (
-	"io"
 	"testing"
 
 	"spear/internal/bench"
@@ -22,7 +21,7 @@ const benchScale = 0.02
 
 func runExperiment(b *testing.B, id string) {
 	b.Helper()
-	opt := bench.Options{Scale: benchScale, Seed: 1, Out: io.Discard}
+	opt := bench.Options{Scale: benchScale, Seed: 1}
 	fn, ok := bench.Experiments[id]
 	if !ok {
 		b.Fatalf("unknown experiment %q", id)

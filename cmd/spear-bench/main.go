@@ -82,7 +82,7 @@ func run() int {
 		ids = []string{*experiment}
 	}
 
-	opt := bench.Options{Scale: *scale, Seed: *seed, Out: os.Stdout, BenchJSON: *benchJSON}
+	opt := bench.Options{Scale: *scale, Seed: *seed, BenchJSON: *benchJSON}
 	fmt.Printf("spear-bench: scale=%.2f seed=%d experiments=%s\n",
 		*scale, *seed, strings.Join(ids, ","))
 	for _, id := range ids {

@@ -1,9 +1,7 @@
 package spear
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
+	"go/types"
 	"strings"
 	"testing"
 )
@@ -25,17 +23,11 @@ var configSeamsAllowed = map[string]string{
 // non-test file of the module or of benchmark/ outside the package that
 // declares it, or has a configSeamsAllowed entry; a knob that nothing
 // turns is a constant. A field is set when it is a key of a literal of
-// its type written pkg.Type{…}, or when a selector of its name is
-// assigned to. Without a type checker, x.F = v could be any struct's F,
-// so an assignment counts for every config field of that name declared
-// in another package: a field that shares its name with one assigned
-// elsewhere passes unset. spe.Config.QueueSize did so, while it
-// existed, because transport's decoder assigned JobSpec.QueueSize.
-// Literals whose type is elided ([]pkg.Config{{…}}) are not seen. An
+// its type, or when a selector that resolves to it is assigned to. An
 // allow entry that excuses nothing fails, so the list cannot go stale.
 func TestEveryConfigFieldIsSet(t *testing.T) {
-	fset, files := parseSources(t)
-	fields, unset, used := unsetConfigFields(files, configSeamsAllowed)
+	fset, _, pkgs := parseSources(t)
+	fields, unset, used := unsetConfigFields(pkgs, configSeamsAllowed)
 	for _, f := range unset {
 		p := fset.Position(f.pos)
 		t.Errorf("%s:%d %s: no program sets it; make it a constant or give configSeamsAllowed a reason", p.Filename, p.Line, f.key)
@@ -50,144 +42,65 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 
 // TestConfigGuardCatchesPlants runs the scan of TestEveryConfigFieldIsSet
 // over a planted package: of its config's fields, the one set only
-// inside the package is reported, the ones a literal or an assignment
-// sets elsewhere are not, and an allow entry for a field that is set
-// is stale.
+// inside the package is reported, and so is the one only assigned
+// through another package's field of its name; the ones a literal or an
+// assignment sets elsewhere are not, and an allow entry for a field that
+// is set is stale.
 func TestConfigGuardCatchesPlants(t *testing.T) {
-	fset := token.NewFileSet()
-	var files []sourceFile
-	for dir, src := range map[string]string{
+	pkgs := plant(t, map[string]string{
 		"internal/plant": `package plant
-type KnobConfig struct{ Keyed, Assigned, Unset, Seam int }
+type KnobConfig struct{ Keyed, Assigned, Unset, Shared, Seam int }
 func (c *KnobConfig) defaults() { c.Unset = 1 }`,
+		"internal/other": `package other
+type Knob struct{ Shared int }`,
 		"cmd/user": `package main
-import "spear/internal/plant"
+import (
+	"spear/internal/other"
+	"spear/internal/plant"
+)
 func main() {
 	c := plant.KnobConfig{Keyed: 1}
 	c.Assigned = 2
+	var o other.Knob
+	o.Shared = 3
 }`,
-	} {
-		f, err := parser.ParseFile(fset, dir+"/x.go", src, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, sourceFile{dir: dir, f: f})
-	}
+	})
 	allowed := map[string]string{"plant.KnobConfig.Seam": "kept", "plant.KnobConfig.Keyed": "stale"}
-	fields, unset, used := unsetConfigFields(files, allowed)
+	fields, unset, used := unsetConfigFields(pkgs, allowed)
 	var keys []string
 	for _, f := range unset {
 		keys = append(keys, f.key)
 	}
-	if fields != 4 || strings.Join(keys, " ") != "plant.KnobConfig.Unset" || used["plant.KnobConfig.Keyed"] || !used["plant.KnobConfig.Seam"] {
-		t.Errorf("%d fields, unset %v, used %v; want 4, [plant.KnobConfig.Unset], [plant.KnobConfig.Seam]", fields, keys, used)
+	const want = "plant.KnobConfig.Unset plant.KnobConfig.Shared"
+	if fields != 5 || strings.Join(keys, " ") != want || used["plant.KnobConfig.Keyed"] || !used["plant.KnobConfig.Seam"] {
+		t.Errorf("%d fields, unset %v, used %v; want 5, [%s], [plant.KnobConfig.Seam]", fields, keys, used, want)
 	}
-}
-
-// configField is a config struct's field: "pkg.Type.Field" and where
-// it is declared.
-type configField struct {
-	key string
-	pos token.Pos
 }
 
 // unsetConfigFields counts the exported fields of exported *Config and
-// *Options structs declared under internal/ in files, and returns those
+// *Options structs declared under internal/ in pkgs, and returns those
 // that no file of another package sets and allowed does not name, and
 // the entries of allowed that excuse one of them.
-func unsetConfigFields(files []sourceFile, allowed map[string]string) (fields int, unset []configField, used map[string]bool) {
-	pkgName := map[string]string{} // dir → package name
-	for _, fl := range files {
-		pkgName[fl.dir] = fl.f.Name.Name
-	}
-	keyed := map[string]bool{}               // dir.Type.Field, a key of a pkg.Type{…} literal
-	assigned := map[string]map[string]bool{} // Field → dirs whose files assign a selector of that name
-	for _, fl := range files {
-		imports := spearImports(fl.f, pkgName)
-		ast.Inspect(fl.f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CompositeLit:
-				sel, ok := n.Type.(*ast.SelectorExpr)
-				if !ok {
-					break
-				}
-				x, ok := sel.X.(*ast.Ident)
-				if !ok {
-					break
-				}
-				dir, ok := imports[x.Name]
-				if !ok {
-					break
-				}
-				for _, e := range n.Elts {
-					if kv, ok := e.(*ast.KeyValueExpr); ok {
-						if k, ok := kv.Key.(*ast.Ident); ok {
-							keyed[dir+"."+sel.Sel.Name+"."+k.Name] = true
-						}
-					}
-				}
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					if sel, ok := lhs.(*ast.SelectorExpr); ok {
-						if assigned[sel.Sel.Name] == nil {
-							assigned[sel.Sel.Name] = map[string]bool{}
-						}
-						assigned[sel.Sel.Name][fl.dir] = true
-					}
-				}
-			}
-			return true
-		})
-	}
-
+func unsetConfigFields(pkgs []*lintPkg, allowed map[string]string) (fields int, unset []exported, used map[string]bool) {
+	_, written := references(pkgs)
 	used = map[string]bool{}
-	for _, fl := range files {
-		if !strings.HasPrefix(fl.dir, "internal/") {
+	for _, d := range declarations(pkgs) {
+		if v, ok := d.obj.(*types.Var); !ok || !v.IsField() || d.public || !strings.HasSuffix(d.typ.Name(), "Config") && !strings.HasSuffix(d.typ.Name(), "Options") {
 			continue
 		}
-		for _, d := range fl.f.Decls {
-			gd, ok := d.(*ast.GenDecl)
-			if !ok {
-				continue
-			}
-			for _, s := range gd.Specs {
-				ts, ok := s.(*ast.TypeSpec)
-				if !ok || !ts.Name.IsExported() || !strings.HasSuffix(ts.Name.Name, "Config") && !strings.HasSuffix(ts.Name.Name, "Options") {
-					continue
-				}
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					continue
-				}
-				for _, f := range st.Fields.List {
-					for _, id := range f.Names {
-						if !id.IsExported() {
-							continue
-						}
-						fields++
-						if keyed[fl.dir+"."+ts.Name.Name+"."+id.Name] || assignedElsewhere(assigned[id.Name], fl.dir) {
-							continue
-						}
-						key := fl.f.Name.Name + "." + ts.Name.Name + "." + id.Name
-						if _, ok := allowed[key]; ok {
-							used[key] = true
-							continue
-						}
-						unset = append(unset, configField{key, id.Pos()})
-					}
-				}
-			}
+		fields++
+		elsewhere := false // set by a file of another package
+		for dir := range written[d.obj] {
+			elsewhere = elsewhere || "spear/"+dir != d.obj.Pkg().Path()
 		}
+		if elsewhere {
+			continue
+		}
+		if _, ok := allowed[d.key]; ok {
+			used[d.key] = true
+			continue
+		}
+		unset = append(unset, d)
 	}
 	return fields, unset, used
-}
-
-// assignedElsewhere reports whether dirs names a directory other than dir.
-func assignedElsewhere(dirs map[string]bool, dir string) bool {
-	for d := range dirs {
-		if d != dir {
-			return true
-		}
-	}
-	return false
 }

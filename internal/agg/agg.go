@@ -289,6 +289,3 @@ func (i *Incremental) Result() float64 {
 
 // Count returns the number of values folded in.
 func (i *Incremental) Count() int64 { return i.w.Count() }
-
-// Reset clears the accumulator for the next window.
-func (i *Incremental) Reset() { i.w.Reset() }

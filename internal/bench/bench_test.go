@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -188,7 +187,7 @@ func TestExperimentsRunTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep in -short mode")
 	}
-	opt := Options{Scale: 0.002, Seed: 1, Out: io.Discard}
+	opt := Options{Scale: 0.002, Seed: 1}
 	for _, id := range ExperimentIDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {

@@ -94,7 +94,8 @@ func (m *CountMinManager) produceAll(completes []window.Complete, scanShare time
 	return out
 }
 
-// MemUsage implements core.Manager: buffer plus sketch plus group set.
+// MemUsage returns the bytes Metrics.MemBytes reports: buffer plus
+// sketch plus group set.
 func (m *CountMinManager) MemUsage() int { return m.buf.MemUsage() + m.sk.MemSize() }
 
 var _ core.Manager = (*CountMinManager)(nil)

@@ -57,18 +57,18 @@ func ExperimentIDs() []string {
 // ---- dataset-specific query builders ----
 
 func decStream(opt Options) *dataset.Stream {
-	return dataset.DEC(dataset.DECConfig{Tuples: opt.tuples(4_000_000), Seed: opt.Seed})
+	return dataset.DEC(dataset.DECConfig{Tuples: opt.tuples(dataset.PaperTuples("DEC")), Seed: opt.Seed})
 }
 
 func gcmStream(opt Options, winSize, winSlide time.Duration) *dataset.Stream {
 	return dataset.GCM(dataset.GCMConfig{
-		Tuples: opt.tuples(24_000_000), Seed: opt.Seed,
+		Tuples: opt.tuples(dataset.PaperTuples("GCM")), Seed: opt.Seed,
 		WindowSize: winSize, WindowSlide: winSlide,
 	})
 }
 
 func debsStream(opt Options) *dataset.Stream {
-	return dataset.DEBS(dataset.DEBSConfig{Tuples: opt.tuples(56_000_000), Seed: opt.Seed})
+	return dataset.DEBS(dataset.DEBSConfig{Tuples: opt.tuples(dataset.PaperTuples("DEBS")), Seed: opt.Seed})
 }
 
 // decQuery builds the DEC scalar CQ (mean or median TCP packet size).
@@ -369,10 +369,9 @@ func runCountMin(label string, ds *dataset.Stream, par int, seed int64) (*runOut
 		return NewCountMinManager(spec, ds.Key, ds.Value,
 			epsilon, 1-confidence, reg.Worker(fmt.Sprintf("cm[%d]", wi)))
 	}
-	out := &runOut{label: label, results: make(map[resKey]spear.Result)}
+	out := &runOut{results: make(map[resKey]spear.Result)}
 	runtime.GC()
 	debug.FreeOSMemory()
-	start := time.Now()
 	tp := spe.NewTopology(spe.Config{WatermarkPeriod: spec.Slide}).
 		SetSpout(spe.FuncSpout(ds.Next)).
 		SetWindowed(label, par, ds.Key, factory).
@@ -382,7 +381,6 @@ func runCountMin(label string, ds *dataset.Stream, par int, seed int64) (*runOut
 	if err := tp.Run(); err != nil {
 		return nil, err
 	}
-	out.wall = time.Since(start)
 	out.sum = reg.Summarize()
 	return out, nil
 }

@@ -17,13 +17,11 @@ import (
 
 // Options scales and seeds an experiment run.
 type Options struct {
-	// Scale multiplies the paper's stream lengths (1.0 = full 4M/24M/
-	// 56M-tuple datasets). The default CLI scale is 0.2.
+	// Scale multiplies the paper's stream lengths (1.0 = the full
+	// Table 1 datasets). The default CLI scale is 0.2.
 	Scale float64
 	// Seed drives dataset generation and sampling.
 	Seed int64
-	// Out receives the printed tables.
-	Out io.Writer
 	// BenchJSON, when non-empty, is a path where the "adaptive"
 	// experiment also writes its rows as JSON.
 	BenchJSON string
@@ -89,11 +87,9 @@ type resKey struct {
 
 // runOut captures everything one engine run produced.
 type runOut struct {
-	label   string
 	sum     spear.Summary
 	results map[resKey]spear.Result
 	order   []resKey // sink arrival order
-	wall    time.Duration
 }
 
 // runQuery executes q to completion, collecting all results. A full GC
@@ -101,11 +97,10 @@ type runOut struct {
 // time into this one's window timings — the equivalent of the paper
 // running each configuration on a fresh deployment.
 func runQuery(label string, q *spear.Query) (*runOut, error) {
-	out := &runOut{label: label, results: make(map[resKey]spear.Result)}
+	out := &runOut{results: make(map[resKey]spear.Result)}
 	var mu sync.Mutex
 	runtime.GC()
 	debug.FreeOSMemory()
-	start := time.Now()
 	sum, err := q.Run(func(worker int, r spear.Result) {
 		mu.Lock()
 		k := resKey{worker, r.WindowID}
@@ -116,7 +111,6 @@ func runQuery(label string, q *spear.Query) (*runOut, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bench: %s: %w", label, err)
 	}
-	out.wall = time.Since(start)
 	out.sum = sum
 	return out, nil
 }

@@ -24,7 +24,6 @@ type stubManager struct {
 
 func (s *stubManager) OnTuple(tuple.Tuple) ([]core.Result, error) { return nil, nil }
 func (s *stubManager) OnWatermark(int64) ([]core.Result, error)   { return nil, nil }
-func (s *stubManager) MemUsage() int                              { return 0 }
 
 func (s *stubManager) SnapshotState() ([]byte, error) {
 	if s.failSnap != nil {

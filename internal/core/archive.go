@@ -306,23 +306,6 @@ func (a *archive) evictBefore(pos int64) error {
 	return nil
 }
 
-// memUsage returns the transient chunk-buffer bytes.
-func (a *archive) memUsage() int {
-	if a == nil {
-		return 0
-	}
-	n := 0
-	for _, ts := range a.pending {
-		for _, t := range ts {
-			n += t.MemSize()
-		}
-	}
-	for _, t := range a.cur {
-		n += t.MemSize()
-	}
-	return n
-}
-
 // takeDeferred returns and clears the pane keys whose deletion was
 // deferred by deferDel.
 func (a *archive) takeDeferred() []string {
@@ -351,7 +334,7 @@ func (a *archive) appendState(dst []byte) ([]byte, error) {
 	// Stores may still be queued; wait for them to land before the
 	// snapshot is acked, so the checkpoint's manifest-is-commit-point
 	// semantics extend to spilled state.
-	if err := a.store.Barrier(); err != nil {
+	if err := a.store.Flush(); err != nil {
 		return nil, err
 	}
 	dst = tuple.AppendBool(dst, a.haveMin)

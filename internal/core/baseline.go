@@ -89,9 +89,6 @@ func (m *ExactManager) produceAll(completes []window.Complete, scanShare time.Du
 	return out
 }
 
-// MemUsage implements Manager.
-func (m *ExactManager) MemUsage() int { return m.buf.MemUsage() }
-
 // IncrementalManager is the Inc-Storm baseline of Fig. 8a: the engine
 // modified to maintain a non-holistic scalar aggregate incrementally at
 // tuple arrival, producing each window result with O(1) work at
@@ -178,7 +175,8 @@ func (m *IncrementalManager) fire(wm int64) []Result {
 	return out
 }
 
-// MemUsage implements Manager: one accumulator per active window.
+// MemUsage returns the bytes held for result production, what
+// Metrics.MemBytes reports: one accumulator per active window.
 func (m *IncrementalManager) MemUsage() int { return len(m.wins) * 56 }
 
 var (

@@ -79,7 +79,7 @@ func contractValues(t *testing.T, s *dataset.Stream) []float64 {
 	for i := range vals {
 		tp, ok := s.Next()
 		if !ok {
-			t.Fatalf("%s ended after %d tuples", s.Name, i)
+			t.Fatalf("stream ended after %d tuples", i)
 		}
 		vals[i] = s.Value(tp)
 	}

@@ -382,10 +382,10 @@ func TestScalarMemUsageStaysNearBudget(t *testing.T) {
 	for i := 0; i < 50000; i++ {
 		m.OnTuple(tuple.New(int64(i)%100, tuple.Float(float64(i))))
 	}
-	// Budget 150 tuples ≈ 1.2KB + chunk buffer; must stay way below
-	// the 50K-tuple window (~2MB as tuples).
-	if m.MemUsage() > 20000 {
-		t.Errorf("MemUsage = %d, want ≈ budget-scale", m.MemUsage())
+	// Budget 150 tuples ≈ 1.2KB; must stay way below the 50K-tuple
+	// window (~2MB as tuples).
+	if m.BudgetMemUsage() > 20000 {
+		t.Errorf("BudgetMemUsage = %d, want ≈ budget-scale", m.BudgetMemUsage())
 	}
 }
 
@@ -737,8 +737,8 @@ func TestExactManagerSpill(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		m.OnTuple(tuple.New(int64(i)%100, tuple.Float(1)))
 	}
-	if m.MemUsage() != 100*sz {
-		t.Errorf("MemUsage = %d, want the whole window (%d)", m.MemUsage(), 100*sz)
+	if m.buf.MemUsage() != 100*sz {
+		t.Errorf("buffered %d bytes, want the whole window (%d)", m.buf.MemUsage(), 100*sz)
 	}
 	rs, err := m.OnWatermark(100)
 	if err != nil {
@@ -962,9 +962,6 @@ func TestArchivePaneLifecycle(t *testing.T) {
 	if len(got) != 0 {
 		t.Errorf("evicted panes still fetchable: %d tuples", len(got))
 	}
-	if a.memUsage() < 0 {
-		t.Error("memUsage negative")
-	}
 	// Empty archive eviction is a no-op.
 	b := newArchive(store, "x", spec, 3, false)
 	if err := b.evictBefore(100); err != nil {
@@ -1013,8 +1010,12 @@ func TestArchiveRecyclesUnflushedPanes(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
 		t.Errorf("%v allocations per pane in the steady state, want 0", allocs)
 	}
-	if got, want := a.memUsage(), (overlap-1)*perPane*rows[0].MemSize(); got != want {
-		t.Errorf("memUsage %d, want %d: the %d live panes' tuples", got, want, overlap-1)
+	held := len(a.cur)
+	for _, ts := range a.pending {
+		held += len(ts)
+	}
+	if want := (overlap - 1) * perPane; held != want {
+		t.Errorf("%d tuples held, want %d: the %d live panes'", held, want, overlap-1)
 	}
 	if len(a.flushed) != 0 {
 		t.Errorf("%d panes flushed; the test is about panes that never are", len(a.flushed))

@@ -337,8 +337,8 @@ func (m *GroupedManager) fromStrata(res *Result, gs *sample.GroupStats, alloc ma
 }
 
 // BudgetMemUsage is the memory used to produce results: the per-window
-// group metadata and samples charged against b (shell.MemUsage says
-// what it leaves out).
+// group metadata and samples charged against b (shape.BudgetMemUsage
+// says what it leaves out).
 func (m *GroupedManager) BudgetMemUsage() int {
 	n := 0
 	for _, w := range m.wins {

@@ -80,9 +80,6 @@ func driveNoArchive(t *testing.T, ops []kernelOp, mk func() noArchiveManager, co
 			t.Fatal(err)
 		}
 		out = append(out, rs...)
-		if !archives && m.MemUsage() != m.BudgetMemUsage() {
-			t.Fatalf("MemUsage %d, BudgetMemUsage %d", m.MemUsage(), m.BudgetMemUsage())
-		}
 	}
 	cb := col.Get()
 	defer col.Put(cb)

@@ -103,9 +103,6 @@ type Manager interface {
 	OnTuple(t tuple.Tuple) ([]Result, error)
 	// OnWatermark completes every window with end ≤ wm.
 	OnWatermark(wm int64) ([]Result, error)
-	// MemUsage returns the bytes currently held for result
-	// production (the Fig. 7 metric).
-	MemUsage() int
 }
 
 // BatchManager is the optional micro-batch fast path on Manager. The

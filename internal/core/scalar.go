@@ -261,7 +261,8 @@ func (m *ScalarManager) nextBudget(r Result) int {
 
 // BudgetMemUsage is the memory used to produce results, charged against
 // b as held: per open window its count and its reservoir sample, or per
-// open slice its accumulator (shell.MemUsage says what it leaves out).
+// open slice its accumulator (shape.BudgetMemUsage says what it leaves
+// out).
 func (m *ScalarManager) BudgetMemUsage() int {
 	n := len(m.slices) * sliceBytes
 	for _, w := range m.wins {

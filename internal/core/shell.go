@@ -51,7 +51,12 @@ type shape interface {
 	// for none, and then no sample to answer a shed window from.
 	capacity() int
 	// BudgetMemUsage is the state held to produce results, charged
-	// against b.
+	// against b: what Metrics.MemBytes reports, and what Fig. 7 shows
+	// staying flat at ≈b while the exact engine's buffer grows with the
+	// window. It leaves out the archive's chunk buffers: bounded by
+	// ArchiveChunk·overlap tuples regardless of window size, they are
+	// the cost of shipping tuples to S, not of producing results, just
+	// as the paper excludes its workers' S writes.
 	BudgetMemUsage() int
 	// appendWindows and readWindows are the snapshot's body after the
 	// shell's header; readWindows returns what installs the decoded
@@ -348,16 +353,9 @@ func (s *shell) PrefetchWatermark(wm int64) {
 // ingest call: its archive does (KeepsRows in result.go).
 func (s *shell) KeepsRows() bool { return s.arc != nil }
 
-// MemUsage implements Manager: the budget-resident state and the
-// transient archive chunk buffers. BudgetMemUsage, the quantity Fig. 7
-// shows staying flat at ≈b while the exact engine's buffer grows with
-// the window, leaves the chunks out: bounded by ArchiveChunk·overlap
-// tuples regardless of window size, they are the cost of shipping
-// tuples to S, not of producing results, just as the paper excludes its
-// workers' S writes.
-func (s *shell) MemUsage() int { return s.arc.memUsage() + s.sh.BudgetMemUsage() }
-
-// LateDropped returns the number of dropped late tuples.
+// LateDropped returns the number of dropped late tuples: test support
+// for the kernel identity tests (kernelTrace) and the late-tuple tests
+// of both managers.
 func (s *shell) LateDropped() int64 { return s.lc.Late() }
 
 // RewindStore reconciles archive panes with the restored state; a

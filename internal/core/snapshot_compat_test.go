@@ -379,8 +379,8 @@ func TestArchivedIncrementalBlobLeavesNoPaneBehind(t *testing.T) {
 		if d := m.TakeDeferredDeletes(); len(d) != 0 {
 			t.Errorf("defer=%v: deletes deferred for panes already gone: %v", deferDel, d)
 		}
-		if m.MemUsage() != m.BudgetMemUsage() {
-			t.Errorf("defer=%v: MemUsage %d, BudgetMemUsage %d", deferDel, m.MemUsage(), m.BudgetMemUsage())
+		if KeepsRows(m) {
+			t.Errorf("defer=%v: the archive outlived RewindStore", deferDel)
 		}
 		before, ts := store.Stats(), compatStream(c)
 		compatDrive(t, c, m, ts, len(ts)/2+13, len(ts), oneAtATime)

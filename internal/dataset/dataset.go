@@ -16,12 +16,9 @@ import (
 	"spear/internal/window"
 )
 
-// Stream is a generated dataset: a schema, a pull-based tuple source
-// (compatible with spe.FuncSpout), and the window spec the paper's CQ
-// uses on it.
+// Stream is a generated dataset: a pull-based tuple source (compatible
+// with spe.FuncSpout) and the window spec the paper's CQ uses on it.
 type Stream struct {
-	Name   string
-	Schema *tuple.Schema
 	Window window.Spec
 	// Next yields tuples with non-decreasing timestamps; ok=false
 	// ends the stream.
@@ -32,7 +29,7 @@ type Stream struct {
 	Key tuple.KeyExtractor
 }
 
-// Table1 records the paper's dataset/query summary for reporting.
+// Table1Row records one dataset of the paper's dataset/query summary.
 type Table1Row struct {
 	Name        string
 	TotalTuples int
@@ -41,7 +38,9 @@ type Table1Row struct {
 	AvgWinSize  int
 }
 
-// Table1 returns the paper's Table 1 as configured defaults.
+// Table1 returns the paper's Table 1 as configured defaults. It is the
+// one place the paper's stream lengths are written: the streams'
+// defaults and the experiment harness read them through PaperTuples.
 func Table1() []Table1Row {
 	return []Table1Row{
 		{"DEBS", 56_000_000, 30 * time.Minute, 15 * time.Minute, 10_000},
@@ -50,7 +49,17 @@ func Table1() []Table1Row {
 	}
 }
 
-// poissonGaps yields exponential inter-arrival gaps in nanoseconds for
+// PaperTuples returns the length Table 1 gives the stream called name.
+func PaperTuples(name string) int {
+	for _, r := range Table1() {
+		if r.Name == name {
+			return r.TotalTuples
+		}
+	}
+	panic("dataset: Table 1 has no stream " + name)
+}
+
+// expGap yields exponential inter-arrival gaps in nanoseconds for
 // the given mean rate (tuples per second).
 func expGap(rng *rand.Rand, ratePerSec float64) int64 {
 	gap := rng.ExpFloat64() / ratePerSec * float64(time.Second)
@@ -68,8 +77,7 @@ const decRate = 1044
 // packet trace with scalar average / median TCP packet size CQs over
 // 45s/15s sliding windows, averaging ≈47K tuples per window.
 type DECConfig struct {
-	// Tuples is the stream length; the paper's trace has 4M. Zero
-	// selects 4,000,000.
+	// Tuples is the stream length. Zero selects the paper's (Table 1).
 	Tuples int
 	// Seed drives all randomness.
 	Seed int64
@@ -83,12 +91,9 @@ type DECConfig struct {
 // SPEAr's accuracy check, matching the budget crossovers of Figs. 11–12.
 func DEC(cfg DECConfig) *Stream {
 	if cfg.Tuples == 0 {
-		cfg.Tuples = 4_000_000
+		cfg.Tuples = PaperTuples("DEC")
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	schema := tuple.NewSchema(
-		tuple.Field{Name: "size", Kind: tuple.KindFloat},
-	)
 	var ts int64
 	n := 0
 	next := func() (tuple.Tuple, bool) {
@@ -125,8 +130,6 @@ func DEC(cfg DECConfig) *Stream {
 		return tuple.New(ts, tuple.Float(size)), true
 	}
 	return &Stream{
-		Name:   "DEC",
-		Schema: schema,
 		Window: window.Sliding(45*time.Second, 15*time.Second),
 		Next:   next,
 		Value:  tuple.FieldFloat(0),
@@ -141,8 +144,7 @@ const gcmRate = 88.9
 // CQ over 60min/30min windows, averaging 320K tuples per window. The
 // class count (4) is known at submission time, the property §4.1 exploits.
 type GCMConfig struct {
-	// Tuples is the stream length; the paper uses 24M. Zero selects
-	// 24,000,000.
+	// Tuples is the stream length. Zero selects the paper's (Table 1).
 	Tuples int
 	// Seed drives all randomness.
 	Seed int64
@@ -159,7 +161,7 @@ const SchedClasses = 4
 // class-dependent scale plus load drift.
 func GCM(cfg GCMConfig) *Stream {
 	if cfg.Tuples == 0 {
-		cfg.Tuples = 24_000_000
+		cfg.Tuples = PaperTuples("GCM")
 	}
 	if cfg.WindowSize == 0 {
 		cfg.WindowSize = 60 * time.Minute
@@ -168,10 +170,6 @@ func GCM(cfg GCMConfig) *Stream {
 		cfg.WindowSlide = 30 * time.Minute
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	schema := tuple.NewSchema(
-		tuple.Field{Name: "class", Kind: tuple.KindString},
-		tuple.Field{Name: "cpu", Kind: tuple.KindFloat},
-	)
 	classes := [SchedClasses]string{"sc0", "sc1", "sc2", "sc3"}
 	// Class mix and per-class gamma scale: production-like skew (most
 	// events from the free tier, few from latency-sensitive classes).
@@ -228,8 +226,6 @@ func GCM(cfg GCMConfig) *Stream {
 		return tuple.New(ts, tuple.String_(classes[c]), tuple.Float(cpu)), true
 	}
 	return &Stream{
-		Name:   "GCM",
-		Schema: schema,
 		Window: window.Sliding(cfg.WindowSize, cfg.WindowSlide),
 		Next:   next,
 		Value:  tuple.FieldFloat(1),
@@ -246,8 +242,7 @@ const debsRate = 5.56
 // ≈5K distinct routes per 10K-tuple window, most appearing once or
 // twice.
 type DEBSConfig struct {
-	// Tuples is the stream length; the paper uses 56M. Zero selects
-	// 56,000,000.
+	// Tuples is the stream length. Zero selects the paper's (Table 1).
 	Tuples int
 	// Seed drives all randomness.
 	Seed int64
@@ -258,13 +253,9 @@ type DEBSConfig struct {
 // distinct routes.
 func DEBS(cfg DEBSConfig) *Stream {
 	if cfg.Tuples == 0 {
-		cfg.Tuples = 56_000_000
+		cfg.Tuples = PaperTuples("DEBS")
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	schema := tuple.NewSchema(
-		tuple.Field{Name: "route", Kind: tuple.KindString},
-		tuple.Field{Name: "fare", Kind: tuple.KindFloat},
-	)
 	const (
 		hotRoutes    = 400
 		coldUniverse = 600_000
@@ -293,8 +284,6 @@ func DEBS(cfg DEBSConfig) *Stream {
 		return tuple.New(ts, tuple.String_(routeName(route)), tuple.Float(fare)), true
 	}
 	return &Stream{
-		Name:   "DEBS",
-		Schema: schema,
 		Window: window.Sliding(30*time.Minute, 15*time.Minute),
 		Next:   next,
 		Value:  tuple.FieldFloat(1),

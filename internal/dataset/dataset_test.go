@@ -39,6 +39,9 @@ func TestTable1(t *testing.T) {
 	if rows[2].Name != "DEC" || rows[2].AvgWinSize != 47000 {
 		t.Errorf("DEC row = %+v", rows[2])
 	}
+	if PaperTuples("DEC") != 4_000_000 || PaperTuples("GCM") != 24_000_000 || PaperTuples("DEBS") != 56_000_000 {
+		t.Errorf("PaperTuples = %d/%d/%d, want the paper's 4M/24M/56M", PaperTuples("DEC"), PaperTuples("GCM"), PaperTuples("DEBS"))
+	}
 }
 
 func TestStreamsAreDeterministic(t *testing.T) {
@@ -53,11 +56,11 @@ func TestStreamsAreDeterministic(t *testing.T) {
 	for i := range a {
 		ta, tb := drain(a[i]), drain(b[i])
 		if len(ta) != 500 || len(tb) != 500 {
-			t.Fatalf("%s: lengths %d/%d", a[i].Name, len(ta), len(tb))
+			t.Fatalf("stream %d: lengths %d/%d", i, len(ta), len(tb))
 		}
 		for j := range ta {
 			if ta[j].Ts != tb[j].Ts || ta[j].String() != tb[j].String() {
-				t.Fatalf("%s: tuple %d differs", a[i].Name, j)
+				t.Fatalf("stream %d: tuple %d differs", i, j)
 			}
 		}
 	}
@@ -74,7 +77,7 @@ func TestStreamsEndCleanly(t *testing.T) {
 }
 
 func TestTimestampsNonDecreasing(t *testing.T) {
-	for _, s := range []*Stream{
+	for i, s := range []*Stream{
 		DEC(DECConfig{Tuples: 5000, Seed: 2}),
 		GCM(GCMConfig{Tuples: 5000, Seed: 2}),
 		DEBS(DEBSConfig{Tuples: 5000, Seed: 2}),
@@ -82,7 +85,7 @@ func TestTimestampsNonDecreasing(t *testing.T) {
 		prev := int64(-1)
 		for _, tp := range drain(s) {
 			if tp.Ts <= prev {
-				t.Fatalf("%s: non-increasing ts %d after %d", s.Name, tp.Ts, prev)
+				t.Fatalf("stream %d: non-increasing ts %d after %d", i, tp.Ts, prev)
 			}
 			prev = tp.Ts
 		}

@@ -239,15 +239,6 @@ func (r *Reservoir) Snapshot() []float64 {
 	return out
 }
 
-// Reset clears the reservoir for the next window, keeping capacity,
-// seed stream, and algorithm.
-func (r *Reservoir) Reset() {
-	r.items = r.items[:0]
-	r.seen = 0
-	r.w = 1
-	r.next = 0
-}
-
 // MemSize returns the approximate footprint in bytes: the sample slots
 // plus bookkeeping. Used to charge the worker budget.
 func (r *Reservoir) MemSize() int { return 8*r.cap + 48 }

@@ -113,22 +113,6 @@ func TestReservoirSnapshotIsCopy(t *testing.T) {
 	}
 }
 
-func TestReservoirReset(t *testing.T) {
-	r := NewReservoir(4, 1, AlgoL)
-	for i := 0; i < 100; i++ {
-		r.Add(float64(i))
-	}
-	r.Reset()
-	if r.Len() != 0 || r.Seen() != 0 {
-		t.Error("Reset did not clear state")
-	}
-	// Must be reusable and refill correctly.
-	r.Add(7)
-	if r.Len() != 1 || r.Items()[0] != 7 {
-		t.Error("reservoir unusable after Reset")
-	}
-}
-
 func TestReservoirPanicsOnBadCap(t *testing.T) {
 	defer func() {
 		if recover() == nil {

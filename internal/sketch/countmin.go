@@ -24,7 +24,6 @@ type CountMin struct {
 	width, depth int
 	table        [][]float64
 	seeds        []maphash.Seed
-	total        float64 // ‖increments‖₁ (assumes non-negative updates)
 }
 
 // NewCountMin returns a sketch with the given width and depth.
@@ -60,13 +59,6 @@ func NewCountMinWithError(eps, delta float64) *CountMin {
 	return NewCountMin(w, d)
 }
 
-// Width returns the sketch width.
-func (c *CountMin) Width() int { return c.width }
-
-// Depth returns the sketch depth (number of hash functions applied per
-// tuple — the per-tuple cost Table 2 measures).
-func (c *CountMin) Depth() int { return c.depth }
-
 func (c *CountMin) bucket(row int, key string) int {
 	h := maphash.String(c.seeds[row], key)
 	return int(h % uint64(c.width))
@@ -75,7 +67,6 @@ func (c *CountMin) bucket(row int, key string) int {
 // Add increments key's count by v (v must be non-negative for the error
 // guarantee to hold).
 func (c *CountMin) Add(key string, v float64) {
-	c.total += v
 	for row := 0; row < c.depth; row++ {
 		c.table[row][c.bucket(row, key)] += v
 	}
@@ -92,9 +83,6 @@ func (c *CountMin) Estimate(key string) float64 {
 	return est
 }
 
-// Total returns the sum of all increments.
-func (c *CountMin) Total() float64 { return c.total }
-
 // Reset clears all counters for the next window.
 func (c *CountMin) Reset() {
 	for _, row := range c.table {
@@ -102,7 +90,6 @@ func (c *CountMin) Reset() {
 			row[i] = 0
 		}
 	}
-	c.total = 0
 }
 
 // MemSize returns the sketch footprint in bytes.
@@ -151,9 +138,6 @@ func (g *GroupedMeanSketch) Result() map[string]float64 {
 	}
 	return out
 }
-
-// Groups returns the number of distinct groups seen.
-func (g *GroupedMeanSketch) Groups() int { return len(g.groups) }
 
 // Reset clears both sketches and the group set for the next window.
 func (g *GroupedMeanSketch) Reset() {

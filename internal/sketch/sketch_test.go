@@ -24,9 +24,6 @@ func TestCountMinExactOnSparseKeys(t *testing.T) {
 	if cm.Estimate("a") != 7 || cm.Estimate("b") != 3 {
 		t.Errorf("sparse estimates inexact: a=%v b=%v", cm.Estimate("a"), cm.Estimate("b"))
 	}
-	if cm.Total() != 10 {
-		t.Errorf("Total = %v", cm.Total())
-	}
 }
 
 // The fundamental CountMin property: estimates never underestimate.
@@ -72,7 +69,7 @@ func TestCountMinErrorBound(t *testing.T) {
 	}
 	bad := 0
 	for k, v := range truth {
-		if cm.Estimate(k)-v > 0.01*cm.Total() {
+		if cm.Estimate(k)-v > 0.01*100000 {
 			bad++
 		}
 	}
@@ -83,11 +80,11 @@ func TestCountMinErrorBound(t *testing.T) {
 
 func TestCountMinSizing(t *testing.T) {
 	cm := NewCountMinWithError(0.10, 0.05)
-	if cm.Width() != 28 { // ⌈e/0.1⌉
-		t.Errorf("Width = %d, want 28", cm.Width())
+	if cm.width != 28 { // ⌈e/0.1⌉
+		t.Errorf("width = %d, want 28", cm.width)
 	}
-	if cm.Depth() != 3 { // ⌈ln 20⌉
-		t.Errorf("Depth = %d, want 3", cm.Depth())
+	if cm.depth != 3 { // ⌈ln 20⌉
+		t.Errorf("depth = %d, want 3", cm.depth)
 	}
 	if cm.MemSize() < 28*3*8 {
 		t.Errorf("MemSize = %d", cm.MemSize())
@@ -112,7 +109,7 @@ func TestCountMinReset(t *testing.T) {
 	cm := NewCountMin(16, 2)
 	cm.Add("x", 9)
 	cm.Reset()
-	if cm.Estimate("x") != 0 || cm.Total() != 0 {
+	if cm.Estimate("x") != 0 {
 		t.Error("Reset did not clear")
 	}
 }
@@ -127,8 +124,8 @@ func TestGroupedMeanSketch(t *testing.T) {
 		g.Add(k, v)
 		truth[k] = append(truth[k], v)
 	}
-	if g.Groups() != 4 {
-		t.Fatalf("Groups = %d", g.Groups())
+	if len(g.groups) != 4 {
+		t.Fatalf("groups = %d", len(g.groups))
 	}
 	res := g.Result()
 	if len(res) != 4 {
@@ -148,7 +145,7 @@ func TestGroupedMeanSketch(t *testing.T) {
 		t.Error("MemSize must include the group set")
 	}
 	g.Reset()
-	if g.Groups() != 0 {
+	if len(g.groups) != 0 {
 		t.Error("Reset did not clear groups")
 	}
 	if len(g.Result()) != 0 {

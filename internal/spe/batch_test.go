@@ -289,7 +289,6 @@ func (c *countingManager) OnTuple(t tuple.Tuple) ([]core.Result, error) {
 func (c *countingManager) OnWatermark(wm int64) ([]core.Result, error) {
 	return c.inner.OnWatermark(wm)
 }
-func (c *countingManager) MemUsage() int { return c.inner.MemUsage() }
 
 // TestBarrierFlushCoversExactPrefix injects a checkpoint barrier at a
 // fixed spout offset and asserts the snapshot point observes exactly
@@ -421,7 +420,6 @@ func (s *slowManager) OnTuple(t tuple.Tuple) ([]core.Result, error) {
 func (s *slowManager) OnWatermark(wm int64) ([]core.Result, error) {
 	return s.inner.OnWatermark(wm)
 }
-func (s *slowManager) MemUsage() int { return s.inner.MemUsage() }
 
 // TestBackpressureSlowWindowedWorkerBatched: a queue of one batch and a
 // deliberately slow windowed worker force every upstream sender to
@@ -510,7 +508,6 @@ type nopManager struct{}
 func (nopManager) OnTuple(tuple.Tuple) ([]core.Result, error)        { return nil, nil }
 func (nopManager) OnTupleBatch([]tuple.Tuple) ([]core.Result, error) { return nil, nil }
 func (nopManager) OnWatermark(int64) ([]core.Result, error)          { return nil, nil }
-func (nopManager) MemUsage() int                                     { return 0 }
 
 // hopCase is one topology from the source to nopManager.
 type hopCase struct {

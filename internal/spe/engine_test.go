@@ -439,8 +439,6 @@ func (e *erroringManager) OnWatermark(wm int64) ([]core.Result, error) {
 	return e.inner.OnWatermark(wm)
 }
 
-func (e *erroringManager) MemUsage() int { return e.inner.MemUsage() }
-
 func TestRunPropagatesRuntimeError(t *testing.T) {
 	leakcheck.Check(t)
 	var in []tuple.Tuple

@@ -65,7 +65,6 @@ func (m *laneRecorder) OnWatermark(wm int64) ([]core.Result, error) {
 	m.events = append(m.events, fmt.Sprintf("W%d", wm))
 	return nil, nil
 }
-func (m *laneRecorder) MemUsage() int { return 0 }
 
 // TestChainIsThePerTupleReference runs recording stages and recording
 // workers through the engine and holds what they saw to a plain loop

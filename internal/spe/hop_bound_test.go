@@ -18,7 +18,6 @@ type idleManager struct{}
 
 func (idleManager) OnTuple(tuple.Tuple) ([]core.Result, error) { return nil, nil }
 func (idleManager) OnWatermark(int64) ([]core.Result, error)   { return nil, nil }
-func (idleManager) MemUsage() int                              { return 0 }
 
 // TestHopBoundsTuplesInFlight pins the one queue rule: whatever the run
 // length, every channel the engine owns holds max(2, 1024/BatchSize)

@@ -90,7 +90,7 @@ type Stats struct {
 	InflightBytes     int64 `json:"inflight_bytes"`     // bytes held by queued/active writes
 	AsyncWrites       int64 `json:"async_writes"`       // chunk writes serviced by the worker pool
 	BackpressureWaits int64 `json:"backpressure_waits"` // Store calls that blocked on QueueBytes
-	Flushes           int64 `json:"flushes"`            // Flush/Barrier calls
+	Flushes           int64 `json:"flushes"`            // Flush calls
 	CacheHits         int64 `json:"cache_hits"`
 	CacheMisses       int64 `json:"cache_misses"`
 	CacheEvictions    int64 `json:"cache_evictions"`
@@ -164,9 +164,6 @@ func AsPlane(s storage.SpillStore) *Plane {
 
 // Async reports whether the worker pool is active.
 func (p *Plane) Async() bool { return p.workers > 0 }
-
-// Inner returns the wrapped store.
-func (p *Plane) Inner() storage.SpillStore { return p.inner }
 
 // enqueue appends t to key's queue, marking the queue ready if idle.
 // Caller must hold p.mu.
@@ -396,9 +393,6 @@ func (p *Plane) Flush() error {
 	}
 	return p.lastErr
 }
-
-// Barrier is an alias for Flush, named for the checkpoint protocol.
-func (p *Plane) Barrier() error { return p.Flush() }
 
 // Delete implements storage.SpillStore: pending operations for the key
 // drain first, the cached segment is dropped, then the delete passes

@@ -146,7 +146,7 @@ func TestAsPlaneIdempotent(t *testing.T) {
 	if q.Async() {
 		t.Fatal("AsPlane over a raw store must be synchronous")
 	}
-	if q.Inner() != storage.SpillStore(mem) {
+	if q.inner != storage.SpillStore(mem) {
 		t.Fatal("AsPlane lost the inner store")
 	}
 }

@@ -10,9 +10,6 @@ type Interval struct {
 // Width returns High - Low.
 func (iv Interval) Width() float64 { return iv.High - iv.Low }
 
-// Contains reports whether x lies inside the interval (inclusive).
-func (iv Interval) Contains(x float64) bool { return x >= iv.Low && x <= iv.High }
-
 // MeanCI returns the confidence interval for a population mean estimated
 // from a simple random sample of size n drawn without replacement from a
 // window of size N (paper §4.2, following Cochran):

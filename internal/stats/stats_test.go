@@ -37,10 +37,6 @@ func TestWelfordBasics(t *testing.T) {
 	if !almostEqual(w.Sum(), 40, 1e-12) {
 		t.Errorf("Sum = %v", w.Sum())
 	}
-	w.Reset()
-	if w.Count() != 0 || w.Mean() != 0 {
-		t.Error("Reset did not clear")
-	}
 }
 
 func TestWelfordSingleValue(t *testing.T) {
@@ -247,9 +243,6 @@ func TestIntervalHelpers(t *testing.T) {
 	if iv.Width() != 4 {
 		t.Errorf("Width = %v", iv.Width())
 	}
-	if !iv.Contains(8) || !iv.Contains(12) || iv.Contains(12.01) {
-		t.Error("Contains is wrong at boundaries")
-	}
 	if got := RelativeHalfWidth(10, iv); got != 0.2 {
 		t.Errorf("RelativeHalfWidth = %v, want 0.2", got)
 	}
@@ -330,7 +323,7 @@ func TestMeanCICoverage(t *testing.T) {
 			w.Add(pop[i])
 		}
 		iv := MeanCI(w.Mean(), w.StdDev(), int64(n), int64(N), conf)
-		if iv.Contains(popMean) {
+		if iv.Low <= popMean && popMean <= iv.High {
 			covered++
 		}
 	}
@@ -488,7 +481,7 @@ func TestSmallSampleTCoverage(t *testing.T) {
 		for i := 0; i < n; i++ {
 			w.Add(r.NormFloat64() * 3)
 		}
-		if MeanCIAuto(w.Mean(), w.StdDev(), n, 1<<40, 0.95).Contains(0) {
+		if iv := MeanCIAuto(w.Mean(), w.StdDev(), n, 1<<40, 0.95); iv.Low <= 0 && 0 <= iv.High {
 			coveredT++
 		}
 	}

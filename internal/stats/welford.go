@@ -67,9 +67,6 @@ func (w *Welford) Merge(o Welford) {
 	w.min, w.max = min(w.min, o.min), max(w.max, o.max)
 }
 
-// Reset returns the accumulator to its zero state.
-func (w *Welford) Reset() { *w = Welford{} }
-
 // Count returns the number of observations.
 func (w *Welford) Count() int64 { return w.n }
 
@@ -96,9 +93,3 @@ func (w *Welford) Variance() float64 {
 
 // StdDev returns the unbiased sample standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// MemSize returns the in-memory footprint of the accumulator in bytes.
-// The paper charges the budget b for the statistics it keeps ("...the
-// total number of values stored in b is reduced by 2 because SPEAr
-// maintains fare values' variance and the size of S_w").
-func (w *Welford) MemSize() int { return 6 * 8 }

@@ -1,5 +1,5 @@
 // Package tuple defines the data model that flows through the engine:
-// typed values, schemas, and tuples carrying an event timestamp.
+// typed values and tuples carrying an event timestamp.
 //
 // Tuples are the unit of transfer between execution stages and the unit
 // of storage inside window buffers and the spill store. The engine keeps
@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 	"unsafe"
 )
 
@@ -186,62 +185,14 @@ func (v Value) MemSize() int {
 	return 9
 }
 
-// Field describes one column of a schema.
-type Field struct {
-	Name string
-	Kind Kind
-}
-
-// Schema is an ordered list of named, typed fields. Schemas are shared
-// between all tuples of a stream, so tuples store only values.
-type Schema struct {
-	fields []Field
-}
-
-// NewSchema builds a schema from the given fields. Field names must be
-// unique; NewSchema panics otherwise because a duplicate is always a
-// programming error in query construction.
-func NewSchema(fields ...Field) *Schema {
-	seen := make(map[string]bool, len(fields))
-	for _, f := range fields {
-		if seen[f.Name] {
-			panic("tuple: duplicate field name " + f.Name)
-		}
-		seen[f.Name] = true
-	}
-	return &Schema{fields: fields}
-}
-
-// Len returns the number of fields.
-func (s *Schema) Len() int { return len(s.fields) }
-
-// Field returns the i-th field.
-func (s *Schema) Field(i int) Field { return s.fields[i] }
-
-// String renders the schema as "(name kind, ...)".
-func (s *Schema) String() string {
-	var b strings.Builder
-	b.WriteByte('(')
-	for i, f := range s.fields {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(f.Name)
-		b.WriteByte(' ')
-		b.WriteString(f.Kind.String())
-	}
-	b.WriteByte(')')
-	return b.String()
-}
-
-// Tuple is one data record: an event timestamp plus field values laid
-// out in schema order.
+// Tuple is one data record: an event timestamp plus field values, one
+// per column of its stream.
 type Tuple struct {
 	// Ts is the event time in nanoseconds since the epoch for
 	// time-based windows, or the sequence number for count-based
 	// windows. The window assigner decides the interpretation.
 	Ts int64
-	// Vals are the field values in schema order.
+	// Vals are the field values, one per column.
 	Vals []Value
 }
 
@@ -249,9 +200,6 @@ type Tuple struct {
 func New(ts int64, vals ...Value) Tuple {
 	return Tuple{Ts: ts, Vals: vals}
 }
-
-// Time returns the event time as a time.Time (nanosecond resolution).
-func (t Tuple) Time() time.Time { return time.Unix(0, t.Ts) }
 
 // MemSize returns the approximate in-memory footprint of the tuple in
 // bytes, used for budget accounting.

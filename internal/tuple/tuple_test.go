@@ -33,6 +33,11 @@ func TestValueKinds(t *testing.T) {
 			}
 		})
 	}
+	for k, want := range map[Kind]string{KindInt: "int", KindFloat: "float", KindString: "string", KindBool: "bool", KindInvalid: "invalid"} {
+		if got := k.String(); got != want {
+			t.Errorf("Kind(%d).String() = %q, want %q", k, got, want)
+		}
+	}
 }
 
 func TestValueAccessors(t *testing.T) {
@@ -136,37 +141,10 @@ func TestNegativeFloatRoundtrip(t *testing.T) {
 	}
 }
 
-func TestSchema(t *testing.T) {
-	s := NewSchema(
-		Field{Name: "time", Kind: KindInt},
-		Field{Name: "route", Kind: KindString},
-		Field{Name: "fare", Kind: KindFloat},
-	)
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", s.Len())
-	}
-	want := "(time int, route string, fare float)"
-	if got := s.String(); got != want {
-		t.Errorf("String = %q, want %q", got, want)
-	}
-}
-
-func TestSchemaDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on duplicate field")
-		}
-	}()
-	NewSchema(Field{Name: "a", Kind: KindInt}, Field{Name: "a", Kind: KindFloat})
-}
-
 func TestTupleBasics(t *testing.T) {
 	tp := New(1234, String_("r1"), Float(9.5))
 	if tp.Ts != 1234 {
 		t.Errorf("Ts = %d", tp.Ts)
-	}
-	if tp.Time().UnixNano() != 1234 {
-		t.Errorf("Time = %v", tp.Time())
 	}
 	if !strings.Contains(tp.String(), "r1") {
 		t.Errorf("String = %q, want route in it", tp.String())

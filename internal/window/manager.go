@@ -14,9 +14,6 @@ type Complete struct {
 	Tuples []tuple.Tuple
 }
 
-// Size returns the number of tuples in the window.
-func (c Complete) Size() int { return len(c.Tuples) }
-
 // SingleBuffer is the per-worker window lifecycle of §2 — buffer at
 // arrival, stage complete windows at watermark arrival (trigger), discard
 // fully processed tuples (evict) — for one executor goroutine, without

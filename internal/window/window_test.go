@@ -220,8 +220,8 @@ func TestSingleBufferTumbling(t *testing.T) {
 	if len(completes) != 2 {
 		t.Fatalf("completed %d windows, want 2", len(completes))
 	}
-	if completes[0].Size() != 10 || completes[1].Size() != 10 {
-		t.Errorf("sizes = %d, %d; want 10, 10", completes[0].Size(), completes[1].Size())
+	if len(completes[0].Tuples) != 10 || len(completes[1].Tuples) != 10 {
+		t.Errorf("sizes = %d, %d; want 10, 10", len(completes[0].Tuples), len(completes[1].Tuples))
 	}
 	if m.MemUsage() >= m.PeakMemUsage() && m.MemUsage() != 0 {
 		// 5 tuples (20..24) remain.
@@ -266,7 +266,7 @@ func TestSingleBufferLateTuples(t *testing.T) {
 	// ts 35 is fine.
 	m.OnTuple(mkTuple(35, 1))
 	completes := m.OnWatermark(40)
-	if len(completes) != 1 || completes[0].Size() != 1 {
+	if len(completes) != 1 || len(completes[0].Tuples) != 1 {
 		t.Errorf("completes = %+v", completes)
 	}
 }
@@ -282,8 +282,8 @@ func TestSingleBufferCountWindows(t *testing.T) {
 		t.Fatalf("fired %d count windows, want 3", len(fired))
 	}
 	for i, c := range fired {
-		if c.Size() != 5 {
-			t.Errorf("window %d size = %d, want 5", i, c.Size())
+		if len(c.Tuples) != 5 {
+			t.Errorf("window %d size = %d, want 5", i, len(c.Tuples))
 		}
 		// Window i holds values 5i..5i+4 in order.
 		for j, tp := range c.Tuples {
@@ -303,16 +303,16 @@ func TestSingleBufferCountSliding(t *testing.T) {
 	total := 0
 	for i := 0; i < 30; i++ {
 		for _, c := range m.OnTuple(mkTuple(0, float64(i))) {
-			if c.Size() != 10 && c.Start >= 0 {
+			if len(c.Tuples) != 10 && c.Start >= 0 {
 				// The very first window [−5,5) style edges don't
 				// occur: count starts at 0, so first is [0,10)?
 				// Actually the first fired id may cover [-5, 5).
-				if c.Start < 0 && c.Size() == 5 {
+				if c.Start < 0 && len(c.Tuples) == 5 {
 					continue
 				}
-				t.Errorf("window [%d,%d) size = %d", c.Start, c.End, c.Size())
+				t.Errorf("window [%d,%d) size = %d", c.Start, c.End, len(c.Tuples))
 			}
-			total += c.Size()
+			total += len(c.Tuples)
 		}
 	}
 	if total == 0 {

@@ -54,8 +54,7 @@ var floatCmpScope = []string{"internal/stats", "internal/core"}
 // package the walk parsed, so that a renamed package cannot leave a
 // check looking at nothing.
 func TestRepoClean(t *testing.T) {
-	fset, files := parseSources(t)
-	pkgs := lintPackages(fset, files, decoders(files))
+	_, _, pkgs := parseSources(t)
 	used := map[string]bool{}
 	for _, f := range runLint(pkgs) {
 		if _, ok := lintAllowed[f.key]; ok {
@@ -72,18 +71,20 @@ func TestRepoClean(t *testing.T) {
 	}
 }
 
-// lintPkg is one package as the checks see it: the non-test files of one
-// directory under one package clause, type-checked best-effort.
+// lintPkg is one package as every guard sees it: the non-test files of
+// one directory under one package clause, type-checked.
 type lintPkg struct {
 	dir, name string // module-relative directory, package clause
 	fset      *token.FileSet
 	files     []*ast.File
-	// info holds what the checker inferred. Imports resolve to empty
-	// packages, so types are known only for what the package itself
-	// determines, which is all floatcmp and a channel range need; where
-	// info is missing a check stays silent, never wrong.
-	info     *types.Info
-	decoders map[string]map[string]bool // errcheck-lite's codec targets
+	types     *types.Package
+	// info holds what the checker inferred, one Info for every package
+	// typeCheck checked together. An import of the module resolves to
+	// its checked package, so an operand or a selector of another
+	// package has its type; the standard library's packages are empty
+	// stubs, so whatever comes from them is invalid, and where info is
+	// missing a check stays silent, never wrong.
+	info *types.Info
 }
 
 // lintFinding is a check's finding: its lintAllowed key, its position
@@ -98,39 +99,71 @@ func (f lintFinding) String() string {
 	return fmt.Sprintf("%s:%d: [%s] %s", f.pos.Filename, f.pos.Line, strings.Fields(f.key)[0], f.msg)
 }
 
-// lintPackages groups files by directory and package clause and
-// type-checks each group, discarding the checker's errors: partial type
+// typeCheck groups files by directory and package clause and
+// type-checks each group into one Info, a package before those that
+// import it: an import of the module ("spear", "spear/<dir>") resolves
+// to the group of its directory, else to the package of tree there, and
+// any other import to an empty, complete package, so that the checker
+// needs no compiled export data and go.mod no dependency. The checker's
+// errors, which the stubs make certain, are discarded: partial type
 // information beats none.
-func lintPackages(fset *token.FileSet, files []sourceFile, decoders map[string]map[string]bool) []*lintPkg {
+func typeCheck(fset *token.FileSet, files []sourceFile, tree []*lintPkg) []*lintPkg {
 	var pkgs []*lintPkg
+	byDir := map[string]*lintPkg{}
+	for _, p := range tree {
+		byDir[p.dir] = p
+	}
 	byClause := map[string]*lintPkg{}
 	for _, fl := range files {
 		key := fl.dir + " " + fl.f.Name.Name
 		p := byClause[key]
 		if p == nil {
-			p = &lintPkg{dir: fl.dir, name: fl.f.Name.Name, fset: fset, decoders: decoders}
+			p = &lintPkg{dir: fl.dir, name: fl.f.Name.Name, fset: fset}
 			byClause[key] = p
+			byDir[fl.dir] = p
 			pkgs = append(pkgs, p)
 		}
 		p.files = append(p.files, fl.f)
 	}
+	info := &types.Info{
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+	}
+	var check func(p *lintPkg) *types.Package
+	conf := types.Config{Error: func(error) {}, Importer: importer(func(path string) (*types.Package, error) {
+		dir, ok := strings.CutPrefix(path, "spear/")
+		if path == "spear" {
+			dir, ok = ".", true
+		}
+		if p := byDir[dir]; ok && p != nil {
+			return check(p), nil
+		}
+		stub := types.NewPackage(path, path[strings.LastIndex(path, "/")+1:])
+		stub.MarkComplete()
+		return stub, nil
+	})}
+	check = func(p *lintPkg) *types.Package {
+		if p.types == nil {
+			path := "spear"
+			if p.dir != "." {
+				path += "/" + p.dir
+			}
+			p.types, p.info = types.NewPackage(path, p.name), info
+			_ = types.NewChecker(&conf, fset, p.types, info).Files(p.files) // the stubs make errors certain
+		}
+		return p.types
+	}
 	for _, p := range pkgs {
-		p.info = &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{}}
-		conf := types.Config{Importer: stubImporter{}, Error: func(error) {}}
-		conf.Check(p.dir, fset, p.files, p.info) // unresolved imports make errors certain
+		check(p)
 	}
 	return pkgs
 }
 
-// stubImporter satisfies every import with an empty, complete package,
-// so that the checker runs without compiled export data.
-type stubImporter struct{}
+// importer is a types.Importer made of a function.
+type importer func(path string) (*types.Package, error)
 
-func (stubImporter) Import(path string) (*types.Package, error) {
-	p := types.NewPackage(path, path[strings.LastIndex(path, "/")+1:])
-	p.MarkComplete()
-	return p, nil
-}
+func (f importer) Import(path string) (*types.Package, error) { return f(path) }
 
 // runLint runs the checks named by only, or every check, over pkgs.
 func runLint(pkgs []*lintPkg, only ...string) []lintFinding {
@@ -160,7 +193,7 @@ func enclosingFunc(p *lintPkg, at token.Pos) string {
 		for _, d := range f.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok && fd.Pos() <= at && at < fd.End() {
 				if fd.Recv != nil {
-					return recvType(fd.Recv) + "." + fd.Name.Name
+					return recvIdent(fd.Recv).Name + "." + fd.Name.Name
 				}
 				return fd.Name.Name
 			}
@@ -348,31 +381,15 @@ func checkFloatCmp(p *lintPkg, report func(token.Pos, string)) {
 	}
 }
 
-// decoders returns errcheck-lite's codec targets by directory: every
-// exported function under internal/ whose name starts with Decode and
+// isDecoder reports whether fn is one of errcheck-lite's codec targets:
+// an exported function under internal/ whose name starts with Decode and
 // whose last result is an error, the only sign that its bytes were
 // damaged.
-func decoders(files []sourceFile) map[string]map[string]bool {
-	out := map[string]map[string]bool{}
-	for _, fl := range files {
-		if !strings.HasPrefix(fl.dir, "internal/") {
-			continue
-		}
-		for _, d := range fl.f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Recv != nil || !fd.Name.IsExported() || !strings.HasPrefix(fd.Name.Name, "Decode") || fd.Type.Results == nil {
-				continue
-			}
-			res := fd.Type.Results.List
-			if id, ok := res[len(res)-1].Type.(*ast.Ident); ok && id.Name == "error" {
-				if out[fl.dir] == nil {
-					out[fl.dir] = map[string]bool{}
-				}
-				out[fl.dir][fd.Name.Name] = true
-			}
-		}
-	}
-	return out
+func isDecoder(fn *types.Func) bool {
+	sig := fn.Type().(*types.Signature)
+	res := sig.Results()
+	return sig.Recv() == nil && fn.Exported() && strings.HasPrefix(fn.Name(), "Decode") && strings.HasPrefix(fn.Pkg().Path(), "spear/internal/") &&
+		res.Len() > 0 && types.Identical(res.At(res.Len()-1).Type(), types.Universe.Lookup("error").Type())
 }
 
 // spillMethods are the SpillStore operations whose errors errcheck-lite
@@ -382,36 +399,25 @@ var spillMethods = map[string]bool{"Store": true, "Get": true, "Delete": true}
 // checkErrcheck: no error of a decoder, or of a spill store's Store, Get
 // or Delete, is dropped: a swallowed ErrCorrupt turns damaged bytes into
 // a wrong window result. Dropped means called as a statement, with go or
-// defer, or with the error position assigned to _. Store methods are
-// matched by name in files that import internal/storage, and in that
-// package: without export data a receiver's type is unknown.
+// defer, or with the error position assigned to _. A decoder is matched
+// by its object; store methods by name, in files that import
+// internal/storage and in that package, so that a wrapper of another
+// package (spill.Plane) is held too.
 func checkErrcheck(p *lintPkg, report func(token.Pos, string)) {
 	for _, f := range p.files {
 		storage := p.dir == "internal/storage" || importName(f, "spear/internal/storage") != ""
-		codecs := map[string]map[string]bool{} // the name a codec package goes by here ("" at home) → its decoders
-		for dir, funcs := range p.decoders {
-			if name := importName(f, "spear/"+dir); name != "" {
-				codecs[name] = funcs
-			}
-			if p.dir == dir {
-				codecs[""] = funcs
-			}
-		}
-		if !storage && len(codecs) == 0 {
-			continue
-		}
 		check := func(at ast.Node, call *ast.CallExpr) {
 			desc := ""
 			switch fun := call.Fun.(type) {
 			case *ast.SelectorExpr:
-				if id, ok := fun.X.(*ast.Ident); ok && codecs[id.Name][fun.Sel.Name] {
-					desc = id.Name + "." + fun.Sel.Name
+				if fn, ok := p.info.Uses[fun.Sel].(*types.Func); ok && isDecoder(fn) {
+					desc = fn.Pkg().Name() + "." + fn.Name()
 				} else if storage && spillMethods[fun.Sel.Name] {
 					desc = "." + fun.Sel.Name
 				}
 			case *ast.Ident:
-				if codecs[""][fun.Name] {
-					desc = fun.Name
+				if fn, ok := p.info.Uses[fun].(*types.Func); ok && isDecoder(fn) {
+					desc = fn.Name()
 				}
 			}
 			if desc != "" {
@@ -481,11 +487,11 @@ func fixture(t *testing.T, check, dir string) (*lintPkg, map[string][]string) {
 }
 
 // parsePkg reads the files at paths, passes each source through edit,
-// and parses them as one package in dir, with errcheck-lite's targets
-// taken from the tree. It returns the package and its lines by path.
+// and parses them as one package in dir, type-checked against the
+// tree's packages. It returns the package and its lines by path.
 func parsePkg(t *testing.T, dir string, paths []string, edit func(path, src string) string) (*lintPkg, map[string][]string) {
 	t.Helper()
-	_, tree := parseSources(t)
+	_, _, tree := parseSources(t)
 	fset := token.NewFileSet()
 	var files []sourceFile
 	lines := map[string][]string{}
@@ -502,7 +508,7 @@ func parsePkg(t *testing.T, dir string, paths []string, edit func(path, src stri
 		files = append(files, sourceFile{dir, path, f})
 		lines[path] = strings.Split(src, "\n")
 	}
-	pkgs := lintPackages(fset, files, decoders(tree))
+	pkgs := typeCheck(fset, files, tree)
 	if len(pkgs) != 1 {
 		t.Fatalf("%s: %d packages, want 1", dir, len(pkgs))
 	}
@@ -578,7 +584,7 @@ func TestAnalyzersCatchSeededMutations(t *testing.T) {
 			"m, _ := DecodeManifest(enc)", "error returned by DecodeManifest is dropped"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			_, tree := parseSources(t)
+			_, tree, _ := parseSources(t)
 			var paths []string
 			for _, fl := range tree {
 				if fl.dir == c.dir {

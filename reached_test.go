@@ -5,10 +5,10 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -37,6 +37,12 @@ var unreachedAllowed = map[string]string{
 	"storage.LatencyStore.TotalDelay":  "test support: the delay the storage tests injected",
 	"sample.Reservoir.Cap":             "test support: the capacity the adaptive-budget tests check",
 	"sample.GroupReservoirs.PerGroup":  "test support: the per-group capacity the adaptive-budget tests check",
+	"sample.GroupReservoirs.Get":       "test support: the per-group reservoir TestGroupReservoirs and TestKeyDictChurn read",
+	"sample.GroupStats.Add":            "test support: folding by key in TestGroupStats, TestKeyDictChurn and FuzzSampleRestore; the engine folds by id (AddID)",
+	"sample.KeyDict.Len":               "test support: the live-key count TestKeyDictChurn and the grouped manager's dictionary tests (internal/core/grouped_diff_test.go) check",
+	"sample.Reservoir.Snapshot":        "test support: the sample copies the TestResize* tests compare",
+	"core.ScalarState.Epsilon":         "an input the paper's estimator hook hands a custom estimator (CustomAgg's estimator)",
+	"core.GroupedState.N":              "an input the paper's estimator hook hands a custom estimator (EstimateGroupedWith)",
 	"tuple.Value.Equal":                "test support: value comparison in the codec and round-trip tests",
 	"tuple.Value.AsInt":                "the reader of the int kind spear.Int constructs",
 	"tuple.Value.AsBool":               "the reader of the bool kind spear.Bool constructs",
@@ -54,21 +60,23 @@ var publicUnreachedAllowed = map[string]string{
 	"spear.Query.Count":           "one of DESIGN §1 row 8's aggregates",
 	"spear.Query.Variance":        "one of DESIGN §1 row 8's aggregates",
 	"spear.Query.StdDev":          "one of DESIGN §1 row 8's aggregates",
+	"spear.Query.Min":             "one of DESIGN §1 row 8's aggregates",
+	"spear.Query.Max":             "one of DESIGN §1 row 8's aggregates",
 	"spear.Query.CheckpointEvery": "the barrier snapshots of DESIGN §10's fault tolerance",
 	"spear.Query.Recover":         "the resume from a checkpoint of DESIGN §10's fault tolerance",
 }
 
 // TestEveryExportedSymbolIsReached: every exported symbol under
-// internal/ is named by a non-test file of the module or of benchmark/
-// (whose layer probes import internal/), and every exported symbol of
-// package spear by a program — a command, an example, the experiment
-// harness (internal/bench) or the benchmark — or it has an
+// internal/ is reached by a non-test file of the module or of
+// benchmark/ (whose layer probes import internal/), and every exported
+// symbol of package spear by a program — a command, an example, the
+// experiment harness (internal/bench) or the benchmark — or it has an
 // unreachedAllowed or publicUnreachedAllowed entry. See unreachedSymbols
-// for what counts as a use. An allow entry that excuses nothing fails
-// too, so the lists cannot go stale.
+// for what counts as reaching it. An allow entry that excuses nothing
+// fails too, so the lists cannot go stale.
 func TestEveryExportedSymbolIsReached(t *testing.T) {
-	fset, files := parseSources(t)
-	decls, unreached, used := unreachedSymbols(files, unreachedAllowed, publicUnreachedAllowed)
+	fset, _, pkgs := parseSources(t)
+	decls, unreached, used := unreachedSymbols(pkgs, unreachedAllowed, publicUnreachedAllowed)
 	for _, s := range unreached {
 		p := fset.Position(s.pos)
 		if s.public {
@@ -89,15 +97,16 @@ func TestEveryExportedSymbolIsReached(t *testing.T) {
 }
 
 // TestReachedGuardCatchesPlants runs the scan of
-// TestEveryExportedSymbolIsReached over a planted root package and a
-// program: a root export that only the package itself uses is reported,
-// and so is a method the program never calls; a name the program
-// qualifies and a method it calls are not, and an entry that excuses a
-// reached symbol is stale.
+// TestEveryExportedSymbolIsReached over a planted root package, an
+// internal package and a program. Reported: a root export that only the
+// package itself uses, a method the program never calls, one that only
+// shares its name with a called method of another type, and a field
+// that is written and never read. Not reported: a name the program
+// qualifies, a method it calls on its type, through an interface the
+// type implements or on a generic type's instance, a field it reads and
+// a tagged field. An entry that excuses a reached symbol is stale.
 func TestReachedGuardCatchesPlants(t *testing.T) {
-	fset := token.NewFileSet()
-	var files []sourceFile
-	for dir, src := range map[string]string{
+	pkgs := plant(t, map[string]string{
 		".": `package spear
 type Query struct{}
 func (Query) Called()  {}
@@ -106,167 +115,247 @@ func (Query) Field()   {}
 func Used() Query      { Unused(); return Query{} }
 func Unused()          {}
 func Kept()            {}`,
+		"internal/plant": `package plant
+type Used struct{ Written, Read int; Tagged int ` + "`json:\"t\"`" + ` }
+func (Used) Name()     {}
+type Other struct{}
+func (Other) Name()    {}
+type Runner interface{ Run() }
+type Impl struct{}
+func (Impl) Run()      {}
+type Box[T any] struct{ v T }
+func (b Box[T]) Get() T { return b.v }`,
 		"cmd/user": `package main
-import "spear"
+import (
+	"spear"
+	"spear/internal/plant"
+)
 func main() {
 	var q spear.Query = spear.Used()
 	q.Called()
 	var s struct{ Field int }
 	_ = s.Field
+	u := plant.Used{}
+	u.Written = u.Read
+	u.Name()
+	var r plant.Runner = plant.Impl{}
+	r.Run()
+	_ = plant.Box[int]{}.Get()
+	_ = plant.Other{}
 }`,
-	} {
+	})
+	public := map[string]string{"spear.Kept": "kept", "spear.Used": "stale"}
+	decls, unreached, used := unreachedSymbols(pkgs, map[string]string{}, public)
+	var keys []string
+	for _, s := range unreached {
+		keys = append(keys, s.key)
+	}
+	sort.Strings(keys)
+	const want = "plant.Other.Name plant.Used.Written spear.Query.Dead spear.Query.Field spear.Unused"
+	if decls != 19 || strings.Join(keys, " ") != want || used["spear.Used"] || !used["spear.Kept"] {
+		t.Errorf("%d declarations, unreached %v, used %v; want 19, [%s], [spear.Kept]", decls, keys, used, want)
+	}
+}
+
+// plant parses and type-checks srcs, one file per directory, as guards
+// see the tree.
+func plant(t *testing.T, srcs map[string]string) []*lintPkg {
+	t.Helper()
+	fset := token.NewFileSet()
+	var files []sourceFile
+	for dir, src := range srcs {
 		f, err := parser.ParseFile(fset, dir+"/x.go", src, parser.SkipObjectResolution)
 		if err != nil {
 			t.Fatal(err)
 		}
 		files = append(files, sourceFile{dir: dir, f: f})
 	}
-	public := map[string]string{"spear.Kept": "kept", "spear.Used": "stale"}
-	decls, unreached, used := unreachedSymbols(files, map[string]string{}, public)
-	var keys []string
-	for _, s := range unreached {
-		keys = append(keys, s.key)
-	}
-	sort.Strings(keys)
-	if decls != 7 || strings.Join(keys, " ") != "spear.Query.Dead spear.Query.Field spear.Unused" || used["spear.Used"] || !used["spear.Kept"] {
-		t.Errorf("%d declarations, unreached %v, used %v; want 7, [spear.Query.Dead spear.Query.Field spear.Unused], [spear.Kept]", decls, keys, used)
-	}
+	return typeCheck(fset, files, nil)
 }
 
-// exported is an exported declaration: its allow key ("pkg.Name" or
-// "pkg.Type.Method"), the name a use is looked up by ("dir.Name" for a
-// package-level name, "Method" for a method), and whether it belongs to
-// package spear, whose symbols only programs reach.
+// exported is an exported declaration of internal/ or of package spear,
+// whose symbols only programs reach: its allow key ("pkg.Name",
+// "pkg.Type.Method" or "pkg.Type.Field"), its object and the type that
+// declares it, if it is a method or a field.
 type exported struct {
 	key    string
-	use    string
-	method bool
+	obj    types.Object
+	typ    *types.TypeName
+	tagged bool
 	public bool
 	pos    token.Pos
 }
 
-// unreachedSymbols counts the exported declarations of internal/ and of
-// package spear in files, and returns those that nothing reaches and the
-// allow lists do not excuse, and the allow entries that excuse something.
-//
-// An internal package-level name is reached when any file uses it
-// qualified through its import name, or bare inside its own package
-// (receivers aside). An internal method is reached when any selector or
-// interface method has its name: a shared name can hide a dead method,
-// but a live one is never flagged. A symbol of package spear counts
-// only programs' uses (isProgram): a package-level name must be
-// qualified there, and a method called by name, x.Method(…), so that a
-// field or a value that shares the name does not keep it.
-func unreachedSymbols(files []sourceFile, allowed, public map[string]string) (decls int, unreached []exported, used map[string]bool) {
-	pkgName := map[string]string{} // dir → package name
-	for _, fl := range files {
-		pkgName[fl.dir] = fl.f.Name.Name
-	}
-
-	var syms []exported
-	declared := map[token.Pos]bool{} // declaring identifiers are not uses
-	for _, fl := range files {
-		isPublic := fl.dir == "."
-		if !isPublic && !strings.HasPrefix(fl.dir, "internal/") {
+// declarations returns the exported declarations of internal/ and of
+// package spear in pkgs: package-level names, the methods and the
+// fields (embedded ones aside) of exported types.
+func declarations(pkgs []*lintPkg) []exported {
+	var out []exported
+	for _, p := range pkgs {
+		isPublic := p.dir == "."
+		if !isPublic && !strings.HasPrefix(p.dir, "internal/") {
 			continue
 		}
-		pkg := fl.f.Name.Name
-		add := func(id *ast.Ident) {
-			declared[id.Pos()] = true
-			if id.IsExported() {
-				syms = append(syms, exported{key: pkg + "." + id.Name, use: fl.dir + "." + id.Name, public: isPublic, pos: id.Pos()})
+		add := func(id *ast.Ident, typ *ast.Ident, tagged bool) {
+			obj := p.info.Defs[id]
+			if obj == nil || !id.IsExported() {
+				return
 			}
+			s := exported{key: p.name + "." + id.Name, obj: obj, tagged: tagged, public: isPublic, pos: id.Pos()}
+			if typ != nil {
+				s.key = p.name + "." + typ.Name + "." + id.Name
+				s.typ, _ = p.info.ObjectOf(typ).(*types.TypeName)
+			}
+			out = append(out, s)
 		}
-		for _, d := range fl.f.Decls {
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				if d.Recv == nil {
-					add(d.Name)
-				} else if typ := recvType(d.Recv); ast.IsExported(typ) && d.Name.IsExported() {
-					syms = append(syms, exported{key: pkg + "." + typ + "." + d.Name.Name, use: d.Name.Name, method: true, public: isPublic, pos: d.Name.Pos()})
-				}
-			case *ast.GenDecl:
-				for _, s := range d.Specs {
-					switch s := s.(type) {
-					case *ast.TypeSpec:
-						add(s.Name)
-					case *ast.ValueSpec:
-						for _, id := range s.Names {
-							add(id)
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil {
+						add(d.Name, nil, false)
+					} else if typ := recvIdent(d.Recv); typ != nil && typ.IsExported() {
+						add(d.Name, typ, false)
+					}
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							add(s.Name, nil, false)
+							if st, ok := s.Type.(*ast.StructType); ok && s.Name.IsExported() {
+								for _, fd := range st.Fields.List {
+									for _, id := range fd.Names {
+										add(id, s.Name, fd.Tag != nil)
+									}
+								}
+							}
+						case *ast.ValueSpec:
+							for _, id := range s.Names {
+								add(id, nil, false)
+							}
 						}
 					}
 				}
 			}
 		}
 	}
+	return out
+}
 
-	qualified := map[string]bool{}     // dir.Name used as pkg.Name
-	bare := map[string]bool{}          // dir.Name used inside its own package
-	selected := map[string]bool{}      // names of selectors and interface methods
-	progQualified := map[string]bool{} // dir.Name used as pkg.Name by a program
-	progCalled := map[string]bool{}    // names a program calls as x.Name(…)
-	for _, fl := range files {
-		imports := spearImports(fl.f, pkgName)
-		program := isProgram(fl.dir)
-		var visit func(n ast.Node) bool
-		visit = func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Recv != nil { // a receiver does not reach its type
-					ast.Inspect(n.Type, visit)
-					if n.Body != nil {
-						ast.Inspect(n.Body, visit)
-					}
-					return false
-				}
-			case *ast.CallExpr:
-				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && program {
-					progCalled[sel.Sel.Name] = true
-				}
-			case *ast.SelectorExpr:
-				selected[n.Sel.Name] = true
-				if x, ok := n.X.(*ast.Ident); ok {
-					if dir, ok := imports[x.Name]; ok {
-						qualified[dir+"."+n.Sel.Name] = true
-						if program {
-							progQualified[dir+"."+n.Sel.Name] = true
+// references returns, for each object the files of pkgs name, the
+// directories of the files that name it: written, for a field on the
+// left of an assignment or as the key of a struct literal, and read for
+// every other use. A receiver does not reach its type, and a
+// declaration is no use. A generic instance's members count as their
+// origin's.
+func references(pkgs []*lintPkg) (read, written map[types.Object]map[string]bool) {
+	read, written = map[types.Object]map[string]bool{}, map[types.Object]map[string]bool{}
+	for _, p := range pkgs {
+		for _, f := range p.files {
+			lhs := map[*ast.Ident]bool{}
+			var visit func(n ast.Node) bool
+			visit = func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.FuncDecl:
+					if n.Recv != nil {
+						ast.Inspect(n.Type, visit)
+						if n.Body != nil {
+							ast.Inspect(n.Body, visit)
 						}
 						return false
 					}
-				}
-				ast.Inspect(n.X, visit)
-				return false
-			case *ast.InterfaceType:
-				for _, m := range n.Methods.List {
-					for _, id := range m.Names {
-						selected[id.Name] = true
+				case *ast.AssignStmt:
+					for _, e := range n.Lhs {
+						if sel, ok := e.(*ast.SelectorExpr); ok {
+							lhs[sel.Sel] = true
+						}
+					}
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						lhs[id] = true
+					}
+				case *ast.Ident:
+					obj := p.info.Uses[n]
+					switch o := obj.(type) {
+					case *types.Func:
+						obj = o.Origin()
+					case *types.Var:
+						obj = o.Origin()
+					}
+					dirs := read
+					if v, ok := obj.(*types.Var); ok && v.IsField() && lhs[n] {
+						dirs = written
+					}
+					if obj != nil {
+						if dirs[obj] == nil {
+							dirs[obj] = map[string]bool{}
+						}
+						dirs[obj][p.dir] = true
 					}
 				}
-			case *ast.Ident:
-				if !declared[n.Pos()] {
-					bare[fl.dir+"."+n.Name] = true
-				}
+				return true
 			}
-			return true
+			ast.Inspect(f, visit)
 		}
-		ast.Inspect(fl.f, visit)
+	}
+	return read, written
+}
+
+// unreachedSymbols counts the exported declarations of internal/ and of
+// package spear in pkgs, and returns those that nothing reaches and the
+// allow lists do not excuse, and the allow entries that excuse something.
+//
+// A symbol under internal/ is reached by any file, one of package spear
+// only by a program (isProgram). A package-level name is reached by a use
+// of its object; a field by a read, unless it is tagged, as reflection
+// reads it; a method by a use on its own type or a generic instance of
+// it, or by a use of an interface method it implements. String and Error
+// always count as reached: fmt calls them through fmt.Stringer and
+// error, and the stubbed standard library hides those calls.
+func unreachedSymbols(pkgs []*lintPkg, allowed, public map[string]string) (decls int, unreached []exported, used map[string]bool) {
+	read, _ := references(pkgs)
+	reachedBy := func(obj types.Object, public bool) bool {
+		for dir := range read[obj] {
+			if !public || isProgram(dir) {
+				return true
+			}
+		}
+		return false
+	}
+	ifaceMethods := map[string][]*types.Func{} // interface methods read, by name
+	for obj := range read {
+		if fn, ok := obj.(*types.Func); ok {
+			if recv := fn.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				ifaceMethods[fn.Name()] = append(ifaceMethods[fn.Name()], fn)
+			}
+		}
+	}
+	implemented := func(fn *types.Func, typ *types.TypeName, public bool) bool {
+		named, ok := typ.Type().(*types.Named)
+		if !ok || named.TypeParams().Len() > 0 {
+			return false
+		}
+		for _, m := range ifaceMethods[fn.Name()] {
+			iface := m.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)
+			if reachedBy(m, public) && types.Implements(types.NewPointer(named), iface) {
+				return true
+			}
+		}
+		return false
 	}
 
+	syms := declarations(pkgs)
 	used = map[string]bool{}
 	for _, s := range syms {
-		var reached bool
 		lists := allowed
-		switch {
-		case s.public && s.method:
-			reached, lists = progCalled[s.use], public
-		case s.public:
-			reached, lists = progQualified[s.use], public
-		case s.method:
-			reached = selected[s.use]
-		default:
-			reached = qualified[s.use] || bare[s.use]
+		if s.public {
+			lists = public
 		}
-		if reached {
+		fn, isMethod := s.obj.(*types.Func)
+		switch {
+		case s.tagged, reachedBy(s.obj, s.public):
+			continue
+		case isMethod && s.typ != nil && (fn.Name() == "String" || fn.Name() == "Error" || implemented(fn, s.typ, s.public)):
 			continue
 		}
 		if entry, ok := allowEntry(lists, s.key); ok {
@@ -296,17 +385,20 @@ type sourceFile struct {
 	f         *ast.File
 }
 
-// parsed holds what parseSources parsed, once for every guard.
+// parsed holds what parseSources parsed and type-checked, once for
+// every guard.
 var parsed struct {
 	once  sync.Once
 	fset  *token.FileSet
 	files []sourceFile
+	pkgs  []*lintPkg
 	err   error
 }
 
-// parseSources parses every non-test Go file that goFiles lists, once
-// for every guard in the run.
-func parseSources(t *testing.T) (*token.FileSet, []sourceFile) {
+// parseSources parses every non-test Go file that goFiles lists and
+// type-checks the packages they make up (typeCheck), once for every
+// guard in the run.
+func parseSources(t *testing.T) (*token.FileSet, []sourceFile, []*lintPkg) {
 	t.Helper()
 	parsed.once.Do(func() {
 		parsed.fset = token.NewFileSet()
@@ -319,15 +411,16 @@ func parseSources(t *testing.T) (*token.FileSet, []sourceFile) {
 			f, err := parser.ParseFile(parsed.fset, path, nil, parser.SkipObjectResolution)
 			if err != nil {
 				parsed.err = err
-				break
+				return
 			}
 			parsed.files = append(parsed.files, sourceFile{filepath.ToSlash(filepath.Dir(path)), filepath.ToSlash(path), f})
 		}
+		parsed.pkgs = typeCheck(parsed.fset, parsed.files, nil)
 	})
 	if parsed.err != nil {
 		t.Fatal(parsed.err)
 	}
-	return parsed.fset, parsed.files
+	return parsed.fset, parsed.files, parsed.pkgs
 }
 
 // goFiles lists every Go file of the module and of benchmark/, test
@@ -367,29 +460,6 @@ func allowProblems(name string, allowed map[string]string, used map[string]bool)
 	return out
 }
 
-// spearImports maps the local name of each package of the module that f
-// imports to the package's directory; pkgName maps directories to
-// package names.
-func spearImports(f *ast.File, pkgName map[string]string) map[string]string {
-	imports := map[string]string{}
-	for _, im := range f.Imports {
-		path, _ := strconv.Unquote(im.Path.Value)
-		dir, ok := strings.CutPrefix(path, "spear/")
-		if path == "spear" {
-			dir, ok = ".", true
-		}
-		if !ok {
-			continue
-		}
-		name := pkgName[dir]
-		if im.Name != nil {
-			name = im.Name.Name
-		}
-		imports[name] = dir
-	}
-	return imports
-}
-
 // allowEntry returns the key of allowed that covers the symbol key
 // (pkg.Name or pkg.Type.Method): the key itself, its type, the type it
 // constructs, or its package.
@@ -404,17 +474,18 @@ func allowEntry(allowed map[string]string, key string) (string, bool) {
 	return "", false
 }
 
-// recvType returns the name of a method's receiver type.
-func recvType(recv *ast.FieldList) string {
+// recvIdent returns the name of a method's receiver type.
+func recvIdent(recv *ast.FieldList) *ast.Ident {
 	typ := recv.List[0].Type
 	if star, ok := typ.(*ast.StarExpr); ok {
 		typ = star.X
 	}
-	if generic, ok := typ.(*ast.IndexExpr); ok {
+	switch generic := typ.(type) {
+	case *ast.IndexExpr:
+		typ = generic.X
+	case *ast.IndexListExpr:
 		typ = generic.X
 	}
-	if id, ok := typ.(*ast.Ident); ok {
-		return id.Name
-	}
-	return ""
+	id, _ := typ.(*ast.Ident)
+	return id
 }

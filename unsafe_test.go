@@ -13,7 +13,7 @@ var unsafeAllowed = map[string]string{
 // and an entry that excuses no import fails too, so the list cannot go
 // stale.
 func TestUnsafeStaysInOneFile(t *testing.T) {
-	_, files := parseSources(t)
+	_, files, _ := parseSources(t)
 	importers := map[string]bool{}
 	for _, fl := range files {
 		for _, im := range fl.f.Imports {
