@@ -242,13 +242,15 @@ func TestLateDroppedSurfacesInSummary(t *testing.T) {
 	value := func(t Tuple) float64 { return t.Vals[0].AsFloat() }
 	key := func(t Tuple) string { return t.Vals[1].AsString() }
 	kinds := map[string]func(q *Query) *Query{
-		"scalar":         func(q *Query) *Query { return q.Mean(value) },
-		"grouped":        func(q *Query) *Query { return q.GroupBy(key).Mean(value) },
-		"grouped-known":  func(q *Query) *Query { return q.GroupBy(key).KnownGroups(2).Mean(value) },
-		"exact":          func(q *Query) *Query { return q.Mean(value).WithBackend(BackendExact) },
-		"exact-grouped":  func(q *Query) *Query { return q.GroupBy(key).Mean(value).WithBackend(BackendExact) },
-		"incremental":    func(q *Query) *Query { return q.Mean(value).WithBackend(BackendIncremental) },
-		"scalar-batch-1": func(q *Query) *Query { return q.Mean(value).BatchSize(1) },
+		"scalar":              func(q *Query) *Query { return q.Mean(value) },
+		"grouped":             func(q *Query) *Query { return q.GroupBy(key).Mean(value) },
+		"grouped-known":       func(q *Query) *Query { return q.GroupBy(key).KnownGroups(2).Mean(value) },
+		"exact":               func(q *Query) *Query { return q.Mean(value).WithBackend(BackendExact) },
+		"exact-grouped":       func(q *Query) *Query { return q.GroupBy(key).Mean(value).WithBackend(BackendExact) },
+		"incremental":         func(q *Query) *Query { return q.Mean(value).WithBackend(BackendIncremental) },
+		"scalar-batch-1":      func(q *Query) *Query { return q.Mean(value).BatchSize(1) },
+		"exact-batch-1":       func(q *Query) *Query { return q.Mean(value).WithBackend(BackendExact).BatchSize(1) },
+		"incremental-batch-1": func(q *Query) *Query { return q.Mean(value).WithBackend(BackendIncremental).BatchSize(1) },
 	}
 	for name, shape := range kinds {
 		t.Run(name, func(t *testing.T) {

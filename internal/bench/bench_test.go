@@ -10,6 +10,8 @@ import (
 	"spear"
 	"spear/internal/core"
 	"spear/internal/dataset"
+	"spear/internal/obs"
+	"spear/internal/tuple"
 	"spear/internal/window"
 )
 
@@ -136,6 +138,33 @@ func TestCountMinManagerBasics(t *testing.T) {
 	}
 	if _, err := NewCountMinManager(window.Tumbling(time.Second), nil, ds.Value, 0.1, 0.05, nil); err == nil {
 		t.Error("nil key accepted")
+	}
+}
+
+// TestCountMinBooksLateTuples: the CountMin baseline books its ingest as
+// every core manager does (TuplesIn + LateDropped = delivered): a tuple
+// behind a fired window is dropped by the buffer, counted in LateDropped
+// and left out of TuplesIn.
+func TestCountMinBooksLateTuples(t *testing.T) {
+	met := &obs.Worker{}
+	m, err := NewCountMinManager(window.Spec{Domain: window.TimeDomain, Range: 10, Slide: 10},
+		tuple.FieldString(1), tuple.FieldFloat(0), 0.1, 0.05, met)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := func(ts int64) []tuple.Tuple { return []tuple.Tuple{tuple.New(ts, tuple.Float(1), tuple.String_("g"))} }
+	if _, err := m.OnTupleBatch(row(5)); err != nil {
+		t.Fatal(err)
+	}
+	if rs, err := m.OnWatermark(30); err != nil || len(rs) != 1 {
+		t.Fatalf("the watermark fired %d windows (%v), want 1", len(rs), err)
+	}
+	// 3 falls in [0, 10), which has fired: late. 35 opens [30, 40).
+	if _, err := m.OnTupleBatch(append(row(3), row(35)...)); err != nil {
+		t.Fatal(err)
+	}
+	if in, late := met.TuplesIn.Load(), met.LateDropped.Load(); in != 2 || late != 1 {
+		t.Errorf("TuplesIn = %d, LateDropped = %d; want 2 admitted and 1 dropped of 3 delivered", in, late)
 	}
 }
 

@@ -52,10 +52,15 @@ func NewCountMinManager(spec window.Spec, keyBy tuple.KeyExtractor, value tuple.
 	}, nil
 }
 
-// OnTuple implements core.Manager.
-func (m *CountMinManager) OnTuple(t tuple.Tuple) ([]core.Result, error) {
-	completes := m.buf.OnTuple(t)
-	m.met.TuplesIn.Add(1)
+// OnTupleBatch implements core.Manager: the buffer takes the rows a run
+// at a time, and the ingest is booked as every core manager books it
+// (TuplesIn + LateDropped = delivered).
+func (m *CountMinManager) OnTupleBatch(rows []tuple.Tuple) ([]core.Result, error) {
+	late0 := m.buf.LateDropped()
+	completes := m.buf.OnTupleBatch(rows)
+	late := m.buf.LateDropped() - late0
+	m.met.LateDropped.Add(late)
+	m.met.TuplesIn.Add(int64(len(rows)) - late)
 	m.met.MemBytes.Set(int64(m.MemUsage()))
 	return m.produceAll(completes, 0), nil
 }

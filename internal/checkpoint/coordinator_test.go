@@ -22,8 +22,8 @@ type stubManager struct {
 	failSnap error
 }
 
-func (s *stubManager) OnTuple(tuple.Tuple) ([]core.Result, error) { return nil, nil }
-func (s *stubManager) OnWatermark(int64) ([]core.Result, error)   { return nil, nil }
+func (s *stubManager) OnTupleBatch([]tuple.Tuple) ([]core.Result, error) { return nil, nil }
+func (s *stubManager) OnWatermark(int64) ([]core.Result, error)          { return nil, nil }
 
 func (s *stubManager) SnapshotState() ([]byte, error) {
 	if s.failSnap != nil {

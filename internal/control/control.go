@@ -12,7 +12,7 @@
 //
 // The data plane never calls into the controller. Each manager holds a
 // *Cell — a pair of atomics the controller writes and the manager reads
-// at batch boundaries — so a budget read on the OnTuple* hot paths is
+// at batch boundaries — so a budget read on the ingest hot paths is
 // one atomic load, never a lock, an allocation or a write (core's
 // TestIngestNeverWritesTheCell and TestIngestAllocsPerTuple).
 package control
@@ -28,8 +28,8 @@ import (
 // Cell is the lock-free mailbox between the controller and one
 // manager: the target tuple budget and the shedding flag. The
 // controller writes it from its tick goroutine; the manager reads
-// it at the top of every OnTuple/OnTupleBatch/OnColumnBatch call and
-// applies changes (reservoir resizes) outside any per-tuple loop.
+// it at the top of every OnTupleBatch/OnColumnBatch call and applies
+// changes (reservoir resizes) outside any per-tuple loop.
 type Cell struct {
 	budget atomic.Int64
 	shed   atomic.Bool

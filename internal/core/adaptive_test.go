@@ -25,7 +25,7 @@ func TestScalarSetBudgetResizesReservoirs(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(2))
 	for i := 0; i < 2000; i++ {
-		m.OnTuple(tuple.New(int64(i)%100, tuple.Float(100+r.NormFloat64()*10)))
+		ingestOne(m, tuple.New(int64(i)%100, tuple.Float(100+r.NormFloat64()*10)))
 	}
 	m.SetBudget(50)
 	for _, w := range m.wins {
@@ -55,7 +55,7 @@ func TestScalarSetBudgetZeroForcesExact(t *testing.T) {
 	for i := 0; i < n; i++ {
 		v := float64(i)
 		sum += v
-		m.OnTuple(tuple.New(int64(i)%100, tuple.Float(v)))
+		ingestOne(m, tuple.New(int64(i)%100, tuple.Float(v)))
 	}
 	for _, w := range m.wins {
 		if w.res != nil {
@@ -91,7 +91,7 @@ func TestScalarShedBoundFailsIsModeShed(t *testing.T) {
 	m.SetShedding(true)
 	r := rand.New(rand.NewSource(3))
 	for i := 0; i < 500; i++ {
-		m.OnTuple(tuple.New(int64(i)%100, tuple.Float(math.Abs(r.NormFloat64())*1e6*r.Float64())))
+		ingestOne(m, tuple.New(int64(i)%100, tuple.Float(math.Abs(r.NormFloat64())*1e6*r.Float64())))
 	}
 	rs, err := m.OnWatermark(100)
 	if err != nil {
@@ -134,7 +134,7 @@ func TestScalarShedInvisibleWhenBoundPasses(t *testing.T) {
 	for i := 0; i < n; i++ {
 		v := 100 + r.NormFloat64()*10
 		sum += v
-		m.OnTuple(tuple.New(int64(i)%100, tuple.Float(v)))
+		ingestOne(m, tuple.New(int64(i)%100, tuple.Float(v)))
 	}
 	rs, err := m.OnWatermark(100)
 	if err != nil {
@@ -174,7 +174,7 @@ func TestScalarBudgetZeroEndsShedding(t *testing.T) {
 			vals := make([]float64, 300)
 			for i := range vals {
 				vals[i] = float64(i%17) + 0.5
-				if _, err := m.OnTuple(tuple.New(int64(i/3), tuple.Float(vals[i]))); err != nil {
+				if _, err := ingestOne(m, tuple.New(int64(i/3), tuple.Float(vals[i]))); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -208,7 +208,7 @@ func TestScalarShedRefusedOnIncremental(t *testing.T) {
 	}
 	cfg.Cell.Set(10, true)
 	for i := 0; i < 150; i++ {
-		m.OnTuple(tuple.New(int64(i), tuple.Float(float64(i))))
+		ingestOne(m, tuple.New(int64(i), tuple.Float(float64(i))))
 	}
 	if m.shed || m.sheds != 0 || w.TuplesShed.Load() != 0 {
 		t.Fatalf("after the cell asked for shedding: shed=%v sheds=%d TuplesShed=%d", m.shed, m.sheds, w.TuplesShed.Load())
@@ -245,10 +245,10 @@ func TestCellDrivesScalarManager(t *testing.T) {
 	cfg.Cell = control.NewCell(200)
 	m, _ := NewScalarManager(cfg)
 	for i := 0; i < 300; i++ {
-		m.OnTuple(tuple.New(int64(i)%100, tuple.Float(float64(i))))
+		ingestOne(m, tuple.New(int64(i)%100, tuple.Float(float64(i))))
 	}
 	cfg.Cell.Set(40, true)
-	m.OnTuple(tuple.New(0, tuple.Float(1)))
+	ingestOne(m, tuple.New(0, tuple.Float(1)))
 	if m.curBudget != 40 || !m.shed {
 		t.Fatalf("after cell publish: budget=%d shed=%v, want 40/true", m.curBudget, m.shed)
 	}
@@ -258,7 +258,7 @@ func TestCellDrivesScalarManager(t *testing.T) {
 		}
 	}
 	cfg.Cell.Set(200, false)
-	m.OnTuple(tuple.New(1, tuple.Float(2)))
+	ingestOne(m, tuple.New(1, tuple.Float(2)))
 	if m.curBudget != 200 || m.shed {
 		t.Fatalf("after recovery publish: budget=%d shed=%v, want 200/false", m.curBudget, m.shed)
 	}
@@ -275,10 +275,10 @@ func TestCellDrivesGroupedManager(t *testing.T) {
 	}
 	keys := []string{"a", "b", "c"}
 	for i := 0; i < 600; i++ {
-		m.OnTuple(tuple.New(int64(i)%100, tuple.Float(float64(i)), tuple.String_(keys[i%3])))
+		ingestOne(m, tuple.New(int64(i)%100, tuple.Float(float64(i)), tuple.String_(keys[i%3])))
 	}
 	cfg.Cell.Set(30, false)
-	m.OnTuple(tuple.New(0, tuple.Float(1), tuple.String_("a")))
+	ingestOne(m, tuple.New(0, tuple.Float(1), tuple.String_("a")))
 	if m.curBudget != 30 {
 		t.Fatalf("budget %d, want 30", m.curBudget)
 	}
@@ -306,7 +306,7 @@ func TestGroupedKnownGroupsNeverExceedBudget(t *testing.T) {
 	}
 	for i := 0; i < 400; i++ {
 		key := string(rune('a' + i%10))
-		m.OnTuple(tuple.New(int64(i)%100, tuple.Float(float64(i)), tuple.String_(key)))
+		ingestOne(m, tuple.New(int64(i)%100, tuple.Float(float64(i)), tuple.String_(key)))
 	}
 	for _, w := range m.wins {
 		if w.known != nil {
@@ -336,7 +336,7 @@ func TestGroupedSampleWithinBudget(t *testing.T) {
 	}
 	keys := []string{"a", "b", "c"}
 	for i := 0; i < 900; i++ {
-		m.OnTuple(tuple.New(int64(i)%100, tuple.Float(float64(i)), tuple.String_(keys[i%3])))
+		ingestOne(m, tuple.New(int64(i)%100, tuple.Float(float64(i)), tuple.String_(keys[i%3])))
 	}
 	for _, w := range m.wins {
 		total := 0
@@ -367,7 +367,7 @@ func TestGroupedShedNonHolisticStaysExact(t *testing.T) {
 		v := math.Abs(r.NormFloat64()) * 1e6
 		sums[k] += v
 		counts[k]++
-		m.OnTuple(tuple.New(int64(i)%100, tuple.Float(v), tuple.String_(k)))
+		ingestOne(m, tuple.New(int64(i)%100, tuple.Float(v), tuple.String_(k)))
 	}
 	rs, err := m.OnWatermark(100)
 	if err != nil {
@@ -398,7 +398,7 @@ func TestGroupedShedHolisticIsModeShed(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	keys := []string{"a", "b", "c"}
 	for i := 0; i < 600; i++ {
-		m.OnTuple(tuple.New(int64(i)%100, tuple.Float(r.Float64()*1000), tuple.String_(keys[i%3])))
+		ingestOne(m, tuple.New(int64(i)%100, tuple.Float(r.Float64()*1000), tuple.String_(keys[i%3])))
 	}
 	rs, err := m.OnWatermark(100)
 	if err != nil {
@@ -426,7 +426,7 @@ func TestScalarSnapshotRestoreAtBudgetFloor(t *testing.T) {
 	cfg.DisableIncremental = true
 	m, _ := NewScalarManager(cfg)
 	for i := 0; i < 120; i++ {
-		m.OnTuple(tuple.New(int64(i), tuple.Float(float64(i))))
+		ingestOne(m, tuple.New(int64(i), tuple.Float(float64(i))))
 	}
 	m.SetBudget(0) // the controller drove the budget to the floor
 	blob, err := m.SnapshotState()
@@ -449,7 +449,7 @@ func TestScalarSnapshotRestoreAtBudgetFloor(t *testing.T) {
 	}
 	// The restored manager keeps producing: exact results from S.
 	for i := 120; i < 200; i++ {
-		m2.OnTuple(tuple.New(int64(i), tuple.Float(float64(i))))
+		ingestOne(m2, tuple.New(int64(i), tuple.Float(float64(i))))
 	}
 	rs, err := m2.OnWatermark(200)
 	if err != nil {
@@ -472,7 +472,7 @@ func TestScalarSnapshotCarriesShedState(t *testing.T) {
 	m.SetShedding(true)
 	r := rand.New(rand.NewSource(3))
 	for i := 0; i < 200; i++ {
-		m.OnTuple(tuple.New(int64(i)%100, tuple.Float(math.Abs(r.NormFloat64())*1e6)))
+		ingestOne(m, tuple.New(int64(i)%100, tuple.Float(math.Abs(r.NormFloat64())*1e6)))
 	}
 	blob, err := m.SnapshotState()
 	if err != nil {

@@ -34,11 +34,12 @@ func NewExactManager(cfg Config) (*ExactManager, error) {
 	return &ExactManager{cfg: cfg, buf: buf, now: cfg.clock()}, nil
 }
 
-// OnTuple implements Manager.
-func (m *ExactManager) OnTuple(t tuple.Tuple) ([]Result, error) {
+// OnTupleBatch implements Manager: the buffer takes the rows a run at a
+// time (SingleBuffer.OnTupleBatch), and the ingest is booked once.
+func (m *ExactManager) OnTupleBatch(rows []tuple.Tuple) ([]Result, error) {
 	late0 := m.buf.LateDropped()
-	completes := m.buf.OnTuple(t)
-	if m.cfg.countIngest(1, m.buf.LateDropped()-late0) {
+	completes := m.buf.OnTupleBatch(rows)
+	if m.cfg.countIngest(len(rows), m.buf.LateDropped()-late0) {
 		m.cfg.Metrics.MemBytes.Set(int64(m.buf.MemUsage()))
 	}
 	return m.produceAll(completes, 0), nil
@@ -100,6 +101,7 @@ type IncrementalManager struct {
 
 	wins map[window.ID]*agg.Incremental
 	lc   window.Lifecycle
+	cols rowColumns
 	now  func() time.Time
 }
 
@@ -117,31 +119,39 @@ func NewIncrementalManager(cfg Config) (*IncrementalManager, error) {
 	return &IncrementalManager{cfg: cfg, wins: make(map[window.ID]*agg.Incremental), lc: window.NewLifecycle(cfg.Spec), now: cfg.clock()}, nil
 }
 
-// OnTuple implements Manager.
-func (m *IncrementalManager) OnTuple(t tuple.Tuple) ([]Result, error) {
-	pos := []int64{m.lc.Pos(t.Ts, 0)}
-	lo, hi := m.cfg.Spec.Assign(pos[0])
-	first, ok := m.lc.Admit(pos, lo, hi)
-	if !ok {
-		m.cfg.countIngest(1, 1)
-		return nil, nil
-	}
-	v := m.cfg.Value(t)
-	for id := first; id <= hi; id++ {
-		inc, ok := m.wins[id]
+// OnTupleBatch implements Manager with the SPEAr kernel's arrival step
+// (shell.ingestRun): an admitted run is folded into the accumulator of
+// every window it falls into, each window seeing its values in arrival
+// order wherever the rows were cut. A count window completes at the end
+// of a run.
+func (m *IncrementalManager) OnTupleBatch(rows []tuple.Tuple) ([]Result, error) {
+	m.cols.read(rows, &m.lc, m.cfg.Value)
+	var out []Result
+	late0 := m.lc.Late()
+	m.cfg.Spec.EachRun(m.cols.pos, func(i0, i1 int, lo, hi window.ID) {
+		first, ok := m.lc.Admit(m.cols.pos[i0:i1], lo, hi)
 		if !ok {
-			inc, _ = agg.NewIncremental(m.cfg.Agg)
-			m.wins[id] = inc
+			return
 		}
-		inc.Add(v)
+		for id := first; id <= hi; id++ {
+			inc, ok := m.wins[id]
+			if !ok {
+				inc, _ = agg.NewIncremental(m.cfg.Agg)
+				m.wins[id] = inc
+			}
+			for _, v := range m.cols.vals[i0:i1] {
+				inc.Add(v)
+			}
+		}
+		if m.cfg.Spec.Domain == window.CountDomain {
+			out = append(out, m.fire(m.lc.Seq())...)
+		}
+	})
+	if m.cfg.countIngest(len(rows), m.lc.Late()-late0) {
+		// What result production holds: an accumulator per open window.
+		m.cfg.Metrics.MemBytes.Set(int64(len(m.wins) * 56))
 	}
-	if m.cfg.countIngest(1, 0) {
-		m.cfg.Metrics.MemBytes.Set(int64(m.MemUsage()))
-	}
-	if m.cfg.Spec.Domain == window.CountDomain {
-		return m.fire(m.lc.Seq()), nil
-	}
-	return nil, nil
+	return out, nil
 }
 
 // OnWatermark implements Manager.
@@ -174,10 +184,6 @@ func (m *IncrementalManager) fire(wm int64) []Result {
 	}
 	return out
 }
-
-// MemUsage returns the bytes held for result production, what
-// Metrics.MemBytes reports: one accumulator per active window.
-func (m *IncrementalManager) MemUsage() int { return len(m.wins) * 56 }
 
 var (
 	_ Manager = (*ExactManager)(nil)

@@ -37,7 +37,7 @@ func play(t *testing.T, m Manager, columnar bool, steps []any) []Result {
 				cb.SetRows(v)
 				rs, err = m.(ColumnManager).OnColumnBatch(cb)
 			} else {
-				rs, err = m.(BatchManager).OnTupleBatch(v)
+				rs, err = m.OnTupleBatch(v)
 			}
 		case int64:
 			rs, err = m.OnWatermark(v)

@@ -32,11 +32,16 @@ func mkCfg(f agg.Func, budget int) Config {
 	}
 }
 
+// ingestOne hands m one tuple: a run of one.
+func ingestOne(m Manager, t tuple.Tuple) ([]Result, error) {
+	return m.OnTupleBatch([]tuple.Tuple{t})
+}
+
 func feed(t *testing.T, m Manager, vals []float64, tsStep int64) []Result {
 	t.Helper()
 	var out []Result
 	for i, v := range vals {
-		rs, err := m.OnTuple(tuple.New(int64(i)*tsStep, tuple.Float(v)))
+		rs, err := ingestOne(m, tuple.New(int64(i)*tsStep, tuple.Float(v)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +161,7 @@ func TestScalarSampledPathAccelerates(t *testing.T) {
 		v := 100 + r.NormFloat64()*10
 		sum += v
 		// All in window [0,100): keep ts inside.
-		if _, err := m.OnTuple(tuple.New(int64(i)%100, tuple.Float(v))); err != nil {
+		if _, err := ingestOne(m, tuple.New(int64(i)%100, tuple.Float(v))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -203,7 +208,7 @@ func TestScalarFallbackToExact(t *testing.T) {
 	for i := 0; i < n; i++ {
 		v := math.Abs(r.NormFloat64()) * 1e6 * r.Float64()
 		sum += v
-		if _, err := m.OnTuple(tuple.New(int64(i)%100, tuple.Float(v))); err != nil {
+		if _, err := ingestOne(m, tuple.New(int64(i)%100, tuple.Float(v))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -251,7 +256,7 @@ func TestScalarQuantileBudgetRule(t *testing.T) {
 			vals[i] = r.Float64() * 1000
 		}
 		for i, v := range vals {
-			m.OnTuple(tuple.New(int64(i)%100, tuple.Float(v)))
+			ingestOne(m, tuple.New(int64(i)%100, tuple.Float(v)))
 		}
 		rs, err := m.OnWatermark(100)
 		if err != nil {
@@ -279,7 +284,7 @@ func TestScalarSmallWindowIsExactViaSample(t *testing.T) {
 	m, _ := NewScalarManager(cfg)
 	vals := []float64{5, 1, 9, 3, 7}
 	for i, v := range vals {
-		m.OnTuple(tuple.New(int64(i), tuple.Float(v)))
+		ingestOne(m, tuple.New(int64(i), tuple.Float(v)))
 	}
 	rs, err := m.OnWatermark(100)
 	if err != nil {
@@ -300,7 +305,7 @@ func TestScalarSlidingWindows(t *testing.T) {
 	m, _ := NewScalarManager(cfg)
 	// Value 1 per tick for ts 0..199 → every full window sums to 100.
 	for ts := int64(0); ts < 200; ts++ {
-		m.OnTuple(tuple.New(ts, tuple.Float(1)))
+		ingestOne(m, tuple.New(ts, tuple.Float(1)))
 	}
 	rs, err := m.OnWatermark(200)
 	if err != nil {
@@ -326,7 +331,7 @@ func TestScalarCountWindows(t *testing.T) {
 	m, _ := NewScalarManager(cfg)
 	var got []Result
 	for i := 0; i < 175; i++ {
-		rs, err := m.OnTuple(tuple.New(int64(i*37), tuple.Float(float64(i))))
+		rs, err := ingestOne(m, tuple.New(int64(i*37), tuple.Float(float64(i))))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,9 +353,9 @@ func TestScalarCountWindows(t *testing.T) {
 func TestScalarLateTuplesDropped(t *testing.T) {
 	cfg := mkCfg(agg.Func{Op: agg.Mean}, 10)
 	m, _ := NewScalarManager(cfg)
-	m.OnTuple(tuple.New(50, tuple.Float(1)))
+	ingestOne(m, tuple.New(50, tuple.Float(1)))
 	m.OnWatermark(100)
-	m.OnTuple(tuple.New(20, tuple.Float(99)))
+	ingestOne(m, tuple.New(20, tuple.Float(99)))
 	if m.LateDropped() != 1 {
 		t.Errorf("LateDropped = %d", m.LateDropped())
 	}
@@ -363,7 +368,7 @@ func TestScalarArchiveEviction(t *testing.T) {
 	cfg.ArchiveChunk = 4
 	m, _ := NewScalarManager(cfg)
 	for ts := int64(0); ts < 500; ts++ {
-		m.OnTuple(tuple.New(ts, tuple.Float(1)))
+		ingestOne(m, tuple.New(ts, tuple.Float(1)))
 	}
 	if _, err := m.OnWatermark(500); err != nil {
 		t.Fatal(err)
@@ -380,7 +385,7 @@ func TestScalarMemUsageStaysNearBudget(t *testing.T) {
 	cfg.ArchiveChunk = 64
 	m, _ := NewScalarManager(cfg)
 	for i := 0; i < 50000; i++ {
-		m.OnTuple(tuple.New(int64(i)%100, tuple.Float(float64(i))))
+		ingestOne(m, tuple.New(int64(i)%100, tuple.Float(float64(i))))
 	}
 	// Budget 150 tuples ≈ 1.2KB; must stay way below the 50K-tuple
 	// window (~2MB as tuples).
@@ -409,7 +414,7 @@ func TestGroupedUnknownGroupsAccelerates(t *testing.T) {
 		v := 50 + 10*float64(g[1]-'0') + r.NormFloat64()*3
 		exactSum[g] += v
 		exactN[g]++
-		if _, err := m.OnTuple(tuple.New(int64(i)%100, tuple.String_(g), tuple.Float(v))); err != nil {
+		if _, err := ingestOne(m, tuple.New(int64(i)%100, tuple.String_(g), tuple.Float(v))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -453,7 +458,7 @@ func TestGroupedIncrementalFastPath(t *testing.T) {
 		v := r.Float64() * 1e6 // wild variance: irrelevant, result is exact
 		sum[g] += v
 		n[g]++
-		m.OnTuple(tuple.New(int64(i)%100, tuple.String_(g), tuple.Float(v)))
+		ingestOne(m, tuple.New(int64(i)%100, tuple.String_(g), tuple.Float(v)))
 	}
 	rs, err := m.OnWatermark(100)
 	if err != nil {
@@ -484,7 +489,7 @@ func TestGroupedRevertsWhenGroupsExceedBudget(t *testing.T) {
 	m, _ := NewGroupedManager(cfg)
 	for i := 0; i < 100; i++ {
 		g := string(rune('a'+i%26)) + string(rune('a'+(i/26)%26))
-		m.OnTuple(tuple.New(int64(i)%100, tuple.String_(g), tuple.Float(float64(i))))
+		ingestOne(m, tuple.New(int64(i)%100, tuple.String_(g), tuple.Float(float64(i))))
 	}
 	rs, err := m.OnWatermark(100)
 	if err != nil {
@@ -513,7 +518,7 @@ func TestGroupedExactMatchesComputeGrouped(t *testing.T) {
 		v := r.Float64() * math.Pow(10, float64(r.Intn(8)))
 		keys = append(keys, g)
 		vals = append(vals, v)
-		m.OnTuple(tuple.New(int64(i)%100, tuple.String_(g), tuple.Float(v)))
+		ingestOne(m, tuple.New(int64(i)%100, tuple.String_(g), tuple.Float(v)))
 	}
 	rs, _ := m.OnWatermark(100)
 	res := rs[0]
@@ -546,7 +551,7 @@ func TestGroupedKnownGroupsNoScan(t *testing.T) {
 		v := 100 + r.NormFloat64()*5
 		exactSum[g] += v
 		exactN[g]++
-		m.OnTuple(tuple.New(int64(i)%100, tuple.String_(g), tuple.Float(v)))
+		ingestOne(m, tuple.New(int64(i)%100, tuple.String_(g), tuple.Float(v)))
 	}
 	rs, err := m.OnWatermark(100)
 	if err != nil {
@@ -580,7 +585,7 @@ func TestGroupedHolistic(t *testing.T) {
 		g := []string{"x", "y"}[r.Intn(2)]
 		v := r.Float64() * 100
 		byGroup[g] = append(byGroup[g], v)
-		m.OnTuple(tuple.New(int64(i)%100, tuple.String_(g), tuple.Float(v)))
+		ingestOne(m, tuple.New(int64(i)%100, tuple.String_(g), tuple.Float(v)))
 	}
 	rs, _ := m.OnWatermark(100)
 	res := rs[0]
@@ -604,7 +609,7 @@ func TestGroupedCountDomain(t *testing.T) {
 	m, _ := NewGroupedManager(cfg)
 	var got []Result
 	for i := 0; i < 250; i++ {
-		rs, err := m.OnTuple(tuple.New(int64(i*11), tuple.String_("g"), tuple.Float(2)))
+		rs, err := ingestOne(m, tuple.New(int64(i*11), tuple.String_("g"), tuple.Float(2)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -632,7 +637,7 @@ func TestCustomScalarEstimator(t *testing.T) {
 	}
 	m, _ := NewScalarManager(cfg)
 	for i := 0; i < 100; i++ {
-		m.OnTuple(tuple.New(int64(i), tuple.Float(5)))
+		ingestOne(m, tuple.New(int64(i), tuple.Float(5)))
 	}
 	rs, err := m.OnWatermark(100)
 	if err != nil {
@@ -651,7 +656,7 @@ func TestCustomScalarEstimator(t *testing.T) {
 	cfg2.ScalarEstimator = func(s ScalarState) (float64, bool) { return 0.01, true }
 	m2, _ := NewScalarManager(cfg2)
 	for i := 0; i < 100; i++ {
-		m2.OnTuple(tuple.New(int64(i), tuple.Float(5)))
+		ingestOne(m2, tuple.New(int64(i), tuple.Float(5)))
 	}
 	rs2, _ := m2.OnWatermark(100)
 	if rs2[0].Mode != ModeSampled || rs2[0].EstError != 0.01 {
@@ -674,7 +679,7 @@ func TestCustomGroupedEstimator(t *testing.T) {
 	}
 	m, _ := NewGroupedManager(cfg)
 	for i := 0; i < 50; i++ {
-		m.OnTuple(tuple.New(int64(i), tuple.String_("g"), tuple.Float(1)))
+		ingestOne(m, tuple.New(int64(i), tuple.String_("g"), tuple.Float(1)))
 	}
 	rs, _ := m.OnWatermark(100)
 	if !called {
@@ -693,7 +698,7 @@ func TestExactManagerMatchesAgg(t *testing.T) {
 	}
 	vals := []float64{9, 1, 5, 3, 7}
 	for i, v := range vals {
-		m.OnTuple(tuple.New(int64(i), tuple.Float(v)))
+		ingestOne(m, tuple.New(int64(i), tuple.Float(v)))
 	}
 	rs, err := m.OnWatermark(100)
 	if err != nil {
@@ -714,7 +719,7 @@ func TestExactManagerGrouped(t *testing.T) {
 	m, _ := NewExactManager(cfg)
 	for i := 0; i < 10; i++ {
 		g := []string{"a", "b"}[i%2]
-		m.OnTuple(tuple.New(int64(i), tuple.String_(g), tuple.Float(1)))
+		ingestOne(m, tuple.New(int64(i), tuple.String_(g), tuple.Float(1)))
 	}
 	rs, _ := m.OnWatermark(100)
 	if rs[0].Groups["a"] != 5 || rs[0].Groups["b"] != 5 {
@@ -735,7 +740,7 @@ func TestExactManagerSpill(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		m.OnTuple(tuple.New(int64(i)%100, tuple.Float(1)))
+		ingestOne(m, tuple.New(int64(i)%100, tuple.Float(1)))
 	}
 	if m.buf.MemUsage() != 100*sz {
 		t.Errorf("buffered %d bytes, want the whole window (%d)", m.buf.MemUsage(), 100*sz)
@@ -760,7 +765,7 @@ func TestIncrementalManager(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		m.OnTuple(tuple.New(int64(i), tuple.Float(float64(i))))
+		ingestOne(m, tuple.New(int64(i), tuple.Float(float64(i))))
 	}
 	rs, err := m.OnWatermark(100)
 	if err != nil {
@@ -770,12 +775,12 @@ func TestIncrementalManager(t *testing.T) {
 		t.Errorf("%+v", rs[0])
 	}
 	// Memory is O(active windows), not O(tuples).
-	if m.MemUsage() > 1000 {
-		t.Errorf("MemUsage = %d", m.MemUsage())
+	if peak := m.cfg.Metrics.MemBytes.Peak(); peak > 1000 {
+		t.Errorf("MemBytes peaked at %d", peak)
 	}
 	// A late tuple is dropped and must not disturb the next window.
-	m.OnTuple(tuple.New(5, tuple.Float(999)))
-	m.OnTuple(tuple.New(150, tuple.Float(7)))
+	ingestOne(m, tuple.New(5, tuple.Float(999)))
+	ingestOne(m, tuple.New(150, tuple.Float(7)))
 	rs, err = m.OnWatermark(200)
 	if err != nil || len(rs) != 1 {
 		t.Fatalf("window [100,200): %v, %v", rs, err)
@@ -795,7 +800,7 @@ func TestIncrementalManagerCountDomain(t *testing.T) {
 	m, _ := NewIncrementalManager(cfg)
 	var got []Result
 	for i := 0; i < 25; i++ {
-		rs, _ := m.OnTuple(tuple.New(99999, tuple.Float(1)))
+		rs, _ := ingestOne(m, tuple.New(99999, tuple.Float(1)))
 		got = append(got, rs...)
 	}
 	if len(got) != 2 || got[0].Scalar != 10 {
@@ -848,7 +853,7 @@ func TestAccuracyGuaranteeOverWindows(t *testing.T) {
 				exact[id] = &stats.Welford{}
 			}
 			exact[id].Add(v)
-			m.OnTuple(tuple.New(ts, tuple.Float(v)))
+			ingestOne(m, tuple.New(ts, tuple.Float(v)))
 		}
 		rs, err := m.OnWatermark(int64((w + 1) * 100))
 		if err != nil {
@@ -1044,7 +1049,7 @@ func BenchmarkScalarManagerTuple(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.OnTuple(tuple.New(int64(i)*step, tuple.Float(float64(i&1023))))
+		ingestOne(m, tuple.New(int64(i)*step, tuple.Float(float64(i&1023))))
 		if i%100000 == 99999 {
 			m.OnWatermark(int64(i) * step)
 		}
@@ -1098,7 +1103,7 @@ func TestMetricsDefaultBundle(t *testing.T) {
 			}
 			var out []Result
 			for _, tp := range in {
-				rs, err := m.OnTuple(tp)
+				rs, err := ingestOne(m, tp)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}

@@ -102,7 +102,7 @@ func TestCustomOpSampledAndExactPaths(t *testing.T) {
 	// Accepting estimator → sampled path, estimate near exact.
 	m := mk(true)
 	for i, v := range vals {
-		m.OnTuple(tuple.New(int64(i)%100, tuple.Float(v)))
+		ingestOne(m, tuple.New(int64(i)%100, tuple.Float(v)))
 	}
 	rs, err := m.OnWatermark(100)
 	if err != nil {
@@ -118,7 +118,7 @@ func TestCustomOpSampledAndExactPaths(t *testing.T) {
 	// Refusing estimator → exact fallback, bit-exact via the archive.
 	m = mk(false)
 	for i, v := range vals {
-		m.OnTuple(tuple.New(int64(i)%100, tuple.Float(v)))
+		ingestOne(m, tuple.New(int64(i)%100, tuple.Float(v)))
 	}
 	rs, err = m.OnWatermark(100)
 	if err != nil {
@@ -191,7 +191,7 @@ func TestAdaptiveBudgetConverges(t *testing.T) {
 	for w := 0; w < 40; w++ {
 		for i := 0; i < 2000; i++ {
 			ts := int64(w*100) + int64(i)%100
-			m.OnTuple(tuple.New(ts, tuple.Float(100+r.NormFloat64()*60)))
+			ingestOne(m, tuple.New(ts, tuple.Float(100+r.NormFloat64()*60)))
 		}
 		rs, err := m.OnWatermark(int64((w + 1) * 100))
 		if err != nil {
@@ -227,7 +227,7 @@ func TestAdaptiveBudgetShrinksUnderEasyData(t *testing.T) {
 	for w := 0; w < 30; w++ {
 		for i := 0; i < 1000; i++ {
 			ts := int64(w*100) + int64(i)%100
-			m.OnTuple(tuple.New(ts, tuple.Float(100))) // zero variance
+			ingestOne(m, tuple.New(ts, tuple.Float(100))) // zero variance
 		}
 		if _, err := m.OnWatermark(int64((w + 1) * 100)); err != nil {
 			t.Fatal(err)

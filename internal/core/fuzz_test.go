@@ -12,7 +12,7 @@ import (
 // FuzzManagerRestore throws arbitrary bytes at every manager's
 // RestoreState. Snapshots come back from a store a crash may have
 // mangled, so decoding must reject damage with an error — never panic,
-// never accept bytes that then break OnTuple/OnWatermark.
+// never accept bytes that then break OnTupleBatch/OnWatermark.
 func FuzzManagerRestore(f *testing.F) {
 	mkManagers := func() []Manager {
 		scalar, err := NewScalarManager(mkCfg(agg.Func{Op: agg.Mean}, 64))
@@ -55,7 +55,7 @@ func FuzzManagerRestore(f *testing.F) {
 		}
 		f.Add(b)
 		for i := 0; i < 250; i++ {
-			_, _ = m.OnTuple(tuple.New(int64(i), tuple.Float(float64(i%9)), tuple.String_("g")))
+			_, _ = ingestOne(m, tuple.New(int64(i), tuple.Float(float64(i%9)), tuple.String_("g")))
 		}
 		if b, err = s.SnapshotState(); err != nil {
 			panic(err)
@@ -82,7 +82,7 @@ func FuzzManagerRestore(f *testing.F) {
 			}
 			// Accepted bytes must leave a usable manager.
 			for i := 0; i < 50; i++ {
-				if _, err := m.OnTuple(tuple.New(int64(1e6+i*10), tuple.Float(1), tuple.String_("g"))); err != nil {
+				if _, err := ingestOne(m, tuple.New(int64(1e6+i*10), tuple.Float(1), tuple.String_("g"))); err != nil {
 					t.Fatalf("%T broken after accepted restore: %v", m, err)
 				}
 			}

@@ -91,7 +91,7 @@ func TestTimestampGapCostsNothingAtTheNextWatermark(t *testing.T) {
 				// and holds one tuple back.
 				feed := func(ts int64) {
 					for i := 0; i < 3; i++ {
-						if _, err := m.OnTuple(tuple.New(ts, tuple.Float(float64(ts%7+int64(i))), tuple.String_("g"))); err != nil {
+						if _, err := ingestOne(m, tuple.New(ts, tuple.Float(float64(ts%7+int64(i))), tuple.String_("g"))); err != nil {
 							t.Fatal(err)
 						}
 					}

@@ -297,9 +297,7 @@ func TestGroupedStateMatchesPerWindowMaps(t *testing.T) {
 									ref.add(pos, cfg.KeyBy(tp), cfg.Value(tp))
 								}
 								switch driver {
-								case "row":
-									check(m.OnTuple(chunk[0]))
-								case "batch":
+								case "row", "batch": // "row" takes runs of one
 									check(m.OnTupleBatch(chunk))
 								default:
 									cb.SetRows(chunk)
@@ -350,7 +348,7 @@ func TestGroupedIDOutlivesLaterWindows(t *testing.T) {
 	}
 	feed := func(ts int64, key string) {
 		t.Helper()
-		if _, err := m.OnTuple(tuple.New(ts, tuple.Float(1), tuple.String_(key))); err != nil {
+		if _, err := ingestOne(m, tuple.New(ts, tuple.Float(1), tuple.String_(key))); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -134,10 +134,6 @@ func TestGroupedKernelMatchesPerTupleIngest(t *testing.T) {
 							}
 						}
 					}
-					m := mk()
-					check("OnTuple", kernelTrace(t, m, ops, 1, func(ts []tuple.Tuple) ([]Result, error) {
-						return m.OnTuple(ts[0])
-					}))
 					for _, size := range []int{1, 7, 64, 1000} {
 						m := mk()
 						check(fmt.Sprintf("OnTupleBatch/%d", size), kernelTrace(t, m, ops, size, m.OnTupleBatch))

@@ -37,7 +37,7 @@ func TestKnownGroupsFallbackFetchesFromStore(t *testing.T) {
 		v := math.Abs(r.NormFloat64()) * math.Pow(10, float64(r.Intn(7)))
 		sum[g] += v
 		n[g]++
-		if _, err := m.OnTuple(tuple.New(int64(i)%100, tuple.String_(g), tuple.Float(v))); err != nil {
+		if _, err := ingestOne(m, tuple.New(int64(i)%100, tuple.String_(g), tuple.Float(v))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,7 +75,7 @@ func TestKnownGroupsArchiveEviction(t *testing.T) {
 	cfg.ArchiveChunk = 8
 	m, _ := NewGroupedManager(cfg)
 	for ts := int64(0); ts < 500; ts++ {
-		m.OnTuple(tuple.New(ts, tuple.String_("g"), tuple.Float(1)))
+		ingestOne(m, tuple.New(ts, tuple.String_("g"), tuple.Float(1)))
 	}
 	if _, err := m.OnWatermark(500); err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestKnownGroupsCountDomain(t *testing.T) {
 	var got []Result
 	for i := 0; i < 1200; i++ {
 		g := []string{"x", "y"}[i%2]
-		rs, err := m.OnTuple(tuple.New(int64(i*3), tuple.String_(g), tuple.Float(7)))
+		rs, err := ingestOne(m, tuple.New(int64(i*3), tuple.String_(g), tuple.Float(7)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestKnownGroupsSliding(t *testing.T) {
 	// Value = window of the tuple's ts so overlapping windows have
 	// different (checkable) means.
 	for ts := int64(0); ts < 300; ts++ {
-		m.OnTuple(tuple.New(ts, tuple.String_("g"), tuple.Float(float64(ts))))
+		ingestOne(m, tuple.New(ts, tuple.String_("g"), tuple.Float(float64(ts))))
 	}
 	rs, err := m.OnWatermark(300)
 	if err != nil {
@@ -169,12 +169,12 @@ func TestGroupedLateTuplesKnownGroups(t *testing.T) {
 	cfg.Value = tuple.FieldFloat(1)
 	cfg.KnownGroups = 1
 	m, _ := NewGroupedManager(cfg)
-	m.OnTuple(tuple.New(50, tuple.String_("g"), tuple.Float(1)))
+	ingestOne(m, tuple.New(50, tuple.String_("g"), tuple.Float(1)))
 	if _, err := m.OnWatermark(100); err != nil {
 		t.Fatal(err)
 	}
 	stores := store.Stats().Stores
-	m.OnTuple(tuple.New(10, tuple.String_("g"), tuple.Float(999)))
+	ingestOne(m, tuple.New(10, tuple.String_("g"), tuple.Float(999)))
 	m.SetShedding(true)
 	m.OnTupleBatch([]tuple.Tuple{tuple.New(20, tuple.String_("g"), tuple.Float(999))})
 	m.SetShedding(false)
@@ -188,7 +188,7 @@ func TestGroupedLateTuplesKnownGroups(t *testing.T) {
 	if m.sheds != 0 {
 		t.Errorf("sheds = %d: a late tuple counted as shed", m.sheds)
 	}
-	m.OnTuple(tuple.New(150, tuple.String_("g"), tuple.Float(2)))
+	ingestOne(m, tuple.New(150, tuple.String_("g"), tuple.Float(2)))
 	rs, _ := m.OnWatermark(200)
 	if len(rs) != 1 || rs[0].Groups["g"] != 2 {
 		t.Errorf("late tuple leaked: %+v", rs)
@@ -203,7 +203,7 @@ func TestScalarCountSlidingWindows(t *testing.T) {
 	m, _ := NewScalarManager(cfg)
 	var got []Result
 	for i := 0; i < 400; i++ {
-		rs, err := m.OnTuple(tuple.New(int64(i*13), tuple.Float(1)))
+		rs, err := ingestOne(m, tuple.New(int64(i*13), tuple.Float(1)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +231,7 @@ func TestGroupedMomentsAndSampleSeeOneWindow(t *testing.T) {
 	feed := func(m Manager) []Result {
 		for i := 0; i < 4000; i++ {
 			g := []string{"a", "b", "c"}[i%3]
-			m.OnTuple(tuple.New(int64(i)%100, tuple.String_(g), tuple.Float(float64(i%50))))
+			ingestOne(m, tuple.New(int64(i)%100, tuple.String_(g), tuple.Float(float64(i%50))))
 		}
 		rs, err := m.OnWatermark(100)
 		if err != nil {

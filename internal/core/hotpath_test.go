@@ -49,24 +49,30 @@ func hotStream(n int, grouped bool) []tuple.Tuple {
 	return out
 }
 
-// hotCases are the SPEAr managers on each of their ingest paths. The
-// grouped ones: groups unknown, answered from the moments (the path that
-// once buffered its windows) or archived for a stratified sample; groups
-// known, reservoirs filled at arrival. The shed ones run with shedding
-// on: the windows are tainted and the archive write skipped.
+// hotCases are the SPEAr managers on each of their ingest paths, and the
+// two baselines. The grouped ones: groups unknown, answered from the
+// moments (the path that once buffered its windows) or archived for a
+// stratified sample; groups known, reservoirs filled at arrival. The
+// shed ones run with shedding on: the windows are tainted and the
+// archive write skipped. The baselines (mk set) have no column lane:
+// Storm buffers every tuple, Inc-Storm folds it into its windows'
+// accumulators.
 var hotCases = []struct {
 	name    string
 	grouped bool
 	shed    bool
 	cfg     func(*Config)
+	mk      func(Config) (Manager, error) // nil: the SPEAr manager of the shape
 }{
-	{"scalar_median", false, false, func(c *Config) { c.Agg, c.BudgetTuples = agg.Median(), 200 }},
-	{"scalar_mean", false, false, func(c *Config) { c.Agg = agg.Func{Op: agg.Mean} }},
-	{"grouped_buffered", true, false, func(c *Config) { c.Agg = agg.Func{Op: agg.Mean} }},
-	{"grouped_median", true, false, func(c *Config) { c.Agg = agg.Median() }},
-	{"grouped_known", true, false, func(c *Config) { c.Agg, c.KnownGroups = agg.Median(), 50 }},
-	{"scalar_median_shed", false, true, func(c *Config) { c.Agg, c.BudgetTuples = agg.Median(), 200 }},
-	{"grouped_known_shed", true, true, func(c *Config) { c.Agg, c.KnownGroups = agg.Median(), 50 }},
+	{"scalar_median", false, false, func(c *Config) { c.Agg, c.BudgetTuples = agg.Median(), 200 }, nil},
+	{"scalar_mean", false, false, func(c *Config) { c.Agg = agg.Func{Op: agg.Mean} }, nil},
+	{"grouped_buffered", true, false, func(c *Config) { c.Agg = agg.Func{Op: agg.Mean} }, nil},
+	{"grouped_median", true, false, func(c *Config) { c.Agg = agg.Median() }, nil},
+	{"grouped_known", true, false, func(c *Config) { c.Agg, c.KnownGroups = agg.Median(), 50 }, nil},
+	{"scalar_median_shed", false, true, func(c *Config) { c.Agg, c.BudgetTuples = agg.Median(), 200 }, nil},
+	{"grouped_known_shed", true, true, func(c *Config) { c.Agg, c.KnownGroups = agg.Median(), 50 }, nil},
+	{"storm_median", false, false, func(c *Config) { c.Agg = agg.Median() }, func(c Config) (Manager, error) { return NewExactManager(c) }},
+	{"inc_storm_mean", false, false, func(c *Config) { c.Agg = agg.Func{Op: agg.Mean} }, func(c Config) (Manager, error) { return NewIncrementalManager(c) }},
 }
 
 // hotManager builds case i's manager over a MemStore, with its own
@@ -86,7 +92,9 @@ func hotManager(t *testing.T, i int, cell *control.Cell) (Manager, *obs.Worker) 
 	c.cfg(&cfg)
 	var m Manager
 	var err error
-	if c.grouped {
+	if c.mk != nil {
+		m, err = c.mk(cfg)
+	} else if c.grouped {
 		cfg.KeyBy = tuple.FieldString(1)
 		m, err = NewGroupedManager(cfg)
 	} else {
@@ -142,7 +150,7 @@ func ingestAllocs(t *testing.T, m Manager, columnar bool, stream []tuple.Tuple, 
 			if columnar {
 				_, err = m.(ColumnManager).OnColumnBatch(cbs[i])
 			} else {
-				_, err = m.(BatchManager).OnTupleBatch(run)
+				_, err = m.OnTupleBatch(run)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -160,11 +168,13 @@ func ingestAllocs(t *testing.T, m Manager, columnar bool, stream []tuple.Tuple, 
 }
 
 // TestIngestAllocsPerTuple holds every ingest path of both SPEAr
-// managers, rows and columns, shedding or not, to at most 0.05 heap
-// allocations per tuple in the steady state (≈ 0.01 on the sampled
-// scalar path — reservoirs opened and chunks stored, a window or a chunk
-// at a time — and 0 to 0.006 elsewhere), so anything a kernel allocates per tuple
-// or per run fails here: a fmt.Sprintf per element reads 2. It also
+// managers, rows and columns, shedding or not, and the row path of both
+// baselines to at most 0.05 heap allocations per tuple in the steady
+// state (≈ 0.01 on the sampled scalar path — reservoirs opened and
+// chunks stored, a window or a chunk at a time — 0 to 0.006 elsewhere,
+// 0 for Storm and 0.0004 for Inc-Storm, an accumulator a window), so
+// anything a kernel allocates per tuple or per run fails here: a
+// fmt.Sprintf per element reads 2. It also
 // holds the telemetry a fire books to the one place it is booked:
 // ProcTime observed once per fired window (Config.countFire), never per
 // tuple. The histogram takes a mutex per observation — the one lock an
@@ -176,6 +186,9 @@ func TestIngestAllocsPerTuple(t *testing.T) {
 		for _, columnar := range []bool{false, true} {
 			name := c.name + "/rows"
 			if columnar {
+				if c.mk != nil {
+					continue // a baseline has rows only
+				}
 				name = c.name + "/columnar"
 			}
 			t.Run(name, func(t *testing.T) {
@@ -217,11 +230,11 @@ func TestIngestNeverWritesTheCell(t *testing.T) {
 			cb := new(col.ColumnBatch)
 			cb.SetRows(stream[hotSlide : 2*hotSlide])
 			steps := []func() error{
-				func() error { _, err := m.OnTuple(stream[0]); return err },
-				func() error { _, err := m.(BatchManager).OnTupleBatch(stream[1:hotSlide]); return err },
+				func() error { _, err := ingestOne(m, stream[0]); return err },
+				func() error { _, err := m.OnTupleBatch(stream[1:hotSlide]); return err },
 				func() error { _, err := m.(ColumnManager).OnColumnBatch(cb); return err },
 				func() error { _, err := m.OnWatermark(2 * hotSlide); return err },
-				func() error { _, err := m.(BatchManager).OnTupleBatch(stream[2*hotSlide:]); return err },
+				func() error { _, err := m.OnTupleBatch(stream[2*hotSlide:]); return err },
 				func() error { _, err := m.OnWatermark(1 << 40); return err },
 			}
 			for _, step := range steps {
@@ -290,7 +303,7 @@ func TestIngestDoesNotWaitForTheStore(t *testing.T) {
 			ingest := func(m Manager) ([]Result, error) {
 				var out []Result
 				for _, tp := range stream {
-					rs, err := m.OnTuple(tp)
+					rs, err := ingestOne(m, tp)
 					if err != nil {
 						return nil, err
 					}

@@ -53,7 +53,6 @@ var noArchiveSpecs = []struct {
 // every entry point and seam the engine calls.
 type noArchiveManager interface {
 	compatManager
-	BatchManager
 	ColumnManager
 	PrefetchWatermark(int64)
 	TakeDeferredDeletes() []string
@@ -289,7 +288,7 @@ func TestIncrementalGroupedNeverTouchesStore(t *testing.T) {
 					var rs []Result
 					switch o.kind {
 					case 't':
-						rs, err = exact.OnTuple(o.tup)
+						rs, err = ingestOne(exact, o.tup)
 					case 'w':
 						rs, err = exact.OnWatermark(o.wm)
 					}
@@ -343,7 +342,7 @@ func TestIncrementalGroupedNeverTouchesStore(t *testing.T) {
 				}
 				for tick := 0; tick < 1000; tick++ {
 					for j := 0; j < perTick; j++ {
-						if _, err := m.OnTuple(tuple.New(int64(tick), tuple.Float(float64(j)), tuple.String_(fmt.Sprintf("g%d", (tick+j)%6)))); err != nil {
+						if _, err := ingestOne(m, tuple.New(int64(tick), tuple.Float(float64(j)), tuple.String_(fmt.Sprintf("g%d", (tick+j)%6)))); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -394,7 +393,7 @@ func TestGroupedWindowsBeforePositionZeroAreFolded(t *testing.T) {
 				}
 				var out []Result
 				for i := 0; i < 300; i++ {
-					rs, err := m.OnTuple(tuple.New(int64(i), tuple.Float(float64(i%11)), tuple.String_(fmt.Sprintf("g%d", i%4))))
+					rs, err := ingestOne(m, tuple.New(int64(i), tuple.Float(float64(i%11)), tuple.String_(fmt.Sprintf("g%d", i%4))))
 					if err != nil {
 						t.Fatal(err)
 					}

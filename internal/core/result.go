@@ -96,30 +96,20 @@ func (r Result) String() string {
 }
 
 // Manager is the SPEAr window manager interface: the window lifecycle
-// of §2, producing Results instead of raw windows.
+// of §2, producing Results instead of raw windows. Every manager, the
+// baselines included, takes its tuples one way: a run at a time.
 type Manager interface {
-	// OnTuple ingests one tuple; count-domain specs may complete
-	// windows here.
-	OnTuple(t tuple.Tuple) ([]Result, error)
+	// OnTupleBatch ingests a run of data tuples in arrival order;
+	// count-domain specs may complete windows here. A run of one is a
+	// run like any other: every value, Mode and ε̂_w is the same
+	// wherever the caller cut the stream into runs.
+	//
+	// ts belongs to the caller, which recycles it as soon as the call
+	// returns (it is a pooled run straight off an engine channel): keep
+	// tuples by value, never the slice.
+	OnTupleBatch(ts []tuple.Tuple) ([]Result, error)
 	// OnWatermark completes every window with end ≤ wm.
 	OnWatermark(wm int64) ([]Result, error)
-}
-
-// BatchManager is the optional micro-batch fast path on Manager. The
-// engine's windowed workers assert for it once per run and deliver
-// contiguous runs of data tuples through OnTupleBatch, amortizing
-// per-tuple overheads (metrics updates, bounds checks) across the run.
-//
-// The contract is strict equivalence: OnTupleBatch(ts) must leave the
-// manager in the same state, and return the same results in the same
-// order, as calling OnTuple for each tuple of ts in order. Managers
-// that do not implement it keep working through the IngestBatch shim.
-//
-// ts belongs to the caller, which recycles it as soon as the call
-// returns (it is a pooled run straight off an engine channel): keep
-// tuples by value, never the slice.
-type BatchManager interface {
-	OnTupleBatch(ts []tuple.Tuple) ([]Result, error)
 }
 
 // ColumnManager is the optional columnar fast path on Manager. When
@@ -128,15 +118,14 @@ type BatchManager interface {
 // deliver it here instead of OnTupleBatch; the kernel projects the
 // columns it reads (Floats, Strings).
 //
-// The contract is the same strict equivalence as BatchManager's, one
-// level up: OnColumnBatch(cb) must leave the manager in the same state,
-// and return the same results in the same order, as OnTupleBatch over
-// cb.Rows() — which itself must equal per-tuple OnTuple calls. Window
-// values AND accelerate/exact Mode decisions are bit-identical by
-// construction: the kernels consume the same float bits in the same
-// per-window arrival order and draw the same PRNG streams. A manager
-// whose configuration or batch shape is outside its kernel's reach must
-// fall back to OnTupleBatch(cb.Rows()) internally, never approximate.
+// The contract is strict equivalence: OnColumnBatch(cb) must leave the
+// manager in the same state, and return the same results in the same
+// order, as OnTupleBatch over cb.Rows(). Window values AND
+// accelerate/exact Mode decisions are bit-identical by construction: the
+// kernels consume the same float bits in the same per-window arrival
+// order and draw the same PRNG streams. A manager whose configuration or
+// batch shape is outside its kernel's reach must fall back to
+// OnTupleBatch(cb.Rows()) internally, never approximate.
 //
 // The batch is borrowed: it is valid only for the duration of the call
 // (the worker refills it for the next batch), so kernels must not
@@ -169,23 +158,6 @@ func KeepsRows(m Manager) bool {
 	return true
 }
 
-// IngestBatch feeds ts through m: via the OnTupleBatch fast path when
-// the manager implements BatchManager, falling back to per-tuple
-// OnTuple calls otherwise. Results are concatenated in ingestion order.
-// On error, tuples before the failing one have been ingested.
-func IngestBatch(m Manager, ts []tuple.Tuple) ([]Result, error) {
-	if bm, ok := m.(BatchManager); ok {
-		return bm.OnTupleBatch(ts)
-	}
-	var out []Result
-	for _, t := range ts {
-		rs, err := m.OnTuple(t)
-		if len(rs) > 0 {
-			out = append(out, rs...)
-		}
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
-}
+// IngestBatch is m.OnTupleBatch(ts); benchmark/layers/checkpoint calls
+// it by this name.
+func IngestBatch(m Manager, ts []tuple.Tuple) ([]Result, error) { return m.OnTupleBatch(ts) }

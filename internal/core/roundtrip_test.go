@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"spear/internal/sample"
@@ -26,6 +28,8 @@ var roundTripAllow = map[string]string{
 	"cfg.Metrics":           "telemetry, outside the checkpoint domain: a recovered run does not re-count what the crashed one counted",
 	"shell.cfg.Metrics":     "telemetry, as cfg.Metrics",
 	"shell.cols":            "the row lane's scratch columns: dead between calls",
+	"cols":                  "the incremental baseline's scratch columns, as shell.cols",
+	"buf.pos":               "the exact baseline's buffer's scratch positions: dead between calls",
 	"scr":                   "the grouped kernel's scratch: dead between calls",
 	"shell.arc.curP":        "the pane the cache last held; meaningless once a snapshot's flush has emptied the cache",
 	"shell.arc.free":        "recycled pane buffers, empty",
@@ -168,30 +172,46 @@ func groupsByKey(m *GroupedManager) map[window.ID]map[string]groupState {
 	return out
 }
 
-// RoundTripExactManager checks the exact baseline, scalar and grouped.
-func RoundTripExactManager(t *testing.T, diff StateDiff) {
-	live, restored := map[string]*ExactManager{}, map[string]*ExactManager{}
+// baselineRoundTrips runs roundTrip for the named compat cases through
+// the row lanes a tuple and 50 at a time — a watermark falls after every
+// 50th tuple either way, so both lanes reach the snapshot point having
+// seen the same stream and the same controls — and requires the two
+// blobs to be the same bytes: a baseline's state does not depend on how
+// its input was cut.
+func baselineRoundTrips[M checkpointed](t *testing.T, names []string, mk func(Config) (M, error)) (live, restored map[string]M) {
+	live, restored = map[string]M{}, map[string]M{}
 	for _, c := range compatCases() {
-		if c.name != "scalar_mean_sampled" && c.name != "unknown_median" {
+		if !slices.Contains(names, c.name) {
 			continue
 		}
-		live[c.name], restored[c.name] = roundTrip(t, c, oneAtATime, func(store storage.SpillStore) (*ExactManager, error) {
-			return NewExactManager(c.cfg(store))
-		})
+		var blobs [][]byte
+		for _, l := range []lane{oneAtATime, {size: 50}} {
+			name := c.name + "/" + l.String()
+			live[name], restored[name] = roundTrip(t, c, l, func(store storage.SpillStore) (M, error) {
+				return mk(c.cfg(store))
+			})
+			blob, err := live[name].SnapshotState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			blobs = append(blobs, blob)
+		}
+		if !bytes.Equal(blobs[0], blobs[1]) {
+			t.Errorf("%s: the blob after runs of 50 differs from the one after runs of one", c.name)
+		}
 	}
-	reportDiffs(t, diff(live, restored, allowed("cfg.Metrics")))
+	return live, restored
+}
+
+// RoundTripExactManager checks the exact baseline, scalar and grouped.
+func RoundTripExactManager(t *testing.T, diff StateDiff) {
+	live, restored := baselineRoundTrips(t, []string{"scalar_mean_sampled", "unknown_median"}, NewExactManager)
+	reportDiffs(t, diff(live, restored, allowed("cfg.Metrics", "buf.pos")))
 }
 
 // RoundTripIncrementalManager checks the incremental baseline on the
 // scalar mean.
 func RoundTripIncrementalManager(t *testing.T, diff StateDiff) {
-	live, restored := map[string]*IncrementalManager{}, map[string]*IncrementalManager{}
-	for _, c := range compatCases() {
-		if c.name == "scalar_mean_slices" {
-			live[c.name], restored[c.name] = roundTrip(t, c, oneAtATime, func(store storage.SpillStore) (*IncrementalManager, error) {
-				return NewIncrementalManager(c.cfg(store))
-			})
-		}
-	}
-	reportDiffs(t, diff(live, restored, allowed("cfg.Metrics")))
+	live, restored := baselineRoundTrips(t, []string{"scalar_mean_slices"}, NewIncrementalManager)
+	reportDiffs(t, diff(live, restored, allowed("cfg.Metrics", "cols")))
 }

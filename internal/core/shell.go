@@ -153,15 +153,9 @@ func (s *shell) SetShedding(on bool) {
 	s.shed = on && s.cfg.archives() && s.sh.capacity() > 0
 }
 
-// OnTuple implements Manager (Alg. 1): a batch of one.
-func (s *shell) OnTuple(t tuple.Tuple) ([]Result, error) {
-	row := [1]tuple.Tuple{t}
-	return s.OnTupleBatch(row[:])
-}
-
-// OnTupleBatch implements BatchManager: the rows' positions and values
-// are read once into two columns and handed to the kernel, which reads
-// the keys where it needs them.
+// OnTupleBatch implements Manager (Alg. 1): the rows' positions and
+// values are read once into two columns and handed to the kernel, which
+// reads the keys where it needs them.
 func (s *shell) OnTupleBatch(rows []tuple.Tuple) ([]Result, error) {
 	s.syncControl()
 	s.cols.read(rows, &s.lc, s.cfg.Value)

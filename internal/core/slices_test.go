@@ -58,7 +58,7 @@ func sliceDrive(t *testing.T, cfg Config, events []sliceEvent) (got, want []Resu
 		}
 		got = append(got, rs...)
 		for _, r := range e.rows {
-			rs, _ = ref.OnTuple(r)
+			rs, _ = ingestOne(ref, r)
 			want = append(want, rs...)
 		}
 	}
@@ -351,7 +351,7 @@ func TestSliceTableRejectsDamage(t *testing.T) {
 	cfg.Spec = window.Spec{Domain: window.TimeDomain, Range: 70, Slide: 30}
 	m, _ := NewScalarManager(cfg)
 	for i := 0; i < 100; i++ {
-		m.OnTuple(tuple.New(int64(i), tuple.Float(1)))
+		ingestOne(m, tuple.New(int64(i), tuple.Float(1)))
 	}
 	good, _ := m.SnapshotState()
 	damage := map[string]func(d *ScalarManager){

@@ -215,10 +215,8 @@ func compatDrive(t *testing.T, c compatCase, m Manager, ts []tuple.Tuple, from, 
 		case l.columnar:
 			cb.SetRows(ts[i:j])
 			emit(m.(ColumnManager).OnColumnBatch(cb))
-		case l.size == 1:
-			emit(m.OnTuple(ts[i]))
 		default:
-			emit(m.(BatchManager).OnTupleBatch(ts[i:j]))
+			emit(m.OnTupleBatch(ts[i:j]))
 		}
 		if j/50 > i/50 {
 			emit(m.OnWatermark(int64(j/50*50 - 20)))
@@ -482,8 +480,8 @@ func TestRestoreRejectsRetiredFormats(t *testing.T) {
 	g1, _ := NewGroupedManager(cfg)
 	for i := 0; i < 80; i++ {
 		tup := tuple.New(int64(i), tuple.Float(float64(i)), tuple.String_(fmt.Sprintf("g%d", i%4)))
-		v1.OnTuple(tup)
-		g1.OnTuple(tup)
+		ingestOne(v1, tup)
+		ingestOne(g1, tup)
 	}
 
 	for _, c := range []struct {

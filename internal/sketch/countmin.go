@@ -102,9 +102,10 @@ func (c *CountMin) MemSize() int { return c.width*c.depth*8 + c.depth*8 }
 // "to reconstruct the result of the sketch, each distinct group needs to
 // be maintained in memory").
 type GroupedMeanSketch struct {
-	sums   *CountMin
-	counts *CountMin
-	groups map[string]struct{}
+	sums     *CountMin
+	counts   *CountMin
+	groups   map[string]struct{}
+	keyBytes int // what the group set costs, kept as keys arrive
 }
 
 // NewGroupedMeanSketch sizes both sketches for (eps, delta).
@@ -120,7 +121,10 @@ func NewGroupedMeanSketch(eps, delta float64) *GroupedMeanSketch {
 // 2·depth hash evaluations — the overhead Table 2 attributes to
 // "the application of the computation-heavy hash functions".
 func (g *GroupedMeanSketch) Add(key string, v float64) {
-	g.groups[key] = struct{}{}
+	if _, ok := g.groups[key]; !ok {
+		g.groups[key] = struct{}{}
+		g.keyBytes += len(key) + 48
+	}
 	g.sums.Add(key, v)
 	g.counts.Add(key, 1)
 }
@@ -144,16 +148,15 @@ func (g *GroupedMeanSketch) Reset() {
 	g.sums.Reset()
 	g.counts.Reset()
 	g.groups = make(map[string]struct{})
+	g.keyBytes = 0
 }
 
 // MemSize returns the total footprint: both sketches plus the group set
-// (the part that diminishes the space benefit on grouped operations).
+// (the part that diminishes the space benefit on grouped operations),
+// each key at its length and 48 bytes of map entry, counted as the key
+// arrived.
 func (g *GroupedMeanSketch) MemSize() int {
-	n := g.sums.MemSize() + g.counts.MemSize()
-	for k := range g.groups {
-		n += len(k) + 48
-	}
-	return n
+	return g.sums.MemSize() + g.counts.MemSize() + g.keyBytes
 }
 
 // String summarizes the configuration.

@@ -156,6 +156,37 @@ func TestGroupedMeanSketch(t *testing.T) {
 	}
 }
 
+// TestGroupedMeanSketchMemSizeIsTheWalk: MemSize keeps the group set's
+// bytes as keys arrive; it must read what a walk over the set gives —
+// each key at its length plus 48 — after adds, repeated keys among them,
+// and after Reset.
+func TestGroupedMeanSketchMemSizeIsTheWalk(t *testing.T) {
+	g := NewGroupedMeanSketch(0.1, 0.05)
+	walk := func() int {
+		n := g.sums.MemSize() + g.counts.MemSize()
+		for k := range g.groups {
+			n += len(k) + 48
+		}
+		return n
+	}
+	r := rand.New(rand.NewSource(5))
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 500; i++ {
+			g.Add(fmt.Sprintf("k%d", r.Intn(40+round*100)), 1)
+			if i%50 == 0 && g.MemSize() != walk() {
+				t.Fatalf("round %d add %d: MemSize %d, the walk %d", round, i, g.MemSize(), walk())
+			}
+		}
+		if g.MemSize() != walk() {
+			t.Fatalf("round %d: MemSize %d, the walk %d", round, g.MemSize(), walk())
+		}
+		g.Reset()
+		if g.MemSize() != walk() {
+			t.Fatalf("round %d after Reset: MemSize %d, the walk %d", round, g.MemSize(), walk())
+		}
+	}
+}
+
 func TestGroupedMeanSketchZeroCount(t *testing.T) {
 	g := NewGroupedMeanSketch(0.1, 0.1)
 	g.groups["phantom"] = struct{}{} // group never Added

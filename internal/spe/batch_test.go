@@ -16,6 +16,7 @@ import (
 	"spear/internal/core"
 	"spear/internal/leakcheck"
 	"spear/internal/obs"
+	"spear/internal/storage"
 	"spear/internal/tuple"
 	"spear/internal/window"
 )
@@ -186,41 +187,46 @@ func TestErrOnceConcurrent(t *testing.T) {
 
 // ---- batch-boundary semantics -------------------------------------------
 
-// runPipeline executes a map → windowed sum pipeline over a
-// deterministic stream at the given batch size and returns results
-// sorted by (worker, window start).
-func runPipeline(t *testing.T, n, batch, par int) []core.Result {
+// runPipeline executes a map → windowed pipeline, each worker's manager
+// from mk, over a deterministic stream (tuple i at tick i, value i mod
+// 13) at the given batch size and returns results sorted by (window
+// start, worker).
+func runPipeline(t *testing.T, mk ManagerFactory, n, batch, par int) []core.Result {
 	t.Helper()
 	var in []tuple.Tuple
 	for i := 0; i < n; i++ {
-		in = append(in, tuple.New(int64(i), tuple.Float(1)))
+		in = append(in, tuple.New(int64(i), tuple.Float(float64(i%13))))
 	}
 	sink := &collectSink{}
 	tp := NewTopology(Config{WatermarkPeriod: 100, BatchSize: batch}).
 		SetSpout(NewSliceSpout(in)).
 		AddMap("id", 0, func(t tuple.Tuple) (tuple.Tuple, bool) { return t, true }).
-		SetWindowed("sum", par, nil, scalarFactory(agg.Func{Op: agg.Sum}, window.Tumbling(100), 10)).
+		SetWindowed("w", par, nil, mk).
 		SetSink(sink.sink)
 	if err := tp.Run(); err != nil {
 		t.Fatal(err)
 	}
-	out := make([]core.Result, len(sink.res))
-	for i := range sink.res {
-		out[i] = sink.res[i]
-		out[i].WindowID = window.ID(int64(out[i].WindowID)) // copy as-is
+	idx := make([]int, len(sink.res))
+	for i := range idx {
+		idx[i] = i
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
+	sort.Slice(idx, func(a, b int) bool {
+		ra, rb := sink.res[idx[a]], sink.res[idx[b]]
+		if ra.Start != rb.Start {
+			return ra.Start < rb.Start
 		}
-		return out[i].Scalar < out[j].Scalar
+		return sink.wrk[idx[a]] < sink.wrk[idx[b]]
 	})
+	out := make([]core.Result, len(idx))
+	for i, j := range idx {
+		out[i] = sink.res[j]
+	}
 	return out
 }
 
 // TestBatchBoundarySemantics runs the same pipeline at batch sizes 1
 // (per-tuple), 2, 64, and one larger than the whole stream, and demands
-// loss-free, late-drop-free output at every size: each window's total
+// loss-free, late-drop-free output at every size: each window's count
 // must be exact, which can only happen if no data tuple is ever
 // stranded behind (or overtaken by) a watermark at a flush boundary.
 func TestBatchBoundarySemantics(t *testing.T) {
@@ -229,7 +235,7 @@ func TestBatchBoundarySemantics(t *testing.T) {
 	for _, batch := range []int{1, 2, 64, n + 500} {
 		for _, par := range []int{1, 3} {
 			t.Run(fmt.Sprintf("batch%d/par%d", batch, par), func(t *testing.T) {
-				res := runPipeline(t, n, batch, par)
+				res := runPipeline(t, scalarFactory(agg.Func{Op: agg.Count}, window.Tumbling(100), 10), n, batch, par)
 				var total float64
 				perWindow := map[int64]float64{}
 				for _, r := range res {
@@ -255,36 +261,67 @@ func TestBatchBoundarySemantics(t *testing.T) {
 // TestBatchSizesIdenticalResults demands bit-identical window results
 // across batch sizes: same values, same N, same accelerate/exact Mode,
 // same estimated errors. Routing, sampling, and flush ordering are all
-// deterministic, so any divergence is a batching bug.
+// deterministic, so any divergence is a batching bug. The baselines are
+// held to it as well as SPEAr, in the time and the count domain: every
+// manager takes the runs the engine hands it, and a batch size of one
+// is the per-tuple reference.
 func TestBatchSizesIdenticalResults(t *testing.T) {
 	leakcheck.Check(t)
-	ref := runPipeline(t, 3000, 1, 2)
-	for _, batch := range []int{2, 64, 4096} {
-		got := runPipeline(t, 3000, batch, 2)
-		if len(got) != len(ref) {
-			t.Fatalf("batch %d: %d results, want %d", batch, len(got), len(ref))
+	sliding := window.Spec{Domain: window.TimeDomain, Range: 300, Slide: 100}
+	countSliding := window.Spec{Domain: window.CountDomain, Range: 90, Slide: 30}
+	baseline := func(f agg.Func, spec window.Spec, mk func(core.Config) (core.Manager, error)) ManagerFactory {
+		return func(wi int) (core.Manager, error) {
+			return mk(core.Config{
+				Spec: spec, Agg: f, Value: tuple.FieldFloat(0),
+				Epsilon: 0.10, Confidence: 0.95, BudgetTuples: 10,
+				Store: storage.NewMemStore(), Key: fmt.Sprintf("w%d", wi), Seed: int64(wi) + 1,
+			})
 		}
-		for i := range ref {
-			a, b := ref[i], got[i]
-			if a.Start != b.Start || a.End != b.End || a.N != b.N ||
-				a.Scalar != b.Scalar || a.Mode != b.Mode || a.EstError != b.EstError {
-				t.Errorf("batch %d result %d diverged:\n per-tuple %+v\n   batched %+v", batch, i, a, b)
+	}
+	exact := func(cfg core.Config) (core.Manager, error) { return core.NewExactManager(cfg) }
+	incremental := func(cfg core.Config) (core.Manager, error) { return core.NewIncrementalManager(cfg) }
+	for _, c := range []struct {
+		name string
+		mk   ManagerFactory
+	}{
+		{"spear-sum/tumbling", scalarFactory(agg.Func{Op: agg.Sum}, window.Tumbling(100), 10)},
+		{"exact-median/sliding", baseline(agg.Median(), sliding, exact)},
+		{"exact-median/count-sliding", baseline(agg.Median(), countSliding, exact)},
+		{"incremental-mean/sliding", baseline(agg.Func{Op: agg.Mean}, sliding, incremental)},
+		{"incremental-mean/count-sliding", baseline(agg.Func{Op: agg.Mean}, countSliding, incremental)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ref := runPipeline(t, c.mk, 3000, 1, 2)
+			if len(ref) == 0 {
+				t.Fatal("no window fired")
 			}
-		}
+			for _, batch := range []int{2, 64, 4096} {
+				got := runPipeline(t, c.mk, 3000, batch, 2)
+				if len(got) != len(ref) {
+					t.Fatalf("batch %d: %d results, want %d", batch, len(got), len(ref))
+				}
+				for i := range ref {
+					a, b := ref[i], got[i]
+					if a.Start != b.Start || a.End != b.End || a.N != b.N ||
+						math.Float64bits(a.Scalar) != math.Float64bits(b.Scalar) || a.Mode != b.Mode || a.EstError != b.EstError {
+						t.Errorf("batch %d result %d diverged:\n batch 1 %+v\n batched %+v", batch, i, a, b)
+					}
+				}
+			}
+		})
 	}
 }
 
-// countingManager wraps a Manager, counting ingested tuples. It does
-// NOT implement BatchManager, so it exercises the per-tuple fallback
-// shim inside the batched engine.
+// countingManager wraps a Manager, counting the tuples of the runs it
+// ingests.
 type countingManager struct {
 	inner core.Manager
 	seen  int64
 }
 
-func (c *countingManager) OnTuple(t tuple.Tuple) ([]core.Result, error) {
-	c.seen++
-	return c.inner.OnTuple(t)
+func (c *countingManager) OnTupleBatch(ts []tuple.Tuple) ([]core.Result, error) {
+	c.seen += int64(len(ts))
+	return c.inner.OnTupleBatch(ts)
 }
 func (c *countingManager) OnWatermark(wm int64) ([]core.Result, error) {
 	return c.inner.OnWatermark(wm)
@@ -402,20 +439,21 @@ func TestBarrierRegressionFailsRun(t *testing.T) {
 	}
 }
 
-// slowManager wraps a Manager and stalls periodically, forcing the
-// bounded queues upstream to fill.
+// slowManager wraps a Manager and stalls once every so many tuples,
+// forcing the bounded queues upstream to fill.
 type slowManager struct {
 	inner core.Manager
 	every int
 	seen  int
 }
 
-func (s *slowManager) OnTuple(t tuple.Tuple) ([]core.Result, error) {
-	s.seen++
-	if s.seen%s.every == 0 {
+func (s *slowManager) OnTupleBatch(ts []tuple.Tuple) ([]core.Result, error) {
+	before := s.seen
+	s.seen += len(ts)
+	for range s.seen/s.every - before/s.every {
 		time.Sleep(200 * time.Microsecond)
 	}
-	return s.inner.OnTuple(t)
+	return s.inner.OnTupleBatch(ts)
 }
 func (s *slowManager) OnWatermark(wm int64) ([]core.Result, error) {
 	return s.inner.OnWatermark(wm)
@@ -505,7 +543,6 @@ func TestBatchOccupancyCountsTuples(t *testing.T) {
 // it times the engine's hops alone.
 type nopManager struct{}
 
-func (nopManager) OnTuple(tuple.Tuple) ([]core.Result, error)        { return nil, nil }
 func (nopManager) OnTupleBatch([]tuple.Tuple) ([]core.Result, error) { return nil, nil }
 func (nopManager) OnWatermark(int64) ([]core.Result, error)          { return nil, nil }
 

@@ -420,19 +420,19 @@ func TestRunPropagatesManagerError(t *testing.T) {
 	}
 }
 
-// erroringManager fails on the nth tuple.
+// erroringManager fails on the run that holds the nth tuple.
 type erroringManager struct {
 	n     int
 	seen  int
 	inner core.Manager
 }
 
-func (e *erroringManager) OnTuple(t tuple.Tuple) ([]core.Result, error) {
-	e.seen++
+func (e *erroringManager) OnTupleBatch(ts []tuple.Tuple) ([]core.Result, error) {
+	e.seen += len(ts)
 	if e.seen >= e.n {
 		return nil, fmt.Errorf("injected failure at tuple %d", e.seen)
 	}
-	return e.inner.OnTuple(t)
+	return e.inner.OnTupleBatch(ts)
 }
 
 func (e *erroringManager) OnWatermark(wm int64) ([]core.Result, error) {

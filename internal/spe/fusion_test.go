@@ -54,9 +54,6 @@ func (m *laneRecorder) tuples(ts []tuple.Tuple) ([]core.Result, error) {
 	}
 	return nil, nil
 }
-func (m *laneRecorder) OnTuple(t tuple.Tuple) ([]core.Result, error) {
-	return m.tuples([]tuple.Tuple{t})
-}
 func (m *laneRecorder) OnTupleBatch(ts []tuple.Tuple) ([]core.Result, error) { return m.tuples(ts) }
 func (m *laneRecorder) OnColumnBatch(cb *col.ColumnBatch) ([]core.Result, error) {
 	return m.tuples(cb.Rows())

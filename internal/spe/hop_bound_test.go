@@ -16,8 +16,8 @@ import (
 // idleManager keeps nothing: the runs below exist to size channels.
 type idleManager struct{}
 
-func (idleManager) OnTuple(tuple.Tuple) ([]core.Result, error) { return nil, nil }
-func (idleManager) OnWatermark(int64) ([]core.Result, error)   { return nil, nil }
+func (idleManager) OnTupleBatch([]tuple.Tuple) ([]core.Result, error) { return nil, nil }
+func (idleManager) OnWatermark(int64) ([]core.Result, error)          { return nil, nil }
 
 // TestHopBoundsTuplesInFlight pins the one queue rule: whatever the run
 // length, every channel the engine owns holds max(2, 1024/BatchSize)

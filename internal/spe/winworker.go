@@ -46,10 +46,10 @@ func runWinWorker(c winWorkerCfg) {
 	// OnColumnBatch kernels, each row run is viewed through one pooled
 	// column batch and ingested through them. The batch buffer is
 	// worker-owned for the whole run and recycled at exit; the manager
-	// only borrows it per call. Otherwise a run goes through
-	// core.IngestBatch: the manager's OnTupleBatch, or the per-tuple
-	// shim for one that has none. Either way the manager may not keep
-	// the slice past the call: it is recycled right after.
+	// only borrows it per call. Otherwise a run goes to the manager's
+	// OnTupleBatch, the one way in every manager has. Either way the
+	// manager may not keep the slice past the call: it is recycled
+	// right after.
 	var cm core.ColumnManager
 	var cb *col.ColumnBatch
 	if c.columnar {
@@ -117,7 +117,7 @@ func runWinWorker(c winWorkerCfg) {
 			cb.SetRows(b.Rows)
 			rs, err = cm.OnColumnBatch(cb)
 		} else {
-			rs, err = core.IngestBatch(mgr, b.Rows)
+			rs, err = mgr.OnTupleBatch(b.Rows)
 		}
 		if core.KeepsRows(mgr) {
 			b.Slab = nil

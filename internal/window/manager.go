@@ -29,6 +29,7 @@ type SingleBuffer struct {
 	bufBytes int
 	peak     int
 	lc       Lifecycle
+	pos      []int64 // OnTupleBatch's positions: dead between calls
 }
 
 // NewSingleBuffer returns a single-buffer manager for spec.
@@ -39,28 +40,33 @@ func NewSingleBuffer(spec Spec) (*SingleBuffer, error) {
 	return &SingleBuffer{spec: spec, lc: NewLifecycle(spec)}, nil
 }
 
-// OnTuple buffers a tuple the lifecycle admits and, in the count domain,
-// stages the windows it completes: a count window [s, e) is complete
-// once position e-1 has arrived.
-func (m *SingleBuffer) OnTuple(t tuple.Tuple) []Complete {
-	pos := m.lc.Pos(t.Ts, 0)
-	lo, hi := m.spec.Assign(pos)
-	if _, ok := m.lc.Admit([]int64{pos}, lo, hi); !ok {
-		return nil
+// OnTupleBatch buffers the rows the lifecycle admits, a run at a time
+// as Spec.EachRun cuts them (the SPEAr kernel's arrival step), and in the
+// count domain stages the windows each run completes: a count window
+// [s, e) is complete once position e-1, the end of a run, has arrived. A
+// tuple is buffered at its position, which in the count domain is its
+// sequence number, not its event time.
+func (m *SingleBuffer) OnTupleBatch(rows []tuple.Tuple) []Complete {
+	m.pos = m.pos[:0]
+	for i := range rows {
+		m.pos = append(m.pos, m.lc.Pos(rows[i].Ts, i))
 	}
-	if m.spec.Domain == CountDomain {
-		// Count positions are assigned at arrival; rewrite Ts so the
-		// scan at trigger time sees the position. The event time is not
-		// needed for count windows.
-		t.Ts = pos
-	}
-	m.buf = append(m.buf, t)
-	m.bufBytes += t.MemSize()
-	m.peak = max(m.peak, m.bufBytes)
-	if m.spec.Domain == CountDomain {
-		return m.fire(m.lc.Seq())
-	}
-	return nil
+	var out []Complete
+	m.spec.EachRun(m.pos, func(i0, i1 int, lo, hi ID) {
+		if _, ok := m.lc.Admit(m.pos[i0:i1], lo, hi); !ok {
+			return
+		}
+		for i, t := range rows[i0:i1] {
+			t.Ts = m.pos[i0+i]
+			m.buf = append(m.buf, t)
+			m.bufBytes += t.MemSize()
+		}
+		m.peak = max(m.peak, m.bufBytes)
+		if m.spec.Domain == CountDomain {
+			out = append(out, m.fire(m.lc.Seq())...)
+		}
+	})
+	return out
 }
 
 // OnWatermark stages every window whose end is ≤ wm, oldest first, and
@@ -170,7 +176,8 @@ func NewMultiBuffer(spec Spec) (*MultiBuffer, error) {
 	}, nil
 }
 
-// OnTuple is SingleBuffer.OnTuple with a copy per window.
+// OnTuple is SingleBuffer.OnTupleBatch over a run of one, with a copy
+// per window: tuple at a time, the reference the run path is held to.
 func (m *MultiBuffer) OnTuple(t tuple.Tuple) []Complete {
 	t.Ts = m.lc.Pos(t.Ts, 0)
 	lo, hi := m.spec.Assign(t.Ts)

@@ -3,6 +3,7 @@ package window_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -16,7 +17,9 @@ import (
 // that lag after every 50th) through a buffer, snapshot it mid-stream,
 // restore the blob into a fresh buffer, and require the two to hold the
 // same state (checkpointtest.StateDiff), in the time and the count
-// domain. The package is window_test because checkpointtest imports
+// domain. The stream reaches the buffer in runs of one and in runs of 25,
+// and the two blobs, taken at the same stream point, must be the same
+// bytes. The package is window_test because checkpointtest imports
 // window.
 func TestRoundTripSingleBuffer(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -39,24 +42,35 @@ func TestRoundTripSingleBuffer(t *testing.T) {
 			}
 			return m
 		}
-		m := mk()
-		for i, tup := range ts[:len(ts)/2+13] {
-			m.OnTuple(tup)
-			if (i+1)%50 == 0 {
-				m.OnWatermark(int64(i + 1 - 20))
+		var blobs [][]byte
+		for _, size := range []int{1, 25} {
+			m := mk()
+			in := ts[:len(ts)/2+13]
+			for i := 0; i < len(in); i += size {
+				j := min(i+size, len(in))
+				m.OnTupleBatch(in[i:j])
+				if j/50 > i/50 {
+					m.OnWatermark(int64(j/50*50 - 20))
+				}
 			}
+			blob, err := m.SnapshotState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := mk()
+			if err := r.RestoreState(blob); err != nil {
+				t.Fatal(err)
+			}
+			key := fmt.Sprintf("%s/%d", name, size)
+			live[key], restored[key] = m, r
+			blobs = append(blobs, blob)
 		}
-		blob, err := m.SnapshotState()
-		if err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(blobs[0], blobs[1]) {
+			t.Errorf("%s: the blob after runs of 25 differs from the one after runs of one", name)
 		}
-		r := mk()
-		if err := r.RestoreState(blob); err != nil {
-			t.Fatal(err)
-		}
-		live[name], restored[name] = m, r
 	}
-	for _, d := range checkpointtest.StateDiff(live, restored, nil) {
+	allow := map[string]string{"pos": "OnTupleBatch's positions: dead between calls"}
+	for _, d := range checkpointtest.StateDiff(live, restored, allow) {
 		t.Error(d)
 	}
 }
@@ -92,8 +106,8 @@ func TestSingleBufferSpill(t *testing.T) {
 	var rows []tuple.Tuple
 	for i := int64(0); i < 25; i++ {
 		rows = append(rows, tuple.New(i, tuple.Float(float64(i))))
-		m.OnTuple(rows[i])
 	}
+	m.OnTupleBatch(rows)
 	blob, err := m.SnapshotState()
 	if err != nil {
 		t.Fatal(err)

@@ -152,6 +152,21 @@ func mkTuple(ts int64, v float64) tuple.Tuple {
 	return tuple.New(ts, tuple.Float(v))
 }
 
+// runOfOne hands m one tuple: a run of one.
+func runOfOne(m *SingleBuffer, t tuple.Tuple) []Complete {
+	return m.OnTupleBatch([]tuple.Tuple{t})
+}
+
+// feedRuns hands m rows in runs of size (the last one shorter) and
+// returns what they stage, in order.
+func feedRuns(m *SingleBuffer, rows []tuple.Tuple, size int) []Complete {
+	var out []Complete
+	for i := 0; i < len(rows); i += size {
+		out = append(out, m.OnTupleBatch(rows[i:min(i+size, len(rows))])...)
+	}
+	return out
+}
+
 func newSB(t *testing.T, spec Spec) *SingleBuffer {
 	t.Helper()
 	m, err := NewSingleBuffer(spec)
@@ -168,8 +183,8 @@ func TestSingleBufferPaperScenario(t *testing.T) {
 	s := Spec{Domain: TimeDomain, Range: 15, Slide: 5}
 	m := newSB(t, s)
 	for _, ts := range []int64{47, 51, 53, 55, 62, 71, 72, 61} {
-		if got := m.OnTuple(mkTuple(ts, float64(ts))); got != nil {
-			t.Fatalf("time-domain OnTuple fired %v", got)
+		if got := runOfOne(m, mkTuple(ts, float64(ts))); got != nil {
+			t.Fatalf("time-domain ingest fired %v", got)
 		}
 	}
 	completes := m.OnWatermark(69)
@@ -214,7 +229,7 @@ func completesAllTuples(m *SingleBuffer) []int64 {
 func TestSingleBufferTumbling(t *testing.T) {
 	m := newSB(t, Spec{Domain: TimeDomain, Range: 10, Slide: 10})
 	for ts := int64(0); ts < 25; ts++ {
-		m.OnTuple(mkTuple(ts, 1))
+		runOfOne(m, mkTuple(ts, 1))
 	}
 	completes := m.OnWatermark(20)
 	if len(completes) != 2 {
@@ -240,7 +255,7 @@ func TestSingleBufferSlidingMembership(t *testing.T) {
 	m := newSB(t, s)
 	counts := map[int64]int{}
 	for ts := int64(0); ts < 200; ts++ {
-		m.OnTuple(mkTuple(ts, 0))
+		runOfOne(m, mkTuple(ts, 0))
 	}
 	for _, c := range m.OnWatermark(200) {
 		for _, tp := range c.Tuples {
@@ -256,15 +271,15 @@ func TestSingleBufferSlidingMembership(t *testing.T) {
 
 func TestSingleBufferLateTuples(t *testing.T) {
 	m := newSB(t, Spec{Domain: TimeDomain, Range: 10, Slide: 10})
-	m.OnTuple(mkTuple(5, 1))
+	runOfOne(m, mkTuple(5, 1))
 	m.OnWatermark(30)
 	// ts 3 belongs only to window [0,10), already fired → dropped.
-	m.OnTuple(mkTuple(3, 1))
+	runOfOne(m, mkTuple(3, 1))
 	if m.LateDropped() != 1 {
 		t.Errorf("LateDropped = %d, want 1", m.LateDropped())
 	}
 	// ts 35 is fine.
-	m.OnTuple(mkTuple(35, 1))
+	runOfOne(m, mkTuple(35, 1))
 	completes := m.OnWatermark(40)
 	if len(completes) != 1 || len(completes[0].Tuples) != 1 {
 		t.Errorf("completes = %+v", completes)
@@ -276,7 +291,7 @@ func TestSingleBufferCountWindows(t *testing.T) {
 	var fired []Complete
 	for i := 0; i < 17; i++ {
 		// Event timestamps are arbitrary for count windows.
-		fired = append(fired, m.OnTuple(mkTuple(int64(1000+i*7), float64(i)))...)
+		fired = append(fired, runOfOne(m, mkTuple(int64(1000+i*7), float64(i)))...)
 	}
 	if len(fired) != 3 {
 		t.Fatalf("fired %d count windows, want 3", len(fired))
@@ -302,7 +317,7 @@ func TestSingleBufferCountSliding(t *testing.T) {
 	m := newSB(t, Spec{Domain: CountDomain, Range: 10, Slide: 5})
 	total := 0
 	for i := 0; i < 30; i++ {
-		for _, c := range m.OnTuple(mkTuple(0, float64(i))) {
+		for _, c := range runOfOne(m, mkTuple(0, float64(i))) {
 			if len(c.Tuples) != 10 && c.Start >= 0 {
 				// The very first window [−5,5) style edges don't
 				// occur: count starts at 0, so first is [0,10)?
@@ -337,48 +352,61 @@ func newMB(t *testing.T, spec Spec) *MultiBuffer {
 
 func TestMultiBufferMatchesSingleBuffer(t *testing.T) {
 	// Property: both designs deliver identical window contents (as
-	// multisets of timestamps) for in-order streams.
+	// multisets of timestamps) for in-order streams, whatever the runs
+	// the single buffer is handed between two watermarks.
 	specs := []Spec{
 		{Domain: TimeDomain, Range: 15, Slide: 5},
 		{Domain: TimeDomain, Range: 10, Slide: 10},
 		{Domain: CountDomain, Range: 8, Slide: 4},
 	}
 	for _, spec := range specs {
-		sb := newSB(t, spec)
-		mb := newMB(t, spec)
-		var sbOut, mbOut []Complete
-		for ts := int64(0); ts < 100; ts++ {
-			sbOut = append(sbOut, sb.OnTuple(mkTuple(ts, float64(ts)))...)
-			mbOut = append(mbOut, mb.OnTuple(mkTuple(ts, float64(ts)))...)
-			if ts%10 == 0 {
-				sbOut = append(sbOut, sb.OnWatermark(ts)...)
-				mbOut = append(mbOut, mb.OnWatermark(ts)...)
-			}
-		}
-		sbOut = append(sbOut, sb.OnWatermark(100)...)
-		mbOut = append(mbOut, mb.OnWatermark(100)...)
-
-		if len(sbOut) != len(mbOut) {
-			t.Fatalf("spec %v: %d vs %d windows", spec, len(sbOut), len(mbOut))
-		}
-		for i := range sbOut {
-			a, b := sbOut[i], mbOut[i]
-			if a.ID != b.ID || a.Start != b.Start || a.End != b.End {
-				t.Fatalf("spec %v window %d: %+v vs %+v", spec, i, a, b)
-			}
-			if len(a.Tuples) != len(b.Tuples) {
-				t.Fatalf("spec %v window %d sizes: %d vs %d", spec, i, len(a.Tuples), len(b.Tuples))
-			}
-			am := map[int64]int{}
-			bm := map[int64]int{}
-			for j := range a.Tuples {
-				am[a.Tuples[j].Ts]++
-				bm[b.Tuples[j].Ts]++
-			}
-			for k, v := range am {
-				if bm[k] != v {
-					t.Fatalf("spec %v window %d multiset mismatch at ts %d", spec, i, k)
+		for _, size := range []int{1, 3, 64} {
+			sb := newSB(t, spec)
+			mb := newMB(t, spec)
+			var sbOut, mbOut []Complete
+			var pending []tuple.Tuple
+			for ts := int64(0); ts < 100; ts++ {
+				pending = append(pending, mkTuple(ts, float64(ts)))
+				mbOut = append(mbOut, mb.OnTuple(mkTuple(ts, float64(ts)))...)
+				if ts%10 == 0 {
+					sbOut = append(sbOut, feedRuns(sb, pending, size)...)
+					pending = pending[:0]
+					sbOut = append(sbOut, sb.OnWatermark(ts)...)
+					mbOut = append(mbOut, mb.OnWatermark(ts)...)
 				}
+			}
+			sbOut = append(sbOut, feedRuns(sb, pending, size)...)
+			sbOut = append(sbOut, sb.OnWatermark(100)...)
+			mbOut = append(mbOut, mb.OnWatermark(100)...)
+			compareStaged(t, spec, size, sbOut, mbOut)
+		}
+	}
+}
+
+// compareStaged requires both designs to have staged the same windows
+// with the same contents, as multisets of timestamps.
+func compareStaged(t *testing.T, spec Spec, size int, sbOut, mbOut []Complete) {
+	t.Helper()
+	if len(sbOut) != len(mbOut) {
+		t.Fatalf("spec %v, runs of %d: %d vs %d windows", spec, size, len(sbOut), len(mbOut))
+	}
+	for i := range sbOut {
+		a, b := sbOut[i], mbOut[i]
+		if a.ID != b.ID || a.Start != b.Start || a.End != b.End {
+			t.Fatalf("spec %v, runs of %d, window %d: %+v vs %+v", spec, size, i, a, b)
+		}
+		if len(a.Tuples) != len(b.Tuples) {
+			t.Fatalf("spec %v, runs of %d, window %d sizes: %d vs %d", spec, size, i, len(a.Tuples), len(b.Tuples))
+		}
+		am := map[int64]int{}
+		bm := map[int64]int{}
+		for j := range a.Tuples {
+			am[a.Tuples[j].Ts]++
+			bm[b.Tuples[j].Ts]++
+		}
+		for k, v := range am {
+			if bm[k] != v {
+				t.Fatalf("spec %v, runs of %d, window %d multiset mismatch at ts %d", spec, size, i, k)
 			}
 		}
 	}
@@ -390,7 +418,8 @@ func TestMultiBufferMatchesSingleBuffer(t *testing.T) {
 // streams (gaps wider than a window, ranges that are no multiple of the
 // slide, tuples that share their newest window but not their oldest)
 // both must stage the same windows with the same tuples in the same
-// order.
+// order, the single buffer taking what arrives between two watermarks
+// in runs of random length and the multi buffer a tuple at a time.
 func TestSingleBufferStagesTheWindowsThatHoldTuples(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -398,18 +427,26 @@ func TestSingleBufferStagesTheWindowsThatHoldTuples(t *testing.T) {
 		spec.Slide = 1 + rng.Int63n(spec.Range)
 		sb, mb := newSB(t, spec), newMB(t, spec)
 		clock := rng.Int63n(100) - 50
+		var pending []tuple.Tuple
 		for step := 0; step < 300; step++ {
 			if clock += rng.Int63n(3); rng.Intn(25) == 0 {
 				clock += rng.Int63n(4 * spec.Range)
 			}
-			var c1, c2 []Complete
-			if rng.Intn(12) == 0 {
-				wm := clock - rng.Int63n(spec.Range+1)
-				c1, c2 = sb.OnWatermark(wm), mb.OnWatermark(wm)
-			} else {
+			if rng.Intn(12) != 0 {
 				tp := mkTuple(clock-rng.Int63n(2*spec.Range), float64(step))
-				c1, c2 = sb.OnTuple(tp), mb.OnTuple(tp)
+				pending = append(pending, tp)
+				if c := mb.OnTuple(tp); c != nil {
+					t.Fatalf("seed %d %s step %d: a time-domain tuple staged %d windows", seed, spec, step, len(c))
+				}
+				continue
 			}
+			// What arrived since the last watermark reaches the single
+			// buffer in runs of a random length.
+			c1 := feedRuns(sb, pending, 1+rng.Intn(len(pending)+1))
+			pending = pending[:0]
+			wm := clock - rng.Int63n(spec.Range+1)
+			c1 = append(c1, sb.OnWatermark(wm)...)
+			c2 := mb.OnWatermark(wm)
 			if len(c1) != len(c2) {
 				t.Fatalf("seed %d %s step %d: single buffer staged %d windows, multi buffer %d", seed, spec, step, len(c1), len(c2))
 			}
@@ -424,6 +461,7 @@ func TestSingleBufferStagesTheWindowsThatHoldTuples(t *testing.T) {
 				}
 			}
 		}
+		feedRuns(sb, pending, len(pending)+1)
 		if sb.LateDropped() != mb.LateDropped() {
 			t.Fatalf("seed %d %s: %d vs %d late", seed, spec, sb.LateDropped(), mb.LateDropped())
 		}
@@ -437,7 +475,7 @@ func TestMultiBufferUsesMoreMemory(t *testing.T) {
 	sb := newSB(t, spec)
 	mb := newMB(t, spec)
 	for ts := int64(100); ts < 200; ts++ { // interior, no edge effects
-		sb.OnTuple(mkTuple(ts, 0))
+		runOfOne(sb, mkTuple(ts, 0))
 		mb.OnTuple(mkTuple(ts, 0))
 	}
 	if mb.MemUsage() < 2*sb.MemUsage() {
@@ -457,9 +495,14 @@ func TestMultiBufferLate(t *testing.T) {
 
 func BenchmarkSingleBufferTuple(b *testing.B) {
 	m, _ := NewSingleBuffer(Sliding(15*time.Minute, 5*time.Minute))
+	run := make([]tuple.Tuple, 0, 64)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m.OnTuple(mkTuple(int64(i)*int64(time.Second), 1))
+		run = append(run, mkTuple(int64(i)*int64(time.Second), 1))
+		if len(run) == cap(run) || i%10000 == 9999 {
+			m.OnTupleBatch(run)
+			run = run[:0]
+		}
 		if i%10000 == 9999 {
 			m.OnWatermark(int64(i) * int64(time.Second))
 		}
