@@ -37,14 +37,16 @@ test:
 	$(GO) test ./...
 
 # The link's write side changes hands between goroutines (senders, the
-# credit sender, a reconnect), and a shard's value slabs between its
-# link reader, which decodes into them, and its workers, which give
-# them back; those tests run ten times over so that the detector sees
-# more than one interleaving. MemStore's blocks change hands between
-# segments, and its concurrent Get/Delete/Store test runs five times.
+# credit sender, a reconnect); a source's pump holds the runs it drains
+# across several receives before it gives them back to the spout's
+# pool; and a shard's value slabs change hands between its link reader,
+# which decodes into them, and its workers, which give them back. Those
+# tests run ten times over so that the detector sees more than one
+# interleaving. MemStore's blocks change hands between segments, and its
+# concurrent Get/Delete/Store test runs five times.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=10 -run 'TestLink' ./internal/transport/
+	$(GO) test -race -count=10 -run 'TestLink|TestPump' ./internal/transport/
 	$(GO) test -race -count=10 -run 'TestDistributedLoopbackIdentity' .
 	$(GO) test -race -count=5 ./internal/storage
 

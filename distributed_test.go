@@ -232,6 +232,57 @@ func TestDistributedLoopbackIdentity(t *testing.T) {
 	}
 	shards.wait(t, false)
 	requireIdentical(t, want, col.sorted())
+
+	coalescedLegs(t, in, want, build)
+}
+
+// coalescedLegs runs build's query at BatchSize 1 and 7, checkpointing
+// every 900 source tuples, in-process and across two TCP shard nodes,
+// and requires both to equal want. At those sizes an outbox holds many
+// runs whenever its pump comes to it, so the shards ingest the
+// coalesced runs of whole batch frames, cut wherever a watermark or a
+// mid-stream barrier falls.
+func coalescedLegs(t *testing.T, in []Tuple, want []workerResult, build func() *Query) {
+	t.Helper()
+	for _, batch := range []int{1, 7} {
+		leg := func() *Query { return build().BatchSize(batch).CheckpointEvery(900, 0) }
+		local := &workerSink{}
+		if _, err := leg().Source(FromSlice(in)).Run(local.add); err != nil {
+			t.Fatal(err)
+		}
+		requireIdentical(t, want, local.sorted())
+		var shardIns []*Instruments
+		shards := startShards(t, 2, func() *Query {
+			ins := NewInstruments()
+			shardIns = append(shardIns, ins)
+			return leg().ObserveWith(ins)
+		})
+		got := &workerSink{}
+		tel := NewInstruments()
+		if _, err := leg().Source(FromSlice(in)).ObserveWith(tel).Distribute(shards.addrs...).Run(got.add); err != nil {
+			t.Fatal(err)
+		}
+		shards.wait(t, false)
+		requireIdentical(t, want, got.sorted())
+		if tel.Checkpoint().Completed.Load() < 1 {
+			t.Fatalf("BatchSize %d: the distributed run committed no checkpoint", batch)
+		}
+		// The shards' occupancy histograms show runs longer than any
+		// the source's batcher ships: frames that carried several.
+		longer := int64(0)
+		for _, ins := range shardIns {
+			occ := ins.Snapshot(time.Now()).Occupancy
+			for _, b := range occ.Buckets {
+				if b.Le >= batch {
+					longer += occ.Count - b.Cumulative
+					break
+				}
+			}
+		}
+		if longer == 0 {
+			t.Errorf("BatchSize %d: no shard ingested a run longer than %d", batch, batch)
+		}
+	}
 }
 
 // TestDistributedLoopbackIdentityGrouped does the same for a grouped
@@ -339,6 +390,8 @@ func TestDistributedBarriersOverWire(t *testing.T) {
 	if want := "[shuffle[0] shuffle[1] shuffle[2] shuffle[3]]"; fmt.Sprint(edges) != want {
 		t.Errorf("source edges %v, want %s", edges, want)
 	}
+
+	coalescedLegs(t, in, want, build)
 }
 
 // TestDistributedReconnect cuts the connection mid-stream: the fabric

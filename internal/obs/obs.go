@@ -26,9 +26,11 @@ import (
 )
 
 // occBuckets are the micro-batch occupancy histogram's upper bounds
-// (messages per batch); a final implicit +Inf bucket catches anything
-// larger. Powers of two up to 256 bracket every plausible BatchSize.
-var occBuckets = []int{1, 2, 4, 8, 16, 32, 64, 128, 256}
+// (tuples per run); a final implicit +Inf bucket catches anything
+// larger. Powers of two up to 1024 bracket the runs a local worker gets
+// (at most BatchSize) and those a shard node decodes, which carry every
+// run the source's outbox held: up to about 1 K tuples.
+var occBuckets = []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
 // Edge is one inter-worker channel: a name, its capacity (in batches),
 // and a pull probe reading the instantaneous queue depth. The probe is
@@ -43,7 +45,7 @@ type Edge struct {
 // BatchOccupancy is a lock-free histogram of tuples per data batch,
 // updated once per received run.
 type BatchOccupancy struct {
-	counts [10]atomic.Int64 // occBuckets + the +Inf bucket
+	counts [12]atomic.Int64 // occBuckets + the +Inf bucket
 	sum    atomic.Int64     // total tuples
 	n      atomic.Int64     // total batches
 }

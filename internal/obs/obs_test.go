@@ -33,8 +33,9 @@ func TestBatchOccupancyBuckets(t *testing.T) {
 	if s.Occupancy.Sum != 373 {
 		t.Fatalf("sum = %d, want 373", s.Occupancy.Sum)
 	}
-	// Cumulative per le: 1→2, 2→3, 4→3, 8→4, …, 64→5, 128→5, 256→5, +Inf→6.
-	want := map[int]int64{1: 2, 2: 3, 4: 3, 8: 4, 16: 4, 32: 4, 64: 5, 128: 5, 256: 5, -1: 6}
+	// Cumulative per le: 1→2, 2→3, 4→3, 8→4, …, 64→5, 128→5, 256→5,
+	// 512→6, 1024→6, +Inf→6.
+	want := map[int]int64{1: 2, 2: 3, 4: 3, 8: 4, 16: 4, 32: 4, 64: 5, 128: 5, 256: 5, 512: 6, 1024: 6, -1: 6}
 	for _, b := range s.Occupancy.Buckets {
 		if b.Cumulative != want[b.Le] {
 			t.Errorf("bucket le=%d cumulative = %d, want %d", b.Le, b.Cumulative, want[b.Le])

@@ -87,7 +87,7 @@ func (l *localFabric) Open(par, queueSize int, env FabricEnv) ([]chan Batch, err
 		Name: tp.windowed.name, Lo: 0, Hi: par, Senders: 1,
 		BatchSize: tp.cfg.BatchSize, Columnar: tp.cfg.Columnar,
 		Factory: tp.windowed.factory, Hooks: tp.cfg.Checkpoint, Obs: tp.cfg.Obs,
-	}, queueSize, env.pool, env.failed)
+	}, queueSize, queueSize, env.pool, env.failed)
 	if err != nil {
 		return nil, err
 	}

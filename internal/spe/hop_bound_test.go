@@ -19,20 +19,23 @@ type idleManager struct{}
 func (idleManager) OnTupleBatch([]tuple.Tuple) ([]core.Result, error) { return nil, nil }
 func (idleManager) OnWatermark(int64) ([]core.Result, error)          { return nil, nil }
 
-// TestHopBoundsTuplesInFlight pins the one queue rule: whatever the run
-// length, every channel the engine owns holds max(2, 1024/BatchSize)
-// batches, so about 1 K tuples wait on a hop. That covers a local run's
-// shard inputs and result fan-in, a network fabric's outboxes and result
-// channel, and the inputs and results of a shard node, which derives
-// the same bound from the BatchSize its Hello carries, or of a shard
-// started on its own.
+// TestHopBoundsTuplesInFlight pins the queue rule in tuples: capacity
+// times the longest run a channel can carry. Every channel a source
+// process owns — a local run's shard inputs, a network fabric's
+// outboxes — holds max(2, 1024/BatchSize) runs of at most BatchSize, so
+// about 1 K tuples wait on a hop. A batch frame carries up to the runs
+// an outbox holds, so a shard node, which derives its sizes from the
+// BatchSize its Hello carries, decodes into runs that long without
+// allocating and holds two of them: at most twice a local channel. A
+// result fan-in holds max(2, 1024/BatchSize) result batches everywhere.
 func TestHopBoundsTuplesInFlight(t *testing.T) {
 	leakcheck.Check(t, leakcheck.Timeout(10*time.Second))
 	const par = 3
 	factory := func(int) (core.Manager, error) { return idleManager{}, nil }
 	in := []tuple.Tuple{tuple.New(1, tuple.Float(1)), tuple.New(2, tuple.Float(2))}
 	for _, batch := range []int{1, 8, 64, 4096} {
-		want := max(2, 1024/batch)
+		want := max(2, 1024/batch) // runs a local channel holds, result batches a fan-in holds
+		hop := max(1024, 2*batch)  // the tuples they come to: an outbox, and the longest frame
 		topology := func(ins *obs.Instruments) *spe.Topology {
 			return spe.NewTopology(spe.Config{BatchSize: batch, Obs: ins}).
 				SetSpout(spe.NewSliceSpout(in)).
@@ -45,8 +48,8 @@ func TestHopBoundsTuplesInFlight(t *testing.T) {
 				t.Fatalf("BatchSize %d, %s: %d edges registered, want %d", batch, where, len(s.Edges), par)
 			}
 			for _, e := range s.Edges {
-				if e.Capacity != want {
-					t.Errorf("BatchSize %d, %s: edge %s holds %d batches, want %d", batch, where, e.Name, e.Capacity, want)
+				if held := e.Capacity * batch; held != hop {
+					t.Errorf("BatchSize %d, %s: edge %s holds %d runs of %d, %d tuples, want %d", batch, where, e.Name, e.Capacity, batch, held, hop)
 				}
 			}
 			if s.Sink == nil || s.Sink.Capacity != want {
@@ -54,9 +57,13 @@ func TestHopBoundsTuplesInFlight(t *testing.T) {
 			}
 		}
 		shardHolds := func(where string, sr *spe.ShardRun) {
+			run, _ := sr.NewRun()
+			if longest := cap(run); longest != hop {
+				t.Errorf("BatchSize %d, %s: pooled runs have room for %d tuples, want %d (the runs an outbox holds)", batch, where, longest, hop)
+			}
 			for i, c := range sr.In {
-				if cap(c) != want {
-					t.Errorf("BatchSize %d, %s: input %d holds %d batches, want %d", batch, where, i, cap(c), want)
+				if held := cap(c) * cap(run); held != 2*hop {
+					t.Errorf("BatchSize %d, %s: input %d holds %d runs of %d, %d tuples, want %d", batch, where, i, cap(c), cap(run), held, 2*hop)
 				}
 			}
 			if cap(sr.Results) != want {

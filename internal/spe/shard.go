@@ -20,7 +20,7 @@ type Shard struct {
 	Name      string
 	Lo, Hi    int // global windowed worker range [Lo, Hi)
 	Senders   int // what the source's Hello announced; must be 1
-	BatchSize int // the source topology's; every channel holds queueFor(BatchSize) batches
+	BatchSize int // the source topology's; StartShard sizes its runs and channels from it
 	// Columnar mirrors the source topology's Config.Columnar: runs are
 	// viewed through a column batch and fed to the manager's
 	// OnColumnBatch kernels.
@@ -52,18 +52,26 @@ type ShardRun struct {
 }
 
 // StartShard validates sh, builds and restores the shard's managers,
-// and starts one worker goroutine per global worker in [Lo, Hi).
+// and starts one worker goroutine per global worker in [Lo, Hi). A
+// shard started here is fed by a network fabric, whose batch frames
+// carry up to the runs a source outbox holds: queueFor(BatchSize) runs
+// of BatchSize. Its pool's runs have room for that many tuples, so a
+// frame decodes into one without allocating, and its inputs hold
+// queueFor of that run length: in tuples, about twice what a local
+// channel holds. Its result fan-in holds queueFor(BatchSize) batches,
+// as a local shard's does.
 func StartShard(sh Shard) (*ShardRun, error) {
 	if sh.BatchSize <= 0 {
 		sh.BatchSize = defaultBatchSize
 	}
-	return startShard(sh, queueFor(sh.BatchSize), newRunPool(sh.BatchSize), new(errOnce))
+	run := queueFor(sh.BatchSize) * sh.BatchSize
+	return startShard(sh, queueFor(run), queueFor(sh.BatchSize), newRunPool(run), new(errOnce))
 }
 
-// startShard is StartShard over a given channel capacity in batches,
-// run pool and error slot. This is the one place a windowed worker is
-// built, restored and started.
-func startShard(sh Shard, queue int, pool *runPool, failed *errOnce) (*ShardRun, error) {
+// startShard is StartShard over given capacities in batches of the
+// input channels and the result fan-in, run pool and error slot. This
+// is the one place a windowed worker is built, restored and started.
+func startShard(sh Shard, queue, results int, pool *runPool, failed *errOnce) (*ShardRun, error) {
 	if sh.Lo < 0 || sh.Hi <= sh.Lo {
 		return nil, fmt.Errorf("spe: shard range [%d, %d)", sh.Lo, sh.Hi)
 	}
@@ -94,7 +102,7 @@ func startShard(sh Shard, queue int, pool *runPool, failed *errOnce) (*ShardRun,
 
 	sr := &ShardRun{
 		In:      make([]chan Batch, n),
-		Results: make(chan []SinkItem, queue),
+		Results: make(chan []SinkItem, results),
 		pool:    pool,
 		failed:  failed,
 	}
@@ -113,7 +121,7 @@ func startShard(sh Shard, queue int, pool *runPool, failed *errOnce) (*ShardRun,
 			ins.RegisterEdge(fmt.Sprintf("%s[%d]", sh.Name, sh.Lo+i), queue, func() int { return len(c) })
 		}
 		res := sr.Results
-		ins.RegisterSink(queue, func() int { return len(res) })
+		ins.RegisterSink(results, func() int { return len(res) })
 	}
 	for i, mgr := range managers {
 		var wobs *obs.Worker

@@ -23,7 +23,8 @@ type FabricConfig struct {
 	// can tell a re-attach from a foreign dial.
 	RunID uint64
 	// BatchSize is the engine's micro-batch size, forwarded so shards
-	// run the exact batching of the source process.
+	// size their runs and queues from it: a batch frame carries up to
+	// the runs an outbox holds, so a shard's runs are longer.
 	BatchSize int
 	// Checkpoint tells shards to expect barriers; RestoreID names the
 	// manifest every worker restores from (0 = fresh state).
@@ -248,21 +249,41 @@ func shake(conn net.Conn, hello Hello) (Welcome, error) {
 }
 
 // pump drains one destination worker's outbox onto the node's link. A
-// run becomes a batch frame — its column image, encoded straight from
-// the run — and is then recycled. A control becomes its control frame,
-// and the outbox closing becomes the worker's End frame. Data frames
-// and watermarks queue on the link while the outbox has more to give
-// and leave together when it runs dry, so a watermark rides the write
-// of the runs behind it; a barrier and End never wait. Either way the
-// pump never waits on an empty outbox with a frame still queued.
+// data run leaves together with the data runs already queued behind
+// it, as one batch frame: their rows are copied into one run the pump
+// owns, that run's column image is the frame, and the runs are then
+// recycled. The pump never waits for more: a frame ends at an empty
+// outbox, at a control, at close, and after as many runs as the outbox
+// holds. A frame whose image would be larger than flushBytes is not
+// sent; its runs go one frame each instead, so coalescing never builds a
+// frame the peer would refuse. A control becomes its control frame, and
+// the outbox closing becomes the worker's End frame. Frames queue on the
+// link while the outbox has more to give and leave together when it
+// runs dry, so a watermark rides the write of the runs behind it; a
+// barrier and End never wait. Either way the pump never waits on an
+// empty outbox with a frame still queued.
 func (n *fabricNode) pump(dest int, out <-chan spe.Batch) {
 	defer n.wg.Done()
 	recycle := n.f.env.Recycle
 	if recycle == nil {
 		recycle = func(spe.Batch) {}
 	}
-	for b := range out {
-		b := b
+	var (
+		runs   []spe.Batch
+		merged []tuple.Tuple
+		held   spe.Batch // a control taken off out behind a frame's runs
+		isHeld bool
+	)
+	for {
+		var b spe.Batch
+		if isHeld {
+			b, isHeld = held, false
+		} else {
+			var ok bool
+			if b, ok = <-out; !ok {
+				break
+			}
+		}
 		var err error
 		switch b.Ctl {
 		case spe.Watermark:
@@ -274,14 +295,36 @@ func (n *fabricNode) pump(dest int, out <-chan spe.Batch) {
 				return AppendBarrier(dst, seq, dest, b.Sender, b.Barrier)
 			})
 		default:
-			err = n.lk.sendSeq(len(out) == 0, func(dst []byte, seq uint64) []byte {
-				return AppendBatch(dst, seq, dest, b.Sender, b.Rows)
-			})
-			recycle(b)
+			// The runs queued behind b join its frame, never waiting
+			// for more. A worker's runs share a sender: the spout.
+			runs = append(runs[:0], b)
+		gather:
+			for len(runs) < cap(out) {
+				select {
+				case next, ok := <-out:
+					if !ok {
+						break gather
+					}
+					if next.Ctl != spe.Data {
+						held, isHeld = next, true
+						break gather
+					}
+					runs = append(runs, next)
+				default:
+					break gather
+				}
+			}
+			merged, err = n.sendRuns(dest, runs, merged, !isHeld && len(out) == 0)
+			for _, r := range runs {
+				recycle(r)
+			}
 		}
 		if err != nil {
 			// Link is terminally down; keep draining so the engine's
 			// close cascade can finish.
+			if isHeld {
+				recycle(held)
+			}
 			for b := range out {
 				recycle(b)
 			}
@@ -291,6 +334,40 @@ func (n *fabricNode) pump(dest int, out <-chan spe.Batch) {
 	_ = n.lk.sendSeq(true, func(dst []byte, seq uint64) []byte {
 		return AppendEnd(dst, seq, dest)
 	})
+}
+
+// sendRuns sends the data runs of one frame, in order: as one batch
+// frame, its rows copied into merged (returned for reuse), or, when
+// that frame's body would pass flushBytes, one frame a run.
+func (n *fabricNode) sendRuns(dest int, runs []spe.Batch, merged []tuple.Tuple, flush bool) ([]tuple.Tuple, error) {
+	sender := runs[0].Sender
+	if len(runs) > 1 {
+		merged = merged[:0]
+		for _, r := range runs {
+			merged = append(merged, r.Rows...)
+		}
+		fits := false
+		err := n.lk.sendSeq(flush, func(dst []byte, seq uint64) []byte {
+			frame := AppendBatch(dst, seq, dest, sender, merged)
+			if fits = len(frame)-len(dst) <= flushBytes; fits {
+				return frame
+			}
+			return AppendBatch(dst, seq, dest, sender, runs[0].Rows)
+		})
+		if err != nil || fits {
+			return merged, err
+		}
+		runs = runs[1:]
+	}
+	for i, r := range runs {
+		err := n.lk.sendSeq(flush && i == len(runs)-1, func(dst []byte, seq uint64) []byte {
+			return AppendBatch(dst, seq, dest, sender, r.Rows)
+		})
+		if err != nil {
+			return merged, err
+		}
+	}
+	return merged, nil
 }
 
 // closer tears the node's link down once its pumps have finished and

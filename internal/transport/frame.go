@@ -147,7 +147,7 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 type JobSpec struct {
 	Lo, Hi     int    // global windowed worker range [Lo, Hi)
 	Senders    int    // upstream senders into the windowed stage
-	BatchSize  int    // the source's; the shard's queues follow from it
+	BatchSize  int    // the source's; the shard's run length and queues follow from it
 	Checkpoint bool   // the source runs the checkpoint protocol
 	RestoreID  uint64 // manifest to restore from, 0 = fresh state
 }

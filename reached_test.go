@@ -28,7 +28,6 @@ var unreachedAllowed = map[string]string{
 	"tuple.Decode":                     "the reference of TestSlabDecode",
 	"storage.NewFileStore":             "the durable store the multi-process recovery tests share",
 	"core.DefaultScalarEstimate":       "part of the paper's estimator hook; README names it",
-	"spe.Data":                         "Control's zero value",
 	"spe.NewDisorderSpout":             "test support: out-of-order arrival for the engine and integration tests",
 	"checkpointtest.*":                 "test support: StateDiff, what every TestRoundTrip<Type> compares with",
 	"leakcheck.*":                      "test support: the goroutine-leak checks and the lock-free contracts",
