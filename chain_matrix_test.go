@@ -46,14 +46,11 @@ func TestChainComposes(t *testing.T) {
 			Parallelism(par)
 		if grouped {
 			q.GroupBy(func(tp Tuple) string { return tp.Vals[1].AsString() }).Mean(val)
-			if columnar {
-				q.Columnar(0, 1)
-			}
 		} else {
 			q.Median(val)
-			if columnar {
-				q.Columnar(0)
-			}
+		}
+		if columnar {
+			q.Columnar(0)
 		}
 		return q
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -173,7 +174,30 @@ func TestColumnarIdentity(t *testing.T) {
 				KnownGroups(3).
 				BudgetTuples(300).Error(0.10, 0.95).Seed(6)
 		}
-		sameWres(t, collectRun(t, build()), collectRun(t, build().Columnar(1, 0)))
+		sameWres(t, collectRun(t, build()), collectRun(t, build().Columnar(1)))
+	})
+
+	t.Run("grouped undeclared key", func(t *testing.T) {
+		// A grouped query has no columnar lane: Columnar(1) names the
+		// value field only, and no field is taken for the key. Field 0
+		// agrees with the key on each batch's first row ("a") and not
+		// on "A" or "B", so a lane that read field 0 as the key would
+		// split the two groups in four.
+		keys := []string{"a", "A", "b", "B"}
+		var in []Tuple
+		for i := 0; i < 4000; i++ {
+			in = append(in, NewTuple(int64(i/4)*sec, Str(keys[i%4]), Float(float64(i%7))))
+		}
+		build := func() *Query {
+			return NewQuery("colgroupedkey").
+				Source(FromSlice(in)).
+				TumblingWindow(100*time.Second).
+				GroupBy(func(t Tuple) string { return strings.ToLower(t.Vals[0].AsString()) }).
+				Mean(func(t Tuple) float64 { return t.Vals[1].AsFloat() }).
+				DisableIncremental().
+				BudgetTuples(300).Error(0.10, 0.95).Seed(6)
+		}
+		sameWres(t, collectRun(t, build()), collectRun(t, build().Columnar(1)))
 	})
 
 	t.Run("fused map chain", func(t *testing.T) {

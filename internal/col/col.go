@@ -1,15 +1,14 @@
 // Package col is the columnar view a window worker hands its manager's
-// kernels: one borrowed run of rows plus the columns a kernel asks for,
-// built on demand as plain slices ([]float64 values, dictionary-coded
-// strings) so aggregate kernels and samplers run tight loops instead of
-// tag-dispatching over boxed tuple.Value unions.
+// kernel: one borrowed run of rows plus the timestamps and the value
+// column the kernel asks for, built on demand as plain slices
+// ([]int64, []float64) so aggregate kernels and samplers run tight
+// loops instead of tag-dispatching over boxed tuple.Value unions.
 //
 // The view is strictly internal to a worker's ingest hop: rows enter
-// through SetRows, kernels read Ts, Floats and Strings, and the same
-// borrowed rows (Rows) remain what the row-oriented seams read —
-// archiving, spilling, and any operator without a columnar kernel. The
-// public API, tuple codec, spill store, and wire format never see a
-// ColumnBatch.
+// through SetRows, kernels read Ts and Floats, and the same borrowed
+// rows (Rows) remain what the row-oriented seams read — archiving,
+// spilling, and any operator without a columnar kernel. The public API,
+// tuple codec, spill store, and wire format never see a ColumnBatch.
 //
 // A column is projected only when it is row-aligned: every row's field
 // is present, valid and of one kind the accessor serves. Anything else
@@ -17,10 +16,10 @@
 // makes the accessor return nil and the kernel fall back to the rows.
 //
 // Ownership discipline. A ColumnBatch only borrows the row slice given
-// to SetRows; everything it hands out (timestamps, projected columns,
-// the dictionary) is owned by the batch and valid ONLY until the next
-// SetRows, Reset, or Put, and a projection until the next call of the
-// same accessor. Kernels must not retain references across batches.
+// to SetRows; everything it hands out (timestamps, projected columns)
+// is owned by the batch and valid ONLY until the next SetRows, Reset,
+// or Put, and a projection until the next call of the same accessor.
+// Kernels must not retain references across batches.
 // Batches come from a package-level pool (Get/Put) so steady-state
 // ingest reuses one batch's buffers for the whole run.
 package col
@@ -32,24 +31,12 @@ import (
 	"spear/internal/tuple"
 )
 
-// maxDict bounds the persistent string dictionary. The dictionary
-// survives Reset so low-cardinality key columns (the grouped-aggregate
-// case) intern every key exactly once per run; past the bound it is
-// rebuilt from scratch to keep a high-cardinality stream from pinning
-// unbounded memory.
-const maxDict = 4096
-
 // ColumnBatch is a reusable columnar view over one run of rows. Zero
 // value is ready to use; prefer Get/Put for pooling.
 type ColumnBatch struct {
-	rows  []tuple.Tuple // borrowed from SetRows; NOT owned
-	ts    []int64
-	f64   []float64 // Floats' projection
-	codes []int32   // Strings' projection
-	// dict / dictIdx intern strings; they persist across Reset (see
-	// maxDict).
-	dict    []string
-	dictIdx map[string]int32
+	rows []tuple.Tuple // borrowed from SetRows; NOT owned
+	ts   []int64
+	f64  []float64 // Floats' projection
 }
 
 var pool = sync.Pool{New: func() any { return new(ColumnBatch) }}
@@ -68,18 +55,12 @@ func Put(b *ColumnBatch) {
 	pool.Put(b)
 }
 
-// Reset clears the batch for reuse, keeping buffer capacity and the
-// string dictionary (unless it outgrew maxDict). Lock-free: safe on the
-// per-batch ingest path.
+// Reset clears the batch for reuse, keeping buffer capacity. Lock-free:
+// safe on the per-batch ingest path.
 func (b *ColumnBatch) Reset() {
 	b.rows = nil
 	b.ts = b.ts[:0]
 	b.f64 = b.f64[:0]
-	b.codes = b.codes[:0]
-	if len(b.dict) > maxDict {
-		b.dict = b.dict[:0]
-		clear(b.dictIdx)
-	}
 }
 
 // SetRows points the batch at rows and fills Ts. The slice is borrowed,
@@ -134,41 +115,6 @@ func (b *ColumnBatch) Floats(j int) []float64 {
 		b.f64 = append(b.f64, v.AsFloat())
 	}
 	return b.f64
-}
-
-// Strings projects field j dictionary-encoded: a dense row-aligned code
-// slice plus the dictionary it indexes (dict[codes[i]] is row i's
-// string). ok is false unless every row's field j is a valid String.
-// The dictionary is shared across batches (interned), so equal keys map
-// to the same Go string and grouped kernels key maps without per-row
-// allocation.
-func (b *ColumnBatch) Strings(j int) (codes []int32, dict []string, ok bool) {
-	if len(b.rows) == 0 {
-		return nil, nil, false
-	}
-	b.codes = b.codes[:0]
-	for i := range b.rows {
-		v, k := b.field(i, j)
-		if k != tuple.KindString {
-			return nil, nil, false
-		}
-		b.codes = append(b.codes, b.intern(v.AsString()))
-	}
-	return b.codes, b.dict, true
-}
-
-// intern returns the dictionary code for s, adding it if new.
-func (b *ColumnBatch) intern(s string) int32 {
-	if code, ok := b.dictIdx[s]; ok {
-		return code
-	}
-	if b.dictIdx == nil {
-		b.dictIdx = make(map[string]int32, 16)
-	}
-	code := int32(len(b.dict))
-	b.dict = append(b.dict, s)
-	b.dictIdx[s] = code
-	return code
 }
 
 // ToRows appends a deep copy of the batch's rows to dst[:0] (reused if

@@ -67,9 +67,6 @@ func TestRoundTripUniformFloat(t *testing.T) {
 			t.Fatalf("widened int %d diverges from AsFloat", i)
 		}
 	}
-	if _, _, ok := b.Strings(0); ok {
-		t.Fatal("Strings(0) ok on a float field")
-	}
 }
 
 func TestRoundTripMixedKindsAndNulls(t *testing.T) {
@@ -88,13 +85,10 @@ func TestRoundTripMixedKindsAndNulls(t *testing.T) {
 	checkRoundTrip(t, b, rows)
 
 	// Every field has a row that is missing, invalid or of another kind:
-	// neither projection applies.
+	// the projection does not apply.
 	for j := 0; j < 2; j++ {
 		if b.Floats(j) != nil {
 			t.Fatalf("Floats(%d) non-nil on a field with gaps", j)
-		}
-		if _, _, ok := b.Strings(j); ok {
-			t.Fatalf("Strings(%d) ok on a field with gaps", j)
 		}
 	}
 	// Ints and floats do not mix into one projection.
@@ -114,37 +108,6 @@ func TestRoundTripEmpty(t *testing.T) {
 	if b.Floats(0) != nil {
 		t.Fatal("Floats on empty batch should be nil")
 	}
-	if _, _, ok := b.Strings(0); ok {
-		t.Fatal("Strings on empty batch should not be ok")
-	}
-}
-
-func TestStringsDictionaryInterned(t *testing.T) {
-	rows := []tuple.Tuple{
-		row(1, tuple.String_("x")),
-		row(2, tuple.String_("y")),
-		row(3, tuple.String_("x")),
-	}
-	b := Get()
-	defer Put(b)
-	b.SetRows(rows)
-	codes, dict, ok := b.Strings(0)
-	if !ok {
-		t.Fatal("Strings(0) not ok")
-	}
-	if len(codes) != 3 || codes[0] != codes[2] || codes[0] == codes[1] {
-		t.Fatalf("codes = %v", codes)
-	}
-	if dict[codes[1]] != "y" {
-		t.Fatalf("dict[%d] = %q", codes[1], dict[codes[1]])
-	}
-	// The dictionary persists across batches: same key, same code.
-	first := codes[0]
-	b.SetRows(rows[:1])
-	codes2, _, _ := b.Strings(0)
-	if codes2[0] != first {
-		t.Fatalf("dictionary not persistent: %d vs %d", codes2[0], first)
-	}
 }
 
 // TestReuseNoAlloc pins the pooling contract: refilling a warmed batch
@@ -156,25 +119,21 @@ func TestReuseNoAlloc(t *testing.T) {
 	}
 	b := Get()
 	defer Put(b)
-	b.SetRows(rows) // warm buffers and dictionary
+	b.SetRows(rows) // warm buffers
 	b.Floats(0)
-	b.Strings(1)
 	allocs := testing.AllocsPerRun(100, func() {
 		b.SetRows(rows)
 		if b.Floats(0) == nil {
 			t.Fatal("Floats(0) nil")
 		}
-		if _, _, ok := b.Strings(1); !ok {
-			t.Fatal("Strings(1) not ok")
-		}
 	})
 	if allocs > 0 {
-		t.Fatalf("SetRows and projections on a warmed batch allocate %.1f/op, want 0", allocs)
+		t.Fatalf("SetRows and a projection on a warmed batch allocate %.1f/op, want 0", allocs)
 	}
 }
 
 // TestColumnBatchIsLockFree holds the recycling path, filling a batch
-// and both projections, each documented lock-free, to that contract.
+// and its projection, each documented lock-free, to that contract.
 func TestColumnBatchIsLockFree(t *testing.T) {
 	rows := []tuple.Tuple{
 		row(1, tuple.Float(1.5), tuple.String_("a")),
@@ -184,7 +143,6 @@ func TestColumnBatchIsLockFree(t *testing.T) {
 		b := Get()
 		b.SetRows(rows)
 		b.Floats(0)
-		b.Strings(1)
 		b.Reset()
 		Put(b)
 	})

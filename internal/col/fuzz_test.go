@@ -129,12 +129,10 @@ var fuzzCorpus = map[string][]tuple.Tuple{
 }
 
 // FuzzColumnBatch fuzzes the projection contract over arbitrary runs —
-// mixed kinds, missing fields, zero Values, int/float mixes, any payload
-// bits: Floats(j) is non-nil exactly when every row's field j is a valid
-// Float or every row's a valid Int, and then equals AsFloat bit for bit;
-// Strings(j) is ok exactly when every row's field j is a valid String,
-// and then dict[codes[i]] is row i's AsString; ToRows equals the run and
-// shares none of its Vals.
+// mixed kinds, missing fields, zero Values, int/float mixes, strings,
+// any payload bits: Floats(j) is non-nil exactly when every row's field
+// j is a valid Float or every row's a valid Int, and then equals AsFloat
+// bit for bit; ToRows equals the run and shares none of its Vals.
 func FuzzColumnBatch(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1, 2, 3, 4, 5, 6, 7, 8})
@@ -176,18 +174,6 @@ func FuzzColumnBatch(f *testing.F) {
 			for i := range fs {
 				if math.Float64bits(fs[i]) != math.Float64bits(rows[i].Vals[j].AsFloat()) {
 					t.Fatalf("Floats(%d)[%d] diverges from AsFloat", j, i)
-				}
-			}
-			codes, dict, ok := b.Strings(j)
-			if want := all(j, tuple.KindString); ok != want {
-				t.Fatalf("Strings(%d) ok=%v, the rows say %v", j, ok, want)
-			}
-			if ok && len(codes) != len(rows) {
-				t.Fatalf("Strings(%d): len %d want %d", j, len(codes), len(rows))
-			}
-			for i := range codes {
-				if dict[codes[i]] != rows[i].Vals[j].AsString() {
-					t.Fatalf("Strings(%d)[%d] diverges from AsString", j, i)
 				}
 			}
 		}

@@ -380,120 +380,6 @@ func TestColumnarScalarIdentity(t *testing.T) {
 	}
 }
 
-func groupedRows(n int, groups []string, gen func(i int) (int64, float64)) []tuple.Tuple {
-	rows := make([]tuple.Tuple, n)
-	for i := range rows {
-		ts, v := gen(i)
-		rows[i] = tuple.New(ts, tuple.String_(groups[i%len(groups)]), tuple.Float(v))
-	}
-	return rows
-}
-
-func TestColumnarGroupedIdentity(t *testing.T) {
-	mk := func(known int) Config {
-		c := mkCfg(agg.Func{Op: agg.Mean}, 240)
-		c.KeyBy = tuple.FieldString(0)
-		c.Value = tuple.FieldFloat(1)
-		c.KnownGroups = known
-		c.DisableIncremental = true
-		c.Columnar = ColumnarSpec{Enabled: true, ValueField: 1, KeyField: 0}
-		return c
-	}
-	groups := []string{"alpha", "beta", "gamma", "delta"}
-
-	cases := []struct {
-		name  string
-		known int
-		steps func() []any
-		want  func(t *testing.T, rs []Result)
-	}{
-		{
-			// Known groups + time domain is the kernel's home turf:
-			// arrival-time stratified sampling straight off the columns.
-			name:  "known groups sampled and exact",
-			known: len(groups),
-			steps: func() []any {
-				r := rand.New(rand.NewSource(23))
-				rows := groupedRows(6000, groups, func(i int) (int64, float64) {
-					// Calm windows (tight CI → sampled) alternate with
-					// wild-magnitude ones (check fails → exact).
-					v := 1000 + r.NormFloat64()
-					if (i/600)%2 == 1 {
-						v = math.Abs(r.NormFloat64()) * math.Pow(10, float64(r.Intn(8)))
-					}
-					return int64(i / 6), v
-				})
-				steps := batches(rows, 64)
-				steps = append(steps, int64(500))
-				steps = append(steps, int64(1<<40))
-				return steps
-			},
-			want: func(t *testing.T, rs []Result) {
-				m := modes(rs)
-				if m[ModeSampled] == 0 || m[ModeExact] == 0 {
-					t.Fatalf("mode mix %v, want both sampled and exact", m)
-				}
-			},
-		},
-		{
-			// Grouped late tuples are dropped from results but still
-			// archived; the kernel replicates both halves.
-			name:  "known groups late tuples",
-			known: len(groups),
-			steps: func() []any {
-				on := groupedRows(400, groups, func(i int) (int64, float64) {
-					return int64(i / 2), float64(i)
-				})
-				late := groupedRows(60, groups, func(i int) (int64, float64) {
-					return int64(i % 150), 1e6
-				})
-				return []any{on, int64(200), late, int64(1 << 40)}
-			},
-			want: func(t *testing.T, rs []Result) {
-				if len(rs) == 0 {
-					t.Fatal("no results")
-				}
-			},
-		},
-		{
-			// Unknown groups buffer at the worker (no arrival-time
-			// archive), which the kernel declines.
-			name:  "unknown groups fall back",
-			known: 0,
-			steps: func() []any {
-				r := rand.New(rand.NewSource(29))
-				rows := groupedRows(2000, groups, func(i int) (int64, float64) {
-					return int64(i / 4), r.Float64() * 50
-				})
-				steps := batches(rows, 64)
-				steps = append(steps, int64(1<<40))
-				return steps
-			},
-			want: func(t *testing.T, rs []Result) {
-				if len(rs) == 0 {
-					t.Fatal("no results")
-				}
-			},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			rm, err := NewGroupedManager(mk(tc.known))
-			if err != nil {
-				t.Fatal(err)
-			}
-			cm, err := NewGroupedManager(mk(tc.known))
-			if err != nil {
-				t.Fatal(err)
-			}
-			rowRes := play(t, rm, false, tc.steps())
-			colRes := play(t, cm, true, tc.steps())
-			sameResultSets(t, rowRes, colRes)
-			tc.want(t, rowRes)
-		})
-	}
-}
-
 // TestColumnarKernelAllocs is the allocation-regression gate on the
 // columnar hot path: in steady state (warm column buffers, warm archive
 // chunk, existing window) a 64-tuple OnColumnBatch — including the

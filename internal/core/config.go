@@ -126,12 +126,13 @@ type Config struct {
 	// BudgetTuples is the starting value the cell was created with.
 	Cell *control.Cell
 
-	// Columnar opts the manager into the columnar ingest fast lane:
-	// OnColumnBatch runs the tight-loop kernels over raw []float64 /
-	// dictionary-coded key slices projected from each batch. Results are
+	// Columnar opts a scalar manager into the columnar ingest fast
+	// lane: ScalarManager.OnColumnBatch runs the ingest kernel over the
+	// raw []float64 value column projected from each batch. Results are
 	// bit-identical to the row path when the declaration holds (see
-	// ColumnarSpec); a batch whose fields do not project falls back to
-	// OnTupleBatch.
+	// ColumnarSpec); a batch whose value field does not project falls
+	// back to OnTupleBatch. A grouped manager has no columnar lane and
+	// ignores it.
 	Columnar ColumnarSpec
 
 	// DeferStoreDeletes, set by the checkpointing layer, makes the
@@ -143,18 +144,16 @@ type Config struct {
 	DeferStoreDeletes bool
 }
 
-// ColumnarSpec declares the field projections the columnar kernels may
-// assume: Value must be equivalent to tuple.FieldFloat(ValueField) and
-// — for grouped operations — KeyBy to tuple.FieldString(KeyField). The
-// declaration is a promise: the kernels compare it with the extractors
-// on the first row of every batch only and fall back to the row path on
-// a mismatch, which catches a wrong field index or kind; an extractor
+// ColumnarSpec declares the field projection the columnar kernel may
+// assume: Value must be equivalent to tuple.FieldFloat(ValueField). The
+// declaration is a promise: the kernel compares it with Value on the
+// first row of every batch only and falls back to the row path on a
+// mismatch, which catches a wrong field index or kind; an extractor
 // that agrees with the field on a batch's first row and not on a later
 // one changes results.
 type ColumnarSpec struct {
 	Enabled    bool
 	ValueField int
-	KeyField   int
 }
 
 // errors returned by config validation.

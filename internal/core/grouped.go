@@ -39,17 +39,9 @@ type GroupedManager struct {
 	// pool holds the windows that fired, cleared, with their arrays and
 	// sample storage, for the windows that open next.
 	pool []*groupedWin
-	scr  groupedScratch
-}
-
-// groupedScratch is what the ingest kernel keeps from call to call so as
-// not to allocate: the group id of each row of the run being folded,
-// and for a column batch its dictionary codes resolved to group ids
-// (plus one; all zero between batches) with the list of the codes that
-// were.
-type groupedScratch struct {
-	ids, codeIDs []uint32
-	mapped       []int32
+	// ids is the group id of each row of the run being folded, kept
+	// from call to call so as not to allocate.
+	ids []uint32
 }
 
 type groupedWin struct {
@@ -172,37 +164,13 @@ func (m *GroupedManager) fold(r run) {
 }
 
 // groupIDs resolves the group of each row of a run to its id in the
-// manager's dictionary: the one hash of a row's key, or, for a column
-// batch, one hash of each distinct code of the batch and an index after
-// that.
+// manager's dictionary: the one hash of a row's key.
 func (m *GroupedManager) groupIDs(r run) []uint32 {
-	ids := slices.Grow(m.scr.ids[:0], len(r.vals))[:len(r.vals)]
-	m.scr.ids = ids
-	if r.codes == nil {
-		for i := range r.rows {
-			ids[i] = m.dict.ID(m.cfg.KeyBy(r.rows[i]))
-		}
-		return ids
+	m.ids = slices.Grow(m.ids[:0], len(r.rows))[:len(r.rows)]
+	for i := range r.rows {
+		m.ids[i] = m.dict.ID(m.cfg.KeyBy(r.rows[i]))
 	}
-	if len(m.scr.codeIDs) < len(r.dict) {
-		m.scr.codeIDs = slices.Grow(m.scr.codeIDs, len(r.dict)-len(m.scr.codeIDs))[:len(r.dict)]
-	}
-	for i, c := range r.codes {
-		if m.scr.codeIDs[c] == 0 {
-			m.scr.codeIDs[c] = m.dict.ID(r.dict[c]) + 1
-			m.scr.mapped = append(m.scr.mapped, c)
-		}
-		ids[i] = m.scr.codeIDs[c] - 1
-	}
-	return ids
-}
-
-// endBatch zeroes the code ids the batch resolved, for the next batch.
-func (m *GroupedManager) endBatch() {
-	for _, c := range m.scr.mapped {
-		m.scr.codeIDs[c] = 0
-	}
-	m.scr.mapped = m.scr.mapped[:0]
+	return m.ids
 }
 
 func (m *GroupedManager) held(first, last window.ID) []window.ID {
@@ -351,7 +319,4 @@ func (m *GroupedManager) BudgetMemUsage() int {
 }
 
 // ensure interface compliance.
-var (
-	_ Manager       = (*GroupedManager)(nil)
-	_ ColumnManager = (*GroupedManager)(nil)
-)
+var _ Manager = (*GroupedManager)(nil)

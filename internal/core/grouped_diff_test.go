@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"spear/internal/agg"
-	"spear/internal/col"
 	"spear/internal/sample"
 	"spear/internal/stats"
 	"spear/internal/storage"
@@ -217,7 +216,7 @@ func TestGroupedStateMatchesPerWindowMaps(t *testing.T) {
 	for _, known := range []int{0, 8} {
 		for _, domain := range []window.Domain{window.TimeDomain, window.CountDomain} {
 			for _, overlap := range []int64{1, 2, 8} {
-				for _, driver := range []string{"row", "batch", "column"} {
+				for _, driver := range []string{"row", "batch"} {
 					name := fmt.Sprintf("known=%d/domain=%d/overlap=%d/%s", known, domain, overlap, driver)
 					t.Run(name, func(t *testing.T) {
 						rng := rand.New(rand.NewSource(int64(known)*1000 + int64(domain)*100 + overlap))
@@ -228,7 +227,6 @@ func TestGroupedStateMatchesPerWindowMaps(t *testing.T) {
 							KeyBy:   tuple.FieldString(1),
 							Epsilon: 0.5, Confidence: 0.95, BudgetTuples: 400, KnownGroups: known,
 							Store: storage.NewMemStore(), Key: "diff", Seed: 99,
-							Columnar: ColumnarSpec{Enabled: true, ValueField: 0, KeyField: 1},
 						}
 						if known > 0 {
 							cfg.Agg, cfg.BudgetTuples = agg.Median(), 160
@@ -260,8 +258,6 @@ func TestGroupedStateMatchesPerWindowMaps(t *testing.T) {
 							rng.Shuffle(block, func(a, b int) { ts[i+a], ts[i+b] = ts[i+b], ts[i+a] })
 						}
 
-						cb := col.Get()
-						defer col.Put(cb)
 						check := func(rs []Result, err error) {
 							t.Helper()
 							if err != nil {
@@ -296,13 +292,7 @@ func TestGroupedStateMatchesPerWindowMaps(t *testing.T) {
 									}
 									ref.add(pos, cfg.KeyBy(tp), cfg.Value(tp))
 								}
-								switch driver {
-								case "row", "batch": // "row" takes runs of one
-									check(m.OnTupleBatch(chunk))
-								default:
-									cb.SetRows(chunk)
-									check(m.OnColumnBatch(cb))
-								}
+								check(m.OnTupleBatch(chunk)) // "row" takes runs of one
 								j += n
 							}
 							if domain == window.TimeDomain {

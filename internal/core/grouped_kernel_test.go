@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"spear/internal/agg"
-	"spear/internal/col"
 	"spear/internal/storage"
 	"spear/internal/tuple"
 	"spear/internal/window"
@@ -75,8 +74,8 @@ func refGroupedIngest(m *GroupedManager, t tuple.Tuple) ([]Result, error) {
 	return nil, nil
 }
 
-// TestGroupedKernelMatchesPerTupleIngest holds every entry point of the
-// grouped manager, on both of its paths and at several batch sizes, to
+// TestGroupedKernelMatchesPerTupleIngest holds the one entry point of
+// the grouped manager, on both of its paths and at several batch sizes, to
 // the per-tuple reference: the same results field for field, the same
 // late count and budget memory, and the same snapshot bytes at every
 // watermark.
@@ -105,7 +104,6 @@ func TestGroupedKernelMatchesPerTupleIngest(t *testing.T) {
 							// Chunks of 7 fill in the middle of runs.
 							Epsilon: 0.25, Confidence: 0.95, BudgetTuples: 48, KnownGroups: known, ArchiveChunk: 7,
 							Store: storage.NewMemStore(), Key: "k", Seed: 11,
-							Columnar: ColumnarSpec{Enabled: true, ValueField: 0, KeyField: 1},
 						})
 						if err != nil {
 							t.Fatal(err)
@@ -137,13 +135,6 @@ func TestGroupedKernelMatchesPerTupleIngest(t *testing.T) {
 					for _, size := range []int{1, 7, 64, 1000} {
 						m := mk()
 						check(fmt.Sprintf("OnTupleBatch/%d", size), kernelTrace(t, m, ops, size, m.OnTupleBatch))
-						m = mk()
-						cb := col.Get()
-						check(fmt.Sprintf("OnColumnBatch/%d", size), kernelTrace(t, m, ops, size, func(ts []tuple.Tuple) ([]Result, error) {
-							cb.SetRows(ts)
-							return m.OnColumnBatch(cb)
-						}))
-						col.Put(cb)
 					}
 				})
 			}

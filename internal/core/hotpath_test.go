@@ -54,9 +54,9 @@ func hotStream(n int, grouped bool) []tuple.Tuple {
 // moments (the path that once buffered its windows) or archived for a
 // stratified sample; groups known, reservoirs filled at arrival. The
 // shed ones run with shedding on: the windows are tainted and the
-// archive write skipped. The baselines (mk set) have no column lane:
-// Storm buffers every tuple, Inc-Storm folds it into its windows'
-// accumulators.
+// archive write skipped. Only the scalar SPEAr manager has a column
+// lane. The baselines (mk set): Storm buffers every tuple, Inc-Storm
+// folds it into its windows' accumulators.
 var hotCases = []struct {
 	name    string
 	grouped bool
@@ -86,7 +86,7 @@ func hotManager(t *testing.T, i int, cell *control.Cell) (Manager, *obs.Worker) 
 		Epsilon: 0.10, Confidence: 0.95, BudgetTuples: 1000,
 		Store: storage.NewMemStore(), Key: "hot", Seed: 1,
 		Metrics:  &obs.Worker{},
-		Columnar: ColumnarSpec{Enabled: true, ValueField: 0, KeyField: 1},
+		Columnar: ColumnarSpec{Enabled: true, ValueField: 0},
 		Cell:     cell,
 	}
 	c.cfg(&cfg)
@@ -168,9 +168,9 @@ func ingestAllocs(t *testing.T, m Manager, columnar bool, stream []tuple.Tuple, 
 }
 
 // TestIngestAllocsPerTuple holds every ingest path of both SPEAr
-// managers, rows and columns, shedding or not, and the row path of both
-// baselines to at most 0.05 heap allocations per tuple in the steady
-// state (≈ 0.01 on the sampled scalar path — reservoirs opened and
+// managers, rows and (scalar) columns, shedding or not, and the row
+// path of both baselines to at most 0.05 heap allocations per tuple in
+// the steady state (≈ 0.01 on the sampled scalar path — reservoirs opened and
 // chunks stored, a window or a chunk at a time — 0 to 0.006 elsewhere,
 // 0 for Storm and 0.0004 for Inc-Storm, an accumulator a window), so
 // anything a kernel allocates per tuple or per run fails here: a
@@ -186,8 +186,8 @@ func TestIngestAllocsPerTuple(t *testing.T) {
 		for _, columnar := range []bool{false, true} {
 			name := c.name + "/rows"
 			if columnar {
-				if c.mk != nil {
-					continue // a baseline has rows only
+				if c.mk != nil || c.grouped {
+					continue // a baseline or a grouped manager has rows only
 				}
 				name = c.name + "/columnar"
 			}
@@ -232,7 +232,14 @@ func TestIngestNeverWritesTheCell(t *testing.T) {
 			steps := []func() error{
 				func() error { _, err := ingestOne(m, stream[0]); return err },
 				func() error { _, err := m.OnTupleBatch(stream[1:hotSlide]); return err },
-				func() error { _, err := m.(ColumnManager).OnColumnBatch(cb); return err },
+				func() error {
+					if cm, ok := m.(ColumnManager); ok {
+						_, err := cm.OnColumnBatch(cb)
+						return err
+					}
+					_, err := m.OnTupleBatch(cb.Rows())
+					return err
+				},
 				func() error { _, err := m.OnWatermark(2 * hotSlide); return err },
 				func() error { _, err := m.OnTupleBatch(stream[2*hotSlide:]); return err },
 				func() error { _, err := m.OnWatermark(1 << 40); return err },

@@ -50,10 +50,10 @@ var noArchiveSpecs = []struct {
 }
 
 // noArchiveManager is what driveNoArchive drives: a SPEAr manager with
-// every entry point and seam the engine calls.
+// every entry point and seam the engine calls (a columnar run needs a
+// ColumnManager too).
 type noArchiveManager interface {
 	compatManager
-	ColumnManager
 	PrefetchWatermark(int64)
 	TakeDeferredDeletes() []string
 	BudgetMemUsage() int
@@ -105,7 +105,7 @@ func driveNoArchive(t *testing.T, ops []kernelOp, mk func() noArchiveManager, co
 		}
 		if columnar {
 			cb.SetRows(pend)
-			emit(m.OnColumnBatch(cb))
+			emit(m.(ColumnManager).OnColumnBatch(cb))
 		} else {
 			emit(m.OnTupleBatch(pend))
 		}
@@ -236,9 +236,9 @@ func TestIncrementalScalarNeverTouchesStore(t *testing.T) {
 // TestIncrementalGroupedNeverTouchesStore is the same rule for a grouped
 // query with groups unknown: its moments answer every window, so it
 // keeps neither a window buffer nor an archive. Over grouped Sum, Mean
-// and Variance × window shapes × rows and Columnar × checkpointed or
-// not, the store sees no call, the manager's memory is its budget
-// memory, and every run gives the same results bit for bit. Those are
+// and Variance × window shapes × checkpointed or not, the store sees no
+// call, the manager's memory is its budget memory, and every run gives
+// the same results bit for bit. Those are
 // the exact baseline's windows, values within 1e-12 relative (summation
 // order), answered ModeIncremental where b holds the window's groups and
 // ModeExact, from the same moments and without a rescan, where the
@@ -254,27 +254,24 @@ func TestIncrementalGroupedNeverTouchesStore(t *testing.T) {
 					Key: "k", Seed: 11, SpillAhead: 2,
 				}
 				var first []Result
-				for _, columnar := range []bool{false, true} {
-					for _, ckpt := range []bool{false, true} {
-						store := storage.NewMemStore()
-						got := driveNoArchive(t, ops, func() noArchiveManager {
-							c := cfg
-							c.Store, c.DeferStoreDeletes = store, ckpt
-							c.Columnar = ColumnarSpec{Enabled: columnar, ValueField: 0, KeyField: 1}
-							m, err := NewGroupedManager(c)
-							if err != nil {
-								t.Fatal(err)
-							}
-							return m
-						}, columnar, ckpt, false)
-						if st := store.Stats(); st != (storage.Stats{}) {
-							t.Errorf("columnar=%v checkpointed=%v: the store was touched: %+v", columnar, ckpt, st)
+				for _, ckpt := range []bool{false, true} {
+					store := storage.NewMemStore()
+					got := driveNoArchive(t, ops, func() noArchiveManager {
+						c := cfg
+						c.Store, c.DeferStoreDeletes = store, ckpt
+						m, err := NewGroupedManager(c)
+						if err != nil {
+							t.Fatal(err)
 						}
-						if first == nil {
-							first = got
-						} else if !slices.EqualFunc(got, first, sameResult) {
-							t.Errorf("columnar=%v checkpointed=%v: results differ from the plain run's", columnar, ckpt)
-						}
+						return m
+					}, false, ckpt, false)
+					if st := store.Stats(); st != (storage.Stats{}) {
+						t.Errorf("checkpointed=%v: the store was touched: %+v", ckpt, st)
+					}
+					if first == nil {
+						first = got
+					} else if !slices.EqualFunc(got, first, sameResult) {
+						t.Errorf("checkpointed=%v: results differ from the plain run's", ckpt)
 					}
 				}
 

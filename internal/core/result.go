@@ -112,11 +112,11 @@ type Manager interface {
 	OnWatermark(wm int64) ([]Result, error)
 }
 
-// ColumnManager is the optional columnar fast path on Manager. When
-// Config.Columnar is enabled, the engine's windowed workers point a
-// pooled col.ColumnBatch at each run of data tuples (SetRows) and
-// deliver it here instead of OnTupleBatch; the kernel projects the
-// columns it reads (Floats, Strings).
+// ColumnManager is the optional columnar fast path on Manager; only
+// ScalarManager has one. When Config.Columnar is enabled, the engine's
+// windowed workers point a pooled col.ColumnBatch at each run of data
+// tuples (SetRows) and deliver it here instead of OnTupleBatch; the
+// kernel projects the value column it reads (Floats).
 //
 // The contract is strict equivalence: OnColumnBatch(cb) must leave the
 // manager in the same state, and return the same results in the same

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
+	"spear/internal/col"
 	"spear/internal/sample"
 	"spear/internal/stats"
 	"spear/internal/window"
@@ -98,6 +100,32 @@ func NewScalarManager(cfg Config) (*ScalarManager, error) {
 	return m, nil
 }
 
+// OnColumnBatch implements ColumnManager, an adapter to the kernel of
+// OnTupleBatch. The eligibility gate runs once per batch: the lane
+// applies only to time-domain specs, requires the value field to
+// project, and checks it against Value on the first row only (the
+// tripwire: a wrong field index or kind). Anything else falls back to
+// OnTupleBatch over the borrowed rows. Past the gate the batch's
+// timestamp and value columns are the kernel's input as they stand: the
+// kernel consumes the same float bits in the same per-window arrival
+// order and draws the same PRNG streams whichever entry point delivered
+// them, so every value and every Mode is the row path's.
+func (m *ScalarManager) OnColumnBatch(cb *col.ColumnBatch) ([]Result, error) {
+	if cb.Len() == 0 {
+		return nil, nil
+	}
+	rows := cb.Rows()
+	if !m.cfg.Columnar.Enabled || m.cfg.Spec.Domain == window.CountDomain {
+		return m.OnTupleBatch(rows)
+	}
+	vals := cb.Floats(m.cfg.Columnar.ValueField)
+	if vals == nil || math.Float64bits(vals[0]) != math.Float64bits(m.cfg.Value(rows[0])) {
+		return m.OnTupleBatch(rows)
+	}
+	m.syncControl()
+	return m.ingestRun(cb.Ts(), vals, rows)
+}
+
 // newWin returns the state of sampled window id.
 func (m *ScalarManager) newWin(id window.ID) *scalarWin {
 	w := &scalarWin{}
@@ -145,8 +173,6 @@ func (m *ScalarManager) fold(r run) {
 		}
 	}
 }
-
-func (m *ScalarManager) endBatch() {}
 
 func (m *ScalarManager) held(first, last window.ID) []window.ID {
 	if m.cfg.archives() {

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	"spear/internal/col"
 	"spear/internal/tuple"
 	"spear/internal/window"
 )
@@ -35,8 +34,6 @@ type shell struct {
 type shape interface {
 	// fold adds an admitted run to every window it falls into.
 	fold(r run)
-	// endBatch drops what fold kept for the batch just ingested.
-	endBatch()
 	// held returns, ascending, the ids in [first, last] of the windows
 	// that hold tuples.
 	held(first, last window.ID) []window.ID
@@ -67,15 +64,12 @@ type shape interface {
 
 // run is one run of an ingest batch as Spec.EachRun cuts it: positions
 // sharing the window assignment [lo, hi], of which the lifecycle
-// admitted windows first…hi, with their values, rows and, from a column
-// batch, dictionary-coded keys (codes nil for rows, whose keys KeyBy
-// reads). taint marks a run whose archive write is shed.
+// admitted windows first…hi, with their values and rows. taint marks a
+// run whose archive write is shed.
 type run struct {
 	first, lo, hi window.ID
 	vals          []float64
 	rows          []tuple.Tuple
-	codes         []int32
-	dict          []string
 	taint         bool
 }
 
@@ -159,49 +153,12 @@ func (s *shell) SetShedding(on bool) {
 func (s *shell) OnTupleBatch(rows []tuple.Tuple) ([]Result, error) {
 	s.syncControl()
 	s.cols.read(rows, &s.lc, s.cfg.Value)
-	return s.ingestRun(s.cols.pos, s.cols.vals, rows, nil, nil)
-}
-
-// OnColumnBatch implements ColumnManager, an adapter to the same kernel
-// as the row entry points. The eligibility gate runs once per batch: the
-// lane applies only to time-domain specs, requires the value field (and,
-// grouped, the key field) to project, and checks the declared fields
-// against the extractors on the first row only (the tripwire: a wrong
-// field index or kind). Anything else falls back to OnTupleBatch over
-// the borrowed rows. Past the gate the batch's timestamp and value
-// columns are the kernel's input as they stand, and a grouped kernel
-// reads the dictionary-coded key column in place of the rows' keys. The
-// kernel consumes the same float bits in the same per-window arrival
-// order and draws the same PRNG streams whichever entry point delivered
-// them, so every value and every Mode is the row path's.
-func (s *shell) OnColumnBatch(cb *col.ColumnBatch) ([]Result, error) {
-	if cb.Len() == 0 {
-		return nil, nil
-	}
-	rows := cb.Rows()
-	if !s.cfg.Columnar.Enabled || s.cfg.Spec.Domain == window.CountDomain {
-		return s.OnTupleBatch(rows)
-	}
-	vals := cb.Floats(s.cfg.Columnar.ValueField)
-	if vals == nil || math.Float64bits(vals[0]) != math.Float64bits(s.cfg.Value(rows[0])) {
-		return s.OnTupleBatch(rows)
-	}
-	var codes []int32
-	var dict []string
-	if s.cfg.KeyBy != nil {
-		var ok bool
-		if codes, dict, ok = cb.Strings(s.cfg.Columnar.KeyField); !ok || dict[codes[0]] != s.cfg.KeyBy(rows[0]) {
-			return s.OnTupleBatch(rows)
-		}
-	}
-	s.syncControl()
-	return s.ingestRun(cb.Ts(), vals, rows, codes, dict)
+	return s.ingestRun(s.cols.pos, s.cols.vals, rows)
 }
 
 // ingestRun is the manager's one ingest kernel (Alg. 1 over a batch,
 // DESIGN.md §19): ts, vals and rows are a batch's positions, aggregated
-// values and tuples, index-aligned, and codes with dict its
-// dictionary-coded key column, or nil. Spec.EachRun cuts the batch into
+// values and tuples, index-aligned. Spec.EachRun cuts the batch into
 // runs that share one window assignment, so the assignment, the
 // lifecycle's admission, the shape's fold and the archive append are
 // paid per run; a late run is neither folded nor archived. A slice and a
@@ -210,7 +167,7 @@ func (s *shell) OnColumnBatch(cb *col.ColumnBatch) ([]Result, error) {
 // A count-domain window completes exactly at the end of a run (the next
 // position has a different assignment), so there the kernel fires after
 // each run.
-func (s *shell) ingestRun(ts []int64, vals []float64, rows []tuple.Tuple, codes []int32, dict []string) ([]Result, error) {
+func (s *shell) ingestRun(ts []int64, vals []float64, rows []tuple.Tuple) ([]Result, error) {
 	count := s.cfg.Spec.Domain == window.CountDomain
 	var out []Result
 	var err error
@@ -223,11 +180,7 @@ func (s *shell) ingestRun(ts []int64, vals []float64, rows []tuple.Tuple, codes 
 		if !ok {
 			return // late: neither folded nor archived
 		}
-		r := run{first: first, lo: lo, hi: hi, vals: vals[i0:i1], rows: rows[i0:i1], dict: dict, taint: s.shed}
-		if codes != nil {
-			r.codes = codes[i0:i1]
-		}
-		s.sh.fold(r)
+		s.sh.fold(run{first: first, lo: lo, hi: hi, vals: vals[i0:i1], rows: rows[i0:i1], taint: s.shed})
 		switch {
 		case s.arc == nil:
 			// No check can fail, so there is no fallback to archive for.
@@ -248,7 +201,6 @@ func (s *shell) ingestRun(ts []int64, vals []float64, rows []tuple.Tuple, codes 
 			out = append(out, rs...)
 		}
 	})
-	s.sh.endBatch()
 	if s.cfg.countIngest(len(ts), s.lc.Late()-late0) {
 		s.cfg.Metrics.MemBytes.Set(int64(s.sh.BudgetMemUsage()))
 	}

@@ -38,11 +38,11 @@ type Config struct {
 	BatchSize int
 	// Columnar switches the windowed workers onto the columnar ingest
 	// lane: each run a worker receives is viewed through its pooled
-	// col.ColumnBatch (SetRows) and fed to OnColumnBatch kernels, when
-	// the manager implements core.ColumnManager. Every hop still carries
-	// rows. Results are bit-identical to the row path by the
-	// ColumnManager contract; managers without columnar kernels keep the
-	// row batch path.
+	// col.ColumnBatch (SetRows) and fed to OnColumnBatch, when the
+	// manager implements core.ColumnManager (the scalar SPEAr manager
+	// does). Every hop still carries rows. Results are bit-identical to
+	// the row path by the ColumnManager contract; every other manager,
+	// grouped ones included, keeps the row batch path.
 	Columnar bool
 	// WatermarkPeriod is the event-time distance between watermarks
 	// emitted by the spout. Zero disables watermark generation (for

@@ -23,7 +23,7 @@ type Shard struct {
 	BatchSize int // the source topology's; StartShard sizes its runs and channels from it
 	// Columnar mirrors the source topology's Config.Columnar: runs are
 	// viewed through a column batch and fed to the manager's
-	// OnColumnBatch kernels.
+	// OnColumnBatch, where it has one.
 	Columnar bool
 	Factory  ManagerFactory
 	// Hooks carries the worker-side checkpoint protocol: Restore runs

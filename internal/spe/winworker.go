@@ -17,7 +17,7 @@ type winWorkerCfg struct {
 	name      string // stage name, for errors and telemetry
 	wi        int    // global worker index (seeds, snapshot identity)
 	batchSize int
-	columnar  bool // feed OnColumnBatch kernels when the manager has them
+	columnar  bool // feed OnColumnBatch when the manager has it
 	hooks     *CheckpointHooks
 	mgr       core.Manager
 	in        chan Batch
@@ -43,9 +43,9 @@ func runWinWorker(c winWorkerCfg) {
 	var lastBarrier uint64     // barrier ids strictly increase on a sound channel
 	mgr := c.mgr
 	// Columnar lane: when the run is columnar and the manager has
-	// OnColumnBatch kernels, each row run is viewed through one pooled
-	// column batch and ingested through them. The batch buffer is
-	// worker-owned for the whole run and recycled at exit; the manager
+	// OnColumnBatch (a scalar SPEAr manager), each row run is viewed
+	// through one pooled column batch and ingested through it. The batch
+	// is worker-owned for the whole run and recycled at exit; the manager
 	// only borrows it per call. Otherwise a run goes to the manager's
 	// OnTupleBatch, the one way in every manager has. Either way the
 	// manager may not keep the slice past the call: it is recycled

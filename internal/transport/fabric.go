@@ -173,7 +173,7 @@ func (f *Fabric) Err() error {
 
 // dial opens and handshakes one connection to n, with capped backoff
 // across attempts. A Reject aborts immediately — it is never
-// transient.
+// transient — and so does a link that closed meanwhile.
 func (f *Fabric) dial(n *fabricNode, epoch uint64) (net.Conn, uint64, error) {
 	hello := Hello{
 		Version: ProtocolVersion, TopoHash: f.cfg.TopoHash,
@@ -192,6 +192,9 @@ func (f *Fabric) dial(n *fabricNode, epoch uint64) (net.Conn, uint64, error) {
 		}
 		if f.Err() != nil {
 			return nil, 0, fmt.Errorf("transport: fabric already failed")
+		}
+		if n.lk.down() {
+			return nil, 0, fmt.Errorf("transport: link %s closed", n.addr)
 		}
 		conn, err := f.cfg.Dialer.Dial(n.addr)
 		if err != nil {

@@ -97,6 +97,7 @@ type link struct {
 	gen  int // bumps on every adopted conn; stale readers exit
 
 	closed  bool           // orderly shutdown: reader exit is not an error
+	bye     bool           // the peer's Goodbye was delivered: a lost conn is the orderly end
 	err     error          // terminal failure, latched once
 	readers sync.WaitGroup // live reader goroutines; close() waits them out
 	rmu     sync.Mutex     // held by the one reader that may call the handler
@@ -345,8 +346,9 @@ func (l *link) connected() bool {
 }
 
 // connLost drops conn if it is still current. The dialer side spawns
-// a redial; the listener side waits for the peer to dial back (the
-// server's accept loop adopts the new conn).
+// a redial unless the peer has said Goodbye; the listener side waits
+// for the peer to dial back (the server's accept loop adopts the new
+// conn).
 func (l *link) connLost(conn net.Conn, cause error) {
 	l.mu.Lock()
 	l.connLostLocked(conn, cause)
@@ -361,7 +363,7 @@ func (l *link) connLostLocked(conn net.Conn, cause error) {
 	l.conn = nil
 	l.gen++
 	l.cond.Broadcast()
-	if l.redial != nil {
+	if l.redial != nil && !l.bye {
 		go l.redialLoop(cause) // starts by taking mu, so after the caller lets go
 	}
 }
@@ -511,7 +513,7 @@ func (l *link) readLoop(conn net.Conn, gen int) {
 			l.fatal(fmt.Errorf("transport: link %s: peer rejected: %s", l.name, f.Reason))
 			return
 		case sequenced(f.Kind):
-			next, err := l.claim(f.Seq, gen)
+			next, err := l.claim(f.Seq, f.Kind, gen)
 			if err == nil && next {
 				// The handler may block (engine back-pressure); the
 				// async credit path keeps acknowledgments flowing for
@@ -529,11 +531,12 @@ func (l *link) readLoop(conn net.Conn, gen int) {
 	}
 }
 
-// claim takes sequenced frame seq for delivery if it is the next in
-// order. It declines a redelivery after a reconnect (already handled)
-// and anything still buffered in the reader of a replaced connection,
-// whose successor gets those frames replayed; a gap is an error.
-func (l *link) claim(seq uint64, gen int) (bool, error) {
+// claim takes sequenced frame seq, of kind k, for delivery if it is the
+// next in order. It declines a redelivery after a reconnect (already
+// handled) and anything still buffered in the reader of a replaced
+// connection, whose successor gets those frames replayed; a gap is an
+// error.
+func (l *link) claim(seq uint64, k Kind, gen int) (bool, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.gen != gen || seq <= l.delivered {
@@ -543,6 +546,7 @@ func (l *link) claim(seq uint64, gen int) (bool, error) {
 		return false, fmt.Errorf("sequence gap: got %d after %d", seq, l.delivered)
 	}
 	l.delivered = seq
+	l.bye = l.bye || k == KindGoodbye
 	if l.delivered-l.credited >= uint64(l.creditEvery) {
 		l.kickCredit()
 	}
@@ -580,8 +584,8 @@ func (l *link) fatal(err error) {
 }
 
 // awaitDrain blocks until the peer has acknowledged every sent frame,
-// the timeout passes, or the link dies. It reports whether the drain
-// completed.
+// the timeout passes, or the link dies or ends (the conn lost after the
+// peer's Goodbye). It reports whether the drain completed.
 func (l *link) awaitDrain(timeout time.Duration) bool {
 	var timedOut bool
 	t := time.AfterFunc(timeout, func() {
@@ -593,7 +597,7 @@ func (l *link) awaitDrain(timeout time.Duration) bool {
 	defer t.Stop()
 	l.mu.Lock()
 	l.flushLocked()
-	for l.err == nil && !l.closed && len(l.unacked) > 0 && !timedOut {
+	for l.err == nil && !l.closed && (l.conn != nil || !l.bye) && len(l.unacked) > 0 && !timedOut {
 		l.cond.Wait()
 	}
 	ok := len(l.unacked) == 0
@@ -639,6 +643,13 @@ func (l *link) lastErr() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.err
+}
+
+// down reports whether the link has closed or failed.
+func (l *link) down() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.closed || l.err != nil
 }
 
 // delivered64 returns the last in-order sequence delivered to the

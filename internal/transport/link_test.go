@@ -387,6 +387,54 @@ func TestLinkRedialExhaustionIsFatal(t *testing.T) {
 	la.close()
 }
 
+// TestLinkGoodbyeEndsWithoutRedial drops the connection from the peer's
+// side after the peer's Goodbye was delivered, as a shard that finished
+// its run closes it: the loss is the link's orderly end, so the redial
+// function is never entered and a drain does not wait for a peer that
+// will not come back.
+func TestLinkGoodbyeEndsWithoutRedial(t *testing.T) {
+	defer leakcheck.Check(t, leakcheck.Timeout(5*time.Second))
+	ha := &collectHandler{}
+	la := newLink("a", 0, ha, nil)
+	redialed := make(chan struct{}, 1)
+	la.redial = func(epoch uint64) (net.Conn, uint64, error) {
+		redialed <- struct{}{}
+		return nil, 0, fmt.Errorf("injected: the peer is gone")
+	}
+	lb := newLink("b", 0, &collectHandler{}, nil)
+	ca, cb := tcpPair(t)
+	if !la.adopt(ca, 0) || !lb.adopt(cb, 0) {
+		t.Fatal("adopt failed")
+	}
+	if err := lb.sendSeq(true, func(dst []byte, seq uint64) []byte {
+		return AppendGoodbye(dst, seq)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the Goodbye", func() bool { return ha.count() == 1 })
+	lb.close()
+	waitFor(t, "the connection's end", func() bool { return !la.connected() })
+	select {
+	case <-redialed:
+		t.Fatal("the link redialed a peer that had said Goodbye")
+	case <-time.After(100 * time.Millisecond):
+	}
+	if err := la.sendSeq(false, func(dst []byte, seq uint64) []byte {
+		return AppendGoodbye(dst, seq)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if start := time.Now(); la.awaitDrain(5*time.Second) || time.Since(start) > time.Second {
+		t.Fatalf("awaitDrain on an ended link: %v, want false at once", time.Since(start))
+	}
+	la.close()
+	ha.mu.Lock()
+	defer ha.mu.Unlock()
+	if ha.fatal != nil {
+		t.Fatalf("the orderly end was reported as a failure: %v", ha.fatal)
+	}
+}
+
 // TestLinkCloseFlushesCredit pins the shutdown credit flush: a link
 // that delivered frames but has not credited them yet must ship the
 // final cumulative credit inside close(), so a peer blocked in

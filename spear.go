@@ -445,39 +445,30 @@ func (q *Query) Seed(s int64) *Query {
 
 // Columnar opts the query into the columnar execution fast lane. The
 // windowed workers view each micro-batch they receive as columns (the
-// declared value field as a raw []float64, the key field as
-// dictionary-coded strings) and run tight-loop aggregation kernels over
-// them. Every hop carries rows, Map stages and Distribute included: the
-// worker, local or on a shard, projects the columns it reads.
+// declared value field as a raw []float64) and run a tight-loop
+// aggregation kernel over them. Every hop carries rows, Map stages and
+// Distribute included: the worker, local or on a shard, projects the
+// column it reads.
 //
 // valueField declares the 0-based tuple field the aggregate's value
 // function reads (it must hold the Float or Int value the extractor
-// returns); for grouped queries, keyField declares the string field
-// GroupBy keys on. The declaration is a promise: the kernels read the
-// declared fields in place of calling the extractors. A tripwire
-// compares each batch's first row with the extractors and falls back
-// to the row path on a mismatch, which catches a wrong field index or
-// kind; an extractor that agrees with the declared field on a batch's
-// first row and not on a later one changes results. Batches outside
-// the kernels' reach (mixed-kind or missing fields, count-based
-// windows) fall back too. With a true declaration, results — including
-// the accelerate/exact decision of every window — are bit-identical to
-// a non-columnar run. Only the SPEAr backend has columnar kernels;
-// baseline backends silently keep the row path.
-func (q *Query) Columnar(valueField int, keyField ...int) *Query {
+// returns). The declaration is a promise: the kernel reads the declared
+// field in place of calling the extractor. A tripwire compares each
+// batch's first row with the extractor and falls back to the row path
+// on a mismatch, which catches a wrong field index or kind; an
+// extractor that agrees with the declared field on a batch's first row
+// and not on a later one changes results. Batches outside the kernel's
+// reach (mixed-kind or missing fields, count-based windows) fall back
+// too. With a true declaration, results — including the
+// accelerate/exact decision of every window — are bit-identical to a
+// non-columnar run. Only the SPEAr backend's scalar queries have a
+// columnar kernel; grouped queries and baseline backends silently keep
+// the row path.
+func (q *Query) Columnar(valueField int) *Query {
 	if valueField < 0 {
 		return q.errf("Columnar value field %d negative", valueField)
 	}
-	if len(keyField) > 1 {
-		return q.errf("Columnar takes at most one key field")
-	}
 	q.p.columnar = core.ColumnarSpec{Enabled: true, ValueField: valueField}
-	if len(keyField) == 1 {
-		if keyField[0] < 0 {
-			return q.errf("Columnar key field %d negative", keyField[0])
-		}
-		q.p.columnar.KeyField = keyField[0]
-	}
 	return q
 }
 
