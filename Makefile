@@ -82,10 +82,11 @@ obs-scrape:
 		-spillworkers 2 -spillahead 2
 
 # Short fuzz smoke for the binary codecs beyond their checked-in
-# corpora: the tuple spill codec, the checkpoint snapshot codecs
-# (manifest, sampling state, manager restore), the compressed spill
-# chunk codec, the transport frame codec (and the column image its batch
-# frames carry), and the column batch's projection of a run.
+# corpora: the tuple package's value codec and column image, the
+# checkpoint snapshot codecs (manifest, sampling state, manager
+# restore), the compressed spill chunk codec, the transport frame codec
+# (and the column image its batch frames carry), and the column batch's
+# projection of a run.
 fuzz:
 	$(GO) test ./internal/tuple -run='^$$' -fuzz=FuzzTupleCodec -fuzztime=10s
 	$(GO) test ./internal/tuple -run='^$$' -fuzz=FuzzColumnsCodec -fuzztime=10s

@@ -98,7 +98,7 @@ func (q *Query) ServeShard(lis net.Listener) error {
 					})
 			}
 			return spe.StartShard(spe.Shard{
-				Name: p.worker.Name, Lo: spec.Lo, Hi: spec.Hi, Senders: spec.Senders,
+				Name: p.worker.Name, Lo: spec.Lo, Hi: spec.Hi,
 				BatchSize: spec.BatchSize, Columnar: p.columnar.Enabled,
 				Factory: p.managerFactory(plane, reg, spec.Checkpoint, nil),
 				Hooks:   hooks, Obs: ins,

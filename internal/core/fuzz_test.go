@@ -64,8 +64,8 @@ func FuzzManagerRestore(f *testing.F) {
 	}
 	// What a writer from before incremental queries stopped archiving
 	// left: a 'u' blob of an incremental query with panes in the archive
-	// section.
-	archived, err := os.ReadFile(filepath.Join("testdata", "compat", "scalar_mean_slices_archived.snap"))
+	// section, of a retired format and refused.
+	archived, err := os.ReadFile(filepath.Join("testdata", "retired", "scalar_mean_slices_archived.snap"))
 	if err != nil {
 		panic(err)
 	}

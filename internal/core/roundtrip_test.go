@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"spear/internal/sample"
@@ -102,7 +103,7 @@ func (l lane) String() string {
 func spearRoundTrips[M checkpointed](t *testing.T, grouped bool, mk func(Config) (M, error)) (live, restored map[string]M) {
 	live, restored = map[string]M{}, map[string]M{}
 	for _, c := range compatCases() {
-		if (c.cfg(nil).KeyBy != nil) != grouped {
+		if (c.cfg(nil).KeyBy != nil) != grouped || strings.HasPrefix(c.name, "exact_") {
 			continue
 		}
 		for _, l := range lanes {

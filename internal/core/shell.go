@@ -59,7 +59,7 @@ type shape interface {
 	// shell's header; readWindows returns what installs the decoded
 	// state, or an error and nothing installed.
 	appendWindows(dst []byte) []byte
-	readWindows(rd *tuple.WireReader, tag byte) (apply func(), err error)
+	readWindows(rd *tuple.WireReader) (apply func(), err error)
 }
 
 // run is one run of an ingest batch as Spec.EachRun cuts it: positions
@@ -305,18 +305,8 @@ func (s *shell) KeepsRows() bool { return s.arc != nil }
 func (s *shell) LateDropped() int64 { return s.lc.Late() }
 
 // RewindStore reconciles archive panes with the restored state; a
-// manager without an archive keeps nothing in S. Where the query
-// archives nothing, the archive was there only to delete the panes an
-// older blob listed (RestoreState), and goes once they are gone.
-func (s *shell) RewindStore() error {
-	if err := s.arc.rewind(); err != nil {
-		return err
-	}
-	if !s.cfg.archives() {
-		s.arc = nil
-	}
-	return nil
-}
+// manager without an archive keeps nothing in S.
+func (s *shell) RewindStore() error { return s.arc.rewind() }
 
 // TakeDeferredDeletes returns and clears deferred pane deletions.
 func (s *shell) TakeDeferredDeletes() []string { return s.arc.takeDeferred() }

@@ -335,7 +335,7 @@ func scalarU(t *testing.T, m *ScalarManager, carry []slice) []byte {
 		t.Fatal(err)
 	}
 	tail := len(tuple.AppendUvar(nil, uint64(len(m.slices)))) + len(m.slices)*sliceBytes
-	u := append([]byte{snapScalarV4}, v[2:len(v)-tail]...)
+	u := append([]byte{'u'}, v[2:len(v)-tail]...)
 	u = tuple.AppendUvar(u, uint64(len(carry)))
 	for _, c := range carry {
 		u = c.acc.AppendTo(tuple.AppendI64(tuple.AppendI64(u, int64(c.lo)), int64(c.hi)))
@@ -373,23 +373,21 @@ func TestSliceTableRejectsDamage(t *testing.T) {
 			}
 		})
 	}
-	// A 'u' blob lists per-window moments, which only a writer that had
-	// itself restored a 't' blob held, ahead of the slices: empty, it is
-	// the 'v' state; a carry in it is corrupt, and refused whole.
+	// A 'u' blob listed per-window moments, which only a writer that had
+	// itself restored a 't' blob held, ahead of the slices. Its format is
+	// retired: empty or carrying, it is refused whole.
 	t.Run("carry in a u blob", func(t *testing.T) {
 		fresh, _ := NewScalarManager(cfg)
-		if err := fresh.RestoreState(scalarU(t, m, nil)); err != nil {
+		if err := fresh.RestoreState(good); err != nil {
 			t.Fatal(err)
 		}
-		if again, _ := fresh.SnapshotState(); !bytes.Equal(again, good) {
-			t.Error("an empty carry table does not restore to the 'v' state")
-		}
-		carried := scalarU(t, m, []slice{{lo: 1, hi: 1}})
-		if err := fresh.RestoreState(carried); !errors.Is(err, tuple.ErrCorrupt) {
-			t.Errorf("restored a carry: %v", err)
-		}
-		if again, _ := fresh.SnapshotState(); !bytes.Equal(again, good) {
-			t.Error("the refused blob changed the manager")
+		for _, carry := range [][]slice{nil, {{lo: 1, hi: 1}}} {
+			if err := fresh.RestoreState(scalarU(t, m, carry)); !errors.Is(err, tuple.ErrCorrupt) {
+				t.Errorf("restored a 'u' blob with %d carries: %v", len(carry), err)
+			}
+			if again, _ := fresh.SnapshotState(); !bytes.Equal(again, good) {
+				t.Error("the refused blob changed the manager")
+			}
 		}
 	})
 	sampled := cfg

@@ -23,28 +23,21 @@ import (
 // deferred while checkpointing is on (Config.DeferStoreDeletes) so a
 // rewind never needs a segment that is already gone.
 
-// Type tags. A reader accepts the format its writer emits and the one
-// before it, nothing older (DESIGN.md §10.4): a format change replaces
-// the older of two read arms instead of adding a third, and a retired
-// tag ('S', 's', 't', 'G', 'g') fails like any unknown one. The SPEAr
-// managers write one header (shell.snapshot): scalar 'v' and
-// grouped 'i'. Scalar 'u' is 'v' without the archive flag and with a
-// table of per-window moments, restored from 't' blobs, ahead of the
-// slices; only a 'u' writer that had itself restored a 't' blob wrote
-// one non-empty, and such a blob is refused. Grouped 'h' is 'i' with
-// the cursor's values in another order.
+// Type tags. A reader accepts exactly the format its writer emits
+// (DESIGN.md §10.4): a format change replaces the tag, and every
+// retired one ('S', 's', 't', 'u', 'G', 'g', 'h') fails like any
+// unknown byte. The SPEAr managers write one header (shell.snapshot):
+// scalar 'v' and grouped 'i'.
 const (
 	snapExact       byte = 0x45 // 'E'
 	snapIncremental byte = 0x49 // 'I'
-	snapScalarV4    byte = 0x75 // 'u' (read-only)
-	snapScalarV5    byte = 0x76 // 'v'
-	snapGroupedV3   byte = 0x68 // 'h' (read-only)
-	snapGroupedV4   byte = 0x69 // 'i'
+	snapScalar      byte = 0x76 // 'v'
+	snapGrouped     byte = 0x69 // 'i'
 )
 
 // appendCursor writes a window lifecycle's values in the order the
-// SPEAr and incremental formats fixed (the single-buffer format and
-// grouped 'h' each fixed another); readCursor reads them back.
+// SPEAr and incremental formats fixed (the single-buffer format fixed
+// another); readCursor reads them back.
 func appendCursor(dst []byte, c window.Cursor) []byte {
 	dst = tuple.AppendBool(dst, c.Started)
 	dst = tuple.AppendBool(dst, c.Fired)
@@ -67,13 +60,12 @@ func badTag(kind string, tag byte, rd *tuple.WireReader) error {
 
 // ---- the SPEAr managers' shell ----
 
-// format names the manager's kind and the two tags its reader accepts:
-// the one it writes and the one before.
-func (s *shell) format() (kind string, written, prev byte) {
+// format names the manager's kind and the tag it writes and reads.
+func (s *shell) format() (kind string, tag byte) {
 	if s.cfg.KeyBy == nil {
-		return "scalar", snapScalarV5, snapScalarV4
+		return "scalar", snapScalar
 	}
-	return "grouped", snapGroupedV4, snapGroupedV3
+	return "grouped", snapGrouped
 }
 
 // snapshot is the managers' SnapshotState: the header — tag, whether
@@ -81,7 +73,7 @@ func (s *shell) format() (kind string, written, prev byte) {
 // flag and count, the archive section (empty for a query that archives
 // nothing) — then the shape's windows.
 func (s *shell) snapshot() ([]byte, error) {
-	_, tag, _ := s.format()
+	_, tag := s.format()
 	dst := tuple.AppendBool([]byte{tag}, s.cfg.archives())
 	dst = appendCursor(dst, s.lc.Cursor())
 	dst = tuple.AppendUvar(dst, uint64(s.curBudget))
@@ -98,20 +90,12 @@ func (s *shell) snapshot() ([]byte, error) {
 // whole leaves the manager as it was.
 func (s *shell) restore(b []byte) error {
 	rd := tuple.NewWireReader(b)
-	kind, written, prev := s.format()
-	tag := rd.Byte()
-	if tag != written && tag != prev {
+	kind, written := s.format()
+	if tag := rd.Byte(); tag != written {
 		return badTag(kind, tag, rd)
 	}
-	archives := s.cfg.archives()
-	flag := archives
-	if tag != snapScalarV4 { // 'u' has no flag
-		flag = rd.Bool()
-	}
+	archives, flag := s.cfg.archives(), rd.Bool()
 	cur := readCursor(rd)
-	if tag == snapGroupedV3 { // 'h' wrote MaxPos, Late, Seq where 'i' writes Seq, MaxPos, Late
-		cur = window.Cursor{Started: cur.Started, Fired: cur.Fired, NextFire: cur.NextFire, MaxPos: cur.Seq, Late: cur.MaxPos, Seq: cur.Late}
-	}
 	curBudget := rd.Uvar() // zero is legal: reservoirs dropped, exact-only
 	shed := rd.Bool()
 	sheds := rd.I64()
@@ -123,7 +107,7 @@ func (s *shell) restore(b []byte) error {
 	if flag != archives {
 		return fmt.Errorf("%w: %s snapshot mode mismatches configuration", tuple.ErrCorrupt, kind)
 	}
-	apply, err := s.sh.readWindows(rd, tag)
+	apply, err := s.sh.readWindows(rd)
 	if err != nil {
 		return err
 	}
@@ -134,18 +118,10 @@ func (s *shell) restore(b []byte) error {
 		return fmt.Errorf("%w: %s snapshot counters", tuple.ErrCorrupt, kind)
 	}
 	if !archives {
-		switch {
-		case len(arc.flushed) == 0:
-			arc = nil
-		case tag == snapScalarV4:
-			// A 'u' blob from when an incremental query still archived
-			// (before PR 27) lists panes no fire will read. The manager
-			// owns none of them, so RewindStore deletes every pane it
-			// finds under the key.
-			arc = newArchive(s.cfg.Store, s.cfg.Key, s.cfg.Spec, s.cfg.ArchiveChunk, s.cfg.DeferStoreDeletes)
-		default:
+		if len(arc.flushed) != 0 {
 			return fmt.Errorf("%w: %s snapshot lists panes for a query that archives nothing", tuple.ErrCorrupt, kind)
 		}
+		arc = nil
 	}
 	if err := s.lc.SetCursor(cur); err != nil {
 		return err
@@ -191,7 +167,7 @@ func (m *ScalarManager) appendWindows(dst []byte) []byte {
 	return dst
 }
 
-func (m *ScalarManager) readWindows(rd *tuple.WireReader, tag byte) (func(), error) {
+func (m *ScalarManager) readWindows(rd *tuple.WireReader) (func(), error) {
 	n := rd.Count(2)
 	if rd.Err() != nil {
 		return nil, rd.Err()
@@ -214,9 +190,6 @@ func (m *ScalarManager) readWindows(rd *tuple.WireReader, tag byte) (func(), err
 			return nil, fmt.Errorf("%w: duplicate scalar window %d", tuple.ErrCorrupt, id)
 		}
 		wins[id] = w
-	}
-	if tag == snapScalarV4 && rd.Uvar() != 0 {
-		rd.Corrupt("scalar carry table")
 	}
 	// Every slice is named by the assignment of the positions it holds,
 	// and follows the one before it.
@@ -263,7 +236,7 @@ func (m *GroupedManager) appendWindows(dst []byte) []byte {
 	return dst
 }
 
-func (m *GroupedManager) readWindows(rd *tuple.WireReader, _ byte) (func(), error) {
+func (m *GroupedManager) readWindows(rd *tuple.WireReader) (func(), error) {
 	n := rd.Count(2)
 	if rd.Err() != nil {
 		return nil, rd.Err()

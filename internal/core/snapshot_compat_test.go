@@ -21,15 +21,16 @@ import (
 )
 
 // updateCompat rewrites the fixtures under testdata/compat from the
-// code being tested. They hold both formats each reader accepts
-// (DESIGN.md §10.4). Grouped: the unknown_* 'h' blobs were written by
-// the commit that took the window buffer out of the grouped manager
-// (PR 39), the known_median* ones at 'i' with the .results files the
-// commit before PR 16 continued to. Scalar: scalar_median and
-// scalar_mean_sampled are 'u' blobs (PR 30) with the .results of the
-// commit before PR 17, scalar_mean_slices_archived the 'u' blob of the
-// commit before PR 27, and scalar_tainted_budget0 and scalar_mean_slices
-// were rewritten at 'v', their .results byte for byte unchanged.
+// code being tested. They hold the format each reader accepts, the one
+// its writer writes (DESIGN.md §10.4), with the results the writing
+// commit continued to. Grouped: unknown_* were written at 'h' by the
+// commit that took the window buffer out of the grouped manager (PR 39)
+// and known_median* at 'g', with the .results files of the commit
+// before PR 16. Scalar: scalar_median and scalar_mean_sampled were
+// written at 'u' (PR 30), with the .results of the commit before PR 17.
+// Each was regenerated at its manager's current format with its
+// .results byte for byte unchanged. exact_median is the exact
+// baseline's, written with the single buffer's column-image layout.
 // Regenerate only to adopt a deliberate wire-format change, never to
 // make this test pass.
 var updateCompat = flag.Bool("update-compat", false, "rewrite testdata/compat from the current code")
@@ -39,23 +40,26 @@ type compatCase struct {
 	cfg  func(store storage.SpillStore) Config // KeyBy nil: a ScalarManager
 	keys func(rng *rand.Rand, i int) string
 	// at, when set, runs before tuple i is fed (controller seams).
-	at func(i int, m compatManager)
+	at func(i int, m *ScalarManager)
 }
 
-// compatManager is what the compat harness drives: a manager with the
-// snapshot seams and the controller's two setters.
+// compatManager is a SPEAr manager as the tests drive it: the snapshot
+// seams, RewindStore and the controller's two setters.
 type compatManager interface {
-	Manager
-	SnapshotState() ([]byte, error)
-	RestoreState([]byte) error
+	checkpointed
 	RewindStore() error
 	SetBudget(int)
 	SetShedding(bool)
 }
 
-func (c compatCase) manager(store storage.SpillStore) (compatManager, error) {
+// manager builds the case's manager: the exact baseline for an exact_*
+// case, else the SPEAr manager of its configuration.
+func (c compatCase) manager(store storage.SpillStore) (checkpointed, error) {
 	cfg := c.cfg(store)
-	if cfg.KeyBy != nil {
+	switch {
+	case strings.HasPrefix(c.name, "exact_"):
+		return NewExactManager(cfg)
+	case cfg.KeyBy != nil:
 		return NewGroupedManager(cfg)
 	}
 	return NewScalarManager(cfg)
@@ -117,7 +121,7 @@ func compatCases() []compatCase {
 		{"known_median_exact", mk(agg.Median(), 160, 8, 0.05), eight, nil},
 		// A reservoir per window, answered from it or, where ε̂ misses,
 		// from the archive.
-		{"scalar_median", scalar(agg.Median(), 150, 0.12), eight, func(i int, m compatManager) {
+		{"scalar_median", scalar(agg.Median(), 150, 0.12), eight, func(i int, m *ScalarManager) {
 			if i == 810 {
 				m.SetBudget(100) // live samples shrink below the bound
 			}
@@ -131,15 +135,11 @@ func compatCases() []compatCase {
 		}, eight, nil},
 		// One accumulator per slice and no archive.
 		{"scalar_mean_slices", scalar(agg.Func{Op: agg.Mean}, 60, 0.10), eight, nil},
-		// The same state as the commit before PR 27 wrote it, when an
-		// incremental query still archived: a 'u' blob whose archive
-		// section lists panes. They are dropped, not carried.
-		{"scalar_mean_slices_archived", scalar(agg.Func{Op: agg.Mean}, 60, 0.10), eight, nil},
 		// Windows tainted by a shedding spell, then the budget driven
 		// to zero before the snapshot (reservoirs dropped, exact-only,
 		// ModeShed with an infinite bound for the tainted ones) and
 		// raised again after it.
-		{"scalar_tainted_budget0", scalar(agg.Median(), 150, 0.12), eight, func(i int, m compatManager) {
+		{"scalar_tainted_budget0", scalar(agg.Median(), 150, 0.12), eight, func(i int, m *ScalarManager) {
 			switch i {
 			case 420:
 				m.SetShedding(true)
@@ -151,6 +151,8 @@ func compatCases() []compatCase {
 				m.SetBudget(150)
 			}
 		}},
+		// The exact baseline: every window from its single buffer.
+		{"exact_median", scalar(agg.Median(), 150, 0.12), eight, nil},
 	}
 }
 
@@ -209,7 +211,7 @@ func compatDrive(t *testing.T, c compatCase, m Manager, ts []tuple.Tuple, from, 
 	for i := from; i < to; i += l.size {
 		j := min(i+l.size, to)
 		for k := i; c.at != nil && k < j; k++ {
-			c.at(k, m.(compatManager))
+			c.at(k, m.(*ScalarManager))
 		}
 		switch {
 		case l.columnar:
@@ -229,11 +231,9 @@ func compatDrive(t *testing.T, c compatCase, m Manager, ts []tuple.Tuple, from, 
 }
 
 // TestSnapshotCompat restores mid-stream snapshots written by earlier
-// commits (see updateCompat): the blob must restore and continue to the
-// same results, bit for bit. A blob of the written format is what the
-// current code arrives at on its own, and what the restored manager
-// re-encodes to; a blob of the format before restores to the state the
-// current code reaches on its own, in the bytes it writes.
+// commits (see updateCompat): the blob must be what the current code
+// arrives at on its own, restore, re-encode to itself and continue to
+// the same results, bit for bit.
 func TestSnapshotCompat(t *testing.T) {
 	for _, c := range compatCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -272,8 +272,7 @@ func TestSnapshotCompat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			current := blob[0] == own[0]
-			if current && !bytes.Equal(own, blob) {
+			if !bytes.Equal(own, blob) {
 				t.Errorf("snapshot of the first %d tuples differs from the parent commit's (%d vs %d bytes)", half, len(own), len(blob))
 			}
 			// The primer left the archive panes the blob refers to in
@@ -285,15 +284,14 @@ func TestSnapshotCompat(t *testing.T) {
 			if err := m.RestoreState(blob); err != nil {
 				t.Fatalf("restore: %v", err)
 			}
-			if err := m.RewindStore(); err != nil {
-				t.Fatal(err)
+			if r, ok := m.(interface{ RewindStore() error }); ok {
+				if err := r.RewindStore(); err != nil {
+					t.Fatal(err)
+				}
 			}
 			again, err := m.SnapshotState()
 			if err != nil {
 				t.Fatal(err)
-			}
-			if !current {
-				blob = own
 			}
 			if !bytes.Equal(again, blob) {
 				t.Errorf("restored state re-encodes to different bytes (%d vs %d)", len(again), len(blob))
@@ -314,77 +312,6 @@ func TestSnapshotCompat(t *testing.T) {
 					len(got), len(want), firstDiffLine(got, string(want)))
 			}
 		})
-	}
-}
-
-// TestArchivedIncrementalBlobLeavesNoPaneBehind restores the blob of
-// scalar_mean_slices_archived into a store that holds what its writer
-// left there — the panes the blob lists — and one pane more, as a run
-// that crashed after the snapshot would have. An incremental query reads
-// none of them: RewindStore deletes them all, nothing is deferred, and
-// from there the manager is the one that never archived.
-func TestArchivedIncrementalBlobLeavesNoPaneBehind(t *testing.T) {
-	blob, err := os.ReadFile(filepath.Join("testdata", "compat", "scalar_mean_slices_archived.snap"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var c compatCase
-	for _, c = range compatCases() {
-		if c.name == "scalar_mean_slices_archived" {
-			break
-		}
-	}
-	for _, deferDel := range []bool{false, true} {
-		store := storage.NewMemStore()
-		cfg := c.cfg(store)
-		cfg.DeferStoreDeletes = deferDel
-		// The archive section follows the cursor, the budget and the two
-		// shedding slots.
-		rd := tuple.NewWireReader(blob)
-		rd.Byte()
-		readCursor(rd)
-		rd.Uvar()
-		rd.Bool()
-		rd.I64()
-		listed := newArchive(store, cfg.Key, cfg.Spec, cfg.ArchiveChunk, false)
-		listed.readState(rd)
-		if rd.Err() != nil || len(listed.flushed) == 0 {
-			t.Fatalf("fixture lists %d panes (err %v)", len(listed.flushed), rd.Err())
-		}
-		for p, chunks := range listed.flushed {
-			for i := 0; i < chunks; i++ {
-				if err := store.Store(listed.paneKey(p), []tuple.Tuple{tuple.New(p*cfg.Spec.Slide, tuple.Float(1))}); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if err := store.Store(listed.paneKey(1<<20), []tuple.Tuple{tuple.New(0, tuple.Float(1))}); err != nil {
-			t.Fatal(err)
-		}
-		m, err := NewScalarManager(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.RestoreState(blob); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.RewindStore(); err != nil {
-			t.Fatal(err)
-		}
-		if keys, err := store.List(cfg.Key + "/"); err != nil || len(keys) != 0 {
-			t.Errorf("defer=%v: panes left in the store: %v (err %v)", deferDel, keys, err)
-		}
-		if d := m.TakeDeferredDeletes(); len(d) != 0 {
-			t.Errorf("defer=%v: deletes deferred for panes already gone: %v", deferDel, d)
-		}
-		if KeepsRows(m) {
-			t.Errorf("defer=%v: the archive outlived RewindStore", deferDel)
-		}
-		before, ts := store.Stats(), compatStream(c)
-		compatDrive(t, c, m, ts, len(ts)/2+13, len(ts), oneAtATime)
-		if after := store.Stats(); after != before {
-			t.Errorf("defer=%v: the restored manager touched the store: %+v, then %+v", deferDel, before, after)
-		}
 	}
 }
 
@@ -442,15 +369,15 @@ func retiredGroupedV1(t *testing.T, m *GroupedManager) []byte {
 	return dst
 }
 
-// TestRestoreRejectsRetiredFormats: a reader accepts the written format
-// and the one before it. Well-formed blobs of the formats retired since
-// — each of which an earlier commit restored — fail like any unknown
-// tag, and the manager they were offered to is left as it was.
+// TestRestoreRejectsRetiredFormats: a reader accepts exactly the
+// format its writer writes. Well-formed blobs of the formats retired —
+// each of which an earlier commit restored — fail like any unknown tag,
+// and the manager they were offered to is left as it was.
 func TestRestoreRejectsRetiredFormats(t *testing.T) {
 	// atHalf is the manager of compat case name half way through its
 	// stream: the state a retired blob of testdata/retired was taken
 	// from, or one of its kind.
-	atHalf := func(name string) compatManager {
+	atHalf := func(name string) checkpointed {
 		for _, c := range compatCases() {
 			if c.name == name {
 				m, err := c.manager(storage.NewMemStore())
@@ -487,19 +414,33 @@ func TestRestoreRejectsRetiredFormats(t *testing.T) {
 	for _, c := range []struct {
 		tag  byte
 		blob []byte
-		m    compatManager
+		m    checkpointed
+		// refused is the tag the error names: the nested blob's where
+		// the outer one is current.
+		refused byte
 	}{
-		{'S', retiredScalarV1(t, v1), v1},
+		{'S', retiredScalarV1(t, v1), v1, 'S'},
 		// What the commit before PR 17 wrote for that very state.
-		{'s', retired("scalar_median"), atHalf("scalar_median")},
+		{'s', retired("scalar_median"), atHalf("scalar_median"), 's'},
 		// Per-window incremental moments, as the commit before PR 25
 		// wrote them for the state of scalar_mean_slices.
-		{'t', retired("scalar_mean_incremental_v3"), atHalf("scalar_mean_slices")},
-		{'G', retiredGroupedV1(t, g1), g1},
+		{'t', retired("scalar_mean_incremental_v3"), atHalf("scalar_mean_slices"), 't'},
+		// No archive flag, and a table of carries ahead of the slices:
+		// the commit before PR 27 wrote it for that state when an
+		// incremental query still archived, so it lists panes too.
+		{'u', retired("scalar_mean_slices_archived"), atHalf("scalar_mean_slices"), 'u'},
+		{'G', retiredGroupedV1(t, g1), g1, 'G'},
 		// A window buffer's blob nested where the archive section is, as
 		// the commit before PR 16 wrote it for the stream of
 		// unknown_median.
-		{'g', retired("buffered_median"), atHalf("unknown_median")},
+		{'g', retired("buffered_median"), atHalf("unknown_median"), 'g'},
+		// The cursor's last three values in another order, as PR 39's
+		// commit wrote them for that stream.
+		{'h', retired("unknown_median"), atHalf("unknown_median"), 'h'},
+		// The exact baseline's 'E' around a single buffer's 'Q': its rows
+		// in the retired row codec and three spill slots, as the commit
+		// before the column-image layout wrote them for exact_median.
+		{'E', retired("exact_median"), atHalf("exact_median"), 'Q'},
 	} {
 		if c.blob[0] != c.tag {
 			t.Fatalf("%q blob starts with %q", c.tag, c.blob[0])
@@ -509,11 +450,11 @@ func TestRestoreRejectsRetiredFormats(t *testing.T) {
 			t.Fatal(err)
 		}
 		err = c.m.RestoreState(c.blob)
-		if want := fmt.Sprintf("tag 0x%02x", c.tag); !errors.Is(err, tuple.ErrCorrupt) || !strings.Contains(err.Error(), want) {
-			t.Errorf("%q blob: RestoreState = %v, want ErrCorrupt naming %s", c.tag, err, want)
+		if want := fmt.Sprintf("tag 0x%02x", c.refused); !errors.Is(err, tuple.ErrCorrupt) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%q blob: RestoreState = %v, want ErrCorrupt naming %s", c.refused, err, want)
 		}
 		if after, err := c.m.SnapshotState(); err != nil || !bytes.Equal(after, before) {
-			t.Errorf("%q blob: the rejected restore changed the manager's state (err %v)", c.tag, err)
+			t.Errorf("%q blob: the rejected restore changed the manager's state (err %v)", c.refused, err)
 		}
 	}
 }

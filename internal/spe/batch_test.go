@@ -672,7 +672,7 @@ func TestShardColumnarLane(t *testing.T) {
 		t.Run(fmt.Sprintf("columnar=%v", columnar), func(t *testing.T) {
 			mgr := &laneManager{}
 			sr, err := StartShard(Shard{
-				Name: "lane", Lo: 2, Hi: 3, Senders: 1, Columnar: columnar,
+				Name: "lane", Lo: 2, Hi: 3, Columnar: columnar,
 				Factory: func(int) (core.Manager, error) { return mgr, nil },
 			})
 			if err != nil {
@@ -695,9 +695,6 @@ func TestShardColumnarLane(t *testing.T) {
 				t.Fatalf("ingested %d by rows, %d by columns; want %d, %d", mgr.rows, mgr.cols, wantRows, wantCols)
 			}
 		})
-	}
-	if _, err := StartShard(Shard{Lo: 0, Hi: 1, Senders: 2, Factory: func(int) (core.Manager, error) { return nopManager{}, nil }}); err == nil {
-		t.Error("a shard announced two senders was accepted")
 	}
 }
 
@@ -726,7 +723,7 @@ func TestShardRecyclesSlabsOnlyWhereNoRowIsKept(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			sr, err := StartShard(Shard{
-				Name: "slab", Lo: 0, Hi: 1, Senders: 1,
+				Name: "slab", Lo: 0, Hi: 1,
 				Factory: func(int) (core.Manager, error) { return c.mgr, nil },
 			})
 			if err != nil {

@@ -84,7 +84,7 @@ type localFabric struct {
 func (l *localFabric) Open(par, queueSize int, env FabricEnv) ([]chan Batch, error) {
 	tp := l.tp
 	sr, err := startShard(Shard{
-		Name: tp.windowed.name, Lo: 0, Hi: par, Senders: 1,
+		Name: tp.windowed.name, Lo: 0, Hi: par,
 		BatchSize: tp.cfg.BatchSize, Columnar: tp.cfg.Columnar,
 		Factory: tp.windowed.factory, Hooks: tp.cfg.Checkpoint, Obs: tp.cfg.Obs,
 	}, queueSize, queueSize, env.pool, env.failed)

@@ -86,7 +86,7 @@ func TestHopBoundsTuplesInFlight(t *testing.T) {
 		srv := transport.NewServer(lis, transport.ServerConfig{TopoHash: 1,
 			Start: func(js transport.JobSpec, _ func(transport.SnapAck) error) (*spe.ShardRun, error) {
 				sr, err := spe.StartShard(spe.Shard{
-					Name: "w", Lo: js.Lo, Hi: js.Hi, Senders: js.Senders,
+					Name: "w", Lo: js.Lo, Hi: js.Hi,
 					BatchSize: js.BatchSize, Factory: factory,
 				})
 				shards <- sr
@@ -109,7 +109,7 @@ func TestHopBoundsTuplesInFlight(t *testing.T) {
 		shardHolds("shard node", <-shards)
 
 		// A shard started on its own applies the same rule.
-		sr, err := spe.StartShard(spe.Shard{Lo: 0, Hi: 1, Senders: 1, BatchSize: batch, Factory: factory})
+		sr, err := spe.StartShard(spe.Shard{Lo: 0, Hi: 1, BatchSize: batch, Factory: factory})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,7 +51,6 @@ const (
 type Batch struct {
 	Rows    []tuple.Tuple
 	Slab    []tuple.Value // nil unless a decoder filled Rows
-	Sender  int           // always 0: a worker has one sender; the wire still carries it
 	Ctl     Control
 	WM      int64  // meaningful when Ctl == Watermark
 	Barrier uint64 // checkpoint id; meaningful when Ctl == Barrier

@@ -19,7 +19,6 @@ import (
 type Shard struct {
 	Name      string
 	Lo, Hi    int // global windowed worker range [Lo, Hi)
-	Senders   int // what the source's Hello announced; must be 1
 	BatchSize int // the source topology's; StartShard sizes its runs and channels from it
 	// Columnar mirrors the source topology's Config.Columnar: runs are
 	// viewed through a column batch and fed to the manager's
@@ -74,9 +73,6 @@ func StartShard(sh Shard) (*ShardRun, error) {
 func startShard(sh Shard, queue, results int, pool *runPool, failed *errOnce) (*ShardRun, error) {
 	if sh.Lo < 0 || sh.Hi <= sh.Lo {
 		return nil, fmt.Errorf("spe: shard range [%d, %d)", sh.Lo, sh.Hi)
-	}
-	if sh.Senders != 1 {
-		return nil, fmt.Errorf("spe: shard with %d senders, want 1", sh.Senders)
 	}
 	if sh.Factory == nil {
 		return nil, fmt.Errorf("spe: shard has no factory")

@@ -179,7 +179,7 @@ func (f *Fabric) dial(n *fabricNode, epoch uint64) (net.Conn, uint64, error) {
 		Version: ProtocolVersion, TopoHash: f.cfg.TopoHash,
 		RunID: f.cfg.RunID, Epoch: epoch,
 		Job: JobSpec{
-			Lo: n.lo, Hi: n.hi, Senders: 1, // the spout
+			Lo: n.lo, Hi: n.hi,
 			BatchSize:  f.cfg.BatchSize,
 			Checkpoint: f.cfg.Checkpoint, RestoreID: f.cfg.RestoreID,
 		},
@@ -291,15 +291,15 @@ func (n *fabricNode) pump(dest int, out <-chan spe.Batch) {
 		switch b.Ctl {
 		case spe.Watermark:
 			err = n.lk.sendSeq(len(out) == 0, func(dst []byte, seq uint64) []byte {
-				return AppendWatermark(dst, seq, dest, b.Sender, b.WM)
+				return AppendWatermark(dst, seq, dest, b.WM)
 			})
 		case spe.Barrier:
 			err = n.lk.sendSeq(true, func(dst []byte, seq uint64) []byte {
-				return AppendBarrier(dst, seq, dest, b.Sender, b.Barrier)
+				return AppendBarrier(dst, seq, dest, b.Barrier)
 			})
 		default:
 			// The runs queued behind b join its frame, never waiting
-			// for more. A worker's runs share a sender: the spout.
+			// for more.
 			runs = append(runs[:0], b)
 		gather:
 			for len(runs) < cap(out) {
@@ -343,7 +343,6 @@ func (n *fabricNode) pump(dest int, out <-chan spe.Batch) {
 // frame, its rows copied into merged (returned for reuse), or, when
 // that frame's body would pass flushBytes, one frame a run.
 func (n *fabricNode) sendRuns(dest int, runs []spe.Batch, merged []tuple.Tuple, flush bool) ([]tuple.Tuple, error) {
-	sender := runs[0].Sender
 	if len(runs) > 1 {
 		merged = merged[:0]
 		for _, r := range runs {
@@ -351,11 +350,11 @@ func (n *fabricNode) sendRuns(dest int, runs []spe.Batch, merged []tuple.Tuple, 
 		}
 		fits := false
 		err := n.lk.sendSeq(flush, func(dst []byte, seq uint64) []byte {
-			frame := AppendBatch(dst, seq, dest, sender, merged)
+			frame := AppendBatch(dst, seq, dest, 0, merged)
 			if fits = len(frame)-len(dst) <= flushBytes; fits {
 				return frame
 			}
-			return AppendBatch(dst, seq, dest, sender, runs[0].Rows)
+			return AppendBatch(dst, seq, dest, 0, runs[0].Rows)
 		})
 		if err != nil || fits {
 			return merged, err
@@ -364,7 +363,7 @@ func (n *fabricNode) sendRuns(dest int, runs []spe.Batch, merged []tuple.Tuple, 
 	}
 	for i, r := range runs {
 		err := n.lk.sendSeq(flush && i == len(runs)-1, func(dst []byte, seq uint64) []byte {
-			return AppendBatch(dst, seq, dest, sender, r.Rows)
+			return AppendBatch(dst, seq, dest, 0, r.Rows)
 		})
 		if err != nil {
 			return merged, err

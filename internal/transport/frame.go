@@ -33,8 +33,10 @@ import (
 // packs the image's timestamp deltas at one width; version 5 drops the
 // Hello's parallelism, queue size and credit window and the Welcome's
 // credit window: a shard derives its queues from the batch size and
-// both ends grant the same constant window.
-const ProtocolVersion = 5
+// both ends grant the same constant window; version 6 drops the Hello's
+// sender count: a shard's workers have one sender, the source's spout,
+// so there was nothing to announce.
+const ProtocolVersion = 6
 
 // MaxFrame bounds one frame's body. Oversized (or zero) length
 // prefixes are rejected before any allocation, closing the
@@ -146,7 +148,6 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 // mirror for bit-identical execution, and the checkpoint posture.
 type JobSpec struct {
 	Lo, Hi     int    // global windowed worker range [Lo, Hi)
-	Senders    int    // upstream senders into the windowed stage
 	BatchSize  int    // the source's; the shard's run length and queues follow from it
 	Checkpoint bool   // the source runs the checkpoint protocol
 	RestoreID  uint64 // manifest to restore from, 0 = fresh state
@@ -176,7 +177,6 @@ func AppendHello(dst []byte, h Hello) []byte {
 	dst = tuple.AppendUvar(dst, h.Epoch)
 	dst = tuple.AppendUvar(dst, uint64(j.Lo))
 	dst = tuple.AppendUvar(dst, uint64(j.Hi))
-	dst = tuple.AppendUvar(dst, uint64(j.Senders))
 	dst = tuple.AppendUvar(dst, uint64(j.BatchSize))
 	dst = tuple.AppendBool(dst, j.Checkpoint)
 	dst = tuple.AppendU64(dst, j.RestoreID)
@@ -194,7 +194,6 @@ func DecodeHello(body []byte) (Hello, error) {
 	h.Epoch = r.Uvar()
 	j.Lo = uvarInt(r)
 	j.Hi = uvarInt(r)
-	j.Senders = uvarInt(r)
 	j.BatchSize = uvarInt(r)
 	j.Checkpoint = r.Bool()
 	j.RestoreID = r.U64()
@@ -202,9 +201,8 @@ func DecodeHello(body []byte) (Hello, error) {
 	if err := r.Done(); err != nil {
 		return Hello{}, fmt.Errorf("%w: hello: %v", ErrFrame, err)
 	}
-	if j.Lo < 0 || j.Hi <= j.Lo || j.Senders <= 0 {
-		return Hello{}, fmt.Errorf("%w: hello shard [%d,%d), %d senders",
-			ErrFrame, j.Lo, j.Hi, j.Senders)
+	if j.Lo < 0 || j.Hi <= j.Lo {
+		return Hello{}, fmt.Errorf("%w: hello shard [%d,%d)", ErrFrame, j.Lo, j.Hi)
 	}
 	return h, nil
 }
@@ -272,12 +270,11 @@ type Frame struct {
 	Kind    Kind
 	Seq     uint64        // sequenced kinds; 0 for Credit
 	Dest    int           // Batch/Watermark/Barrier/End: global windowed worker
-	Sender  int           // Batch/Watermark/Barrier: upstream sender index
 	WM      int64         // Watermark
 	Barrier uint64        // Barrier: checkpoint id
 	Acked   uint64        // Credit: cumulative delivered seq
 	Worker  int           // Result: producing worker
-	Rows    []tuple.Tuple // Batch: the run of data tuples from Sender
+	Rows    []tuple.Tuple // Batch: the run of data tuples
 	slab    []tuple.Value // Batch: the slab Rows' values are carved from
 	Result  core.Result   // Result
 	Snap    SnapAck       // SnapAck
@@ -285,45 +282,52 @@ type Frame struct {
 }
 
 // AppendBatch encodes a data frame from one run of tuples, as it comes
-// off an engine channel (the data tuples of one sender): the frame
-// header, then the run's column image (tuple.AppendColumns). This is
-// the transport send hot path and is lock-free by contract: it appends
-// into dst with the tuple codec and performs no other work per tuple
-// (TestBatchFrameCodecIsLockFree holds both directions to it).
+// off an engine channel: the frame header, then the run's column image
+// (tuple.AppendColumns). This is the transport send hot path and is
+// lock-free by contract: it appends into dst with the tuple codec and
+// performs no other work per tuple (TestBatchFrameCodecIsLockFree holds
+// both directions to it). The fourth argument is not written: a worker
+// has one sender, so the sender byte of a data or control frame is
+// always 0 (the benchmark's transport probe still passes one).
 //
 //	kind    byte      KindBatch
 //	seq     uvarint
 //	dest    uvarint   global windowed worker
-//	sender  uvarint   upstream sender index
+//	sender  byte      0
 //	image   the rest of the body: row count, Ts base, delta width and
 //	        deltas, row width, one packed column per field (see
 //	        tuple/columns.go)
-func AppendBatch(dst []byte, seq uint64, dest, sender int, ts []tuple.Tuple) []byte {
-	dst = append(dst, byte(KindBatch))
-	dst = tuple.AppendUvar(dst, seq)
-	dst = tuple.AppendUvar(dst, uint64(dest))
-	dst = tuple.AppendUvar(dst, uint64(sender))
-	return tuple.AppendColumns(dst, ts)
+func AppendBatch(dst []byte, seq uint64, dest, _ int, ts []tuple.Tuple) []byte {
+	return tuple.AppendColumns(appendHead(dst, KindBatch, seq, dest), ts)
 }
 
 // AppendWatermark encodes a watermark control frame.
-func AppendWatermark(dst []byte, seq uint64, dest, sender int, wm int64) []byte {
-	dst = append(dst, byte(KindWatermark))
-	dst = tuple.AppendUvar(dst, seq)
-	dst = tuple.AppendUvar(dst, uint64(dest))
-	dst = tuple.AppendUvar(dst, uint64(sender))
-	dst = tuple.AppendI64(dst, wm)
-	return dst
+func AppendWatermark(dst []byte, seq uint64, dest int, wm int64) []byte {
+	return tuple.AppendI64(appendHead(dst, KindWatermark, seq, dest), wm)
 }
 
 // AppendBarrier encodes a checkpoint barrier control frame.
-func AppendBarrier(dst []byte, seq uint64, dest, sender int, id uint64) []byte {
-	dst = append(dst, byte(KindBarrier))
+func AppendBarrier(dst []byte, seq uint64, dest int, id uint64) []byte {
+	return tuple.AppendU64(appendHead(dst, KindBarrier, seq, dest), id)
+}
+
+// appendHead writes the head a data or control frame starts with: kind,
+// seq, dest and the sender byte, 0.
+func appendHead(dst []byte, k Kind, seq uint64, dest int) []byte {
+	dst = append(dst, byte(k))
 	dst = tuple.AppendUvar(dst, seq)
 	dst = tuple.AppendUvar(dst, uint64(dest))
-	dst = tuple.AppendUvar(dst, uint64(sender))
-	dst = tuple.AppendU64(dst, id)
-	return dst
+	return append(dst, 0)
+}
+
+// readHead reads what appendHead wrote past the kind byte, refusing a
+// sender byte other than 0.
+func readHead(r *tuple.WireReader, f *Frame) {
+	f.Seq = r.Uvar()
+	f.Dest = uvarInt(r)
+	if r.Byte() != 0 {
+		r.Corrupt("sender other than 0")
+	}
 }
 
 // AppendEnd encodes the stream-end frame for one destination worker.
@@ -418,9 +422,7 @@ func decodeFrame(body []byte, run func() ([]tuple.Tuple, []tuple.Value)) (Frame,
 	r := tuple.NewWireReader(body[1:])
 	switch f.Kind {
 	case KindBatch:
-		f.Seq = r.Uvar()
-		f.Dest = uvarInt(r)
-		f.Sender = uvarInt(r)
+		readHead(r, &f)
 		if err := r.Err(); err != nil {
 			return Frame{}, fmt.Errorf("%w: batch: %v", ErrFrame, err)
 		}
@@ -441,14 +443,10 @@ func decodeFrame(body []byte, run func() ([]tuple.Tuple, []tuple.Value)) (Frame,
 		f.Rows, f.slab = rows, slab
 		return f, nil
 	case KindWatermark:
-		f.Seq = r.Uvar()
-		f.Dest = uvarInt(r)
-		f.Sender = uvarInt(r)
+		readHead(r, &f)
 		f.WM = r.I64()
 	case KindBarrier:
-		f.Seq = r.Uvar()
-		f.Dest = uvarInt(r)
-		f.Sender = uvarInt(r)
+		readHead(r, &f)
 		f.Barrier = r.U64()
 	case KindEnd:
 		f.Seq = r.Uvar()

@@ -23,11 +23,11 @@ import (
 func reencodeFrame(f Frame) []byte {
 	switch f.Kind {
 	case KindBatch:
-		return AppendBatch(nil, f.Seq, f.Dest, f.Sender, f.Rows)
+		return AppendBatch(nil, f.Seq, f.Dest, 0, f.Rows)
 	case KindWatermark:
-		return AppendWatermark(nil, f.Seq, f.Dest, f.Sender, f.WM)
+		return AppendWatermark(nil, f.Seq, f.Dest, f.WM)
 	case KindBarrier:
-		return AppendBarrier(nil, f.Seq, f.Dest, f.Sender, f.Barrier)
+		return AppendBarrier(nil, f.Seq, f.Dest, f.Barrier)
 	case KindEnd:
 		return AppendEnd(nil, f.Seq, f.Dest)
 	case KindCredit:
@@ -71,9 +71,9 @@ func payloadFrameSeeds() [][]byte {
 	return [][]byte{
 		AppendBatch(nil, 1, 0, 0, nil),
 		AppendBatch(nil, 7, 3, 2, ts),
-		AppendWatermark(nil, 2, 1, 0, -42),
-		AppendWatermark(nil, 3, 0, 1, math.MaxInt64),
-		AppendBarrier(nil, 4, 2, 0, 9000),
+		AppendWatermark(nil, 2, 1, -42),
+		AppendWatermark(nil, 3, 0, math.MaxInt64),
+		AppendBarrier(nil, 4, 2, 9000),
 		AppendEnd(nil, 5, 1),
 		AppendCredit(nil, 0),
 		AppendCredit(nil, 1<<60),
@@ -121,14 +121,14 @@ func TestHelloWelcomeRoundTrip(t *testing.T) {
 	h := Hello{
 		Version: ProtocolVersion, TopoHash: 0xfeed, RunID: 77, Epoch: 3,
 		Job: JobSpec{
-			Lo: 2, Hi: 4, Senders: 2, BatchSize: 64,
+			Lo: 2, Hi: 4, BatchSize: 64,
 			Checkpoint: true, RestoreID: 5,
 		},
 		Acked: 123,
 	}
-	// The bytes of protocol version 5's Hello: the job spec is encoded
+	// The bytes of protocol version 6's Hello: the job spec is encoded
 	// field by field between Epoch and Acked.
-	const pinned = "0105edfe0000000000004d0000000000000003020402400105000000000000007b"
+	const pinned = "0106edfe0000000000004d00000000000000030204400105000000000000007b"
 	enc := AppendHello(nil, h)
 	if got := hex.EncodeToString(enc); got != pinned {
 		t.Errorf("hello encodes to\n %s\nwant\n %s", got, pinned)
@@ -152,9 +152,8 @@ func TestHelloWelcomeRoundTrip(t *testing.T) {
 
 func TestDecodeHelloRejectsBadShard(t *testing.T) {
 	for _, j := range []JobSpec{
-		{Lo: -1, Hi: 1, Senders: 1},
-		{Lo: 1, Hi: 1, Senders: 1}, // empty range
-		{Lo: 0, Hi: 1, Senders: 0}, // no senders
+		{Lo: -1, Hi: 1},
+		{Lo: 1, Hi: 1}, // empty range
 	} {
 		if _, err := DecodeHello(AppendHello(nil, Hello{Job: j})); err == nil {
 			t.Errorf("DecodeHello accepted invalid shard spec %+v", j)
@@ -245,6 +244,18 @@ func TestDecodeFrameHardening(t *testing.T) {
 	if _, err := DecodeFrame(huge); err == nil || !strings.Contains(err.Error(), "batch") {
 		t.Errorf("huge tuple count: %v", err)
 	}
+	// A worker has one sender: a data or control frame whose sender byte
+	// (the fourth, here) is not 0 is refused.
+	for _, body := range [][]byte{
+		AppendBatch(nil, 1, 0, 0, []tuple.Tuple{tuple.New(1, tuple.Float(2))}),
+		AppendWatermark(nil, 1, 0, 5),
+		AppendBarrier(nil, 1, 0, 9),
+	} {
+		body[3] = 1
+		if _, err := DecodeFrame(body); !errors.Is(err, ErrFrame) || !strings.Contains(err.Error(), "sender") {
+			t.Errorf("%s from sender 1: %v", Kind(body[0]), err)
+		}
+	}
 }
 
 // TestDecodeBatchAllocs gates the receive path's allocation budget: a
@@ -273,8 +284,8 @@ func TestDecodeBatchAllocs(t *testing.T) {
 	if len(f.Rows) != len(ts) || &f.Rows[0] != &pooled[:1][0] {
 		t.Fatalf("%d tuples decoded, in the pooled run: %v", len(f.Rows), len(f.Rows) > 0 && &f.Rows[0] == &pooled[:1][0])
 	}
-	if f.Sender != 3 || !sameRows(f.Rows, ts) {
-		t.Fatalf("decoded %v from sender %d, want %v from sender 3", f.Rows, f.Sender, ts)
+	if !sameRows(f.Rows, ts) {
+		t.Fatalf("decoded %v, want %v", f.Rows, ts)
 	}
 }
 
@@ -308,14 +319,19 @@ func TestBatchFrameCodecIsLockFree(t *testing.T) {
 // corpus seeds and a full numeric frame, which must fail to decode, not
 // decode to other tuples.
 func TestV2BatchFramesRejected(t *testing.T) {
-	v2 := func(seq uint64, dest, sender int, ts []tuple.Tuple) []byte {
+	// A v2 tuple was its Ts (8 bytes), a uvarint value count and each
+	// value as tuple.AppendValue writes it.
+	v2 := func(seq uint64, dest int, ts []tuple.Tuple) []byte {
 		b := []byte{byte(KindBatch)}
 		b = tuple.AppendUvar(b, seq)
 		b = tuple.AppendUvar(b, uint64(dest))
-		b = tuple.AppendUvar(b, uint64(sender))
+		b = append(b, 0) // the sender
 		b = tuple.AppendUvar(b, uint64(len(ts)))
 		for _, tp := range ts {
-			b = tuple.AppendEncode(b, tp)
+			b = tuple.AppendUvar(tuple.AppendI64(b, tp.Ts), uint64(len(tp.Vals)))
+			for _, v := range tp.Vals {
+				b = tuple.AppendValue(b, v)
+			}
 		}
 		return b
 	}
@@ -324,12 +340,12 @@ func TestV2BatchFramesRejected(t *testing.T) {
 		full[i] = tuple.New(int64(1_000+i), tuple.Float(float64(i)))
 	}
 	for name, body := range map[string][]byte{
-		"corpus seed_01": v2(7, 3, 2, []tuple.Tuple{
+		"corpus seed_01": v2(7, 3, []tuple.Tuple{
 			tuple.New(1, tuple.Int(-5), tuple.String_("k")),
 			tuple.New(2, tuple.Float(math.Pi)),
 		}),
-		"64 numeric tuples": v2(1, 0, 0, full),
-		"one tuple":         v2(1, 0, 0, full[:1]),
+		"64 numeric tuples": v2(1, 0, full),
+		"one tuple":         v2(1, 0, full[:1]),
 	} {
 		if f, err := DecodeFrame(body); !errors.Is(err, ErrFrame) {
 			t.Errorf("%s: a v2 batch frame decoded to %d rows (%v), want ErrFrame", name, len(f.Rows), err)

@@ -104,7 +104,7 @@ func fuzzFrameSeeds() [][]byte {
 	seeds = append(seeds,
 		AppendHello(nil, Hello{
 			Version: ProtocolVersion, TopoHash: 1, RunID: 2, Epoch: 1,
-			Job: JobSpec{Lo: 0, Hi: 2, Senders: 1, BatchSize: 64},
+			Job: JobSpec{Lo: 0, Hi: 2, BatchSize: 64},
 		}),
 		AppendWelcome(nil, Welcome{Version: ProtocolVersion, TopoHash: 1}),
 		nil,

@@ -143,7 +143,7 @@ func appendV4Hello(h Hello) []byte {
 	dst = tuple.AppendUvar(dst, uint64(j.Lo))
 	dst = tuple.AppendUvar(dst, uint64(j.Hi))
 	dst = tuple.AppendUvar(dst, uint64(j.Hi)) // Par
-	dst = tuple.AppendUvar(dst, uint64(j.Senders))
+	dst = tuple.AppendUvar(dst, 1)            // Senders
 	dst = tuple.AppendUvar(dst, uint64(j.BatchSize))
 	dst = tuple.AppendUvar(dst, 16) // QueueSize
 	dst = tuple.AppendBool(dst, j.Checkpoint)
@@ -172,7 +172,7 @@ func TestHandshakeRejectsV2Peer(t *testing.T) {
 	go func() { served <- srv.Serve() }()
 	hello := Hello{
 		Version: 2, TopoHash: 1, RunID: 1, Epoch: 1,
-		Job: JobSpec{Lo: 0, Hi: 1, Senders: 1, BatchSize: 64},
+		Job: JobSpec{Lo: 0, Hi: 1, BatchSize: 64},
 	}
 	for _, tc := range []struct {
 		version int
@@ -219,7 +219,7 @@ func TestLinkDeliversInOrder(t *testing.T) {
 	for i := 0; i < n; i++ {
 		wm := int64(i)
 		if err := la.sendSeq(true, func(dst []byte, seq uint64) []byte {
-			return AppendWatermark(dst, seq, 0, 0, wm)
+			return AppendWatermark(dst, seq, 0, wm)
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -501,7 +501,7 @@ func (c *countConn) Write(p []byte) (int, error) {
 
 func sendWM(l *link, flush bool, wm int64) error {
 	return l.sendSeq(flush, func(dst []byte, seq uint64) []byte {
-		return AppendWatermark(dst, seq, 0, 0, wm)
+		return AppendWatermark(dst, seq, 0, wm)
 	})
 }
 
@@ -707,8 +707,8 @@ func TestLinkCutMidFlushReplaysSuffix(t *testing.T) {
 func TestLinkControlFramesNeverWait(t *testing.T) {
 	defer leakcheck.Check(t, leakcheck.Timeout(5*time.Second))
 	controls := map[Kind]func(dst []byte, seq uint64) []byte{
-		KindWatermark: func(dst []byte, seq uint64) []byte { return AppendWatermark(dst, seq, 0, 0, 7) },
-		KindBarrier:   func(dst []byte, seq uint64) []byte { return AppendBarrier(dst, seq, 0, 0, 7) },
+		KindWatermark: func(dst []byte, seq uint64) []byte { return AppendWatermark(dst, seq, 0, 7) },
+		KindBarrier:   func(dst []byte, seq uint64) []byte { return AppendBarrier(dst, seq, 0, 7) },
 		KindEnd:       func(dst []byte, seq uint64) []byte { return AppendEnd(dst, seq, 0) },
 		KindGoodbye:   AppendGoodbye,
 	}
@@ -768,7 +768,7 @@ func TestLinkConcurrentSenders(t *testing.T) {
 				// Mostly queued, flushed now and then and at the end.
 				flush := i%7 == 0 || i == each-1
 				if err := la.sendSeq(flush, func(dst []byte, seq uint64) []byte {
-					return AppendWatermark(dst, seq, 0, s, int64(i))
+					return AppendWatermark(dst, seq, 0, int64(s*each+i))
 				}); err != nil {
 					t.Error(err)
 					return
@@ -785,10 +785,11 @@ func TestLinkConcurrentSenders(t *testing.T) {
 		if f.Seq != uint64(i+1) {
 			t.Fatalf("delivery %d has seq %d", i, f.Seq)
 		}
-		if f.WM != next[f.Sender] {
-			t.Fatalf("sender %d: frame %d arrived where %d was due", f.Sender, f.WM, next[f.Sender])
+		s, i := f.WM/each, f.WM%each // the goroutine and its frame
+		if i != next[s] {
+			t.Fatalf("sender %d: frame %d arrived where %d was due", s, i, next[s])
 		}
-		next[f.Sender]++
+		next[s]++
 	}
 }
 

@@ -15,24 +15,25 @@ import (
 
 // pumpGolden is what fabricNode.pump puts on the link, frame after
 // frame with length prefixes, for the input of TestPumpFrameBytes under
-// protocol version 4. The control frames (watermark, barrier, end) are
-// the bytes written since before runs replaced per-tuple message
-// batches on the engine's channels; the two batch frames are column
-// images — the first ragged (widths 1, 2, 0: a float column, an int
-// column) with a step back in time (Ts deltas two bytes wide), the
+// protocol version 6, whose data and control frames are version 4's
+// with every sender byte 0. The control frames (watermark, barrier,
+// end) are the bytes written since before runs replaced per-tuple
+// message batches on the engine's channels; the two batch frames are
+// column images — the first ragged (widths 1, 2, 0: a float column, an
+// int column) with a step back in time (Ts deltas two bytes wide), the
 // second a string column and a bool/float column through the escape
 // arm.
 const pumpGolden = "" +
 	"2a0000000401020003d00f020200db070001020002000000000000e03f000000" +
 	"00000008c00107000000000000000c00000005020200e8030000000000002700" +
-	"00000403020102a01f02e8030303066275732d31370000040100000000000000" +
-	"029c7500883ce4377e0c0000000604020109000000000000000c000000050502" +
-	"01ffffffffffffff7f03000000070602"
+	"00000403020002a01f02e8030303066275732d31370000040100000000000000" +
+	"029c7500883ce4377e0c0000000604020009000000000000000c000000050502" +
+	"00ffffffffffffff7f03000000070602"
 
 // TestPumpFrameBytes pins the bytes the source side of the shuffle
 // writes: one batch frame per run (a control follows each), a
 // control frame per control, End when the outbox closes — sequence
-// numbers, senders and tuple encoding included. The link has no connection, so every
+// numbers and tuple encoding included. The link has no connection, so every
 // frame stays parked in its retention buffer, which is the wire image.
 func TestPumpFrameBytes(t *testing.T) {
 	lk := newLink("golden", 0, &collectHandler{}, nil)
@@ -43,18 +44,18 @@ func TestPumpFrameBytes(t *testing.T) {
 		lk: lk,
 	}
 	out := make(chan spe.Batch, 8)
-	out <- spe.Batch{Sender: 0, Rows: []tuple.Tuple{
+	out <- spe.Batch{Rows: []tuple.Tuple{
 		tuple.New(1_000, tuple.Float(0.5)),
 		tuple.New(1_001, tuple.Float(-3), tuple.Int(7)),
 		tuple.New(-5),
 	}}
-	out <- spe.Batch{Sender: 0, Ctl: spe.Watermark, WM: 1_000}
-	out <- spe.Batch{Sender: 1, Rows: []tuple.Tuple{
+	out <- spe.Batch{Ctl: spe.Watermark, WM: 1_000}
+	out <- spe.Batch{Rows: []tuple.Tuple{
 		tuple.New(2_000, tuple.String_("bus-17"), tuple.Bool(true)),
 		tuple.New(2_500, tuple.String_(""), tuple.Float(1e300)),
 	}}
-	out <- spe.Batch{Sender: 1, Ctl: spe.Barrier, Barrier: 9}
-	out <- spe.Batch{Sender: 1, Ctl: spe.Watermark, WM: 1<<63 - 1}
+	out <- spe.Batch{Ctl: spe.Barrier, Barrier: 9}
+	out <- spe.Batch{Ctl: spe.Watermark, WM: 1<<63 - 1}
 	close(out)
 	n.wg.Add(1)
 	n.pump(2, out)

@@ -304,19 +304,19 @@ func (s *Server) Frame(f Frame) error {
 		}
 		// Decoded in place into a run and a slab of the shard's pool
 		// (Run); the worker gives both back.
-		return s.deliver(li, spe.Batch{Rows: f.Rows, Slab: f.slab, Sender: f.Sender})
+		return s.deliver(li, spe.Batch{Rows: f.Rows, Slab: f.slab})
 	case KindWatermark:
 		li, err := s.localIndex(f.Dest)
 		if err != nil {
 			return err
 		}
-		return s.deliver(li, spe.Batch{Ctl: spe.Watermark, WM: f.WM, Sender: f.Sender})
+		return s.deliver(li, spe.Batch{Ctl: spe.Watermark, WM: f.WM})
 	case KindBarrier:
 		li, err := s.localIndex(f.Dest)
 		if err != nil {
 			return err
 		}
-		return s.deliver(li, spe.Batch{Ctl: spe.Barrier, Barrier: f.Barrier, Sender: f.Sender})
+		return s.deliver(li, spe.Batch{Ctl: spe.Barrier, Barrier: f.Barrier})
 	case KindEnd:
 		li, err := s.localIndex(f.Dest)
 		if err != nil {

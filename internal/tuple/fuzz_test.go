@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// fuzzSeedTuples are representative tuples whose encodings seed the
+// fuzzSeedTuples are representative runs whose encodings seed the
 // corpus alongside the checked-in files under
 // testdata/fuzz/FuzzTupleCodec.
 func fuzzSeedTuples() [][]Tuple {
@@ -20,38 +20,48 @@ func fuzzSeedTuples() [][]Tuple {
 	}
 }
 
-// FuzzTupleCodec fuzzes the binary codec with arbitrary bytes:
+// FuzzTupleCodec fuzzes the package's exported codecs with arbitrary
+// bytes: the value codec (DecodeValue, the column image's escape arm)
+// and DecodeBatch (the column image, as the benchmark's layer probes
+// call it).
 //
-//  1. Decode/DecodeBatch must never panic, whatever the input
-//     (historically: a declared string length of 2^64-1 wrapped the
-//     bounds check and crashed — see TestDecodeHugeStringLenRegression).
-//  2. Any successful decode must round-trip: re-encoding the decoded
-//     tuple and decoding again yields an identical tuple, and the
+//  1. Neither may panic, whatever the input (historically: a declared
+//     string length of 2^64-1 wrapped DecodeValue's bounds check and
+//     crashed — see TestDecodeHugeStringLenRegression).
+//  2. Whatever either accepts must round-trip: re-encoding it and
+//     decoding again yields the same value or rows, and the
 //     re-encoding is a fixed point (canonical form).
 func FuzzTupleCodec(f *testing.F) {
 	for _, ts := range fuzzSeedTuples() {
 		f.Add(EncodeBatch(ts))
 		for _, t := range ts {
-			f.Add(AppendEncode(nil, t))
+			for _, v := range t.Vals {
+				f.Add(AppendValue(nil, v))
+			}
 		}
 	}
-	// Adversarial seeds: truncations, bad kind bytes, huge declared
+	// Adversarial seeds: truncations, a bad kind byte, huge declared
 	// counts and lengths.
 	f.Add([]byte{})
 	f.Add([]byte{0x01})
 	f.Add(bytes.Repeat([]byte{0xFF}, 32))
-	f.Add(append(bytes.Repeat([]byte{0}, 8), 0x01, 0x09)) // unknown kind
+	f.Add(append([]byte{0x09}, make([]byte, 8)...)) // unknown kind
 	f.Add(hugeStringLenInput())
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		// Single-tuple decode: must not panic; success must round-trip.
-		if tup, n, err := Decode(b); err == nil {
+		if v, n, err := DecodeValue(b); err == nil {
 			if n <= 0 || n > len(b) {
-				t.Fatalf("Decode consumed %d of %d bytes", n, len(b))
+				t.Fatalf("DecodeValue consumed %d of %d bytes", n, len(b))
 			}
-			checkRoundTrip(t, tup)
+			enc := AppendValue(nil, v)
+			v2, n2, err := DecodeValue(enc)
+			if err != nil || n2 != len(enc) || !v.Equal(v2) {
+				t.Fatalf("value round-trip: %v, then %v (%d of %d bytes, %v)", v, v2, n2, len(enc), err)
+			}
+			if enc2 := AppendValue(nil, v2); !bytes.Equal(enc, enc2) {
+				t.Fatalf("value re-encoding is not a fixed point")
+			}
 		}
-		// Batch decode: must not panic; success must round-trip whole.
 		ts, err := DecodeBatch(b)
 		if err != nil {
 			return
@@ -70,47 +80,26 @@ func FuzzTupleCodec(f *testing.F) {
 	})
 }
 
-// checkRoundTrip asserts encode(decode(encode(t))) stability for one
-// tuple.
-func checkRoundTrip(t *testing.T, tup Tuple) {
-	t.Helper()
-	enc := AppendEncode(nil, tup)
-	tup2, n, err := Decode(enc)
-	if err != nil {
-		t.Fatalf("decode of canonical encoding failed: %v", err)
-	}
-	if n != len(enc) {
-		t.Fatalf("canonical decode consumed %d of %d bytes", n, len(enc))
-	}
-	if !sameRows([]Tuple{tup}, []Tuple{tup2}) {
-		t.Fatalf("tuple round-trip mismatch:\n in: %v\nout: %v", tup, tup2)
-	}
-	if enc2 := AppendEncode(nil, tup2); !bytes.Equal(enc, enc2) {
-		t.Fatalf("re-encoding is not a fixed point")
-	}
-}
-
 // hugeStringLenInput is the minimized crasher the fuzzer's first run
-// produced: ts=0, one KindString value declaring length 2^64-1, which
-// wrapped `uint64(pos)+l` past the bounds check and made the slice
-// expression panic.
+// produced, as the value codec writes it: one KindString value
+// declaring length 2^64-1, which wrapped `uint64(pos)+l` past the
+// bounds check and made the slice expression panic.
 func hugeStringLenInput() []byte {
-	b := make([]byte, 0, 20)
-	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0) // ts
-	b = append(b, 0x01)                   // nvals = 1
-	b = append(b, byte(KindString))
-	b = append(b, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01) // len = 2^64-1
-	return b
+	b := []byte{byte(KindString)}
+	return append(b, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01) // len = 2^64-1
 }
 
 // TestDecodeHugeStringLenRegression pins the fix outside the fuzz
-// engine so plain `go test` exercises it too.
+// engine so plain `go test` exercises it too: alone, and as the one
+// value of a column image's escape arm.
 func TestDecodeHugeStringLenRegression(t *testing.T) {
-	if _, _, err := Decode(hugeStringLenInput()); err == nil {
-		t.Fatal("Decode accepted a 2^64-1 byte string in a 20-byte input")
+	if _, _, err := DecodeValue(hugeStringLenInput()); err == nil {
+		t.Fatal("DecodeValue accepted a 2^64-1 byte string in an 11-byte input")
 	}
-	if _, err := DecodeBatch(append([]byte{0x01}, hugeStringLenInput()...)); err == nil {
-		t.Fatal("DecodeBatch accepted the wrapped-length input")
+	// One row at Ts 0 of width 1, its column through the escape arm.
+	image := append([]byte{1, 0, 1, 2, 0}, hugeStringLenInput()...)
+	if _, err := DecodeColumns(nil, image); err == nil {
+		t.Fatal("DecodeColumns accepted the wrapped-length input")
 	}
 }
 
@@ -138,6 +127,11 @@ func FuzzColumnsCodec(f *testing.F) {
 	f.Add([]byte{2, 2, 0, 2, 1})
 	f.Add([]byte{2, 2, 9, 2, 0, 0, 0, 0, 0, 0, 0, 0, 1})
 	f.Add([]byte{5, 2, 8, 2, 0, 0, 0, 0, 0, 0, 0, 1})
+	// Through the escape arm: a bad kind byte, a string length of
+	// 2^64-1; and that length in a string column.
+	f.Add([]byte{1, 2, 1, 2, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(append([]byte{1, 0, 1, 2, 0}, hugeStringLenInput()...))
+	f.Add(append([]byte{1, 0, 1, 2}, hugeStringLenInput()...))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		rows, err := DecodeColumns(nil, b)

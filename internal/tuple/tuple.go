@@ -5,6 +5,11 @@
 // of storage inside window buffers and the spill store. The engine keeps
 // tuples immutable after emission; operators that need to change a tuple
 // build a new one.
+//
+// A run of tuples is written down one way, the column image
+// (columns.go): batch frames, store chunks, spill chunks and the window
+// buffer's snapshot all hold it. A value on its own is written by the
+// value codec (codec.go), the image's escape arm.
 package tuple
 
 import (

@@ -1,6 +1,7 @@
 package tuple
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -190,21 +191,17 @@ func randomTuple(r *rand.Rand) Tuple {
 	return Tuple{Ts: r.Int63() - r.Int63(), Vals: vals}
 }
 
+// TestCodecRoundtripProperty: every value of a random tuple comes back
+// from the value codec (the column image's escape arm) equal, and
+// DecodeValue consumes exactly what AppendValue wrote.
 func TestCodecRoundtripProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	f := func(seed int64) bool {
 		_ = seed
-		in := randomTuple(r)
-		enc := AppendEncode(nil, in)
-		out, n, err := Decode(enc)
-		if err != nil || n != len(enc) {
-			return false
-		}
-		if out.Ts != in.Ts || len(out.Vals) != len(in.Vals) {
-			return false
-		}
-		for i := range in.Vals {
-			if !in.Vals[i].Equal(out.Vals[i]) {
+		for _, in := range randomTuple(r).Vals {
+			enc := AppendValue(nil, in)
+			out, n, err := DecodeValue(enc)
+			if err != nil || n != len(enc) || !in.Equal(out) {
 				return false
 			}
 		}
@@ -236,145 +233,33 @@ func TestCodecBatchRoundtrip(t *testing.T) {
 	}
 }
 
-// TestEncodeBatchExactSize pins that EncodeBatch allocates the bytes it
-// writes and no more (a store retains the buffer), and that the bytes
-// are the count followed by each tuple's AppendEncode, as before.
-func TestEncodeBatchExactSize(t *testing.T) {
-	rep := func(n int, mk func(i int) Tuple) []Tuple {
-		ts := make([]Tuple, n)
-		for i := range ts {
-			ts[i] = mk(i)
-		}
-		return ts
-	}
-	for name, ts := range map[string][]Tuple{
-		"empty":   nil,
-		"no vals": {New(5), New(-6)},
-		"float":   rep(512, func(i int) Tuple { return New(int64(i), Float(float64(i)/3)) }),
-		"int":     rep(200, func(i int) Tuple { return New(int64(-i), Int(int64(i)), Int(math.MinInt64)) }),
-		"string":  rep(130, func(i int) Tuple { return New(int64(i), String_(strings.Repeat("k", i))) }),
-		"mixed": rep(300, func(i int) Tuple {
-			return New(int64(i), String_(strings.Repeat("ab", i%70)), Float(1.5), Bool(i%2 == 0), Int(7), String_(""))
-		}),
-	} {
-		var want []byte
-		want = append(want, byte(len(ts)&0x7f))
-		if len(ts) >= 0x80 {
-			want[0] |= 0x80
-			want = append(want, byte(len(ts)>>7))
-		}
-		for _, tu := range ts {
-			want = AppendEncode(want, tu)
-		}
-		got := EncodeBatch(ts)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: bytes differ from count + AppendEncode per tuple", name)
-		}
-		if cap(got) != len(got) {
-			t.Errorf("%s: cap %d for %d bytes", name, cap(got), len(got))
-		}
-	}
-}
-
+// TestDecodeCorrupt: a column image cut short anywhere, or with a kind
+// byte no column has, is refused, through DecodeBatch as through
+// DecodeColumns.
 func TestDecodeCorrupt(t *testing.T) {
-	good := AppendEncode(nil, New(5, Int(1), String_("hello")))
+	// Two rows a tick apart: count, base, Ts width, one delta, width 3,
+	// then the int, string and escape columns.
+	good := EncodeBatch([]Tuple{New(5, Int(1), String_("hello"), Int(2)), New(6, Int(3), String_(""), Float(4))})
+	const kind = 5 // the int column's kind byte
 	tests := []struct {
 		name string
 		b    []byte
 	}{
 		{"empty", nil},
-		{"short ts", good[:4]},
+		{"short ts", good[:3]},
 		{"truncated value", good[:len(good)-3]},
-		{"bad kind", append(append([]byte{}, good[:9]...), 0xFF)},
+		{"bad kind", append(append(append([]byte{}, good[:kind]...), 0xFF), good[kind+1:]...)},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, _, err := Decode(tc.b); err == nil {
-				t.Error("expected error")
+			if _, err := DecodeBatch(tc.b); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("DecodeBatch: %v, want ErrCorrupt", err)
 			}
 		})
-	}
-	if _, err := DecodeBatch(nil); err == nil {
-		t.Error("DecodeBatch(nil) should fail")
 	}
 	// Trailing garbage after a valid batch must be rejected.
 	batch := EncodeBatch([]Tuple{New(1, Int(2))})
 	if _, err := DecodeBatch(append(batch, 0)); err == nil {
 		t.Error("trailing bytes should fail")
-	}
-}
-
-// TestSlabDecode pins the slab entry point against Decode: the same
-// tuples and byte counts over a run of mixed arity (so the slab runs
-// dry and refills), one allocation for a uniform run, and Vals that
-// cannot grow into the next tuple's.
-func TestSlabDecode(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	var enc []byte
-	var want []Tuple
-	for i := 0; i < 40; i++ {
-		tp := randomTuple(r)
-		want = append(want, tp)
-		enc = AppendEncode(enc, tp)
-	}
-	var s slab
-	got := make([]Tuple, len(want))
-	for i, b := 0, enc; i < len(want); i++ {
-		tp, used, err := s.decode(b, len(want)-i)
-		if err != nil {
-			t.Fatalf("tuple %d: %v", i, err)
-		}
-		ref, refUsed, err := Decode(b)
-		if err != nil || used != refUsed || !sameRows([]Tuple{tp}, []Tuple{ref}) {
-			t.Fatalf("tuple %d: slab %v (%d bytes), Decode %v (%d bytes, %v)", i, tp, used, ref, refUsed, err)
-		}
-		if len(tp.Vals) != cap(tp.Vals) {
-			t.Fatalf("tuple %d: Vals len %d cap %d, want them equal", i, len(tp.Vals), cap(tp.Vals))
-		}
-		got[i], want[i], b = tp, ref, b[used:]
-	}
-	for i := range got {
-		_ = append(got[i].Vals, Int(-1))
-	}
-	for i := range got {
-		if !sameRows(got[i:i+1], want[i:i+1]) {
-			t.Fatalf("tuple %d overwritten through a neighbour's Vals: %v, want %v", i, got[i], want[i])
-		}
-	}
-
-	enc = enc[:0]
-	for i := 0; i < 64; i++ {
-		enc = AppendEncode(enc, New(int64(i), Float(1), Int(2)))
-	}
-	if allocs := testing.AllocsPerRun(50, func() {
-		var s slab
-		for i, b := 0, enc; i < 64; i++ {
-			_, used, err := s.decode(b, 64-i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b = b[used:]
-		}
-	}); allocs != 1 {
-		t.Errorf("%v allocations for 64 tuples of one arity, want 1", allocs)
-	}
-}
-
-func BenchmarkEncode(b *testing.B) {
-	tp := New(123456789, String_("route-4711"), Float(23.75), Int(99))
-	buf := make([]byte, 0, 64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf = AppendEncode(buf[:0], tp)
-	}
-}
-
-func BenchmarkDecode(b *testing.B) {
-	enc := AppendEncode(nil, New(123456789, String_("route-4711"), Float(23.75), Int(99)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Decode(enc); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -6,13 +6,13 @@ import (
 	"math"
 )
 
-// Wire helpers extend the tuple binary codec for checkpoint state
-// blobs: fixed-width little-endian scalars, uvarints, and
-// length-prefixed strings/byte-slices, plus a bounds-checked reader
-// that accumulates the first error instead of panicking. Every
-// snapshot codec in the repo (window buffers, reservoirs, manifests)
-// is built from these primitives so malformed snapshots surface as
-// ErrCorrupt, never as a panic.
+// Wire helpers are what checkpoint state blobs and frame headers are
+// written with: fixed-width little-endian scalars, uvarints and
+// length-prefixed strings, plus a bounds-checked reader that
+// accumulates the first error instead of panicking. Every snapshot
+// codec in the repo (window buffers, reservoirs, manifests) is built
+// from these primitives and the column image, so malformed snapshots
+// surface as ErrCorrupt, never as a panic.
 
 // AppendU64 appends v little-endian.
 func AppendU64(dst []byte, v uint64) []byte {
@@ -46,13 +46,6 @@ func AppendUvar(dst []byte, v uint64) []byte {
 func AppendStr(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
-}
-
-// AppendBlob appends a uvarint length followed by b — the framing for
-// nested snapshot blobs.
-func AppendBlob(dst, b []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
 }
 
 // WireReader decodes the wire format with bounds checking. The first
@@ -197,16 +190,4 @@ func (r *WireReader) Str() string {
 	s := string(r.b[r.pos : r.pos+n])
 	r.pos += n
 	return s
-}
-
-// Blob reads a uvarint-length-prefixed byte slice. The returned slice
-// aliases the reader's buffer; callers that retain it must copy.
-func (r *WireReader) Blob() []byte {
-	n := r.Count(1)
-	if r.err != nil {
-		return nil
-	}
-	b := r.b[r.pos : r.pos+n : r.pos+n]
-	r.pos += n
-	return b
 }

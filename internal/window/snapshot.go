@@ -15,13 +15,13 @@ import (
 // rewind.
 
 // snapSingleBuffer is the versioned type tag, so a blob restored into
-// the wrong manager fails loudly instead of silently misdecoding.
-const snapSingleBuffer byte = 0x51 // 'Q'-ish: single buffer, version 1
+// the wrong manager fails loudly instead of silently misdecoding. 'Q'
+// (0x51) is retired (DESIGN.md §10.4) and fails like any unknown tag.
+const snapSingleBuffer byte = 0x52 // 'R'
 
-// SnapshotState serializes the manager: sequence/fire cursors and the
-// in-memory buffer. The layout keeps three slots from when the buffer
-// could spill to S (spilled count, segment sequence, chunk count); they
-// are written as zero.
+// SnapshotState serializes the manager: sequence/fire cursors, the
+// peak, then the buffered rows' column image (tuple.AppendColumns) to
+// the end of the blob.
 func (m *SingleBuffer) SnapshotState() ([]byte, error) {
 	dst := []byte{snapSingleBuffer}
 	c := m.lc.Cursor()
@@ -31,12 +31,8 @@ func (m *SingleBuffer) SnapshotState() ([]byte, error) {
 	dst = tuple.AppendBool(dst, c.Fired)
 	dst = tuple.AppendI64(dst, int64(c.NextFire))
 	dst = tuple.AppendI64(dst, c.Late)
-	dst = tuple.AppendI64(dst, 0)  // spilled tuples
-	dst = tuple.AppendUvar(dst, 0) // spill segment sequence
-	dst = tuple.AppendUvar(dst, 0) // chunks in the spill segment
 	dst = tuple.AppendUvar(dst, uint64(m.peak))
-	dst = tuple.AppendBlob(dst, tuple.EncodeBatch(m.buf))
-	return dst, nil
+	return tuple.AppendColumns(dst, m.buf), nil
 }
 
 // RestoreState implements the checkpoint Snapshotter contract.
@@ -49,17 +45,11 @@ func (m *SingleBuffer) RestoreState(b []byte) error {
 		return rd.Err()
 	}
 	c := Cursor{Seq: rd.I64(), MaxPos: rd.I64(), Started: rd.Bool(), Fired: rd.Bool(), NextFire: ID(rd.I64()), Late: rd.I64()}
-	spilled, segSeq, segChunks := rd.I64(), rd.Uvar(), rd.Uvar()
 	peak := int(rd.Uvar())
-	bufBlob := rd.Blob()
-	if err := rd.Done(); err != nil {
-		return err
+	if rd.Err() != nil {
+		return rd.Err()
 	}
-	if spilled != 0 || segSeq != 0 || segChunks != 0 {
-		// A buffer keeps no tuples in S, so no fire could fetch them.
-		return fmt.Errorf("%w: single-buffer snapshot has spilled state", tuple.ErrCorrupt)
-	}
-	buf, err := tuple.DecodeBatch(bufBlob)
+	buf, err := tuple.DecodeColumns(nil, b[len(b)-rd.Remaining():])
 	if err != nil {
 		return err
 	}

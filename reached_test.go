@@ -25,7 +25,6 @@ var unreachedAllowed = map[string]string{
 	"window.Spec.Overlap":              "the oracle of the assign property",
 	"stats.NormalCDF":                  "the oracle of TestNormalQuantileInvertsCDF",
 	"sample.CongressAllocate":          "the reference the GroupReservoirs method is compared against",
-	"tuple.Decode":                     "the reference of TestSlabDecode",
 	"storage.NewFileStore":             "the durable store the multi-process recovery tests share",
 	"core.DefaultScalarEstimate":       "part of the paper's estimator hook; README names it",
 	"spe.NewDisorderSpout":             "test support: out-of-order arrival for the engine and integration tests",

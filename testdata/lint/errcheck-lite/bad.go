@@ -18,10 +18,10 @@ func spill(store storage.SpillStore, key string, ts []tuple.Tuple) {
 }
 
 func decode(b []byte) {
-	tuple.DecodeBatch(b)          // want "tuple.DecodeBatch is dropped"
-	t, _, _ := tuple.Decode(b)    // want "tuple.Decode is dropped"
-	ts, _ := tuple.DecodeBatch(b) // want "tuple.DecodeBatch is dropped"
-	_, _ = t, ts
+	tuple.DecodeBatch(b)            // want "tuple.DecodeBatch is dropped"
+	v, _, _ := tuple.DecodeValue(b) // want "tuple.DecodeValue is dropped"
+	ts, _ := tuple.DecodeBatch(b)   // want "tuple.DecodeBatch is dropped"
+	_, _ = v, ts
 
 	// What the stores read a chunk back with.
 	rows, _ := tuple.DecodeColumns(nil, b) // want "tuple.DecodeColumns is dropped"
