@@ -91,7 +91,7 @@ func TestAdaptiveBudgetIdentity(t *testing.T) {
 				Mean(func(t Tuple) float64 { return t.Vals[0].AsFloat() }).
 				BudgetTuples(64).Error(0.10, 0.95).Seed(8).
 				DisableIncremental().Parallelism(1).
-				SpillStore(storage.NewLatencyStore(storage.NewMemStore(), 10*time.Millisecond, 0, nil))
+				SpillStore(storage.NewLatencyStore(storage.NewMemStore(), 10*time.Millisecond, nil))
 		}
 		plain := collectRun(t, build())
 

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"spear"
+	"spear/internal/bench"
 	"spear/internal/dataset"
 	"spear/internal/obs"
 	"spear/internal/window"
@@ -211,7 +212,7 @@ func main() {
 		if !ok {
 			return
 		}
-		lines = append(lines, line{r, resultDelta(r, e)})
+		lines = append(lines, line{r, bench.ResultError(r, e)})
 	})
 	if err != nil {
 		killShards()
@@ -342,39 +343,4 @@ func checkScrape(addr string) error {
 		return fmt.Errorf("scrapecheck: /metrics is missing families: %s", strings.Join(missing, ", "))
 	}
 	return nil
-}
-
-// resultDelta is the realized relative error of one window (L1 across
-// groups for grouped results).
-func resultDelta(approx, exact spear.Result) float64 {
-	if exact.Groups == nil {
-		if exact.Scalar == 0 {
-			return 0
-		}
-		d := (approx.Scalar - exact.Scalar) / exact.Scalar
-		if d < 0 {
-			d = -d
-		}
-		return d
-	}
-	if len(exact.Groups) == 0 {
-		return 0
-	}
-	var sum float64
-	for g, ev := range exact.Groups {
-		av, ok := approx.Groups[g]
-		if !ok {
-			sum++
-			continue
-		}
-		if ev == 0 {
-			continue
-		}
-		d := (av - ev) / ev
-		if d < 0 {
-			d = -d
-		}
-		sum += d
-	}
-	return sum / float64(len(exact.Groups))
 }

@@ -394,6 +394,44 @@ func TestDistributedBarriersOverWire(t *testing.T) {
 	coalescedLegs(t, in, want, build)
 }
 
+// TestDistributedLoopbackIdentityIncremental runs the Inc-Storm backend
+// across two TCP shard nodes. It keeps no row past the ingest call, so a
+// shard recycles a frame's value slab as soon as its run is folded
+// (core.KeepsRows), where the exact backend of
+// TestDistributedBarriersOverWire keeps its slabs in the buffer. As
+// there, the stage runs at the source and the means are of plain,
+// non-integral floats: they must agree, per worker, bit for bit with the
+// single-process run.
+func TestDistributedLoopbackIdentityIncremental(t *testing.T) {
+	leakcheck.Check(t, leakcheck.Timeout(10*time.Second))
+	in := distTuples(20, 250, 6)
+	build := func() *Query {
+		return NewQuery("disti").
+			Map(func(tp Tuple) (Tuple, bool) { return tp, true }).
+			TumblingWindow(250 * time.Second).
+			Mean(func(tp Tuple) float64 { return tp.Vals[0].AsFloat() }).
+			WithBackend(BackendIncremental).
+			Seed(5).
+			Parallelism(4)
+	}
+
+	ref := &workerSink{}
+	if _, err := build().Source(FromSlice(in)).Run(ref.add); err != nil {
+		t.Fatal(err)
+	}
+	want := ref.sorted()
+	if m := modes(want); len(want) == 0 || m["incremental"] != len(want) {
+		t.Fatalf("reference answered %v, want incremental windows only", m)
+	}
+	shards := startShards(t, 2, build)
+	got := &workerSink{}
+	if _, err := build().Source(FromSlice(in)).Distribute(shards.addrs...).Run(got.add); err != nil {
+		t.Fatal(err)
+	}
+	shards.wait(t, false)
+	requireIdentical(t, want, got.sorted())
+}
+
 // TestDistributedReconnect cuts the connection mid-stream: the fabric
 // must redial with backoff, replay the unacknowledged suffix, and the
 // run must still be bit-identical — the wire-level exactly-once

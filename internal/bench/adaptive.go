@@ -148,7 +148,7 @@ func Adaptive(opt Options) ([]*Table, error) {
 			BudgetTuples(budget).
 			DisableIncremental().
 			Seed(opt.Seed).
-			SpillStore(storage.NewLatencyStore(mem, storePerW, 0, nil)).
+			SpillStore(storage.NewLatencyStore(mem, storePerW, nil)).
 			ObserveWith(ins)
 		if adaptive {
 			q.LatencySLO(slo).AdaptiveBudget(budgetMin, budget)

@@ -8,9 +8,11 @@ import (
 	"time"
 
 	"spear"
+	"spear/internal/agg"
 	"spear/internal/core"
 	"spear/internal/dataset"
 	"spear/internal/obs"
+	"spear/internal/storage"
 	"spear/internal/tuple"
 	"spear/internal/window"
 )
@@ -67,23 +69,37 @@ func TestResultError(t *testing.T) {
 	// Scalar.
 	a := spear.Result{Scalar: 110}
 	e := spear.Result{Scalar: 100}
-	if got := resultError(a, e); math.Abs(got-0.1) > 1e-12 {
+	if got := ResultError(a, e); math.Abs(got-0.1) > 1e-12 {
 		t.Errorf("scalar error = %v", got)
 	}
 	// Grouped L1.
 	a = spear.Result{Groups: map[string]float64{"x": 11, "y": 20}}
 	e = spear.Result{Groups: map[string]float64{"x": 10, "y": 20}}
-	if got := resultError(a, e); math.Abs(got-0.05) > 1e-12 {
+	if got := ResultError(a, e); math.Abs(got-0.05) > 1e-12 {
 		t.Errorf("grouped error = %v", got)
 	}
 	// Missing group counts as error 1.
 	a = spear.Result{Groups: map[string]float64{"x": 10}}
-	if got := resultError(a, e); math.Abs(got-0.5) > 1e-12 {
+	if got := ResultError(a, e); math.Abs(got-0.5) > 1e-12 {
 		t.Errorf("missing group error = %v", got)
 	}
 	// Empty exact groups.
-	if got := resultError(a, spear.Result{Groups: map[string]float64{}}); got != 0 {
+	if got := ResultError(a, spear.Result{Groups: map[string]float64{}}); got != 0 {
 		t.Errorf("empty grouped = %v", got)
+	}
+	// An exact answer of 0: error 1 unless the estimate is 0 too, for a
+	// scalar window and for a group.
+	for _, c := range []struct {
+		approx, want float64
+	}{{0, 0}, {0.5, 1}, {-3, 1}} {
+		if got := ResultError(spear.Result{Scalar: c.approx}, spear.Result{}); got != c.want {
+			t.Errorf("scalar exact 0, estimate %v: error = %v, want %v", c.approx, got, c.want)
+		}
+		a = spear.Result{Groups: map[string]float64{"x": c.approx, "y": 20}}
+		e = spear.Result{Groups: map[string]float64{"x": 0, "y": 20}}
+		if got := ResultError(a, e); got != c.want/2 {
+			t.Errorf("group exact 0, estimate %v: error = %v, want %v", c.approx, got, c.want/2)
+		}
 	}
 	if relErr(0, 0) != 0 || relErr(1, 0) != 1 {
 		t.Error("relErr zero handling")
@@ -127,16 +143,31 @@ func TestSampledShare(t *testing.T) {
 	}
 }
 
+// countMinConfig configures the CountMin baseline as runCountMin does,
+// for the mean of field 0 by field 1 over spec.
+func countMinConfig(spec window.Spec, met *obs.Worker) core.Config {
+	return core.Config{
+		Spec: spec, Agg: agg.Func{Op: agg.Mean}, Value: tuple.FieldFloat(0), KeyBy: tuple.FieldString(1),
+		Epsilon: 0.1, Confidence: 0.95, BudgetTuples: 1, Store: storage.NewMemStore(), Metrics: met,
+	}
+}
+
 func TestCountMinManagerBasics(t *testing.T) {
-	ds := dataset.GCM(dataset.GCMConfig{Tuples: 1, Seed: 1})
-	m, err := NewCountMinManager(window.Tumbling(time.Hour), ds.Key, ds.Value, 0.1, 0.05, nil)
+	met := &obs.Worker{}
+	m, err := core.NewCountMinManager(countMinConfig(window.Tumbling(time.Hour), met))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.MemUsage() < 0 {
-		t.Error("MemUsage negative")
+	if _, err := m.OnTupleBatch([]tuple.Tuple{tuple.New(1, tuple.Float(2), tuple.String_("g"))}); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewCountMinManager(window.Tumbling(time.Second), nil, ds.Value, 0.1, 0.05, nil); err == nil {
+	// The buffered row and the sketch.
+	if row := int64(tuple.New(1, tuple.Float(2), tuple.String_("g")).MemSize()); met.MemBytes.Load() <= row {
+		t.Errorf("MemBytes = %d, want the row's %d and the sketch's", met.MemBytes.Load(), row)
+	}
+	cfg := countMinConfig(window.Tumbling(time.Second), nil)
+	cfg.KeyBy = nil
+	if _, err := core.NewCountMinManager(cfg); err == nil {
 		t.Error("nil key accepted")
 	}
 }
@@ -147,8 +178,7 @@ func TestCountMinManagerBasics(t *testing.T) {
 // and left out of TuplesIn.
 func TestCountMinBooksLateTuples(t *testing.T) {
 	met := &obs.Worker{}
-	m, err := NewCountMinManager(window.Spec{Domain: window.TimeDomain, Range: 10, Slide: 10},
-		tuple.FieldString(1), tuple.FieldFloat(0), 0.1, 0.05, met)
+	m, err := core.NewCountMinManager(countMinConfig(window.Spec{Domain: window.TimeDomain, Range: 10, Slide: 10}, met))
 	if err != nil {
 		t.Fatal(err)
 	}

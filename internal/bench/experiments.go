@@ -1,3 +1,7 @@
+// Package bench is the experiment harness that regenerates every table
+// and figure of the paper's evaluation (§5). Each experiment builds the
+// corresponding continuous queries, runs them through the engine on the
+// synthetic datasets, and prints rows mirroring what the paper reports.
 package bench
 
 import (
@@ -5,13 +9,16 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sort"
+	"strings"
 	"time"
 
 	"spear"
+	"spear/internal/agg"
 	"spear/internal/core"
 	"spear/internal/dataset"
 	"spear/internal/obs"
 	"spear/internal/spe"
+	"spear/internal/storage"
 )
 
 // Paper parameters (§5): ε=10%, α=95%; budgets per dataset. The paper
@@ -236,20 +243,13 @@ func Fig7(opt Options) ([]*Table, error) {
 			kb(storm.sum.MeanMemBytes),
 			kb(sprMean.sum.MeanMemBytes),
 			kb(sprMed.sum.MeanMemBytes),
-			fmt.Sprintf("%.1fx", storm.sum.MeanMemBytes/maxF(sprMed.sum.MeanMemBytes, 1)),
+			fmt.Sprintf("%.1fx", storm.sum.MeanMemBytes/max(sprMed.sum.MeanMemBytes, 1)),
 		})
 	}
 	t.Notes = append(t.Notes,
 		"paper shape: SPEAr memory ≈ constant (the budget); Storm ∝ window tuples; up to 2 orders less",
 	)
 	return []*Table{t}, nil
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Fig8a compares Storm, Inc-Storm, and SPEAr on the DEC mean CQ.
@@ -366,8 +366,11 @@ func runCountMin(label string, ds *dataset.Stream, par int, seed int64) (*runOut
 	reg := obs.NewInstruments()
 	spec := ds.Window
 	factory := func(wi int) (core.Manager, error) {
-		return NewCountMinManager(spec, ds.Key, ds.Value,
-			epsilon, 1-confidence, reg.Worker(fmt.Sprintf("cm[%d]", wi)))
+		return core.NewCountMinManager(core.Config{
+			Spec: spec, Agg: agg.Func{Op: agg.Mean}, Value: ds.Value, KeyBy: ds.Key,
+			Epsilon: epsilon, Confidence: confidence, BudgetTuples: 1,
+			Store: storage.NewMemStore(), Metrics: reg.Worker(fmt.Sprintf("cm[%d]", wi)),
+		})
 	}
 	out := &runOut{results: make(map[resKey]spear.Result)}
 	runtime.GC()
@@ -555,28 +558,17 @@ func Fig11(opt Options) ([]*Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(b), fmt.Sprint(len(keys)), fmt.Sprint(accel),
-			fmt.Sprintf("%.1f%%", 100*float64(accel)/maxF(float64(len(keys)), 1)),
+			fmt.Sprintf("%.1f%%", 100*float64(accel)/max(float64(len(keys)), 1)),
 			fmt.Sprint(viol(epsilon)),
 			fmt.Sprintf("%.2f", 100*meanErr(errs)),
 			fmt.Sprintf("%.2f", 100*maxErr),
 		})
-		series.Rows = append(series.Rows, []string{fmt.Sprint(b), joinFloats(serr)})
+		series.Rows = append(series.Rows, []string{fmt.Sprint(b), strings.Join(serr, " ")})
 	}
 	t.Notes = append(t.Notes,
 		"paper shape: b=250 rarely accelerates (39.9%); b=500 accelerates all with ~23 violations; b=1000 ≤2 violations",
 	)
 	return []*Table{t, series}, nil
-}
-
-func joinFloats(s []string) string {
-	out := ""
-	for i, v := range s {
-		if i > 0 {
-			out += " "
-		}
-		out += v
-	}
-	return out
 }
 
 // Fig12 measures DEC mean processing time (no incremental optimization)

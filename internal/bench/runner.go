@@ -158,7 +158,7 @@ func accuracy(approx, exact *runOut) (errs []float64, violations func(eps float6
 	})
 	for _, k := range keys {
 		a, e := approx.results[k], exact.results[k]
-		errs = append(errs, resultError(a, e))
+		errs = append(errs, ResultError(a, e))
 	}
 	return errs, func(eps float64) int {
 		n := 0
@@ -171,9 +171,12 @@ func accuracy(approx, exact *runOut) (errs []float64, violations func(eps float6
 	}
 }
 
-// resultError is the realized error of one window: relative error for
-// scalars, L1-aggregated per-group relative error for grouped results.
-func resultError(approx, exact spear.Result) float64 {
+// ResultError is the realized error of one window: relative error for
+// scalars, L1-aggregated per-group relative error for grouped results. A
+// group the estimate lacks counts 1, and so does a value whose exact
+// answer is 0 unless the estimate is 0 too (relErr). The experiments and
+// spear-demo's per-window table both report it.
+func ResultError(approx, exact spear.Result) float64 {
 	if exact.Groups == nil {
 		return relErr(approx.Scalar, exact.Scalar)
 	}

@@ -86,7 +86,7 @@ func TestCrashRecoveryAsyncSpill(t *testing.T) {
 	wraps := map[string]func(raw storage.SpillStore) storage.SpillStore{
 		"mem": func(raw storage.SpillStore) storage.SpillStore { return raw },
 		"slow": func(raw storage.SpillStore) storage.SpillStore {
-			return storage.NewLatencyStore(raw, 200*time.Microsecond, 0, nil)
+			return storage.NewLatencyStore(raw, 200*time.Microsecond, nil)
 		},
 	}
 	points := []checkpointtest.CrashPoint{

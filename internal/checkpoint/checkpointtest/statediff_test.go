@@ -144,7 +144,7 @@ func TestEverySnapshotterHasARoundTripCase(t *testing.T) {
 			}
 		}
 	}
-	if n < 5 {
-		t.Errorf("found %d Snapshotters, want at least the five of internal/core and window", n)
+	if n < 4 {
+		t.Errorf("found %d Snapshotters, want at least the four managers of internal/core", n)
 	}
 }

@@ -729,11 +729,14 @@ func TestExactManagerGrouped(t *testing.T) {
 
 // TestExactManagerSpill: the exact baseline never spills. A window a
 // hundred times its budget stays in memory, and the Store its Config
-// carries is never called.
+// carries is never called, DisableIncremental set or not: whether a
+// manager archives is its constructor's decision. The buffer holds the
+// rows it was handed, so the manager keeps rows; the incremental
+// baseline keeps none.
 func TestExactManagerSpill(t *testing.T) {
 	store := storage.NewMemStore()
 	cfg := mkCfg(agg.Func{Op: agg.Sum}, 1)
-	cfg.Store = store
+	cfg.Store, cfg.DisableIncremental = store, true
 	sz := tuple.New(0, tuple.Float(0)).MemSize()
 	m, err := NewExactManager(cfg)
 	if err != nil {
@@ -742,8 +745,11 @@ func TestExactManagerSpill(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		ingestOne(m, tuple.New(int64(i)%100, tuple.Float(1)))
 	}
-	if m.buf.MemUsage() != 100*sz {
-		t.Errorf("buffered %d bytes, want the whole window (%d)", m.buf.MemUsage(), 100*sz)
+	if m.bufBytes != 100*sz {
+		t.Errorf("buffered %d bytes, want the whole window (%d)", m.bufBytes, 100*sz)
+	}
+	if inc, err := NewIncrementalManager(cfg); err != nil || !KeepsRows(m) || KeepsRows(inc) {
+		t.Errorf("KeepsRows: Storm %v, Inc-Storm %v (%v); want true, false", KeepsRows(m), err == nil && KeepsRows(inc), err)
 	}
 	rs, err := m.OnWatermark(100)
 	if err != nil {
@@ -754,6 +760,64 @@ func TestExactManagerSpill(t *testing.T) {
 	}
 	if st := store.Stats(); st != (storage.Stats{}) {
 		t.Errorf("the exact baseline touched its store: %+v", st)
+	}
+}
+
+// TestStormProcTimeCarriesItsStagingShare: a Storm window's ProcTime is
+// its computation plus an equal share of the trigger's staging scans and
+// eviction pass, whether a watermark fires it or, in the count domain,
+// the run that completes it. The clock reads 1 ms later at every read
+// and the value extractor costs 1 µs: staging reads the clock twice and
+// extracts nothing, so a trigger costs 1 ms, and a window of k tuples
+// 1 ms + k µs.
+func TestStormProcTimeCarriesItsStagingShare(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		spec window.Spec
+		ts   []int64
+		want []time.Duration // ProcTime per window, in firing order
+	}{
+		// Two windows of 3 and 5 tuples, one watermark: half a trigger each.
+		{"time", window.Spec{Domain: window.TimeDomain, Range: 10, Slide: 10}, []int64{0, 1, 2, 10, 11, 12, 13, 14},
+			[]time.Duration{1500*time.Microsecond + 3*time.Microsecond, 1500*time.Microsecond + 5*time.Microsecond}},
+		// Two count windows of 4 in one batch, each fired by its run.
+		{"count", window.CountSliding(4, 4), []int64{0, 0, 0, 0, 0, 0, 0, 0},
+			[]time.Duration{2*time.Millisecond + 4*time.Microsecond, 2*time.Millisecond + 4*time.Microsecond}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			now := time.Unix(0, 0)
+			cfg := mkCfg(agg.Func{Op: agg.Sum}, 1)
+			cfg.Spec, cfg.Metrics = c.spec, &obs.Worker{}
+			cfg.Clock = func() time.Time {
+				t := now
+				now = now.Add(time.Millisecond)
+				return t
+			}
+			cfg.Value = func(tp tuple.Tuple) float64 {
+				now = now.Add(time.Microsecond)
+				return tp.Vals[0].AsFloat()
+			}
+			m, err := NewExactManager(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rows []tuple.Tuple
+			for _, ts := range c.ts {
+				rows = append(rows, tuple.New(ts, tuple.Float(1)))
+			}
+			rs, err := m.OnTupleBatch(rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			more, err := m.OnWatermark(20)
+			if rs = append(rs, more...); err != nil || len(rs) != len(c.want) {
+				t.Fatalf("%d windows fired (%v), want %d", len(rs), err, len(c.want))
+			}
+			h := &cfg.Metrics.ProcTime
+			if lo, hi := h.Percentile(0), h.Percentile(1); lo != float64(min(c.want[0], c.want[1])) || hi != float64(max(c.want[0], c.want[1])) {
+				t.Errorf("ProcTime from %v to %v, want %v", time.Duration(lo), time.Duration(hi), c.want)
+			}
+		})
 	}
 }
 

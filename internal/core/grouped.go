@@ -3,11 +3,11 @@ package core
 import (
 	"fmt"
 	"slices"
+	"time"
 
 	"spear/internal/agg"
 	"spear/internal/sample"
 	"spear/internal/stats"
-	"spear/internal/tuple"
 	"spear/internal/window"
 )
 
@@ -65,7 +65,7 @@ func NewGroupedManager(cfg Config) (*GroupedManager, error) {
 	if m.est == nil {
 		m.est = defaultGroupedEstimator(cfg.Agg)
 	}
-	m.shell = newShell(cfg, m)
+	m.shell = newShell(cfg, m, cfg.archives())
 	return m, nil
 }
 
@@ -173,8 +173,8 @@ func (m *GroupedManager) groupIDs(r run) []uint32 {
 	return m.ids
 }
 
-func (m *GroupedManager) held(first, last window.ID) []window.ID {
-	return window.IDsIn(m.wins, first, last)
+func (m *GroupedManager) held(first, last window.ID) ([]window.ID, time.Duration) {
+	return window.IDsIn(m.wins, first, last), 0
 }
 
 // produce runs Alg. 2 for window id.
@@ -272,17 +272,6 @@ func (m *GroupedManager) fromReservoirs(res *Result, known *sample.GroupReservoi
 		res.Groups[key] = m.cfg.Agg.Estimate(r.Items(), r.Seen())
 		res.SampleN += r.Len()
 	})
-}
-
-// columns returns the keys and values of rows, in order.
-func (m *GroupedManager) columns(rows []tuple.Tuple) ([]string, []float64) {
-	keys := make([]string, len(rows))
-	vals := make([]float64, len(rows))
-	for i, t := range rows {
-		keys[i] = m.cfg.KeyBy(t)
-		vals[i] = m.cfg.Value(t)
-	}
-	return keys, vals
 }
 
 // fromStrata answers every group of res from a stratified sample of the

@@ -26,11 +26,8 @@ type StateDiff func(live, restored any, allow map[string]string) []string
 
 // roundTripAllow is what a restore does not give back, and why.
 var roundTripAllow = map[string]string{
-	"cfg.Metrics":           "telemetry, outside the checkpoint domain: a recovered run does not re-count what the crashed one counted",
-	"shell.cfg.Metrics":     "telemetry, as cfg.Metrics",
+	"shell.cfg.Metrics":     "telemetry, outside the checkpoint domain: a recovered run does not re-count what the crashed one counted",
 	"shell.cols":            "the row lane's scratch columns: dead between calls",
-	"cols":                  "the incremental baseline's scratch columns, as shell.cols",
-	"buf.pos":               "the exact baseline's buffer's scratch positions: dead between calls",
 	"ids":                   "the grouped kernel's scratch group ids: dead between calls",
 	"shell.arc.curP":        "the pane the cache last held; meaningless once a snapshot's flush has emptied the cache",
 	"shell.arc.free":        "recycled pane buffers, empty",
@@ -210,12 +207,12 @@ func baselineRoundTrips[M checkpointed](t *testing.T, names []string, mk func(Co
 // RoundTripExactManager checks the exact baseline, scalar and grouped.
 func RoundTripExactManager(t *testing.T, diff StateDiff) {
 	live, restored := baselineRoundTrips(t, []string{"scalar_mean_sampled", "unknown_median"}, NewExactManager)
-	reportDiffs(t, diff(live, restored, allowed("cfg.Metrics", "buf.pos")))
+	reportDiffs(t, diff(live, restored, allowed("shell.cfg.Metrics", "shell.cols")))
 }
 
 // RoundTripIncrementalManager checks the incremental baseline on the
 // scalar mean.
 func RoundTripIncrementalManager(t *testing.T, diff StateDiff) {
 	live, restored := baselineRoundTrips(t, []string{"scalar_mean_slices"}, NewIncrementalManager)
-	reportDiffs(t, diff(live, restored, allowed("cfg.Metrics", "cols")))
+	reportDiffs(t, diff(live, restored, allowed("shell.cfg.Metrics", "shell.cols")))
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"time"
 
 	"spear/internal/col"
 	"spear/internal/sample"
@@ -96,7 +97,7 @@ func NewScalarManager(cfg Config) (*ScalarManager, error) {
 	if m.est == nil {
 		m.est = defaultScalarEstimator(cfg.Agg)
 	}
-	m.shell = newShell(cfg, m)
+	m.shell = newShell(cfg, m, cfg.archives())
 	return m, nil
 }
 
@@ -174,9 +175,9 @@ func (m *ScalarManager) fold(r run) {
 	}
 }
 
-func (m *ScalarManager) held(first, last window.ID) []window.ID {
+func (m *ScalarManager) held(first, last window.ID) ([]window.ID, time.Duration) {
 	if m.cfg.archives() {
-		return window.IDsIn(m.wins, first, last)
+		return window.IDsIn(m.wins, first, last), 0
 	}
 	var ids []window.ID
 	for _, s := range m.slices {
@@ -185,7 +186,7 @@ func (m *ScalarManager) held(first, last window.ID) []window.ID {
 		}
 	}
 	slices.Sort(ids)
-	return slices.Compact(ids)
+	return slices.Compact(ids), 0
 }
 
 // produce runs Alg. 2 for one window: estimate ε̂_w from budget contents
@@ -227,11 +228,7 @@ func (m *ScalarManager) produce(id window.ID, res *Result) error {
 	if err != nil {
 		return err
 	}
-	vals := make([]float64, len(rows))
-	for i, t := range rows {
-		vals[i] = m.cfg.Value(t)
-	}
-	res.Scalar = m.evalExact(vals)
+	res.Scalar = m.evalExact(m.values(rows))
 	return nil
 }
 

@@ -10,16 +10,17 @@ import (
 	"spear/internal/window"
 )
 
-// shell is the SPEAr window manager of §4.1 (Algs. 1 and 2) less what
-// depends on its form, scalar or grouped: the budget and the shedding
-// flag the controller steers, the window lifecycle, the archive in S,
-// the ingest kernel and the fire loop, and the snapshot header
-// (snapshot.go). ScalarManager and GroupedManager embed it and supply
-// the rest as its shape. The shell calls the shape once per run or per
-// window, never per tuple.
+// shell is the window manager of §4.1 (Algs. 1 and 2) less what depends
+// on what a window holds: the budget and the shedding flag the
+// controller steers, the window lifecycle, the archive in S, the ingest
+// kernel and the fire loop, and the snapshot header (snapshot.go). Every
+// manager embeds it and supplies the rest as its shape: SPEAr's scalar
+// and grouped managers, and the baselines, which are the same lifecycle
+// holding a buffer or an accumulator (baseline.go). The shell calls the
+// shape once per run or per window, never per tuple.
 type shell struct {
 	cfg       Config
-	arc       *archive // nil when the moments answer every window
+	arc       *archive // nil where no window needs its tuples back: decided at construction
 	lc        window.Lifecycle
 	cols      rowColumns
 	curBudget int   // the live tuple budget b: BudgetTuples at start, then the controller's
@@ -29,16 +30,17 @@ type shell struct {
 	sh        shape // the manager that embeds the shell
 }
 
-// shape is a SPEAr manager's form: its per-window state and the steps
-// that fold into it, answer from it and retire it.
+// shape is a manager's form: its per-window state and the steps that
+// fold into it, answer from it and retire it.
 type shape interface {
 	// fold adds an admitted run to every window it falls into.
 	fold(r run)
 	// held returns, ascending, the ids in [first, last] of the windows
-	// that hold tuples.
-	held(first, last window.ID) []window.ID
-	// produce answers window id into res, whose header is filled in:
-	// Alg. 2 through shell.answers and shell.fetch.
+	// that hold tuples, and the time spent staging them, of which each
+	// window's ProcTime carries an equal share: 0 where nothing is staged.
+	held(first, last window.ID) ([]window.ID, time.Duration)
+	// produce answers window id into res, whose header is filled in: for
+	// SPEAr, Alg. 2 through shell.answers and shell.fetch.
 	produce(id window.ID, res *Result) error
 	// close retires the window res answered.
 	close(res Result)
@@ -47,27 +49,28 @@ type shape interface {
 	// capacity is the reservoir capacity a window opened now gets: 0
 	// for none, and then no sample to answer a shed window from.
 	capacity() int
-	// BudgetMemUsage is the state held to produce results, charged
-	// against b: what Metrics.MemBytes reports, and what Fig. 7 shows
-	// staying flat at ≈b while the exact engine's buffer grows with the
-	// window. It leaves out the archive's chunk buffers: bounded by
-	// ArchiveChunk·overlap tuples regardless of window size, they are
-	// the cost of shipping tuples to S, not of producing results, just
-	// as the paper excludes its workers' S writes.
+	// BudgetMemUsage is the state held to produce results: what
+	// Metrics.MemBytes reports, and what Fig. 7 shows flat at ≈b for
+	// SPEAr while Storm's buffer grows with the window. It leaves out the
+	// archive's chunk buffers (ArchiveChunk·overlap tuples whatever the
+	// window), the cost of shipping tuples to S, as the paper does.
 	BudgetMemUsage() int
-	// appendWindows and readWindows are the snapshot's body after the
-	// shell's header; readWindows returns what installs the decoded
+	// format names the manager's kind and the snapshot tag it writes and
+	// reads. appendWindows and readWindows are the snapshot's body after
+	// the shell's header; readWindows returns what installs the decoded
 	// state, or an error and nothing installed.
+	format() (kind string, tag byte)
 	appendWindows(dst []byte) []byte
 	readWindows(rd *tuple.WireReader) (apply func(), err error)
 }
 
 // run is one run of an ingest batch as Spec.EachRun cuts it: positions
-// sharing the window assignment [lo, hi], of which the lifecycle
+// ts sharing the window assignment [lo, hi], of which the lifecycle
 // admitted windows first…hi, with their values and rows. taint marks a
 // run whose archive write is shed.
 type run struct {
 	first, lo, hi window.ID
+	ts            []int64
 	vals          []float64
 	rows          []tuple.Tuple
 	taint         bool
@@ -92,10 +95,10 @@ func (c *rowColumns) read(rows []tuple.Tuple, lc *window.Lifecycle, value func(t
 }
 
 // newShell returns the shell of a manager of shape sh for cfg, which has
-// passed validate.
-func newShell(cfg Config, sh shape) shell {
+// passed validate, with an archive where archives is set.
+func newShell(cfg Config, sh shape, archives bool) shell {
 	s := shell{cfg: cfg, lc: window.NewLifecycle(cfg.Spec), curBudget: cfg.BudgetTuples, now: cfg.clock(), sh: sh}
-	if cfg.archives() {
+	if archives {
 		s.arc = newArchive(cfg.Store, cfg.Key, cfg.Spec, cfg.ArchiveChunk, cfg.DeferStoreDeletes)
 	}
 	cfg.Metrics.BudgetTuples.Set(int64(s.curBudget))
@@ -144,7 +147,7 @@ func (s *shell) SetBudget(b int) {
 // nothing has no write to skip, and without reservoirs there is no
 // sample to answer a shed window from.
 func (s *shell) SetShedding(on bool) {
-	s.shed = on && s.cfg.archives() && s.sh.capacity() > 0
+	s.shed = on && s.arc != nil && s.sh.capacity() > 0
 }
 
 // OnTupleBatch implements Manager (Alg. 1): the rows' positions and
@@ -180,7 +183,7 @@ func (s *shell) ingestRun(ts []int64, vals []float64, rows []tuple.Tuple) ([]Res
 		if !ok {
 			return // late: neither folded nor archived
 		}
-		s.sh.fold(run{first: first, lo: lo, hi: hi, vals: vals[i0:i1], rows: rows[i0:i1], taint: s.shed})
+		s.sh.fold(run{first: first, lo: lo, hi: hi, ts: ts[i0:i1], vals: vals[i0:i1], rows: rows[i0:i1], taint: s.shed})
 		switch {
 		case s.arc == nil:
 			// No check can fail, so there is no fallback to archive for.
@@ -224,20 +227,23 @@ func (s *shell) fire(wm int64) ([]Result, error) {
 	if !ok {
 		return nil, nil
 	}
-	var out []Result
-	for _, id := range s.sh.held(first, last) {
+	ids, staging := s.sh.held(first, last)
+	share := staging / time.Duration(max(len(ids), 1))
+	// Answered in place in out: no Result of its own escapes inside the timing.
+	out := slices.Grow([]Result(nil), len(ids))
+	for _, id := range ids {
 		t0 := s.now()
 		start, end := s.cfg.Spec.Bounds(id)
-		res := Result{
+		out = append(out, Result{
 			WindowID: id, Start: start, End: end,
 			Epsilon: s.cfg.Epsilon, Confidence: s.cfg.Confidence, Budget: s.curBudget,
-		}
-		if err := s.sh.produce(id, &res); err != nil {
+		})
+		res := &out[len(out)-1]
+		if err := s.sh.produce(id, res); err != nil {
 			return nil, fmt.Errorf("core: window %d: %w", id, err)
 		}
-		s.cfg.countFire(&res, s.now().Sub(t0))
-		out = append(out, res)
-		s.sh.close(res)
+		s.cfg.countFire(res, s.now().Sub(t0)+share)
+		s.sh.close(*res)
 	}
 	start, _ := s.cfg.Spec.Bounds(s.lc.NextOpen())
 	if err := s.arc.evictBefore(start); err != nil {
@@ -273,6 +279,24 @@ func (s *shell) answers(res *Result, estErr float64, ok, checked, tainted bool) 
 	return true
 }
 
+// values returns the values of rows, in order.
+func (s *shell) values(rows []tuple.Tuple) []float64 {
+	vals := make([]float64, len(rows))
+	for i, t := range rows {
+		vals[i] = s.cfg.Value(t)
+	}
+	return vals
+}
+
+// columns returns the keys and values of rows, in order.
+func (s *shell) columns(rows []tuple.Tuple) ([]string, []float64) {
+	keys := make([]string, len(rows))
+	for i, t := range rows {
+		keys[i] = s.cfg.KeyBy(t)
+	}
+	return keys, s.values(rows)
+}
+
 // fetch is the exact fallback, Alg. 2 line 5: the window's tuples read
 // back from S, res labelled as processed whole — performance identical
 // to normal execution plus the failed check.
@@ -295,8 +319,8 @@ func (s *shell) PrefetchWatermark(wm int64) {
 	s.arc.prefetchAhead(&s.lc, wm, s.cfg.SpillAhead)
 }
 
-// KeepsRows reports whether the manager holds ingested rows past the
-// ingest call: its archive does (KeepsRows in result.go).
+// KeepsRows reports whether the archive holds ingested rows past the
+// ingest call (KeepsRows in result.go); a shape that does overrides it.
 func (s *shell) KeepsRows() bool { return s.arc != nil }
 
 // LateDropped returns the number of dropped late tuples: test support

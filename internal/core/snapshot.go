@@ -11,33 +11,26 @@ import (
 )
 
 // Checkpoint support for the window managers. Each manager serializes
-// every field that influences future output — fire cursors, per-window
-// reservoirs/moments, and the archive's pane table — into one versioned
-// blob. Map iteration is sorted so identical state produces identical
-// bytes (the checkpoint manifest checksums blobs).
-//
-// State held in secondary storage S (archive panes) is not copied into
-// the blob; instead the blob records how many chunks of each pane the
-// snapshot covers, and RewindStore truncates/deletes
-// whatever a crashed run wrote after the snapshot. Deletions are
-// deferred while checkpointing is on (Config.DeferStoreDeletes) so a
-// rewind never needs a segment that is already gone.
+// every field that influences future output into one versioned blob,
+// map iteration sorted so that identical state produces identical bytes
+// (the checkpoint manifest checksums blobs). Archive panes in S are not
+// copied: the blob records how many chunks of each pane it covers, and
+// RewindStore truncates or deletes what a crashed run wrote after it.
+// Deletions are deferred while checkpointing is on
+// (Config.DeferStoreDeletes) so a rewind never needs a deleted segment.
 
-// Type tags. A reader accepts exactly the format its writer emits
-// (DESIGN.md §10.4): a format change replaces the tag, and every
-// retired one ('S', 's', 't', 'u', 'G', 'g', 'h') fails like any
-// unknown byte. The SPEAr managers write one header (shell.snapshot):
-// scalar 'v' and grouped 'i'.
+// Type tags, one per shape (shape.format). A reader accepts exactly the
+// format its writer emits (DESIGN.md §10.4): a format change replaces
+// the tag, and every retired one ('S', 's', 't', 'u', 'G', 'g', 'h',
+// 'E', 'Q', 'R', 'I') fails like any unknown byte.
 const (
-	snapExact       byte = 0x45 // 'E'
-	snapIncremental byte = 0x49 // 'I'
-	snapScalar      byte = 0x76 // 'v'
-	snapGrouped     byte = 0x69 // 'i'
+	snapScalar       byte = 0x76 // 'v'
+	snapGrouped      byte = 0x69 // 'i'
+	snapBuffer       byte = 0x62 // 'b'
+	snapAccumulators byte = 0x61 // 'a'
 )
 
-// appendCursor writes a window lifecycle's values in the order the
-// SPEAr and incremental formats fixed (the single-buffer format fixed
-// another); readCursor reads them back.
+// appendCursor writes a lifecycle's cursor in the order RestoreState reads it.
 func appendCursor(dst []byte, c window.Cursor) []byte {
 	dst = tuple.AppendBool(dst, c.Started)
 	dst = tuple.AppendBool(dst, c.Fired)
@@ -47,34 +40,15 @@ func appendCursor(dst []byte, c window.Cursor) []byte {
 	return tuple.AppendI64(dst, c.Late)
 }
 
-func readCursor(rd *tuple.WireReader) window.Cursor {
-	return window.Cursor{Started: rd.Bool(), Fired: rd.Bool(), NextFire: window.ID(rd.I64()), Seq: rd.I64(), MaxPos: rd.I64(), Late: rd.I64()}
-}
+// ---- the shell ----
 
-func badTag(kind string, tag byte, rd *tuple.WireReader) error {
-	if rd.Err() != nil {
-		return rd.Err()
-	}
-	return fmt.Errorf("%w: %s snapshot tag 0x%02x", tuple.ErrCorrupt, kind, tag)
-}
-
-// ---- the SPEAr managers' shell ----
-
-// format names the manager's kind and the tag it writes and reads.
-func (s *shell) format() (kind string, tag byte) {
-	if s.cfg.KeyBy == nil {
-		return "scalar", snapScalar
-	}
-	return "grouped", snapGrouped
-}
-
-// snapshot is the managers' SnapshotState: the header — tag, whether
-// the query archives, the lifecycle's cursor, the budget, the shedding
-// flag and count, the archive section (empty for a query that archives
-// nothing) — then the shape's windows.
+// snapshot is the managers' SnapshotState: the header — the shape's
+// tag, whether the manager archives, the lifecycle's cursor, the budget,
+// the shedding flag and count, the archive section (empty for a manager
+// that archives nothing) — then the shape's windows.
 func (s *shell) snapshot() ([]byte, error) {
-	_, tag := s.format()
-	dst := tuple.AppendBool([]byte{tag}, s.cfg.archives())
+	_, tag := s.sh.format()
+	dst := tuple.AppendBool([]byte{tag}, s.arc != nil)
 	dst = appendCursor(dst, s.lc.Cursor())
 	dst = tuple.AppendUvar(dst, uint64(s.curBudget))
 	dst = tuple.AppendBool(dst, s.shed)
@@ -86,16 +60,16 @@ func (s *shell) snapshot() ([]byte, error) {
 	return s.sh.appendWindows(dst), nil
 }
 
-// restore is the managers' RestoreState. A blob that does not decode
-// whole leaves the manager as it was.
-func (s *shell) restore(b []byte) error {
+// RestoreState implements the checkpoint Snapshotter contract for every
+// manager. A blob that does not decode whole leaves the manager as it was.
+func (s *shell) RestoreState(b []byte) error {
 	rd := tuple.NewWireReader(b)
-	kind, written := s.format()
-	if tag := rd.Byte(); tag != written {
-		return badTag(kind, tag, rd)
+	kind, written := s.sh.format()
+	if tag := rd.Byte(); tag != written && rd.Err() == nil {
+		return fmt.Errorf("%w: %s snapshot tag 0x%02x", tuple.ErrCorrupt, kind, tag)
 	}
-	archives, flag := s.cfg.archives(), rd.Bool()
-	cur := readCursor(rd)
+	archives, flag := s.arc != nil, rd.Bool()
+	cur := window.Cursor{Started: rd.Bool(), Fired: rd.Bool(), NextFire: window.ID(rd.I64()), Seq: rd.I64(), MaxPos: rd.I64(), Late: rd.I64()}
 	curBudget := rd.Uvar() // zero is legal: reservoirs dropped, exact-only
 	shed := rd.Bool()
 	sheds := rd.I64()
@@ -119,7 +93,7 @@ func (s *shell) restore(b []byte) error {
 	}
 	if !archives {
 		if len(arc.flushed) != 0 {
-			return fmt.Errorf("%w: %s snapshot lists panes for a query that archives nothing", tuple.ErrCorrupt, kind)
+			return fmt.Errorf("%w: %s snapshot lists panes for a manager that archives nothing", tuple.ErrCorrupt, kind)
 		}
 		arc = nil
 	}
@@ -143,8 +117,7 @@ func (s *shell) restore(b []byte) error {
 // SnapshotState implements the checkpoint Snapshotter contract.
 func (m *ScalarManager) SnapshotState() ([]byte, error) { return m.snapshot() }
 
-// RestoreState implements the checkpoint Snapshotter contract.
-func (m *ScalarManager) RestoreState(b []byte) error { return m.restore(b) }
+func (m *ScalarManager) format() (string, byte) { return "scalar", snapScalar }
 
 func (m *ScalarManager) appendWindows(dst []byte) []byte {
 	ids := window.IDsIn(m.wins, math.MinInt64, math.MaxInt64)
@@ -217,8 +190,7 @@ func (m *ScalarManager) readWindows(rd *tuple.WireReader) (func(), error) {
 // SnapshotState implements the checkpoint Snapshotter contract.
 func (m *GroupedManager) SnapshotState() ([]byte, error) { return m.snapshot() }
 
-// RestoreState implements the checkpoint Snapshotter contract.
-func (m *GroupedManager) RestoreState(b []byte) error { return m.restore(b) }
+func (m *GroupedManager) format() (string, byte) { return "grouped", snapGrouped }
 
 func (m *GroupedManager) appendWindows(dst []byte) []byte {
 	ids := window.IDsIn(m.wins, math.MinInt64, math.MaxInt64)
@@ -277,71 +249,69 @@ func (m *GroupedManager) readWindows(rd *tuple.WireReader) (func(), error) {
 
 // ---- ExactManager ----
 
-// SnapshotState delegates to the underlying single-buffer manager.
-func (m *ExactManager) SnapshotState() ([]byte, error) {
-	blob, err := m.buf.SnapshotState()
+// SnapshotState implements the checkpoint Snapshotter contract.
+func (m *ExactManager) SnapshotState() ([]byte, error) { return m.snapshot() }
+
+func (m *ExactManager) format() (string, byte) { return "exact", snapBuffer }
+
+// appendWindows writes the buffer, its rows at their positions, as a
+// column image (tuple.AppendColumns) to the end of the blob. Nothing is
+// staged between two fires.
+func (m *ExactManager) appendWindows(dst []byte) []byte { return tuple.AppendColumns(dst, m.buf) }
+
+// readWindows refuses a row the query's extractors cannot read: the
+// query did not buffer it, and the fire would panic on it.
+func (m *ExactManager) readWindows(rd *tuple.WireReader) (apply func(), err error) {
+	buf, err := tuple.DecodeColumns(nil, rd.Rest())
 	if err != nil {
 		return nil, err
 	}
-	return append([]byte{snapExact}, blob...), nil
-}
-
-// RestoreState implements the checkpoint Snapshotter contract.
-func (m *ExactManager) RestoreState(b []byte) error {
-	rd := tuple.NewWireReader(b)
-	if tag := rd.Byte(); tag != snapExact {
-		return badTag("exact", tag, rd)
+	defer func() {
+		if recover() != nil {
+			apply, err = nil, fmt.Errorf("%w: exact snapshot holds a row the query cannot read", tuple.ErrCorrupt)
+		}
+	}()
+	bytes := 0
+	for _, t := range buf {
+		bytes += t.MemSize()
+		m.cfg.Value(t)
+		if m.cfg.KeyBy != nil {
+			m.cfg.KeyBy(t)
+		}
 	}
-	return m.buf.RestoreState(b[1:])
+	return func() { m.buf, m.bufBytes = buf, bytes }, nil
 }
 
 // ---- IncrementalManager ----
 
 // SnapshotState implements the checkpoint Snapshotter contract.
-func (m *IncrementalManager) SnapshotState() ([]byte, error) {
-	dst := appendCursor([]byte{snapIncremental}, m.lc.Cursor())
+func (m *IncrementalManager) SnapshotState() ([]byte, error) { return m.snapshot() }
+
+func (m *IncrementalManager) format() (string, byte) { return "incremental", snapAccumulators }
+
+func (m *IncrementalManager) appendWindows(dst []byte) []byte {
 	ids := window.IDsIn(m.wins, math.MinInt64, math.MaxInt64)
 	dst = tuple.AppendUvar(dst, uint64(len(ids)))
 	for _, id := range ids {
-		dst = tuple.AppendI64(dst, int64(id))
-		dst = m.wins[id].AppendTo(dst)
+		dst = m.wins[id].AppendTo(tuple.AppendI64(dst, int64(id)))
 	}
-	return dst, nil
+	return dst
 }
 
-// RestoreState implements the checkpoint Snapshotter contract.
-func (m *IncrementalManager) RestoreState(b []byte) error {
-	rd := tuple.NewWireReader(b)
-	if tag := rd.Byte(); tag != snapIncremental {
-		return badTag("incremental", tag, rd)
-	}
-	cur := readCursor(rd)
+func (m *IncrementalManager) readWindows(rd *tuple.WireReader) (func(), error) {
 	n := rd.Count(8 + 48)
-	if rd.Err() != nil {
-		return rd.Err()
-	}
 	wins := make(map[window.ID]*agg.Incremental, n)
 	for i := 0; i < n; i++ {
 		id := window.ID(rd.I64())
-		inc, err := agg.NewIncremental(m.cfg.Agg)
-		if err != nil {
-			return err
-		}
+		inc, _ := agg.NewIncremental(m.cfg.Agg) // the constructor refused what has none
 		inc.ReadFrom(rd)
 		if rd.Err() != nil {
-			return rd.Err()
+			return nil, rd.Err()
 		}
 		if _, dup := wins[id]; dup {
-			return fmt.Errorf("%w: duplicate incremental window %d", tuple.ErrCorrupt, id)
+			return nil, fmt.Errorf("%w: duplicate incremental window %d", tuple.ErrCorrupt, id)
 		}
 		wins[id] = inc
 	}
-	if err := rd.Done(); err != nil {
-		return err
-	}
-	if err := m.lc.SetCursor(cur); err != nil {
-		return err
-	}
-	m.wins = wins
-	return nil
+	return func() { m.wins = wins }, nil
 }

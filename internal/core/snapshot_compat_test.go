@@ -29,8 +29,11 @@ import (
 // before PR 16. Scalar: scalar_median and scalar_mean_sampled were
 // written at 'u' (PR 30), with the .results of the commit before PR 17.
 // Each was regenerated at its manager's current format with its
-// .results byte for byte unchanged. exact_median is the exact
-// baseline's, written with the single buffer's column-image layout.
+// .results byte for byte unchanged. exact_median (Storm) was written at
+// 'E' around the single buffer's 'R' and incremental_mean (Inc-Storm)
+// at 'I', and both were regenerated at their shapes' tags, 'b' and 'a',
+// with the .results of the commit before the baselines became shapes of
+// the shell.
 // Regenerate only to adopt a deliberate wire-format change, never to
 // make this test pass.
 var updateCompat = flag.Bool("update-compat", false, "rewrite testdata/compat from the current code")
@@ -59,6 +62,8 @@ func (c compatCase) manager(store storage.SpillStore) (checkpointed, error) {
 	switch {
 	case strings.HasPrefix(c.name, "exact_"):
 		return NewExactManager(cfg)
+	case strings.HasPrefix(c.name, "incremental_"):
+		return NewIncrementalManager(cfg)
 	case cfg.KeyBy != nil:
 		return NewGroupedManager(cfg)
 	}
@@ -151,8 +156,10 @@ func compatCases() []compatCase {
 				m.SetBudget(150)
 			}
 		}},
-		// The exact baseline: every window from its single buffer.
+		// The Storm baseline: every window from its buffer.
 		{"exact_median", scalar(agg.Median(), 150, 0.12), eight, nil},
+		// The Inc-Storm baseline: an accumulator per window.
+		{"incremental_mean", scalar(agg.Func{Op: agg.Mean}, 60, 0.10), eight, nil},
 	}
 }
 
@@ -415,32 +422,35 @@ func TestRestoreRejectsRetiredFormats(t *testing.T) {
 		tag  byte
 		blob []byte
 		m    checkpointed
-		// refused is the tag the error names: the nested blob's where
-		// the outer one is current.
-		refused byte
 	}{
-		{'S', retiredScalarV1(t, v1), v1, 'S'},
+		{'S', retiredScalarV1(t, v1), v1},
 		// What the commit before PR 17 wrote for that very state.
-		{'s', retired("scalar_median"), atHalf("scalar_median"), 's'},
+		{'s', retired("scalar_median"), atHalf("scalar_median")},
 		// Per-window incremental moments, as the commit before PR 25
 		// wrote them for the state of scalar_mean_slices.
-		{'t', retired("scalar_mean_incremental_v3"), atHalf("scalar_mean_slices"), 't'},
+		{'t', retired("scalar_mean_incremental_v3"), atHalf("scalar_mean_slices")},
 		// No archive flag, and a table of carries ahead of the slices:
 		// the commit before PR 27 wrote it for that state when an
 		// incremental query still archived, so it lists panes too.
-		{'u', retired("scalar_mean_slices_archived"), atHalf("scalar_mean_slices"), 'u'},
-		{'G', retiredGroupedV1(t, g1), g1, 'G'},
+		{'u', retired("scalar_mean_slices_archived"), atHalf("scalar_mean_slices")},
+		{'G', retiredGroupedV1(t, g1), g1},
 		// A window buffer's blob nested where the archive section is, as
 		// the commit before PR 16 wrote it for the stream of
 		// unknown_median.
-		{'g', retired("buffered_median"), atHalf("unknown_median"), 'g'},
+		{'g', retired("buffered_median"), atHalf("unknown_median")},
 		// The cursor's last three values in another order, as PR 39's
 		// commit wrote them for that stream.
-		{'h', retired("unknown_median"), atHalf("unknown_median"), 'h'},
+		{'h', retired("unknown_median"), atHalf("unknown_median")},
 		// The exact baseline's 'E' around a single buffer's 'Q': its rows
 		// in the retired row codec and three spill slots, as the commit
 		// before the column-image layout wrote them for exact_median.
-		{'E', retired("exact_median"), atHalf("exact_median"), 'Q'},
+		{'E', retired("exact_median"), atHalf("exact_median")},
+		// 'E' around the single buffer's 'R' (the cursor in another
+		// order, the buffer's peak, its rows as a column image), as the
+		// commit before the buffer became the manager's shape wrote it
+		// for exact_median, and that commit's 'I' for incremental_mean.
+		{'E', retired("exact_median_r"), atHalf("exact_median")},
+		{'I', retired("incremental_mean"), atHalf("incremental_mean")},
 	} {
 		if c.blob[0] != c.tag {
 			t.Fatalf("%q blob starts with %q", c.tag, c.blob[0])
@@ -450,11 +460,11 @@ func TestRestoreRejectsRetiredFormats(t *testing.T) {
 			t.Fatal(err)
 		}
 		err = c.m.RestoreState(c.blob)
-		if want := fmt.Sprintf("tag 0x%02x", c.refused); !errors.Is(err, tuple.ErrCorrupt) || !strings.Contains(err.Error(), want) {
-			t.Errorf("%q blob: RestoreState = %v, want ErrCorrupt naming %s", c.refused, err, want)
+		if want := fmt.Sprintf("tag 0x%02x", c.tag); !errors.Is(err, tuple.ErrCorrupt) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%q blob: RestoreState = %v, want ErrCorrupt naming %s", c.tag, err, want)
 		}
 		if after, err := c.m.SnapshotState(); err != nil || !bytes.Equal(after, before) {
-			t.Errorf("%q blob: the rejected restore changed the manager's state (err %v)", c.refused, err)
+			t.Errorf("%q blob: the rejected restore changed the manager's state (err %v)", c.tag, err)
 		}
 	}
 }

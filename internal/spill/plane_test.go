@@ -199,7 +199,7 @@ func TestPlaneIdentity(t *testing.T) {
 }
 
 // TestPlaneMustNotRetain mutates the caller's chunk right after Store
-// returns (exactly what SingleBuffer's zeroing does) and checks the
+// returns (as the Storm buffer's eviction zeroes evicted rows) and checks the
 // plane stored the original bytes.
 func TestPlaneMustNotRetain(t *testing.T) {
 	mem := &slowStore{SpillStore: storage.NewMemStore(), delay: 2 * time.Millisecond}

@@ -476,12 +476,11 @@ func (f *FileStore) Stats() Stats {
 }
 
 // LatencyStore wraps a SpillStore and injects a fixed per-operation
-// latency plus a per-byte transfer cost, modeling a remote object store.
-// Clock is injectable so unit tests do not sleep.
+// latency, modeling a remote object store. Clock is injectable so unit
+// tests do not sleep.
 type LatencyStore struct {
 	inner SpillStore
 	perOp time.Duration
-	perKB time.Duration
 	sleep func(time.Duration)
 	// totalDelay accumulates injected nanoseconds. Atomic rather than
 	// mutex-guarded: the async spill plane drives this store from a
@@ -489,62 +488,55 @@ type LatencyStore struct {
 	totalDelay atomic.Int64
 }
 
-// NewLatencyStore wraps inner with perOp latency per call and perKB per
-// kilobyte moved. A nil sleep uses time.Sleep.
-func NewLatencyStore(inner SpillStore, perOp, perKB time.Duration, sleep func(time.Duration)) *LatencyStore {
+// NewLatencyStore wraps inner with perOp latency per call. A nil sleep
+// uses time.Sleep.
+func NewLatencyStore(inner SpillStore, perOp time.Duration, sleep func(time.Duration)) *LatencyStore {
 	if sleep == nil {
 		sleep = time.Sleep
 	}
-	return &LatencyStore{inner: inner, perOp: perOp, perKB: perKB, sleep: sleep}
+	return &LatencyStore{inner: inner, perOp: perOp, sleep: sleep}
 }
 
-func (l *LatencyStore) delay(bytes int64) {
-	d := l.perOp + time.Duration(bytes/1024)*l.perKB
-	l.totalDelay.Add(int64(d))
-	if d > 0 {
-		l.sleep(d)
+func (l *LatencyStore) delay() {
+	l.totalDelay.Add(int64(l.perOp))
+	if l.perOp > 0 {
+		l.sleep(l.perOp)
 	}
 }
 
 // TotalDelay reports the cumulative injected latency. Safe for
-// concurrent use; under concurrent Store/Get the per-call byte
-// attribution (a Stats diff) is approximate, but the total only ever
-// counts bytes the inner store actually moved.
+// concurrent use.
 func (l *LatencyStore) TotalDelay() time.Duration {
 	return time.Duration(l.totalDelay.Load())
 }
 
 // Store implements SpillStore.
 func (l *LatencyStore) Store(key string, ts []tuple.Tuple) error {
-	before := l.inner.Stats().BytesStored
-	err := l.inner.Store(key, ts)
-	l.delay(l.inner.Stats().BytesStored - before)
-	return err
+	l.delay()
+	return l.inner.Store(key, ts)
 }
 
 // Get implements SpillStore.
 func (l *LatencyStore) Get(key string) ([]tuple.Tuple, error) {
-	before := l.inner.Stats().BytesFetched
-	ts, err := l.inner.Get(key)
-	l.delay(l.inner.Stats().BytesFetched - before)
-	return ts, err
+	l.delay()
+	return l.inner.Get(key)
 }
 
 // Delete implements SpillStore.
 func (l *LatencyStore) Delete(key string) error {
-	l.delay(0)
+	l.delay()
 	return l.inner.Delete(key)
 }
 
 // List implements SpillStore.
 func (l *LatencyStore) List(prefix string) ([]string, error) {
-	l.delay(0)
+	l.delay()
 	return l.inner.List(prefix)
 }
 
 // Truncate implements SpillStore.
 func (l *LatencyStore) Truncate(key string, chunks int) error {
-	l.delay(0)
+	l.delay()
 	return l.inner.Truncate(key, chunks)
 }
 

@@ -136,22 +136,20 @@ func TestConcurrentAccess(t *testing.T) {
 func TestLatencyStoreInjectsDelay(t *testing.T) {
 	var slept time.Duration
 	fake := func(d time.Duration) { slept += d }
-	ls := NewLatencyStore(NewMemStore(), 10*time.Millisecond, time.Millisecond, fake)
+	ls := NewLatencyStore(NewMemStore(), 10*time.Millisecond, fake)
 
-	// ~8KB of tuples: 10ms per op + ~Nms transfer.
-	big := mkTuples(300, 0)
-	if err := ls.Store("k", big); err != nil {
+	// One delay per operation, whatever it moves.
+	if err := ls.Store("k", mkTuples(300, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if slept < 10*time.Millisecond {
-		t.Errorf("slept %v, want ≥ perOp", slept)
+	if slept != 10*time.Millisecond {
+		t.Errorf("Store slept %v, want perOp", slept)
 	}
-	storeSlept := slept
 	if _, err := ls.Get("k"); err != nil {
 		t.Fatal(err)
 	}
-	if slept <= storeSlept {
-		t.Error("Get should add delay")
+	if slept != 20*time.Millisecond {
+		t.Errorf("Store and Get slept %v, want 2 × perOp", slept)
 	}
 	if ls.TotalDelay() != slept {
 		t.Errorf("TotalDelay %v != slept %v", ls.TotalDelay(), slept)
@@ -165,7 +163,7 @@ func TestLatencyStoreInjectsDelay(t *testing.T) {
 }
 
 func TestLatencyStorePropagatesErrors(t *testing.T) {
-	ls := NewLatencyStore(NewMemStore(), 0, 0, func(time.Duration) {})
+	ls := NewLatencyStore(NewMemStore(), 0, func(time.Duration) {})
 	if _, err := ls.Get("missing"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("err = %v", err)
 	}
@@ -254,7 +252,7 @@ func TestFileStoreListTruncate(t *testing.T) {
 }
 
 func TestLatencyStoreListTruncate(t *testing.T) {
-	testListTruncate(t, NewLatencyStore(NewMemStore(), 0, 0, func(time.Duration) {}))
+	testListTruncate(t, NewLatencyStore(NewMemStore(), 0, func(time.Duration) {}))
 }
 
 func TestKeyEncodingRoundTrip(t *testing.T) {
@@ -411,7 +409,7 @@ func TestLatencyStoreConcurrent(t *testing.T) {
 		ops     = 40
 		perOp   = time.Microsecond
 	)
-	ls := NewLatencyStore(NewMemStore(), perOp, 0, func(time.Duration) {})
+	ls := NewLatencyStore(NewMemStore(), perOp, func(time.Duration) {})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

@@ -436,7 +436,7 @@ func decodeFrame(body []byte, run func() ([]tuple.Tuple, []tuple.Value)) (Frame,
 		if run != nil {
 			dst, slab = run()
 		}
-		rows, slab, err := tuple.DecodeColumnsInto(dst, slab, body[len(body)-r.Remaining():])
+		rows, slab, err := tuple.DecodeColumnsInto(dst, slab, r.Rest())
 		if err != nil {
 			return Frame{}, fmt.Errorf("%w: batch: %v", ErrFrame, err)
 		}

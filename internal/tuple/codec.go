@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 )
 
 // The value codec writes one value self-described, so it can be read
@@ -17,9 +16,6 @@ import (
 
 // ErrCorrupt is returned when decoding runs into malformed bytes.
 var ErrCorrupt = errors.New("tuple: corrupt encoding")
-
-func floatBits(f float64) uint64     { return math.Float64bits(f) }
-func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
 
 // AppendValue appends the binary encoding of a single value (kind byte +
 // payload) to dst and returns the extended slice.
@@ -63,10 +59,16 @@ func DecodeValue(b []byte) (Value, int, error) {
 	}
 }
 
-// EncodeBatch returns the column image of ts (AppendColumns). It and
-// DecodeBatch are the names the benchmark's tuple and spill layer probes
-// call; the engine calls the column image directly.
-func EncodeBatch(ts []Tuple) []byte { return AppendColumns(nil, ts) }
+// EncodeBatch returns the column image of ts (AppendColumns) in one
+// buffer sized from the first row: a row's image is smaller than its
+// MemSize. It and DecodeBatch are the names the benchmark's tuple and
+// spill layer probes call; the engine calls the column image directly.
+func EncodeBatch(ts []Tuple) []byte {
+	if len(ts) == 0 {
+		return AppendColumns(nil, ts)
+	}
+	return AppendColumns(make([]byte, 0, 16+len(ts)*ts[0].MemSize()), ts)
+}
 
 // DecodeBatch decodes a column image (DecodeColumns).
 func DecodeBatch(b []byte) ([]Tuple, error) { return DecodeColumns(nil, b) }

@@ -254,6 +254,22 @@ func TestDecodeBatchAllocs(t *testing.T) {
 	}
 }
 
+// TestEncodeBatchAllocs: EncodeBatch sizes its image once, from the
+// first row, instead of growing it from nothing as it is written.
+func TestEncodeBatchAllocs(t *testing.T) {
+	rows := make([]Tuple, 512)
+	for i := range rows {
+		rows[i] = New(int64(i)*1e6, Float(float64(i)), String_(fmt.Sprintf("route-%04d", i)), Int(int64(i)), Bool(i%2 == 0))
+	}
+	var enc []byte
+	if allocs := testing.AllocsPerRun(20, func() { enc = EncodeBatch(rows) }); allocs != 1 {
+		t.Errorf("%v allocations per 512-tuple image, want 1", allocs)
+	}
+	if got, err := DecodeBatch(enc); err != nil || !sameRows(got, rows) {
+		t.Errorf("image did not round-trip (%v)", err)
+	}
+}
+
 func BenchmarkColumns(b *testing.B) {
 	rows := make([]Tuple, 64)
 	for i := range rows {

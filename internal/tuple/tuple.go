@@ -14,6 +14,7 @@ package tuple
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"unsafe"
@@ -76,7 +77,7 @@ func (v *Value) setNum(t unsafe.Pointer, n uint64) {
 func Int(v int64) Value { return Value{p: tag(KindInt), n: uint64(v)} }
 
 // Float returns a Value holding a float64.
-func Float(v float64) Value { return Value{p: tag(KindFloat), n: floatBits(v)} }
+func Float(v float64) Value { return Value{p: tag(KindFloat), n: math.Float64bits(v)} }
 
 // String_ returns a Value holding a string. The trailing underscore
 // avoids colliding with the fmt.Stringer method.
@@ -121,7 +122,7 @@ func (v Value) AsInt() int64 {
 func (v Value) AsFloat() float64 {
 	switch v.p {
 	case tag(KindFloat):
-		return floatFromBits(v.n)
+		return math.Float64frombits(v.n)
 	case tag(KindInt):
 		return float64(int64(v.n))
 	default:
@@ -170,7 +171,7 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(int64(v.n), 10)
 	case KindFloat:
-		return strconv.FormatFloat(floatFromBits(v.n), 'g', -1, 64)
+		return strconv.FormatFloat(math.Float64frombits(v.n), 'g', -1, 64)
 	case KindString:
 		return strconv.Quote(v.str())
 	case KindBool:

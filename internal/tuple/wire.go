@@ -10,14 +10,12 @@ import (
 // written with: fixed-width little-endian scalars, uvarints and
 // length-prefixed strings, plus a bounds-checked reader that
 // accumulates the first error instead of panicking. Every snapshot
-// codec in the repo (window buffers, reservoirs, manifests) is built
+// codec in the repo (window managers, reservoirs, manifests) is built
 // from these primitives and the column image, so malformed snapshots
 // surface as ErrCorrupt, never as a panic.
 
 // AppendU64 appends v little-endian.
-func AppendU64(dst []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, v)
-}
+func AppendU64(dst []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64(dst, v) }
 
 // AppendI64 appends v little-endian (two's complement).
 func AppendI64(dst []byte, v int64) []byte {
@@ -38,9 +36,7 @@ func AppendBool(dst []byte, v bool) []byte {
 }
 
 // AppendUvar appends v as a uvarint.
-func AppendUvar(dst []byte, v uint64) []byte {
-	return binary.AppendUvarint(dst, v)
-}
+func AppendUvar(dst []byte, v uint64) []byte { return binary.AppendUvarint(dst, v) }
 
 // AppendStr appends a uvarint length followed by the bytes of s.
 func AppendStr(dst []byte, s string) []byte {
@@ -78,12 +74,11 @@ func (r *WireReader) Corrupt(what string) {
 	}
 }
 
-// Remaining returns the number of unread bytes.
-func (r *WireReader) Remaining() int {
-	if r.pos > len(r.b) {
-		return 0
-	}
-	return len(r.b) - r.pos
+// Rest consumes and returns the unread bytes: a column image, say.
+func (r *WireReader) Rest() []byte {
+	b := r.b[r.pos:]
+	r.pos = len(r.b)
+	return b
 }
 
 // Done verifies the reader consumed the buffer exactly.
@@ -174,7 +169,7 @@ func (r *WireReader) Count(bytesPerItem int) int {
 	if bytesPerItem < 1 {
 		bytesPerItem = 1
 	}
-	if v > uint64(r.Remaining()/bytesPerItem) {
+	if v > uint64((len(r.b)-r.pos)/bytesPerItem) {
 		r.fail("element count")
 		return 0
 	}

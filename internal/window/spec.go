@@ -1,8 +1,9 @@
 // Package window implements the windowing machinery of the engine:
 // window specifications (time/count × sliding/tumbling), assignment of
-// tuples to windows, and the two buffering designs the paper contrasts
-// in Figs. 3–4 — the single-buffer design (Storm, adopted by SPEAr) and
-// the multiple-buffers design (Flink).
+// tuples to windows, the window lifecycle every manager holds, and the
+// multiple-buffers design (Flink) of Figs. 3–4, kept as the reference
+// for the single-buffer design (Storm, adopted by SPEAr), which is the
+// exact baseline's shape in internal/core.
 package window
 
 import (

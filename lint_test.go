@@ -577,7 +577,7 @@ func TestAnalyzersCatchSeededMutations(t *testing.T) {
 		// The shard's decode path of a batch frame.
 		{"errcheck-lite_link", "errcheck-lite", "internal/transport",
 			[]seed{{"frame.go", "rows, slab, err := tuple.DecodeColumnsInto(", "var err error\n\t\trows, slab, _ := tuple.DecodeColumnsInto("}},
-			"rows, slab, _ := tuple.DecodeColumnsInto(dst, slab, body[len(body)-r.Remaining():])", "error returned by tuple.DecodeColumnsInto is dropped"},
+			"rows, slab, _ := tuple.DecodeColumnsInto(dst, slab, r.Rest())", "error returned by tuple.DecodeColumnsInto is dropped"},
 		// The recovery path's manifest.
 		{"errcheck-lite_recovery", "errcheck-lite", "internal/checkpoint",
 			[]seed{{"worker.go", "m, err := DecodeManifest(enc)", "m, _ := DecodeManifest(enc)"}},

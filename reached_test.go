@@ -20,30 +20,30 @@ import (
 // for a whole package; an entry for a type covers its methods and its
 // constructor New<Type> too.
 var unreachedAllowed = map[string]string{
-	"window.MultiBuffer":               "the Figs. 3–4 design SingleBuffer is checked against (TestMultiBufferMatchesSingleBuffer, TestSingleBufferStagesTheWindowsThatHoldTuples)",
-	"window.SingleBuffer.PeakMemUsage": "SingleBuffer's peak is part of its snapshot layout; the window and round-trip tests read it",
-	"window.Spec.Overlap":              "the oracle of the assign property",
-	"stats.NormalCDF":                  "the oracle of TestNormalQuantileInvertsCDF",
-	"sample.CongressAllocate":          "the reference the GroupReservoirs method is compared against",
-	"storage.NewFileStore":             "the durable store the multi-process recovery tests share",
-	"core.DefaultScalarEstimate":       "part of the paper's estimator hook; README names it",
-	"spe.NewDisorderSpout":             "test support: out-of-order arrival for the engine and integration tests",
-	"checkpointtest.*":                 "test support: StateDiff, what every TestRoundTrip<Type> compares with",
-	"leakcheck.*":                      "test support: the goroutine-leak checks and the lock-free contracts",
-	"obs.TraceRing.SetClock":           "a seam for a deterministic clock in tests",
-	"transport.FaultDialer":            "test support: the dial and connection faults of the transport's recovery tests",
-	"storage.LatencyStore.TotalDelay":  "test support: the delay the storage tests injected",
-	"sample.Reservoir.Cap":             "test support: the capacity the adaptive-budget tests check",
-	"sample.GroupReservoirs.PerGroup":  "test support: the per-group capacity the adaptive-budget tests check",
-	"sample.GroupReservoirs.Get":       "test support: the per-group reservoir TestGroupReservoirs and TestKeyDictChurn read",
-	"sample.GroupStats.Add":            "test support: folding by key in TestGroupStats, TestKeyDictChurn and FuzzSampleRestore; the engine folds by id (AddID)",
-	"sample.KeyDict.Len":               "test support: the live-key count TestKeyDictChurn and the grouped manager's dictionary tests (internal/core/grouped_diff_test.go) check",
-	"sample.Reservoir.Snapshot":        "test support: the sample copies the TestResize* tests compare",
-	"core.ScalarState.Epsilon":         "an input the paper's estimator hook hands a custom estimator (CustomAgg's estimator)",
-	"core.GroupedState.N":              "an input the paper's estimator hook hands a custom estimator (EstimateGroupedWith)",
-	"tuple.Value.Equal":                "test support: value comparison in the codec and round-trip tests",
-	"tuple.Value.AsInt":                "the reader of the int kind spear.Int constructs",
-	"tuple.Value.AsBool":               "the reader of the bool kind spear.Bool constructs",
+	"window.MultiBuffer":              "the Figs. 3–4 design the Storm manager (core.ExactManager) is checked against (TestMultiBufferMatchesSingleBuffer, TestSingleBufferStagesTheWindowsThatHoldTuples)",
+	"window.Complete":                 "a window MultiBuffer stages, which the tests hold the Storm manager's results to",
+	"window.Spec.Overlap":             "the oracle of the assign property",
+	"stats.NormalCDF":                 "the oracle of TestNormalQuantileInvertsCDF",
+	"sample.CongressAllocate":         "the reference the GroupReservoirs method is compared against",
+	"storage.NewFileStore":            "the durable store the multi-process recovery tests share",
+	"core.DefaultScalarEstimate":      "part of the paper's estimator hook; README names it",
+	"spe.NewDisorderSpout":            "test support: out-of-order arrival for the engine and integration tests",
+	"checkpointtest.*":                "test support: StateDiff, what every TestRoundTrip<Type> compares with",
+	"leakcheck.*":                     "test support: the goroutine-leak checks and the lock-free contracts",
+	"obs.TraceRing.SetClock":          "a seam for a deterministic clock in tests",
+	"transport.FaultDialer":           "test support: the dial and connection faults of the transport's recovery tests",
+	"storage.LatencyStore.TotalDelay": "test support: the delay the storage tests injected",
+	"sample.Reservoir.Cap":            "test support: the capacity the adaptive-budget tests check",
+	"sample.GroupReservoirs.PerGroup": "test support: the per-group capacity the adaptive-budget tests check",
+	"sample.GroupReservoirs.Get":      "test support: the per-group reservoir TestGroupReservoirs and TestKeyDictChurn read",
+	"sample.GroupStats.Add":           "test support: folding by key in TestGroupStats, TestKeyDictChurn and FuzzSampleRestore; the engine folds by id (AddID)",
+	"sample.KeyDict.Len":              "test support: the live-key count TestKeyDictChurn and the grouped manager's dictionary tests (internal/core/grouped_diff_test.go) check",
+	"sample.Reservoir.Snapshot":       "test support: the sample copies the TestResize* tests compare",
+	"core.ScalarState.Epsilon":        "an input the paper's estimator hook hands a custom estimator (CustomAgg's estimator)",
+	"core.GroupedState.N":             "an input the paper's estimator hook hands a custom estimator (EstimateGroupedWith)",
+	"tuple.Value.Equal":               "test support: value comparison in the codec and round-trip tests",
+	"tuple.Value.AsInt":               "the reader of the int kind spear.Int constructs",
+	"tuple.Value.AsBool":              "the reader of the bool kind spear.Bool constructs",
 }
 
 // publicUnreachedAllowed names the exported symbols of package spear
