@@ -122,13 +122,14 @@ loc:
 # internal/spe's BenchmarkHop, of internal/transport's batch-frame
 # codec pair and grouped-result encoder, of internal/core's
 # BenchmarkArchiveStore (the archive's write path into a MemStore) and
-# of internal/tuple's
+# BenchmarkStormFire (the Storm baseline's fire at Fig. 9's five window
+# sizes), and of internal/tuple's
 # BenchmarkAppendColumns / BenchmarkDecodeColumns (the column image by
 # Ts delta width), so they keep compiling and running; their numbers
 # come from paired binaries (EXPERIMENTS.md), never from here.
 bench-smoke:
 	cd benchmark && $(GO) test ./... && $(GO) vet -tags layerprobe ./...
-	$(GO) test ./internal/core -run '^$$' -bench 'IngestOverlap|BenchmarkArchiveStore' -benchtime 1x -benchmem
+	$(GO) test ./internal/core -run '^$$' -bench 'IngestOverlap|BenchmarkArchiveStore|BenchmarkStormFire' -benchtime 1x -benchmem
 	$(GO) test ./internal/spe -run '^$$' -bench 'BenchmarkHop|BenchmarkFusedChain' -benchtime 1x -benchmem
 	$(GO) test ./internal/transport -run '^$$' -bench 'BenchmarkDecodeFrame|BenchmarkAppendBatch|BenchmarkAppendResult' -benchtime 1x -benchmem
 	$(GO) test ./internal/tuple -run '^$$' -bench 'BenchmarkAppendColumns|BenchmarkDecodeColumns' -benchtime 1x -benchmem

@@ -255,37 +255,3 @@ func ComputeGrouped(keys []string, values []float64, f Func) map[string]float64 
 	}
 	return out
 }
-
-// Incremental maintains a non-holistic aggregate exactly at tuple
-// arrival, per window — the Inc-Storm baseline of Fig. 8a. (SPEAr's own
-// path for non-holistic scalar ops keeps a stats.Welford per slice and
-// reads it with FromWelford.) Construction rejects holistic functions.
-type Incremental struct {
-	f Func
-	w stats.Welford
-}
-
-// NewIncremental returns an incremental evaluator for f.
-func NewIncremental(f Func) (*Incremental, error) {
-	if err := f.Validate(); err != nil {
-		return nil, err
-	}
-	if f.Holistic() {
-		return nil, fmt.Errorf("agg: %s cannot be maintained incrementally", f)
-	}
-	return &Incremental{f: f}, nil
-}
-
-// Add folds one value in.
-func (i *Incremental) Add(x float64) { i.w.Add(x) }
-
-// Result returns the current exact value: for the window mean this is
-// the single division of §5.2 ("When a watermark arrives, it only
-// performs a division to produce the mean per window").
-func (i *Incremental) Result() float64 {
-	v, _ := i.f.FromWelford(&i.w)
-	return v
-}
-
-// Count returns the number of values folded in.
-func (i *Incremental) Count() int64 { return i.w.Count() }

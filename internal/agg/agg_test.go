@@ -255,26 +255,6 @@ func TestComputeGroupedMatchesScalarSlices(t *testing.T) {
 	}
 }
 
-func TestIncremental(t *testing.T) {
-	inc, err := NewIncremental(Func{Op: Mean})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{10, 20, 30} {
-		inc.Add(x)
-	}
-	if inc.Result() != 20 || inc.Count() != 3 {
-		t.Errorf("Result=%v Count=%d", inc.Result(), inc.Count())
-	}
-
-	if _, err := NewIncremental(Median()); err == nil {
-		t.Error("holistic incremental accepted")
-	}
-	if _, err := NewIncremental(Func{Op: Percentile, P: 2}); err == nil {
-		t.Error("invalid func accepted")
-	}
-}
-
 func BenchmarkComputeMedian47K(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	vals := make([]float64, 47000)
@@ -286,13 +266,5 @@ func BenchmarkComputeMedian47K(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.Compute(vals)
-	}
-}
-
-func BenchmarkIncrementalAdd(b *testing.B) {
-	inc, _ := NewIncremental(Func{Op: Mean})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		inc.Add(float64(i))
 	}
 }

@@ -186,8 +186,8 @@ func TestScalarBudgetZeroEndsShedding(t *testing.T) {
 			if want := f.Compute(slices.Clone(vals)); r.Mode != ModeExact || !r.FetchedFromStore || r.N != 300 || r.Scalar != want {
 				t.Errorf("got %v %v (fetched %v, n %d), want the exact %v from S", r.Mode, r.Scalar, r.FetchedFromStore, r.N, want)
 			}
-			if m.shed || m.sheds != 0 {
-				t.Errorf("shed=%v, %d tuples shed", m.shed, m.sheds)
+			if shed := m.cfg.Metrics.TuplesShed.Load(); m.shed || shed != 0 {
+				t.Errorf("shed=%v, %d tuples shed", m.shed, shed)
 			}
 		})
 	}
@@ -210,8 +210,8 @@ func TestScalarShedRefusedOnIncremental(t *testing.T) {
 	for i := 0; i < 150; i++ {
 		ingestOne(m, tuple.New(int64(i), tuple.Float(float64(i))))
 	}
-	if m.shed || m.sheds != 0 || w.TuplesShed.Load() != 0 {
-		t.Fatalf("after the cell asked for shedding: shed=%v sheds=%d TuplesShed=%d", m.shed, m.sheds, w.TuplesShed.Load())
+	if m.shed || w.TuplesShed.Load() != 0 {
+		t.Fatalf("after the cell asked for shedding: shed=%v TuplesShed=%d", m.shed, w.TuplesShed.Load())
 	}
 	m.shed = true // what a writer from before the refusal could snapshot
 	blob, err := m.SnapshotState()
@@ -483,8 +483,11 @@ func TestScalarSnapshotCarriesShedState(t *testing.T) {
 	if err := m2.RestoreState(blob); err != nil {
 		t.Fatal(err)
 	}
-	if !m2.shed || m2.sheds != 200 {
-		t.Fatalf("restored shed=%v sheds=%d, want true/200", m2.shed, m2.sheds)
+	if shed := m.cfg.Metrics.TuplesShed.Load(); shed != 200 {
+		t.Fatalf("%d tuples shed, want 200", shed)
+	}
+	if !m2.shed {
+		t.Fatal("restored shed=false, want true")
 	}
 	rs, err := m2.OnWatermark(100)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"spear/internal/agg"
 	"spear/internal/sketch"
+	"spear/internal/stats"
 	"spear/internal/tuple"
 	"spear/internal/window"
 )
@@ -30,8 +31,16 @@ type ExactManager struct {
 	shell
 	buf      []tuple.Tuple // admitted tuples in arrival order, Ts their position
 	bufBytes int
-	staged   map[window.ID][]tuple.Tuple // the windows the fire under way answers
-	sk       *sketch.GroupedMeanSketch   // nil but for CountMin
+	sk       *sketch.GroupedMeanSketch // nil but for CountMin
+
+	// The fire under way, in storage reused across fires: the windows it
+	// answers, ascending, their tuples back to back in stage (ids[i]'s
+	// end at ends[i]), and a scalar window's values. Emptied when the
+	// last window closes, so no evicted tuple stays pinned.
+	ids   []window.ID
+	ends  []int
+	stage []tuple.Tuple
+	vals  []float64
 }
 
 // NewExactManager returns the Storm baseline for cfg.
@@ -39,7 +48,7 @@ func NewExactManager(cfg Config) (*ExactManager, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	m := &ExactManager{staged: make(map[window.ID][]tuple.Tuple)}
+	m := &ExactManager{}
 	m.shell = baselineShell(cfg, m)
 	return m, nil
 }
@@ -77,7 +86,6 @@ func (m *ExactManager) fold(r run) {
 // buffer (Fig. 4, left), then the eviction of what no open window holds.
 func (m *ExactManager) held(first, last window.ID) ([]window.ID, time.Duration) {
 	t0 := m.now()
-	var ids []window.ID
 	var start, end int64 // positions sharing the previous tuple's windows
 	for _, t := range m.buf {
 		if t.Ts >= start && t.Ts < end {
@@ -86,20 +94,19 @@ func (m *ExactManager) held(first, last window.ID) ([]window.ID, time.Duration) 
 		lo, hi := m.cfg.Spec.Assign(t.Ts)
 		start, end = m.cfg.Spec.Slice(lo, hi)
 		for id := max(lo, first); id <= min(hi, last); id++ {
-			ids = append(ids, id)
+			m.ids = append(m.ids, id)
 		}
 	}
-	slices.Sort(ids)
-	ids = slices.Compact(ids)
-	for _, id := range ids {
+	slices.Sort(m.ids)
+	m.ids = slices.Compact(m.ids)
+	for _, id := range m.ids {
 		start, end := m.cfg.Spec.Bounds(id)
-		var ts []tuple.Tuple
 		for _, t := range m.buf {
 			if t.Ts >= start && t.Ts < end {
-				ts = append(ts, t)
+				m.stage = append(m.stage, t)
 			}
 		}
-		m.staged[id] = ts
+		m.ends = append(m.ends, len(m.stage))
 	}
 	evictBefore, _ := m.cfg.Spec.Bounds(m.lc.NextOpen())
 	m.buf = slices.DeleteFunc(m.buf, func(t tuple.Tuple) bool { // zeroes the tail: evicted tuples are collectable
@@ -109,13 +116,18 @@ func (m *ExactManager) held(first, last window.ID) ([]window.ID, time.Duration) 
 		m.bufBytes -= t.MemSize()
 		return true
 	})
-	return ids, m.now().Sub(t0)
+	return m.ids, m.now().Sub(t0)
 }
 
 // produce evaluates window id from its staged tuples: the aggregate of
 // their values, per group where grouped, or the sketch's estimates.
 func (m *ExactManager) produce(id window.ID, res *Result) error {
-	rows := m.staged[id]
+	i, _ := slices.BinarySearch(m.ids, id)
+	from := 0
+	if i > 0 {
+		from = m.ends[i-1]
+	}
+	rows := m.stage[from:m.ends[i]]
 	res.Mode, res.N, res.SampleN = ModeExact, int64(len(rows)), len(rows)
 	switch {
 	case m.sk != nil:
@@ -128,14 +140,22 @@ func (m *ExactManager) produce(id window.ID, res *Result) error {
 		keys, vals := m.columns(rows)
 		res.Groups = agg.ComputeGrouped(keys, vals, m.cfg.Agg)
 	default:
-		res.Scalar = m.cfg.Agg.Compute(m.values(rows))
+		m.vals = m.values(m.vals, rows)
+		res.Scalar = m.cfg.Agg.Compute(m.vals)
 	}
 	return nil
 }
 
-func (m *ExactManager) close(res Result) { delete(m.staged, res.WindowID) }
-func (m *ExactManager) resize()          {}
-func (m *ExactManager) capacity() int    { return 0 }
+// close empties the staging once the fire's last window is answered.
+func (m *ExactManager) close(res Result) {
+	if res.WindowID == m.ids[len(m.ids)-1] {
+		clear(m.stage)
+		m.ids, m.ends, m.stage, m.vals = m.ids[:0], m.ends[:0], m.stage[:0], m.vals[:0]
+	}
+}
+
+func (m *ExactManager) resize()       {}
+func (m *ExactManager) capacity() int { return 0 }
 
 // BudgetMemUsage is what Metrics.MemBytes reports: the buffered bytes
 // (the paper's per-worker memory metric, Fig. 7), and CountMin's sketch.
@@ -157,7 +177,7 @@ func (m *ExactManager) KeepsRows() bool { return true }
 // ascribes to incremental techniques (fails R4).
 type IncrementalManager struct {
 	shell
-	wins map[window.ID]*agg.Incremental
+	wins map[window.ID]*stats.Welford
 }
 
 // NewIncrementalManager returns the incremental baseline for cfg.
@@ -171,23 +191,21 @@ func NewIncrementalManager(cfg Config) (*IncrementalManager, error) {
 	if cfg.Agg.Holistic() {
 		return nil, fmt.Errorf("core: %s cannot be processed incrementally", cfg.Agg)
 	}
-	m := &IncrementalManager{wins: make(map[window.ID]*agg.Incremental)}
+	m := &IncrementalManager{wins: make(map[window.ID]*stats.Welford)}
 	m.shell = baselineShell(cfg, m)
 	return m, nil
 }
 
-// fold adds an admitted run to the accumulator of every window it falls
+// fold adds an admitted run to the moments of every window it falls
 // into, in arrival order.
 func (m *IncrementalManager) fold(r run) {
 	for id := r.first; id <= r.hi; id++ {
-		inc, ok := m.wins[id]
+		w, ok := m.wins[id]
 		if !ok {
-			inc, _ = agg.NewIncremental(m.cfg.Agg)
-			m.wins[id] = inc
+			w = &stats.Welford{}
+			m.wins[id] = w
 		}
-		for _, v := range r.vals {
-			inc.Add(v)
-		}
+		w.AddSlice(r.vals)
 	}
 }
 
@@ -195,10 +213,13 @@ func (m *IncrementalManager) held(first, last window.ID) ([]window.ID, time.Dura
 	return window.IDsIn(m.wins, first, last), 0
 }
 
-// produce finalizes window id's accumulator.
+// produce answers window id from its moments in O(1): for the mean the
+// single division of §5.2 ("When a watermark arrives, it only performs a
+// division to produce the mean per window").
 func (m *IncrementalManager) produce(id window.ID, res *Result) error {
-	inc := m.wins[id]
-	res.Mode, res.N, res.SampleN, res.Scalar = ModeIncremental, inc.Count(), int(inc.Count()), inc.Result()
+	w := m.wins[id]
+	res.Mode, res.N, res.SampleN = ModeIncremental, w.Count(), int(w.Count())
+	res.Scalar, _ = m.cfg.Agg.FromWelford(w)
 	return nil
 }
 
@@ -206,6 +227,6 @@ func (m *IncrementalManager) close(res Result) { delete(m.wins, res.WindowID) }
 func (m *IncrementalManager) resize()          {}
 func (m *IncrementalManager) capacity() int    { return 0 }
 
-// BudgetMemUsage is what result production holds: an accumulator per
+// BudgetMemUsage is what result production holds: the moments of each
 // open window.
 func (m *IncrementalManager) BudgetMemUsage() int { return len(m.wins) * 56 }

@@ -1079,22 +1079,22 @@ func TestArchiveRecyclesUnflushedPanes(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
 		t.Errorf("%v allocations per pane in the steady state, want 0", allocs)
 	}
-	held := len(a.cur)
-	for _, ts := range a.pending {
-		held += len(ts)
+	held, buffers := 0, 0
+	bufs := a.free
+	for _, pn := range a.panes {
+		if held += len(pn.buf); pn.flushed != 0 {
+			t.Errorf("pane %d stored %d chunks; the test is about panes that never are", pn.p, pn.flushed)
+		}
+		if pn.buf != nil {
+			buffers++
+			bufs = append(bufs, pn.buf)
+		}
 	}
 	if want := (overlap - 1) * perPane; held != want {
 		t.Errorf("%d tuples held, want %d: the %d live panes'", held, want, overlap-1)
 	}
-	if len(a.flushed) != 0 {
-		t.Errorf("%d panes flushed; the test is about panes that never are", len(a.flushed))
-	}
-	if n := len(a.free) + len(a.pending); n > overlap {
-		t.Errorf("%d buffers parked or pending, more than the %d panes ever live at once", n, overlap)
-	}
-	bufs := append([][]tuple.Tuple{a.cur}, a.free...)
-	for _, buf := range a.pending {
-		bufs = append(bufs, buf)
+	if n := len(a.free) + buffers; n > overlap {
+		t.Errorf("%d buffers parked or held, more than the %d panes ever live at once", n, overlap)
 	}
 	for _, buf := range bufs {
 		for i, tp := range buf[len(buf):cap(buf)] {

@@ -27,8 +27,11 @@ func FuzzManagerRestore(f *testing.F) {
 		}
 		// Groups unknown and a holistic aggregate: the manager archives.
 		// Its 'g' blob nested a window buffer's: the checked-in
-		// grouped_g_buffered seed, which, like the 't' blob scalar_v3, is
-		// of a retired format and must be refused.
+		// grouped_g_buffered seed, which, like the 't' blob scalar_v3 and
+		// the 'b' and 'a' blobs exact_b_* and incremental_a_*, is of a
+		// retired format and must be refused. The checked-in seeds at
+		// the current tags are scalar_w_slices, grouped_j_panes (its pane
+		// table), exact_c_* and incremental_d_accumulators.
 		gcfg.Agg = agg.Median()
 		median, err := NewGroupedManager(gcfg)
 		if err != nil {

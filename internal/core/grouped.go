@@ -114,7 +114,7 @@ func (m *GroupedManager) open(id window.ID) *groupedWin {
 	if pg := m.capacity(); pg <= 0 {
 		w.known = nil
 	} else if seed := sample.DeriveSeed(m.cfg.Seed, int64(id)); w.known == nil {
-		w.known = m.dict.NewGroupReservoirs(pg, seed, sample.AlgoL)
+		w.known = m.dict.NewGroupReservoirs(pg, seed)
 	} else {
 		w.known.Reseed(pg, seed)
 	}

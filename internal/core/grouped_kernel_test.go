@@ -33,7 +33,7 @@ func refGroupedIngest(m *GroupedManager, t tuple.Tuple) ([]Result, error) {
 	first, ok := m.lc.Admit([]int64{pos}, lo, hi)
 	if !ok {
 		// (2) A late tuple is dropped whole, as on the scalar path: the
-		// known path used to archive it, or count it in sheds, all the
+		// known path used to archive it, or count it as shed, all the
 		// same.
 		// (3) Every manager books it in Metrics.LateDropped and leaves it
 		// out of TuplesIn (the adapters, not this body, count).
@@ -63,7 +63,7 @@ func refGroupedIngest(m *GroupedManager, t tuple.Tuple) ([]Result, error) {
 	// every window, nowhere.
 	if m.arc != nil {
 		if m.shed {
-			m.sheds++
+			m.cfg.Metrics.TuplesShed.Add(1)
 		} else if err := m.arc.add(t); err != nil {
 			return nil, err
 		}

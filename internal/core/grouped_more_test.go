@@ -185,8 +185,8 @@ func TestGroupedLateTuplesKnownGroups(t *testing.T) {
 	if got := store.Stats().Stores; got != stores || len(keys) != 0 {
 		t.Errorf("late tuples were archived: %d Store calls, panes %v", got-stores, keys)
 	}
-	if m.sheds != 0 {
-		t.Errorf("sheds = %d: a late tuple counted as shed", m.sheds)
+	if shed := m.cfg.Metrics.TuplesShed.Load(); shed != 0 {
+		t.Errorf("TuplesShed = %d: a late tuple counted as shed", shed)
 	}
 	ingestOne(m, tuple.New(150, tuple.String_("g"), tuple.Float(2)))
 	rs, _ := m.OnWatermark(200)

@@ -29,7 +29,6 @@ var roundTripAllow = map[string]string{
 	"shell.cfg.Metrics":     "telemetry, outside the checkpoint domain: a recovered run does not re-count what the crashed one counted",
 	"shell.cols":            "the row lane's scratch columns: dead between calls",
 	"ids":                   "the grouped kernel's scratch group ids: dead between calls",
-	"shell.arc.curP":        "the pane the cache last held; meaningless once a snapshot's flush has emptied the cache",
 	"shell.arc.free":        "recycled pane buffers, empty",
 	"dict":                  "not in the blob (DESIGN.md §18): RestoreState rebuilds it from the windows' keys, under other ids",
 	"pool":                  "fired windows, cleared, awaiting reuse; dropped by RestoreState with the dictionary they point into",
@@ -129,7 +128,7 @@ func reportDiffs(t *testing.T, diffs []string) {
 // and the incremental path, through every lane.
 func RoundTripScalarManager(t *testing.T, diff StateDiff) {
 	live, restored := spearRoundTrips(t, false, NewScalarManager)
-	reportDiffs(t, diff(live, restored, allowed("shell.cfg.Metrics", "shell.cols", "shell.arc.curP", "shell.arc.free")))
+	reportDiffs(t, diff(live, restored, allowed("shell.cfg.Metrics", "shell.cols", "shell.arc.free")))
 }
 
 // RoundTripGroupedManager checks every grouped compat case, with groups
@@ -137,7 +136,7 @@ func RoundTripScalarManager(t *testing.T, diff StateDiff) {
 // by key, through the dictionary.
 func RoundTripGroupedManager(t *testing.T, diff StateDiff) {
 	live, restored := spearRoundTrips(t, true, NewGroupedManager)
-	reportDiffs(t, diff(live, restored, allowed("shell.cfg.Metrics", "shell.cols", "ids", "shell.arc.curP", "shell.arc.free", "dict", "pool",
+	reportDiffs(t, diff(live, restored, allowed("shell.cfg.Metrics", "shell.cols", "ids", "shell.arc.free", "dict", "pool",
 		"wins.gs.groupIndex", "wins.gs.vals", "wins.known.groupIndex", "wins.known.res")))
 	byKey := func(ms map[string]*GroupedManager) map[string]map[window.ID]map[string]groupState {
 		out := map[string]map[window.ID]map[string]groupState{}

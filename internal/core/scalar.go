@@ -228,7 +228,7 @@ func (m *ScalarManager) produce(id window.ID, res *Result) error {
 	if err != nil {
 		return err
 	}
-	res.Scalar = m.evalExact(m.values(rows))
+	res.Scalar = m.evalExact(m.values(nil, rows))
 	return nil
 }
 

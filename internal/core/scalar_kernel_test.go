@@ -20,16 +20,16 @@ import (
 // it, so that addRun is held to it tuple by tuple, chunk boundaries
 // included.
 func (a *archive) add(t tuple.Tuple) error {
-	p := a.paneOf(t.Ts)
-	if !a.curOK || p != a.curP {
-		a.rollTo(p)
-	}
-	a.cur = append(a.cur, t)
-	if len(a.cur) >= a.chunk {
-		return a.flushCur()
+	pn := a.paneFor(a.paneOf(t.Ts))
+	if pn.buf = append(pn.buf, t); len(pn.buf) >= a.chunk {
+		return a.flush(pn)
 	}
 	return nil
 }
+
+// tuplesShed is the shed count the kernel traces compare: what
+// Metrics.TuplesShed booked.
+func (s *shell) tuplesShed() int64 { return s.cfg.Metrics.TuplesShed.Load() }
 
 // refIngest is the per-tuple ingest body ScalarManager had before its
 // entry points became adapters to ingestRun, kept here as the reference
@@ -76,7 +76,7 @@ func refIngest(m *ScalarManager, t tuple.Tuple) ([]Result, error) {
 		}
 	}
 	if m.shed {
-		m.sheds++
+		m.cfg.Metrics.TuplesShed.Add(1)
 	} else if err := m.arc.add(t); err != nil {
 		return nil, err
 	}
@@ -149,6 +149,7 @@ type kernelManager interface {
 	compatManager
 	LateDropped() int64
 	BudgetMemUsage() int
+	tuplesShed() int64
 }
 
 // kernelTrace drives m through ops, handing each maximal stretch of
@@ -204,7 +205,7 @@ func kernelTrace(t *testing.T, m kernelManager, ops []kernelOp, batch int, feed 
 			if err != nil {
 				t.Fatal(err)
 			}
-			fmt.Fprintf(&sb, "late=%d mem=%d snap=%x", m.LateDropped(), m.BudgetMemUsage(), snap)
+			fmt.Fprintf(&sb, "late=%d shed=%d mem=%d snap=%x", m.LateDropped(), m.tuplesShed(), m.BudgetMemUsage(), snap)
 			lines = append(lines, sb.String())
 			sb.Reset()
 		}

@@ -23,9 +23,8 @@ type shell struct {
 	arc       *archive // nil where no window needs its tuples back: decided at construction
 	lc        window.Lifecycle
 	cols      rowColumns
-	curBudget int   // the live tuple budget b: BudgetTuples at start, then the controller's
-	shed      bool  // archive writes currently shed (controller escalation)
-	sheds     int64 // tuples whose archive write was shed
+	curBudget int  // the live tuple budget b: BudgetTuples at start, then the controller's
+	shed      bool // archive writes currently shed (controller escalation)
 	now       func() time.Time
 	sh        shape // the manager that embeds the shell
 }
@@ -193,7 +192,6 @@ func (s *shell) ingestRun(ts []int64, vals []float64, rows []tuple.Tuple) ([]Res
 			// state. N stays exact and the samples uniform; what is lost
 			// is the exact fallback of the windows the run spans, which
 			// fold tainted.
-			s.sheds += int64(i1 - i0)
 			s.cfg.Metrics.TuplesShed.Add(int64(i1 - i0))
 		default:
 			err = s.arc.addRun(int64(hi), ts[i0:i1], rows[i0:i1])
@@ -279,13 +277,14 @@ func (s *shell) answers(res *Result, estErr float64, ok, checked, tainted bool) 
 	return true
 }
 
-// values returns the values of rows, in order.
-func (s *shell) values(rows []tuple.Tuple) []float64 {
-	vals := make([]float64, len(rows))
+// values returns the values of rows, in order, in dst's storage where
+// it has the room.
+func (s *shell) values(dst []float64, rows []tuple.Tuple) []float64 {
+	dst = slices.Grow(dst[:0], len(rows))[:len(rows)]
 	for i, t := range rows {
-		vals[i] = s.cfg.Value(t)
+		dst[i] = s.cfg.Value(t)
 	}
-	return vals
+	return dst
 }
 
 // columns returns the keys and values of rows, in order.
@@ -294,7 +293,7 @@ func (s *shell) columns(rows []tuple.Tuple) ([]string, []float64) {
 	for i, t := range rows {
 		keys[i] = s.cfg.KeyBy(t)
 	}
-	return keys, s.values(rows)
+	return keys, s.values(nil, rows)
 }
 
 // fetch is the exact fallback, Alg. 2 line 5: the window's tuples read

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"spear/internal/agg"
 	"spear/internal/sample"
+	"spear/internal/stats"
 	"spear/internal/tuple"
 	"spear/internal/window"
 )
@@ -21,13 +21,13 @@ import (
 
 // Type tags, one per shape (shape.format). A reader accepts exactly the
 // format its writer emits (DESIGN.md §10.4): a format change replaces
-// the tag, and every retired one ('S', 's', 't', 'u', 'G', 'g', 'h',
-// 'E', 'Q', 'R', 'I') fails like any unknown byte.
+// the tag, and every retired one ('S', 's', 't', 'u', 'v', 'G', 'g',
+// 'h', 'i', 'E', 'Q', 'R', 'b', 'I', 'a') fails like any unknown byte.
 const (
-	snapScalar       byte = 0x76 // 'v'
-	snapGrouped      byte = 0x69 // 'i'
-	snapBuffer       byte = 0x62 // 'b'
-	snapAccumulators byte = 0x61 // 'a'
+	snapScalar       byte = 0x77 // 'w'
+	snapGrouped      byte = 0x6a // 'j'
+	snapBuffer       byte = 0x63 // 'c'
+	snapAccumulators byte = 0x64 // 'd'
 )
 
 // appendCursor writes a lifecycle's cursor in the order RestoreState reads it.
@@ -44,15 +44,14 @@ func appendCursor(dst []byte, c window.Cursor) []byte {
 
 // snapshot is the managers' SnapshotState: the header — the shape's
 // tag, whether the manager archives, the lifecycle's cursor, the budget,
-// the shedding flag and count, the archive section (empty for a manager
-// that archives nothing) — then the shape's windows.
+// the shedding flag, the archive's pane table (empty for a manager that
+// archives nothing) — then the shape's windows.
 func (s *shell) snapshot() ([]byte, error) {
 	_, tag := s.sh.format()
 	dst := tuple.AppendBool([]byte{tag}, s.arc != nil)
 	dst = appendCursor(dst, s.lc.Cursor())
 	dst = tuple.AppendUvar(dst, uint64(s.curBudget))
 	dst = tuple.AppendBool(dst, s.shed)
-	dst = tuple.AppendI64(dst, s.sheds)
 	dst, err := s.arc.appendState(dst)
 	if err != nil {
 		return nil, err
@@ -72,7 +71,6 @@ func (s *shell) RestoreState(b []byte) error {
 	cur := window.Cursor{Started: rd.Bool(), Fired: rd.Bool(), NextFire: window.ID(rd.I64()), Seq: rd.I64(), MaxPos: rd.I64(), Late: rd.I64()}
 	curBudget := rd.Uvar() // zero is legal: reservoirs dropped, exact-only
 	shed := rd.Bool()
-	sheds := rd.I64()
 	arc := newArchive(s.cfg.Store, s.cfg.Key, s.cfg.Spec, s.cfg.ArchiveChunk, s.cfg.DeferStoreDeletes)
 	arc.readState(rd)
 	if rd.Err() != nil {
@@ -88,11 +86,8 @@ func (s *shell) RestoreState(b []byte) error {
 	if err := rd.Done(); err != nil {
 		return err
 	}
-	if sheds < 0 {
-		return fmt.Errorf("%w: %s snapshot counters", tuple.ErrCorrupt, kind)
-	}
 	if !archives {
-		if len(arc.flushed) != 0 {
+		if len(arc.panes) != 0 {
 			return fmt.Errorf("%w: %s snapshot lists panes for a manager that archives nothing", tuple.ErrCorrupt, kind)
 		}
 		arc = nil
@@ -101,7 +96,7 @@ func (s *shell) RestoreState(b []byte) error {
 		return err
 	}
 	apply()
-	s.arc, s.curBudget, s.sheds = arc, int(curBudget), sheds
+	s.arc, s.curBudget = arc, int(curBudget)
 	s.SetShedding(shed)
 	// The cell is the controller's source of truth, so recovery
 	// republishes the restored controls there, and to the gauge.
@@ -300,18 +295,18 @@ func (m *IncrementalManager) appendWindows(dst []byte) []byte {
 
 func (m *IncrementalManager) readWindows(rd *tuple.WireReader) (func(), error) {
 	n := rd.Count(8 + 48)
-	wins := make(map[window.ID]*agg.Incremental, n)
+	wins := make(map[window.ID]*stats.Welford, n)
 	for i := 0; i < n; i++ {
 		id := window.ID(rd.I64())
-		inc, _ := agg.NewIncremental(m.cfg.Agg) // the constructor refused what has none
-		inc.ReadFrom(rd)
+		w := &stats.Welford{}
+		w.ReadFrom(rd)
 		if rd.Err() != nil {
 			return nil, rd.Err()
 		}
 		if _, dup := wins[id]; dup {
 			return nil, fmt.Errorf("%w: duplicate incremental window %d", tuple.ErrCorrupt, id)
 		}
-		wins[id] = inc
+		wins[id] = w
 	}
 	return func() { m.wins = wins }, nil
 }

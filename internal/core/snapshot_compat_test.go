@@ -31,9 +31,11 @@ import (
 // Each was regenerated at its manager's current format with its
 // .results byte for byte unchanged. exact_median (Storm) was written at
 // 'E' around the single buffer's 'R' and incremental_mean (Inc-Storm)
-// at 'I', and both were regenerated at their shapes' tags, 'b' and 'a',
-// with the .results of the commit before the baselines became shapes of
-// the shell.
+// at 'I', with the .results of the commit before the baselines became
+// shapes of the shell. All ten were last regenerated when the header
+// lost its shed count, the archive section its pane floor and a
+// reservoir its algorithm byte (scalar 'w', grouped 'j', Storm 'c',
+// Inc-Storm 'd'), every .results unchanged.
 // Regenerate only to adopt a deliberate wire-format change, never to
 // make this test pass.
 var updateCompat = flag.Bool("update-compat", false, "rewrite testdata/compat from the current code")
@@ -451,6 +453,13 @@ func TestRestoreRejectsRetiredFormats(t *testing.T) {
 		// for exact_median, and that commit's 'I' for incremental_mean.
 		{'E', retired("exact_median_r"), atHalf("exact_median")},
 		{'I', retired("incremental_mean"), atHalf("incremental_mean")},
+		// Each shape's format before the pane table lost its floor, the
+		// header its shed count and a reservoir its algorithm byte, as
+		// the commit before that step wrote it for its compat case.
+		{'v', retired("scalar_median_v"), atHalf("scalar_median")},
+		{'i', retired("known_median_i"), atHalf("known_median")},
+		{'b', retired("exact_median_b"), atHalf("exact_median")},
+		{'a', retired("incremental_mean_a"), atHalf("incremental_mean")},
 	} {
 		if c.blob[0] != c.tag {
 			t.Fatalf("%q blob starts with %q", c.tag, c.blob[0])
@@ -466,6 +475,50 @@ func TestRestoreRejectsRetiredFormats(t *testing.T) {
 		if after, err := c.m.SnapshotState(); err != nil || !bytes.Equal(after, before) {
 			t.Errorf("%q blob: the rejected restore changed the manager's state (err %v)", c.tag, err)
 		}
+	}
+}
+
+// TestRestoreRefusesABadPaneTable: the archive's section lists each
+// pane that stored a chunk once, in ascending order, with its chunk
+// count. A table with a pane of no chunk, two panes out of order or one
+// pane twice is refused as corrupt and leaves the manager as it was.
+func TestRestoreRefusesABadPaneTable(t *testing.T) {
+	cfg := mkCfg(agg.Median(), 20)
+	cfg.Spec = window.Spec{Domain: window.TimeDomain, Range: 300, Slide: 100}
+	cfg.ArchiveChunk = 16
+	m, _ := NewScalarManager(cfg)
+	for i := 0; i < 250; i++ {
+		ingestOne(m, tuple.New(int64(i), tuple.Float(float64(i%13))))
+	}
+	blob, err := m.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := 2 + 34 + len(tuple.AppendUvar(nil, uint64(cfg.BudgetTuples))) + 1 // tag, flag, cursor, budget, shedding
+	if blob[at] != 3 {
+		t.Fatalf("a table of %d panes, want 3", blob[at])
+	}
+	pane := func(i int) int { return at + 1 + 9*i } // the index's 8 bytes, a one-byte chunk count
+	zero := bytes.Clone(blob)
+	zero[pane(1)+8] = 0
+	swapped := bytes.Clone(blob)
+	copy(swapped[pane(0):], blob[pane(1):pane(2)])
+	copy(swapped[pane(1):], blob[pane(0):pane(1)])
+	twice := bytes.Clone(blob)
+	copy(twice[pane(1):], blob[pane(0):pane(0)+8])
+	for name, b := range map[string][]byte{"no chunk": zero, "out of order": swapped, "twice": twice} {
+		r, _ := NewScalarManager(cfg)
+		before, _ := r.SnapshotState()
+		if err := r.RestoreState(b); !errors.Is(err, tuple.ErrCorrupt) || !strings.Contains(err.Error(), "archive pane table") {
+			t.Errorf("%s: RestoreState = %v, want ErrCorrupt naming the archive pane table", name, err)
+		}
+		if after, _ := r.SnapshotState(); !bytes.Equal(after, before) {
+			t.Errorf("%s: the rejected restore changed the manager's state", name)
+		}
+	}
+	r, _ := NewScalarManager(cfg)
+	if err := r.RestoreState(blob); err != nil {
+		t.Fatalf("the untouched blob: %v", err)
 	}
 }
 

@@ -96,51 +96,47 @@ func fill(r *Reservoir, n int) {
 // must be invisible — the subsequent admission stream stays
 // bit-identical to an untouched twin.
 func TestResizeNoopKeepsStreamIdentity(t *testing.T) {
-	for _, algo := range []ReservoirAlgo{AlgoL, AlgoR} {
-		a := NewReservoir(50, 42, algo)
-		b := NewReservoir(50, 42, algo)
-		fill(a, 500)
-		fill(b, 500)
-		a.Resize(50)
-		fill(a, 500)
-		fill(b, 500)
-		if !reflect.DeepEqual(a.Snapshot(), b.Snapshot()) {
-			t.Fatalf("algo %d: no-op Resize changed the sample", algo)
-		}
+	a := NewReservoir(50, 42, AlgoL)
+	b := NewReservoir(50, 42, AlgoL)
+	fill(a, 500)
+	fill(b, 500)
+	a.Resize(50)
+	fill(a, 500)
+	fill(b, 500)
+	if !reflect.DeepEqual(a.Snapshot(), b.Snapshot()) {
+		t.Fatalf("no-op Resize changed the sample")
 	}
 }
 
 // TestResizeShrinkInvariants: shrinking keeps a subset of the previous
 // sample at exactly the new capacity, deterministically per seed.
 func TestResizeShrinkInvariants(t *testing.T) {
-	for _, algo := range []ReservoirAlgo{AlgoL, AlgoR} {
-		r := NewReservoir(100, 9, algo)
-		fill(r, 10_000)
-		before := map[float64]bool{}
-		for _, v := range r.Items() {
-			before[v] = true
+	r := NewReservoir(100, 9, AlgoL)
+	fill(r, 10_000)
+	before := map[float64]bool{}
+	for _, v := range r.Items() {
+		before[v] = true
+	}
+	r.Resize(30)
+	if r.Len() != 30 || r.Cap() != 30 {
+		t.Fatalf("shrink to 30 left len=%d cap=%d", r.Len(), r.Cap())
+	}
+	for _, v := range r.Items() {
+		if !before[v] {
+			t.Fatalf("shrink invented value %v", v)
 		}
-		r.Resize(30)
-		if r.Len() != 30 || r.Cap() != 30 {
-			t.Fatalf("algo %d: shrink to 30 left len=%d cap=%d", algo, r.Len(), r.Cap())
-		}
-		for _, v := range r.Items() {
-			if !before[v] {
-				t.Fatalf("algo %d: shrink invented value %v", algo, v)
-			}
-		}
-		// Determinism: same seed, same stream, same shrink → same bits.
-		r2 := NewReservoir(100, 9, algo)
-		fill(r2, 10_000)
-		r2.Resize(30)
-		if !reflect.DeepEqual(r.Snapshot(), r2.Snapshot()) {
-			t.Fatalf("algo %d: shrink not deterministic", algo)
-		}
-		// The reservoir keeps working after the shrink.
-		fill(r, 10_000)
-		if r.Len() != 30 {
-			t.Fatalf("algo %d: post-shrink sample drifted to %d", algo, r.Len())
-		}
+	}
+	// Determinism: same seed, same stream, same shrink → same bits.
+	r2 := NewReservoir(100, 9, AlgoL)
+	fill(r2, 10_000)
+	r2.Resize(30)
+	if !reflect.DeepEqual(r.Snapshot(), r2.Snapshot()) {
+		t.Fatalf("shrink not deterministic")
+	}
+	// The reservoir keeps working after the shrink.
+	fill(r, 10_000)
+	if r.Len() != 30 {
+		t.Fatalf("post-shrink sample drifted to %d", r.Len())
 	}
 }
 
@@ -180,33 +176,31 @@ func TestResizeShrinkUniformity(t *testing.T) {
 // back toward the new target while remaining a subset of the stream,
 // deterministically.
 func TestResizeGrowConverges(t *testing.T) {
-	for _, algo := range []ReservoirAlgo{AlgoL, AlgoR} {
-		r := NewReservoir(20, 5, algo)
-		fill(r, 2_000)
-		r.Resize(200)
-		if r.Len() != 20 {
-			t.Fatalf("algo %d: grow must not invent items, len=%d", algo, r.Len())
-		}
-		for i := 2_000; i < 40_000; i++ {
-			r.Add(float64(i))
-		}
-		// E[len] ≈ 200·(1 − 2000/40000·(1−20/200)) ≫ 150; in practice it
-		// converges essentially to cap. Assert a conservative floor.
-		if r.Len() < 150 {
-			t.Fatalf("algo %d: sample did not converge toward grown cap: len=%d", algo, r.Len())
-		}
-		if r.Len() > 200 {
-			t.Fatalf("algo %d: sample exceeded cap: %d", algo, r.Len())
-		}
-		r2 := NewReservoir(20, 5, algo)
-		fill(r2, 2_000)
-		r2.Resize(200)
-		for i := 2_000; i < 40_000; i++ {
-			r2.Add(float64(i))
-		}
-		if !reflect.DeepEqual(r.Snapshot(), r2.Snapshot()) {
-			t.Fatalf("algo %d: grow-then-stream not deterministic", algo)
-		}
+	r := NewReservoir(20, 5, AlgoL)
+	fill(r, 2_000)
+	r.Resize(200)
+	if r.Len() != 20 {
+		t.Fatalf("grow must not invent items, len=%d", r.Len())
+	}
+	for i := 2_000; i < 40_000; i++ {
+		r.Add(float64(i))
+	}
+	// E[len] ≈ 200·(1 − 2000/40000·(1−20/200)) ≫ 150; in practice it
+	// converges essentially to cap. Assert a conservative floor.
+	if r.Len() < 150 {
+		t.Fatalf("sample did not converge toward grown cap: len=%d", r.Len())
+	}
+	if r.Len() > 200 {
+		t.Fatalf("sample exceeded cap: %d", r.Len())
+	}
+	r2 := NewReservoir(20, 5, AlgoL)
+	fill(r2, 2_000)
+	r2.Resize(200)
+	for i := 2_000; i < 40_000; i++ {
+		r2.Add(float64(i))
+	}
+	if !reflect.DeepEqual(r.Snapshot(), r2.Snapshot()) {
+		t.Fatalf("grow-then-stream not deterministic")
 	}
 }
 

@@ -22,7 +22,7 @@ func TestKeyDictChurn(t *testing.T) {
 	gr := make([]*GroupReservoirs, holders)
 	model := make([]map[string]*stats.Welford, holders)
 	for i := range gs {
-		gs[i], gr[i], model[i] = d.NewGroupStats(), d.NewGroupReservoirs(3, int64(i), AlgoL), map[string]*stats.Welford{}
+		gs[i], gr[i], model[i] = d.NewGroupStats(), d.NewGroupReservoirs(3, int64(i)), map[string]*stats.Welford{}
 	}
 	key := func() string {
 		if rng.Intn(3) == 0 {

@@ -18,7 +18,7 @@ func fuzzSeedStructs() [][]byte {
 	gs.Add("a", 1)
 	gs.Add("a", 2)
 	gs.Add("b", -3)
-	gr := NewGroupReservoirs(4, 7, AlgoR)
+	gr := NewGroupReservoirs(4, 7, AlgoL)
 	for i := 0; i < 20; i++ {
 		gr.Add("g", float64(i))
 	}

@@ -162,19 +162,18 @@ type GroupReservoirs struct {
 	groupIndex
 	perGroup int
 	seed     int64
-	algo     ReservoirAlgo
 	res      []Reservoir // parallel to ids
 }
 
 // NewGroupReservoirs returns group reservoirs of perGroup capacity each
-// over a dictionary of their own.
-func NewGroupReservoirs(perGroup int, seed int64, algo ReservoirAlgo) *GroupReservoirs {
-	return NewKeyDict().NewGroupReservoirs(perGroup, seed, algo)
+// over a dictionary of their own (Algorithm L; see ReservoirAlgo).
+func NewGroupReservoirs(perGroup int, seed int64, _ ReservoirAlgo) *GroupReservoirs {
+	return NewKeyDict().NewGroupReservoirs(perGroup, seed)
 }
 
 // NewGroupReservoirs returns group reservoirs whose group ids are d's.
-func (d *KeyDict) NewGroupReservoirs(perGroup int, seed int64, algo ReservoirAlgo) *GroupReservoirs {
-	g := &GroupReservoirs{groupIndex: groupIndex{dict: d}, algo: algo}
+func (d *KeyDict) NewGroupReservoirs(perGroup int, seed int64) *GroupReservoirs {
+	g := &GroupReservoirs{groupIndex: groupIndex{dict: d}}
 	g.Reseed(perGroup, seed)
 	return g
 }
@@ -220,7 +219,7 @@ func (g *GroupReservoirs) open(id uint32) uint32 {
 	for _, c := range g.dict.keys[id] {
 		seed = seed*31 + int64(c)
 	}
-	g.res[i-1].init(g.perGroup, seed, g.algo)
+	g.res[i-1].init(g.perGroup, seed)
 	return i
 }
 

@@ -15,51 +15,44 @@ import (
 // the incremental sample SPEAr stores in the budget b (Alg. 1: put while
 // b has room, stochastically replace afterwards).
 //
-// Two classic algorithms are provided: Vitter's Algorithm R (one random
-// number per arriving item) and Algorithm L (skip-ahead, O(k·(1+log(N/k)))
-// random numbers total). Algorithm L is the default; R is kept for the
-// ablation benchmark.
+// It runs Li's Algorithm L (skip-ahead, O(k·(1+log(N/k))) random numbers
+// in total).
 type Reservoir struct {
 	cap   int
 	items []float64
 	seen  int64
 	rng   prng
-	algo  ReservoirAlgo
 
 	// Algorithm L state.
 	w    float64
 	next int64 // index of the next item to admit
 }
 
-// ReservoirAlgo selects the replacement strategy.
+// ReservoirAlgo names the replacement strategy. Algorithm L is the one
+// there is: the parameter stays for the benchmark's sample probe, which
+// passes AlgoL.
 type ReservoirAlgo uint8
 
-// Supported reservoir algorithms.
-const (
-	// AlgoL is Li's skip-ahead algorithm: after the reservoir fills it
-	// computes how many items to skip before the next replacement, so
-	// the common case at tuple arrival is a counter increment.
-	AlgoL ReservoirAlgo = iota
-	// AlgoR is Vitter's Algorithm R: each arriving item is admitted
-	// with probability cap/seen, costing one random number per item.
-	AlgoR
-)
+// AlgoL is Li's skip-ahead algorithm: after the reservoir fills it
+// computes how many items to skip before the next replacement, so the
+// common case at tuple arrival is a counter increment.
+const AlgoL ReservoirAlgo = 0
 
-// NewReservoir returns a reservoir with the given capacity, seed, and
-// algorithm. Capacity must be positive.
-func NewReservoir(capacity int, seed int64, algo ReservoirAlgo) *Reservoir {
+// NewReservoir returns a reservoir with the given capacity and seed.
+// Capacity must be positive.
+func NewReservoir(capacity int, seed int64, _ ReservoirAlgo) *Reservoir {
 	if capacity <= 0 {
 		panic("sample: reservoir capacity must be positive")
 	}
 	r := &Reservoir{}
-	r.init(capacity, seed, algo)
+	r.init(capacity, seed)
 	return r
 }
 
 // init makes r an empty reservoir, keeping its sample storage: group
 // reservoirs live in an array that outlasts any one window.
-func (r *Reservoir) init(capacity int, seed int64, algo ReservoirAlgo) {
-	*r = Reservoir{cap: capacity, items: r.items[:0], rng: prng{state: uint64(seed)}, algo: algo, w: 1}
+func (r *Reservoir) init(capacity int, seed int64) {
+	*r = Reservoir{cap: capacity, items: r.items[:0], rng: prng{state: uint64(seed)}, w: 1}
 }
 
 // Add offers one observation to the reservoir.
@@ -71,22 +64,14 @@ func (r *Reservoir) Add(x float64) {
 		// capacity grow mid-stream (seen > len) this branch stays off
 		// and admission goes through the probabilistic paths below.
 		r.items = append(r.items, x)
-		if len(r.items) == r.cap && r.algo == AlgoL {
+		if len(r.items) == r.cap {
 			r.advanceL()
 		}
 		return
 	}
-	switch r.algo {
-	case AlgoR:
-		// Admit with probability cap/seen.
-		if j := r.rng.Int63n(r.seen); j < int64(r.cap) {
-			r.admit(int(j), x)
-		}
-	case AlgoL:
-		if r.seen == r.next { // this item is the chosen one
-			r.admit(r.rng.Intn(r.cap), x)
-			r.advanceL()
-		}
+	if r.seen == r.next { // this item is the chosen one
+		r.admit(r.rng.Intn(r.cap), x)
+		r.advanceL()
 	}
 }
 
@@ -103,22 +88,16 @@ func (r *Reservoir) admit(j int, x float64) {
 
 // AddSlice offers a run of observations, equivalent to calling Add on
 // each element in order — same admissions, same PRNG draw sequence,
-// bit-identical sample. For Algorithm L past the fill phase it replaces
-// the per-item seen==next comparison with direct skip-ahead over the
-// slice (the admission index is already known), so a columnar batch
-// costs O(admissions), not O(items). Algorithm R and the fill phase
-// take the per-item path, which is already just Add.
+// bit-identical sample. Past the fill phase it replaces the per-item
+// seen==next comparison with direct skip-ahead over the slice (the
+// admission index is already known), so a columnar batch costs
+// O(admissions), not O(items). The fill phase takes the per-item path,
+// which is already just Add.
 func (r *Reservoir) AddSlice(xs []float64) {
 	i := 0
 	for i < len(xs) && len(r.items) < r.cap {
 		r.Add(xs[i])
 		i++
-	}
-	if r.algo != AlgoL {
-		for ; i < len(xs); i++ {
-			r.Add(xs[i])
-		}
-		return
 	}
 	for i < len(xs) && len(r.items) == r.cap {
 		// Items until the next admission. A schedule already behind the
@@ -167,8 +146,8 @@ func (r *Reservoir) scheduleL() {
 // Growing raises the capacity: the retained sample remains a valid
 // s.r.s. of the prefix and future admissions append toward the new
 // capacity at rate ≈ newCap/seen, converging to the larger target as
-// the stream continues (OASRS-style adaptation). Algorithm L's skip
-// state is re-derived from the admission rate the new capacity implies.
+// the stream continues (OASRS-style adaptation). The skip state is
+// re-derived from the admission rate the new capacity implies.
 func (r *Reservoir) Resize(newCap int) {
 	if newCap <= 0 {
 		panic("sample: reservoir capacity must be positive")
@@ -185,16 +164,14 @@ func (r *Reservoir) Resize(newCap int) {
 		r.items = r.items[:newCap]
 	}
 	r.cap = newCap
-	if r.algo == AlgoL {
-		r.reseedL()
-	}
+	r.reseedL()
 }
 
 // reseedL re-derives Algorithm L's skip state after a capacity change.
 // With the sample equal to the full prefix the pristine fill state is
 // restored (and left at once, if the prefix fills the new capacity);
-// otherwise w is set to its asymptotic expectation cap/seen —
-// matching Algorithm R's admission probability — and the next admission
+// otherwise w is set to its asymptotic expectation cap/seen — the
+// probability that the next arrival is admitted — and the next admission
 // is scheduled from the PRNG stream.
 func (r *Reservoir) reseedL() {
 	if r.seen == int64(len(r.items)) {

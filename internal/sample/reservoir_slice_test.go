@@ -14,40 +14,38 @@ func TestAddSliceEquivalence(t *testing.T) {
 	for i := range vals {
 		vals[i] = math.Sin(float64(i)) * 100
 	}
-	for _, algo := range []ReservoirAlgo{AlgoL, AlgoR} {
-		for _, capacity := range []int{1, 7, 100, 4999, 6000} {
-			for _, chunk := range []int{1, 3, 64, 1000, len(vals)} {
-				ref := NewReservoir(capacity, 42, algo)
-				got := NewReservoir(capacity, 42, algo)
-				for _, v := range vals {
-					ref.Add(v)
+	for _, capacity := range []int{1, 7, 100, 4999, 6000} {
+		for _, chunk := range []int{1, 3, 64, 1000, len(vals)} {
+			ref := NewReservoir(capacity, 42, AlgoL)
+			got := NewReservoir(capacity, 42, AlgoL)
+			for _, v := range vals {
+				ref.Add(v)
+			}
+			for i := 0; i < len(vals); i += chunk {
+				end := i + chunk
+				if end > len(vals) {
+					end = len(vals)
 				}
-				for i := 0; i < len(vals); i += chunk {
-					end := i + chunk
-					if end > len(vals) {
-						end = len(vals)
-					}
-					got.AddSlice(vals[i:end])
-				}
-				// Tail adds prove the PRNG streams stayed aligned.
-				for i := 0; i < 500; i++ {
-					ref.Add(float64(i))
-					got.Add(float64(i))
-				}
-				if ref.Seen() != got.Seen() {
-					t.Fatalf("algo=%d cap=%d chunk=%d: seen %d vs %d",
-						algo, capacity, chunk, ref.Seen(), got.Seen())
-				}
-				r, g := ref.Items(), got.Items()
-				if len(r) != len(g) {
-					t.Fatalf("algo=%d cap=%d chunk=%d: len %d vs %d",
-						algo, capacity, chunk, len(r), len(g))
-				}
-				for j := range r {
-					if math.Float64bits(r[j]) != math.Float64bits(g[j]) {
-						t.Fatalf("algo=%d cap=%d chunk=%d: item %d: %v vs %v",
-							algo, capacity, chunk, j, r[j], g[j])
-					}
+				got.AddSlice(vals[i:end])
+			}
+			// Tail adds prove the PRNG streams stayed aligned.
+			for i := 0; i < 500; i++ {
+				ref.Add(float64(i))
+				got.Add(float64(i))
+			}
+			if ref.Seen() != got.Seen() {
+				t.Fatalf("cap=%d chunk=%d: seen %d vs %d",
+					capacity, chunk, ref.Seen(), got.Seen())
+			}
+			r, g := ref.Items(), got.Items()
+			if len(r) != len(g) {
+				t.Fatalf("cap=%d chunk=%d: len %d vs %d",
+					capacity, chunk, len(r), len(g))
+			}
+			for j := range r {
+				if math.Float64bits(r[j]) != math.Float64bits(g[j]) {
+					t.Fatalf("cap=%d chunk=%d: item %d: %v vs %v",
+						capacity, chunk, j, r[j], g[j])
 				}
 			}
 		}

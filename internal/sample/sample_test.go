@@ -10,37 +10,33 @@ import (
 )
 
 func TestReservoirFillPhase(t *testing.T) {
-	for _, algo := range []ReservoirAlgo{AlgoR, AlgoL} {
-		r := NewReservoir(5, 1, algo)
-		for i := 0; i < 3; i++ {
-			r.Add(float64(i))
-		}
-		if r.Len() != 3 || r.Seen() != 3 {
-			t.Errorf("algo %d: len=%d seen=%d", algo, r.Len(), r.Seen())
-		}
-		// Under capacity, the sample is exactly the stream.
-		for i, x := range r.Items() {
-			if x != float64(i) {
-				t.Errorf("algo %d: item %d = %v", algo, i, x)
-			}
+	r := NewReservoir(5, 1, AlgoL)
+	for i := 0; i < 3; i++ {
+		r.Add(float64(i))
+	}
+	if r.Len() != 3 || r.Seen() != 3 {
+		t.Errorf("len=%d seen=%d", r.Len(), r.Seen())
+	}
+	// Under capacity, the sample is exactly the stream.
+	for i, x := range r.Items() {
+		if x != float64(i) {
+			t.Errorf("item %d = %v", i, x)
 		}
 	}
 }
 
 func TestReservoirNeverExceedsCap(t *testing.T) {
 	f := func(seed int64, n uint16) bool {
-		for _, algo := range []ReservoirAlgo{AlgoR, AlgoL} {
-			r := NewReservoir(10, seed, algo)
-			for i := 0; i < int(n); i++ {
-				r.Add(float64(i))
-			}
-			want := int(n)
-			if want > 10 {
-				want = 10
-			}
-			if r.Len() != want || r.Seen() != int64(n) {
-				return false
-			}
+		r := NewReservoir(10, seed, AlgoL)
+		for i := 0; i < int(n); i++ {
+			r.Add(float64(i))
+		}
+		want := int(n)
+		if want > 10 {
+			want = 10
+		}
+		if r.Len() != want || r.Seen() != int64(n) {
+			return false
 		}
 		return true
 	}
@@ -50,15 +46,13 @@ func TestReservoirNeverExceedsCap(t *testing.T) {
 }
 
 func TestReservoirItemsComeFromStream(t *testing.T) {
-	for _, algo := range []ReservoirAlgo{AlgoR, AlgoL} {
-		r := NewReservoir(50, 3, algo)
-		for i := 0; i < 10000; i++ {
-			r.Add(float64(i) * 2) // even values only
-		}
-		for _, x := range r.Items() {
-			if math.Mod(x, 2) != 0 || x < 0 || x >= 20000 {
-				t.Fatalf("algo %d: sample contains %v, not from stream", algo, x)
-			}
+	r := NewReservoir(50, 3, AlgoL)
+	for i := 0; i < 10000; i++ {
+		r.Add(float64(i) * 2) // even values only
+	}
+	for _, x := range r.Items() {
+		if math.Mod(x, 2) != 0 || x < 0 || x >= 20000 {
+			t.Fatalf("sample contains %v, not from stream", x)
 		}
 	}
 }
@@ -71,34 +65,32 @@ func TestReservoirUniformity(t *testing.T) {
 		k      = 20
 		trials = 3000
 	)
-	for _, algo := range []ReservoirAlgo{AlgoR, AlgoL} {
-		counts := make([]int, N)
-		for trial := 0; trial < trials; trial++ {
-			r := NewReservoir(k, int64(trial)+1, algo)
-			for i := 0; i < N; i++ {
-				r.Add(float64(i))
-			}
-			for _, x := range r.Items() {
-				counts[int(x)]++
-			}
+	counts := make([]int, N)
+	for trial := 0; trial < trials; trial++ {
+		r := NewReservoir(k, int64(trial)+1, AlgoL)
+		for i := 0; i < N; i++ {
+			r.Add(float64(i))
 		}
-		want := float64(trials) * k / N // expected inclusions per position
-		// Binomial stddev ≈ √(trials·p(1−p)); allow 5σ.
-		sigma := math.Sqrt(float64(trials) * (float64(k) / N) * (1 - float64(k)/N))
-		for i, c := range counts {
-			if math.Abs(float64(c)-want) > 5*sigma {
-				t.Errorf("algo %d: position %d included %d times, want ≈%.0f (±%.0f)",
-					algo, i, c, want, 5*sigma)
-			}
+		for _, x := range r.Items() {
+			counts[int(x)]++
 		}
-		// Chi-square-ish global check: mean inclusion must be exact.
-		var total int
-		for _, c := range counts {
-			total += c
+	}
+	want := float64(trials) * k / N // expected inclusions per position
+	// Binomial stddev ≈ √(trials·p(1−p)); allow 5σ.
+	sigma := math.Sqrt(float64(trials) * (float64(k) / N) * (1 - float64(k)/N))
+	for i, c := range counts {
+		if math.Abs(float64(c)-want) > 5*sigma {
+			t.Errorf("position %d included %d times, want ≈%.0f (±%.0f)",
+				i, c, want, 5*sigma)
 		}
-		if total != trials*k {
-			t.Errorf("algo %d: total inclusions %d != %d", algo, total, trials*k)
-		}
+	}
+	// Chi-square-ish global check: mean inclusion must be exact.
+	var total int
+	for _, c := range counts {
+		total += c
+	}
+	if total != trials*k {
+		t.Errorf("total inclusions %d != %d", total, trials*k)
 	}
 }
 
@@ -351,26 +343,16 @@ func TestGroupReservoirs(t *testing.T) {
 
 // Determinism: the same seed must reproduce the same sample.
 func TestReservoirDeterministic(t *testing.T) {
-	for _, algo := range []ReservoirAlgo{AlgoR, AlgoL} {
-		a := NewReservoir(10, 123, algo)
-		b := NewReservoir(10, 123, algo)
-		for i := 0; i < 5000; i++ {
-			a.Add(float64(i))
-			b.Add(float64(i))
-		}
-		for i := range a.Items() {
-			if a.Items()[i] != b.Items()[i] {
-				t.Fatalf("algo %d not deterministic", algo)
-			}
-		}
+	a := NewReservoir(10, 123, AlgoL)
+	b := NewReservoir(10, 123, AlgoL)
+	for i := 0; i < 5000; i++ {
+		a.Add(float64(i))
+		b.Add(float64(i))
 	}
-}
-
-func BenchmarkReservoirAlgoR(b *testing.B) {
-	r := NewReservoir(1000, 1, AlgoR)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.Add(float64(i))
+	for i := range a.Items() {
+		if a.Items()[i] != b.Items()[i] {
+			t.Fatalf("not deterministic")
+		}
 	}
 }
 

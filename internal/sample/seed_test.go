@@ -54,8 +54,8 @@ func TestDeriveSeedAvalanche(t *testing.T) {
 // reservoirs seeded for adjacent windows must make different admission
 // choices, not shifted copies of one stream.
 func TestDeriveSeedReservoirIndependence(t *testing.T) {
-	r1 := NewReservoir(32, DeriveSeed(5, 1000), AlgoR)
-	r2 := NewReservoir(32, DeriveSeed(5, 1001), AlgoR)
+	r1 := NewReservoir(32, DeriveSeed(5, 1000), AlgoL)
+	r2 := NewReservoir(32, DeriveSeed(5, 1001), AlgoL)
 	for i := 0; i < 5000; i++ {
 		r1.Add(float64(i))
 		r2.Add(float64(i))

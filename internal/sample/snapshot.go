@@ -10,13 +10,12 @@ import (
 // snapshot of identical state is byte-identical regardless of Go's map
 // iteration order (checksums in the checkpoint manifest depend on it).
 
-// AppendTo appends the reservoir's full state: capacity, algorithm,
-// arrival count, Algorithm-L skip state, the 8-byte PRNG state, and the
+// AppendTo appends the reservoir's full state: capacity, arrival count,
+// Algorithm L's skip state, the 8-byte PRNG state, and the
 // sample items. Restoring this and replaying the same suffix of the
 // stream yields the identical sample an uninterrupted run would hold.
 func (r *Reservoir) AppendTo(dst []byte) []byte {
 	dst = tuple.AppendUvar(dst, uint64(r.cap))
-	dst = append(dst, byte(r.algo))
 	dst = tuple.AppendI64(dst, r.seen)
 	dst = tuple.AppendF64(dst, r.w)
 	dst = tuple.AppendI64(dst, r.next)
@@ -32,7 +31,6 @@ func (r *Reservoir) AppendTo(dst []byte) []byte {
 // input latches an error in rd and returns nil.
 func ReadReservoir(rd *tuple.WireReader) *Reservoir {
 	capacity := rd.Uvar()
-	algoByte := rd.Byte()
 	seen := rd.I64()
 	w := rd.F64()
 	next := rd.I64()
@@ -45,15 +43,11 @@ func ReadReservoir(rd *tuple.WireReader) *Reservoir {
 		rd.Corrupt("reservoir capacity")
 		return nil
 	}
-	if ReservoirAlgo(algoByte) > AlgoR {
-		rd.Corrupt("reservoir algorithm")
-		return nil
-	}
 	if uint64(n) > capacity || seen < int64(n) {
 		rd.Corrupt("reservoir sample size")
 		return nil
 	}
-	r := NewReservoir(int(capacity), 0, ReservoirAlgo(algoByte))
+	r := NewReservoir(int(capacity), 0, AlgoL)
 	r.seen = seen
 	r.w = w
 	r.next = next
@@ -111,7 +105,6 @@ func (d *KeyDict) ReadGroupStats(rd *tuple.WireReader) *GroupStats {
 func (g *GroupReservoirs) AppendTo(dst []byte) []byte {
 	dst = tuple.AppendUvar(dst, uint64(g.perGroup))
 	dst = tuple.AppendI64(dst, g.seed)
-	dst = append(dst, byte(g.algo))
 	dst = tuple.AppendUvar(dst, uint64(len(g.ids)))
 	for _, id := range g.dict.sorted(g.ids) {
 		dst = tuple.AppendStr(dst, g.dict.keys[id])
@@ -125,7 +118,6 @@ func (g *GroupReservoirs) AppendTo(dst []byte) []byte {
 func (d *KeyDict) ReadGroupReservoirs(rd *tuple.WireReader) *GroupReservoirs {
 	perGroup := rd.Uvar()
 	seed := rd.I64()
-	algoByte := rd.Byte()
 	n := rd.Count(1)
 	if rd.Err() != nil {
 		return nil
@@ -134,11 +126,7 @@ func (d *KeyDict) ReadGroupReservoirs(rd *tuple.WireReader) *GroupReservoirs {
 		rd.Corrupt("per-group capacity")
 		return nil
 	}
-	if ReservoirAlgo(algoByte) > AlgoR {
-		rd.Corrupt("group reservoir algorithm")
-		return nil
-	}
-	g := d.NewGroupReservoirs(int(perGroup), seed, ReservoirAlgo(algoByte))
+	g := d.NewGroupReservoirs(int(perGroup), seed)
 	for i := 0; i < n; i++ {
 		k := rd.Str()
 		r := ReadReservoir(rd)

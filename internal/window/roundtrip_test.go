@@ -75,24 +75,25 @@ func TestRoundTripSingleBuffer(t *testing.T) {
 // for a manager that archives nothing and holds no budget, then the
 // buffered rows' column image.
 func stormBlob(c window.Cursor, rows []tuple.Tuple) []byte {
-	dst := tuple.AppendBool([]byte{'b'}, false)
+	dst := tuple.AppendBool([]byte{'c'}, false)
 	dst = tuple.AppendBool(dst, c.Started)
 	dst = tuple.AppendBool(dst, c.Fired)
 	dst = tuple.AppendI64(dst, int64(c.NextFire))
 	dst = tuple.AppendI64(dst, c.Seq)
 	dst = tuple.AppendI64(dst, c.MaxPos)
 	dst = tuple.AppendI64(dst, c.Late)
-	dst = tuple.AppendUvar(dst, 0)                                              // the budget
-	dst = tuple.AppendI64(tuple.AppendBool(dst, false), 0)                      // shedding off, nothing shed
-	dst = tuple.AppendUvar(tuple.AppendI64(tuple.AppendBool(dst, false), 0), 0) // the archive section, empty
+	dst = tuple.AppendUvar(dst, 0)     // the budget
+	dst = tuple.AppendBool(dst, false) // shedding off
+	dst = tuple.AppendUvar(dst, 0)     // the archive's pane table, empty
 	return tuple.AppendColumns(dst, rows)
 }
 
 // TestSingleBufferSpill: the Storm buffer never spills, and its layout
 // has no spill slots. 'Q' kept three (spilled count, segment sequence,
 // chunk count) and its rows in a retired row codec, and 'R' the cursor
-// in another order and the buffer's peak; both went inside 'E', and
-// RestoreState refuses each of the three tags as corrupt, whatever
+// in another order and the buffer's peak; both went inside 'E'. 'b'
+// carried a shed count and an archive floor no restore read.
+// RestoreState refuses each of the four tags as corrupt, whatever
 // follows it.
 func TestSingleBufferSpill(t *testing.T) {
 	spec := window.Sliding(40, 10)
@@ -111,10 +112,10 @@ func TestSingleBufferSpill(t *testing.T) {
 	first, _ := spec.Assign(0)
 	c := window.Cursor{Started: true, NextFire: first, Seq: 25, MaxPos: 24}
 	if want := stormBlob(c, rows); !bytes.Equal(blob, want) {
-		t.Fatalf("SnapshotState wrote %x, want the 'b' layout %x", blob, want)
+		t.Fatalf("SnapshotState wrote %x, want the 'c' layout %x", blob, want)
 	}
 	r, _ := storm(t, spec)
-	for _, tag := range []byte{'E', 'Q', 'R'} {
+	for _, tag := range []byte{'E', 'Q', 'R', 'b'} {
 		if err := r.RestoreState(append([]byte{tag}, blob[1:]...)); !errors.Is(err, tuple.ErrCorrupt) {
 			t.Errorf("%q blob: RestoreState = %v, want ErrCorrupt", tag, err)
 		}
