@@ -220,6 +220,40 @@ func TestCountMinManagerEndToEnd(t *testing.T) {
 	}
 }
 
+// TestCountMinReplaysFromTheSeed: Table 2's CountMin legs, run twice at
+// one seed, answer every window alike, bit for bit: each row of the
+// sketch hashes with a seed derived from the query's, not a fresh one.
+func TestCountMinReplaysFromTheSeed(t *testing.T) {
+	opt := Options{Scale: 0.002, Seed: 1}
+	for name, stream := range map[string]func() *dataset.Stream{
+		"GCM":  func() *dataset.Stream { return gcmStream(opt, 0, 0) },
+		"DEBS": func() *dataset.Stream { return debsStream(opt) },
+	} {
+		var runs [2]*runOut
+		for i := range runs {
+			out, err := runCountMin("countmin", stream(), paperWorkers, opt.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs[i] = out
+		}
+		if len(runs[0].results) == 0 || len(runs[0].results) != len(runs[1].results) {
+			t.Fatalf("%s: %d and %d windows", name, len(runs[0].results), len(runs[1].results))
+		}
+		for k, r := range runs[0].results {
+			again := runs[1].results[k]
+			if len(again.Groups) != len(r.Groups) {
+				t.Fatalf("%s window %v: %d groups, then %d", name, k, len(r.Groups), len(again.Groups))
+			}
+			for g, v := range r.Groups {
+				if w, ok := again.Groups[g]; !ok || math.Float64bits(w) != math.Float64bits(v) {
+					t.Fatalf("%s window %v group %q: %v, then %v", name, k, g, v, w)
+				}
+			}
+		}
+	}
+}
+
 // TestExperimentRegistryComplete pins the registry to the paper's
 // evaluation (§5: Table 1–2, Fig. 6–12) plus adaptive. The engine's own
 // performance is measured by benchmark/, not here: an experiment that

@@ -368,7 +368,7 @@ func runCountMin(label string, ds *dataset.Stream, par int, seed int64) (*runOut
 	factory := func(wi int) (core.Manager, error) {
 		return core.NewCountMinManager(core.Config{
 			Spec: spec, Agg: agg.Func{Op: agg.Mean}, Value: ds.Value, KeyBy: ds.Key,
-			Epsilon: epsilon, Confidence: confidence, BudgetTuples: 1,
+			Epsilon: epsilon, Confidence: confidence, BudgetTuples: 1, Seed: seed,
 			Store: storage.NewMemStore(), Metrics: reg.Worker(fmt.Sprintf("cm[%d]", wi)),
 		})
 	}

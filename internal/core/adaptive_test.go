@@ -28,7 +28,7 @@ func TestScalarSetBudgetResizesReservoirs(t *testing.T) {
 		ingestOne(m, tuple.New(int64(i)%100, tuple.Float(100+r.NormFloat64()*10)))
 	}
 	m.SetBudget(50)
-	for _, w := range m.wins {
+	for _, w := range m.wins.vals {
 		if w.res.Len() != 50 || w.res.Cap() != 50 {
 			t.Fatalf("open window reservoir len=%d cap=%d after SetBudget(50)", w.res.Len(), w.res.Cap())
 		}
@@ -57,7 +57,7 @@ func TestScalarSetBudgetZeroForcesExact(t *testing.T) {
 		sum += v
 		ingestOne(m, tuple.New(int64(i)%100, tuple.Float(v)))
 	}
-	for _, w := range m.wins {
+	for _, w := range m.wins.vals {
 		if w.res != nil {
 			t.Fatal("budget 0 must drop reservoirs")
 		}
@@ -252,7 +252,7 @@ func TestCellDrivesScalarManager(t *testing.T) {
 	if m.curBudget != 40 || !m.shed {
 		t.Fatalf("after cell publish: budget=%d shed=%v, want 40/true", m.curBudget, m.shed)
 	}
-	for _, w := range m.wins {
+	for _, w := range m.wins.vals {
 		if w.res.Cap() != 40 {
 			t.Fatalf("reservoir cap %d, want resized to 40", w.res.Cap())
 		}
@@ -282,7 +282,7 @@ func TestCellDrivesGroupedManager(t *testing.T) {
 	if m.curBudget != 30 {
 		t.Fatalf("budget %d, want 30", m.curBudget)
 	}
-	for _, w := range m.wins {
+	for _, w := range m.wins.vals {
 		if w.known == nil || w.known.PerGroup() != 10 {
 			t.Fatalf("per-group cap not retuned to 30/3 = 10")
 		}
@@ -308,7 +308,7 @@ func TestGroupedKnownGroupsNeverExceedBudget(t *testing.T) {
 		key := string(rune('a' + i%10))
 		ingestOne(m, tuple.New(int64(i)%100, tuple.Float(float64(i)), tuple.String_(key)))
 	}
-	for _, w := range m.wins {
+	for _, w := range m.wins.vals {
 		if w.known != nil {
 			t.Fatal("per-group cap 4/10 = 0 must mean no reservoirs at all")
 		}
@@ -338,7 +338,7 @@ func TestGroupedSampleWithinBudget(t *testing.T) {
 	for i := 0; i < 900; i++ {
 		ingestOne(m, tuple.New(int64(i)%100, tuple.Float(float64(i)), tuple.String_(keys[i%3])))
 	}
-	for _, w := range m.wins {
+	for _, w := range m.wins.vals {
 		total := 0
 		w.known.Each(func(_ string, r *sample.Reservoir) { total += r.Len() })
 		if total > 7 {

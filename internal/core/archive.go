@@ -1,10 +1,9 @@
 package core
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
+	"math"
 	"strconv"
 	"strings"
 
@@ -34,11 +33,8 @@ type archive struct {
 	spec  window.Spec
 	chunk int
 
-	// panes are the panes that hold tuples, in pane order. Tuples arrive
-	// into the newest pane or, inside the watermark lag, one a few back,
-	// so the hot path finds its pane from the end (as
-	// ScalarManager.sliceFor finds a slice).
-	panes []pane
+	// panes are the panes that hold tuples, keyed by pane index.
+	panes ordered[int64, pane]
 
 	// free holds the backing arrays of finished pane buffers, stored or
 	// evicted, for the next pane to start in: the steady state allocates
@@ -60,7 +56,6 @@ type archive struct {
 // run appended after it. Its key is built at its first store (or its
 // restore), so a pane that is never flushed allocates nothing.
 type pane struct {
-	p       int64
 	key     string
 	buf     []tuple.Tuple
 	flushed int
@@ -70,53 +65,33 @@ func newArchive(store storage.SpillStore, key string, spec window.Spec, chunk in
 	return &archive{store: spill.AsPlane(store), key: key, spec: spec, chunk: chunk, deferDel: deferDel}
 }
 
+// paneOf returns the pane of position pos: its newest window.
 func (a *archive) paneOf(pos int64) int64 {
-	p := pos / a.spec.Slide
-	if pos%a.spec.Slide != 0 && pos < 0 {
-		p--
-	}
-	return p
+	_, hi := a.spec.Assign(pos)
+	return int64(hi)
 }
 
 func (a *archive) paneKey(p int64) string { return fmt.Sprintf("%s/p%d", a.key, p) }
 
-// index returns the position of pane p in the list, and whether it is
-// listed.
-func (a *archive) index(p int64) (int, bool) {
-	return slices.BinarySearchFunc(a.panes, p, func(pn pane, p int64) int { return cmp.Compare(pn.p, p) })
-}
-
 // paneFor returns pane p, listing it at its place if it is new. A run
 // that leaves the newest pane parks its buffer if a flush emptied it.
 func (a *archive) paneFor(p int64) *pane {
-	n := len(a.panes)
-	if n > 0 && a.panes[n-1].p == p {
-		return &a.panes[n-1]
+	if n := len(a.panes.keys); n > 0 && a.panes.keys[n-1] != p && len(a.panes.vals[n-1].buf) == 0 {
+		a.park(&a.panes.vals[n-1])
 	}
-	if n > 0 && len(a.panes[n-1].buf) == 0 {
-		a.park(&a.panes[n-1])
-	}
-	i := n
-	for i > 0 && a.panes[i-1].p > p {
-		i--
-	}
-	if i == 0 || a.panes[i-1].p != p {
-		a.panes = slices.Insert(a.panes, i, pane{p: p})
-		i++
-	}
-	return &a.panes[i-1]
+	return &a.panes.fill(p, p, nil)[0]
 }
 
-// flush stores pane pn's buffered chunk, if it holds one.
-func (a *archive) flush(pn *pane) error {
+// flush stores pane p's buffered chunk, if it holds one.
+func (a *archive) flush(p int64, pn *pane) error {
 	if len(pn.buf) == 0 {
 		return nil
 	}
 	if pn.key == "" {
-		pn.key = a.paneKey(pn.p)
+		pn.key = a.paneKey(p)
 	}
 	if err := a.store.Store(pn.key, pn.buf); err != nil {
-		return fmt.Errorf("core: archive pane %d: %w", pn.p, err)
+		return fmt.Errorf("core: archive pane %d: %w", p, err)
 	}
 	pn.flushed++
 	pn.buf = pn.buf[:0] // backing array recycled in place
@@ -157,12 +132,12 @@ func (a *archive) addRun(p int64, pos []int64, rows []tuple.Tuple) error {
 		}
 		rows, pos = rows[k:], pos[k:]
 		if len(pn.buf) >= a.chunk {
-			if err := a.flush(pn); err != nil {
+			if err := a.flush(p, pn); err != nil {
 				return err
 			}
 		}
 	}
-	if len(pn.buf) == 0 && pn != &a.panes[len(a.panes)-1] {
+	if keys := a.panes.keys; len(pn.buf) == 0 && keys[len(keys)-1] != p {
 		a.park(pn) // an older pane's chunk is stored; it sees stragglers at most
 	}
 	return nil
@@ -173,11 +148,11 @@ func (a *archive) addRun(p int64, pos []int64, rows []tuple.Tuple) error {
 func (a *archive) fetch(start, end int64) ([]tuple.Tuple, error) {
 	var out []tuple.Tuple
 	for p := a.paneOf(start); p <= a.paneOf(end-1); p++ {
-		if i, ok := a.index(p); ok {
-			if err := a.flush(&a.panes[i]); err != nil {
+		if pn := a.panes.find(p); pn != nil {
+			if err := a.flush(p, pn); err != nil {
 				return nil, err
 			}
-			a.park(&a.panes[i])
+			a.park(pn)
 		}
 		ts, err := a.store.Get(a.paneKey(p))
 		if err != nil {
@@ -211,9 +186,10 @@ func (a *archive) prefetchAhead(lc *window.Lifecycle, wm int64, n int) {
 	for id := first; ok && id < first+window.ID(n); id++ {
 		start, end := a.spec.Bounds(id)
 		var keys []string
-		for p := a.paneOf(start); p <= a.paneOf(end-1); p++ {
-			if i, ok := a.index(p); ok && a.panes[i].flushed > 0 {
-				keys = append(keys, a.panes[i].key)
+		_, pns := a.panes.span(a.paneOf(start), a.paneOf(end-1)+1)
+		for _, pn := range pns {
+			if pn.flushed > 0 {
+				keys = append(keys, pn.key)
 			}
 		}
 		if len(keys) > 0 {
@@ -224,17 +200,17 @@ func (a *archive) prefetchAhead(lc *window.Lifecycle, wm int64, n int) {
 
 // evictBefore drops the panes wholly before position pos, a prefix of
 // the list: their buffers are parked, their stored chunks deleted from S
-// in pane order. It walks the panes that exist, so a gap in the stream
-// costs nothing.
+// in pane order, through the first failed Delete. It walks the panes
+// that exist, so a gap in the stream costs nothing.
 func (a *archive) evictBefore(pos int64) error {
 	if a == nil {
 		return nil
 	}
-	limit := a.paneOf(pos) // panes < limit end at or before pos
+	keys, old := a.panes.span(math.MinInt64, a.paneOf(pos)) // they end at or before pos
 	var err error
-	k := 0
-	for ; k < len(a.panes) && a.panes[k].p < limit && err == nil; k++ {
-		pn := &a.panes[k]
+	i := 0
+	for ; i < len(old) && err == nil; i++ {
+		pn := &old[i]
 		a.park(pn)
 		switch {
 		case pn.flushed == 0:
@@ -244,9 +220,9 @@ func (a *archive) evictBefore(pos int64) error {
 			err = a.store.Delete(pn.key)
 		}
 	}
-	n := copy(a.panes, a.panes[k:])
-	clear(a.panes[n:])
-	a.panes = a.panes[:n]
+	if i > 0 {
+		a.panes.dropBefore(keys[i-1] + 1)
+	}
 	return err
 }
 
@@ -267,11 +243,12 @@ func (a *archive) appendState(dst []byte) ([]byte, error) {
 	if a == nil {
 		return tuple.AppendUvar(dst, 0), nil
 	}
-	for i := range a.panes {
-		if err := a.flush(&a.panes[i]); err != nil {
+	keys, pns := a.panes.keys, a.panes.vals
+	for i, p := range keys {
+		if err := a.flush(p, &pns[i]); err != nil {
 			return nil, err
 		}
-		a.park(&a.panes[i])
+		a.park(&pns[i])
 	}
 	// Durability barrier: recovery's Truncate-based rewind relies on S
 	// holding the counted chunks, so Stores still queued on the async
@@ -279,9 +256,9 @@ func (a *archive) appendState(dst []byte) ([]byte, error) {
 	if err := a.store.Flush(); err != nil {
 		return nil, err
 	}
-	dst = tuple.AppendUvar(dst, uint64(len(a.panes)))
-	for _, pn := range a.panes {
-		dst = tuple.AppendUvar(tuple.AppendI64(dst, pn.p), uint64(pn.flushed))
+	dst = tuple.AppendUvar(dst, uint64(len(keys)))
+	for i, p := range keys {
+		dst = tuple.AppendUvar(tuple.AppendI64(dst, p), uint64(pns[i].flushed))
 	}
 	return dst, nil
 }
@@ -290,19 +267,17 @@ func (a *archive) appendState(dst []byte) ([]byte, error) {
 // archive that holds none; errors latch in rd. A table out of pane order
 // or with a pane of no chunk is refused.
 func (a *archive) readState(rd *tuple.WireReader) {
-	panes := make([]pane, rd.Count(9))
-	for i := range panes {
+	n := rd.Count(9)
+	for i := 0; i < n; i++ {
 		p, c := rd.I64(), rd.Uvar()
 		if rd.Err() != nil {
 			return
 		}
-		if c == 0 || i > 0 && p <= panes[i-1].p {
+		if c == 0 || !a.panes.push(p, pane{key: a.paneKey(p), flushed: int(c)}) {
 			rd.Corrupt("archive pane table")
 			return
 		}
-		panes[i] = pane{p: p, key: a.paneKey(p), flushed: int(c)}
 	}
-	a.panes = panes
 }
 
 // rewind reconciles secondary storage with the restored cursor: panes a
@@ -318,28 +293,28 @@ func (a *archive) rewind() error {
 	if err != nil {
 		return err
 	}
-	seen := make([]bool, len(a.panes))
+	seen := map[int64]bool{}
 	for _, k := range keys {
 		p, perr := strconv.ParseInt(strings.TrimPrefix(k, prefix), 10, 64)
 		if perr != nil {
 			// Foreign file under our prefix; not a pane we manage.
 			continue
 		}
-		i, live := a.index(p)
-		if !live {
+		pn := a.panes.find(p)
+		if pn == nil {
 			if err := a.store.Delete(k); err != nil {
 				return err
 			}
 			continue
 		}
-		seen[i] = true
-		if err := a.store.Truncate(k, a.panes[i].flushed); err != nil {
+		seen[p] = true
+		if err := a.store.Truncate(k, pn.flushed); err != nil {
 			return err
 		}
 	}
-	for i, pn := range a.panes {
-		if !seen[i] {
-			return fmt.Errorf("core: rewind: archive pane %d missing from store", pn.p)
+	for _, p := range a.panes.keys {
+		if !seen[p] {
+			return fmt.Errorf("core: rewind: archive pane %d missing from store", p)
 		}
 	}
 	return nil

@@ -50,6 +50,7 @@ func NewExactManager(cfg Config) (*ExactManager, error) {
 	}
 	m := &ExactManager{}
 	m.shell = baselineShell(cfg, m)
+	m.cols.value = nil // fold buffers the rows; the fire reads their values
 	return m, nil
 }
 
@@ -66,7 +67,7 @@ func NewCountMinManager(cfg Config) (*ExactManager, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.sk = sketch.NewGroupedMeanSketch(cfg.Epsilon, 1-cfg.Confidence)
+	m.sk = sketch.NewGroupedMeanSketch(cfg.Epsilon, 1-cfg.Confidence, cfg.Seed)
 	return m, nil
 }
 
@@ -177,7 +178,7 @@ func (m *ExactManager) KeepsRows() bool { return true }
 // ascribes to incremental techniques (fails R4).
 type IncrementalManager struct {
 	shell
-	wins map[window.ID]*stats.Welford
+	wins ordered[window.ID, stats.Welford]
 }
 
 // NewIncrementalManager returns the incremental baseline for cfg.
@@ -191,7 +192,7 @@ func NewIncrementalManager(cfg Config) (*IncrementalManager, error) {
 	if cfg.Agg.Holistic() {
 		return nil, fmt.Errorf("core: %s cannot be processed incrementally", cfg.Agg)
 	}
-	m := &IncrementalManager{wins: make(map[window.ID]*stats.Welford)}
+	m := &IncrementalManager{}
 	m.shell = baselineShell(cfg, m)
 	return m, nil
 }
@@ -199,34 +200,31 @@ func NewIncrementalManager(cfg Config) (*IncrementalManager, error) {
 // fold adds an admitted run to the moments of every window it falls
 // into, in arrival order.
 func (m *IncrementalManager) fold(r run) {
-	for id := r.first; id <= r.hi; id++ {
-		w, ok := m.wins[id]
-		if !ok {
-			w = &stats.Welford{}
-			m.wins[id] = w
-		}
-		w.AddSlice(r.vals)
+	ws := m.wins.fill(r.first, r.hi, nil)
+	for i := range ws {
+		ws[i].AddSlice(r.vals)
 	}
 }
 
 func (m *IncrementalManager) held(first, last window.ID) ([]window.ID, time.Duration) {
-	return window.IDsIn(m.wins, first, last), 0
+	ids, _ := m.wins.span(first, last+1)
+	return ids, 0
 }
 
 // produce answers window id from its moments in O(1): for the mean the
 // single division of §5.2 ("When a watermark arrives, it only performs a
 // division to produce the mean per window").
 func (m *IncrementalManager) produce(id window.ID, res *Result) error {
-	w := m.wins[id]
+	w := m.wins.find(id)
 	res.Mode, res.N, res.SampleN = ModeIncremental, w.Count(), int(w.Count())
 	res.Scalar, _ = m.cfg.Agg.FromWelford(w)
 	return nil
 }
 
-func (m *IncrementalManager) close(res Result) { delete(m.wins, res.WindowID) }
+func (m *IncrementalManager) close(res Result) { m.wins.dropBefore(res.WindowID + 1) }
 func (m *IncrementalManager) resize()          {}
 func (m *IncrementalManager) capacity() int    { return 0 }
 
 // BudgetMemUsage is what result production holds: the moments of each
 // open window.
-func (m *IncrementalManager) BudgetMemUsage() int { return len(m.wins) * 56 }
+func (m *IncrementalManager) BudgetMemUsage() int { return len(m.wins.keys) * 56 }

@@ -1081,9 +1081,10 @@ func TestArchiveRecyclesUnflushedPanes(t *testing.T) {
 	}
 	held, buffers := 0, 0
 	bufs := a.free
-	for _, pn := range a.panes {
+	ps, pns := a.panes.keys, a.panes.vals
+	for i, pn := range pns {
 		if held += len(pn.buf); pn.flushed != 0 {
-			t.Errorf("pane %d stored %d chunks; the test is about panes that never are", pn.p, pn.flushed)
+			t.Errorf("pane %d stored %d chunks; the test is about panes that never are", ps[i], pn.flushed)
 		}
 		if pn.buf != nil {
 			buffers++

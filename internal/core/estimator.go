@@ -56,14 +56,6 @@ type GroupedState struct {
 // grouped window.
 type GroupedEstimator func(g GroupedState) (estErr float64, ok bool)
 
-// defaultScalarEstimator picks the built-in estimator for f's class.
-func defaultScalarEstimator(f agg.Func) ScalarEstimator {
-	if f.Holistic() {
-		return QuantileEstimator
-	}
-	return MeanLikeEstimator
-}
-
 // MeanLikeEstimator is the default estimator for distributive and
 // algebraic scalar operations. It builds the finite-population-corrected
 // normal confidence interval of §4.2 and reports its half-width relative
@@ -166,33 +158,25 @@ func TrimmedMeanEstimator(frac float64) ScalarEstimator {
 	}
 }
 
-// defaultGroupedEstimator picks the built-in estimator for f's class.
-func defaultGroupedEstimator(f agg.Func) GroupedEstimator {
-	return func(g GroupedState) (float64, bool) {
-		return groupedL1Error(g, f)
-	}
-}
-
 // DefaultScalarEstimate runs the built-in scalar estimator for the
 // state's aggregate. Custom estimators can wrap it to observe or adjust
 // the engine's decisions.
 func DefaultScalarEstimate(s ScalarState) (float64, bool) {
-	return defaultScalarEstimator(s.Agg)(s)
+	if s.Agg.Holistic() {
+		return QuantileEstimator(s)
+	}
+	return MeanLikeEstimator(s)
 }
 
-// DefaultGroupedEstimate runs the built-in grouped (L1) estimator for
-// the state's aggregate. Custom estimators can wrap it to observe or
-// adjust the engine's decisions.
+// DefaultGroupedEstimate runs the built-in grouped estimator for the
+// state's aggregate. Custom estimators can wrap it to observe or adjust
+// the engine's decisions. It estimates each group's error from its
+// allocated sample size, then aggregates with the L1 metric of Acharya
+// et al. (§4.2: "SPEAr calculates the error for each group e_g and then
+// combines all e_g values"): the mean of per-group error estimates. A
+// window is non-accelerable when any group would go unrepresented.
 func DefaultGroupedEstimate(g GroupedState) (float64, bool) {
-	return groupedL1Error(g, g.Agg)
-}
-
-// groupedL1Error estimates each group's error from its allocated sample
-// size, then aggregates with the L1 metric of Acharya et al. (§4.2:
-// "SPEAr calculates the error for each group e_g and then combines all
-// e_g values"): the mean of per-group error estimates. A window is
-// non-accelerable when any group would go unrepresented.
-func groupedL1Error(g GroupedState, f agg.Func) (float64, bool) {
+	f := g.Agg
 	if g.Groups.Len() == 0 {
 		return math.Inf(1), false
 	}

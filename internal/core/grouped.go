@@ -35,7 +35,7 @@ type GroupedManager struct {
 	// through its ids, so ingest hashes a tuple's key once and then
 	// indexes.
 	dict *sample.KeyDict
-	wins map[window.ID]*groupedWin
+	wins ordered[window.ID, *groupedWin]
 	// pool holds the windows that fired, cleared, with their arrays and
 	// sample storage, for the windows that open next.
 	pool []*groupedWin
@@ -61,9 +61,9 @@ func NewGroupedManager(cfg Config) (*GroupedManager, error) {
 	if cfg.KeyBy == nil {
 		return nil, fmt.Errorf("core: GroupedManager without KeyBy; use NewScalarManager")
 	}
-	m := &GroupedManager{est: cfg.GroupedEstimator, dict: sample.NewKeyDict(), wins: make(map[window.ID]*groupedWin)}
+	m := &GroupedManager{est: cfg.GroupedEstimator, dict: sample.NewKeyDict()}
 	if m.est == nil {
-		m.est = defaultGroupedEstimator(cfg.Agg)
+		m.est = DefaultGroupedEstimate
 	}
 	m.shell = newShell(cfg, m, cfg.archives())
 	return m, nil
@@ -89,7 +89,7 @@ func (m *GroupedManager) capacity() int {
 // capacity is zero.
 func (m *GroupedManager) resize() {
 	pg := m.capacity()
-	for _, w := range m.wins {
+	for _, w := range m.wins.vals {
 		switch {
 		case w.known == nil:
 		case pg <= 0:
@@ -118,18 +118,14 @@ func (m *GroupedManager) open(id window.ID) *groupedWin {
 	} else {
 		w.known.Reseed(pg, seed)
 	}
-	m.wins[id] = w
 	return w
 }
 
 // close retires the window res answered: its groups' ids go back to the
 // dictionary and the window, cleared, to the pool.
 func (m *GroupedManager) close(res Result) {
-	w, ok := m.wins[res.WindowID]
-	if !ok {
-		return
-	}
-	delete(m.wins, res.WindowID)
+	w := *m.wins.find(res.WindowID)
+	m.wins.dropBefore(res.WindowID + 1)
 	w.gs.Reset()
 	if w.known != nil {
 		w.known.Reset()
@@ -144,11 +140,7 @@ func (m *GroupedManager) close(res Result) {
 // order.
 func (m *GroupedManager) fold(r run) {
 	ids := m.groupIDs(r)
-	for id := r.first; id <= r.hi; id++ {
-		w, ok := m.wins[id] // once per run: the map will do
-		if !ok {
-			w = m.open(id)
-		}
+	for _, w := range m.wins.fill(r.first, r.hi, m.open) {
 		for i, gid := range ids {
 			w.gs.AddID(gid, r.vals[i])
 		}
@@ -174,12 +166,13 @@ func (m *GroupedManager) groupIDs(r run) []uint32 {
 }
 
 func (m *GroupedManager) held(first, last window.ID) ([]window.ID, time.Duration) {
-	return window.IDsIn(m.wins, first, last), 0
+	ids, _ := m.wins.span(first, last+1)
+	return ids, 0
 }
 
 // produce runs Alg. 2 for window id.
 func (m *GroupedManager) produce(id window.ID, res *Result) error {
-	w := m.wins[id]
+	w := *m.wins.find(id)
 	res.N = w.gs.Total()
 	if m.arc == nil {
 		// The per-group frequency and variance SPEAr keeps in b (§4.1)
@@ -298,7 +291,7 @@ func (m *GroupedManager) fromStrata(res *Result, gs *sample.GroupStats, alloc ma
 // says what it leaves out).
 func (m *GroupedManager) BudgetMemUsage() int {
 	n := 0
-	for _, w := range m.wins {
+	for _, w := range m.wins.vals {
 		n += w.gs.MemSize()
 		if w.known != nil {
 			n += w.known.MemSize()

@@ -129,13 +129,13 @@ func (r *diffRef) fired(t *testing.T, f agg.Func, rs []Result) {
 // compare checks the manager's open windows against the reference's.
 func (r *diffRef) compare(t *testing.T, m *GroupedManager, at int) {
 	t.Helper()
-	if len(m.wins) != len(r.wins) {
-		t.Fatalf("tuple %d: %d windows open, reference %d", at, len(m.wins), len(r.wins))
+	if len(m.wins.vals) != len(r.wins) {
+		t.Fatalf("tuple %d: %d windows open, reference %d", at, len(m.wins.vals), len(r.wins))
 	}
 	live := map[string]bool{}
 	mem := 0
 	for id, rw := range r.wins {
-		w := m.wins[id]
+		w := m.wins.get(id)
 		if w == nil {
 			t.Fatalf("tuple %d: window %d not open", at, id)
 		}
@@ -306,8 +306,8 @@ func TestGroupedStateMatchesPerWindowMaps(t *testing.T) {
 							ref.compare(t, m, tuples)
 							return
 						}
-						if len(m.wins) != 0 || m.dict.Len() != 0 {
-							t.Fatalf("after the closing watermark: %d windows open, %d ids held", len(m.wins), m.dict.Len())
+						if len(m.wins.vals) != 0 || m.dict.Len() != 0 {
+							t.Fatalf("after the closing watermark: %d windows open, %d ids held", len(m.wins.vals), m.dict.Len())
 						}
 					})
 				}
@@ -358,8 +358,8 @@ func TestGroupedIDOutlivesLaterWindows(t *testing.T) {
 		feed(2050+i*1000, "a")
 		feed(2051+i*1000, fmt.Sprintf("once%d", i))
 		fire(2300 + i*1000)
-		if len(m.wins) != 0 || m.dict.Len() != 0 {
-			t.Fatalf("round %d left %d windows open and %d ids held", i, len(m.wins), m.dict.Len())
+		if len(m.wins.vals) != 0 || m.dict.Len() != 0 {
+			t.Fatalf("round %d left %d windows open and %d ids held", i, len(m.wins.vals), m.dict.Len())
 		}
 		snap, err := m.SnapshotState()
 		if err != nil {
@@ -377,9 +377,9 @@ func TestGroupedIDOutlivesLaterWindows(t *testing.T) {
 	if got := m.LateDropped(); got != 1 {
 		t.Errorf("LateDropped = %d after one late tuple, want 1", got)
 	}
-	if len(m.wins) != 2 || m.wins[49] == nil || m.wins[50] == nil || m.dict.Len() != 1 {
+	if len(m.wins.vals) != 2 || m.wins.get(49) == nil || m.wins.get(50) == nil || m.dict.Len() != 1 {
 		t.Errorf("open windows %v holding %d ids, want 49 and 50 holding \"b\"",
-			window.IDsIn(m.wins, math.MinInt64, math.MaxInt64), m.dict.Len())
+			m.wins.keys, m.dict.Len())
 	}
 	fire(5300)
 	for i := int64(4); i <= 6; i++ {
@@ -396,15 +396,15 @@ func TestGroupedIDOutlivesLaterWindows(t *testing.T) {
 	if got := m.LateDropped(); got != 1 {
 		t.Errorf("LateDropped = %d: the straddling tuple was dropped", got)
 	}
-	if len(m.wins) != 2 || m.wins[91] != nil || m.wins[92] == nil || m.wins[92].gs.Get("straddle") == nil {
-		t.Fatalf("open windows %v, want 92 (holding the straddling tuple) and 93", window.IDsIn(m.wins, math.MinInt64, math.MaxInt64))
+	if len(m.wins.vals) != 2 || m.wins.get(91) != nil || m.wins.get(92) == nil || m.wins.get(92).gs.Get("straddle") == nil {
+		t.Fatalf("open windows %v, want 92 (holding the straddling tuple) and 93", m.wins.keys)
 	}
 	rs := fire(9400)
 	if len(rs) != 1 || rs[0].WindowID != 92 || rs[0].N != 2 || len(rs[0].Groups) != 2 {
 		t.Fatalf("fired %+v, want 92 with N=2 over \"b\" and \"straddle\"", rs)
 	}
 	fire(math.MaxInt64)
-	if len(m.wins) != 0 || m.dict.Len() != 0 {
-		t.Errorf("after the closing watermark: %d windows open, %d ids held", len(m.wins), m.dict.Len())
+	if len(m.wins.vals) != 0 || m.dict.Len() != 0 {
+		t.Errorf("after the closing watermark: %d windows open, %d ids held", len(m.wins.vals), m.dict.Len())
 	}
 }

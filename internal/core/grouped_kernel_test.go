@@ -46,10 +46,11 @@ func refGroupedIngest(m *GroupedManager, t tuple.Tuple) ([]Result, error) {
 	gid := m.dict.ID(m.cfg.KeyBy(t))
 	val := m.cfg.Value(t)
 	for id := first; id <= hi; id++ {
-		w, ok := m.wins[id]
-		if !ok {
-			w = m.open(id)
+		slot, added := m.wins.at(id)
+		if added {
+			*slot = m.open(id)
 		}
+		w := *slot
 		w.gs.AddID(gid, val)
 		if w.known != nil {
 			w.known.AddID(gid, val)

@@ -26,16 +26,16 @@ type StateDiff func(live, restored any, allow map[string]string) []string
 
 // roundTripAllow is what a restore does not give back, and why.
 var roundTripAllow = map[string]string{
-	"shell.cfg.Metrics":     "telemetry, outside the checkpoint domain: a recovered run does not re-count what the crashed one counted",
-	"shell.cols":            "the row lane's scratch columns: dead between calls",
-	"ids":                   "the grouped kernel's scratch group ids: dead between calls",
-	"shell.arc.free":        "recycled pane buffers, empty",
-	"dict":                  "not in the blob (DESIGN.md §18): RestoreState rebuilds it from the windows' keys, under other ids",
-	"pool":                  "fired windows, cleared, awaiting reuse; dropped by RestoreState with the dictionary they point into",
-	"wins.gs.groupIndex":    "group ids are the dictionary's (DESIGN.md §18): the groups are compared by key",
-	"wins.gs.vals":          "in id order: compared by key",
-	"wins.known.groupIndex": "group ids are the dictionary's: the groups are compared by key",
-	"wins.known.res":        "in id order: compared by key",
+	"shell.cfg.Metrics":          "telemetry, outside the checkpoint domain: a recovered run does not re-count what the crashed one counted",
+	"shell.cols":                 "the row lane's scratch columns: dead between calls",
+	"ids":                        "the grouped kernel's scratch group ids: dead between calls",
+	"shell.arc.free":             "recycled pane buffers, empty",
+	"dict":                       "not in the blob (DESIGN.md §18): RestoreState rebuilds it from the windows' keys, under other ids",
+	"pool":                       "fired windows, cleared, awaiting reuse; dropped by RestoreState with the dictionary they point into",
+	"wins.vals.gs.groupIndex":    "group ids are the dictionary's (DESIGN.md §18): the groups are compared by key",
+	"wins.vals.gs.vals":          "in id order: compared by key",
+	"wins.vals.known.groupIndex": "group ids are the dictionary's: the groups are compared by key",
+	"wins.vals.known.res":        "in id order: compared by key",
 }
 
 func allowed(paths ...string) map[string]string {
@@ -137,7 +137,7 @@ func RoundTripScalarManager(t *testing.T, diff StateDiff) {
 func RoundTripGroupedManager(t *testing.T, diff StateDiff) {
 	live, restored := spearRoundTrips(t, true, NewGroupedManager)
 	reportDiffs(t, diff(live, restored, allowed("shell.cfg.Metrics", "shell.cols", "ids", "shell.arc.free", "dict", "pool",
-		"wins.gs.groupIndex", "wins.gs.vals", "wins.known.groupIndex", "wins.known.res")))
+		"wins.vals.gs.groupIndex", "wins.vals.gs.vals", "wins.vals.known.groupIndex", "wins.vals.known.res")))
 	byKey := func(ms map[string]*GroupedManager) map[string]map[window.ID]map[string]groupState {
 		out := map[string]map[window.ID]map[string]groupState{}
 		for name, m := range ms {
@@ -157,7 +157,9 @@ type groupState struct {
 // groupsByKey is m's windows' groups by key, as its blob holds them.
 func groupsByKey(m *GroupedManager) map[window.ID]map[string]groupState {
 	out := map[window.ID]map[string]groupState{}
-	for id, w := range m.wins {
+	ids, ws := m.wins.keys, m.wins.vals
+	for i, w := range ws {
+		id := ids[i]
 		groups := map[string]groupState{}
 		w.gs.Each(func(key string, s *stats.Welford) { groups[key] = groupState{stats: *s} })
 		if w.known != nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"spear/internal/col"
@@ -31,10 +30,10 @@ type ScalarManager struct {
 	shell
 	est ScalarEstimator
 
-	wins map[window.ID]*scalarWin // sampled path; empty on the incremental one
-	// slices is the incremental path's state (DESIGN.md §22), in
-	// position order.
-	slices []slice
+	wins ordered[window.ID, scalarWin] // sampled path; empty on the incremental one
+	// slices is the incremental path's state (DESIGN.md §22), keyed by
+	// each slice's first position.
+	slices ordered[int64, slice]
 }
 
 type scalarWin struct {
@@ -46,43 +45,24 @@ type scalarWin struct {
 	tainted bool
 }
 
-// sample returns the window's reservoir sample, nil without one.
-func (w *scalarWin) sample() []float64 {
-	if w.res == nil {
-		return nil
-	}
-	return w.res.Items()
-}
-
 // slice is the unit of incremental state: the moments of the tuples at
 // the positions that share the window assignment [lo, hi]
-// (window.Spec.Slice), folded in arrival order.
+// (window.Spec.Slice), folded in arrival order. Both ends of an
+// assignment grow with position, so the slices of window id are those
+// whose first position lies in Spec.Bounds(id).
 type slice struct {
 	lo, hi window.ID
 	acc    stats.Welford
 }
 
-// after reports whether s holds later positions than the slice with
-// assignment [lo, hi]: both ends of an assignment grow with position,
-// so it does iff either end is larger.
-func (s *slice) after(lo, hi window.ID) bool { return s.hi > hi || s.lo > lo }
-
 // sliceBytes is what a slice holds.
 const sliceBytes = 16 + 48
 
 // sliceFor returns the accumulator of the slice with assignment
-// [lo, hi], opening it at its place in position order. Tuples arrive
-// into the newest slice or, inside the watermark lag, one a few back.
+// [lo, hi], opening it at its place in position order.
 func (m *ScalarManager) sliceFor(lo, hi window.ID) *stats.Welford {
-	i := len(m.slices)
-	for i > 0 && m.slices[i-1].after(lo, hi) {
-		i--
-	}
-	if i == 0 || m.slices[i-1].hi != hi || m.slices[i-1].lo != lo {
-		m.slices = slices.Insert(m.slices, i, slice{lo: lo, hi: hi})
-		i++
-	}
-	return &m.slices[i-1].acc
+	start, _ := m.cfg.Spec.Slice(lo, hi)
+	return &m.slices.fill(start, start, func(int64) slice { return slice{lo: lo, hi: hi} })[0].acc
 }
 
 // NewScalarManager returns a manager for cfg. cfg.KeyBy must be nil.
@@ -93,9 +73,9 @@ func NewScalarManager(cfg Config) (*ScalarManager, error) {
 	if cfg.KeyBy != nil {
 		return nil, fmt.Errorf("core: ScalarManager given a grouped config; use NewGroupedManager")
 	}
-	m := &ScalarManager{est: cfg.ScalarEstimator, wins: make(map[window.ID]*scalarWin)}
+	m := &ScalarManager{est: cfg.ScalarEstimator}
 	if m.est == nil {
-		m.est = defaultScalarEstimator(cfg.Agg)
+		m.est = DefaultScalarEstimate
 	}
 	m.shell = newShell(cfg, m, cfg.archives())
 	return m, nil
@@ -127,20 +107,11 @@ func (m *ScalarManager) OnColumnBatch(cb *col.ColumnBatch) ([]Result, error) {
 	return m.ingestRun(cb.Ts(), vals, rows)
 }
 
-// newWin returns the state of sampled window id.
-func (m *ScalarManager) newWin(id window.ID) *scalarWin {
-	w := &scalarWin{}
-	if m.curBudget > 0 {
-		w.res = sample.NewReservoir(m.curBudget, sample.DeriveSeed(m.cfg.Seed, int64(id)), sample.AlgoL)
-	}
-	return w
-}
-
 func (m *ScalarManager) capacity() int { return m.curBudget }
 
 func (m *ScalarManager) resize() {
-	for _, w := range m.wins {
-		switch {
+	for i := range m.wins.vals {
+		switch w := &m.wins.vals[i]; {
 		case m.curBudget == 0:
 			w.res = nil
 		case w.res != nil:
@@ -159,12 +130,9 @@ func (m *ScalarManager) fold(r run) {
 		m.sliceFor(r.lo, r.hi).AddSlice(r.vals)
 		return
 	}
-	for id := r.first; id <= r.hi; id++ {
-		w, ok := m.wins[id] // once per run: the map will do
-		if !ok {
-			w = m.newWin(id)
-			m.wins[id] = w
-		}
+	ws := m.wins.fill(r.first, r.hi, m.open)
+	for i := range ws {
+		w := &ws[i]
 		w.n += int64(len(r.vals))
 		if w.res != nil {
 			w.res.AddSlice(r.vals)
@@ -175,18 +143,31 @@ func (m *ScalarManager) fold(r run) {
 	}
 }
 
+// open starts window id's sample: a reservoir of the live budget seeded
+// by id, none under budget 0.
+func (m *ScalarManager) open(id window.ID) (w scalarWin) {
+	if m.curBudget > 0 {
+		w.res = sample.NewReservoir(m.curBudget, sample.DeriveSeed(m.cfg.Seed, int64(id)), sample.AlgoL)
+	}
+	return w
+}
+
 func (m *ScalarManager) held(first, last window.ID) ([]window.ID, time.Duration) {
 	if m.cfg.archives() {
-		return window.IDsIn(m.wins, first, last), 0
+		ids, _ := m.wins.span(first, last+1)
+		return ids, 0
 	}
+	// Both ends of the slices' assignments ascend: their ids come out
+	// ascending, each once.
 	var ids []window.ID
-	for _, s := range m.slices {
-		for id := max(s.lo, first); id <= min(s.hi, last); id++ {
+	next := first
+	for _, s := range m.slices.vals {
+		for id := max(s.lo, next); id <= min(s.hi, last); id++ {
 			ids = append(ids, id)
 		}
+		next = max(next, s.hi+1)
 	}
-	slices.Sort(ids)
-	return slices.Compact(ids), 0
+	return ids, 0
 }
 
 // produce runs Alg. 2 for one window: estimate ε̂_w from budget contents
@@ -197,20 +178,22 @@ func (m *ScalarManager) held(first, last window.ID) ([]window.ID, time.Duration)
 func (m *ScalarManager) produce(id window.ID, res *Result) error {
 	if !m.cfg.archives() {
 		var acc stats.Welford
-		for i := range m.slices {
-			if s := &m.slices[i]; s.lo <= id && id <= s.hi {
-				acc.Merge(s.acc)
-			}
+		_, sls := m.slices.span(res.Start, res.End)
+		for i := range sls {
+			acc.Merge(sls[i].acc)
 		}
 		res.Mode = ModeIncremental
 		res.Scalar, _ = m.cfg.Agg.FromWelford(&acc)
 		res.N, res.SampleN = acc.Count(), int(acc.Count())
 		return nil
 	}
-	w := m.wins[id]
+	w := m.wins.find(id)
 	res.N = w.n
 	// Accuracy estimation from b's contents only.
-	smp := w.sample()
+	var smp []float64
+	if w.res != nil {
+		smp = w.res.Items()
+	}
 	var sw stats.Welford
 	for _, v := range smp {
 		sw.Add(v)
@@ -249,7 +232,8 @@ func (m *ScalarManager) evalExact(values []float64) float64 {
 }
 
 // close retires the window res answered, and the slices no open window
-// reads: fire closes in id order, so every window up to it has fired.
+// reads, those of assignment hi ≤ its id: fire closes in id order, so
+// every window up to it has fired.
 // The per-window budget step and the controller cell are mutually
 // exclusive owners of the budget; with a cell attached the step is
 // skipped.
@@ -258,8 +242,8 @@ func (m *ScalarManager) close(res Result) {
 		m.curBudget = m.nextBudget(res)
 		m.cfg.Metrics.BudgetTuples.Set(int64(m.curBudget))
 	}
-	delete(m.wins, res.WindowID)
-	m.slices = slices.DeleteFunc(m.slices, func(s slice) bool { return s.hi <= res.WindowID })
+	m.wins.dropBefore(res.WindowID + 1)
+	m.slices.dropBefore(int64(res.WindowID+1) * m.cfg.Spec.Slide)
 }
 
 // nextBudget is the per-window budget policy: one additive-increase/
@@ -287,8 +271,8 @@ func (m *ScalarManager) nextBudget(r Result) int {
 // open slice its accumulator (shape.BudgetMemUsage says what it leaves
 // out).
 func (m *ScalarManager) BudgetMemUsage() int {
-	n := len(m.slices) * sliceBytes
-	for _, w := range m.wins {
+	n := len(m.slices.keys) * sliceBytes
+	for _, w := range m.wins.vals {
 		n += 8 // w.n
 		if w.res != nil {
 			n += w.res.MemSize()

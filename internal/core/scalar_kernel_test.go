@@ -10,6 +10,7 @@ import (
 
 	"spear/internal/agg"
 	"spear/internal/col"
+	"spear/internal/sample"
 	"spear/internal/storage"
 	"spear/internal/tuple"
 	"spear/internal/window"
@@ -20,9 +21,10 @@ import (
 // it, so that addRun is held to it tuple by tuple, chunk boundaries
 // included.
 func (a *archive) add(t tuple.Tuple) error {
-	pn := a.paneFor(a.paneOf(t.Ts))
+	p := a.paneOf(t.Ts)
+	pn := a.paneFor(p)
 	if pn.buf = append(pn.buf, t); len(pn.buf) >= a.chunk {
-		return a.flush(pn)
+		return a.flush(p, pn)
 	}
 	return nil
 }
@@ -62,10 +64,9 @@ func refIngest(m *ScalarManager, t tuple.Tuple) ([]Result, error) {
 		return nil, nil
 	}
 	for id := first; id <= hi; id++ {
-		w, ok := m.wins[id]
-		if !ok {
-			w = m.newWin(id)
-			m.wins[id] = w
+		w, added := m.wins.at(id)
+		if added && m.curBudget > 0 {
+			w.res = sample.NewReservoir(m.curBudget, sample.DeriveSeed(m.cfg.Seed, int64(id)), sample.AlgoL)
 		}
 		if w.res != nil {
 			w.res.Add(v)

@@ -79,24 +79,27 @@ type run struct {
 // kernel takes: positions and aggregated values. It holds nothing
 // between calls.
 type rowColumns struct {
-	pos  []int64
-	vals []float64
+	pos   []int64
+	vals  []float64
+	value func(tuple.Tuple) float64 // nil where the shape's fold reads no value: vals holds zeros
 }
 
-func (c *rowColumns) read(rows []tuple.Tuple, lc *window.Lifecycle, value func(tuple.Tuple) float64) {
+func (c *rowColumns) read(rows []tuple.Tuple, lc *window.Lifecycle) {
 	n := len(rows)
 	c.pos = slices.Grow(c.pos[:0], n)[:n]
 	c.vals = slices.Grow(c.vals[:0], n)[:n]
 	for i := range rows {
 		c.pos[i] = lc.Pos(rows[i].Ts, i)
-		c.vals[i] = value(rows[i])
+		if c.value != nil {
+			c.vals[i] = c.value(rows[i])
+		}
 	}
 }
 
 // newShell returns the shell of a manager of shape sh for cfg, which has
 // passed validate, with an archive where archives is set.
 func newShell(cfg Config, sh shape, archives bool) shell {
-	s := shell{cfg: cfg, lc: window.NewLifecycle(cfg.Spec), curBudget: cfg.BudgetTuples, now: cfg.clock(), sh: sh}
+	s := shell{cfg: cfg, lc: window.NewLifecycle(cfg.Spec), cols: rowColumns{value: cfg.Value}, curBudget: cfg.BudgetTuples, now: cfg.clock(), sh: sh}
 	if archives {
 		s.arc = newArchive(cfg.Store, cfg.Key, cfg.Spec, cfg.ArchiveChunk, cfg.DeferStoreDeletes)
 	}
@@ -154,7 +157,7 @@ func (s *shell) SetShedding(on bool) {
 // reads the keys where it needs them.
 func (s *shell) OnTupleBatch(rows []tuple.Tuple) ([]Result, error) {
 	s.syncControl()
-	s.cols.read(rows, &s.lc, s.cfg.Value)
+	s.cols.read(rows, &s.lc)
 	return s.ingestRun(s.cols.pos, s.cols.vals, rows)
 }
 

@@ -62,8 +62,8 @@ func sliceDrive(t *testing.T, cfg Config, events []sliceEvent) (got, want []Resu
 			want = append(want, rs...)
 		}
 	}
-	if len(m.wins) != 0 {
-		t.Errorf("%d per-window states on the incremental path", len(m.wins))
+	if len(m.wins.vals) != 0 {
+		t.Errorf("%d per-window states on the incremental path", len(m.wins.vals))
 	}
 	if m.LateDropped() != ref.lc.Late() {
 		t.Errorf("late: %d, reference %d", m.LateDropped(), ref.lc.Late())
@@ -201,16 +201,17 @@ func TestSliceIngestIsFlat(t *testing.T) {
 		}
 	}
 	var sum int64
-	for i, s := range m.slices {
+	sls := m.slices.vals
+	for i, s := range sls {
 		sum += s.acc.Count()
-		if i > 0 && s.hi <= m.slices[i-1].hi {
-			t.Errorf("slice %d [%d,%d] is not after slice %d [%d,%d]", i, s.lo, s.hi, i-1, m.slices[i-1].lo, m.slices[i-1].hi)
+		if i > 0 && s.hi <= sls[i-1].hi {
+			t.Errorf("slice %d [%d,%d] is not after slice %d [%d,%d]", i, s.lo, s.hi, i-1, sls[i-1].lo, sls[i-1].hi)
 		}
 	}
-	if most := overlap + lag/slide + 1; sum != K || len(m.slices) > most || len(m.wins) != 0 {
-		t.Errorf("%d tuples in %d slices and %d windows, want %d in at most %d and 0", sum, len(m.slices), len(m.wins), K, most)
+	if most := overlap + lag/slide + 1; sum != K || len(m.slices.vals) > most || len(m.wins.vals) != 0 {
+		t.Errorf("%d tuples in %d slices and %d windows, want %d in at most %d and 0", sum, len(m.slices.vals), len(m.wins.vals), K, most)
 	}
-	if got, want := m.BudgetMemUsage(), len(m.slices)*sliceBytes; got != want {
+	if got, want := m.BudgetMemUsage(), len(m.slices.vals)*sliceBytes; got != want {
 		t.Errorf("BudgetMemUsage %d, want %d", got, want)
 	}
 }
@@ -295,8 +296,8 @@ func TestSliceRecoveryMidSlice(t *testing.T) {
 				crash++ // between two batches: in the middle of a slice
 			}
 			got := run(m1, events[:crash])
-			if len(m1.slices) < 2 {
-				t.Fatalf("%d open slices at the crash", len(m1.slices))
+			if len(m1.slices.vals) < 2 {
+				t.Fatalf("%d open slices at the crash", len(m1.slices.vals))
 			}
 			blob, err := m1.SnapshotState()
 			if err != nil {
@@ -334,7 +335,7 @@ func scalarU(t *testing.T, m *ScalarManager, carry []slice) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tail := len(tuple.AppendUvar(nil, uint64(len(m.slices)))) + len(m.slices)*sliceBytes
+	tail := len(tuple.AppendUvar(nil, uint64(len(m.slices.vals)))) + len(m.slices.vals)*sliceBytes
 	u := append([]byte{'u'}, v[2:len(v)-tail]...)
 	u = tuple.AppendUvar(u, uint64(len(carry)))
 	for _, c := range carry {
@@ -355,10 +356,12 @@ func TestSliceTableRejectsDamage(t *testing.T) {
 	}
 	good, _ := m.SnapshotState()
 	damage := map[string]func(d *ScalarManager){
-		"swapped":       func(d *ScalarManager) { d.slices[1], d.slices[2] = d.slices[2], d.slices[1] },
-		"repeated":      func(d *ScalarManager) { d.slices[2] = d.slices[1] },
-		"no such slice": func(d *ScalarManager) { d.slices[3].lo -= 2 },
-		"inverted":      func(d *ScalarManager) { d.slices[0].lo, d.slices[0].hi = 5, 1 },
+		"swapped": func(d *ScalarManager) {
+			d.slices.vals[1], d.slices.vals[2] = d.slices.vals[2], d.slices.vals[1]
+		},
+		"repeated":      func(d *ScalarManager) { d.slices.vals[2] = d.slices.vals[1] },
+		"no such slice": func(d *ScalarManager) { d.slices.vals[3].lo -= 2 },
+		"inverted":      func(d *ScalarManager) { d.slices.vals[0].lo, d.slices.vals[0].hi = 5, 1 },
 	}
 	for name, f := range damage {
 		t.Run(name, func(t *testing.T) {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"spear/internal/sample"
 	"spear/internal/stats"
@@ -12,8 +11,9 @@ import (
 
 // Checkpoint support for the window managers. Each manager serializes
 // every field that influences future output into one versioned blob,
-// map iteration sorted so that identical state produces identical bytes
-// (the checkpoint manifest checksums blobs). Archive panes in S are not
+// every table in ascending key order, so that identical state produces
+// identical bytes (the checkpoint manifest checksums blobs) and a table
+// out of order is corrupt. Archive panes in S are not
 // copied: the blob records how many chunks of each pane it covers, and
 // RewindStore truncates or deletes what a crashed run wrote after it.
 // Deletions are deferred while checkpointing is on
@@ -87,7 +87,7 @@ func (s *shell) RestoreState(b []byte) error {
 		return err
 	}
 	if !archives {
-		if len(arc.panes) != 0 {
+		if len(arc.panes.keys) != 0 {
 			return fmt.Errorf("%w: %s snapshot lists panes for a manager that archives nothing", tuple.ErrCorrupt, kind)
 		}
 		arc = nil
@@ -115,10 +115,9 @@ func (m *ScalarManager) SnapshotState() ([]byte, error) { return m.snapshot() }
 func (m *ScalarManager) format() (string, byte) { return "scalar", snapScalar }
 
 func (m *ScalarManager) appendWindows(dst []byte) []byte {
-	ids := window.IDsIn(m.wins, math.MinInt64, math.MaxInt64)
-	dst = tuple.AppendUvar(dst, uint64(len(ids)))
-	for _, id := range ids {
-		w := m.wins[id]
+	dst = tuple.AppendUvar(dst, uint64(len(m.wins.keys)))
+	for i, id := range m.wins.keys {
+		w := &m.wins.vals[i]
 		dst = tuple.AppendI64(dst, int64(id))
 		dst = tuple.AppendBool(dst, w.res != nil)
 		if w.res != nil {
@@ -127,8 +126,8 @@ func (m *ScalarManager) appendWindows(dst []byte) []byte {
 		dst = tuple.AppendI64(dst, w.n)
 		dst = tuple.AppendBool(dst, w.tainted)
 	}
-	dst = tuple.AppendUvar(dst, uint64(len(m.slices)))
-	for _, s := range m.slices {
+	dst = tuple.AppendUvar(dst, uint64(len(m.slices.vals)))
+	for _, s := range m.slices.vals {
 		dst = tuple.AppendI64(tuple.AppendI64(dst, int64(s.lo)), int64(s.hi))
 		dst = s.acc.AppendTo(dst)
 	}
@@ -137,13 +136,10 @@ func (m *ScalarManager) appendWindows(dst []byte) []byte {
 
 func (m *ScalarManager) readWindows(rd *tuple.WireReader) (func(), error) {
 	n := rd.Count(2)
-	if rd.Err() != nil {
-		return nil, rd.Err()
-	}
-	wins := make(map[window.ID]*scalarWin, n)
+	var wins ordered[window.ID, scalarWin]
 	for i := 0; i < n; i++ {
 		id := window.ID(rd.I64())
-		w := &scalarWin{}
+		var w scalarWin
 		if rd.Bool() { // absent where the budget had collapsed to zero
 			w.res = sample.ReadReservoir(rd)
 		}
@@ -154,27 +150,27 @@ func (m *ScalarManager) readWindows(rd *tuple.WireReader) (func(), error) {
 		if rd.Err() != nil {
 			return nil, rd.Err()
 		}
-		if _, dup := wins[id]; dup {
-			return nil, fmt.Errorf("%w: duplicate scalar window %d", tuple.ErrCorrupt, id)
+		if !wins.push(id, w) {
+			return nil, fmt.Errorf("%w: scalar window %d out of id order", tuple.ErrCorrupt, id)
 		}
-		wins[id] = w
 	}
 	// Every slice is named by the assignment of the positions it holds,
 	// and follows the one before it.
-	sls := make([]slice, rd.Count(sliceBytes))
-	for i := range sls {
-		s := &sls[i]
+	var sls ordered[int64, slice]
+	ns := rd.Count(sliceBytes)
+	for i := 0; i < ns; i++ {
+		var s slice
 		s.lo, s.hi = window.ID(rd.I64()), window.ID(rd.I64())
 		s.acc.ReadFrom(rd)
 		start, _ := m.cfg.Spec.Slice(s.lo, s.hi)
-		if lo, hi := m.cfg.Spec.Assign(start); lo != s.lo || hi != s.hi || i > 0 && !s.after(sls[i-1].lo, sls[i-1].hi) {
+		if lo, hi := m.cfg.Spec.Assign(start); lo != s.lo || hi != s.hi || !sls.push(start, s) {
 			rd.Corrupt("scalar slice table")
 		}
 	}
 	if rd.Err() != nil {
 		return nil, rd.Err()
 	}
-	if inc := !m.cfg.archives(); inc && len(wins) > 0 || !inc && len(sls) > 0 {
+	if inc := !m.cfg.archives(); inc && n > 0 || !inc && ns > 0 {
 		return nil, fmt.Errorf("%w: scalar snapshot incremental state mismatches configuration", tuple.ErrCorrupt)
 	}
 	return func() { m.wins, m.slices = wins, sls }, nil
@@ -188,10 +184,9 @@ func (m *GroupedManager) SnapshotState() ([]byte, error) { return m.snapshot() }
 func (m *GroupedManager) format() (string, byte) { return "grouped", snapGrouped }
 
 func (m *GroupedManager) appendWindows(dst []byte) []byte {
-	ids := window.IDsIn(m.wins, math.MinInt64, math.MaxInt64)
-	dst = tuple.AppendUvar(dst, uint64(len(ids)))
-	for _, id := range ids {
-		w := m.wins[id]
+	dst = tuple.AppendUvar(dst, uint64(len(m.wins.keys)))
+	for i, id := range m.wins.keys {
+		w := m.wins.vals[i]
 		dst = tuple.AppendI64(dst, int64(id))
 		dst = w.gs.AppendTo(dst)
 		dst = tuple.AppendBool(dst, w.known != nil)
@@ -205,14 +200,11 @@ func (m *GroupedManager) appendWindows(dst []byte) []byte {
 
 func (m *GroupedManager) readWindows(rd *tuple.WireReader) (func(), error) {
 	n := rd.Count(2)
-	if rd.Err() != nil {
-		return nil, rd.Err()
-	}
 	// The dictionary is not in the blob: decoding the windows' sorted
 	// keys rebuilds it, into a fresh one that replaces the live one only
 	// if the whole blob is good.
 	dict := sample.NewKeyDict()
-	wins := make(map[window.ID]*groupedWin, n)
+	var wins ordered[window.ID, *groupedWin]
 	for i := 0; i < n; i++ {
 		id := window.ID(rd.I64())
 		w := &groupedWin{gs: dict.ReadGroupStats(rd)}
@@ -233,10 +225,9 @@ func (m *GroupedManager) readWindows(rd *tuple.WireReader) (func(), error) {
 		if rd.Err() != nil {
 			return nil, rd.Err()
 		}
-		if _, dup := wins[id]; dup {
-			return nil, fmt.Errorf("%w: duplicate grouped window %d", tuple.ErrCorrupt, id)
+		if !wins.push(id, w) {
+			return nil, fmt.Errorf("%w: grouped window %d out of id order", tuple.ErrCorrupt, id)
 		}
-		wins[id] = w
 	}
 	// The pool points into the replaced dictionary.
 	return func() { m.dict, m.wins, m.pool = dict, wins, nil }, nil
@@ -285,28 +276,26 @@ func (m *IncrementalManager) SnapshotState() ([]byte, error) { return m.snapshot
 func (m *IncrementalManager) format() (string, byte) { return "incremental", snapAccumulators }
 
 func (m *IncrementalManager) appendWindows(dst []byte) []byte {
-	ids := window.IDsIn(m.wins, math.MinInt64, math.MaxInt64)
-	dst = tuple.AppendUvar(dst, uint64(len(ids)))
-	for _, id := range ids {
-		dst = m.wins[id].AppendTo(tuple.AppendI64(dst, int64(id)))
+	dst = tuple.AppendUvar(dst, uint64(len(m.wins.keys)))
+	for i, id := range m.wins.keys {
+		dst = m.wins.vals[i].AppendTo(tuple.AppendI64(dst, int64(id)))
 	}
 	return dst
 }
 
 func (m *IncrementalManager) readWindows(rd *tuple.WireReader) (func(), error) {
 	n := rd.Count(8 + 48)
-	wins := make(map[window.ID]*stats.Welford, n)
+	var wins ordered[window.ID, stats.Welford]
 	for i := 0; i < n; i++ {
 		id := window.ID(rd.I64())
-		w := &stats.Welford{}
+		var w stats.Welford
 		w.ReadFrom(rd)
 		if rd.Err() != nil {
 			return nil, rd.Err()
 		}
-		if _, dup := wins[id]; dup {
-			return nil, fmt.Errorf("%w: duplicate incremental window %d", tuple.ErrCorrupt, id)
+		if !wins.push(id, w) {
+			return nil, fmt.Errorf("%w: incremental window %d out of id order", tuple.ErrCorrupt, id)
 		}
-		wins[id] = w
 	}
 	return func() { m.wins = wins }, nil
 }

@@ -334,10 +334,10 @@ func retiredScalarV1(t *testing.T, m *ScalarManager) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := window.IDsIn(m.wins, math.MinInt64, math.MaxInt64)
+	ids := m.wins.keys
 	dst = tuple.AppendUvar(dst, uint64(len(ids)))
 	for _, id := range ids {
-		w := m.wins[id]
+		w := m.wins.get(id)
 		dst = tuple.AppendI64(dst, int64(id))
 		dst = tuple.AppendI64(dst, 0) // the first position
 		dst = w.res.AppendTo(dst)
@@ -367,13 +367,13 @@ func retiredGroupedV1(t *testing.T, m *GroupedManager) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := window.IDsIn(m.wins, math.MinInt64, math.MaxInt64)
+	ids := m.wins.keys
 	dst = tuple.AppendUvar(dst, uint64(len(ids)))
 	for _, id := range ids {
 		dst = tuple.AppendI64(dst, int64(id))
-		dst = m.wins[id].gs.AppendTo(dst)
+		dst = m.wins.get(id).gs.AppendTo(dst)
 		dst = tuple.AppendBool(dst, true)
-		dst = m.wins[id].known.AppendTo(dst)
+		dst = m.wins.get(id).known.AppendTo(dst)
 	}
 	return dst
 }
@@ -530,4 +530,73 @@ func firstDiffLine(got, want string) string {
 		}
 	}
 	return fmt.Sprintf("line counts differ: got %d, want %d", len(g), len(w))
+}
+
+// TestRestoreRefusesUnorderedWindowTables: every manager that keeps
+// windows writes their table in ascending id order, which is the order
+// its list holds them in; a blob whose table is not, a repeated id
+// included, is refused and leaves the manager as it was.
+func TestRestoreRefusesUnorderedWindowTables(t *testing.T) {
+	scalar := mkCfg(agg.Median(), 16)
+	scalar.Spec = window.Spec{Domain: window.TimeDomain, Range: 300, Slide: 100}
+	grouped := scalar
+	grouped.KeyBy = tuple.FieldString(1)
+	mean := scalar
+	mean.Agg = agg.Func{Op: agg.Mean}
+	// Each case returns a good blob and one whose window table descends.
+	for name, blobs := range map[string]func() (checkpointed, []byte, []byte){
+		"scalar": func() (checkpointed, []byte, []byte) {
+			m, _ := NewScalarManager(scalar)
+			good := unordered(t, m, func() { m.wins.reverse() })
+			r, _ := NewScalarManager(scalar)
+			return r, good, must(m.SnapshotState())
+		},
+		"grouped": func() (checkpointed, []byte, []byte) {
+			m, _ := NewGroupedManager(grouped)
+			good := unordered(t, m, func() { m.wins.reverse() })
+			r, _ := NewGroupedManager(grouped)
+			return r, good, must(m.SnapshotState())
+		},
+		"incremental": func() (checkpointed, []byte, []byte) {
+			m, _ := NewIncrementalManager(mean)
+			good := unordered(t, m, func() { m.wins.reverse() })
+			r, _ := NewIncrementalManager(mean)
+			return r, good, must(m.SnapshotState())
+		},
+	} {
+		r, good, bad := blobs()
+		before, _ := r.SnapshotState()
+		if err := r.RestoreState(bad); !errors.Is(err, tuple.ErrCorrupt) || !strings.Contains(err.Error(), "out of id order") {
+			t.Errorf("%s (tag %q): RestoreState = %v, want ErrCorrupt naming the id order", name, bad[0], err)
+		}
+		if after, _ := r.SnapshotState(); !bytes.Equal(after, before) {
+			t.Errorf("%s: the rejected restore changed the manager's state", name)
+		}
+		if err := r.RestoreState(good); err != nil {
+			t.Errorf("%s: the ordered blob: %v", name, err)
+		}
+	}
+}
+
+// unordered drives m until it holds three windows and returns its blob,
+// then runs reverse on its window list.
+func unordered(t *testing.T, m checkpointed, reverse func()) []byte {
+	t.Helper()
+	rows := make([]tuple.Tuple, 250)
+	for i := range rows {
+		rows[i] = tuple.New(int64(i), tuple.Float(float64(i%13)), tuple.String_(fmt.Sprint(i%4)))
+	}
+	if _, err := m.OnTupleBatch(rows); err != nil {
+		t.Fatal(err)
+	}
+	good := must(m.SnapshotState())
+	reverse()
+	return good
+}
+
+func must(b []byte, err error) []byte {
+	if err != nil {
+		panic(err)
+	}
+	return b
 }

@@ -97,3 +97,33 @@ func BenchmarkStormFire(b *testing.B) {
 		})
 	}
 }
+
+// TestStormIngestReadsNoValue: Storm and CountMin buffer an admitted row
+// as it is and read its value when a fire stages it, so their ingest
+// calls no Value extractor; the fire still does.
+func TestStormIngestReadsNoValue(t *testing.T) {
+	for name, mk := range map[string]func(Config) (*ExactManager, error){"storm": NewExactManager, "countmin": NewCountMinManager} {
+		calls := 0
+		cfg := mkCfg(agg.Func{Op: agg.Mean}, 1)
+		cfg.KeyBy = tuple.FieldString(1)
+		value := cfg.Value
+		cfg.Value = func(t tuple.Tuple) float64 { calls++; return value(t) }
+		m, err := mk(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make([]tuple.Tuple, 50)
+		for i := range rows {
+			rows[i] = tuple.New(int64(i), tuple.Float(float64(i)), tuple.String_(fmt.Sprint(i%3)))
+		}
+		if _, err := m.OnTupleBatch(rows); err != nil {
+			t.Fatal(err)
+		}
+		if calls != 0 {
+			t.Errorf("%s: ingest called Value %d times", name, calls)
+		}
+		if rs, err := m.OnWatermark(100); err != nil || len(rs) != 1 || calls != len(rows) {
+			t.Errorf("%s: the fire answered %d windows (%v) and called Value %d times, want 1 and %d", name, len(rs), err, calls, len(rows))
+		}
+	}
+}

@@ -9,7 +9,7 @@ import (
 )
 
 func TestCountMinExactOnSparseKeys(t *testing.T) {
-	cm := NewCountMin(1024, 4)
+	cm := NewCountMin(1024, 4, 1)
 	cm.Add("a", 5)
 	cm.Add("b", 3)
 	cm.Add("a", 2)
@@ -32,7 +32,7 @@ func TestCountMinExactOnSparseKeys(t *testing.T) {
 func TestCountMinNeverUnderestimates(t *testing.T) {
 	t.Run("conservative=false", func(t *testing.T) {
 		r := rand.New(rand.NewSource(11))
-		cm := NewCountMin(64, 4) // small: force collisions
+		cm := NewCountMin(64, 4, 1) // small: force collisions
 		truth := map[string]float64{}
 		f := func(kRaw uint8, vRaw uint8) bool {
 			k := fmt.Sprintf("key-%d", kRaw%200)
@@ -59,7 +59,7 @@ func TestCountMinNeverUnderestimates(t *testing.T) {
 func TestCountMinErrorBound(t *testing.T) {
 	// ε=0.01, δ=0.01 over 100k total increments: per-key error should
 	// be ≤ ε·total = 1000 for the vast majority of keys.
-	cm := NewCountMinWithError(0.01, 0.01)
+	cm := NewCountMinWithError(0.01, 0.01, 1)
 	r := rand.New(rand.NewSource(3))
 	truth := map[string]float64{}
 	for i := 0; i < 100000; i++ {
@@ -79,7 +79,7 @@ func TestCountMinErrorBound(t *testing.T) {
 }
 
 func TestCountMinSizing(t *testing.T) {
-	cm := NewCountMinWithError(0.10, 0.05)
+	cm := NewCountMinWithError(0.10, 0.05, 1)
 	if cm.width != 28 { // ⌈e/0.1⌉
 		t.Errorf("width = %d, want 28", cm.width)
 	}
@@ -90,9 +90,9 @@ func TestCountMinSizing(t *testing.T) {
 		t.Errorf("MemSize = %d", cm.MemSize())
 	}
 	for _, bad := range []func(){
-		func() { NewCountMin(0, 1) },
-		func() { NewCountMinWithError(0, 0.5) },
-		func() { NewCountMinWithError(0.5, 1) },
+		func() { NewCountMin(0, 1, 1) },
+		func() { NewCountMinWithError(0, 0.5, 1) },
+		func() { NewCountMinWithError(0.5, 1, 1) },
 	} {
 		func() {
 			defer func() {
@@ -106,7 +106,7 @@ func TestCountMinSizing(t *testing.T) {
 }
 
 func TestCountMinReset(t *testing.T) {
-	cm := NewCountMin(16, 2)
+	cm := NewCountMin(16, 2, 1)
 	cm.Add("x", 9)
 	cm.Reset()
 	if cm.Estimate("x") != 0 {
@@ -115,7 +115,7 @@ func TestCountMinReset(t *testing.T) {
 }
 
 func TestGroupedMeanSketch(t *testing.T) {
-	g := NewGroupedMeanSketch(0.01, 0.01)
+	g := NewGroupedMeanSketch(0.01, 0.01, 1)
 	truth := map[string][]float64{}
 	r := rand.New(rand.NewSource(4))
 	for i := 0; i < 20000; i++ {
@@ -141,7 +141,7 @@ func TestGroupedMeanSketch(t *testing.T) {
 			t.Errorf("group %s: est %v vs exact %v (rel %.3f)", k, res[k], exact, rel)
 		}
 	}
-	if g.MemSize() <= 2*NewCountMinWithError(0.01, 0.01).MemSize() {
+	if g.MemSize() <= 2*NewCountMinWithError(0.01, 0.01, 1).MemSize() {
 		t.Error("MemSize must include the group set")
 	}
 	g.Reset()
@@ -161,7 +161,7 @@ func TestGroupedMeanSketch(t *testing.T) {
 // each key at its length plus 48 — after adds, repeated keys among them,
 // and after Reset.
 func TestGroupedMeanSketchMemSizeIsTheWalk(t *testing.T) {
-	g := NewGroupedMeanSketch(0.1, 0.05)
+	g := NewGroupedMeanSketch(0.1, 0.05, 1)
 	walk := func() int {
 		n := g.sums.MemSize() + g.counts.MemSize()
 		for k := range g.groups {
@@ -188,7 +188,7 @@ func TestGroupedMeanSketchMemSizeIsTheWalk(t *testing.T) {
 }
 
 func TestGroupedMeanSketchZeroCount(t *testing.T) {
-	g := NewGroupedMeanSketch(0.1, 0.1)
+	g := NewGroupedMeanSketch(0.1, 0.1, 1)
 	g.groups["phantom"] = struct{}{} // group never Added
 	if got := g.Result()["phantom"]; got != 0 {
 		t.Errorf("phantom group mean = %v, want 0", got)
@@ -196,7 +196,7 @@ func TestGroupedMeanSketchZeroCount(t *testing.T) {
 }
 
 func BenchmarkCountMinAdd(b *testing.B) {
-	cm := NewCountMinWithError(0.10, 0.05)
+	cm := NewCountMinWithError(0.10, 0.05, 1)
 	keys := make([]string, 256)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("route-%d", i)
@@ -209,7 +209,7 @@ func BenchmarkCountMinAdd(b *testing.B) {
 }
 
 func BenchmarkGroupedMeanSketchAdd(b *testing.B) {
-	g := NewGroupedMeanSketch(0.10, 0.05)
+	g := NewGroupedMeanSketch(0.10, 0.05, 1)
 	keys := make([]string, 256)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("route-%d", i)
@@ -218,5 +218,29 @@ func BenchmarkGroupedMeanSketchAdd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Add(keys[i&255], float64(i&63))
+	}
+}
+
+// TestCountMinReplaysFromItsSeed: a sketch's rows hash under seeds
+// derived from its own, so two sketches of one seed fed alike agree
+// bit for bit, and another seed places the keys elsewhere.
+func TestCountMinReplaysFromItsSeed(t *testing.T) {
+	fill := func(seed int64) *CountMin {
+		cm := NewCountMin(16, 3, seed)
+		for i := 0; i < 200; i++ {
+			cm.Add(fmt.Sprintf("route-%d", i), float64(i%7)+0.5)
+		}
+		return cm
+	}
+	a, b, c := fill(1), fill(1), fill(2)
+	same, moved := true, false
+	for i := range a.table {
+		for j := range a.table[i] {
+			same = same && math.Float64bits(a.table[i][j]) == math.Float64bits(b.table[i][j])
+			moved = moved || math.Float64bits(a.table[i][j]) != math.Float64bits(c.table[i][j])
+		}
+	}
+	if !same || !moved {
+		t.Errorf("one seed agrees: %v; another seed moves a counter: %v", same, moved)
 	}
 }

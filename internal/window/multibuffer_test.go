@@ -1,6 +1,13 @@
 package window
 
-import "spear/internal/tuple"
+import (
+	"slices"
+
+	"spear/internal/tuple"
+)
+
+// This file holds the Flink design of Figs. 3–4, which no program runs:
+// the reference the Storm manager's windows are held to (storm_test.go).
 
 // Complete is a window MultiBuffer has closed and staged for processing.
 type Complete struct {
@@ -103,3 +110,17 @@ func (m *MultiBuffer) PeakMemUsage() int { return m.peak }
 // LateDropped returns the number of tuples discarded because they
 // arrived behind the last fired window.
 func (m *MultiBuffer) LateDropped() int64 { return m.lc.Late() }
+
+// IDsIn returns the keys of m within [from, to] in ascending order, so
+// that a watermark after a gap in the stream fires the windows that
+// exist instead of gap ÷ slide.
+func IDsIn[K ~int64, W any](m map[K]W, from, to K) []K {
+	var ids []K
+	for id := range m {
+		if id >= from && id <= to {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	return ids
+}

@@ -1,15 +1,14 @@
 // Package window implements the windowing machinery of the engine:
 // window specifications (time/count × sliding/tumbling), assignment of
-// tuples to windows, the window lifecycle every manager holds, and the
-// multiple-buffers design (Flink) of Figs. 3–4, kept as the reference
-// for the single-buffer design (Storm, adopted by SPEAr), which is the
-// exact baseline's shape in internal/core.
+// tuples to windows, and the window lifecycle every manager holds. Its
+// tests keep the multiple-buffers design (Flink) of Figs. 3–4 as the
+// reference for the single-buffer design (Storm, adopted by SPEAr),
+// which is the exact baseline's shape in internal/core.
 package window
 
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 )
 
@@ -150,21 +149,6 @@ func (s Spec) Slice(lo, hi ID) (start, end int64) {
 		end = t
 	}
 	return start, end
-}
-
-// IDsIn returns the keys of m (window ids, or pane indices) within
-// [from, to] in ascending order. A fire walks these and not the id
-// range, so a watermark that follows a gap in the stream costs the
-// windows that exist instead of gap ÷ slide.
-func IDsIn[K ~int64, W any](m map[K]W, from, to K) []K {
-	var ids []K
-	for id := range m {
-		if id >= from && id <= to {
-			ids = append(ids, id)
-		}
-	}
-	slices.Sort(ids)
-	return ids
 }
 
 // FirstCompleteBy returns the largest window ID whose end is ≤ wm, i.e.

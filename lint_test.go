@@ -21,6 +21,7 @@ import (
 // finding, so an entry does not move with the lines around it.
 var lintAllowed = map[string]string{
 	"eventtime internal/core/config.go Config.clock":     "the telemetry clock's default; event-time logic never calls it",
+	"globalrand internal/sample/dict.go NewKeyDict":      "ids are issued in insertion order, so the seed only places slots",
 	"goroutine-discipline benchmark/run.go prepared.run": "run joins it: it receives exactly one error per shard server from shardErr before returning",
 }
 
@@ -245,16 +246,18 @@ var randConstructors = map[string]bool{
 // checkGlobalRand: library code never uses math/rand's package-level
 // source. The source is locked, a contention point on hot paths, and
 // cannot be seeded per component, so runs stop being reproducible;
-// samplers take a seeded *rand.Rand (sample.DeriveSeed) instead. Package
-// main is exempt.
+// samplers take a seeded *rand.Rand (sample.DeriveSeed) instead. Nor
+// does it draw a per-process seed from maphash.MakeSeed, which no run
+// can replay. Package main is exempt.
 func checkGlobalRand(p *lintPkg, report func(token.Pos, string)) {
 	if p.name == "main" {
 		return
 	}
 	for _, f := range p.files {
-		aliases := map[string]bool{importName(f, "math/rand"): true, importName(f, "math/rand/v2"): true}
-		delete(aliases, "")
-		if len(aliases) == 0 {
+		rnd := map[string]bool{importName(f, "math/rand"): true, importName(f, "math/rand/v2"): true}
+		delete(rnd, "")
+		hash := importName(f, "hash/maphash")
+		if len(rnd) == 0 && hash == "" {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -263,7 +266,8 @@ func checkGlobalRand(p *lintPkg, report func(token.Pos, string)) {
 				return true
 			}
 			id, ok := sel.X.(*ast.Ident)
-			if !ok || !aliases[id.Name] || randConstructors[sel.Sel.Name] {
+			seed := ok && id.Name == hash && sel.Sel.Name == "MakeSeed"
+			if !ok || !seed && (!rnd[id.Name] || randConstructors[sel.Sel.Name]) {
 				return true
 			}
 			if obj := p.info.Uses[id]; obj != nil {
@@ -271,7 +275,11 @@ func checkGlobalRand(p *lintPkg, report func(token.Pos, string)) {
 					return true // a local name shadows the package
 				}
 			}
-			report(sel.Pos(), fmt.Sprintf("%s.%s uses math/rand's global source; inject a seeded *rand.Rand (sample.DeriveSeed) for determinism and to avoid the global lock", id.Name, sel.Sel.Name))
+			if seed {
+				report(sel.Pos(), fmt.Sprintf("%s.MakeSeed draws a per-process seed no run can replay; derive one from the query's seed (sample.DeriveSeed)", id.Name))
+			} else {
+				report(sel.Pos(), fmt.Sprintf("%s.%s uses math/rand's global source; inject a seeded *rand.Rand (sample.DeriveSeed) for determinism and to avoid the global lock", id.Name, sel.Sel.Name))
+			}
 			return true
 		})
 	}
@@ -554,9 +562,17 @@ func TestAnalyzersCatchSeededMutations(t *testing.T) {
 		seeds            []seed
 		line, sub        string
 	}{
-		{"globalrand", "globalrand", "internal/sample",
-			[]seed{{"reservoir.go", "import (\n\t\"math\"\n)\n\n", "import (\n\t\"math\"\n\t\"math/rand\"\n)\n\nvar _ = rand.Intn(3)\n\n"}},
+		// Not internal/sample: KeyDict's allowed MakeSeed is a finding there.
+		{"globalrand", "globalrand", "internal/stats",
+			[]seed{{"describe.go", "import (\n\t\"math\"\n\t\"sort\"\n)\n\n", "import (\n\t\"math\"\n\t\"math/rand\"\n\t\"sort\"\n)\n\nvar _ = rand.Intn(3)\n\n"}},
 			"var _ = rand.Intn(3)", "global source"},
+		// A per-process hash seed in the CountMin baseline.
+		{"globalrand_makeseed", "globalrand", "internal/sketch",
+			[]seed{
+				{"countmin.go", "\t\"fmt\"\n", "\t\"fmt\"\n\t\"hash/maphash\"\n"},
+				{"countmin.go", "func (c *CountMin) bucket(", "var _ = maphash.MakeSeed()\n\nfunc (c *CountMin) bucket("},
+			},
+			"var _ = maphash.MakeSeed()", "MakeSeed draws a per-process seed"},
 		{"goroutine-discipline", "goroutine-discipline", "internal/stats",
 			[]seed{{"welford.go", "func (w *Welford) Merge(o Welford) {\n", "func (w *Welford) Merge(o Welford) {\n\tgo func() { _ = o.n }()\n"}},
 			"go func() { _ = o.n }()", "no lifecycle discipline"},

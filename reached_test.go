@@ -20,13 +20,10 @@ import (
 // for a whole package; an entry for a type covers its methods and its
 // constructor New<Type> too.
 var unreachedAllowed = map[string]string{
-	"window.MultiBuffer":              "the Figs. 3–4 design the Storm manager (core.ExactManager) is checked against (TestMultiBufferMatchesSingleBuffer, TestSingleBufferStagesTheWindowsThatHoldTuples)",
-	"window.Complete":                 "a window MultiBuffer stages, which the tests hold the Storm manager's results to",
 	"window.Spec.Overlap":             "the oracle of the assign property",
 	"stats.NormalCDF":                 "the oracle of TestNormalQuantileInvertsCDF",
 	"sample.CongressAllocate":         "the reference the GroupReservoirs method is compared against",
 	"storage.NewFileStore":            "the durable store the multi-process recovery tests share",
-	"core.DefaultScalarEstimate":      "part of the paper's estimator hook; README names it",
 	"spe.NewDisorderSpout":            "test support: out-of-order arrival for the engine and integration tests",
 	"checkpointtest.*":                "test support: StateDiff, what every TestRoundTrip<Type> compares with",
 	"leakcheck.*":                     "test support: the goroutine-leak checks and the lock-free contracts",

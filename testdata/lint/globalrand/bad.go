@@ -1,8 +1,11 @@
 // Package globalrand is a source-check fixture: known-bad and known-good
-// uses of math/rand in library code.
+// uses of math/rand and of maphash seeds in library code.
 package globalrand
 
-import "math/rand"
+import (
+	"hash/maphash"
+	"math/rand"
+)
 
 // Bad: package-level calls hit the locked global source.
 func shuffleBad(xs []int) {
@@ -41,4 +44,12 @@ func (fakeRand) Intn(n int) int { return 0 }
 func shadowed() int {
 	rand := fakeRand{}
 	return rand.Intn(7)
+}
+
+// Bad: a per-process hash seed; no run can replay what it places.
+var perProcess = maphash.MakeSeed() // want "MakeSeed draws a per-process seed"
+
+// Good: hashing under a seed the caller holds.
+func hashGood(seed maphash.Seed, s string) uint64 {
+	return maphash.String(seed, s)
 }
