@@ -129,7 +129,7 @@ loc:
 # come from paired binaries (EXPERIMENTS.md), never from here.
 bench-smoke:
 	cd benchmark && $(GO) test ./... && $(GO) vet -tags layerprobe ./...
-	$(GO) test ./internal/core -run '^$$' -bench 'IngestOverlap|BenchmarkArchiveStore|BenchmarkStormFire' -benchtime 1x -benchmem
+	$(GO) test ./internal/core -run '^$$' -bench 'IngestOverlap|BenchmarkArchiveStore|BenchmarkStormFire|BenchmarkFallbackFire' -benchtime 1x -benchmem
 	$(GO) test ./internal/spe -run '^$$' -bench 'BenchmarkHop|BenchmarkFusedChain' -benchtime 1x -benchmem
 	$(GO) test ./internal/transport -run '^$$' -bench 'BenchmarkDecodeFrame|BenchmarkAppendBatch|BenchmarkAppendResult' -benchtime 1x -benchmem
 	$(GO) test ./internal/tuple -run '^$$' -bench 'BenchmarkAppendColumns|BenchmarkDecodeColumns' -benchtime 1x -benchmem

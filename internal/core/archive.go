@@ -143,31 +143,31 @@ func (a *archive) addRun(p int64, pos []int64, rows []tuple.Tuple) error {
 	return nil
 }
 
-// fetch returns every archived tuple with position in [start, end),
-// flushing the buffered chunks of the covered panes first.
-func (a *archive) fetch(start, end int64) ([]tuple.Tuple, error) {
-	var out []tuple.Tuple
-	for p := a.paneOf(start); p <= a.paneOf(end-1); p++ {
-		if pn := a.panes.find(p); pn != nil {
-			if err := a.flush(p, pn); err != nil {
-				return nil, err
-			}
-			a.park(pn)
+// fetch appends to dst[:0] every archived tuple with position in
+// [start, end), flushing the buffered chunks of the covered panes first.
+// It reads the panes the list holds, each of which has stored a chunk.
+func (a *archive) fetch(dst []tuple.Tuple, start, end int64) ([]tuple.Tuple, error) {
+	dst = dst[:0]
+	keys, pns := a.panes.span(a.paneOf(start), a.paneOf(end-1)+1)
+	for i := range pns {
+		if err := a.flush(keys[i], &pns[i]); err != nil {
+			return dst, err
 		}
-		ts, err := a.store.Get(a.paneKey(p))
+		a.park(&pns[i])
+		ts, err := a.store.Get(pns[i].key)
 		if err != nil {
 			if errors.Is(err, storage.ErrNotFound) {
-				continue // pane received no tuples
+				continue // a restored pane the store does not hold
 			}
-			return nil, err
+			return dst, err
 		}
 		for _, t := range ts {
 			if t.Ts >= start && t.Ts < end {
-				out = append(out, t)
+				dst = append(dst, t)
 			}
 		}
 	}
-	return out, nil
+	return dst, nil
 }
 
 // prefetchAhead is the managers' PrefetchWatermark: once the watermark

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	"spear/internal/agg"
 	"spear/internal/sketch"
 	"spear/internal/stats"
 	"spear/internal/tuple"
@@ -33,14 +32,11 @@ type ExactManager struct {
 	bufBytes int
 	sk       *sketch.GroupedMeanSketch // nil but for CountMin
 
-	// The fire under way, in storage reused across fires: the windows it
-	// answers, ascending, their tuples back to back in stage (ids[i]'s
-	// end at ends[i]), and a scalar window's values. Emptied when the
-	// last window closes, so no evicted tuple stays pinned.
-	ids   []window.ID
-	ends  []int
-	stage []tuple.Tuple
-	vals  []float64
+	// The fire under way: the windows it answers, ascending, their
+	// tuples back to back in the shell's stage, ids[i]'s ending at
+	// ends[i].
+	ids  []window.ID
+	ends []int
 }
 
 // NewExactManager returns the Storm baseline for cfg.
@@ -87,6 +83,7 @@ func (m *ExactManager) fold(r run) {
 // buffer (Fig. 4, left), then the eviction of what no open window holds.
 func (m *ExactManager) held(first, last window.ID) ([]window.ID, time.Duration) {
 	t0 := m.now()
+	m.ids, m.ends = m.ids[:0], m.ends[:0]
 	var start, end int64 // positions sharing the previous tuple's windows
 	for _, t := range m.buf {
 		if t.Ts >= start && t.Ts < end {
@@ -120,8 +117,8 @@ func (m *ExactManager) held(first, last window.ID) ([]window.ID, time.Duration) 
 	return m.ids, m.now().Sub(t0)
 }
 
-// produce evaluates window id from its staged tuples: the aggregate of
-// their values, per group where grouped, or the sketch's estimates.
+// produce answers window id from its staged tuples: through the shell's
+// exact evaluator, or CountMin's sketch.
 func (m *ExactManager) produce(id window.ID, res *Result) error {
 	i, _ := slices.BinarySearch(m.ids, id)
 	from := 0
@@ -129,32 +126,20 @@ func (m *ExactManager) produce(id window.ID, res *Result) error {
 		from = m.ends[i-1]
 	}
 	rows := m.stage[from:m.ends[i]]
-	res.Mode, res.N, res.SampleN = ModeExact, int64(len(rows)), len(rows)
-	switch {
-	case m.sk != nil:
-		m.sk.Reset()
-		for _, t := range rows {
-			m.sk.Add(m.cfg.KeyBy(t), m.cfg.Value(t))
-		}
-		res.Groups = m.sk.Result()
-	case m.cfg.KeyBy != nil:
-		keys, vals := m.columns(rows)
-		res.Groups = agg.ComputeGrouped(keys, vals, m.cfg.Agg)
-	default:
-		m.vals = m.values(m.vals, rows)
-		res.Scalar = m.cfg.Agg.Compute(m.vals)
+	if m.sk == nil {
+		m.exact(res, rows)
+		return nil
 	}
+	res.Mode, res.N, res.SampleN = ModeExact, int64(len(rows)), len(rows)
+	m.sk.Reset()
+	for _, t := range rows {
+		m.sk.Add(m.cfg.KeyBy(t), m.cfg.Value(t))
+	}
+	res.Groups = m.sk.Result()
 	return nil
 }
 
-// close empties the staging once the fire's last window is answered.
-func (m *ExactManager) close(res Result) {
-	if res.WindowID == m.ids[len(m.ids)-1] {
-		clear(m.stage)
-		m.ids, m.ends, m.stage, m.vals = m.ids[:0], m.ends[:0], m.stage[:0], m.vals[:0]
-	}
-}
-
+func (m *ExactManager) close(Result)  {}
 func (m *ExactManager) resize()       {}
 func (m *ExactManager) capacity() int { return 0 }
 
@@ -188,6 +173,9 @@ func NewIncrementalManager(cfg Config) (*IncrementalManager, error) {
 	}
 	if cfg.KeyBy != nil {
 		return nil, errors.New("core: incremental baseline does not support grouped operations")
+	}
+	if cfg.Custom != nil {
+		return nil, fmt.Errorf("core: %s cannot be processed incrementally", cfg.Custom)
 	}
 	if cfg.Agg.Holistic() {
 		return nil, fmt.Errorf("core: %s cannot be processed incrementally", cfg.Agg)

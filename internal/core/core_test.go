@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -101,6 +102,11 @@ func TestManagerConstructorsRejectWrongShape(t *testing.T) {
 	}
 	if _, err := NewIncrementalManager(scalar); err == nil {
 		t.Error("IncrementalManager accepted a holistic agg")
+	}
+	custom, trim := mkCfg(agg.Func{}, 100), agg.TrimmedMean(0.05)
+	custom.Custom, custom.ScalarEstimator = &trim, TrimmedMeanEstimator(0.05)
+	if _, err := NewIncrementalManager(custom); err == nil || !strings.Contains(err.Error(), "custom(trimmed-mean") {
+		t.Errorf("IncrementalManager given a custom aggregate: %v, want it refused by name", err)
 	}
 	bad := mkCfg(agg.Func{Op: agg.Mean}, 0)
 	if _, err := NewScalarManager(bad); err == nil {
@@ -1003,7 +1009,7 @@ func TestArchivePaneLifecycle(t *testing.T) {
 	}
 	// Fetch window [10, 40): must return exactly ts 10..39 including
 	// pending unflushed chunks.
-	got, err := a.fetch(10, 40)
+	got, err := a.fetch(nil, 10, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1024,7 +1030,7 @@ func TestArchivePaneLifecycle(t *testing.T) {
 	if err := a.evictBefore(30); err != nil {
 		t.Fatal(err)
 	}
-	got, err = a.fetch(0, 30)
+	got, err = a.fetch(got, 0, 30)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"spear/internal/agg"
 	"spear/internal/sample"
 	"spear/internal/stats"
 	"spear/internal/window"
@@ -237,13 +236,7 @@ func (m *GroupedManager) produce(id window.ID, res *Result) error {
 		}
 		return nil
 	}
-	rows, err := m.fetch(res)
-	if err != nil {
-		return err
-	}
-	keys, vals := m.columns(rows)
-	res.Groups = agg.ComputeGrouped(keys, vals, m.cfg.Agg)
-	return nil
+	return m.fetch(res)
 }
 
 // fromMoments answers every group of res from its frequency/variance
@@ -271,12 +264,12 @@ func (m *GroupedManager) fromReservoirs(res *Result, known *sample.GroupReservoi
 // window [res.Start, res.End), fetched from S in archive order, drawn to
 // alloc.
 func (m *GroupedManager) fromStrata(res *Result, gs *sample.GroupStats, alloc map[string]int) error {
-	rows, err := m.arc.fetch(res.Start, res.End)
-	if err != nil {
+	var err error
+	if m.stage, err = m.arc.fetch(m.stage, res.Start, res.End); err != nil {
 		return err
 	}
-	keys, vals := m.columns(rows)
-	strata := sample.StratifiedFromBuffer(keys, vals, alloc, sample.DeriveSeed(m.cfg.Seed, int64(res.WindowID)))
+	m.read(m.stage)
+	strata := sample.StratifiedFromBuffer(m.keys, m.vals, alloc, sample.DeriveSeed(m.cfg.Seed, int64(res.WindowID)))
 	res.Groups = make(map[string]float64, len(strata))
 	res.SampleN = 0
 	for key, sv := range strata {

@@ -207,12 +207,7 @@ func (m *ScalarManager) produce(id window.ID, res *Result) error {
 		res.Scalar = m.evalSample(smp, w.n)
 		return nil
 	}
-	rows, err := m.fetch(res)
-	if err != nil {
-		return err
-	}
-	res.Scalar = m.evalExact(m.values(nil, rows))
-	return nil
+	return m.fetch(res)
 }
 
 // evalSample evaluates the operation on a sample from a window of n.
@@ -221,14 +216,6 @@ func (m *ScalarManager) evalSample(sample []float64, n int64) float64 {
 		return m.cfg.Custom.Compute(sample, n)
 	}
 	return m.cfg.Agg.Estimate(sample, n)
-}
-
-// evalExact evaluates the operation on the full window.
-func (m *ScalarManager) evalExact(values []float64) float64 {
-	if m.cfg.Custom != nil {
-		return m.cfg.Custom.Compute(values, int64(len(values)))
-	}
-	return m.cfg.Agg.Compute(values)
 }
 
 // close retires the window res answered, and the slices no open window

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"spear/internal/agg"
 	"spear/internal/tuple"
 	"spear/internal/window"
 )
@@ -27,6 +28,13 @@ type shell struct {
 	shed      bool // archive writes currently shed (controller escalation)
 	now       func() time.Time
 	sh        shape // the manager that embeds the shell
+
+	// A fire's exact answers, in storage reused across fires and
+	// emptied when it returns: the window's tuples, staged or fetched,
+	// and their values and keys.
+	stage []tuple.Tuple
+	vals  []float64
+	keys  []string
 }
 
 // shape is a manager's form: its per-window state and the steps that
@@ -228,6 +236,7 @@ func (s *shell) fire(wm int64) ([]Result, error) {
 	if !ok {
 		return nil, nil
 	}
+	defer s.unstage()
 	ids, staging := s.sh.held(first, last)
 	share := staging / time.Duration(max(len(ids), 1))
 	// Answered in place in out: no Result of its own escapes inside the timing.
@@ -280,35 +289,56 @@ func (s *shell) answers(res *Result, estErr float64, ok, checked, tainted bool) 
 	return true
 }
 
-// values returns the values of rows, in order, in dst's storage where
-// it has the room.
-func (s *shell) values(dst []float64, rows []tuple.Tuple) []float64 {
-	dst = slices.Grow(dst[:0], len(rows))[:len(rows)]
-	for i, t := range rows {
-		dst[i] = s.cfg.Value(t)
-	}
-	return dst
+// unstage empties the fire's scratch, so that no evicted tuple stays
+// pinned.
+func (s *shell) unstage() {
+	clear(s.stage)
+	clear(s.keys)
+	s.stage, s.vals, s.keys = s.stage[:0], s.vals[:0], s.keys[:0]
 }
 
-// columns returns the keys and values of rows, in order.
-func (s *shell) columns(rows []tuple.Tuple) ([]string, []float64) {
-	keys := make([]string, len(rows))
+// read reads the values of rows, and their keys where the query is
+// grouped, into the scratch, in order.
+func (s *shell) read(rows []tuple.Tuple) {
+	n := len(rows)
+	s.vals = slices.Grow(s.vals[:0], n)[:n]
 	for i, t := range rows {
-		keys[i] = s.cfg.KeyBy(t)
+		s.vals[i] = s.cfg.Value(t)
 	}
-	return keys, s.values(nil, rows)
+	if s.cfg.KeyBy != nil {
+		s.keys = slices.Grow(s.keys[:0], n)[:n]
+		for i, t := range rows {
+			s.keys[i] = s.cfg.KeyBy(t)
+		}
+	}
+}
+
+// exact answers res from rows, the whole window: the one exact
+// evaluator of every manager, for Alg. 2's fallback and for Storm.
+func (s *shell) exact(res *Result, rows []tuple.Tuple) {
+	res.Mode, res.N, res.SampleN = ModeExact, int64(len(rows)), len(rows)
+	s.read(rows)
+	switch {
+	case s.cfg.Custom != nil:
+		res.Scalar = s.cfg.Custom.Compute(s.vals, res.N)
+	case s.cfg.KeyBy != nil:
+		res.Groups = agg.ComputeGrouped(s.keys, s.vals, s.cfg.Agg)
+	default:
+		res.Scalar = s.cfg.Agg.Compute(s.vals)
+	}
 }
 
 // fetch is the exact fallback, Alg. 2 line 5: the window's tuples read
-// back from S, res labelled as processed whole — performance identical
+// back from S into the stage and answered whole — performance identical
 // to normal execution plus the failed check.
-func (s *shell) fetch(res *Result) ([]tuple.Tuple, error) {
-	rows, err := s.arc.fetch(res.Start, res.End)
-	if err != nil {
-		return nil, err
+func (s *shell) fetch(res *Result) error {
+	var err error
+	if s.stage, err = s.arc.fetch(s.stage, res.Start, res.End); err != nil {
+		return err
 	}
-	res.Mode, res.N, res.SampleN, res.FetchedFromStore = ModeExact, int64(len(rows)), len(rows), true
-	return rows, nil
+	res.FetchedFromStore = true
+	s.exact(res, s.stage)
+	return nil
 }
 
 // PrefetchWatermark implements the engine's Prefetcher hook: after the

@@ -117,7 +117,7 @@ func TestSnapshotConcurrentWriters(t *testing.T) {
 
 func TestTraceRingBounded(t *testing.T) {
 	tr := NewTraceRing(1, 4)
-	tr.SetClock(fixedClock(time.Unix(0, 500)))
+	tr.clock = fixedClock(time.Unix(0, 500))
 	for i := 0; i < 10; i++ {
 		tr.Record(TraceEvent{Kind: TraceIngest, Ts: int64(i)})
 	}

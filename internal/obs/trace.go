@@ -63,13 +63,6 @@ func NewTraceRing(n, cap int) *TraceRing {
 	return &TraceRing{buf: make([]TraceEvent, cap), n: uint64(n), clock: time.Now}
 }
 
-// SetClock injects a deterministic clock (tests).
-func (r *TraceRing) SetClock(clock func() time.Time) {
-	r.mu.Lock()
-	r.clock = clock
-	r.mu.Unlock()
-}
-
 // SampleTs reports whether a tuple with event time ts is traced. The
 // decision hashes the timestamp so it is consistent across stages
 // without any cross-goroutine coordination.

@@ -56,13 +56,15 @@ func TestKeyDictChurn(t *testing.T) {
 			if gs[i].Len() != len(m) || gr[i].Len() != len(m) {
 				t.Fatalf("step %d holder %d: %d groups, %d reservoirs, model %d", step, i, gs[i].Len(), gr[i].Len(), len(m))
 			}
+			res := map[string]*Reservoir{}
+			gr[i].Each(func(k string, r *Reservoir) { res[k] = r })
 			for k, w := range m {
 				live[k] = true
 				got := gs[i].Get(k)
 				if got == nil || !bytes.Equal(got.AppendTo(nil), w.AppendTo(nil)) {
 					t.Fatalf("step %d holder %d: group %q differs from the model", step, i, k)
 				}
-				if r := gr[i].Get(k); r == nil || r.Seen() != w.Count() {
+				if r := res[k]; r == nil || r.Seen() != w.Count() {
 					t.Fatalf("step %d holder %d: reservoir %q differs from the model", step, i, k)
 				}
 			}

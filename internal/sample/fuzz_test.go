@@ -15,9 +15,9 @@ func fuzzSeedStructs() [][]byte {
 		r.Add(float64(i))
 	}
 	gs := NewKeyDict().NewGroupStats()
-	gs.Add("a", 1)
-	gs.Add("a", 2)
-	gs.Add("b", -3)
+	gs.AddID(gs.dict.ID("a"), 1)
+	gs.AddID(gs.dict.ID("a"), 2)
+	gs.AddID(gs.dict.ID("b"), -3)
 	gr := NewGroupReservoirs(4, 7, AlgoL)
 	for i := 0; i < 20; i++ {
 		gr.Add("g", float64(i))

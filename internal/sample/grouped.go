@@ -81,9 +81,6 @@ func (d *KeyDict) NewGroupStats() *GroupStats {
 	return &GroupStats{groupIndex: groupIndex{dict: d}}
 }
 
-// Add folds one (group, value) observation in.
-func (g *GroupStats) Add(key string, value float64) { g.AddID(g.dict.ID(key), value) }
-
 // AddID is Add for a group already resolved to its id in the
 // dictionary g was created from.
 func (g *GroupStats) AddID(id uint32, value float64) {
@@ -246,15 +243,6 @@ func (g *GroupReservoirs) Resize(perGroup int) {
 
 // Len returns the number of distinct groups observed.
 func (g *GroupReservoirs) Len() int { return len(g.ids) }
-
-// Get returns the reservoir for a group, or nil. The pointer is valid
-// until the next Add.
-func (g *GroupReservoirs) Get(key string) *Reservoir {
-	if i := g.lookup(key); i != 0 {
-		return &g.res[i-1]
-	}
-	return nil
-}
 
 // Each calls fn for every (group, reservoir) pair, in order of first
 // arrival.

@@ -209,13 +209,6 @@ func (r *Reservoir) Cap() int { return r.cap }
 // and must not be modified; callers that need to sort copy first.
 func (r *Reservoir) Items() []float64 { return r.items }
 
-// Snapshot returns a copy of the sample safe to sort or mutate.
-func (r *Reservoir) Snapshot() []float64 {
-	out := make([]float64, len(r.items))
-	copy(out, r.items)
-	return out
-}
-
 // MemSize returns the approximate footprint in bytes: the sample slots
 // plus bookkeeping. Used to charge the worker budget.
 func (r *Reservoir) MemSize() int { return 8*r.cap + 48 }

@@ -94,17 +94,6 @@ func TestReservoirUniformity(t *testing.T) {
 	}
 }
 
-func TestReservoirSnapshotIsCopy(t *testing.T) {
-	r := NewReservoir(3, 1, AlgoL)
-	r.Add(1)
-	r.Add(2)
-	s := r.Snapshot()
-	s[0] = 99
-	if r.Items()[0] != 1 {
-		t.Error("Snapshot aliases internal storage")
-	}
-}
-
 func TestReservoirPanicsOnBadCap(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -262,9 +251,9 @@ func TestStratifiedFromBufferMismatchPanics(t *testing.T) {
 
 func TestGroupStats(t *testing.T) {
 	g := NewKeyDict().NewGroupStats()
-	g.Add("r1", 10)
-	g.Add("r1", 20)
-	g.Add("r2", 5)
+	g.AddID(g.dict.ID("r1"), 10)
+	g.AddID(g.dict.ID("r1"), 20)
+	g.AddID(g.dict.ID("r2"), 5)
 	if g.Len() != 2 {
 		t.Fatalf("Len = %d", g.Len())
 	}
@@ -289,7 +278,7 @@ func TestGroupStats(t *testing.T) {
 		t.Error("MemSize should be positive")
 	}
 	m1 := g.MemSize()
-	g.Add("a-much-longer-group-identifier", 1)
+	g.AddID(g.dict.ID("a-much-longer-group-identifier"), 1)
 	if g.MemSize() <= m1 {
 		t.Error("MemSize should grow with key bytes")
 	}
@@ -310,13 +299,15 @@ func TestGroupReservoirs(t *testing.T) {
 	if g.Len() != 2 {
 		t.Fatalf("Len = %d", g.Len())
 	}
-	if r := g.Get("a"); r.Len() != 5 || r.Seen() != 100 {
+	res := map[string]*Reservoir{}
+	g.Each(func(k string, r *Reservoir) { res[k] = r })
+	if r := res["a"]; r.Len() != 5 || r.Seen() != 100 {
 		t.Errorf("a: len=%d seen=%d", r.Len(), r.Seen())
 	}
-	if r := g.Get("b"); r.Len() != 3 {
+	if r := res["b"]; r.Len() != 3 {
 		t.Errorf("b: len=%d, want all 3", r.Len())
 	}
-	for _, v := range g.Get("b").Items() {
+	for _, v := range res["b"].Items() {
 		if v < 1000 {
 			t.Errorf("b sample contaminated: %v", v)
 		}
@@ -369,6 +360,6 @@ func BenchmarkGroupStatsAdd(b *testing.B) {
 	keys := []string{"c0", "c1", "c2", "c3"}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g.Add(keys[i&3], float64(i))
+		g.AddID(g.dict.ID(keys[i&3]), float64(i))
 	}
 }

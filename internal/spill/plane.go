@@ -251,9 +251,9 @@ func (p *Plane) process(key string, t *task) error {
 	}
 	ts, err := p.inner.Get(key)
 	if err != nil {
-		// A missing segment is not a plane failure: panes that never
-		// flushed have no segment, and the archive treats not-found as
-		// an empty pane. Report it to the waiter, do not latch it.
+		// A missing segment is not a plane failure: the archive asks
+		// only for panes it stored, but a restore that skipped the rewind
+		// can name one S lacks. Report it to the waiter, do not latch it.
 		t.err = err
 		return nil
 	}

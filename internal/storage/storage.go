@@ -18,7 +18,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"spear/internal/tuple"
@@ -482,10 +481,6 @@ type LatencyStore struct {
 	inner SpillStore
 	perOp time.Duration
 	sleep func(time.Duration)
-	// totalDelay accumulates injected nanoseconds. Atomic rather than
-	// mutex-guarded: the async spill plane drives this store from a
-	// worker pool, and the accumulator must not serialize sleeps.
-	totalDelay atomic.Int64
 }
 
 // NewLatencyStore wraps inner with perOp latency per call. A nil sleep
@@ -498,16 +493,9 @@ func NewLatencyStore(inner SpillStore, perOp time.Duration, sleep func(time.Dura
 }
 
 func (l *LatencyStore) delay() {
-	l.totalDelay.Add(int64(l.perOp))
 	if l.perOp > 0 {
 		l.sleep(l.perOp)
 	}
-}
-
-// TotalDelay reports the cumulative injected latency. Safe for
-// concurrent use.
-func (l *LatencyStore) TotalDelay() time.Duration {
-	return time.Duration(l.totalDelay.Load())
 }
 
 // Store implements SpillStore.

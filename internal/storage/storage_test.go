@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -150,9 +151,6 @@ func TestLatencyStoreInjectsDelay(t *testing.T) {
 	}
 	if slept != 20*time.Millisecond {
 		t.Errorf("Store and Get slept %v, want 2 × perOp", slept)
-	}
-	if ls.TotalDelay() != slept {
-		t.Errorf("TotalDelay %v != slept %v", ls.TotalDelay(), slept)
 	}
 	if err := ls.Delete("k"); err != nil {
 		t.Fatal(err)
@@ -401,15 +399,16 @@ func TestMemStoreGetDoesNotAlias(t *testing.T) {
 
 // TestLatencyStoreConcurrent drives LatencyStore from parallel
 // goroutines the way the async spill plane's worker pool does. Run
-// under -race it checks delay/TotalDelay synchronization; the assertion
-// checks the accumulated delay covers at least every per-op charge.
+// under -race it checks that the store serializes nothing it should
+// not; the assertion checks that every call slept its per-op charge.
 func TestLatencyStoreConcurrent(t *testing.T) {
 	const (
 		workers = 8
 		ops     = 40
 		perOp   = time.Microsecond
 	)
-	ls := NewLatencyStore(NewMemStore(), perOp, func(time.Duration) {})
+	var slept atomic.Int64
+	ls := NewLatencyStore(NewMemStore(), perOp, func(d time.Duration) { slept.Add(int64(d)) })
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -425,12 +424,11 @@ func TestLatencyStoreConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				_ = ls.TotalDelay() // concurrent reader
 			}
 		}(w)
 	}
 	wg.Wait()
-	if got, want := ls.TotalDelay(), time.Duration(workers*ops*2)*perOp; got < want {
-		t.Errorf("TotalDelay = %v, want ≥ %v (one per-op charge per call)", got, want)
+	if got, want := time.Duration(slept.Load()), time.Duration(workers*ops*2)*perOp; got != want {
+		t.Errorf("slept %v, want %v (one per-op charge per call)", got, want)
 	}
 }

@@ -65,6 +65,8 @@ func TestRoundTripSingleBuffer(t *testing.T) {
 	allow := map[string]string{
 		"shell.cfg.Metrics": "telemetry, outside the checkpoint domain",
 		"shell.cols":        "the row lane's scratch columns: dead between calls",
+		"ids":               "scratch: the windows the last fire staged, dead between fires",
+		"ends":              "scratch: where each window the last fire staged ends, dead between fires",
 	}
 	for _, d := range checkpointtest.StateDiff(live, restored, allow) {
 		t.Error(d)

@@ -588,8 +588,8 @@ func TestAnalyzersCatchSeededMutations(t *testing.T) {
 			[]seed{{"welford.go", "func (w *Welford) Merge(o Welford) {\n", "func (w *Welford) Merge(o Welford) {\n\tif w.mean == o.mean {\n\t\treturn\n\t}\n"}},
 			"if w.mean == o.mean {", "float equality"},
 		{"errcheck-lite", "errcheck-lite", "internal/core",
-			[]seed{{"archive.go", "ts, err := a.store.Get(a.paneKey(p))", "ts, _ := a.store.Get(a.paneKey(p))\n\t\tvar err error"}},
-			"ts, _ := a.store.Get(a.paneKey(p))", "error returned by .Get is dropped"},
+			[]seed{{"archive.go", "ts, err := a.store.Get(pns[i].key)", "ts, _ := a.store.Get(pns[i].key)\n\t\tvar err error"}},
+			"ts, _ := a.store.Get(pns[i].key)", "error returned by .Get is dropped"},
 		// The shard's decode path of a batch frame.
 		{"errcheck-lite_link", "errcheck-lite", "internal/transport",
 			[]seed{{"frame.go", "rows, slab, err := tuple.DecodeColumnsInto(", "var err error\n\t\trows, slab, _ := tuple.DecodeColumnsInto("}},

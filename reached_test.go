@@ -27,15 +27,10 @@ var unreachedAllowed = map[string]string{
 	"spe.NewDisorderSpout":            "test support: out-of-order arrival for the engine and integration tests",
 	"checkpointtest.*":                "test support: StateDiff, what every TestRoundTrip<Type> compares with",
 	"leakcheck.*":                     "test support: the goroutine-leak checks and the lock-free contracts",
-	"obs.TraceRing.SetClock":          "a seam for a deterministic clock in tests",
 	"transport.FaultDialer":           "test support: the dial and connection faults of the transport's recovery tests",
-	"storage.LatencyStore.TotalDelay": "test support: the delay the storage tests injected",
 	"sample.Reservoir.Cap":            "test support: the capacity the adaptive-budget tests check",
 	"sample.GroupReservoirs.PerGroup": "test support: the per-group capacity the adaptive-budget tests check",
-	"sample.GroupReservoirs.Get":      "test support: the per-group reservoir TestGroupReservoirs and TestKeyDictChurn read",
-	"sample.GroupStats.Add":           "test support: folding by key in TestGroupStats, TestKeyDictChurn and FuzzSampleRestore; the engine folds by id (AddID)",
 	"sample.KeyDict.Len":              "test support: the live-key count TestKeyDictChurn and the grouped manager's dictionary tests (internal/core/grouped_diff_test.go) check",
-	"sample.Reservoir.Snapshot":       "test support: the sample copies the TestResize* tests compare",
 	"core.ScalarState.Epsilon":        "an input the paper's estimator hook hands a custom estimator (CustomAgg's estimator)",
 	"core.GroupedState.N":             "an input the paper's estimator hook hands a custom estimator (EstimateGroupedWith)",
 	"tuple.Value.Equal":               "test support: value comparison in the codec and round-trip tests",

@@ -742,6 +742,8 @@ func (q *Query) compile() (plan, error) {
 		return p, fmt.Errorf("spear: %s: LatencySLO does not compose with Distribute (the controller needs the in-process obs plane)", w.Name)
 	case w.BudgetMax > 0 && p.control.SLO == 0 && w.Grouped:
 		return p, fmt.Errorf("spear: %s: AdaptiveBudget without LatencySLO steers a scalar worker's budget only; a grouped one never reads it", w.Name)
+	case w.Custom != "" && w.Backend == BackendIncremental:
+		return p, fmt.Errorf("spear: %s: the incremental backend maintains non-holistic aggregates, and custom aggregate %s is holistic", w.Name, w.Custom)
 	case w.BudgetMax > 0 && p.control.SLO == 0 && w.Backend != BackendSPEAr:
 		return p, fmt.Errorf("spear: %s: AdaptiveBudget without LatencySLO steers a sample's budget; the %s backend keeps no sample", w.Name, w.Backend)
 	}

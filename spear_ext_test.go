@@ -48,6 +48,44 @@ func TestCustomAggEndToEnd(t *testing.T) {
 	}
 }
 
+// TestCustomAggOnBaselines: Storm answers a custom aggregate through its
+// function, each window what SPEAr answers exactly, and Inc-Storm, which
+// cannot maintain a holistic aggregate, refuses it by name.
+func TestCustomAggOnBaselines(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var in []Tuple
+	for i := 0; i < 3000; i++ {
+		in = append(in, NewTuple(int64(i)*int64(time.Millisecond), Float(rng.ExpFloat64()*50)))
+	}
+	val := func(t Tuple) float64 { return t.Vals[0].AsFloat() }
+	refuse := func(core.ScalarState) (float64, bool) { return math.Inf(1), false }
+	run := func(b Backend) ([]Result, error) {
+		sink := &sinkBuf{}
+		_, err := NewQuery("custom").Source(FromSlice(in)).TumblingWindow(time.Second).
+			CustomAgg(agg.TrimmedMean(0.05), val, refuse).WithBackend(b).Run(sink.add)
+		return sink.sorted(), err
+	}
+	exact, err := run(BackendSPEAr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	storm, err := run(BackendExact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(exact) != 3 || len(storm) != len(exact) {
+		t.Fatalf("%d SPEAr and %d Storm windows, want 3", len(exact), len(storm))
+	}
+	for i, r := range storm {
+		if r.Mode != core.ModeExact || r.N != 1000 || math.Float64bits(r.Scalar) != math.Float64bits(exact[i].Scalar) {
+			t.Errorf("Storm window %d: %v %v over %d tuples, want SPEAr's exact %v", i, r.Mode, r.Scalar, r.N, exact[i].Scalar)
+		}
+	}
+	if _, err := run(BackendIncremental); err == nil || !strings.Contains(err.Error(), "trimmed") {
+		t.Errorf("Inc-Storm given a custom aggregate: %v, want it refused by name", err)
+	}
+}
+
 func TestCustomAggValidation(t *testing.T) {
 	src := FromSlice(nil)
 	sink := func(int, Result) {}
