@@ -43,12 +43,15 @@ test:
 # which decodes into them, and its workers, which give them back. Those
 # tests run ten times over so that the detector sees more than one
 # interleaving. MemStore's blocks change hands between segments, and its
-# concurrent Get/Delete/Store test runs five times.
+# concurrent Get/Delete/Store test runs five times; so do the spill
+# plane's tests, whose fetch and write tasks change hands between Get
+# callers and the plane's workers.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run 'TestLink|TestPump' ./internal/transport/
 	$(GO) test -race -count=10 -run 'TestDistributedLoopbackIdentity' .
 	$(GO) test -race -count=5 ./internal/storage
+	$(GO) test -race -count=5 ./internal/spill
 
 # Crash-recovery integration suite: fault injection at every
 # checkpoint-protocol seam, run under the race detector (the workers'
@@ -74,12 +77,12 @@ obs:
 	$(GO) test -race -run 'TestObserve|TestAdaptive' .
 
 # Scrape gate: run a real query with -serve and the async spill plane
-# live (workers + prefetch), GET /metrics mid-run, and fail unless
-# every family of obs.Families — the one table the exposition is
-# written from — is served (what CI runs).
+# live, GET /metrics mid-run, and fail unless every family of
+# obs.Families — the one table the exposition is written from — is
+# served (what CI runs).
 obs-scrape:
 	$(GO) run ./cmd/spear-demo -dataset dec -tuples 100000 -scrapecheck \
-		-spillworkers 2 -spillahead 2
+		-spillworkers 2
 
 # Short fuzz smoke for the binary codecs beyond their checked-in
 # corpora: the tuple package's value codec and column image, the

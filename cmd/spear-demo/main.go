@@ -46,7 +46,6 @@ func main() {
 		trcEvr  = flag.Int("traceevery", 0, "record the lifecycle of every nth tuple into the /trace ring (0 = off)")
 		scrape  = flag.Bool("scrapecheck", false, "self-scrape /metrics mid-run and exit non-zero unless every required metric family is served (CI gate; implies -serve :0)")
 		spillW  = flag.Int("spillworkers", 0, "async spill plane workers (0 = synchronous spilling)")
-		spillA  = flag.Int("spillahead", 0, "windows of watermark-driven spill prefetch (needs -spillworkers)")
 		nodes   = flag.Int("nodes", 0, "multi-process demo: distribute the SPEAr windowed stage across n shard subprocesses over loopback TCP (0 = in-process)")
 		par     = flag.Int("par", 0, "windowed-stage parallelism (0 = n when -nodes is set, else 1)")
 		shard   = flag.Bool("shard", false, "internal: run as one shard node (listen on 127.0.0.1:0, print SPEARADDR, serve one run); spawned by -nodes")
@@ -62,7 +61,7 @@ func main() {
 	build := func(backend spear.Backend) (*spear.Query, *dataset.Stream) {
 		var ds *dataset.Stream
 		q := spear.NewQuery(*dsName).WithBackend(backend).Seed(*seed).Error(*epsilon, *conf).
-			SpillWorkers(*spillW).SpillAhead(*spillA)
+			SpillWorkers(*spillW)
 		switch *dsName {
 		case "dec":
 			ds = dataset.DEC(dataset.DECConfig{Tuples: *tuples, Seed: *seed})

@@ -113,8 +113,8 @@ func (q *Query) ServeShard(lis net.Listener) error {
 }
 
 // runtime builds the pieces Run and ServeShard share: the spill I/O
-// plane the managers talk to (the store behind the async
-// write-behind/prefetch plane — a transparent synchronous passthrough
+// plane the managers talk to (the store behind the async write-behind
+// plane and its read cache — a transparent synchronous passthrough
 // when SpillWorkers is 0), and the telemetry registry — the caller's
 // ObserveWith instruments, else a private one. The checkpoint machinery
 // deliberately keeps the raw store: manifest and blob writes are commit
@@ -150,7 +150,6 @@ func (p *plan) managerFactory(plane *spill.Plane, reg *obs.Instruments, deferDel
 			KnownGroups:        w.KnownGroups,
 			Store:              plane,
 			Key:                fmt.Sprintf("%s/%s/%d", w.Name, w.Backend, wi),
-			SpillAhead:         p.spillAhead,
 			Seed:               sample.DeriveSeed(w.Seed, int64(wi)),
 			DisableIncremental: w.DisableIncremental,
 			ScalarEstimator:    f.scalarEst,

@@ -18,7 +18,7 @@ import (
 )
 
 // These tests pin the async spill plane's crash story: with write-behind
-// spilling, prefetch and the chunk cache all enabled, a crash at every
+// spilling and the chunk cache both enabled, a crash at every
 // checkpoint-protocol seam followed by recovery must reproduce EXACTLY the results
 // of an uninterrupted synchronous-spill run — values, window extents,
 // and accelerate/exact Mode decisions.
@@ -37,7 +37,7 @@ import (
 // through an async spill plane over inner, while the checkpoint
 // coordinator keeps the RAW store (manifest commit must stay
 // synchronous), mirroring the public Run() wiring.
-func runAsyncSpill(ts []tuple.Tuple, planeStore storage.SpillStore, ahead int, hooks *spe.CheckpointHooks) (runOutput, error) {
+func runAsyncSpill(ts []tuple.Tuple, planeStore storage.SpillStore, hooks *spe.CheckpointHooks) (runOutput, error) {
 	got := runOutput{}
 	factory := func(wi int) (core.Manager, error) {
 		return core.NewScalarManager(core.Config{
@@ -53,7 +53,6 @@ func runAsyncSpill(ts []tuple.Tuple, planeStore storage.SpillStore, ahead int, h
 			ArchiveChunk:       16,
 			DisableIncremental: true,
 			DeferStoreDeletes:  true,
-			SpillAhead:         ahead,
 		})
 	}
 	tp := spe.NewTopology(spe.Config{
@@ -71,8 +70,8 @@ func TestCrashRecoveryAsyncSpill(t *testing.T) {
 	ts := testStream(streamN)
 
 	// Uninterrupted synchronous reference: raw MemStore, no plane, no
-	// prefetch, no checkpointing.
-	ref, err := runAsyncSpill(ts, storage.NewMemStore(), 0, nil)
+	// checkpointing.
+	ref, err := runAsyncSpill(ts, storage.NewMemStore(), nil)
 	if err != nil {
 		t.Fatalf("sync reference run: %v", err)
 	}
@@ -101,7 +100,7 @@ func TestCrashRecoveryAsyncSpill(t *testing.T) {
 
 				inj := &checkpointtest.Injector{Point: point, AtCheckpoint: crashAtCkpt, AtWorker: 0}
 				coord := coordFor(t, raw, 2, inj.AfterPersist())
-				partial, err := runAsyncSpill(ts, plane, 2, inj.Arm(coord.Hooks()))
+				partial, err := runAsyncSpill(ts, plane, inj.Arm(coord.Hooks()))
 				if !errors.Is(err, checkpointtest.ErrInjectedCrash) {
 					t.Fatalf("crashed run: err = %v, want injected crash", err)
 				}
@@ -125,7 +124,7 @@ func TestCrashRecoveryAsyncSpill(t *testing.T) {
 				if !found {
 					t.Fatal("no checkpoint recovered (checkpoint 1 committed before the crash)")
 				}
-				resumed, err := runAsyncSpill(ts, plane2, 2, coord2.Hooks())
+				resumed, err := runAsyncSpill(ts, plane2, coord2.Hooks())
 				if err != nil {
 					t.Fatalf("recovery run: %v", err)
 				}
@@ -151,7 +150,7 @@ func TestCrashRecoveryAsyncSpill(t *testing.T) {
 }
 
 // TestRecoveryAsyncSpillIdentityNoCrash is the plain equivalence leg:
-// the async plane (prefetch on) over an uninterrupted run
+// the async plane over an uninterrupted run
 // must emit exactly what the synchronous plane emits, checkpointing
 // enabled in both.
 func TestRecoveryAsyncSpillIdentityNoCrash(t *testing.T) {
@@ -159,7 +158,7 @@ func TestRecoveryAsyncSpillIdentityNoCrash(t *testing.T) {
 
 	syncStore := storage.NewMemStore()
 	coordSync := coordFor(t, syncStore, 2, nil)
-	want, err := runAsyncSpill(ts, syncStore, 0, coordSync.Hooks())
+	want, err := runAsyncSpill(ts, syncStore, coordSync.Hooks())
 	if err != nil {
 		t.Fatalf("sync run: %v", err)
 	}
@@ -167,7 +166,7 @@ func TestRecoveryAsyncSpillIdentityNoCrash(t *testing.T) {
 	raw := storage.NewMemStore()
 	plane := spill.NewPlane(raw, spill.Options{Workers: 4})
 	coord := coordFor(t, raw, 2, nil)
-	got, err := runAsyncSpill(ts, plane, 2, coord.Hooks())
+	got, err := runAsyncSpill(ts, plane, coord.Hooks())
 	if err != nil {
 		t.Fatalf("async run: %v", err)
 	}

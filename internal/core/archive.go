@@ -22,8 +22,8 @@ import (
 // not window state, bounded by the chunk size.
 //
 // A manager with no exact fallback to fetch holds no archive: what it
-// calls on every path — evict, prefetch, snapshot section, rewind,
-// deferred deletes — takes nil as the archive that holds nothing.
+// calls on every path — evict, snapshot section, rewind, deferred
+// deletes — takes nil as the archive that holds nothing.
 type archive struct {
 	// store is always a spill.Plane, a synchronous passthrough where the
 	// plane is not enabled: no ingest path talks to S directly
@@ -168,34 +168,6 @@ func (a *archive) fetch(dst []tuple.Tuple, start, end int64) ([]tuple.Tuple, err
 		}
 	}
 	return dst, nil
-}
-
-// prefetchAhead is the managers' PrefetchWatermark: once the watermark
-// wm has fired its windows, ask the async spill plane to warm its cache
-// with the stored panes of each of the n windows that fire next, so that
-// one whose check fails finds its tuples in memory instead of paying a
-// round-trip to S per pane. Buffered chunks are deliberately not
-// flushed: the plane appends each later chunk to the cached segment as
-// it lands. Count windows close on arrival, not on watermarks, and are
-// not read ahead.
-func (a *archive) prefetchAhead(lc *window.Lifecycle, wm int64, n int) {
-	if a == nil || a.spec.Domain == window.CountDomain || !a.store.Async() {
-		return
-	}
-	first, ok := lc.OpenAfter(wm)
-	for id := first; ok && id < first+window.ID(n); id++ {
-		start, end := a.spec.Bounds(id)
-		var keys []string
-		_, pns := a.panes.span(a.paneOf(start), a.paneOf(end-1)+1)
-		for _, pn := range pns {
-			if pn.flushed > 0 {
-				keys = append(keys, pn.key)
-			}
-		}
-		if len(keys) > 0 {
-			a.store.Prefetch(keys...)
-		}
-	}
 }
 
 // evictBefore drops the panes wholly before position pos, a prefix of

@@ -103,13 +103,6 @@ type Config struct {
 	// Store; zero selects a default of 512.
 	ArchiveChunk int
 
-	// SpillAhead is the number of upcoming windows whose spilled panes
-	// are prefetched from Store on each watermark (watermark-driven
-	// read-ahead through the async spill plane). Zero disables
-	// prefetching; it is only effective when Store is an async
-	// spill.Plane.
-	SpillAhead int
-
 	// BudgetMin and BudgetMax, when BudgetMax > 0, adapt a scalar
 	// budget online between windows (the paper's future-work extension,
 	// "dynamic methods for online budget estimation", §4): after each
@@ -208,9 +201,6 @@ func (c *Config) validate() error {
 	}
 	if c.ArchiveChunk < 0 {
 		return fmt.Errorf("core: ArchiveChunk %d negative", c.ArchiveChunk)
-	}
-	if c.SpillAhead < 0 {
-		return fmt.Errorf("core: SpillAhead %d negative", c.SpillAhead)
 	}
 	c.Metrics = cmp.Or(c.Metrics, &obs.Worker{})
 	return nil

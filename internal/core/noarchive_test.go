@@ -54,7 +54,6 @@ var noArchiveSpecs = []struct {
 // ColumnManager too).
 type noArchiveManager interface {
 	compatManager
-	PrefetchWatermark(int64)
 	TakeDeferredDeletes() []string
 	BudgetMemUsage() int
 }
@@ -132,7 +131,6 @@ func driveNoArchive(t *testing.T, ops []kernelOp, mk func() noArchiveManager, co
 			m.SetBudget(op.budget)
 		case 'w':
 			emit(m.OnWatermark(op.wm))
-			m.PrefetchWatermark(op.wm)
 			if !ckpt {
 				continue
 			}
@@ -176,7 +174,7 @@ func TestIncrementalScalarNeverTouchesStore(t *testing.T) {
 					cfg := Config{
 						Spec: s.spec, Agg: agg.Func{Op: op}, Value: tuple.FieldFloat(0),
 						Epsilon: 0.25, Confidence: 0.95, BudgetTuples: 32, ArchiveChunk: 7,
-						Store: store, Key: "k", Seed: 11, SpillAhead: 2,
+						Store: store, Key: "k", Seed: 11,
 						DeferStoreDeletes: ckpt, DisableIncremental: sampled,
 						Columnar: ColumnarSpec{Enabled: columnar, ValueField: 0},
 					}
@@ -251,7 +249,7 @@ func TestIncrementalGroupedNeverTouchesStore(t *testing.T) {
 				cfg := Config{
 					Spec: s.spec, Agg: agg.Func{Op: op}, Value: tuple.FieldFloat(0), KeyBy: tuple.FieldString(1),
 					Epsilon: 0.25, Confidence: 0.95, BudgetTuples: 32, ArchiveChunk: 7,
-					Key: "k", Seed: 11, SpillAhead: 2,
+					Key: "k", Seed: 11,
 				}
 				var first []Result
 				for _, ckpt := range []bool{false, true} {

@@ -134,19 +134,6 @@ type ColumnManager interface {
 	OnColumnBatch(cb *col.ColumnBatch) ([]Result, error)
 }
 
-// Prefetcher is the optional watermark-driven read-ahead hook on
-// Manager. After a watermark round, the engine invokes it with the
-// merged watermark; managers backed by the async spill plane use it to
-// warm the plane's chunk cache with the spilled panes of the windows
-// that will fire next, so a failed accuracy check finds the window in
-// memory instead of paying a round-trip to S per pane.
-//
-// PrefetchWatermark must be side-effect free with respect to results:
-// it may only move data, never change what any window produces.
-type Prefetcher interface {
-	PrefetchWatermark(wm int64)
-}
-
 // KeepsRows reports whether m may still reference a tuple it was
 // handed, or the values of one, once the ingest call returns. A caller
 // that decoded a run's values into a slab of its own reuses the slab

@@ -341,16 +341,6 @@ func (s *shell) fetch(res *Result) error {
 	return nil
 }
 
-// PrefetchWatermark implements the engine's Prefetcher hook: after the
-// watermark wm fired its windows, warm the spill plane's cache with the
-// panes of the next SpillAhead windows, so that if their accuracy check
-// fails the exact fallback reads from memory instead of S. Results are
-// unaffected — prefetching only moves bytes earlier. Without an archive
-// there is nothing to read ahead.
-func (s *shell) PrefetchWatermark(wm int64) {
-	s.arc.prefetchAhead(&s.lc, wm, s.cfg.SpillAhead)
-}
-
 // KeepsRows reports whether the archive holds ingested rows past the
 // ingest call (KeepsRows in result.go); a shape that does overrides it.
 func (s *shell) KeepsRows() bool { return s.arc != nil }

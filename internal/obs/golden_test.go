@@ -83,7 +83,9 @@ func goldenInstruments(t *testing.T) *Instruments {
 			t.Fatal(err)
 		}
 	}
-	plane.Prefetch("a")
+	if _, err := plane.Get("a"); err != nil {
+		t.Fatal(err)
+	}
 	if err := plane.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -22,8 +22,8 @@ type (
 )
 
 // SetSpillPlane attaches the run's spill I/O plane so snapshots include
-// the traffic of the store under it and the plane's own queue, cache
-// and prefetch telemetry. Safe to call while a reader is concurrently
+// the traffic of the store under it and the plane's own queue and
+// cache telemetry. Safe to call while a reader is concurrently
 // snapshotting.
 func (in *Instruments) SetSpillPlane(p spillPlane) {
 	in.mu.Lock()
@@ -131,7 +131,7 @@ type Snapshot struct {
 
 	Storage *storage.Stats `json:"storage,omitempty"`
 
-	// SpillPlane is the async spill I/O plane's queue/cache/prefetch
+	// SpillPlane is the async spill I/O plane's queue and cache
 	// telemetry; nil when no plane is attached.
 	SpillPlane *planeStats `json:"spill_plane,omitempty"`
 
@@ -387,8 +387,6 @@ var families = []group{
 		{"spear_spill_cache_misses_total", "counter", "Window fetches that missed the spill chunk cache.", func(s *Snapshot, _ int) []sample { return val(s.SpillPlane.CacheMisses) }},
 		{"spear_spill_cache_evictions_total", "counter", "Chunk-cache entries evicted by the LRU byte budget.", func(s *Snapshot, _ int) []sample { return val(s.SpillPlane.CacheEvictions) }},
 		{"spear_spill_cache_bytes", "gauge", "Bytes resident in the spill chunk cache.", func(s *Snapshot, _ int) []sample { return val(s.SpillPlane.CacheBytes) }},
-		{"spear_spill_prefetch_issued_total", "counter", "Watermark-driven chunk prefetches issued.", func(s *Snapshot, _ int) []sample { return val(s.SpillPlane.PrefetchIssued) }},
-		{"spear_spill_prefetch_hits_total", "counter", "Cache hits whose entry was loaded by a prefetch.", func(s *Snapshot, _ int) []sample { return val(s.SpillPlane.PrefetchHits) }},
 	}},
 	{func(s *Snapshot) int { return bit(s.Checkpoint != nil) }, nil, []family{
 		{"spear_checkpoint_completed_total", "counter", "Committed checkpoints.", func(s *Snapshot, _ int) []sample { return val(s.Checkpoint.Completed) }},

@@ -7,10 +7,10 @@ import (
 	"spear/internal/stats"
 )
 
-// CongressAllocate splits a sample budget (in tuples) among groups using
-// basic congressional allocation (Acharya et al., SIGMOD'00), the
-// technique SPEAr applies to grouped operations (§4.1). The allocation
-// is the normalized maximum of:
+// CongressAllocate splits a sample budget (in tuples) among the groups
+// g has counted, using basic congressional allocation (Acharya et al.,
+// SIGMOD'00), the technique SPEAr applies to grouped operations (§4.1).
+// The allocation is the normalized maximum of:
 //
 //   - the "house": proportional to each group's frequency, which favors
 //     large groups and keeps overall error low, and
@@ -24,21 +24,6 @@ import (
 // (≥1 slot per represented group) cannot be honored within the budget,
 // so the allocation is infeasible and the caller must fall back to
 // exact processing rather than silently oversample.
-func CongressAllocate(freqs map[string]int64, budget int) map[string]int {
-	keys := make([]string, 0, len(freqs))
-	for k := range freqs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	fs := make([]int64, len(keys))
-	for i, k := range keys {
-		fs[i] = freqs[k]
-	}
-	return congress(keys, fs, budget)
-}
-
-// CongressAllocate is the package-level function over the frequencies g
-// has accumulated.
 func (g *GroupStats) CongressAllocate(budget int) map[string]int {
 	keys := make([]string, 0, len(g.ids))
 	fs := make([]int64, 0, len(g.ids))

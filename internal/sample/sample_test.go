@@ -3,11 +3,27 @@ package sample
 import (
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"spear/internal/stats"
 )
+
+// CongressAllocate is GroupStats.CongressAllocate over a frequency map:
+// the reference the method and its properties are checked against.
+func CongressAllocate(freqs map[string]int64, budget int) map[string]int {
+	keys := make([]string, 0, len(freqs))
+	for k := range freqs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	fs := make([]int64, len(keys))
+	for i, k := range keys {
+		fs[i] = freqs[k]
+	}
+	return congress(keys, fs, budget)
+}
 
 func TestReservoirFillPhase(t *testing.T) {
 	r := NewReservoir(5, 1, AlgoL)

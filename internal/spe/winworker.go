@@ -59,12 +59,6 @@ func runWinWorker(c winWorkerCfg) {
 			defer col.Put(cb)
 		}
 	}
-	// Watermark-driven read-ahead: managers backed by the async
-	// spill plane expose PrefetchWatermark; after each watermark
-	// round fires its windows, the hook warms the plane's cache
-	// with the panes of the windows firing next, so their exact
-	// fallbacks (if any) read memory instead of S.
-	pf, hasPrefetch := mgr.(core.Prefetcher)
 	var sinkBuf []SinkItem
 	flushSink := func() {
 		if len(sinkBuf) > 0 {
@@ -145,9 +139,6 @@ func runWinWorker(c winWorkerCfg) {
 			return
 		}
 		emit(rs)
-		if hasPrefetch {
-			pf.PrefetchWatermark(wm)
-		}
 	}
 	// barrier is the snapshot point of checkpoint id: every run of the
 	// first offset source tuples is already in the manager and nothing

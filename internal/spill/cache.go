@@ -7,10 +7,10 @@ import (
 )
 
 // chunkCache is a size-bounded LRU of decoded spill segments, keyed by
-// segment key. Entries are created by fetches (reads and prefetches)
-// and extended by the plane's workers as later chunks of the same
-// segment land, so a cached segment always equals what the inner store
-// would return after the pending queue drains.
+// segment key. Entries are created by reads and extended by the plane's
+// workers as later chunks of the same segment land, so a cached segment
+// always equals what the inner store would return after the pending
+// queue drains.
 //
 // The cache owns every slice it holds; get returns a deep copy
 // (copy-on-get), so callers may mutate results freely — the shared-
@@ -31,7 +31,6 @@ type cacheEnt struct {
 	key        string
 	ts         []tuple.Tuple
 	bytes      int64
-	prefetched bool // set by prefetch inserts, cleared on first real hit
 	prev, next *cacheEnt
 }
 
@@ -76,35 +75,24 @@ func (c *chunkCache) evictOver() {
 	}
 }
 
-// get returns a deep copy of the cached segment, whether the entry was
-// inserted by a prefetch (the flag is cleared on the first hit so each
-// prefetch counts at most one hit), and whether it was present.
-func (c *chunkCache) get(key string) (ts []tuple.Tuple, prefetched bool, ok bool) {
+// get returns a deep copy of the cached segment and whether it was
+// present.
+func (c *chunkCache) get(key string) ([]tuple.Tuple, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.m[key]
 	if !ok {
 		c.misses++
-		return nil, false, false
+		return nil, false
 	}
 	c.hits++
-	prefetched = e.prefetched
-	e.prefetched = false
 	c.unlink(e)
 	c.pushFront(e)
-	return copyTuples(e.ts), prefetched, true
-}
-
-// has reports presence without touching recency or hit counters.
-func (c *chunkCache) has(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.m[key]
-	return ok
+	return copyTuples(e.ts), true
 }
 
 // insert adds (or replaces) a segment. The cache takes ownership of ts.
-func (c *chunkCache) insert(key string, ts []tuple.Tuple, prefetched bool) {
+func (c *chunkCache) insert(key string, ts []tuple.Tuple) {
 	var bytes int64
 	for i := range ts {
 		bytes += int64(ts[i].MemSize())
@@ -113,11 +101,11 @@ func (c *chunkCache) insert(key string, ts []tuple.Tuple, prefetched bool) {
 	defer c.mu.Unlock()
 	if e, ok := c.m[key]; ok {
 		c.bytes += bytes - e.bytes
-		e.ts, e.bytes, e.prefetched = ts, bytes, prefetched
+		e.ts, e.bytes = ts, bytes
 		c.unlink(e)
 		c.pushFront(e)
 	} else {
-		e := &cacheEnt{key: key, ts: ts, bytes: bytes, prefetched: prefetched}
+		e := &cacheEnt{key: key, ts: ts, bytes: bytes}
 		c.m[key] = e
 		c.pushFront(e)
 		c.bytes += bytes

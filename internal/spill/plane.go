@@ -8,9 +8,8 @@
 //   - write-behind spilling: Store enqueues a copied chunk on a per-key
 //     FIFO serviced by a small worker pool, with back-pressure once the
 //     in-flight byte budget is exceeded;
-//   - watermark-driven read-ahead: Prefetch warms chunks for windows
-//     about to fire, so the fire path hits memory instead of S;
-//   - a size-bounded LRU chunk cache (copy-on-get) kept coherent with
+//   - a size-bounded LRU chunk cache (copy-on-get) that serves the
+//     panes sliding windows share from memory, kept coherent with
 //     queued writes by appending each chunk to its cached segment on the
 //     worker, after the write lands, in per-key queue order.
 //
@@ -59,17 +58,14 @@ const (
 	cacheBytes = 32 << 20
 )
 
-// task is one queued operation for a key: a chunk write (ts != nil) or
-// a fetch (fetch true). Fetches with a done channel are waited on by
-// Get; prefetch fetches complete in the background.
+// task is one queued operation for a key: a chunk write, or a fetch
+// (done != nil) that Get waits on.
 type task struct {
-	ts       []tuple.Tuple // plane-owned copy of the chunk to write
-	bytes    int64         // accounted against QueueBytes while queued or active
-	fetch    bool
-	prefetch bool
-	done     chan struct{} // closed when the task completes (waited tasks only)
-	res      []tuple.Tuple // fetch result, caller-owned
-	err      error
+	ts    []tuple.Tuple // plane-owned copy of the chunk to write
+	bytes int64         // accounted against QueueBytes while queued or active
+	done  chan struct{} // closed when the fetch completes
+	res   []tuple.Tuple // fetch result, caller-owned
+	err   error
 }
 
 // keyQueue is the FIFO of pending tasks for one key. Invariant: a queue
@@ -94,14 +90,17 @@ type Stats struct {
 	CacheHits         int64 `json:"cache_hits"`
 	CacheMisses       int64 `json:"cache_misses"`
 	CacheEvictions    int64 `json:"cache_evictions"`
-	CacheBytes        int64 `json:"cache_bytes"`     // current cache footprint
-	PrefetchIssued    int64 `json:"prefetch_issued"` // background fetches enqueued by Prefetch
-	PrefetchHits      int64 `json:"prefetch_hits"`   // Gets served from a prefetched cache entry
+	CacheBytes        int64 `json:"cache_bytes"` // current cache footprint
+	// PrefetchIssued and PrefetchHits are always zero: the plane does
+	// not read ahead (Prefetch). They stay for the benchmark's spill
+	// probe, which reads them; no snapshot or family serves them.
+	PrefetchIssued int64 `json:"-"`
+	PrefetchHits   int64 `json:"-"`
 }
 
 // Plane implements storage.SpillStore over an inner store, adding the
-// asynchronous write-behind queue, the chunk cache, and prefetch. It is
-// safe for concurrent use by multiple workers.
+// asynchronous write-behind queue and the chunk cache it reads through.
+// It is safe for concurrent use by multiple workers.
 type Plane struct {
 	inner   storage.SpillStore
 	workers int
@@ -119,11 +118,9 @@ type Plane struct {
 	cache *chunkCache // nil iff workers == 0
 	wg    sync.WaitGroup
 
-	asyncWrites    atomic.Int64
-	bpWaits        atomic.Int64
-	flushes        atomic.Int64
-	prefetchIssued atomic.Int64
-	prefetchHits   atomic.Int64
+	asyncWrites atomic.Int64
+	bpWaits     atomic.Int64
+	flushes     atomic.Int64
 }
 
 // NewPlane wraps inner. With opts.Workers <= 0 the plane is a
@@ -161,9 +158,6 @@ func AsPlane(s storage.SpillStore) *Plane {
 	}
 	return NewPlane(s, Options{})
 }
-
-// Async reports whether the worker pool is active.
-func (p *Plane) Async() bool { return p.workers > 0 }
 
 // enqueue appends t to key's queue, marking the queue ready if idle.
 // Caller must hold p.mu.
@@ -228,7 +222,7 @@ func (p *Plane) worker() {
 // cache coherent. Per-key ordering is guaranteed by the caller: at most
 // one worker processes tasks for a key, in enqueue order.
 func (p *Plane) process(key string, t *task) error {
-	if !t.fetch {
+	if t.done == nil {
 		if err := p.inner.Store(key, t.ts); err != nil {
 			t.err = err
 			return err
@@ -242,10 +236,7 @@ func (p *Plane) process(key string, t *task) error {
 	}
 	// Fetch: every write enqueued before this task has been executed
 	// and appended to the cache, so a cache hit is fully coherent.
-	if ts, prefetched, ok := p.cache.get(key); ok {
-		if prefetched && !t.prefetch {
-			p.prefetchHits.Add(1)
-		}
+	if ts, ok := p.cache.get(key); ok {
 		t.res = ts
 		return nil
 	}
@@ -257,7 +248,7 @@ func (p *Plane) process(key string, t *task) error {
 		t.err = err
 		return nil
 	}
-	p.cache.insert(key, ts, t.prefetch)
+	p.cache.insert(key, ts)
 	// The cache owns ts now; hand the waiter its own copy.
 	t.res = copyTuples(ts)
 	return nil
@@ -312,8 +303,8 @@ func (p *Plane) Store(key string, ts []tuple.Tuple) error {
 
 // Get implements storage.SpillStore: it queues a fetch behind the
 // key's pending writes and waits, so it observes exactly the chunks
-// stored before it — from the cache when a prefetch or earlier read
-// warmed it, from the inner store otherwise.
+// stored before it — from the cache when an earlier read warmed it,
+// from the inner store otherwise.
 func (p *Plane) Get(key string) ([]tuple.Tuple, error) {
 	if p.workers == 0 {
 		return p.inner.Get(key)
@@ -321,7 +312,7 @@ func (p *Plane) Get(key string) ([]tuple.Tuple, error) {
 	if err := p.latched(); err != nil {
 		return nil, err
 	}
-	t := &task{fetch: true, done: make(chan struct{})}
+	t := &task{done: make(chan struct{})}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -333,39 +324,10 @@ func (p *Plane) Get(key string) ([]tuple.Tuple, error) {
 	return t.res, t.err
 }
 
-// Prefetch asynchronously warms the cache for keys (watermark-driven
-// read-ahead). Keys already cached are skipped. No-op in passthrough
-// mode.
-func (p *Plane) Prefetch(keys ...string) {
-	if p.workers == 0 {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed || p.lastErr != nil {
-		return
-	}
-	for _, key := range keys {
-		if p.cache.has(key) {
-			continue
-		}
-		if q := p.queues[key]; q != nil {
-			// A fetch already queued for this key will warm the cache.
-			skip := false
-			for _, qt := range q.tasks {
-				if qt.fetch {
-					skip = true
-					break
-				}
-			}
-			if skip {
-				continue
-			}
-		}
-		p.enqueue(key, &task{fetch: true, prefetch: true})
-		p.prefetchIssued.Add(1)
-	}
-}
+// Prefetch does nothing: the plane reads through its cache only, and a
+// read that waits behind the key's writes is its one fetch. It stays
+// because the benchmark's spill probe calls it.
+func (p *Plane) Prefetch(keys ...string) {}
 
 // waitKey blocks until no task for key is queued or active.
 func (p *Plane) waitKey(key string) error {
@@ -445,8 +407,6 @@ func (p *Plane) PlaneStats() Stats {
 		AsyncWrites:       p.asyncWrites.Load(),
 		BackpressureWaits: p.bpWaits.Load(),
 		Flushes:           p.flushes.Load(),
-		PrefetchIssued:    p.prefetchIssued.Load(),
-		PrefetchHits:      p.prefetchHits.Load(),
 	}
 	if p.workers > 0 {
 		p.mu.Lock()

@@ -65,12 +65,6 @@ func NormalQuantile(p float64) float64 {
 	}
 }
 
-// NormalCDF returns the standard normal cumulative distribution function
-// Φ(x), via the error function.
-func NormalCDF(x float64) float64 {
-	return 0.5 * math.Erfc(-x/math.Sqrt2)
-}
-
 // ZForConfidence returns the two-sided normal deviate for confidence
 // level conf in (0, 1): the z with P(|Z| ≤ z) = conf. ZForConfidence
 // panics on out-of-range input because the confidence level comes from

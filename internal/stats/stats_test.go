@@ -178,6 +178,13 @@ func TestNormalQuantileKnownValues(t *testing.T) {
 	}
 }
 
+// NormalCDF returns the standard normal cumulative distribution function
+// Φ(x), via the error function: the oracle NormalQuantile is checked
+// against.
+func NormalCDF(x float64) float64 {
+	return 0.5 * math.Erfc(-x/math.Sqrt2)
+}
+
 func TestNormalQuantileInvertsCDF(t *testing.T) {
 	for p := 0.001; p < 1; p += 0.017 {
 		x := NormalQuantile(p)

@@ -87,13 +87,6 @@ func (l *Lifecycle) Complete(wm int64) (first, last ID, ok bool) {
 // before its start can be evicted.
 func (l *Lifecycle) NextOpen() ID { return l.nextFire }
 
-// OpenAfter returns the oldest window that is still open once wm has
-// closed what it closes — where a read-ahead for the next fires starts
-// — and false before the stream has.
-func (l *Lifecycle) OpenAfter(wm int64) (ID, bool) {
-	return max(l.spec.FirstCompleteBy(wm)+1, l.nextFire), l.started
-}
-
 // Seq returns the number of tuples seen: the watermark of the count
 // domain.
 func (l *Lifecycle) Seq() int64 { return l.seq }

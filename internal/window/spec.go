@@ -83,12 +83,6 @@ func (s Spec) Validate() error {
 // IsTumbling reports whether windows do not overlap.
 func (s Spec) IsTumbling() bool { return s.Slide == s.Range }
 
-// Overlap returns the number of windows each tuple participates in
-// (⌈Range/Slide⌉): 1 for tumbling, more for sliding.
-func (s Spec) Overlap() int {
-	return int((s.Range + s.Slide - 1) / s.Slide)
-}
-
 // Bounds returns the [start, end) interval of window id.
 func (s Spec) Bounds(id ID) (start, end int64) {
 	start = int64(id) * s.Slide

@@ -10,6 +10,13 @@ import (
 	"spear/internal/tuple"
 )
 
+// Overlap returns the number of windows each tuple participates in
+// (⌈Range/Slide⌉): 1 for tumbling, more for sliding. It is the oracle
+// of the assign property.
+func (s Spec) Overlap() int {
+	return int((s.Range + s.Slide - 1) / s.Slide)
+}
+
 func TestSpecConstructors(t *testing.T) {
 	s := Sliding(15*time.Minute, 5*time.Minute)
 	if s.Domain != TimeDomain || s.Range != int64(15*time.Minute) || s.Slide != int64(5*time.Minute) {

@@ -25,7 +25,6 @@ func TestPlanFields(t *testing.T) {
 		"wmLag":        sourceOnly + ": watermarks are cut at the source and cross the wire",
 		"store":        "each process's own handle to S; a checkpointed run needs one every process shares",
 		"spillWorkers": "the async plane changes when bytes move, never what they say",
-		"spillAhead":   "prefetch changes when bytes move, never what they say",
 		"ckptTuples":   sourceOnly + ": the coordinator cuts barriers; the JobSpec says whether to expect them",
 		"ckptInterval": sourceOnly + ": the coordinator cuts barriers; the JobSpec says whether to expect them",
 		"ckptRecover":  sourceOnly + ": the JobSpec names the manifest shards restore from",

@@ -20,9 +20,6 @@ import (
 // for a whole package; an entry for a type covers its methods and its
 // constructor New<Type> too.
 var unreachedAllowed = map[string]string{
-	"window.Spec.Overlap":             "the oracle of the assign property",
-	"stats.NormalCDF":                 "the oracle of TestNormalQuantileInvertsCDF",
-	"sample.CongressAllocate":         "the reference the GroupReservoirs method is compared against",
 	"storage.NewFileStore":            "the durable store the multi-process recovery tests share",
 	"spe.NewDisorderSpout":            "test support: out-of-order arrival for the engine and integration tests",
 	"checkpointtest.*":                "test support: StateDiff, what every TestRoundTrip<Type> compares with",

@@ -146,7 +146,6 @@ type plan struct {
 
 	store        storage.SpillStore
 	spillWorkers int
-	spillAhead   int
 
 	ckptTuples   int64
 	ckptInterval time.Duration
@@ -509,10 +508,11 @@ func (q *Query) SpillStore(s storage.SpillStore) *Query {
 // background writers: archive Stores are queued (write-behind) and
 // serviced off the hot path, with back-pressure once 8 MiB of writes
 // are in flight, a 32 MiB chunk cache for reads, and a durability
-// barrier before every checkpoint snapshot and window fire that reads
-// S. n = 0 (the default) keeps archiving synchronous. Results are
-// identical either way — the plane changes when bytes move, never what
-// they say.
+// barrier before every checkpoint snapshot. A window fire that reads S
+// queues each pane's read behind that pane's pending writes, so it sees
+// every tuple stored before it. n = 0 (the default) keeps archiving
+// synchronous. Results are identical either way — the plane changes
+// when bytes move, never what they say.
 func (q *Query) SpillWorkers(n int) *Query {
 	if n < 0 {
 		return q.errf("SpillWorkers %d negative", n)
@@ -521,17 +521,14 @@ func (q *Query) SpillWorkers(n int) *Query {
 	return q
 }
 
-// SpillAhead enables watermark-driven read-ahead: on each watermark,
-// the spilled panes of the next n windows are prefetched into the
-// spill plane's chunk cache, so an exact fallback reads memory instead
-// of paying a round-trip to S per pane. Requires SpillWorkers > 0 (Run
-// and ServeShard reject it otherwise); 0 (the default) disables
-// prefetching.
+// SpillAhead does nothing: the spill plane does not read ahead, since
+// the chunk cache of SpillWorkers already serves the panes overlapping
+// windows share. It refuses a negative n and is otherwise ignored; it
+// stays so that code written against it still builds.
 func (q *Query) SpillAhead(n int) *Query {
 	if n < 0 {
 		return q.errf("SpillAhead %d negative", n)
 	}
-	q.p.spillAhead = n
 	return q
 }
 
@@ -736,8 +733,6 @@ func (q *Query) compile() (plan, error) {
 		return p, fmt.Errorf("spear: %s: no window", w.Name)
 	case !q.haveAgg:
 		return p, fmt.Errorf("spear: %s: no aggregate", w.Name)
-	case p.spillAhead > 0 && p.spillWorkers == 0:
-		return p, fmt.Errorf("spear: %s: SpillAhead(%d) needs SpillWorkers > 0: prefetched panes live in the async plane's cache", w.Name, p.spillAhead)
 	case p.control.SLO > 0 && len(p.nodes) > 0:
 		return p, fmt.Errorf("spear: %s: LatencySLO does not compose with Distribute (the controller needs the in-process obs plane)", w.Name)
 	case w.BudgetMax > 0 && p.control.SLO == 0 && w.Grouped:

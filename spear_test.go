@@ -366,7 +366,7 @@ func TestQueryValidationErrors(t *testing.T) {
 		{"nil map", NewQuery("q").Source(src).Map(nil).TumblingWindow(1).Mean(mean)},
 		{"nil value", NewQuery("q").Source(src).TumblingWindow(1).Mean(nil)},
 		{"bad eps", NewQuery("q").Source(src).TumblingWindow(1).Mean(mean).Error(2, 0.95)},
-		{"ahead without workers", NewQuery("q").Source(src).TumblingWindow(1).Median(mean).SpillAhead(2)},
+		{"negative spill ahead", NewQuery("q").Source(src).TumblingWindow(1).Median(mean).SpillAhead(-1)},
 		{"negative watermark lag", NewQuery("q").Source(src).TumblingWindow(1).Mean(mean).WatermarkEvery(time.Second, -time.Millisecond)},
 		{"negative watermark period", NewQuery("q").Source(src).TumblingWindow(1).Mean(mean).WatermarkEvery(-time.Second, 0)},
 	}
@@ -380,12 +380,36 @@ func TestQueryValidationErrors(t *testing.T) {
 	if _, err := NewQuery("q").Source(src).TumblingWindow(1).Mean(mean).Run(nil); err == nil {
 		t.Error("nil sink accepted")
 	}
-	// A shard rejects read-ahead without the plane it reads into before
-	// it listens.
-	if err := NewQuery("q").TumblingWindow(1).Median(mean).SpillAhead(2).ServeShard(nil); err == nil ||
-		!strings.Contains(err.Error(), "SpillWorkers") {
-		t.Errorf("ServeShard with SpillAhead and no SpillWorkers: %v", err)
+}
+
+// TestSpillAheadIsInert: SpillAhead(n ≥ 0) changes nothing, with or
+// without SpillWorkers — a run with it reproduces a run without it,
+// value for value and Mode for Mode.
+func TestSpillAheadIsInert(t *testing.T) {
+	in := make([]Tuple, 20_000)
+	for i := range in {
+		in[i] = NewTuple(int64(i), Float(float64((i*2654435761)&1023)))
 	}
+	run := func(label string, ahead bool) *resultSet {
+		t.Helper()
+		q := NewQuery(label).Source(FromSlice(in)).
+			SlidingWindow(4000*time.Nanosecond, 1000*time.Nanosecond).
+			Median(func(t Tuple) float64 { return t.Vals[0].AsFloat() }).
+			BudgetTuples(64).Seed(3)
+		if ahead {
+			q.SpillAhead(2)
+		}
+		res := newResultSet()
+		if _, err := q.Run(res.add); err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := run("plain", false)
+	if len(want.res) == 0 {
+		t.Fatal("no window fired")
+	}
+	want.mustMatch(t, "SpillAhead(2)", run("ahead", true))
 }
 
 // TestQueryMethodSet pins the exported *Query methods. A method is added

@@ -64,8 +64,8 @@ func (s *resultSet) mustMatch(t *testing.T, label string, b *resultSet) {
 }
 
 // TestSpillPlaneIdentity runs the same spill-heavy query with the
-// synchronous store path and with the async plane (write-behind +
-// prefetch), and requires both to produce identical results —
+// synchronous store path and with the async plane (write-behind + the
+// chunk cache), and requires both to produce identical results —
 // values and accelerate/exact Mode decisions. The workload is the
 // adversarial one for spilling: a sliding-window mean forced down the
 // exact path, so every pane round-trips through the spill store.
@@ -88,7 +88,7 @@ func TestSpillPlaneIdentity(t *testing.T) {
 			Source(FromSlice(in)).
 			SlidingWindow(time.Duration(rangeTicks), time.Duration(slideTicks)).
 			// Watermark lag separates a pane's archival from its first
-			// read, which is what gives the prefetcher something to do.
+			// read, so reads queue behind writes still in flight.
 			WatermarkEvery(time.Duration(slideTicks), time.Duration(lagTicks)).
 			Mean(func(t Tuple) float64 { return t.Vals[0].AsFloat() }).
 			// Tight ε against a tiny budget: the estimate check fails on
@@ -150,11 +150,8 @@ func TestSpillPlaneIdentity(t *testing.T) {
 			if sp.AsyncWrites == 0 {
 				t.Error("plane recorded no async writes; write-behind never engaged")
 			}
-			if sp.PrefetchIssued == 0 {
-				t.Error("plane issued no prefetches; watermark-driven prefetch never engaged")
-			}
 			if sp.CacheHits == 0 {
-				t.Error("chunk cache recorded no hits")
+				t.Error("chunk cache recorded no hits: overlapping windows reread every pane from S")
 			}
 		})
 	}
