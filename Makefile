@@ -129,13 +129,20 @@ loc:
 # sizes), and of internal/tuple's
 # BenchmarkAppendColumns / BenchmarkDecodeColumns (the column image by
 # Ts delta width), so they keep compiling and running; their numbers
-# come from paired binaries (EXPERIMENTS.md), never from here.
+# come from paired binaries (EXPERIMENTS.md), never from here. Last,
+# the spear-bench CLI: Fig. 8b at scale 0.002 (well under a second),
+# and an unknown -experiment must exit 2 (`go run` would turn any
+# failure into 1, so that check runs a built binary).
 bench-smoke:
 	cd benchmark && $(GO) test ./... && $(GO) vet -tags layerprobe ./...
 	$(GO) test ./internal/core -run '^$$' -bench 'IngestOverlap|BenchmarkArchiveStore|BenchmarkStormFire|BenchmarkFallbackFire' -benchtime 1x -benchmem
 	$(GO) test ./internal/spe -run '^$$' -bench 'BenchmarkHop|BenchmarkFusedChain' -benchtime 1x -benchmem
 	$(GO) test ./internal/transport -run '^$$' -bench 'BenchmarkDecodeFrame|BenchmarkAppendBatch|BenchmarkAppendResult' -benchtime 1x -benchmem
 	$(GO) test ./internal/tuple -run '^$$' -bench 'BenchmarkAppendColumns|BenchmarkDecodeColumns' -benchtime 1x -benchmem
+	$(GO) run ./cmd/spear-bench -experiment fig8b -scale 0.002
+	@d=$$(mktemp -d) && $(GO) build -o $$d/spear-bench ./cmd/spear-bench && \
+		{ $$d/spear-bench -experiment nosuch 2>/dev/null; s=$$?; rm -rf $$d; \
+		if [ $$s -ne 2 ]; then echo "spear-bench -experiment nosuch exited $$s, want 2"; exit 1; fi; }
 
 # Adaptive accuracy controller: a 10s stream with an 8x load spike over
 # a 10ms-per-write archive store, fixed budget vs LatencySLO-driven

@@ -22,14 +22,14 @@ const benchScale = 0.02
 func runExperiment(b *testing.B, id string) {
 	b.Helper()
 	opt := bench.Options{Scale: benchScale, Seed: 1}
-	fn, ok := bench.Experiments[id]
-	if !ok {
+	sel := bench.Select(id)
+	if len(sel) != 1 {
 		b.Fatalf("unknown experiment %q", id)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tables, err := fn(opt)
+		tables, err := sel[0].Run(opt)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -33,9 +33,10 @@ func main() {
 // run holds the real main so deferred profile writers execute before
 // the process exits (os.Exit in main would skip them).
 func run() int {
+	all := bench.IDs(bench.Experiments)
 	var (
 		experiment = flag.String("experiment", "all",
-			"experiment id ("+strings.Join(bench.ExperimentIDs(), ", ")+") or 'all'")
+			"experiment id ("+strings.Join(all, ", ")+") or 'all'")
 		scale      = flag.Float64("scale", 0.2, "fraction of the paper's stream lengths")
 		seed       = flag.Int64("seed", 1, "random seed for datasets and sampling")
 		benchJSON  = flag.String("benchjson", "", "also write machine-readable results to this path (adaptive)")
@@ -72,30 +73,27 @@ func run() int {
 		}()
 	}
 
-	ids := bench.ExperimentIDs()
-	if *experiment != "all" {
-		if _, ok := bench.Experiments[*experiment]; !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; available: %s, all\n",
-				*experiment, strings.Join(ids, ", "))
-			return 2
-		}
-		ids = []string{*experiment}
+	exps := bench.Select(*experiment)
+	if len(exps) == 0 {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; available: %s, all\n",
+			*experiment, strings.Join(all, ", "))
+		return 2
 	}
 
 	opt := bench.Options{Scale: *scale, Seed: *seed, BenchJSON: *benchJSON}
-	fmt.Printf("spear-bench: scale=%.2f seed=%d experiments=%s\n",
-		*scale, *seed, strings.Join(ids, ","))
-	for _, id := range ids {
+	fmt.Printf("spear-bench: scale=%g seed=%d experiments=%s\n",
+		*scale, *seed, strings.Join(bench.IDs(exps), ","))
+	for _, e := range exps {
 		start := time.Now()
-		tables, err := bench.Experiments[id](opt)
+		tables, err := e.Run(opt)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", id, err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
 			return 1
 		}
 		for _, t := range tables {
 			t.Print(os.Stdout)
 		}
-		fmt.Printf("  [%s completed in %v]\n", id, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("  [%s completed in %v]\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 	return 0
 }

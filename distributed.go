@@ -37,9 +37,9 @@ import (
 // processes: building both sides from the same code is the caller's job.
 //
 // Checkpointed distributed runs need a SpillStore every process shares
-// (e.g. a FileStore on a common directory). The window workers, and
-// with them the per-worker telemetry, live in the shard processes: the
-// Summary this process's Run returns is empty.
+// (the repository's tests use storage.FileStore on a common directory).
+// The window workers, and with them the per-worker telemetry, live in
+// the shard processes: the Summary this process's Run returns is empty.
 func (q *Query) Distribute(addrs ...string) *Query {
 	if len(addrs) == 0 {
 		return q.errf("Distribute needs at least one node address")

@@ -1,8 +1,13 @@
 package bench
 
 import (
+	"flag"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -104,9 +109,6 @@ func TestResultError(t *testing.T) {
 	if relErr(0, 0) != 0 || relErr(1, 0) != 1 {
 		t.Error("relErr zero handling")
 	}
-	if meanErr(nil) != 0 {
-		t.Error("meanErr empty")
-	}
 }
 
 func TestAccuracyJoin(t *testing.T) {
@@ -128,18 +130,14 @@ func TestAccuracyJoin(t *testing.T) {
 	}
 }
 
+// TestSampledShare: the accel% cells read the share of windows a run
+// answered from the sample (or incrementally) off its summary.
 func TestSampledShare(t *testing.T) {
-	r := &runOut{results: map[resKey]spear.Result{
-		{0, 1}: {Mode: core.ModeSampled},
-		{0, 2}: {Mode: core.ModeExact},
-		{0, 3}: {Mode: core.ModeIncremental},
-		{0, 4}: {Mode: core.ModeExact},
-	}}
-	if got := sampledShare(r); got != 0.5 {
-		t.Errorf("sampledShare = %v", got)
+	if got := accelPct(spear.Summary{Windows: 4, Accelerated: 2}); got != "50%" {
+		t.Errorf("accelPct = %q", got)
 	}
-	if sampledShare(&runOut{results: map[resKey]spear.Result{}}) != 0 {
-		t.Error("empty share")
+	if got := accelPct(spear.Summary{}); got != "0%" {
+		t.Errorf("empty share = %q", got)
 	}
 }
 
@@ -261,30 +259,101 @@ func TestCountMinReplaysFromTheSeed(t *testing.T) {
 func TestExperimentRegistryComplete(t *testing.T) {
 	want := []string{"table1", "fig6", "fig7", "fig8a", "fig8b", "fig8c",
 		"fig8d", "table2", "fig9", "fig10", "fig11", "fig12", "adaptive"}
-	if got := ExperimentIDs(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("ExperimentIDs() = %v, want %v", got, want)
-	}
-	if len(Experiments) != len(want) {
-		t.Fatalf("registry holds %d experiments, want %d", len(Experiments), len(want))
-	}
-	for _, id := range want {
-		if Experiments[id] == nil {
-			t.Errorf("experiment %q missing", id)
+	for _, e := range Experiments {
+		if e.Run == nil {
+			t.Errorf("experiment %q has no Run", e.ID)
 		}
+		if sel := Select(e.ID); len(sel) != 1 || sel[0].ID != e.ID {
+			t.Errorf("Select(%q) = %v", e.ID, sel)
+		}
+	}
+	if got := IDs(Experiments); !reflect.DeepEqual(got, want) {
+		t.Fatalf("registry ids = %v, want %v", got, want)
+	}
+	if len(Select("all")) != len(want) || len(Select("fig13")) != 0 {
+		t.Error(`Select("all") is not the registry, or an unknown id selects something`)
 	}
 }
 
+var updateTinyCells = flag.Bool("update-tiny-cells", false, "rewrite testdata/tiny_cells.golden from the current code")
+
+// tinyCells names, by table title, the columns of the experiments'
+// cells that no clock reaches: counts, accelerated shares, errors and
+// memory, which replay bit for bit from the seed. Every other cell is a
+// time or a ratio of times. An empty list keeps the whole row.
+var tinyCells = map[string][]string{
+	"Table 1: Datasets and Queries Used (measured at scale)":           nil,
+	"Fig 7: Mean memory usage per worker on DEC (KB)":                  nil,
+	"Fig 8c: GCM (grouped mean CPU per class) window processing time":  {"engine", "accel%"},
+	"Fig 8d: DEBS (grouped avg fare per route) window processing time": {"engine", "accel%"},
+	"Fig 10: GCM processing time with varying window sizes (b=4000)":   {"window(s)", "SPEAr accel%"},
+	"Fig 11: Relative error per window on DEC mean (ε=10%, α=95%)":     nil,
+	"Fig 11 (series): per-window relative error %, first 40 windows":   nil,
+}
+
+// deterministicCells renders the tinyCells columns of tb, one line a
+// row, or "" when tb has none.
+func deterministicCells(tb *Table) string {
+	cols, ok := tinyCells[tb.Title]
+	if !ok {
+		return ""
+	}
+	var idx []int
+	for i, h := range tb.Header {
+		if len(cols) == 0 || slices.Contains(cols, h) {
+			idx = append(idx, i)
+		}
+	}
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "== %s\n", tb.Title)
+	for _, row := range tb.Rows {
+		cells := make([]string, len(idx))
+		for j, i := range idx {
+			cells[j] = tb.Header[i] + "=" + row[i]
+		}
+		sb.WriteString(strings.Join(cells, " | ") + "\n")
+	}
+	return sb.String()
+}
+
+// readTinyCells splits testdata/tiny_cells.golden into its tables'
+// blocks, by title.
+func readTinyCells(t *testing.T, path string) map[string]string {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := make(map[string]string)
+	var title string
+	for _, line := range strings.SplitAfter(string(b), "\n") {
+		if rest, ok := strings.CutPrefix(line, "== "); ok {
+			title = strings.TrimSuffix(rest, "\n")
+		}
+		blocks[title] += line
+	}
+	return blocks
+}
+
 // TestExperimentsRunTiny executes every experiment at minimal scale:
-// the full evaluation must stay runnable end to end.
+// the full evaluation must stay runnable end to end, and every cell no
+// clock reaches (tinyCells) must equal testdata/tiny_cells.golden.
+// -update-tiny-cells rewrites the golden from a run of the whole sweep.
 func TestExperimentsRunTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep in -short mode")
 	}
+	path := filepath.Join("testdata", "tiny_cells.golden")
+	var want map[string]string
+	if !*updateTinyCells {
+		want = readTinyCells(t, path)
+	}
 	opt := Options{Scale: 0.002, Seed: 1}
-	for _, id := range ExperimentIDs() {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			tables, err := Experiments[id](opt)
+	var got []string // the blocks in presentation order
+	ran := 0
+	for _, e := range Experiments {
+		t.Run(e.ID, func(t *testing.T) {
+			ran++
+			tables, err := e.Run(opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -303,7 +372,27 @@ func TestExperimentsRunTiny(t *testing.T) {
 				}
 				var sb strings.Builder
 				tb.Print(&sb) // must not panic
+				c := deterministicCells(tb)
+				if c == "" {
+					continue
+				}
+				got = append(got, c)
+				if !*updateTinyCells && c != want[tb.Title] {
+					t.Errorf("deterministic cells differ from %s:\n%s\nwant:\n%s", path, c, want[tb.Title])
+				}
 			}
 		})
+	}
+	switch {
+	case ran < len(Experiments) && *updateTinyCells:
+		t.Fatal("-update-tiny-cells rewrites the golden from the whole sweep; drop the -run filter")
+	case ran < len(Experiments):
+		// A -run filter left experiments out; the ones that ran compared their blocks.
+	case *updateTinyCells:
+		if err := os.WriteFile(path, []byte(strings.Join(got, "")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	case len(got) != len(want):
+		t.Errorf("the sweep printed %d tables with deterministic cells, %s holds %d", len(got), path, len(want))
 	}
 }

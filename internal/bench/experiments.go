@@ -18,6 +18,7 @@ import (
 	"spear/internal/dataset"
 	"spear/internal/obs"
 	"spear/internal/spe"
+	"spear/internal/stats"
 	"spear/internal/storage"
 )
 
@@ -38,27 +39,42 @@ const (
 	paperWorkers = 4 // "up to four worker threads per CQ" (§5.2)
 )
 
-// Experiments maps experiment ids to their implementations.
-var Experiments = map[string]func(Options) ([]*Table, error){
-	"table1":   Table1,
-	"fig6":     Fig6,
-	"fig7":     Fig7,
-	"fig8a":    Fig8a,
-	"fig8b":    Fig8b,
-	"fig8c":    Fig8c,
-	"fig8d":    Fig8d,
-	"table2":   Table2,
-	"fig9":     Fig9,
-	"fig10":    Fig10,
-	"fig11":    Fig11,
-	"fig12":    Fig12,
-	"adaptive": Adaptive,
+// Experiment is one table or figure of the evaluation, or the adaptive
+// controller's run, under the id spear-bench selects it by.
+type Experiment struct {
+	ID  string
+	Run func(Options) ([]*Table, error)
 }
 
-// ExperimentIDs returns all experiment ids in presentation order.
-func ExperimentIDs() []string {
-	return []string{"table1", "fig6", "fig7", "fig8a", "fig8b", "fig8c",
-		"fig8d", "table2", "fig9", "fig10", "fig11", "fig12", "adaptive"}
+// Experiments is the registry, in presentation order.
+var Experiments = []Experiment{
+	{"table1", Table1}, {"fig6", Fig6}, {"fig7", Fig7}, {"fig8a", Fig8a},
+	{"fig8b", Fig8b}, {"fig8c", Fig8c}, {"fig8d", Fig8d}, {"table2", Table2},
+	{"fig9", Fig9}, {"fig10", Fig10}, {"fig11", Fig11}, {"fig12", Fig12},
+	{"adaptive", Adaptive},
+}
+
+// Select returns the experiment named id, every experiment for "all",
+// and none for an unknown id.
+func Select(id string) []Experiment {
+	if id == "all" {
+		return Experiments
+	}
+	for _, e := range Experiments {
+		if e.ID == id {
+			return []Experiment{e}
+		}
+	}
+	return nil
+}
+
+// IDs returns the ids of exps, in order.
+func IDs(exps []Experiment) []string {
+	ids := make([]string, len(exps))
+	for i, e := range exps {
+		ids[i] = e.ID
+	}
+	return ids
 }
 
 // ---- dataset-specific query builders ----
@@ -100,14 +116,9 @@ func decQuery(opt Options, median bool, backend spear.Backend, budget, par int, 
 	return q
 }
 
-// gcmQuery builds the GCM grouped mean-CPU-per-class CQ.
-func gcmQuery(opt Options, backend spear.Backend, winSize, winSlide time.Duration, par int) *spear.Query {
-	if winSize == 0 {
-		winSize = 60 * time.Minute
-	}
-	if winSlide == 0 {
-		winSlide = 30 * time.Minute
-	}
+// gcmQuery builds the GCM grouped mean-CPU-per-class CQ over sliding
+// windows of winSize every winSlide (Table 1's 60 and 30 minutes).
+func gcmQuery(opt Options, backend spear.Backend, winSize, winSlide time.Duration) *spear.Query {
 	ds := gcmStream(opt, winSize, winSlide)
 	return spear.NewQuery("gcm").
 		Source(spear.FromFunc(ds.Next)).
@@ -117,13 +128,13 @@ func gcmQuery(opt Options, backend spear.Backend, winSize, winSlide time.Duratio
 		Mean(ds.Value).
 		Error(epsilon, confidence).
 		BudgetTuples(gcmBudget).
-		Parallelism(par).
+		Parallelism(paperWorkers).
 		Seed(opt.Seed).
 		WithBackend(backend)
 }
 
 // debsQuery builds the DEBS grouped average-fare-per-route CQ.
-func debsQuery(opt Options, backend spear.Backend, par int) *spear.Query {
+func debsQuery(opt Options, backend spear.Backend) *spear.Query {
 	ds := debsStream(opt)
 	return spear.NewQuery("debs").
 		Source(spear.FromFunc(ds.Next)).
@@ -132,7 +143,7 @@ func debsQuery(opt Options, backend spear.Backend, par int) *spear.Query {
 		Mean(ds.Value).
 		Error(epsilon, confidence).
 		BudgetTuples(debsBudget).
-		Parallelism(par).
+		Parallelism(paperWorkers).
 		Seed(opt.Seed).
 		WithBackend(backend)
 }
@@ -180,7 +191,7 @@ func Table1(opt Options) ([]*Table, error) {
 			fmt.Sprint(avgWin), fmt.Sprint(row.AvgWinSize),
 		})
 	}
-	t.Notes = append(t.Notes, fmt.Sprintf("streams scaled by %.2fx of the paper's totals", opt.Scale))
+	t.Notes = append(t.Notes, fmt.Sprintf("streams scaled by %gx of the paper's totals", opt.Scale))
 	return []*Table{t}, nil
 }
 
@@ -192,27 +203,22 @@ func Fig6(opt Options) ([]*Table, error) {
 		Title: "Fig 6: Processing time on Median CQ for DEC (vs. nodes)",
 		Header: []string{"nodes", "Storm mean(ms)", "SPEAr mean(ms)", "speedup",
 			"Storm p95(ms)", "SPEAr p95(ms)", "p95 speedup"},
+		Notes: []string{"paper shape: SPEAr up to 2 orders faster (mean), ≥1 order (p95); budget b=200 tuples"},
 	}
 	for _, nodes := range []int{1, 2, 4, 6, 8} {
-		storm, err := runQuery("storm", decQuery(opt, true, spear.BackendExact, decMedianBudget, nodes, false))
+		s, err := compare(stormAndSPEAr(func(b spear.Backend) *spear.Query {
+			return decQuery(opt, true, b, decMedianBudget, nodes, false)
+		})...)
 		if err != nil {
 			return nil, err
 		}
-		spr, err := runQuery("spear", decQuery(opt, true, spear.BackendSPEAr, decMedianBudget, nodes, false))
-		if err != nil {
-			return nil, err
-		}
+		storm, spr := s[0], s[1]
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(nodes),
-			ms(storm.sum.MeanProcTime), ms(spr.sum.MeanProcTime),
-			speedup(storm.sum.MeanProcTime, spr.sum.MeanProcTime),
-			ms(storm.sum.P95ProcTime), ms(spr.sum.P95ProcTime),
-			speedup(storm.sum.P95ProcTime, spr.sum.P95ProcTime),
+			ms(storm.MeanProcTime), ms(spr.MeanProcTime), speedup(storm.MeanProcTime, spr.MeanProcTime),
+			ms(storm.P95ProcTime), ms(spr.P95ProcTime), speedup(storm.P95ProcTime, spr.P95ProcTime),
 		})
 	}
-	t.Notes = append(t.Notes,
-		"paper shape: SPEAr up to 2 orders faster (mean), ≥1 order (p95); budget b=200 tuples",
-	)
 	return []*Table{t}, nil
 }
 
@@ -222,142 +228,58 @@ func Fig7(opt Options) ([]*Table, error) {
 		Title: "Fig 7: Mean memory usage per worker on DEC (KB)",
 		Header: []string{"nodes", "Storm(KB)", "SPEAr-mean(KB)", "SPEAr-median(KB)",
 			"Storm/SPEAr-median"},
+		Notes: []string{"paper shape: SPEAr memory ≈ constant (the budget); Storm ∝ window tuples; up to 2 orders less"},
 	}
 	for _, nodes := range []int{1, 2, 4, 6, 8} {
-		storm, err := runQuery("storm", decQuery(opt, true, spear.BackendExact, decMedianBudget, nodes, false))
-		if err != nil {
-			return nil, err
-		}
 		// The paper's SPEAr-mean disables nothing: the mean is served
 		// incrementally but the budget is still b=1000.
-		sprMean, err := runQuery("spear-mean", decQuery(opt, false, spear.BackendSPEAr, decMeanBudget, nodes, true))
-		if err != nil {
-			return nil, err
-		}
-		sprMed, err := runQuery("spear-median", decQuery(opt, true, spear.BackendSPEAr, decMedianBudget, nodes, false))
+		s, err := compare(
+			engine("storm", decQuery(opt, true, spear.BackendExact, decMedianBudget, nodes, false)),
+			engine("spear-mean", decQuery(opt, false, spear.BackendSPEAr, decMeanBudget, nodes, true)),
+			engine("spear-median", decQuery(opt, true, spear.BackendSPEAr, decMedianBudget, nodes, false)))
 		if err != nil {
 			return nil, err
 		}
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(nodes),
-			kb(storm.sum.MeanMemBytes),
-			kb(sprMean.sum.MeanMemBytes),
-			kb(sprMed.sum.MeanMemBytes),
-			fmt.Sprintf("%.1fx", storm.sum.MeanMemBytes/max(sprMed.sum.MeanMemBytes, 1)),
+			fmt.Sprint(nodes), kb(s[0].MeanMemBytes), kb(s[1].MeanMemBytes), kb(s[2].MeanMemBytes),
+			fmt.Sprintf("%.1fx", s[0].MeanMemBytes/max(s[2].MeanMemBytes, 1)),
 		})
 	}
-	t.Notes = append(t.Notes,
-		"paper shape: SPEAr memory ≈ constant (the budget); Storm ∝ window tuples; up to 2 orders less",
-	)
 	return []*Table{t}, nil
 }
 
 // Fig8a compares Storm, Inc-Storm, and SPEAr on the DEC mean CQ.
 func Fig8a(opt Options) ([]*Table, error) {
-	storm, err := runQuery("storm", decQuery(opt, false, spear.BackendExact, decMeanBudget, paperWorkers, false))
-	if err != nil {
-		return nil, err
-	}
-	inc, err := runQuery("inc-storm", decQuery(opt, false, spear.BackendIncremental, decMeanBudget, paperWorkers, false))
-	if err != nil {
-		return nil, err
-	}
-	spr, err := runQuery("spear", decQuery(opt, false, spear.BackendSPEAr, decMeanBudget, paperWorkers, false))
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		Title:  "Fig 8a: DEC (Mean) window processing time",
-		Header: []string{"engine", "mean(ms)", "p95(ms)", "vs Storm"},
-		Rows: [][]string{
-			{"Storm", ms(storm.sum.MeanProcTime), ms(storm.sum.P95ProcTime), "1x"},
-			{"Inc-Storm", ms(inc.sum.MeanProcTime), ms(inc.sum.P95ProcTime),
-				speedup(storm.sum.MeanProcTime, inc.sum.MeanProcTime)},
-			{"SPEAr", ms(spr.sum.MeanProcTime), ms(spr.sum.P95ProcTime),
-				speedup(storm.sum.MeanProcTime, spr.sum.MeanProcTime)},
-		},
-		Notes: []string{
-			"paper shape: Inc-Storm ≈ SPEAr, both ~3 orders faster than Storm; SPEAr within ~11% of Inc-Storm",
-		},
-	}
-	return []*Table{t}, nil
+	dec := func(b spear.Backend) *spear.Query { return decQuery(opt, false, b, decMeanBudget, paperWorkers, false) }
+	return timingTable("Fig 8a: DEC (Mean) window processing time",
+		"paper shape: Inc-Storm ≈ SPEAr, both ~3 orders faster than Storm; SPEAr within ~11% of Inc-Storm", false,
+		engine("Storm", dec(spear.BackendExact)), engine("Inc-Storm", dec(spear.BackendIncremental)),
+		engine("SPEAr", dec(spear.BackendSPEAr)))
 }
 
 // Fig8b compares Storm and SPEAr on the DEC median CQ.
 func Fig8b(opt Options) ([]*Table, error) {
-	storm, err := runQuery("storm", decQuery(opt, true, spear.BackendExact, decMedianBudget, paperWorkers, false))
-	if err != nil {
-		return nil, err
-	}
-	spr, err := runQuery("spear", decQuery(opt, true, spear.BackendSPEAr, decMedianBudget, paperWorkers, false))
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		Title:  "Fig 8b: DEC (Median) window processing time",
-		Header: []string{"engine", "mean(ms)", "p95(ms)", "vs Storm"},
-		Rows: [][]string{
-			{"Storm", ms(storm.sum.MeanProcTime), ms(storm.sum.P95ProcTime), "1x"},
-			{"SPEAr", ms(spr.sum.MeanProcTime), ms(spr.sum.P95ProcTime),
-				speedup(storm.sum.MeanProcTime, spr.sum.MeanProcTime)},
-		},
-		Notes: []string{"paper shape: SPEAr ~1 order of magnitude faster"},
-	}
-	return []*Table{t}, nil
+	return timingTable("Fig 8b: DEC (Median) window processing time",
+		"paper shape: SPEAr ~1 order of magnitude faster", false,
+		stormAndSPEAr(func(b spear.Backend) *spear.Query {
+			return decQuery(opt, true, b, decMedianBudget, paperWorkers, false)
+		})...)
 }
 
 // Fig8c compares Storm and SPEAr on the GCM grouped mean CQ (known
 // group count → sampling at tuple arrival).
 func Fig8c(opt Options) ([]*Table, error) {
-	storm, err := runQuery("storm", gcmQuery(opt, spear.BackendExact, 0, 0, paperWorkers))
-	if err != nil {
-		return nil, err
-	}
-	spr, err := runQuery("spear", gcmQuery(opt, spear.BackendSPEAr, 0, 0, paperWorkers))
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		Title:  "Fig 8c: GCM (grouped mean CPU per class) window processing time",
-		Header: []string{"engine", "mean(ms)", "p95(ms)", "vs Storm", "accel%"},
-		Rows: [][]string{
-			{"Storm", ms(storm.sum.MeanProcTime), ms(storm.sum.P95ProcTime), "1x", "-"},
-			{"SPEAr", ms(spr.sum.MeanProcTime), ms(spr.sum.P95ProcTime),
-				speedup(storm.sum.MeanProcTime, spr.sum.MeanProcTime),
-				fmt.Sprintf("%.0f%%", 100*sampledShare(spr))},
-		},
-		Notes: []string{
-			"paper shape: >1 order faster; the gap is wider because the group count is known (no scan)",
-		},
-	}
-	return []*Table{t}, nil
+	return timingTable("Fig 8c: GCM (grouped mean CPU per class) window processing time",
+		"paper shape: >1 order faster; the gap is wider because the group count is known (no scan)", true,
+		stormAndSPEAr(func(b spear.Backend) *spear.Query { return gcmQuery(opt, b, time.Hour, 30*time.Minute) })...)
 }
 
 // Fig8d compares Storm and SPEAr on the DEBS grouped mean CQ (sparse
 // routes, unknown group count, b = 2000 ≈ 20% of the window).
 func Fig8d(opt Options) ([]*Table, error) {
-	storm, err := runQuery("storm", debsQuery(opt, spear.BackendExact, paperWorkers))
-	if err != nil {
-		return nil, err
-	}
-	spr, err := runQuery("spear", debsQuery(opt, spear.BackendSPEAr, paperWorkers))
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		Title:  "Fig 8d: DEBS (grouped avg fare per route) window processing time",
-		Header: []string{"engine", "mean(ms)", "p95(ms)", "vs Storm", "accel%"},
-		Rows: [][]string{
-			{"Storm", ms(storm.sum.MeanProcTime), ms(storm.sum.P95ProcTime), "1x", "-"},
-			{"SPEAr", ms(spr.sum.MeanProcTime), ms(spr.sum.P95ProcTime),
-				speedup(storm.sum.MeanProcTime, spr.sum.MeanProcTime),
-				fmt.Sprintf("%.0f%%", 100*sampledShare(spr))},
-		},
-		Notes: []string{
-			"paper shape: 7.77x (mean) / 13x (p95) faster; ≥98% of windows accelerated",
-		},
-	}
-	return []*Table{t}, nil
+	return timingTable("Fig 8d: DEBS (grouped avg fare per route) window processing time",
+		"paper shape: 7.77x (mean) / 13x (p95) faster; ≥98% of windows accelerated", true,
+		stormAndSPEAr(func(b spear.Backend) *spear.Query { return debsQuery(opt, b) })...)
 }
 
 // runCountMin executes a grouped CQ with the CountMin baseline through
@@ -395,38 +317,29 @@ func Table2(opt Options) ([]*Table, error) {
 		Title: "Table 2: Proc. time (ms): SPEAr vs Storm/CountMin",
 		Header: []string{"dataset", "SPEAr mean", "CountMin mean", "SPEAr p95",
 			"CountMin p95", "mean speedup"},
+		Notes: []string{"paper shape: SPEAr ≥ ~10x faster than CountMin on both datasets (hash cost per tuple)"},
 	}
-	// GCM.
-	sprG, err := runQuery("spear", gcmQuery(opt, spear.BackendSPEAr, 0, 0, paperWorkers))
-	if err != nil {
-		return nil, err
+	for _, d := range []struct {
+		name string
+		spr  *spear.Query
+		cm   *dataset.Stream
+	}{
+		{"GCM", gcmQuery(opt, spear.BackendSPEAr, time.Hour, 30*time.Minute), gcmStream(opt, 0, 0)},
+		{"DEBS", debsQuery(opt, spear.BackendSPEAr), debsStream(opt)},
+	} {
+		countMin := leg{"countmin", func() (*runOut, error) {
+			return runCountMin("countmin-"+strings.ToLower(d.name), d.cm, paperWorkers, opt.Seed)
+		}}
+		s, err := compare(engine("spear", d.spr), countMin)
+		if err != nil {
+			return nil, err
+		}
+		spr, cm := s[0], s[1]
+		t.Rows = append(t.Rows, []string{
+			d.name, ms(spr.MeanProcTime), ms(cm.MeanProcTime), ms(spr.P95ProcTime), ms(cm.P95ProcTime),
+			speedup(cm.MeanProcTime, spr.MeanProcTime),
+		})
 	}
-	cmG, err := runCountMin("countmin-gcm", gcmStream(opt, 0, 0), paperWorkers, opt.Seed)
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows, []string{
-		"GCM", ms(sprG.sum.MeanProcTime), ms(cmG.sum.MeanProcTime),
-		ms(sprG.sum.P95ProcTime), ms(cmG.sum.P95ProcTime),
-		speedup(cmG.sum.MeanProcTime, sprG.sum.MeanProcTime),
-	})
-	// DEBS.
-	sprD, err := runQuery("spear", debsQuery(opt, spear.BackendSPEAr, paperWorkers))
-	if err != nil {
-		return nil, err
-	}
-	cmD, err := runCountMin("countmin-debs", debsStream(opt), paperWorkers, opt.Seed)
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows, []string{
-		"DEBS", ms(sprD.sum.MeanProcTime), ms(cmD.sum.MeanProcTime),
-		ms(sprD.sum.P95ProcTime), ms(cmD.sum.P95ProcTime),
-		speedup(cmD.sum.MeanProcTime, sprD.sum.MeanProcTime),
-	})
-	t.Notes = append(t.Notes,
-		"paper shape: SPEAr ≥ ~10x faster than CountMin on both datasets (hash cost per tuple)",
-	)
 	return []*Table{t}, nil
 }
 
@@ -436,11 +349,12 @@ func Fig9(opt Options) ([]*Table, error) {
 	t := &Table{
 		Title:  "Fig 9: End-to-end processing time, DEC median, count-based windows",
 		Header: []string{"window(Ktuples)", "Storm total(ms)", "SPEAr total(ms)", "speedup"},
+		Notes:  []string{"paper shape: Storm ≈ flat (same total data); SPEAr improves with window size; >1 order at 47K"},
 	}
 	for _, rangeK := range []int{2500, 5000, 10000, 20000, 47000} {
 		mk := func(backend spear.Backend) *spear.Query {
 			ds := decStream(opt)
-			q := spear.NewQuery("dec-count").
+			return spear.NewQuery("dec-count").
 				Source(spear.FromFunc(ds.Next)).
 				CountSlidingWindow(int64(rangeK), int64(rangeK)).
 				Median(ds.Value).
@@ -449,26 +363,18 @@ func Fig9(opt Options) ([]*Table, error) {
 				Parallelism(1).
 				Seed(opt.Seed).
 				WithBackend(backend)
-			return q
 		}
-		storm, err := runQuery("storm", mk(spear.BackendExact))
+		s, err := compare(stormAndSPEAr(mk)...)
 		if err != nil {
 			return nil, err
 		}
-		spr, err := runQuery("spear", mk(spear.BackendSPEAr))
-		if err != nil {
-			return nil, err
-		}
-		stormTotal := time.Duration(float64(storm.sum.MeanProcTime) * float64(storm.sum.Windows))
-		sprTotal := time.Duration(float64(spr.sum.MeanProcTime) * float64(spr.sum.Windows))
+		stormTotal := time.Duration(float64(s[0].MeanProcTime) * float64(s[0].Windows))
+		sprTotal := time.Duration(float64(s[1].MeanProcTime) * float64(s[1].Windows))
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.1f", float64(rangeK)/1000),
 			ms(stormTotal), ms(sprTotal), speedup(stormTotal, sprTotal),
 		})
 	}
-	t.Notes = append(t.Notes,
-		"paper shape: Storm ≈ flat (same total data); SPEAr improves with window size; >1 order at 47K",
-	)
 	return []*Table{t}, nil
 }
 
@@ -479,29 +385,24 @@ func Fig10(opt Options) ([]*Table, error) {
 		Title: "Fig 10: GCM processing time with varying window sizes (b=4000)",
 		Header: []string{"window(s)", "Storm mean(ms)", "SPEAr mean(ms)", "Storm p95(ms)",
 			"SPEAr p95(ms)", "SPEAr accel%", "speedup"},
+		Notes: []string{"paper shape: acceleration fraction grows with window size (68% → 88% → 100%); speedup grows from ~2x to >10x"},
 	}
 	for _, winSec := range []int{900, 1800, 3600} {
 		size := time.Duration(winSec) * time.Second
 		slide := size / 2
-		storm, err := runQuery("storm", gcmQuery(opt, spear.BackendExact, size, slide, paperWorkers))
+		s, err := compare(stormAndSPEAr(func(b spear.Backend) *spear.Query {
+			return gcmQuery(opt, b, size, slide)
+		})...)
 		if err != nil {
 			return nil, err
 		}
-		spr, err := runQuery("spear", gcmQuery(opt, spear.BackendSPEAr, size, slide, paperWorkers))
-		if err != nil {
-			return nil, err
-		}
+		storm, spr := s[0], s[1]
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(winSec),
-			ms(storm.sum.MeanProcTime), ms(spr.sum.MeanProcTime),
-			ms(storm.sum.P95ProcTime), ms(spr.sum.P95ProcTime),
-			fmt.Sprintf("%.0f%%", 100*sampledShare(spr)),
-			speedup(storm.sum.MeanProcTime, spr.sum.MeanProcTime),
+			ms(storm.MeanProcTime), ms(spr.MeanProcTime), ms(storm.P95ProcTime), ms(spr.P95ProcTime),
+			accelPct(spr), speedup(storm.MeanProcTime, spr.MeanProcTime),
 		})
 	}
-	t.Notes = append(t.Notes,
-		"paper shape: acceleration fraction grows with window size (68% → 88% → 100%); speedup grows from ~2x to >10x",
-	)
 	return []*Table{t}, nil
 }
 
@@ -517,6 +418,7 @@ func Fig11(opt Options) ([]*Table, error) {
 		Title: "Fig 11: Relative error per window on DEC mean (ε=10%, α=95%)",
 		Header: []string{"budget", "windows", "accelerated", "accel%", "violations(>10%)",
 			"mean err%", "max err%"},
+		Notes: []string{"paper shape: b=250 rarely accelerates (39.9%); b=500 accelerates all with ~23 violations; b=1000 ≤2 violations"},
 	}
 	series := &Table{
 		Title:  "Fig 11 (series): per-window relative error %, first 40 windows",
@@ -560,14 +462,11 @@ func Fig11(opt Options) ([]*Table, error) {
 			fmt.Sprint(b), fmt.Sprint(len(keys)), fmt.Sprint(accel),
 			fmt.Sprintf("%.1f%%", 100*float64(accel)/max(float64(len(keys)), 1)),
 			fmt.Sprint(viol(epsilon)),
-			fmt.Sprintf("%.2f", 100*meanErr(errs)),
+			fmt.Sprintf("%.2f", 100*stats.MeanOf(errs)),
 			fmt.Sprintf("%.2f", 100*maxErr),
 		})
 		series.Rows = append(series.Rows, []string{fmt.Sprint(b), strings.Join(serr, " ")})
 	}
-	t.Notes = append(t.Notes,
-		"paper shape: b=250 rarely accelerates (39.9%); b=500 accelerates all with ~23 violations; b=1000 ≤2 violations",
-	)
 	return []*Table{t, series}, nil
 }
 
@@ -575,28 +474,11 @@ func Fig11(opt Options) ([]*Table, error) {
 // for Storm and SPEAr budgets 250/500/1000: the failed-check overhead at
 // b=250 makes SPEAr slower than Storm.
 func Fig12(opt Options) ([]*Table, error) {
-	t := &Table{
-		Title:  "Fig 12: DEC processing time with varying budget (mean CQ, no incremental)",
-		Header: []string{"engine", "mean(ms)", "p95(ms)", "vs Storm"},
-	}
-	storm, err := runQuery("storm", decQuery(opt, false, spear.BackendExact, decMeanBudget, 1, false))
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows, []string{"Storm", ms(storm.sum.MeanProcTime), ms(storm.sum.P95ProcTime), "1x"})
+	legs := []leg{engine("Storm", decQuery(opt, false, spear.BackendExact, decMeanBudget, 1, false))}
 	for _, b := range []int{250, 500, 1000} {
-		spr, err := runQuery("spear", decQuery(opt, false, spear.BackendSPEAr, b, 1, true))
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("SPEAr-%d", b),
-			ms(spr.sum.MeanProcTime), ms(spr.sum.P95ProcTime),
-			speedup(storm.sum.MeanProcTime, spr.sum.MeanProcTime),
-		})
+		legs = append(legs, engine(fmt.Sprintf("SPEAr-%d", b), decQuery(opt, false, spear.BackendSPEAr, b, 1, true)))
 	}
-	t.Notes = append(t.Notes,
-		"paper shape: SPEAr-250 slower than Storm (failed checks force exact fallback through S); SPEAr-500/1k ≈2 orders faster",
-	)
-	return []*Table{t}, nil
+	return timingTable("Fig 12: DEC processing time with varying budget (mean CQ, no incremental)",
+		"paper shape: SPEAr-250 slower than Storm (failed checks force exact fallback through S); SPEAr-500/1k ≈2 orders faster", false,
+		legs...)
 }

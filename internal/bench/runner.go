@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"spear"
-	"spear/internal/core"
 	"spear/internal/window"
 )
 
@@ -89,7 +88,6 @@ type resKey struct {
 type runOut struct {
 	sum     spear.Summary
 	results map[resKey]spear.Result
-	order   []resKey // sink arrival order
 }
 
 // runQuery executes q to completion, collecting all results. A full GC
@@ -103,9 +101,7 @@ func runQuery(label string, q *spear.Query) (*runOut, error) {
 	debug.FreeOSMemory()
 	sum, err := q.Run(func(worker int, r spear.Result) {
 		mu.Lock()
-		k := resKey{worker, r.WindowID}
-		out.results[k] = r
-		out.order = append(out.order, k)
+		out.results[resKey{worker, r.WindowID}] = r
 		mu.Unlock()
 	})
 	if err != nil {
@@ -113,6 +109,71 @@ func runQuery(label string, q *spear.Query) (*runOut, error) {
 	}
 	out.sum = sum
 	return out, nil
+}
+
+// leg is one labelled engine of a comparison.
+type leg struct {
+	label string
+	run   func() (*runOut, error)
+}
+
+// engine is the leg that runs q through the public builder.
+func engine(label string, q *spear.Query) leg {
+	return leg{label, func() (*runOut, error) { return runQuery(label, q) }}
+}
+
+// stormAndSPEAr is the two legs of a figure that runs one CQ, q, on the
+// Storm baseline and then on SPEAr.
+func stormAndSPEAr(q func(spear.Backend) *spear.Query) []leg {
+	return []leg{engine("Storm", q(spear.BackendExact)), engine("SPEAr", q(spear.BackendSPEAr))}
+}
+
+// compare runs legs in order and returns their summaries. Every
+// baseline comparison of the evaluation runs through it.
+func compare(legs ...leg) ([]spear.Summary, error) {
+	sums := make([]spear.Summary, len(legs))
+	for i, l := range legs {
+		out, err := l.run()
+		if err != nil {
+			return nil, err
+		}
+		sums[i] = out.sum
+	}
+	return sums, nil
+}
+
+// timingTable is a figure of window processing time against Storm: it
+// compares legs, Storm first, and renders one row an engine with its
+// mean and p95 window time and its mean speedup over Storm, and with
+// accel the share of its windows answered from the sample.
+func timingTable(title, note string, accel bool, legs ...leg) ([]*Table, error) {
+	sums, err := compare(legs...)
+	if err != nil {
+		return nil, err
+	}
+	t := &Table{Title: title, Header: []string{"engine", "mean(ms)", "p95(ms)", "vs Storm"}, Notes: []string{note}}
+	if accel {
+		t.Header = append(t.Header, "accel%")
+	}
+	storm := sums[0].MeanProcTime
+	for i, s := range sums {
+		vs, share := speedup(storm, s.MeanProcTime), accelPct(s)
+		if i == 0 {
+			vs, share = "1x", "-"
+		}
+		row := []string{legs[i].label, ms(s.MeanProcTime), ms(s.P95ProcTime), vs}
+		if accel {
+			row = append(row, share)
+		}
+		t.Rows = append(t.Rows, row)
+	}
+	return []*Table{t}, nil
+}
+
+// accelPct renders the share of a run's windows answered from the
+// sample (or incrementally) as a whole percentage.
+func accelPct(s spear.Summary) string {
+	return fmt.Sprintf("%.0f%%", 100*float64(s.Accelerated)/float64(max(s.Windows, 1)))
 }
 
 // ms renders nanoseconds as milliseconds with sensible precision.
@@ -207,31 +268,4 @@ func relErr(a, e float64) float64 {
 		d = -d
 	}
 	return d
-}
-
-// meanErr returns the mean of a float slice (0 when empty).
-func meanErr(errs []float64) float64 {
-	if len(errs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range errs {
-		s += v
-	}
-	return s / float64(len(errs))
-}
-
-// sampledShare reports the fraction of approx's windows that were
-// answered from the sample (or incrementally).
-func sampledShare(r *runOut) float64 {
-	if len(r.results) == 0 {
-		return 0
-	}
-	n := 0
-	for _, res := range r.results {
-		if res.Mode != core.ModeExact {
-			n++
-		}
-	}
-	return float64(n) / float64(len(r.results))
 }

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 
@@ -82,7 +83,7 @@ func DecodeManifest(b []byte) (Manifest, error) {
 		return m, fmt.Errorf("%w: manifest magic %q", tuple.ErrCorrupt, b[:len(manifestMagic)])
 	}
 	body, trailer := b[:len(b)-8], b[len(b)-8:]
-	if want := BlobSum(body); want != leU64(trailer) {
+	if want := BlobSum(body); want != binary.LittleEndian.Uint64(trailer) {
 		return m, fmt.Errorf("%w: manifest checksum", tuple.ErrCorrupt)
 	}
 	rd := tuple.NewWireReader(body[len(manifestMagic):])
@@ -125,12 +126,4 @@ func DecodeManifest(b []byte) (Manifest, error) {
 		return Manifest{}, fmt.Errorf("%w: manifest offset %d", tuple.ErrCorrupt, m.Offset)
 	}
 	return m, nil
-}
-
-func leU64(b []byte) uint64 {
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
 }

@@ -42,11 +42,12 @@ func appendCursor(dst []byte, c window.Cursor) []byte {
 
 // ---- the shell ----
 
-// snapshot is the managers' SnapshotState: the header — the shape's
-// tag, whether the manager archives, the lifecycle's cursor, the budget,
-// the shedding flag, the archive's pane table (empty for a manager that
-// archives nothing) — then the shape's windows.
-func (s *shell) snapshot() ([]byte, error) {
+// SnapshotState implements the checkpoint Snapshotter contract for every
+// manager: the header — the shape's tag, whether the manager archives,
+// the lifecycle's cursor, the budget, the shedding flag, the archive's
+// pane table (empty for a manager that archives nothing) — then the
+// shape's windows.
+func (s *shell) SnapshotState() ([]byte, error) {
 	_, tag := s.sh.format()
 	dst := tuple.AppendBool([]byte{tag}, s.arc != nil)
 	dst = appendCursor(dst, s.lc.Cursor())
@@ -108,9 +109,6 @@ func (s *shell) RestoreState(b []byte) error {
 }
 
 // ---- ScalarManager ----
-
-// SnapshotState implements the checkpoint Snapshotter contract.
-func (m *ScalarManager) SnapshotState() ([]byte, error) { return m.snapshot() }
 
 func (m *ScalarManager) format() (string, byte) { return "scalar", snapScalar }
 
@@ -178,9 +176,6 @@ func (m *ScalarManager) readWindows(rd *tuple.WireReader) (func(), error) {
 
 // ---- GroupedManager ----
 
-// SnapshotState implements the checkpoint Snapshotter contract.
-func (m *GroupedManager) SnapshotState() ([]byte, error) { return m.snapshot() }
-
 func (m *GroupedManager) format() (string, byte) { return "grouped", snapGrouped }
 
 func (m *GroupedManager) appendWindows(dst []byte) []byte {
@@ -235,9 +230,6 @@ func (m *GroupedManager) readWindows(rd *tuple.WireReader) (func(), error) {
 
 // ---- ExactManager ----
 
-// SnapshotState implements the checkpoint Snapshotter contract.
-func (m *ExactManager) SnapshotState() ([]byte, error) { return m.snapshot() }
-
 func (m *ExactManager) format() (string, byte) { return "exact", snapBuffer }
 
 // appendWindows writes the buffer, its rows at their positions, as a
@@ -269,9 +261,6 @@ func (m *ExactManager) readWindows(rd *tuple.WireReader) (apply func(), err erro
 }
 
 // ---- IncrementalManager ----
-
-// SnapshotState implements the checkpoint Snapshotter contract.
-func (m *IncrementalManager) SnapshotState() ([]byte, error) { return m.snapshot() }
 
 func (m *IncrementalManager) format() (string, byte) { return "incremental", snapAccumulators }
 
