@@ -89,7 +89,7 @@ obs-scrape:
 # checkpoint snapshot codecs (manifest, sampling state, manager
 # restore), the compressed spill chunk codec, the transport frame codec
 # (and the column image its batch frames carry), and the column batch's
-# projection of a run.
+# deep copy of a run (ToRows, what benchmark/layers/col times).
 fuzz:
 	$(GO) test ./internal/tuple -run='^$$' -fuzz=FuzzTupleCodec -fuzztime=10s
 	$(GO) test ./internal/tuple -run='^$$' -fuzz=FuzzColumnsCodec -fuzztime=10s

@@ -11,8 +11,8 @@ import (
 
 // TestChainComposes is the composition matrix for the stateless chain:
 // a three-stage chain (rewrite, filter ≈ 1/8, rewrite) ahead of the
-// windowed stage, in every combination of {rows, Columnar} × {par 1,
-// par 3} × {scalar over shuffle, GroupBy over fields} × {plain,
+// windowed stage, in every combination of {rows, the inert Columnar} ×
+// {par 1, par 3} × {scalar over shuffle, GroupBy over fields} × {plain,
 // checkpoint + stop + Recover, Distribute, Distribute + checkpoints}.
 // Every cell must produce, per worker, exactly the result sequence of
 // the plain row run of its (par, routing) — values AND Mode, bit for

@@ -12,10 +12,11 @@ import (
 	"spear/internal/storage"
 )
 
-// TestColumnarIdentity pins the end-to-end columnar contract at the
-// public API: a query run with .Columnar(...) must produce exactly the
-// results of the same query without it — window values bit-for-bit AND
-// the accelerate/exact Mode decision of every window.
+// Query.Columnar is inert: every worker hands its manager rows. These
+// tests pin that at the public API: a query run with .Columnar(...)
+// produces exactly the results of the same query without it — window
+// values bit-for-bit AND the accelerate/exact Mode decision of every
+// window — whatever the declaration says.
 
 // wres is a sink record keyed by worker, since scalar shuffle runs emit
 // one result per worker per window.
@@ -47,7 +48,7 @@ func collectRun(t *testing.T, q *Query) []wres {
 func sameWres(t *testing.T, row, col []wres) {
 	t.Helper()
 	if len(row) != len(col) {
-		t.Fatalf("result count: row=%d columnar=%d", len(row), len(col))
+		t.Fatalf("result count: without Columnar %d, with %d", len(row), len(col))
 	}
 	for i := range row {
 		a, b := row[i], col[i]
@@ -178,11 +179,10 @@ func TestColumnarIdentity(t *testing.T) {
 	})
 
 	t.Run("grouped undeclared key", func(t *testing.T) {
-		// A grouped query has no columnar lane: Columnar(1) names the
-		// value field only, and no field is taken for the key. Field 0
-		// agrees with the key on each batch's first row ("a") and not
-		// on "A" or "B", so a lane that read field 0 as the key would
-		// split the two groups in four.
+		// Columnar(1) names a value field only, and no field is taken
+		// for the key. Field 0 agrees with the key on "a" and "b" and
+		// not on "A" or "B", so reading field 0 as the key would split
+		// the two groups in four.
 		keys := []string{"a", "A", "b", "B"}
 		var in []Tuple
 		for i := 0; i < 4000; i++ {
@@ -200,9 +200,40 @@ func TestColumnarIdentity(t *testing.T) {
 		sameWres(t, collectRun(t, build()), collectRun(t, build().Columnar(1)))
 	})
 
+	t.Run("false declaration", func(t *testing.T) {
+		// Columnar(0) while the aggregate reads field 1: the two fields
+		// agree on every even tuple, each batch's first one included,
+		// and on no odd one. Reading the declared field would halve
+		// every window's sum.
+		var in []Tuple
+		var want float64
+		for i := 0; i < 6400; i++ {
+			v, decl := float64(1+i%97), float64(1+i%97)
+			if i%2 == 1 {
+				decl = 0
+			}
+			if i < 640 {
+				want += v
+			}
+			in = append(in, NewTuple(int64(i)*sec, Float(decl), Float(v)))
+		}
+		build := func() *Query {
+			return NewQuery("colfalse").
+				Source(FromSlice(in)).
+				TumblingWindow(640 * time.Second).
+				Sum(func(t Tuple) float64 { return t.Vals[1].AsFloat() }).
+				Seed(3)
+		}
+		got := collectRun(t, build().Columnar(0))
+		sameWres(t, collectRun(t, build()), got)
+		if len(got) == 0 || got[0].r.Scalar != want {
+			t.Fatalf("first window sums to %v, want %v", got[0].r.Scalar, want)
+		}
+	})
+
 	t.Run("fused map chain", func(t *testing.T) {
-		// Maps present: the chain runs at the source on both lanes and
-		// hands the worker rows; the columnar worker projects them.
+		// Maps present: the chain runs at the source and hands the
+		// worker rows, with Columnar or without.
 		r := rand.New(rand.NewSource(17))
 		var in []Tuple
 		for i := 0; i < 6000; i++ {
@@ -226,7 +257,7 @@ func TestColumnarIdentity(t *testing.T) {
 }
 
 // TestColumnarIdentityCrashRecover runs the checkpoint stop-and-resume
-// cycle with the columnar lane enabled and a filtering Map ahead of the
+// cycle with the inert Columnar set and a filtering Map ahead of the
 // window — barriers cut between the runs the chain fills — and requires
 // the union of both legs to equal a plain row-path reference run
 // bit-for-bit.
@@ -256,7 +287,7 @@ func TestColumnarIdentityCrashRecover(t *testing.T) {
 			SpillStore(store)
 	}
 
-	// Row-path reference, uninterrupted, no columnar.
+	// Reference, uninterrupted, without Columnar.
 	ref := &sinkBuf{}
 	if _, err := build(FromSlice(mk(0, n)), storage.NewMemStore()).Run(ref.add); err != nil {
 		t.Fatal(err)
@@ -266,7 +297,7 @@ func TestColumnarIdentityCrashRecover(t *testing.T) {
 		t.Fatalf("reference: %d windows, want %d", len(refRes), n/winSec)
 	}
 
-	// Columnar leg 1 dies after stopAt tuples; leg 2 recovers.
+	// Leg 1, with Columnar, dies after stopAt tuples; leg 2 recovers.
 	store := storage.NewMemStore()
 	leg1 := &sinkBuf{}
 	if _, err := build(FromSlice(mk(0, stopAt)), store).
@@ -308,7 +339,7 @@ func TestColumnarIdentityCrashRecover(t *testing.T) {
 		}
 		if math.Float64bits(g.Scalar) != math.Float64bits(w.Scalar) ||
 			g.N != w.N || g.SampleN != w.SampleN || g.Mode != w.Mode {
-			t.Errorf("window @%d: columnar %+v, row reference %+v", w.Start, g, w)
+			t.Errorf("window @%d: with Columnar %+v, reference %+v", w.Start, g, w)
 		}
 	}
 }

@@ -99,9 +99,8 @@ func (q *Query) ServeShard(lis net.Listener) error {
 			}
 			return spe.StartShard(spe.Shard{
 				Name: p.worker.Name, Lo: spec.Lo, Hi: spec.Hi,
-				BatchSize: spec.BatchSize, Columnar: p.columnar.Enabled,
-				Factory: p.managerFactory(plane, reg, spec.Checkpoint, nil),
-				Hooks:   hooks, Obs: ins,
+				BatchSize: spec.BatchSize, Factory: p.managerFactory(plane, reg, spec.Checkpoint, nil),
+				Hooks: hooks, Obs: ins,
 			})
 		},
 	})
@@ -155,7 +154,6 @@ func (p *plan) managerFactory(plane *spill.Plane, reg *obs.Instruments, deferDel
 			ScalarEstimator:    f.scalarEst,
 			GroupedEstimator:   f.groupedEst,
 			Metrics:            reg.Worker(fmt.Sprintf("%s[%d]", w.Name, wi)),
-			Columnar:           p.columnar,
 			DeferStoreDeletes:  deferDeletes,
 		}
 		if wi < len(cells) {

@@ -222,17 +222,6 @@ func TestDistributedLoopbackIdentity(t *testing.T) {
 		t.Errorf("shards' summaries count %d windows, %d results delivered", windows, len(want))
 	}
 
-	// Columnar × Distribute: the shards ingest through the columnar
-	// kernels, as the source's local workers would, and nothing moves.
-	colBuild := func() *Query { return build().Columnar(0) }
-	shards = startShards(t, 2, colBuild)
-	col := &workerSink{}
-	if _, err := colBuild().Source(FromSlice(in)).Distribute(shards.addrs...).Run(col.add); err != nil {
-		t.Fatal(err)
-	}
-	shards.wait(t, false)
-	requireIdentical(t, want, col.sorted())
-
 	coalescedLegs(t, in, want, build)
 }
 

@@ -56,17 +56,6 @@ func TestRoundTripUniformFloat(t *testing.T) {
 	b := Get()
 	defer Put(b)
 	checkRoundTrip(t, b, rows)
-
-	if got := b.Floats(0); len(got) != 100 || got[3] != 1 {
-		t.Fatalf("Floats(0) = %v...", got[:4])
-	}
-	// An int field widened to float64 must match Value.AsFloat bits.
-	f := b.Floats(1)
-	for i := range rows {
-		if math.Float64bits(f[i]) != math.Float64bits(rows[i].Vals[1].AsFloat()) {
-			t.Fatalf("widened int %d diverges from AsFloat", i)
-		}
-	}
 }
 
 func TestRoundTripMixedKindsAndNulls(t *testing.T) {
@@ -83,35 +72,19 @@ func TestRoundTripMixedKindsAndNulls(t *testing.T) {
 	b := Get()
 	defer Put(b)
 	checkRoundTrip(t, b, rows)
-
-	// Every field has a row that is missing, invalid or of another kind:
-	// the projection does not apply.
-	for j := 0; j < 2; j++ {
-		if b.Floats(j) != nil {
-			t.Fatalf("Floats(%d) non-nil on a field with gaps", j)
-		}
-	}
-	// Ints and floats do not mix into one projection.
-	b.SetRows([]tuple.Tuple{row(1, tuple.Int(1)), row(2, tuple.Float(2))})
-	if b.Floats(0) != nil {
-		t.Fatal("Floats(0) non-nil on an int/float mix")
-	}
 }
 
 func TestRoundTripEmpty(t *testing.T) {
 	b := Get()
 	defer Put(b)
 	checkRoundTrip(t, b, nil)
-	if b.Len() != 0 || len(b.Ts()) != 0 || b.Rows() != nil {
-		t.Fatalf("empty batch: Len=%d Ts=%v Rows=%v", b.Len(), b.Ts(), b.Rows())
-	}
-	if b.Floats(0) != nil {
-		t.Fatal("Floats on empty batch should be nil")
+	if b.Rows() != nil {
+		t.Fatalf("empty batch: Rows=%v", b.Rows())
 	}
 }
 
 // TestReuseNoAlloc pins the pooling contract: refilling a warmed batch
-// with same-shape rows and projecting it allocates nothing.
+// allocates nothing.
 func TestReuseNoAlloc(t *testing.T) {
 	rows := make([]tuple.Tuple, 64)
 	for i := range rows {
@@ -119,21 +92,19 @@ func TestReuseNoAlloc(t *testing.T) {
 	}
 	b := Get()
 	defer Put(b)
-	b.SetRows(rows) // warm buffers
-	b.Floats(0)
 	allocs := testing.AllocsPerRun(100, func() {
 		b.SetRows(rows)
-		if b.Floats(0) == nil {
-			t.Fatal("Floats(0) nil")
+		if len(b.Rows()) != len(rows) {
+			t.Fatal("SetRows lost rows")
 		}
 	})
 	if allocs > 0 {
-		t.Fatalf("SetRows and a projection on a warmed batch allocate %.1f/op, want 0", allocs)
+		t.Fatalf("SetRows on a warmed batch allocates %.1f/op, want 0", allocs)
 	}
 }
 
-// TestColumnBatchIsLockFree holds the recycling path, filling a batch
-// and its projection, each documented lock-free, to that contract.
+// TestColumnBatchIsLockFree holds the recycling path and filling a
+// batch, each documented lock-free, to that contract.
 func TestColumnBatchIsLockFree(t *testing.T) {
 	rows := []tuple.Tuple{
 		row(1, tuple.Float(1.5), tuple.String_("a")),
@@ -142,27 +113,17 @@ func TestColumnBatchIsLockFree(t *testing.T) {
 	leakcheck.NoBlocking(t, func(_, _ int) {
 		b := Get()
 		b.SetRows(rows)
-		b.Floats(0)
 		b.Reset()
 		Put(b)
 	})
 }
 
 // TestWidthGrowsAndResets refills a batch with a narrower run after a
-// wider one: nothing projected from the wider run may leak into the
-// narrower one's fields.
+// wider one: nothing of the wider run may leak into the narrower one's
+// copy.
 func TestWidthGrowsAndResets(t *testing.T) {
 	b := Get()
 	defer Put(b)
-	b.SetRows([]tuple.Tuple{row(1, tuple.Int(1), tuple.Int(2), tuple.Int(3))})
-	if f := b.Floats(2); len(f) != 1 || f[0] != 3 {
-		t.Fatalf("Floats(2) = %v, want [3]", f)
-	}
+	checkRoundTrip(t, b, []tuple.Tuple{row(1, tuple.Int(1), tuple.Int(2), tuple.Int(3))})
 	checkRoundTrip(t, b, []tuple.Tuple{row(2, tuple.Float(5))})
-	if f := b.Floats(0); len(f) != 1 || f[0] != 5 {
-		t.Fatalf("Floats(0) = %v after refill, want [5]", f)
-	}
-	if b.Floats(1) != nil || b.Floats(2) != nil || b.Floats(-1) != nil {
-		t.Fatal("a field the run does not have was projected")
-	}
 }

@@ -28,7 +28,7 @@ import (
 // Cell is the lock-free mailbox between the controller and one
 // manager: the target tuple budget and the shedding flag. The
 // controller writes it from its tick goroutine; the manager reads
-// it at the top of every OnTupleBatch/OnColumnBatch call and applies
+// it at the top of every OnTupleBatch call and applies
 // changes (reservoir resizes) outside any per-tuple loop.
 type Cell struct {
 	budget atomic.Int64

@@ -119,13 +119,8 @@ type Config struct {
 	// BudgetTuples is the starting value the cell was created with.
 	Cell *control.Cell
 
-	// Columnar opts a scalar manager into the columnar ingest fast
-	// lane: ScalarManager.OnColumnBatch runs the ingest kernel over the
-	// raw []float64 value column projected from each batch. Results are
-	// bit-identical to the row path when the declaration holds (see
-	// ColumnarSpec); a batch whose value field does not project falls
-	// back to OnTupleBatch. A grouped manager has no columnar lane and
-	// ignores it.
+	// Columnar is inert: every manager ingests through OnTupleBatch.
+	// It stays because benchmark/layers/core sets it (ROADMAP 3(e)).
 	Columnar ColumnarSpec
 
 	// DeferStoreDeletes, set by the checkpointing layer, makes the
@@ -137,13 +132,8 @@ type Config struct {
 	DeferStoreDeletes bool
 }
 
-// ColumnarSpec declares the field projection the columnar kernel may
-// assume: Value must be equivalent to tuple.FieldFloat(ValueField). The
-// declaration is a promise: the kernel compares it with Value on the
-// first row of every batch only and falls back to the row path on a
-// mismatch, which catches a wrong field index or kind; an extractor
-// that agrees with the field on a batch's first row and not on a later
-// one changes results.
+// ColumnarSpec is the type of the inert Config.Columnar: nothing
+// reads it (ROADMAP 3(e)).
 type ColumnarSpec struct {
 	Enabled    bool
 	ValueField int

@@ -11,7 +11,7 @@ import (
 )
 
 // refGroupedIngest is the per-tuple ingest body GroupedManager had
-// before its entry points became adapters to ingestRun, kept here as the
+// before its entry points became adapters to one batch kernel, kept here as the
 // reference the kernel is held to: assignment, admission, the one hash
 // of the key, one AddID per open window, then the archive, tuple by
 // tuple, firing after every tuple in the count domain. It differs from

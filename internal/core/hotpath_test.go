@@ -76,8 +76,7 @@ var hotCases = []struct {
 }
 
 // hotManager builds case i's manager over a MemStore, with its own
-// telemetry bundle, the column lane enabled and cell attached (nil for
-// none).
+// telemetry bundle and cell attached (nil for none).
 func hotManager(t *testing.T, i int, cell *control.Cell) (Manager, *obs.Worker) {
 	t.Helper()
 	c := hotCases[i]
@@ -85,9 +84,8 @@ func hotManager(t *testing.T, i int, cell *control.Cell) (Manager, *obs.Worker) 
 		Spec: hotSpec, Value: tuple.FieldFloat(0),
 		Epsilon: 0.10, Confidence: 0.95, BudgetTuples: 1000,
 		Store: storage.NewMemStore(), Key: "hot", Seed: 1,
-		Metrics:  &obs.Worker{},
-		Columnar: ColumnarSpec{Enabled: true, ValueField: 0},
-		Cell:     cell,
+		Metrics: &obs.Worker{},
+		Cell:    cell,
 	}
 	c.cfg(&cfg)
 	var m Manager
@@ -110,7 +108,8 @@ func hotManager(t *testing.T, i int, cell *control.Cell) (Manager, *obs.Worker) 
 }
 
 // ingestAllocs feeds m warm + measured slides of stream in 64-tuple
-// batches through the row or the column entry point, firing each
+// batches through OnTupleBatch or (columnar, a scalar manager) the
+// inert OnColumnBatch the benchmark's core probe times, firing each
 // slide's watermark, and returns the heap allocations per tuple its
 // ingest calls made over the measured slides. The fires, the batches'
 // preparation and the warm slides — where windows, archive buffers and
@@ -148,7 +147,7 @@ func ingestAllocs(t *testing.T, m Manager, columnar bool, stream []tuple.Tuple, 
 		for i, run := range runs {
 			var err error
 			if columnar {
-				_, err = m.(ColumnManager).OnColumnBatch(cbs[i])
+				_, err = m.(*ScalarManager).OnColumnBatch(cbs[i])
 			} else {
 				_, err = m.OnTupleBatch(run)
 			}
@@ -168,8 +167,8 @@ func ingestAllocs(t *testing.T, m Manager, columnar bool, stream []tuple.Tuple, 
 }
 
 // TestIngestAllocsPerTuple holds every ingest path of both SPEAr
-// managers, rows and (scalar) columns, shedding or not, and the row
-// path of both baselines to at most 0.05 heap allocations per tuple in
+// managers, shedding or not, the scalar one through OnColumnBatch too,
+// and both baselines to at most 0.05 heap allocations per tuple in
 // the steady state (≈ 0.01 on the sampled scalar path — reservoirs opened and
 // chunks stored, a window or a chunk at a time — 0 to 0.006 elsewhere,
 // 0 for Storm and 0.0004 for Inc-Storm, an accumulator a window), so
@@ -187,7 +186,7 @@ func TestIngestAllocsPerTuple(t *testing.T) {
 			name := c.name + "/rows"
 			if columnar {
 				if c.mk != nil || c.grouped {
-					continue // a baseline or a grouped manager has rows only
+					continue // OnColumnBatch is the scalar manager's
 				}
 				name = c.name + "/columnar"
 			}
@@ -227,19 +226,10 @@ func TestIngestNeverWritesTheCell(t *testing.T) {
 			for j := range stream {
 				stream[j].Ts = int64(j)
 			}
-			cb := new(col.ColumnBatch)
-			cb.SetRows(stream[hotSlide : 2*hotSlide])
 			steps := []func() error{
 				func() error { _, err := ingestOne(m, stream[0]); return err },
 				func() error { _, err := m.OnTupleBatch(stream[1:hotSlide]); return err },
-				func() error {
-					if cm, ok := m.(ColumnManager); ok {
-						_, err := cm.OnColumnBatch(cb)
-						return err
-					}
-					_, err := m.OnTupleBatch(cb.Rows())
-					return err
-				},
+				func() error { _, err := m.OnTupleBatch(stream[hotSlide : 2*hotSlide]); return err },
 				func() error { _, err := m.OnWatermark(2 * hotSlide); return err },
 				func() error { _, err := m.OnTupleBatch(stream[2*hotSlide:]); return err },
 				func() error { _, err := m.OnWatermark(1 << 40); return err },

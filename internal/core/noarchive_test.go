@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"spear/internal/agg"
-	"spear/internal/col"
 	"spear/internal/storage"
 	"spear/internal/tuple"
 	"spear/internal/window"
@@ -50,8 +49,7 @@ var noArchiveSpecs = []struct {
 }
 
 // noArchiveManager is what driveNoArchive drives: a SPEAr manager with
-// every entry point and seam the engine calls (a columnar run needs a
-// ColumnManager too).
+// every entry point and seam the engine calls.
 type noArchiveManager interface {
 	compatManager
 	TakeDeferredDeletes() []string
@@ -68,7 +66,7 @@ type noArchiveManager interface {
 // when it archives; one that says it keeps none gets each batch's values
 // in one slab that is scribbled over once the call returns, as a shard's
 // decoder reuses it, so a row it kept after all shows in its results.
-func driveNoArchive(t *testing.T, ops []kernelOp, mk func() noArchiveManager, columnar, ckpt, archives bool) []Result {
+func driveNoArchive(t *testing.T, ops []kernelOp, mk func() noArchiveManager, ckpt, archives bool) []Result {
 	t.Helper()
 	m := mk()
 	var out []Result
@@ -79,8 +77,6 @@ func driveNoArchive(t *testing.T, ops []kernelOp, mk func() noArchiveManager, co
 		}
 		out = append(out, rs...)
 	}
-	cb := col.Get()
-	defer col.Put(cb)
 	var pend []tuple.Tuple
 	var slab []tuple.Value
 	flush := func() {
@@ -102,12 +98,7 @@ func driveNoArchive(t *testing.T, ops []kernelOp, mk func() noArchiveManager, co
 				at += w
 			}
 		}
-		if columnar {
-			cb.SetRows(pend)
-			emit(m.(ColumnManager).OnColumnBatch(cb))
-		} else {
-			emit(m.OnTupleBatch(pend))
-		}
+		emit(m.OnTupleBatch(pend))
 		for i := range slab {
 			slab[i] = tuple.String_("scribbled")
 		}
@@ -168,7 +159,7 @@ func TestIncrementalScalarNeverTouchesStore(t *testing.T) {
 	for _, op := range []agg.Op{agg.Count, agg.Sum, agg.Mean, agg.Variance, agg.Min, agg.Max} {
 		for _, s := range noArchiveSpecs {
 			name := fmt.Sprintf("%s/%s", op, s.name)
-			drive := func(t *testing.T, store storage.SpillStore, columnar, ckpt, sampled bool) []Result {
+			drive := func(t *testing.T, store storage.SpillStore, ckpt, sampled bool) []Result {
 				t.Helper()
 				return driveNoArchive(t, ops, func() noArchiveManager {
 					cfg := Config{
@@ -176,7 +167,6 @@ func TestIncrementalScalarNeverTouchesStore(t *testing.T) {
 						Epsilon: 0.25, Confidence: 0.95, BudgetTuples: 32, ArchiveChunk: 7,
 						Store: store, Key: "k", Seed: 11,
 						DeferStoreDeletes: ckpt, DisableIncremental: sampled,
-						Columnar: ColumnarSpec{Enabled: columnar, ValueField: 0},
 					}
 					if sampled {
 						cfg.Epsilon = 1e-15
@@ -186,37 +176,35 @@ func TestIncrementalScalarNeverTouchesStore(t *testing.T) {
 						t.Fatal(err)
 					}
 					return m
-				}, columnar, ckpt, sampled)
+				}, ckpt, sampled)
 			}
 			t.Run(name, func(t *testing.T) {
 				var first []Result
-				for _, columnar := range []bool{false, true} {
-					for _, ckpt := range []bool{false, true} {
-						store := storage.NewMemStore()
-						got := drive(t, store, columnar, ckpt, false)
-						if st := store.Stats(); st != (storage.Stats{}) {
-							t.Errorf("columnar=%v checkpointed=%v: the store was touched: %+v", columnar, ckpt, st)
-						}
-						if keys, _ := store.List(""); len(keys) != 0 {
-							t.Errorf("columnar=%v checkpointed=%v: keys in the store: %v", columnar, ckpt, keys)
-						}
-						h := fnv.New64a()
-						for _, r := range got {
-							fmt.Fprintf(h, "%d %d %d %s %016x\n", r.WindowID, r.N, r.SampleN, r.Mode, math.Float64bits(r.Scalar))
-							if r.Mode != ModeIncremental || r.FetchedFromStore {
-								t.Fatalf("window %d: mode %v, fetched %v", r.WindowID, r.Mode, r.FetchedFromStore)
-							}
-						}
-						if len(got) < 20 {
-							t.Fatalf("only %d windows fired", len(got))
-						}
-						if sum := h.Sum64(); sum != noArchiveGoldens[name] {
-							t.Errorf("columnar=%v checkpointed=%v: results hash %#016x, the parent's %#016x", columnar, ckpt, sum, noArchiveGoldens[name])
-						}
-						first = got
+				for _, ckpt := range []bool{false, true} {
+					store := storage.NewMemStore()
+					got := drive(t, store, ckpt, false)
+					if st := store.Stats(); st != (storage.Stats{}) {
+						t.Errorf("checkpointed=%v: the store was touched: %+v", ckpt, st)
 					}
+					if keys, _ := store.List(""); len(keys) != 0 {
+						t.Errorf("checkpointed=%v: keys in the store: %v", ckpt, keys)
+					}
+					h := fnv.New64a()
+					for _, r := range got {
+						fmt.Fprintf(h, "%d %d %d %s %016x\n", r.WindowID, r.N, r.SampleN, r.Mode, math.Float64bits(r.Scalar))
+						if r.Mode != ModeIncremental || r.FetchedFromStore {
+							t.Fatalf("window %d: mode %v, fetched %v", r.WindowID, r.Mode, r.FetchedFromStore)
+						}
+					}
+					if len(got) < 20 {
+						t.Fatalf("only %d windows fired", len(got))
+					}
+					if sum := h.Sum64(); sum != noArchiveGoldens[name] {
+						t.Errorf("checkpointed=%v: results hash %#016x, the parent's %#016x", ckpt, sum, noArchiveGoldens[name])
+					}
+					first = got
 				}
-				ref := drive(t, storage.NewMemStore(), false, true, true)
+				ref := drive(t, storage.NewMemStore(), true, true)
 				if len(ref) != len(first) {
 					t.Fatalf("%d windows, %d on the sampled path", len(first), len(ref))
 				}
@@ -262,7 +250,7 @@ func TestIncrementalGroupedNeverTouchesStore(t *testing.T) {
 							t.Fatal(err)
 						}
 						return m
-					}, false, ckpt, false)
+					}, ckpt, false)
 					if st := store.Stats(); st != (storage.Stats{}) {
 						t.Errorf("checkpointed=%v: the store was touched: %+v", ckpt, st)
 					}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"spear/internal/col"
 	"spear/internal/tuple"
 	"spear/internal/window"
 )
@@ -110,28 +109,6 @@ type Manager interface {
 	OnTupleBatch(ts []tuple.Tuple) ([]Result, error)
 	// OnWatermark completes every window with end ≤ wm.
 	OnWatermark(wm int64) ([]Result, error)
-}
-
-// ColumnManager is the optional columnar fast path on Manager; only
-// ScalarManager has one. When Config.Columnar is enabled, the engine's
-// windowed workers point a pooled col.ColumnBatch at each run of data
-// tuples (SetRows) and deliver it here instead of OnTupleBatch; the
-// kernel projects the value column it reads (Floats).
-//
-// The contract is strict equivalence: OnColumnBatch(cb) must leave the
-// manager in the same state, and return the same results in the same
-// order, as OnTupleBatch over cb.Rows(). Window values AND
-// accelerate/exact Mode decisions are bit-identical by construction: the
-// kernels consume the same float bits in the same per-window arrival
-// order and draw the same PRNG streams. A manager whose configuration or
-// batch shape is outside its kernel's reach must fall back to
-// OnTupleBatch(cb.Rows()) internally, never approximate.
-//
-// The batch is borrowed: it is valid only for the duration of the call
-// (the worker refills it for the next batch), so kernels must not
-// retain cb or any slice obtained from it.
-type ColumnManager interface {
-	OnColumnBatch(cb *col.ColumnBatch) ([]Result, error)
 }
 
 // KeepsRows reports whether m may still reference a tuple it was

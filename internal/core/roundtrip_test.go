@@ -27,7 +27,7 @@ type StateDiff func(live, restored any, allow map[string]string) []string
 // roundTripAllow is what a restore does not give back, and why.
 var roundTripAllow = map[string]string{
 	"shell.cfg.Metrics":          "telemetry, outside the checkpoint domain: a recovered run does not re-count what the crashed one counted",
-	"shell.cols":                 "the row lane's scratch columns: dead between calls",
+	"shell.cols":                 "the ingest kernel's scratch columns: dead between calls",
 	"ids":                        "scratch, dead between calls: the grouped kernel's group ids, the windows a Storm fire staged",
 	"ends":                       "scratch: where each window a Storm fire staged ends, dead between fires",
 	"shell.arc.free":             "recycled pane buffers, empty",
@@ -84,16 +84,11 @@ func roundTrip[M checkpointed](t *testing.T, c compatCase, l lane, mk func(stora
 	return live, restored
 }
 
-// lanes are the deliveries a SPEAr manager is driven through: the row and
-// (scalar only) the columnar entry points, a tuple and 64 at a time.
-var lanes = []lane{oneAtATime, {size: 64}, {size: 1, columnar: true}, {size: 64, columnar: true}}
+// lanes are the deliveries a SPEAr manager is driven through: a tuple
+// and 64 at a time.
+var lanes = []lane{oneAtATime, {size: 64}}
 
-func (l lane) String() string {
-	if l.columnar {
-		return fmt.Sprintf("columnar/%d", l.size)
-	}
-	return fmt.Sprintf("rows/%d", l.size)
-}
+func (l lane) String() string { return fmt.Sprintf("rows/%d", l.size) }
 
 // spearRoundTrips runs roundTrip for every compat case of one manager kind
 // (grouped or not) through every lane, keyed by case and lane.
@@ -104,14 +99,9 @@ func spearRoundTrips[M checkpointed](t *testing.T, grouped bool, mk func(Config)
 			continue
 		}
 		for _, l := range lanes {
-			if grouped && l.columnar {
-				continue // a grouped manager has no columnar lane
-			}
 			name := c.name + "/" + l.String()
 			live[name], restored[name] = roundTrip(t, c, l, func(store storage.SpillStore) (M, error) {
-				cfg := c.cfg(store)
-				cfg.Columnar = ColumnarSpec{Enabled: l.columnar, ValueField: 0}
-				return mk(cfg)
+				return mk(c.cfg(store))
 			})
 		}
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"spear/internal/col"
@@ -81,30 +80,11 @@ func NewScalarManager(cfg Config) (*ScalarManager, error) {
 	return m, nil
 }
 
-// OnColumnBatch implements ColumnManager, an adapter to the kernel of
-// OnTupleBatch. The eligibility gate runs once per batch: the lane
-// applies only to time-domain specs, requires the value field to
-// project, and checks it against Value on the first row only (the
-// tripwire: a wrong field index or kind). Anything else falls back to
-// OnTupleBatch over the borrowed rows. Past the gate the batch's
-// timestamp and value columns are the kernel's input as they stand: the
-// kernel consumes the same float bits in the same per-window arrival
-// order and draws the same PRNG streams whichever entry point delivered
-// them, so every value and every Mode is the row path's.
+// OnColumnBatch is OnTupleBatch over the rows cb borrows. It is inert:
+// no engine path calls it, and it stays because benchmark/layers/core
+// times it as core.column_ingest (ROADMAP 3(e)).
 func (m *ScalarManager) OnColumnBatch(cb *col.ColumnBatch) ([]Result, error) {
-	if cb.Len() == 0 {
-		return nil, nil
-	}
-	rows := cb.Rows()
-	if !m.cfg.Columnar.Enabled || m.cfg.Spec.Domain == window.CountDomain {
-		return m.OnTupleBatch(rows)
-	}
-	vals := cb.Floats(m.cfg.Columnar.ValueField)
-	if vals == nil || math.Float64bits(vals[0]) != math.Float64bits(m.cfg.Value(rows[0])) {
-		return m.OnTupleBatch(rows)
-	}
-	m.syncControl()
-	return m.ingestRun(cb.Ts(), vals, rows)
+	return m.OnTupleBatch(cb.Rows())
 }
 
 func (m *ScalarManager) capacity() int { return m.curBudget }
@@ -269,7 +249,4 @@ func (m *ScalarManager) BudgetMemUsage() int {
 }
 
 // ensure interface compliance.
-var (
-	_ Manager       = (*ScalarManager)(nil)
-	_ ColumnManager = (*ScalarManager)(nil)
-)
+var _ Manager = (*ScalarManager)(nil)

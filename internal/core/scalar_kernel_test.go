@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"spear/internal/agg"
-	"spear/internal/col"
 	"spear/internal/sample"
 	"spear/internal/storage"
 	"spear/internal/tuple"
@@ -34,7 +33,7 @@ func (a *archive) add(t tuple.Tuple) error {
 func (s *shell) tuplesShed() int64 { return s.cfg.Metrics.TuplesShed.Load() }
 
 // refIngest is the per-tuple ingest body ScalarManager had before its
-// entry points became adapters to ingestRun, kept here as the reference
+// entry points became adapters to one batch kernel, kept here as the reference
 // the kernel is held to: assignment, admission, one Add per open window
 // and one archive add, tuple by tuple, firing after every tuple in the
 // count domain. Three edits: the count, which was the n of a full
@@ -250,7 +249,6 @@ func TestScalarKernelMatchesPerTupleIngest(t *testing.T) {
 						// Chunks of 7 fill in the middle of runs.
 						Epsilon: 0.25, Confidence: 0.95, BudgetTuples: 32, ArchiveChunk: 7,
 						Store: storage.NewMemStore(), Key: "k", Seed: 11,
-						Columnar: ColumnarSpec{Enabled: true, ValueField: 0},
 					}
 					if a.aimd {
 						cfg.BudgetMin, cfg.BudgetMax = 8, 64
@@ -283,13 +281,6 @@ func TestScalarKernelMatchesPerTupleIngest(t *testing.T) {
 				for _, size := range []int{1, 7, 64, 1000} {
 					m := mk()
 					check(fmt.Sprintf("OnTupleBatch/%d", size), kernelTrace(t, m, ops, size, m.OnTupleBatch))
-					m = mk()
-					cb := col.Get()
-					check(fmt.Sprintf("OnColumnBatch/%d", size), kernelTrace(t, m, ops, size, func(ts []tuple.Tuple) ([]Result, error) {
-						cb.SetRows(ts)
-						return m.OnColumnBatch(cb)
-					}))
-					col.Put(cb)
 				}
 			})
 		}

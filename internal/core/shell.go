@@ -160,27 +160,21 @@ func (s *shell) SetShedding(on bool) {
 	s.shed = on && s.arc != nil && s.sh.capacity() > 0
 }
 
-// OnTupleBatch implements Manager (Alg. 1): the rows' positions and
-// values are read once into two columns and handed to the kernel, which
-// reads the keys where it needs them.
+// OnTupleBatch implements Manager (Alg. 1), the manager's one ingest
+// kernel (DESIGN.md §19). The rows' positions and values are read once
+// into two columns, index-aligned with the rows; the kernel reads the
+// keys where it needs them. Spec.EachRun cuts the batch into runs that
+// share one window assignment, so the assignment, the lifecycle's
+// admission, the shape's fold and the archive append are paid per run;
+// a late run is neither folded nor archived. A slice and a window see
+// their tuples in arrival order wherever the batches were cut, so every
+// value, ε̂_w and Mode is what a per-tuple loop produces. A count-domain
+// window completes exactly at the end of a run (the next position has a
+// different assignment), so there the kernel fires after each run.
 func (s *shell) OnTupleBatch(rows []tuple.Tuple) ([]Result, error) {
 	s.syncControl()
 	s.cols.read(rows, &s.lc)
-	return s.ingestRun(s.cols.pos, s.cols.vals, rows)
-}
-
-// ingestRun is the manager's one ingest kernel (Alg. 1 over a batch,
-// DESIGN.md §19): ts, vals and rows are a batch's positions, aggregated
-// values and tuples, index-aligned. Spec.EachRun cuts the batch into
-// runs that share one window assignment, so the assignment, the
-// lifecycle's admission, the shape's fold and the archive append are
-// paid per run; a late run is neither folded nor archived. A slice and a
-// window see their tuples in arrival order wherever the batches were
-// cut, so every value, ε̂_w and Mode is what a per-tuple loop produces.
-// A count-domain window completes exactly at the end of a run (the next
-// position has a different assignment), so there the kernel fires after
-// each run.
-func (s *shell) ingestRun(ts []int64, vals []float64, rows []tuple.Tuple) ([]Result, error) {
+	ts, vals := s.cols.pos, s.cols.vals
 	count := s.cfg.Spec.Domain == window.CountDomain
 	var out []Result
 	var err error

@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"spear/internal/agg"
-	"spear/internal/col"
 	"spear/internal/storage"
 	"spear/internal/tuple"
 	"spear/internal/window"
@@ -179,12 +178,8 @@ func compatStream(c compatCase) []tuple.Tuple {
 	return ts
 }
 
-// lane is how a drive delivers tuples: size at a time, through the row
-// entry points or, where columnar is set, OnColumnBatch.
-type lane struct {
-	size     int
-	columnar bool
-}
+// lane is how a drive delivers tuples: size at a time.
+type lane struct{ size int }
 
 var oneAtATime = lane{size: 1}
 
@@ -215,20 +210,12 @@ func compatDrive(t *testing.T, c compatCase, m Manager, ts []tuple.Tuple, from, 
 			sb.WriteByte('\n')
 		}
 	}
-	cb := col.Get()
-	defer col.Put(cb)
 	for i := from; i < to; i += l.size {
 		j := min(i+l.size, to)
 		for k := i; c.at != nil && k < j; k++ {
 			c.at(k, m.(*ScalarManager))
 		}
-		switch {
-		case l.columnar:
-			cb.SetRows(ts[i:j])
-			emit(m.(ColumnManager).OnColumnBatch(cb))
-		default:
-			emit(m.OnTupleBatch(ts[i:j]))
-		}
+		emit(m.OnTupleBatch(ts[i:j]))
 		if j/50 > i/50 {
 			emit(m.OnWatermark(int64(j/50*50 - 20)))
 		}

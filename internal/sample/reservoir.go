@@ -90,7 +90,7 @@ func (r *Reservoir) admit(j int, x float64) {
 // each element in order — same admissions, same PRNG draw sequence,
 // bit-identical sample. Past the fill phase it replaces the per-item
 // seen==next comparison with direct skip-ahead over the slice (the
-// admission index is already known), so a columnar batch costs
+// admission index is already known), so a run costs
 // O(admissions), not O(items). The fill phase takes the per-item path,
 // which is already just Add.
 func (r *Reservoir) AddSlice(xs []float64) {

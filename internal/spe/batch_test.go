@@ -333,9 +333,9 @@ func (c *countingManager) OnWatermark(wm int64) ([]core.Result, error) {
 // every run pending ahead of itself or the count would fall short, and
 // nothing read after the trigger may reach the worker before the
 // barrier, or it would overshoot. Runs with no chain, a chain, and a
-// chain on a columnar run (each chain dropping every eighth tuple, so
-// the prefix is counted in survivors), at several batch sizes including
-// one larger than the barrier offset.
+// chain with the inert Config.Columnar set (each chain dropping every
+// eighth tuple, so the prefix is counted in survivors), at several batch
+// sizes including one larger than the barrier offset.
 func TestBarrierFlushCoversExactPrefix(t *testing.T) {
 	leakcheck.Check(t)
 	const n, barrierAt = 2000, 500
@@ -508,7 +508,8 @@ func TestBackpressureSlowWindowedWorkerBatched(t *testing.T) {
 // TestBatchOccupancyCountsTuples pins what the occupancy histogram
 // records: the tuples a data batch carries. On a steady stream at
 // BatchSize 64 every run is full, so the mean is 64 with or without a
-// chain on a columnar run; controls are not batches of anything.
+// chain (and the inert Config.Columnar); controls are not batches of
+// anything.
 func TestBatchOccupancyCountsTuples(t *testing.T) {
 	leakcheck.Check(t)
 	const n = 64 * 200
@@ -643,36 +644,43 @@ func TestHopAllocsPerTuple(t *testing.T) {
 	}
 }
 
-// ---- a shard's ingest lane --------------------------------------------------
+// ---- a shard's one ingest lane -------------------------------------------
 
-// laneManager records which entry point its runs arrived through.
-type laneManager struct {
+// rowManager counts the tuples its runs carry.
+type rowManager struct {
 	nopManager
-	rows, cols int
+	rows int
 }
 
-func (m *laneManager) OnTupleBatch(rs []tuple.Tuple) ([]core.Result, error) {
+func (m *rowManager) OnTupleBatch(rs []tuple.Tuple) ([]core.Result, error) {
 	m.rows += len(rs)
 	return nil, nil
 }
 
-func (m *laneManager) OnColumnBatch(cb *col.ColumnBatch) ([]core.Result, error) {
-	m.cols += cb.Len()
-	return nil, nil
+// columnManager is a rowManager that also has an OnColumnBatch, as
+// core.ScalarManager does.
+type columnManager struct{ rowManager }
+
+func (m *columnManager) OnColumnBatch(*col.ColumnBatch) ([]core.Result, error) {
+	panic("a worker called OnColumnBatch")
 }
 
-// TestShardColumnarLane pins that Shard.Columnar reaches the shard's
-// workers: the rows a frame decodes to are viewed as columns and fed to the
-// manager's OnColumnBatch kernels when the run is columnar, and to
-// OnTupleBatch when it is not — what a local worker of the same run
-// does.
+// TestShardColumnarLane pins that a shard's worker has one way into its
+// manager: the rows a frame decodes to go to OnTupleBatch, whether or
+// not the manager also has an OnColumnBatch — what a local worker of the
+// same run does.
 func TestShardColumnarLane(t *testing.T) {
 	leakcheck.Check(t)
 	for _, columnar := range []bool{false, true} {
 		t.Run(fmt.Sprintf("columnar=%v", columnar), func(t *testing.T) {
-			mgr := &laneManager{}
+			rm := &rowManager{}
+			var mgr core.Manager = rm
+			if columnar {
+				cm := &columnManager{}
+				mgr, rm = cm, &cm.rowManager
+			}
 			sr, err := StartShard(Shard{
-				Name: "lane", Lo: 2, Hi: 3, Columnar: columnar,
+				Name: "lane", Lo: 2, Hi: 3,
 				Factory: func(int) (core.Manager, error) { return mgr, nil },
 			})
 			if err != nil {
@@ -687,12 +695,8 @@ func TestShardColumnarLane(t *testing.T) {
 			if err := sr.Wait(); err != nil {
 				t.Fatal(err)
 			}
-			wantRows, wantCols := 2, 0
-			if columnar {
-				wantRows, wantCols = 0, 2
-			}
-			if mgr.rows != wantRows || mgr.cols != wantCols {
-				t.Fatalf("ingested %d by rows, %d by columns; want %d, %d", mgr.rows, mgr.cols, wantRows, wantCols)
+			if rm.rows != 2 {
+				t.Fatalf("ingested %d tuples by rows, want 2", rm.rows)
 			}
 		})
 	}

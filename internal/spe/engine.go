@@ -36,13 +36,9 @@ type Config struct {
 	// flush, preserving per-tuple ordering semantics exactly). 1
 	// reproduces per-tuple transfer; zero selects the default of 64.
 	BatchSize int
-	// Columnar switches the windowed workers onto the columnar ingest
-	// lane: each run a worker receives is viewed through its pooled
-	// col.ColumnBatch (SetRows) and fed to OnColumnBatch, when the
-	// manager implements core.ColumnManager (the scalar SPEAr manager
-	// does). Every hop still carries rows. Results are bit-identical to
-	// the row path by the ColumnManager contract; every other manager,
-	// grouped ones included, keeps the row batch path.
+	// Columnar is inert: every worker feeds its manager OnTupleBatch.
+	// The field stays because benchmark/layers/spe sets it (ROADMAP
+	// 3(e)).
 	Columnar bool
 	// WatermarkPeriod is the event-time distance between watermarks
 	// emitted by the spout. Zero disables watermark generation (for

@@ -85,8 +85,7 @@ func (l *localFabric) Open(par, queueSize int, env FabricEnv) ([]chan Batch, err
 	tp := l.tp
 	sr, err := startShard(Shard{
 		Name: tp.windowed.name, Lo: 0, Hi: par,
-		BatchSize: tp.cfg.BatchSize, Columnar: tp.cfg.Columnar,
-		Factory: tp.windowed.factory, Hooks: tp.cfg.Checkpoint, Obs: tp.cfg.Obs,
+		BatchSize: tp.cfg.BatchSize, Factory: tp.windowed.factory, Hooks: tp.cfg.Checkpoint, Obs: tp.cfg.Obs,
 	}, queueSize, queueSize, env.pool, env.failed)
 	if err != nil {
 		return nil, err

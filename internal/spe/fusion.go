@@ -4,9 +4,9 @@ import "spear/internal/tuple"
 
 // fusedChain is the one executor of a topology's stateless stages: the
 // whole map→filter→…→route chain runs inside the spout goroutine, on
-// every plan — columnar or not, checkpointed or not, local or over a
-// fabric. It is tuple-at-a-time: a source tuple goes through every
-// stage in a local and its survivor straight to its destination's run
+// every plan — checkpointed or not, local or over a fabric. It is
+// tuple-at-a-time: a source tuple goes through every stage in a local
+// and its survivor straight to its destination's run
 // in the batcher, with no channel hop, no stage goroutine and no buffer
 // between stages. A stage is an opaque row closure, so there is nothing
 // a stage-major loop over a batch could vectorise, and what such a loop

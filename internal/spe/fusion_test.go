@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"spear/internal/col"
 	"spear/internal/core"
 	"spear/internal/leakcheck"
 	"spear/internal/tuple"
@@ -44,19 +43,15 @@ func chainStages(seed int64, rec *[4][]tuple.Tuple) []MapFunc {
 }
 
 // laneRecorder is a manager that writes down what reaches it, in
-// order: every tuple by whichever entry point delivered it, every
-// watermark, and (through the snapshot hook) every barrier.
+// order: every tuple, every watermark, and (through the snapshot hook)
+// every barrier.
 type laneRecorder struct{ events []string }
 
-func (m *laneRecorder) tuples(ts []tuple.Tuple) ([]core.Result, error) {
+func (m *laneRecorder) OnTupleBatch(ts []tuple.Tuple) ([]core.Result, error) {
 	for _, t := range ts {
 		m.events = append(m.events, fmt.Sprintf("t%d %v %s", t.Ts, t.Vals[0].AsFloat(), t.Vals[1].AsString()))
 	}
 	return nil, nil
-}
-func (m *laneRecorder) OnTupleBatch(ts []tuple.Tuple) ([]core.Result, error) { return m.tuples(ts) }
-func (m *laneRecorder) OnColumnBatch(cb *col.ColumnBatch) ([]core.Result, error) {
-	return m.tuples(cb.Rows())
 }
 func (m *laneRecorder) OnWatermark(wm int64) ([]core.Result, error) {
 	m.events = append(m.events, fmt.Sprintf("W%d", wm))
@@ -70,8 +65,7 @@ func (m *laneRecorder) OnWatermark(wm int64) ([]core.Result, error) {
 // the barrier fall among a worker's survivors — "no control overtakes a
 // survivor", which holds because the chain buffers nothing and the
 // batcher flushes every run before a control. The chain has one emit;
-// columnar=true runs the same chain into workers that ingest through
-// OnColumnBatch.
+// columnar=true runs the same chain with the inert Config.Columnar set.
 func TestChainIsThePerTupleReference(t *testing.T) {
 	leakcheck.Check(t)
 	const n, par, barrierAt, period, lag, fieldsSeed = 3000, 3, 1234, 50, 7, 99

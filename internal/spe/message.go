@@ -38,8 +38,8 @@ const (
 
 // Batch is the unit of transfer on every hop, sent by value: exactly
 // one of a run of data tuples (Rows), a watermark, or a barrier. Every
-// hop carries rows, columnar run or not: a columnar worker views the run
-// it receives through its own col.ColumnBatch.
+// hop carries rows, and a worker hands a run to its manager as it
+// arrives (OnTupleBatch).
 //
 // The receiver owns what a data batch carries: Rows came from the
 // engine's run pool and goes back to it once the tuples have been handed

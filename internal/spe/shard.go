@@ -20,11 +20,7 @@ type Shard struct {
 	Name      string
 	Lo, Hi    int // global windowed worker range [Lo, Hi)
 	BatchSize int // the source topology's; StartShard sizes its runs and channels from it
-	// Columnar mirrors the source topology's Config.Columnar: runs are
-	// viewed through a column batch and fed to the manager's
-	// OnColumnBatch, where it has one.
-	Columnar bool
-	Factory  ManagerFactory
+	Factory   ManagerFactory
 	// Hooks carries the worker-side checkpoint protocol: Restore runs
 	// per worker before the loops start; Snapshot runs at each barrier.
 	// nil disables barrier handling — only valid when the source never
@@ -131,7 +127,6 @@ func startShard(sh Shard, queue, results int, pool *runPool, failed *errOnce) (*
 				name:      sh.Name,
 				wi:        sh.Lo + i,
 				batchSize: sh.BatchSize,
-				columnar:  sh.Columnar,
 				hooks:     sh.Hooks,
 				mgr:       mgr,
 				in:        sr.In[i],

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"spear/internal/col"
 	"spear/internal/core"
 	"spear/internal/obs"
 )
@@ -17,7 +16,6 @@ type winWorkerCfg struct {
 	name      string // stage name, for errors and telemetry
 	wi        int    // global worker index (seeds, snapshot identity)
 	batchSize int
-	columnar  bool // feed OnColumnBatch when the manager has it
 	hooks     *CheckpointHooks
 	mgr       core.Manager
 	in        chan Batch
@@ -42,23 +40,6 @@ func runWinWorker(c winWorkerCfg) {
 	wm := int64(math.MinInt64) // the worker's watermark: a monotone cursor
 	var lastBarrier uint64     // barrier ids strictly increase on a sound channel
 	mgr := c.mgr
-	// Columnar lane: when the run is columnar and the manager has
-	// OnColumnBatch (a scalar SPEAr manager), each row run is viewed
-	// through one pooled column batch and ingested through it. The batch
-	// is worker-owned for the whole run and recycled at exit; the manager
-	// only borrows it per call. Otherwise a run goes to the manager's
-	// OnTupleBatch, the one way in every manager has. Either way the
-	// manager may not keep the slice past the call: it is recycled
-	// right after.
-	var cm core.ColumnManager
-	var cb *col.ColumnBatch
-	if c.columnar {
-		var hasCol bool
-		if cm, hasCol = mgr.(core.ColumnManager); hasCol {
-			cb = col.Get()
-			defer col.Put(cb)
-		}
-	}
 	var sinkBuf []SinkItem
 	flushSink := func() {
 		if len(sinkBuf) > 0 {
@@ -96,23 +77,17 @@ func runWinWorker(c winWorkerCfg) {
 			})
 		}
 	}
-	// ingest drains one data batch through the manager and recycles
-	// the run, error or not, and its slab unless the manager now holds
-	// rows whose values live there.
+	// ingest drains one data batch through the manager's OnTupleBatch,
+	// the one way into every manager, and recycles the run, error or
+	// not, and its slab unless the manager now holds rows whose values
+	// live there: the manager may not keep the slice past the call.
 	ingest := func(b Batch) {
 		if c.trace != nil {
 			for i := range b.Rows {
 				traceAssign(b.Rows[i].Ts)
 			}
 		}
-		var rs []core.Result
-		var err error
-		if cb != nil {
-			cb.SetRows(b.Rows)
-			rs, err = cm.OnColumnBatch(cb)
-		} else {
-			rs, err = mgr.OnTupleBatch(b.Rows)
-		}
+		rs, err := mgr.OnTupleBatch(b.Rows)
 		if core.KeepsRows(mgr) {
 			b.Slab = nil
 		}

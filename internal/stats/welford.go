@@ -36,7 +36,7 @@ func (w *Welford) Add(x float64) {
 }
 
 // AddSlice folds a run of observations into the accumulator, one at a
-// time in order — the columnar kernels' entry point. The recurrence is
+// time in order — the ingest kernel's entry point. The recurrence is
 // exactly Add's per element, so the result is bit-identical to a
 // sequential Add loop (Welford's update is order-dependent; no
 // reassociation is allowed here).

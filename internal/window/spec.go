@@ -113,7 +113,7 @@ func (s Spec) Assign(ts int64) (lo, hi ID) {
 // assignment and calls visit once per run with the half-open index
 // range [i0, i1) and that run's inclusive window interval [lo, hi].
 // Concatenating the runs reproduces Assign element-for-element; the
-// point is that a columnar kernel pays the assignment arithmetic once
+// point is that the ingest kernel pays the assignment arithmetic once
 // per run instead of once per tuple (a tumbling window sees one run per
 // batch in steady state).
 func (s Spec) EachRun(pos []int64, visit func(i0, i1 int, lo, hi ID)) {

@@ -247,8 +247,9 @@ var randConstructors = map[string]bool{
 // source. The source is locked, a contention point on hot paths, and
 // cannot be seeded per component, so runs stop being reproducible;
 // samplers take a seeded *rand.Rand (sample.DeriveSeed) instead. Nor
-// does it draw a per-process seed from maphash.MakeSeed, which no run
-// can replay. Package main is exempt.
+// does it draw a per-process seed from maphash.MakeSeed, or derive a
+// seed from the wall clock (timeSeeds), which no run can replay.
+// Package main is exempt.
 func checkGlobalRand(p *lintPkg, report func(token.Pos, string)) {
 	if p.name == "main" {
 		return
@@ -256,6 +257,7 @@ func checkGlobalRand(p *lintPkg, report func(token.Pos, string)) {
 	for _, f := range p.files {
 		rnd := map[string]bool{importName(f, "math/rand"): true, importName(f, "math/rand/v2"): true}
 		delete(rnd, "")
+		timeSeeds(p, f, rnd, report)
 		hash := importName(f, "hash/maphash")
 		if len(rnd) == 0 && hash == "" {
 			continue
@@ -270,10 +272,8 @@ func checkGlobalRand(p *lintPkg, report func(token.Pos, string)) {
 			if !ok || !seed && (!rnd[id.Name] || randConstructors[sel.Sel.Name]) {
 				return true
 			}
-			if obj := p.info.Uses[id]; obj != nil {
-				if _, isPkg := obj.(*types.PkgName); !isPkg {
-					return true // a local name shadows the package
-				}
+			if !isPkg(p, id) {
+				return true // a local name shadows the package
 			}
 			if seed {
 				report(sel.Pos(), fmt.Sprintf("%s.MakeSeed draws a per-process seed no run can replay; derive one from the query's seed (sample.DeriveSeed)", id.Name))
@@ -283,6 +283,111 @@ func checkGlobalRand(p *lintPkg, report func(token.Pos, string)) {
 			return true
 		})
 	}
+}
+
+// isPkg reports whether id names an imported package, not a local name
+// that shadows one.
+func isPkg(p *lintPkg, id *ast.Ident) bool {
+	obj := p.info.Uses[id]
+	if obj == nil {
+		return true
+	}
+	_, ok := obj.(*types.PkgName)
+	return ok
+}
+
+// timeSeeds reports a wall-clock value that reaches a seed: time.Now or
+// time.Since, directly or through a local variable assigned from one,
+// in the argument of rand.NewSource, rand.Seed or sample.DeriveSeed, or
+// as the Seed field of a composite literal. rnd holds the file's names
+// for math/rand.
+func timeSeeds(p *lintPkg, f *ast.File, rnd map[string]bool, report func(token.Pos, string)) {
+	tm := importName(f, "time")
+	if tm == "" {
+		return
+	}
+	tainted := map[types.Object]bool{}
+	// clock returns the first wall-clock read in e: a time.Now or
+	// time.Since selector, or a use of a variable assigned from one.
+	clock := func(e ast.Node) ast.Node {
+		var at ast.Node
+		ast.Inspect(e, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if id, ok := n.X.(*ast.Ident); ok && id.Name == tm && (n.Sel.Name == "Now" || n.Sel.Name == "Since") && isPkg(p, id) {
+					at = n
+				}
+			case *ast.Ident:
+				if tainted[p.info.Uses[n]] {
+					at = n
+				}
+			}
+			return at == nil
+		})
+		return at
+	}
+	// One pass in source order: a variable is tainted from the
+	// assignment of a clock read on. rhs is as long as lhs, or one
+	// multi-valued expression.
+	taint := func(lhs, rhs []ast.Expr) {
+		for i, l := range lhs {
+			if id, ok := l.(*ast.Ident); ok && clock(rhs[min(i, len(rhs)-1)]) != nil {
+				if obj := p.info.ObjectOf(id); obj != nil {
+					tainted[obj] = true
+				}
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			taint(n.Lhs, n.Rhs)
+		case *ast.ValueSpec:
+			if len(n.Values) > 0 {
+				lhs := make([]ast.Expr, len(n.Names))
+				for i, id := range n.Names {
+					lhs[i] = id
+				}
+				taint(lhs, n.Values)
+			}
+		}
+		return true
+	})
+	sink := func(fun ast.Expr) bool {
+		switch fn := fun.(type) {
+		case *ast.SelectorExpr:
+			if id, ok := fn.X.(*ast.Ident); ok && rnd[id.Name] && (fn.Sel.Name == "NewSource" || fn.Sel.Name == "Seed") && isPkg(p, id) {
+				return true
+			}
+			fun = fn.Sel
+		}
+		id, ok := fun.(*ast.Ident)
+		if !ok {
+			return false
+		}
+		obj, ok := p.info.Uses[id].(*types.Func)
+		return ok && obj.Name() == "DeriveSeed" && obj.Pkg() != nil && obj.Pkg().Path() == "spear/internal/sample"
+	}
+	const msg = "a seed derived from the wall clock; no run can replay it: derive one from the query's seed (sample.DeriveSeed)"
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if sink(n.Fun) {
+				for _, a := range n.Args {
+					if at := clock(a); at != nil {
+						report(at.Pos(), msg)
+					}
+				}
+			}
+		case *ast.KeyValueExpr:
+			if k, ok := n.Key.(*ast.Ident); ok && k.Name == "Seed" {
+				if at := clock(n.Value); at != nil {
+					report(at.Pos(), msg)
+				}
+			}
+		}
+		return true
+	})
 }
 
 // checkGoroutines: a go func literal shows lifecycle discipline, so that
@@ -573,6 +678,10 @@ func TestAnalyzersCatchSeededMutations(t *testing.T) {
 				{"countmin.go", "func (c *CountMin) bucket(", "var _ = maphash.MakeSeed()\n\nfunc (c *CountMin) bucket("},
 			},
 			"var _ = maphash.MakeSeed()", "MakeSeed draws a per-process seed"},
+		// A wall-clock seed for a window's reservoir.
+		{"globalrand_timeseed", "globalrand", "internal/core",
+			[]seed{{"scalar.go", "sample.DeriveSeed(m.cfg.Seed, int64(id))", "sample.DeriveSeed(time.Now().UnixNano(), int64(id))"}},
+			"w.res = sample.NewReservoir(m.curBudget, sample.DeriveSeed(time.Now().UnixNano(), int64(id)), sample.AlgoL)", "derived from the wall clock"},
 		{"goroutine-discipline", "goroutine-discipline", "internal/stats",
 			[]seed{{"welford.go", "func (w *Welford) Merge(o Welford) {\n", "func (w *Welford) Merge(o Welford) {\n\tgo func() { _ = o.n }()\n"}},
 			"go func() { _ = o.n }()", "no lifecycle discipline"},

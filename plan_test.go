@@ -16,7 +16,6 @@ func TestPlanFields(t *testing.T) {
 	const sourceOnly = "only the source reads it"
 	exempt := map[string]string{
 		"fns":          "function values cannot be hashed: building source and shards from the same code is the caller's job (Distribute's doc)",
-		"columnar":     "a lane, not a semantics: a shard built without Columnar ingests rows and agrees bit for bit",
 		"source":       sourceOnly + ": a shard has no spout",
 		"maps":         sourceOnly + ": Map stages run at the source, ahead of the wire",
 		"par":          "the JobSpec carries the source's (Lo, Hi, Par)",

@@ -142,7 +142,6 @@ type plan struct {
 	batchSize int
 	wmPeriod  time.Duration
 	wmLag     time.Duration
-	columnar  core.ColumnarSpec
 
 	store        storage.SpillStore
 	spillWorkers int
@@ -214,7 +213,7 @@ func (q *Query) Source(s Source) *Query {
 // Map appends a stateless transformation stage; returning ok=false
 // drops the tuple (filter). Stages run in the source goroutine, in
 // order, as one chain ahead of the windowed workers — on every plan:
-// rows or Columnar, checkpointed, distributed. They are not spread over
+// local, checkpointed, distributed. They are not spread over
 // Parallelism(n) cores: parallelise expensive per-tuple work before the
 // source. (Measured price, 2-vCPU box, one Map ahead of a par-2 mean: a
 // stage goroutine per worker drew level with the chain at about 50 ns
@@ -442,32 +441,14 @@ func (q *Query) Seed(s int64) *Query {
 	return q
 }
 
-// Columnar opts the query into the columnar execution fast lane. The
-// windowed workers view each micro-batch they receive as columns (the
-// declared value field as a raw []float64) and run a tight-loop
-// aggregation kernel over them. Every hop carries rows, Map stages and
-// Distribute included: the worker, local or on a shard, projects the
-// column it reads.
-//
-// valueField declares the 0-based tuple field the aggregate's value
-// function reads (it must hold the Float or Int value the extractor
-// returns). The declaration is a promise: the kernel reads the declared
-// field in place of calling the extractor. A tripwire compares each
-// batch's first row with the extractor and falls back to the row path
-// on a mismatch, which catches a wrong field index or kind; an
-// extractor that agrees with the declared field on a batch's first row
-// and not on a later one changes results. Batches outside the kernel's
-// reach (mixed-kind or missing fields, count-based windows) fall back
-// too. With a true declaration, results — including the
-// accelerate/exact decision of every window — are bit-identical to a
-// non-columnar run. Only the SPEAr backend's scalar queries have a
-// columnar kernel; grouped queries and baseline backends silently keep
-// the row path.
+// Columnar is inert: it refuses a negative field and does nothing
+// else. Every windowed worker hands its manager rows, the one way into
+// a manager. It stays because the benchmark's etl_columnar workload
+// calls it (ROADMAP 3(e)).
 func (q *Query) Columnar(valueField int) *Query {
 	if valueField < 0 {
 		return q.errf("Columnar value field %d negative", valueField)
 	}
-	q.p.columnar = core.ColumnarSpec{Enabled: true, ValueField: valueField}
 	return q
 }
 
@@ -686,7 +667,6 @@ func (q *Query) Run(sink func(worker int, r Result)) (Summary, error) {
 
 	tp := spe.NewTopology(spe.Config{
 		BatchSize:       p.batchSize,
-		Columnar:        p.columnar.Enabled,
 		WatermarkPeriod: int64(p.wmPeriod),
 		WatermarkLag:    int64(p.wmLag),
 		Checkpoint:      hooks,

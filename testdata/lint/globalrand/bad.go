@@ -1,10 +1,14 @@
 // Package globalrand is a source-check fixture: known-bad and known-good
-// uses of math/rand and of maphash seeds in library code.
+// uses of math/rand, of maphash seeds and of wall-clock seeds in library
+// code.
 package globalrand
 
 import (
 	"hash/maphash"
 	"math/rand"
+	"time"
+
+	"spear/internal/sample"
 )
 
 // Bad: package-level calls hit the locked global source.
@@ -52,4 +56,25 @@ var perProcess = maphash.MakeSeed() // want "MakeSeed draws a per-process seed"
 // Good: hashing under a seed the caller holds.
 func hashGood(seed maphash.Seed, s string) uint64 {
 	return maphash.String(seed, s)
+}
+
+// Bad: a seed read off the wall clock, directly or through a variable.
+func clockSeedBad() *rand.Rand {
+	return rand.New(rand.NewSource(time.Now().UnixNano())) // want "derived from the wall clock"
+}
+
+func clockSeedVarBad(start time.Time) int64 {
+	now := time.Since(start).Nanoseconds()
+	seed := now ^ 0x5eed
+	return sample.DeriveSeed(seed, 1) // want "derived from the wall clock"
+}
+
+type seeded struct{ Seed int64 }
+
+var clockLiteralBad = seeded{Seed: time.Now().Unix()} // want "derived from the wall clock"
+
+// Good: the wall clock read for what it is, a time, and a seed derived
+// from the caller's.
+func clockGood(seed int64) (time.Time, int64) {
+	return time.Now(), sample.DeriveSeed(seed, 2)
 }
