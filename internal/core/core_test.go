@@ -961,25 +961,25 @@ func TestEstimatorDefaults(t *testing.T) {
 		Stats: &stats.Welford{}, Epsilon: 0.1, Confidence: 0.95,
 		Agg: agg.Func{Op: agg.Min},
 	}
-	if _, ok := MeanLikeEstimator(s); ok {
+	if _, ok := DefaultScalarEstimate(s); ok {
 		t.Error("min accelerated from partial sample")
 	}
 	// Count is always exact.
 	s.Agg = agg.Func{Op: agg.Count}
-	if e, ok := MeanLikeEstimator(s); !ok || e != 0 {
+	if e, ok := DefaultScalarEstimate(s); !ok || e != 0 {
 		t.Errorf("count estimator = %v, %v", e, ok)
 	}
 	// Empty sample refuses.
-	if _, ok := MeanLikeEstimator(ScalarState{N: 10, Agg: agg.Func{Op: agg.Mean}, Stats: &stats.Welford{}}); ok {
+	if _, ok := DefaultScalarEstimate(ScalarState{N: 10, Agg: agg.Func{Op: agg.Mean}, Stats: &stats.Welford{}}); ok {
 		t.Error("empty sample accepted")
 	}
-	if _, ok := QuantileEstimator(ScalarState{N: 10}); ok {
+	if _, ok := DefaultScalarEstimate(ScalarState{N: 10, Agg: agg.Median(), Stats: &stats.Welford{}}); ok {
 		t.Error("empty quantile sample accepted")
 	}
 	// Variance needs n ≥ 2.
 	s.Agg = agg.Func{Op: agg.Variance}
 	s.Sample = []float64{1}
-	if _, ok := MeanLikeEstimator(s); ok {
+	if _, ok := DefaultScalarEstimate(s); ok {
 		t.Error("variance from n=1 accepted")
 	}
 	// StdDev's error is half the variance's.
@@ -991,8 +991,8 @@ func TestEstimatorDefaults(t *testing.T) {
 		Confidence: 0.95, Agg: agg.Func{Op: agg.Variance}}
 	sStd := sVar
 	sStd.Agg = agg.Func{Op: agg.StdDev}
-	eVar, _ := MeanLikeEstimator(sVar)
-	eStd, _ := MeanLikeEstimator(sStd)
+	eVar, _ := DefaultScalarEstimate(sVar)
+	eStd, _ := DefaultScalarEstimate(sStd)
 	if math.Abs(eStd-eVar/2) > 1e-12 {
 		t.Errorf("stddev error %v, variance %v", eStd, eVar)
 	}

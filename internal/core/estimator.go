@@ -56,81 +56,27 @@ type GroupedState struct {
 // grouped window.
 type GroupedEstimator func(g GroupedState) (estErr float64, ok bool)
 
-// MeanLikeEstimator is the default estimator for distributive and
-// algebraic scalar operations. It builds the finite-population-corrected
-// normal confidence interval of §4.2 and reports its half-width relative
-// to the estimate.
-func MeanLikeEstimator(s ScalarState) (float64, bool) {
-	if s.Custom != nil {
-		return math.Inf(1), false // no generic bound for custom ops
-	}
-	n := int64(len(s.Sample))
-	if n == 0 {
-		return math.Inf(1), false
-	}
-	if n >= s.N {
-		return 0, true // the sample is the whole window
-	}
-	switch s.Agg.Op {
-	case agg.Count:
-		// The window size is tracked exactly at tuple arrival.
-		return 0, true
-	case agg.Mean, agg.Sum:
-		// Sum = N·mean shares the mean's relative error; small
-		// samples use Student's t (stats.MeanCIAuto), larger ones
-		// the paper's normal deviate.
-		est := s.Stats.Mean()
-		iv := stats.MeanCIAuto(est, s.Stats.StdDev(), n, s.N, s.Confidence)
-		return stats.RelativeHalfWidth(est, iv), true
-	case agg.Variance, agg.StdDev:
-		// Var(s²) ≈ 2σ⁴/(n−1) under normality, so the relative CI
-		// half-width of the variance is z·√(2/(n−1)); the stddev's
-		// is half that (delta method).
-		if n < 2 {
-			return math.Inf(1), false
-		}
-		z := stats.ZForConfidence(s.Confidence)
-		rel := z * math.Sqrt(2/float64(n-1))
-		if s.Agg.Op == agg.StdDev {
-			rel /= 2
-		}
-		return rel, true
-	case agg.Min, agg.Max:
-		// Sample extremes carry no distribution-free error bound; a
-		// window can only be "accelerated" when fully sampled
-		// (handled above) or maintained incrementally.
-		return math.Inf(1), false
-	default:
-		return math.Inf(1), false
-	}
-}
-
-// QuantileEstimator is the default estimator for holistic quantile
-// operations, following the paper's adoption of Manku et al.: accuracy
-// is established "by comparing the allocated budget b for a window with
-// the expected budget". The sample admits an (ε, δ)-approximate quantile
-// iff its size reaches the Hoeffding bound; the reported ε̂ is the rank
-// error achievable at the actual sample size.
-func QuantileEstimator(s ScalarState) (float64, bool) {
-	if s.Custom != nil {
-		return math.Inf(1), false
-	}
-	n := int64(len(s.Sample))
-	if n == 0 {
-		return math.Inf(1), false
-	}
-	if n >= s.N {
-		return 0, true
-	}
-	return stats.QuantileRankError(n, s.Confidence), true
+// bounds is each built-in operation's accuracy bound family, the one
+// table the scalar check, the grouped L1 combination and the trimmed
+// mean read. Sum = N·mean shares the mean's relative error; the window
+// size is tracked exactly at tuple arrival; sample extremes carry no
+// distribution-free bound, so a Min or Max window is accelerated only
+// when fully sampled or maintained incrementally. An Op missing here has
+// the zero Family, which refuses (TestEveryOpHasABound keeps the table
+// complete).
+var bounds = map[agg.Op]stats.Family{
+	agg.Count: stats.Exact,
+	agg.Sum:   stats.Mean, agg.Mean: stats.Mean,
+	agg.Min: stats.Unbounded, agg.Max: stats.Unbounded,
+	agg.Variance: stats.Variance, agg.StdDev: stats.StdDev,
+	agg.Percentile: stats.Quantile,
 }
 
 // TrimmedMeanEstimator returns an accuracy estimator for the
 // agg.TrimmedMean(frac) custom operation: it trims the sample exactly
-// the way the aggregate does and builds the finite-population mean
-// confidence interval over the surviving values. It is both a usable
-// estimator and the repository's worked example of the paper's
-// custom-operation API.
+// the way the aggregate does and applies the mean's bound to the
+// surviving values. It is both a usable estimator and the repository's
+// worked example of the paper's custom-operation API.
 func TrimmedMeanEstimator(frac float64) ScalarEstimator {
 	if !(frac >= 0 && frac < 0.5) {
 		panic("core: trim fraction must be in [0, 0.5)")
@@ -150,68 +96,52 @@ func TrimmedMeanEstimator(frac float64) ScalarEstimator {
 		if w.Count() < 2 {
 			return math.Inf(1), false
 		}
-		est := w.Mean()
 		// The trimmed stratum of the window holds ≈(1−2·frac)·N values.
 		nTrim := int64(float64(s.N) * (1 - 2*frac))
-		iv := stats.MeanCIAuto(est, w.StdDev(), w.Count(), nTrim, s.Confidence)
-		return stats.RelativeHalfWidth(est, iv), true
+		return stats.Mean.Err(w.Count(), nTrim, w.Moments(), s.Confidence)
 	}
 }
 
-// DefaultScalarEstimate runs the built-in scalar estimator for the
-// state's aggregate. Custom estimators can wrap it to observe or adjust
-// the engine's decisions.
+// DefaultScalarEstimate runs the built-in bound of the state's
+// aggregate over its sample. It refuses custom operations, whose
+// sampling behavior it cannot know. Custom estimators can wrap it to
+// observe or adjust the engine's decisions.
 func DefaultScalarEstimate(s ScalarState) (float64, bool) {
-	if s.Agg.Holistic() {
-		return QuantileEstimator(s)
+	if s.Custom != nil {
+		return math.Inf(1), false
 	}
-	return MeanLikeEstimator(s)
+	return bounds[s.Agg.Op].Err(int64(len(s.Sample)), s.N, s.Stats.Moments(), s.Confidence)
 }
 
 // DefaultGroupedEstimate runs the built-in grouped estimator for the
 // state's aggregate. Custom estimators can wrap it to observe or adjust
-// the engine's decisions. It estimates each group's error from its
-// allocated sample size, then aggregates with the L1 metric of Acharya
-// et al. (§4.2: "SPEAr calculates the error for each group e_g and then
-// combines all e_g values"): the mean of per-group error estimates. A
-// window is non-accelerable when any group would go unrepresented.
+// the engine's decisions. It bounds each group's error from its
+// allocated sample size with the aggregate's bound family, then
+// combines them with the L1 metric of Acharya et al. (§4.2: "SPEAr
+// calculates the error for each group e_g and then combines all e_g
+// values"): the mean of per-group error estimates. A window is
+// non-accelerable when any group would go unrepresented or unbounded.
 func DefaultGroupedEstimate(g GroupedState) (float64, bool) {
-	f := g.Agg
-	if g.Groups.Len() == 0 {
-		return math.Inf(1), false
-	}
-	if len(g.Alloc) < g.Groups.Len() {
-		// Some group got no sample slots: R̂_w would miss it,
-		// violating |R̂_w| = |R_w|.
+	if g.Groups.Len() == 0 || len(g.Alloc) < g.Groups.Len() {
+		// No group, or some group got no sample slots: R̂_w would
+		// miss it, violating |R̂_w| = |R_w|.
 		return math.Inf(1), false
 	}
 	// Sorted group order: the L1 combination is a float sum, and arrival
 	// order must not leak into ε̂ — two managers fed the same stream
 	// must report bit-identical estimates (cf. CongressAllocate, which
 	// sorts for the same reason).
+	bound := bounds[g.Agg.Op]
 	var sum float64
-	okAll := true
+	ok := true
 	g.Groups.EachSorted(func(key string, w *stats.Welford) {
-		nG := int64(g.Alloc[key])
-		NG := w.Count()
-		if nG <= 0 {
-			okAll = false
-		}
-		if !okAll || nG >= NG {
-			return // nothing to add: unanswerable, or stratum fully sampled
-		}
-		switch {
-		case f.Holistic():
-			sum += stats.QuantileRankError(nG, g.Confidence)
-		case f.Op == agg.Count:
-			// frequencies are exact
-		default:
-			est := w.Mean()
-			iv := stats.MeanCIAuto(est, w.StdDev(), nG, NG, g.Confidence)
-			sum += stats.RelativeHalfWidth(est, iv)
+		if ok {
+			var e float64
+			e, ok = bound.Err(int64(g.Alloc[key]), w.Count(), w.Moments(), g.Confidence)
+			sum += e
 		}
 	})
-	if !okAll {
+	if !ok {
 		return math.Inf(1), false
 	}
 	return sum / float64(g.Groups.Len()), true

@@ -52,7 +52,7 @@ func TestCustomOpConfigValidation(t *testing.T) {
 	if err := cfg.validate(); err == nil {
 		t.Error("custom op without estimator accepted")
 	}
-	cfg.ScalarEstimator = MeanLikeEstimator
+	cfg.ScalarEstimator = TrimmedMeanEstimator(0.1)
 	if err := cfg.validate(); err != nil {
 		t.Errorf("valid custom op rejected: %v", err)
 	}
@@ -81,9 +81,7 @@ func TestCustomOpSampledAndExactPaths(t *testing.T) {
 			if !accept {
 				return math.Inf(1), false
 			}
-			est := s.Stats.Mean()
-			iv := stats.MeanCI(est, s.Stats.StdDev(), int64(len(s.Sample)), s.N, s.Confidence)
-			return stats.RelativeHalfWidth(est, iv), true
+			return stats.Mean.Err(int64(len(s.Sample)), s.N, s.Stats.Moments(), s.Confidence)
 		}
 		m, err := NewScalarManager(cfg)
 		if err != nil {

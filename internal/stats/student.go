@@ -40,28 +40,3 @@ func TForConfidence(conf float64, df int64) float64 {
 	}
 	return TQuantile(0.5+conf/2, df)
 }
-
-// smallSampleCutoff is the sample size under which MeanCIAuto switches
-// from the normal deviate to Student's t: below it the extra width of
-// the t interval is material (>1% at n≈60).
-const smallSampleCutoff = 60
-
-// MeanCIAuto is MeanCI with an automatically chosen deviate: Student's
-// t with n−1 degrees of freedom for small samples, the normal deviate
-// otherwise (where the two are indistinguishable and the normal matches
-// the paper's formula exactly).
-func MeanCIAuto(sampleMean, sampleStdDev float64, n, N int64, conf float64) Interval {
-	if n >= smallSampleCutoff || n < 2 {
-		return MeanCI(sampleMean, sampleStdDev, n, N, conf)
-	}
-	if N > 0 && n >= N {
-		return Interval{Low: sampleMean, High: sampleMean}
-	}
-	t := TForConfidence(conf, n-1)
-	fpc := 1.0
-	if N > 0 {
-		fpc = math.Sqrt(1 - float64(n)/float64(N))
-	}
-	half := t * sampleStdDev / math.Sqrt(float64(n)) * fpc
-	return Interval{Low: sampleMean - half, High: sampleMean + half}
-}

@@ -1,7 +1,7 @@
 // Package stats provides the statistical machinery behind SPEAr's
 // accuracy estimation: running moments (Welford), normal-distribution
-// helpers, finite-population-corrected confidence intervals, and the
-// sample-size bound for approximate quantiles.
+// helpers, and one bound family per class of operation: the ε̂ of a
+// sample and the sample size that ε needs.
 package stats
 
 import "math"

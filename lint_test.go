@@ -298,9 +298,9 @@ func isPkg(p *lintPkg, id *ast.Ident) bool {
 
 // timeSeeds reports a wall-clock value that reaches a seed: time.Now or
 // time.Since, directly or through a local variable assigned from one,
-// in the argument of rand.NewSource, rand.Seed or sample.DeriveSeed, or
-// as the Seed field of a composite literal. rnd holds the file's names
-// for math/rand.
+// in the argument of rand.NewSource, rand.Seed or sample.DeriveSeed, as
+// the Seed field of a composite literal, or assigned to a Seed field.
+// rnd holds the file's names for math/rand.
 func timeSeeds(p *lintPkg, f *ast.File, rnd map[string]bool, report func(token.Pos, string)) {
 	tm := importName(f, "time")
 	if tm == "" {
@@ -383,6 +383,14 @@ func timeSeeds(p *lintPkg, f *ast.File, rnd map[string]bool, report func(token.P
 			if k, ok := n.Key.(*ast.Ident); ok && k.Name == "Seed" {
 				if at := clock(n.Value); at != nil {
 					report(at.Pos(), msg)
+				}
+			}
+		case *ast.AssignStmt:
+			for i, l := range n.Lhs {
+				if sel, ok := l.(*ast.SelectorExpr); ok && sel.Sel.Name == "Seed" {
+					if at := clock(n.Rhs[min(i, len(n.Rhs)-1)]); at != nil {
+						report(at.Pos(), msg)
+					}
 				}
 			}
 		}
@@ -657,56 +665,61 @@ func checkFixture(t *testing.T, check, dir string) {
 type seed struct{ file, anchor, inject string }
 
 // TestAnalyzersCatchSeededMutations holds each check to the real code,
-// not only its fixture: each reports one violation of its contract
-// seeded, in memory, into a package it guards, and nothing else. The
-// allowlist is not applied, so eventtime's case seeds nothing: it is
-// Config.clock's time.Now, which only lintAllowed excuses.
+// not only its fixture: each reports the violations of its contract
+// seeded, in memory, into a package it guards (one a line), and nothing
+// else. The allowlist is not applied, so eventtime's case seeds nothing:
+// it is Config.clock's time.Now, which only lintAllowed excuses.
 func TestAnalyzersCatchSeededMutations(t *testing.T) {
 	for _, c := range []struct {
 		name, check, dir string
 		seeds            []seed
-		line, sub        string
+		lines            []string
+		sub              string
 	}{
 		// Not internal/sample: KeyDict's allowed MakeSeed is a finding there.
 		{"globalrand", "globalrand", "internal/stats",
 			[]seed{{"describe.go", "import (\n\t\"math\"\n\t\"sort\"\n)\n\n", "import (\n\t\"math\"\n\t\"math/rand\"\n\t\"sort\"\n)\n\nvar _ = rand.Intn(3)\n\n"}},
-			"var _ = rand.Intn(3)", "global source"},
+			[]string{"var _ = rand.Intn(3)"}, "global source"},
 		// A per-process hash seed in the CountMin baseline.
 		{"globalrand_makeseed", "globalrand", "internal/sketch",
 			[]seed{
 				{"countmin.go", "\t\"fmt\"\n", "\t\"fmt\"\n\t\"hash/maphash\"\n"},
 				{"countmin.go", "func (c *CountMin) bucket(", "var _ = maphash.MakeSeed()\n\nfunc (c *CountMin) bucket("},
 			},
-			"var _ = maphash.MakeSeed()", "MakeSeed draws a per-process seed"},
+			[]string{"var _ = maphash.MakeSeed()"}, "MakeSeed draws a per-process seed"},
 		// A wall-clock seed for a window's reservoir.
 		{"globalrand_timeseed", "globalrand", "internal/core",
-			[]seed{{"scalar.go", "sample.DeriveSeed(m.cfg.Seed, int64(id))", "sample.DeriveSeed(time.Now().UnixNano(), int64(id))"}},
-			"w.res = sample.NewReservoir(m.curBudget, sample.DeriveSeed(time.Now().UnixNano(), int64(id)), sample.AlgoL)", "derived from the wall clock"},
+			[]seed{
+				{"scalar.go", "sample.DeriveSeed(m.cfg.Seed, int64(id))", "sample.DeriveSeed(time.Now().UnixNano(), int64(id))"},
+				// and a wall-clock value assigned to the config's Seed field.
+				{"scalar.go", "m := &ScalarManager{est: cfg.ScalarEstimator}", "cfg.Seed = time.Now().UnixNano()\n\tm := &ScalarManager{est: cfg.ScalarEstimator}"},
+			},
+			[]string{"w.res = sample.NewReservoir(m.curBudget, sample.DeriveSeed(time.Now().UnixNano(), int64(id)), sample.AlgoL)", "cfg.Seed = time.Now().UnixNano()"}, "derived from the wall clock"},
 		{"goroutine-discipline", "goroutine-discipline", "internal/stats",
 			[]seed{{"welford.go", "func (w *Welford) Merge(o Welford) {\n", "func (w *Welford) Merge(o Welford) {\n\tgo func() { _ = o.n }()\n"}},
-			"go func() { _ = o.n }()", "no lifecycle discipline"},
-		{"eventtime", "eventtime", "internal/core", nil, "return time.Now", "time.Now in an event-time package"},
+			[]string{"go func() { _ = o.n }()"}, "no lifecycle discipline"},
+		{"eventtime", "eventtime", "internal/core", nil, []string{"return time.Now"}, "time.Now in an event-time package"},
 		// A wall-clock read per tuple in the spout loop of Topology.Run.
 		{"eventtime_engine", "eventtime", "internal/spe",
 			[]seed{
 				{"engine.go", "\t\"math\"\n", "\t\"math\"\n\t\"time\"\n"},
 				{"engine.go", "\t\t\t\tout.sendTo(out.route(t), t)\n", "\t\t\t\t_ = time.Now()\n\t\t\t\tout.sendTo(out.route(t), t)\n"},
 			},
-			"_ = time.Now()", "time.Now in an event-time package"},
+			[]string{"_ = time.Now()"}, "time.Now in an event-time package"},
 		{"floatcmp", "floatcmp", "internal/stats",
 			[]seed{{"welford.go", "func (w *Welford) Merge(o Welford) {\n", "func (w *Welford) Merge(o Welford) {\n\tif w.mean == o.mean {\n\t\treturn\n\t}\n"}},
-			"if w.mean == o.mean {", "float equality"},
+			[]string{"if w.mean == o.mean {"}, "float equality"},
 		{"errcheck-lite", "errcheck-lite", "internal/core",
 			[]seed{{"archive.go", "ts, err := a.store.Get(pns[i].key)", "ts, _ := a.store.Get(pns[i].key)\n\t\tvar err error"}},
-			"ts, _ := a.store.Get(pns[i].key)", "error returned by .Get is dropped"},
+			[]string{"ts, _ := a.store.Get(pns[i].key)"}, "error returned by .Get is dropped"},
 		// The shard's decode path of a batch frame.
 		{"errcheck-lite_link", "errcheck-lite", "internal/transport",
 			[]seed{{"frame.go", "rows, slab, err := tuple.DecodeColumnsInto(", "var err error\n\t\trows, slab, _ := tuple.DecodeColumnsInto("}},
-			"rows, slab, _ := tuple.DecodeColumnsInto(dst, slab, r.Rest())", "error returned by tuple.DecodeColumnsInto is dropped"},
+			[]string{"rows, slab, _ := tuple.DecodeColumnsInto(dst, slab, r.Rest())"}, "error returned by tuple.DecodeColumnsInto is dropped"},
 		// The recovery path's manifest.
 		{"errcheck-lite_recovery", "errcheck-lite", "internal/checkpoint",
 			[]seed{{"worker.go", "m, err := DecodeManifest(enc)", "m, _ := DecodeManifest(enc)"}},
-			"m, _ := DecodeManifest(enc)", "error returned by DecodeManifest is dropped"},
+			[]string{"m, _ := DecodeManifest(enc)"}, "error returned by DecodeManifest is dropped"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			_, tree, _ := parseSources(t)
@@ -732,17 +745,20 @@ func TestAnalyzersCatchSeededMutations(t *testing.T) {
 			if applied != len(c.seeds) {
 				t.Fatalf("%d of %d seeds applied in %s", applied, len(c.seeds), c.dir)
 			}
-			caught := false
+			want := map[string]bool{}
+			for _, l := range c.lines {
+				want[l] = true
+			}
 			for _, f := range runLint([]*lintPkg{p}, c.check) {
-				if l := strings.TrimSpace(lines[f.pos.Filename][f.pos.Line-1]); l == c.line && strings.Contains(f.msg, c.sub) && !caught {
+				if l := strings.TrimSpace(lines[f.pos.Filename][f.pos.Line-1]); want[l] && strings.Contains(f.msg, c.sub) {
 					t.Logf("caught: %s", f)
-					caught = true
+					delete(want, l)
 					continue
 				}
 				t.Errorf("unexpected finding: %s", f)
 			}
-			if !caught {
-				t.Errorf("seeded %q not reported (want a %s finding containing %q)", c.line, c.check, c.sub)
+			for l := range want {
+				t.Errorf("seeded %q not reported (want a %s finding containing %q)", l, c.check, c.sub)
 			}
 		})
 	}

@@ -244,8 +244,8 @@ func TestAdaptiveBudgetNeedsAReader(t *testing.T) {
 	}
 }
 
-// MeanLikeEstimate mirrors core.DefaultScalarEstimate usage from user
-// code, sanity-checking the exported hooks.
+// TestDefaultEstimateHooks mirrors core.DefaultScalarEstimate usage
+// from user code: a mean reads the mean family's bound.
 func TestDefaultEstimateHooks(t *testing.T) {
 	var w stats.Welford
 	for i := 0; i < 100; i++ {
@@ -256,8 +256,8 @@ func TestDefaultEstimateHooks(t *testing.T) {
 		Epsilon: 0.1, Confidence: 0.95, Agg: agg.Func{Op: agg.Mean},
 	}
 	e1, ok1 := core.DefaultScalarEstimate(s)
-	e2, ok2 := core.MeanLikeEstimator(s)
-	if ok1 != ok2 || math.Abs(e1-e2) > 1e-12 {
-		t.Errorf("DefaultScalarEstimate (%v,%v) != MeanLikeEstimator (%v,%v)", e1, ok1, e2, ok2)
+	e2, ok2 := stats.Mean.Err(100, 10000, w.Moments(), 0.95)
+	if ok1 != ok2 || e1 != e2 {
+		t.Errorf("DefaultScalarEstimate (%v,%v) != stats.Mean.Err (%v,%v)", e1, ok1, e2, ok2)
 	}
 }

@@ -284,6 +284,39 @@ func TestKnownGroups(t *testing.T) {
 	}
 }
 
+// TestGroupedMaxIsAnsweredExactly: a sample's extremes carry no bound,
+// grouped as scalar, so a grouped Max with its groups known is answered
+// exactly, not from the per-group reservoirs (where it read the mean's
+// bound and reported its contract met).
+func TestGroupedMaxIsAnsweredExactly(t *testing.T) {
+	var in []Tuple
+	exact := map[string]float64{}
+	for i := 0; i < 20000; i++ {
+		g := []string{"a", "b"}[i%2]
+		v := 100 + math.Sin(float64(i))
+		in = append(in, ride(int64(i%600), g, v))
+		exact[g] = math.Max(exact[g], v)
+	}
+	sink := &sinkBuf{}
+	if _, err := NewQuery("grouped-max").
+		Source(FromSlice(in)).
+		TumblingWindow(600 * time.Second).
+		GroupBy(func(t Tuple) string { return t.Vals[0].AsString() }).
+		KnownGroups(2).
+		Max(func(t Tuple) float64 { return t.Vals[1].AsFloat() }).
+		BudgetTuples(400).
+		Run(sink.add); err != nil {
+		t.Fatal(err)
+	}
+	if len(sink.res) != 1 {
+		t.Fatalf("%d results, want 1", len(sink.res))
+	}
+	r := sink.res[0]
+	if r.Mode != core.ModeExact || !reflect.DeepEqual(r.Groups, exact) {
+		t.Errorf("Mode %v (ε̂ %v), groups %v; want exact %v", r.Mode, r.EstError, r.Groups, exact)
+	}
+}
+
 // TestSameSeedRoutesAlike: keyed routing is rooted at the query's seed
 // (DESIGN §9.2), so two runs of one grouped query at par 2 with the
 // same seed give each worker the same groups, and every (worker,

@@ -73,6 +73,22 @@ type seeded struct{ Seed int64 }
 
 var clockLiteralBad = seeded{Seed: time.Now().Unix()} // want "derived from the wall clock"
 
+func clockFieldBad(s *seeded) {
+	s.Seed = time.Now().UnixNano() // want "derived from the wall clock"
+}
+
+// Good: a Seed field assigned the caller's seed, and a clock read
+// assigned to a field that is not a seed.
+type stamped struct {
+	Seed int64
+	At   time.Time
+}
+
+func fieldGood(s *stamped, seed int64) {
+	s.Seed = sample.DeriveSeed(seed, 3)
+	s.At = time.Now()
+}
+
 // Good: the wall clock read for what it is, a time, and a seed derived
 // from the caller's.
 func clockGood(seed int64) (time.Time, int64) {
